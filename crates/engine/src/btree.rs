@@ -30,6 +30,7 @@
 //! `child_i` covers keys in `[sep_key_i, sep_key_{i+1})`; `sep_key_0` is
 //! always `u64::MIN`, so every key has a covering child.
 
+use ipa_core::DbPage;
 use ipa_noftl::Lba;
 
 use crate::db::{Database, PageId};
@@ -55,7 +56,8 @@ pub struct BTree {
     pub root: PageId,
 }
 
-/// In-memory image of one node.
+/// Owned image of one node, built only where the node is about to be
+/// mutated (insert / delete / split); every read searches a [`NodeView`].
 #[derive(Debug, Clone)]
 struct Node {
     leaf: bool,
@@ -67,6 +69,63 @@ impl Node {
     fn position(&self, key: u64) -> std::result::Result<usize, usize> {
         self.entries.binary_search_by_key(&key, |e| e.0)
     }
+}
+
+/// Borrowed view of one node over its page's bytes — the one parser of the
+/// node layout. Lookups, descents and range scans search and iterate it in
+/// place; [`NodeView::to_node`] copies the entries out for a mutation.
+struct NodeView<'a> {
+    leaf: bool,
+    next: u64,
+    /// The `count * ENTRY_SIZE` entry bytes.
+    entries: &'a [u8],
+}
+
+impl<'a> NodeView<'a> {
+    fn parse(page: &'a DbPage, pid: PageId) -> Result<Self> {
+        let buf = &page.bytes()[page.layout().body_start()..];
+        let leaf = match buf[0] {
+            TAG_LEAF => true,
+            TAG_INTERNAL => false,
+            other => {
+                return Err(EngineError::IndexError(format!(
+                    "page {pid:?} is not a B+-tree node (tag {other:#04x})"
+                )))
+            }
+        };
+        let count = u16::from_le_bytes([buf[1], buf[2]]) as usize;
+        let entries = buf.get(NODE_HEADER..NODE_HEADER + count * ENTRY_SIZE).ok_or_else(|| {
+            EngineError::IndexError(format!("node {pid:?} claims {count} entries, past its page"))
+        })?;
+        Ok(NodeView { leaf, next: read_u64(buf, 3), entries })
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len() / ENTRY_SIZE
+    }
+
+    fn key(&self, i: usize) -> u64 {
+        read_u64(self.entries, i * ENTRY_SIZE)
+    }
+
+    fn entry(&self, i: usize) -> (u64, u64) {
+        (self.key(i), read_u64(self.entries, i * ENTRY_SIZE + 8))
+    }
+
+    /// Binary search over the (unique, sorted) keys: `Ok(i)` when entry `i`
+    /// holds `key`, else `Err(i)` with the position it would be inserted at.
+    fn position(&self, key: u64) -> std::result::Result<usize, usize> {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.key(mid).cmp(&key) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Ok(mid),
+            }
+        }
+        Err(lo)
+    }
 
     /// Child index covering `key` (internal nodes).
     fn child_for(&self, key: u64) -> usize {
@@ -76,6 +135,19 @@ impl Node {
             Err(i) => i - 1,
         }
     }
+
+    fn to_node(&self) -> Node {
+        let entries = (0..self.len()).map(|i| self.entry(i)).collect();
+        Node { leaf: self.leaf, next: self.next, entries }
+    }
+}
+
+/// One hop of a root-to-leaf walk.
+enum Step<R> {
+    /// Reached the leaf; what the caller's probe found there.
+    Leaf(R),
+    /// Internal node: the chosen child index and that child's lba.
+    Child(usize, u64),
 }
 
 fn node_capacity(db: &Database, region: usize) -> usize {
@@ -92,27 +164,7 @@ fn read_u64(buf: &[u8], off: usize) -> u64 {
 }
 
 fn load_node(db: &mut Database, pid: PageId) -> Result<Node> {
-    db.with_page(pid, |page| {
-        let base = page.layout().body_start();
-        let buf = page.bytes();
-        let tag = buf[base];
-        let count = u16::from_le_bytes([buf[base + 1], buf[base + 2]]) as usize;
-        let next = read_u64(buf, base + 3);
-        let mut entries = Vec::with_capacity(count);
-        for i in 0..count {
-            let off = base + NODE_HEADER + i * ENTRY_SIZE;
-            let key = read_u64(buf, off);
-            let val = read_u64(buf, off + 8);
-            entries.push((key, val));
-        }
-        match tag {
-            TAG_LEAF => Ok(Node { leaf: true, next, entries }),
-            TAG_INTERNAL => Ok(Node { leaf: false, next, entries }),
-            other => Err(EngineError::IndexError(format!(
-                "page {pid:?} is not a B+-tree node (tag {other:#04x})"
-            ))),
-        }
-    })?
+    db.with_page(pid, |page| NodeView::parse(page, pid).map(|view| view.to_node()))?
 }
 
 fn node_image(node: &Node) -> Vec<u8> {
@@ -180,29 +232,54 @@ impl Database {
         self.indexes[index as usize].root
     }
 
+    /// Walk from the root to the leaf covering `key`: `on_hop` sees every
+    /// internal page with the child index chosen there, and `at_leaf`
+    /// searches the leaf within the same page access that identified it.
+    fn walk<R>(
+        &mut self,
+        index: u32,
+        key: u64,
+        mut on_hop: impl FnMut(PageId, usize),
+        at_leaf: impl Fn(&NodeView<'_>) -> R,
+    ) -> Result<(PageId, R)> {
+        let region = self.indexes[index as usize].region;
+        let mut pid = self.indexes[index as usize].root;
+        loop {
+            let step = self.with_page(pid, |page| -> Result<Step<R>> {
+                let node = NodeView::parse(page, pid)?;
+                if node.leaf {
+                    return Ok(Step::Leaf(at_leaf(&node)));
+                }
+                let ci = node.child_for(key);
+                Ok(Step::Child(ci, node.entry(ci).1))
+            })??;
+            match step {
+                Step::Leaf(found) => return Ok((pid, found)),
+                Step::Child(ci, child) => {
+                    on_hop(pid, ci);
+                    pid = PageId { region, lba: Lba(child) };
+                }
+            }
+        }
+    }
+
     /// Descend to the leaf covering `key`, returning the path of internal
     /// pages (with the chosen child index) and the leaf page.
     fn descend(&mut self, index: u32, key: u64) -> Result<(Vec<(PageId, usize)>, PageId)> {
-        let region = self.indexes[index as usize].region;
-        let mut pid = self.indexes[index as usize].root;
         let mut path = Vec::new();
-        loop {
-            let node = load_node(self, pid)?;
-            if node.leaf {
-                return Ok((path, pid));
-            }
-            let ci = node.child_for(key);
-            let child = PageId { region, lba: Lba(node.entries[ci].1) };
-            path.push((pid, ci));
-            pid = child;
-        }
+        let (leaf, ()) = self.walk(index, key, |pid, ci| path.push((pid, ci)), |_| ())?;
+        Ok((path, leaf))
     }
 
     /// Point lookup.
     pub fn index_lookup(&mut self, index: u32, key: u64) -> Result<Option<u64>> {
-        let (_, leaf) = self.descend(index, key)?;
-        let node = load_node(self, leaf)?;
-        Ok(node.position(key).ok().map(|i| node.entries[i].1))
+        let (_, found) = self.walk(
+            index,
+            key,
+            |_, _| (),
+            |leaf| leaf.position(key).ok().map(|i| leaf.entry(i).1),
+        )?;
+        Ok(found)
     }
 
     /// Insert a unique key. Duplicates are rejected.
@@ -228,19 +305,23 @@ impl Database {
         let (_, mut leaf) = self.descend(index, lo)?;
         let mut out = Vec::new();
         loop {
-            let node = load_node(self, leaf)?;
-            for &(k, v) in &node.entries {
-                if k > hi {
-                    return Ok(out);
-                }
-                if k >= lo {
+            // The sibling to continue with, or `NO_SIBLING` once past `hi`.
+            let next = self.with_page(leaf, |page| -> Result<u64> {
+                let node = NodeView::parse(page, leaf)?;
+                let (Ok(start) | Err(start)) = node.position(lo);
+                for i in start..node.len() {
+                    let (k, v) = node.entry(i);
+                    if k > hi {
+                        return Ok(NO_SIBLING);
+                    }
                     out.push((k, v));
                 }
-            }
-            if node.next == NO_SIBLING {
+                Ok(node.next)
+            })??;
+            if next == NO_SIBLING {
                 return Ok(out);
             }
-            leaf = PageId { region, lba: Lba(node.next) };
+            leaf = PageId { region, lba: Lba(next) };
         }
     }
 
@@ -407,6 +488,24 @@ mod tests {
         let all = db.index_range(idx, 0, u64::MAX).unwrap();
         assert_eq!(all.len() as u64, n);
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    #[test]
+    fn lookup_fetches_each_level_once() {
+        let mut db = test_db(NxM::disabled(), 128);
+        let idx = db.create_index(0).unwrap();
+        let tx = db.start_tx();
+        for k in 0..2_000u64 {
+            db.index_insert(tx, idx, k, k).unwrap();
+        }
+        db.commit_tx(tx).unwrap();
+        let mut levels = 1;
+        db.walk(idx, 1_234, |_, _| levels += 1, |_| ()).unwrap();
+        assert!(levels >= 3);
+        // The leaf used to be fetched a second time after the descent.
+        db.reset_stats();
+        assert_eq!(db.index_lookup(idx, 1_234).unwrap(), Some(1_234));
+        assert_eq!((db.stats().fetches, db.stats().hits), (levels, levels));
     }
 
     #[test]

@@ -2,8 +2,16 @@
 //!
 //! Pure frame management — all I/O (fetch, flush) lives in
 //! [`crate::Database`], which owns both this pool and the flash device.
+//!
+//! The pool owns its dirty state: an ordered set of dirty frame slots and
+//! an ordered set of free slots, kept current at the only transitions that
+//! exist ([`BufferPool::insert`], [`BufferPool::update`],
+//! [`BufferPool::mark_flushed`], [`BufferPool::remove`],
+//! [`BufferPool::clear`]). A frame's tracker is therefore private — nobody
+//! can dirty a frame behind the pool's back — and the cleaner, `flush_all`
+//! and the checkpointer visit dirty frames only, never the whole pool.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use ipa_core::{ChangeTracker, DbPage};
 use serde::{Deserialize, Serialize};
@@ -18,8 +26,10 @@ pub struct Frame {
     pub page_id: PageId,
     /// The page image (with resident delta records already applied).
     pub page: DbPage,
-    /// Byte-level change tracking since the last flush.
-    pub tracker: ChangeTracker,
+    /// Byte-level change tracking since the last flush. Private: the pool's
+    /// dirty set mirrors `tracker.is_dirty()`, so every mutation goes
+    /// through [`BufferPool::update`] / [`BufferPool::mark_flushed`].
+    tracker: ChangeTracker,
     /// Pin count; pinned frames are not evictable.
     pub pins: u32,
     /// CLOCK reference bit.
@@ -30,9 +40,21 @@ pub struct Frame {
 }
 
 impl Frame {
+    /// An unpinned, referenced frame for `page` with its change tracker (a
+    /// tracker that is already dirty — a freshly allocated page marked
+    /// out-of-place — enters the pool's dirty set at insertion).
+    pub fn new(page_id: PageId, page: DbPage, tracker: ChangeTracker) -> Self {
+        Frame { page_id, page, tracker, pins: 0, referenced: true, rec_lsn: Lsn::NULL }
+    }
+
     /// Whether the frame holds unflushed changes.
     pub fn is_dirty(&self) -> bool {
         self.tracker.is_dirty()
+    }
+
+    /// The change tracker (read-only: the flush decision and update sizes).
+    pub fn tracker(&self) -> &ChangeTracker {
+        &self.tracker
     }
 }
 
@@ -68,6 +90,11 @@ impl SweepStats {
 pub struct BufferPool {
     frames: Vec<Option<Frame>>,
     map: HashMap<PageId, usize>,
+    /// Slots whose frame is dirty. Invariant: `i ∈ dirty` ⇔ `frames[i]` is
+    /// occupied and its tracker is dirty.
+    dirty: BTreeSet<usize>,
+    /// Unoccupied slots. Invariant: `i ∈ free` ⇔ `frames[i]` is `None`.
+    free: BTreeSet<usize>,
     hand: usize,
     capacity: usize,
     sweep: SweepStats,
@@ -80,6 +107,8 @@ impl BufferPool {
         BufferPool {
             frames: (0..capacity).map(|_| None).collect(),
             map: HashMap::with_capacity(capacity),
+            dirty: BTreeSet::new(),
+            free: (0..capacity).collect(),
             hand: 0,
             capacity,
             sweep: SweepStats::default(),
@@ -113,7 +142,7 @@ impl BufferPool {
 
     /// Number of dirty frames.
     pub fn dirty_count(&self) -> usize {
-        self.frames.iter().flatten().filter(|f| f.is_dirty()).count()
+        self.dirty.len()
     }
 
     /// Fraction of the pool that is dirty (the cleaner's trigger metric).
@@ -149,6 +178,38 @@ impl BufferPool {
         self.frames.get_mut(idx)?.as_mut()
     }
 
+    /// Run `f` against a frame's page and tracker, pinned for the duration.
+    /// The only way to dirty a resident frame: on the clean→dirty
+    /// transition the frame joins the dirty set and `rec_lsn` (the LSN of
+    /// the next log record) becomes its recovery LSN.
+    pub fn update<R>(
+        &mut self,
+        idx: usize,
+        rec_lsn: Lsn,
+        f: impl FnOnce(&mut DbPage, &mut ChangeTracker) -> R,
+    ) -> Option<R> {
+        let frame = self.frames.get_mut(idx)?.as_mut()?;
+        frame.pins += 1;
+        let was_dirty = frame.tracker.is_dirty();
+        let result = f(&mut frame.page, &mut frame.tracker);
+        frame.pins -= 1;
+        if !was_dirty && frame.tracker.is_dirty() {
+            frame.rec_lsn = rec_lsn;
+            self.dirty.insert(idx);
+        }
+        Some(result)
+    }
+
+    /// A flush of the frame was submitted: install the (clean) successor
+    /// tracker and clear the recovery LSN — the dirty→clean transition.
+    pub fn mark_flushed(&mut self, idx: usize, tracker: ChangeTracker) {
+        debug_assert!(!tracker.is_dirty(), "a successor tracker starts clean");
+        let Some(frame) = self.frames.get_mut(idx).and_then(Option::as_mut) else { return };
+        frame.tracker = tracker;
+        frame.rec_lsn = Lsn::NULL;
+        self.dirty.remove(&idx);
+    }
+
     /// Whether the pool has a free slot.
     pub fn has_free_slot(&self) -> bool {
         self.map.len() < self.capacity
@@ -158,8 +219,11 @@ impl BufferPool {
     /// when the pool is full (callers must evict first).
     #[must_use = "a full pool rejects the frame; dropping the result loses the page"]
     pub fn insert(&mut self, frame: Frame) -> Option<usize> {
-        let idx = self.frames.iter().position(Option::is_none)?;
+        let idx = self.free.pop_first()?;
         self.map.insert(frame.page_id, idx);
+        if frame.is_dirty() {
+            self.dirty.insert(idx);
+        }
         self.frames[idx] = Some(frame);
         Some(idx)
     }
@@ -196,6 +260,8 @@ impl BufferPool {
     pub fn remove(&mut self, idx: usize) -> Option<Frame> {
         let frame = self.frames[idx].take()?;
         self.map.remove(&frame.page_id);
+        self.dirty.remove(&idx);
+        self.free.insert(idx);
         Some(frame)
     }
 
@@ -204,34 +270,51 @@ impl BufferPool {
         self.frames.iter().enumerate().filter(|(_, f)| f.is_some()).map(|(i, _)| i)
     }
 
-    /// Indices of dirty frames (cleaner input): cold pages (reference bit
-    /// clear) first in CLOCK order, hot pages last. Background cleaners
-    /// chase cold dirty pages; hot pages stay buffered and keep
-    /// accumulating updates — which is what lets a page's small changes
-    /// batch into one flush.
-    pub fn dirty_indices(&self) -> Vec<usize> {
+    /// The first `limit` dirty, unpinned frames in cleaning order: cold
+    /// frames (reference bit clear) in CLOCK order from the hand, then hot
+    /// ones in the same order. Background cleaners chase cold dirty pages;
+    /// hot pages stay buffered and keep accumulating updates — which is
+    /// what lets a page's small changes batch into one flush. Walks the
+    /// dirty set only, and stops once `limit` cold frames are found.
+    pub fn cleaner_candidates(&self, limit: usize) -> Vec<usize> {
         let mut cold = Vec::new();
         let mut hot = Vec::new();
-        for step in 0..self.capacity {
-            let idx = (self.hand + step) % self.capacity;
-            if let Some(f) = &self.frames[idx] {
-                if f.is_dirty() && f.pins == 0 {
-                    if f.referenced {
-                        hot.push(idx);
-                    } else {
-                        cold.push(idx);
-                    }
-                }
+        for &idx in self.dirty.range(self.hand..).chain(self.dirty.range(..self.hand)) {
+            if cold.len() >= limit {
+                break;
+            }
+            match &self.frames[idx] {
+                Some(f) if f.pins == 0 && !f.referenced => cold.push(idx),
+                Some(f) if f.pins == 0 && hot.len() < limit => hot.push(idx),
+                _ => {}
             }
         }
+        hot.truncate(limit - cold.len());
         cold.extend(hot);
         cold
+    }
+
+    /// Check the dirty- and free-set invariants against a full scan of the
+    /// frames. Panics on divergence — a frame was dirtied, cleaned, added
+    /// or dropped without the sets hearing of it.
+    pub fn assert_consistent(&self) {
+        let slots = || self.frames.iter().enumerate();
+        let dirty: BTreeSet<usize> = slots()
+            .filter(|(_, f)| f.as_ref().is_some_and(Frame::is_dirty))
+            .map(|(i, _)| i)
+            .collect();
+        let free: BTreeSet<usize> = slots().filter(|(_, f)| f.is_none()).map(|(i, _)| i).collect();
+        assert_eq!(self.dirty, dirty, "dirty set diverged from the frames");
+        assert_eq!(self.free, free, "free set diverged from the frames");
+        assert_eq!(self.map.len() + free.len(), self.capacity, "page map diverged from the frames");
     }
 
     /// Drop every frame without flushing (crash simulation).
     pub fn clear(&mut self) {
         self.frames.iter_mut().for_each(|f| *f = None);
         self.map.clear();
+        self.dirty.clear();
+        self.free = (0..self.capacity).collect();
         self.hand = 0;
     }
 }
@@ -241,16 +324,36 @@ mod tests {
     use super::*;
     use ipa_core::{NxM, PageLayout};
 
+    impl BufferPool {
+        /// The full-scan cleaning order [`BufferPool::cleaner_candidates`] replaced,
+        /// kept as the test oracle.
+        pub(crate) fn dirty_indices(&self) -> Vec<usize> {
+            let mut cold = Vec::new();
+            let mut hot = Vec::new();
+            for step in 0..self.capacity {
+                let idx = (self.hand + step) % self.capacity;
+                if let Some(f) = &self.frames[idx] {
+                    if f.is_dirty() && f.pins == 0 {
+                        if f.referenced {
+                            hot.push(idx);
+                        } else {
+                            cold.push(idx);
+                        }
+                    }
+                }
+            }
+            cold.extend(hot);
+            cold
+        }
+    }
+
     fn frame(pid: PageId) -> Frame {
         let layout = PageLayout::new(512, NxM::disabled()).unwrap();
-        Frame {
-            page_id: pid,
-            page: DbPage::format(pid.lba.0, layout),
-            tracker: ChangeTracker::new(NxM::disabled(), 0, true),
-            pins: 0,
-            referenced: true,
-            rec_lsn: Lsn::NULL,
-        }
+        Frame::new(
+            pid,
+            DbPage::format(pid.lba.0, layout),
+            ChangeTracker::new(NxM::disabled(), 0, true),
+        )
     }
 
     fn pid(n: u64) -> PageId {
@@ -304,13 +407,68 @@ mod tests {
     #[test]
     fn dirty_tracking() {
         let mut pool = BufferPool::new(4);
-        pool.insert(frame(pid(1))).expect("slot");
+        let a = pool.insert(frame(pid(1))).expect("slot");
         pool.insert(frame(pid(2))).expect("slot");
         assert_eq!(pool.dirty_count(), 0);
-        pool.get_mut(pid(1)).unwrap().tracker.record_body(200);
+        pool.update(a, Lsn(7), |_, tracker| tracker.record_body(200)).expect("resident");
         assert_eq!(pool.dirty_count(), 1);
         assert!((pool.dirty_fraction() - 0.25).abs() < 1e-12);
-        assert_eq!(pool.dirty_indices().len(), 1);
+        assert_eq!(pool.cleaner_candidates(usize::MAX), vec![a]);
+        assert_eq!(pool.frame_mut(a).unwrap().rec_lsn, Lsn(7), "recLSN stamped when dirtied");
+        // A second update of an already dirty frame keeps the first recLSN.
+        pool.update(a, Lsn(9), |_, tracker| tracker.record_body(201)).expect("resident");
+        assert_eq!(pool.frame_mut(a).unwrap().rec_lsn, Lsn(7));
+        pool.assert_consistent();
+        let successor = pool.frame_mut(a).unwrap().tracker().after_out_of_place_flush();
+        pool.mark_flushed(a, successor);
+        assert_eq!(pool.dirty_count(), 0);
+        assert!(pool.frame_mut(a).unwrap().rec_lsn.is_null());
+        pool.assert_consistent();
+    }
+
+    #[test]
+    fn insert_takes_the_lowest_free_slot_and_tracks_dirty_arrivals() {
+        let mut pool = BufferPool::new(4);
+        for n in 0..4 {
+            assert_eq!(pool.insert(frame(pid(n))), Some(n as usize));
+        }
+        pool.remove(2).unwrap();
+        pool.remove(0).unwrap();
+        pool.assert_consistent();
+        // A freshly allocated page arrives dirty (marked out-of-place).
+        let mut fresh = frame(pid(9));
+        fresh.tracker.mark_out_of_place();
+        assert_eq!(pool.insert(fresh), Some(0));
+        assert_eq!(pool.dirty_count(), 1);
+        assert_eq!(pool.insert(frame(pid(10))), Some(2));
+        pool.assert_consistent();
+        // Removing a dirty frame takes it out of the dirty set.
+        pool.remove(0).unwrap();
+        assert_eq!(pool.dirty_count(), 0);
+        pool.assert_consistent();
+    }
+
+    #[test]
+    fn cleaner_candidates_are_a_prefix_of_the_full_scan_order() {
+        let mut pool = BufferPool::new(8);
+        for n in 0..8 {
+            pool.insert(frame(pid(n))).expect("slot");
+        }
+        for idx in [0, 1, 3, 4, 6, 7] {
+            pool.update(idx, Lsn(1), |_, tracker| tracker.record_body(200)).expect("resident");
+        }
+        // Mixed reference bits, one pinned frame, hand in the middle.
+        for idx in [1, 4, 7] {
+            pool.frame_mut(idx).unwrap().referenced = false;
+        }
+        pool.frame_mut(3).unwrap().pins = 1;
+        pool.hand = 4;
+        let oracle = pool.dirty_indices();
+        assert_eq!(oracle, vec![4, 7, 1, 6, 0]);
+        for n in 0..=oracle.len() + 1 {
+            assert_eq!(pool.cleaner_candidates(n), oracle[..n.min(oracle.len())], "limit {n}");
+        }
+        assert_eq!(pool.cleaner_candidates(usize::MAX), oracle);
     }
 
     #[test]
@@ -320,6 +478,7 @@ mod tests {
         pool.clear();
         assert!(pool.is_empty());
         assert!(!pool.contains(pid(1)));
+        pool.assert_consistent();
     }
 
     #[test]

@@ -545,27 +545,24 @@ impl Database {
             }
         };
         let pid = PageId::new(region, lba);
-        let layout = self.layouts[region];
         self.ensure_free_frame()?;
-        let frame = Frame {
-            page_id: pid,
-            page: DbPage::format(lba, layout),
-            tracker: ChangeTracker::new(layout.scheme, 0, false),
-            pins: 0,
-            referenced: true,
-            rec_lsn: Lsn::NULL,
-        };
-        // A fresh page is dirty by construction (must reach flash at least
-        // once); mark it so the tracker reports dirty.
-        let idx = self
-            .pool
-            .insert(frame)
-            .ok_or(EngineError::Internal("no free frame after ensure_free_frame"))?;
-        self.note_resident(pid);
-        if let Some(f) = self.pool.frame_mut(idx) {
-            f.tracker.mark_out_of_place();
-        }
+        self.insert_fresh_frame(pid)?;
         Ok(pid)
+    }
+
+    /// Materialize `pid` in the pool as a formatted page that is not on
+    /// flash yet. A fresh page is dirty by construction (it must reach
+    /// flash at least once), so its tracker is marked out-of-place and the
+    /// frame enters the pool's dirty set on arrival. The caller has made
+    /// sure a slot is free.
+    pub(crate) fn insert_fresh_frame(&mut self, pid: PageId) -> Result<()> {
+        let layout = self.layouts[pid.region];
+        let mut tracker = ChangeTracker::new(layout.scheme, 0, false);
+        tracker.mark_out_of_place();
+        let frame = Frame::new(pid, DbPage::format(pid.lba.0, layout), tracker);
+        self.pool.insert(frame).ok_or(EngineError::Internal("no free frame for a fresh page"))?;
+        self.note_resident(pid);
+        Ok(())
     }
 
     /// Note a page entering the buffer pool (adaptive mode: resident
@@ -676,14 +673,7 @@ impl Database {
         // The fetch path of §6.2: apply resident delta records in forward
         // order to reconstruct the current page version.
         let n_existing = page.apply_deltas()?;
-        let frame = Frame {
-            page_id: pid,
-            page,
-            tracker: ChangeTracker::new(layout.scheme, n_existing, true),
-            pins: 0,
-            referenced: true,
-            rec_lsn: Lsn::NULL,
-        };
+        let frame = Frame::new(pid, page, ChangeTracker::new(layout.scheme, n_existing, true));
         let idx = self
             .pool
             .insert(frame)
@@ -712,16 +702,8 @@ impl Database {
         f: impl FnOnce(&mut DbPage, &mut ChangeTracker) -> Result<R>,
     ) -> Result<R> {
         let idx = self.fetch(pid)?;
-        let frame =
-            self.pool.frame_mut(idx).ok_or(EngineError::Internal("fetched frame missing"))?;
-        frame.pins += 1;
-        let was_clean = !frame.tracker.is_dirty();
-        let result = f(&mut frame.page, &mut frame.tracker);
-        frame.pins -= 1;
-        if was_clean && frame.tracker.is_dirty() {
-            frame.rec_lsn = Lsn(self.wal.head().0 + 1);
-        }
-        result
+        let rec_lsn = Lsn(self.wal.head().0 + 1);
+        self.pool.update(idx, rec_lsn, f).ok_or(EngineError::Internal("fetched frame missing"))?
     }
 
     /// Read-only page access.
@@ -754,7 +736,7 @@ impl Database {
         };
         let pid = frame.page_id;
         let page_scheme = *frame.page.scheme();
-        let decision = frame.tracker.decide(frame.page.bytes());
+        let decision = frame.tracker().decide(frame.page.bytes());
         if decision == FlushDecision::Clean {
             return Ok(());
         }
@@ -762,11 +744,11 @@ impl Database {
         let page_lsn = Lsn(frame.page.lsn());
         self.wal.flush_to(page_lsn);
         // Workload statistics: true per-eviction update size.
-        let (body, meta) = (frame.tracker.body_changed(), frame.tracker.meta_changed());
+        let (body, meta) = (frame.tracker().body_changed(), frame.tracker().meta_changed());
         // Update-size statistics cover only *updates to existing pages*;
         // the paper's Appendix A excludes appends to new pages from its
         // distributions ("due to the clear dominance of update I/Os").
-        let is_update = frame.tracker.on_flash();
+        let is_update = frame.tracker().on_flash();
         if is_update {
             self.profiles[pid.region].record(body as u32, meta as u32);
         }
@@ -817,8 +799,8 @@ impl Database {
             }
             let frame =
                 self.pool.frame_mut(idx).ok_or(EngineError::Internal("flushed frame missing"))?;
-            frame.tracker = frame.tracker.after_ipa_flush(appended);
-            frame.rec_lsn = Lsn::NULL;
+            let successor = frame.tracker().after_ipa_flush(appended);
+            self.pool.mark_flushed(idx, successor);
             self.stats.ipa_flushes += 1;
         } else {
             // Adaptive mode: an out-of-place write is the free moment to
@@ -865,12 +847,12 @@ impl Database {
             }
             let frame =
                 self.pool.frame_mut(idx).ok_or(EngineError::Internal("flushed frame missing"))?;
-            frame.tracker = if upgraded {
+            let successor = if upgraded {
                 ChangeTracker::new(layout.scheme, 0, true)
             } else {
-                frame.tracker.after_out_of_place_flush()
+                frame.tracker().after_out_of_place_flush()
             };
-            frame.rec_lsn = Lsn::NULL;
+            self.pool.mark_flushed(idx, successor);
             self.stats.oop_flushes += 1;
         }
         Ok(())
@@ -889,17 +871,37 @@ impl Database {
     /// one queued batch and drained once, so on a multi-chip device with
     /// queue depth > 1 the page writes overlap across chips.
     pub fn flush_all(&mut self) -> Result<()> {
+        self.debug_check_pool();
+        let (_, staged) = self.stage_flushes(usize::MAX, IoCtx::host());
+        staged
+    }
+
+    /// Stage the flush of the first `limit` frames in cleaning order (see
+    /// [`BufferPool::cleaner_candidates`]) as one queued batch under one
+    /// `Flush` span and drain once. Returns how many were staged before
+    /// the first failure, and that failure.
+    fn stage_flushes(&mut self, limit: usize, ctx: IoCtx) -> (u64, Result<()>) {
         let span = self.ftl.open_span(SpanCategory::Flush);
+        let mut count = 0;
         let mut staged = Ok(());
-        for idx in self.pool.dirty_indices() {
-            staged = self.stage_flush(idx, IoCtx::host().with_span(span));
+        for idx in self.pool.cleaner_candidates(limit) {
+            staged = self.stage_flush(idx, ctx.with_span(span));
             if staged.is_err() {
                 break;
             }
+            count += 1;
         }
         self.ftl.drain_completions();
         self.ftl.close_span(span);
-        staged
+        (count, staged)
+    }
+
+    /// Debug builds re-derive the pool's dirty and free sets by full scan
+    /// at the quiesce points (`flush_all`, `checkpoint`, crash, restart).
+    pub(crate) fn debug_check_pool(&self) {
+        if cfg!(debug_assertions) {
+            self.pool.assert_consistent();
+        }
     }
 
     /// One round of background work: the eager page cleaner and eager
@@ -924,22 +926,10 @@ impl Database {
             // an empty pool).
             let target = (self.config.cleaner_dirty_threshold * self.pool.capacity() as f64).floor()
                 as usize;
-            let mut dirty = self.pool.dirty_count();
-            let mut staged = Ok(());
-            let span = self.ftl.open_span(SpanCategory::Flush);
-            for idx in self.pool.dirty_indices().into_iter().take(self.config.cleaner_batch) {
-                if dirty <= target {
-                    break;
-                }
-                staged = self.stage_flush(idx, IoCtx::host_async().with_span(span));
-                if staged.is_err() {
-                    break;
-                }
-                self.stats.cleaner_flushes += 1;
-                dirty -= 1;
-            }
-            self.ftl.drain_completions();
-            self.ftl.close_span(span);
+            let excess = self.pool.dirty_count().saturating_sub(target);
+            let (flushed, staged) =
+                self.stage_flushes(excess.min(self.config.cleaner_batch), IoCtx::host_async());
+            self.stats.cleaner_flushes += flushed;
             staged?;
         }
         if self.wal.used_fraction() >= self.config.log_reclaim_threshold {
@@ -1033,16 +1023,7 @@ impl Database {
     /// become durable on flash), checkpoint, and truncate the log up to
     /// the oldest record still needed for active-transaction undo.
     pub(crate) fn reclaim_log_space(&mut self) -> Result<()> {
-        let mut staged = Ok(());
-        let span = self.ftl.open_span(SpanCategory::Flush);
-        for idx in self.pool.dirty_indices() {
-            staged = self.stage_flush(idx, IoCtx::host_async().with_span(span));
-            if staged.is_err() {
-                break;
-            }
-        }
-        self.ftl.drain_completions();
-        self.ftl.close_span(span);
+        let (_, staged) = self.stage_flushes(usize::MAX, IoCtx::host_async());
         staged?;
         self.checkpoint()?;
         // Oldest record still needed for undo: active transactions, and
@@ -1129,9 +1110,10 @@ impl Database {
         if self.ftl.observing() {
             self.ftl.emit(EventKind::CheckpointBegin, None, None);
         }
+        self.debug_check_pool();
         let dirty: Vec<(PageId, Lsn)> = self
             .pool
-            .dirty_indices()
+            .cleaner_candidates(usize::MAX)
             .into_iter()
             .filter_map(|i| {
                 let f = self.pool.frame_mut(i)?;
@@ -1549,6 +1531,133 @@ pub(crate) mod tests {
         }
         db.background_work().unwrap();
         assert!(db.stats().cleaner_flushes > 0);
+    }
+
+    /// One step of the pool-consistency property test below.
+    #[derive(Debug, Clone)]
+    enum PoolOp {
+        /// Committed update of row `.0`: `.1` leading bytes change (a few
+        /// bytes flush as IPA, a whole tuple out-of-place).
+        Update(usize, usize, u8),
+        /// Committed insert of a new row (the heap grows new pages).
+        Insert(u8),
+        /// Update of row `.0`, rolled back.
+        Abort(usize, u8),
+        /// `flush_page` of the page holding row `.0`.
+        FlushPage(usize),
+        /// Allocate `.0` scratch pages: eviction pressure moves the CLOCK
+        /// hand and clears reference bits.
+        Pressure(usize),
+        /// Free the newest scratch page.
+        FreePage,
+        Checkpoint,
+        Background,
+        FlushAll,
+        CrashRecover,
+    }
+
+    use proptest::prelude::*;
+
+    fn pool_op() -> impl Strategy<Value = PoolOp> {
+        prop_oneof![
+            6 => (0usize..64, 1usize..48, any::<u8>()).prop_map(|(r, n, b)| PoolOp::Update(r, n, b)),
+            2 => any::<u8>().prop_map(PoolOp::Insert),
+            2 => (0usize..64, any::<u8>()).prop_map(|(r, b)| PoolOp::Abort(r, b)),
+            2 => (0usize..64).prop_map(PoolOp::FlushPage),
+            3 => (1usize..5).prop_map(PoolOp::Pressure),
+            1 => Just(PoolOp::FreePage),
+            1 => Just(PoolOp::Checkpoint),
+            3 => Just(PoolOp::Background),
+            1 => Just(PoolOp::FlushAll),
+            1 => Just(PoolOp::CrashRecover),
+        ]
+    }
+
+    /// The pool's incremental state against the full-scan oracle: the
+    /// dirty and free sets, `dirty_count`, and every prefix of the
+    /// cleaning order — with frame `pin` pinned while comparing.
+    fn check_pool_against_scan(db: &mut Database, pin: usize) {
+        db.pool.assert_consistent();
+        let occupied: Vec<usize> = db.pool.occupied().collect();
+        let scan = occupied
+            .iter()
+            .filter(|&&i| db.pool.frame_mut(i).is_some_and(|f| f.is_dirty()))
+            .count();
+        assert_eq!(db.pool.dirty_count(), scan);
+        let pin = pin % db.pool.capacity();
+        if let Some(f) = db.pool.frame_mut(pin) {
+            f.pins += 1;
+        }
+        let oracle = db.pool.dirty_indices();
+        for n in 0..=oracle.len() + 1 {
+            assert_eq!(db.pool.cleaner_candidates(n), oracle[..n.min(oracle.len())], "limit {n}");
+        }
+        assert_eq!(db.pool.cleaner_candidates(usize::MAX), oracle);
+        if let Some(f) = db.pool.frame_mut(pin) {
+            f.pins -= 1;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn dirty_set_and_cleaning_order_match_the_full_scan(
+            ops in prop::collection::vec((pool_op(), 0usize..12), 1..80),
+        ) {
+            // 12 frames over a heap that starts at ~6 pages and grows:
+            // updates hit and miss, evictions sweep the hand around.
+            let mut db = test_db(NxM::tpcc(), 12);
+            let heap = db.create_heap(0);
+            let mut tx = db.txn();
+            let mut rids: Vec<_> =
+                (0..40u8).map(|i| tx.heap_insert(heap, &[i; 120]).unwrap()).collect();
+            tx.commit().unwrap();
+            let mut scratch = Vec::new();
+            check_pool_against_scan(&mut db, 0);
+            for (op, pin) in ops {
+                match op {
+                    PoolOp::Update(row, n, byte) => {
+                        let rid = rids[row % rids.len()];
+                        let mut tuple = db.heap_read_unlocked(rid).unwrap();
+                        tuple[..n].fill(byte);
+                        let mut tx = db.txn();
+                        tx.heap_update(heap, rid, &tuple).unwrap();
+                        tx.commit().unwrap();
+                    }
+                    PoolOp::Insert(byte) => {
+                        let mut tx = db.txn();
+                        rids.push(tx.heap_insert(heap, &[byte; 120]).unwrap());
+                        tx.commit().unwrap();
+                    }
+                    PoolOp::Abort(row, byte) => {
+                        let rid = rids[row % rids.len()];
+                        let mut tx = db.txn();
+                        tx.heap_update(heap, rid, &[byte; 120]).unwrap();
+                        tx.abort().unwrap();
+                    }
+                    PoolOp::FlushPage(row) => db.flush_page(rids[row % rids.len()].page).unwrap(),
+                    PoolOp::Pressure(pages) => {
+                        for _ in 0..pages {
+                            scratch.push(db.new_page(0).unwrap());
+                        }
+                    }
+                    PoolOp::FreePage => {
+                        if let Some(pid) = scratch.pop() {
+                            db.free_page(pid).unwrap();
+                        }
+                    }
+                    PoolOp::Checkpoint => db.checkpoint().unwrap(),
+                    PoolOp::Background => db.background_work().unwrap(),
+                    PoolOp::FlushAll => db.flush_all().unwrap(),
+                    PoolOp::CrashRecover => {
+                        db.simulate_crash();
+                        check_pool_against_scan(&mut db, pin);
+                        db.recover().unwrap();
+                    }
+                }
+                check_pool_against_scan(&mut db, pin);
+            }
+        }
     }
 
     #[test]

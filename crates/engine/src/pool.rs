@@ -172,6 +172,8 @@ impl ClientPool {
         // Nonzero xorshift state derived from the seed.
         let mut rng_state = self.config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut cursor = 0usize;
+        // Clients able to run this quantum; one buffer for the whole run.
+        let mut eligible: Vec<usize> = Vec::with_capacity(states.len());
         // Commits parked before the run began (workload setup under a
         // batched config) are flushed and their acks discarded — they are
         // not this run's work.
@@ -184,17 +186,16 @@ impl ClientPool {
             // Wait-die keeps wait-edges old->young and therefore acyclic,
             // so some eligible client always exists while work remains —
             // the force-retry fallback below is purely defensive.
-            let mut eligible: Vec<usize> = (0..states.len())
-                .filter(|&i| match states[i] {
-                    SlotState::Idle | SlotState::Running { .. } | SlotState::Restarting => true,
-                    SlotState::Waiting { on, .. } => !db.txn_is_active(on),
-                    SlotState::Finished => false,
-                })
-                .collect();
+            eligible.clear();
+            eligible.extend((0..states.len()).filter(|&i| match states[i] {
+                SlotState::Idle | SlotState::Running { .. } | SlotState::Restarting => true,
+                SlotState::Waiting { on, .. } => !db.txn_is_active(on),
+                SlotState::Finished => false,
+            }));
             if eligible.is_empty() {
-                eligible = (0..states.len())
-                    .filter(|&i| matches!(states[i], SlotState::Waiting { .. }))
-                    .collect();
+                eligible.extend(
+                    (0..states.len()).filter(|&i| matches!(states[i], SlotState::Waiting { .. })),
+                );
                 if eligible.is_empty() {
                     break; // everyone Finished
                 }

@@ -115,15 +115,6 @@ fn ensure_page(db: &mut Database, pid: PageId) -> Result<()> {
     if db.pool.contains(pid) || db.ftl.is_mapped(ipa_noftl::RegionId(pid.region), pid.lba) {
         return Ok(());
     }
-    let layout = db.layouts[pid.region];
-    let frame = crate::buffer::Frame {
-        page_id: pid,
-        page: ipa_core::DbPage::format(pid.lba.0, layout),
-        tracker: ipa_core::ChangeTracker::new(layout.scheme, 0, false),
-        pins: 0,
-        referenced: true,
-        rec_lsn: Lsn::NULL,
-    };
     // Make room first.
     if !db.pool.has_free_slot() {
         let victim = db.pool.pick_victim().ok_or(EngineError::PoolExhausted)?;
@@ -134,12 +125,7 @@ fn ensure_page(db: &mut Database, pid: PageId) -> Result<()> {
             db.note_evicted(vpid);
         }
     }
-    let idx = db.pool.insert(frame).ok_or(EngineError::Internal("no free frame after eviction"))?;
-    db.note_resident(pid);
-    if let Some(f) = db.pool.frame_mut(idx) {
-        f.tracker.mark_out_of_place();
-    }
-    Ok(())
+    db.insert_fresh_frame(pid)
 }
 
 /// Apply one action physically. During redo (`check_lsn = true`) the
@@ -271,6 +257,7 @@ impl Database {
     /// suffix is lost, locks and the transaction table evaporate. Flash
     /// contents (including ISPP-appended delta records) survive.
     pub fn simulate_crash(&mut self) {
+        self.debug_check_pool();
         self.pool.clear();
         // The adaptive scheme directory mirrors the pool's residency for
         // the GC-migration rewriter; a crash empties the pool, so the
@@ -328,6 +315,7 @@ impl Database {
         let span = self.ftl.open_span_under(ipa_noftl::SpanCategory::Recovery, None);
         let result = self.recover_inner(bounded, undo_budget, span);
         self.ftl.close_span(span);
+        self.debug_check_pool();
         result
     }
 

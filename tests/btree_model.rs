@@ -1,13 +1,15 @@
 //! Model-based property test of the paged B+-tree against a BTreeMap,
 //! including flush/refetch cycles so node images round-trip through the
-//! flash layer.
+//! flash layer. Point lookups and range scans read node pages in place
+//! (no owned copy of the entries), so they are checked across multi-level
+//! trees, every leaf-chain boundary, the extreme keys and absent keys.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use ipa::core::NxM;
-use ipa::engine::{Database, DbConfig};
+use ipa::engine::{Database, DbConfig, EngineError};
 use ipa::flash::FlashConfig;
 use ipa::noftl::{IpaMode, NoFtlConfig};
 
@@ -27,25 +29,66 @@ enum Op {
     FlushAll,
 }
 
+/// Keys over the preloaded range (every third key is present there, so
+/// two in three probes are absent), with the extremes of the key space.
+fn key_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        12 => 0u64..4000,
+        1 => Just(u64::MIN),
+        1 => Just(u64::MAX),
+        1 => (u64::MAX - 4)..=u64::MAX,
+    ]
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        4 => (0u64..2000, any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v)),
-        2 => (0u64..2000).prop_map(Op::Delete),
-        2 => (0u64..2000).prop_map(Op::Lookup),
-        1 => (0u64..2000, 0u64..200).prop_map(|(lo, w)| Op::Range(lo, lo + w)),
+        4 => (key_strategy(), any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v)),
+        2 => key_strategy().prop_map(Op::Delete),
+        3 => key_strategy().prop_map(Op::Lookup),
+        2 => (key_strategy(), 0u64..200).prop_map(|(lo, w)| Op::Range(lo, lo.saturating_add(w))),
+        1 => (key_strategy(), key_strategy()).prop_map(|(a, b)| Op::Range(a.min(b), a.max(b))),
         1 => Just(Op::FlushAll),
     ]
+}
+
+/// Levels from the root down to (and including) the leaves, following the
+/// leftmost child pointers (node layout: see `crates/engine/src/btree.rs`).
+fn tree_depth(d: &mut Database, idx: u32) -> usize {
+    let base = d.layout(0).body_start();
+    let mut pid = d.index_root(idx);
+    let mut depth = 1;
+    loop {
+        let (tag, child) = d
+            .with_page(pid, |page| {
+                let b = page.bytes();
+                (b[base], u64::from_le_bytes(b[base + 19..base + 27].try_into().unwrap()))
+            })
+            .unwrap();
+        if tag == 0xBE {
+            return depth;
+        }
+        pid.lba = ipa::noftl::Lba(child);
+        depth += 1;
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn btree_matches_model(ops in prop::collection::vec(op_strategy(), 1..120)) {
+    fn btree_matches_model(
+        preload in 0u64..3,
+        ops in prop::collection::vec(op_strategy(), 1..120),
+    ) {
         let mut d = db();
         let idx = d.create_index(0).unwrap();
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         let mut tx = d.txn();
+        // Start some cases from a tree that has already split many times.
+        for k in (0..preload * 1300).map(|i| i * 3) {
+            tx.index_insert(idx, k, !k).unwrap();
+            model.insert(k, !k);
+        }
         for op in ops {
             match op {
                 Op::Insert(k, v) => {
@@ -109,4 +152,92 @@ fn btree_survives_flush_evict_cycles_with_many_keys() {
     }
     let total = d.index_count(idx).unwrap();
     assert_eq!(total as usize, model.len());
+}
+
+#[test]
+fn in_place_probes_match_model_across_levels_and_leaf_boundaries() {
+    let mut d = db();
+    let idx = d.create_index(0).unwrap();
+    let mut tx = d.txn();
+    let mut model = BTreeMap::new();
+    // Even keys in a scattered insertion order (mid-node shifts and
+    // splits at every level), plus both ends of the key space.
+    let n = 6_000u64;
+    for i in 0..n {
+        let k = (i * 2_654_435_761 % n) * 2 + 2;
+        tx.index_insert(idx, k, k ^ 0xABCD).unwrap();
+        model.insert(k, k ^ 0xABCD);
+    }
+    for k in [u64::MIN, u64::MAX] {
+        tx.index_insert(idx, k, k ^ 0xABCD).unwrap();
+        model.insert(k, k ^ 0xABCD);
+    }
+    tx.commit().unwrap();
+    assert!(tree_depth(&mut d, idx) >= 3, "the tree must have split above the leaves");
+
+    // Every present key, and its absent odd neighbours.
+    for (&k, &v) in &model {
+        assert_eq!(d.index_lookup(idx, k).unwrap(), Some(v), "key {k}");
+        for absent in [k.wrapping_sub(1), k.wrapping_add(1)] {
+            if !model.contains_key(&absent) {
+                assert_eq!(d.index_lookup(idx, absent).unwrap(), None, "absent {absent}");
+            }
+        }
+    }
+    assert_eq!(d.index_lookup(idx, u64::MAX - 1).unwrap(), None);
+
+    // A short window starting at every key (so every leaf-chain boundary
+    // is crossed), with present and absent bounds on either side.
+    let keys: Vec<u64> = model.keys().copied().collect();
+    let want = |lo: u64, hi: u64| -> Vec<(u64, u64)> {
+        model.range(lo..=hi).map(|(&k, &v)| (k, v)).collect()
+    };
+    for w in keys.windows(4) {
+        let (lo, hi) = (w[0], w[3]);
+        assert_eq!(d.index_range(idx, lo, hi).unwrap(), want(lo, hi), "[{lo}, {hi}]");
+        let (lo, hi) = (lo.saturating_add(1), hi.saturating_sub(1));
+        assert_eq!(d.index_range(idx, lo, hi).unwrap(), want(lo, hi), "[{lo}, {hi}]");
+    }
+    for (lo, hi) in [
+        (u64::MIN, u64::MAX),
+        (u64::MIN, u64::MIN),
+        (u64::MAX, u64::MAX),
+        (u64::MAX - 1, u64::MAX),
+        (1, 1),
+        (2 * n + 3, u64::MAX - 1),
+    ] {
+        assert_eq!(d.index_range(idx, lo, hi).unwrap(), want(lo, hi), "[{lo}, {hi}]");
+    }
+    assert_eq!(d.index_range(idx, 500, 100).unwrap(), vec![], "inverted bounds select nothing");
+    assert_eq!(d.index_count(idx).unwrap() as usize, model.len());
+}
+
+#[test]
+fn foreign_node_bytes_are_an_index_error_not_a_panic() {
+    let mut d = db();
+    let idx = d.create_index(0).unwrap();
+    let mut tx = d.txn();
+    for k in 0..10u64 {
+        tx.index_insert(idx, k, k).unwrap();
+    }
+    tx.commit().unwrap();
+    let root = d.index_root(idx);
+    let base = d.layout(0).body_start();
+    let overwrite = |d: &mut Database, offset: usize, bytes: &[u8]| {
+        d.with_page_mut(root, |page, tracker| {
+            page.write_body(base + offset, bytes, tracker);
+            Ok(())
+        })
+        .unwrap();
+    };
+    // A valid tag whose entry count runs past the page.
+    overwrite(&mut d, 1, &u16::MAX.to_le_bytes());
+    assert!(matches!(d.index_lookup(idx, 3), Err(EngineError::IndexError(_))));
+    // A tag byte that is neither leaf nor internal.
+    overwrite(&mut d, 0, &[0x5A]);
+    assert!(matches!(d.index_lookup(idx, 3), Err(EngineError::IndexError(_))));
+    assert!(matches!(d.index_range(idx, 0, 9), Err(EngineError::IndexError(_))));
+    let mut tx = d.txn();
+    assert!(matches!(tx.index_delete(idx, 3), Err(EngineError::IndexError(_))));
+    tx.commit().unwrap();
 }
