@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::parse::{parse_file, FileItems, ParsedEnum, ParsedFn, ParsedStruct};
+use crate::parse::{parse_file, FileItems, ParsedFn};
 use crate::workspace::Workspace;
 
 /// Stable identifier of a function item: `(file index, fn index)` into
@@ -31,13 +31,8 @@ pub struct FileNode {
 pub struct ItemGraph {
     /// One node per workspace file, same order as [`Workspace::files`].
     pub files: Vec<FileNode>,
-    /// crate name → indices of its files.
-    pub by_crate: BTreeMap<String, Vec<usize>>,
     /// fn name → every function item with that name.
     pub fns_by_name: BTreeMap<String, Vec<FnId>>,
-    /// struct field name → names of structs (with crate) declaring it:
-    /// `field → [(crate, struct)]`.
-    pub field_owners: BTreeMap<String, Vec<(String, String)>>,
 }
 
 impl ItemGraph {
@@ -46,18 +41,8 @@ impl ItemGraph {
         let mut graph = ItemGraph::default();
         for (fi, file) in ws.files.iter().enumerate() {
             let items = parse_file(file);
-            graph.by_crate.entry(file.krate.clone()).or_default().push(fi);
             for (ni, f) in items.fns.iter().enumerate() {
                 graph.fns_by_name.entry(f.name.clone()).or_default().push((fi, ni));
-            }
-            for s in &items.structs {
-                for field in &s.fields {
-                    graph
-                        .field_owners
-                        .entry(field.clone())
-                        .or_default()
-                        .push((file.krate.clone(), s.name.clone()));
-                }
             }
             graph.files.push(FileNode { file: fi, items });
         }
@@ -93,24 +78,6 @@ impl ItemGraph {
             .filter(|(_, f)| f.sig.0 <= idx && idx < f.body.1)
             .max_by_key(|(_, f)| f.sig.0)
             .map(|(ni, _)| (file, ni))
-    }
-
-    /// All enums named `name` in crate `krate`, with the declaring file.
-    pub fn enums_in_crate<'g>(&'g self, krate: &str) -> Vec<(usize, &'g ParsedEnum)> {
-        let Some(files) = self.by_crate.get(krate) else { return Vec::new() };
-        files
-            .iter()
-            .flat_map(|&fi| self.files[fi].items.enums.iter().map(move |e| (fi, e)))
-            .collect()
-    }
-
-    /// All structs declared in crate `krate`, with the declaring file.
-    pub fn structs_in_crate<'g>(&'g self, krate: &str) -> Vec<(usize, &'g ParsedStruct)> {
-        let Some(files) = self.by_crate.get(krate) else { return Vec::new() };
-        files
-            .iter()
-            .flat_map(|&fi| self.files[fi].items.structs.iter().map(move |s| (fi, s)))
-            .collect()
     }
 
     /// Crates whose items are visible from `file` for name resolution:

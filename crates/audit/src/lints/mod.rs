@@ -20,7 +20,6 @@ mod l006_span_pairing;
 mod l007_tx_discipline;
 mod l008_determinism;
 mod l009_error_flow;
-mod l010_obs_parity;
 mod l011_lock_discipline;
 
 pub use l001_raw_cell_access::RawCellAccess;
@@ -32,7 +31,6 @@ pub use l006_span_pairing::SpanPairing;
 pub use l007_tx_discipline::TxDiscipline;
 pub use l008_determinism::Determinism;
 pub use l009_error_flow::ErrorFlow;
-pub use l010_obs_parity::ObsParity;
 pub use l011_lock_discipline::LockDiscipline;
 
 /// One audit lint.
@@ -59,7 +57,6 @@ pub fn all() -> Vec<Box<dyn Lint>> {
         Box::new(TxDiscipline),
         Box::new(Determinism),
         Box::new(ErrorFlow),
-        Box::new(ObsParity),
         Box::new(LockDiscipline),
     ]
 }

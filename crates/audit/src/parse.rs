@@ -3,8 +3,8 @@
 //! [`crate::source::SourceFile`] gives the lints a token stream;
 //! this module walks that stream as a *brace tree* and recovers the item
 //! structure the semantic lints need — functions with their enclosing
-//! `impl`/`trait` type and module path, structs with field lists, enums
-//! with variant lists, and `use` imports of sibling workspace crates.
+//! `impl`/`trait` type and module path, and `use` imports of sibling
+//! workspace crates.
 //! [`crate::itemgraph`] aggregates the per-file results into the
 //! workspace-wide item graph.
 //!
@@ -36,37 +36,11 @@ pub struct ParsedFn {
     pub returns_result: bool,
 }
 
-/// A parsed struct with its named fields.
-#[derive(Debug, Clone)]
-pub struct ParsedStruct {
-    /// Struct name.
-    pub name: String,
-    /// 1-indexed line of the `struct` keyword.
-    pub line: u32,
-    /// Named-field names (empty for tuple/unit structs).
-    pub fields: Vec<String>,
-}
-
-/// A parsed enum with its variants.
-#[derive(Debug, Clone)]
-pub struct ParsedEnum {
-    /// Enum name.
-    pub name: String,
-    /// 1-indexed line of the `enum` keyword.
-    pub line: u32,
-    /// Variants as `(name, line)`.
-    pub variants: Vec<(String, u32)>,
-}
-
 /// Everything the item graph keeps for one file.
 #[derive(Debug, Clone, Default)]
 pub struct FileItems {
     /// Function items, in source order (nested fns included).
     pub fns: Vec<ParsedFn>,
-    /// Struct items.
-    pub structs: Vec<ParsedStruct>,
-    /// Enum items.
-    pub enums: Vec<ParsedEnum>,
     /// Short names of sibling workspace crates imported via
     /// `use ipa_<name>::...` (deduplicated).
     pub imports: Vec<String>,
@@ -99,8 +73,6 @@ fn walk(
             Some("mod") => i = parse_mod(t, i, end, mod_path, out),
             Some("impl") | Some("trait") => i = parse_impl(t, i, end, mod_path, out),
             Some("fn") => i = parse_fn(t, i, end, mod_path, impl_of, out),
-            Some("struct") => i = parse_struct(t, i, end, out),
-            Some("enum") => i = parse_enum(t, i, end, out),
             _ => i += 1,
         }
     }
@@ -264,126 +236,6 @@ fn sig_returns_result(sig: &[Token]) -> bool {
     })
 }
 
-/// `struct Name { a: T, pub b: U }` — record named fields; tuple and unit
-/// structs are recorded with no fields.
-fn parse_struct(t: &[Token], i: usize, end: usize, out: &mut FileItems) -> usize {
-    let Some(name) = t.get(i + 1).and_then(Token::ident) else { return i + 1 };
-    let line = t[i].line;
-    // Find the body `{` at angle depth 0, bailing at `;` (unit) or a
-    // tuple-struct `(`.
-    let mut j = i + 2;
-    let mut depth = 0i32;
-    while j < end {
-        match &t[j].tok {
-            Tok::Punct('<') => depth += 1,
-            Tok::Punct('>') => depth -= 1,
-            Tok::Punct('(') if depth <= 0 => {
-                // Tuple struct: no named fields; skip to the `;`.
-                while j < end && !t[j].is_punct(';') {
-                    j += 1;
-                }
-                out.structs.push(ParsedStruct { name: name.to_string(), line, fields: vec![] });
-                return j + 1;
-            }
-            Tok::Punct(';') if depth <= 0 => {
-                out.structs.push(ParsedStruct { name: name.to_string(), line, fields: vec![] });
-                return j + 1;
-            }
-            Tok::Punct('{') if depth <= 0 => break,
-            _ => {}
-        }
-        j += 1;
-    }
-    if j >= end {
-        return end;
-    }
-    let close = match_brace(t, j);
-    // Fields: idents immediately followed by `:` at brace depth 1.
-    let mut fields = Vec::new();
-    let mut depth = 0i32;
-    for k in j..close.min(end) {
-        match &t[k].tok {
-            Tok::Punct('{' | '(' | '[') => depth += 1,
-            Tok::Punct('}' | ')' | ']') => depth -= 1,
-            Tok::Ident(id) if depth == 1 => {
-                let is_field = t.get(k + 1).is_some_and(|n| n.is_punct(':'))
-                    && !t.get(k + 2).is_some_and(|n| n.is_punct(':'))
-                    && id != "pub";
-                if is_field {
-                    fields.push(id.clone());
-                }
-            }
-            _ => {}
-        }
-    }
-    out.structs.push(ParsedStruct { name: name.to_string(), line, fields });
-    close
-}
-
-/// `enum Name { A, B { .. }, C(T) = 3 }` — record the variant names.
-fn parse_enum(t: &[Token], i: usize, end: usize, out: &mut FileItems) -> usize {
-    let Some(name) = t.get(i + 1).and_then(Token::ident) else { return i + 1 };
-    let line = t[i].line;
-    let mut j = i + 2;
-    let mut depth = 0i32;
-    while j < end {
-        match &t[j].tok {
-            Tok::Punct('<') => depth += 1,
-            Tok::Punct('>') => depth -= 1,
-            Tok::Punct('{') if depth <= 0 => break,
-            Tok::Punct(';') if depth <= 0 => return j + 1,
-            _ => {}
-        }
-        j += 1;
-    }
-    if j >= end {
-        return end;
-    }
-    let close = match_brace(t, j);
-    let mut variants = Vec::new();
-    let mut depth = 0i32;
-    let mut expect = false;
-    let mut k = j;
-    while k < close.min(end) {
-        match &t[k].tok {
-            Tok::Punct('{' | '(' | '[') => {
-                if depth == 0 {
-                    expect = true; // the enum's own `{`
-                }
-                depth += 1;
-            }
-            Tok::Punct('}' | ')' | ']') => depth -= 1,
-            Tok::Punct(',') if depth == 1 => expect = true,
-            Tok::Punct('#')
-                if depth == 1 && expect && t.get(k + 1).is_some_and(|n| n.is_punct('[')) =>
-            {
-                // Skip a `#[...]` attribute between variants.
-                let mut d = 0i32;
-                k += 1;
-                while k < close {
-                    if t[k].is_punct('[') {
-                        d += 1;
-                    } else if t[k].is_punct(']') {
-                        d -= 1;
-                        if d == 0 {
-                            break;
-                        }
-                    }
-                    k += 1;
-                }
-            }
-            Tok::Ident(id) if depth == 1 && expect => {
-                variants.push((id.clone(), t[k].line));
-                expect = false;
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    out.enums.push(ParsedEnum { name: name.to_string(), line, variants });
-    close
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,21 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn structs_and_enums_are_extracted() {
-        let src = "pub struct Stats { pub a: u64, b: Vec<u8> }\n\
-                   struct Unit;\n\
-                   struct Pair(u8, u8);\n\
-                   pub enum Kind { Read, Write { bytes: u32 }, Huge(u64), Last = 9 }";
-        let items = parse(src);
-        assert_eq!(items.structs.len(), 3);
-        assert_eq!(items.structs[0].fields, vec!["a", "b"]);
-        assert!(items.structs[1].fields.is_empty());
-        assert!(items.structs[2].fields.is_empty());
-        let variants: Vec<&str> = items.enums[0].variants.iter().map(|(v, _)| v.as_str()).collect();
-        assert_eq!(variants, vec!["Read", "Write", "Huge", "Last"]);
-    }
-
-    #[test]
     fn imports_and_modules() {
         let src = "use ipa_flash::{Ppa, FlashDevice};\nuse std::collections::HashMap;\n\
                    use ipa_noftl::Lba;\nmod sub { fn inner() {} }";
@@ -439,14 +276,6 @@ mod tests {
         assert_eq!(items.mods, vec!["sub"]);
         let inner = items.fns.iter().find(|f| f.name == "inner").expect("inner fn");
         assert_eq!(inner.mod_path, vec!["sub"]);
-    }
-
-    #[test]
-    fn enum_attributes_between_variants_are_skipped() {
-        let src = "enum E { A, #[cfg(feature = \"x\")] B, C }";
-        let items = parse(src);
-        let variants: Vec<&str> = items.enums[0].variants.iter().map(|(v, _)| v.as_str()).collect();
-        assert_eq!(variants, vec!["A", "B", "C"]);
     }
 
     #[test]

@@ -18,22 +18,3 @@ pub struct EraseStats {
 pub struct WearCounters;
 
 struct PrivateStats;
-
-// L010 seeds: WearStats is exported to the snapshot fixture, so its
-// `wear_skips` bump (absent from the rendering) is a violation, while
-// `wear_resets` (rendered) and the never-exported ScratchStats are fine.
-#[must_use]
-pub struct WearStats {
-    pub wear_resets: u64,
-    pub wear_skips: u64,
-}
-
-struct ScratchStats {
-    scratch_hits: u64,
-}
-
-pub fn tally(w: &mut WearStats, s: &mut ScratchStats) {
-    w.wear_resets += 1;
-    w.wear_skips += 1;
-    s.scratch_hits += 1;
-}

@@ -62,9 +62,6 @@ fn seeded_violations_are_all_reported() {
     assert!(has(&r, "L009", "crates/noftl/src/lib.rs", 131), "let _ = flush_meta()");
     assert!(has(&r, "L009", "crates/noftl/src/lib.rs", 135), "flush_meta().ok();");
     assert!(has(&r, "L009", "crates/noftl/src/lib.rs", 139), "empty is_err arm");
-    // L010 — obs parity, both directions.
-    assert!(has(&r, "L010", "crates/flash/src/obs.rs", 7), "EventKind::Orphan unhandled");
-    assert!(has(&r, "L010", "crates/flash/src/lib.rs", 37), "wear_skips bump unexported");
     // L011 — lock discipline via the call graph.
     assert!(has(&r, "L011", "crates/noftl/src/lib.rs", 168), "foreign-crate acquire");
     assert!(has(&r, "L011", "crates/engine/src/lib.rs", 45), "side-door acquire");
@@ -124,13 +121,10 @@ fn false_positive_guards_hold() {
     // Infallible callees, `let _ = f()?`, a kept `.ok()` value, and a
     // non-empty is_err arm are exempt (L009).
     assert_eq!(count(&r, "L009"), 3, "L009: exactly the three swallow shapes");
-    // Handled variants and snapshot-exported counters are exempt; private
-    // counter structs are out of scope (L010).
-    assert_eq!(count(&r, "L010"), 2, "L010: orphan event + unexported counter");
     // Database methods own the lock manager legitimately (L011).
     assert_eq!(count(&r, "L011"), 3, "L011: foreign, side-door, re-entrant");
     assert_eq!(count(&r, "L000"), 1, "L000: only the unused engine pragma");
-    assert_eq!(r.errors(), 31);
+    assert_eq!(r.errors(), 29);
     assert_eq!(r.warnings(), 1);
     assert!(!r.clean(false));
 }
@@ -181,7 +175,7 @@ fn json_report_reflects_the_fixture() {
     let r = fixture_report();
     let json = r.to_json(true);
     assert!(json.contains("\"experiment\": \"ipa-audit\""));
-    assert!(json.contains("\"errors\": 31"));
+    assert!(json.contains("\"errors\": 29"));
     assert!(json.contains("\"warnings\": 1"));
     assert!(json.contains("\"clean\": false"));
     assert!(json.contains("\"lint\": \"L004\""));
@@ -197,7 +191,7 @@ fn sarif_report_reflects_the_fixture() {
     assert!(sarif.contains("\"version\": \"2.1.0\""));
     assert!(sarif.contains("\"id\": \"L008\""), "rule catalog covers new lints");
     assert!(sarif.contains("\"id\": \"L011\""));
-    assert!(sarif.contains("crates/flash/src/obs.rs"), "locations use workspace-relative URIs");
+    assert!(sarif.contains("crates/flash/src/lib.rs"), "locations use workspace-relative URIs");
     // Every error finding becomes a result; suppressed ones do not.
     assert_eq!(sarif.matches("\"ruleId\"").count(), r.findings.len());
 }

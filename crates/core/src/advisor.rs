@@ -11,12 +11,10 @@
 //!   the ~85th percentile, N at the flash append budget);
 //! * **Space** — effective cost/GB (M at the median, small N).
 
-use serde::{Deserialize, Serialize};
-
 use crate::scheme::{NxM, MAX_M};
 
 /// Optimization goal weighting (§8.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdvisorGoal {
     /// Maximize transactional throughput / IPA hit rate.
     Performance,
@@ -33,7 +31,7 @@ pub enum AdvisorGoal {
 /// and distinct changed metadata bytes at eviction time. The reservoir keeps
 /// the profile memory-bounded on arbitrarily long runs while staying
 /// unbiased.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UpdateSizeProfile {
     samples: Vec<(u32, u32)>,
     total: u64,
@@ -180,7 +178,7 @@ fn percentile(values: impl Iterator<Item = u32>, len: usize, p: f64) -> u32 {
 }
 
 /// A scheme recommendation with its predicted characteristics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Recommendation {
     /// The suggested `[N×M]` configuration (including V).
     pub scheme: NxM,

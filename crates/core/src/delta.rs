@@ -23,8 +23,6 @@
 //!   control_bytes are read to determine the actual number of
 //!   delta_records").
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CoreError;
 use crate::scheme::NxM;
 use crate::Result;
@@ -38,7 +36,7 @@ pub const OFFSET_UNUSED: u16 = 0xFFFF;
 /// One `<new_value, offset>` pair: byte `value` replaces the byte at
 /// page-absolute `offset` (§6.1 — byte granularity was chosen over
 /// tuple-attribute granularity for space efficiency and simplicity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChangePair {
     /// Page-absolute byte offset (2 bytes on the wire).
     pub offset: u16,
@@ -47,7 +45,7 @@ pub struct ChangePair {
 }
 
 /// A decoded delta record: up to `M` body pairs and `V` metadata pairs.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DeltaRecord {
     /// Changed bytes in the tuple body.
     pub body: Vec<ChangePair>,

@@ -7,8 +7,6 @@
 //! metadata bytes per record (header + footer); in practice `V ≤ 12` for
 //! Shore-MT under OLTP workloads.
 
-use serde::{Deserialize, Serialize};
-
 /// Upper bound on `M` established by the paper's workload analysis (§6.1,
 /// Appendix A): even LinkBench-style social-graph updates stay below 125
 /// gross bytes at the ~50th percentile.
@@ -18,7 +16,7 @@ pub const MAX_M: u16 = 125;
 ///
 /// `NxM::disabled()` (`[0×0]`) represents the traditional approach without
 /// in-place appends — the paper's baseline columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NxM {
     /// Maximum delta records per page (0 disables IPA).
     pub n: u16,

@@ -14,7 +14,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use ipa_core::{ChangeTracker, DbPage};
-use serde::{Deserialize, Serialize};
+use ipa_noftl::Counters;
 
 use crate::db::PageId;
 use crate::wal::Lsn;
@@ -58,30 +58,20 @@ impl Frame {
     }
 }
 
-/// Cumulative CLOCK-sweep counters: how hard the replacement algorithm is
-/// working (a rising `frames_scanned`-per-victim ratio signals thrash).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SweepStats {
-    /// Occupied frames probed by the CLOCK hand.
-    pub frames_scanned: u64,
-    /// Reference bits cleared (second-chance grants).
-    pub ref_bits_cleared: u64,
-    /// Victims found.
-    pub victims: u64,
-    /// Victims that were dirty — each one puts a write-back flush on the
-    /// critical path of the fetch that triggered the eviction.
-    pub dirty_victims: u64,
-}
-
-impl SweepStats {
-    /// Interval counters `self - earlier`.
-    pub fn delta_since(&self, earlier: &SweepStats) -> SweepStats {
-        SweepStats {
-            frames_scanned: self.frames_scanned.saturating_sub(earlier.frames_scanned),
-            ref_bits_cleared: self.ref_bits_cleared.saturating_sub(earlier.ref_bits_cleared),
-            victims: self.victims.saturating_sub(earlier.victims),
-            dirty_victims: self.dirty_victims.saturating_sub(earlier.dirty_victims),
-        }
+ipa_noftl::counters! {
+    /// Cumulative CLOCK-sweep counters: how hard the replacement algorithm is
+    /// working (a rising `frames_scanned`-per-victim ratio signals thrash).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SweepStats {
+        /// Occupied frames probed by the CLOCK hand.
+        pub frames_scanned: u64,
+        /// Reference bits cleared (second-chance grants).
+        pub ref_bits_cleared: u64,
+        /// Victims found.
+        pub victims: u64,
+        /// Victims that were dirty — each one puts a write-back flush on the
+        /// critical path of the fetch that triggered the eviction.
+        pub dirty_victims: u64,
     }
 }
 
@@ -122,7 +112,7 @@ impl BufferPool {
 
     /// Reset the sweep counters (warm-up boundary).
     pub(crate) fn reset_sweep_stats(&mut self) {
-        self.sweep = SweepStats::default();
+        self.sweep.reset();
     }
 
     /// Number of frames.

@@ -11,7 +11,8 @@ use ipa_core::{
     UpdateSizeProfile,
 };
 use ipa_noftl::{
-    EventKind, IoCtx, Lba, NoFtl, NoFtlConfig, Observer, PageRewriter, RegionId, SpanCategory,
+    Counters, EventKind, IoCtx, Lba, NoFtl, NoFtlConfig, Observer, PageRewriter, RegionId,
+    SpanCategory,
 };
 
 use crate::buffer::{BufferPool, Frame, SweepStats};
@@ -129,20 +130,9 @@ impl DbConfig {
     /// values 75% / 100% so updates accumulate in the buffer.
     pub fn non_eager(buffer_frames: usize) -> Self {
         DbConfig {
-            buffer_frames,
             cleaner_dirty_threshold: 0.75,
-            cleaner_batch: 64,
-            log_capacity_bytes: 64 << 20,
             log_reclaim_threshold: 1.0,
-            verify_ecc: false,
-            group_commit_batch: 1,
-            group_commit_timeout_ns: 0,
-            log_force_ns: 0,
-            advisor_epoch_ns: 0,
-            advisor_goal: AdvisorGoal::Longevity,
-            advisor_hysteresis: 0.05,
-            advisor_min_observations: 64,
-            checkpoint_interval_ns: 0,
+            ..DbConfig::eager(buffer_frames)
         }
     }
 
@@ -368,8 +358,8 @@ impl std::fmt::Debug for Database {
 impl Database {
     /// Open a database over a NoFTL device. `schemes[i]` is the `[N×M]`
     /// configuration of region `i` (use [`NxM::disabled`] for the `[0×0]`
-    /// baseline).
-    pub fn open(ftl_config: NoFtlConfig, schemes: &[NxM], config: DbConfig) -> Result<Self> {
+    /// baseline). Reached through [`DbBuilder::open`].
+    fn open(ftl_config: NoFtlConfig, schemes: &[NxM], config: DbConfig) -> Result<Self> {
         if schemes.len() != ftl_config.regions.len() {
             return Err(EngineError::Core(ipa_core::CoreError::InvalidPage(format!(
                 "{} schemes for {} regions",
@@ -442,8 +432,7 @@ impl Database {
     }
 
     /// Start building a database over a NoFTL device: configuration,
-    /// observers, tracing and lock policy in one fluent chain (replaces
-    /// `Database::open` + post-hoc `attach_observer`/`enable_tracing`).
+    /// observers, tracing and lock policy in one fluent chain.
     pub fn builder(ftl_config: NoFtlConfig) -> DbBuilder {
         DbBuilder::new(ftl_config)
     }
@@ -1292,29 +1281,10 @@ impl Database {
         self.gcommit.parked.clear();
         self.gcommit.acks.clear();
     }
-
-    /// Begin a transaction, returning its raw id.
-    #[deprecated(note = "use `Database::txn()` — the RAII guard aborts on drop")]
-    pub fn begin(&mut self) -> crate::txn::TxId {
-        self.start_tx()
-    }
-
-    /// Commit by raw id.
-    #[deprecated(note = "use `Txn::commit(self)` on the guard from `Database::txn()`")]
-    pub fn commit(&mut self, tx: crate::txn::TxId) -> Result<()> {
-        self.commit_tx(tx)
-    }
-
-    /// Abort by raw id.
-    #[deprecated(note = "use `Txn::abort(self)` on the guard from `Database::txn()`")]
-    pub fn abort(&mut self, tx: crate::txn::TxId) -> Result<()> {
-        self.abort_tx(tx)
-    }
 }
 
 /// Fluent constructor for [`Database`]: device + schemes + engine config +
-/// observability in one chain, replacing `Database::open` followed by
-/// post-hoc `attach_observer`/`enable_tracing` calls.
+/// observability in one chain.
 ///
 /// ```ignore
 /// let db = Database::builder(ftl_config)
@@ -1670,13 +1640,14 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn deprecated_shims_still_work() {
-        #![allow(deprecated)]
+    fn parked_ids_finish_once_through_resume() {
         let mut db = test_db(NxM::tpcc(), 8);
-        let tx = db.begin();
-        db.commit(tx).unwrap();
-        let tx = db.begin();
-        db.abort(tx).unwrap();
+        let tx = db.txn().park();
+        db.resume(tx).unwrap().commit().unwrap();
+        assert!(matches!(db.resume(tx), Err(EngineError::UnknownTx(_))));
+        let tx = db.txn().park();
+        db.resume(tx).unwrap().abort().unwrap();
+        assert!(matches!(db.resume(tx), Err(EngineError::UnknownTx(_))));
         assert_eq!(db.stats().commits, 1);
         assert_eq!(db.stats().aborts, 1);
     }

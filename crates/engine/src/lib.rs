@@ -59,6 +59,9 @@ pub use lock::{LockManager, LockMode, LockPolicy};
 pub use pool::{ClientPool, InterleavedClient, PoolConfig, PoolRunReport, Schedule, StepOutcome};
 pub use session::Txn;
 pub use stats::{EngineStats, TraceEvent};
+// The trait behind `EngineStats` / `SweepStats` (`merge`, `delta_since`,
+// `reset`, `walk`), so engine users need no `ipa-noftl` import for it.
+pub use ipa_noftl::Counters;
 pub use txn::{TxId, TxnTable};
 pub use wal::{LogPayload, LogRecord, Lsn, Wal};
 

@@ -1,12 +1,10 @@
 //! Engine-level statistics: flush decisions, buffer behaviour and the
 //! DB-level write-amplification accounting of the paper's Tables 4 and 5.
 
-use serde::{Deserialize, Serialize};
-
 /// One I/O-relevant event for trace replay (e.g. through the In-Page
 /// Logging baseline simulator of `ipa-ipl`, reproducing the paper's
 /// Table 2 methodology of replaying identical traces on both systems).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A logical page was fetched from storage (buffer miss).
     Fetch {
@@ -26,86 +24,88 @@ pub enum TraceEvent {
     },
 }
 
-/// Cumulative counters of the storage engine.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct EngineStats {
-    /// Page fetch requests.
-    pub fetches: u64,
-    /// Fetches served from the buffer pool.
-    pub hits: u64,
-    /// Synchronous evictions (dirty victim flushed on the fetch path).
-    pub evictions: u64,
-    /// Dirty-page flushes that became in-place appends.
-    pub ipa_flushes: u64,
-    /// Dirty-page flushes written out-of-place.
-    pub oop_flushes: u64,
-    /// Delta records appended across all IPA flushes.
-    pub delta_records_written: u64,
-    /// Pages flushed by the background cleaner.
-    pub cleaner_flushes: u64,
-    /// Log-space reclamation rounds.
-    pub log_reclaims: u64,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Committed transactions.
-    pub commits: u64,
-    /// Aborted transactions.
-    pub aborts: u64,
-    /// Transactions aborted by dropping a [`crate::Txn`] guard without an
-    /// explicit commit/abort (RAII auto-abort; a subset of `aborts`).
-    pub drop_aborts: u64,
-    /// Rollbacks that themselves failed (the abort path returned an
-    /// error). The transaction is finished either way, but harnesses can
-    /// assert the failure was observed rather than silently dropped.
-    pub abort_errors: u64,
-    /// Real WAL forces: [`crate::Wal::flush_to`] calls on the commit path
-    /// that actually advanced the durable horizon. Group commit amortizes
-    /// these — `wal_forces / commits` is the headline metric of the
-    /// `group_commit_sweep` harness.
-    pub wal_forces: u64,
-    /// Commit requests parked in the group-commit stage (deferred ack).
-    pub tx_parked: u64,
-    /// Group-commit batches flushed (each acknowledges >= 1 parked
-    /// transaction with a single log force).
-    pub group_commits: u64,
-    /// Lock conflicts resolved as "wait" under the wait-die policy (the
-    /// older requester parked and retried).
-    pub lock_waits: u64,
-    /// Lock conflicts resolved as "die" under the wait-die policy (the
-    /// younger requester restarted) — deadlock-avoidance aborts.
-    pub deadlock_aborts: u64,
-    /// Net changed bytes across all dirty-page flushes (body + metadata) —
-    /// the denominator of the paper's DB write amplification.
-    pub net_changed_bytes: u64,
-    /// Gross bytes written to storage (full page size per out-of-place
-    /// write, encoded delta-record size per append) — the numerator.
-    pub gross_written_bytes: u64,
-    /// ECC sections verified on fetch.
-    pub ecc_verified: u64,
-    /// Redo-path read retries after an uncorrectable-ECC fetch failure.
-    pub read_retries: u64,
-    /// Pages whose flash residency stayed unreadable after retry and were
-    /// rebuilt purely from the WAL redo history during recovery.
-    pub recovery_page_rebuilds: u64,
-    /// Advisor re-tune epochs executed by background work (adaptive IPA).
-    pub retune_epochs: u64,
-    /// Region scheme transitions committed by the advisor (adaptive IPA).
-    pub scheme_changes: u64,
-    /// Resident pages re-laid-out to their region's current scheme on the
-    /// flush path after a scheme change (adaptive IPA).
-    pub scheme_upgrades: u64,
-    /// Simulated nanoseconds spent inside the most recent restart
-    /// (analysis + redo + undo). Cumulative across restarts, like every
-    /// other counter; a single-crash run reads it directly as MTTR.
-    pub recovery_ns: u64,
-    /// Log records scanned by restart analysis (from the checkpoint's
-    /// Begin LSN, or the log tail when no checkpoint is usable).
-    pub analysis_records: u64,
-    /// Redo actions actually re-applied during restart.
-    pub redo_applied: u64,
-    /// Redo actions skipped by the dirty-page-table filter (target page
-    /// absent from the DPT, or record LSN below the page's recLSN).
-    pub redo_skipped: u64,
+ipa_noftl::counters! {
+    /// Cumulative counters of the storage engine.
+    #[derive(Debug, Clone, Default)]
+    pub struct EngineStats {
+        /// Page fetch requests.
+        pub fetches: u64,
+        /// Fetches served from the buffer pool.
+        pub hits: u64,
+        /// Synchronous evictions (dirty victim flushed on the fetch path).
+        pub evictions: u64,
+        /// Dirty-page flushes that became in-place appends.
+        pub ipa_flushes: u64,
+        /// Dirty-page flushes written out-of-place.
+        pub oop_flushes: u64,
+        /// Delta records appended across all IPA flushes.
+        pub delta_records_written: u64,
+        /// Pages flushed by the background cleaner.
+        pub cleaner_flushes: u64,
+        /// Log-space reclamation rounds.
+        pub log_reclaims: u64,
+        /// Checkpoints taken.
+        pub checkpoints: u64,
+        /// Committed transactions.
+        pub commits: u64,
+        /// Aborted transactions.
+        pub aborts: u64,
+        /// Transactions aborted by dropping a [`crate::Txn`] guard without an
+        /// explicit commit/abort (RAII auto-abort; a subset of `aborts`).
+        pub drop_aborts: u64,
+        /// Rollbacks that themselves failed (the abort path returned an
+        /// error). The transaction is finished either way, but harnesses can
+        /// assert the failure was observed rather than silently dropped.
+        pub abort_errors: u64,
+        /// Real WAL forces: [`crate::Wal::flush_to`] calls on the commit path
+        /// that actually advanced the durable horizon. Group commit amortizes
+        /// these — `wal_forces / commits` is the headline metric of the
+        /// `group_commit_sweep` harness.
+        pub wal_forces: u64,
+        /// Commit requests parked in the group-commit stage (deferred ack).
+        pub tx_parked: u64,
+        /// Group-commit batches flushed (each acknowledges >= 1 parked
+        /// transaction with a single log force).
+        pub group_commits: u64,
+        /// Lock conflicts resolved as "wait" under the wait-die policy (the
+        /// older requester parked and retried).
+        pub lock_waits: u64,
+        /// Lock conflicts resolved as "die" under the wait-die policy (the
+        /// younger requester restarted) — deadlock-avoidance aborts.
+        pub deadlock_aborts: u64,
+        /// Net changed bytes across all dirty-page flushes (body + metadata) —
+        /// the denominator of the paper's DB write amplification.
+        pub net_changed_bytes: u64,
+        /// Gross bytes written to storage (full page size per out-of-place
+        /// write, encoded delta-record size per append) — the numerator.
+        pub gross_written_bytes: u64,
+        /// ECC sections verified on fetch.
+        pub ecc_verified: u64,
+        /// Redo-path read retries after an uncorrectable-ECC fetch failure.
+        pub read_retries: u64,
+        /// Pages whose flash residency stayed unreadable after retry and were
+        /// rebuilt purely from the WAL redo history during recovery.
+        pub recovery_page_rebuilds: u64,
+        /// Advisor re-tune epochs executed by background work (adaptive IPA).
+        pub retune_epochs: u64,
+        /// Region scheme transitions committed by the advisor (adaptive IPA).
+        pub scheme_changes: u64,
+        /// Resident pages re-laid-out to their region's current scheme on the
+        /// flush path after a scheme change (adaptive IPA).
+        pub scheme_upgrades: u64,
+        /// Simulated nanoseconds spent inside the most recent restart
+        /// (analysis + redo + undo). Cumulative across restarts, like every
+        /// other counter; a single-crash run reads it directly as MTTR.
+        pub recovery_ns: u64,
+        /// Log records scanned by restart analysis (from the checkpoint's
+        /// Begin LSN, or the log tail when no checkpoint is usable).
+        pub analysis_records: u64,
+        /// Redo actions actually re-applied during restart.
+        pub redo_applied: u64,
+        /// Redo actions skipped by the dirty-page-table filter (target page
+        /// absent from the DPT, or record LSN below the page's recLSN).
+        pub redo_skipped: u64,
+    }
 }
 
 impl EngineStats {
@@ -138,53 +138,6 @@ impl EngineStats {
             self.gross_written_bytes as f64 / self.net_changed_bytes as f64
         }
     }
-
-    /// Reset all counters.
-    pub fn reset(&mut self) {
-        *self = EngineStats::default();
-    }
-
-    /// Interval counters `self - earlier` (both cumulative).
-    pub fn delta_since(&self, earlier: &EngineStats) -> EngineStats {
-        EngineStats {
-            fetches: self.fetches.saturating_sub(earlier.fetches),
-            hits: self.hits.saturating_sub(earlier.hits),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
-            ipa_flushes: self.ipa_flushes.saturating_sub(earlier.ipa_flushes),
-            oop_flushes: self.oop_flushes.saturating_sub(earlier.oop_flushes),
-            delta_records_written: self
-                .delta_records_written
-                .saturating_sub(earlier.delta_records_written),
-            cleaner_flushes: self.cleaner_flushes.saturating_sub(earlier.cleaner_flushes),
-            log_reclaims: self.log_reclaims.saturating_sub(earlier.log_reclaims),
-            checkpoints: self.checkpoints.saturating_sub(earlier.checkpoints),
-            commits: self.commits.saturating_sub(earlier.commits),
-            aborts: self.aborts.saturating_sub(earlier.aborts),
-            drop_aborts: self.drop_aborts.saturating_sub(earlier.drop_aborts),
-            abort_errors: self.abort_errors.saturating_sub(earlier.abort_errors),
-            wal_forces: self.wal_forces.saturating_sub(earlier.wal_forces),
-            tx_parked: self.tx_parked.saturating_sub(earlier.tx_parked),
-            group_commits: self.group_commits.saturating_sub(earlier.group_commits),
-            lock_waits: self.lock_waits.saturating_sub(earlier.lock_waits),
-            deadlock_aborts: self.deadlock_aborts.saturating_sub(earlier.deadlock_aborts),
-            net_changed_bytes: self.net_changed_bytes.saturating_sub(earlier.net_changed_bytes),
-            gross_written_bytes: self
-                .gross_written_bytes
-                .saturating_sub(earlier.gross_written_bytes),
-            ecc_verified: self.ecc_verified.saturating_sub(earlier.ecc_verified),
-            read_retries: self.read_retries.saturating_sub(earlier.read_retries),
-            recovery_page_rebuilds: self
-                .recovery_page_rebuilds
-                .saturating_sub(earlier.recovery_page_rebuilds),
-            retune_epochs: self.retune_epochs.saturating_sub(earlier.retune_epochs),
-            scheme_changes: self.scheme_changes.saturating_sub(earlier.scheme_changes),
-            scheme_upgrades: self.scheme_upgrades.saturating_sub(earlier.scheme_upgrades),
-            recovery_ns: self.recovery_ns.saturating_sub(earlier.recovery_ns),
-            analysis_records: self.analysis_records.saturating_sub(earlier.analysis_records),
-            redo_applied: self.redo_applied.saturating_sub(earlier.redo_applied),
-            redo_skipped: self.redo_skipped.saturating_sub(earlier.redo_skipped),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -213,35 +166,5 @@ mod tests {
         assert_eq!(s.hit_ratio(), 0.0);
         assert_eq!(s.ipa_flush_fraction(), 0.0);
         assert_eq!(s.write_amplification(), 0.0);
-    }
-
-    #[test]
-    fn delta_since_subtracts_field_wise() {
-        let a = EngineStats { fetches: 10, commits: 3, wal_forces: 2, ..EngineStats::default() };
-        let b = EngineStats {
-            fetches: 25,
-            commits: 3,
-            aborts: 1,
-            wal_forces: 5,
-            group_commits: 2,
-            tx_parked: 8,
-            lock_waits: 4,
-            deadlock_aborts: 1,
-            drop_aborts: 1,
-            ..EngineStats::default()
-        };
-        let d = b.delta_since(&a);
-        assert_eq!(d.fetches, 15);
-        assert_eq!(d.commits, 0);
-        assert_eq!(d.aborts, 1);
-        assert_eq!(d.wal_forces, 3);
-        assert_eq!(d.group_commits, 2);
-        assert_eq!(d.tx_parked, 8);
-        assert_eq!(d.lock_waits, 4);
-        assert_eq!(d.deadlock_aborts, 1);
-        assert_eq!(d.drop_aborts, 1);
-        let z = b.delta_since(&b);
-        assert_eq!(z.fetches, 0);
-        assert_eq!(z.aborts, 0);
     }
 }

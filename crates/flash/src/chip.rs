@@ -1,37 +1,25 @@
 //! One flash chip: an array of blocks plus wear bookkeeping.
 
-use serde::{Deserialize, Serialize};
-
 use crate::block::Block;
 use crate::geometry::FlashGeometry;
 
-/// Cumulative per-chip operation counters — the raw material of the
-/// chip-parallelism breakdown in the observability snapshots (skewed
-/// per-chip loads show up directly here).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[must_use]
-pub struct ChipCounters {
-    /// Page reads dispatched to this chip.
-    pub reads: u64,
-    /// Page programs (full and partial) dispatched to this chip.
-    pub programs: u64,
-    /// Block erases dispatched to this chip.
-    pub erases: u64,
-    /// Total simulated time this chip spent executing operations, in
-    /// nanoseconds. Compared against wall-clock span, this is the per-chip
-    /// utilization gauge of the queued-I/O scheduler.
-    pub busy_ns: u64,
-}
-
-impl ChipCounters {
-    /// Interval counters `self - earlier`.
-    pub fn delta_since(&self, earlier: &ChipCounters) -> ChipCounters {
-        ChipCounters {
-            reads: self.reads.saturating_sub(earlier.reads),
-            programs: self.programs.saturating_sub(earlier.programs),
-            erases: self.erases.saturating_sub(earlier.erases),
-            busy_ns: self.busy_ns.saturating_sub(earlier.busy_ns),
-        }
+crate::counters! {
+    /// Cumulative per-chip operation counters — the raw material of the
+    /// chip-parallelism breakdown in the observability snapshots (skewed
+    /// per-chip loads show up directly here).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    #[must_use]
+    pub struct ChipCounters {
+        /// Page reads dispatched to this chip.
+        pub reads: u64,
+        /// Page programs (full and partial) dispatched to this chip.
+        pub programs: u64,
+        /// Block erases dispatched to this chip.
+        pub erases: u64,
+        /// Total simulated time this chip spent executing operations, in
+        /// nanoseconds. Compared against wall-clock span, this is the per-chip
+        /// utilization gauge of the queued-I/O scheduler.
+        pub busy_ns: u64,
     }
 }
 
@@ -95,6 +83,7 @@ impl Chip {
 mod tests {
     use super::*;
     use crate::geometry::CellType;
+    use crate::Counters;
 
     fn geom() -> FlashGeometry {
         FlashGeometry {

@@ -3,9 +3,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::chip::{Chip, ChipCounters};
+use crate::counters::Counters;
 use crate::error::FlashError;
 use crate::fault::{FaultInjector, FaultOp, FaultPlan, FaultVerdict};
 use crate::geometry::{CellType, FlashGeometry, PageKind, Ppa};
@@ -22,7 +22,7 @@ use crate::Result;
 /// the statistics bucket and the scheduling policy: host operations are
 /// synchronous (they advance the simulated host clock by their full waiting
 /// + execution time), background operations only occupy chip time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpOrigin {
     /// Host-issued synchronous I/O (a DBMS read, or a blocking eviction
     /// write): waits for the chip and advances the host clock.
@@ -34,6 +34,17 @@ pub enum OpOrigin {
     HostAsync,
     /// Internal (garbage collection migration, wear leveling, refresh).
     Background,
+}
+
+impl OpOrigin {
+    /// Stable lower-case name (trace/report key).
+    pub fn name(self) -> &'static str {
+        match self {
+            OpOrigin::Host => "host",
+            OpOrigin::HostAsync => "host_async",
+            OpOrigin::Background => "background",
+        }
+    }
 }
 
 /// Timing outcome of a single flash operation.
@@ -48,7 +59,7 @@ pub struct OpResult {
 }
 
 /// Full configuration of a simulated device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlashConfig {
     /// Physical organization.
     pub geometry: FlashGeometry,
@@ -189,7 +200,7 @@ impl OpClass {
 }
 
 /// Erase-count distribution across all blocks of a device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[must_use]
 pub struct WearHistogram {
     /// Lowest per-block erase count.
@@ -292,7 +303,7 @@ impl FlashDevice {
     pub fn reset_stats(&mut self) {
         self.stats.reset();
         for chip in &mut self.chips {
-            *chip.counters_mut() = ChipCounters::default();
+            chip.counters_mut().reset();
         }
         // Mark the reset in the trace so offline analyzers can window
         // their attribution to the post-warm-up interval the counters

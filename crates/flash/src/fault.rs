@@ -21,11 +21,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Operation class a fault targets. Ops are counted per class from device
 /// creation, so scripted faults address "the nth erase" etc. directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultOp {
     /// Full-page program.
     Program,
@@ -37,7 +36,7 @@ pub enum FaultOp {
 
 /// One scripted fault: fail exactly the `nth` operation (0-based, counted
 /// per class since device creation) of class `op`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScriptedFault {
     /// Operation class to fail.
     pub op: FaultOp,
@@ -60,7 +59,7 @@ pub struct ScriptedFault {
 ///   expected to fall back to a full out-of-place write.
 /// * **Erase** — always permanent: a block that no longer erases is grown
 ///   bad by definition and is retired on the spot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed of the fault RNG (independent of the device's bit-error RNG).
     pub seed: u64,

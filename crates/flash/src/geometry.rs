@@ -7,8 +7,6 @@
 //! data so the rest of the simulator can reason about page kinds, wordline
 //! neighbourhoods (for program interference) and address arithmetic.
 
-use serde::{Deserialize, Serialize};
-
 /// The cell technology of a flash chip.
 ///
 /// The cell type determines how many bits a cell stores, the endurance limit
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// with SLC-like page organization but TLC endurance, matching the paper's
 /// Appendix C.3 assumption that 3D/TLC flash behaves like SLC/pSLC for the
 /// purposes of in-place appends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellType {
     /// Single-level cell: one bit per cell, two charge levels.
     Slc,
@@ -68,7 +66,7 @@ impl CellType {
 /// slowly and must always be written out-of-place (their four-threshold read
 /// makes interference in appended regions observable). On SLC and TLC chips
 /// every page reports [`PageKind::Lsb`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PageKind {
     /// Least-significant-bit page: fast program, append-capable.
     Lsb,
@@ -82,7 +80,7 @@ pub enum PageKind {
 /// evaluation only exploits chip-level parallelism (16 emulated chips /
 /// 8 dual-die OpenSSD packages with an effective parallelism of one), so a
 /// flat `chip` axis loses nothing the experiments depend on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ppa {
     /// Chip index within the device.
     pub chip: u32,
@@ -106,7 +104,7 @@ impl std::fmt::Display for Ppa {
 }
 
 /// Static geometry of a flash device.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlashGeometry {
     /// Number of independent chips (the unit of parallelism).
     pub chips: u32,

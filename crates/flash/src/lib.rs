@@ -61,6 +61,7 @@
 
 mod block;
 mod chip;
+mod counters;
 mod device;
 mod error;
 mod fault;
@@ -75,12 +76,14 @@ mod timing;
 
 pub use block::{Block, BlockState};
 pub use chip::{Chip, ChipCounters};
+pub use counters::{CounterSlot, CounterValue, Counters};
 pub use device::{FlashConfig, FlashDevice, OpOrigin, OpResult, WearHistogram};
 pub use error::FlashError;
 pub use fault::{FaultOp, FaultPlan, ScriptedFault};
 pub use geometry::{CellType, FlashGeometry, PageKind, Ppa};
 pub use obs::{
-    EventKind, ObsCtx, ObsEvent, Observer, OpClass, RecoveryPhaseKind, SpanCategory, SpanId,
+    EventField, EventKind, ObsCtx, ObsEvent, Observer, OpClass, RecoveryPhaseKind, SpanCategory,
+    SpanId,
 };
 pub use oob::{OobArea, OobLayout, Section};
 pub use page::{PageData, PageState};

@@ -15,12 +15,10 @@
 //! operation (`Option` check); callers that would otherwise build event
 //! payloads can skip even that via [`crate::FlashDevice::observing`].
 
-use serde::{Deserialize, Serialize};
-
 /// Correlation token of one causal span (a transaction, a flush, a
 /// recovery pass, a GC episode). Minted by the device so ids are unique
 /// per trace and totally ordered by creation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SpanId(pub u64);
 
 impl std::fmt::Display for SpanId {
@@ -30,7 +28,7 @@ impl std::fmt::Display for SpanId {
 }
 
 /// What kind of causal episode a span covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanCategory {
     /// One engine transaction, `begin` to `commit`/`abort`.
     Txn,
@@ -59,7 +57,7 @@ impl SpanCategory {
 /// [`crate::OpOrigin`] this distinguishes every row of the paper's
 /// per-op accounting (host reads vs. GC reads, full programs vs. delta
 /// appends, erases, refreshes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Page read.
     Read,
@@ -89,7 +87,7 @@ impl OpClass {
 /// What happened. Physical kinds are emitted by the device itself;
 /// `Flush{Ipa,Oop}` and `Evict` are logical kinds emitted by the storage
 /// engine through the same sequence/clock source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A host-issued page read reached the device.
     HostRead,
@@ -256,8 +254,129 @@ pub enum EventKind {
     },
 }
 
+/// One payload value of an event, as [`EventKind::wire`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventField {
+    /// A count, id, size or timestamp.
+    Uint(u64),
+    /// A yes/no attribute.
+    Flag(bool),
+    /// The stable name of an enumerated attribute.
+    Name(&'static str),
+}
+
+impl EventKind {
+    /// Stable lower-case name (the trace `kind` key).
+    pub fn name(&self) -> &'static str {
+        self.wire(|_, _| {})
+    }
+
+    /// The wire form of this kind, spelled here and nowhere else: returns
+    /// the stable name and hands `field` every payload entry as
+    /// `(key, value)` in emission order (unset optional entries are
+    /// skipped). Sinks add the [`ObsEvent`] envelope around it.
+    ///
+    /// The match binds every field of every variant — no wildcard arm, no
+    /// `..` — so a new variant or a new payload field does not compile
+    /// until it is given a wire form.
+    pub fn wire(&self, mut field: impl FnMut(&'static str, EventField)) -> &'static str {
+        use EventField::{Flag, Name, Uint};
+        match *self {
+            EventKind::HostRead => "host_read",
+            EventKind::HostProgram => "host_program",
+            EventKind::DeltaProgram { bytes } => {
+                field("bytes", Uint(bytes.into()));
+                "delta_program"
+            }
+            EventKind::GcMigration => "gc_migration",
+            EventKind::Erase => "erase",
+            EventKind::FlushIpa { records } => {
+                field("records", Uint(records.into()));
+                "flush_ipa"
+            }
+            EventKind::FlushOop => "flush_oop",
+            EventKind::Evict => "evict",
+            EventKind::IsppViolation => "ispp_violation",
+            EventKind::ProgramFault { permanent } => {
+                field("permanent", Flag(permanent));
+                "program_fault"
+            }
+            EventKind::DeltaFault => "delta_fault",
+            EventKind::EraseFault => "erase_fault",
+            EventKind::BlockRetired => "block_retired",
+            EventKind::DeltaFallback => "delta_fallback",
+            EventKind::ScrubRefresh => "scrub_refresh",
+            EventKind::GroupCommitFlush { txns } => {
+                field("txns", Uint(txns.into()));
+                "group_commit_flush"
+            }
+            EventKind::LockWait => "lock_wait",
+            EventKind::TxParked => "tx_parked",
+            EventKind::SpanOpen { id, parent, cat } => {
+                field("span", Uint(id.0));
+                if let Some(parent) = parent {
+                    field("parent", Uint(parent.0));
+                }
+                field("cat", Name(cat.name()));
+                "span_open"
+            }
+            EventKind::SpanClose { id } => {
+                field("span", Uint(id.0));
+                "span_close"
+            }
+            EventKind::CmdSubmit { cmd, class, origin, chip, queue_wait_ns, span } => {
+                field("cmd", Uint(cmd));
+                field("class", Name(class.name()));
+                field("origin", Name(origin.name()));
+                field("chip", Uint(chip.into()));
+                field("queue_wait_ns", Uint(queue_wait_ns));
+                if let Some(span) = span {
+                    field("span", Uint(span.0));
+                }
+                "cmd_submit"
+            }
+            EventKind::CmdComplete { cmd, submitted_ns, start_ns, done_ns } => {
+                field("cmd", Uint(cmd));
+                field("submitted_ns", Uint(submitted_ns));
+                field("start_ns", Uint(start_ns));
+                field("done_ns", Uint(done_ns));
+                "cmd_complete"
+            }
+            EventKind::StatsReset => "stats_reset",
+            EventKind::SchemeChange { epoch, old, new } => {
+                field("epoch", Uint(epoch));
+                field("old_n", Uint(old.0.into()));
+                field("old_m", Uint(old.1.into()));
+                field("old_v", Uint(old.2.into()));
+                field("new_n", Uint(new.0.into()));
+                field("new_m", Uint(new.1.into()));
+                field("new_v", Uint(new.2.into()));
+                "scheme_change"
+            }
+            EventKind::ProfileSnapshot { observations, body_p50, body_p95, meta_p99 } => {
+                field("observations", Uint(observations));
+                field("body_p50", Uint(body_p50.into()));
+                field("body_p95", Uint(body_p95.into()));
+                field("meta_p99", Uint(meta_p99.into()));
+                "profile_snapshot"
+            }
+            EventKind::CheckpointBegin => "checkpoint_begin",
+            EventKind::CheckpointEnd { active, dirty } => {
+                field("active", Uint(active.into()));
+                field("dirty", Uint(dirty.into()));
+                "checkpoint_end"
+            }
+            EventKind::RecoveryPhase { phase, records } => {
+                field("phase", Name(phase.name()));
+                field("records", Uint(records));
+                "recovery_phase"
+            }
+        }
+    }
+}
+
 /// The three ARIES restart phases, for [`EventKind::RecoveryPhase`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryPhaseKind {
     /// Forward scan from the checkpoint's Begin LSN rebuilding the
     /// transaction table and dirty-page table.
@@ -280,7 +399,7 @@ impl RecoveryPhaseKind {
 }
 
 /// One trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsEvent {
     /// Monotonic per-device sequence number (total order of emissions).
     pub seq: u64,

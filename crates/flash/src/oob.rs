@@ -7,10 +7,8 @@
 //! sectioned layout; the codes are computed by `ipa-core` and written through
 //! [`crate::FlashDevice::program_oob`].
 
-use serde::{Deserialize, Serialize};
-
 /// A named section of the OOB area.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Section {
     /// ECC over the initial page image (`ECC_initial` in Figure 4).
     EccInitial,
@@ -22,7 +20,7 @@ pub enum Section {
 
 /// Byte layout of the OOB area: one metadata slot plus `1 + max_deltas`
 /// fixed-size ECC slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OobLayout {
     /// Total OOB bytes available.
     pub oob_size: usize,

@@ -19,7 +19,6 @@
 //! stored data) rather than corrupting the stored bytes, so ECC correction
 //! and uncorrectable-error reporting are exact.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use crate::geometry::{PageKind, Ppa};
@@ -27,7 +26,7 @@ use crate::geometry::{PageKind, Ppa};
 /// Configuration of the bit-error injection model. All defaults are zero
 /// (deterministic simulation); experiments that exercise reliability enable
 /// the rates they need with a seeded RNG.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliabilityConfig {
     /// Probability that one (re-)program disturbs one erased bit in each
     /// neighbouring page.
@@ -50,7 +49,7 @@ impl Default for ReliabilityConfig {
 
 /// Direction of an injected error, which determines whether a re-program
 /// (refresh) can repair it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorKind {
     /// Charge loss: programmed `0` reads as `1`. Repairable by refresh.
     Retention,
@@ -61,7 +60,7 @@ pub enum ErrorKind {
 }
 
 /// One injected bit error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitError {
     /// Bit index within the page main area.
     pub bit: usize,

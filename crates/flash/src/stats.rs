@@ -4,11 +4,9 @@
 //! evaluation: host reads/writes, delta writes, GC page migrations, GC
 //! erases, and the derived per-host-write ratios.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-bucket latency histogram (microsecond-scaled, power-of-two
 /// buckets) that also tracks sum and count for exact means.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 #[must_use]
 pub struct LatencyHistogram {
     /// Bucket `i` counts samples in `[2^i, 2^(i+1))` microseconds; bucket 0
@@ -125,57 +123,59 @@ impl LatencyHistogram {
     }
 }
 
-/// Cumulative operation counters of a flash device.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-#[must_use]
-pub struct FlashStats {
-    /// Page reads issued on behalf of the host.
-    pub host_reads: u64,
-    /// Full-page programs issued on behalf of the host.
-    pub host_programs: u64,
-    /// Partial programs (in-place delta appends) issued on behalf of the host.
-    pub host_delta_programs: u64,
-    /// Bytes of delta payload appended in place.
-    pub delta_bytes: u64,
-    /// Page reads performed internally (garbage collection migrations).
-    pub gc_reads: u64,
-    /// Page programs performed internally (garbage collection migrations).
-    pub gc_programs: u64,
-    /// Block erases (all erases are attributed to management).
-    pub erases: u64,
-    /// Programs rejected for violating the monotone-charge rule.
-    pub ispp_violations: u64,
-    /// Bit errors injected by the reliability model.
-    pub injected_bit_errors: u64,
-    /// Bit errors corrected by ECC on read.
-    pub corrected_bit_errors: u64,
-    /// Injected program-status failures (full-page programs).
-    pub program_failures: u64,
-    /// Injected program-status failures on partial programs (delta appends).
-    pub delta_program_failures: u64,
-    /// Injected erase-status failures.
-    pub erase_failures: u64,
-    /// Blocks retired as grown bad after a permanent program or erase
-    /// failure.
-    pub retired_blocks: u64,
-    /// Host submissions that found the host queue full and had to wait for
-    /// an in-flight command to retire (queued-I/O admission stalls).
-    pub queue_waits: u64,
-    /// Total simulated time host submissions spent stalled on a full
-    /// queue, in nanoseconds. The queue-wait column of the latency
-    /// attribution: [`FlashStats::read_latency`]/
-    /// [`FlashStats::write_latency`] cover chip-busy inheritance plus op
-    /// service only, so end-to-end host latency is histogram time plus
-    /// this, and an offline trace's per-command `queue_wait_ns` sums back
-    /// to it exactly.
-    pub queue_wait_ns_total: u64,
-    /// Highest number of host commands simultaneously in flight (the
-    /// observed queue depth; 1 on a fully synchronous workload).
-    pub queue_highwater: u64,
-    /// Host read latencies.
-    pub read_latency: LatencyHistogram,
-    /// Host program latencies (full-page and delta combined).
-    pub write_latency: LatencyHistogram,
+crate::counters! {
+    /// Cumulative operation counters of a flash device.
+    #[derive(Debug, Clone, Default)]
+    #[must_use]
+    pub struct FlashStats {
+        /// Page reads issued on behalf of the host.
+        pub host_reads: u64,
+        /// Full-page programs issued on behalf of the host.
+        pub host_programs: u64,
+        /// Partial programs (in-place delta appends) issued on behalf of the host.
+        pub host_delta_programs: u64,
+        /// Bytes of delta payload appended in place.
+        pub delta_bytes: u64,
+        /// Page reads performed internally (garbage collection migrations).
+        pub gc_reads: u64,
+        /// Page programs performed internally (garbage collection migrations).
+        pub gc_programs: u64,
+        /// Block erases (all erases are attributed to management).
+        pub erases: u64,
+        /// Programs rejected for violating the monotone-charge rule.
+        pub ispp_violations: u64,
+        /// Bit errors injected by the reliability model.
+        pub injected_bit_errors: u64,
+        /// Bit errors corrected by ECC on read.
+        pub corrected_bit_errors: u64,
+        /// Injected program-status failures (full-page programs).
+        pub program_failures: u64,
+        /// Injected program-status failures on partial programs (delta appends).
+        pub delta_program_failures: u64,
+        /// Injected erase-status failures.
+        pub erase_failures: u64,
+        /// Blocks retired as grown bad after a permanent program or erase
+        /// failure.
+        pub retired_blocks: u64,
+        /// Host submissions that found the host queue full and had to wait for
+        /// an in-flight command to retire (queued-I/O admission stalls).
+        pub queue_waits: u64,
+        /// Total simulated time host submissions spent stalled on a full
+        /// queue, in nanoseconds. The queue-wait column of the latency
+        /// attribution: [`FlashStats::read_latency`]/
+        /// [`FlashStats::write_latency`] cover chip-busy inheritance plus op
+        /// service only, so end-to-end host latency is histogram time plus
+        /// this, and an offline trace's per-command `queue_wait_ns` sums back
+        /// to it exactly.
+        pub queue_wait_ns_total: u64,
+        /// Highest number of host commands simultaneously in flight (the
+        /// observed queue depth; 1 on a fully synchronous workload).
+        pub queue_highwater: u64 as max,
+        /// Host read latencies.
+        pub read_latency: LatencyHistogram as hist,
+        /// Host program latencies (full-page and delta combined).
+        pub write_latency: LatencyHistogram as hist,
+    }
 }
 
 impl FlashStats {
@@ -198,72 +198,6 @@ impl FlashStats {
     /// GC erases per host write (Tables 6–10).
     pub fn erases_per_host_write(&self) -> f64 {
         ratio(self.erases, self.host_writes())
-    }
-
-    /// Merge another device's counters into this one (histograms merge
-    /// bucket-wise), so registries can aggregate without field-by-field
-    /// copies.
-    pub fn merge(&mut self, other: &FlashStats) {
-        self.host_reads += other.host_reads;
-        self.host_programs += other.host_programs;
-        self.host_delta_programs += other.host_delta_programs;
-        self.delta_bytes += other.delta_bytes;
-        self.gc_reads += other.gc_reads;
-        self.gc_programs += other.gc_programs;
-        self.erases += other.erases;
-        self.ispp_violations += other.ispp_violations;
-        self.injected_bit_errors += other.injected_bit_errors;
-        self.corrected_bit_errors += other.corrected_bit_errors;
-        self.program_failures += other.program_failures;
-        self.delta_program_failures += other.delta_program_failures;
-        self.erase_failures += other.erase_failures;
-        self.retired_blocks += other.retired_blocks;
-        self.queue_waits += other.queue_waits;
-        self.queue_wait_ns_total += other.queue_wait_ns_total;
-        self.queue_highwater = self.queue_highwater.max(other.queue_highwater);
-        self.read_latency.merge(&other.read_latency);
-        self.write_latency.merge(&other.write_latency);
-    }
-
-    /// Interval counters `self - earlier` (both snapshots of the same
-    /// monotonically growing counter set).
-    pub fn delta_since(&self, earlier: &FlashStats) -> FlashStats {
-        FlashStats {
-            host_reads: self.host_reads.saturating_sub(earlier.host_reads),
-            host_programs: self.host_programs.saturating_sub(earlier.host_programs),
-            host_delta_programs: self
-                .host_delta_programs
-                .saturating_sub(earlier.host_delta_programs),
-            delta_bytes: self.delta_bytes.saturating_sub(earlier.delta_bytes),
-            gc_reads: self.gc_reads.saturating_sub(earlier.gc_reads),
-            gc_programs: self.gc_programs.saturating_sub(earlier.gc_programs),
-            erases: self.erases.saturating_sub(earlier.erases),
-            ispp_violations: self.ispp_violations.saturating_sub(earlier.ispp_violations),
-            injected_bit_errors: self
-                .injected_bit_errors
-                .saturating_sub(earlier.injected_bit_errors),
-            corrected_bit_errors: self
-                .corrected_bit_errors
-                .saturating_sub(earlier.corrected_bit_errors),
-            program_failures: self.program_failures.saturating_sub(earlier.program_failures),
-            delta_program_failures: self
-                .delta_program_failures
-                .saturating_sub(earlier.delta_program_failures),
-            erase_failures: self.erase_failures.saturating_sub(earlier.erase_failures),
-            retired_blocks: self.retired_blocks.saturating_sub(earlier.retired_blocks),
-            queue_waits: self.queue_waits.saturating_sub(earlier.queue_waits),
-            queue_wait_ns_total: self
-                .queue_wait_ns_total
-                .saturating_sub(earlier.queue_wait_ns_total),
-            queue_highwater: self.queue_highwater.saturating_sub(earlier.queue_highwater),
-            read_latency: self.read_latency.diff(&earlier.read_latency),
-            write_latency: self.write_latency.diff(&earlier.write_latency),
-        }
-    }
-
-    /// Reset all counters (used between benchmark warm-up and measurement).
-    pub fn reset(&mut self) {
-        *self = FlashStats::default();
     }
 }
 
@@ -370,28 +304,5 @@ mod tests {
         assert_eq!(z.mean_ns(), 0);
         assert_eq!(z.max_ns(), 0);
         assert_eq!(z.percentile_us(0.99), 0);
-    }
-
-    #[test]
-    fn flash_stats_merge_and_delta() {
-        let mut a = FlashStats { host_programs: 10, erases: 2, ..FlashStats::default() };
-        a.read_latency.record(1_000);
-        let b = FlashStats { host_programs: 5, gc_programs: 7, ..FlashStats::default() };
-        a.merge(&b);
-        assert_eq!(a.host_programs, 15);
-        assert_eq!(a.gc_programs, 7);
-        assert_eq!(a.erases, 2);
-        assert_eq!(a.read_latency.count(), 1);
-
-        let later = FlashStats { host_programs: 20, gc_programs: 9, ..a.clone() };
-        let d = later.delta_since(&a);
-        assert_eq!(d.host_programs, 5);
-        assert_eq!(d.gc_programs, 2);
-        assert_eq!(d.erases, 0);
-        // Delta of identical stats is all-zero.
-        let z = a.delta_since(&a);
-        assert_eq!(z.host_programs, 0);
-        assert_eq!(z.total_programs(), 0);
-        assert_eq!(z.read_latency.count(), 0);
     }
 }

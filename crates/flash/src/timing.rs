@@ -15,15 +15,13 @@
 //! (emulator profile, 16-way parallel) or one shared queue (OpenSSD profile,
 //! effective host parallelism of one — Appendix D, point 1).
 
-use serde::{Deserialize, Serialize};
-
 /// Nanoseconds per microsecond.
 pub const NANOS_PER_MICRO: u64 = 1_000;
 /// Nanoseconds per millisecond.
 pub const NANOS_PER_MILLI: u64 = 1_000_000;
 
 /// Per-operation latencies of a flash chip, in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlashTiming {
     /// Page read (cell array to chip register).
     pub read_ns: u64,
@@ -88,7 +86,7 @@ impl FlashTiming {
 }
 
 /// How host operations are dispatched to chips.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostProfile {
     /// The paper's real-time Flash emulator: every chip serves its own
     /// queue; host and GC operations on different chips overlap.

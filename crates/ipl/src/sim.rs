@@ -3,11 +3,10 @@
 use std::collections::HashMap;
 
 use ipa_engine::TraceEvent;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the IPL layout (defaults reproduce the paper's §8.3
 /// setup, which in turn matches the original IPL paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IplConfig {
     /// Physical flash pages per logical DB page (`4io` in the formulas:
     /// 8 KiB logical over 2 KiB physical).
@@ -37,7 +36,7 @@ impl IplConfig {
 }
 
 /// Raw event counters of an IPL replay.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IplStats {
     /// Logical page fetches.
     pub page_fetches: u64,
@@ -61,7 +60,7 @@ pub struct IplStats {
 }
 
 /// Read/write amplification per the Appendix B formulas.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Amplification {
     /// I/O write amplification.
     pub write: f64,

@@ -2,11 +2,10 @@
 //! `CREATE REGION` DDL (Figure 3).
 
 use ipa_flash::{CellType, FlashConfig};
-use serde::{Deserialize, Serialize};
 
 /// How in-place appends map onto the region's cell technology (§4, §5,
 /// Appendix C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IpaMode {
     /// IPA disabled: every write is out-of-place (the `[0×0]` baseline).
     None,
@@ -44,7 +43,7 @@ impl IpaMode {
 
 /// One region: a named set of chips with an IPA mode and an
 /// over-provisioning ratio.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionSpec {
     /// Region name (e.g. `rgIPA`).
     pub name: String,
@@ -87,7 +86,7 @@ impl RegionSpec {
 /// The degradation paths themselves are fixed by construction — a failed
 /// `write_delta` always falls back to a full out-of-place write, a failed
 /// erase always retires the GC victim — only the budgets are configurable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPolicy {
     /// How many times a transiently-failed full-page program is retried on
     /// the same page before the block is retired and the write remapped to
@@ -107,7 +106,7 @@ impl Default for FaultPolicy {
 }
 
 /// Full NoFTL configuration: the flash device plus its regions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NoFtlConfig {
     /// The underlying flash device.
     pub flash: FlashConfig,

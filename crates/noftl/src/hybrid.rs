@@ -17,10 +17,9 @@
 use std::collections::BTreeMap;
 
 use ipa_flash::{FlashDevice, Observer, OpOrigin, Ppa};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the hybrid FTL.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HybridConfig {
     /// Fraction of blocks reserved as the page-mapped log area (the
     /// over-provisioning in FAST-family designs).
@@ -44,7 +43,7 @@ impl HybridConfig {
 }
 
 /// Operation counters of a hybrid-FTL replay.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[must_use]
 pub struct HybridStats {
     /// Host page writes served.

@@ -55,8 +55,9 @@ pub use stats::{HeatSummary, RegionStats};
 // hooks. Re-exported so upper layers (the engine in particular) never
 // import `ipa_flash` directly — the L003 layering lint enforces this.
 pub use ipa_flash::{
-    CmdId, Completion, EventKind, FaultOp, FaultPlan, FlashConfig, ObsEvent, Observer, OpClass,
-    OpOrigin, OpResult, RecoveryPhaseKind, ScriptedFault, SpanCategory, SpanId, WearHistogram,
+    counters, CmdId, Completion, Counters, EventKind, FaultOp, FaultPlan, FlashConfig, ObsEvent,
+    Observer, OpClass, OpOrigin, OpResult, RecoveryPhaseKind, ScriptedFault, SpanCategory, SpanId,
+    WearHistogram,
 };
 
 /// Crate-wide result alias.

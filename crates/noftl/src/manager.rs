@@ -1,7 +1,7 @@
 //! The public NoFTL facade: a flash device plus its regions.
 
 use ipa_flash::{
-    CmdId, Completion, EventKind, FlashDevice, Observer, OpResult, SpanCategory, SpanId,
+    CmdId, Completion, Counters, EventKind, FlashDevice, Observer, OpResult, SpanCategory, SpanId,
     WearHistogram,
 };
 

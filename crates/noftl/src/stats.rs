@@ -4,65 +4,67 @@
 //! print them directly. Device-global latency histograms live in
 //! [`ipa_flash::FlashStats`]; the region layer counts logical operations.
 
-use serde::{Deserialize, Serialize};
-
-/// Aggregate of one region's per-LBA update-heat counters.
-///
-/// Heat is cumulative over the life of the region (like wear, it is *not*
-/// cleared by a stats reset), so every field is monotone and snapshot-safe.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[must_use]
-pub struct HeatSummary {
-    /// Total host updates (out-of-place writes + in-place appends +
-    /// delta fallbacks) across all logical pages.
-    pub updates: u64,
-    /// Number of distinct logical pages updated at least once.
-    pub updated_lbas: u64,
-    /// Update count of the hottest logical page.
-    pub hottest: u64,
+ipa_flash::counters! {
+    /// Aggregate of one region's per-LBA update-heat counters.
+    ///
+    /// Heat is cumulative over the life of the region (like wear, it is *not*
+    /// cleared by a stats reset), so every field is monotone and snapshot-safe.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    #[must_use]
+    pub struct HeatSummary {
+        /// Total host updates (out-of-place writes + in-place appends +
+        /// delta fallbacks) across all logical pages.
+        pub updates: u64,
+        /// Number of distinct logical pages updated at least once.
+        pub updated_lbas: u64,
+        /// Update count of the hottest logical page.
+        pub hottest: u64 as max,
+    }
 }
 
-/// Counters for one region.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[must_use]
-pub struct RegionStats {
-    /// Host page reads (`Host Reads`).
-    pub host_reads: u64,
-    /// Host out-of-place page writes (`Out-of-Place Writes`).
-    pub host_page_writes: u64,
-    /// Host in-place appends (`In-Place Appends` / delta writes).
-    pub host_delta_writes: u64,
-    /// Bytes of delta payload appended.
-    pub delta_bytes: u64,
-    /// Valid-page migrations performed by the garbage collector
-    /// (`GC Page Migrations`).
-    pub gc_page_migrations: u64,
-    /// Block erases performed by the garbage collector (`GC Erases`).
-    pub gc_erases: u64,
-    /// Erases performed by static wear leveling.
-    pub wear_level_erases: u64,
-    /// Page moves performed by static wear leveling.
-    pub wear_level_migrations: u64,
-    /// Logical pages trimmed.
-    pub trims: u64,
-    /// Transiently-failed programs retried on the same page.
-    pub program_retries: u64,
-    /// Blocks retired as grown bad by this region's bookkeeping (retry
-    /// budget spent, permanent program fault, or erase failure).
-    pub retired_blocks: u64,
-    /// Failed delta appends recovered as full out-of-place page writes.
-    pub delta_fallbacks: u64,
-    /// Correct-and-Refresh operations scheduled by the scrubber after a
-    /// heavily-corrected read.
-    pub scrub_refreshes: u64,
-    /// Completions that themselves failed while draining the in-flight GC
-    /// read batch after a mid-migration error (the drain is best-effort so
-    /// the first error can propagate; later failures are counted here).
-    pub gc_drain_failures: u64,
-    /// Pages re-encoded in flight by the installed [`crate::PageRewriter`]
-    /// while a GC or wear-leveling migration carried them — scheme
-    /// reconfigurations that cost zero extra flash I/O.
-    pub gc_rewrites: u64,
+ipa_flash::counters! {
+    /// Counters for one region.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    #[must_use]
+    pub struct RegionStats {
+        /// Host page reads (`Host Reads`).
+        pub host_reads: u64,
+        /// Host out-of-place page writes (`Out-of-Place Writes`).
+        pub host_page_writes: u64,
+        /// Host in-place appends (`In-Place Appends` / delta writes).
+        pub host_delta_writes: u64,
+        /// Bytes of delta payload appended.
+        pub delta_bytes: u64,
+        /// Valid-page migrations performed by the garbage collector
+        /// (`GC Page Migrations`).
+        pub gc_page_migrations: u64,
+        /// Block erases performed by the garbage collector (`GC Erases`).
+        pub gc_erases: u64,
+        /// Erases performed by static wear leveling.
+        pub wear_level_erases: u64,
+        /// Page moves performed by static wear leveling.
+        pub wear_level_migrations: u64,
+        /// Logical pages trimmed.
+        pub trims: u64,
+        /// Transiently-failed programs retried on the same page.
+        pub program_retries: u64,
+        /// Blocks retired as grown bad by this region's bookkeeping (retry
+        /// budget spent, permanent program fault, or erase failure).
+        pub retired_blocks: u64,
+        /// Failed delta appends recovered as full out-of-place page writes.
+        pub delta_fallbacks: u64,
+        /// Correct-and-Refresh operations scheduled by the scrubber after a
+        /// heavily-corrected read.
+        pub scrub_refreshes: u64,
+        /// Completions that themselves failed while draining the in-flight GC
+        /// read batch after a mid-migration error (the drain is best-effort so
+        /// the first error can propagate; later failures are counted here).
+        pub gc_drain_failures: u64,
+        /// Pages re-encoded in flight by the installed [`crate::PageRewriter`]
+        /// while a GC or wear-leveling migration carried them — scheme
+        /// reconfigurations that cost zero extra flash I/O.
+        pub gc_rewrites: u64,
+    }
 }
 
 impl RegionStats {
@@ -101,59 +103,12 @@ impl RegionStats {
             self.gc_erases as f64 / hw as f64
         }
     }
-
-    /// Reset all counters.
-    pub fn reset(&mut self) {
-        *self = RegionStats::default();
-    }
-
-    /// Accumulate another region's counters into this one (device-total
-    /// aggregation for the observability snapshots).
-    pub fn merge(&mut self, other: &RegionStats) {
-        self.host_reads += other.host_reads;
-        self.host_page_writes += other.host_page_writes;
-        self.host_delta_writes += other.host_delta_writes;
-        self.delta_bytes += other.delta_bytes;
-        self.gc_page_migrations += other.gc_page_migrations;
-        self.gc_erases += other.gc_erases;
-        self.wear_level_erases += other.wear_level_erases;
-        self.wear_level_migrations += other.wear_level_migrations;
-        self.trims += other.trims;
-        self.program_retries += other.program_retries;
-        self.retired_blocks += other.retired_blocks;
-        self.delta_fallbacks += other.delta_fallbacks;
-        self.scrub_refreshes += other.scrub_refreshes;
-        self.gc_drain_failures += other.gc_drain_failures;
-        self.gc_rewrites += other.gc_rewrites;
-    }
-
-    /// Interval counters `self - earlier` (both cumulative).
-    pub fn delta_since(&self, earlier: &RegionStats) -> RegionStats {
-        RegionStats {
-            host_reads: self.host_reads.saturating_sub(earlier.host_reads),
-            host_page_writes: self.host_page_writes.saturating_sub(earlier.host_page_writes),
-            host_delta_writes: self.host_delta_writes.saturating_sub(earlier.host_delta_writes),
-            delta_bytes: self.delta_bytes.saturating_sub(earlier.delta_bytes),
-            gc_page_migrations: self.gc_page_migrations.saturating_sub(earlier.gc_page_migrations),
-            gc_erases: self.gc_erases.saturating_sub(earlier.gc_erases),
-            wear_level_erases: self.wear_level_erases.saturating_sub(earlier.wear_level_erases),
-            wear_level_migrations: self
-                .wear_level_migrations
-                .saturating_sub(earlier.wear_level_migrations),
-            trims: self.trims.saturating_sub(earlier.trims),
-            program_retries: self.program_retries.saturating_sub(earlier.program_retries),
-            retired_blocks: self.retired_blocks.saturating_sub(earlier.retired_blocks),
-            delta_fallbacks: self.delta_fallbacks.saturating_sub(earlier.delta_fallbacks),
-            scrub_refreshes: self.scrub_refreshes.saturating_sub(earlier.scrub_refreshes),
-            gc_drain_failures: self.gc_drain_failures.saturating_sub(earlier.gc_drain_failures),
-            gc_rewrites: self.gc_rewrites.saturating_sub(earlier.gc_rewrites),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipa_flash::Counters;
 
     #[test]
     fn derived_ratios() {
@@ -175,60 +130,6 @@ mod tests {
         let s = RegionStats::default();
         assert_eq!(s.ipa_fraction(), 0.0);
         assert_eq!(s.migrations_per_host_write(), 0.0);
-    }
-
-    #[test]
-    fn merge_accumulates_every_field() {
-        let mut a = RegionStats {
-            host_reads: 1,
-            host_page_writes: 2,
-            host_delta_writes: 3,
-            delta_bytes: 4,
-            gc_page_migrations: 5,
-            gc_erases: 6,
-            wear_level_erases: 7,
-            wear_level_migrations: 8,
-            trims: 9,
-            program_retries: 10,
-            retired_blocks: 11,
-            delta_fallbacks: 12,
-            scrub_refreshes: 13,
-            gc_drain_failures: 14,
-            gc_rewrites: 15,
-        };
-        let b = RegionStats {
-            host_reads: 10,
-            host_page_writes: 20,
-            host_delta_writes: 30,
-            delta_bytes: 40,
-            gc_page_migrations: 50,
-            gc_erases: 60,
-            wear_level_erases: 70,
-            wear_level_migrations: 80,
-            trims: 90,
-            program_retries: 100,
-            retired_blocks: 110,
-            delta_fallbacks: 120,
-            scrub_refreshes: 130,
-            gc_drain_failures: 140,
-            gc_rewrites: 150,
-        };
-        a.merge(&b);
-        assert_eq!(a.host_reads, 11);
-        assert_eq!(a.host_page_writes, 22);
-        assert_eq!(a.host_delta_writes, 33);
-        assert_eq!(a.delta_bytes, 44);
-        assert_eq!(a.gc_page_migrations, 55);
-        assert_eq!(a.gc_erases, 66);
-        assert_eq!(a.wear_level_erases, 77);
-        assert_eq!(a.wear_level_migrations, 88);
-        assert_eq!(a.trims, 99);
-        assert_eq!(a.program_retries, 110);
-        assert_eq!(a.retired_blocks, 121);
-        assert_eq!(a.delta_fallbacks, 132);
-        assert_eq!(a.scrub_refreshes, 143);
-        assert_eq!(a.gc_drain_failures, 154);
-        assert_eq!(a.gc_rewrites, 165);
     }
 
     #[test]

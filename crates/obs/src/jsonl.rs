@@ -6,54 +6,12 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use ipa_flash::{EventKind, ObsEvent, Observer};
+use ipa_flash::{EventField, ObsEvent, Observer};
 use serde_json::{Map, Value};
 
-/// Stable wire name of an event kind.
-pub fn kind_name(kind: &EventKind) -> &'static str {
-    match kind {
-        EventKind::HostRead => "host_read",
-        EventKind::HostProgram => "host_program",
-        EventKind::DeltaProgram { .. } => "delta_program",
-        EventKind::GcMigration => "gc_migration",
-        EventKind::Erase => "erase",
-        EventKind::FlushIpa { .. } => "flush_ipa",
-        EventKind::FlushOop => "flush_oop",
-        EventKind::Evict => "evict",
-        EventKind::IsppViolation => "ispp_violation",
-        EventKind::ProgramFault { .. } => "program_fault",
-        EventKind::DeltaFault => "delta_fault",
-        EventKind::EraseFault => "erase_fault",
-        EventKind::BlockRetired => "block_retired",
-        EventKind::DeltaFallback => "delta_fallback",
-        EventKind::ScrubRefresh => "scrub_refresh",
-        EventKind::GroupCommitFlush { .. } => "group_commit_flush",
-        EventKind::LockWait => "lock_wait",
-        EventKind::TxParked => "tx_parked",
-        EventKind::SpanOpen { .. } => "span_open",
-        EventKind::SpanClose { .. } => "span_close",
-        EventKind::CmdSubmit { .. } => "cmd_submit",
-        EventKind::CmdComplete { .. } => "cmd_complete",
-        EventKind::StatsReset => "stats_reset",
-        EventKind::SchemeChange { .. } => "scheme_change",
-        EventKind::ProfileSnapshot { .. } => "profile_snapshot",
-        EventKind::CheckpointBegin => "checkpoint_begin",
-        EventKind::CheckpointEnd { .. } => "checkpoint_end",
-        EventKind::RecoveryPhase { .. } => "recovery_phase",
-    }
-}
-
-/// Stable wire name of an op origin.
-fn origin_name(origin: ipa_flash::OpOrigin) -> &'static str {
-    match origin {
-        ipa_flash::OpOrigin::Host => "host",
-        ipa_flash::OpOrigin::HostAsync => "host_async",
-        ipa_flash::OpOrigin::Background => "background",
-    }
-}
-
-/// Encode one event as a flat JSON object (`region`/`lba` omitted when
-/// unknown; kind payloads inlined as extra keys).
+/// Encode one event as a flat JSON object: the envelope (`seq`, `t_ns`,
+/// and `region`/`lba` when known) around the kind's own wire form
+/// ([`ipa_flash::EventKind::wire`]: `kind` plus its payload inlined as extra keys).
 pub fn event_to_json(event: &ObsEvent) -> Value {
     let mut m = Map::new();
     m.insert("seq".into(), Value::from(event.seq));
@@ -64,71 +22,15 @@ pub fn event_to_json(event: &ObsEvent) -> Value {
     if let Some(lba) = event.lba {
         m.insert("lba".into(), Value::from(lba));
     }
-    m.insert("kind".into(), Value::from(kind_name(&event.kind)));
-    match event.kind {
-        EventKind::DeltaProgram { bytes } => {
-            m.insert("bytes".into(), Value::from(bytes));
-        }
-        EventKind::FlushIpa { records } => {
-            m.insert("records".into(), Value::from(records));
-        }
-        EventKind::ProgramFault { permanent } => {
-            m.insert("permanent".into(), Value::from(permanent));
-        }
-        EventKind::GroupCommitFlush { txns } => {
-            m.insert("txns".into(), Value::from(txns));
-        }
-        EventKind::SpanOpen { id, parent, cat } => {
-            m.insert("span".into(), Value::from(id.0));
-            if let Some(parent) = parent {
-                m.insert("parent".into(), Value::from(parent.0));
-            }
-            m.insert("cat".into(), Value::from(cat.name()));
-        }
-        EventKind::SpanClose { id } => {
-            m.insert("span".into(), Value::from(id.0));
-        }
-        EventKind::CmdSubmit { cmd, class, origin, chip, queue_wait_ns, span } => {
-            m.insert("cmd".into(), Value::from(cmd));
-            m.insert("class".into(), Value::from(class.name()));
-            m.insert("origin".into(), Value::from(origin_name(origin)));
-            m.insert("chip".into(), Value::from(chip));
-            m.insert("queue_wait_ns".into(), Value::from(queue_wait_ns));
-            if let Some(span) = span {
-                m.insert("span".into(), Value::from(span.0));
-            }
-        }
-        EventKind::CmdComplete { cmd, submitted_ns, start_ns, done_ns } => {
-            m.insert("cmd".into(), Value::from(cmd));
-            m.insert("submitted_ns".into(), Value::from(submitted_ns));
-            m.insert("start_ns".into(), Value::from(start_ns));
-            m.insert("done_ns".into(), Value::from(done_ns));
-        }
-        EventKind::SchemeChange { epoch, old, new } => {
-            m.insert("epoch".into(), Value::from(epoch));
-            m.insert("old_n".into(), Value::from(old.0));
-            m.insert("old_m".into(), Value::from(old.1));
-            m.insert("old_v".into(), Value::from(old.2));
-            m.insert("new_n".into(), Value::from(new.0));
-            m.insert("new_m".into(), Value::from(new.1));
-            m.insert("new_v".into(), Value::from(new.2));
-        }
-        EventKind::ProfileSnapshot { observations, body_p50, body_p95, meta_p99 } => {
-            m.insert("observations".into(), Value::from(observations));
-            m.insert("body_p50".into(), Value::from(body_p50));
-            m.insert("body_p95".into(), Value::from(body_p95));
-            m.insert("meta_p99".into(), Value::from(meta_p99));
-        }
-        EventKind::CheckpointEnd { active, dirty } => {
-            m.insert("active".into(), Value::from(active));
-            m.insert("dirty".into(), Value::from(dirty));
-        }
-        EventKind::RecoveryPhase { phase, records } => {
-            m.insert("phase".into(), Value::from(phase.name()));
-            m.insert("records".into(), Value::from(records));
-        }
-        _ => {}
-    }
+    m.insert("kind".into(), Value::from(event.kind.name()));
+    event.kind.wire(|key, field| {
+        let value = match field {
+            EventField::Uint(n) => Value::from(n),
+            EventField::Flag(b) => Value::from(b),
+            EventField::Name(s) => Value::from(s),
+        };
+        m.insert(key.into(), value);
+    });
     Value::Object(m)
 }
 
@@ -220,6 +122,7 @@ impl Observer for JsonlObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipa_flash::EventKind;
 
     #[test]
     fn event_encoding_inlines_payloads_and_skips_unknowns() {

@@ -35,7 +35,7 @@ mod ring;
 mod snapshot;
 
 pub use ipa_flash::{EventKind, ObsEvent, Observer, OpClass, SpanCategory, SpanId};
-pub use jsonl::{event_to_json, kind_name, JsonlSink};
+pub use jsonl::{event_to_json, JsonlSink};
 pub use registry::{MetricsRegistry, SamplePoint};
 pub use report::{ExperimentReport, Table};
 pub use ring::TraceHandle;

@@ -2,7 +2,9 @@
 //! interval deltas and derived gauges.
 
 use ipa_engine::{Database, EngineStats, SweepStats};
-use ipa_flash::{ChipCounters, FlashDevice, FlashStats, LatencyHistogram, WearHistogram};
+use ipa_flash::{
+    ChipCounters, CounterValue, Counters, FlashDevice, FlashStats, LatencyHistogram, WearHistogram,
+};
 use ipa_noftl::{HeatSummary, NoFtl, RegionId, RegionStats};
 use serde_json::{Map, Value};
 
@@ -122,39 +124,15 @@ impl Snapshot {
     /// per-chip entries pair up by index (entries absent in `earlier`
     /// count from zero). The delta of identical snapshots is all-zero.
     pub fn delta_since(&self, earlier: &Snapshot) -> Snapshot {
-        let zero_region = RegionStats::default();
-        let zero_chip = ChipCounters::default();
         Snapshot {
             at_ns: self.at_ns.saturating_sub(earlier.at_ns),
             flash: self.flash.delta_since(&earlier.flash),
             engine: self.engine.delta_since(&earlier.engine),
             sweep: self.sweep.delta_since(&earlier.sweep),
-            regions: self
-                .regions
-                .iter()
-                .enumerate()
-                .map(|(i, r)| r.delta_since(earlier.regions.get(i).unwrap_or(&zero_region)))
-                .collect(),
-            chips: self
-                .chips
-                .iter()
-                .enumerate()
-                .map(|(i, c)| c.delta_since(earlier.chips.get(i).unwrap_or(&zero_chip)))
-                .collect(),
+            regions: delta_each(&self.regions, &earlier.regions),
+            chips: delta_each(&self.chips, &earlier.chips),
             wear: None,
-            heat: self
-                .heat
-                .iter()
-                .enumerate()
-                .map(|(i, h)| {
-                    let e = earlier.heat.get(i).copied().unwrap_or_default();
-                    HeatSummary {
-                        updates: h.updates.saturating_sub(e.updates),
-                        updated_lbas: h.updated_lbas.saturating_sub(e.updated_lbas),
-                        hottest: h.hottest.saturating_sub(e.hottest),
-                    }
-                })
-                .collect(),
+            heat: delta_each(&self.heat, &earlier.heat),
             host_inflight: self.host_inflight.saturating_sub(earlier.host_inflight),
             trace_dropped: self.trace_dropped.saturating_sub(earlier.trace_dropped),
         }
@@ -206,21 +184,15 @@ impl Snapshot {
     pub fn to_json(&self) -> Value {
         let mut m = Map::new();
         m.insert("at_ns".into(), Value::from(self.at_ns));
-        m.insert("flash".into(), flash_json(&self.flash));
-        m.insert("engine".into(), engine_json(&self.engine));
-        m.insert("sweep".into(), sweep_json(&self.sweep));
-        m.insert(
-            "regions".into(),
-            Value::from(self.regions.iter().map(region_json).collect::<Vec<_>>()),
-        );
-        m.insert(
-            "chips".into(),
-            Value::from(self.chips.iter().map(|c| chip_json(c, self.at_ns)).collect::<Vec<_>>()),
-        );
+        m.insert("flash".into(), Value::Object(counters_json(&self.flash)));
+        m.insert("engine".into(), Value::Object(counters_json(&self.engine)));
+        m.insert("sweep".into(), Value::Object(counters_json(&self.sweep)));
+        m.insert("regions".into(), json_each(&self.regions, counters_json));
+        m.insert("chips".into(), json_each(&self.chips, |c| chip_json(c, self.at_ns)));
         if let Some(wear) = &self.wear {
             m.insert("wear".into(), wear_json(wear));
         }
-        m.insert("heat".into(), Value::from(self.heat.iter().map(heat_json).collect::<Vec<_>>()));
+        m.insert("heat".into(), json_each(&self.heat, counters_json));
         m.insert("host_inflight".into(), Value::from(self.host_inflight));
         m.insert("trace_dropped".into(), Value::from(self.trace_dropped));
         Value::Object(m)
@@ -263,106 +235,38 @@ fn hist_json(h: &LatencyHistogram) -> Value {
     Value::Object(m)
 }
 
-fn flash_json(f: &FlashStats) -> Value {
-    let mut m = Map::new();
-    m.insert("host_reads".into(), Value::from(f.host_reads));
-    m.insert("host_programs".into(), Value::from(f.host_programs));
-    m.insert("host_delta_programs".into(), Value::from(f.host_delta_programs));
-    m.insert("delta_bytes".into(), Value::from(f.delta_bytes));
-    m.insert("gc_reads".into(), Value::from(f.gc_reads));
-    m.insert("gc_programs".into(), Value::from(f.gc_programs));
-    m.insert("erases".into(), Value::from(f.erases));
-    m.insert("ispp_violations".into(), Value::from(f.ispp_violations));
-    m.insert("injected_bit_errors".into(), Value::from(f.injected_bit_errors));
-    m.insert("corrected_bit_errors".into(), Value::from(f.corrected_bit_errors));
-    m.insert("program_failures".into(), Value::from(f.program_failures));
-    m.insert("delta_program_failures".into(), Value::from(f.delta_program_failures));
-    m.insert("erase_failures".into(), Value::from(f.erase_failures));
-    m.insert("retired_blocks".into(), Value::from(f.retired_blocks));
-    m.insert("queue_waits".into(), Value::from(f.queue_waits));
-    m.insert("queue_wait_ns_total".into(), Value::from(f.queue_wait_ns_total));
-    m.insert("queue_highwater".into(), Value::from(f.queue_highwater));
-    m.insert("read_latency".into(), hist_json(&f.read_latency));
-    m.insert("write_latency".into(), hist_json(&f.write_latency));
-    Value::Object(m)
+/// Pair up two per-index counter lists and subtract entry-wise (entries
+/// absent in `earlier` count from zero).
+fn delta_each<T: Counters>(now: &[T], earlier: &[T]) -> Vec<T> {
+    let zero = T::default();
+    now.iter().enumerate().map(|(i, c)| c.delta_since(earlier.get(i).unwrap_or(&zero))).collect()
 }
 
-fn engine_json(e: &EngineStats) -> Value {
+/// Every field of a counter set, keyed by its declared name.
+fn counters_json(c: &impl Counters) -> Map<String, Value> {
     let mut m = Map::new();
-    m.insert("fetches".into(), Value::from(e.fetches));
-    m.insert("hits".into(), Value::from(e.hits));
-    m.insert("evictions".into(), Value::from(e.evictions));
-    m.insert("ipa_flushes".into(), Value::from(e.ipa_flushes));
-    m.insert("oop_flushes".into(), Value::from(e.oop_flushes));
-    m.insert("delta_records_written".into(), Value::from(e.delta_records_written));
-    m.insert("cleaner_flushes".into(), Value::from(e.cleaner_flushes));
-    m.insert("log_reclaims".into(), Value::from(e.log_reclaims));
-    m.insert("checkpoints".into(), Value::from(e.checkpoints));
-    m.insert("commits".into(), Value::from(e.commits));
-    m.insert("aborts".into(), Value::from(e.aborts));
-    m.insert("drop_aborts".into(), Value::from(e.drop_aborts));
-    m.insert("abort_errors".into(), Value::from(e.abort_errors));
-    m.insert("wal_forces".into(), Value::from(e.wal_forces));
-    m.insert("tx_parked".into(), Value::from(e.tx_parked));
-    m.insert("group_commits".into(), Value::from(e.group_commits));
-    m.insert("lock_waits".into(), Value::from(e.lock_waits));
-    m.insert("deadlock_aborts".into(), Value::from(e.deadlock_aborts));
-    m.insert("net_changed_bytes".into(), Value::from(e.net_changed_bytes));
-    m.insert("gross_written_bytes".into(), Value::from(e.gross_written_bytes));
-    m.insert("ecc_verified".into(), Value::from(e.ecc_verified));
-    m.insert("read_retries".into(), Value::from(e.read_retries));
-    m.insert("recovery_page_rebuilds".into(), Value::from(e.recovery_page_rebuilds));
-    m.insert("retune_epochs".into(), Value::from(e.retune_epochs));
-    m.insert("scheme_changes".into(), Value::from(e.scheme_changes));
-    m.insert("scheme_upgrades".into(), Value::from(e.scheme_upgrades));
-    m.insert("recovery_ns".into(), Value::from(e.recovery_ns));
-    m.insert("analysis_records".into(), Value::from(e.analysis_records));
-    m.insert("redo_applied".into(), Value::from(e.redo_applied));
-    m.insert("redo_skipped".into(), Value::from(e.redo_skipped));
-    Value::Object(m)
+    c.walk(|name, value| {
+        let value = match value {
+            CounterValue::Sum(n) | CounterValue::Max(n) => Value::from(n),
+            CounterValue::Hist(h) => hist_json(h),
+        };
+        m.insert(name.into(), value);
+    });
+    m
 }
 
-fn sweep_json(s: &SweepStats) -> Value {
-    let mut m = Map::new();
-    m.insert("frames_scanned".into(), Value::from(s.frames_scanned));
-    m.insert("ref_bits_cleared".into(), Value::from(s.ref_bits_cleared));
-    m.insert("victims".into(), Value::from(s.victims));
-    m.insert("dirty_victims".into(), Value::from(s.dirty_victims));
-    Value::Object(m)
+fn json_each<T>(items: &[T], object: impl Fn(&T) -> Map<String, Value>) -> Value {
+    Value::from(items.iter().map(|i| Value::Object(object(i))).collect::<Vec<_>>())
 }
 
-fn region_json(r: &RegionStats) -> Value {
-    let mut m = Map::new();
-    m.insert("host_reads".into(), Value::from(r.host_reads));
-    m.insert("host_page_writes".into(), Value::from(r.host_page_writes));
-    m.insert("host_delta_writes".into(), Value::from(r.host_delta_writes));
-    m.insert("delta_bytes".into(), Value::from(r.delta_bytes));
-    m.insert("gc_page_migrations".into(), Value::from(r.gc_page_migrations));
-    m.insert("gc_erases".into(), Value::from(r.gc_erases));
-    m.insert("wear_level_erases".into(), Value::from(r.wear_level_erases));
-    m.insert("wear_level_migrations".into(), Value::from(r.wear_level_migrations));
-    m.insert("trims".into(), Value::from(r.trims));
-    m.insert("program_retries".into(), Value::from(r.program_retries));
-    m.insert("retired_blocks".into(), Value::from(r.retired_blocks));
-    m.insert("delta_fallbacks".into(), Value::from(r.delta_fallbacks));
-    m.insert("scrub_refreshes".into(), Value::from(r.scrub_refreshes));
-    m.insert("gc_drain_failures".into(), Value::from(r.gc_drain_failures));
-    m.insert("gc_rewrites".into(), Value::from(r.gc_rewrites));
-    Value::Object(m)
-}
-
-fn chip_json(c: &ChipCounters, at_ns: u64) -> Value {
-    let mut m = Map::new();
-    m.insert("reads".into(), Value::from(c.reads));
-    m.insert("programs".into(), Value::from(c.programs));
-    m.insert("erases".into(), Value::from(c.erases));
-    m.insert("busy_ns".into(), Value::from(c.busy_ns));
+fn chip_json(c: &ChipCounters, at_ns: u64) -> Map<String, Value> {
+    let mut m = counters_json(c);
     // Busy fraction of the captured window: busy/now for a cumulative
     // snapshot, busy-delta/interval for a delta (`at_ns` is the interval
     // there). 0 for an empty window.
     let util = if at_ns == 0 { 0.0 } else { c.busy_ns as f64 / at_ns as f64 };
     m.insert("utilization".into(), Value::from(util));
-    Value::Object(m)
+    m
 }
 
 fn wear_json(w: &WearHistogram) -> Value {
@@ -374,17 +278,10 @@ fn wear_json(w: &WearHistogram) -> Value {
     Value::Object(m)
 }
 
-fn heat_json(h: &HeatSummary) -> Value {
-    let mut m = Map::new();
-    m.insert("updates".into(), Value::from(h.updates));
-    m.insert("updated_lbas".into(), Value::from(h.updated_lbas));
-    m.insert("hottest".into(), Value::from(h.hottest));
-    Value::Object(m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipa_flash::CounterSlot;
 
     #[test]
     fn identical_snapshot_delta_is_zero() {
@@ -418,6 +315,117 @@ mod tests {
             }
         }
         assert_all_zero(&d.to_json(), "delta");
+    }
+
+    /// The algebra of one `counters!` struct, checked through its field
+    /// walk alone: no field name appears here, so a new counter is covered
+    /// the moment it is declared. `place` puts a value where the snapshot
+    /// keeps that struct and `section` finds its rendering; `derived` names
+    /// the keys the rendering adds beyond the walk.
+    fn check_counters<T: Counters + Clone>(
+        place: impl Fn(&mut Snapshot, T),
+        section: impl Fn(&Value) -> &Value,
+        derived: &[&str],
+    ) {
+        let sample = |value: &dyn Fn(u64) -> u64| {
+            let (mut t, mut i) = (T::default(), 0);
+            t.walk_mut(|_, slot| {
+                i += 1;
+                match slot {
+                    CounterSlot::Count(c) => *c = value(i),
+                    CounterSlot::Hist(h) => h.record(value(i) * 1_000),
+                }
+            });
+            t
+        };
+        fn fields<T: Counters>(t: &T) -> Vec<(&'static str, CounterValue<'_>)> {
+            let mut out = Vec::new();
+            t.walk(|name, value| out.push((name, value)));
+            out
+        }
+        // One sample rises with the field index and one falls, so across
+        // the structs a `max` field meets both orders.
+        let (a, b) = (sample(&|i| 3 * i), sample(&|i| 50 - i));
+        let mut merged = a.clone();
+        merged.merge(&b);
+        let delta = merged.delta_since(&b);
+        let rows = fields(&a).into_iter().zip(fields(&b)).zip(fields(&merged)).zip(fields(&delta));
+        for ((((name, a), (_, b)), (_, merged)), (_, delta)) in rows {
+            match (a, b, merged, delta) {
+                (
+                    CounterValue::Sum(a),
+                    CounterValue::Sum(b),
+                    CounterValue::Sum(m),
+                    CounterValue::Sum(d),
+                ) => {
+                    assert_eq!(m, a + b, "{name}: sum fields add");
+                    assert_eq!(d, a, "{name}: (a merged b) - b = a");
+                }
+                (
+                    CounterValue::Max(a),
+                    CounterValue::Max(b),
+                    CounterValue::Max(m),
+                    CounterValue::Max(d),
+                ) => {
+                    assert_eq!(m, a.max(b), "{name}: max fields keep the larger");
+                    assert_eq!(d, m - b, "{name}: delta subtracts");
+                }
+                (
+                    CounterValue::Hist(a),
+                    CounterValue::Hist(b),
+                    CounterValue::Hist(m),
+                    CounterValue::Hist(d),
+                ) => {
+                    assert_eq!(m.count(), a.count() + b.count(), "{name}: histograms merge");
+                    assert_eq!(m.sum_ns(), a.sum_ns() + b.sum_ns(), "{name}");
+                    assert_eq!(m.max_ns(), a.max_ns().max(b.max_ns()), "{name}");
+                    assert_eq!((d.count(), d.sum_ns()), (a.count(), a.sum_ns()), "{name}");
+                }
+                other => panic!("{name}: rule differs between walks: {other:?}"),
+            }
+        }
+
+        let mut zeroed = merged.clone();
+        zeroed.reset();
+        for (name, value) in fields(&zeroed) {
+            let n = match value {
+                CounterValue::Sum(n) | CounterValue::Max(n) => n,
+                CounterValue::Hist(h) => h.count(),
+            };
+            assert_eq!(n, 0, "{name}: reset zeroes every field");
+        }
+
+        // The snapshot renders exactly the walked names, with their values.
+        let mut snap = Snapshot { at_ns: 1_000, ..Snapshot::default() };
+        place(&mut snap, a.clone());
+        let json = snap.to_json();
+        let rendered = section(&json).as_object().expect("section is an object");
+        let mut expected: Vec<&str> = fields(&a).iter().map(|(n, _)| *n).collect();
+        expected.extend_from_slice(derived);
+        expected.sort_unstable();
+        let mut got: Vec<&str> = rendered.keys().map(String::as_str).collect();
+        got.sort_unstable();
+        assert_eq!(got, expected);
+        for (name, value) in fields(&a) {
+            match value {
+                CounterValue::Sum(n) | CounterValue::Max(n) => assert_eq!(rendered[name], n),
+                CounterValue::Hist(h) => assert_eq!(rendered[name]["count"], h.count()),
+            }
+        }
+    }
+
+    #[test]
+    fn every_counter_struct_obeys_the_declared_rules() {
+        check_counters::<FlashStats>(|s, v| s.flash = v, |j| &j["flash"], &[]);
+        check_counters::<EngineStats>(|s, v| s.engine = v, |j| &j["engine"], &[]);
+        check_counters::<SweepStats>(|s, v| s.sweep = v, |j| &j["sweep"], &[]);
+        check_counters::<RegionStats>(|s, v| s.regions.push(v), |j| &j["regions"][0], &[]);
+        check_counters::<ChipCounters>(
+            |s, v| s.chips.push(v),
+            |j| &j["chips"][0],
+            &["utilization"],
+        );
+        check_counters::<HeatSummary>(|s, v| s.heat.push(v), |j| &j["heat"][0], &[]);
     }
 
     #[test]

@@ -9,10 +9,9 @@ use ipa_flash::FlashConfig;
 use ipa_noftl::{FaultPlan, FaultPolicy, IpaMode, NoFtlConfig, RegionStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Which testbed the run models (§8.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Platform {
     /// The real-time flash emulator: 16 SLC chips, chip-parallel host I/O.
     Emulator,
@@ -235,7 +234,7 @@ pub trait Workload {
 }
 
 /// Result of one benchmark run — the raw material of the paper's tables.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Workload name.
     pub workload: String,

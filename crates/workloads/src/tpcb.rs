@@ -196,38 +196,11 @@ impl Workload for TpcB {
     }
 
     fn transaction(&mut self, db: &mut Database, rng: &mut StdRng) -> Result<()> {
-        let aid = uniform(rng, 0, self.accounts() - 1);
-        let bid = uniform(rng, 0, self.branches - 1);
-        let tid = uniform(rng, 0, self.branches * self.tellers_per_branch - 1);
-        let delta: i32 = rng.gen_range(-99_999..=99_999);
-
+        let mut cur = AccountUpdate::draw(self, rng);
         let mut tx = db.txn();
-        // Account via index lookup (exercises index pages).
-        let encoded = tx.index_lookup(self.account_index, aid)?.expect("loaded account exists");
-        let arid = Rid::decode(0, encoded);
-        let mut acct = tx.heap_read(self.heap_account, arid)?;
-        patch_i32(&mut acct, BALANCE_OFF, |v| v.wrapping_add(delta));
-        tx.heap_update(self.heap_account, arid, &acct)?;
-
-        // Teller and branch via cached RIDs.
-        let trid = self.teller_rids[tid as usize];
-        let mut tel = tx.heap_read(self.heap_teller, trid)?;
-        patch_i32(&mut tel, BALANCE_OFF, |v| v.wrapping_add(delta));
-        tx.heap_update(self.heap_teller, trid, &tel)?;
-
-        let brid = self.branch_rids[bid as usize];
-        let mut br = tx.heap_read(self.heap_branch, brid)?;
-        patch_i32(&mut br, BALANCE_OFF, |v| v.wrapping_add(delta));
-        tx.heap_update(self.heap_branch, brid, &br)?;
-
-        // History append (~20 net bytes of payload in the paper's account;
-        // a 50-byte record here).
-        let mut hist = Record::new(HISTORY_REC);
-        hist.put_u64(0, aid).put_u64(8, tid).put_u64(16, bid).put_i32(24, delta);
-        tx.heap_insert(self.heap_history, &hist.0)?;
-
+        while cur.step(self, &mut tx)? == StepOutcome::Progress {}
         tx.commit()?;
-        self.committed_delta += i64::from(delta);
+        self.committed_delta += i64::from(cur.delta);
         Ok(())
     }
 }
@@ -265,7 +238,8 @@ impl TpcB {
 }
 
 /// The per-transaction cursor of one in-flight Account_Update: parameters
-/// drawn at begin, resolved RID and read buffers filled step by step.
+/// drawn at begin, resolved RID and read buffers filled step by step. The
+/// serial [`Workload`] path and [`TpcBClient`] both run this one machine.
 #[derive(Debug, Default)]
 struct AccountUpdate {
     aid: u64,
@@ -275,6 +249,67 @@ struct AccountUpdate {
     arid: Option<Rid>,
     buf: Vec<u8>,
     step: u8,
+}
+
+impl AccountUpdate {
+    /// Draw the parameters of the next transaction.
+    fn draw(w: &TpcB, rng: &mut StdRng) -> Self {
+        AccountUpdate {
+            aid: uniform(rng, 0, w.accounts() - 1),
+            bid: uniform(rng, 0, w.branches - 1),
+            tid: uniform(rng, 0, w.branches * w.tellers_per_branch - 1),
+            delta: rng.gen_range(-99_999..=99_999),
+            ..AccountUpdate::default()
+        }
+    }
+
+    /// Run the next page operation: the account via an index lookup
+    /// (exercises index pages), teller and branch via cached RIDs, then
+    /// the history append (~20 net bytes of payload in the paper's
+    /// account; a 50-byte record here).
+    fn step(&mut self, w: &TpcB, tx: &mut Txn<'_>) -> Result<StepOutcome> {
+        let delta = self.delta;
+        match self.step {
+            0 => {
+                let encoded =
+                    tx.index_lookup(w.account_index, self.aid)?.expect("loaded account exists");
+                self.arid = Some(Rid::decode(0, encoded));
+            }
+            1 => {
+                let arid = self.arid.expect("resolved in step 0");
+                self.buf = tx.heap_read(w.heap_account, arid)?;
+                patch_i32(&mut self.buf, BALANCE_OFF, |v| v.wrapping_add(delta));
+            }
+            2 => {
+                tx.heap_update(w.heap_account, self.arid.expect("resolved"), &self.buf)?;
+            }
+            3 => {
+                self.buf = tx.heap_read(w.heap_teller, w.teller_rids[self.tid as usize])?;
+                patch_i32(&mut self.buf, BALANCE_OFF, |v| v.wrapping_add(delta));
+            }
+            4 => {
+                tx.heap_update(w.heap_teller, w.teller_rids[self.tid as usize], &self.buf)?;
+            }
+            5 => {
+                self.buf = tx.heap_read(w.heap_branch, w.branch_rids[self.bid as usize])?;
+                patch_i32(&mut self.buf, BALANCE_OFF, |v| v.wrapping_add(delta));
+            }
+            6 => {
+                tx.heap_update(w.heap_branch, w.branch_rids[self.bid as usize], &self.buf)?;
+            }
+            _ => {
+                let mut hist = Record::new(HISTORY_REC);
+                hist.put_u64(0, self.aid)
+                    .put_u64(8, self.tid)
+                    .put_u64(16, self.bid)
+                    .put_i32(24, delta);
+                tx.heap_insert(w.heap_history, &hist.0)?;
+                return Ok(StepOutcome::Done);
+            }
+        }
+        self.step += 1;
+        Ok(StepOutcome::Progress)
+    }
 }
 
 /// One TPC-B client for [`ipa_engine::ClientPool`]: the Account_Update
@@ -307,67 +342,16 @@ impl InterleavedClient for TpcBClient {
             return false;
         }
         self.remaining -= 1;
-        let w = self.shared.borrow();
-        // Same draw order as `TpcB::transaction`: aid, bid, tid, delta.
-        self.cur = AccountUpdate {
-            aid: uniform(&mut self.rng, 0, w.accounts() - 1),
-            bid: uniform(&mut self.rng, 0, w.branches - 1),
-            tid: uniform(&mut self.rng, 0, w.branches * w.tellers_per_branch - 1),
-            delta: self.rng.gen_range(-99_999..=99_999),
-            ..AccountUpdate::default()
-        };
+        self.cur = AccountUpdate::draw(&self.shared.borrow(), &mut self.rng);
         true
     }
 
     fn step(&mut self, tx: &mut Txn<'_>) -> Result<StepOutcome> {
-        let w = self.shared.borrow();
-        let cur = &mut self.cur;
-        match cur.step {
-            0 => {
-                let encoded =
-                    tx.index_lookup(w.account_index, cur.aid)?.expect("loaded account exists");
-                cur.arid = Some(Rid::decode(0, encoded));
-            }
-            1 => {
-                let arid = cur.arid.expect("resolved in step 0");
-                cur.buf = tx.heap_read(w.heap_account, arid)?;
-                let delta = cur.delta;
-                patch_i32(&mut cur.buf, BALANCE_OFF, |v| v.wrapping_add(delta));
-            }
-            2 => {
-                tx.heap_update(w.heap_account, cur.arid.expect("resolved"), &cur.buf)?;
-            }
-            3 => {
-                cur.buf = tx.heap_read(w.heap_teller, w.teller_rids[cur.tid as usize])?;
-                let delta = cur.delta;
-                patch_i32(&mut cur.buf, BALANCE_OFF, |v| v.wrapping_add(delta));
-            }
-            4 => {
-                tx.heap_update(w.heap_teller, w.teller_rids[cur.tid as usize], &cur.buf)?;
-            }
-            5 => {
-                cur.buf = tx.heap_read(w.heap_branch, w.branch_rids[cur.bid as usize])?;
-                let delta = cur.delta;
-                patch_i32(&mut cur.buf, BALANCE_OFF, |v| v.wrapping_add(delta));
-            }
-            6 => {
-                tx.heap_update(w.heap_branch, w.branch_rids[cur.bid as usize], &cur.buf)?;
-            }
-            _ => {
-                let mut hist = Record::new(HISTORY_REC);
-                hist.put_u64(0, cur.aid)
-                    .put_u64(8, cur.tid)
-                    .put_u64(16, cur.bid)
-                    .put_i32(24, cur.delta);
-                tx.heap_insert(w.heap_history, &hist.0)?;
-                let delta = i64::from(cur.delta);
-                drop(w);
-                self.shared.borrow_mut().committed_delta += delta;
-                return Ok(StepOutcome::Done);
-            }
+        let outcome = self.cur.step(&self.shared.borrow(), tx)?;
+        if outcome == StepOutcome::Done {
+            self.shared.borrow_mut().committed_delta += i64::from(self.cur.delta);
         }
-        cur.step += 1;
-        Ok(StepOutcome::Progress)
+        Ok(outcome)
     }
 
     fn restart(&mut self) {
