@@ -138,6 +138,53 @@ fn bench_page_ops(c: &mut Criterion) {
     g.finish();
 }
 
+/// Change tracking beyond the small update: most tracked bytes come from
+/// tuple inserts and index-node stores, hundreds of bytes per call.
+fn bench_tracking(c: &mut Criterion) {
+    let mut g = c.benchmark_group("track");
+    let layout = PageLayout::new(4096, NxM::tpcc()).unwrap();
+    // A heap insert during load: the page was never on flash, so its
+    // tracker is latched out-of-place from the start and only counts.
+    g.bench_function("insert_100B_tuple", |b| {
+        let fresh = || {
+            let mut t = ChangeTracker::new(layout.scheme, 0, false);
+            t.mark_out_of_place();
+            (DbPage::format(1, layout), t)
+        };
+        let (mut pg, mut t) = fresh();
+        let tuple = [0x5Au8; 100];
+        b.iter(|| {
+            if pg.free_space_for_insert() < tuple.len() {
+                (pg, t) = fresh();
+            }
+            pg.insert_tuple(black_box(&tuple), &mut t).unwrap()
+        })
+    });
+    // A B+-tree node store after an insert near the front: 64 entries of
+    // (key, child) shift by one, and neighbouring keys and children differ
+    // in their low byte only, so the 1 KiB write is 128 one-byte runs.
+    g.bench_function("node_store_1KiB", |b| {
+        let image = |shift: u64| -> Vec<u8> {
+            (0..64u64)
+                .flat_map(|i| [i + shift, 1000 + i + shift])
+                .flat_map(u64::to_le_bytes)
+                .collect()
+        };
+        let images = [image(0), image(1)];
+        let mut pg = DbPage::format(1, layout);
+        let body = layout.body_start();
+        pg.write_body(body, &images[0], &mut ChangeTracker::new(layout.scheme, 0, false));
+        let mut turn = 0;
+        b.iter(|| {
+            turn ^= 1;
+            let mut t = ChangeTracker::new(layout.scheme, 0, true);
+            pg.write_body(body, black_box(&images[turn]), &mut t);
+            black_box(t.body_changed())
+        })
+    });
+    g.finish();
+}
+
 fn bench_noftl(c: &mut Criterion) {
     let mut g = c.benchmark_group("noftl");
     g.sample_size(20);
@@ -279,6 +326,7 @@ criterion_group!(
     bench_flash_ops,
     bench_delta_records,
     bench_page_ops,
+    bench_tracking,
     bench_noftl,
     bench_engine
 );

@@ -5,6 +5,12 @@
 pub enum CoreError {
     /// Page buffer does not match the expected size or carries a bad magic.
     InvalidPage(String),
+    /// The page is too large for two-byte offsets below the delta records'
+    /// "unused pair" marker `0xFFFF`.
+    PageTooLarge {
+        /// Configured page size.
+        page_size: usize,
+    },
     /// The [N×M] scheme's delta area does not fit the page alongside the
     /// minimum body and footer space.
     SchemeDoesNotFit {
@@ -51,6 +57,9 @@ impl std::fmt::Display for CoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CoreError::InvalidPage(msg) => write!(f, "invalid page: {msg}"),
+            CoreError::PageTooLarge { page_size } => {
+                write!(f, "{page_size}-byte page: at most {} bytes are addressable", u16::MAX)
+            }
             CoreError::SchemeDoesNotFit { page_size, delta_area } => {
                 write!(f, "delta area of {delta_area} bytes does not fit a {page_size}-byte page")
             }

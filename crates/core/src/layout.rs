@@ -36,8 +36,8 @@ pub const PAGE_MAGIC: u16 = 0x1D0A;
 const OFF_MAGIC: usize = 0;
 const OFF_PAGE_ID: usize = 2;
 const OFF_LSN: usize = 10;
-const OFF_SLOT_COUNT: usize = 18;
-const OFF_FREE_LOWER: usize = 20;
+pub(crate) const OFF_SLOT_COUNT: usize = 18;
+pub(crate) const OFF_FREE_LOWER: usize = 20;
 const OFF_FLAGS: usize = 22;
 const OFF_N: usize = 24;
 const OFF_M: usize = 25;
@@ -49,18 +49,25 @@ pub const LSN_OFFSET: usize = OFF_LSN;
 /// Geometry of one database page under a given `[N×M]` scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageLayout {
-    /// Total page size in bytes (4 KiB / 8 KiB in the paper; ≤ 64 KiB so
-    /// that 2-byte offsets suffice, footnote 3 of §6.1).
+    /// Total page size in bytes (4 KiB / 8 KiB in the paper; < 64 KiB so
+    /// that 2-byte offsets suffice, footnote 3 of §6.1, with `0xFFFF` left
+    /// over as the delta records' "unused pair" offset).
     pub page_size: usize,
     /// The scheme sizing the delta-record area.
     pub scheme: NxM,
 }
 
 impl PageLayout {
-    /// Create a layout, validating that the delta area leaves room for a
-    /// minimal body (at least a quarter of the page) and the footer.
+    /// Create a layout, validating that every byte has a two-byte offset
+    /// other than [`crate::delta::OFFSET_UNUSED`] — at 64 KiB the last byte
+    /// of slot 0's entry would sit at `0xFFFF`, and a pair `(0xFFFF, 0xFF)`,
+    /// which a mark-delete writes there, decodes as "unused" — and that the
+    /// delta area leaves room for a minimal body (at least a quarter of the
+    /// page) and the footer.
     pub fn new(page_size: usize, scheme: NxM) -> Result<Self> {
-        assert!(page_size <= 1 << 16, "2-byte offsets require pages <= 64KiB");
+        if page_size > u16::MAX as usize {
+            return Err(CoreError::PageTooLarge { page_size });
+        }
         let delta_area = scheme.delta_area_size();
         if HEADER_SIZE + delta_area + page_size / 4 > page_size {
             return Err(CoreError::SchemeDoesNotFit { page_size, delta_area });
@@ -211,6 +218,14 @@ mod tests {
         // N=50, M=20, V=12: area = 50 * 97 = 4850 > page.
         let err = PageLayout::new(4096, NxM::new(50, 20, 12)).unwrap_err();
         assert!(matches!(err, CoreError::SchemeDoesNotFit { .. }));
+    }
+
+    #[test]
+    fn page_whose_last_offset_is_the_unused_marker_rejected() {
+        let err = PageLayout::new(1 << 16, NxM::tpcc()).unwrap_err();
+        assert_eq!(err, CoreError::PageTooLarge { page_size: 65536 });
+        let l = PageLayout::new(u16::MAX as usize, NxM::tpcc()).unwrap();
+        assert!(l.slot_entry_range(0).end - 1 < crate::delta::OFFSET_UNUSED as usize);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 
 use crate::delta;
 use crate::error::CoreError;
-use crate::layout::{HeaderView, PageLayout, PAGE_MAGIC, SLOT_SIZE};
+use crate::layout::{
+    HeaderView, PageLayout, OFF_FREE_LOWER, OFF_SLOT_COUNT, PAGE_MAGIC, SLOT_SIZE,
+};
 use crate::scheme::NxM;
 use crate::tracking::ChangeTracker;
 use crate::Result;
@@ -250,36 +252,24 @@ impl DbPage {
             offset >= self.layout.body_start(),
             "body write at {offset} inside header/delta area"
         );
-        for (i, &new) in data.iter().enumerate() {
-            let old = self.buf[offset + i];
-            if old != new {
-                tracker.record_body((offset + i) as u16);
-                self.buf[offset + i] = new;
-            }
-        }
+        overwrite(&mut self.buf[offset..offset + data.len()], data, |start, len| {
+            tracker.record_body_run((offset + start) as u16, len)
+        });
     }
 
     /// Low-level metadata write with byte-diff tracking.
     pub fn write_meta(&mut self, offset: usize, data: &[u8], tracker: &mut ChangeTracker) {
-        for (i, &new) in data.iter().enumerate() {
-            let old = self.buf[offset + i];
-            if old != new {
-                tracker.record_meta((offset + i) as u16);
-                self.buf[offset + i] = new;
-            }
-        }
+        overwrite(&mut self.buf[offset..offset + data.len()], data, |start, len| {
+            tracker.record_meta_run((offset + start) as u16, len)
+        });
     }
 
     fn set_slot_count(&mut self, count: u16, tracker: &mut ChangeTracker) {
-        let mut tmp = [0u8; 2];
-        tmp.copy_from_slice(&count.to_le_bytes());
-        self.write_meta(18, &tmp, tracker);
+        self.write_meta(OFF_SLOT_COUNT, &count.to_le_bytes(), tracker);
     }
 
     fn set_free_lower(&mut self, off: u16, tracker: &mut ChangeTracker) {
-        let mut tmp = [0u8; 2];
-        tmp.copy_from_slice(&off.to_le_bytes());
-        self.write_meta(20, &tmp, tracker);
+        self.write_meta(OFF_FREE_LOWER, &off.to_le_bytes(), tracker);
     }
 
     /// Number of delta records currently encoded in the delta area.
@@ -382,10 +372,28 @@ impl DbPage {
     }
 }
 
+/// Copy `data` over `dst` (equal lengths), reporting every maximal run of
+/// bytes that differed as `on_run(start, len)`, in ascending order.
+fn overwrite(dst: &mut [u8], data: &[u8], mut on_run: impl FnMut(usize, usize)) {
+    let mut i = 0;
+    while i < data.len() {
+        if dst[i] == data[i] {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < data.len() && dst[i] != data[i] {
+            i += 1;
+        }
+        dst[start..i].copy_from_slice(&data[start..i]);
+        on_run(start, i - start);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracking::ChangeTracker;
+    use crate::tracking::{ChangeTracker, FlushDecision};
 
     fn layout() -> PageLayout {
         PageLayout::new(4096, NxM::tpcc()).unwrap()
@@ -439,6 +447,48 @@ mod tests {
         // Exactly one body byte changed, zero metadata so far.
         assert_eq!(t2.body_changed(), 1);
         assert_eq!(t2.meta_changed(), 0);
+    }
+
+    #[test]
+    fn write_with_an_unchanged_middle_records_two_runs() {
+        let mut dst = [1u8, 2, 3, 4, 5, 6, 7, 8];
+        let mut runs = Vec::new();
+        overwrite(&mut dst, &[9, 9, 3, 4, 5, 9, 9, 9], |start, len| runs.push((start, len)));
+        assert_eq!(runs, vec![(0, 2), (5, 3)]);
+        assert_eq!(dst, [9, 9, 3, 4, 5, 9, 9, 9]);
+
+        // Through the page: exactly the five differing bytes are tracked,
+        // at their offsets, and writing the same bytes again adds nothing.
+        let (mut p, mut t) = fresh();
+        let s = p.insert_tuple(&[1, 2, 3, 4, 5, 6, 7, 8], &mut t).unwrap();
+        let body = p.layout().body_start() as u16;
+        let mut t2 = ChangeTracker::new(*p.scheme(), 0, true);
+        for _ in 0..2 {
+            p.update_tuple(s, &[9, 9, 3, 4, 5, 9, 9, 9], &mut t2).unwrap();
+            assert_eq!((t2.body_changed(), t2.meta_changed()), (5, 0));
+        }
+        let FlushDecision::Ipa(recs) = t2.decide(p.bytes()) else { panic!("5 bytes fit [2x3]") };
+        let offsets: Vec<u16> = recs.iter().flat_map(|r| &r.body).map(|c| c.offset).collect();
+        assert_eq!(offsets, [0, 1, 5, 6, 7].map(|i| body + i));
+    }
+
+    #[test]
+    fn mark_delete_of_slot_0_survives_the_delta_path_on_the_largest_page() {
+        // The last byte of slot 0's entry has the highest offset a page can
+        // have: it must not collide with the unused-pair marker 0xFFFF.
+        let l = PageLayout::new(u16::MAX as usize, NxM::tpcc()).unwrap();
+        let mut p = DbPage::format(1, l);
+        let s = p.insert_tuple(b"abc", &mut ChangeTracker::new(l.scheme, 0, false)).unwrap();
+        let mut on_flash = DbPage::from_bytes(p.bytes().to_vec(), l).unwrap();
+        let mut t = ChangeTracker::new(l.scheme, 0, true);
+        p.delete_tuple(s, &mut t).unwrap();
+        let FlushDecision::Ipa(recs) = t.decide(p.bytes()) else { panic!("two metadata bytes") };
+        for rec in &recs {
+            on_flash.append_delta_record(rec).unwrap();
+        }
+        on_flash.apply_deltas().unwrap();
+        assert!(!on_flash.is_live(s));
+        assert_eq!(on_flash.bytes()[l.body_start()..], p.bytes()[l.body_start()..]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use ipa_core::{ChangeTracker, DbPage};
+use ipa_core::{ChangeTracker, DbPage, NxM};
 use ipa_noftl::Counters;
 
 use crate::db::PageId;
@@ -190,12 +190,13 @@ impl BufferPool {
         Some(result)
     }
 
-    /// A flush of the frame was submitted: install the (clean) successor
-    /// tracker and clear the recovery LSN — the dirty→clean transition.
-    pub fn mark_flushed(&mut self, idx: usize, tracker: ChangeTracker) {
-        debug_assert!(!tracker.is_dirty(), "a successor tracker starts clean");
+    /// A flush of the frame was submitted — the dirty→clean transition:
+    /// restart its tracker in place (no allocation per flush) for a page
+    /// that now sits on flash under `scheme` with `n_existing` delta
+    /// records, and clear the recovery LSN.
+    pub fn mark_flushed(&mut self, idx: usize, scheme: NxM, n_existing: u16) {
         let Some(frame) = self.frames.get_mut(idx).and_then(Option::as_mut) else { return };
-        frame.tracker = tracker;
+        frame.tracker.restart(scheme, n_existing);
         frame.rec_lsn = Lsn::NULL;
         self.dirty.remove(&idx);
     }
@@ -312,7 +313,7 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipa_core::{NxM, PageLayout};
+    use ipa_core::PageLayout;
 
     impl BufferPool {
         /// The full-scan cleaning order [`BufferPool::cleaner_candidates`] replaced,
@@ -409,8 +410,7 @@ mod tests {
         pool.update(a, Lsn(9), |_, tracker| tracker.record_body(201)).expect("resident");
         assert_eq!(pool.frame_mut(a).unwrap().rec_lsn, Lsn(7));
         pool.assert_consistent();
-        let successor = pool.frame_mut(a).unwrap().tracker().after_out_of_place_flush();
-        pool.mark_flushed(a, successor);
+        pool.mark_flushed(a, NxM::disabled(), 0);
         assert_eq!(pool.dirty_count(), 0);
         assert!(pool.frame_mut(a).unwrap().rec_lsn.is_null());
         pool.assert_consistent();

@@ -759,6 +759,7 @@ impl Database {
             };
             let frame =
                 self.pool.frame_mut(idx).ok_or(EngineError::Internal("flushed frame missing"))?;
+            let n_existing = frame.tracker().n_existing();
             let mut staged = Vec::with_capacity(records.len());
             for rec in &records {
                 staged.push(frame.page.append_delta_record(rec)?);
@@ -786,10 +787,7 @@ impl Database {
                     }
                 }
             }
-            let frame =
-                self.pool.frame_mut(idx).ok_or(EngineError::Internal("flushed frame missing"))?;
-            let successor = frame.tracker().after_ipa_flush(appended);
-            self.pool.mark_flushed(idx, successor);
+            self.pool.mark_flushed(idx, page_scheme, n_existing + appended);
             self.stats.ipa_flushes += 1;
         } else {
             // Adaptive mode: an out-of-place write is the free moment to
@@ -834,14 +832,7 @@ impl Database {
                     self.ftl.write_oob(rid, pid.lba, range.start, &code)?;
                 }
             }
-            let frame =
-                self.pool.frame_mut(idx).ok_or(EngineError::Internal("flushed frame missing"))?;
-            let successor = if upgraded {
-                ChangeTracker::new(layout.scheme, 0, true)
-            } else {
-                frame.tracker().after_out_of_place_flush()
-            };
-            self.pool.mark_flushed(idx, successor);
+            self.pool.mark_flushed(idx, layout.scheme, 0);
             self.stats.oop_flushes += 1;
         }
         Ok(())
