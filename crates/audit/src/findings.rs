@@ -19,7 +19,7 @@ pub enum Severity {
 /// One lint finding.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Lint code (`L000` ... `L007`).
+    /// Lint code (`L000`, `L001`, `L004`, `L006`).
     pub code: &'static str,
     /// Gating severity.
     pub severity: Severity,
@@ -237,17 +237,17 @@ mod tests {
     #[test]
     fn sarif_names_rule_file_and_line() {
         let mut r = Report::default();
-        r.lints.push(("L008", "determinism", 1));
+        r.lints.push(("L006", "span-pairing", 1));
         r.findings.push(Finding {
-            code: "L008",
+            code: "L006",
             severity: Severity::Error,
             file: "crates/engine/src/lock.rs".into(),
             line: 7,
-            message: "hash order".into(),
+            message: "leaked span".into(),
         });
         let s = r.to_sarif();
         assert!(s.contains("\"version\": \"2.1.0\""));
-        assert!(s.contains("\"ruleId\": \"L008\""));
+        assert!(s.contains("\"ruleId\": \"L006\""));
         assert!(s.contains("\"uri\": \"crates/engine/src/lock.rs\""));
         assert!(s.contains("\"startLine\": 7"));
         assert_eq!(s.matches('{').count(), s.matches('}').count());

@@ -1,17 +1,19 @@
 //! `ipa-audit` — workspace-wide static analysis for the IPA stack.
 //!
-//! The simulator's correctness rests on a handful of cross-crate
-//! invariants that `rustc` cannot see: the ISPP monotone-charge rule is
-//! only enforced inside `ipa-flash`, the `engine -> noftl -> flash`
-//! layering is a convention, and the queued-I/O API makes it possible to
-//! submit commands that are never completed. This crate is a
-//! dependency-free auditor that pins those invariants as machine-checked
-//! lints, run in CI as `cargo run -p ipa-audit -- check --deny-warnings`.
+//! The simulator's correctness rests on three code-level rules that
+//! neither `rustc` nor clippy knows: cell contents change only through
+//! `ipa-flash`'s ISPP-checked program path (L001), every queued command
+//! that is submitted is completed (L004), and every causal span that is
+//! opened is closed (L006). This crate is a dependency-free auditor that
+//! pins those three as machine-checked lints, run in CI as
+//! `cargo run -p ipa-audit -- check --deny-warnings`. The generic rules
+//! (no panicking shortcut, no swallowed `Result`, no hash-order or host
+//! state in the deterministic core, layering) are held by the compiler,
+//! the manifests and clippy — see DESIGN.md.
 //!
 //! Pipeline: [`workspace::Workspace::load`] lexes every `crates/*/src`
-//! file ([`lexer`], [`source`]) and reduces the manifests to dependency
-//! lists; each registered [`lints::Lint`] walks the token streams and
-//! manifests appending [`findings::Finding`]s; [`run`] then applies
+//! file ([`lexer`], [`source`]); each registered [`lints::Lint`] walks the
+//! token streams appending [`findings::Finding`]s; [`run`] then applies
 //! `// audit:allow(Lxxx, reason = "...")` pragmas ([`pragma`]) — each
 //! pragma suppresses exactly one finding on its own or the following
 //! line — and emits unused/malformed pragmas as `L000` warnings. The
@@ -21,13 +23,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod callgraph;
 pub mod cfg;
 pub mod findings;
-pub mod itemgraph;
 pub mod lexer;
 pub mod lints;
-pub mod parse;
 pub mod pragma;
 pub mod source;
 pub mod workspace;
@@ -38,26 +37,6 @@ use std::path::Path;
 use findings::{Finding, Report, Severity, Suppressed};
 use workspace::Workspace;
 
-/// Shared semantic context handed to every lint: the workspace plus the
-/// item graph and call graph built over it once per audit.
-pub struct Analysis<'a> {
-    /// The loaded workspace (token streams + manifests).
-    pub ws: &'a Workspace,
-    /// Items: crates → files → fns/impls/structs/enums with token spans.
-    pub items: itemgraph::ItemGraph,
-    /// Name-resolved intra-workspace call graph.
-    pub calls: callgraph::CallGraph,
-}
-
-impl<'a> Analysis<'a> {
-    /// Build the item and call graphs for a workspace.
-    pub fn new(ws: &'a Workspace) -> Analysis<'a> {
-        let items = itemgraph::ItemGraph::build(ws);
-        let calls = callgraph::CallGraph::build(ws, &items);
-        Analysis { ws, items, calls }
-    }
-}
-
 /// Load the workspace rooted at `root` and audit it.
 pub fn run(root: &Path) -> io::Result<Report> {
     let ws = Workspace::load(root)?;
@@ -67,12 +46,11 @@ pub fn run(root: &Path) -> io::Result<Report> {
 /// Audit an already-loaded workspace: run every registered lint, apply
 /// suppression pragmas, and assemble the report.
 pub fn audit(ws: &Workspace) -> Report {
-    let cx = Analysis::new(ws);
     let mut report = Report { files_scanned: ws.files.len(), ..Report::default() };
     let mut live: Vec<Finding> = Vec::new();
     for lint in lints::all() {
         let before = live.len();
-        lint.check(&cx, &mut live);
+        lint.check(ws, &mut live);
         report.lints.push((lint.code(), lint.name(), live.len() - before));
     }
     apply_pragmas(ws, &mut live, &mut report);

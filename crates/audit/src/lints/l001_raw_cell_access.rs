@@ -19,7 +19,7 @@
 use super::pat;
 use super::Lint;
 use crate::findings::{Finding, Severity};
-use crate::Analysis;
+use crate::workspace::Workspace;
 
 /// See module docs.
 pub struct RawCellAccess;
@@ -41,8 +41,7 @@ impl Lint for RawCellAccess {
          all cell mutations go through the ISPP-checked program_* APIs"
     }
 
-    fn check(&self, cx: &Analysis<'_>, out: &mut Vec<Finding>) {
-        let ws = cx.ws;
+    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         for file in &ws.files {
             if file.krate == "flash" || file.krate == "audit" || file.test_file {
                 continue;

@@ -28,7 +28,7 @@ use super::Lint;
 use crate::cfg::{self, Outcome};
 use crate::findings::{Finding, Severity};
 use crate::lexer::Token;
-use crate::Analysis;
+use crate::workspace::Workspace;
 
 /// See module docs.
 pub struct SpanPairing;
@@ -46,14 +46,14 @@ impl Lint for SpanPairing {
          (open*/begin* name, SpanId in signature)"
     }
 
-    fn check(&self, cx: &Analysis<'_>, out: &mut Vec<Finding>) {
+    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         let is_close = |tok: &Token| tok.is_ident("close_span");
-        for (fi, file) in cx.ws.files.iter().enumerate() {
+        for file in &ws.files {
             if file.krate == "audit" || file.test_file {
                 continue;
             }
             let t = &file.tokens;
-            for (_, f) in cx.items.fns_of_file(fi) {
+            for f in file.functions() {
                 if file.is_test(f.body.0) {
                     continue;
                 }

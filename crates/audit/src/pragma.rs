@@ -14,7 +14,7 @@ use crate::lexer::Comment;
 pub struct Pragma {
     /// 1-indexed line the pragma comment starts on.
     pub line: u32,
-    /// Lint code it targets (`L001` ... `L007`).
+    /// Lint code it targets (`L001`, `L004`, `L006`).
     pub code: String,
     /// The mandatory justification.
     pub reason: String,
@@ -94,12 +94,11 @@ mod tests {
 
     #[test]
     fn well_formed_pragma_parses() {
-        let (ok, bad) =
-            pragmas("x(); // audit:allow(L002, reason = \"infallible by construction\")");
+        let (ok, bad) = pragmas("x(); // audit:allow(L004, reason = \"drained by the caller\")");
         assert!(bad.is_empty());
         assert_eq!(ok.len(), 1);
-        assert_eq!(ok[0].code, "L002");
-        assert_eq!(ok[0].reason, "infallible by construction");
+        assert_eq!(ok[0].code, "L004");
+        assert_eq!(ok[0].reason, "drained by the caller");
         assert_eq!(ok[0].line, 1);
     }
 
@@ -134,7 +133,7 @@ mod tests {
 
     #[test]
     fn doc_comments_never_carry_pragmas() {
-        let src = "/// write audit:allow(L002, reason = \"x\") above the line\n//! audit:allow(L001)\nfn f() {}";
+        let src = "/// write audit:allow(L004, reason = \"x\") above the line\n//! audit:allow(L001)\nfn f() {}";
         let (ok, bad) = pragmas(src);
         assert!(ok.is_empty() && bad.is_empty());
     }

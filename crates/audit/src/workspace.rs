@@ -1,11 +1,9 @@
-//! Workspace discovery: find every crate's sources and manifest.
+//! Workspace discovery: find every crate's sources.
 //!
 //! The auditor scans `crates/*/src/**/*.rs` plus the facade crate's
 //! `src/**/*.rs`. Integration tests, benches and examples are *not*
 //! scanned — every lint in the catalog exempts test code, so walking those
-//! trees would only produce noise. Manifests (`crates/*/Cargo.toml`) are
-//! parsed just deeply enough to extract the `[dependencies]` key list for
-//! the layering lint.
+//! trees would only produce noise.
 
 use std::fs;
 use std::io;
@@ -13,24 +11,11 @@ use std::path::{Path, PathBuf};
 
 use crate::source::SourceFile;
 
-/// A crate manifest reduced to what the lints need.
-#[derive(Debug, Clone)]
-pub struct Manifest {
-    /// Workspace-relative path of the Cargo.toml.
-    pub path: String,
-    /// Short crate name (directory name under `crates/`).
-    pub krate: String,
-    /// `[dependencies]` keys with the 1-indexed line they appear on.
-    pub deps: Vec<(String, u32)>,
-}
-
 /// Everything the lints operate on.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
     /// Lexed source files.
     pub files: Vec<SourceFile>,
-    /// Crate manifests.
-    pub manifests: Vec<Manifest>,
 }
 
 impl Workspace {
@@ -49,10 +34,6 @@ impl Workspace {
             for dir in crate_dirs {
                 let krate =
                     dir.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-                let manifest = dir.join("Cargo.toml");
-                if manifest.is_file() {
-                    ws.manifests.push(parse_manifest(root, &manifest, &krate)?);
-                }
                 load_sources(root, &dir.join("src"), &krate, &mut ws.files)?;
             }
         }
@@ -85,61 +66,20 @@ fn rel(root: &Path, path: &Path) -> String {
     path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/")
 }
 
-/// Extract `[dependencies]` keys. Line-based: a section header line
-/// (`[dependencies]`) opens the section, any other `[...]` header closes
-/// it; inside, the key is everything before the first `.`, `=` or space.
-fn parse_manifest(root: &Path, path: &Path, krate: &str) -> io::Result<Manifest> {
-    let text = fs::read_to_string(path)?;
-    let mut deps = Vec::new();
-    let mut in_deps = false;
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.starts_with('[') {
-            in_deps = line == "[dependencies]";
-            continue;
-        }
-        if !in_deps || line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let key: String =
-            line.chars().take_while(|c| !matches!(c, '.' | '=' | ' ' | '\t')).collect();
-        if !key.is_empty() {
-            deps.push((key, i as u32 + 1));
-        }
-    }
-    Ok(Manifest { path: rel(root, path), krate: krate.to_string(), deps })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
-
-    fn tmp_ws() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ipa-audit-ws-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(dir.join("crates/demo/src")).expect("mkdir");
-        let mut m = fs::File::create(dir.join("crates/demo/Cargo.toml")).expect("manifest");
-        writeln!(
-            m,
-            "[package]\nname = \"ipa-demo\"\n\n[dependencies]\nipa-flash.workspace = true\nserde = {{ version = \"1\" }}\n\n[dev-dependencies]\nproptest = \"1\""
-        )
-        .expect("write");
-        fs::write(dir.join("crates/demo/src/lib.rs"), "fn a() {}\n").expect("src");
-        dir
-    }
 
     #[test]
-    fn loads_crates_and_manifest_deps() {
-        let root = tmp_ws();
+    fn loads_crate_sources_with_their_crate_name() {
+        let root = std::env::temp_dir().join(format!("ipa-audit-ws-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        fs::create_dir_all(root.join("crates/demo/src")).expect("mkdir");
+        fs::write(root.join("crates/demo/src/lib.rs"), "fn a() {}\n").expect("src");
         let ws = Workspace::load(&root).expect("load");
         assert_eq!(ws.files.len(), 1);
         assert_eq!(ws.files[0].krate, "demo");
-        assert_eq!(ws.manifests.len(), 1);
-        let deps: Vec<&str> = ws.manifests[0].deps.iter().map(|(d, _)| d.as_str()).collect();
-        // Only [dependencies] — dev-dependencies are exempt (tests may
-        // reach anywhere).
-        assert_eq!(deps, vec!["ipa-flash", "serde"]);
+        assert_eq!(ws.files[0].path, "crates/demo/src/lib.rs");
         let _ = fs::remove_dir_all(&root);
     }
 }

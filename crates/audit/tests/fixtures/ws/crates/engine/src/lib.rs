@@ -4,54 +4,17 @@ use ipa_flash::Chip;
 
 pub fn scribble(page: &mut PageData) {
     page.main()[0] = 0;
-    panic!("fixture");
 }
 
-pub fn read_lsn(buf: &[u8]) -> u64 {
-    u64::from_le_bytes(buf[0..8].try_into().expect("8 bytes"))
+pub fn spare(page: &Page) -> u8 {
+    page.oob()[0]
 }
 
 // audit:allow(L001, reason = "fixture: this pragma matches nothing")
 pub fn clean() {}
 
-pub fn engine_owns_ids() -> TxId {
-    TxId(1)
-}
+// audit:allow(L001)
+pub fn also_clean() {}
 
-// L009 support: a fallible engine API the noftl fixture swallows.
-pub fn flush_meta() -> Result<(), EngineError> {
-    Ok(())
-}
-
-// L011 seeds: a side-door acquire outside Database/LockManager (Helper)
-// and a re-entrant call on the acquire path (admit); the Database method
-// is the front-door FP guard.
-pub struct LockManager;
-
-impl LockManager {
-    pub fn lock(&mut self, tx: u64, key: u64) {
-        self.admit(tx, key);
-    }
-
-    fn admit(&mut self, tx: u64, key: u64) {
-        self.lock(tx, key);
-    }
-}
-
-pub struct Helper;
-
-impl Helper {
-    pub fn side_door(&self, locks: &mut LockManager) {
-        locks.lock(1, 2);
-    }
-}
-
-pub struct Database {
-    locks: LockManager,
-}
-
-impl Database {
-    pub fn acquire(&mut self) {
-        self.locks.lock(1, 2);
-    }
-}
+// A use-tree that names only the checked device API is not a raw import.
+use ipa_flash::{FlashDevice, Ppa};

@@ -1,5 +1,5 @@
 //! Fixture: the flash layer itself. Raw cell access is its job, so L001
-//! never fires here; L005 still applies (flash is a measured crate).
+//! never fires here.
 
 pub struct PageData;
 
@@ -9,12 +9,6 @@ impl PageData {
     }
 }
 
-#[derive(Default)]
-pub struct EraseStats {
-    pub erases: u64,
+pub fn backdoor(dev: &Dev) -> u8 {
+    dev.peek(0)
 }
-
-#[must_use]
-pub struct WearCounters;
-
-struct PrivateStats;

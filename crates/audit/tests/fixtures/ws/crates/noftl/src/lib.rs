@@ -1,8 +1,6 @@
 //! Fixture: noftl-layer violations. Mentioning `dev.peek(0)` or
 //! `PageData` in doc comments must not trip anything.
 
-use ipa_engine::Db;
-
 pub fn diag(dev: &mut Dev) -> u8 {
     dev.peek(3)
 }
@@ -20,22 +18,23 @@ pub fn submit_probe(dev: &mut Dev) {
     dev.submit_read(1);
 }
 
-pub fn lookup(map: &std::collections::HashMap<u32, u32>) -> u32 {
-    // audit:allow(L002, reason = "fixture: demonstrate single suppression")
-    *map.get(&1).unwrap() + *map.get(&2).unwrap()
+pub fn compare(dev: &mut Dev) -> bool {
+    // audit:allow(L001, reason = "fixture: demonstrate single suppression")
+    dev.peek(1) == dev.peek(2)
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn unwrap_in_tests_is_fine() {
-        let v: Option<u8> = Some(1);
-        assert_eq!(v.unwrap(), 1);
+    fn backdoors_and_leaks_in_tests_are_fine() {
+        let mut dev = dev();
+        assert_eq!(dev.peek(0), 0xFF);
+        dev.submit_write(1);
+        dev.open_span(1);
     }
 }
 
-// L006 seeds (appended so the pragma line numbers above stay stable).
-// Mentioning `open_span` in a comment must not trip anything either.
+// L006 seeds. Mentioning `open_span` in a comment must not trip anything.
 pub fn leaky_episode(dev: &mut Dev) {
     let span = dev.open_span(3);
     dev.submit_write(5);
@@ -56,116 +55,6 @@ pub fn begin_episode(dev: &mut Dev) -> u64 {
 
 pub fn reparent(dev: &mut Dev, parent: SpanId) {
     dev.open_span_under(1, parent);
-}
-
-// L007 seeds: transaction discipline. Mentioning `TxId(7)` or `db.begin()`
-// in a comment must not trip anything.
-pub fn forge_tx(db: &mut Db) {
-    let ghost = TxId(99);
-    let tx = db.begin();
-    db.commit(tx);
-    db.abort(ghost);
-}
-
-pub fn guarded(db: &mut Db) {
-    let tx = db.txn();
-    tx.commit();
-}
-
-pub fn hand_off(id: TxId) -> TxId {
-    id
-}
-
-pub fn begin(x: u8) -> u8 {
-    begin_with(x)
-}
-
-pub fn begin_with(x: u8) -> u8 {
-    x
-}
-
-// L008 seeds: hash-order iteration and wall-clock reads. Keyed access,
-// same-statement reductions and BTreeMap iteration are the FP guards.
-pub fn unstable_scan(hmap: &std::collections::HashMap<u32, u32>) -> Vec<u32> {
-    let mut out = Vec::new();
-    for (_k, v) in hmap.iter() {
-        out.push(*v);
-    }
-    out
-}
-
-pub fn unstable_borrow(hmap: &std::collections::HashMap<u32, u32>) -> u32 {
-    let mut last = 0;
-    for (_k, v) in &hmap {
-        last = *v;
-    }
-    last
-}
-
-pub fn wall_clock() -> u64 {
-    let t = Instant::now();
-    t.elapsed().as_nanos() as u64
-}
-
-pub fn stable_count(hmap: &std::collections::HashMap<u32, u32>) -> usize {
-    hmap.iter().count()
-}
-
-pub fn ordered_scan(bmap: &std::collections::BTreeMap<u32, u32>) -> Vec<u32> {
-    bmap.values().copied().collect()
-}
-
-pub fn deliberate_scan(hmap: &std::collections::HashMap<u32, u32>) -> u32 {
-    let mut acc = 0;
-    // audit:allow(L008, reason = "fixture: xor-reduction is order-insensitive")
-    for (_k, v) in &hmap {
-        acc ^= *v;
-    }
-    acc
-}
-
-// L009 seeds: swallowed Results on a call the graph resolves to the
-// fallible engine fixture `flush_meta`. Infallible drops, `?` statements,
-// let-bound conversions and non-empty arms are the FP guards.
-pub fn swallow_flush() {
-    let _ = flush_meta();
-}
-
-pub fn appease_must_use() {
-    flush_meta().ok();
-}
-
-pub fn notice_and_ignore() {
-    if flush_meta().is_err() {}
-}
-
-pub fn cheap_hint() -> u8 {
-    7
-}
-
-pub fn infallible_drop() {
-    let _ = cheap_hint();
-}
-
-pub fn propagate_only_value() -> Result<(), EngineError> {
-    let _ = flush_meta()?;
-    Ok(())
-}
-
-pub fn convert_then_use() {
-    let kept = flush_meta().ok();
-    let _ = kept;
-}
-
-pub fn handle_errors() {
-    if flush_meta().is_err() {
-        cheap_hint();
-    }
-}
-
-// L011 seed: a foreign crate reaching the engine's lock manager.
-pub fn sneak_lock(eng: &mut Engine) {
-    eng.locks.lock(1, 2);
 }
 
 // CFG-aware L004 seeds: an early `?` or a one-armed completion between
@@ -198,6 +87,10 @@ pub fn checked_write(dev: &mut Dev) -> Result<(), FlashError> {
     let id = dev.submit_write(4)?;
     dev.complete(id);
     Ok(())
+}
+
+pub fn hand_back(dev: &mut Dev) -> CmdId {
+    dev.submit_write(6)
 }
 
 // CFG-aware L006 seed: a span closed on only one branch arm leaks on the

@@ -13,7 +13,7 @@ use ipa_bench::{
 use ipa_core::NxM;
 use ipa_engine::TraceEvent;
 use ipa_flash::FlashConfig;
-use ipa_noftl::{HybridConfig, HybridFtl};
+use ipa_ipl::{HybridConfig, HybridFtl};
 use ipa_workloads::{Runner, SystemConfig, TpcC};
 
 fn main() {
@@ -114,7 +114,7 @@ fn main() {
         );
         println!("the paper's over-provisioning argument, on hybrid hardware.");
     }
-    let stats_json = |st: &ipa_noftl::HybridStats| {
+    let stats_json = |st: &ipa_ipl::HybridStats| {
         serde_json::json!({
             "host_writes": st.host_writes, "ipa_appends": st.ipa_appends,
             "log_writes": st.log_writes, "data_writes": st.data_writes,

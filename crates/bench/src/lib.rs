@@ -48,6 +48,7 @@ use ipa_workloads::{RunReport, Runner, SystemConfig, Workload};
 pub use ipa_obs::{ExperimentReport, JsonlSink, Table, TraceHandle};
 
 /// Scale multiplier from `IPA_BENCH_SCALE` (default 1).
+#[expect(clippy::disallowed_methods, reason = "the harness is where environment settings enter")]
 pub fn scale() -> u64 {
     std::env::var("IPA_BENCH_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1)
 }
@@ -141,6 +142,7 @@ impl Observer for FanoutObserver {
 /// Whether `IPA_BENCH_SMOKE` is set: harnesses that honour it shrink their
 /// workloads to seconds-long CI runs that still exercise the full pipeline
 /// (build, load, run, report JSON) — shapes, not magnitudes.
+#[expect(clippy::disallowed_methods, reason = "the harness is where environment settings enter")]
 pub fn smoke() -> bool {
     std::env::var("IPA_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
 }

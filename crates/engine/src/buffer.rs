@@ -11,7 +11,8 @@
 //! can dirty a frame behind the pool's back — and the cleaner, `flush_all`
 //! and the checkpointer visit dirty frames only, never the whole pool.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ipa_core::{ChangeTracker, DbPage, NxM};
 use ipa_noftl::Counters;
@@ -75,6 +76,21 @@ ipa_noftl::counters! {
     }
 }
 
+/// The set of buffered pages, shared with a reader that cannot borrow the
+/// pool (adaptive mode's GC-migration rewriter runs inside the
+/// flash-management layer).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ResidencyMirror(Arc<Mutex<HashSet<PageId>>>);
+
+impl ResidencyMirror {
+    /// Lock the set. Poisoning is recovered: every update is one
+    /// `insert`/`remove`/`clear`, so a panic elsewhere cannot leave it
+    /// half-written.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, HashSet<PageId>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// Fixed-capacity buffer pool with CLOCK replacement.
 #[derive(Debug)]
 pub struct BufferPool {
@@ -85,6 +101,8 @@ pub struct BufferPool {
     dirty: BTreeSet<usize>,
     /// Unoccupied slots. Invariant: `i ∈ free` ⇔ `frames[i]` is `None`.
     free: BTreeSet<usize>,
+    /// Adaptive mode only. Invariant: holds exactly the keys of `map`.
+    mirror: Option<ResidencyMirror>,
     hand: usize,
     capacity: usize,
     sweep: SweepStats,
@@ -99,10 +117,23 @@ impl BufferPool {
             map: HashMap::with_capacity(capacity),
             dirty: BTreeSet::new(),
             free: (0..capacity).collect(),
+            mirror: None,
             hand: 0,
             capacity,
             sweep: SweepStats::default(),
         }
+    }
+
+    /// Start mirroring residency (the pool must still be empty) and hand
+    /// out the shared view.
+    pub(crate) fn mirror_residency(&mut self) -> ResidencyMirror {
+        debug_assert!(self.map.is_empty());
+        self.mirror.get_or_insert_with(ResidencyMirror::default).clone()
+    }
+
+    /// Pages in the residency mirror (0 when nothing mirrors the pool).
+    pub(crate) fn mirrored_len(&self) -> usize {
+        self.mirror.as_ref().map_or(0, |m| m.lock().len())
     }
 
     /// Cumulative CLOCK-sweep counters.
@@ -212,6 +243,9 @@ impl BufferPool {
     pub fn insert(&mut self, frame: Frame) -> Option<usize> {
         let idx = self.free.pop_first()?;
         self.map.insert(frame.page_id, idx);
+        if let Some(mirror) = &self.mirror {
+            mirror.lock().insert(frame.page_id);
+        }
         if frame.is_dirty() {
             self.dirty.insert(idx);
         }
@@ -251,6 +285,9 @@ impl BufferPool {
     pub fn remove(&mut self, idx: usize) -> Option<Frame> {
         let frame = self.frames[idx].take()?;
         self.map.remove(&frame.page_id);
+        if let Some(mirror) = &self.mirror {
+            mirror.lock().remove(&frame.page_id);
+        }
         self.dirty.remove(&idx);
         self.free.insert(idx);
         Some(frame)
@@ -285,9 +322,10 @@ impl BufferPool {
         cold
     }
 
-    /// Check the dirty- and free-set invariants against a full scan of the
-    /// frames. Panics on divergence — a frame was dirtied, cleaned, added
-    /// or dropped without the sets hearing of it.
+    /// Check the dirty-set, free-set and residency-mirror invariants
+    /// against a full scan of the frames. Panics on divergence — a frame
+    /// was dirtied, cleaned, added or dropped without the sets hearing of
+    /// it.
     pub fn assert_consistent(&self) {
         let slots = || self.frames.iter().enumerate();
         let dirty: BTreeSet<usize> = slots()
@@ -298,12 +336,20 @@ impl BufferPool {
         assert_eq!(self.dirty, dirty, "dirty set diverged from the frames");
         assert_eq!(self.free, free, "free set diverged from the frames");
         assert_eq!(self.map.len() + free.len(), self.capacity, "page map diverged from the frames");
+        if let Some(mirror) = &self.mirror {
+            let resident: HashSet<PageId> =
+                self.frames.iter().flatten().map(|f| f.page_id).collect();
+            assert_eq!(*mirror.lock(), resident, "residency mirror diverged from the frames");
+        }
     }
 
     /// Drop every frame without flushing (crash simulation).
     pub fn clear(&mut self) {
         self.frames.iter_mut().for_each(|f| *f = None);
         self.map.clear();
+        if let Some(mirror) = &self.mirror {
+            mirror.lock().clear();
+        }
         self.dirty.clear();
         self.free = (0..self.capacity).collect();
         self.hand = 0;

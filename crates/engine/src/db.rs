@@ -2,7 +2,6 @@
 //! cleaner and log-space reclamation — with the IPA decision wired into
 //! every dirty-page flush.
 
-use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 use ipa_core::layout::HeaderView;
@@ -15,7 +14,7 @@ use ipa_noftl::{
     SpanCategory,
 };
 
-use crate::buffer::{BufferPool, Frame, SweepStats};
+use crate::buffer::{BufferPool, Frame, ResidencyMirror, SweepStats};
 use crate::error::EngineError;
 use crate::heap::HeapFile;
 use crate::lock::LockManager;
@@ -168,16 +167,11 @@ impl DbConfig {
 
 /// Scheme state shared between the engine and the GC-migration rewriter it
 /// installs into the flash-management layer: the current `[N×M]` scheme of
-/// every region, plus the set of pages currently resident in the buffer
-/// pool. Resident pages must migrate verbatim — re-encoding the flash
-/// image under a buffered frame would desynchronize the frame's tracker
-/// and delta-offset math from flash.
+/// every region.
 #[derive(Debug, Default)]
 struct SchemeDirectory {
     /// Current scheme of each region (updated at re-tune epochs).
     schemes: Mutex<Vec<NxM>>,
-    /// `(region, lba)` pairs buffered in the pool right now.
-    resident: Mutex<HashSet<(u32, u64)>>,
 }
 
 impl SchemeDirectory {
@@ -187,11 +181,6 @@ impl SchemeDirectory {
     fn schemes(&self) -> std::sync::MutexGuard<'_, Vec<NxM>> {
         self.schemes.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
-
-    /// Lock the resident-page set (same poisoning policy as [`Self::schemes`]).
-    fn resident(&self) -> std::sync::MutexGuard<'_, HashSet<(u32, u64)>> {
-        self.resident.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 }
 
 /// The engine's [`PageRewriter`]: re-encodes old-scheme pages to the
@@ -200,6 +189,10 @@ impl SchemeDirectory {
 /// I/O the device was doing anyway, costing zero extra flash operations.
 struct EngineRewriter {
     dir: Arc<SchemeDirectory>,
+    /// Pages buffered in the pool right now. They must migrate verbatim —
+    /// re-encoding the flash image under a buffered frame would
+    /// desynchronize the frame's tracker and delta-offset math from flash.
+    resident: ResidencyMirror,
     page_size: usize,
     oob_size: usize,
     /// Re-seed `EccInitial` (and erase the delta slots) after a rewrite,
@@ -215,7 +208,7 @@ impl PageRewriter for EngineRewriter {
         page: &mut [u8],
         oob: &mut [u8],
     ) -> bool {
-        if self.dir.resident().contains(&(region, lba)) {
+        if self.resident.lock().contains(&PageId::new(region as usize, lba)) {
             return false;
         }
         let target = {
@@ -327,7 +320,10 @@ pub struct Database {
     pub(crate) pool: BufferPool,
     pub(crate) wal: Wal,
     pub(crate) txns: TxnTable,
-    pub(crate) locks: LockManager,
+    /// Private to this module: row locks are acquired through
+    /// [`Database::lock_row`] only, so every acquire passes the conflict
+    /// policy and is recorded against its transaction.
+    locks: LockManager,
     allocators: Vec<PageAllocator>,
     pub(crate) heaps: Vec<HeapFile>,
     pub(crate) indexes: Vec<crate::btree::BTree>,
@@ -388,13 +384,12 @@ impl Database {
             })
             .collect::<Result<Vec<_>>>()?;
         let profiles = schemes.iter().map(|_| UpdateSizeProfile::default()).collect();
+        let mut pool = BufferPool::new(config.buffer_frames);
         let adaptive = if config.advisor_epoch_ns > 0 {
-            let dir = Arc::new(SchemeDirectory {
-                schemes: Mutex::new(schemes.to_vec()),
-                resident: Mutex::new(HashSet::new()),
-            });
+            let dir = Arc::new(SchemeDirectory { schemes: Mutex::new(schemes.to_vec()) });
             ftl.set_page_rewriter(Arc::new(EngineRewriter {
                 dir: Arc::clone(&dir),
+                resident: pool.mirror_residency(),
                 page_size,
                 oob_size,
                 tag_ecc: config.verify_ecc,
@@ -413,7 +408,7 @@ impl Database {
             ftl,
             layouts,
             oob_layouts,
-            pool: BufferPool::new(config.buffer_frames),
+            pool,
             wal: Wal::new(config.log_capacity_bytes),
             txns: TxnTable::new(),
             locks: LockManager::new(),
@@ -550,47 +545,20 @@ impl Database {
         tracker.mark_out_of_place();
         let frame = Frame::new(pid, DbPage::format(pid.lba.0, layout), tracker);
         self.pool.insert(frame).ok_or(EngineError::Internal("no free frame for a fresh page"))?;
-        self.note_resident(pid);
         Ok(())
     }
 
-    /// Note a page entering the buffer pool (adaptive mode: resident
-    /// pages are excluded from GC-carried scheme rewrites).
-    pub(crate) fn note_resident(&self, pid: PageId) {
-        if let Some(state) = &self.adaptive {
-            state.dir.resident().insert((pid.region as u32, pid.lba.0));
-        }
-    }
-
-    /// Note a page leaving the buffer pool.
-    pub(crate) fn note_evicted(&self, pid: PageId) {
-        if let Some(state) = &self.adaptive {
-            state.dir.resident().remove(&(pid.region as u32, pid.lba.0));
-        }
-    }
-
-    /// Forget every buffer-resident page in the scheme directory (crash
-    /// simulation: the pool is gone, so nothing is resident — a stale set
-    /// would make the GC-migration rewriter skip re-encoding pages it
-    /// wrongly believes are buffered).
-    pub(crate) fn clear_resident_tracking(&self) {
-        if let Some(state) = &self.adaptive {
-            state.dir.resident().clear();
-        }
-    }
-
-    /// Number of `(region, lba)` pairs the adaptive scheme directory
-    /// currently believes are buffer-resident (0 when adaptive mode is
-    /// off). Test/diagnostic aid.
+    /// Number of pages the adaptive GC-migration rewriter currently sees
+    /// as buffer-resident (0 when adaptive mode is off). Test/diagnostic
+    /// aid.
     pub fn resident_tracking_len(&self) -> usize {
-        self.adaptive.as_ref().map_or(0, |s| s.dir.resident().len())
+        self.pool.mirrored_len()
     }
 
     /// Drop a page: trim on flash, forget in the buffer, recycle the LBA.
     pub fn free_page(&mut self, pid: PageId) -> Result<()> {
         if let Some(idx) = self.pool.index_of(pid) {
             self.pool.remove(idx);
-            self.note_evicted(pid);
         }
         if self.ftl.is_mapped(RegionId(pid.region), pid.lba) {
             self.ftl.trim(RegionId(pid.region), pid.lba)?;
@@ -610,9 +578,6 @@ impl Database {
         let vpid = self.pool.frame_mut(victim).map(|f| f.page_id);
         self.flush_frame(victim, IoCtx::host())?;
         self.pool.remove(victim);
-        if let Some(pid) = vpid {
-            self.note_evicted(pid);
-        }
         self.stats.evictions += 1;
         if self.ftl.observing() {
             if let Some(pid) = vpid {
@@ -663,12 +628,9 @@ impl Database {
         // order to reconstruct the current page version.
         let n_existing = page.apply_deltas()?;
         let frame = Frame::new(pid, page, ChangeTracker::new(layout.scheme, n_existing, true));
-        let idx = self
-            .pool
+        self.pool
             .insert(frame)
-            .ok_or(EngineError::Internal("no free frame after ensure_free_frame"))?;
-        self.note_resident(pid);
-        Ok(idx)
+            .ok_or(EngineError::Internal("no free frame after ensure_free_frame"))
     }
 
     /// OOB layout matching a specific page's scheme: the cached per-region
@@ -1259,6 +1221,26 @@ impl Database {
         self.locks.set_policy(policy);
     }
 
+    /// The active row-lock conflict policy.
+    pub(crate) fn lock_policy(&self) -> crate::lock::LockPolicy {
+        self.locks.policy()
+    }
+
+    /// Acquire a row lock for `tx` (released by commit/abort).
+    pub(crate) fn lock_row(
+        &mut self,
+        tx: crate::txn::TxId,
+        key: crate::lock::LockKey,
+        mode: crate::lock::LockMode,
+    ) -> Result<()> {
+        self.locks.lock(tx, key, mode)
+    }
+
+    /// Forget every held lock (a simulated crash loses the lock table).
+    pub(crate) fn reset_locks(&mut self) {
+        self.locks = LockManager::new();
+    }
+
     /// Record a guard-drop auto-abort (called from [`crate::Txn`]'s
     /// destructor after the rollback).
     pub(crate) fn note_drop_abort(&mut self) {
@@ -1766,7 +1748,6 @@ pub(crate) mod tests {
         // in [2x3]; the fetch path resolves its layout from the header.
         if let Some(idx) = db.pool.index_of(pids[1]) {
             db.pool.remove(idx);
-            db.note_evicted(pids[1]);
         }
         let (m, tup) =
             db.with_page(pids[1], |p| (p.scheme().m, p.tuple(slots[1]).unwrap().to_vec())).unwrap();
@@ -1802,12 +1783,15 @@ pub(crate) mod tests {
     fn engine_rewriter_relayouts_nonresident_pages_only() {
         let old_scheme = NxM::tpcc();
         let new_scheme = NxM::new(3, 24, 1);
-        let dir = Arc::new(SchemeDirectory {
-            schemes: Mutex::new(vec![new_scheme]),
-            resident: Mutex::new(HashSet::new()),
-        });
-        let rw =
-            EngineRewriter { dir: Arc::clone(&dir), page_size: 1024, oob_size: 64, tag_ecc: true };
+        let dir = Arc::new(SchemeDirectory { schemes: Mutex::new(vec![new_scheme]) });
+        let resident = ResidencyMirror::default();
+        let rw = EngineRewriter {
+            dir,
+            resident: resident.clone(),
+            page_size: 1024,
+            oob_size: 64,
+            tag_ecc: true,
+        };
         let old_layout = PageLayout::new(1024, old_scheme).unwrap();
         let mut page = DbPage::format(7, old_layout);
         let mut tracker = ChangeTracker::new(old_scheme, 0, false);
@@ -1824,7 +1808,7 @@ pub(crate) mod tests {
         assert!(oob[16..24].iter().any(|&b| b != 0xFF), "EccInitial re-seeded");
 
         // Resident pages migrate verbatim.
-        dir.resident.lock().unwrap().insert((0, 9));
+        resident.lock().insert(PageId::new(0, 9));
         let mut untouched = page.bytes().to_vec();
         assert!(!rw.rewrite_for_migration(0, 9, &mut untouched, &mut [0xFF; 64]));
         assert_eq!(untouched, page.bytes());

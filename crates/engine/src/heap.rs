@@ -63,7 +63,7 @@ impl Database {
     }
 
     fn lock_rid(&mut self, tx: TxId, heap: u32, rid: Rid, mode: LockMode) -> Result<()> {
-        self.locks.lock(tx, (heap as u64, rid.encode()), mode)
+        self.lock_row(tx, (heap as u64, rid.encode()), mode)
     }
 
     /// Insert a tuple, returning its RID.

@@ -36,6 +36,25 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Held by clippy with type information (CI: `cargo clippy --workspace
+// --all-targets -- -D warnings`): no panicking shortcut, no swallowed
+// `Result`, nothing that reads host state or hash order (the banned calls
+// are listed once, in `crates/clippy.toml`). Test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type
+    )
+)]
 
 mod btree;
 mod buffer;

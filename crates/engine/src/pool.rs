@@ -1,22 +1,5 @@
-//! Deterministic multi-client interleaved executor.
-//!
-//! [`ClientPool`] drives K logical clients against one [`Database`],
-//! interleaving their transactions at *page-operation* granularity: each
-//! scheduling quantum runs exactly one step of one client's current
-//! transaction, picked by a seeded round-robin or weighted schedule. The
-//! engine stays single-threaded — concurrency is simulated, so every run
-//! with the same seed replays the same interleaving, byte for byte.
-//!
-//! Clients implement [`InterleavedClient`]: the pool begins a transaction
-//! on their behalf ([`Database::txn`], immediately detached via
-//! [`crate::Txn::park`]), re-attaches the guard for every step
-//! ([`Database::resume`]), and reacts to the lock manager's wait-die
-//! verdicts — [`EngineError::LockWait`] parks the client until the
-//! conflicting holder finishes, [`EngineError::LockConflict`] under
-//! [`LockPolicy::WaitDie`] aborts and restarts the transaction from the
-//! top. Commits flow through the group-commit stage when enabled; the
-//! pool drains the acknowledgements and attributes commit latency from
-//! transaction begin to durability ack on the simulated clock.
+//! Deterministic multi-client interleaved executor: [`ClientPool`] and the
+//! [`InterleavedClient`] trait it drives.
 
 use std::collections::BTreeMap;
 
@@ -142,7 +125,25 @@ enum SlotState {
     Finished,
 }
 
-/// The deterministic multi-client executor. See the [module docs](self).
+/// The deterministic multi-client executor.
+///
+/// Drives K logical clients against one [`Database`], interleaving their
+/// transactions at *page-operation* granularity: each scheduling quantum
+/// runs exactly one step of one client's current transaction, picked by a
+/// seeded round-robin or weighted schedule. The engine stays
+/// single-threaded — concurrency is simulated, so every run with the same
+/// seed replays the same interleaving, byte for byte.
+///
+/// Clients implement [`InterleavedClient`]: the pool begins a transaction
+/// on their behalf ([`Database::txn`], immediately detached via
+/// [`crate::Txn::park`]), re-attaches the guard for every step
+/// ([`Database::resume`]), and reacts to the lock manager's wait-die
+/// verdicts — [`EngineError::LockWait`] parks the client until the
+/// conflicting holder finishes, [`EngineError::LockConflict`] under
+/// [`LockPolicy::WaitDie`] aborts and restarts the transaction from the
+/// top. Commits flow through the group-commit stage when enabled; the
+/// pool drains the acknowledgements and attributes commit latency from
+/// transaction begin to durability ack on the simulated clock.
 #[derive(Debug)]
 pub struct ClientPool {
     config: PoolConfig,
@@ -164,7 +165,7 @@ impl ClientPool {
         db: &mut Database,
         mut clients: Vec<Box<dyn InterleavedClient + '_>>,
     ) -> Result<PoolRunReport> {
-        let wait_die = db.locks.policy() == LockPolicy::WaitDie;
+        let wait_die = db.lock_policy() == LockPolicy::WaitDie;
         let batched = db.config.group_commit_batch > 1;
         let mut states = vec![SlotState::Idle; clients.len()];
         let mut report = PoolRunReport::default();
@@ -460,7 +461,7 @@ mod tests {
 
     #[test]
     fn pool_trace_is_identical_across_invocations_k4() {
-        // Guards the ordered-map discipline (audit lint L008): the lock
+        // Guards the ordered-map discipline (`crates/clippy.toml`): the lock
         // table, transaction table and group-commit stage all iterate
         // BTreeMaps, so two invocations of the same K=4 seed must produce
         // an identical trace — full engine stats, per-commit latencies and

@@ -118,12 +118,8 @@ fn ensure_page(db: &mut Database, pid: PageId) -> Result<()> {
     // Make room first.
     if !db.pool.has_free_slot() {
         let victim = db.pool.pick_victim().ok_or(EngineError::PoolExhausted)?;
-        let vpid = db.pool.frame_mut(victim).map(|f| f.page_id);
         db.flush_frame(victim, ipa_noftl::IoCtx::host())?;
         db.pool.remove(victim);
-        if let Some(vpid) = vpid {
-            db.note_evicted(vpid);
-        }
     }
     db.insert_fresh_frame(pid)
 }
@@ -259,14 +255,8 @@ impl Database {
     pub fn simulate_crash(&mut self) {
         self.debug_check_pool();
         self.pool.clear();
-        // The adaptive scheme directory mirrors the pool's residency for
-        // the GC-migration rewriter; a crash empties the pool, so the
-        // mirror must empty too — stale entries would make the rewriter
-        // treat vanished pages as still buffered and skip re-encoding
-        // them during migrations.
-        self.clear_resident_tracking();
         self.wal.lose_unflushed();
-        self.locks = crate::lock::LockManager::new();
+        self.reset_locks();
         // Parked group commits lose their unforced Commit records (they
         // roll back during recovery); undrained acks die with the host.
         self.clear_group_commit();

@@ -1,18 +1,5 @@
-//! The transaction session API: an RAII guard replacing raw
-//! `TxId`-threading.
-//!
-//! [`Database::txn`] begins a transaction and returns a [`Txn`] guard that
-//! borrows the database exclusively for the transaction's duration. Every
-//! transactional operation hangs off the guard (`txn.heap_insert(...)`,
-//! `txn.index_lookup(...)`); [`Txn::commit`] and [`Txn::abort`] consume
-//! it, and dropping a live guard rolls the transaction back automatically
-//! (counted in [`crate::EngineStats::drop_aborts`]) — a forgotten
-//! transaction can no longer leak locks or undo chains.
-//!
-//! Code that genuinely interleaves transactions (the multi-client
-//! executor, two-transaction conflict tests) detaches the guard with
-//! [`Txn::park`] and re-attaches it later with [`Database::resume`]; the
-//! transaction stays active in between, it just has no guard watching it.
+//! The transaction session API: the [`Txn`] guard, [`Database::txn`] and
+//! [`Database::resume`].
 
 use crate::db::Database;
 use crate::error::EngineError;
@@ -20,7 +7,20 @@ use crate::heap::Rid;
 use crate::txn::TxId;
 use crate::Result;
 
-/// An RAII transaction guard. See the [module docs](self).
+/// An RAII transaction guard replacing raw `TxId`-threading.
+///
+/// [`Database::txn`] begins a transaction and returns a guard that borrows
+/// the database exclusively for the transaction's duration. Every
+/// transactional operation hangs off the guard (`txn.heap_insert(...)`,
+/// `txn.index_lookup(...)`); [`Txn::commit`] and [`Txn::abort`] consume
+/// it, and dropping a live guard rolls the transaction back automatically
+/// (counted in [`crate::EngineStats::drop_aborts`]) — a forgotten
+/// transaction can no longer leak locks or undo chains.
+///
+/// Code that genuinely interleaves transactions (the multi-client
+/// executor, two-transaction conflict tests) detaches the guard with
+/// [`Txn::park`] and re-attaches it later with [`Database::resume`]; the
+/// transaction stays active in between, it just has no guard watching it.
 #[must_use = "dropping a Txn guard aborts the transaction"]
 #[derive(Debug)]
 pub struct Txn<'db> {

@@ -8,7 +8,6 @@ crate::counters! {
     /// chip-parallelism breakdown in the observability snapshots (skewed
     /// per-chip loads show up directly here).
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    #[must_use]
     pub struct ChipCounters {
         /// Page reads dispatched to this chip.
         pub reads: u64,

@@ -56,7 +56,9 @@ pub trait Counters: Default {
 /// Declare a counter struct and derive its [`Counters`] impl.
 ///
 /// The body is an ordinary struct declaration (attributes, docs and
-/// visibility pass through unchanged). A `u64` field is a `sum` counter
+/// visibility pass through unchanged; the struct is also made
+/// `#[must_use]` — a measurement that is taken and dropped is a bug). A
+/// `u64` field is a `sum` counter
 /// unless tagged `as max`; a [`LatencyHistogram`] field is tagged `as hist`:
 ///
 /// ```
@@ -87,6 +89,7 @@ macro_rules! counters {
         }
     ) => {
         $(#[$meta])*
+        #[must_use]
         $vis struct $name {
             $( $(#[$fmeta])* $fvis $field: $ty, )*
         }

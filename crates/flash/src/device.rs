@@ -12,7 +12,7 @@ use crate::geometry::{CellType, FlashGeometry, PageKind, Ppa};
 use crate::obs::{EventKind, ObsCtx, ObsEvent, Observer, OpClass, SpanCategory, SpanId};
 use crate::page::PageState;
 use crate::reliability::{BitError, ErrorKind, ErrorLedger, ReadOutcome, ReliabilityConfig};
-use crate::sched::{CmdId, Completion, IoCmdKind, IoCommand, IoScheduler};
+use crate::sched::{CmdId, Completion, IoScheduler};
 use crate::stats::FlashStats;
 use crate::timing::{FlashTiming, HostProfile, SimClock, NANOS_PER_MILLI};
 use crate::Result;
@@ -528,34 +528,12 @@ impl FlashDevice {
     /// Block until a host queue slot is free, counting any full-queue
     /// waits. Upper layers call this *before* side effects that must
     /// happen at the post-wait clock (e.g. GC triggered by an allocation
-    /// for a queued write); [`FlashDevice::submit`] calls it implicitly.
+    /// for a queued write); the host-origin `submit_*` methods call it
+    /// implicitly.
     pub fn reserve_host_slot(&mut self) {
         let t0 = self.clock.now_ns();
         self.stats.queue_waits += self.sched.admit_host(&mut self.clock);
         self.pending_queue_wait_ns += self.clock.now_ns() - t0;
-    }
-
-    /// Submit a typed command; returns its id for later completion.
-    ///
-    /// Validation, state mutation, statistics and event emission happen at
-    /// submission (the simulator is sequential — only *time* is queued), so
-    /// an invalid command fails here and produces no completion. A
-    /// host-origin command first waits for a free queue slot; its clock
-    /// advance to completion time is deferred to [`FlashDevice::complete`].
-    pub fn submit(&mut self, cmd: IoCommand) -> Result<CmdId> {
-        let IoCommand { kind, origin, obs } = cmd;
-        if obs.region.is_some() || obs.lba.is_some() {
-            self.obs_ctx = obs;
-        }
-        match kind {
-            IoCmdKind::Read { ppa } => self.submit_read(ppa, origin),
-            IoCmdKind::Program { ppa, data } => self.submit_program(ppa, &data, origin),
-            IoCmdKind::ProgramDelta { ppa, offset, data } => {
-                self.submit_program_partial(ppa, offset, &data, origin)
-            }
-            IoCmdKind::Erase { chip, block } => self.submit_erase(chip, block, origin),
-            IoCmdKind::Refresh { ppa } => self.submit_refresh(ppa, origin),
-        }
     }
 
     /// Retire a specific command. For host-origin commands the simulated
@@ -1387,7 +1365,7 @@ mod tests {
         let image = vec![0x00; 4096];
         let mut ids = Vec::new();
         for chip in 0..4 {
-            ids.push(q.submit(IoCommand::program(Ppa::new(chip, 0, 0), image.clone())).unwrap());
+            ids.push(q.submit_program(Ppa::new(chip, 0, 0), &image, OpOrigin::Host).unwrap());
         }
         assert_eq!(q.host_inflight(), 4);
         let done = q.drain();
@@ -1420,7 +1398,7 @@ mod tests {
         let mut d = FlashDevice::new(cfg);
         let image = vec![0x00; 4096];
         for page in 0..6 {
-            d.submit(IoCommand::program(Ppa::new(0, 0, page), image.clone())).unwrap();
+            d.submit_program(Ppa::new(0, 0, page), &image, OpOrigin::Host).unwrap();
         }
         let mut done = d.drain();
         done.sort_by_key(|c| c.started_at_ns);
@@ -1441,12 +1419,12 @@ mod tests {
         cfg.queue_depth = 2;
         let mut d = FlashDevice::new(cfg);
         let image = vec![0x00; 4096];
-        d.submit(IoCommand::program(Ppa::new(0, 0, 0), image.clone())).unwrap();
-        d.submit(IoCommand::program(Ppa::new(1, 0, 0), image.clone())).unwrap();
+        d.submit_program(Ppa::new(0, 0, 0), &image, OpOrigin::Host).unwrap();
+        d.submit_program(Ppa::new(1, 0, 0), &image, OpOrigin::Host).unwrap();
         assert_eq!(d.clock().now_ns(), 0, "queue not yet full; submits are free");
         // Third submission exceeds depth 2: the submitter waits for the
         // earliest completion before the command is even admitted.
-        d.submit(IoCommand::program(Ppa::new(0, 0, 1), image.clone())).unwrap();
+        d.submit_program(Ppa::new(0, 0, 1), &image, OpOrigin::Host).unwrap();
         assert!(d.clock().now_ns() > 0);
         assert_eq!(d.stats().queue_waits, 1);
         assert_eq!(d.stats().queue_highwater, 2);
@@ -1465,7 +1443,7 @@ mod tests {
         let mut q = FlashDevice::new(cfg.clone());
         assert_eq!(q.queue_depth(), 1);
         for chip in 0..4 {
-            q.submit(IoCommand::program(Ppa::new(chip, 0, 0), image.clone())).unwrap();
+            q.submit_program(Ppa::new(chip, 0, 0), &image, OpOrigin::Host).unwrap();
         }
         q.drain();
 
@@ -1490,8 +1468,8 @@ mod tests {
         cfg.queue_depth = 4;
         let mut d = FlashDevice::new(cfg);
         let image = vec![0x00; 4096];
-        let a = d.submit(IoCommand::program(Ppa::new(0, 0, 0), image.clone())).unwrap();
-        let b = d.submit(IoCommand::program(Ppa::new(1, 0, 0), image.clone())).unwrap();
+        let a = d.submit_program(Ppa::new(0, 0, 0), &image, OpOrigin::Host).unwrap();
+        let b = d.submit_program(Ppa::new(1, 0, 0), &image, OpOrigin::Host).unwrap();
         assert!(d.poll_completions().is_empty(), "nothing due at t=0");
         let t = d.clock().now_ns();
         let ca = d.complete(a).unwrap();
@@ -1510,7 +1488,7 @@ mod tests {
         let ppa = Ppa::new(0, 0, 0);
         let data = full(&d, 0x3C);
         d.program(ppa, &data, OpOrigin::Host).unwrap();
-        let id = d.submit(IoCommand::read(ppa)).unwrap();
+        let id = d.submit_read(ppa, OpOrigin::Host).unwrap();
         let c = d.complete(id).unwrap();
         assert_eq!(c.data.as_deref(), Some(&data[..]));
         assert_eq!(c.chip, 0);

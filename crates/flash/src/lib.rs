@@ -58,6 +58,25 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Held by clippy with type information (CI: `cargo clippy --workspace
+// --all-targets -- -D warnings`): no panicking shortcut, no swallowed
+// `Result`, nothing that reads host state or hash order (the banned calls
+// are listed once, in `crates/clippy.toml`). Test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type
+    )
+)]
 
 mod block;
 mod chip;
@@ -88,7 +107,7 @@ pub use obs::{
 pub use oob::{OobArea, OobLayout, Section};
 pub use page::{PageData, PageState};
 pub use reliability::{ReadOutcome, ReliabilityConfig};
-pub use sched::{CmdId, Completion, IoCmdKind, IoCommand, IoScheduler};
+pub use sched::{CmdId, Completion, IoScheduler};
 pub use stats::{FlashStats, LatencyHistogram};
 pub use timing::{ChipSchedule, FlashTiming, HostProfile, SimClock, NANOS_PER_MILLI};
 

@@ -1,5 +1,5 @@
-//! Queued I/O: typed flash commands, per-chip dispatch queues and
-//! completion bookkeeping.
+//! Queued I/O: command ids, per-chip dispatch queues and completion
+//! bookkeeping.
 //!
 //! The paper's OpenSSD Jasmine board had no NCQ, so host operations were
 //! strictly serial (Appendix D, point 1) — the synchronous
@@ -13,8 +13,6 @@
 //! board's serial timings are reproduced exactly.
 
 use crate::device::{OpOrigin, OpResult};
-use crate::geometry::Ppa;
-use crate::obs::{ObsCtx, SpanId};
 use crate::timing::{ChipSchedule, HostProfile, SimClock};
 
 /// Identifier of a submitted command, unique per device for its lifetime.
@@ -24,119 +22,6 @@ pub struct CmdId(pub u64);
 impl std::fmt::Display for CmdId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "cmd#{}", self.0)
-    }
-}
-
-/// The operation a queued command performs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IoCmdKind {
-    /// Read a page's main area (data is returned in the completion).
-    Read {
-        /// Page to read.
-        ppa: Ppa,
-    },
-    /// Full-page program of an erased page.
-    Program {
-        /// Target page.
-        ppa: Ppa,
-        /// Page image (bytes left `0xFF` stay unprogrammed).
-        data: Vec<u8>,
-    },
-    /// ISPP partial program (in-place delta append).
-    ProgramDelta {
-        /// Target page.
-        ppa: Ppa,
-        /// Byte offset of the append within the page.
-        offset: usize,
-        /// Delta payload.
-        data: Vec<u8>,
-    },
-    /// Block erase.
-    Erase {
-        /// Chip index.
-        chip: u32,
-        /// Block index within the chip.
-        block: u32,
-    },
-    /// Correct-and-Refresh of a programmed page.
-    Refresh {
-        /// Page to refresh.
-        ppa: Ppa,
-    },
-}
-
-impl IoCmdKind {
-    /// The chip this command occupies.
-    pub fn chip(&self) -> u32 {
-        match self {
-            IoCmdKind::Read { ppa }
-            | IoCmdKind::Program { ppa, .. }
-            | IoCmdKind::ProgramDelta { ppa, .. }
-            | IoCmdKind::Refresh { ppa } => ppa.chip,
-            IoCmdKind::Erase { chip, .. } => *chip,
-        }
-    }
-}
-
-/// A typed command carrying its origin and trace attribution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IoCommand {
-    /// What to do.
-    pub kind: IoCmdKind,
-    /// Scheduling/statistics origin (host, async host, background).
-    pub origin: OpOrigin,
-    /// Trace attribution (region id, LBA) for the emitted event. When unset,
-    /// the device's staged context applies as with the synchronous methods.
-    pub obs: ObsCtx,
-}
-
-impl IoCommand {
-    fn new(kind: IoCmdKind, origin: OpOrigin) -> Self {
-        IoCommand { kind, origin, obs: ObsCtx::default() }
-    }
-
-    /// A host page read.
-    pub fn read(ppa: Ppa) -> Self {
-        IoCommand::new(IoCmdKind::Read { ppa }, OpOrigin::Host)
-    }
-
-    /// A host full-page program.
-    pub fn program(ppa: Ppa, data: Vec<u8>) -> Self {
-        IoCommand::new(IoCmdKind::Program { ppa, data }, OpOrigin::Host)
-    }
-
-    /// A host in-place delta append.
-    pub fn program_delta(ppa: Ppa, offset: usize, data: Vec<u8>) -> Self {
-        IoCommand::new(IoCmdKind::ProgramDelta { ppa, offset, data }, OpOrigin::Host)
-    }
-
-    /// A background block erase.
-    pub fn erase(chip: u32, block: u32) -> Self {
-        IoCommand::new(IoCmdKind::Erase { chip, block }, OpOrigin::Background)
-    }
-
-    /// A background Correct-and-Refresh.
-    pub fn refresh(ppa: Ppa) -> Self {
-        IoCommand::new(IoCmdKind::Refresh { ppa }, OpOrigin::Background)
-    }
-
-    /// Override the command's origin.
-    pub fn with_origin(mut self, origin: OpOrigin) -> Self {
-        self.origin = origin;
-        self
-    }
-
-    /// Attach trace attribution (region id, LBA). Keeps any span already
-    /// attached via [`IoCommand::with_span`].
-    pub fn with_obs(mut self, region: Option<u32>, lba: Option<u64>) -> Self {
-        self.obs = ObsCtx { region, lba, span: self.obs.span };
-        self
-    }
-
-    /// Attach the causal span this command executes under.
-    pub fn with_span(mut self, span: SpanId) -> Self {
-        self.obs.span = Some(span);
-        self
     }
 }
 
@@ -408,19 +293,5 @@ mod tests {
         assert!(ready.windows(2).all(|w| {
             (w[0].result.completed_at_ns, w[0].id) < (w[1].result.completed_at_ns, w[1].id)
         }));
-    }
-
-    #[test]
-    fn command_constructors_pick_conventional_origins() {
-        let c = IoCommand::read(Ppa::new(0, 0, 0));
-        assert_eq!(c.origin, OpOrigin::Host);
-        let c = IoCommand::erase(0, 1);
-        assert_eq!(c.origin, OpOrigin::Background);
-        let c = IoCommand::refresh(Ppa::new(0, 0, 0)).with_origin(OpOrigin::HostAsync);
-        assert_eq!(c.origin, OpOrigin::HostAsync);
-        let c = IoCommand::program(Ppa::new(1, 2, 3), vec![0xFF]).with_obs(Some(4), Some(9));
-        assert_eq!(c.kind.chip(), 1);
-        assert_eq!(c.obs.region, Some(4));
-        assert_eq!(c.obs.lba, Some(9));
     }
 }

@@ -126,7 +126,6 @@ impl LatencyHistogram {
 crate::counters! {
     /// Cumulative operation counters of a flash device.
     #[derive(Debug, Clone, Default)]
-    #[must_use]
     pub struct FlashStats {
         /// Page reads issued on behalf of the host.
         pub host_reads: u64,

@@ -225,7 +225,6 @@ impl HybridFtl {
         if self.dev.observing() {
             self.dev.set_obs_ctx(None, Some(lba));
         }
-        // audit:allow(L002, reason = "baseline comparator: alloc_log_slot just handed out an erased slot")
         self.dev.program(ppa, &img, OpOrigin::Host).expect("log slot is erased");
         self.residency.insert(lba, Residency::Log(ppa));
         self.stats.log_writes += 1;
@@ -236,14 +235,12 @@ impl HybridFtl {
             Some(Residency::Log(p)) => *p,
             _ => {
                 let (lb, off) = self.logical_block(lba);
-                // audit:allow(L002, reason = "baseline comparator: Data residency implies a data_map entry")
                 self.ppa(*self.data_map.get(&lb).expect("resident page has a data block"), off)
             }
         }
     }
 
     fn alloc_block(&mut self) -> u64 {
-        // audit:allow(L002, reason = "baseline comparator: block budget is sized at construction")
         self.free_blocks.pop().expect("hybrid FTL out of physical blocks")
     }
 
@@ -256,7 +253,6 @@ impl HybridFtl {
             self.log_blocks.push(b);
             self.log_cursor = 0;
         }
-        // audit:allow(L002, reason = "baseline comparator: the branch above just pushed a log block")
         let block = *self.log_blocks.last().expect("active log block");
         let ppa = self.ppa(block, self.log_cursor);
         self.log_cursor += 1;
@@ -292,13 +288,11 @@ impl HybridFtl {
                     continue;
                 }
                 let src = self.current_ppa(lba);
-                // audit:allow(L002, reason = "baseline comparator: residency map only points at programmed pages")
                 let (img, _) = self.dev.read(src, OpOrigin::Background).expect("valid page");
                 let dst = self.ppa(new_block, off);
                 if self.dev.observing() {
                     self.dev.set_obs_ctx(None, Some(lba));
                 }
-                // audit:allow(L002, reason = "baseline comparator: merge target block was just erased")
                 self.dev.program(dst, &img, OpOrigin::Background).expect("fresh block");
                 self.residency.insert(lba, Residency::Data);
                 self.appends.insert(lba, 0);
@@ -316,7 +310,6 @@ impl HybridFtl {
         let geom = &self.dev.config().geometry;
         let chip = (flat / geom.blocks_per_chip as u64) as u32;
         let block = (flat % geom.blocks_per_chip as u64) as u32;
-        // audit:allow(L002, reason = "baseline comparator: flat index is derived from device geometry")
         self.dev.erase(chip, block).expect("erase");
         self.stats.erases += 1;
         self.free_blocks.push(flat);

@@ -48,7 +48,7 @@ impl NoFtlError {
     /// Whether this is an uncorrectable-ECC read failure (the page's raw
     /// bit-error count exceeded the ECC capability). Exposed so upper
     /// layers can route the error into read-retry / rebuild paths without
-    /// naming `ipa_flash` types (L003 layering).
+    /// naming `ipa_flash` types (the engine does not depend on `ipa-flash`).
     pub fn is_uncorrectable_ecc(&self) -> bool {
         matches!(self, NoFtlError::Flash(FlashError::UncorrectableEcc { .. }))
     }

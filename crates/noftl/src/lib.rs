@@ -31,10 +31,28 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Held by clippy with type information (CI: `cargo clippy --workspace
+// --all-targets -- -D warnings`): no panicking shortcut, no swallowed
+// `Result`, nothing that reads host state or hash order (the banned calls
+// are listed once, in `crates/clippy.toml`). Test code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type
+    )
+)]
 
 mod config;
 mod error;
-pub mod hybrid;
 mod io;
 mod manager;
 mod region;
@@ -43,7 +61,6 @@ mod stats;
 
 pub use config::{FaultPolicy, IpaMode, NoFtlConfig, NoFtlConfigBuilder, RegionSpec};
 pub use error::NoFtlError;
-pub use hybrid::{HybridConfig, HybridFtl, HybridStats};
 pub use io::{IoCtx, PageIo};
 pub use manager::{NoFtl, RegionId};
 pub use region::Lba;
@@ -53,7 +70,8 @@ pub use stats::{HeatSummary, RegionStats};
 // Vocabulary types that travel through this crate's API: queued-I/O
 // handles, op attribution/outcome, device configuration and the observer
 // hooks. Re-exported so upper layers (the engine in particular) never
-// import `ipa_flash` directly — the L003 layering lint enforces this.
+// import `ipa_flash` directly — its manifest does not declare it
+// (`tests/layering.rs`).
 pub use ipa_flash::{
     counters, CmdId, Completion, Counters, EventKind, FaultOp, FaultPlan, FlashConfig, ObsEvent,
     Observer, OpClass, OpOrigin, OpResult, RecoveryPhaseKind, ScriptedFault, SpanCategory, SpanId,

@@ -11,7 +11,8 @@
 //!
 //! The trait deliberately speaks raw bytes: this crate manages flash and
 //! knows nothing about page layouts (the engine implements the rewriter
-//! over its own page format; the L003 layering lint keeps it that way).
+//! over its own page format; this crate's manifest declares no engine
+//! dependency).
 
 use std::sync::Arc;
 

@@ -10,7 +10,6 @@ ipa_flash::counters! {
     /// Heat is cumulative over the life of the region (like wear, it is *not*
     /// cleared by a stats reset), so every field is monotone and snapshot-safe.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    #[must_use]
     pub struct HeatSummary {
         /// Total host updates (out-of-place writes + in-place appends +
         /// delta fallbacks) across all logical pages.
@@ -25,7 +24,6 @@ ipa_flash::counters! {
 ipa_flash::counters! {
     /// Counters for one region.
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
-    #[must_use]
     pub struct RegionStats {
         /// Host page reads (`Host Reads`).
         pub host_reads: u64,

@@ -8,7 +8,7 @@
 //! attributed flash time is the part of the transaction's latency the
 //! device is responsible for.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use serde_json::{json, Value};
 
@@ -70,7 +70,7 @@ pub fn critical_path(seg: &Segment) -> CriticalPath {
         seg.spans.iter().filter(|s| s.parent.is_none()).map(|s| s.id).collect();
 
     let mut report = CriticalPath::default();
-    let mut by_root: HashMap<u64, TxnPath> = HashMap::new();
+    let mut by_root: BTreeMap<u64, TxnPath> = BTreeMap::new();
     for s in &seg.spans {
         if !roots.contains(&s.id) {
             if let Some(&root) = root_of.get(&s.id) {

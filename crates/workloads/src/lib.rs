@@ -28,6 +28,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Held by clippy (CI runs it with `-D warnings`): a `Result` is never
+// swallowed outside test code.
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 
 pub mod driver;
 pub mod linkbench;

@@ -206,7 +206,10 @@ impl LinkBench {
         let id = self.pick_node(rng);
         let mut tx = db.txn();
         if let Some(enc) = tx.index_lookup(self.node_index, id)? {
-            // audit:allow(L009, reason = "read-only warm-up touch; a miss is benign for the workload mix")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "read-only warm-up touch; a miss is benign for the workload mix"
+            )]
             let _ = tx.heap_read(self.heap_node, Rid::decode(0, enc));
         }
         tx.commit()
@@ -220,7 +223,10 @@ impl LinkBench {
         let mut tx = db.txn();
         let links = tx.index_range(self.link_index, lo, hi)?;
         for (_, enc) in links.iter().take(10) {
-            // audit:allow(L009, reason = "read-only warm-up touch; a miss is benign for the workload mix")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "read-only warm-up touch; a miss is benign for the workload mix"
+            )]
             let _ = tx.heap_read(self.heap_link, Rid::decode(0, *enc));
         }
         tx.commit()
@@ -231,7 +237,10 @@ impl LinkBench {
         let lt = uniform(rng, 0, self.link_types - 1);
         let mut tx = db.txn();
         if let Some(enc) = tx.index_lookup(self.count_index, self.count_key(id1, lt))? {
-            // audit:allow(L009, reason = "read-only warm-up touch; a miss is benign for the workload mix")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "read-only warm-up touch; a miss is benign for the workload mix"
+            )]
             let _ = tx.heap_read(self.heap_count, Rid::decode(0, enc));
         }
         tx.commit()

@@ -347,7 +347,10 @@ impl TpcC {
         let _cust = tx.heap_read(self.heap_customer, crid)?;
         let slot = (self.customer_key(w, d, c) % self.last_order.len() as u64) as usize;
         if let Some(orid) = self.last_order[slot] {
-            // audit:allow(L009, reason = "order-status touch of a possibly-delivered order; a miss is part of the mix")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "order-status touch of a possibly-delivered order; a miss is part of the mix"
+            )]
             let _ = tx.heap_read(self.heap_order, orid);
         }
         tx.commit()
