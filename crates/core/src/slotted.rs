@@ -37,7 +37,15 @@ pub struct DbPage {
 impl DbPage {
     /// Format a fresh page: erased buffer, initialized header.
     pub fn format(page_id: u64, layout: PageLayout) -> Self {
-        let mut buf = vec![0xFF; layout.page_size];
+        Self::format_in(Vec::new(), page_id, layout)
+    }
+
+    /// [`DbPage::format`] into `buf`, keeping its allocation and nothing of
+    /// its contents (a buffer pool formats a fresh page in the buffer of
+    /// the frame it just evicted).
+    pub fn format_in(mut buf: Vec<u8>, page_id: u64, layout: PageLayout) -> Self {
+        buf.clear();
+        buf.resize(layout.page_size, 0xFF);
         HeaderView::set_magic(&mut buf);
         HeaderView::set_page_id(&mut buf, page_id);
         HeaderView::set_lsn(&mut buf, 0);

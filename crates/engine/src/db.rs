@@ -529,21 +529,22 @@ impl Database {
             }
         };
         let pid = PageId::new(region, lba);
-        self.ensure_free_frame()?;
-        self.insert_fresh_frame(pid)?;
+        let buf = self.ensure_free_frame()?.unwrap_or_default();
+        self.insert_fresh_frame(pid, buf)?;
         Ok(pid)
     }
 
     /// Materialize `pid` in the pool as a formatted page that is not on
-    /// flash yet. A fresh page is dirty by construction (it must reach
+    /// flash yet, formatted in `buf` (an evicted frame's buffer, or an
+    /// empty one). A fresh page is dirty by construction (it must reach
     /// flash at least once), so its tracker is marked out-of-place and the
     /// frame enters the pool's dirty set on arrival. The caller has made
     /// sure a slot is free.
-    pub(crate) fn insert_fresh_frame(&mut self, pid: PageId) -> Result<()> {
+    pub(crate) fn insert_fresh_frame(&mut self, pid: PageId, buf: Vec<u8>) -> Result<()> {
         let layout = self.layouts[pid.region];
         let mut tracker = ChangeTracker::new(layout.scheme, 0, false);
         tracker.mark_out_of_place();
-        let frame = Frame::new(pid, DbPage::format(pid.lba.0, layout), tracker);
+        let frame = Frame::new(pid, DbPage::format_in(buf, pid.lba.0, layout), tracker);
         self.pool.insert(frame).ok_or(EngineError::Internal("no free frame for a fresh page"))?;
         Ok(())
     }
@@ -569,22 +570,24 @@ impl Database {
 
     /// Make sure at least one frame is free, evicting (and flushing) a
     /// CLOCK victim if necessary. Eviction-path writes are synchronous —
-    /// the fetching transaction waits for them (steal policy).
-    fn ensure_free_frame(&mut self) -> Result<()> {
+    /// the fetching transaction waits for them (steal policy). Returns the
+    /// evicted frame's page buffer: the caller formats the incoming fresh
+    /// page in it, or hands it to [`NoFtl::recycle`] for the read that
+    /// brings the incoming page in.
+    fn ensure_free_frame(&mut self) -> Result<Option<Vec<u8>>> {
         if self.pool.has_free_slot() {
-            return Ok(());
+            return Ok(None);
         }
         let victim = self.pool.pick_victim().ok_or(EngineError::PoolExhausted)?;
-        let vpid = self.pool.frame_mut(victim).map(|f| f.page_id);
         self.flush_frame(victim, IoCtx::host())?;
-        self.pool.remove(victim);
+        let evicted = self.pool.remove(victim);
         self.stats.evictions += 1;
         if self.ftl.observing() {
-            if let Some(pid) = vpid {
+            if let Some(pid) = evicted.as_ref().map(|f| f.page_id) {
                 self.ftl.emit(EventKind::Evict, Some(pid.region as u32), Some(pid.lba.0));
             }
         }
-        Ok(())
+        Ok(evicted.map(|f| f.page.into_bytes()))
     }
 
     /// Fetch a page into the buffer, returning its frame index.
@@ -597,7 +600,9 @@ impl Database {
             }
             return Ok(idx);
         }
-        self.ensure_free_frame()?;
+        if let Some(buf) = self.ensure_free_frame()? {
+            self.ftl.recycle(buf);
+        }
         if let Some(trace) = &mut self.trace {
             trace.push(TraceEvent::Fetch { page: pid.lba.0 });
         }
@@ -770,7 +775,9 @@ impl Database {
                 Some(target) => frame.page.relayout(target).is_ok(),
                 None => false,
             };
-            let image = frame.page.bytes().to_vec();
+            // The image is programmed from the frame's own bytes: `frame`
+            // borrows `self.pool`, the write goes through `self.ftl`.
+            let image = frame.page.bytes();
             let layout = *frame.page.layout();
             if upgraded {
                 self.stats.scheme_upgrades += 1;
@@ -778,16 +785,16 @@ impl Database {
             if self.ftl.observing() {
                 self.ftl.emit(EventKind::FlushOop, Some(pid.region as u32), Some(pid.lba.0));
             }
-            self.ftl.submit_write(rid, pid.lba, &image, ctx)?;
+            self.ftl.submit_write(rid, pid.lba, image, ctx)?;
             self.stats.gross_written_bytes += image.len() as u64;
+            let code = self.config.verify_ecc.then(|| ecc::initial_code(image, &layout));
             if self.adaptive.is_some() && self.oob_size >= 7 {
                 // Per-page scheme tag in the OOB Meta section (forensics /
                 // offline tooling; the page header stays authoritative).
                 self.ftl.write_oob(rid, pid.lba, 0, &scheme_oob_tag(&layout.scheme))?;
             }
-            if self.config.verify_ecc {
+            if let Some(code) = code {
                 if let Some(oob_layout) = self.oob_layout_for(pid.region, &layout.scheme) {
-                    let code = ecc::initial_code(&image, &layout);
                     let range = oob_layout
                         .range(ecc::ipa_oob::Section::EccInitial)
                         .ok_or(EngineError::Internal("oob layout lacks the EccInitial slot"))?;

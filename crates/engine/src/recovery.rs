@@ -121,7 +121,7 @@ fn ensure_page(db: &mut Database, pid: PageId) -> Result<()> {
         db.flush_frame(victim, ipa_noftl::IoCtx::host())?;
         db.pool.remove(victim);
     }
-    db.insert_fresh_frame(pid)
+    db.insert_fresh_frame(pid, Vec::new())
 }
 
 /// Apply one action physically. During redo (`check_lsn = true`) the

@@ -1,7 +1,7 @@
 //! The flash block: the erase unit.
 
 use crate::error::FlashError;
-use crate::page::PageData;
+use crate::page::{PageData, SparePages};
 
 /// Coarse state of a block, tracked for the management layer's benefit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,9 +34,9 @@ pub struct Block {
 
 impl Block {
     /// A fresh block with `pages_per_block` erased pages.
-    pub fn new(pages_per_block: u32, page_size: usize, oob_size: usize) -> Self {
+    pub fn new(pages_per_block: u32, oob_size: usize) -> Self {
         Block {
-            pages: (0..pages_per_block).map(|_| PageData::erased(page_size, oob_size)).collect(),
+            pages: (0..pages_per_block).map(|_| PageData::erased(oob_size)).collect(),
             erase_count: 0,
             state: BlockState::Free,
             bad_marker: 0xFF,
@@ -85,14 +85,16 @@ impl Block {
         &mut self.pages[page as usize]
     }
 
-    /// Erase the whole block, resetting every page. Fails once the endurance
-    /// limit is reached; the failing erase is counted as the wearing-out
-    /// cycle.
+    /// Erase the whole block, resetting every page: the pages' main-area
+    /// buffers move to `spare` (pointer moves, no refill). Fails once the
+    /// endurance limit is reached; the failing erase is counted as the
+    /// wearing-out cycle.
     pub(crate) fn erase(
         &mut self,
         chip: u32,
         block: u32,
         endurance: u64,
+        spare: &mut SparePages,
     ) -> Result<(), FlashError> {
         if self.state == BlockState::Retired {
             return Err(FlashError::BlockRetired { chip, block });
@@ -102,7 +104,7 @@ impl Block {
             return Err(FlashError::BlockWornOut { chip, block, cycles: self.erase_count });
         }
         for p in &mut self.pages {
-            p.erase();
+            p.erase(spare);
         }
         self.erase_count += 1;
         self.state = BlockState::Free;
@@ -121,9 +123,13 @@ mod tests {
     use crate::geometry::Ppa;
     use crate::page::PageState;
 
+    fn spare() -> SparePages {
+        SparePages::new(128)
+    }
+
     #[test]
     fn new_block_is_free_with_erased_pages() {
-        let b = Block::new(4, 128, 8);
+        let b = Block::new(4, 8);
         assert_eq!(b.state(), BlockState::Free);
         assert_eq!(b.erase_count(), 0);
         assert_eq!(b.programmed_pages(), 0);
@@ -134,25 +140,27 @@ mod tests {
 
     #[test]
     fn programming_marks_in_use_and_erase_resets() {
-        let mut b = Block::new(4, 128, 8);
-        b.page_mut(1).program(Ppa::new(0, 0, 1), &[0u8; 128]).unwrap();
+        let mut b = Block::new(4, 8);
+        let mut spare = spare();
+        b.page_mut(1).program(Ppa::new(0, 0, 1), &[0u8; 128], &mut spare).unwrap();
         assert_eq!(b.state(), BlockState::InUse);
         assert_eq!(b.programmed_pages(), 1);
-        b.erase(0, 0, 100).unwrap();
+        b.erase(0, 0, 100, &mut spare).unwrap();
         assert_eq!(b.state(), BlockState::Free);
         assert_eq!(b.erase_count(), 1);
         assert_eq!(b.programmed_pages(), 0);
+        assert_eq!(spare.len(), 1, "only the programmed page had a buffer to detach");
     }
 
     #[test]
     fn retired_block_refuses_erase() {
-        let mut b = Block::new(1, 16, 4);
+        let mut b = Block::new(1, 4);
         assert!(!b.bad_marked());
         b.retire();
         assert!(b.is_retired());
         assert!(b.bad_marked());
         assert_eq!(b.state(), BlockState::Retired);
-        let err = b.erase(2, 3, 100).unwrap_err();
+        let err = b.erase(2, 3, 100, &mut spare()).unwrap_err();
         assert_eq!(err, FlashError::BlockRetired { chip: 2, block: 3 });
     }
 
@@ -161,9 +169,9 @@ mod tests {
         // The grown-bad marker must not alias any byte of the host OOB
         // window: retiring a block with programmed page-0 OOB leaves that
         // metadata untouched.
-        let mut b = Block::new(2, 16, 4);
+        let mut b = Block::new(2, 4);
         let ppa = Ppa::new(0, 0, 0);
-        b.page_mut(0).program(ppa, &[0xAB; 16]).unwrap();
+        b.page_mut(0).program(ppa, &[0xAB; 128], &mut spare()).unwrap();
         b.page_mut(0).program_oob(ppa, 0, &[0x12, 0x34]).unwrap();
         b.retire();
         assert!(b.bad_marked());
@@ -172,10 +180,11 @@ mod tests {
 
     #[test]
     fn erase_respects_endurance() {
-        let mut b = Block::new(1, 16, 4);
-        b.erase(0, 0, 2).unwrap();
-        b.erase(0, 0, 2).unwrap();
-        let err = b.erase(0, 7, 2).unwrap_err();
+        let mut b = Block::new(1, 4);
+        let mut spare = spare();
+        b.erase(0, 0, 2, &mut spare).unwrap();
+        b.erase(0, 0, 2, &mut spare).unwrap();
+        let err = b.erase(0, 7, 2, &mut spare).unwrap_err();
         assert_eq!(err, FlashError::BlockWornOut { chip: 0, block: 7, cycles: 2 });
         assert_eq!(b.state(), BlockState::WornOut);
     }

@@ -34,9 +34,7 @@ impl Chip {
     pub fn new(geometry: &FlashGeometry) -> Self {
         Chip {
             blocks: (0..geometry.blocks_per_chip)
-                .map(|_| {
-                    Block::new(geometry.pages_per_block, geometry.page_size, geometry.oob_size)
-                })
+                .map(|_| Block::new(geometry.pages_per_block, geometry.oob_size))
                 .collect(),
             counters: ChipCounters::default(),
         }
@@ -82,6 +80,7 @@ impl Chip {
 mod tests {
     use super::*;
     use crate::geometry::CellType;
+    use crate::page::SparePages;
     use crate::Counters;
 
     fn geom() -> FlashGeometry {
@@ -106,9 +105,10 @@ mod tests {
     #[test]
     fn wear_metrics_track_erases() {
         let mut c = Chip::new(&geom());
-        c.block_mut(0).erase(0, 0, 1000).unwrap();
-        c.block_mut(0).erase(0, 0, 1000).unwrap();
-        c.block_mut(2).erase(0, 2, 1000).unwrap();
+        let mut spare = SparePages::new(64);
+        c.block_mut(0).erase(0, 0, 1000, &mut spare).unwrap();
+        c.block_mut(0).erase(0, 0, 1000, &mut spare).unwrap();
+        c.block_mut(2).erase(0, 2, 1000, &mut spare).unwrap();
         assert_eq!(c.total_erases(), 3);
         assert_eq!(c.max_erase_count(), 2);
         assert_eq!(c.min_erase_count(), 0);

@@ -10,7 +10,7 @@ use crate::error::FlashError;
 use crate::fault::{FaultInjector, FaultOp, FaultPlan, FaultVerdict};
 use crate::geometry::{CellType, FlashGeometry, PageKind, Ppa};
 use crate::obs::{EventKind, ObsCtx, ObsEvent, Observer, OpClass, SpanCategory, SpanId};
-use crate::page::PageState;
+use crate::page::{PageState, SparePages};
 use crate::reliability::{BitError, ErrorKind, ErrorLedger, ReadOutcome, ReliabilityConfig};
 use crate::sched::{CmdId, Completion, IoScheduler};
 use crate::stats::FlashStats;
@@ -227,6 +227,12 @@ pub struct FlashDevice {
     ledger: ErrorLedger,
     fault: FaultInjector,
     rng: StdRng,
+    /// Page buffers detached by erases or handed back through
+    /// [`FlashDevice::recycle`], reused by the next program or read.
+    spare: SparePages,
+    /// What [`FlashDevice::peek`] shows for an erased page, which holds no
+    /// buffer of its own. Built on first use.
+    erased_image: std::sync::OnceLock<Box<[u8]>>,
     observer: Option<Box<dyn Observer>>,
     obs_seq: u64,
     obs_ctx: ObsCtx,
@@ -270,6 +276,8 @@ impl FlashDevice {
             ledger: ErrorLedger::default(),
             fault: FaultInjector::new(config.fault.clone()),
             rng: StdRng::seed_from_u64(seed),
+            spare: SparePages::new(config.geometry.page_size),
+            erased_image: std::sync::OnceLock::new(),
             config,
             observer: None,
             obs_seq: 0,
@@ -598,10 +606,31 @@ impl FlashDevice {
     }
 
     /// Zero-copy view of a page's main area (diagnostics/tests; bypasses
-    /// timing, statistics and the error model).
+    /// timing, statistics and the error model). An erased page reads as
+    /// all ones.
     pub fn peek(&self, ppa: Ppa) -> Result<&[u8]> {
         self.check(ppa)?;
-        Ok(self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page).main())
+        Ok(match self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page).main() {
+            Some(main) => main,
+            None => self
+                .erased_image
+                .get_or_init(|| vec![0xFF; self.config.geometry.page_size].into_boxed_slice()),
+        })
+    }
+
+    /// Hand a page buffer back for reuse by a later program or read — the
+    /// one a read returned once its bytes are no longer needed, or any
+    /// other buffer of exactly one page. Optional: a caller that never
+    /// recycles only makes the device allocate. A buffer of any other
+    /// length is dropped.
+    pub fn recycle(&mut self, buf: Vec<u8>) {
+        self.spare.put(buf);
+    }
+
+    /// Buffers currently waiting for reuse.
+    #[cfg(test)]
+    pub(crate) fn spare_len(&self) -> usize {
+        self.spare.len()
     }
 
     /// Zero-copy view of a page's OOB area (bypasses timing/stats).
@@ -621,11 +650,10 @@ impl FlashDevice {
         }
         let ctx = self.take_obs_ctx();
         self.check(ppa)?;
-        let page = self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page);
-        if page.state() == PageState::Erased {
+        let Some(main) = self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page).main()
+        else {
             return Err(FlashError::ReadOfErasedPage(ppa));
-        }
-        let data = page.main().to_vec();
+        };
         let outcome = self
             .ledger
             .classify_read(ppa, self.config.reliability.ecc_correctable_bits)
@@ -634,6 +662,7 @@ impl FlashDevice {
                 bit_errors: raw,
                 correctable: self.config.reliability.ecc_correctable_bits,
             })?;
+        let data = self.spare.take_copy(main);
         if let ReadOutcome::Corrected { corrected } = outcome {
             self.stats.corrected_bit_errors += corrected as u64;
         }
@@ -691,7 +720,11 @@ impl FlashDevice {
             }
         }
         let msb = self.page_kind(ppa) == PageKind::Msb;
-        self.chips[ppa.chip as usize].block_mut(ppa.block).page_mut(ppa.page).program(ppa, data)?;
+        self.chips[ppa.chip as usize].block_mut(ppa.block).page_mut(ppa.page).program(
+            ppa,
+            data,
+            &mut self.spare,
+        )?;
         // A fresh program defines new cell contents; stale error bookkeeping
         // for the previous residency is gone.
         self.ledger.clear(ppa);
@@ -754,7 +787,7 @@ impl FlashDevice {
         let attempt = self.chips[ppa.chip as usize]
             .block_mut(ppa.block)
             .page_mut(ppa.page)
-            .program_partial(ppa, offset, data, max);
+            .program_partial(ppa, offset, data, max, &mut self.spare);
         if let Err(e) = attempt {
             if matches!(e, FlashError::IsppViolation { .. }) {
                 self.stats.ispp_violations += 1;
@@ -823,10 +856,13 @@ impl FlashDevice {
             return Err(FlashError::EraseFailed { chip, block });
         }
         let endurance = self.config.endurance_limit();
-        self.chips[chip as usize].block_mut(block).erase(chip, block, endurance)?;
-        for page in 0..self.config.geometry.pages_per_block {
-            self.ledger.clear(Ppa::new(chip, block, page));
-        }
+        self.chips[chip as usize].block_mut(block).erase(
+            chip,
+            block,
+            endurance,
+            &mut self.spare,
+        )?;
+        self.ledger.clear_block(chip, block, self.config.geometry.pages_per_block);
         self.stats.erases += 1;
         self.chips[chip as usize].counters_mut().erases += 1;
         self.emit(EventKind::Erase, ctx.region, ctx.lba);

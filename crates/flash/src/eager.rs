@@ -1,0 +1,497 @@
+//! Test oracle: the eager page the device stored before erased pages went
+//! sparse, and a walk that drives it and the real device side by side.
+//!
+//! [`EagerPage`] is the previous `PageData` unchanged: every page owns a
+//! main-area buffer from construction, an erase refills it with `0xFF`, a
+//! read copies out of it. [`EagerDevice`] wraps an array of them with the
+//! device's counting rules — and a count of the buffers the real device
+//! should be holding spare — so that every `Result`, every byte and the
+//! whole of [`FlashStats`] can be predicted for a sequence of commands.
+
+use crate::device::{FlashConfig, FlashDevice, OpOrigin};
+use crate::error::FlashError;
+use crate::geometry::{FlashGeometry, Ppa};
+use crate::page::{ispp_allows, PageState};
+use crate::stats::FlashStats;
+
+/// One physical page, stored eagerly.
+#[derive(Debug, Clone)]
+struct EagerPage {
+    main: Box<[u8]>,
+    oob: Box<[u8]>,
+    state: PageState,
+}
+
+impl EagerPage {
+    fn erased(page_size: usize, oob_size: usize) -> Self {
+        EagerPage {
+            main: vec![0xFF; page_size].into_boxed_slice(),
+            oob: vec![0xFF; oob_size].into_boxed_slice(),
+            state: PageState::Erased,
+        }
+    }
+
+    fn erase(&mut self) {
+        self.main.fill(0xFF);
+        self.oob.fill(0xFF);
+        self.state = PageState::Erased;
+    }
+
+    fn program(&mut self, ppa: Ppa, data: &[u8]) -> Result<(), FlashError> {
+        if data.len() != self.main.len() {
+            return Err(FlashError::RangeOutOfPage {
+                ppa,
+                offset: 0,
+                len: data.len(),
+                area: self.main.len(),
+            });
+        }
+        if self.state.is_programmed() {
+            return Err(FlashError::ProgramNotErased(ppa));
+        }
+        self.main.copy_from_slice(data);
+        self.state = PageState::Programmed { appends: 0 };
+        Ok(())
+    }
+
+    fn program_partial(
+        &mut self,
+        ppa: Ppa,
+        offset: usize,
+        data: &[u8],
+        max_appends: u32,
+    ) -> Result<(), FlashError> {
+        let appends = match self.state {
+            PageState::Erased => None,
+            PageState::Programmed { appends } => Some(appends),
+        };
+        if offset.checked_add(data.len()).is_none_or(|end| end > self.main.len()) {
+            return Err(FlashError::RangeOutOfPage {
+                ppa,
+                offset,
+                len: data.len(),
+                area: self.main.len(),
+            });
+        }
+        if let Some(appends) = appends {
+            if appends >= max_appends {
+                return Err(FlashError::AppendBudgetExceeded {
+                    ppa,
+                    performed: appends,
+                    max: max_appends,
+                });
+            }
+        }
+        for (i, (&old, &new)) in self.main[offset..offset + data.len()].iter().zip(data).enumerate()
+        {
+            if !ispp_allows(old, new) {
+                return Err(FlashError::IsppViolation { ppa, offset: offset + i, old, new });
+            }
+        }
+        self.main[offset..offset + data.len()].copy_from_slice(data);
+        self.state = PageState::Programmed { appends: appends.map_or(0, |a| a + 1) };
+        Ok(())
+    }
+
+    fn program_oob(&mut self, ppa: Ppa, offset: usize, data: &[u8]) -> Result<(), FlashError> {
+        if offset.checked_add(data.len()).is_none_or(|end| end > self.oob.len()) {
+            return Err(FlashError::RangeOutOfPage {
+                ppa,
+                offset,
+                len: data.len(),
+                area: self.oob.len(),
+            });
+        }
+        for (i, (&old, &new)) in self.oob[offset..offset + data.len()].iter().zip(data).enumerate()
+        {
+            if !ispp_allows(old, new) {
+                return Err(FlashError::IsppViolation { ppa, offset: offset + i, old, new });
+            }
+        }
+        self.oob[offset..offset + data.len()].copy_from_slice(data);
+        Ok(())
+    }
+}
+
+/// The eager pages of a whole device plus what the real device's counters
+/// and spare list must read after the same commands (no faults, no
+/// injected errors, queue depth 1 — the oracle walk's configuration).
+struct EagerDevice {
+    geometry: FlashGeometry,
+    max_appends: u32,
+    pages: Vec<EagerPage>,
+    stats: FlashStats,
+    /// Buffers the real device holds for reuse: detached by erases and
+    /// recycled in, taken out by reads and by programs of erased pages.
+    spare: usize,
+}
+
+impl EagerDevice {
+    fn new(config: &FlashConfig) -> Self {
+        let g = config.geometry.clone();
+        EagerDevice {
+            pages: vec![EagerPage::erased(g.page_size, g.oob_size); g.total_pages() as usize],
+            max_appends: config.max_appends(),
+            geometry: g,
+            stats: FlashStats::default(),
+            spare: 0,
+        }
+    }
+
+    fn slot(&self, ppa: Ppa) -> Result<usize, FlashError> {
+        if !self.geometry.contains(ppa) {
+            return Err(FlashError::AddressOutOfRange(ppa));
+        }
+        let g = &self.geometry;
+        Ok(((ppa.chip * g.blocks_per_chip + ppa.block) * g.pages_per_block + ppa.page) as usize)
+    }
+
+    /// A host-origin command went through the queue: at depth 1 it is the
+    /// only one in flight.
+    fn dispatched(&mut self, origin: OpOrigin) {
+        if origin == OpOrigin::Host {
+            self.stats.queue_highwater = 1;
+        }
+    }
+
+    fn read(&mut self, ppa: Ppa, origin: OpOrigin) -> Result<Vec<u8>, FlashError> {
+        let page = &self.pages[self.slot(ppa)?];
+        if page.state == PageState::Erased {
+            return Err(FlashError::ReadOfErasedPage(ppa));
+        }
+        let data = page.main.to_vec();
+        match origin {
+            OpOrigin::Host | OpOrigin::HostAsync => self.stats.host_reads += 1,
+            OpOrigin::Background => self.stats.gc_reads += 1,
+        }
+        self.spare = self.spare.saturating_sub(1);
+        self.dispatched(origin);
+        Ok(data)
+    }
+
+    fn program(&mut self, ppa: Ppa, data: &[u8], origin: OpOrigin) -> Result<(), FlashError> {
+        let slot = self.slot(ppa)?;
+        self.pages[slot].program(ppa, data)?;
+        match origin {
+            OpOrigin::Host | OpOrigin::HostAsync => self.stats.host_programs += 1,
+            OpOrigin::Background => self.stats.gc_programs += 1,
+        }
+        self.spare = self.spare.saturating_sub(1);
+        self.dispatched(origin);
+        Ok(())
+    }
+
+    fn program_partial(
+        &mut self,
+        ppa: Ppa,
+        offset: usize,
+        data: &[u8],
+        origin: OpOrigin,
+    ) -> Result<(), FlashError> {
+        let slot = self.slot(ppa)?;
+        let was_erased = self.pages[slot].state == PageState::Erased;
+        if let Err(e) = self.pages[slot].program_partial(ppa, offset, data, self.max_appends) {
+            if matches!(e, FlashError::IsppViolation { .. }) {
+                self.stats.ispp_violations += 1;
+            }
+            return Err(e);
+        }
+        match origin {
+            OpOrigin::Host | OpOrigin::HostAsync => {
+                self.stats.host_delta_programs += 1;
+                self.stats.delta_bytes += data.len() as u64;
+            }
+            OpOrigin::Background => self.stats.gc_programs += 1,
+        }
+        if was_erased {
+            self.spare = self.spare.saturating_sub(1);
+        }
+        self.dispatched(origin);
+        Ok(())
+    }
+
+    fn program_oob(&mut self, ppa: Ppa, offset: usize, data: &[u8]) -> Result<(), FlashError> {
+        let slot = self.slot(ppa)?;
+        self.pages[slot].program_oob(ppa, offset, data)
+    }
+
+    fn erase(&mut self, chip: u32, block: u32) -> Result<(), FlashError> {
+        let first = self.slot(Ppa::new(chip, block, 0))?;
+        for page in &mut self.pages[first..first + self.geometry.pages_per_block as usize] {
+            self.spare += usize::from(page.state.is_programmed());
+            page.erase();
+        }
+        self.stats.erases += 1;
+        Ok(())
+    }
+
+    fn recycle(&mut self, buf: &[u8]) {
+        self.spare += usize::from(buf.len() == self.geometry.page_size);
+    }
+}
+
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ((self.0 >> 33) as usize) % n
+    }
+
+    fn bytes(&mut self, n: usize) -> Vec<u8> {
+        (0..n).map(|_| self.below(256) as u8).collect()
+    }
+}
+
+/// The real device and the oracle, fed the same commands.
+struct Pair {
+    dev: FlashDevice,
+    oracle: EagerDevice,
+    steps: usize,
+}
+
+impl Pair {
+    fn new() -> Self {
+        let mut config = FlashConfig::small_slc();
+        config.geometry.chips = 2;
+        config.geometry.blocks_per_chip = 3;
+        config.geometry.pages_per_block = 4;
+        config.geometry.page_size = 32;
+        config.geometry.oob_size = 8;
+        config.max_appends = Some(3);
+        Pair { oracle: EagerDevice::new(&config), dev: FlashDevice::new(config), steps: 0 }
+    }
+
+    /// After every command: counters, spare population, and the state and
+    /// every byte of every page, through the device's inspection calls.
+    fn check(&mut self, what: &str) {
+        self.steps += 1;
+        let at = format!("step {} ({what})", self.steps);
+        assert_eq!(format!("{:?}", self.dev.stats()), format!("{:?}", self.oracle.stats), "{at}");
+        assert_eq!(self.dev.spare_len(), self.oracle.spare, "spare buffers, {at}");
+        let geometry = self.oracle.geometry.clone();
+        for ppa in geometry.iter_pages() {
+            let page = &self.oracle.pages[self.oracle.slot(ppa).unwrap()];
+            assert_eq!(self.dev.page_state(ppa).unwrap(), page.state, "state of {ppa}, {at}");
+            assert_eq!(self.dev.peek(ppa).unwrap(), &page.main[..], "main of {ppa}, {at}");
+            assert_eq!(self.dev.peek_oob(ppa).unwrap(), &page.oob[..], "oob of {ppa}, {at}");
+            assert_eq!(self.dev.read_oob(ppa).unwrap(), &page.oob[..], "read_oob of {ppa}, {at}");
+        }
+        for (chip, block) in
+            (0..geometry.chips).flat_map(|c| (0..geometry.blocks_per_chip).map(move |b| (c, b)))
+        {
+            let first = self.oracle.slot(Ppa::new(chip, block, 0)).unwrap();
+            let programmed = self.oracle.pages[first..first + geometry.pages_per_block as usize]
+                .iter()
+                .filter(|p| p.state.is_programmed())
+                .count();
+            assert_eq!(self.dev.programmed_pages(chip, block).unwrap() as usize, programmed);
+        }
+        let outside = Ppa::new(geometry.chips, 0, 0);
+        assert_eq!(self.dev.peek(outside), Err(FlashError::AddressOutOfRange(outside)));
+        assert_eq!(self.dev.page_state(outside), Err(FlashError::AddressOutOfRange(outside)));
+    }
+
+    /// Read a page on both sides; the bytes must agree. Returns the real
+    /// device's buffer for the caller to keep, drop or recycle.
+    fn read(&mut self, ppa: Ppa, origin: OpOrigin) -> Option<Vec<u8>> {
+        let got = self.dev.read(ppa, origin);
+        let want = self.oracle.read(ppa, origin);
+        let data = match (got, want) {
+            (Ok((data, op)), Ok(want)) => {
+                assert_eq!(data, want, "bytes read from {ppa}");
+                if origin == OpOrigin::Host {
+                    self.oracle.stats.read_latency.record(op.latency_ns);
+                }
+                Some(data)
+            }
+            (got, want) => {
+                assert_eq!(got.map(|(data, _)| data), want, "read of {ppa}");
+                None
+            }
+        };
+        self.check("read");
+        data
+    }
+
+    fn program(&mut self, ppa: Ppa, data: &[u8], origin: OpOrigin) -> bool {
+        let got = self.dev.program(ppa, data, origin);
+        let want = self.oracle.program(ppa, data, origin);
+        if let Ok(op) = &got {
+            if origin != OpOrigin::Background {
+                self.oracle.stats.write_latency.record(op.latency_ns);
+            }
+        }
+        assert_eq!(got.as_ref().map(|_| ()), want.as_ref().map(|_| ()), "program of {ppa}");
+        self.check("program");
+        want.is_ok()
+    }
+
+    fn program_partial(
+        &mut self,
+        ppa: Ppa,
+        offset: usize,
+        data: &[u8],
+        origin: OpOrigin,
+    ) -> Result<(), FlashError> {
+        let got = self.dev.program_partial(ppa, offset, data, origin);
+        let want = self.oracle.program_partial(ppa, offset, data, origin);
+        if let Ok(op) = &got {
+            if origin != OpOrigin::Background {
+                self.oracle.stats.write_latency.record(op.latency_ns);
+            }
+        }
+        assert_eq!(got.map(|_| ()), want, "program_partial of {ppa} at {offset}");
+        self.check("program_partial");
+        want
+    }
+
+    fn program_oob(&mut self, ppa: Ppa, offset: usize, data: &[u8]) {
+        let want = self.oracle.program_oob(ppa, offset, data);
+        assert_eq!(self.dev.program_oob(ppa, offset, data), want, "program_oob of {ppa}");
+        self.check("program_oob");
+    }
+
+    fn erase(&mut self, chip: u32, block: u32) {
+        let want = self.oracle.erase(chip, block);
+        assert_eq!(self.dev.erase(chip, block).map(|_| ()), want, "erase of {chip}/{block}");
+        self.check("erase");
+    }
+
+    fn recycle(&mut self, buf: Vec<u8>) {
+        self.oracle.recycle(&buf);
+        self.dev.recycle(buf);
+        self.check("recycle");
+    }
+}
+
+#[test]
+fn sparse_device_matches_the_eager_page_oracle() {
+    let mut pair = Pair::new();
+    let size = pair.oracle.geometry.page_size;
+    pair.check("fresh device");
+
+    // Scripted opening. (1) Stale zeroes, detached by an erase, come back
+    // under a full program whose erased tail then takes an append: had the
+    // program not overwritten the whole buffer, the pre-erase zeroes would
+    // turn the append into an ISPP violation.
+    let (a, b) = (Ppa::new(0, 0, 0), Ppa::new(0, 0, 1));
+    assert!(pair.program(a, &vec![0x00; size], OpOrigin::Host));
+    pair.erase(0, 0);
+    let mut image = vec![0xFF; size];
+    image[..8].fill(0x3C);
+    assert!(pair.program(b, &image, OpOrigin::Host));
+    assert_eq!(pair.program_partial(b, 16, &[0xA5; 8], OpOrigin::Host), Ok(()));
+    // (2) The same stale zeroes under a partial program of an erased page:
+    // it starts from all ones, inside and outside the programmed range.
+    pair.erase(0, 0);
+    assert!(pair.program(a, &vec![0x00; size], OpOrigin::Host));
+    pair.erase(0, 0);
+    assert_eq!(pair.program_partial(a, 4, &[0x5A; 4], OpOrigin::Host), Ok(()));
+    // (3) A recycled read buffer is overwritten whole by the next read, and
+    // one of another length never enters the spare list.
+    let c = Ppa::new(1, 2, 3);
+    assert!(pair.program(c, &image, OpOrigin::Background));
+    let buf = pair.read(a, OpOrigin::Host).expect("page a is programmed");
+    pair.recycle(buf);
+    let mut short = pair.read(c, OpOrigin::Background).expect("page c is programmed");
+    short.pop();
+    pair.recycle(short);
+    pair.recycle(vec![0; size + 1]);
+    pair.recycle(Vec::new());
+    pair.read(c, OpOrigin::HostAsync);
+    pair.read(b, OpOrigin::Host);
+
+    let mut rng = Lcg(0x1AA7_5EED);
+    let mut kept: Vec<Vec<u8>> = Vec::new();
+    let (mut violations, mut over_budget, mut onto_erased) = (0, 0, 0);
+    for _ in 0..6_000 {
+        let g = pair.oracle.geometry.clone();
+        // One address in sixteen lies outside the device.
+        let ppa = Ppa::new(
+            rng.below(g.chips as usize) as u32 + u32::from(rng.below(16) == 0),
+            rng.below(g.blocks_per_chip as usize) as u32,
+            rng.below(g.pages_per_block as usize) as u32,
+        );
+        let origin = [OpOrigin::Host, OpOrigin::HostAsync, OpOrigin::Background][rng.below(3)];
+        match rng.below(16) {
+            0..=2 => {
+                // A page image with an erased tail; sometimes a byte short.
+                let len = size - usize::from(rng.below(8) == 0);
+                let mut data = rng.bytes(len);
+                let tail = rng.below(len);
+                data[tail..].fill(0xFF);
+                pair.program(ppa, &data, origin);
+            }
+            3..=6 => {
+                let offset = rng.below(size);
+                // In range, or (one in eight) running past the page end.
+                let len = match rng.below(8) {
+                    0 => size - offset + 1 + rng.below(4),
+                    _ => 1 + rng.below(size - offset),
+                };
+                let mut data = rng.bytes(len);
+                // Mostly bits the cells can still take: 1→0 only.
+                if rng.below(4) != 0 {
+                    if let Ok(now) = pair.dev.peek(ppa) {
+                        let now = now.to_vec();
+                        data.iter_mut().zip(now.iter().skip(offset)).for_each(|(d, &n)| *d &= n);
+                    }
+                }
+                let erased = pair.dev.page_state(ppa) == Ok(PageState::Erased);
+                match pair.program_partial(ppa, offset, &data, origin) {
+                    Ok(()) => onto_erased += usize::from(erased),
+                    Err(FlashError::IsppViolation { .. }) => violations += 1,
+                    Err(FlashError::AppendBudgetExceeded { .. }) => over_budget += 1,
+                    Err(_) => {}
+                }
+            }
+            7 => {
+                let offset = rng.below(g.oob_size + 1);
+                let len = rng.below(g.oob_size - offset + 2);
+                let mut data = rng.bytes(len);
+                if rng.below(3) != 0 {
+                    data.iter_mut().for_each(|d| *d |= 0xF0 >> rng.below(5));
+                }
+                pair.program_oob(ppa, offset, &data);
+            }
+            8 if rng.below(3) == 0 => pair.erase(ppa.chip, ppa.block),
+            9..=12 => {
+                if let Some(mut buf) = pair.read(ppa, origin) {
+                    match rng.below(8) {
+                        // Keep it for later, drop it, hand it back cut or
+                        // grown — or, mostly, hand it back as it came.
+                        0 => kept.push(buf),
+                        1 => {}
+                        2 => {
+                            buf.truncate(rng.below(size));
+                            pair.recycle(buf);
+                        }
+                        3 => {
+                            buf.extend_from_slice(&[0xEE; 3]);
+                            pair.recycle(buf);
+                        }
+                        _ => pair.recycle(buf),
+                    }
+                }
+            }
+            13 => {
+                if let Some(buf) = kept.pop() {
+                    pair.recycle(buf);
+                }
+            }
+            // A buffer the device never handed out, garbage inside.
+            14 => {
+                let len = if rng.below(2) == 0 { size } else { rng.below(80) };
+                pair.recycle(rng.bytes(len));
+            }
+            _ => pair.check("idle"),
+        }
+    }
+    // The walk reached every verdict it is meant to compare.
+    assert!(violations > 50, "{violations} ISPP violations");
+    assert!(over_budget > 50, "{over_budget} appends over budget");
+    assert!(onto_erased > 50, "{onto_erased} partial programs of erased pages");
+    let s = pair.dev.stats();
+    assert!(s.host_reads > 300 && s.gc_reads > 100 && s.erases > 50 && s.host_programs > 50);
+}

@@ -82,6 +82,8 @@ mod block;
 mod chip;
 mod counters;
 mod device;
+#[cfg(test)]
+mod eager;
 mod error;
 mod fault;
 mod geometry;

@@ -4,6 +4,11 @@
 //! (ISPP) can only pull bits from `1` to `0` — the physical fact the paper's
 //! in-place appends exploit (§3, §4). [`PageData`] owns the main area and the
 //! OOB (spare) area of one page and enforces that rule on every program.
+//!
+//! An erased page holds no main-area buffer: it *is* all ones, so nothing
+//! needs storing until the first program. Buffers detached by an erase wait
+//! in the device's [`SparePages`] and are handed to the next program or
+//! read, so a page-sized buffer is allocated only while that list is empty.
 
 use crate::error::FlashError;
 use crate::geometry::Ppa;
@@ -38,32 +43,95 @@ pub(crate) fn ispp_allows(old: u8, new: u8) -> bool {
     new & !old == 0
 }
 
+/// Detached main-area buffers awaiting reuse, each exactly one page long.
+///
+/// Filled by block erases and by [`SparePages::put`] (the device's
+/// `recycle`), drained by programs and reads. Contents of a spare buffer
+/// are stale: every taker overwrites the buffer whole.
+#[derive(Debug)]
+pub(crate) struct SparePages {
+    page_size: usize,
+    free: Vec<Vec<u8>>,
+}
+
+impl SparePages {
+    /// An empty list for pages of `page_size` bytes.
+    pub(crate) fn new(page_size: usize) -> Self {
+        SparePages { page_size, free: Vec::new() }
+    }
+
+    /// Main-area size of every page of the device, in bytes. Kept here,
+    /// once per device: an erased page has no buffer to ask.
+    pub(crate) fn page_size(&self) -> usize {
+        self.page_size
+    }
+
+    /// Number of buffers waiting for reuse.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.free.len()
+    }
+
+    /// Accept a buffer for reuse. One whose length is not the page size is
+    /// dropped: takers rely on every spare being exactly one page long.
+    pub(crate) fn put(&mut self, buf: Vec<u8>) {
+        if buf.len() == self.page_size {
+            self.free.push(buf);
+        }
+    }
+
+    /// A buffer holding a copy of `image` (one page long), reusing a spare
+    /// when there is one.
+    pub(crate) fn take_copy(&mut self, image: &[u8]) -> Vec<u8> {
+        debug_assert_eq!(image.len(), self.page_size);
+        match self.free.pop() {
+            Some(mut buf) => {
+                buf.copy_from_slice(image);
+                buf
+            }
+            None => image.to_vec(),
+        }
+    }
+
+    /// An all-ones buffer, reusing a spare when there is one.
+    fn take_erased(&mut self) -> Vec<u8> {
+        match self.free.pop() {
+            Some(mut buf) => {
+                buf.fill(0xFF);
+                buf
+            }
+            None => vec![0xFF; self.page_size],
+        }
+    }
+}
+
 /// One physical page: main area + OOB area + state.
 #[derive(Debug, Clone)]
 pub struct PageData {
-    main: Box<[u8]>,
+    /// Main-area cells and the number of partial programs since the initial
+    /// program; `None` while the page is erased (all cells read `0xFF`).
+    cells: Option<(Vec<u8>, u32)>,
     oob: Box<[u8]>,
-    state: PageState,
 }
 
 impl PageData {
-    /// A freshly erased page of the given main/OOB sizes.
-    pub fn erased(page_size: usize, oob_size: usize) -> Self {
-        PageData {
-            main: vec![0xFF; page_size].into_boxed_slice(),
-            oob: vec![0xFF; oob_size].into_boxed_slice(),
-            state: PageState::Erased,
-        }
+    /// A freshly erased page with an OOB area of `oob_size` bytes.
+    pub fn erased(oob_size: usize) -> Self {
+        PageData { cells: None, oob: vec![0xFF; oob_size].into_boxed_slice() }
     }
 
     /// Current lifecycle state.
     pub fn state(&self) -> PageState {
-        self.state
+        match self.cells {
+            None => PageState::Erased,
+            Some((_, appends)) => PageState::Programmed { appends },
+        }
     }
 
-    /// Read-only view of the main area.
-    pub fn main(&self) -> &[u8] {
-        &self.main
+    /// Read-only view of the main area; `None` while the page is erased
+    /// (every cell reads `0xFF` and no buffer exists).
+    pub fn main(&self) -> Option<&[u8]> {
+        self.cells.as_ref().map(|(main, _)| main.as_slice())
     }
 
     /// Read-only view of the OOB area.
@@ -71,30 +139,36 @@ impl PageData {
         &self.oob
     }
 
-    /// Reset the page to the erased state (invoked by block erase).
-    pub(crate) fn erase(&mut self) {
-        self.main.fill(0xFF);
+    /// Reset the page to the erased state (invoked by block erase): the
+    /// main-area buffer is detached into `spare`, not refilled.
+    pub(crate) fn erase(&mut self, spare: &mut SparePages) {
+        if let Some((main, _)) = self.cells.take() {
+            spare.put(main);
+        }
         self.oob.fill(0xFF);
-        self.state = PageState::Erased;
     }
 
     /// Initial full-page program. The page must be erased; the data may
     /// contain `0xFF` bytes (cells intentionally left unprogrammed — this is
     /// how the delta-record area stays appendable).
-    pub(crate) fn program(&mut self, ppa: Ppa, data: &[u8]) -> Result<(), FlashError> {
-        if data.len() != self.main.len() {
+    pub(crate) fn program(
+        &mut self,
+        ppa: Ppa,
+        data: &[u8],
+        spare: &mut SparePages,
+    ) -> Result<(), FlashError> {
+        if data.len() != spare.page_size() {
             return Err(FlashError::RangeOutOfPage {
                 ppa,
                 offset: 0,
                 len: data.len(),
-                area: self.main.len(),
+                area: spare.page_size(),
             });
         }
-        if self.state.is_programmed() {
+        if self.cells.is_some() {
             return Err(FlashError::ProgramNotErased(ppa));
         }
-        self.main.copy_from_slice(data);
-        self.state = PageState::Programmed { appends: 0 };
+        self.cells = Some((spare.take_copy(data), 0));
         Ok(())
     }
 
@@ -113,39 +187,37 @@ impl PageData {
         offset: usize,
         data: &[u8],
         max_appends: u32,
+        spare: &mut SparePages,
     ) -> Result<(), FlashError> {
-        let appends = match self.state {
+        let area = spare.page_size();
+        let Some(end) = offset.checked_add(data.len()).filter(|&end| end <= area) else {
+            return Err(FlashError::RangeOutOfPage { ppa, offset, len: data.len(), area });
+        };
+        let Some((main, appends)) = &mut self.cells else {
             // Hardware would happily program an erased page partially, but a
             // sane management layer always writes the initial image first;
             // we allow it and treat it as the initial program of the range.
-            PageState::Erased => None,
-            PageState::Programmed { appends } => Some(appends),
+            // Every bit may go 1→0 from all ones, so nothing can violate
+            // ISPP; the cells outside the range stay erased.
+            let mut main = spare.take_erased();
+            main[offset..end].copy_from_slice(data);
+            self.cells = Some((main, 0));
+            return Ok(());
         };
-        if offset.checked_add(data.len()).is_none_or(|end| end > self.main.len()) {
-            return Err(FlashError::RangeOutOfPage {
+        if *appends >= max_appends {
+            return Err(FlashError::AppendBudgetExceeded {
                 ppa,
-                offset,
-                len: data.len(),
-                area: self.main.len(),
+                performed: *appends,
+                max: max_appends,
             });
         }
-        if let Some(appends) = appends {
-            if appends >= max_appends {
-                return Err(FlashError::AppendBudgetExceeded {
-                    ppa,
-                    performed: appends,
-                    max: max_appends,
-                });
-            }
-        }
-        for (i, (&old, &new)) in self.main[offset..offset + data.len()].iter().zip(data).enumerate()
-        {
+        for (i, (&old, &new)) in main[offset..end].iter().zip(data).enumerate() {
             if !ispp_allows(old, new) {
                 return Err(FlashError::IsppViolation { ppa, offset: offset + i, old, new });
             }
         }
-        self.main[offset..offset + data.len()].copy_from_slice(data);
-        self.state = PageState::Programmed { appends: appends.map_or(0, |a| a + 1) };
+        main[offset..end].copy_from_slice(data);
+        *appends += 1;
         Ok(())
     }
 
@@ -185,14 +257,14 @@ mod tests {
 
     const PPA: Ppa = Ppa { chip: 0, block: 0, page: 0 };
 
-    fn page() -> PageData {
-        PageData::erased(64, 16)
+    fn page() -> (PageData, SparePages) {
+        (PageData::erased(16), SparePages::new(64))
     }
 
     #[test]
-    fn erased_page_reads_all_ones() {
-        let p = page();
-        assert!(p.main().iter().all(|&b| b == 0xFF));
+    fn erased_page_holds_no_buffer() {
+        let (p, _) = page();
+        assert_eq!(p.main(), None);
         assert!(p.oob().iter().all(|&b| b == 0xFF));
         assert_eq!(p.state(), PageState::Erased);
     }
@@ -209,80 +281,117 @@ mod tests {
 
     #[test]
     fn full_program_requires_erased() {
-        let mut p = page();
+        let (mut p, mut spare) = page();
         let data = vec![0x55; 64];
-        p.program(PPA, &data).unwrap();
+        p.program(PPA, &data, &mut spare).unwrap();
         assert_eq!(p.state(), PageState::Programmed { appends: 0 });
-        assert_eq!(p.program(PPA, &data), Err(FlashError::ProgramNotErased(PPA)));
+        assert_eq!(p.program(PPA, &data, &mut spare), Err(FlashError::ProgramNotErased(PPA)));
     }
 
     #[test]
     fn full_program_wrong_length_rejected() {
-        let mut p = page();
-        let err = p.program(PPA, &[0u8; 10]).unwrap_err();
+        let (mut p, mut spare) = page();
+        let err = p.program(PPA, &[0u8; 10], &mut spare).unwrap_err();
         assert!(matches!(err, FlashError::RangeOutOfPage { .. }));
+        assert_eq!(p.state(), PageState::Erased);
     }
 
     #[test]
     fn append_into_erased_tail_succeeds() {
-        let mut p = page();
+        let (mut p, mut spare) = page();
         let mut data = vec![0xFF; 64];
         data[..32].fill(0x13);
-        p.program(PPA, &data).unwrap();
-        p.program_partial(PPA, 48, &[0x77; 8], 4).unwrap();
-        assert_eq!(&p.main()[48..56], &[0x77; 8]);
+        p.program(PPA, &data, &mut spare).unwrap();
+        p.program_partial(PPA, 48, &[0x77; 8], 4, &mut spare).unwrap();
+        assert_eq!(&p.main().unwrap()[48..56], &[0x77; 8]);
         assert_eq!(p.state(), PageState::Programmed { appends: 1 });
     }
 
     #[test]
     fn append_over_programmed_cells_fails_atomically() {
-        let mut p = page();
+        let (mut p, mut spare) = page();
         let mut data = vec![0xFF; 64];
         data[..32].fill(0x0F);
-        p.program(PPA, &data).unwrap();
+        p.program(PPA, &data, &mut spare).unwrap();
         // Bytes 30..34: first two are programmed (0x0F), 0xF0 needs 0->1.
-        let err = p.program_partial(PPA, 30, &[0xF0; 4], 4).unwrap_err();
+        let err = p.program_partial(PPA, 30, &[0xF0; 4], 4, &mut spare).unwrap_err();
         assert!(matches!(err, FlashError::IsppViolation { offset: 30, .. }));
         // Page unchanged, including the erased part of the range.
-        assert_eq!(&p.main()[30..34], &[0x0F, 0x0F, 0xFF, 0xFF]);
+        assert_eq!(&p.main().unwrap()[30..34], &[0x0F, 0x0F, 0xFF, 0xFF]);
         assert_eq!(p.state(), PageState::Programmed { appends: 0 });
     }
 
     #[test]
     fn append_budget_enforced() {
-        let mut p = page();
-        p.program(PPA, &[0xFF; 64]).unwrap();
-        p.program_partial(PPA, 0, &[0xFE], 2).unwrap();
-        p.program_partial(PPA, 1, &[0xFE], 2).unwrap();
-        let err = p.program_partial(PPA, 2, &[0xFE], 2).unwrap_err();
+        let (mut p, mut spare) = page();
+        p.program(PPA, &[0xFF; 64], &mut spare).unwrap();
+        p.program_partial(PPA, 0, &[0xFE], 2, &mut spare).unwrap();
+        p.program_partial(PPA, 1, &[0xFE], 2, &mut spare).unwrap();
+        let err = p.program_partial(PPA, 2, &[0xFE], 2, &mut spare).unwrap_err();
         assert_eq!(err, FlashError::AppendBudgetExceeded { ppa: PPA, performed: 2, max: 2 });
     }
 
     #[test]
     fn append_out_of_range_rejected() {
-        let mut p = page();
-        p.program(PPA, &[0xFF; 64]).unwrap();
-        let err = p.program_partial(PPA, 60, &[0u8; 8], 4).unwrap_err();
+        let (mut p, mut spare) = page();
+        p.program(PPA, &[0xFF; 64], &mut spare).unwrap();
+        let err = p.program_partial(PPA, 60, &[0u8; 8], 4, &mut spare).unwrap_err();
         assert!(matches!(err, FlashError::RangeOutOfPage { offset: 60, len: 8, .. }));
         // Overflow-safe.
-        let err = p.program_partial(PPA, usize::MAX, &[0u8; 2], 4).unwrap_err();
+        let err = p.program_partial(PPA, usize::MAX, &[0u8; 2], 4, &mut spare).unwrap_err();
         assert!(matches!(err, FlashError::RangeOutOfPage { .. }));
     }
 
     #[test]
-    fn erase_resets_everything() {
-        let mut p = page();
-        p.program(PPA, &[0x00; 64]).unwrap();
+    fn erase_detaches_the_buffer_and_resets_everything() {
+        let (mut p, mut spare) = page();
+        p.program(PPA, &[0x00; 64], &mut spare).unwrap();
         p.program_oob(PPA, 0, &[0x12, 0x34]).unwrap();
-        p.erase();
+        p.erase(&mut spare);
         assert_eq!(p.state(), PageState::Erased);
-        assert!(p.main().iter().all(|&b| b == 0xFF));
+        assert_eq!(p.main(), None);
         assert!(p.oob().iter().all(|&b| b == 0xFF));
+        assert_eq!(spare.len(), 1);
+        // Erasing an erased page has no buffer to detach.
+        p.erase(&mut spare);
+        assert_eq!(spare.len(), 1);
+    }
+
+    #[test]
+    fn partial_program_of_an_erased_page_starts_from_all_ones() {
+        // The spare buffer the page picks up is stale (all zeroes here): it
+        // must read as erased outside the programmed range, and the
+        // pre-erase zeroes must not turn the append into an ISPP violation.
+        let (mut p, mut spare) = page();
+        p.program(PPA, &[0x00; 64], &mut spare).unwrap();
+        p.erase(&mut spare);
+        p.program_partial(PPA, 8, &[0xA5; 4], 4, &mut spare).unwrap();
+        assert_eq!(spare.len(), 0, "the detached buffer was reused");
+        assert_eq!(p.state(), PageState::Programmed { appends: 0 });
+        let main = p.main().unwrap();
+        assert_eq!(&main[8..12], &[0xA5; 4]);
+        assert!(main[..8].iter().chain(&main[12..]).all(|&b| b == 0xFF));
+    }
+
+    #[test]
+    fn spare_list_rejects_other_lengths_and_overwrites_on_reuse() {
+        let mut spare = SparePages::new(8);
+        spare.put(vec![0; 7]);
+        spare.put(vec![0; 9]);
+        spare.put(Vec::new());
+        assert_eq!(spare.len(), 0);
+        spare.put(vec![0x11; 8]);
+        assert_eq!(spare.len(), 1);
+        assert_eq!(spare.take_copy(&[1, 2, 3, 4, 5, 6, 7, 8]), [1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(spare.len(), 0);
+        // An empty list allocates.
+        assert_eq!(spare.take_copy(&[9; 8]), [9; 8]);
+        assert_eq!(spare.take_erased(), [0xFF; 8]);
     }
 
     #[test]
     fn oob_program_monotone_and_bounded() {
-        let mut p = page();
+        let (mut p, _) = page();
         p.program_oob(PPA, 0, &[0xA0]).unwrap();
         // Clearing further bits is fine.
         p.program_oob(PPA, 0, &[0x80]).unwrap();

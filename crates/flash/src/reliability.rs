@@ -80,7 +80,9 @@ pub enum ReadOutcome {
     },
 }
 
-/// Per-device error ledger.
+/// Per-device error ledger. Empty unless a reliability experiment injects
+/// errors, so the per-operation lookups return before hashing anything
+/// while it is.
 #[derive(Debug, Default)]
 pub struct ErrorLedger {
     errors: HashMap<Ppa, Vec<BitError>>,
@@ -106,6 +108,9 @@ impl ErrorLedger {
 
     /// Raw bit-error count currently affecting a page.
     pub fn raw_errors(&self, ppa: Ppa) -> u32 {
+        if self.errors.is_empty() {
+            return 0;
+        }
         self.errors.get(&ppa).map_or(0, |v| v.len() as u32)
     }
 
@@ -115,10 +120,22 @@ impl ErrorLedger {
         self.errors.get(&ppa).map_or(&[], |v| v.as_slice())
     }
 
-    /// Clear all errors of a page (block erase, or data overwritten by GC
-    /// migration target being freshly programmed).
+    /// Clear all errors of a page (data overwritten by a fresh program, e.g.
+    /// a GC migration target).
     pub fn clear(&mut self, ppa: Ppa) {
-        self.errors.remove(&ppa);
+        if !self.errors.is_empty() {
+            self.errors.remove(&ppa);
+        }
+    }
+
+    /// Clear all errors of the `pages` pages of a block (block erase).
+    pub fn clear_block(&mut self, chip: u32, block: u32, pages: u32) {
+        if self.errors.is_empty() {
+            return;
+        }
+        for page in 0..pages {
+            self.errors.remove(&Ppa::new(chip, block, page));
+        }
     }
 
     /// Clear retention-direction errors of a page: a refresh re-program
@@ -223,6 +240,24 @@ mod tests {
         l.clear(P);
         assert_eq!(l.raw_errors(P), 0);
         assert_eq!(l.total(), 0);
+    }
+
+    #[test]
+    fn clear_block_wipes_that_block_only() {
+        let mut l = ErrorLedger::default();
+        l.clear_block(0, 0, 4); // empty ledger: nothing to do
+        let other = Ppa { chip: 0, block: 1, page: 2 };
+        for page in 0..4 {
+            l.inject(
+                Ppa { chip: 0, block: 0, page },
+                BitError { bit: 1, kind: ErrorKind::Retention },
+            );
+        }
+        l.inject(other, BitError { bit: 1, kind: ErrorKind::Retention });
+        l.clear_block(0, 0, 4);
+        assert_eq!(l.total(), 1);
+        assert_eq!(l.raw_errors(other), 1);
+        assert_eq!(l.classify_read(P, 2), Ok(ReadOutcome::Clean));
     }
 
     #[test]

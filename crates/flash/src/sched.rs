@@ -64,6 +64,9 @@ pub struct IoScheduler {
     schedule: ChipSchedule,
     queue_depth: u32,
     inflight: Vec<Completion>,
+    /// Host-origin entries of `inflight`, kept current by every method that
+    /// adds to or removes from it.
+    host_inflight: usize,
     completed: Vec<Completion>,
     next_id: u64,
 }
@@ -81,6 +84,7 @@ impl IoScheduler {
             schedule: ChipSchedule::new(chips, profile),
             queue_depth: depth,
             inflight: Vec::new(),
+            host_inflight: 0,
             completed: Vec::new(),
             next_id: 0,
         }
@@ -98,7 +102,7 @@ impl IoScheduler {
 
     /// Number of in-flight host-origin commands (the queue-depth gauge).
     pub fn host_inflight(&self) -> usize {
-        self.inflight.iter().filter(|c| c.origin == OpOrigin::Host).count()
+        self.host_inflight
     }
 
     /// Block until a host queue slot is free: while the host queue is full,
@@ -119,7 +123,7 @@ impl IoScheduler {
             else {
                 break;
             };
-            let c = self.inflight.swap_remove(idx);
+            let c = self.remove_inflight(idx);
             clock.advance_to(c.result.completed_at_ns);
             self.completed.push(c);
             waits += 1;
@@ -149,6 +153,7 @@ impl IoScheduler {
         let id = CmdId(self.next_id);
         self.next_id += 1;
         completion.id = id;
+        self.host_inflight += usize::from(completion.origin == OpOrigin::Host);
         self.inflight.push(completion);
         id
     }
@@ -158,7 +163,15 @@ impl IoScheduler {
         if let Some(i) = self.completed.iter().position(|c| c.id == id) {
             return Some(self.completed.swap_remove(i));
         }
-        self.inflight.iter().position(|c| c.id == id).map(|i| self.inflight.swap_remove(i))
+        let i = self.inflight.iter().position(|c| c.id == id)?;
+        Some(self.remove_inflight(i))
+    }
+
+    /// Remove `inflight[i]`, keeping the host count in step.
+    fn remove_inflight(&mut self, i: usize) -> Completion {
+        let c = self.inflight.swap_remove(i);
+        self.host_inflight -= usize::from(c.origin == OpOrigin::Host);
+        c
     }
 
     /// All commands whose completion time has passed `now_ns`, plus any
@@ -168,7 +181,7 @@ impl IoScheduler {
         let mut i = 0;
         while i < self.inflight.len() {
             if self.inflight[i].result.completed_at_ns <= now_ns {
-                out.push(self.inflight.swap_remove(i));
+                out.push(self.remove_inflight(i));
             } else {
                 i += 1;
             }
@@ -181,6 +194,7 @@ impl IoScheduler {
     pub fn drain_all(&mut self) -> Vec<Completion> {
         let mut out = std::mem::take(&mut self.completed);
         out.append(&mut self.inflight);
+        self.host_inflight = 0;
         out.sort_by_key(|c| (c.result.completed_at_ns, c.id));
         out
     }
@@ -293,5 +307,57 @@ mod tests {
         assert!(ready.windows(2).all(|w| {
             (w[0].result.completed_at_ns, w[0].id) < (w[1].result.completed_at_ns, w[1].id)
         }));
+    }
+
+    #[test]
+    fn host_inflight_counter_matches_the_filter_through_every_path() {
+        // Interleave host, async-host and background commands through
+        // push / take / admit_host / poll_ready / drain_all and compare the
+        // maintained counter with the filter it replaced after every step.
+        fn check(s: &IoScheduler) {
+            let filtered = s.inflight.iter().filter(|c| c.origin == OpOrigin::Host).count();
+            assert_eq!(s.host_inflight(), filtered);
+        }
+        let origins = [OpOrigin::Host, OpOrigin::Background, OpOrigin::HostAsync, OpOrigin::Host];
+        let mut s = IoScheduler::new(4, HostProfile::Emulator, 3);
+        let mut clock = SimClock::new();
+        let mut ids = Vec::new();
+        let mut lcg = 0x5EEDu64;
+        for step in 0..400u64 {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let draw = lcg >> 33;
+            match draw % 8 {
+                0..=3 => {
+                    let origin = origins[(draw / 8 % 4) as usize];
+                    if origin == OpOrigin::Host {
+                        s.admit_host(&mut clock);
+                        check(&s);
+                    }
+                    let now = clock.now_ns();
+                    let done = now + 50 + draw % 400;
+                    ids.push(s.push(completion((draw % 4) as u32, origin, now, done)));
+                }
+                // By id: in flight, already retired by admission, or gone.
+                4 | 5 if !ids.is_empty() => {
+                    let id = ids.swap_remove((draw / 8) as usize % ids.len());
+                    let _ = s.take(id);
+                }
+                6 => {
+                    clock.advance(draw % 300);
+                    for c in s.poll_ready(clock.now_ns()) {
+                        ids.retain(|&id| id != c.id);
+                    }
+                }
+                _ if step % 50 == 49 => {
+                    s.drain_all();
+                    ids.clear();
+                    assert_eq!(s.host_inflight(), 0);
+                }
+                _ => {}
+            }
+            check(&s);
+            assert!(s.host_inflight() <= s.queue_depth() as usize);
+        }
+        assert!(!ids.is_empty(), "the walk must end with commands still in flight");
     }
 }

@@ -123,6 +123,14 @@ impl NoFtl {
         region.write_delta(&mut self.dev, lba, offset, data, ctx)
     }
 
+    /// Hand back a page buffer obtained from [`NoFtl::read_page`] (or any
+    /// buffer of exactly one device page) once its bytes are no longer
+    /// needed: the device reuses it for a later read or program instead of
+    /// allocating. Optional, and a buffer of any other length is dropped.
+    pub fn recycle(&mut self, buf: Vec<u8>) {
+        self.dev.recycle(buf);
+    }
+
     /// Queue a read of a logical page; the data travels in the completion
     /// returned by [`NoFtl::complete`] / [`NoFtl::drain_completions`].
     pub fn submit_read(&mut self, rid: RegionId, lba: Lba, ctx: IoCtx) -> Result<CmdId> {

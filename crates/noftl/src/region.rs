@@ -1,8 +1,6 @@
 //! Region internals: address mapping, block allocation, garbage collection
 //! and wear leveling over a set of chips.
 
-use std::collections::HashMap;
-
 use ipa_flash::{
     CmdId, EventKind, FlashDevice, FlashError, OpOrigin, OpResult, PageKind, PageState, Ppa,
     ReadOutcome, SpanCategory,
@@ -70,7 +68,13 @@ pub(crate) struct Region {
     /// Exported logical capacity in pages.
     capacity: u64,
     l2p: Vec<Option<Ppa>>,
-    p2l: HashMap<Ppa, u64>,
+    /// Logical owner of every physical page of the region's chips, indexed
+    /// by [`Region::p2l_slot`]; `None` for a page that holds no live data.
+    p2l: Vec<Option<u64>>,
+    /// Number of `Some` entries in `p2l`.
+    mapped_pages: u64,
+    blocks_per_chip: usize,
+    pages_per_block: usize,
     chips: Vec<ChipState>,
     /// Round-robin cursor over chips for host writes.
     rr: usize,
@@ -111,7 +115,7 @@ impl Region {
                 gc_low_watermark + 1
             )));
         }
-        let chips = spec
+        let chips: Vec<ChipState> = spec
             .chips
             .iter()
             .map(|&chip| ChipState {
@@ -130,13 +134,18 @@ impl Region {
                     .collect(),
             })
             .collect();
+        let (blocks_per_chip, pages_per_block) =
+            (geom.blocks_per_chip as usize, geom.pages_per_block as usize);
         Ok(Region {
             id,
             spec,
             usable_pages,
             capacity,
             l2p: vec![None; capacity as usize],
-            p2l: HashMap::new(),
+            p2l: vec![None; chips.len() * blocks_per_chip * pages_per_block],
+            mapped_pages: 0,
+            blocks_per_chip,
+            pages_per_block,
             chips,
             rr: 0,
             gc_low_watermark,
@@ -541,7 +550,6 @@ impl Region {
         self.check_lba(lba)?;
         if let Some(ppa) = self.l2p[lba.0 as usize].take() {
             self.invalidate(ppa)?;
-            self.p2l.remove(&ppa);
             self.stats.trims += 1;
         }
         Ok(())
@@ -560,10 +568,19 @@ impl Region {
             .ok_or(NoFtlError::Internal("ppa does not belong to any chip of this region"))
     }
 
+    /// Index into `p2l` of page `page` of block `block` on local chip
+    /// `local`.
+    fn p2l_slot(&self, local: usize, block: u32, page: u32) -> usize {
+        (local * self.blocks_per_chip + block as usize) * self.pages_per_block + page as usize
+    }
+
     fn map(&mut self, lba: Lba, ppa: Ppa) -> Result<()> {
-        self.l2p[lba.0 as usize] = Some(ppa);
-        self.p2l.insert(ppa, lba.0);
         let local = self.local_chip(ppa.chip)?;
+        let slot = self.p2l_slot(local, ppa.block, ppa.page);
+        self.l2p[lba.0 as usize] = Some(ppa);
+        if self.p2l[slot].replace(lba.0).is_none() {
+            self.mapped_pages += 1;
+        }
         let info = &mut self.chips[local].blocks[ppa.block as usize];
         if !info.valid[ppa.page as usize] {
             info.valid[ppa.page as usize] = true;
@@ -574,12 +591,15 @@ impl Region {
 
     fn invalidate(&mut self, ppa: Ppa) -> Result<()> {
         let local = self.local_chip(ppa.chip)?;
+        let slot = self.p2l_slot(local, ppa.block, ppa.page);
         let info = &mut self.chips[local].blocks[ppa.block as usize];
         if info.valid[ppa.page as usize] {
             info.valid[ppa.page as usize] = false;
             info.valid_count -= 1;
         }
-        self.p2l.remove(&ppa);
+        if self.p2l[slot].take().is_some() {
+            self.mapped_pages -= 1;
+        }
         Ok(())
     }
 
@@ -703,10 +723,7 @@ impl Region {
         // the reads already submitted).
         let mut plan: Vec<(u32, u64)> = Vec::with_capacity(valid_pages.len());
         for page in valid_pages {
-            let lba = self
-                .p2l
-                .get(&Ppa::new(chip, victim, page))
-                .copied()
+            let lba = self.p2l[self.p2l_slot(local, victim, page)]
                 .ok_or(NoFtlError::Internal("valid page has no logical owner"))?;
             plan.push((page, lba));
         }
@@ -838,6 +855,9 @@ impl Region {
         // storm must not abort a collection mid-flight.
         let (new, id) = self.program_healed(dev, local, Lba(lba), &data, IoCtx::background())?;
         dev.complete(id)?;
+        // The image is on its new page: the read buffer goes back to the
+        // device, which hands it to the next read or program.
+        dev.recycle(data);
         dev.program_oob(new, 0, &oob)?;
         self.invalidate(old)?;
         self.map(Lba(lba), new)?;
@@ -893,7 +913,7 @@ impl Region {
 
     /// Number of mapped logical pages.
     pub(crate) fn mapped_pages(&self) -> u64 {
-        self.p2l.len() as u64
+        self.mapped_pages
     }
 }
 
@@ -1258,11 +1278,25 @@ mod tests {
         let mut mapped = 0;
         for (lba, ppa) in r.l2p.iter().enumerate() {
             if let Some(ppa) = ppa {
-                assert_eq!(r.p2l.get(ppa), Some(&(lba as u64)), "l2p/p2l disagree for lba {lba}");
+                let slot = r.p2l_slot(r.local_chip(ppa.chip).unwrap(), ppa.block, ppa.page);
+                assert_eq!(r.p2l[slot], Some(lba as u64), "l2p/p2l disagree for lba {lba}");
                 mapped += 1;
             }
         }
-        assert_eq!(r.p2l.len(), mapped, "orphan p2l entries (duplicate physical copies)");
+        let mut owned = 0;
+        for (local, state) in r.chips.iter().enumerate() {
+            for block in 0..r.blocks_per_chip as u32 {
+                for page in 0..r.pages_per_block as u32 {
+                    if let Some(lba) = r.p2l[r.p2l_slot(local, block, page)] {
+                        let ppa = Ppa::new(state.chip, block, page);
+                        assert_eq!(r.l2p[lba as usize], Some(ppa), "p2l/l2p disagree for {ppa}");
+                        owned += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(owned, mapped, "orphan p2l entries (duplicate physical copies)");
+        assert_eq!(r.mapped_pages(), mapped, "mapped-page count out of step with p2l");
     }
 
     #[test]
