@@ -436,15 +436,12 @@ mod tests {
         assert!(rec.scheme.m >= 1);
     }
 
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-        #[test]
-        fn reservoir_sampling_is_unbiased(
-            capacity in 128usize..512,
-            stretch in 4u64..12,
-        ) {
+    #[test]
+    fn reservoir_sampling_is_unbiased() {
+        use rand::Rng;
+        ipa_flash::for_each_case(16, |rng| {
+            let capacity = rng.gen_range(128usize..512);
+            let stretch = rng.gen_range(4u64..12);
             // Feed `total = stretch · capacity` observations whose body
             // value encodes the arrival index, then check the retained
             // set draws ~uniformly from the whole stream: each quarter of
@@ -458,7 +455,7 @@ mod tests {
             for i in 0..total {
                 p.record(i as u32, 0);
             }
-            prop_assert_eq!(p.samples.len(), capacity);
+            assert_eq!(p.samples.len(), capacity);
             let mut quarters = [0usize; 4];
             for &(body, _) in p.samples.iter() {
                 let q = (body as u64 * 4 / total).min(3) as usize;
@@ -467,12 +464,11 @@ mod tests {
             let expected = capacity as f64 / 4.0;
             for (qi, &count) in quarters.iter().enumerate() {
                 let dev = (count as f64 - expected).abs();
-                prop_assert!(
+                assert!(
                     dev < expected * 0.5,
-                    "quarter {} held {} of expected {} (total {}, capacity {})",
-                    qi, count, expected, total, capacity
+                    "quarter {qi} held {count} of expected {expected} (total {total}, capacity {capacity})"
                 );
             }
-        }
+        });
     }
 }

@@ -36,7 +36,7 @@ use ipa_noftl::Lba;
 use crate::db::{Database, PageId};
 use crate::error::EngineError;
 use crate::txn::TxId;
-use crate::wal::{LogPayload, Lsn};
+use crate::wal::LogPayload;
 use crate::Result;
 
 const TAG_LEAF: u8 = 0xBE;
@@ -196,18 +196,21 @@ fn store_node(db: &mut Database, tx: Option<TxId>, pid: PageId, node: &Node) -> 
     let Some((base, first, last)) = span else { return Ok(()) };
     let changed = image[first..=last].to_vec();
     let offset = base + first;
-    let lsn = match tx {
-        Some(tx) => db.log_for_tx(
-            tx,
-            LogPayload::PageWrite { tx, page: pid, offset: offset as u32, after: changed.clone() },
-        )?,
-        None => Lsn::NULL,
+    let Some(tx) = tx else {
+        return db.with_page_mut(pid, |page, tracker| {
+            page.write_body(offset, &changed, tracker);
+            Ok(())
+        });
     };
-    db.with_page_mut(pid, |page, tracker| {
+    let lsn = db.log_for_tx(
+        tx,
+        LogPayload::PageWrite { tx, page: pid, offset: offset as u32, after: changed.clone() },
+    )?;
+    // The record is already in the log: it, not the one after it, is the
+    // recovery LSN of a frame this write dirties.
+    db.with_page_mut_at(pid, lsn, |page, tracker| {
         page.write_body(offset, &changed, tracker);
-        if !lsn.is_null() {
-            page.set_lsn(lsn.0, tracker);
-        }
+        page.set_lsn(lsn.0, tracker);
         Ok(())
     })
 }

@@ -49,8 +49,6 @@ pub struct DbConfig {
     /// is dirty (Shore-MT hardcodes 12.5%; the paper's non-eager
     /// experiments raise it to 75%).
     pub cleaner_dirty_threshold: f64,
-    /// Pages flushed per cleaner round.
-    pub cleaner_batch: usize,
     /// Log capacity budget in bytes.
     pub log_capacity_bytes: usize,
     /// Log reclamation trigger as a fraction of capacity (25–50% eager in
@@ -85,10 +83,6 @@ pub struct DbConfig {
     pub advisor_epoch_ns: u64,
     /// Optimization goal fed to the advisor at each re-tune epoch.
     pub advisor_goal: AdvisorGoal,
-    /// Hysteresis: a region transitions only when the profile-predicted
-    /// IPA hit rate of the recommended scheme exceeds the current
-    /// scheme's by more than this margin.
-    pub advisor_hysteresis: f64,
     /// Minimum eviction observations a region's profile must hold before
     /// an epoch evaluates it (unevaluated profiles keep accumulating).
     pub advisor_min_observations: u64,
@@ -110,7 +104,6 @@ impl DbConfig {
         DbConfig {
             buffer_frames,
             cleaner_dirty_threshold: 0.125,
-            cleaner_batch: 64,
             log_capacity_bytes: 64 << 20,
             log_reclaim_threshold: 0.375,
             verify_ecc: false,
@@ -119,7 +112,6 @@ impl DbConfig {
             log_force_ns: 0,
             advisor_epoch_ns: 0,
             advisor_goal: AdvisorGoal::Longevity,
-            advisor_hysteresis: 0.05,
             advisor_min_observations: 64,
             checkpoint_interval_ns: 0,
         }
@@ -651,14 +643,26 @@ impl Database {
     }
 
     /// Run `f` against a buffered page and its tracker. The page is pinned
-    /// for the duration of `f`.
+    /// for the duration of `f`. The change is logged after `f` returns, so
+    /// a frame `f` dirties takes the next log record as its recovery LSN.
     pub fn with_page_mut<R>(
         &mut self,
         pid: PageId,
         f: impl FnOnce(&mut DbPage, &mut ChangeTracker) -> Result<R>,
     ) -> Result<R> {
+        self.with_page_mut_at(pid, Lsn(self.wal.head().0 + 1), f)
+    }
+
+    /// [`Self::with_page_mut`] for a change whose log record, `rec_lsn`,
+    /// already exists: restart redo and rollback apply records that sit
+    /// anywhere in the log, not at its end.
+    pub(crate) fn with_page_mut_at<R>(
+        &mut self,
+        pid: PageId,
+        rec_lsn: Lsn,
+        f: impl FnOnce(&mut DbPage, &mut ChangeTracker) -> Result<R>,
+    ) -> Result<R> {
         let idx = self.fetch(pid)?;
-        let rec_lsn = Lsn(self.wal.head().0 + 1);
         self.pool.update(idx, rec_lsn, f).ok_or(EngineError::Internal("fetched frame missing"))?
     }
 
@@ -876,8 +880,10 @@ impl Database {
             let target = (self.config.cleaner_dirty_threshold * self.pool.capacity() as f64).floor()
                 as usize;
             let excess = self.pool.dirty_count().saturating_sub(target);
+            /// Most pages one cleaner round flushes.
+            const CLEANER_BATCH: usize = 64;
             let (flushed, staged) =
-                self.stage_flushes(excess.min(self.config.cleaner_batch), IoCtx::host_async());
+                self.stage_flushes(excess.min(CLEANER_BATCH), IoCtx::host_async());
             self.stats.cleaner_flushes += flushed;
             staged?;
         }
@@ -914,6 +920,10 @@ impl Database {
     /// profile restarts so the next epoch sees the *current* workload
     /// phase, not its whole history.
     fn maybe_retune(&mut self) {
+        /// Hysteresis: a region transitions only when the profile-predicted
+        /// IPA hit rate of the recommended scheme exceeds the current
+        /// scheme's by more than this margin.
+        const HYSTERESIS: f64 = 0.05;
         let now = self.ftl.device().clock().now_ns();
         let Some(state) = self.adaptive.as_mut() else { return };
         if now.saturating_sub(state.last_epoch_ns) < self.config.advisor_epoch_ns {
@@ -943,7 +953,7 @@ impl Database {
                 };
                 self.ftl.emit(snap, Some(region as u32), None);
             }
-            if rec.scheme != current && gain > self.config.advisor_hysteresis {
+            if rec.scheme != current && gain > HYSTERESIS {
                 let page_size = self.layouts[region].page_size;
                 if let Ok(new_layout) = PageLayout::new(page_size, rec.scheme) {
                     self.layouts[region] = new_layout;
@@ -1506,21 +1516,23 @@ pub(crate) mod tests {
         CrashRecover,
     }
 
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::Rng;
 
-    fn pool_op() -> impl Strategy<Value = PoolOp> {
-        prop_oneof![
-            6 => (0usize..64, 1usize..48, any::<u8>()).prop_map(|(r, n, b)| PoolOp::Update(r, n, b)),
-            2 => any::<u8>().prop_map(PoolOp::Insert),
-            2 => (0usize..64, any::<u8>()).prop_map(|(r, b)| PoolOp::Abort(r, b)),
-            2 => (0usize..64).prop_map(PoolOp::FlushPage),
-            3 => (1usize..5).prop_map(PoolOp::Pressure),
-            1 => Just(PoolOp::FreePage),
-            1 => Just(PoolOp::Checkpoint),
-            3 => Just(PoolOp::Background),
-            1 => Just(PoolOp::FlushAll),
-            1 => Just(PoolOp::CrashRecover),
-        ]
+    /// The ten ops in declaration order, drawn 6 : 2 : 2 : 2 : 3 : 1 : 1 : 3 : 1 : 1.
+    fn pool_op(rng: &mut StdRng) -> PoolOp {
+        match rng.gen_range(0..22) {
+            0..=5 => PoolOp::Update(rng.gen_range(0..64), rng.gen_range(1..48), rng.gen()),
+            6..=7 => PoolOp::Insert(rng.gen()),
+            8..=9 => PoolOp::Abort(rng.gen_range(0..64), rng.gen()),
+            10..=11 => PoolOp::FlushPage(rng.gen_range(0..64)),
+            12..=14 => PoolOp::Pressure(rng.gen_range(1..5)),
+            15 => PoolOp::FreePage,
+            16 => PoolOp::Checkpoint,
+            17..=19 => PoolOp::Background,
+            20 => PoolOp::FlushAll,
+            _ => PoolOp::CrashRecover,
+        }
     }
 
     /// The pool's incremental state against the full-scan oracle: the
@@ -1548,12 +1560,11 @@ pub(crate) mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-        #[test]
-        fn dirty_set_and_cleaning_order_match_the_full_scan(
-            ops in prop::collection::vec((pool_op(), 0usize..12), 1..80),
-        ) {
+    #[test]
+    fn dirty_set_and_cleaning_order_match_the_full_scan() {
+        ipa_flash::for_each_case(20_000, |rng| {
+            let ops: Vec<(PoolOp, usize)> =
+                (0..rng.gen_range(1..80)).map(|_| (pool_op(rng), rng.gen_range(0..12))).collect();
             // 12 frames over a heap that starts at ~6 pages and grows:
             // updates hit and miss, evictions sweep the hand around.
             let mut db = test_db(NxM::tpcc(), 12);
@@ -1607,7 +1618,7 @@ pub(crate) mod tests {
                 }
                 check_pool_against_scan(&mut db, pin);
             }
-        }
+        });
     }
 
     #[test]

@@ -79,6 +79,7 @@
 )]
 
 mod block;
+mod cases;
 mod chip;
 mod counters;
 mod device;
@@ -96,6 +97,7 @@ mod stats;
 mod timing;
 
 pub use block::{Block, BlockState};
+pub use cases::for_each_case;
 pub use chip::{Chip, ChipCounters};
 pub use counters::{CounterSlot, CounterValue, Counters};
 pub use device::{FlashConfig, FlashDevice, OpOrigin, OpResult, WearHistogram};

@@ -39,46 +39,65 @@ pub struct Snapshot {
     pub trace_dropped: u64,
 }
 
-/// Derived metrics over one snapshot (cumulative or interval) — the
-/// paper's ratio rows plus tail latencies.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[must_use]
-pub struct Gauges {
+/// Declares [`Gauges`] once: the struct and its JSON rendering (one key
+/// per field, named after it, in declaration order) come from this list.
+macro_rules! gauges {
+    ($( $(#[$doc:meta])* $field:ident: $ty:ty ),* $(,)?) => {
+        /// Derived metrics over one snapshot (cumulative or interval) — the
+        /// paper's ratio rows plus tail latencies.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        #[must_use]
+        pub struct Gauges {
+            $( $(#[$doc])* pub $field: $ty, )*
+        }
+
+        impl Gauges {
+            /// Encode as a JSON object.
+            pub fn to_json(&self) -> Value {
+                let mut m = Map::new();
+                $( m.insert(stringify!($field).into(), Value::from(self.$field)); )*
+                Value::Object(m)
+            }
+        }
+    };
+}
+
+gauges! {
     /// DB write amplification: gross written / net changed bytes.
-    pub write_amplification: f64,
+    write_amplification: f64,
     /// Fraction of host writes served as in-place appends.
-    pub ipa_fraction: f64,
+    ipa_fraction: f64,
     /// GC page migrations per host write.
-    pub migrations_per_host_write: f64,
+    migrations_per_host_write: f64,
     /// GC erases per host write.
-    pub erases_per_host_write: f64,
+    erases_per_host_write: f64,
     /// Buffer-pool hit ratio.
-    pub hit_ratio: f64,
+    hit_ratio: f64,
     /// Mean host read latency, nanoseconds.
-    pub read_mean_ns: u64,
+    read_mean_ns: u64,
     /// p50 host read latency, nanoseconds.
-    pub read_p50_ns: u64,
+    read_p50_ns: u64,
     /// p95 host read latency, nanoseconds.
-    pub read_p95_ns: u64,
+    read_p95_ns: u64,
     /// p99 host read latency, nanoseconds.
-    pub read_p99_ns: u64,
+    read_p99_ns: u64,
     /// Mean host write latency, nanoseconds.
-    pub write_mean_ns: u64,
+    write_mean_ns: u64,
     /// p50 host write latency, nanoseconds.
-    pub write_p50_ns: u64,
+    write_p50_ns: u64,
     /// p95 host write latency, nanoseconds.
-    pub write_p95_ns: u64,
+    write_p95_ns: u64,
     /// p99 host write latency, nanoseconds.
-    pub write_p99_ns: u64,
+    write_p99_ns: u64,
     /// Highest number of host commands simultaneously in flight on the
     /// device queue.
-    pub queue_highwater: u64,
+    queue_highwater: u64,
     /// Host submissions that found the command queue full and had to wait.
-    pub queue_waits: u64,
+    queue_waits: u64,
     /// Busy time of the most-loaded chip, nanoseconds.
-    pub chip_busy_max_ns: u64,
+    chip_busy_max_ns: u64,
     /// Mean per-chip busy time, nanoseconds.
-    pub chip_busy_mean_ns: u64,
+    chip_busy_mean_ns: u64,
 }
 
 impl Snapshot {
@@ -195,31 +214,6 @@ impl Snapshot {
         m.insert("heat".into(), json_each(&self.heat, counters_json));
         m.insert("host_inflight".into(), Value::from(self.host_inflight));
         m.insert("trace_dropped".into(), Value::from(self.trace_dropped));
-        Value::Object(m)
-    }
-}
-
-impl Gauges {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("write_amplification".into(), Value::from(self.write_amplification));
-        m.insert("ipa_fraction".into(), Value::from(self.ipa_fraction));
-        m.insert("migrations_per_host_write".into(), Value::from(self.migrations_per_host_write));
-        m.insert("erases_per_host_write".into(), Value::from(self.erases_per_host_write));
-        m.insert("hit_ratio".into(), Value::from(self.hit_ratio));
-        m.insert("read_mean_ns".into(), Value::from(self.read_mean_ns));
-        m.insert("read_p50_ns".into(), Value::from(self.read_p50_ns));
-        m.insert("read_p95_ns".into(), Value::from(self.read_p95_ns));
-        m.insert("read_p99_ns".into(), Value::from(self.read_p99_ns));
-        m.insert("write_mean_ns".into(), Value::from(self.write_mean_ns));
-        m.insert("write_p50_ns".into(), Value::from(self.write_p50_ns));
-        m.insert("write_p95_ns".into(), Value::from(self.write_p95_ns));
-        m.insert("write_p99_ns".into(), Value::from(self.write_p99_ns));
-        m.insert("queue_highwater".into(), Value::from(self.queue_highwater));
-        m.insert("queue_waits".into(), Value::from(self.queue_waits));
-        m.insert("chip_busy_max_ns".into(), Value::from(self.chip_busy_max_ns));
-        m.insert("chip_busy_mean_ns".into(), Value::from(self.chip_busy_mean_ns));
         Value::Object(m)
     }
 }

@@ -17,12 +17,12 @@
 
 use std::collections::{HashMap, HashSet};
 
-use ipa_flash::FlashConfig;
+use ipa_flash::{for_each_case, FlashConfig};
 use ipa_noftl::{
     Completion, IoCtx, IpaMode, Lba, NoFtl, NoFtlConfig, PageIo, RegionId, SpanCategory,
 };
 use ipa_obs::{EventKind, ObsEvent, TraceHandle};
-use proptest::prelude::*;
+use rand::Rng;
 
 const DEPTH: u32 = 4;
 const CHIPS: u32 = 4;
@@ -135,12 +135,12 @@ fn lifecycles_nest_in_spans_fixed_sequence() {
     check_case(&batches);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-    #[test]
-    fn lifecycles_nest_in_spans(
-        batches in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..16), 0..6)
-    ) {
+#[test]
+fn lifecycles_nest_in_spans() {
+    for_each_case(16, |rng| {
+        let batches: Vec<Vec<u8>> = (0..rng.gen_range(0..6))
+            .map(|_| (0..rng.gen_range(0..16)).map(|_| rng.gen()).collect())
+            .collect();
         check_case(&batches);
-    }
+    });
 }

@@ -5,10 +5,10 @@
 
 use ipa_core::{NxM, SlotId};
 use ipa_engine::{Database, DbConfig, PageId};
-use ipa_flash::{EventKind, FlashConfig};
+use ipa_flash::{for_each_case, EventKind, FlashConfig};
 use ipa_noftl::{IpaMode, NoFtlConfig};
 use ipa_obs::{MetricsRegistry, Snapshot, TraceHandle};
-use proptest::prelude::*;
+use rand::Rng;
 use serde_json::Value;
 
 fn test_db(frames: usize) -> Database {
@@ -177,8 +177,7 @@ fn assert_monotone(later: &Value, earlier: &Value, path: &str) {
 }
 
 /// Drive an arbitrary op sequence and check every snapshot counter is
-/// monotone non-decreasing. Plain function so the property body is
-/// ordinary compiled code; the proptest harness just feeds it inputs.
+/// monotone non-decreasing.
 fn run_monotone_case(ops: &[u8]) {
     let mut db = test_db(4);
     let mut pages: Vec<(PageId, SlotId)> = Vec::new();
@@ -236,10 +235,10 @@ fn counters_monotone_fixed_sequence() {
     run_monotone_case(&[0, 1, 3, 0, 2, 3, 4, 5, 1, 3, 3, 2, 1, 3]);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-    #[test]
-    fn counters_monotone_under_arbitrary_ops(ops in proptest::collection::vec(0u8..6, 0..24)) {
+#[test]
+fn counters_monotone_under_arbitrary_ops() {
+    for_each_case(16, |rng| {
+        let ops: Vec<u8> = (0..rng.gen_range(0..24)).map(|_| rng.gen_range(0..6)).collect();
         run_monotone_case(&ops);
-    }
+    });
 }

@@ -72,8 +72,6 @@ pub struct SystemConfig {
     pub advisor_epoch_ns: u64,
     /// Tuning goal of the online advisor.
     pub advisor_goal: AdvisorGoal,
-    /// Minimum predicted-hit-rate gain before a scheme change commits.
-    pub advisor_hysteresis: f64,
     /// Minimum profile samples in an epoch before a region is evaluated
     /// (smaller = faster phase detection, noisier recommendations).
     pub advisor_min_observations: u64,
@@ -106,7 +104,6 @@ impl SystemConfig {
             lock_policy: LockPolicy::NoWait,
             advisor_epoch_ns: 0,
             advisor_goal: AdvisorGoal::Longevity,
-            advisor_hysteresis: 0.05,
             advisor_min_observations: 64,
             checkpoint_interval_ns: 0,
         }
@@ -142,7 +139,6 @@ impl SystemConfig {
             lock_policy: LockPolicy::NoWait,
             advisor_epoch_ns: 0,
             advisor_goal: AdvisorGoal::Longevity,
-            advisor_hysteresis: 0.05,
             advisor_min_observations: 64,
             checkpoint_interval_ns: 0,
         }
@@ -204,7 +200,6 @@ impl SystemConfig {
         .with_log_force_ns(self.log_force_ns);
         db_cfg.advisor_epoch_ns = self.advisor_epoch_ns;
         db_cfg.advisor_goal = self.advisor_goal;
-        db_cfg.advisor_hysteresis = self.advisor_hysteresis;
         db_cfg.advisor_min_observations = self.advisor_min_observations;
         db_cfg.checkpoint_interval_ns = self.checkpoint_interval_ns;
         Database::builder(ftl_cfg)

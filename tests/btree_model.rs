@@ -6,11 +6,12 @@
 
 use std::collections::BTreeMap;
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 use ipa::core::NxM;
 use ipa::engine::{Database, DbConfig, EngineError};
-use ipa::flash::FlashConfig;
+use ipa::flash::{for_each_case, FlashConfig};
 use ipa::noftl::{IpaMode, NoFtlConfig};
 
 fn db() -> Database {
@@ -30,25 +31,34 @@ enum Op {
 }
 
 /// Keys over the preloaded range (every third key is present there, so
-/// two in three probes are absent), with the extremes of the key space.
-fn key_strategy() -> impl Strategy<Value = u64> {
-    prop_oneof![
-        12 => 0u64..4000,
-        1 => Just(u64::MIN),
-        1 => Just(u64::MAX),
-        1 => (u64::MAX - 4)..=u64::MAX,
-    ]
+/// two in three probes are absent), with the extremes of the key space:
+/// drawn 12 : 1 : 1 : 1.
+fn key(rng: &mut StdRng) -> u64 {
+    match rng.gen_range(0..15) {
+        0..=11 => rng.gen_range(0u64..4000),
+        12 => u64::MIN,
+        13 => u64::MAX,
+        _ => rng.gen_range((u64::MAX - 4)..=u64::MAX),
+    }
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (key_strategy(), any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v)),
-        2 => key_strategy().prop_map(Op::Delete),
-        3 => key_strategy().prop_map(Op::Lookup),
-        2 => (key_strategy(), 0u64..200).prop_map(|(lo, w)| Op::Range(lo, lo.saturating_add(w))),
-        1 => (key_strategy(), key_strategy()).prop_map(|(a, b)| Op::Range(a.min(b), a.max(b))),
-        1 => Just(Op::FlushAll),
-    ]
+/// Insert : Delete : Lookup : short Range : any Range : FlushAll drawn
+/// 4 : 2 : 3 : 2 : 1 : 1.
+fn op(rng: &mut StdRng) -> Op {
+    match rng.gen_range(0..13) {
+        0..=3 => Op::Insert(key(rng), rng.gen()),
+        4..=5 => Op::Delete(key(rng)),
+        6..=8 => Op::Lookup(key(rng)),
+        9..=10 => {
+            let lo = key(rng);
+            Op::Range(lo, lo.saturating_add(rng.gen_range(0u64..200)))
+        }
+        11 => {
+            let (a, b) = (key(rng), key(rng));
+            Op::Range(a.min(b), a.max(b))
+        }
+        _ => Op::FlushAll,
+    }
 }
 
 /// Levels from the root down to (and including) the leaves, following the
@@ -72,14 +82,11 @@ fn tree_depth(d: &mut Database, idx: u32) -> usize {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn btree_matches_model(
-        preload in 0u64..3,
-        ops in prop::collection::vec(op_strategy(), 1..120),
-    ) {
+#[test]
+fn btree_matches_model() {
+    for_each_case(24, |rng| {
+        let preload = rng.gen_range(0u64..3);
+        let ops: Vec<Op> = (0..rng.gen_range(1..120)).map(|_| op(rng)).collect();
         let mut d = db();
         let idx = d.create_index(0).unwrap();
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
@@ -97,21 +104,21 @@ proptest! {
                         r.unwrap();
                         e.insert(v);
                     } else {
-                        prop_assert!(r.is_err(), "duplicate {k} must be rejected");
+                        assert!(r.is_err(), "duplicate {k} must be rejected");
                     }
                 }
                 Op::Delete(k) => {
                     let got = tx.index_delete(idx, k).unwrap();
-                    prop_assert_eq!(got, model.remove(&k));
+                    assert_eq!(got, model.remove(&k));
                 }
                 Op::Lookup(k) => {
-                    prop_assert_eq!(tx.index_lookup(idx, k).unwrap(), model.get(&k).copied());
+                    assert_eq!(tx.index_lookup(idx, k).unwrap(), model.get(&k).copied());
                 }
                 Op::Range(lo, hi) => {
                     let got = tx.index_range(idx, lo, hi).unwrap();
                     let want: Vec<(u64, u64)> =
                         model.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
-                    prop_assert_eq!(got, want);
+                    assert_eq!(got, want);
                 }
                 Op::FlushAll => {
                     tx.db().flush_all().unwrap();
@@ -121,8 +128,8 @@ proptest! {
         // Final full-range equivalence.
         let got = tx.index_range(idx, u64::MIN, u64::MAX).unwrap();
         let want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-        prop_assert_eq!(got, want);
-    }
+        assert_eq!(got, want);
+    });
 }
 
 #[test]

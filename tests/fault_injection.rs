@@ -181,7 +181,7 @@ fn fault_counters_flow_into_obs_snapshots() {
 
 #[test]
 fn inactive_plan_draws_nothing_and_counts_nothing() {
-    // The zero-fault guarantee behind the bit-identical criterion: a
+    // The zero-fault guarantee behind the bit-identical requirement: a
     // default plan leaves every fault counter at zero however much I/O
     // runs through the device.
     let mut ftl = ftl_with(FaultPlan::default(), 0.0, |_| {});

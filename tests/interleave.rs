@@ -5,11 +5,11 @@
 
 use std::sync::{Arc, Mutex};
 
-use proptest::prelude::*;
+use rand::Rng;
 
 use ipa::core::NxM;
 use ipa::engine::{Database, LockPolicy, Schedule};
-use ipa::flash::{ObsEvent, Observer};
+use ipa::flash::{for_each_case, ObsEvent, Observer};
 use ipa::workloads::tpcb::BALANCE_OFF;
 use ipa::workloads::util::Record;
 use ipa::workloads::{MultiRunner, Runner, SystemConfig, TpcB};
@@ -39,22 +39,19 @@ fn account_balances(w: &TpcB, db: &mut Database) -> Vec<i32> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Serializability oracle: whatever interleaving the pool's schedule
-    /// produces — round-robin or weighted, with or without group commit —
-    /// the final database state equals the one serial execution of the
-    /// same per-client transaction streams, and the money-conservation
-    /// audit holds on both sides.
-    #[test]
-    fn any_interleaving_matches_a_serial_order(
-        k in 1usize..=5,
-        txns_per_client in 1u64..=25,
-        sched_seed in any::<u64>(),
-        weighted in any::<bool>(),
-        batch in 1usize..=4,
-    ) {
+/// Serializability oracle: whatever interleaving the pool's schedule
+/// produces — round-robin or weighted, with or without group commit —
+/// the final database state equals the one serial execution of the
+/// same per-client transaction streams, and the money-conservation
+/// audit holds on both sides.
+#[test]
+fn any_interleaving_matches_a_serial_order() {
+    for_each_case(12, |rng| {
+        let k = rng.gen_range(1usize..=5);
+        let txns_per_client = rng.gen_range(1u64..=25);
+        let sched_seed: u64 = rng.gen();
+        let weighted: bool = rng.gen();
+        let batch = rng.gen_range(1usize..=4);
         let schedule = if weighted {
             // Skewed but nonzero weights, so every client still finishes.
             Schedule::Weighted((0..k as u32).map(|i| i + 1).collect())
@@ -73,8 +70,11 @@ proptest! {
         let mut multi = MultiRunner::new(sched_seed);
         multi.schedule = schedule;
         let report = multi.run(&mut db, clients).unwrap();
-        prop_assert_eq!(report.pool.committed, k as u64 * txns_per_client,
-            "every client transaction commits exactly once");
+        assert_eq!(
+            report.pool.committed,
+            k as u64 * txns_per_client,
+            "every client transaction commits exactly once"
+        );
         let conserved = shared.borrow().verify_balances(&mut db).unwrap();
         let interleaved = account_balances(&shared.borrow(), &mut db);
 
@@ -93,11 +93,9 @@ proptest! {
         let serial_conserved = shared2.borrow().verify_balances(&mut db2).unwrap();
         let serial = account_balances(&shared2.borrow(), &mut db2);
 
-        prop_assert_eq!(conserved, serial_conserved,
-            "same committed work on both sides");
-        prop_assert_eq!(interleaved, serial,
-            "interleaved final state diverged from the serial order");
-    }
+        assert_eq!(conserved, serial_conserved, "same committed work on both sides");
+        assert_eq!(interleaved, serial, "interleaved final state diverged from the serial order");
+    });
 }
 
 /// Ordered flash/engine event tape (same shape as the determinism test in

@@ -11,21 +11,31 @@
 
 use std::path::Path;
 
+/// Every `key = value` line of a manifest with the table it stands in.
+fn entries(manifest: &Path) -> Vec<(String, String, String)> {
+    let text = std::fs::read_to_string(manifest).expect("manifest is readable");
+    let mut table = String::new();
+    let mut entries = Vec::new();
+    for line in text.lines().map(str::trim).filter(|l| !l.starts_with('#')) {
+        if let Some(name) = line.strip_prefix('[') {
+            table = name.trim_end_matches(']').to_string();
+        } else if let Some((key, value)) = line.split_once('=') {
+            entries.push((table.clone(), key.trim().to_string(), value.trim().to_string()));
+        }
+    }
+    entries
+}
+
 /// The `ipa-*` keys of the `[dependencies]` table of
 /// `crates/<krate>/Cargo.toml`, sorted (`[dev-dependencies]` are exempt:
 /// tests may reach anywhere).
 fn workspace_deps(krate: &str) -> Vec<String> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates").join(krate).join("Cargo.toml");
-    let text = std::fs::read_to_string(&path).expect("crate manifest is readable");
-    let mut in_deps = false;
-    let mut deps = Vec::new();
-    for line in text.lines().map(str::trim) {
-        if line.starts_with('[') {
-            in_deps = line == "[dependencies]";
-        } else if in_deps && line.starts_with("ipa-") {
-            deps.push(line.chars().take_while(|c| !matches!(c, '.' | '=' | ' ')).collect());
-        }
-    }
+    let mut deps: Vec<String> = entries(&path)
+        .into_iter()
+        .filter(|(table, key, _)| table == "dependencies" && key.starts_with("ipa-"))
+        .map(|(_, key, _)| key.split('.').next().unwrap_or_default().to_string())
+        .collect();
     deps.sort();
     deps
 }
@@ -39,4 +49,43 @@ fn manifests_declare_the_layering() {
         ["ipa-core", "ipa-noftl"],
         "the engine reaches the device through noftl, never ipa-flash directly"
     );
+}
+
+/// The registry is unreachable where this builds and where the benchmark
+/// runs, so the dependency graph must close inside the tree: a crate that
+/// is not a path dependency is patched to one, and the committed lock file
+/// (with it present, cargo resolves nothing) names no other source.
+#[test]
+fn workspace_resolves_from_the_checkout() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut patched = Vec::new();
+    for (table, name, patch) in entries(&root.join("Cargo.toml")) {
+        if table == "patch.crates-io" {
+            let path = patch.split('"').nth(1).expect("a patch entry is `{ path = \"...\" }`");
+            assert!(root.join(path).join("Cargo.toml").is_file(), "`{name}` is patched to {path}");
+            patched.push(name);
+        }
+    }
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/ is readable");
+    let manifests = crates
+        .map(|dir| dir.expect("crates/ entry is readable").path().join("Cargo.toml"))
+        .filter(|manifest| manifest.is_file())
+        .chain([root.join("Cargo.toml")]);
+    for manifest in manifests {
+        for (table, key, value) in entries(&manifest) {
+            // `x.workspace = true` defers to the root's
+            // [workspace.dependencies], which is one of the tables walked.
+            let deferred = key.ends_with(".workspace") || value.contains("workspace = true");
+            if table.ends_with("dependencies") && !deferred && !value.contains("path =") {
+                let manifest = manifest.display();
+                assert!(
+                    patched.contains(&key),
+                    "{manifest}: `{key}` has no [patch.crates-io] entry"
+                );
+            }
+        }
+    }
+    let lock = std::fs::read_to_string(root.join("Cargo.lock")).expect("Cargo.lock is committed");
+    let foreign: Vec<&str> = lock.lines().filter(|l| l.starts_with("source = ")).collect();
+    assert!(foreign.is_empty(), "Cargo.lock names packages from outside the tree: {foreign:?}");
 }

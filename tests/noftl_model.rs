@@ -4,9 +4,10 @@
 
 use std::collections::HashMap;
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 
-use ipa::flash::{CellType, FlashConfig};
+use ipa::flash::{for_each_case, CellType, FlashConfig};
 use ipa::noftl::{IoCtx, IpaMode, Lba, NoFtl, NoFtlConfig, NoFtlError, RegionId};
 
 fn small_ftl(mode: IpaMode, cell: CellType) -> NoFtl {
@@ -28,13 +29,15 @@ enum Op {
     Read(u64),
 }
 
-fn ops() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (0u64..48, any::<u8>()).prop_map(|(l, b)| Op::Write(l, b)),
-        3 => (0u64..48, any::<u8>()).prop_map(|(l, b)| Op::Delta(l, b)),
-        1 => (0u64..48).prop_map(Op::Trim),
-        3 => (0u64..48).prop_map(Op::Read),
-    ]
+/// Write : Delta : Trim : Read drawn 4 : 3 : 1 : 3.
+fn op(rng: &mut StdRng) -> Op {
+    let lba = rng.gen_range(0u64..48);
+    match rng.gen_range(0..11) {
+        0..=3 => Op::Write(lba, rng.gen()),
+        4..=6 => Op::Delta(lba, rng.gen()),
+        7 => Op::Trim(lba),
+        _ => Op::Read(lba),
+    }
 }
 
 fn page_image(byte: u8, size: usize) -> Vec<u8> {
@@ -44,11 +47,10 @@ fn page_image(byte: u8, size: usize) -> Vec<u8> {
     v
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn mapping_matches_shadow(ops in prop::collection::vec(ops(), 1..160)) {
+#[test]
+fn mapping_matches_shadow() {
+    for_each_case(48, |rng| {
+        let ops: Vec<Op> = (0..rng.gen_range(1..160)).map(|_| op(rng)).collect();
         let mut ftl = small_ftl(IpaMode::Slc, CellType::Slc);
         let rid = RegionId(0);
         let page_size = 256usize;
@@ -67,18 +69,19 @@ proptest! {
                     match shadow.get_mut(&lba) {
                         Some((img, appends)) if *appends < 8 => {
                             let off = page_size / 2 + (*appends as usize) * 8;
-                            ftl.write_delta(rid, Lba(lba), off, &[b, b, b, b], IoCtx::default()).unwrap();
+                            ftl.write_delta(rid, Lba(lba), off, &[b, b, b, b], IoCtx::default())
+                                .unwrap();
                             img[off..off + 4].fill(b);
                             *appends += 1;
                         }
                         Some((_, _)) => {
                             // Budget exhausted: device must refuse.
-                            prop_assert!(ftl
+                            assert!(ftl
                                 .write_delta(rid, Lba(lba), 0, &[0], IoCtx::default())
                                 .is_err());
                         }
                         None => {
-                            prop_assert!(matches!(
+                            assert!(matches!(
                                 ftl.write_delta(rid, Lba(lba), 0, &[b], IoCtx::default()),
                                 Err(NoFtlError::Unmapped(_))
                             ));
@@ -92,10 +95,10 @@ proptest! {
                 Op::Read(lba) => match shadow.get(&lba) {
                     Some((img, _)) => {
                         let (got, _) = ftl.read_page(rid, Lba(lba), IoCtx::default()).unwrap();
-                        prop_assert_eq!(&got, img);
+                        assert_eq!(&got, img);
                     }
                     None => {
-                        prop_assert!(matches!(
+                        assert!(matches!(
                             ftl.read_page(rid, Lba(lba), IoCtx::default()),
                             Err(NoFtlError::Unmapped(_))
                         ));
@@ -106,12 +109,15 @@ proptest! {
         // Final sweep: every mapped page matches its shadow.
         for (lba, (img, _)) in &shadow {
             let (got, _) = ftl.read_page(rid, Lba(*lba), IoCtx::default()).unwrap();
-            prop_assert_eq!(&got, img, "lba {}", lba);
+            assert_eq!(&got, img, "lba {}", lba);
         }
-    }
+    });
+}
 
-    #[test]
-    fn tlc_region_behaves_like_slc_for_appends(writes in 1u64..40) {
+#[test]
+fn tlc_region_behaves_like_slc_for_appends() {
+    for_each_case(48, |rng| {
+        let writes = rng.gen_range(1u64..40);
         // Appendix C.3: 3D/TLC flash takes appends via the SLC-style mode.
         let mut flash = FlashConfig::small_slc();
         flash.geometry.chips = 2;
@@ -123,12 +129,12 @@ proptest! {
         let rid = RegionId(0);
         for l in 0..writes {
             ftl.write_page(rid, Lba(l), &page_image(l as u8, 256), IoCtx::default()).unwrap();
-            prop_assert!(ftl.can_append(rid, Lba(l)));
+            assert!(ftl.can_append(rid, Lba(l)));
             ftl.write_delta(rid, Lba(l), 200, &[0xAA], IoCtx::default()).unwrap();
             let (got, _) = ftl.read_page(rid, Lba(l), IoCtx::default()).unwrap();
-            prop_assert_eq!(got[200], 0xAA);
+            assert_eq!(got[200], 0xAA);
         }
-    }
+    });
 }
 
 #[test]

@@ -1,24 +1,35 @@
-//! Property-based tests over the core invariants of the stack.
+//! Property tests over the core invariants of the stack: each runs 128
+//! cases, case `n` drawing its inputs from `StdRng::seed_from_u64(n)`.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 use ipa::core::{
     delta, ChangePair, ChangeTracker, DbPage, DeltaRecord, FlushDecision, NxM, PageLayout,
 };
-use ipa::flash::{FlashConfig, FlashDevice, OpOrigin, Ppa};
+use ipa::flash::{for_each_case, FlashConfig, FlashDevice, OpOrigin, Ppa};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+const CASES: u64 = 128;
 
-    /// ISPP invariant: any sequence of partial programs either fails or
-    /// leaves every bit monotonically non-increasing (1 -> 0 only).
-    #[test]
-    fn flash_charge_is_monotone(
-        writes in prop::collection::vec(
-            (0usize..4096, prop::collection::vec(any::<u8>(), 1..32)),
-            1..20,
-        )
-    ) {
+/// `len` pairs of an offset from `offsets` and any byte.
+fn offset_bytes(
+    rng: &mut StdRng,
+    offsets: std::ops::Range<u16>,
+    len: std::ops::Range<usize>,
+) -> Vec<(u16, u8)> {
+    (0..rng.gen_range(len)).map(|_| (rng.gen_range(offsets.clone()), rng.gen())).collect()
+}
+
+/// ISPP invariant: any sequence of partial programs either fails or
+/// leaves every bit monotonically non-increasing (1 -> 0 only).
+#[test]
+fn flash_charge_is_monotone() {
+    for_each_case(CASES, |rng| {
+        let writes: Vec<(usize, Vec<u8>)> = (0..rng.gen_range(1..20))
+            .map(|_| {
+                (rng.gen_range(0..4096), (0..rng.gen_range(1..32)).map(|_| rng.gen()).collect())
+            })
+            .collect();
         let mut dev = FlashDevice::new(FlashConfig::small_slc());
         let ppa = Ppa::new(0, 0, 0);
         dev.program(ppa, &vec![0xFF; 4096], OpOrigin::Host).unwrap();
@@ -36,28 +47,27 @@ proptest! {
                 }
                 Err(_) => {
                     // Failed programs must leave the page untouched.
-                    prop_assert_eq!(dev.peek(ppa).unwrap(), &before[..]);
+                    assert_eq!(dev.peek(ppa).unwrap(), &before[..]);
                 }
             }
             // Every accepted state matches the shadow, and transitions were
             // monotone: new & !old == 0 for each accepted write.
             let now = dev.peek(ppa).unwrap();
             for i in 0..4096 {
-                prop_assert_eq!(now[i], shadow[i]);
-                prop_assert_eq!(now[i] & !before[i] & !now[i], 0);
+                assert_eq!(now[i], shadow[i]);
+                assert_eq!(now[i] & !before[i] & !now[i], 0);
             }
         }
-    }
+    });
+}
 
-    /// Delta records survive encode/decode for any in-budget pair sets.
-    #[test]
-    fn delta_record_roundtrip(
-        n in 1u16..4,
-        m in 1u16..20,
-        v in 0u16..16,
-        body_seed in prop::collection::vec((0u16..4000, any::<u8>()), 0..20),
-        meta_seed in prop::collection::vec((0u16..32, any::<u8>()), 0..16),
-    ) {
+/// Delta records survive encode/decode for any in-budget pair sets.
+#[test]
+fn delta_record_roundtrip() {
+    for_each_case(CASES, |rng| {
+        let (n, m, v) = (rng.gen_range(1u16..4), rng.gen_range(1u16..20), rng.gen_range(0u16..16));
+        let body_seed = offset_bytes(rng, 0..4000, 0..20);
+        let meta_seed = offset_bytes(rng, 0..32, 0..16);
         let scheme = NxM::new(n, m, v);
         let mut body: Vec<ChangePair> = body_seed
             .into_iter()
@@ -73,17 +83,18 @@ proptest! {
         meta.dedup_by_key(|p| p.offset);
         let rec = DeltaRecord::new(body, meta);
         let encoded = rec.encode(&scheme).unwrap();
-        prop_assert_eq!(encoded.len(), scheme.delta_record_size());
+        assert_eq!(encoded.len(), scheme.delta_record_size());
         let decoded = DeltaRecord::decode(&encoded, &scheme).unwrap().unwrap();
-        prop_assert_eq!(decoded, rec);
-    }
+        assert_eq!(decoded, rec);
+    });
+}
 
-    /// Applying delta records to a page is exactly byte substitution:
-    /// every pair lands, nothing else changes.
-    #[test]
-    fn delta_apply_is_exact(
-        pairs in prop::collection::vec((100u16..2000, any::<u8>()), 1..30),
-    ) {
+/// Applying delta records to a page is exactly byte substitution:
+/// every pair lands, nothing else changes.
+#[test]
+fn delta_apply_is_exact() {
+    for_each_case(CASES, |rng| {
+        let pairs = offset_bytes(rng, 100..2000, 1..30);
         let mut unique = std::collections::BTreeMap::new();
         for (off, val) in pairs {
             unique.insert(off, val);
@@ -96,18 +107,21 @@ proptest! {
         rec.apply(&mut page).unwrap();
         for (i, &b) in page.iter().enumerate() {
             match unique.get(&(i as u16)) {
-                Some(&v) => prop_assert_eq!(b, v),
-                None => prop_assert_eq!(b, 0xEE),
+                Some(&v) => assert_eq!(b, v),
+                None => assert_eq!(b, 0xEE),
             }
         }
-    }
+    });
+}
 
-    /// Slotted-page operations keep tuples readable and never corrupt
-    /// unrelated slots.
-    #[test]
-    fn slotted_page_model_check(
-        ops in prop::collection::vec((0u8..3, 0usize..8, 1usize..60), 1..40),
-    ) {
+/// Slotted-page operations keep tuples readable and never corrupt
+/// unrelated slots.
+#[test]
+fn slotted_page_model_check() {
+    for_each_case(CASES, |rng| {
+        let ops: Vec<(u8, usize, usize)> = (0..rng.gen_range(1..40))
+            .map(|_| (rng.gen_range(0..3), rng.gen_range(0..8), rng.gen_range(1..60)))
+            .collect();
         let layout = PageLayout::new(2048, NxM::tpcc()).unwrap();
         let mut page = DbPage::format(7, layout);
         let mut tracker = ChangeTracker::new(*page.scheme(), 0, false);
@@ -118,7 +132,7 @@ proptest! {
                 0 => {
                     let data = vec![(len % 251) as u8; len];
                     if let Ok(slot) = page.insert_tuple(&data, &mut tracker) {
-                        prop_assert_eq!(slot.0 as usize, model.len());
+                        assert_eq!(slot.0 as usize, model.len());
                         model.push(Some(data));
                     }
                 }
@@ -143,23 +157,24 @@ proptest! {
             for (i, expect) in model.iter().enumerate() {
                 let slot = ipa::core::SlotId(i as u16);
                 match expect {
-                    Some(data) => prop_assert_eq!(page.tuple(slot).unwrap(), &data[..]),
-                    None => prop_assert!(page.tuple(slot).is_err()),
+                    Some(data) => assert_eq!(page.tuple(slot).unwrap(), &data[..]),
+                    None => assert!(page.tuple(slot).is_err()),
                 }
             }
         }
-    }
+    });
+}
 
-    /// The flush decision respects the [NxM] capacity exactly: IPA iff the
-    /// accumulated distinct body bytes fit C_p and metadata fits V.
-    #[test]
-    fn flush_decision_matches_capacity(
-        n in 1u16..4,
-        m in 1u16..10,
-        n_existing in 0u16..4,
-        body_offsets in prop::collection::vec(200u16..4000, 0..40),
-        meta_count in 0u16..20,
-    ) {
+/// The flush decision respects the [NxM] capacity exactly: IPA iff the
+/// accumulated distinct body bytes fit C_p and metadata fits V.
+#[test]
+fn flush_decision_matches_capacity() {
+    for_each_case(CASES, |rng| {
+        let (n, m) = (rng.gen_range(1u16..4), rng.gen_range(1u16..10));
+        let n_existing = rng.gen_range(0u16..4);
+        let body_offsets: Vec<u16> =
+            (0..rng.gen_range(0..40)).map(|_| rng.gen_range(200..4000)).collect();
+        let meta_count = rng.gen_range(0u16..20);
         let scheme = NxM::new(n, m, 12);
         let mut t = ChangeTracker::new(scheme, n_existing.min(n), true);
         let mut distinct = std::collections::BTreeSet::new();
@@ -177,22 +192,25 @@ proptest! {
             && (meta_count.min(12) as usize) <= scheme.v as usize
             && scheme.records_needed(u) <= (scheme.n - n_existing.min(n)) as usize;
         match t.decide(&page) {
-            FlushDecision::Clean => prop_assert!(u == 0 && meta_count == 0),
+            FlushDecision::Clean => assert!(u == 0 && meta_count == 0),
             FlushDecision::Ipa(records) => {
-                prop_assert!(fits, "IPA allowed with U={u}, Cp={cp}");
+                assert!(fits, "IPA allowed with U={u}, Cp={cp}");
                 let total: usize = records.iter().map(|r| r.body.len()).sum();
-                prop_assert_eq!(total, u);
+                assert_eq!(total, u);
                 for r in &records {
-                    prop_assert!(r.body.len() <= m as usize);
+                    assert!(r.body.len() <= m as usize);
                 }
             }
-            FlushDecision::OutOfPlace => prop_assert!(!fits || u == 0),
+            FlushDecision::OutOfPlace => assert!(!fits || u == 0),
         }
-    }
+    });
+}
 
-    /// count_records over any sequence of appended records is exact.
-    #[test]
-    fn delta_area_count_is_exact(k in 0u16..4) {
+/// count_records over any sequence of appended records is exact.
+#[test]
+fn delta_area_count_is_exact() {
+    for_each_case(CASES, |rng| {
+        let k = rng.gen_range(0u16..4);
         let scheme = NxM::new(4, 3, 4);
         let size = scheme.delta_record_size();
         let mut area = vec![0xFF; scheme.delta_area_size()];
@@ -201,7 +219,7 @@ proptest! {
             let enc = rec.encode(&scheme).unwrap();
             area[i as usize * size..(i as usize + 1) * size].copy_from_slice(&enc);
         }
-        prop_assert_eq!(delta::count_records(&area, &scheme).unwrap(), k);
-        prop_assert_eq!(delta::decode_all(&area, &scheme).unwrap().len(), k as usize);
-    }
+        assert_eq!(delta::count_records(&area, &scheme).unwrap(), k);
+        assert_eq!(delta::decode_all(&area, &scheme).unwrap().len(), k as usize);
+    });
 }

@@ -12,11 +12,12 @@
 //!    (no NCQ) ignores the requested depth and reproduces the serial
 //!    timings exactly.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 use ipa::core::NxM;
 use ipa::engine::{Database, DbConfig};
-use ipa::flash::FlashConfig;
+use ipa::flash::{for_each_case, FlashConfig};
 use ipa::noftl::{IoCtx, IpaMode, Lba, NoFtl, NoFtlConfig, RegionId};
 
 const CHIPS: u32 = 4;
@@ -52,13 +53,14 @@ enum Op {
     Drain,
 }
 
-fn ops() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (0u64..LBAS, any::<u8>()).prop_map(|(l, b)| Op::Write(l, b)),
-        2 => (0u64..LBAS, 0usize..8, any::<u8>()).prop_map(|(l, s, b)| Op::Delta(l, s, b)),
-        2 => (0u64..LBAS).prop_map(Op::Read),
-        1 => Just(Op::Drain),
-    ]
+/// Write : Delta : Read : Drain drawn 4 : 2 : 2 : 1.
+fn op(rng: &mut StdRng) -> Op {
+    match rng.gen_range(0..9) {
+        0..=3 => Op::Write(rng.gen_range(0..LBAS), rng.gen()),
+        4..=5 => Op::Delta(rng.gen_range(0..LBAS), rng.gen_range(0..8), rng.gen()),
+        6..=7 => Op::Read(rng.gen_range(0..LBAS)),
+        _ => Op::Drain,
+    }
 }
 
 /// Run the sequence either queued (submit, drain only at `Drain` marks and
@@ -124,28 +126,27 @@ fn readback(ftl: &mut NoFtl) -> Vec<Option<Vec<u8>>> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn queued_execution_linearizes_to_serial_order(seq in prop::collection::vec(ops(), 1..120)) {
+#[test]
+fn queued_execution_linearizes_to_serial_order() {
+    for_each_case(32, |rng| {
+        let seq: Vec<Op> = (0..rng.gen_range(1..120)).map(|_| op(rng)).collect();
         let mut serial = ftl(1);
         let mut queued = ftl(8);
 
         let serial_outcomes = apply(&mut serial, false, &seq);
         let queued_outcomes = apply(&mut queued, true, &seq);
-        prop_assert_eq!(serial_outcomes, queued_outcomes);
-        prop_assert_eq!(queued.device().host_inflight(), 0);
+        assert_eq!(serial_outcomes, queued_outcomes);
+        assert_eq!(queued.device().host_inflight(), 0);
 
         // Same stats (scheduling must not change what work was done)...
-        prop_assert_eq!(
+        assert_eq!(
             serial.region_stats(RegionId(0)).unwrap(),
             queued.region_stats(RegionId(0)).unwrap()
         );
-        prop_assert_eq!(flash_counters(&serial), flash_counters(&queued));
+        assert_eq!(flash_counters(&serial), flash_counters(&queued));
         // ...and the same final flash contents.
-        prop_assert_eq!(readback(&mut serial), readback(&mut queued));
-    }
+        assert_eq!(readback(&mut serial), readback(&mut queued));
+    });
 }
 
 /// Build a database over `chips x 24 x 16` flash, dirty `pages` fresh
@@ -175,7 +176,7 @@ fn flush_device_time(flash: FlashConfig, depth: u32, pages: usize) -> u64 {
 
 #[test]
 fn batched_eviction_overlaps_on_emulator() {
-    // The acceptance criterion: 4 chips, depth >= 4 -> the staged
+    // The acceptance test: 4 chips, depth >= 4 -> the staged
     // `flush_all` batch overlaps program latencies across chips.
     let serial = flush_device_time(FlashConfig::emulator_slc(24, 16, 1024), 1, 32);
     let deep = flush_device_time(FlashConfig::emulator_slc(24, 16, 1024), 4, 32);
