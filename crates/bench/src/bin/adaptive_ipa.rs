@@ -21,8 +21,7 @@
 //! engine beats every static scheme and lands within 85% of the oracle.
 
 use ipa_bench::{
-    banner, finish_trace, init_trace, run_workload, scale, scheme_name, smoke, ExperimentReport,
-    Table,
+    banner, finish_trace, init_trace, run_workload, scale, scheme_name, ExperimentReport, Table,
 };
 use ipa_core::{AdvisorGoal, IpaAdvisor, NxM};
 use ipa_workloads::{PhaseShift, SystemConfig};
@@ -80,7 +79,7 @@ fn main() {
         "tentpole experiment — per-region [N×M] re-tuning from eviction profiles",
     );
     let s = scale();
-    let (rows, phase_len, warmup) = if smoke() { (240, 320 * s, 100) } else { (400, 600 * s, 200) };
+    let (rows, phase_len, warmup) = (400, 600 * s, 200);
     // Two cycles of small → wide → small: four small phases, two wide.
     let sizes = vec![SMALL, WIDE, SMALL];
     let cycles = 2u64;

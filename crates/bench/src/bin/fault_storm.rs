@@ -2,15 +2,12 @@
 //!
 //! Not a paper table: this harness exercises the reliability machinery of
 //! §7 end to end. A seeded per-op fault storm (plus scripted bursts that
-//! make every fault class fire deterministically even in smoke runs) rains
-//! on a TPC-B run; the run must complete with **zero committed-data
+//! make every fault class fire at a known point) rains on a TPC-B run; the
+//! run must complete with **zero committed-data
 //! loss** — audited through the TPC-B money-conservation invariant, once
 //! after the run and once more after a crash/recovery cycle — with every
 //! retired block accounted for in the stats and every delta-append
 //! fallback visible in the trace.
-//!
-//! `IPA_BENCH_SMOKE=1` shrinks the run for CI; the scripted bursts keep
-//! the fault counters non-zero so the CI step can assert on the JSON.
 //!
 //! The host queue runs at depth 4, so `--trace` yields a queued-I/O span
 //! trace — crash recovery included — for `ipa-trace` latency attribution.
@@ -18,8 +15,8 @@
 use std::sync::{Arc, Mutex};
 
 use ipa_bench::{
-    banner, finish_trace, init_trace, scale, smoke, trace_sink, ExperimentReport, FanoutObserver,
-    Table, SEED,
+    banner, finish_trace, init_trace, scale, trace_sink, ExperimentReport, FanoutObserver, Table,
+    SEED,
 };
 use ipa_core::NxM;
 use ipa_flash::{FaultOp, FaultPlan};
@@ -62,14 +59,13 @@ fn main() {
         "Fault storm — TPC-B under seeded program/erase/delta failures",
         "§7 reliability machinery (no paper table; pass criteria: zero committed-data loss)",
     );
-    let smoke = smoke();
     let s = scale();
-    let (warmup, measured) = if smoke { (150, 600) } else { (2_000, 8_000 * s) };
-    let mut w = if smoke { TpcB::new(1, 300) } else { TpcB::new(4, 2_000) };
+    let (warmup, measured) = (2_000, 8_000 * s);
+    let mut w = TpcB::new(4, 2_000);
 
     // 1e-3 per op across all three classes, a quarter of the program
     // faults permanent — plus scripted bursts so each class fires at a
-    // known point even in the shortest smoke run (nth is counted per
+    // known point whatever the seeded storm draws (nth is counted per
     // class from device creation; the early Program bursts land during
     // the load phase, the DeltaProgram one during the measured run).
     let plan = FaultPlan::storm(SEED, 1e-3, 0.25)
@@ -148,8 +144,8 @@ fn main() {
         flash.retired_blocks, region.retired_blocks,
         "device and region retired-block counts disagree"
     );
-    // The scripted bursts guarantee faults even in smoke runs; the trace
-    // covers the whole device lifetime, so it must have seen them.
+    // The scripted bursts guarantee faults; the trace covers the whole
+    // device lifetime, so it must have seen them.
     assert!(traced.program_faults >= 2, "scripted program bursts did not fire");
     assert!(traced.delta_faults >= 1, "scripted delta burst did not fire");
     assert!(traced.blocks_retired >= 1, "permanent program fault retired no block");

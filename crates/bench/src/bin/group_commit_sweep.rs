@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use ipa_bench::{banner, fmt, smoke, ExperimentReport, Table, SEED};
+use ipa_bench::{banner, fmt, ExperimentReport, Table, SEED};
 use ipa_core::NxM;
 use ipa_engine::{LockPolicy, Schedule};
 use ipa_workloads::{MultiRunner, SystemConfig, TpcB, Workload};
@@ -102,10 +102,9 @@ fn main() {
         "Group-commit sweep — K clients x batch threshold x queue depth",
         "DESIGN.md 'Concurrency & group commit' (log-force amortization)",
     );
-    let smoke = smoke();
     // Same committed-transaction total in every cell, split across the K
     // clients, so TPS cells are directly comparable.
-    let total_txns: u64 = if smoke { 800 } else { 8_000 };
+    let total_txns: u64 = 8_000;
 
     let mut report = ExperimentReport::new("group_commit_sweep");
     let mut json = Vec::new();

@@ -10,7 +10,7 @@
 
 use ipa_bench::{banner, finish_trace, fmt, init_trace, trace_sink, ExperimentReport, Table};
 use ipa_flash::FlashConfig;
-use ipa_noftl::{IoCtx, IpaMode, Lba, NoFtl, NoFtlConfig, PageIo, RegionId};
+use ipa_noftl::{IoCtx, IpaMode, Lba, NoFtl, NoFtlConfig, RegionId};
 
 const CHIPS: u32 = 4;
 
@@ -33,8 +33,9 @@ fn run(depth: u32) -> u64 {
     let lbas: Vec<u64> = (0..cap / 2).collect();
     let t0 = ftl.device().clock().now_ns();
     for batch in lbas.chunks(CHIPS as usize) {
-        let ops: Vec<PageIo> = batch.iter().map(|&l| PageIo::Write(Lba(l), data.clone())).collect();
-        ftl.submit_batch(RegionId(0), &ops, IoCtx::host()).expect("batch submits");
+        for &l in batch {
+            ftl.submit_write(RegionId(0), Lba(l), &data, IoCtx::host()).expect("write submits");
+        }
         ftl.drain_completions();
     }
     ftl.device().clock().now_ns() - t0

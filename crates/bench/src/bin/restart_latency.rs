@@ -22,7 +22,7 @@
 //! byte-identical balance vector.
 
 use ipa_bench::{
-    attach_trace, banner, finish_trace, fmt, init_trace, smoke, ExperimentReport, Table, SEED,
+    attach_trace, banner, finish_trace, fmt, init_trace, ExperimentReport, Table, SEED,
 };
 use ipa_core::NxM;
 use ipa_engine::{LockPolicy, Schedule};
@@ -61,7 +61,7 @@ fn run_arm(interval_ns: u64, crash_point: u64, bounded: bool) -> Arm {
     cfg.lock_policy = LockPolicy::WaitDie;
     cfg.checkpoint_interval_ns = interval_ns;
 
-    let mut w = if smoke() { TpcB::new(1, 300) } else { TpcB::new(4, 2_000) };
+    let mut w = TpcB::new(4, 2_000);
     let mut db = cfg.build_for(&w).expect("emulator database builds");
     attach_trace(&mut db);
     let mut rng = StdRng::seed_from_u64(SEED);
@@ -109,8 +109,7 @@ fn main() {
         "Restart latency — checkpoint-bounded ARIES restart vs full log scan",
         "DESIGN.md 'Checkpoints & bounded restart' (crash point x checkpoint interval)",
     );
-    let smoke = smoke();
-    let total: u64 = if smoke { 600 } else { 4_000 };
+    let total: u64 = 4_000;
     let crash_points = [total / 4, total / 2, total];
 
     let mut report = ExperimentReport::new("restart_latency");

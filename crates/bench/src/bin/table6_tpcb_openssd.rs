@@ -1,79 +1,26 @@
 //! Table 6 — TPC-B on the OpenSSD profile: `[0×0]` vs `[2×4]` in pSLC and
-//! odd-MLC modes.
-//!
-//! The OpenSSD model (Appendix D): MLC flash, host parallelism of one,
-//! 1.5% buffer — the configuration under which the paper reports its
+//! odd-MLC modes — the configuration under which the paper reports its
 //! largest relative gains.
 
-use ipa_bench::{
-    banner, finish_trace, fmt, init_trace, rel, run_workload, scale, ExperimentReport, Table,
-};
+use ipa_bench::{openssd_table, run_workload, scale, OpenSsdTable};
 use ipa_core::NxM;
-use ipa_workloads::{RunReport, SystemConfig, TpcB};
-
-// Paper Table 6 relative numbers for [2x4]: (pSLC %, odd-MLC %).
-const PAPER_REL: [(&str, f64, f64); 5] = [
-    ("GC page migrations", -75.0, -48.0),
-    ("GC erases", -54.0, -51.0),
-    ("migrations / host write", -83.0, -56.0),
-    ("erases / host write", -70.0, -59.0),
-    ("transactional throughput", 48.0, 22.0),
-];
-
-fn run(cfg: &SystemConfig, s: u64) -> RunReport {
-    let mut w = TpcB::new(8, 8_000 * s);
-    let (report, _) = run_workload(cfg, &mut w, 2_000 * s, 10_000 * s);
-    report
-}
+use ipa_workloads::TpcB;
 
 fn main() {
-    init_trace("table6_tpcb_openssd");
-    banner("Table 6 — TPC-B on OpenSSD: [0x0] vs [2x4] pSLC / odd-MLC", "paper Table 6");
     let s = scale();
-    let base = run(&SystemConfig::openssd(NxM::disabled(), false), s);
-    let pslc = run(&SystemConfig::openssd(NxM::tpcb(), true), s);
-    let odd = run(&SystemConfig::openssd(NxM::tpcb(), false), s);
-
-    let metric = |r: &RunReport| {
-        [
-            r.region.gc_page_migrations as f64,
-            r.region.gc_erases as f64,
-            r.region.migrations_per_host_write(),
-            r.region.erases_per_host_write(),
-            r.tps,
-        ]
+    let table = OpenSsdTable {
+        name: "table6_tpcb_openssd",
+        title: "Table 6 — TPC-B on OpenSSD: [0x0] vs [2x4] pSLC / odd-MLC",
+        paper_ref: "paper Table 6",
+        scheme: NxM::tpcb(),
+        paper_rel: [(-75.0, -48.0), (-54.0, -51.0), (-83.0, -56.0), (-70.0, -59.0), (48.0, 22.0)],
+        paper_split: ("33/67", "50/50"),
+        paper_shape: [
+            "large GC reductions in both modes, pSLC > odd-MLC",
+            "(odd-MLC can only append on LSB residencies); throughput up in both.",
+        ],
     };
-    let (b, p, o) = (metric(&base), metric(&pslc), metric(&odd));
-
-    let (oopp, ipap) = pslc.oop_vs_ipa();
-    let (oopo, ipao) = odd.oop_vs_ipa();
-    println!(
-        "OoP/IPA split: pSLC {} (paper 33/67), odd-MLC {} (paper 50/50)\n",
-        fmt::split(oopp, ipap),
-        fmt::split(oopo, ipao)
-    );
-
-    let mut t = Table::new(&["metric", "[0x0] abs", "pSLC rel (paper)", "odd-MLC rel (paper)"]);
-    let mut json = Vec::new();
-    for i in 0..5 {
-        let (name, ppaper, opaper) = PAPER_REL[i];
-        let prel = rel(b[i], p[i]);
-        let orel = rel(b[i], o[i]);
-        t.row(vec![
-            name.to_string(),
-            if i < 2 { format!("{:.0}", b[i]) } else { fmt::f4(b[i]) },
-            format!("{} ({:+.0}%)", fmt::pct(prel), ppaper),
-            format!("{} ({:+.0}%)", fmt::pct(orel), opaper),
-        ]);
-        json.push(serde_json::json!({
-            "metric": name, "baseline": b[i], "pslc_rel_pct": prel, "oddmlc_rel_pct": orel,
-        }));
-    }
-    let mut out = ExperimentReport::new("table6_tpcb_openssd");
-    out.print_table(&t);
-    println!("\npaper shape: large GC reductions in both modes, pSLC > odd-MLC");
-    println!("(odd-MLC can only append on LSB residencies); throughput up in both.");
-    out.set_payload(serde_json::Value::Array(json));
-    out.save();
-    finish_trace();
+    openssd_table(&table, |cfg| {
+        run_workload(cfg, &mut TpcB::new(8, 8_000 * s), 2_000 * s, 10_000 * s).0
+    });
 }

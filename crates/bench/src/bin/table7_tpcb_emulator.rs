@@ -1,14 +1,15 @@
 //! Table 7 — TPC-B on the flash emulator: buffers 10% and 20%, schemes
 //! `[2×4]` and `[3×4]` relative to `[0×0]`.
 //!
-//! Pass `--trace` to additionally stream every flash/engine event to
-//! `bench-results/table7_tpcb_emulator.trace.jsonl` and embed a sampled
-//! metrics time series in the result JSON (the final cumulative point of
-//! each run equals the end-of-run counters behind the table).
+//! The result JSON embeds a coarsely sampled metrics time series per run
+//! (the final cumulative point of each run equals the end-of-run counters
+//! behind the table). Pass `--trace` to additionally stream every
+//! flash/engine event to `bench-results/table7_tpcb_emulator.trace.jsonl`;
+//! the JSON is the same either way.
 
 use ipa_bench::{
-    banner, finish_trace, fmt, init_trace, rel, run_workload, run_workload_observed, scale, smoke,
-    ExperimentReport, Table,
+    banner, finish_trace, fmt, init_trace, rel, run_workload_observed, scale, ExperimentReport,
+    Table,
 };
 use ipa_core::NxM;
 use ipa_workloads::{RunReport, SystemConfig, TpcB};
@@ -41,14 +42,9 @@ fn main() {
         "Table 7 — TPC-B on the flash emulator: [0x0] vs [2x4] and [3x4]",
         "paper Table 7 (buffers 10% / 20%)",
     );
-    let sink = init_trace("table7_tpcb_emulator");
-    let trace = sink.is_some();
-    // Smoke mode (IPA_BENCH_SMOKE): a tiny run that still exercises the
-    // observed pipeline, so CI can assert the result JSON carries a
-    // populated `timeseries` array.
-    let smoke = smoke();
+    init_trace("table7_tpcb_emulator");
     let s = scale();
-    let txns = if smoke { 400 } else { 12_000 * s };
+    let txns = 12_000 * s;
 
     let mut report = ExperimentReport::new("table7_tpcb_emulator");
     let mut json = Vec::new();
@@ -57,23 +53,13 @@ fn main() {
         println!("\n--- buffer {:.0}% ---", buffer * 100.0);
         let mut run = |scheme: NxM, label: &str| {
             let cfg = SystemConfig::emulator(scheme, buffer);
-            let mut w = if smoke { TpcB::new(1, 300) } else { TpcB::new(8, 8_000 * s) };
-            if trace || smoke {
-                let (r, _, points) = run_workload_observed(
-                    &cfg,
-                    &mut w,
-                    txns / 5,
-                    txns,
-                    sink.as_ref().map(|s| s.observer()),
-                    (txns / 20).max(1),
-                );
-                series.push(serde_json::json!({
-                    "run": label, "buffer": buffer, "points": points,
-                }));
-                r
-            } else {
-                run_workload(&cfg, &mut w, txns / 5, txns).0
-            }
+            let mut w = TpcB::new(8, 8_000 * s);
+            // The zero point plus four samples per run: the JSON is committed.
+            let (r, _, points) = run_workload_observed(&cfg, &mut w, txns / 5, txns, txns / 4);
+            series.push(serde_json::json!({
+                "run": label, "buffer": buffer, "points": points,
+            }));
+            r
         };
         let base = run(NxM::disabled(), "0x0");
         let two = run(NxM::tpcb(), "2x4");

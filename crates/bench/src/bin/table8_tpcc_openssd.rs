@@ -1,75 +1,25 @@
 //! Table 8 — TPC-C on the OpenSSD profile: `[0×0]` vs `[2×3]` in pSLC and
 //! odd-MLC modes.
 
-use ipa_bench::{
-    banner, finish_trace, fmt, init_trace, rel, run_workload, scale, ExperimentReport, Table,
-};
+use ipa_bench::{openssd_table, run_workload, scale, OpenSsdTable};
 use ipa_core::NxM;
-use ipa_workloads::{RunReport, SystemConfig, TpcC};
-
-// Paper Table 8 relative numbers for [2x3]: (pSLC %, odd-MLC %).
-const PAPER_REL: [(&str, f64, f64); 5] = [
-    ("GC page migrations", -81.0, -45.0),
-    ("GC erases", -60.0, -47.0),
-    ("migrations / host write", -86.0, -52.0),
-    ("erases / host write", -70.0, -53.0),
-    ("transactional throughput", 46.0, 11.0),
-];
-
-fn run(cfg: &SystemConfig, s: u64) -> RunReport {
-    let mut w = TpcC::new(2, 6_000 * s, 300);
-    let (report, _) = run_workload(cfg, &mut w, 1_500 * s, 6_000 * s);
-    report
-}
+use ipa_workloads::TpcC;
 
 fn main() {
-    init_trace("table8_tpcc_openssd");
-    banner("Table 8 — TPC-C on OpenSSD: [0x0] vs [2x3] pSLC / odd-MLC", "paper Table 8");
     let s = scale();
-    let base = run(&SystemConfig::openssd(NxM::disabled(), false), s);
-    let pslc = run(&SystemConfig::openssd(NxM::tpcc(), true), s);
-    let odd = run(&SystemConfig::openssd(NxM::tpcc(), false), s);
-
-    let metric = |r: &RunReport| {
-        [
-            r.region.gc_page_migrations as f64,
-            r.region.gc_erases as f64,
-            r.region.migrations_per_host_write(),
-            r.region.erases_per_host_write(),
-            r.tps,
-        ]
+    let table = OpenSsdTable {
+        name: "table8_tpcc_openssd",
+        title: "Table 8 — TPC-C on OpenSSD: [0x0] vs [2x3] pSLC / odd-MLC",
+        paper_ref: "paper Table 8",
+        scheme: NxM::tpcc(),
+        paper_rel: [(-81.0, -45.0), (-60.0, -47.0), (-86.0, -52.0), (-70.0, -53.0), (46.0, 11.0)],
+        paper_split: ("49/51", "70/30"),
+        paper_shape: [
+            "same as Table 6 but with TPC-C's lower IPA fraction;",
+            "odd-MLC captures roughly half the appends pSLC does.",
+        ],
     };
-    let (b, p, o) = (metric(&base), metric(&pslc), metric(&odd));
-
-    let (oopp, ipap) = pslc.oop_vs_ipa();
-    let (oopo, ipao) = odd.oop_vs_ipa();
-    println!(
-        "OoP/IPA split: pSLC {} (paper 49/51), odd-MLC {} (paper 70/30)\n",
-        fmt::split(oopp, ipap),
-        fmt::split(oopo, ipao)
-    );
-
-    let mut t = Table::new(&["metric", "[0x0] abs", "pSLC rel (paper)", "odd-MLC rel (paper)"]);
-    let mut json = Vec::new();
-    for i in 0..5 {
-        let (name, ppaper, opaper) = PAPER_REL[i];
-        let prel = rel(b[i], p[i]);
-        let orel = rel(b[i], o[i]);
-        t.row(vec![
-            name.to_string(),
-            if i < 2 { format!("{:.0}", b[i]) } else { fmt::f4(b[i]) },
-            format!("{} ({:+.0}%)", fmt::pct(prel), ppaper),
-            format!("{} ({:+.0}%)", fmt::pct(orel), opaper),
-        ]);
-        json.push(serde_json::json!({
-            "metric": name, "baseline": b[i], "pslc_rel_pct": prel, "oddmlc_rel_pct": orel,
-        }));
-    }
-    let mut out = ExperimentReport::new("table8_tpcc_openssd");
-    out.print_table(&t);
-    println!("\npaper shape: same as Table 6 but with TPC-C's lower IPA fraction;");
-    println!("odd-MLC captures roughly half the appends pSLC does.");
-    out.set_payload(serde_json::Value::Array(json));
-    out.save();
-    finish_trace();
+    openssd_table(&table, |cfg| {
+        run_workload(cfg, &mut TpcC::new(2, 6_000 * s, 300), 1_500 * s, 6_000 * s).0
+    });
 }

@@ -64,7 +64,7 @@ static TRACE: OnceLock<Option<JsonlSink>> = OnceLock::new();
 /// command lifecycle tracing enabled); hand-driven harnesses attach it via
 /// [`attach_trace`] or [`trace_sink`]. Call [`finish_trace`] before exit
 /// to terminate the file with its `trace_end` accounting trailer.
-pub fn init_trace(bin: &str) -> Option<JsonlSink> {
+pub fn init_trace(bin: &str) {
     let sink = if std::env::args().any(|a| a == "--trace") {
         let path = format!("bench-results/{bin}.trace.jsonl");
         match JsonlSink::file(&path) {
@@ -80,8 +80,7 @@ pub fn init_trace(bin: &str) -> Option<JsonlSink> {
     } else {
         None
     };
-    let _ = TRACE.set(sink.clone());
-    sink
+    let _ = TRACE.set(sink);
 }
 
 /// The process-wide `--trace` sink, when [`init_trace`] enabled one.
@@ -139,33 +138,26 @@ impl Observer for FanoutObserver {
     }
 }
 
-/// Whether `IPA_BENCH_SMOKE` is set: harnesses that honour it shrink their
-/// workloads to seconds-long CI runs that still exercise the full pipeline
-/// (build, load, run, report JSON) — shapes, not magnitudes.
-#[expect(clippy::disallowed_methods, reason = "the harness is where environment settings enter")]
-pub fn smoke() -> bool {
-    std::env::var("IPA_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 /// Standard seed for all harnesses (deterministic runs).
 pub const SEED: u64 = 0x1DA5EED;
 
-/// Run one configured workload end to end: build, load, warm up, measure.
-/// Returns the report and the database (for profile inspection). When the
+/// Build, load, warm up and measure one configured workload; `tick` runs at
+/// the zero point and after every measured transaction. When the
 /// process-wide `--trace` sink is enabled ([`init_trace`]) it observes the
 /// warm-up and measured phases with command lifecycle tracing on.
-pub fn run_workload(
+fn drive(
     cfg: &SystemConfig,
     w: &mut dyn Workload,
     warmup: u64,
     measured: u64,
+    tick: &mut dyn FnMut(&mut Database, u64),
 ) -> (RunReport, Database) {
     let mut db = cfg.build_for(w).expect("database builds");
     let mut runner = Runner::new(SEED);
     runner.cpu_ns_per_txn = cfg.cpu_ns_per_txn;
     runner.setup(&mut db, w).expect("workload loads");
     let traced = attach_trace(&mut db);
-    let report = runner.run(&mut db, w, warmup, measured).expect("workload runs");
+    let report = runner.run_with(&mut db, w, warmup, measured, tick).expect("workload runs");
     if traced {
         db.detach_observer();
         db.ftl_mut().set_cmd_tracing(false);
@@ -173,57 +165,114 @@ pub fn run_workload(
     (report, db)
 }
 
-/// Baseline + IPA pair runner: same workload factory, two schemes.
-pub fn run_pair<W: Workload>(
-    mk: impl Fn() -> W,
-    base_cfg: &SystemConfig,
-    ipa_cfg: &SystemConfig,
+/// Run one configured workload end to end: build, load, warm up, measure.
+/// Returns the report and the database (for profile inspection).
+pub fn run_workload(
+    cfg: &SystemConfig,
+    w: &mut dyn Workload,
     warmup: u64,
     measured: u64,
-) -> ((RunReport, Database), (RunReport, Database)) {
-    let mut base_w = mk();
-    let mut ipa_w = mk();
-    (
-        run_workload(base_cfg, &mut base_w, warmup, measured),
-        run_workload(ipa_cfg, &mut ipa_w, warmup, measured),
-    )
+) -> (RunReport, Database) {
+    drive(cfg, w, warmup, measured, &mut |_, _| {})
 }
 
-/// Run one configured workload like [`run_workload`], with observability:
-/// an optional trace [`Observer`] is attached for the duration of the run
-/// and a metrics time series is sampled every `sample_every` measured
-/// transactions (plus the zero point and the final state). Returns the
-/// report, the database and the `timeseries` JSON array — the final
-/// cumulative point equals the end-of-run counters exactly.
+/// Run one configured workload like [`run_workload`] and sample a metrics
+/// time series every `sample_every` measured transactions (plus the zero
+/// point and the final state). Returns the report, the database and the
+/// `timeseries` JSON array — the final cumulative point equals the
+/// end-of-run counters exactly.
 pub fn run_workload_observed(
     cfg: &SystemConfig,
     w: &mut dyn Workload,
     warmup: u64,
     measured: u64,
-    observer: Option<Box<dyn Observer>>,
     sample_every: u64,
 ) -> (RunReport, Database, serde_json::Value) {
-    let mut db = cfg.build_for(w).expect("database builds");
-    let mut runner = Runner::new(SEED);
-    runner.cpu_ns_per_txn = cfg.cpu_ns_per_txn;
-    runner.setup(&mut db, w).expect("workload loads");
-    let observer = observer.or_else(|| trace_sink().map(|s| s.observer()));
-    if let Some(obs) = observer {
-        db.ftl_mut().set_cmd_tracing(true);
-        db.attach_observer(obs);
-    }
     let every = sample_every.max(1);
     let mut registry = MetricsRegistry::new();
-    let report = runner
-        .run_with(&mut db, w, warmup, measured, &mut |db, n| {
-            if n % every == 0 || n == measured {
-                registry.sample(n, Snapshot::capture(db));
-            }
-        })
-        .expect("workload runs");
-    db.detach_observer();
-    db.ftl_mut().set_cmd_tracing(false);
+    let (report, db) = drive(cfg, w, warmup, measured, &mut |db, n| {
+        if n % every == 0 || n == measured {
+            registry.sample(n, Snapshot::capture(db));
+        }
+    });
     (report, db, registry.to_json())
+}
+
+/// What Tables 6 and 8 differ in: the workload and the paper's numbers.
+pub struct OpenSsdTable<'a> {
+    /// Binary and result-file name.
+    pub name: &'a str,
+    /// Banner title.
+    pub title: &'a str,
+    /// The paper table reproduced.
+    pub paper_ref: &'a str,
+    /// The IPA scheme compared against `[0×0]`.
+    pub scheme: NxM,
+    /// Paper's relative numbers `(pSLC %, odd-MLC %)` for GC page
+    /// migrations, GC erases, migrations and erases per host write, and
+    /// throughput.
+    pub paper_rel: [(f64, f64); 5],
+    /// Paper's OoP/IPA split in pSLC and odd-MLC mode.
+    pub paper_split: (&'a str, &'a str),
+    /// Two closing lines naming the shape to look for.
+    pub paper_shape: [&'a str; 2],
+}
+
+/// Tables 6 and 8: one workload on the OpenSSD profile (Appendix D: MLC
+/// flash, host parallelism of one, 1.5% buffer), `[0×0]` against the
+/// table's scheme in pSLC and odd-MLC modes. `run` measures one
+/// configuration.
+pub fn openssd_table(table: &OpenSsdTable<'_>, run: impl Fn(&SystemConfig) -> RunReport) {
+    init_trace(table.name);
+    banner(table.title, table.paper_ref);
+    let base = run(&SystemConfig::openssd(NxM::disabled(), false));
+    let pslc = run(&SystemConfig::openssd(table.scheme, true));
+    let odd = run(&SystemConfig::openssd(table.scheme, false));
+
+    let metric = |r: &RunReport| {
+        [
+            ("GC page migrations", r.region.gc_page_migrations as f64),
+            ("GC erases", r.region.gc_erases as f64),
+            ("migrations / host write", r.region.migrations_per_host_write()),
+            ("erases / host write", r.region.erases_per_host_write()),
+            ("transactional throughput", r.tps),
+        ]
+    };
+    let (b, p, o) = (metric(&base), metric(&pslc), metric(&odd));
+
+    let (oopp, ipap) = pslc.oop_vs_ipa();
+    let (oopo, ipao) = odd.oop_vs_ipa();
+    println!(
+        "OoP/IPA split: pSLC {} (paper {}), odd-MLC {} (paper {})\n",
+        fmt::split(oopp, ipap),
+        table.paper_split.0,
+        fmt::split(oopo, ipao),
+        table.paper_split.1
+    );
+
+    let mut t = Table::new(&["metric", "[0x0] abs", "pSLC rel (paper)", "odd-MLC rel (paper)"]);
+    let mut json = Vec::new();
+    for i in 0..5 {
+        let (name, base) = b[i];
+        let (ppaper, opaper) = table.paper_rel[i];
+        let prel = rel(base, p[i].1);
+        let orel = rel(base, o[i].1);
+        t.row(vec![
+            name.to_string(),
+            if i < 2 { format!("{base:.0}") } else { fmt::f4(base) },
+            format!("{} ({:+.0}%)", fmt::pct(prel), ppaper),
+            format!("{} ({:+.0}%)", fmt::pct(orel), opaper),
+        ]);
+        json.push(serde_json::json!({
+            "metric": name, "baseline": base, "pslc_rel_pct": prel, "oddmlc_rel_pct": orel,
+        }));
+    }
+    let mut out = ExperimentReport::new(table.name);
+    out.print_table(&t);
+    println!("\npaper shape: {}\n{}", table.paper_shape[0], table.paper_shape[1]);
+    out.set_payload(serde_json::Value::Array(json));
+    out.save();
+    finish_trace();
 }
 
 /// Relative change in percent (negative = reduction), the paper's

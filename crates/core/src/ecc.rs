@@ -12,6 +12,11 @@
 //! performs the correction (see `ipa_flash::ReliabilityConfig`) and this
 //! module provides end-to-end integrity verification above it. The 8-byte
 //! OOB slot format is `crc32 (4B) | covered_len (2B) | magic (2B)`.
+//!
+//! This module is the only place that knows the byte format of the OOB
+//! area: [`OobLayout`] cuts it into a `Meta` section and `1 + N` ECC slots,
+//! and the `*_write` functions hand the engine ready `(offset, bytes)` OOB
+//! programs, so no caller spells an offset or a length of its own.
 
 use crate::error::CoreError;
 use crate::scheme::NxM;
@@ -90,22 +95,20 @@ pub fn initial_code(page: &[u8], layout: &crate::layout::PageLayout) -> [u8; ECC
     encode_slot(&initial_coverage(page, layout))
 }
 
-/// Compute the `ECC_delta_i` slot over an encoded delta record.
-pub fn delta_code(encoded_record: &[u8]) -> [u8; ECC_SLOT_SIZE] {
-    encode_slot(encoded_record)
-}
-
-/// Verify a freshly-read page against its OOB codes: the initial image and
-/// every present delta record. `oob_codes` yields `(section_index, slot)`
-/// with section 0 = initial.
+/// Verify a freshly-read page against the codes in its OOB bytes: the
+/// initial image and every present delta record (erased slots are skipped).
+/// Returns the number of delta records on the page, or `None` when the OOB
+/// area is too small to hold the scheme's codes and nothing was checked.
 pub fn verify_page(
     page: &[u8],
     layout: &crate::layout::PageLayout,
-    scheme: &NxM,
     oob: &[u8],
-    oob_layout: &ipa_oob::OobLayout,
-) -> Result<u16> {
-    let initial_slot = &oob[oob_layout.range(ipa_oob::Section::EccInitial).unwrap()];
+) -> Result<Option<u16>> {
+    let scheme = &layout.scheme;
+    let Some(oob_layout) = OobLayout::standard(oob.len(), scheme.n as u32) else {
+        return Ok(None);
+    };
+    let initial_slot = &oob[oob_layout.initial_slot()];
     if !slot_is_erased(initial_slot) {
         verify_slot(&initial_coverage(page, layout), initial_slot, 0)?;
     }
@@ -117,73 +120,131 @@ pub fn verify_page(
     for i in 0..n {
         let rec_start = layout.delta_slot_offset(i);
         let rec = &page[rec_start..rec_start + size];
-        if let Some(r) = oob_layout.range(ipa_oob::Section::EccDelta(i as u32)) {
+        if let Some(r) = oob_layout.range(Section::EccDelta(i as u32)) {
             let slot = &oob[r];
             if !slot_is_erased(slot) {
                 verify_slot(rec, slot, i as u32 + 1)?;
             }
         }
     }
-    Ok(n)
+    Ok(Some(n))
 }
 
-// Narrow re-export so `ipa-core` does not depend on `ipa-flash`: the OOB
-// layout is duplicated here structurally. Keeping the types separate keeps
-// the dependency graph acyclic (flash must not depend on core either).
-pub mod ipa_oob {
-    //! Minimal mirror of `ipa_flash::OobLayout` used by the ECC scheme.
-    //! The byte layouts are kept in lock-step by the integration tests in
-    //! `tests/ecc_oob_compat.rs`.
+/// A named section of the OOB area.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Section {
+    /// ECC over the initial page image (`ECC_initial` in Figure 4).
+    EccInitial,
+    /// ECC over the i-th appended delta record (`ECC_delta_rec_i`), 0-based.
+    EccDelta(u32),
+    /// Management metadata (adaptive mode's per-page scheme tag).
+    Meta,
+}
 
-    /// A named OOB section (mirror of `ipa_flash::Section`).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Section {
-        /// ECC over the initial page image.
-        EccInitial,
-        /// ECC over delta record `i`.
-        EccDelta(u32),
-        /// Management metadata.
-        Meta,
+/// Byte layout of the OOB area: one metadata section plus `1 + max_deltas`
+/// fixed-size ECC slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OobLayout {
+    /// Total OOB bytes.
+    pub oob_size: usize,
+    /// Metadata bytes at offset 0.
+    pub meta_size: usize,
+    /// Bytes per ECC slot.
+    pub ecc_slot_size: usize,
+    /// Maximum delta records (N of the `[N×M]` scheme).
+    pub max_deltas: u32,
+}
+
+impl OobLayout {
+    /// Standard layout: 16 metadata bytes, [`ECC_SLOT_SIZE`]-byte ECC slots.
+    /// `None` when the OOB area is too small for `max_deltas` delta slots.
+    pub fn standard(oob_size: usize, max_deltas: u32) -> Option<Self> {
+        let l = OobLayout { oob_size, meta_size: 16, ecc_slot_size: ECC_SLOT_SIZE, max_deltas };
+        (l.meta_size + l.ecc_slot_size * (1 + max_deltas as usize) <= oob_size).then_some(l)
     }
 
-    /// Sectioned OOB layout (mirror of `ipa_flash::OobLayout`).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct OobLayout {
-        /// Total OOB bytes.
-        pub oob_size: usize,
-        /// Metadata bytes at offset 0.
-        pub meta_size: usize,
-        /// Bytes per ECC slot.
-        pub ecc_slot_size: usize,
-        /// Maximum delta records.
-        pub max_deltas: u32,
+    /// Byte range of the `ECC_initial` slot, which every layout has.
+    pub fn initial_slot(&self) -> std::ops::Range<usize> {
+        self.meta_size..self.meta_size + self.ecc_slot_size
     }
 
-    impl OobLayout {
-        /// Standard layout: 16 metadata bytes, 8-byte ECC slots.
-        pub fn standard(oob_size: usize, max_deltas: u32) -> Option<Self> {
-            let l = OobLayout { oob_size, meta_size: 16, ecc_slot_size: 8, max_deltas };
-            if l.meta_size + l.ecc_slot_size * (1 + max_deltas as usize) <= oob_size {
-                Some(l)
-            } else {
-                None
-            }
-        }
-
-        /// Byte range of a section.
-        pub fn range(&self, section: Section) -> Option<std::ops::Range<usize>> {
-            match section {
-                Section::Meta => Some(0..self.meta_size),
-                Section::EccInitial => Some(self.meta_size..self.meta_size + self.ecc_slot_size),
-                Section::EccDelta(i) => {
-                    if i >= self.max_deltas {
-                        return None;
-                    }
-                    let start = self.meta_size + self.ecc_slot_size * (1 + i as usize);
-                    Some(start..start + self.ecc_slot_size)
+    /// Byte range of a section, or `None` when the delta index exceeds the
+    /// layout.
+    pub fn range(&self, section: Section) -> Option<std::ops::Range<usize>> {
+        match section {
+            Section::Meta => Some(0..self.meta_size),
+            Section::EccInitial => Some(self.initial_slot()),
+            Section::EccDelta(i) => {
+                if i >= self.max_deltas {
+                    return None;
                 }
+                let start = self.meta_size + self.ecc_slot_size * (1 + i as usize);
+                Some(start..start + self.ecc_slot_size)
             }
         }
+    }
+}
+
+/// Size of the per-page scheme tag adaptive mode keeps at the start of the
+/// `Meta` section.
+pub const SCHEME_TAG_SIZE: usize = 7;
+
+/// OOB program `(offset, tag)` that tags a page with its scheme — a marker
+/// byte plus `(n, m, v)` little-endian, for forensics and offline tooling
+/// (the page header stays authoritative) — or `None` when the OOB area is
+/// too small for a layout at all. How many delta slots fit does not matter.
+pub fn scheme_tag_write(oob_size: usize, scheme: &NxM) -> Option<(usize, [u8; SCHEME_TAG_SIZE])> {
+    let meta = OobLayout::standard(oob_size, 0)?.range(Section::Meta)?;
+    let mut tag = [0u8; SCHEME_TAG_SIZE];
+    tag[0] = 0x53; // 'S'
+    tag[1..3].copy_from_slice(&scheme.n.to_le_bytes());
+    tag[3..5].copy_from_slice(&scheme.m.to_le_bytes());
+    tag[5..7].copy_from_slice(&scheme.v.to_le_bytes());
+    Some((meta.start, tag))
+}
+
+/// OOB program `(offset, code)` that seeds `ECC_initial` for a page image
+/// about to be programmed, or `None` when the OOB area is too small for the
+/// page's scheme.
+pub fn initial_write(
+    oob_size: usize,
+    page: &[u8],
+    layout: &crate::layout::PageLayout,
+) -> Option<(usize, [u8; ECC_SLOT_SIZE])> {
+    let oob_layout = OobLayout::standard(oob_size, layout.scheme.n as u32)?;
+    Some((oob_layout.initial_slot().start, initial_code(page, layout)))
+}
+
+/// OOB program `(offset, code)` that records `ECC_delta_i` for the encoded
+/// delta record just appended in slot `i`, or `None` when the OOB area has
+/// no such slot for `scheme`.
+pub fn delta_write(
+    oob_size: usize,
+    scheme: &NxM,
+    i: u16,
+    encoded_record: &[u8],
+) -> Option<(usize, [u8; ECC_SLOT_SIZE])> {
+    let slot =
+        OobLayout::standard(oob_size, scheme.n as u32)?.range(Section::EccDelta(i as u32))?;
+    Some((slot.start, encode_slot(encoded_record)))
+}
+
+/// Re-seed the OOB bytes of a page image that was re-encoded under
+/// `layout.scheme` with its delta records folded into the body (a GC
+/// migration carries `oob` to the page's new residency): the scheme tag,
+/// and with `with_ecc` a fresh `ECC_initial` and every delta slot erased —
+/// the folded records' codes no longer describe anything.
+pub fn reseed_oob(oob: &mut [u8], page: &[u8], layout: &crate::layout::PageLayout, with_ecc: bool) {
+    if let Some((offset, tag)) = scheme_tag_write(oob.len(), &layout.scheme) {
+        oob[offset..offset + tag.len()].copy_from_slice(&tag);
+    }
+    if !with_ecc {
+        return;
+    }
+    if let Some((offset, code)) = initial_write(oob.len(), page, layout) {
+        let deltas_start = offset + code.len();
+        oob[offset..deltas_start].copy_from_slice(&code);
+        oob[deltas_start..].fill(0xFF);
     }
 }
 
@@ -243,32 +304,55 @@ mod tests {
     #[test]
     fn verify_page_covers_all_sections() {
         let layout = PageLayout::new(4096, crate::scheme::NxM::tpcc()).unwrap();
-        let oob_layout = ipa_oob::OobLayout::standard(128, layout.scheme.n as u32).unwrap();
         let mut t = ChangeTracker::new(layout.scheme, 0, false);
         let mut page = DbPage::format(1, layout);
         page.insert_tuple(&[1, 2, 3], &mut t).unwrap();
 
         let mut oob = vec![0xFF; 128];
-        let init = initial_code(page.bytes(), &layout);
-        oob[oob_layout.range(ipa_oob::Section::EccInitial).unwrap()].copy_from_slice(&init);
+        let (at, init) = initial_write(oob.len(), page.bytes(), &layout).unwrap();
+        oob[at..at + init.len()].copy_from_slice(&init);
 
         let rec = crate::delta::DeltaRecord::new(
             vec![crate::delta::ChangePair { offset: layout.body_start() as u16, value: 7 }],
             vec![],
         );
         let (idx, _, encoded) = page.append_delta_record(&rec).unwrap();
-        let dc = delta_code(&encoded);
-        oob[oob_layout.range(ipa_oob::Section::EccDelta(idx as u32)).unwrap()].copy_from_slice(&dc);
+        let (at, dc) = delta_write(oob.len(), &layout.scheme, idx, &encoded).unwrap();
+        oob[at..at + dc.len()].copy_from_slice(&dc);
 
-        let n = verify_page(page.bytes(), &layout, &layout.scheme, &oob, &oob_layout).unwrap();
-        assert_eq!(n, 1);
+        assert_eq!(verify_page(page.bytes(), &layout, &oob).unwrap(), Some(1));
 
         // Corrupt one delta byte in the page: verification fails on the
         // delta section.
         let mut raw = page.bytes().to_vec();
         let slot_off = layout.delta_slot_offset(0);
         raw[slot_off + 2] ^= 0x01;
-        let err = verify_page(&raw, &layout, &layout.scheme, &oob, &oob_layout).unwrap_err();
+        let err = verify_page(&raw, &layout, &oob).unwrap_err();
         assert_eq!(err, CoreError::EccMismatch { section: 1 });
+
+        // An OOB area too small for the scheme's slots checks nothing.
+        assert_eq!(verify_page(&raw, &layout, &oob[..24]).unwrap(), None);
+    }
+
+    #[test]
+    fn layout_partitions_the_oob_area_and_fits_what_is_written_there() {
+        let l = OobLayout::standard(128, 3).unwrap();
+        assert_eq!(l.range(Section::Meta), Some(0..16));
+        assert_eq!(l.range(Section::EccInitial), Some(16..24));
+        assert_eq!(l.range(Section::EccDelta(2)), Some(40..48));
+        assert_eq!(l.range(Section::EccDelta(3)), None);
+        // The codes this module produces fit the slots the layout reserves,
+        // and the scheme tag its Meta section.
+        assert_eq!(encode_slot(b"anything").len(), l.ecc_slot_size);
+        assert!(SCHEME_TAG_SIZE <= l.meta_size);
+
+        // The tag needs a layout, however few slots; a code needs its slot.
+        let layout = PageLayout::new(4096, crate::scheme::NxM::tpcc()).unwrap();
+        let page = DbPage::format(1, layout);
+        assert!(scheme_tag_write(24, &layout.scheme).is_some());
+        assert!(scheme_tag_write(23, &layout.scheme).is_none());
+        assert!(initial_write(39, page.bytes(), &layout).is_none());
+        assert!(initial_write(40, page.bytes(), &layout).is_some());
+        assert!(delta_write(128, &layout.scheme, layout.scheme.n, &[0; 8]).is_none());
     }
 }

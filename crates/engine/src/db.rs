@@ -186,7 +186,6 @@ struct EngineRewriter {
     /// desynchronize the frame's tracker and delta-offset math from flash.
     resident: ResidencyMirror,
     page_size: usize,
-    oob_size: usize,
     /// Re-seed `EccInitial` (and erase the delta slots) after a rewrite,
     /// mirroring the engine's `verify_ecc` setting.
     tag_ecc: bool,
@@ -224,40 +223,9 @@ impl PageRewriter for EngineRewriter {
             return false;
         }
         page.copy_from_slice(db_page.bytes());
-        if let Some(ol) = ecc::ipa_oob::OobLayout::standard(self.oob_size, 0) {
-            if let Some(meta) = ol.range(ecc::ipa_oob::Section::Meta) {
-                let tag = scheme_oob_tag(&target);
-                if meta.len() >= tag.len() {
-                    oob[meta.start..meta.start + tag.len()].copy_from_slice(&tag);
-                }
-            }
-            if self.tag_ecc {
-                if let Some(r) = ol.range(ecc::ipa_oob::Section::EccInitial) {
-                    let code = ecc::initial_code(db_page.bytes(), &new_layout);
-                    oob[r].copy_from_slice(&code);
-                    // The deltas are folded: their per-record codes no
-                    // longer describe anything. Erase every slot after
-                    // EccInitial.
-                    let deltas_start = ol.meta_size + ol.ecc_slot_size;
-                    for b in &mut oob[deltas_start..] {
-                        *b = 0xFF;
-                    }
-                }
-            }
-        }
+        ecc::reseed_oob(oob, page, &new_layout, self.tag_ecc);
         true
     }
-}
-
-/// Per-page scheme tag written into the OOB `Meta` section by adaptive
-/// mode: a marker byte plus `(n, m, v)` little-endian.
-fn scheme_oob_tag(scheme: &NxM) -> [u8; 7] {
-    let mut tag = [0u8; 7];
-    tag[0] = 0x53; // 'S'
-    tag[1..3].copy_from_slice(&scheme.n.to_le_bytes());
-    tag[3..5].copy_from_slice(&scheme.m.to_le_bytes());
-    tag[5..7].copy_from_slice(&scheme.v.to_le_bytes());
-    tag
 }
 
 /// Engine-side adaptive-IPA state (present iff `advisor_epoch_ns > 0`).
@@ -308,7 +276,6 @@ struct PageAllocator {
 pub struct Database {
     pub(crate) ftl: NoFtl,
     pub(crate) layouts: Vec<PageLayout>,
-    oob_layouts: Vec<Option<ecc::ipa_oob::OobLayout>>,
     pub(crate) pool: BufferPool,
     pub(crate) wal: Wal,
     pub(crate) txns: TxnTable,
@@ -324,8 +291,7 @@ pub struct Database {
     pub(crate) config: DbConfig,
     trace: Option<Vec<TraceEvent>>,
     gcommit: GroupCommitState,
-    /// Device OOB bytes per page (for per-scheme OOB layouts in adaptive
-    /// mode).
+    /// Device OOB bytes per page.
     oob_size: usize,
     /// Online adaptive IPA state; `None` when `advisor_epoch_ns == 0`.
     adaptive: Option<AdaptiveState>,
@@ -361,10 +327,6 @@ impl Database {
             .iter()
             .map(|&s| PageLayout::new(page_size, s).map_err(EngineError::Core))
             .collect::<Result<Vec<_>>>()?;
-        let oob_layouts = schemes
-            .iter()
-            .map(|&s| ecc::ipa_oob::OobLayout::standard(oob_size, s.n as u32))
-            .collect();
         let mut ftl = NoFtl::new(ftl_config)?;
         let allocators = (0..schemes.len())
             .map(|i| {
@@ -383,7 +345,6 @@ impl Database {
                 dir: Arc::clone(&dir),
                 resident: pool.mirror_residency(),
                 page_size,
-                oob_size,
                 tag_ecc: config.verify_ecc,
             }));
             let max_n = ftl.device().config().max_appends().clamp(1, u16::MAX as u32) as u16;
@@ -399,7 +360,6 @@ impl Database {
         Ok(Database {
             ftl,
             layouts,
-            oob_layouts,
             pool,
             wal: Wal::new(config.log_capacity_bytes),
             txns: TxnTable::new(),
@@ -419,7 +379,7 @@ impl Database {
     }
 
     /// Start building a database over a NoFTL device: configuration,
-    /// observers, tracing and lock policy in one fluent chain.
+    /// observers and lock policy in one fluent chain.
     pub fn builder(ftl_config: NoFtlConfig) -> DbBuilder {
         DbBuilder::new(ftl_config)
     }
@@ -614,9 +574,8 @@ impl Database {
             region_layout
         };
         if self.config.verify_ecc {
-            if let Some(oob_layout) = self.oob_layout_for(pid.region, &layout.scheme) {
-                let oob = self.ftl.read_oob(RegionId(pid.region), pid.lba)?;
-                ecc::verify_page(&bytes, &layout, &layout.scheme, &oob, &oob_layout)?;
+            let oob = self.ftl.read_oob(RegionId(pid.region), pid.lba)?;
+            if ecc::verify_page(&bytes, &layout, &oob)?.is_some() {
                 self.stats.ecc_verified += 1;
             }
         }
@@ -628,18 +587,6 @@ impl Database {
         self.pool
             .insert(frame)
             .ok_or(EngineError::Internal("no free frame after ensure_free_frame"))
-    }
-
-    /// OOB layout matching a specific page's scheme: the cached per-region
-    /// layout normally, a per-scheme one when adaptive mode left the page
-    /// on an older scheme than its region.
-    fn oob_layout_for(&self, region: usize, scheme: &NxM) -> Option<ecc::ipa_oob::OobLayout> {
-        let base = self.oob_layouts[region]?;
-        if self.adaptive.is_some() && *scheme != self.layouts[region].scheme {
-            ecc::ipa_oob::OobLayout::standard(self.oob_size, scheme.n as u32)
-        } else {
-            Some(base)
-        }
     }
 
     /// Run `f` against a buffered page and its tracker. The page is pinned
@@ -748,13 +695,10 @@ impl Database {
                 self.stats.gross_written_bytes += encoded.len() as u64;
                 self.stats.delta_records_written += 1;
                 if self.config.verify_ecc {
-                    if let Some(oob_layout) = self.oob_layout_for(pid.region, &page_scheme) {
-                        if let Some(range) =
-                            oob_layout.range(ecc::ipa_oob::Section::EccDelta(slot_idx as u32))
-                        {
-                            let code = ecc::delta_code(&encoded);
-                            self.ftl.write_oob(rid, pid.lba, range.start, &code)?;
-                        }
+                    if let Some((offset, code)) =
+                        ecc::delta_write(self.oob_size, &page_scheme, slot_idx, &encoded)
+                    {
+                        self.ftl.write_oob(rid, pid.lba, offset, &code)?;
                     }
                 }
             }
@@ -791,18 +735,14 @@ impl Database {
             }
             self.ftl.submit_write(rid, pid.lba, image, ctx)?;
             self.stats.gross_written_bytes += image.len() as u64;
-            let code = self.config.verify_ecc.then(|| ecc::initial_code(image, &layout));
-            if self.adaptive.is_some() && self.oob_size >= 7 {
-                // Per-page scheme tag in the OOB Meta section (forensics /
-                // offline tooling; the page header stays authoritative).
-                self.ftl.write_oob(rid, pid.lba, 0, &scheme_oob_tag(&layout.scheme))?;
+            if self.adaptive.is_some() {
+                if let Some((offset, tag)) = ecc::scheme_tag_write(self.oob_size, &layout.scheme) {
+                    self.ftl.write_oob(rid, pid.lba, offset, &tag)?;
+                }
             }
-            if let Some(code) = code {
-                if let Some(oob_layout) = self.oob_layout_for(pid.region, &layout.scheme) {
-                    let range = oob_layout
-                        .range(ecc::ipa_oob::Section::EccInitial)
-                        .ok_or(EngineError::Internal("oob layout lacks the EccInitial slot"))?;
-                    self.ftl.write_oob(rid, pid.lba, range.start, &code)?;
+            if self.config.verify_ecc {
+                if let Some((offset, code)) = ecc::initial_write(self.oob_size, image, &layout) {
+                    self.ftl.write_oob(rid, pid.lba, offset, &code)?;
                 }
             }
             self.pool.mark_flushed(idx, layout.scheme, 0);
@@ -957,8 +897,6 @@ impl Database {
                 let page_size = self.layouts[region].page_size;
                 if let Ok(new_layout) = PageLayout::new(page_size, rec.scheme) {
                     self.layouts[region] = new_layout;
-                    self.oob_layouts[region] =
-                        ecc::ipa_oob::OobLayout::standard(self.oob_size, rec.scheme.n as u32);
                     dir.schemes()[region] = rec.scheme;
                     self.stats.scheme_changes += 1;
                     if self.ftl.observing() {
@@ -992,38 +930,16 @@ impl Database {
         // records are the only evidence of what it did: truncating them
         // would let stolen page writes of an unacknowledged commit survive
         // a crash with no history to redo or undo against.
-        let active_keep = self
+        let keep = self
             .txns
             .snapshot()
-            .iter()
-            .filter_map(|(tx, _)| {
-                let first = self.first_lsn_from(self.txns.last_lsn(*tx));
-                if first.is_null() {
-                    None
-                } else {
-                    Some(first)
-                }
-            })
-            .min();
-        let parked_keep = self
-            .gcommit
-            .parked
-            .iter()
-            .filter_map(|p| {
-                let first = self.first_lsn_from(p.lsn);
-                if first.is_null() {
-                    None
-                } else {
-                    Some(first)
-                }
-            })
-            .min();
-        let keep = match (active_keep, parked_keep) {
-            (Some(a), Some(p)) => a.min(p),
-            (Some(a), None) => a,
-            (None, Some(p)) => p,
-            (None, None) => Lsn(self.wal.head().0),
-        };
+            .into_iter()
+            .map(|(_, last)| last)
+            .chain(self.gcommit.parked.iter().map(|p| p.lsn))
+            .map(|last| self.first_lsn_from(last))
+            .filter(|first| !first.is_null())
+            .min()
+            .unwrap_or(self.wal.head());
         // Keep the checkpoint pair itself. The Begin and End LSNs are not
         // adjacent in general (fuzzy checkpoints interleave with regular
         // records), so the WAL tracks the pair — truncate to the Begin.
@@ -1289,7 +1205,6 @@ pub struct DbBuilder {
     schemes: Vec<NxM>,
     config: DbConfig,
     observer: Option<Box<dyn Observer>>,
-    tracing: bool,
     lock_policy: crate::lock::LockPolicy,
 }
 
@@ -1299,7 +1214,6 @@ impl std::fmt::Debug for DbBuilder {
             .field("schemes", &self.schemes)
             .field("config", &self.config)
             .field("observer", &self.observer.is_some())
-            .field("tracing", &self.tracing)
             .field("lock_policy", &self.lock_policy)
             .finish_non_exhaustive()
     }
@@ -1308,14 +1222,13 @@ impl std::fmt::Debug for DbBuilder {
 impl DbBuilder {
     /// Start a builder over a NoFTL device configuration. Defaults: no
     /// schemes (add one per region), [`DbConfig::eager`] with 64 frames,
-    /// no observer, tracing off, no-wait locking.
+    /// no observer, no-wait locking.
     pub fn new(ftl_config: NoFtlConfig) -> Self {
         DbBuilder {
             ftl_config,
             schemes: Vec::new(),
             config: DbConfig::eager(64),
             observer: None,
-            tracing: false,
             lock_policy: crate::lock::LockPolicy::default(),
         }
     }
@@ -1346,12 +1259,6 @@ impl DbBuilder {
         self
     }
 
-    /// Record logical fetch/evict trace events (for baseline replay).
-    pub fn tracing(mut self) -> Self {
-        self.tracing = true;
-        self
-    }
-
     /// Set the row-lock conflict policy.
     pub fn lock_policy(mut self, policy: crate::lock::LockPolicy) -> Self {
         self.lock_policy = policy;
@@ -1363,9 +1270,6 @@ impl DbBuilder {
         let mut db = Database::open(self.ftl_config, &self.schemes, self.config)?;
         if let Some(observer) = self.observer {
             db.attach_observer(observer);
-        }
-        if self.tracing {
-            db.enable_tracing();
         }
         db.set_lock_policy(self.lock_policy);
         Ok(db)
@@ -1798,18 +1702,122 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn ecc_verification_holds_across_a_scheme_change() {
+        // `verify_ecc` and adaptive mode together: every fetch checks what
+        // the three OOB writers left behind — `stage_flush`'s out-of-place
+        // branch (tag + `EccInitial`), its append branch (`EccDelta(i)`)
+        // and the GC rewriter (tag, re-seeded `EccInitial`, delta slots
+        // erased) — on pages of the old scheme and of the new one.
+        let mut flash = FlashConfig::small_slc();
+        flash.geometry.blocks_per_chip = 16;
+        flash.geometry.pages_per_block = 8;
+        flash.geometry.page_size = 1024;
+        let cfg = NoFtlConfig::single_region(flash, IpaMode::Slc, 0.3);
+        let epoch = 1_000_000u64;
+        let mut dbc = DbConfig::eager(8).with_adaptive(epoch, AdvisorGoal::Longevity);
+        dbc.advisor_min_observations = 8;
+        dbc.verify_ecc = true;
+        let mut db = Database::open(cfg, &[NxM::tpcc()], dbc).unwrap();
+
+        const PAGES: usize = 40;
+        let mut pids = Vec::new();
+        let mut slots = Vec::new();
+        let mut model = vec![vec![0u8; 64]; PAGES];
+        for _ in 0..PAGES {
+            let pid = db.new_page(0).unwrap();
+            slots.push(db.with_page_mut(pid, |p, t| Ok(p.insert_tuple(&[0u8; 64], t)?)).unwrap());
+            db.flush_page(pid).unwrap();
+            pids.push(pid);
+        }
+        let mut update = |db: &mut Database, i: usize, len: usize, fill: u8| {
+            model[i][..len].fill(fill);
+            let tuple = model[i].clone();
+            db.with_page_mut(pids[i], |p, t| Ok(p.update_tuple(slots[i], &tuple, t)?)).unwrap();
+            db.flush_page(pids[i]).unwrap();
+        };
+        // Odd pages are cold: one old-scheme delta record each, with its
+        // `EccDelta` code, and never written again. Even pages (but page
+        // 0) are hot: 24-byte updates go out of place under [2x3], feed
+        // the profile the re-tune reads, and keep GC erasing blocks.
+        for i in (1..PAGES).step_by(2) {
+            update(&mut db, i, 1, 0xA0);
+        }
+        assert_eq!(db.stats().ipa_flushes, PAGES as u64 / 2);
+        for round in 1..=5u8 {
+            for i in (2..PAGES).step_by(2) {
+                update(&mut db, i, 24, round);
+            }
+        }
+        db.advance_clock(epoch + 1);
+        db.background_work().unwrap();
+        assert_eq!(db.stats().scheme_changes, 1);
+        let old_scheme = NxM::tpcc();
+        let new_scheme = db.layout(0).scheme;
+        assert_eq!(new_scheme.m, 24);
+
+        // A resident stale-scheme page goes out of place through
+        // `stage_flush`, which carries it to the new scheme; the next
+        // update is an append under the new layout.
+        assert_eq!(db.with_page(pids[0], |p| *p.scheme()).unwrap(), old_scheme);
+        let appends = db.stats().ipa_flushes;
+        update(&mut db, 0, 24, 0xB0);
+        assert_eq!(db.stats().scheme_upgrades, 1);
+        update(&mut db, 0, 24, 0xB1);
+        assert_eq!(db.stats().ipa_flushes, appends + 1);
+        assert_eq!(db.with_page(pids[0], |p| *p.scheme()).unwrap(), new_scheme);
+
+        // The hot pages follow: carried over on their first flush, appended
+        // to on their second.
+        for round in 6..=7u8 {
+            for i in (2..PAGES).step_by(2) {
+                update(&mut db, i, 24, round);
+            }
+        }
+        assert_eq!(db.stats().scheme_upgrades, PAGES as u64 / 2);
+
+        // Collect the cold blocks (wear leveling runs the migration GC
+        // runs, on the least-worn block): the rewriter re-encodes the cold
+        // pages, all non-resident but page 1, which migrates as it is.
+        db.with_page(pids[1], |_| ()).unwrap();
+        assert!(db.region_stats(0).unwrap().gc_erases > 0, "the hot pages wore some blocks");
+        while db.region_stats(0).unwrap().gc_rewrites < PAGES as u64 / 2 - 1 {
+            assert_eq!(db.wear_level(0, 0).unwrap(), 1, "a cold block is left to collect");
+        }
+        assert_eq!(db.with_page(pids[1], |p| *p.scheme()).unwrap(), old_scheme);
+        assert_eq!(db.with_page(pids[3], |p| *p.scheme()).unwrap(), new_scheme);
+        // An append to a re-encoded page programs `EccDelta(0)` again: the
+        // rewriter must have erased the old record's code.
+        let appends = db.stats().ipa_flushes;
+        update(&mut db, 3, 24, 0xC0);
+        assert_eq!(db.stats().ipa_flushes, appends + 1);
+
+        // Drop the pool and read everything back with verification on.
+        db.flush_all().unwrap();
+        db.pool.clear();
+        let verified = db.stats().ecc_verified;
+        for i in 0..PAGES {
+            let (scheme, tuple) = db
+                .with_page(pids[i], |p| (*p.scheme(), p.tuple(slots[i]).unwrap().to_vec()))
+                .unwrap();
+            assert_eq!(tuple, model[i], "page {i}");
+            // Erased slots verify vacuously, so look: every writer left a
+            // tag that names the page's scheme and an `EccInitial`.
+            let oob = db.ftl().read_oob(RegionId(0), pids[i].lba).unwrap();
+            let (at, tag) = ecc::scheme_tag_write(oob.len(), &scheme).unwrap();
+            assert_eq!(oob[at..at + tag.len()], tag, "page {i}");
+            let initial = ecc::OobLayout::standard(oob.len(), 0).unwrap().initial_slot();
+            assert!(!ecc::slot_is_erased(&oob[initial]), "page {i}");
+        }
+        assert_eq!(db.stats().ecc_verified, verified + PAGES as u64);
+    }
+
+    #[test]
     fn engine_rewriter_relayouts_nonresident_pages_only() {
         let old_scheme = NxM::tpcc();
         let new_scheme = NxM::new(3, 24, 1);
         let dir = Arc::new(SchemeDirectory { schemes: Mutex::new(vec![new_scheme]) });
         let resident = ResidencyMirror::default();
-        let rw = EngineRewriter {
-            dir,
-            resident: resident.clone(),
-            page_size: 1024,
-            oob_size: 64,
-            tag_ecc: true,
-        };
+        let rw = EngineRewriter { dir, resident: resident.clone(), page_size: 1024, tag_ecc: true };
         let old_layout = PageLayout::new(1024, old_scheme).unwrap();
         let mut page = DbPage::format(7, old_layout);
         let mut tracker = ChangeTracker::new(old_scheme, 0, false);
@@ -1821,9 +1829,15 @@ pub(crate) mod tests {
         let new_layout = PageLayout::new(1024, new_scheme).unwrap();
         let migrated = DbPage::from_bytes(bytes, new_layout).unwrap();
         assert_eq!(migrated.tuple(slot).unwrap(), &[5u8; 16][..]);
-        assert_eq!(oob[0], 0x53, "scheme tag written to the OOB Meta section");
-        assert_eq!(u16::from_le_bytes([oob[3], oob[4]]), 24);
-        assert!(oob[16..24].iter().any(|&b| b != 0xFF), "EccInitial re-seeded");
+        let (at, tag) = ecc::scheme_tag_write(oob.len(), &new_scheme).unwrap();
+        assert_eq!(oob[at..at + tag.len()], tag, "scheme tag written to the OOB Meta section");
+        assert_eq!(
+            ecc::verify_page(migrated.bytes(), &new_layout, &oob),
+            Ok(Some(0)),
+            "EccInitial re-seeded over the re-encoded image"
+        );
+        let initial = ecc::OobLayout::standard(oob.len(), 0).unwrap().initial_slot();
+        assert!(!ecc::slot_is_erased(&oob[initial]));
 
         // Resident pages migrate verbatim.
         resident.lock().insert(PageId::new(0, 9));

@@ -19,6 +19,8 @@
 //! back an `IndexInsert` deletes the key from the current (possibly
 //! restructured) tree, emitting fresh physical records of its own.
 
+use ipa_core::{ChangeTracker, DbPage};
+
 use crate::db::{Database, PageId};
 use crate::error::EngineError;
 use crate::txn::TxId;
@@ -124,56 +126,55 @@ fn ensure_page(db: &mut Database, pid: PageId) -> Result<()> {
     db.insert_fresh_frame(pid, Vec::new())
 }
 
-/// Apply one action physically. During redo (`check_lsn = true`) the
-/// action is skipped when the page already reflects it. A frame the action
-/// dirties takes `lsn`, the record being applied, as its recovery LSN: a
-/// later checkpoint must not claim flash holds records it does not.
+/// Apply one physical change to `page`. During redo (`check_lsn = true`)
+/// the change is skipped when the page already reflects `lsn`. A frame the
+/// change dirties takes `lsn`, the record being applied, as its recovery
+/// LSN: a later checkpoint must not claim flash holds records it does not.
+fn apply_to_page(
+    db: &mut Database,
+    page: PageId,
+    lsn: Lsn,
+    check_lsn: bool,
+    change: impl FnOnce(&mut DbPage, &mut ChangeTracker) -> Result<()>,
+) -> Result<()> {
+    ensure_page(db, page)?;
+    db.with_page_mut_at(page, lsn, |p, t| {
+        if check_lsn && p.lsn() >= lsn.0 {
+            return Ok(());
+        }
+        change(p, t)?;
+        p.set_lsn(lsn.0, t);
+        Ok(())
+    })
+}
+
+/// Apply one action physically (page actions through [`apply_to_page`]).
 fn apply_action(db: &mut Database, lsn: Lsn, action: &LogPayload, check_lsn: bool) -> Result<()> {
     match action {
         LogPayload::Update { page, slot, after, .. } => {
-            ensure_page(db, *page)?;
-            db.with_page_mut_at(*page, lsn, |p, t| {
-                if check_lsn && p.lsn() >= lsn.0 {
-                    return Ok(());
-                }
-                p.update_tuple(*slot, after, t)?;
-                p.set_lsn(lsn.0, t);
-                Ok(())
-            })
+            apply_to_page(db, *page, lsn, check_lsn, |p, t| Ok(p.update_tuple(*slot, after, t)?))
         }
         LogPayload::Insert { page, slot, tuple, .. } => {
-            ensure_page(db, *page)?;
-            db.with_page_mut_at(*page, lsn, |p, t| {
-                if check_lsn && p.lsn() >= lsn.0 {
-                    return Ok(());
+            apply_to_page(db, *page, lsn, check_lsn, |p, t| {
+                // Pages assign slots in order, so repeating history must
+                // land the tuple where the record says it went; anything
+                // else means log and page have diverged, and going on
+                // would leave the tuple under another row's address.
+                if p.slot_count() != slot.0 {
+                    return Err(EngineError::RecoveryError(format!(
+                        "redo of insert {lsn:?} expects {slot:?} of {page:?}, the page assigns slot {}",
+                        p.slot_count()
+                    )));
                 }
-                let got = p.insert_tuple(tuple, t)?;
-                debug_assert_eq!(got, *slot, "deterministic slot assignment on redo");
-                p.set_lsn(lsn.0, t);
+                p.insert_tuple(tuple, t)?;
                 Ok(())
             })
         }
         LogPayload::Delete { page, slot, .. } => {
-            ensure_page(db, *page)?;
-            db.with_page_mut_at(*page, lsn, |p, t| {
-                if check_lsn && p.lsn() >= lsn.0 {
-                    return Ok(());
-                }
-                p.delete_tuple(*slot, t)?;
-                p.set_lsn(lsn.0, t);
-                Ok(())
-            })
+            apply_to_page(db, *page, lsn, check_lsn, |p, t| Ok(p.delete_tuple(*slot, t)?))
         }
         LogPayload::Undelete { page, slot, tuple, .. } => {
-            ensure_page(db, *page)?;
-            db.with_page_mut_at(*page, lsn, |p, t| {
-                if check_lsn && p.lsn() >= lsn.0 {
-                    return Ok(());
-                }
-                p.undelete_tuple(*slot, tuple, t)?;
-                p.set_lsn(lsn.0, t);
-                Ok(())
-            })
+            apply_to_page(db, *page, lsn, check_lsn, |p, t| Ok(p.undelete_tuple(*slot, tuple, t)?))
         }
         LogPayload::IndexInsert { tx, index, key, value } => {
             // Logical compensation (undo of an IndexDelete): re-insert,
@@ -188,14 +189,8 @@ fn apply_action(db: &mut Database, lsn: Lsn, action: &LogPayload, check_lsn: boo
             Ok(())
         }
         LogPayload::PageWrite { page, offset, after, .. } => {
-            ensure_page(db, *page)?;
-            let (offset, after) = (*offset as usize, after.clone());
-            db.with_page_mut_at(*page, lsn, |p, t| {
-                if check_lsn && p.lsn() >= lsn.0 {
-                    return Ok(());
-                }
-                p.write_body(offset, &after, t);
-                p.set_lsn(lsn.0, t);
+            apply_to_page(db, *page, lsn, check_lsn, |p, t| {
+                p.write_body(*offset as usize, after, t);
                 Ok(())
             })
         }
@@ -603,6 +598,37 @@ mod tests {
         db.simulate_crash();
         db.recover().unwrap();
         assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![4, 7, 7, 7]);
+    }
+
+    #[test]
+    fn redo_insert_into_another_slot_is_an_error_in_every_profile() {
+        // A committed Insert record names a slot the page will not assign
+        // (the page's next slot is 1). Redo must stop with a typed error:
+        // a debug-only assertion let release builds file the tuple under
+        // slot 1 — another row's future address — and carry on.
+        use crate::txn::TxId;
+        use crate::wal::LogPayload;
+        let mut db = test_db(NxM::tpcc(), 16);
+        let heap = db.create_heap(0);
+        let mut tx = db.txn();
+        let rid = tx.heap_insert(heap, &[1u8; 8]).unwrap();
+        tx.commit().unwrap();
+        db.flush_all().unwrap();
+
+        let forger = TxId(4_000);
+        let slot = ipa_core::SlotId(rid.slot.0 + 5);
+        let begin = db.wal.append(Lsn::NULL, LogPayload::Begin { tx: forger });
+        let insert = db.wal.append(
+            begin,
+            LogPayload::Insert { tx: forger, page: rid.page, slot, tuple: vec![2u8; 8] },
+        );
+        db.wal.append(insert, LogPayload::Commit { tx: forger });
+        db.force_log();
+
+        db.simulate_crash();
+        let err = db.recover().unwrap_err();
+        assert!(matches!(err, EngineError::RecoveryError(_)), "{err}");
+        assert!(err.to_string().contains("expects SlotId(5)"), "{err}");
     }
 
     #[test]

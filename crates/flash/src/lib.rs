@@ -89,7 +89,6 @@ mod error;
 mod fault;
 mod geometry;
 mod obs;
-mod oob;
 mod page;
 mod reliability;
 mod sched;
@@ -108,7 +107,6 @@ pub use obs::{
     EventField, EventKind, ObsCtx, ObsEvent, Observer, OpClass, RecoveryPhaseKind, SpanCategory,
     SpanId,
 };
-pub use oob::{OobArea, OobLayout, Section};
 pub use page::{PageData, PageState};
 pub use reliability::{ReadOutcome, ReliabilityConfig};
 pub use sched::{CmdId, Completion, IoScheduler};

@@ -1,8 +1,6 @@
-//! Per-call I/O context and batch descriptors for the NoFTL interface.
+//! Per-call I/O context for the NoFTL interface.
 
 use ipa_flash::{OpOrigin, SpanId};
-
-use crate::region::Lba;
 
 /// Context attached to a NoFTL I/O call: the scheduling/statistics origin
 /// plus an optional trace-attribution override and the causal span the
@@ -68,34 +66,6 @@ impl From<OpOrigin> for IoCtx {
     }
 }
 
-/// One logical page operation within a
-/// [`NoFtl::submit_batch`](crate::NoFtl::submit_batch) call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PageIo {
-    /// Read a logical page (data travels in the completion).
-    Read(Lba),
-    /// Out-of-place write of a full logical page.
-    Write(Lba, Vec<u8>),
-    /// In-place delta append at a byte offset of the page's residency.
-    WriteDelta {
-        /// Logical page.
-        lba: Lba,
-        /// Byte offset of the append within the page.
-        offset: usize,
-        /// Delta payload.
-        data: Vec<u8>,
-    },
-}
-
-impl PageIo {
-    /// The logical page this operation touches.
-    pub fn lba(&self) -> Lba {
-        match self {
-            PageIo::Read(lba) | PageIo::Write(lba, _) | PageIo::WriteDelta { lba, .. } => *lba,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,12 +87,5 @@ mod tests {
         assert_eq!(ctx.origin, OpOrigin::HostAsync);
         assert_eq!(ctx.obs, Some((3, 17)));
         assert_eq!(ctx.span, Some(SpanId(5)));
-    }
-
-    #[test]
-    fn page_io_reports_lba() {
-        assert_eq!(PageIo::Read(Lba(4)).lba(), Lba(4));
-        assert_eq!(PageIo::Write(Lba(5), vec![0]).lba(), Lba(5));
-        assert_eq!(PageIo::WriteDelta { lba: Lba(6), offset: 0, data: vec![] }.lba(), Lba(6));
     }
 }

@@ -61,7 +61,7 @@ mod stats;
 
 pub use config::{FaultPolicy, IpaMode, NoFtlConfig, NoFtlConfigBuilder, RegionSpec};
 pub use error::NoFtlError;
-pub use io::{IoCtx, PageIo};
+pub use io::IoCtx;
 pub use manager::{NoFtl, RegionId};
 pub use region::Lba;
 pub use rewriter::PageRewriter;

@@ -7,7 +7,7 @@ use ipa_flash::{
 
 use crate::config::NoFtlConfig;
 use crate::error::NoFtlError;
-use crate::io::{IoCtx, PageIo};
+use crate::io::IoCtx;
 use crate::region::{Lba, Region};
 use crate::stats::{HeatSummary, RegionStats};
 use crate::Result;
@@ -163,33 +163,6 @@ impl NoFtl {
     ) -> Result<CmdId> {
         let region = self.regions.get_mut(rid.0).ok_or(NoFtlError::BadRegion(rid.0))?;
         region.submit_write_delta(&mut self.dev, lba, offset, data, ctx)
-    }
-
-    /// Queue a batch of page operations against one region, sharing a
-    /// single [`IoCtx`]. Commands land on their pages' chips and overlap in
-    /// simulated time up to the device's queue depth.
-    ///
-    /// On error, commands already queued stay in flight — callers should
-    /// [`NoFtl::drain_completions`] before giving up on the batch.
-    pub fn submit_batch(
-        &mut self,
-        rid: RegionId,
-        ops: &[PageIo],
-        ctx: IoCtx,
-    ) -> Result<Vec<CmdId>> {
-        let region = self.regions.get_mut(rid.0).ok_or(NoFtlError::BadRegion(rid.0))?;
-        let mut ids = Vec::with_capacity(ops.len());
-        for op in ops {
-            let id = match op {
-                PageIo::Read(lba) => region.submit_read(&mut self.dev, *lba, ctx)?,
-                PageIo::Write(lba, data) => region.submit_write(&mut self.dev, *lba, data, ctx)?,
-                PageIo::WriteDelta { lba, offset, data } => {
-                    region.submit_write_delta(&mut self.dev, *lba, *offset, data, ctx)?
-                }
-            };
-            ids.push(id);
-        }
-        Ok(ids)
     }
 
     /// Wait for one queued command, advancing the simulated clock to its
@@ -449,21 +422,19 @@ mod tests {
             )
             .unwrap()
         };
-        let ops: Vec<PageIo> =
-            (0..4u64).map(|i| PageIo::Write(Lba(i), vec![i as u8; 512])).collect();
+        let image = |i: u64| vec![i as u8; 512];
 
         let mut queued = mk(4);
         let rid = queued.region_by_name("default").unwrap();
-        let ids = queued.submit_batch(rid, &ops, IoCtx::default()).unwrap();
-        assert_eq!(ids.len(), 4);
+        for i in 0..4u64 {
+            queued.submit_write(rid, Lba(i), &image(i), IoCtx::default()).unwrap();
+        }
         assert_eq!(queued.drain_completions().len(), 4);
         let t_queued = queued.device().clock().now_ns();
 
         let mut serial = mk(1);
-        for op in &ops {
-            if let PageIo::Write(lba, data) = op {
-                serial.write_page(rid, *lba, data, IoCtx::default()).unwrap();
-            }
+        for i in 0..4u64 {
+            serial.write_page(rid, Lba(i), &image(i), IoCtx::default()).unwrap();
         }
         let t_serial = serial.device().clock().now_ns();
         // Four chips, one program each: full overlap at depth 4.
@@ -471,7 +442,7 @@ mod tests {
         // The queued run lands the same data.
         for i in 0..4u64 {
             let (data, _) = queued.read_page(rid, Lba(i), IoCtx::default()).unwrap();
-            assert_eq!(data, vec![i as u8; 512]);
+            assert_eq!(data, image(i));
         }
     }
 

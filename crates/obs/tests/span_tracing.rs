@@ -18,9 +18,7 @@
 use std::collections::{HashMap, HashSet};
 
 use ipa_flash::{for_each_case, FlashConfig};
-use ipa_noftl::{
-    Completion, IoCtx, IpaMode, Lba, NoFtl, NoFtlConfig, PageIo, RegionId, SpanCategory,
-};
+use ipa_noftl::{Completion, IoCtx, IpaMode, Lba, NoFtl, NoFtlConfig, RegionId, SpanCategory};
 use ipa_obs::{EventKind, ObsEvent, TraceHandle};
 use rand::Rng;
 
@@ -49,9 +47,10 @@ fn drive(batches: &[Vec<u8>]) -> (Vec<ObsEvent>, Vec<Completion>, u64) {
     let mut completions = Vec::new();
     for batch in batches {
         let span = ftl.open_span_under(SpanCategory::Txn, None);
-        let ops: Vec<PageIo> =
-            batch.iter().map(|&l| PageIo::Write(Lba(u64::from(l) % cap), data.clone())).collect();
-        ftl.submit_batch(RegionId(0), &ops, IoCtx::host().with_span(span)).expect("batch submits");
+        let ctx = IoCtx::host().with_span(span);
+        for &l in batch {
+            ftl.submit_write(RegionId(0), Lba(u64::from(l) % cap), &data, ctx).expect("submits");
+        }
         completions.extend(ftl.drain_completions());
         ftl.close_span(span);
     }
