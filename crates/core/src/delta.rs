@@ -23,6 +23,8 @@
 //!   control_bytes are read to determine the actual number of
 //!   delta_records").
 
+use std::ops::Range;
+
 use crate::error::CoreError;
 use crate::scheme::NxM;
 use crate::Result;
@@ -121,20 +123,33 @@ impl DeltaRecord {
         Ok(Some(rec))
     }
 
-    /// Apply this record to a page buffer (pairs replace single bytes).
-    pub fn apply(&self, page: &mut [u8]) -> Result<()> {
-        for pair in self.body.iter().chain(self.meta.iter()) {
-            let off = pair.offset as usize;
-            if off >= page.len() {
-                return Err(CoreError::CorruptDelta(format!(
-                    "pair offset {off} outside {}-byte page",
-                    page.len()
-                )));
-            }
-            page[off] = pair.value;
-        }
-        Ok(())
+    /// Apply this record to a page buffer whose delta-record area is
+    /// `delta_area` (pairs replace single bytes, none of them in that
+    /// area).
+    pub fn apply(&self, page: &mut [u8], delta_area: &Range<usize>) -> Result<()> {
+        self.body.iter().chain(self.meta.iter()).try_for_each(|pair| poke(page, delta_area, *pair))
     }
+}
+
+/// Replace the byte `pair` names. An offset past the page is corruption,
+/// and so is one inside the delta area: a tracker never records one (the
+/// area is not the source of changes), and applying it would overwrite the
+/// control bytes the next flush reads `N_E` from.
+fn poke(page: &mut [u8], delta_area: &Range<usize>, pair: ChangePair) -> Result<()> {
+    let off = pair.offset as usize;
+    if off >= page.len() {
+        return Err(CoreError::CorruptDelta(format!(
+            "pair offset {off} outside {}-byte page",
+            page.len()
+        )));
+    }
+    if delta_area.contains(&off) {
+        return Err(CoreError::CorruptDelta(format!(
+            "pair offset {off} inside the delta area {delta_area:?}"
+        )));
+    }
+    page[off] = pair.value;
+    Ok(())
 }
 
 fn write_pair(dst: &mut [u8], pair: &ChangePair) {
@@ -194,15 +209,64 @@ pub fn decode_all(delta_area: &[u8], scheme: &NxM) -> Result<Vec<DeltaRecord>> {
 
 /// Apply every record of a delta area to a page buffer in forward order —
 /// the fetch path of §6.2 ("if delta-records are present, they are applied
-/// in forward order").
+/// in forward order"). The slots are walked where they lie and each pair is
+/// poked into the page as it is read: no pair lands inside the delta area
+/// (see [`DeltaRecord::apply`]), so applying one cannot change a slot still
+/// to be read, and the result equals [`decode_all`] followed by
+/// [`DeltaRecord::apply`] per record, errors included.
 pub fn apply_all(page: &mut [u8], delta_area_start: usize, scheme: &NxM) -> Result<u16> {
-    let area = page[delta_area_start..delta_area_start + scheme.delta_area_size()].to_vec();
-    let records = decode_all(&area, scheme)?;
-    let n = records.len() as u16;
-    for rec in records {
-        rec.apply(page)?;
+    let area = delta_area_start..delta_area_start + scheme.delta_area_size();
+    let n = count_records(&page[area.clone()], scheme)?;
+    let size = scheme.delta_record_size();
+    // Body and metadata pairs are contiguous behind the control byte.
+    let pairs = scheme.m as usize + scheme.v as usize;
+    for i in 0..n as usize {
+        let first_pair = area.start + i * size + 1;
+        for at in (first_pair..first_pair + 3 * pairs).step_by(3) {
+            if let Some(pair) = read_pair(&page[at..at + 3]) {
+                poke(page, &area, pair)?;
+            }
+        }
     }
     Ok(n)
+}
+
+/// Encode `records` delta records (`⌈U/M⌉`, at least one) straight into the
+/// slots that start at `first_slot_at` in `page`, as
+/// [`crate::ChangeTracker::decide`] + [`DeltaRecord::encode`] would lay
+/// them out: the body offsets `M` per record in ascending order, the
+/// `meta_count` metadata offsets `V` per record with the chunks spread from
+/// the last record backwards, each value read from `page`, every unused
+/// pair left erased.
+pub(crate) fn encode_in_place(
+    page: &mut [u8],
+    first_slot_at: usize,
+    scheme: &NxM,
+    records: usize,
+    body: impl Iterator<Item = u16>,
+    meta: impl Iterator<Item = u16>,
+    meta_count: usize,
+) {
+    let size = scheme.delta_record_size();
+    let (m, v) = (scheme.m as usize, scheme.v as usize);
+    page[first_slot_at..first_slot_at + records * size].fill(0xFF);
+    for r in 0..records {
+        page[first_slot_at + r * size] = CTRL_PRESENT;
+    }
+    let mut put = |at: usize, offset: u16| {
+        let value = page[offset as usize];
+        write_pair(&mut page[at..at + 3], &ChangePair { offset, value });
+    };
+    for (i, offset) in body.enumerate() {
+        put(first_slot_at + (i / m) * size + 1 + 3 * (i % m), offset);
+    }
+    if meta_count > 0 && v > 0 {
+        let first_meta_record = records - meta_count.div_ceil(v);
+        for (j, offset) in meta.enumerate() {
+            let record = first_meta_record + j / v;
+            put(first_slot_at + record * size + 1 + 3 * m + 3 * (j % v), offset);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -269,7 +333,7 @@ mod tests {
             vec![ChangePair { offset: 100, value: 7 }],
             vec![ChangePair { offset: 10, value: 200 }],
         );
-        rec.apply(&mut page).unwrap();
+        rec.apply(&mut page, &(32..64)).unwrap();
         assert_eq!(page[100], 7);
         assert_eq!(page[10], 200);
         assert_eq!(page.iter().filter(|&&b| b != 0).count(), 2);
@@ -279,7 +343,24 @@ mod tests {
     fn apply_out_of_bounds_rejected() {
         let mut page = vec![0u8; 64];
         let rec = DeltaRecord::new(vec![ChangePair { offset: 64, value: 1 }], vec![]);
-        assert!(matches!(rec.apply(&mut page), Err(CoreError::CorruptDelta(_))));
+        assert!(matches!(rec.apply(&mut page, &(32..48)), Err(CoreError::CorruptDelta(_))));
+    }
+
+    #[test]
+    fn apply_inside_the_delta_area_rejected() {
+        let mut page = vec![0u8; 64];
+        for offset in [32, 47] {
+            let rec = DeltaRecord::new(vec![], vec![ChangePair { offset, value: 1 }]);
+            assert!(matches!(rec.apply(&mut page, &(32..48)), Err(CoreError::CorruptDelta(_))));
+        }
+        assert!(page.iter().all(|&b| b == 0), "a rejected pair changes nothing");
+        // Its neighbours on either side are ordinary header and body bytes.
+        let rec = DeltaRecord::new(
+            vec![ChangePair { offset: 48, value: 2 }],
+            vec![ChangePair { offset: 31, value: 1 }],
+        );
+        rec.apply(&mut page, &(32..48)).unwrap();
+        assert_eq!((page[31], page[48]), (1, 2));
     }
 
     #[test]
@@ -321,6 +402,83 @@ mod tests {
         let n = apply_all(&mut page, start, &s).unwrap();
         assert_eq!(n, 2);
         assert_eq!(page[200], 2);
+    }
+
+    /// `apply_all` before it walked the slots in place: copy the area out,
+    /// decode every record, apply them one by one. The oracle.
+    fn apply_all_by_decoding(page: &mut [u8], start: usize, scheme: &NxM) -> Result<u16> {
+        let area = start..start + scheme.delta_area_size();
+        let records = decode_all(&page[area.clone()], scheme)?;
+        for rec in &records {
+            rec.apply(page, &area)?;
+        }
+        Ok(records.len() as u16)
+    }
+
+    #[test]
+    fn in_place_apply_matches_decode_then_apply() {
+        use rand::Rng;
+        const START: usize = 32;
+        let (mut clean, mut corrupt) = (0, 0);
+        ipa_flash::for_each_case(4_000, |rng| {
+            let scheme = match rng.gen_range(0..4) {
+                0 => NxM::linkbench(),
+                _ => NxM::new(rng.gen_range(1..5), rng.gen_range(0..9), rng.gen_range(0..7)),
+            };
+            let size = scheme.delta_record_size();
+            let area = START..START + scheme.delta_area_size();
+            const PAGE: usize = 2048;
+            let mut page: Vec<u8> = (0..PAGE).map(|_| rng.gen()).collect();
+            page[area.clone()].fill(0xFF);
+            // Offsets that may legitimately change: header and body.
+            let legit = |rng: &mut rand::rngs::StdRng| loop {
+                let offset = rng.gen_range(0..PAGE);
+                if !area.contains(&offset) {
+                    return ChangePair { offset: offset as u16, value: rng.gen() };
+                }
+            };
+            let present = rng.gen_range(0..=scheme.n) as usize;
+            for slot in 0..present {
+                let body = (0..rng.gen_range(0..=scheme.m)).map(|_| legit(rng)).collect();
+                let meta = (0..rng.gen_range(0..=scheme.v)).map(|_| legit(rng)).collect();
+                let at = START + slot * size;
+                let encoded = DeltaRecord::new(body, meta).encode(&scheme).unwrap();
+                page[at..at + size].copy_from_slice(&encoded);
+            }
+            // Every way a delta area can be corrupt, alone or together.
+            let forged = rng.gen_range(0..3) == 0 && present > 0 && scheme.m + scheme.v > 0;
+            if forged {
+                let slot = START + rng.gen_range(0..present) * size;
+                let pair_at = slot + 1 + 3 * rng.gen_range(0..(scheme.m + scheme.v) as usize);
+                match rng.gen_range(0..4) {
+                    // A gap before a record.
+                    0 => page[START + rng.gen_range(0..present) * size] = 0xFF,
+                    1 => page[slot] = rng.gen_range(0..0xFF),
+                    // An offset past the page (but not the unused marker).
+                    2 => {
+                        let offset = rng.gen_range(page.len() as u16..OFFSET_UNUSED);
+                        write_pair(&mut page[pair_at..], &ChangePair { offset, value: 7 });
+                    }
+                    // An offset inside the delta area.
+                    _ => {
+                        let offset = rng.gen_range(area.clone()) as u16;
+                        write_pair(&mut page[pair_at..], &ChangePair { offset, value: 7 });
+                    }
+                }
+            }
+            let mut expected_page = page.clone();
+            let expected = apply_all_by_decoding(&mut expected_page, START, &scheme);
+            let outcome = apply_all(&mut page, START, &scheme);
+            assert_eq!(outcome, expected);
+            // On an error too: the pairs before the bad one are applied.
+            assert_eq!(page, expected_page);
+            if !forged {
+                assert_eq!(outcome, Ok(present as u16));
+            }
+            clean += outcome.is_ok() as u32;
+            corrupt += outcome.is_err() as u32;
+        });
+        assert!(clean > 2_000 && corrupt > 500, "{clean} clean, {corrupt} corrupt cases");
     }
 
     #[test]

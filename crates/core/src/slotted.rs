@@ -13,7 +13,7 @@ use crate::layout::{
     HeaderView, PageLayout, OFF_FREE_LOWER, OFF_SLOT_COUNT, PAGE_MAGIC, SLOT_SIZE,
 };
 use crate::scheme::NxM;
-use crate::tracking::ChangeTracker;
+use crate::tracking::{ChangeTracker, FlushPlan};
 use crate::Result;
 
 /// Index into a page's slot table.
@@ -295,9 +295,46 @@ impl DbPage {
         delta::apply_all(&mut self.buf, self.layout.delta_area_start(), &self.layout.scheme)
     }
 
+    /// Encode the pending changes of `tracker` — this page's tracker, whose
+    /// [`ChangeTracker::plan`] is [`FlushPlan::Ipa`] — straight into the
+    /// next free delta slots, and return the slots written; each is then
+    /// one `write_delta` of `scheme().delta_record_size()` bytes from
+    /// [`PageLayout::delta_slot_offset`], borrowed from [`Self::bytes`].
+    /// Leaves the delta area byte-equal to [`ChangeTracker::decide`]
+    /// followed by [`Self::append_delta_record`] per record, with nothing
+    /// built in between. Any other plan appends nothing (an empty range).
+    pub fn append_tracked(&mut self, tracker: &ChangeTracker) -> Result<std::ops::Range<u16>> {
+        let scheme = self.layout.scheme;
+        if *tracker.scheme() != scheme {
+            return Err(CoreError::InvalidPage(format!(
+                "tracker of a {} page asked to append to a {scheme} page",
+                tracker.scheme()
+            )));
+        }
+        let first = self.delta_record_count()?;
+        let FlushPlan::Ipa(records) = tracker.plan() else { return Ok(first..first) };
+        if first + records > scheme.n {
+            return Err(CoreError::TooManyDeltas {
+                found: first as u32 + records as u32,
+                max: scheme.n as u32,
+            });
+        }
+        delta::encode_in_place(
+            &mut self.buf,
+            self.layout.delta_slot_offset(first),
+            &scheme,
+            records as usize,
+            tracker.body_offsets(),
+            tracker.meta_offsets(),
+            tracker.meta_changed(),
+        );
+        Ok(first..first + records)
+    }
+
     /// Append an encoded delta record into the next free slot of the
     /// buffer's delta area, returning `(slot_index, absolute_offset)` for
-    /// the matching `write_delta` device command.
+    /// the matching `write_delta` device command. The reference for
+    /// [`Self::append_tracked`].
     pub fn append_delta_record(
         &mut self,
         record: &crate::delta::DeltaRecord,
@@ -381,20 +418,45 @@ impl DbPage {
 }
 
 /// Copy `data` over `dst` (equal lengths), reporting every maximal run of
-/// bytes that differed as `on_run(start, len)`, in ascending order.
+/// bytes that differed as `on_run(start, len)`, in ascending order. Of a
+/// tuple of hundreds of bytes a few differ: eight bytes are compared at a
+/// time, and only a word that differs is looked at byte by byte.
 fn overwrite(dst: &mut [u8], data: &[u8], mut on_run: impl FnMut(usize, usize)) {
+    const WORD: usize = std::mem::size_of::<u64>();
+    let len = data.len();
+    let dst = &mut dst[..len];
+    let word = |bytes: &[u8], at: usize| {
+        let mut w = [0u8; WORD];
+        w.copy_from_slice(&bytes[at..at + WORD]);
+        u64::from_ne_bytes(w)
+    };
+    // Start of the run of differing bytes that reaches up to `i`, if any.
+    let mut run: Option<usize> = None;
+    let mut close = |dst: &mut [u8], start: usize, end: usize| {
+        dst[start..end].copy_from_slice(&data[start..end]);
+        on_run(start, end - start);
+    };
     let mut i = 0;
-    while i < data.len() {
-        if dst[i] == data[i] {
-            i += 1;
+    while i < len {
+        let chunk = WORD.min(len - i);
+        if chunk == WORD && word(dst, i) == word(data, i) {
+            if let Some(start) = run.take() {
+                close(dst, start, i);
+            }
+            i += WORD;
             continue;
         }
-        let start = i;
-        while i < data.len() && dst[i] != data[i] {
-            i += 1;
+        for j in i..i + chunk {
+            if dst[j] != data[j] {
+                run.get_or_insert(j);
+            } else if let Some(start) = run.take() {
+                close(dst, start, j);
+            }
         }
-        dst[start..i].copy_from_slice(&data[start..i]);
-        on_run(start, i - start);
+        i += chunk;
+    }
+    if let Some(start) = run {
+        close(dst, start, len);
     }
 }
 
@@ -478,6 +540,170 @@ mod tests {
         let FlushDecision::Ipa(recs) = t2.decide(p.bytes()) else { panic!("5 bytes fit [2x3]") };
         let offsets: Vec<u16> = recs.iter().flat_map(|r| &r.body).map(|c| c.offset).collect();
         assert_eq!(offsets, [0, 1, 5, 6, 7].map(|i| body + i));
+    }
+
+    /// The byte loop [`overwrite`] was before it compared words: the oracle.
+    fn overwrite_bytewise(dst: &mut [u8], data: &[u8], mut on_run: impl FnMut(usize, usize)) {
+        let mut i = 0;
+        while i < data.len() {
+            if dst[i] == data[i] {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < data.len() && dst[i] != data[i] {
+                i += 1;
+            }
+            dst[start..i].copy_from_slice(&data[start..i]);
+            on_run(start, i - start);
+        }
+    }
+
+    #[test]
+    fn wordwise_overwrite_reports_the_runs_of_the_byte_loop() {
+        use rand::Rng;
+        let mut runs_seen = 0;
+        ipa_flash::for_each_case(3_000, |rng| {
+            // A slice at any alignment inside a larger buffer, of any
+            // length around the word size, into which differing runs of
+            // any length are planted: inside a word, across word borders,
+            // touching each other's words, at both ends.
+            let (lead, len) = (rng.gen_range(0..9), rng.gen_range(0..200));
+            let mut old: Vec<u8> = (0..lead + len + 9).map(|_| rng.gen()).collect();
+            let mut new = old[lead..lead + len].to_vec();
+            for _ in 0..rng.gen_range(0..6) {
+                if len == 0 {
+                    break;
+                }
+                let start = rng.gen_range(0..len);
+                let run = match rng.gen_range(0..3) {
+                    0 => 1,
+                    1 => rng.gen_range(1..10),
+                    _ => rng.gen_range(1..60),
+                };
+                for b in &mut new[start..(start + run).min(len)] {
+                    *b = if rng.gen_range(0..8) == 0 { *b } else { !*b };
+                }
+            }
+            let mut expected = old.clone();
+            let (mut runs, mut expected_runs) = (Vec::new(), Vec::new());
+            overwrite_bytewise(&mut expected[lead..lead + len], &new, |s, l| {
+                expected_runs.push((s, l))
+            });
+            overwrite(&mut old[lead..lead + len], &new, |s, l| runs.push((s, l)));
+            assert_eq!(runs, expected_runs);
+            assert_eq!(old, expected, "bytes outside the slice untouched, inside copied");
+            assert_eq!(old[lead..lead + len], new[..]);
+            runs_seen += runs.len();
+        });
+        assert!(runs_seen > 3_000, "{runs_seen} runs");
+    }
+
+    #[test]
+    fn append_tracked_leaves_the_delta_area_decide_and_append_would() {
+        use rand::Rng;
+        let (mut appended, mut spilled, mut spread, mut onto_existing) = (0, 0, 0, 0);
+        ipa_flash::for_each_case(3_000, |rng| {
+            let scheme = match rng.gen_range(0..4) {
+                0 => NxM::linkbench(),
+                1 => NxM::tpcc(),
+                _ => NxM::new(rng.gen_range(1..5), rng.gen_range(1..9), rng.gen_range(0..5)),
+            };
+            let l = PageLayout::new(4096, scheme).unwrap();
+            let mut page = DbPage::format(3, l);
+            let mut fresh = ChangeTracker::new(scheme, 0, false);
+            let mut slots: Vec<SlotId> =
+                (0..12).map(|_| page.insert_tuple(&[0u8; 150], &mut fresh).unwrap()).collect();
+            // Up to N flushes of one page: each round changes some body
+            // bytes (spilling over several records when they exceed M) and
+            // some metadata, and appends both ways.
+            let mut n_existing = 0;
+            for _ in 0..=scheme.n {
+                let mut t = ChangeTracker::new(scheme, n_existing, true);
+                for _ in 0..rng.gen_range(0..4) {
+                    let slot = slots[rng.gen_range(0..slots.len())];
+                    let mut tuple = page.tuple(slot).unwrap().to_vec();
+                    let (at, run) = (rng.gen_range(0..140usize), rng.gen_range(1..10usize));
+                    tuple[at..at + run].iter_mut().for_each(|b| *b = rng.gen());
+                    page.update_tuple(slot, &tuple, &mut t).unwrap();
+                }
+                match rng.gen_range(0..3) {
+                    0 => page.set_lsn(rng.gen(), &mut t),
+                    // Two metadata bytes at the far end of the page.
+                    1 if slots.len() > 1 => {
+                        let gone = slots.swap_remove(rng.gen_range(0..slots.len()));
+                        page.delete_tuple(gone, &mut t).unwrap();
+                    }
+                    _ => {}
+                }
+                let mut reference = page.clone();
+                let by_reference: Result<Vec<u16>> = match t.decide(page.bytes()) {
+                    FlushDecision::Ipa(records) => records
+                        .iter()
+                        .map(|r| reference.append_delta_record(r).map(|(slot, _, _)| slot))
+                        .collect(),
+                    FlushDecision::Clean | FlushDecision::OutOfPlace => Ok(Vec::new()),
+                };
+                let slots_used: Vec<u16> = page.append_tracked(&t).unwrap().collect();
+                assert_eq!(slots_used, by_reference.unwrap());
+                assert_eq!(page.bytes(), reference.bytes());
+                n_existing += slots_used.len() as u16;
+                appended += slots_used.len();
+                spilled += (slots_used.len() > 1) as u32;
+                spread += (slots_used.len() > 1 && t.meta_changed() > scheme.v as usize) as u32;
+                onto_existing += (!slots_used.is_empty() && slots_used[0] > 0) as u32;
+            }
+        });
+        assert!(spilled > 500, "{spilled} appends of several records");
+        assert!(spread > 50, "{spread} appends with metadata in more than one record");
+        assert!(onto_existing > 500, "{onto_existing} appends behind resident records");
+        assert!(appended > 3_000, "{appended} records appended");
+    }
+
+    #[test]
+    fn append_tracked_refuses_what_does_not_fit_and_writes_nothing() {
+        let (mut p, mut t) = fresh();
+        let s = p.insert_tuple(&[0u8; 8], &mut t).unwrap();
+        let body = p.layout().body_start() as u16;
+        let rec = crate::delta::DeltaRecord::new(
+            vec![crate::delta::ChangePair { offset: body, value: 1 }],
+            vec![],
+        );
+        p.append_delta_record(&rec).unwrap();
+        // The tracker believes both slots of [2x3] are free and needs two.
+        let mut t2 = ChangeTracker::new(*p.scheme(), 0, true);
+        p.update_tuple(s, &[1, 1, 1, 1, 0, 0, 0, 0], &mut t2).unwrap();
+        assert_eq!(t2.plan(), FlushPlan::Ipa(2));
+        let before = p.bytes().to_vec();
+        assert!(matches!(
+            p.append_tracked(&t2),
+            Err(CoreError::TooManyDeltas { found: 3, max: 2 })
+        ));
+        assert_eq!(p.bytes(), &before[..]);
+        // A tracker of another scheme is not this page's tracker.
+        let other = ChangeTracker::new(NxM::tpcb(), 0, true);
+        assert!(matches!(p.append_tracked(&other), Err(CoreError::InvalidPage(_))));
+        // Nothing pending, nothing appended.
+        let clean = ChangeTracker::new(*p.scheme(), 1, true);
+        assert_eq!(p.append_tracked(&clean), Ok(1..1));
+    }
+
+    #[test]
+    fn forged_pair_into_the_delta_area_is_corruption_not_applied() {
+        use crate::delta::{ChangePair, DeltaRecord};
+        // A record in slot 0 whose pair targets slot 1's control byte: the
+        // apply used to poke it, and the page came out claiming a record
+        // in a slot nothing was appended to.
+        let (mut p, mut t) = fresh();
+        p.insert_tuple(&[1, 2, 3], &mut t).unwrap();
+        let slot1 = p.layout().delta_slot_offset(1) as u16;
+        let forged = DeltaRecord::new(
+            vec![ChangePair { offset: slot1, value: crate::delta::CTRL_PRESENT }],
+            vec![],
+        );
+        p.append_delta_record(&forged).unwrap();
+        assert!(matches!(p.apply_deltas(), Err(CoreError::CorruptDelta(_))));
+        assert_eq!(p.delta_record_count().unwrap(), 1, "control bytes untouched");
     }
 
     #[test]

@@ -43,6 +43,19 @@ pub enum FlushDecision {
     OutOfPlace,
 }
 
+/// What [`ChangeTracker::decide`] will answer, without the records: the
+/// flush path asks this and, for an append, lets
+/// [`crate::DbPage::append_tracked`] encode them where they go.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlushPlan {
+    /// Page is clean — nothing to write.
+    Clean,
+    /// Append this many delta records (`⌈U/M⌉`, at least one).
+    Ipa(u16),
+    /// Write the full page image to a new flash location.
+    OutOfPlace,
+}
+
 /// A set of page byte offsets: bit `o % 64` of `words[o / 64]` is set iff
 /// offset `o` is a member. The words grow on demand up to the highest
 /// offset recorded (a 4 KiB page needs at most 64 of them), and `count`
@@ -123,15 +136,16 @@ impl ChangeTracker {
         }
     }
 
-    /// Start over after a flush: the page now sits on flash under `scheme`
-    /// with `n_existing` delta records (the previous count plus the records
-    /// appended by an IPA flush; 0 after an out-of-place write, which resets
-    /// the delta area). Equal to a new tracker with `on_flash = true`, but
-    /// reuses the offset sets' allocations.
-    pub fn restart(&mut self, scheme: NxM, n_existing: u16) {
+    /// Start over: equal to [`ChangeTracker::new`] with the same arguments,
+    /// but reuses the offset sets' allocations. After a flush the page sits
+    /// on flash under `scheme` with `n_existing` delta records (the previous
+    /// count plus the records appended by an IPA flush; 0 after an
+    /// out-of-place write, which resets the delta area); a buffer pool also
+    /// hands the tracker of the frame it evicts to the page it brings in.
+    pub fn reset(&mut self, scheme: NxM, n_existing: u16, on_flash: bool) {
         self.scheme = scheme;
         self.n_existing = n_existing;
-        self.on_flash = true;
+        self.on_flash = on_flash;
         self.body.clear();
         self.meta.clear();
         self.exceeded = false;
@@ -243,17 +257,39 @@ impl ChangeTracker {
         }
     }
 
-    /// Decide the flush action, materializing delta records with values
-    /// from `page` (the current buffer image).
-    pub fn decide(&self, page: &[u8]) -> FlushDecision {
+    /// The flush action [`Self::decide`] will take, materializing nothing.
+    pub fn plan(&self) -> FlushPlan {
         if !self.is_dirty() {
-            return FlushDecision::Clean;
+            return FlushPlan::Clean;
         }
         if self.exceeded || !self.on_flash || !self.scheme.is_enabled() {
-            return FlushDecision::OutOfPlace;
+            return FlushPlan::OutOfPlace;
         }
-        let records = self.build_records(page);
-        FlushDecision::Ipa(records)
+        // Not exceeded: the records fit the free slots, of which a scheme
+        // has at most `u16::MAX`.
+        FlushPlan::Ipa(self.scheme.records_needed(self.body.count).max(1) as u16)
+    }
+
+    /// Changed body offsets, ascending.
+    pub(crate) fn body_offsets(&self) -> impl Iterator<Item = u16> + '_ {
+        self.body.iter()
+    }
+
+    /// Changed metadata offsets, ascending.
+    pub(crate) fn meta_offsets(&self) -> impl Iterator<Item = u16> + '_ {
+        self.meta.iter()
+    }
+
+    /// Decide the flush action, materializing delta records with values
+    /// from `page` (the current buffer image). The reference for
+    /// [`Self::plan`] + [`crate::DbPage::append_tracked`], which a flush
+    /// path uses instead.
+    pub fn decide(&self, page: &[u8]) -> FlushDecision {
+        match self.plan() {
+            FlushPlan::Clean => FlushDecision::Clean,
+            FlushPlan::OutOfPlace => FlushDecision::OutOfPlace,
+            FlushPlan::Ipa(_) => FlushDecision::Ipa(self.build_records(page)),
+        }
     }
 
     fn build_records(&self, page: &[u8]) -> Vec<DeltaRecord> {
@@ -458,14 +494,14 @@ mod tests {
     }
 
     #[test]
-    fn restart_equals_a_new_on_flash_tracker() {
+    fn reset_equals_a_new_tracker() {
         // A fresh page overflows at once and records a long run ...
         let mut t = ChangeTracker::new(NxM::tpcc(), 0, false);
         t.record_body_run(300, 200);
         t.record_meta_run(4090, 6);
         assert!(t.exceeded());
         // ... after its flush nothing of that is left.
-        t.restart(NxM::tpcc(), 1);
+        t.reset(NxM::tpcc(), 1, true);
         assert!(t.on_flash() && !t.exceeded() && !t.is_dirty());
         assert_eq!((t.n_existing(), t.body_changed(), t.meta_changed()), (1, 0, 0));
         assert_eq!(t.decide(&page_with(&[])), FlushDecision::Clean);
@@ -475,6 +511,12 @@ mod tests {
             recs,
             vec![DeltaRecord::new(vec![ChangePair { offset: 310, value: 7 }], vec![])]
         );
+        // ... and reset for a page that is not on flash, it is a fresh one.
+        t.reset(NxM::tpcc(), 0, false);
+        assert!(!t.on_flash() && !t.is_dirty());
+        t.record_body(310);
+        assert!(t.exceeded());
+        assert_eq!(t.plan(), FlushPlan::OutOfPlace);
     }
 
     #[test]
@@ -499,14 +541,14 @@ mod tests {
         t.record_meta(10);
         let FlushDecision::Ipa(recs) = t.decide(&page) else { panic!() };
         assert_eq!(recs.len(), 1);
-        t.restart(scheme, 1);
+        t.reset(scheme, 1, true);
         t.record_body(1000);
         t.record_body(1100);
         t.record_body(1200);
         t.record_meta(10);
         let FlushDecision::Ipa(recs) = t.decide(&page) else { panic!() };
         assert_eq!(recs.len(), 1);
-        t.restart(scheme, 2);
+        t.reset(scheme, 2, true);
         t.record_body(1000);
         assert_eq!(t.decide(&page), FlushDecision::OutOfPlace);
     }
@@ -634,8 +676,14 @@ mod tests {
             assert_eq!(t.body_changed(), oracle.body.len(), "body count, {at}");
             assert_eq!(t.meta_changed(), oracle.meta.len(), "metadata count, {at}");
             assert_eq!(t.is_dirty(), oracle.is_dirty(), "dirty, {at}");
-            let decision = t.decide(page);
-            assert_eq!(decision, oracle.decide(page), "decision, {at}");
+            let decision = oracle.decide(page);
+            assert_eq!(t.decide(page), decision, "decision, {at}");
+            let plan = match &decision {
+                FlushDecision::Clean => FlushPlan::Clean,
+                FlushDecision::OutOfPlace => FlushPlan::OutOfPlace,
+                FlushDecision::Ipa(records) => FlushPlan::Ipa(records.len() as u16),
+            };
+            assert_eq!(t.plan(), plan, "plan, {at}");
             ipa += matches!(decision, FlushDecision::Ipa(_)) as usize;
         }
         ipa
@@ -660,7 +708,7 @@ mod tests {
                     // new oracle: bits left over from before would show.
                     for _ in 0..8 {
                         let n_existing = rng.below(scheme.n as usize + 1) as u16;
-                        t.restart(scheme, n_existing);
+                        t.reset(scheme, n_existing, true);
                         ipa += drive(
                             &mut t,
                             &mut SetTracker::new(scheme, n_existing, true),

@@ -194,22 +194,22 @@ fn store_node(db: &mut Database, tx: Option<TxId>, pid: PageId, node: &Node) -> 
         Some((base, first, last))
     })?;
     let Some((base, first, last)) = span else { return Ok(()) };
-    let changed = image[first..=last].to_vec();
+    let changed = &image[first..=last];
     let offset = base + first;
     let Some(tx) = tx else {
         return db.with_page_mut(pid, |page, tracker| {
-            page.write_body(offset, &changed, tracker);
+            page.write_body(offset, changed, tracker);
             Ok(())
         });
     };
     let lsn = db.log_for_tx(
         tx,
-        LogPayload::PageWrite { tx, page: pid, offset: offset as u32, after: changed.clone() },
+        LogPayload::PageWrite { tx, page: pid, offset: offset as u32, after: changed },
     )?;
     // The record is already in the log: it, not the one after it, is the
     // recovery LSN of a frame this write dirties.
     db.with_page_mut_at(pid, lsn, |page, tracker| {
-        page.write_body(offset, &changed, tracker);
+        page.write_body(offset, changed, tracker);
         page.set_lsn(lsn.0, tracker);
         Ok(())
     })

@@ -1,17 +1,21 @@
-//! The buffer pool: frames, hash lookup and CLOCK eviction.
+//! The buffer pool: frames, page lookup and CLOCK eviction.
 //!
 //! Pure frame management — all I/O (fetch, flush) lives in
 //! [`crate::Database`], which owns both this pool and the flash device.
 //!
-//! The pool owns its dirty state: an ordered set of dirty frame slots and
-//! an ordered set of free slots, kept current at the only transitions that
+//! The pool owns its dirty state: one bit per frame slot for *dirty*, *free*
+//! and the CLOCK *reference* bit, kept current at the only transitions that
 //! exist ([`BufferPool::insert`], [`BufferPool::update`],
-//! [`BufferPool::mark_flushed`], [`BufferPool::remove`],
-//! [`BufferPool::clear`]). A frame's tracker is therefore private — nobody
-//! can dirty a frame behind the pool's back — and the cleaner, `flush_all`
-//! and the checkpointer visit dirty frames only, never the whole pool.
+//! [`BufferPool::touch`], [`BufferPool::mark_flushed`],
+//! [`BufferPool::remove`], [`BufferPool::clear`]). A frame's tracker is
+//! therefore private — nobody can dirty a frame behind the pool's back — and
+//! the cleaner, `flush_all` and the checkpointer visit dirty frames only,
+//! word by word, never the whole pool. Resident pages are found through a
+//! dense per-region table indexed by LBA (the shape of `Region::p2l`): no
+//! hashing on the 18 to 62 fetches a transaction makes. Nothing here
+//! allocates once the pool exists.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ipa_core::{ChangeTracker, DbPage, NxM};
@@ -33,19 +37,18 @@ pub struct Frame {
     tracker: ChangeTracker,
     /// Pin count; pinned frames are not evictable.
     pub pins: u32,
-    /// CLOCK reference bit.
-    pub referenced: bool,
     /// Recovery LSN: the oldest LSN that may have dirtied this page since
     /// its last flush (for the checkpoint dirty-page table).
     pub rec_lsn: Lsn,
 }
 
 impl Frame {
-    /// An unpinned, referenced frame for `page` with its change tracker (a
-    /// tracker that is already dirty — a freshly allocated page marked
-    /// out-of-place — enters the pool's dirty set at insertion).
+    /// An unpinned frame for `page` with its change tracker (a tracker that
+    /// is already dirty — a freshly allocated page marked out-of-place —
+    /// enters the pool's dirty set at insertion). The pool sets the CLOCK
+    /// reference bit of every frame it takes in.
     pub fn new(page_id: PageId, page: DbPage, tracker: ChangeTracker) -> Self {
-        Frame { page_id, page, tracker, pins: 0, referenced: true, rec_lsn: Lsn::NULL }
+        Frame { page_id, page, tracker, pins: 0, rec_lsn: Lsn::NULL }
     }
 
     /// Whether the frame holds unflushed changes.
@@ -56,6 +59,19 @@ impl Frame {
     /// The change tracker (read-only: the flush decision and update sizes).
     pub fn tracker(&self) -> &ChangeTracker {
         &self.tracker
+    }
+
+    /// Encode the tracked changes into the page's next free delta slots
+    /// ([`DbPage::append_tracked`]); the tracker is untouched until
+    /// [`BufferPool::mark_flushed`].
+    pub fn append_tracked(&mut self) -> ipa_core::Result<std::ops::Range<u16>> {
+        self.page.append_tracked(&self.tracker)
+    }
+
+    /// Take the frame apart into what the next page to enter the pool
+    /// reuses: the page buffer and the tracker's offset bitmaps.
+    pub fn into_parts(self) -> (Vec<u8>, ChangeTracker) {
+        (self.page.into_bytes(), self.tracker)
     }
 }
 
@@ -91,17 +107,65 @@ impl ResidencyMirror {
     }
 }
 
+/// A set of frame slots: one bit per slot and the number of bits set.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SlotSet {
+    words: Vec<u64>,
+    count: usize,
+}
+
+impl SlotSet {
+    /// The empty set over `slots` slots.
+    fn new(slots: usize) -> Self {
+        SlotSet { words: vec![0; slots.div_ceil(64)], count: 0 }
+    }
+
+    fn contains(&self, slot: usize) -> bool {
+        self.words[slot / 64] & (1 << (slot % 64)) != 0
+    }
+
+    fn insert(&mut self, slot: usize) {
+        let (word, bit) = (&mut self.words[slot / 64], 1 << (slot % 64));
+        self.count += usize::from(*word & bit == 0);
+        *word |= bit;
+    }
+
+    fn remove(&mut self, slot: usize) {
+        let (word, bit) = (&mut self.words[slot / 64], 1 << (slot % 64));
+        self.count -= usize::from(*word & bit != 0);
+        *word &= !bit;
+    }
+
+    /// The lowest member.
+    fn first(&self) -> Option<usize> {
+        let (w, word) = self.words.iter().enumerate().find(|(_, &word)| word != 0)?;
+        Some(w * 64 + word.trailing_zeros() as usize)
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+        self.count = 0;
+    }
+}
+
+/// Marks "no frame" in [`BufferPool::slot_of`].
+const NOT_RESIDENT: u32 = u32::MAX;
+
 /// Fixed-capacity buffer pool with CLOCK replacement.
 #[derive(Debug)]
 pub struct BufferPool {
     frames: Vec<Option<Frame>>,
-    map: HashMap<PageId, usize>,
+    /// Per region, the frame slot of every logical page ([`NOT_RESIDENT`]
+    /// for the pages not buffered), indexed by LBA.
+    slot_of: Vec<Vec<u32>>,
     /// Slots whose frame is dirty. Invariant: `i ∈ dirty` ⇔ `frames[i]` is
     /// occupied and its tracker is dirty.
-    dirty: BTreeSet<usize>,
+    dirty: SlotSet,
     /// Unoccupied slots. Invariant: `i ∈ free` ⇔ `frames[i]` is `None`.
-    free: BTreeSet<usize>,
-    /// Adaptive mode only. Invariant: holds exactly the keys of `map`.
+    free: SlotSet,
+    /// CLOCK reference bits; clear for every unoccupied slot.
+    referenced: SlotSet,
+    /// Adaptive mode only. Invariant: holds exactly the resident pages.
     mirror: Option<ResidencyMirror>,
     hand: usize,
     capacity: usize,
@@ -109,14 +173,18 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// A pool with `capacity` frames.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0);
+    /// A pool with `capacity` frames over regions of `region_pages[r]`
+    /// logical pages each (the page allocators' capacities).
+    pub fn new(capacity: usize, region_pages: &[u64]) -> Self {
+        assert!(capacity > 0 && capacity < NOT_RESIDENT as usize);
+        let mut free = SlotSet::new(capacity);
+        (0..capacity).for_each(|slot| free.insert(slot));
         BufferPool {
             frames: (0..capacity).map(|_| None).collect(),
-            map: HashMap::with_capacity(capacity),
-            dirty: BTreeSet::new(),
-            free: (0..capacity).collect(),
+            slot_of: region_pages.iter().map(|&pages| vec![NOT_RESIDENT; pages as usize]).collect(),
+            dirty: SlotSet::new(capacity),
+            free,
+            referenced: SlotSet::new(capacity),
             mirror: None,
             hand: 0,
             capacity,
@@ -127,7 +195,7 @@ impl BufferPool {
     /// Start mirroring residency (the pool must still be empty) and hand
     /// out the shared view.
     pub(crate) fn mirror_residency(&mut self) -> ResidencyMirror {
-        debug_assert!(self.map.is_empty());
+        debug_assert!(self.is_empty());
         self.mirror.get_or_insert_with(ResidencyMirror::default).clone()
     }
 
@@ -153,17 +221,17 @@ impl BufferPool {
 
     /// Number of occupied frames.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.capacity - self.free.count
     }
 
     /// Whether the pool holds no pages.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
     /// Number of dirty frames.
     pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
+        self.dirty.count
     }
 
     /// Fraction of the pool that is dirty (the cleaner's trigger metric).
@@ -173,30 +241,37 @@ impl BufferPool {
 
     /// Look up a page, setting its reference bit.
     pub fn get_mut(&mut self, pid: PageId) -> Option<&mut Frame> {
-        let idx = *self.map.get(&pid)?;
-        let frame = self.frames.get_mut(idx)?.as_mut()?;
-        frame.referenced = true;
-        Some(frame)
+        let idx = self.index_of(pid)?;
+        self.touch(idx);
+        self.frames.get_mut(idx)?.as_mut()
     }
 
     /// Look up a page without touching the reference bit.
     pub fn peek(&self, pid: PageId) -> Option<&Frame> {
-        self.map.get(&pid).and_then(|&idx| self.frames.get(idx)?.as_ref())
+        self.index_of(pid).and_then(|idx| self.frames.get(idx)?.as_ref())
     }
 
     /// Whether the page is resident.
     pub fn contains(&self, pid: PageId) -> bool {
-        self.map.contains_key(&pid)
+        self.index_of(pid).is_some()
     }
 
     /// Frame slot of a resident page.
     pub fn index_of(&self, pid: PageId) -> Option<usize> {
-        self.map.get(&pid).copied()
+        let slot = *self.slot_of.get(pid.region)?.get(pid.lba.0 as usize)?;
+        (slot != NOT_RESIDENT).then_some(slot as usize)
     }
 
     /// Direct access by frame index (flush paths).
     pub fn frame_mut(&mut self, idx: usize) -> Option<&mut Frame> {
         self.frames.get_mut(idx)?.as_mut()
+    }
+
+    /// Set the CLOCK reference bit of an occupied slot (a buffer hit).
+    pub fn touch(&mut self, idx: usize) {
+        if !self.free.contains(idx) {
+            self.referenced.insert(idx);
+        }
     }
 
     /// Run `f` against a frame's page and tracker, pinned for the duration.
@@ -227,28 +302,32 @@ impl BufferPool {
     /// records, and clear the recovery LSN.
     pub fn mark_flushed(&mut self, idx: usize, scheme: NxM, n_existing: u16) {
         let Some(frame) = self.frames.get_mut(idx).and_then(Option::as_mut) else { return };
-        frame.tracker.restart(scheme, n_existing);
+        frame.tracker.reset(scheme, n_existing, true);
         frame.rec_lsn = Lsn::NULL;
-        self.dirty.remove(&idx);
+        self.dirty.remove(idx);
     }
 
     /// Whether the pool has a free slot.
     pub fn has_free_slot(&self) -> bool {
-        self.map.len() < self.capacity
+        self.free.count > 0
     }
 
-    /// Insert a frame into a free slot, returning its index — or `None`
-    /// when the pool is full (callers must evict first).
+    /// Insert a frame into the lowest free slot, returning its index — or
+    /// `None` when the pool is full (callers must evict first) or the page
+    /// lies outside every region the pool was sized for.
     #[must_use = "a full pool rejects the frame; dropping the result loses the page"]
     pub fn insert(&mut self, frame: Frame) -> Option<usize> {
-        let idx = self.free.pop_first()?;
-        self.map.insert(frame.page_id, idx);
+        let idx = self.free.first()?;
+        let pid = frame.page_id;
+        *self.slot_of.get_mut(pid.region)?.get_mut(pid.lba.0 as usize)? = idx as u32;
+        self.free.remove(idx);
         if let Some(mirror) = &self.mirror {
-            mirror.lock().insert(frame.page_id);
+            mirror.lock().insert(pid);
         }
         if frame.is_dirty() {
             self.dirty.insert(idx);
         }
+        self.referenced.insert(idx);
         self.frames[idx] = Some(frame);
         Some(idx)
     }
@@ -261,13 +340,13 @@ impl BufferPool {
         for _ in 0..2 * self.capacity {
             let idx = self.hand;
             self.hand = (self.hand + 1) % self.capacity;
-            if let Some(frame) = &mut self.frames[idx] {
+            if let Some(frame) = &self.frames[idx] {
                 self.sweep.frames_scanned += 1;
                 if frame.pins > 0 {
                     continue;
                 }
-                if frame.referenced {
-                    frame.referenced = false;
+                if self.referenced.contains(idx) {
+                    self.referenced.remove(idx);
                     self.sweep.ref_bits_cleared += 1;
                 } else {
                     self.sweep.victims += 1;
@@ -284,11 +363,13 @@ impl BufferPool {
     /// Remove a frame, returning it.
     pub fn remove(&mut self, idx: usize) -> Option<Frame> {
         let frame = self.frames[idx].take()?;
-        self.map.remove(&frame.page_id);
+        let pid = frame.page_id;
+        self.slot_of[pid.region][pid.lba.0 as usize] = NOT_RESIDENT;
         if let Some(mirror) = &self.mirror {
-            mirror.lock().remove(&frame.page_id);
+            mirror.lock().remove(&pid);
         }
-        self.dirty.remove(&idx);
+        self.dirty.remove(idx);
+        self.referenced.remove(idx);
         self.free.insert(idx);
         Some(frame)
     }
@@ -298,44 +379,71 @@ impl BufferPool {
         self.frames.iter().enumerate().filter(|(_, f)| f.is_some()).map(|(i, _)| i)
     }
 
-    /// The first `limit` dirty, unpinned frames in cleaning order: cold
-    /// frames (reference bit clear) in CLOCK order from the hand, then hot
-    /// ones in the same order. Background cleaners chase cold dirty pages;
-    /// hot pages stay buffered and keep accumulating updates — which is
-    /// what lets a page's small changes batch into one flush. Walks the
-    /// dirty set only, and stops once `limit` cold frames are found.
-    pub fn cleaner_candidates(&self, limit: usize) -> Vec<usize> {
-        let mut cold = Vec::new();
-        let mut hot = Vec::new();
-        for &idx in self.dirty.range(self.hand..).chain(self.dirty.range(..self.hand)) {
-            if cold.len() >= limit {
-                break;
-            }
-            match &self.frames[idx] {
-                Some(f) if f.pins == 0 && !f.referenced => cold.push(idx),
-                Some(f) if f.pins == 0 && hot.len() < limit => hot.push(idx),
-                _ => {}
+    /// Fill `out` with the first `limit` dirty, unpinned frames in cleaning
+    /// order: cold frames (reference bit clear) in CLOCK order from the
+    /// hand, then hot ones in the same order. Background cleaners chase
+    /// cold dirty pages; hot pages stay buffered and keep accumulating
+    /// updates — which is what lets a page's small changes batch into one
+    /// flush. Walks `dirty & !referenced`, then `dirty & referenced`, a
+    /// word at a time, and stops once `limit` frames are found; `out` is
+    /// the caller's scratch, so a cleaner round allocates nothing.
+    pub fn cleaner_candidates(&self, limit: usize, out: &mut Vec<usize>) {
+        out.clear();
+        // From the hand to the end, then from the start to the hand: the
+        // hand's word is visited twice, once for each side of it.
+        let (hand_word, below_hand) = (self.hand / 64, (1u64 << (self.hand % 64)) - 1);
+        let upper = (hand_word..self.dirty.words.len())
+            .map(|w| (w, if w == hand_word { !below_hand } else { !0 }));
+        let lower = (0..=hand_word).map(|w| (w, if w == hand_word { below_hand } else { !0 }));
+        for hot in [false, true] {
+            let wanted = |w: usize| {
+                let referenced = self.referenced.words[w];
+                self.dirty.words[w] & if hot { referenced } else { !referenced }
+            };
+            for (w, side) in upper.clone().chain(lower.clone()) {
+                let mut rest = wanted(w) & side;
+                while rest != 0 {
+                    if out.len() >= limit {
+                        return;
+                    }
+                    let idx = w * 64 + rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    if self.frames[idx].as_ref().is_some_and(|f| f.pins == 0) {
+                        out.push(idx);
+                    }
+                }
             }
         }
-        hot.truncate(limit - cold.len());
-        cold.extend(hot);
-        cold
     }
 
-    /// Check the dirty-set, free-set and residency-mirror invariants
-    /// against a full scan of the frames. Panics on divergence — a frame
-    /// was dirtied, cleaned, added or dropped without the sets hearing of
-    /// it.
+    /// Check the dirty-set, free-set, reference-bit, page-table and
+    /// residency-mirror invariants against a full scan of the frames.
+    /// Panics on divergence — a frame was dirtied, cleaned, added or
+    /// dropped without the sets hearing of it.
     pub fn assert_consistent(&self) {
-        let slots = || self.frames.iter().enumerate();
-        let dirty: BTreeSet<usize> = slots()
-            .filter(|(_, f)| f.as_ref().is_some_and(Frame::is_dirty))
-            .map(|(i, _)| i)
-            .collect();
-        let free: BTreeSet<usize> = slots().filter(|(_, f)| f.is_none()).map(|(i, _)| i).collect();
+        let scan = |wanted: &dyn Fn(&Option<Frame>) -> bool| {
+            let mut set = SlotSet::new(self.capacity);
+            self.frames
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| wanted(f))
+                .for_each(|(i, _)| set.insert(i));
+            set
+        };
+        let dirty = scan(&|f| f.as_ref().is_some_and(Frame::is_dirty));
+        let free = scan(&Option::is_none);
         assert_eq!(self.dirty, dirty, "dirty set diverged from the frames");
         assert_eq!(self.free, free, "free set diverged from the frames");
-        assert_eq!(self.map.len() + free.len(), self.capacity, "page map diverged from the frames");
+        for (w, referenced) in self.referenced.words.iter().enumerate() {
+            assert_eq!(referenced & free.words[w], 0, "reference bit on a free slot");
+        }
+        let resident = self.slot_of.iter().flatten().filter(|&&slot| slot != NOT_RESIDENT).count();
+        assert_eq!(resident, self.len(), "page table diverged from the frames");
+        for (idx, frame) in self.frames.iter().enumerate() {
+            if let Some(frame) = frame {
+                assert_eq!(self.index_of(frame.page_id), Some(idx), "page table lost a frame");
+            }
+        }
         if let Some(mirror) = &self.mirror {
             let resident: HashSet<PageId> =
                 self.frames.iter().flatten().map(|f| f.page_id).collect();
@@ -346,12 +454,13 @@ impl BufferPool {
     /// Drop every frame without flushing (crash simulation).
     pub fn clear(&mut self) {
         self.frames.iter_mut().for_each(|f| *f = None);
-        self.map.clear();
+        self.slot_of.iter_mut().for_each(|region| region.fill(NOT_RESIDENT));
         if let Some(mirror) = &self.mirror {
             mirror.lock().clear();
         }
         self.dirty.clear();
-        self.free = (0..self.capacity).collect();
+        self.referenced.clear();
+        (0..self.capacity).for_each(|slot| self.free.insert(slot));
         self.hand = 0;
     }
 }
@@ -362,6 +471,18 @@ mod tests {
     use ipa_core::PageLayout;
 
     impl BufferPool {
+        /// [`BufferPool::cleaner_candidates`] into a vector of its own.
+        pub(crate) fn candidates(&self, limit: usize) -> Vec<usize> {
+            let mut out = vec![usize::MAX; 3]; // stale content must not survive
+            self.cleaner_candidates(limit, &mut out);
+            out
+        }
+
+        /// Clear the reference bit of a frame, as a passing CLOCK hand does.
+        pub(crate) fn cool(&mut self, idx: usize) {
+            self.referenced.remove(idx);
+        }
+
         /// The full-scan cleaning order [`BufferPool::cleaner_candidates`] replaced,
         /// kept as the test oracle.
         pub(crate) fn dirty_indices(&self) -> Vec<usize> {
@@ -371,7 +492,7 @@ mod tests {
                 let idx = (self.hand + step) % self.capacity;
                 if let Some(f) = &self.frames[idx] {
                     if f.is_dirty() && f.pins == 0 {
-                        if f.referenced {
+                        if self.referenced.contains(idx) {
                             hot.push(idx);
                         } else {
                             cold.push(idx);
@@ -399,7 +520,7 @@ mod tests {
 
     #[test]
     fn insert_get_remove() {
-        let mut pool = BufferPool::new(3);
+        let mut pool = BufferPool::new(3, &[16]);
         let idx = pool.insert(frame(pid(1))).expect("slot");
         assert!(pool.contains(pid(1)));
         assert_eq!(pool.index_of(pid(1)), Some(idx));
@@ -412,7 +533,7 @@ mod tests {
 
     #[test]
     fn clock_evicts_unreferenced_first() {
-        let mut pool = BufferPool::new(2);
+        let mut pool = BufferPool::new(2, &[16]);
         pool.insert(frame(pid(1))).expect("slot");
         pool.insert(frame(pid(2))).expect("slot");
         // Touch page 2 so page 1 becomes the victim after one sweep.
@@ -433,7 +554,7 @@ mod tests {
 
     #[test]
     fn all_pinned_means_no_victim() {
-        let mut pool = BufferPool::new(2);
+        let mut pool = BufferPool::new(2, &[16]);
         pool.insert(frame(pid(1))).expect("slot");
         pool.insert(frame(pid(2))).expect("slot");
         pool.get_mut(pid(1)).unwrap().pins = 1;
@@ -443,14 +564,14 @@ mod tests {
 
     #[test]
     fn dirty_tracking() {
-        let mut pool = BufferPool::new(4);
+        let mut pool = BufferPool::new(4, &[16]);
         let a = pool.insert(frame(pid(1))).expect("slot");
         pool.insert(frame(pid(2))).expect("slot");
         assert_eq!(pool.dirty_count(), 0);
         pool.update(a, Lsn(7), |_, tracker| tracker.record_body(200)).expect("resident");
         assert_eq!(pool.dirty_count(), 1);
         assert!((pool.dirty_fraction() - 0.25).abs() < 1e-12);
-        assert_eq!(pool.cleaner_candidates(usize::MAX), vec![a]);
+        assert_eq!(pool.candidates(usize::MAX), vec![a]);
         assert_eq!(pool.frame_mut(a).unwrap().rec_lsn, Lsn(7), "recLSN stamped when dirtied");
         // A second update of an already dirty frame keeps the first recLSN.
         pool.update(a, Lsn(9), |_, tracker| tracker.record_body(201)).expect("resident");
@@ -464,7 +585,7 @@ mod tests {
 
     #[test]
     fn insert_takes_the_lowest_free_slot_and_tracks_dirty_arrivals() {
-        let mut pool = BufferPool::new(4);
+        let mut pool = BufferPool::new(4, &[16]);
         for n in 0..4 {
             assert_eq!(pool.insert(frame(pid(n))), Some(n as usize));
         }
@@ -486,7 +607,7 @@ mod tests {
 
     #[test]
     fn cleaner_candidates_are_a_prefix_of_the_full_scan_order() {
-        let mut pool = BufferPool::new(8);
+        let mut pool = BufferPool::new(8, &[16]);
         for n in 0..8 {
             pool.insert(frame(pid(n))).expect("slot");
         }
@@ -495,21 +616,21 @@ mod tests {
         }
         // Mixed reference bits, one pinned frame, hand in the middle.
         for idx in [1, 4, 7] {
-            pool.frame_mut(idx).unwrap().referenced = false;
+            pool.cool(idx);
         }
         pool.frame_mut(3).unwrap().pins = 1;
         pool.hand = 4;
         let oracle = pool.dirty_indices();
         assert_eq!(oracle, vec![4, 7, 1, 6, 0]);
         for n in 0..=oracle.len() + 1 {
-            assert_eq!(pool.cleaner_candidates(n), oracle[..n.min(oracle.len())], "limit {n}");
+            assert_eq!(pool.candidates(n), oracle[..n.min(oracle.len())], "limit {n}");
         }
-        assert_eq!(pool.cleaner_candidates(usize::MAX), oracle);
+        assert_eq!(pool.candidates(usize::MAX), oracle);
     }
 
     #[test]
     fn clear_drops_everything() {
-        let mut pool = BufferPool::new(2);
+        let mut pool = BufferPool::new(2, &[16]);
         pool.insert(frame(pid(1))).expect("slot");
         pool.clear();
         assert!(pool.is_empty());
@@ -519,7 +640,7 @@ mod tests {
 
     #[test]
     fn sweep_stats_count_scans_clears_and_victims() {
-        let mut pool = BufferPool::new(2);
+        let mut pool = BufferPool::new(2, &[16]);
         pool.insert(frame(pid(1))).expect("slot");
         pool.insert(frame(pid(2))).expect("slot");
         // Both referenced: the sweep clears two bits and then finds a victim.
@@ -538,7 +659,7 @@ mod tests {
 
     #[test]
     fn insert_into_full_pool_is_rejected() {
-        let mut pool = BufferPool::new(1);
+        let mut pool = BufferPool::new(1, &[16]);
         pool.insert(frame(pid(1))).expect("slot");
         assert!(pool.insert(frame(pid(2))).is_none());
         assert!(!pool.contains(pid(2)));

@@ -5,9 +5,9 @@
 use std::sync::{Arc, Mutex};
 
 use ipa_core::layout::HeaderView;
+use ipa_core::tracking::FlushPlan;
 use ipa_core::{
-    ecc, AdvisorGoal, ChangeTracker, DbPage, FlushDecision, IpaAdvisor, NxM, PageLayout,
-    UpdateSizeProfile,
+    ecc, AdvisorGoal, ChangeTracker, DbPage, IpaAdvisor, NxM, PageLayout, UpdateSizeProfile,
 };
 use ipa_noftl::{
     Counters, EventKind, IoCtx, Lba, NoFtl, NoFtlConfig, Observer, PageRewriter, RegionId,
@@ -264,6 +264,27 @@ struct GroupCommitState {
     batch_sizes: Vec<u32>,
 }
 
+/// What an evicted frame leaves to the page that takes its slot: the page
+/// buffer and the change tracker (its two offset bitmaps).
+type Evicted = (Vec<u8>, ChangeTracker);
+
+/// A tracker for a page entering the pool, in the evicted frame's
+/// allocation when there is one.
+fn tracker_for(
+    evicted: Option<ChangeTracker>,
+    scheme: NxM,
+    n_existing: u16,
+    on_flash: bool,
+) -> ChangeTracker {
+    match evicted {
+        Some(mut tracker) => {
+            tracker.reset(scheme, n_existing, on_flash);
+            tracker
+        }
+        None => ChangeTracker::new(scheme, n_existing, on_flash),
+    }
+}
+
 /// Per-region page allocator (bump pointer + free list from drops).
 #[derive(Debug, Default)]
 struct PageAllocator {
@@ -298,6 +319,13 @@ pub struct Database {
     /// Simulated-clock time of the most recent checkpoint (periodic or
     /// reclamation-driven); the periodic-checkpoint epoch anchor.
     last_checkpoint_ns: u64,
+    /// Scratch of [`Self::stage_flushes`] and [`Self::checkpoint`]: the
+    /// frame slots to visit. Taken for the walk and put back, so a cleaner
+    /// round allocates nothing.
+    candidates: Vec<usize>,
+    /// Scratch of the heap operations: the before image of the tuple being
+    /// changed, between the page and the log.
+    pub(crate) before_image: Vec<u8>,
 }
 
 impl std::fmt::Debug for Database {
@@ -338,7 +366,8 @@ impl Database {
             })
             .collect::<Result<Vec<_>>>()?;
         let profiles = schemes.iter().map(|_| UpdateSizeProfile::default()).collect();
-        let mut pool = BufferPool::new(config.buffer_frames);
+        let region_pages: Vec<u64> = allocators.iter().map(|a| a.capacity).collect();
+        let mut pool = BufferPool::new(config.buffer_frames, &region_pages);
         let adaptive = if config.advisor_epoch_ns > 0 {
             let dir = Arc::new(SchemeDirectory { schemes: Mutex::new(schemes.to_vec()) });
             ftl.set_page_rewriter(Arc::new(EngineRewriter {
@@ -375,6 +404,8 @@ impl Database {
             oob_size,
             adaptive,
             last_checkpoint_ns: 0,
+            candidates: Vec::new(),
+            before_image: Vec::new(),
         })
     }
 
@@ -481,22 +512,28 @@ impl Database {
             }
         };
         let pid = PageId::new(region, lba);
-        let buf = self.ensure_free_frame()?.unwrap_or_default();
-        self.insert_fresh_frame(pid, buf)?;
+        let evicted = self.ensure_free_frame()?;
+        self.insert_fresh_frame(pid, evicted)?;
         Ok(pid)
     }
 
     /// Materialize `pid` in the pool as a formatted page that is not on
-    /// flash yet, formatted in `buf` (an evicted frame's buffer, or an
-    /// empty one). A fresh page is dirty by construction (it must reach
-    /// flash at least once), so its tracker is marked out-of-place and the
-    /// frame enters the pool's dirty set on arrival. The caller has made
-    /// sure a slot is free.
-    pub(crate) fn insert_fresh_frame(&mut self, pid: PageId, buf: Vec<u8>) -> Result<()> {
+    /// flash yet, formatted in the buffer and tracked by the tracker of the
+    /// frame just evicted (or new ones). A fresh page is dirty by
+    /// construction (it must reach flash at least once), so its tracker is
+    /// marked out-of-place and the frame enters the pool's dirty set on
+    /// arrival. The caller has made sure a slot is free.
+    pub(crate) fn insert_fresh_frame(
+        &mut self,
+        pid: PageId,
+        evicted: Option<Evicted>,
+    ) -> Result<()> {
         let layout = self.layouts[pid.region];
-        let mut tracker = ChangeTracker::new(layout.scheme, 0, false);
+        let (buf, tracker) = evicted.unzip();
+        let mut tracker = tracker_for(tracker, layout.scheme, 0, false);
         tracker.mark_out_of_place();
-        let frame = Frame::new(pid, DbPage::format_in(buf, pid.lba.0, layout), tracker);
+        let page = DbPage::format_in(buf.unwrap_or_default(), pid.lba.0, layout);
+        let frame = Frame::new(pid, page, tracker);
         self.pool.insert(frame).ok_or(EngineError::Internal("no free frame for a fresh page"))?;
         Ok(())
     }
@@ -522,11 +559,12 @@ impl Database {
 
     /// Make sure at least one frame is free, evicting (and flushing) a
     /// CLOCK victim if necessary. Eviction-path writes are synchronous —
-    /// the fetching transaction waits for them (steal policy). Returns the
-    /// evicted frame's page buffer: the caller formats the incoming fresh
-    /// page in it, or hands it to [`NoFtl::recycle`] for the read that
-    /// brings the incoming page in.
-    fn ensure_free_frame(&mut self) -> Result<Option<Vec<u8>>> {
+    /// the fetching transaction waits for them (steal policy). Returns what
+    /// the evicted frame leaves behind: the caller formats the incoming
+    /// fresh page in its buffer, or hands that to [`NoFtl::recycle`] for
+    /// the read that brings the incoming page in, and restarts its tracker
+    /// for the incoming page.
+    fn ensure_free_frame(&mut self) -> Result<Option<Evicted>> {
         if self.pool.has_free_slot() {
             return Ok(None);
         }
@@ -539,7 +577,7 @@ impl Database {
                 self.ftl.emit(EventKind::Evict, Some(pid.region as u32), Some(pid.lba.0));
             }
         }
-        Ok(evicted.map(|f| f.page.into_bytes()))
+        Ok(evicted.map(Frame::into_parts))
     }
 
     /// Fetch a page into the buffer, returning its frame index.
@@ -547,14 +585,13 @@ impl Database {
         self.stats.fetches += 1;
         if let Some(idx) = self.pool.index_of(pid) {
             self.stats.hits += 1;
-            if let Some(f) = self.pool.frame_mut(idx) {
-                f.referenced = true;
-            }
+            self.pool.touch(idx);
             return Ok(idx);
         }
-        if let Some(buf) = self.ensure_free_frame()? {
+        let evicted_tracker = self.ensure_free_frame()?.map(|(buf, tracker)| {
             self.ftl.recycle(buf);
-        }
+            tracker
+        });
         if let Some(trace) = &mut self.trace {
             trace.push(TraceEvent::Fetch { page: pid.lba.0 });
         }
@@ -583,7 +620,8 @@ impl Database {
         // The fetch path of §6.2: apply resident delta records in forward
         // order to reconstruct the current page version.
         let n_existing = page.apply_deltas()?;
-        let frame = Frame::new(pid, page, ChangeTracker::new(layout.scheme, n_existing, true));
+        let tracker = tracker_for(evicted_tracker, layout.scheme, n_existing, true);
+        let frame = Frame::new(pid, page, tracker);
         self.pool
             .insert(frame)
             .ok_or(EngineError::Internal("no free frame after ensure_free_frame"))
@@ -643,8 +681,8 @@ impl Database {
         };
         let pid = frame.page_id;
         let page_scheme = *frame.page.scheme();
-        let decision = frame.tracker().decide(frame.page.bytes());
-        if decision == FlushDecision::Clean {
+        let plan = frame.tracker().plan();
+        if plan == FlushPlan::Clean {
             return Ok(());
         }
         // WAL rule: the log must be durable up to the page's LSN.
@@ -669,20 +707,15 @@ impl Database {
         }
 
         let rid = RegionId(pid.region);
-        let use_ipa =
-            matches!(decision, FlushDecision::Ipa(_)) && self.ftl.can_append(rid, pid.lba);
-        if use_ipa {
-            let FlushDecision::Ipa(records) = decision else {
-                return Err(EngineError::Internal("use_ipa implies an Ipa flush decision"));
-            };
+        if matches!(plan, FlushPlan::Ipa(_)) && self.ftl.can_append(rid, pid.lba) {
             let frame =
                 self.pool.frame_mut(idx).ok_or(EngineError::Internal("flushed frame missing"))?;
             let n_existing = frame.tracker().n_existing();
-            let mut staged = Vec::with_capacity(records.len());
-            for rec in &records {
-                staged.push(frame.page.append_delta_record(rec)?);
-            }
-            let appended = staged.len() as u16;
+            // The records are encoded where they belong, in the frame's
+            // delta area, and programmed from there: `frame` borrows
+            // `self.pool`, the writes go through `self.ftl`.
+            let slots = frame.append_tracked()?;
+            let appended = slots.len() as u16;
             if self.ftl.observing() {
                 self.ftl.emit(
                     EventKind::FlushIpa { records: appended },
@@ -690,13 +723,16 @@ impl Database {
                     Some(pid.lba.0),
                 );
             }
-            for (slot_idx, offset, encoded) in staged {
-                self.ftl.submit_write_delta(rid, pid.lba, offset, &encoded, ctx)?;
+            let (layout, image) = (*frame.page.layout(), frame.page.bytes());
+            for slot in slots {
+                let offset = layout.delta_slot_offset(slot);
+                let encoded = &image[offset..offset + page_scheme.delta_record_size()];
+                self.ftl.submit_write_delta(rid, pid.lba, offset, encoded, ctx)?;
                 self.stats.gross_written_bytes += encoded.len() as u64;
                 self.stats.delta_records_written += 1;
                 if self.config.verify_ecc {
                     if let Some((offset, code)) =
-                        ecc::delta_write(self.oob_size, &page_scheme, slot_idx, &encoded)
+                        ecc::delta_write(self.oob_size, &page_scheme, slot, encoded)
                     {
                         self.ftl.write_oob(rid, pid.lba, offset, &code)?;
                     }
@@ -777,13 +813,16 @@ impl Database {
         let span = self.ftl.open_span(SpanCategory::Flush);
         let mut count = 0;
         let mut staged = Ok(());
-        for idx in self.pool.cleaner_candidates(limit) {
+        let mut candidates = std::mem::take(&mut self.candidates);
+        self.pool.cleaner_candidates(limit, &mut candidates);
+        for &idx in &candidates {
             staged = self.stage_flush(idx, ctx.with_span(span));
             if staged.is_err() {
                 break;
             }
             count += 1;
         }
+        self.candidates = candidates;
         self.ftl.drain_completions();
         self.ftl.close_span(span);
         (count, staged)
@@ -932,8 +971,7 @@ impl Database {
         // a crash with no history to redo or undo against.
         let keep = self
             .txns
-            .snapshot()
-            .into_iter()
+            .iter()
             .map(|(_, last)| last)
             .chain(self.gcommit.parked.iter().map(|p| p.lsn))
             .map(|last| self.first_lsn_from(last))
@@ -953,12 +991,12 @@ impl Database {
     /// retained record). Null in, null out.
     fn first_lsn_from(&self, mut lsn: Lsn) -> Lsn {
         let mut first = lsn;
-        while let Some(rec) = self.wal.get(lsn) {
-            first = rec.lsn;
-            if rec.prev.is_null() {
+        while let Some(prev) = self.wal.prev_of(lsn) {
+            first = lsn;
+            if prev.is_null() {
                 break;
             }
-            lsn = rec.prev;
+            lsn = prev;
         }
         first
     }
@@ -981,23 +1019,24 @@ impl Database {
     /// starts at the Begin of the last complete pair and redo at the
     /// dirty-page table's minimum recLSN.
     pub fn checkpoint(&mut self) -> Result<()> {
-        self.wal.append(Lsn::NULL, LogPayload::BeginCheckpoint);
+        self.wal.append(Lsn::NULL, LogPayload::<&[u8]>::BeginCheckpoint);
         if self.ftl.observing() {
             self.ftl.emit(EventKind::CheckpointBegin, None, None);
         }
         self.debug_check_pool();
-        let dirty: Vec<(PageId, Lsn)> = self
-            .pool
-            .cleaner_candidates(usize::MAX)
-            .into_iter()
-            .filter_map(|i| {
+        let mut candidates = std::mem::take(&mut self.candidates);
+        self.pool.cleaner_candidates(usize::MAX, &mut candidates);
+        let dirty: Vec<(PageId, Lsn)> = candidates
+            .iter()
+            .filter_map(|&i| {
                 let f = self.pool.frame_mut(i)?;
                 Some((f.page_id, f.rec_lsn))
             })
             .collect();
+        self.candidates = candidates;
         let active = self.txns.snapshot();
         let counts = (active.len() as u32, dirty.len() as u32);
-        let end = self.wal.append(Lsn::NULL, LogPayload::EndCheckpoint { active, dirty });
+        let end = self.wal.append(Lsn::NULL, LogPayload::<&[u8]>::EndCheckpoint { active, dirty });
         self.wal.flush_to(end);
         self.stats.checkpoints += 1;
         self.last_checkpoint_ns = self.ftl.device().clock().now_ns();
@@ -1009,8 +1048,12 @@ impl Database {
     }
 
     /// Append a log record on behalf of a transaction, maintaining the
-    /// per-transaction chain.
-    pub(crate) fn log_for_tx(&mut self, tx: crate::txn::TxId, payload: LogPayload) -> Result<Lsn> {
+    /// per-transaction chain. The record's images are copied into the log.
+    pub(crate) fn log_for_tx(
+        &mut self,
+        tx: crate::txn::TxId,
+        payload: LogPayload<&[u8]>,
+    ) -> Result<Lsn> {
         if !self.txns.is_active(tx) {
             return Err(EngineError::UnknownTx(tx));
         }
@@ -1033,7 +1076,7 @@ impl Database {
         // audit:allow(L006, reason = "close is deferred: the SpanId is stored in the txn table and closed by finish_tx at commit/abort")
         let span = self.ftl.open_span_under(SpanCategory::Txn, None);
         self.txns.set_span(tx, span);
-        let lsn = self.wal.append(Lsn::NULL, LogPayload::Begin { tx });
+        let lsn = self.wal.append(Lsn::NULL, LogPayload::<&[u8]>::Begin { tx });
         self.txns.set_last_lsn(tx, lsn);
         tx
     }
@@ -1111,24 +1154,27 @@ impl Database {
         if self.gcommit.parked.is_empty() {
             return;
         }
-        let batch = std::mem::take(&mut self.gcommit.parked);
-        let horizon = batch.iter().map(|p| p.lsn).max().unwrap_or(Lsn::NULL);
+        let batch = self.gcommit.parked.len();
+        let horizon = self.gcommit.parked.iter().map(|p| p.lsn).max().unwrap_or(Lsn::NULL);
         let span = self.ftl.open_span(SpanCategory::Flush);
         self.force_wal_to(horizon);
         if self.ftl.observing() {
-            self.ftl.emit(EventKind::GroupCommitFlush { txns: batch.len() as u32 }, None, None);
+            self.ftl.emit(EventKind::GroupCommitFlush { txns: batch as u32 }, None, None);
         }
         self.ftl.close_span(span);
         self.stats.group_commits += 1;
-        self.stats.commits += batch.len() as u64;
-        self.gcommit.batch_sizes.push(batch.len() as u32);
-        self.gcommit.acks.extend(batch.iter().map(|p| p.tx));
+        self.stats.commits += batch as u64;
+        self.gcommit.batch_sizes.push(batch as u32);
+        // The stage keeps its vectors: the batch moves from one to the
+        // other.
+        self.gcommit.acks.extend(self.gcommit.parked.drain(..).map(|p| p.tx));
     }
 
     /// Take the transactions acknowledged (made durable) by group-commit
-    /// flushes since the last drain, in commit order.
-    pub fn drain_group_acks(&mut self) -> Vec<crate::txn::TxId> {
-        std::mem::take(&mut self.gcommit.acks)
+    /// flushes since the last drain, in commit order. Dropping the iterator
+    /// discards whatever of them it has not yielded.
+    pub fn drain_group_acks(&mut self) -> std::vec::Drain<'_, crate::txn::TxId> {
+        self.gcommit.acks.drain(..)
     }
 
     /// Commit requests currently parked in the group-commit stage.
@@ -1456,9 +1502,9 @@ pub(crate) mod tests {
         }
         let oracle = db.pool.dirty_indices();
         for n in 0..=oracle.len() + 1 {
-            assert_eq!(db.pool.cleaner_candidates(n), oracle[..n.min(oracle.len())], "limit {n}");
+            assert_eq!(db.pool.candidates(n), oracle[..n.min(oracle.len())], "limit {n}");
         }
-        assert_eq!(db.pool.cleaner_candidates(usize::MAX), oracle);
+        assert_eq!(db.pool.candidates(usize::MAX), oracle);
         if let Some(f) = db.pool.frame_mut(pin) {
             f.pins -= 1;
         }
@@ -1565,10 +1611,10 @@ pub(crate) mod tests {
         assert_eq!(db.stats().wal_forces, 1);
         assert_eq!(db.stats().commits, 4);
         assert_eq!(db.group_commit_pending(), 0);
-        assert_eq!(db.drain_group_acks(), parked);
+        assert_eq!(db.drain_group_acks().collect::<Vec<_>>(), parked);
         assert_eq!(db.group_batch_sizes(), &[4]);
         // Drain is one-shot.
-        assert!(db.drain_group_acks().is_empty());
+        assert_eq!(db.drain_group_acks().len(), 0);
     }
 
     #[test]
@@ -1584,7 +1630,7 @@ pub(crate) mod tests {
         db.advance_clock(2_000);
         db.background_work().unwrap();
         assert_eq!(db.group_commit_pending(), 0);
-        assert_eq!(db.drain_group_acks(), vec![tx]);
+        assert_eq!(db.drain_group_acks().collect::<Vec<_>>(), vec![tx]);
         assert_eq!(db.group_batch_sizes(), &[1]);
     }
 

@@ -93,8 +93,7 @@ impl Database {
             self.with_page_mut(pid, |page, tracker| Ok(page.insert_tuple(tuple, tracker)?))?;
         let rid = Rid { page: pid, slot };
         self.lock_rid(tx, heap, rid, LockMode::Exclusive)?;
-        let lsn =
-            self.log_for_tx(tx, LogPayload::Insert { tx, page: pid, slot, tuple: tuple.to_vec() })?;
+        let lsn = self.log_for_tx(tx, LogPayload::Insert { tx, page: pid, slot, tuple })?;
         self.stamp_lsn(pid, lsn)?;
         Ok(rid)
     }
@@ -121,14 +120,39 @@ impl Database {
 
     /// Read a tuple under a shared lock.
     pub fn heap_read(&mut self, tx: TxId, heap: u32, rid: Rid) -> Result<Vec<u8>> {
+        let mut tuple = Vec::new();
+        self.heap_read_into(tx, heap, rid, &mut tuple)?;
+        Ok(tuple)
+    }
+
+    /// [`Self::heap_read`] into a buffer the caller keeps from one read to
+    /// the next: `tuple` is overwritten with the tuple's bytes.
+    pub fn heap_read_into(
+        &mut self,
+        tx: TxId,
+        heap: u32,
+        rid: Rid,
+        tuple: &mut Vec<u8>,
+    ) -> Result<()> {
         self.lock_rid(tx, heap, rid, LockMode::Shared)?;
-        self.heap_read_unlocked(rid)
+        self.read_tuple_into(rid, tuple)
     }
 
     /// Read a tuple without locking (scans, recovery, internal use).
     pub fn heap_read_unlocked(&mut self, rid: Rid) -> Result<Vec<u8>> {
-        self.with_page(rid.page, |page| page.tuple(rid.slot).map(<[u8]>::to_vec))?
-            .map_err(|_| EngineError::BadRid(rid))
+        let mut tuple = Vec::new();
+        self.read_tuple_into(rid, &mut tuple)?;
+        Ok(tuple)
+    }
+
+    fn read_tuple_into(&mut self, rid: Rid, tuple: &mut Vec<u8>) -> Result<()> {
+        self.with_page(rid.page, |page| {
+            page.tuple(rid.slot).map(|bytes| {
+                tuple.clear();
+                tuple.extend_from_slice(bytes);
+            })
+        })?
+        .map_err(|_| EngineError::BadRid(rid))
     }
 
     /// Update a tuple under an exclusive lock, returning its (possibly
@@ -141,7 +165,29 @@ impl Database {
     /// entries when the returned RID differs.
     pub fn heap_update(&mut self, tx: TxId, heap: u32, rid: Rid, new: &[u8]) -> Result<Rid> {
         self.lock_rid(tx, heap, rid, LockMode::Exclusive)?;
-        let before = self.heap_read_unlocked(rid)?;
+        self.with_before_image(|db, before| db.update_locked(tx, heap, rid, new, before))
+    }
+
+    /// Run a heap operation with the engine's before-image buffer: the
+    /// image of the tuple being changed waits there until the log copies
+    /// it. Taken for the operation, put back after it.
+    fn with_before_image<R>(&mut self, op: impl FnOnce(&mut Self, &mut Vec<u8>) -> R) -> R {
+        let mut before = std::mem::take(&mut self.before_image);
+        let result = op(self, &mut before);
+        self.before_image = before;
+        result
+    }
+
+    fn update_locked(
+        &mut self,
+        tx: TxId,
+        heap: u32,
+        rid: Rid,
+        new: &[u8],
+        before: &mut Vec<u8>,
+    ) -> Result<Rid> {
+        self.read_tuple_into(rid, before)?;
+        let before: &[u8] = before;
         let in_place = self.with_page_mut(rid.page, |page, tracker| {
             match page.update_tuple(rid.slot, new, tracker) {
                 Ok(()) => Ok(true),
@@ -152,13 +198,7 @@ impl Database {
         if in_place {
             let lsn = self.log_for_tx(
                 tx,
-                LogPayload::Update {
-                    tx,
-                    page: rid.page,
-                    slot: rid.slot,
-                    before,
-                    after: new.to_vec(),
-                },
+                LogPayload::Update { tx, page: rid.page, slot: rid.slot, before, after: new },
             )?;
             self.stamp_lsn(rid.page, lsn)?;
             return Ok(rid);
@@ -177,7 +217,12 @@ impl Database {
     /// Mark-delete a tuple under an exclusive lock.
     pub fn heap_delete(&mut self, tx: TxId, heap: u32, rid: Rid) -> Result<()> {
         self.lock_rid(tx, heap, rid, LockMode::Exclusive)?;
-        let before = self.heap_read_unlocked(rid)?;
+        self.with_before_image(|db, before| db.delete_locked(tx, rid, before))
+    }
+
+    fn delete_locked(&mut self, tx: TxId, rid: Rid, before: &mut Vec<u8>) -> Result<()> {
+        self.read_tuple_into(rid, before)?;
+        let before: &[u8] = before;
         self.with_page_mut(rid.page, |page, tracker| {
             page.delete_tuple(rid.slot, tracker)?;
             Ok(())

@@ -82,7 +82,7 @@ pub use stats::{EngineStats, TraceEvent};
 // `reset`, `walk`), so engine users need no `ipa-noftl` import for it.
 pub use ipa_noftl::Counters;
 pub use txn::{TxId, TxnTable};
-pub use wal::{LogPayload, LogRecord, Lsn, Wal};
+pub use wal::{LogPayload, LogRecord, Lsn, Wal, LOG_CHUNK_BYTES};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, EngineError>;

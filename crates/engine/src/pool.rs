@@ -1,8 +1,6 @@
 //! Deterministic multi-client interleaved executor: [`ClientPool`] and the
 //! [`InterleavedClient`] trait it drives.
 
-use std::collections::BTreeMap;
-
 use crate::db::Database;
 use crate::error::EngineError;
 use crate::lock::LockPolicy;
@@ -169,7 +167,9 @@ impl ClientPool {
         let batched = db.config.group_commit_batch > 1;
         let mut states = vec![SlotState::Idle; clients.len()];
         let mut report = PoolRunReport::default();
-        let mut pending_ack: BTreeMap<TxId, u64> = BTreeMap::new();
+        // Commits parked in the group-commit stage with their begin times:
+        // at most a batch of them, so a vector searched linearly.
+        let mut pending_ack: Vec<(TxId, u64)> = Vec::new();
         // Nonzero xorshift state derived from the seed.
         let mut rng_state = self.config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut cursor = 0usize;
@@ -262,7 +262,7 @@ impl ClientPool {
                         Ok(StepOutcome::Done) => {
                             txn.commit()?;
                             if batched {
-                                pending_ack.insert(tx, started_ns);
+                                pending_ack.push((tx, started_ns));
                             } else {
                                 let now = db.ftl.device().clock().now_ns();
                                 report.committed += 1;
@@ -317,16 +317,12 @@ impl ClientPool {
 
 /// Record durability acks (and their latencies) from the group-commit
 /// stage into the report.
-fn drain_acks(db: &mut Database, pending: &mut BTreeMap<TxId, u64>, report: &mut PoolRunReport) {
-    let acks = db.drain_group_acks();
-    if acks.is_empty() {
-        return;
-    }
+fn drain_acks(db: &mut Database, pending: &mut Vec<(TxId, u64)>, report: &mut PoolRunReport) {
     let now = db.ftl.device().clock().now_ns();
-    for tx in acks {
+    for tx in db.drain_group_acks() {
         report.committed += 1;
-        if let Some(started) = pending.remove(&tx) {
-            report.commit_latency_ns.push(now - started);
+        if let Some(i) = pending.iter().position(|&(parked, _)| parked == tx) {
+            report.commit_latency_ns.push(now - pending.swap_remove(i).1);
         }
     }
 }

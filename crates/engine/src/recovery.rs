@@ -49,15 +49,15 @@ pub(crate) fn rollback_budgeted(
         if matches!(budget, Some(0)) {
             return Ok((clrs, false));
         }
-        let Some(rec) = db.wal.get(cursor).cloned() else { break };
-        match rec.payload {
+        let Some(rec) = db.wal.get(cursor) else { break };
+        match &rec.payload {
             LogPayload::Clr { undo_next, .. } => {
-                cursor = undo_next;
+                cursor = *undo_next;
             }
             LogPayload::Begin { .. } => break,
             LogPayload::Commit { .. } | LogPayload::Abort { .. } => break,
             payload => {
-                if let Some(action) = invert(&payload) {
+                if let Some(action) = invert(payload) {
                     let clr_lsn = db.log_for_tx(
                         tx,
                         LogPayload::Clr {
@@ -81,30 +81,27 @@ pub(crate) fn rollback_budgeted(
 }
 
 /// The logical/physical inverse of a loggable action (None for records
-/// that need no undo).
-fn invert(payload: &LogPayload) -> Option<LogPayload> {
-    match payload {
-        LogPayload::Update { tx, page, slot, before, after } => Some(LogPayload::Update {
-            tx: *tx,
-            page: *page,
-            slot: *slot,
-            before: after.clone(),
-            after: before.clone(),
-        }),
-        LogPayload::Insert { tx, page, slot, tuple } => {
-            Some(LogPayload::Delete { tx: *tx, page: *page, slot: *slot, before: tuple.clone() })
+/// that need no undo), borrowing the record's images: what rollback logs
+/// as the CLR's action and then applies.
+fn invert(payload: &LogPayload) -> Option<LogPayload<&[u8]>> {
+    match *payload {
+        LogPayload::Update { tx, page, slot, ref before, ref after } => {
+            Some(LogPayload::Update { tx, page, slot, before: after, after: before })
         }
-        LogPayload::Delete { tx, page, slot, before } => {
-            Some(LogPayload::Undelete { tx: *tx, page: *page, slot: *slot, tuple: before.clone() })
+        LogPayload::Insert { tx, page, slot, ref tuple } => {
+            Some(LogPayload::Delete { tx, page, slot, before: tuple })
         }
-        LogPayload::Undelete { tx, page, slot, tuple } => {
-            Some(LogPayload::Delete { tx: *tx, page: *page, slot: *slot, before: tuple.clone() })
+        LogPayload::Delete { tx, page, slot, ref before } => {
+            Some(LogPayload::Undelete { tx, page, slot, tuple: before })
+        }
+        LogPayload::Undelete { tx, page, slot, ref tuple } => {
+            Some(LogPayload::Delete { tx, page, slot, before: tuple })
         }
         LogPayload::IndexInsert { tx, index, key, value } => {
-            Some(LogPayload::IndexDelete { tx: *tx, index: *index, key: *key, value: *value })
+            Some(LogPayload::IndexDelete { tx, index, key, value })
         }
         LogPayload::IndexDelete { tx, index, key, value } => {
-            Some(LogPayload::IndexInsert { tx: *tx, index: *index, key: *key, value: *value })
+            Some(LogPayload::IndexInsert { tx, index, key, value })
         }
         _ => None,
     }
@@ -123,7 +120,7 @@ fn ensure_page(db: &mut Database, pid: PageId) -> Result<()> {
         db.flush_frame(victim, ipa_noftl::IoCtx::host())?;
         db.pool.remove(victim);
     }
-    db.insert_fresh_frame(pid, Vec::new())
+    db.insert_fresh_frame(pid, None)
 }
 
 /// Apply one physical change to `page`. During redo (`check_lsn = true`)
@@ -149,10 +146,17 @@ fn apply_to_page(
 }
 
 /// Apply one action physically (page actions through [`apply_to_page`]).
-fn apply_action(db: &mut Database, lsn: Lsn, action: &LogPayload, check_lsn: bool) -> Result<()> {
+fn apply_action<B: AsRef<[u8]>>(
+    db: &mut Database,
+    lsn: Lsn,
+    action: &LogPayload<B>,
+    check_lsn: bool,
+) -> Result<()> {
     match action {
         LogPayload::Update { page, slot, after, .. } => {
-            apply_to_page(db, *page, lsn, check_lsn, |p, t| Ok(p.update_tuple(*slot, after, t)?))
+            apply_to_page(db, *page, lsn, check_lsn, |p, t| {
+                Ok(p.update_tuple(*slot, after.as_ref(), t)?)
+            })
         }
         LogPayload::Insert { page, slot, tuple, .. } => {
             apply_to_page(db, *page, lsn, check_lsn, |p, t| {
@@ -166,7 +170,7 @@ fn apply_action(db: &mut Database, lsn: Lsn, action: &LogPayload, check_lsn: boo
                         p.slot_count()
                     )));
                 }
-                p.insert_tuple(tuple, t)?;
+                p.insert_tuple(tuple.as_ref(), t)?;
                 Ok(())
             })
         }
@@ -174,7 +178,9 @@ fn apply_action(db: &mut Database, lsn: Lsn, action: &LogPayload, check_lsn: boo
             apply_to_page(db, *page, lsn, check_lsn, |p, t| Ok(p.delete_tuple(*slot, t)?))
         }
         LogPayload::Undelete { page, slot, tuple, .. } => {
-            apply_to_page(db, *page, lsn, check_lsn, |p, t| Ok(p.undelete_tuple(*slot, tuple, t)?))
+            apply_to_page(db, *page, lsn, check_lsn, |p, t| {
+                Ok(p.undelete_tuple(*slot, tuple.as_ref(), t)?)
+            })
         }
         LogPayload::IndexInsert { tx, index, key, value } => {
             // Logical compensation (undo of an IndexDelete): re-insert,
@@ -190,7 +196,7 @@ fn apply_action(db: &mut Database, lsn: Lsn, action: &LogPayload, check_lsn: boo
         }
         LogPayload::PageWrite { page, offset, after, .. } => {
             apply_to_page(db, *page, lsn, check_lsn, |p, t| {
-                p.write_body(*offset as usize, after, t);
+                p.write_body(*offset as usize, after.as_ref(), t);
                 Ok(())
             })
         }
@@ -319,20 +325,14 @@ impl Database {
         // log (the pair tracker already invalidates truncated or
         // unflushed checkpoints; the payload check is belt and braces).
         let ckpt = if bounded { self.wal.last_checkpoint_pair() } else { None };
-        let ckpt = ckpt.filter(|&(begin, end)| {
-            self.wal.get(begin).is_some()
-                && matches!(
-                    self.wal.get(end).map(|r| &r.payload),
-                    Some(LogPayload::EndCheckpoint { .. })
-                )
-        });
+        let ckpt = ckpt.filter(|&(begin, end)| self.wal.retains_checkpoint(begin, end));
         let start = ckpt.map_or(self.wal.tail(), |(begin, _)| begin);
         let mut losers: std::collections::BTreeMap<TxId, Lsn> = std::collections::BTreeMap::new();
         // Dirty-page table: page -> recLSN (earliest record that may not
         // be reflected on flash). Seeded from the checkpoint's `dirty`
         // entries, augmented by every page action analysis scans.
         let mut dpt: std::collections::BTreeMap<PageId, Lsn> = std::collections::BTreeMap::new();
-        let records: Vec<_> = self.wal.iter_from(start).cloned().collect();
+        let records: Vec<_> = self.wal.iter_from(start).collect();
         for rec in &records {
             match &rec.payload {
                 LogPayload::Commit { tx } | LogPayload::Abort { tx } => {
@@ -402,11 +402,8 @@ impl Database {
                 self.indexes[index as usize].root = new_root;
             }
         }
-        let redo_records: Vec<_> = if redo_start < start {
-            self.wal.iter_from(redo_start).cloned().collect()
-        } else {
-            records
-        };
+        let redo_records: Vec<_> =
+            if redo_start < start { self.wal.iter_from(redo_start).collect() } else { records };
         let mut applied = 0u64;
         for rec in &redo_records {
             let action: Option<&LogPayload> = match &rec.payload {
@@ -617,12 +614,12 @@ mod tests {
 
         let forger = TxId(4_000);
         let slot = ipa_core::SlotId(rid.slot.0 + 5);
-        let begin = db.wal.append(Lsn::NULL, LogPayload::Begin { tx: forger });
+        let begin = db.wal.append(Lsn::NULL, LogPayload::<&[u8]>::Begin { tx: forger });
         let insert = db.wal.append(
             begin,
-            LogPayload::Insert { tx: forger, page: rid.page, slot, tuple: vec![2u8; 8] },
+            LogPayload::Insert { tx: forger, page: rid.page, slot, tuple: &[2u8; 8] },
         );
-        db.wal.append(insert, LogPayload::Commit { tx: forger });
+        db.wal.append(insert, LogPayload::<&[u8]>::Commit { tx: forger });
         db.force_log();
 
         db.simulate_crash();

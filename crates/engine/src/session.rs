@@ -94,6 +94,12 @@ impl<'db> Txn<'db> {
         self.db.heap_read(self.id, heap, rid)
     }
 
+    /// [`Self::heap_read`] into a buffer the caller reuses: `tuple` is
+    /// overwritten with the tuple's bytes.
+    pub fn heap_read_into(&mut self, heap: u32, rid: Rid, tuple: &mut Vec<u8>) -> Result<()> {
+        self.db.heap_read_into(self.id, heap, rid, tuple)
+    }
+
     /// Update a tuple under an exclusive lock, returning its (possibly
     /// relocated) RID.
     pub fn heap_update(&mut self, heap: u32, rid: Rid, new: &[u8]) -> Result<Rid> {

@@ -1,7 +1,5 @@
 //! Transaction table.
 
-use std::collections::BTreeMap;
-
 use ipa_noftl::SpanId;
 
 use crate::wal::Lsn;
@@ -21,65 +19,86 @@ pub struct TxInfo {
     pub span: Option<SpanId>,
 }
 
-/// The active-transaction table.
+/// The active-transaction table: a handful of entries (one per client),
+/// kept in a vector ordered by id. Ids are handed out in ascending order,
+/// so a new transaction goes at the end.
 #[derive(Debug, Default)]
 pub struct TxnTable {
     next: u64,
-    active: BTreeMap<TxId, TxInfo>,
+    active: Vec<(TxId, TxInfo)>,
 }
 
 impl TxnTable {
     /// An empty table; transaction ids start at 1.
     pub fn new() -> Self {
-        TxnTable { next: 1, active: BTreeMap::new() }
+        TxnTable { next: 1, active: Vec::new() }
+    }
+
+    fn position(&self, tx: TxId) -> std::result::Result<usize, usize> {
+        self.active.binary_search_by_key(&tx, |&(id, _)| id)
+    }
+
+    fn info(&self, tx: TxId) -> Option<&TxInfo> {
+        self.position(tx).ok().map(|i| &self.active[i].1)
+    }
+
+    fn info_mut(&mut self, tx: TxId) -> Option<&mut TxInfo> {
+        self.position(tx).ok().map(|i| &mut self.active[i].1)
     }
 
     /// Start a transaction.
     pub fn begin(&mut self) -> TxId {
         let tx = TxId(self.next);
         self.next += 1;
-        self.active.insert(tx, TxInfo { last_lsn: Lsn::NULL, span: None });
+        self.active.push((tx, TxInfo { last_lsn: Lsn::NULL, span: None }));
         tx
     }
 
     /// Attach the trace span covering this transaction.
     pub fn set_span(&mut self, tx: TxId, span: SpanId) {
-        if let Some(info) = self.active.get_mut(&tx) {
+        if let Some(info) = self.info_mut(tx) {
             info.span = Some(span);
         }
     }
 
     /// The trace span covering this transaction, if tracing is active.
     pub fn span(&self, tx: TxId) -> Option<SpanId> {
-        self.active.get(&tx).and_then(|i| i.span)
+        self.info(tx).and_then(|i| i.span)
     }
 
     /// Whether a transaction is active.
     pub fn is_active(&self, tx: TxId) -> bool {
-        self.active.contains_key(&tx)
+        self.position(tx).is_ok()
     }
 
     /// Last LSN of an active transaction (null if unknown).
     pub fn last_lsn(&self, tx: TxId) -> Lsn {
-        self.active.get(&tx).map_or(Lsn::NULL, |i| i.last_lsn)
+        self.info(tx).map_or(Lsn::NULL, |i| i.last_lsn)
     }
 
     /// Update the undo-chain head after appending a log record.
     pub fn set_last_lsn(&mut self, tx: TxId, lsn: Lsn) {
-        if let Some(info) = self.active.get_mut(&tx) {
+        if let Some(info) = self.info_mut(tx) {
             info.last_lsn = lsn;
         }
     }
 
     /// Remove a finished transaction.
     pub fn finish(&mut self, tx: TxId) {
-        self.active.remove(&tx);
+        if let Ok(i) = self.position(tx) {
+            self.active.remove(i);
+        }
     }
 
-    /// Snapshot of active transactions (for checkpoints). `BTreeMap`
-    /// iteration is already TxId-ordered.
+    /// Active transactions with their last LSN, in id order (for
+    /// checkpoints and log reclamation).
+    pub fn iter(&self) -> impl Iterator<Item = (TxId, Lsn)> + '_ {
+        self.active.iter().map(|(t, i)| (*t, i.last_lsn))
+    }
+
+    /// Snapshot of [`Self::iter`].
     pub fn snapshot(&self) -> Vec<(TxId, Lsn)> {
-        self.active.iter().map(|(&t, i)| (t, i.last_lsn)).collect()
+        self.iter().collect()
     }
 
     /// Number of active transactions.
@@ -90,7 +109,11 @@ impl TxnTable {
     /// Re-register a transaction discovered during recovery analysis.
     pub fn register_recovered(&mut self, tx: TxId, last_lsn: Lsn) {
         self.next = self.next.max(tx.0 + 1);
-        self.active.insert(tx, TxInfo { last_lsn, span: None });
+        let info = TxInfo { last_lsn, span: None };
+        match self.position(tx) {
+            Ok(i) => self.active[i].1 = info,
+            Err(i) => self.active.insert(i, (tx, info)),
+        }
     }
 }
 
@@ -134,5 +157,21 @@ mod tests {
         let fresh = t.begin();
         assert!(fresh.0 > 100);
         assert_eq!(t.last_lsn(TxId(100)), Lsn(7));
+    }
+
+    #[test]
+    fn recovered_txs_arrive_youngest_first_and_stay_id_ordered() {
+        // Restart undo registers its losers from the youngest down, while
+        // older registrations are still active.
+        let mut t = TxnTable::new();
+        for id in [9, 4, 6] {
+            t.register_recovered(TxId(id), Lsn(id));
+        }
+        t.register_recovered(TxId(4), Lsn(40));
+        assert_eq!(t.snapshot(), vec![(TxId(4), Lsn(40)), (TxId(6), Lsn(6)), (TxId(9), Lsn(9))]);
+        t.finish(TxId(6));
+        assert!(t.is_active(TxId(4)) && !t.is_active(TxId(6)) && t.is_active(TxId(9)));
+        assert_eq!(t.begin(), TxId(10));
+        assert_eq!(t.active_count(), 3);
     }
 }

@@ -7,6 +7,18 @@
 //! does not compete with the flash under test — only its *space* matters,
 //! because eager log-space reclamation forces dirty-page flushes (§8.4,
 //! "Why does the DBMS write even with 90% buffer size?").
+//!
+//! Tuple and node images — the bulk of the log — live in byte memory that
+//! the [`Wal`] owns: an append copies them there from the slices the caller
+//! borrows (a frame, a transaction's argument), and the retained record
+//! holds `(start, len)`. Images and records each sit in a sequence of
+//! fixed-size chunks ([`LOG_CHUNK_BYTES`] of images, a thousand records):
+//! an append allocates only when a chunk is full, and truncation or the
+//! loss of the unflushed tail hand back the chunks that hold nothing any
+//! more. [`LogRecord`] with the default [`LogPayload`] is the owned, decoded
+//! view that recovery, rollback and tests ask for.
+
+use std::collections::VecDeque;
 
 use crate::db::PageId;
 use crate::txn::TxId;
@@ -26,9 +38,13 @@ impl Lsn {
     }
 }
 
-/// The body of one log record.
+/// The body of one log record. `B` is how it holds its tuple and node
+/// images: owned (`Vec<u8>`, the default — what [`Wal::get`] and
+/// [`Wal::iter_from`] hand out), borrowed (`&[u8]` — what the hot paths
+/// pass to [`Wal::append`]), or as a place in the log's image memory (what
+/// the log retains).
 #[derive(Debug, Clone, PartialEq)]
-pub enum LogPayload {
+pub enum LogPayload<B = Vec<u8>> {
     /// Transaction start.
     Begin {
         /// Transaction id.
@@ -43,9 +59,9 @@ pub enum LogPayload {
         /// Affected slot.
         slot: SlotId,
         /// Before image.
-        before: Vec<u8>,
+        before: B,
         /// After image.
-        after: Vec<u8>,
+        after: B,
     },
     /// Tuple insert.
     Insert {
@@ -56,7 +72,7 @@ pub enum LogPayload {
         /// Slot the tuple landed in.
         slot: SlotId,
         /// Tuple image.
-        tuple: Vec<u8>,
+        tuple: B,
     },
     /// Tuple delete (mark-delete; before image kept for undo).
     Delete {
@@ -67,7 +83,7 @@ pub enum LogPayload {
         /// Affected slot.
         slot: SlotId,
         /// Before image.
-        before: Vec<u8>,
+        before: B,
     },
     /// Logical index insert (redo re-inserts if absent).
     IndexInsert {
@@ -103,7 +119,7 @@ pub enum LogPayload {
         /// Absolute byte offset of the written range.
         offset: u32,
         /// Bytes written.
-        after: Vec<u8>,
+        after: B,
     },
     /// Redo-only root-pointer change of an index (tree growth). Never
     /// undone: a one-level-deeper tree remains correct after logical undo.
@@ -125,7 +141,7 @@ pub enum LogPayload {
         /// Affected slot.
         slot: SlotId,
         /// Restored tuple image.
-        tuple: Vec<u8>,
+        tuple: B,
     },
     /// Compensation record: `undone` has been rolled back by applying
     /// `action`; on restart-undo continue at `undo_next`. Carrying the
@@ -138,7 +154,7 @@ pub enum LogPayload {
         /// Next record to undo for this transaction.
         undo_next: Lsn,
         /// The physical/logical effect of the compensation.
-        action: Box<LogPayload>,
+        action: Box<LogPayload<B>>,
     },
     /// Transaction commit.
     Commit {
@@ -161,7 +177,7 @@ pub enum LogPayload {
     },
 }
 
-impl LogPayload {
+impl<B> LogPayload<B> {
     /// Transaction this record belongs to, if any.
     pub fn tx(&self) -> Option<TxId> {
         match self {
@@ -181,19 +197,72 @@ impl LogPayload {
         }
     }
 
-    /// Approximate on-disk size of the record, used for log-space
-    /// accounting.
-    pub fn size_bytes(&self) -> usize {
+    /// The same record holding each image as `image(old)`. The one place
+    /// that names every image field: copying into the log and copying out
+    /// of it are two closures. Everything else a record owns moves.
+    pub fn map_images<C>(self, image: &mut impl FnMut(B) -> C) -> LogPayload<C> {
+        match self {
+            LogPayload::Begin { tx } => LogPayload::Begin { tx },
+            LogPayload::Update { tx, page, slot, before, after } => {
+                LogPayload::Update { tx, page, slot, before: image(before), after: image(after) }
+            }
+            LogPayload::Insert { tx, page, slot, tuple } => {
+                LogPayload::Insert { tx, page, slot, tuple: image(tuple) }
+            }
+            LogPayload::Delete { tx, page, slot, before } => {
+                LogPayload::Delete { tx, page, slot, before: image(before) }
+            }
+            LogPayload::IndexInsert { tx, index, key, value } => {
+                LogPayload::IndexInsert { tx, index, key, value }
+            }
+            LogPayload::IndexDelete { tx, index, key, value } => {
+                LogPayload::IndexDelete { tx, index, key, value }
+            }
+            LogPayload::PageWrite { tx, page, offset, after } => {
+                LogPayload::PageWrite { tx, page, offset, after: image(after) }
+            }
+            LogPayload::RootChange { tx, index, new_root } => {
+                LogPayload::RootChange { tx, index, new_root }
+            }
+            LogPayload::Undelete { tx, page, slot, tuple } => {
+                LogPayload::Undelete { tx, page, slot, tuple: image(tuple) }
+            }
+            LogPayload::Clr { tx, undone, undo_next, action } => LogPayload::Clr {
+                tx,
+                undone,
+                undo_next,
+                action: Box::new(action.map_images(image)),
+            },
+            LogPayload::Commit { tx } => LogPayload::Commit { tx },
+            LogPayload::Abort { tx } => LogPayload::Abort { tx },
+            LogPayload::BeginCheckpoint => LogPayload::BeginCheckpoint,
+            LogPayload::EndCheckpoint { active, dirty } => {
+                LogPayload::EndCheckpoint { active, dirty }
+            }
+        }
+    }
+
+    /// [`Self::size_bytes`] for any way of holding an image, given its
+    /// length.
+    fn size_with(&self, len: &impl Fn(&B) -> usize) -> usize {
         let body = match self {
-            LogPayload::Update { before, after, .. } => before.len() + after.len(),
-            LogPayload::Insert { tuple, .. } | LogPayload::Undelete { tuple, .. } => tuple.len(),
-            LogPayload::Delete { before, .. } => before.len(),
-            LogPayload::PageWrite { after, .. } => after.len(),
-            LogPayload::Clr { action, .. } => action.size_bytes(),
+            LogPayload::Update { before, after, .. } => len(before) + len(after),
+            LogPayload::Insert { tuple, .. } | LogPayload::Undelete { tuple, .. } => len(tuple),
+            LogPayload::Delete { before, .. } => len(before),
+            LogPayload::PageWrite { after, .. } => len(after),
+            LogPayload::Clr { action, .. } => action.size_with(len),
             LogPayload::EndCheckpoint { active, dirty } => active.len() * 16 + dirty.len() * 24,
             _ => 0,
         };
         32 + body
+    }
+}
+
+impl<B: AsRef<[u8]>> LogPayload<B> {
+    /// Approximate on-disk size of the record, used for log-space
+    /// accounting.
+    pub fn size_bytes(&self) -> usize {
+        self.size_with(&|image| image.as_ref().len())
     }
 }
 
@@ -208,11 +277,155 @@ pub struct LogRecord {
     pub payload: LogPayload,
 }
 
+/// Where the log holds an image: the index of its first byte in the image
+/// sequence (every image byte ever appended and not lost counts), and its
+/// length.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Span {
+    start: u64,
+    len: u32,
+}
+
+/// One retained record. The record with LSN `l` is element `l - 1` of the
+/// record sequence.
+#[derive(Debug)]
+struct Retained {
+    prev: Lsn,
+    /// Where this record's images begin in the image sequence: its end
+    /// when the record was appended.
+    images_at: u64,
+    payload: LogPayload<Span>,
+}
+
+impl Retained {
+    fn size_bytes(&self) -> usize {
+        self.payload.size_with(&|span| span.len as usize)
+    }
+}
+
+/// Bytes in one chunk of the log's image memory. The log allocates and
+/// frees image memory in these units only.
+pub const LOG_CHUNK_BYTES: usize = 64 << 10;
+
+/// Records in one chunk of the log's record index.
+const LOG_CHUNK_RECORDS: usize = 1 << 10;
+
+/// A sequence of `T` held in chunks of one fixed length. Elements are
+/// pushed at the back, addressed by their index in the sequence — the
+/// number of elements before them — and given up at either end. A chunk
+/// with no element left goes back to the allocator then and there, and
+/// nothing is reserved ahead, so what the sequence holds is what is live
+/// plus less than a chunk at each end: whatever the log's budget, however
+/// full the log once was (loading a database fills it to its budget several
+/// times over; the memory must be free for the flash pages the run goes on
+/// to program), and whichever allocator the process runs on.
+#[derive(Debug)]
+struct Chunked<T> {
+    /// Oldest first; every chunk but the last is `chunk_len` long.
+    chunks: VecDeque<Vec<T>>,
+    chunk_len: usize,
+    /// Index of `chunks[0][0]`.
+    base: u64,
+    /// Index of the first element not given up (it lies in `chunks[0]`).
+    start: u64,
+    /// One past the index of the last element.
+    end: u64,
+}
+
+impl<T> Chunked<T> {
+    fn new(chunk_len: usize) -> Self {
+        Chunked { chunks: VecDeque::new(), chunk_len, base: 0, start: 0, end: 0 }
+    }
+
+    /// The last chunk, or a new one behind it when that is full.
+    fn open_chunk(&mut self) -> &mut Vec<T> {
+        if self.chunks.back().is_none_or(|last| last.len() == self.chunk_len) {
+            self.chunks.push_back(Vec::with_capacity(self.chunk_len));
+        }
+        let last = self.chunks.len() - 1;
+        &mut self.chunks[last]
+    }
+
+    fn push(&mut self, value: T) {
+        self.open_chunk().push(value);
+        self.end += 1;
+    }
+
+    /// The element at `index`, unless it was given up or never pushed.
+    fn get(&self, index: u64) -> Option<&T> {
+        if index < self.start || index >= self.end {
+            return None;
+        }
+        let at = (index - self.base) as usize;
+        self.chunks.get(at / self.chunk_len)?.get(at % self.chunk_len)
+    }
+
+    /// The elements with an index in `from..to` that are held.
+    fn range(&self, from: u64, to: u64) -> impl Iterator<Item = &T> {
+        (from.max(self.start)..to.min(self.end)).filter_map(|index| self.get(index))
+    }
+
+    /// Give up every element before `index`.
+    fn release_before(&mut self, index: u64) {
+        self.start = index.clamp(self.start, self.end);
+        while self.start - self.base >= self.chunk_len as u64 {
+            self.chunks.pop_front();
+            self.base += self.chunk_len as u64;
+        }
+    }
+
+    /// Give up every element from `index` on; the next push lands there.
+    fn truncate(&mut self, index: u64) {
+        self.end = index.clamp(self.start, self.end);
+        let held = (self.end - self.base) as usize;
+        self.chunks.truncate(held.div_ceil(self.chunk_len));
+        let before_last = self.chunks.len().saturating_sub(1) * self.chunk_len;
+        if let Some(last) = self.chunks.back_mut() {
+            last.truncate(held - before_last);
+        }
+    }
+}
+
+impl Chunked<u8> {
+    fn extend_from_slice(&mut self, mut bytes: &[u8]) {
+        self.end += bytes.len() as u64;
+        while !bytes.is_empty() {
+            let chunk_len = self.chunk_len;
+            let chunk = self.open_chunk();
+            let (fits, rest) = bytes.split_at(bytes.len().min(chunk_len - chunk.len()));
+            chunk.extend_from_slice(fits);
+            bytes = rest;
+        }
+    }
+
+    /// A copy of the `len` bytes from `index` on.
+    fn to_vec(&self, index: u64, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        let mut at = index.saturating_sub(self.base) as usize;
+        while out.len() < len {
+            let Some(chunk) = self.chunks.get(at / self.chunk_len) else { break };
+            let from = at % self.chunk_len;
+            let Some(part) = chunk.get(from..chunk.len().min(from + len - out.len())) else {
+                break;
+            };
+            if part.is_empty() {
+                break;
+            }
+            out.extend_from_slice(part);
+            at += part.len();
+        }
+        out
+    }
+}
+
 /// The write-ahead log: an append-only record store with space accounting,
 /// group flush and truncation.
 #[derive(Debug)]
 pub struct Wal {
-    records: Vec<LogRecord>,
+    /// The retained records, in LSN order.
+    records: Chunked<Retained>,
+    /// Their images, in append order.
+    arena: Chunked<u8>,
     /// LSN of the first retained record (everything below is truncated).
     tail: Lsn,
     next: u64,
@@ -230,10 +443,17 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// A log with the given capacity budget.
+    /// A log with the given capacity budget. The budget is a number the
+    /// space accounting compares against, any `usize` will do: an empty log
+    /// holds no memory, and a log holds memory for what it retains.
     pub fn new(capacity_bytes: usize) -> Self {
+        Self::with_chunk_lens(capacity_bytes, LOG_CHUNK_BYTES, LOG_CHUNK_RECORDS)
+    }
+
+    fn with_chunk_lens(capacity_bytes: usize, image_bytes: usize, records: usize) -> Self {
         Wal {
-            records: Vec::new(),
+            records: Chunked::new(records),
+            arena: Chunked::new(image_bytes),
             tail: Lsn(1),
             next: 1,
             flushed: Lsn::NULL,
@@ -244,8 +464,10 @@ impl Wal {
         }
     }
 
-    /// Append a record, returning its LSN.
-    pub fn append(&mut self, prev: Lsn, payload: LogPayload) -> Lsn {
+    /// Append a record, copying its images into the log, and return its
+    /// LSN. The hot paths pass images as `&[u8]` borrowed from a frame or
+    /// from their caller; everything else a record owns moves in.
+    pub fn append<B: AsRef<[u8]>>(&mut self, prev: Lsn, payload: LogPayload<B>) -> Lsn {
         let lsn = Lsn(self.next);
         self.next += 1;
         self.used_bytes += payload.size_bytes();
@@ -258,7 +480,15 @@ impl Wal {
             }
             _ => {}
         }
-        self.records.push(LogRecord { lsn, prev, payload });
+        let images_at = self.arena.end;
+        let arena = &mut self.arena;
+        let payload = payload.map_images(&mut |image: B| {
+            let image = image.as_ref();
+            let start = arena.end;
+            arena.extend_from_slice(image);
+            Span { start, len: image.len() as u32 }
+        });
+        self.records.push(Retained { prev, images_at, payload });
         lsn
     }
 
@@ -319,31 +549,55 @@ impl Wal {
         self.last_checkpoint
     }
 
-    /// Fetch a record by LSN (`None` if truncated or not yet written).
-    pub fn get(&self, lsn: Lsn) -> Option<&LogRecord> {
-        if lsn.is_null() || lsn < self.tail || lsn.0 >= self.next {
-            return None;
-        }
-        let idx = (lsn.0 - self.tail.0) as usize;
-        self.records.get(idx)
+    /// The retained record at `lsn` (`None` if truncated or not yet
+    /// written; the null LSN wraps to an index no sequence reaches).
+    fn retained(&self, lsn: Lsn) -> Option<&Retained> {
+        self.records.get(lsn.0.wrapping_sub(1))
+    }
+
+    /// Fetch a record by LSN (`None` if truncated or not yet written): the
+    /// owned view, its images copied out of the log.
+    pub fn get(&self, lsn: Lsn) -> Option<LogRecord> {
+        let retained = self.retained(lsn)?;
+        let payload = retained
+            .payload
+            .clone()
+            .map_images(&mut |span: Span| self.arena.to_vec(span.start, span.len as usize));
+        Some(LogRecord { lsn, prev: retained.prev, payload })
+    }
+
+    /// The previous record of the same transaction, for a retained `lsn`:
+    /// walks an undo chain without copying an image.
+    pub fn prev_of(&self, lsn: Lsn) -> Option<Lsn> {
+        Some(self.retained(lsn)?.prev)
+    }
+
+    /// Whether both records of a checkpoint are retained — any record at
+    /// `begin`, an `EndCheckpoint` at `end`. Copies nothing.
+    pub fn retains_checkpoint(&self, begin: Lsn, end: Lsn) -> bool {
+        self.retained(begin).is_some()
+            && self
+                .retained(end)
+                .is_some_and(|r| matches!(r.payload, LogPayload::EndCheckpoint { .. }))
     }
 
     /// Iterate records with `lsn >= from` in LSN order.
-    pub fn iter_from(&self, from: Lsn) -> impl Iterator<Item = &LogRecord> {
-        let start = from.max(self.tail);
-        let idx = (start.0.saturating_sub(self.tail.0)) as usize;
-        self.records[idx.min(self.records.len())..].iter()
+    pub fn iter_from(&self, from: Lsn) -> impl Iterator<Item = LogRecord> + '_ {
+        (from.max(self.tail).0..self.next).filter_map(|lsn| self.get(Lsn(lsn)))
     }
 
     /// Drop all records below `lsn` (log-space reclamation after the dirty
-    /// pages they cover have been flushed).
+    /// pages they cover have been flushed); `lsn` is at most one past the
+    /// head.
     pub fn truncate_to(&mut self, lsn: Lsn) {
         if lsn <= self.tail {
             return;
         }
-        let keep_from = (lsn.0 - self.tail.0).min(self.records.len() as u64) as usize;
-        let dropped: usize = self.records[..keep_from].iter().map(|r| r.payload.size_bytes()).sum();
-        self.records.drain(..keep_from);
+        let dropped: usize =
+            self.records.range(self.tail.0 - 1, lsn.0 - 1).map(Retained::size_bytes).sum();
+        let images_at = self.retained(lsn).map_or(self.arena.end, |r| r.images_at);
+        self.arena.release_before(images_at);
+        self.records.release_before(lsn.0 - 1);
         self.used_bytes -= dropped;
         self.tail = lsn;
         // A checkpoint is only usable while its Begin is retained:
@@ -360,12 +614,15 @@ impl Wal {
     /// Simulate losing the unflushed log suffix in a crash: every record
     /// above [`Wal::flushed`] disappears.
     pub fn lose_unflushed(&mut self) {
-        let keep =
-            self.records.iter().position(|r| r.lsn > self.flushed).unwrap_or(self.records.len());
-        let lost: usize = self.records[keep..].iter().map(|r| r.payload.size_bytes()).sum();
-        self.records.truncate(keep);
+        let next = self.flushed.0.max(self.tail.0.saturating_sub(1)) + 1;
+        let lost: usize =
+            self.records.range(next - 1, self.next - 1).map(Retained::size_bytes).sum();
+        if let Some(first_lost) = self.retained(Lsn(next)) {
+            self.arena.truncate(first_lost.images_at);
+        }
+        self.records.truncate(next - 1);
         self.used_bytes -= lost;
-        self.next = self.flushed.0.max(self.tail.0.saturating_sub(1)) + 1;
+        self.next = next;
         // A checkpoint whose End never reached stable storage does not
         // exist after the crash; an unflushed pending Begin likewise.
         if self.last_checkpoint.is_some_and(|(_, end)| end > self.flushed) {
@@ -391,10 +648,14 @@ mod tests {
         }
     }
 
+    fn end_checkpoint() -> LogPayload {
+        LogPayload::EndCheckpoint { active: vec![], dirty: vec![] }
+    }
+
     #[test]
     fn append_assigns_monotone_lsns() {
         let mut wal = Wal::new(1 << 20);
-        let a = wal.append(Lsn::NULL, LogPayload::Begin { tx: TxId(1) });
+        let a = wal.append(Lsn::NULL, LogPayload::<&[u8]>::Begin { tx: TxId(1) });
         let b = wal.append(a, upd(1));
         assert!(b > a);
         assert_eq!(wal.head(), b);
@@ -443,12 +704,11 @@ mod tests {
     #[test]
     fn checkpoint_lsn_tracked() {
         let mut wal = Wal::new(1 << 20);
-        let begin = wal.append(Lsn::NULL, LogPayload::BeginCheckpoint);
+        let begin = wal.append(Lsn::NULL, LogPayload::<&[u8]>::BeginCheckpoint);
         // Fuzzy: regular records land between Begin and End.
         wal.append(Lsn::NULL, upd(1));
         wal.append(Lsn::NULL, upd(2));
-        let end =
-            wal.append(Lsn::NULL, LogPayload::EndCheckpoint { active: vec![], dirty: vec![] });
+        let end = wal.append(Lsn::NULL, end_checkpoint());
         assert_eq!(wal.last_checkpoint(), Some(end));
         assert_eq!(wal.last_checkpoint_begin(), Some(begin));
         assert_eq!(wal.last_checkpoint_pair(), Some((begin, end)));
@@ -464,9 +724,9 @@ mod tests {
     #[test]
     fn crash_invalidates_unflushed_checkpoint() {
         let mut wal = Wal::new(1 << 20);
-        let begin = wal.append(Lsn::NULL, LogPayload::BeginCheckpoint);
+        let begin = wal.append(Lsn::NULL, LogPayload::<&[u8]>::BeginCheckpoint);
         wal.append(Lsn::NULL, upd(1));
-        wal.append(Lsn::NULL, LogPayload::EndCheckpoint { active: vec![], dirty: vec![] });
+        wal.append(Lsn::NULL, end_checkpoint());
         // End never reached stable storage: the pair must not survive.
         wal.flush_to(begin);
         wal.lose_unflushed();
@@ -474,8 +734,7 @@ mod tests {
         // A lone End after the crash must not pair with the stale
         // pre-crash Begin — it forms a degenerate self-pair instead
         // (scanning from the End itself is exactly right for it).
-        let end2 =
-            wal.append(Lsn::NULL, LogPayload::EndCheckpoint { active: vec![], dirty: vec![] });
+        let end2 = wal.append(Lsn::NULL, end_checkpoint());
         assert_eq!(end2, Lsn(begin.0 + 1), "appends continue after the surviving prefix");
         assert_eq!(wal.last_checkpoint_pair(), Some((end2, end2)));
     }
@@ -496,9 +755,280 @@ mod tests {
         assert_eq!(d, Lsn(2));
     }
 
+    /// The log as it was before the arena — every record an owned
+    /// [`LogRecord`] in a vector — kept as the model.
+    struct VecWal {
+        records: Vec<LogRecord>,
+        tail: Lsn,
+        next: u64,
+        flushed: Lsn,
+        used_bytes: usize,
+        last_checkpoint: Option<(Lsn, Lsn)>,
+        pending_begin: Option<Lsn>,
+    }
+
+    impl VecWal {
+        fn new() -> Self {
+            VecWal {
+                records: Vec::new(),
+                tail: Lsn(1),
+                next: 1,
+                flushed: Lsn::NULL,
+                used_bytes: 0,
+                last_checkpoint: None,
+                pending_begin: None,
+            }
+        }
+
+        fn append(&mut self, prev: Lsn, payload: LogPayload) -> Lsn {
+            let lsn = Lsn(self.next);
+            self.next += 1;
+            self.used_bytes += payload.size_bytes();
+            match payload {
+                LogPayload::BeginCheckpoint => self.pending_begin = Some(lsn),
+                LogPayload::EndCheckpoint { .. } => {
+                    let begin = self.pending_begin.take().unwrap_or(lsn);
+                    self.last_checkpoint = Some((begin, lsn));
+                }
+                _ => {}
+            }
+            self.records.push(LogRecord { lsn, prev, payload });
+            lsn
+        }
+
+        fn flush_to(&mut self, lsn: Lsn) -> bool {
+            let advanced = lsn > self.flushed;
+            self.flushed = self.flushed.max(lsn);
+            advanced
+        }
+
+        fn get(&self, lsn: Lsn) -> Option<&LogRecord> {
+            if lsn.is_null() || lsn < self.tail || lsn.0 >= self.next {
+                return None;
+            }
+            self.records.get((lsn.0 - self.tail.0) as usize)
+        }
+
+        fn iter_from(&self, from: Lsn) -> impl Iterator<Item = &LogRecord> {
+            let start = from.max(self.tail);
+            let idx = (start.0.saturating_sub(self.tail.0)) as usize;
+            self.records[idx.min(self.records.len())..].iter()
+        }
+
+        fn truncate_to(&mut self, lsn: Lsn) {
+            if lsn <= self.tail {
+                return;
+            }
+            let keep_from = (lsn.0 - self.tail.0).min(self.records.len() as u64) as usize;
+            let dropped: usize =
+                self.records[..keep_from].iter().map(|r| r.payload.size_bytes()).sum();
+            self.records.drain(..keep_from);
+            self.used_bytes -= dropped;
+            self.tail = lsn;
+            if self.last_checkpoint.is_some_and(|(begin, _)| begin < lsn) {
+                self.last_checkpoint = None;
+            }
+            if self.pending_begin.is_some_and(|b| b < lsn) {
+                self.pending_begin = None;
+            }
+        }
+
+        fn lose_unflushed(&mut self) {
+            let keep = self
+                .records
+                .iter()
+                .position(|r| r.lsn > self.flushed)
+                .unwrap_or(self.records.len());
+            let lost: usize = self.records[keep..].iter().map(|r| r.payload.size_bytes()).sum();
+            self.records.truncate(keep);
+            self.used_bytes -= lost;
+            self.next = self.flushed.0.max(self.tail.0.saturating_sub(1)) + 1;
+            if self.last_checkpoint.is_some_and(|(_, end)| end > self.flushed) {
+                self.last_checkpoint = None;
+            }
+            if self.pending_begin.is_some_and(|b| b > self.flushed) {
+                self.pending_begin = None;
+            }
+        }
+    }
+
+    /// A random record of any kind, with images of random lengths (empty
+    /// ones too).
+    fn random_payload(rng: &mut rand::rngs::StdRng, depth: u32) -> LogPayload {
+        use rand::Rng;
+        let tx = TxId(rng.gen_range(1..6));
+        let page = PageId::new(rng.gen_range(0..2), rng.gen_range(0..50));
+        let slot = SlotId(rng.gen_range(0..30));
+        let image = |rng: &mut rand::rngs::StdRng| -> Vec<u8> {
+            (0..rng.gen_range(0..40)).map(|_| rng.gen()).collect()
+        };
+        match rng.gen_range(0..14) {
+            0 => LogPayload::Begin { tx },
+            1 | 2 => LogPayload::Update { tx, page, slot, before: image(rng), after: image(rng) },
+            3 => LogPayload::Insert { tx, page, slot, tuple: image(rng) },
+            4 => LogPayload::Delete { tx, page, slot, before: image(rng) },
+            5 => LogPayload::Undelete { tx, page, slot, tuple: image(rng) },
+            6 => LogPayload::PageWrite {
+                tx,
+                page,
+                offset: rng.gen_range(0..4096),
+                after: image(rng),
+            },
+            7 => LogPayload::IndexInsert { tx, index: 1, key: rng.gen(), value: rng.gen() },
+            8 => LogPayload::IndexDelete { tx, index: 1, key: rng.gen(), value: rng.gen() },
+            9 => LogPayload::RootChange { tx, index: 1, new_root: page },
+            10 if depth == 0 => LogPayload::Clr {
+                tx,
+                undone: Lsn(rng.gen_range(1..40)),
+                undo_next: Lsn(rng.gen_range(0..40)),
+                action: Box::new(random_payload(rng, 1)),
+            },
+            10 | 11 => LogPayload::Commit { tx },
+            12 => LogPayload::BeginCheckpoint,
+            _ => LogPayload::EndCheckpoint {
+                active: vec![(tx, Lsn(rng.gen_range(0..40)))],
+                dirty: (0..rng.gen_range(0..3)).map(|i| (PageId::new(0, i), Lsn(i + 1))).collect(),
+            },
+        }
+    }
+
+    #[test]
+    fn arena_log_matches_the_record_vector_model() {
+        use rand::Rng;
+        let (mut appended, mut truncated, mut lost) = (0u64, 0u64, 0u64);
+        ipa_flash::for_each_case(1_500, |rng| {
+            // Chunks short enough that images straddle them and every
+            // operation meets a chunk boundary now and then.
+            let (image_bytes, records) = (rng.gen_range(1..100), rng.gen_range(1..12));
+            let mut wal = Wal::with_chunk_lens(1 << 20, image_bytes, records);
+            let mut model = VecWal::new();
+            for _ in 0..rng.gen_range(1..120) {
+                // An LSN around the retained window, either side of it.
+                let near = |rng: &mut rand::rngs::StdRng, model: &VecWal| {
+                    Lsn(rng.gen_range(model.tail.0.saturating_sub(2)..model.next + 3))
+                };
+                match rng.gen_range(0..12) {
+                    0..=6 => {
+                        let (prev, payload) = (near(rng, &model), random_payload(rng, 0));
+                        assert_eq!(wal.append(prev, payload.clone()), model.append(prev, payload));
+                        appended += 1;
+                    }
+                    7 | 8 => {
+                        let lsn = near(rng, &model).min(Lsn(model.next - 1));
+                        assert_eq!(wal.flush_to(lsn), model.flush_to(lsn));
+                    }
+                    9 | 10 => {
+                        // At most to the end of the log, as reclamation does.
+                        let lsn = near(rng, &model).min(Lsn(model.next));
+                        truncated += (lsn > model.tail && !model.records.is_empty()) as u64;
+                        wal.truncate_to(lsn);
+                        model.truncate_to(lsn);
+                    }
+                    _ => {
+                        lost += (model.flushed.0 + 1 < model.next) as u64;
+                        wal.lose_unflushed();
+                        model.lose_unflushed();
+                    }
+                }
+                assert_eq!(
+                    (wal.head(), wal.tail(), wal.flushed(), wal.used_bytes()),
+                    (Lsn(model.next - 1), model.tail, model.flushed, model.used_bytes)
+                );
+                assert_eq!(wal.last_checkpoint_pair(), model.last_checkpoint);
+                let probe = near(rng, &model);
+                assert_eq!(wal.get(probe).as_ref(), model.get(probe));
+                assert_eq!(wal.prev_of(probe), model.get(probe).map(|r| r.prev));
+                let from = near(rng, &model);
+                assert!(wal.iter_from(from).eq(model.iter_from(from).cloned()), "from {from:?}");
+                // The log holds the retained records and their images, and
+                // memory for them alone: less than a chunk spare at each end.
+                let retained = model.records.len();
+                assert_eq!((wal.records.end - wal.records.start) as usize, retained);
+                assert!(wal.records.chunks.len() <= retained / records + 2, "{retained}");
+                let held: usize = model.records.iter().map(|r| image_len(&r.payload)).sum();
+                assert_eq!((wal.arena.end - wal.arena.start) as usize, held);
+                assert!(wal.arena.chunks.len() <= held / image_bytes + 2, "{held}");
+                for chunk in wal.arena.chunks.iter() {
+                    assert_eq!(chunk.capacity(), image_bytes);
+                }
+            }
+        });
+        assert!(appended > 30_000 && truncated > 3_000 && lost > 3_000);
+    }
+
+    #[test]
+    fn the_log_holds_memory_for_what_it_retains_whatever_its_budget() {
+        // Any budget constructs, and an empty log holds nothing.
+        let mut wal = Wal::new(usize::MAX);
+        assert!(wal.arena.chunks.is_empty() && wal.records.chunks.is_empty());
+        let page = LogPayload::PageWrite {
+            tx: TxId(1),
+            page: PageId::new(0, 0),
+            offset: 0,
+            after: vec![7u8; 4000],
+        };
+        for _ in 0..4096 {
+            wal.append(Lsn::NULL, page.clone());
+        }
+        // 16 MB of images in 64 KiB chunks, each allocated at that size.
+        assert_eq!(wal.arena.chunks.len(), (4096 * 4000usize).div_ceil(LOG_CHUNK_BYTES));
+        assert!(wal.arena.chunks.iter().all(|c| c.capacity() == LOG_CHUNK_BYTES));
+        assert_eq!(wal.records.chunks.len(), 4096 / LOG_CHUNK_RECORDS);
+        let kept = wal.append(Lsn::NULL, upd(1));
+        wal.truncate_to(kept);
+        // What is left is the chunk the kept record and its images lie in.
+        assert_eq!((wal.arena.chunks.len(), wal.records.chunks.len()), (1, 1));
+        assert_eq!(wal.get(kept).unwrap().payload, upd(1));
+        let next = wal.append(kept, page.clone());
+        assert_eq!(wal.get(next).unwrap().payload, page);
+        // The lost tail is handed back the same way.
+        for _ in 0..100 {
+            wal.append(Lsn::NULL, page.clone());
+        }
+        wal.flush_to(next);
+        wal.lose_unflushed();
+        assert_eq!((wal.arena.chunks.len(), wal.records.chunks.len()), (1, 1));
+        assert_eq!(wal.get(next).unwrap().payload, page);
+        assert!(wal.used_fraction() < 1e-12, "the budget is only ever a divisor");
+    }
+
+    /// Bytes of every image of a record.
+    fn image_len(payload: &LogPayload) -> usize {
+        let mut total = 0;
+        payload.clone().map_images(&mut |image: Vec<u8>| total += image.len());
+        total
+    }
+
+    #[test]
+    fn record_sizes_are_a_header_plus_the_images() {
+        assert_eq!(LogPayload::<Vec<u8>>::Commit { tx: TxId(1) }.size_bytes(), 32);
+        assert_eq!(upd(1).size_bytes(), 32 + 4);
+        assert_eq!(upd(1).size_bytes(), 32 + 4);
+        // A CLR carries its action whole, header included.
+        let clr = LogPayload::Clr {
+            tx: TxId(1),
+            undone: Lsn(3),
+            undo_next: Lsn(2),
+            action: Box::new(upd(1)),
+        };
+        assert_eq!(clr.size_bytes(), 32 + 32 + 4);
+        let checkpoint = LogPayload::<Vec<u8>>::EndCheckpoint {
+            active: vec![(TxId(1), Lsn(1))],
+            dirty: vec![(PageId::new(0, 1), Lsn(1)); 2],
+        };
+        assert_eq!(checkpoint.size_bytes(), 32 + 16 + 2 * 24);
+        // The log accounts what it retains the same way.
+        let mut wal = Wal::new(1 << 20);
+        wal.append(Lsn::NULL, clr);
+        wal.append(Lsn::NULL, checkpoint);
+        assert_eq!(wal.used_bytes(), 68 + 96);
+        wal.truncate_to(Lsn(2));
+        assert_eq!(wal.used_bytes(), 96);
+    }
+
     #[test]
     fn payload_tx_extraction() {
         assert_eq!(upd(7).tx(), Some(TxId(7)));
-        assert_eq!(LogPayload::BeginCheckpoint.tx(), None);
+        assert_eq!(LogPayload::<Vec<u8>>::BeginCheckpoint.tx(), None);
     }
 }

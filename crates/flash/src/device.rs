@@ -230,6 +230,8 @@ pub struct FlashDevice {
     /// Page buffers detached by erases or handed back through
     /// [`FlashDevice::recycle`], reused by the next program or read.
     spare: SparePages,
+    /// What the last [`Self::drain`] retired; empty between drains.
+    drained: Vec<Completion>,
     /// What [`FlashDevice::peek`] shows for an erased page, which holds no
     /// buffer of its own. Built on first use.
     erased_image: std::sync::OnceLock<Box<[u8]>>,
@@ -277,6 +279,7 @@ impl FlashDevice {
             fault: FaultInjector::new(config.fault.clone()),
             rng: StdRng::seed_from_u64(seed),
             spare: SparePages::new(config.geometry.page_size),
+            drained: Vec::new(),
             erased_image: std::sync::OnceLock::new(),
             config,
             observer: None,
@@ -567,9 +570,13 @@ impl FlashDevice {
     }
 
     /// Retire *all* in-flight commands, advancing the clock to the last
-    /// host-origin completion (the host barrier at the end of a batch).
-    pub fn drain(&mut self) -> Vec<Completion> {
-        let out = self.sched.drain_all();
+    /// host-origin completion (the host barrier at the end of a batch), and
+    /// hand out their completions in completion order. The completions sit
+    /// in a vector the device keeps, so a barrier allocates nothing; the
+    /// clock has advanced whether or not the caller looks at any of them.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, Completion> {
+        let mut out = std::mem::take(&mut self.drained);
+        self.sched.drain_all(&mut out);
         if let Some(t) = out
             .iter()
             .filter(|c| c.origin == OpOrigin::Host)
@@ -581,7 +588,8 @@ impl FlashDevice {
         for c in &out {
             self.emit_cmd_complete(c);
         }
-        out
+        self.drained = out;
+        self.drained.drain(..)
     }
 
     /// Effective host queue depth (1 on the OpenSSD profile).
@@ -689,8 +697,18 @@ impl FlashDevice {
     /// Read a page's OOB area. Real controllers fetch OOB together with the
     /// main area, so this carries no additional latency or statistics.
     pub fn read_oob(&self, ppa: Ppa) -> Result<Vec<u8>> {
+        let mut oob = Vec::new();
+        self.read_oob_into(ppa, &mut oob)?;
+        Ok(oob)
+    }
+
+    /// [`Self::read_oob`] into a buffer the caller reuses: `oob` is
+    /// overwritten with the page's OOB area.
+    pub fn read_oob_into(&self, ppa: Ppa, oob: &mut Vec<u8>) -> Result<()> {
         self.check(ppa)?;
-        Ok(self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page).oob().to_vec())
+        oob.clear();
+        oob.extend_from_slice(self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page).oob());
+        Ok(())
     }
 
     /// Queue a full-page program (out-of-place write target). The page must
@@ -1404,8 +1422,7 @@ mod tests {
             ids.push(q.submit_program(Ppa::new(chip, 0, 0), &image, OpOrigin::Host).unwrap());
         }
         assert_eq!(q.host_inflight(), 4);
-        let done = q.drain();
-        assert_eq!(done.len(), 4);
+        assert_eq!(q.drain().len(), 4);
         let parallel_ns = q.clock().now_ns();
 
         cfg.queue_depth = 1;
@@ -1436,7 +1453,7 @@ mod tests {
         for page in 0..6 {
             d.submit_program(Ppa::new(0, 0, page), &image, OpOrigin::Host).unwrap();
         }
-        let mut done = d.drain();
+        let mut done: Vec<Completion> = d.drain().collect();
         done.sort_by_key(|c| c.started_at_ns);
         for w in done.windows(2) {
             assert!(

@@ -190,13 +190,17 @@ impl IoScheduler {
         out
     }
 
-    /// Retire everything, ordered by completion time.
-    pub fn drain_all(&mut self) -> Vec<Completion> {
-        let mut out = std::mem::take(&mut self.completed);
+    /// Retire everything into `out`, ordered by completion time. `out` is
+    /// the caller's to keep between drains: nothing is allocated once it
+    /// and the two queues have grown to the depth of a batch.
+    pub fn drain_all(&mut self, out: &mut Vec<Completion>) {
+        out.clear();
+        out.append(&mut self.completed);
         out.append(&mut self.inflight);
         self.host_inflight = 0;
-        out.sort_by_key(|c| (c.result.completed_at_ns, c.id));
-        out
+        // Ids are unique, so are the keys: no order for a stable sort to
+        // keep, and none of its scratch memory needed.
+        out.sort_unstable_by_key(|c| (c.result.completed_at_ns, c.id));
     }
 
     /// When `chip` becomes idle.
@@ -274,7 +278,8 @@ mod tests {
         assert_eq!(ready.len(), 2);
         assert!(ready[0].result.completed_at_ns <= ready[1].result.completed_at_ns);
         assert_eq!(s.inflight(), 1);
-        let rest = s.drain_all();
+        let mut rest = Vec::new();
+        s.drain_all(&mut rest);
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].result.completed_at_ns, 900);
     }
@@ -349,7 +354,7 @@ mod tests {
                     }
                 }
                 _ if step % 50 == 49 => {
-                    s.drain_all();
+                    s.drain_all(&mut Vec::new());
                     ids.clear();
                     assert_eq!(s.host_inflight(), 0);
                 }

@@ -88,6 +88,21 @@ pub(crate) struct Region {
     heat: Vec<u64>,
     /// Optional GC-carried page rewriter (see [`crate::PageRewriter`]).
     rewriter: RewriterSlot,
+    gc_scratch: GcScratch,
+}
+
+/// The vectors a block collection fills and empties, kept from one
+/// collection to the next: taken for the collection and put back after it.
+/// A nested collection — reachable only through a permanent program fault
+/// on a migration write — finds them taken and works in new ones.
+#[derive(Debug, Default)]
+struct GcScratch {
+    /// `(page, lba)` of every valid page of the victim.
+    plan: Vec<(u32, u64)>,
+    /// The plan's entries with the read queued for each.
+    batch: Vec<(u32, u64, CmdId)>,
+    /// OOB image of the page being migrated.
+    oob: Vec<u8>,
 }
 
 impl Region {
@@ -153,6 +168,7 @@ impl Region {
             stats: RegionStats::default(),
             heat: vec![0; capacity as usize],
             rewriter: RewriterSlot::default(),
+            gc_scratch: GcScratch::default(),
         })
     }
 
@@ -710,25 +726,14 @@ impl Region {
         victim: u32,
     ) -> Result<()> {
         let chip = self.chips[local].chip;
-        let valid_pages: Vec<u32> = self.chips[local].blocks[victim as usize]
-            .valid
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v)
-            .map(|(p, _)| p as u32)
-            .collect();
-        // Plan the moves from the mapping tables before any device command
-        // is in flight: a missing mapping aborts the collection with
-        // nothing queued (previously a mid-batch lookup failure stranded
-        // the reads already submitted).
-        let mut plan: Vec<(u32, u64)> = Vec::with_capacity(valid_pages.len());
-        for page in valid_pages {
-            let lba = self.p2l[self.p2l_slot(local, victim, page)]
-                .ok_or(NoFtlError::Internal("valid page has no logical owner"))?;
-            plan.push((page, lba));
-        }
-        let batch = self.submit_gc_reads(dev, local, victim, plan)?;
-        self.drain_completions(dev, local, victim, batch)?;
+        let mut plan = std::mem::take(&mut self.gc_scratch.plan);
+        let mut batch = std::mem::take(&mut self.gc_scratch.batch);
+        let migrated = self.migrate_valid_pages(dev, local, victim, &mut plan, &mut batch);
+        plan.clear();
+        batch.clear();
+        self.gc_scratch.plan = plan;
+        self.gc_scratch.batch = batch;
+        migrated?;
         // Re-verify under the guard before reclaiming: the nested activity
         // above must not have retired or freed the victim. With the
         // `collecting` exclusion this cannot happen — the check keeps the
@@ -763,6 +768,30 @@ impl Region {
         Ok(())
     }
 
+    /// Move every valid page of the victim elsewhere, in the two (empty)
+    /// scratch vectors of the collection.
+    fn migrate_valid_pages(
+        &mut self,
+        dev: &mut FlashDevice,
+        local: usize,
+        victim: u32,
+        plan: &mut Vec<(u32, u64)>,
+        batch: &mut Vec<(u32, u64, CmdId)>,
+    ) -> Result<()> {
+        // Plan the moves from the mapping tables before any device command
+        // is in flight: a missing mapping aborts the collection with
+        // nothing queued (previously a mid-batch lookup failure stranded
+        // the reads already submitted).
+        let valid = &self.chips[local].blocks[victim as usize].valid;
+        for page in (0..valid.len() as u32).filter(|&p| valid[p as usize]) {
+            let lba = self.p2l[self.p2l_slot(local, victim, page)]
+                .ok_or(NoFtlError::Internal("valid page has no logical owner"))?;
+            plan.push((page, lba));
+        }
+        self.submit_gc_reads(dev, local, victim, plan, batch)?;
+        self.drain_completions(dev, local, victim, batch)
+    }
+
     /// Queue the GC read batch as one burst, so on multi-chip devices a
     /// collection overlaps with host work queued on other chips instead of
     /// interleaving read/program round trips. If a submit fails mid-batch
@@ -773,15 +802,15 @@ impl Region {
         dev: &mut FlashDevice,
         local: usize,
         victim: u32,
-        plan: Vec<(u32, u64)>,
-    ) -> Result<Vec<(u32, u64, CmdId)>> {
+        plan: &[(u32, u64)],
+        batch: &mut Vec<(u32, u64, CmdId)>,
+    ) -> Result<()> {
         let chip = self.chips[local].chip;
-        let mut batch: Vec<(u32, u64, CmdId)> = Vec::with_capacity(plan.len());
-        for (page, lba) in plan {
+        for &(page, lba) in plan {
             match dev.submit_read(Ppa::new(chip, victim, page), OpOrigin::Background) {
                 Ok(id) => batch.push((page, lba, id)),
                 Err(e) => {
-                    for (_, _, id) in batch {
+                    for &(_, _, id) in batch.iter() {
                         if dev.complete(id).is_err() {
                             self.stats.gc_drain_failures += 1;
                         }
@@ -790,7 +819,7 @@ impl Region {
                 }
             }
         }
-        Ok(batch)
+        Ok(())
     }
 
     /// Complete the queued GC read batch, migrating each page as its read
@@ -803,10 +832,10 @@ impl Region {
         dev: &mut FlashDevice,
         local: usize,
         victim: u32,
-        batch: Vec<(u32, u64, CmdId)>,
+        batch: &[(u32, u64, CmdId)],
     ) -> Result<()> {
         let mut first_err: Option<NoFtlError> = None;
-        let mut pages = batch.into_iter();
+        let mut pages = batch.iter().copied();
         for (page, lba, id) in pages.by_ref() {
             if let Err(e) = self.migrate_page(dev, local, victim, page, lba, id) {
                 first_err = Some(e);
@@ -842,7 +871,8 @@ impl Region {
             .complete(id)?
             .data
             .ok_or(NoFtlError::Internal("read completion carries no data"))?;
-        let mut oob = dev.read_oob(old)?;
+        let mut oob = std::mem::take(&mut self.gc_scratch.oob);
+        dev.read_oob_into(old, &mut oob)?;
         // The migration already holds the full image in memory: offer it
         // to the installed rewriter, which may re-encode the page (e.g.
         // under a newer [N×M] scheme) at zero extra flash I/O.
@@ -859,6 +889,7 @@ impl Region {
         // device, which hands it to the next read or program.
         dev.recycle(data);
         dev.program_oob(new, 0, &oob)?;
+        self.gc_scratch.oob = oob;
         self.invalidate(old)?;
         self.map(Lba(lba), new)?;
         self.stats.gc_page_migrations += 1;

@@ -48,6 +48,9 @@ pub struct TpcB {
     /// value of each of the three balance sums (see
     /// [`TpcB::verify_balances`]).
     committed_delta: i64,
+    /// The serial path's transaction cursor between two transactions, kept
+    /// for its buffers.
+    cursor: Option<AccountUpdate>,
 }
 
 impl TpcB {
@@ -65,6 +68,7 @@ impl TpcB {
             branch_rids: Vec::new(),
             teller_rids: Vec::new(),
             committed_delta: 0,
+            cursor: None,
         }
     }
 
@@ -196,11 +200,13 @@ impl Workload for TpcB {
     }
 
     fn transaction(&mut self, db: &mut Database, rng: &mut StdRng) -> Result<()> {
-        let mut cur = AccountUpdate::draw(self, rng);
-        let mut tx = db.txn();
-        while cur.step(self, &mut tx)? == StepOutcome::Progress {}
-        tx.commit()?;
-        self.committed_delta += i64::from(cur.delta);
+        let mut cur = self.cursor.take().unwrap_or_default();
+        cur.draw(self, rng);
+        let committed = cur.run(self, db);
+        let delta = cur.delta;
+        self.cursor = Some(cur);
+        committed?;
+        self.committed_delta += i64::from(delta);
         Ok(())
     }
 }
@@ -239,28 +245,54 @@ impl TpcB {
 
 /// The per-transaction cursor of one in-flight Account_Update: parameters
 /// drawn at begin, resolved RID and read buffers filled step by step. The
-/// serial [`Workload`] path and [`TpcBClient`] both run this one machine.
-#[derive(Debug, Default)]
+/// serial [`Workload`] path and [`TpcBClient`] both run this one machine,
+/// and each keeps its cursor from one transaction to the next: the tuple
+/// buffer and the history record are allocated once.
+#[derive(Debug)]
 struct AccountUpdate {
     aid: u64,
     bid: u64,
     tid: u64,
     delta: i32,
     arid: Option<Rid>,
+    /// The tuple read by the last read step, patched for the update step.
     buf: Vec<u8>,
+    /// The history record: every insert overwrites the same four fields.
+    hist: Record,
     step: u8,
+}
+
+impl Default for AccountUpdate {
+    fn default() -> Self {
+        AccountUpdate {
+            aid: 0,
+            bid: 0,
+            tid: 0,
+            delta: 0,
+            arid: None,
+            buf: Vec::new(),
+            hist: Record::new(HISTORY_REC),
+            step: 0,
+        }
+    }
 }
 
 impl AccountUpdate {
     /// Draw the parameters of the next transaction.
-    fn draw(w: &TpcB, rng: &mut StdRng) -> Self {
-        AccountUpdate {
-            aid: uniform(rng, 0, w.accounts() - 1),
-            bid: uniform(rng, 0, w.branches - 1),
-            tid: uniform(rng, 0, w.branches * w.tellers_per_branch - 1),
-            delta: rng.gen_range(-99_999..=99_999),
-            ..AccountUpdate::default()
-        }
+    fn draw(&mut self, w: &TpcB, rng: &mut StdRng) {
+        self.aid = uniform(rng, 0, w.accounts() - 1);
+        self.bid = uniform(rng, 0, w.branches - 1);
+        self.tid = uniform(rng, 0, w.branches * w.tellers_per_branch - 1);
+        self.delta = rng.gen_range(-99_999..=99_999);
+        self.arid = None;
+        self.step = 0;
+    }
+
+    /// Run the drawn transaction to its commit.
+    fn run(&mut self, w: &TpcB, db: &mut Database) -> Result<()> {
+        let mut tx = db.txn();
+        while self.step(w, &mut tx)? == StepOutcome::Progress {}
+        tx.commit()
     }
 
     /// Run the next page operation: the account via an index lookup
@@ -277,33 +309,33 @@ impl AccountUpdate {
             }
             1 => {
                 let arid = self.arid.expect("resolved in step 0");
-                self.buf = tx.heap_read(w.heap_account, arid)?;
+                tx.heap_read_into(w.heap_account, arid, &mut self.buf)?;
                 patch_i32(&mut self.buf, BALANCE_OFF, |v| v.wrapping_add(delta));
             }
             2 => {
                 tx.heap_update(w.heap_account, self.arid.expect("resolved"), &self.buf)?;
             }
             3 => {
-                self.buf = tx.heap_read(w.heap_teller, w.teller_rids[self.tid as usize])?;
+                tx.heap_read_into(w.heap_teller, w.teller_rids[self.tid as usize], &mut self.buf)?;
                 patch_i32(&mut self.buf, BALANCE_OFF, |v| v.wrapping_add(delta));
             }
             4 => {
                 tx.heap_update(w.heap_teller, w.teller_rids[self.tid as usize], &self.buf)?;
             }
             5 => {
-                self.buf = tx.heap_read(w.heap_branch, w.branch_rids[self.bid as usize])?;
+                tx.heap_read_into(w.heap_branch, w.branch_rids[self.bid as usize], &mut self.buf)?;
                 patch_i32(&mut self.buf, BALANCE_OFF, |v| v.wrapping_add(delta));
             }
             6 => {
                 tx.heap_update(w.heap_branch, w.branch_rids[self.bid as usize], &self.buf)?;
             }
             _ => {
-                let mut hist = Record::new(HISTORY_REC);
-                hist.put_u64(0, self.aid)
+                self.hist
+                    .put_u64(0, self.aid)
                     .put_u64(8, self.tid)
                     .put_u64(16, self.bid)
                     .put_i32(24, delta);
-                tx.heap_insert(w.heap_history, &hist.0)?;
+                tx.heap_insert(w.heap_history, &self.hist.0)?;
                 return Ok(StepOutcome::Done);
             }
         }
@@ -342,7 +374,7 @@ impl InterleavedClient for TpcBClient {
             return false;
         }
         self.remaining -= 1;
-        self.cur = AccountUpdate::draw(&self.shared.borrow(), &mut self.rng);
+        self.cur.draw(&self.shared.borrow(), &mut self.rng);
         true
     }
 

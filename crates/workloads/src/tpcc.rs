@@ -67,6 +67,14 @@ pub struct TpcC {
     new_orders: Vec<VecDeque<(u64, Rid)>>,
     /// Most recent order RID per customer slot (for OrderStatus).
     last_order: Vec<Option<Rid>>,
+    /// The tuple a transaction read last, patched for the update that
+    /// follows; one buffer for every read of every transaction.
+    buf: Vec<u8>,
+    /// The records the transactions insert: each insert overwrites the same
+    /// fields of the same buffer.
+    order_rec: Record,
+    order_line_rec: Record,
+    history_rec: Record,
 }
 
 impl TpcC {
@@ -92,7 +100,55 @@ impl TpcC {
             item_rids: Vec::new(),
             new_orders: Vec::new(),
             last_order: Vec::new(),
+            buf: Vec::new(),
+            order_rec: Record::new(ORDER_REC),
+            order_line_rec: Record::new(ORDER_LINE_REC),
+            history_rec: Record::new(HISTORY_REC),
         }
+    }
+
+    /// Audit the money Payment moves (the spec's consistency condition 1
+    /// and its neighbours): a warehouse's `W_YTD` is the sum of its
+    /// districts' `D_YTD`, and what the warehouses took in is what HISTORY
+    /// records and what the customers' balances went down by. The fields
+    /// are `i32`s that wrap, so the sums wrap with them. Returns the amount,
+    /// or an error naming the first sum that diverged.
+    pub fn verify_ytd(&self, db: &mut Database) -> Result<i32> {
+        let mut taken = 0i32;
+        for (w, wrid) in self.warehouse_rids.iter().enumerate() {
+            let w_ytd = Record::get_i32(&db.heap_read_unlocked(*wrid)?, W_YTD);
+            let mut d_ytd = 0i32;
+            for d in 0..self.districts_per_w {
+                let drid = self.district_rids[self.district_slot(w as u64, d)];
+                d_ytd = d_ytd.wrapping_add(Record::get_i32(&db.heap_read_unlocked(drid)?, D_YTD));
+            }
+            if w_ytd != d_ytd {
+                return Err(ipa_engine::EngineError::Internal(
+                    "TPC-C W_YTD diverged from the sum of its districts' D_YTD",
+                ));
+            }
+            taken = taken.wrapping_add(w_ytd);
+        }
+        let mut recorded = 0i32;
+        db.heap_scan(self.heap_history, |_, h| {
+            recorded = recorded.wrapping_add(Record::get_i32(h, 8));
+        })?;
+        if recorded != taken {
+            return Err(ipa_engine::EngineError::Internal(
+                "TPC-C HISTORY amounts diverged from the warehouses' W_YTD",
+            ));
+        }
+        // Every customer starts at -10.
+        let mut paid = 0i32;
+        db.heap_scan(self.heap_customer, |_, c| {
+            paid = paid.wrapping_add((-10i32).wrapping_sub(Record::get_i32(c, C_BALANCE)));
+        })?;
+        if paid != taken {
+            return Err(ipa_engine::EngineError::Internal(
+                "TPC-C customer balances diverged from the warehouses' W_YTD",
+            ));
+        }
+        Ok(taken)
     }
 
     fn district_slot(&self, w: u64, d: u64) -> usize {
@@ -239,20 +295,20 @@ impl TpcC {
         let mut tx = db.txn();
         // District: read + bump D_NEXT_O_ID.
         let drid = self.district_rids[self.district_slot(w, d)];
-        let mut dist = tx.heap_read(self.heap_district, drid)?;
-        let o_id = Record::get_i32(&dist, D_NEXT_O_ID) as u64;
-        patch_i32(&mut dist, D_NEXT_O_ID, |v| v.wrapping_add(1));
-        tx.heap_update(self.heap_district, drid, &dist)?;
+        tx.heap_read_into(self.heap_district, drid, &mut self.buf)?;
+        let o_id = Record::get_i32(&self.buf, D_NEXT_O_ID) as u64;
+        patch_i32(&mut self.buf, D_NEXT_O_ID, |v| v.wrapping_add(1));
+        tx.heap_update(self.heap_district, drid, &self.buf)?;
 
         // Warehouse + customer reads (tax/discount).
-        let _w = tx.heap_read(self.heap_warehouse, self.warehouse_rids[w as usize])?;
+        tx.heap_read_into(self.heap_warehouse, self.warehouse_rids[w as usize], &mut self.buf)?;
         let crid = self.lookup_customer(&mut tx, w, d, c)?;
-        let _cust = tx.heap_read(self.heap_customer, crid)?;
+        tx.heap_read_into(self.heap_customer, crid, &mut self.buf)?;
 
         // Order + lines.
-        let mut orec = Record::new(ORDER_REC);
-        orec.put_u64(0, o_id).put_u64(16, self.customer_key(w, d, c));
-        let order_rid = tx.heap_insert(self.heap_order, &orec.0)?;
+        let customer = self.customer_key(w, d, c);
+        self.order_rec.put_u64(0, o_id).put_u64(16, customer);
+        let order_rid = tx.heap_insert(self.heap_order, &self.order_rec.0)?;
         let cust_slot = (self.customer_key(w, d, c) % self.last_order.len() as u64) as usize;
         self.last_order[cust_slot] = Some(order_rid);
         let dslot = self.district_slot(w, d);
@@ -268,36 +324,26 @@ impl TpcC {
             };
             let remote = supply_w != w;
             // Item read.
-            let _item = tx.heap_read(self.heap_item, self.item_rids[item as usize])?;
+            tx.heap_read_into(self.heap_item, self.item_rids[item as usize], &mut self.buf)?;
             // Stock read + 3-field small update.
             let senc = tx
                 .index_lookup(self.stock_index, self.stock_key(supply_w, item))?
                 .expect("stock exists");
             let srid = Rid::decode(0, senc);
-            let mut stock = tx.heap_read(self.heap_stock, srid)?;
+            tx.heap_read_into(self.heap_stock, srid, &mut self.buf)?;
+            let stock = &mut self.buf;
             let qty = uniform(rng, 1, 10) as u16;
-            patch_u16(
-                &mut stock,
-                S_QUANTITY,
-                |q| {
-                    if q >= qty + 10 {
-                        q - qty
-                    } else {
-                        q + 91 - qty
-                    }
-                },
-            );
-            patch_i32(&mut stock, S_YTD, |v| v.wrapping_add(qty as i32));
+            patch_u16(stock, S_QUANTITY, |q| if q >= qty + 10 { q - qty } else { q + 91 - qty });
+            patch_i32(stock, S_YTD, |v| v.wrapping_add(qty as i32));
             if remote {
-                patch_u16(&mut stock, S_REMOTE_CNT, |v| v.wrapping_add(1));
+                patch_u16(stock, S_REMOTE_CNT, |v| v.wrapping_add(1));
             } else {
-                patch_u16(&mut stock, S_ORDER_CNT, |v| v.wrapping_add(1));
+                patch_u16(stock, S_ORDER_CNT, |v| v.wrapping_add(1));
             }
-            tx.heap_update(self.heap_stock, srid, &stock)?;
+            tx.heap_update(self.heap_stock, srid, stock)?;
 
-            let mut lrec = Record::new(ORDER_LINE_REC);
-            lrec.put_u64(0, o_id).put_u16(8, ol as u16).put_u64(10, item);
-            tx.heap_insert(self.heap_order_line, &lrec.0)?;
+            self.order_line_rec.put_u64(0, o_id).put_u16(8, ol as u16).put_u64(10, item);
+            tx.heap_insert(self.heap_order_line, &self.order_line_rec.0)?;
         }
         tx.commit()
     }
@@ -310,18 +356,19 @@ impl TpcC {
 
         let mut tx = db.txn();
         let wrid = self.warehouse_rids[w as usize];
-        let mut wh = tx.heap_read(self.heap_warehouse, wrid)?;
-        patch_i32(&mut wh, W_YTD, |v| v.wrapping_add(amount));
-        tx.heap_update(self.heap_warehouse, wrid, &wh)?;
+        tx.heap_read_into(self.heap_warehouse, wrid, &mut self.buf)?;
+        patch_i32(&mut self.buf, W_YTD, |v| v.wrapping_add(amount));
+        tx.heap_update(self.heap_warehouse, wrid, &self.buf)?;
 
         let drid = self.district_rids[self.district_slot(w, d)];
-        let mut dist = tx.heap_read(self.heap_district, drid)?;
-        patch_i32(&mut dist, D_YTD, |v| v.wrapping_add(amount));
-        tx.heap_update(self.heap_district, drid, &dist)?;
+        tx.heap_read_into(self.heap_district, drid, &mut self.buf)?;
+        patch_i32(&mut self.buf, D_YTD, |v| v.wrapping_add(amount));
+        tx.heap_update(self.heap_district, drid, &self.buf)?;
 
         let crid = self.lookup_customer(&mut tx, w, d, c)?;
-        let mut cust = tx.heap_read(self.heap_customer, crid)?;
-        patch_i32(&mut cust, C_BALANCE, |v| v.wrapping_sub(amount));
+        tx.heap_read_into(self.heap_customer, crid, &mut self.buf)?;
+        let cust = &mut self.buf;
+        patch_i32(cust, C_BALANCE, |v| v.wrapping_sub(amount));
         // 10% of customers have bad credit: C_DATA is rewritten (a large
         // update — the paper's exception to TPC-C's small-update rule).
         if c.is_multiple_of(10) {
@@ -330,11 +377,11 @@ impl TpcC {
                 cust[C_DATA + i] = tag[i % 4].wrapping_add(i as u8);
             }
         }
-        tx.heap_update(self.heap_customer, crid, &cust)?;
+        tx.heap_update(self.heap_customer, crid, cust)?;
 
-        let mut hist = Record::new(HISTORY_REC);
-        hist.put_u64(0, self.customer_key(w, d, c)).put_i32(8, amount);
-        tx.heap_insert(self.heap_history, &hist.0)?;
+        let customer = self.customer_key(w, d, c);
+        self.history_rec.put_u64(0, customer).put_i32(8, amount);
+        tx.heap_insert(self.heap_history, &self.history_rec.0)?;
         tx.commit()
     }
 
@@ -344,14 +391,14 @@ impl TpcC {
         let c = nurand(rng, 1023, 0, self.customers_per_district - 1);
         let mut tx = db.txn();
         let crid = self.lookup_customer(&mut tx, w, d, c)?;
-        let _cust = tx.heap_read(self.heap_customer, crid)?;
+        tx.heap_read_into(self.heap_customer, crid, &mut self.buf)?;
         let slot = (self.customer_key(w, d, c) % self.last_order.len() as u64) as usize;
         if let Some(orid) = self.last_order[slot] {
             #[expect(
                 clippy::let_underscore_must_use,
                 reason = "order-status touch of a possibly-delivered order; a miss is part of the mix"
             )]
-            let _ = tx.heap_read(self.heap_order, orid);
+            let _ = tx.heap_read_into(self.heap_order, orid, &mut self.buf);
         }
         tx.commit()
     }
@@ -364,9 +411,9 @@ impl TpcC {
             let Some((_, orid)) = self.new_orders[dslot].pop_front() else {
                 continue;
             };
-            let mut order = tx.heap_read(self.heap_order, orid)?;
-            patch_u16(&mut order, O_CARRIER_ID, |_| uniform(rng, 1, 10) as u16);
-            tx.heap_update(self.heap_order, orid, &order)?;
+            tx.heap_read_into(self.heap_order, orid, &mut self.buf)?;
+            patch_u16(&mut self.buf, O_CARRIER_ID, |_| uniform(rng, 1, 10) as u16);
+            tx.heap_update(self.heap_order, orid, &self.buf)?;
         }
         tx.commit()
     }
@@ -375,12 +422,12 @@ impl TpcC {
         let w = uniform(rng, 0, self.warehouses - 1);
         let d = uniform(rng, 0, self.districts_per_w - 1);
         let mut tx = db.txn();
-        let _dist =
-            tx.heap_read(self.heap_district, self.district_rids[self.district_slot(w, d)])?;
+        let drid = self.district_rids[self.district_slot(w, d)];
+        tx.heap_read_into(self.heap_district, drid, &mut self.buf)?;
         for _ in 0..20 {
             let item = uniform(rng, 0, self.items - 1);
             if let Some(enc) = tx.index_lookup(self.stock_index, self.stock_key(w, item))? {
-                let _ = tx.heap_read(self.heap_stock, Rid::decode(0, enc))?;
+                tx.heap_read_into(self.heap_stock, Rid::decode(0, enc), &mut self.buf)?;
             }
         }
         tx.commit()
@@ -425,6 +472,17 @@ mod tests {
         assert_eq!(report.commits + report.aborts, 300);
         // Orders were created and delivered.
         assert!(db.heap_count(w.heap_order).unwrap() > 0);
+        // Payments happened, and the books balance...
+        assert!(w.verify_ytd(&mut db).unwrap() > 0);
+        // ...until one district's D_YTD is off by one.
+        let drid = w.district_rids[3];
+        let mut tx = db.txn();
+        let mut district = tx.heap_read(w.heap_district, drid).unwrap();
+        patch_i32(&mut district, D_YTD, |v| v + 1);
+        tx.heap_update(w.heap_district, drid, &district).unwrap();
+        tx.commit().unwrap();
+        let err = w.verify_ytd(&mut db).unwrap_err();
+        assert!(err.to_string().contains("D_YTD"), "{err}");
     }
 
     #[test]

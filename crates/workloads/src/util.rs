@@ -32,7 +32,9 @@ pub fn uniform(rng: &mut StdRng, lo: u64, hi: u64) -> u64 {
 /// Fixed-layout record builder: a constant filler pattern with typed
 /// little-endian fields poked at fixed offsets, so that numeric updates
 /// change only the bytes of the field they touch (the property all of the
-/// paper's update-size distributions rest on).
+/// paper's update-size distributions rest on). A workload that inserts one
+/// record per transaction builds it once and pokes the fields of each
+/// insert into the same buffer.
 #[derive(Debug, Clone)]
 pub struct Record(pub Vec<u8>);
 

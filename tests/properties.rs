@@ -104,7 +104,8 @@ fn delta_apply_is_exact() {
             vec![],
         );
         let mut page = vec![0xEEu8; 4096];
-        rec.apply(&mut page).unwrap();
+        // The pairs lie behind the delta area, as tracked changes do.
+        rec.apply(&mut page, &(32..100)).unwrap();
         for (i, &b) in page.iter().enumerate() {
             match unique.get(&(i as u16)) {
                 Some(&v) => assert_eq!(b, v),
