@@ -11,7 +11,7 @@ use ipa_core::{
 };
 use ipa_noftl::{
     Counters, EventKind, IoCtx, Lba, NoFtl, NoFtlConfig, Observer, PageRewriter, RegionId,
-    SpanCategory,
+    SpanCategory, SpanId,
 };
 
 use crate::buffer::{BufferPool, Frame, ResidencyMirror, SweepStats};
@@ -790,17 +790,16 @@ impl Database {
     /// Flush a specific page (test/checkpoint aid).
     pub fn flush_page(&mut self, pid: PageId) -> Result<()> {
         let Some(idx) = self.pool.index_of(pid) else { return Ok(()) };
-        let span = self.ftl.open_span(SpanCategory::Flush);
-        let result = self.flush_frame(idx, IoCtx::host().with_span(span));
-        self.ftl.close_span(span);
-        result
+        self.in_span(SpanCategory::Flush, self.ftl.device().current_span(), |db, span| {
+            db.flush_frame(idx, IoCtx::host().with_span(span))
+        })
     }
 
     /// Flush every dirty page (shutdown / quiesce). Flushes are staged as
     /// one queued batch and drained once, so on a multi-chip device with
     /// queue depth > 1 the page writes overlap across chips.
     pub fn flush_all(&mut self) -> Result<()> {
-        self.debug_check_pool();
+        self.debug_check_quiesced();
         let (_, staged) = self.stage_flushes(usize::MAX, IoCtx::host());
         staged
     }
@@ -810,30 +809,65 @@ impl Database {
     /// `Flush` span and drain once. Returns how many were staged before
     /// the first failure, and that failure.
     fn stage_flushes(&mut self, limit: usize, ctx: IoCtx) -> (u64, Result<()>) {
-        let span = self.ftl.open_span(SpanCategory::Flush);
-        let mut count = 0;
-        let mut staged = Ok(());
-        let mut candidates = std::mem::take(&mut self.candidates);
-        self.pool.cleaner_candidates(limit, &mut candidates);
-        for &idx in &candidates {
-            staged = self.stage_flush(idx, ctx.with_span(span));
-            if staged.is_err() {
-                break;
+        self.in_span(SpanCategory::Flush, self.ftl.device().current_span(), |db, span| {
+            let mut count = 0;
+            let mut staged = Ok(());
+            let mut candidates = std::mem::take(&mut db.candidates);
+            db.pool.cleaner_candidates(limit, &mut candidates);
+            for &idx in &candidates {
+                staged = db.stage_flush(idx, ctx.with_span(span));
+                if staged.is_err() {
+                    break;
+                }
+                count += 1;
             }
-            count += 1;
-        }
-        self.candidates = candidates;
-        self.ftl.drain_completions();
-        self.ftl.close_span(span);
-        (count, staged)
+            db.candidates = candidates;
+            db.ftl.drain_completions();
+            (count, staged)
+        })
     }
 
-    /// Debug builds re-derive the pool's dirty and free sets by full scan
-    /// at the quiesce points (`flush_all`, `checkpoint`, crash, restart).
-    pub(crate) fn debug_check_pool(&self) {
+    /// Run `f` under a trace span of category `cat` with parent `parent`;
+    /// the span closes when `f` returns, whichever way it returns.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the engine's one pairing of a raw open with its close"
+    )]
+    pub(crate) fn in_span<T>(
+        &mut self,
+        cat: SpanCategory,
+        parent: Option<SpanId>,
+        f: impl FnOnce(&mut Self, SpanId) -> T,
+    ) -> T {
+        let span = self.ftl.open_span_under(cat, parent);
+        let out = f(self, span);
+        self.ftl.close_span(span);
+        out
+    }
+
+    /// Debug builds check, wherever the engine is between operations (a
+    /// transaction ends, and the quiesce points below), that the layers
+    /// under it are too: every command submitted to the device was handed
+    /// back, and the only spans open are those of the open transactions
+    /// (begun in id order, so the two sequences are equal).
+    fn debug_check_idle(&self) {
+        let dev = self.ftl.device();
+        debug_assert_eq!(dev.inflight(), 0, "a submitted command was never completed");
+        debug_assert!(
+            dev.open_spans().iter().copied().eq(self.txns.spans()),
+            "open spans {:?} are not those of the open transactions",
+            dev.open_spans()
+        );
+    }
+
+    /// The quiesce points (`flush_all`, `checkpoint`, crash, restart):
+    /// debug builds re-derive the pool's dirty and free sets by full scan
+    /// and check that the layers below are idle.
+    pub(crate) fn debug_check_quiesced(&self) {
         if cfg!(debug_assertions) {
             self.pool.assert_consistent();
         }
+        self.debug_check_idle();
     }
 
     /// One round of background work: the eager page cleaner and eager
@@ -1023,7 +1057,7 @@ impl Database {
         if self.ftl.observing() {
             self.ftl.emit(EventKind::CheckpointBegin, None, None);
         }
-        self.debug_check_pool();
+        self.debug_check_quiesced();
         let mut candidates = std::mem::take(&mut self.candidates);
         self.pool.cleaner_candidates(usize::MAX, &mut candidates);
         let dirty: Vec<(PageId, Lsn)> = candidates
@@ -1073,7 +1107,10 @@ impl Database {
     /// transaction's lifetime; the matching close happens at commit/abort.
     pub(crate) fn start_tx(&mut self) -> crate::txn::TxId {
         let tx = self.txns.begin();
-        // audit:allow(L006, reason = "close is deferred: the SpanId is stored in the txn table and closed by finish_tx at commit/abort")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "close is deferred: the SpanId is stored in the txn table and closed by finish_tx at commit/abort"
+        )]
         let span = self.ftl.open_span_under(SpanCategory::Txn, None);
         self.txns.set_span(tx, span);
         let lsn = self.wal.append(Lsn::NULL, LogPayload::<&[u8]>::Begin { tx });
@@ -1138,14 +1175,16 @@ impl Database {
         Ok(())
     }
 
-    /// Shared commit/abort epilogue: release locks, close the transaction
-    /// span, retire the table entry.
-    fn finish_tx(&mut self, tx: crate::txn::TxId) {
+    /// Shared commit/abort/crash epilogue: release locks, close the
+    /// transaction span, retire the table entry.
+    pub(crate) fn finish_tx(&mut self, tx: crate::txn::TxId) {
         self.locks.release_all(tx);
         if let Some(span) = self.txns.span(tx) {
+            #[expect(clippy::disallowed_methods, reason = "closes the span start_tx opened")]
             self.ftl.close_span(span);
         }
         self.txns.finish(tx);
+        self.debug_check_idle();
     }
 
     /// Flush the group-commit stage: one log force covering every parked
@@ -1156,12 +1195,12 @@ impl Database {
         }
         let batch = self.gcommit.parked.len();
         let horizon = self.gcommit.parked.iter().map(|p| p.lsn).max().unwrap_or(Lsn::NULL);
-        let span = self.ftl.open_span(SpanCategory::Flush);
-        self.force_wal_to(horizon);
-        if self.ftl.observing() {
-            self.ftl.emit(EventKind::GroupCommitFlush { txns: batch as u32 }, None, None);
-        }
-        self.ftl.close_span(span);
+        self.in_span(SpanCategory::Flush, self.ftl.device().current_span(), |db, _| {
+            db.force_wal_to(horizon);
+            if db.ftl.observing() {
+                db.ftl.emit(EventKind::GroupCommitFlush { txns: batch as u32 }, None, None);
+            }
+        });
         self.stats.group_commits += 1;
         self.stats.commits += batch as u64;
         self.gcommit.batch_sizes.push(batch as u32);
@@ -1650,6 +1689,19 @@ pub(crate) mod tests {
         // No writes: the Commit record itself still advances the horizon.
         db.commit_tx(tx).unwrap();
         assert_eq!(db.stats().wal_forces, 2);
+    }
+
+    /// A submit nobody completes is caught where the transaction ends.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "never completed")]
+    fn leaked_submit_panics_at_the_transaction_boundary() {
+        let mut db = test_db(NxM::tpcc(), 8);
+        let pid = db.new_page(0).unwrap();
+        db.flush_page(pid).unwrap();
+        db.ftl.submit_read(RegionId(0), pid.lba, IoCtx::host()).unwrap();
+        let tx = db.start_tx();
+        db.commit_tx(tx).unwrap();
     }
 
     #[test]

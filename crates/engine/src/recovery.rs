@@ -19,12 +19,14 @@
 //! back an `IndexInsert` deletes the key from the current (possibly
 //! restructured) tree, emitting fresh physical records of its own.
 
+use std::collections::BTreeMap;
+
 use ipa_core::{ChangeTracker, DbPage};
 
 use crate::db::{Database, PageId};
 use crate::error::EngineError;
 use crate::txn::TxId;
-use crate::wal::{LogPayload, Lsn};
+use crate::wal::{LogPayload, LogRecord, Lsn};
 use crate::Result;
 
 /// Roll back one active transaction (normal abort path and restart undo).
@@ -256,17 +258,18 @@ impl Database {
     /// suffix is lost, locks and the transaction table evaporate. Flash
     /// contents (including ISPP-appended delta records) survive.
     pub fn simulate_crash(&mut self) {
-        self.debug_check_pool();
+        self.debug_check_quiesced();
         self.pool.clear();
         self.wal.lose_unflushed();
         self.reset_locks();
         // Parked group commits lose their unforced Commit records (they
         // roll back during recovery); undrained acks die with the host.
         self.clear_group_commit();
-        // Active transactions are rediscovered by analysis.
+        // Active transactions are rediscovered by analysis; their trace
+        // spans end with the host.
         let active: Vec<TxId> = self.txns.snapshot().into_iter().map(|(t, _)| t).collect();
         for tx in active {
-            self.txns.finish(tx);
+            self.finish_tx(tx);
         }
     }
 
@@ -305,34 +308,43 @@ impl Database {
     }
 
     fn restart(&mut self, bounded: bool, undo_budget: Option<u64>) -> Result<()> {
-        let span = self.ftl.open_span_under(ipa_noftl::SpanCategory::Recovery, None);
-        let result = self.recover_inner(bounded, undo_budget, span);
-        self.ftl.close_span(span);
-        self.debug_check_pool();
+        let result = self.in_span(ipa_noftl::SpanCategory::Recovery, None, |db, root| {
+            db.recover_inner(bounded, undo_budget, root)
+        });
+        self.debug_check_quiesced();
         result
     }
 
     fn recover_inner(
         &mut self,
         bounded: bool,
-        mut undo_budget: Option<u64>,
+        undo_budget: Option<u64>,
         root: ipa_noftl::SpanId,
     ) -> Result<()> {
         let t0 = self.ftl.device().clock().now_ns();
-        // --- Analysis ---
-        let phase_span = self.ftl.open_span_under(ipa_noftl::SpanCategory::Recovery, Some(root));
+        let phase = ipa_noftl::SpanCategory::Recovery;
+        let Analysis { use_dpt, start, losers, dpt, records } =
+            self.in_span(phase, Some(root), |db, _| db.analysis_pass(bounded));
+        self.in_span(phase, Some(root), |db, _| db.redo_pass(use_dpt, start, &dpt, records))?;
+        self.in_span(phase, Some(root), |db, _| db.undo_pass(losers, undo_budget))?;
+        self.stats.recovery_ns += self.ftl.device().clock().now_ns().saturating_sub(t0);
+        Ok(())
+    }
+
+    /// Analysis: find the losers and the dirty-page table.
+    fn analysis_pass(&mut self, bounded: bool) -> Analysis {
         // The last *complete* checkpoint, validated against the retained
         // log (the pair tracker already invalidates truncated or
         // unflushed checkpoints; the payload check is belt and braces).
         let ckpt = if bounded { self.wal.last_checkpoint_pair() } else { None };
         let ckpt = ckpt.filter(|&(begin, end)| self.wal.retains_checkpoint(begin, end));
         let start = ckpt.map_or(self.wal.tail(), |(begin, _)| begin);
-        let mut losers: std::collections::BTreeMap<TxId, Lsn> = std::collections::BTreeMap::new();
+        let mut losers: BTreeMap<TxId, Lsn> = BTreeMap::new();
         // Dirty-page table: page -> recLSN (earliest record that may not
         // be reflected on flash). Seeded from the checkpoint's `dirty`
         // entries, augmented by every page action analysis scans.
-        let mut dpt: std::collections::BTreeMap<PageId, Lsn> = std::collections::BTreeMap::new();
-        let records: Vec<_> = self.wal.iter_from(start).collect();
+        let mut dpt: BTreeMap<PageId, Lsn> = BTreeMap::new();
+        let records: Vec<LogRecord> = self.wal.iter_from(start).collect();
         for rec in &records {
             match &rec.payload {
                 LogPayload::Commit { tx } | LogPayload::Abort { tx } => {
@@ -369,15 +381,22 @@ impl Database {
             };
             self.ftl.emit(kind, None, None);
         }
-        self.ftl.close_span(phase_span);
-        // --- Redo: repeat history ---
-        let phase_span = self.ftl.open_span_under(ipa_noftl::SpanCategory::Recovery, Some(root));
+        Analysis { use_dpt: ckpt.is_some(), start, losers, dpt, records }
+    }
+
+    /// Redo: repeat history.
+    fn redo_pass(
+        &mut self,
+        use_dpt: bool,
+        start: Lsn,
+        dpt: &BTreeMap<PageId, Lsn>,
+        records: Vec<LogRecord>,
+    ) -> Result<()> {
         // Bounded restart with a usable checkpoint: redo starts at the
         // DPT's minimum recLSN (a NULL recLSN — a fresh page that never
         // reached flash — clamps the scan to the log tail) and consults
         // the DPT before touching any page. Without one, redo revisits
         // every analyzed record behind the PageLSN guard, as before.
-        let use_dpt = ckpt.is_some();
         let redo_start = if use_dpt {
             dpt.values().copied().min().map_or(start, |m| m.min(start))
         } else {
@@ -454,10 +473,16 @@ impl Database {
             };
             self.ftl.emit(kind, None, None);
         }
-        self.ftl.close_span(phase_span);
-        // --- Undo losers --- (BTreeMap iteration is TxId-ordered; undo
-        // runs youngest-first, so walk it in reverse.)
-        let phase_span = self.ftl.open_span_under(ipa_noftl::SpanCategory::Recovery, Some(root));
+        Ok(())
+    }
+
+    /// Undo the losers, youngest first (BTreeMap iteration is
+    /// TxId-ordered, so walk it in reverse).
+    fn undo_pass(
+        &mut self,
+        losers: BTreeMap<TxId, Lsn>,
+        mut undo_budget: Option<u64>,
+    ) -> Result<()> {
         let mut clrs = 0u64;
         for (tx, last) in losers.into_iter().rev() {
             self.txns.register_recovered(tx, last);
@@ -482,10 +507,23 @@ impl Database {
             };
             self.ftl.emit(kind, None, None);
         }
-        self.ftl.close_span(phase_span);
-        self.stats.recovery_ns += self.ftl.device().clock().now_ns().saturating_sub(t0);
         Ok(())
     }
+}
+
+/// What restart's analysis pass hands to redo and undo.
+struct Analysis {
+    /// A usable checkpoint bounded the scan: redo consults the DPT.
+    use_dpt: bool,
+    /// Where the scan started: that checkpoint's Begin, or the log tail.
+    start: Lsn,
+    /// Transactions the scanned log neither commits nor aborts, with
+    /// their last LSN.
+    losers: BTreeMap<TxId, Lsn>,
+    /// Dirty-page table: page -> recLSN.
+    dpt: BTreeMap<PageId, Lsn>,
+    /// The scanned records.
+    records: Vec<LogRecord>,
 }
 
 #[cfg(test)]

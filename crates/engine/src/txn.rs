@@ -66,6 +66,12 @@ impl TxnTable {
         self.info(tx).and_then(|i| i.span)
     }
 
+    /// The trace spans of the active transactions, in id order — which is
+    /// the order they were opened in.
+    pub fn spans(&self) -> impl Iterator<Item = SpanId> + '_ {
+        self.active.iter().filter_map(|(_, i)| i.span)
+    }
+
     /// Whether a transaction is active.
     pub fn is_active(&self, tx: TxId) -> bool {
         self.position(tx).is_ok()

@@ -5,7 +5,7 @@ use crate::page::{PageData, SparePages};
 
 /// Coarse state of a block, tracked for the management layer's benefit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockState {
+pub(crate) enum BlockState {
     /// All pages erased.
     Free,
     /// At least one page programmed.
@@ -19,7 +19,7 @@ pub enum BlockState {
 
 /// One erase unit: a run of pages sharing bitlines (paper §3).
 #[derive(Debug, Clone)]
-pub struct Block {
+pub(crate) struct Block {
     pages: Vec<PageData>,
     erase_count: u64,
     state: BlockState,
@@ -49,6 +49,7 @@ impl Block {
     }
 
     /// Current coarse state.
+    #[cfg(test)]
     pub fn state(&self) -> BlockState {
         self.state
     }

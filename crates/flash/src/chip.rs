@@ -24,7 +24,7 @@ crate::counters! {
 
 /// A single flash chip (the unit of I/O parallelism).
 #[derive(Debug)]
-pub struct Chip {
+pub(crate) struct Chip {
     blocks: Vec<Block>,
     counters: ChipCounters,
 }

@@ -395,18 +395,32 @@ impl FlashDevice {
         self.cmd_tracing
     }
 
-    /// Open a causal span nested under the innermost open span (GC
-    /// episodes, recovery). Returns the minted id; the caller must pass
-    /// it back to [`FlashDevice::close_span`] on every exit path.
-    pub fn open_span(&mut self, cat: SpanCategory) -> SpanId {
-        let parent = self.span_stack.last().copied();
-        self.open_span_under(cat, parent)
+    /// Run `f` under a causal span of category `cat` whose parent is
+    /// `parent` (`None` for a root span; [`FlashDevice::current_span`] to
+    /// nest under the innermost open one). The span closes when `f`
+    /// returns, whichever way it returns — a `?` inside `f` leaves `f`,
+    /// not this function — so a span opened here cannot leak.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the device's one pairing of a raw open with its close"
+    )]
+    pub fn in_span<T>(
+        &mut self,
+        cat: SpanCategory,
+        parent: Option<SpanId>,
+        f: impl FnOnce(&mut Self, SpanId) -> T,
+    ) -> T {
+        let span = self.open_span_under(cat, parent);
+        let out = f(self, span);
+        self.close_span(span);
+        out
     }
 
     /// Open a causal span with an explicit parent (`None` for a root
-    /// span). The engine uses this for transaction spans — which are
-    /// roots even when another transaction's span is still open — and
-    /// for flushes that belong to a known transaction.
+    /// span) whose close is deferred to another call — the engine's
+    /// transaction spans, opened at begin and closed at commit or abort.
+    /// Everything else uses [`FlashDevice::in_span`]; `crates/clippy.toml`
+    /// bans this method and [`FlashDevice::close_span`] elsewhere.
     pub fn open_span_under(&mut self, cat: SpanCategory, parent: Option<SpanId>) -> SpanId {
         let id = SpanId(self.next_span);
         self.next_span += 1;
@@ -423,6 +437,11 @@ impl FlashDevice {
             self.span_stack.remove(pos);
             self.emit(EventKind::SpanClose { id }, None, None);
         }
+    }
+
+    /// The spans currently open, outermost first.
+    pub fn open_spans(&self) -> &[SpanId] {
+        &self.span_stack
     }
 
     /// The innermost open span, if any.
@@ -602,6 +621,14 @@ impl FlashDevice {
         self.sched.host_inflight()
     }
 
+    /// Commands of any origin submitted and not yet handed back through
+    /// [`FlashDevice::complete`], [`FlashDevice::poll_completions`] or
+    /// [`FlashDevice::drain`]. Zero whenever the layers above are between
+    /// operations; they assert that in debug builds.
+    pub fn inflight(&self) -> usize {
+        self.sched.inflight()
+    }
+
     /// Current lifecycle state of a page.
     pub fn page_state(&self, ppa: Ppa) -> Result<PageState> {
         self.check(ppa)?;
@@ -613,9 +640,10 @@ impl FlashDevice {
         self.config.geometry.page_kind(ppa.page)
     }
 
-    /// Zero-copy view of a page's main area (diagnostics/tests; bypasses
-    /// timing, statistics and the error model). An erased page reads as
-    /// all ones.
+    /// Zero-copy view of a page's main area, bypassing timing, statistics
+    /// and the error model: what the cells hold, for tests that check the
+    /// device itself. `crates/clippy.toml` bans it in every crate of the
+    /// stack. An erased page reads as all ones.
     pub fn peek(&self, ppa: Ppa) -> Result<&[u8]> {
         self.check(ppa)?;
         Ok(match self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page).main() {
@@ -642,7 +670,8 @@ impl FlashDevice {
     }
 
     /// Zero-copy view of a page's OOB area (bypasses timing/stats).
-    pub fn peek_oob(&self, ppa: Ppa) -> Result<&[u8]> {
+    #[cfg(test)]
+    pub(crate) fn peek_oob(&self, ppa: Ppa) -> Result<&[u8]> {
         self.check(ppa)?;
         Ok(self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page).oob())
     }
@@ -1082,6 +1111,7 @@ fn chip_block(_dev: &FlashDevice, _chip: u32, block: u32) -> u32 {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the device's own tests look at raw cells")]
 mod tests {
     use super::*;
 

@@ -84,6 +84,7 @@ mod chip;
 mod counters;
 mod device;
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the reference model compares raw cells")]
 mod eager;
 mod error;
 mod fault;
@@ -95,9 +96,8 @@ mod sched;
 mod stats;
 mod timing;
 
-pub use block::{Block, BlockState};
 pub use cases::for_each_case;
-pub use chip::{Chip, ChipCounters};
+pub use chip::ChipCounters;
 pub use counters::{CounterSlot, CounterValue, Counters};
 pub use device::{FlashConfig, FlashDevice, OpOrigin, OpResult, WearHistogram};
 pub use error::FlashError;
@@ -107,7 +107,7 @@ pub use obs::{
     EventField, EventKind, ObsCtx, ObsEvent, Observer, OpClass, RecoveryPhaseKind, SpanCategory,
     SpanId,
 };
-pub use page::{PageData, PageState};
+pub use page::PageState;
 pub use reliability::{ReadOutcome, ReliabilityConfig};
 pub use sched::{CmdId, Completion, IoScheduler};
 pub use stats::{FlashStats, LatencyHistogram};

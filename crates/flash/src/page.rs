@@ -107,7 +107,7 @@ impl SparePages {
 
 /// One physical page: main area + OOB area + state.
 #[derive(Debug, Clone)]
-pub struct PageData {
+pub(crate) struct PageData {
     /// Main-area cells and the number of partial programs since the initial
     /// program; `None` while the page is erased (all cells read `0xFF`).
     cells: Option<(Vec<u8>, u32)>,

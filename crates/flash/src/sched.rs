@@ -95,9 +95,10 @@ impl IoScheduler {
         self.queue_depth
     }
 
-    /// Number of in-flight commands of any origin.
+    /// Commands of any origin not yet handed back to their submitter:
+    /// still executing, or retired by admission and waiting to be taken.
     pub fn inflight(&self) -> usize {
-        self.inflight.len()
+        self.inflight.len() + self.completed.len()
     }
 
     /// Number of in-flight host-origin commands (the queue-depth gauge).

@@ -281,20 +281,36 @@ impl NoFtl {
         self.dev.advance_clock(delta_ns);
     }
 
-    /// Open a causal span nested under the innermost currently-open span.
-    /// Emits a `SpanOpen` event when observing. Callers must pair every
-    /// open with a [`NoFtl::close_span`] on all exit paths (lint L006).
-    pub fn open_span(&mut self, cat: SpanCategory) -> SpanId {
-        self.dev.open_span(cat)
+    /// Run `f` under a causal span of category `cat` with parent `parent`
+    /// (`None` for a root span); the span closes when `f` returns,
+    /// whichever way it returns. See [`FlashDevice::in_span`].
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "NoFTL's one pairing of a raw open with its close"
+    )]
+    pub fn in_span<T>(
+        &mut self,
+        cat: SpanCategory,
+        parent: Option<SpanId>,
+        f: impl FnOnce(&mut Self, SpanId) -> T,
+    ) -> T {
+        let span = self.dev.open_span_under(cat, parent);
+        let out = f(self, span);
+        self.dev.close_span(span);
+        out
     }
 
-    /// Open a causal span under an explicit parent (`None` for a root
-    /// span — e.g. a transaction).
+    /// Open a causal span whose close is deferred to another call (the
+    /// engine's transaction spans). Everything else uses
+    /// [`NoFtl::in_span`]; `crates/clippy.toml` bans this method and
+    /// [`NoFtl::close_span`] elsewhere.
+    #[expect(clippy::disallowed_methods, reason = "forwards the deferred open to the device")]
     pub fn open_span_under(&mut self, cat: SpanCategory, parent: Option<SpanId>) -> SpanId {
         self.dev.open_span_under(cat, parent)
     }
 
-    /// Close a previously opened span, emitting a `SpanClose` event.
+    /// Close a span opened by [`NoFtl::open_span_under`].
+    #[expect(clippy::disallowed_methods, reason = "forwards the deferred close to the device")]
     pub fn close_span(&mut self, id: SpanId) {
         self.dev.close_span(id);
     }

@@ -702,14 +702,13 @@ impl Region {
     /// push a duplicate free-list entry and resurrect stale data.
     fn collect_block(&mut self, dev: &mut FlashDevice, local: usize, victim: u32) -> Result<()> {
         // One GC episode = one causal span, nested under whatever host
-        // span (flush, transaction) triggered the collection. Closed on
-        // every exit path by the single-exit shape below.
-        let span = dev.open_span(SpanCategory::Gc);
-        self.chips[local].blocks[victim as usize].collecting = true;
-        let result = self.collect_block_guarded(dev, local, victim);
-        self.chips[local].blocks[victim as usize].collecting = false;
-        dev.close_span(span);
-        result
+        // span (flush, transaction) triggered the collection.
+        dev.in_span(SpanCategory::Gc, dev.current_span(), |dev, _| {
+            self.chips[local].blocks[victim as usize].collecting = true;
+            let result = self.collect_block_guarded(dev, local, victim);
+            self.chips[local].blocks[victim as usize].collecting = false;
+            result
+        })
     }
 
     /// Body of [`Region::collect_block`], running under the `collecting`

@@ -46,13 +46,14 @@ fn drive(batches: &[Vec<u8>]) -> (Vec<ObsEvent>, Vec<Completion>, u64) {
     let data = vec![0xA5u8; 512];
     let mut completions = Vec::new();
     for batch in batches {
-        let span = ftl.open_span_under(SpanCategory::Txn, None);
-        let ctx = IoCtx::host().with_span(span);
-        for &l in batch {
-            ftl.submit_write(RegionId(0), Lba(u64::from(l) % cap), &data, ctx).expect("submits");
-        }
-        completions.extend(ftl.drain_completions());
-        ftl.close_span(span);
+        ftl.in_span(SpanCategory::Txn, None, |ftl, span| {
+            let ctx = IoCtx::host().with_span(span);
+            for &l in batch {
+                ftl.submit_write(RegionId(0), Lba(u64::from(l) % cap), &data, ctx)
+                    .expect("submits");
+            }
+            completions.extend(ftl.drain_completions());
+        });
     }
     let queue_wait_total = ftl.device().stats().queue_wait_ns_total;
     (trace.snapshot(), completions, queue_wait_total)
@@ -142,4 +143,48 @@ fn lifecycles_nest_in_spans() {
             .collect();
         check_case(&batches);
     });
+}
+
+#[test]
+fn in_span_closes_on_error_and_on_early_return() {
+    let mut ftl = ftl(DEPTH);
+    let trace = TraceHandle::new(64);
+    ftl.attach_observer(trace.observer());
+    let cap = ftl.capacity(RegionId(0)).expect("region exists");
+    let data = vec![0xA5u8; 512];
+
+    // A `?` on a failing submit leaves the closure before its last line.
+    let failed = ftl.in_span(SpanCategory::Txn, None, |ftl, span| {
+        ftl.submit_write(RegionId(0), Lba(cap), &data, IoCtx::host().with_span(span))?;
+        ftl.drain_completions();
+        Ok::<_, ipa_noftl::NoFtlError>(())
+    });
+    assert!(failed.is_err(), "a write past the capacity is refused");
+    // So does a `return`, here from inside a nested span.
+    let early = ftl.in_span(SpanCategory::Flush, None, |ftl, outer| {
+        ftl.in_span(SpanCategory::Gc, Some(outer), |_, _| {
+            if cap > 0 {
+                return 1;
+            }
+            2
+        })
+    });
+    assert_eq!(early, 1);
+
+    // Ids are minted in opening order: each open is matched by its close,
+    // innermost first, although no closure ran to its last line.
+    let spans: Vec<(&str, u64)> = trace
+        .snapshot()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::SpanOpen { id, .. } => Some(("open", id.0)),
+            EventKind::SpanClose { id } => Some(("close", id.0)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        spans,
+        [("open", 0), ("close", 0), ("open", 1), ("open", 2), ("close", 2), ("close", 1)]
+    );
+    assert!(ftl.device().open_spans().is_empty());
 }

@@ -3,6 +3,8 @@
 //! retirement, delta-append fallback, scrubbing), and the visibility of
 //! every episode in stats, snapshots and the trace.
 
+use ipa::core::NxM;
+use ipa::engine::{Database, DbConfig};
 use ipa::flash::{EventKind, FaultOp, FaultPlan, FlashConfig};
 use ipa::noftl::{IoCtx, IpaMode, Lba, NoFtl, NoFtlConfig, RegionId};
 use ipa::obs::{Snapshot, TraceHandle};
@@ -30,6 +32,15 @@ fn ftl_with(plan: FaultPlan, scrub_threshold: f64, mutate: impl FnOnce(&mut Flas
     ftl_at(plan, scrub_threshold, 0.2, mutate)
 }
 
+/// Between operations nothing is left behind, whichever way the last one
+/// ended: every queued command was handed back and every span closed.
+/// The healing paths and the error exits are where a completion or a
+/// close is easiest to skip.
+fn assert_idle(ftl: &NoFtl) {
+    assert_eq!(ftl.device().inflight(), 0, "a command was left in flight");
+    assert_eq!(ftl.device().open_spans(), [], "a span was left open");
+}
+
 /// A page image whose first half is the body pattern and whose tail stays
 /// erased (0xFF) — the area later in-place appends can charge into under
 /// the monotone-charge rule.
@@ -48,6 +59,7 @@ fn permanent_program_fault_retires_block_and_remaps_write() {
     // The very first program fails permanently; the write must still
     // succeed on a remapped residency, with the block retired.
     ftl.write_page(R, Lba(0), &data, IoCtx::default()).unwrap();
+    assert_idle(&ftl);
     let (got, _) = ftl.read_page(R, Lba(0), IoCtx::default()).unwrap();
     assert_eq!(got, data);
     let stats = ftl.region_stats(R).unwrap();
@@ -62,6 +74,7 @@ fn transient_program_fault_spends_retry_budget_only() {
     let mut ftl = ftl_with(plan, 0.0, |_| {});
     let data = page(&ftl, 0x5C);
     ftl.write_page(R, Lba(3), &data, IoCtx::default()).unwrap();
+    assert_idle(&ftl);
     let (got, _) = ftl.read_page(R, Lba(3), IoCtx::default()).unwrap();
     assert_eq!(got, data);
     let stats = ftl.region_stats(R).unwrap();
@@ -81,6 +94,7 @@ fn delta_fault_falls_back_out_of_place_and_is_traced() {
     // The first delta append fails; the layer must transparently rewrite
     // the whole page out of place with the delta applied.
     ftl.write_delta(R, Lba(7), 16, &[0xEE; 8], IoCtx::default()).unwrap();
+    assert_idle(&ftl);
 
     let (got, _) = ftl.read_page(R, Lba(7), IoCtx::default()).unwrap();
     let mut expect = data.clone();
@@ -123,6 +137,7 @@ fn erase_fault_retires_gc_victim_and_gc_reselects() {
         for lba in 0..capacity {
             let data = page(&ftl, round ^ lba as u8);
             ftl.write_page(R, Lba(lba), &data, IoCtx::default()).unwrap();
+            assert_idle(&ftl);
         }
     }
     let stats = ftl.region_stats(R).unwrap();
@@ -133,6 +148,66 @@ fn erase_fault_retires_gc_victim_and_gc_reselects() {
         let (got, _) = ftl.read_page(R, Lba(lba), IoCtx::default()).unwrap();
         assert_eq!(got[0], 3 ^ lba as u8, "lba {lba}");
     }
+}
+
+#[test]
+fn unhealable_faults_surface_as_errors_and_leave_nothing_behind() {
+    // Faults no retry or remap can absorb: every program fails for good
+    // (the write runs out of blocks to retire), or every erase does (GC
+    // retires victim after victim until no free block is left). Both must
+    // come back as an `Err`, not a hang, with the device idle afterwards.
+    let every_program = FaultPlan {
+        program_fail_prob: 1.0,
+        permanent_fraction: 1.0,
+        seed: 7,
+        ..FaultPlan::default()
+    };
+    let every_erase = FaultPlan { erase_fail_prob: 1.0, seed: 7, ..FaultPlan::default() };
+    for plan in [every_program, every_erase] {
+        let mut ftl = ftl_at(plan, 0.0, 0.45, |f| {
+            f.geometry.blocks_per_chip = 16;
+            f.geometry.pages_per_block = 8;
+        });
+        let capacity = ftl.capacity(R).unwrap();
+        let mut failed = 0;
+        for round in 0..8u8 {
+            for lba in 0..capacity {
+                let data = page(&ftl, round ^ lba as u8);
+                failed += u32::from(ftl.write_page(R, Lba(lba), &data, IoCtx::default()).is_err());
+                assert_idle(&ftl);
+            }
+        }
+        assert!(failed > 0, "the plan leaves no way to complete every write");
+    }
+}
+
+#[test]
+fn batch_flush_that_fails_midway_leaves_the_device_idle() {
+    // The first page of the batch is queued, then every program fails for
+    // good until the region has no block left: `flush_all` returns the
+    // error with a command already in the queue, and must still drain it.
+    let mut flash = FlashConfig::small_slc();
+    flash.geometry.blocks_per_chip = 16;
+    flash.geometry.pages_per_block = 8;
+    flash.geometry.page_size = 1024;
+    let plan = (1..=64)
+        .fold(FaultPlan::default(), |plan, nth| plan.with_scripted(FaultOp::Program, nth, true));
+    let cfg = NoFtlConfig::builder(flash)
+        .fault_plan(plan)
+        .single_region(IpaMode::Slc, 0.2)
+        .build()
+        .unwrap();
+    let mut db =
+        Database::builder(cfg).scheme(NxM::disabled()).config(DbConfig::eager(8)).open().unwrap();
+    for _ in 0..4 {
+        db.new_page(0).unwrap();
+    }
+    assert_eq!(db.ftl().device().stats().host_programs, 0, "the batch holds the first program");
+    assert!(db.flush_all().is_err());
+    assert_eq!(db.ftl().device().stats().host_programs, 1, "one page was queued before the fault");
+    assert_idle(db.ftl());
+    // The next transaction boundary is where debug builds check the same.
+    db.txn().commit().unwrap();
 }
 
 #[test]
@@ -165,6 +240,7 @@ fn fault_counters_flow_into_obs_snapshots() {
     let data = page(&ftl, 0x77);
     ftl.write_page(R, Lba(0), &data, IoCtx::default()).unwrap();
     ftl.write_delta(R, Lba(0), 0, &[1, 2, 3, 4], IoCtx::default()).unwrap();
+    assert_idle(&ftl);
 
     let snap = Snapshot::capture_noftl(&ftl);
     let v = snap.to_json();
