@@ -1,0 +1,390 @@
+//! Online adaptive IPA: the per-region scheme directory shared with the
+//! GC-migration rewriter, and the re-tune epoch that moves a region to the
+//! `[N×M]` scheme its eviction profile asks for.
+//!
+//! [`Adaptive`]'s fields are private to this file; the pager asks whether
+//! there is one and nothing else.
+
+use std::sync::{Arc, Mutex};
+
+use ipa_core::layout::HeaderView;
+use ipa_core::{ecc, DbPage, IpaAdvisor, NxM, PageLayout};
+use ipa_noftl::{EventKind, PageRewriter};
+
+use crate::buffer::ResidencyMirror;
+use crate::db::{Database, DbConfig, PageId};
+use crate::pager::Pager;
+
+/// Scheme state shared between the engine and the GC-migration rewriter it
+/// installs into the flash-management layer: the current `[N×M]` scheme of
+/// every region.
+#[derive(Debug, Default)]
+struct SchemeDirectory {
+    /// Current scheme of each region (updated at re-tune epochs).
+    schemes: Mutex<Vec<NxM>>,
+}
+
+impl SchemeDirectory {
+    /// Lock the scheme vector. Poisoning is recovered: the guarded data is
+    /// plain values written in single statements, so a panic elsewhere
+    /// cannot leave it logically inconsistent.
+    fn schemes(&self) -> std::sync::MutexGuard<'_, Vec<NxM>> {
+        self.schemes.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
+/// The engine's [`PageRewriter`]: re-encodes old-scheme pages to the
+/// region's current `[N×M]` layout while a GC or wear-leveling migration
+/// already carries them through the host — reconfiguration piggybacks on
+/// I/O the device was doing anyway, costing zero extra flash operations.
+struct EngineRewriter {
+    dir: Arc<SchemeDirectory>,
+    /// Pages buffered in the pool right now. They must migrate verbatim —
+    /// re-encoding the flash image under a buffered frame would
+    /// desynchronize the frame's tracker and delta-offset math from flash.
+    resident: ResidencyMirror,
+    page_size: usize,
+    /// Re-seed `EccInitial` (and erase the delta slots) after a rewrite,
+    /// mirroring the engine's `verify_ecc` setting.
+    tag_ecc: bool,
+}
+
+impl PageRewriter for EngineRewriter {
+    fn rewrite_for_migration(
+        &self,
+        region: u32,
+        lba: u64,
+        page: &mut [u8],
+        oob: &mut [u8],
+    ) -> bool {
+        if self.resident.lock().contains(&PageId::new(region as usize, lba)) {
+            return false;
+        }
+        let Some(&target) = self.dir.schemes().get(region as usize) else { return false };
+        let on_flash = HeaderView::scheme(page);
+        if on_flash == target {
+            return false;
+        }
+        let Ok(old_layout) = PageLayout::new(self.page_size, on_flash) else { return false };
+        let Ok(new_layout) = PageLayout::new(self.page_size, target) else { return false };
+        let Ok(mut db_page) = DbPage::from_bytes(page.to_vec(), old_layout) else { return false };
+        // Fold resident delta records into the body, then re-cut the page
+        // for the new delta-area geometry. A page too full for the new
+        // layout migrates verbatim and keeps its old scheme.
+        if db_page.apply_deltas().is_err() || db_page.relayout(new_layout).is_err() {
+            return false;
+        }
+        page.copy_from_slice(db_page.bytes());
+        ecc::reseed_oob(oob, page, &new_layout, self.tag_ecc);
+        true
+    }
+}
+
+/// Online adaptive IPA; the engine holds one iff `advisor_epoch_ns > 0`, and
+/// without it behaves bit-identically to the static-scheme engine.
+pub(crate) struct Adaptive {
+    /// Shared with the installed [`EngineRewriter`].
+    dir: Arc<SchemeDirectory>,
+    /// Stateless advisor sized for this device.
+    advisor: IpaAdvisor,
+    /// Re-tune epochs completed.
+    epoch: u64,
+    /// Simulated clock at the last epoch.
+    last_epoch_ns: u64,
+}
+
+impl Adaptive {
+    /// The adaptive state `config` asks for; when on, installs the
+    /// GC-migration rewriter into `pager`'s device.
+    pub(crate) fn new(pager: &mut Pager, schemes: &[NxM], config: &DbConfig) -> Option<Self> {
+        if config.advisor_epoch_ns == 0 {
+            return None;
+        }
+        let device = pager.ftl().device().config();
+        let page_size = device.geometry.page_size;
+        let max_n = device.max_appends().clamp(1, u16::MAX as u32) as u16;
+        let dir = Arc::new(SchemeDirectory { schemes: Mutex::new(schemes.to_vec()) });
+        pager.install_rewriter(|resident| {
+            Arc::new(EngineRewriter {
+                dir: Arc::clone(&dir),
+                resident,
+                page_size,
+                tag_ecc: config.verify_ecc,
+            })
+        });
+        let advisor = IpaAdvisor::new(page_size, max_n);
+        Some(Adaptive { dir, advisor, epoch: 0, last_epoch_ns: 0 })
+    }
+}
+
+impl Database {
+    /// Adaptive-IPA re-tune epoch's due-check: when `advisor_epoch_ns` of
+    /// simulated time has passed since the last epoch, feed every region's
+    /// eviction profile to the advisor and transition regions whose
+    /// recommended scheme is predicted to beat the current one by more than
+    /// the hysteresis margin. Profiles are windowed: each evaluated
+    /// region's profile restarts so the next epoch sees the *current*
+    /// workload phase, not its whole history.
+    pub(crate) fn retune_if_due(&mut self) {
+        /// Hysteresis: a region transitions only when the profile-predicted
+        /// IPA hit rate of the recommended scheme exceeds the current
+        /// scheme's by more than this margin.
+        const HYSTERESIS: f64 = 0.05;
+        let now = self.now_ns();
+        let DbConfig { advisor_epoch_ns, advisor_goal, advisor_min_observations, .. } =
+            *self.config();
+        let Some(state) = self.adaptive.as_mut() else { return };
+        if now.saturating_sub(state.last_epoch_ns) < advisor_epoch_ns {
+            return;
+        }
+        state.epoch += 1;
+        state.last_epoch_ns = now;
+        let advisor = state.advisor;
+        let dir = Arc::clone(&state.dir);
+        let epoch = state.epoch;
+        self.stats.retune_epochs += 1;
+        for region in 0..self.ftl().region_count() {
+            let profile = self.profile(region);
+            if profile.observations() < advisor_min_observations {
+                continue;
+            }
+            let rec = advisor.recommend(profile, advisor_goal);
+            let &PageLayout { scheme: current, page_size, .. } = self.layout(region);
+            let gain =
+                profile.predicted_hit_rate(&rec.scheme) - profile.predicted_hit_rate(&current);
+            // The one guarded emit: the three percentiles are worth
+            // computing only for an observer.
+            if self.ftl().observing() {
+                let snap = EventKind::ProfileSnapshot {
+                    observations: profile.observations(),
+                    body_p50: profile.body_percentile(50.0),
+                    body_p95: profile.body_percentile(95.0),
+                    meta_p99: profile.meta_percentile(99.0),
+                };
+                self.emit(snap, Some(region as u32), None);
+            }
+            if rec.scheme != current && gain > HYSTERESIS {
+                if let Ok(new_layout) = PageLayout::new(page_size, rec.scheme) {
+                    self.set_layout(region, new_layout);
+                    dir.schemes()[region] = rec.scheme;
+                    self.stats.scheme_changes += 1;
+                    self.emit(
+                        EventKind::SchemeChange {
+                            epoch,
+                            old: (current.n, current.m, current.v),
+                            new: (rec.scheme.n, rec.scheme.m, rec.scheme.v),
+                        },
+                        Some(region as u32),
+                        None,
+                    );
+                }
+            }
+            self.restart_profile(region);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::db::tests::{adaptive_test_db, fill_and_flush, flushed_tuple};
+    use ipa_core::{AdvisorGoal, ChangeTracker};
+    use ipa_noftl::{FlashConfig, IpaMode, NoFtlConfig, RegionId};
+
+    #[test]
+    fn adaptive_retune_switches_scheme_and_keeps_old_pages_readable() {
+        let epoch = 1_000_000u64;
+        let mut db = adaptive_test_db(epoch, 8);
+        let mut pids = Vec::new();
+        let mut slots = Vec::new();
+        for _ in 0..4 {
+            let (pid, slot) = flushed_tuple(&mut db, &[0; 64]);
+            pids.push(pid);
+            slots.push(slot);
+        }
+        // A 24-byte-update phase: under [2x3] every flush is forced out of
+        // place (records_needed(24) = 8 > 2) and feeds the profile.
+        for round in 1..=4u8 {
+            for (i, &pid) in pids.iter().enumerate() {
+                fill_and_flush(&mut db, pid, slots[i], 24, round);
+            }
+        }
+        assert_eq!(db.stats().ipa_flushes, 0);
+        assert!(db.profile(0).observations() >= 8);
+
+        db.advance_clock(epoch + 1);
+        db.background_work().unwrap();
+        assert_eq!(db.stats().retune_epochs, 1);
+        assert_eq!(db.stats().scheme_changes, 1);
+        let new_scheme = db.layout(0).scheme;
+        assert_eq!(new_scheme.m, 24, "Longevity re-tune adopts the p85 update size");
+        assert_eq!(db.profile(0).observations(), 0, "profile window restarts per epoch");
+
+        // An old-scheme page dropped from the pool clean is still on flash
+        // in [2x3]; the fetch path resolves its layout from the header.
+        if let Some(idx) = db.pool_mut().index_of(pids[1]) {
+            db.pool_mut().remove(idx);
+        }
+        let (m, tup) =
+            db.with_page(pids[1], |p| (p.scheme().m, p.tuple(slots[1]).unwrap().to_vec())).unwrap();
+        assert_eq!(m, 3, "old-scheme page readable via its header scheme tag");
+        assert_eq!(&tup[..24], &[4u8; 24][..]);
+
+        // The next out-of-place flush of a stale resident page carries it
+        // to the new layout for free.
+        fill_and_flush(&mut db, pids[0], slots[0], 24, 9);
+        assert_eq!(db.stats().scheme_upgrades, 1);
+        assert_eq!(db.with_page(pids[0], |p| p.scheme().m).unwrap(), 24);
+
+        // Under the new scheme the same 24-byte update is an IPA hit.
+        fill_and_flush(&mut db, pids[0], slots[0], 24, 10);
+        assert!(db.stats().ipa_flushes >= 1, "phase-matched scheme turns the update into IPA");
+    }
+
+    #[test]
+    fn ecc_verification_holds_across_a_scheme_change() {
+        // `verify_ecc` and adaptive mode together: every fetch checks what
+        // the three OOB writers left behind — `stage_flush`'s out-of-place
+        // branch (tag + `EccInitial`), its append branch (`EccDelta(i)`)
+        // and the GC rewriter (tag, re-seeded `EccInitial`, delta slots
+        // erased) — on pages of the old scheme and of the new one.
+        let mut flash = FlashConfig::small_slc();
+        flash.geometry.blocks_per_chip = 16;
+        flash.geometry.pages_per_block = 8;
+        flash.geometry.page_size = 1024;
+        let cfg = NoFtlConfig::single_region(flash, IpaMode::Slc, 0.3);
+        let epoch = 1_000_000u64;
+        let mut dbc = DbConfig::eager(8).with_adaptive(epoch, AdvisorGoal::Longevity);
+        dbc.advisor_min_observations = 8;
+        dbc.verify_ecc = true;
+        let mut db = Database::builder(cfg).scheme(NxM::tpcc()).config(dbc).open().unwrap();
+
+        const PAGES: usize = 40;
+        let mut pids = Vec::new();
+        let mut slots = Vec::new();
+        let mut model = vec![vec![0u8; 64]; PAGES];
+        for _ in 0..PAGES {
+            let (pid, slot) = flushed_tuple(&mut db, &[0; 64]);
+            pids.push(pid);
+            slots.push(slot);
+        }
+        let mut update = |db: &mut Database, i: usize, len: usize, fill: u8| {
+            model[i][..len].fill(fill);
+            fill_and_flush(db, pids[i], slots[i], len, fill);
+        };
+        // Odd pages are cold: one old-scheme delta record each, with its
+        // `EccDelta` code, and never written again. Even pages (but page
+        // 0) are hot: 24-byte updates go out of place under [2x3], feed
+        // the profile the re-tune reads, and keep GC erasing blocks.
+        for i in (1..PAGES).step_by(2) {
+            update(&mut db, i, 1, 0xA0);
+        }
+        assert_eq!(db.stats().ipa_flushes, PAGES as u64 / 2);
+        for round in 1..=5u8 {
+            for i in (2..PAGES).step_by(2) {
+                update(&mut db, i, 24, round);
+            }
+        }
+        db.advance_clock(epoch + 1);
+        db.background_work().unwrap();
+        assert_eq!(db.stats().scheme_changes, 1);
+        let old_scheme = NxM::tpcc();
+        let new_scheme = db.layout(0).scheme;
+        assert_eq!(new_scheme.m, 24);
+
+        // A resident stale-scheme page goes out of place through
+        // `stage_flush`, which carries it to the new scheme; the next
+        // update is an append under the new layout.
+        assert_eq!(db.with_page(pids[0], |p| *p.scheme()).unwrap(), old_scheme);
+        let appends = db.stats().ipa_flushes;
+        update(&mut db, 0, 24, 0xB0);
+        assert_eq!(db.stats().scheme_upgrades, 1);
+        update(&mut db, 0, 24, 0xB1);
+        assert_eq!(db.stats().ipa_flushes, appends + 1);
+        assert_eq!(db.with_page(pids[0], |p| *p.scheme()).unwrap(), new_scheme);
+
+        // The hot pages follow: carried over on their first flush, appended
+        // to on their second.
+        for round in 6..=7u8 {
+            for i in (2..PAGES).step_by(2) {
+                update(&mut db, i, 24, round);
+            }
+        }
+        assert_eq!(db.stats().scheme_upgrades, PAGES as u64 / 2);
+
+        // Collect the cold blocks (wear leveling runs the migration GC
+        // runs, on the least-worn block): the rewriter re-encodes the cold
+        // pages, all non-resident but page 1, which migrates as it is.
+        db.with_page(pids[1], |_| ()).unwrap();
+        assert!(db.region_stats(0).unwrap().gc_erases > 0, "the hot pages wore some blocks");
+        while db.region_stats(0).unwrap().gc_rewrites < PAGES as u64 / 2 - 1 {
+            assert_eq!(db.wear_level(0, 0).unwrap(), 1, "a cold block is left to collect");
+        }
+        assert_eq!(db.with_page(pids[1], |p| *p.scheme()).unwrap(), old_scheme);
+        assert_eq!(db.with_page(pids[3], |p| *p.scheme()).unwrap(), new_scheme);
+        // An append to a re-encoded page programs `EccDelta(0)` again: the
+        // rewriter must have erased the old record's code.
+        let appends = db.stats().ipa_flushes;
+        update(&mut db, 3, 24, 0xC0);
+        assert_eq!(db.stats().ipa_flushes, appends + 1);
+
+        // Drop the pool and read everything back with verification on.
+        db.flush_all().unwrap();
+        db.drop_pool();
+        let verified = db.stats().ecc_verified;
+        for i in 0..PAGES {
+            let (scheme, tuple) = db
+                .with_page(pids[i], |p| (*p.scheme(), p.tuple(slots[i]).unwrap().to_vec()))
+                .unwrap();
+            assert_eq!(tuple, model[i], "page {i}");
+            // Erased slots verify vacuously, so look: every writer left a
+            // tag that names the page's scheme and an `EccInitial`.
+            let oob = db.ftl().read_oob(RegionId(0), pids[i].lba).unwrap();
+            let (at, tag) = ecc::scheme_tag_write(oob.len(), &scheme).unwrap();
+            assert_eq!(oob[at..at + tag.len()], tag, "page {i}");
+            let initial = ecc::OobLayout::standard(oob.len(), 0).unwrap().initial_slot();
+            assert!(!ecc::slot_is_erased(&oob[initial]), "page {i}");
+        }
+        assert_eq!(db.stats().ecc_verified, verified + PAGES as u64);
+    }
+
+    #[test]
+    fn engine_rewriter_relayouts_nonresident_pages_only() {
+        let old_scheme = NxM::tpcc();
+        let new_scheme = NxM::new(3, 24, 1);
+        let dir = Arc::new(SchemeDirectory { schemes: Mutex::new(vec![new_scheme]) });
+        let resident = ResidencyMirror::default();
+        let rw = EngineRewriter { dir, resident: resident.clone(), page_size: 1024, tag_ecc: true };
+        let old_layout = PageLayout::new(1024, old_scheme).unwrap();
+        let mut page = DbPage::format(7, old_layout);
+        let mut tracker = ChangeTracker::new(old_scheme, 0, false);
+        let slot = page.insert_tuple(&[5u8; 16], &mut tracker).unwrap();
+
+        let mut bytes = page.bytes().to_vec();
+        let mut oob = vec![0xFF; 64];
+        assert!(rw.rewrite_for_migration(0, 7, &mut bytes, &mut oob));
+        let new_layout = PageLayout::new(1024, new_scheme).unwrap();
+        let migrated = DbPage::from_bytes(bytes, new_layout).unwrap();
+        assert_eq!(migrated.tuple(slot).unwrap(), &[5u8; 16][..]);
+        let (at, tag) = ecc::scheme_tag_write(oob.len(), &new_scheme).unwrap();
+        assert_eq!(oob[at..at + tag.len()], tag, "scheme tag written to the OOB Meta section");
+        assert_eq!(
+            ecc::verify_page(migrated.bytes(), &new_layout, &oob),
+            Ok(Some(0)),
+            "EccInitial re-seeded over the re-encoded image"
+        );
+        let initial = ecc::OobLayout::standard(oob.len(), 0).unwrap().initial_slot();
+        assert!(!ecc::slot_is_erased(&oob[initial]));
+
+        // Resident pages migrate verbatim.
+        resident.lock().insert(PageId::new(0, 9));
+        let mut untouched = page.bytes().to_vec();
+        assert!(!rw.rewrite_for_migration(0, 9, &mut untouched, &mut [0xFF; 64]));
+        assert_eq!(untouched, page.bytes());
+
+        // Pages already on the current scheme are left alone.
+        let current = DbPage::format(1, new_layout);
+        let mut same = current.bytes().to_vec();
+        assert!(!rw.rewrite_for_migration(0, 1, &mut same, &mut [0xFF; 64]));
+    }
+}

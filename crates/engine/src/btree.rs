@@ -45,11 +45,10 @@ const NODE_HEADER: usize = 11;
 const ENTRY_SIZE: usize = 16;
 const NO_SIBLING: u64 = u64::MAX;
 
-/// Catalog entry of one B+-tree index.
+/// Catalog entry of one B+-tree index; its identifier is its position in
+/// the database catalog.
 #[derive(Debug)]
 pub struct BTree {
-    /// Index identifier (position in the database catalog).
-    pub id: u32,
     /// Region the tree's pages live in.
     pub region: usize,
     /// Current root page.
@@ -226,7 +225,7 @@ impl Database {
         // flash immediately, so restart redo always finds a valid node to
         // build on (its initialization is not logged).
         self.flush_page(root)?;
-        self.indexes.push(BTree { id, region, root });
+        self.indexes.push(BTree { region, root });
         Ok(id)
     }
 

@@ -239,18 +239,6 @@ impl BufferPool {
         self.dirty_count() as f64 / self.capacity as f64
     }
 
-    /// Look up a page, setting its reference bit.
-    pub fn get_mut(&mut self, pid: PageId) -> Option<&mut Frame> {
-        let idx = self.index_of(pid)?;
-        self.touch(idx);
-        self.frames.get_mut(idx)?.as_mut()
-    }
-
-    /// Look up a page without touching the reference bit.
-    pub fn peek(&self, pid: PageId) -> Option<&Frame> {
-        self.index_of(pid).and_then(|idx| self.frames.get(idx)?.as_ref())
-    }
-
     /// Whether the page is resident.
     pub fn contains(&self, pid: PageId) -> bool {
         self.index_of(pid).is_some()
@@ -374,11 +362,6 @@ impl BufferPool {
         Some(frame)
     }
 
-    /// Iterate over occupied frame indices.
-    pub fn occupied(&self) -> impl Iterator<Item = usize> + '_ {
-        self.frames.iter().enumerate().filter(|(_, f)| f.is_some()).map(|(i, _)| i)
-    }
-
     /// Fill `out` with the first `limit` dirty, unpinned frames in cleaning
     /// order: cold frames (reference bit clear) in CLOCK order from the
     /// hand, then hot ones in the same order. Background cleaners chase
@@ -471,6 +454,18 @@ mod tests {
     use ipa_core::PageLayout;
 
     impl BufferPool {
+        /// Look up a page, setting its reference bit.
+        fn get_mut(&mut self, pid: PageId) -> Option<&mut Frame> {
+            let idx = self.index_of(pid)?;
+            self.touch(idx);
+            self.frames.get_mut(idx)?.as_mut()
+        }
+
+        /// Iterate over occupied frame indices.
+        pub(crate) fn occupied(&self) -> impl Iterator<Item = usize> + '_ {
+            self.frames.iter().enumerate().filter(|(_, f)| f.is_some()).map(|(i, _)| i)
+        }
+
         /// [`BufferPool::cleaner_candidates`] into a vector of its own.
         pub(crate) fn candidates(&self, limit: usize) -> Vec<usize> {
             let mut out = vec![usize::MAX; 3]; // stale content must not survive

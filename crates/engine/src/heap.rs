@@ -36,11 +36,10 @@ impl Rid {
     }
 }
 
-/// Catalog entry of one heap file.
+/// Catalog entry of one heap file; its identifier is its position in the
+/// database catalog.
 #[derive(Debug)]
 pub struct HeapFile {
-    /// Heap identifier (index into the database catalog).
-    pub id: u32,
     /// Region the heap's pages live in.
     pub region: usize,
     /// All pages of the heap, in allocation order.
@@ -53,7 +52,7 @@ impl Database {
     /// Create a heap file in a region.
     pub fn create_heap(&mut self, region: usize) -> u32 {
         let id = self.heaps.len() as u32;
-        self.heaps.push(HeapFile { id, region, pages: Vec::new(), insert_hint: 0 });
+        self.heaps.push(HeapFile { region, pages: Vec::new(), insert_hint: 0 });
         id
     }
 

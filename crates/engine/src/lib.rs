@@ -9,17 +9,24 @@
 //! of `ipa-noftl` / `ipa-flash`, with the IPA machinery of `ipa-core` wired
 //! into the page-flush path:
 //!
-//! * [`Database`] — buffer pool, pager, WAL, transactions, cleaner and
-//!   log-reclamation policies ([`DbConfig::eager`] vs non-eager — the knob
-//!   behind the paper's Tables 9 vs 10).
+//! * [`Database`] — the engine. Its state has three owners, each a struct
+//!   whose fields are private to the file that holds the `impl Database`
+//!   methods writing them: `pager.rs` (device, buffer pool, allocators,
+//!   layouts, profiles — fetch, evict, flush), `log.rs` (WAL, group-commit
+//!   stage, checkpoints, reclamation) and `adaptive.rs` (the online `[N×M]`
+//!   re-tune). `db.rs` keeps the configuration ([`DbConfig::eager`] vs
+//!   non-eager — the knob behind the paper's Tables 9 vs 10), the
+//!   transaction / lock glue and the builder.
 //! * On eviction/cleaning, each dirty page consults its
 //!   [`ipa_core::ChangeTracker`]: small accumulated changes become delta
 //!   records appended to the original flash page via `write_delta`;
-//!   everything else is a traditional out-of-place page write.
-//! * [`HeapFile`] — tuple storage with insert/update/delete/scan, row
-//!   locks and physical REDO/UNDO logging.
-//! * [`BTree`] — a paged B+-tree whose node mutations flow through the
-//!   same byte-level tracking (index pages benefit from IPA too).
+//!   everything else is a traditional out-of-place page write — decided in
+//!   one place, `pager.rs`'s `stage_flush`.
+//! * [`Database::create_heap`] — heap files (`heap.rs`): tuple storage with
+//!   insert/update/delete/scan, row locks and physical REDO/UNDO logging.
+//! * [`Database::create_index`] — a paged B+-tree (`btree.rs`) whose node
+//!   mutations flow through the same byte-level tracking (index pages
+//!   benefit from IPA too).
 //! * [`Database::simulate_crash`] + [`Database::recover`] — ARIES
 //!   analysis/redo/undo restart over the flash image, exercising the §6.2
 //!   interplay between delta records and recovery.
@@ -56,12 +63,15 @@
     )
 )]
 
+mod adaptive;
 mod btree;
 mod buffer;
 mod db;
 mod error;
 mod heap;
 mod lock;
+mod log;
+mod pager;
 mod pool;
 mod recovery;
 mod session;
@@ -69,20 +79,19 @@ mod stats;
 mod txn;
 mod wal;
 
-pub use btree::BTree;
-pub use buffer::{BufferPool, Frame, SweepStats};
+pub use buffer::SweepStats;
 pub use db::{Database, DbBuilder, DbConfig, PageId};
 pub use error::EngineError;
-pub use heap::{HeapFile, Rid};
-pub use lock::{LockManager, LockMode, LockPolicy};
+pub use heap::Rid;
+pub use lock::LockPolicy;
 pub use pool::{ClientPool, InterleavedClient, PoolConfig, PoolRunReport, Schedule, StepOutcome};
 pub use session::Txn;
 pub use stats::{EngineStats, TraceEvent};
 // The trait behind `EngineStats` / `SweepStats` (`merge`, `delta_since`,
 // `reset`, `walk`), so engine users need no `ipa-noftl` import for it.
 pub use ipa_noftl::Counters;
-pub use txn::{TxId, TxnTable};
-pub use wal::{LogPayload, LogRecord, Lsn, Wal, LOG_CHUNK_BYTES};
+pub use txn::TxId;
+pub use wal::{Lsn, LOG_CHUNK_BYTES};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, EngineError>;

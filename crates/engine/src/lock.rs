@@ -95,12 +95,6 @@ pub struct LockManager {
     deaths: u64,
 }
 
-impl Default for LockManager {
-    fn default() -> Self {
-        LockManager::new()
-    }
-}
-
 /// Keys come from inside the engine (heap ids and RIDs), so a multiplicative
 /// mix is enough: rows of one table differ in their low bits.
 fn hash(key: LockKey) -> usize {
@@ -133,12 +127,14 @@ impl LockManager {
     }
 
     /// Conflicts resolved as "wait" under wait-die.
+    #[cfg(test)]
     pub fn wait_count(&self) -> u64 {
         self.waits
     }
 
     /// Conflicts resolved as "die" under wait-die (deadlock-avoidance
     /// aborts).
+    #[cfg(test)]
     pub fn death_count(&self) -> u64 {
         self.deaths
     }
@@ -277,6 +273,7 @@ impl LockManager {
     }
 
     /// Locks currently held (diagnostics).
+    #[cfg(test)]
     pub fn held_count(&self) -> usize {
         self.held
     }

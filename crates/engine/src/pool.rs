@@ -164,7 +164,7 @@ impl ClientPool {
         mut clients: Vec<Box<dyn InterleavedClient + '_>>,
     ) -> Result<PoolRunReport> {
         let wait_die = db.lock_policy() == LockPolicy::WaitDie;
-        let batched = db.config.group_commit_batch > 1;
+        let batched = db.config().group_commit_batch > 1;
         let mut states = vec![SlotState::Idle; clients.len()];
         let mut report = PoolRunReport::default();
         // Commits parked in the group-commit stage with their begin times:
@@ -180,7 +180,7 @@ impl ClientPool {
         // not this run's work.
         db.flush_group_commit();
         db.drain_group_acks();
-        let t0 = db.ftl.device().clock().now_ns();
+        let t0 = db.now_ns();
 
         loop {
             // A Waiting client becomes eligible once its holder finished.
@@ -238,7 +238,7 @@ impl ClientPool {
                 SlotState::Idle => {
                     if clients[slot].begin_txn() {
                         let tx = db.txn().park();
-                        let started_ns = db.ftl.device().clock().now_ns();
+                        let started_ns = db.now_ns();
                         states[slot] = SlotState::Running { tx, started_ns };
                     } else {
                         states[slot] = SlotState::Finished;
@@ -247,7 +247,7 @@ impl ClientPool {
                 SlotState::Restarting => {
                     clients[slot].restart();
                     let tx = db.txn().park();
-                    let started_ns = db.ftl.device().clock().now_ns();
+                    let started_ns = db.now_ns();
                     states[slot] = SlotState::Running { tx, started_ns };
                 }
                 SlotState::Running { tx, started_ns }
@@ -264,7 +264,7 @@ impl ClientPool {
                             if batched {
                                 pending_ack.push((tx, started_ns));
                             } else {
-                                let now = db.ftl.device().clock().now_ns();
+                                let now = db.now_ns();
                                 report.committed += 1;
                                 report.commit_latency_ns.push(now - started_ns);
                             }
@@ -281,9 +281,7 @@ impl ClientPool {
                             txn.park();
                             db.stats.lock_waits += 1;
                             report.lock_waits += 1;
-                            if db.ftl.observing() {
-                                db.ftl.emit(EventKind::LockWait, None, None);
-                            }
+                            db.emit(EventKind::LockWait, None, None);
                             states[slot] = SlotState::Waiting { tx, on: holder, started_ns };
                         }
                         Err(EngineError::LockConflict { .. }) if wait_die => {
@@ -310,7 +308,7 @@ impl ClientPool {
         // threshold still have to reach the log.
         db.flush_group_commit();
         drain_acks(db, &mut pending_ack, &mut report);
-        report.elapsed_ns = db.ftl.device().clock().now_ns().saturating_sub(t0);
+        report.elapsed_ns = db.now_ns().saturating_sub(t0);
         Ok(report)
     }
 }
@@ -318,7 +316,7 @@ impl ClientPool {
 /// Record durability acks (and their latencies) from the group-commit
 /// stage into the report.
 fn drain_acks(db: &mut Database, pending: &mut Vec<(TxId, u64)>, report: &mut PoolRunReport) {
-    let now = db.ftl.device().clock().now_ns();
+    let now = db.now_ns();
     for tx in db.drain_group_acks() {
         report.committed += 1;
         if let Some(i) = pending.iter().position(|&(parked, _)| parked == tx) {
@@ -420,7 +418,7 @@ mod tests {
         // Batching goes live only after seeding, so the seed commit is not
         // parked into the measured window.
         let clients = seeded(&mut db, 4, 4);
-        db.config.group_commit_batch = 4;
+        db.config_mut().group_commit_batch = 4;
         db.reset_stats();
         let pool = ClientPool::new(PoolConfig::default());
         let report = pool.run(&mut db, clients).unwrap();
@@ -466,7 +464,7 @@ mod tests {
             let mut db = test_db(NxM::tpcc(), 32);
             db.set_lock_policy(LockPolicy::WaitDie);
             let clients = seeded(&mut db, 4, 5);
-            db.config.group_commit_batch = 3;
+            db.config_mut().group_commit_batch = 3;
             let pool = ClientPool::new(PoolConfig {
                 seed: 42,
                 schedule: Schedule::Weighted(vec![2, 1, 1, 1]),

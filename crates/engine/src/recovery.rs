@@ -22,6 +22,7 @@
 use std::collections::BTreeMap;
 
 use ipa_core::{ChangeTracker, DbPage};
+use ipa_noftl::{EventKind, RecoveryPhaseKind, SpanCategory};
 
 use crate::db::{Database, PageId};
 use crate::error::EngineError;
@@ -29,14 +30,9 @@ use crate::txn::TxId;
 use crate::wal::{LogPayload, LogRecord, Lsn};
 use crate::Result;
 
-/// Roll back one active transaction (normal abort path and restart undo).
-pub(crate) fn rollback(db: &mut Database, tx: TxId) -> Result<()> {
-    rollback_budgeted(db, tx, &mut None).map(|_| ())
-}
-
-/// Roll back one transaction, appending at most the budgeted number of
-/// CLRs when a budget is given (crash-during-recovery fault injection —
-/// `None` means unlimited). Returns the CLRs appended and whether the
+/// Roll back one transaction (the abort path and restart undo), appending
+/// at most the budgeted number of CLRs when a budget is given
+/// (crash-during-recovery fault injection — `None` means unlimited). Returns the CLRs appended and whether the
 /// rollback ran to completion. A partial rollback leaves the transaction's
 /// undo chain ending in its CLRs, so a rerun restart resumes at the last
 /// CLR's `undo_next` — repeating history, never re-undoing undone work.
@@ -51,7 +47,7 @@ pub(crate) fn rollback_budgeted(
         if matches!(budget, Some(0)) {
             return Ok((clrs, false));
         }
-        let Some(rec) = db.wal.get(cursor) else { break };
+        let Some(rec) = db.wal().get(cursor) else { break };
         match &rec.payload {
             LogPayload::Clr { undo_next, .. } => {
                 cursor = *undo_next;
@@ -109,22 +105,6 @@ fn invert(payload: &LogPayload) -> Option<LogPayload<&[u8]>> {
     }
 }
 
-/// Fetch a page for redo; a page that never reached flash and is not
-/// buffered is re-materialized as a freshly formatted page (its entire
-/// content will be rebuilt by redo).
-fn ensure_page(db: &mut Database, pid: PageId) -> Result<()> {
-    if db.pool.contains(pid) || db.ftl.is_mapped(ipa_noftl::RegionId(pid.region), pid.lba) {
-        return Ok(());
-    }
-    // Make room first.
-    if !db.pool.has_free_slot() {
-        let victim = db.pool.pick_victim().ok_or(EngineError::PoolExhausted)?;
-        db.flush_frame(victim, ipa_noftl::IoCtx::host())?;
-        db.pool.remove(victim);
-    }
-    db.insert_fresh_frame(pid, None)
-}
-
 /// Apply one physical change to `page`. During redo (`check_lsn = true`)
 /// the change is skipped when the page already reflects `lsn`. A frame the
 /// change dirties takes `lsn`, the record being applied, as its recovery
@@ -136,7 +116,7 @@ fn apply_to_page(
     check_lsn: bool,
     change: impl FnOnce(&mut DbPage, &mut ChangeTracker) -> Result<()>,
 ) -> Result<()> {
-    ensure_page(db, page)?;
+    db.ensure_page(page)?;
     db.with_page_mut_at(page, lsn, |p, t| {
         if check_lsn && p.lsn() >= lsn.0 {
             return Ok(());
@@ -248,7 +228,7 @@ fn apply_action_healed(
         Err(e) if is_uncorrectable(e) => {}
         _ => return second,
     }
-    db.ftl.trim(ipa_noftl::RegionId(pid.region), pid.lba)?;
+    db.trim_page(pid)?;
     db.stats.recovery_page_rebuilds += 1;
     apply_action(db, lsn, action, check_lsn)
 }
@@ -259,12 +239,9 @@ impl Database {
     /// contents (including ISPP-appended delta records) survive.
     pub fn simulate_crash(&mut self) {
         self.debug_check_quiesced();
-        self.pool.clear();
-        self.wal.lose_unflushed();
+        self.drop_pool();
+        self.crash_log();
         self.reset_locks();
-        // Parked group commits lose their unforced Commit records (they
-        // roll back during recovery); undrained acks die with the host.
-        self.clear_group_commit();
         // Active transactions are rediscovered by analysis; their trace
         // spans end with the host.
         let active: Vec<TxId> = self.txns.snapshot().into_iter().map(|(t, _)| t).collect();
@@ -308,27 +285,23 @@ impl Database {
     }
 
     fn restart(&mut self, bounded: bool, undo_budget: Option<u64>) -> Result<()> {
-        let result = self.in_span(ipa_noftl::SpanCategory::Recovery, None, |db, root| {
-            db.recover_inner(bounded, undo_budget, root)
+        let phase = SpanCategory::Recovery;
+        let result = self.in_span(phase, None, |db, root| {
+            let t0 = db.now_ns();
+            let Analysis { use_dpt, start, losers, dpt, records } =
+                db.in_span(phase, Some(root), |db, _| db.analysis_pass(bounded));
+            db.in_span(phase, Some(root), |db, _| db.redo_pass(use_dpt, start, &dpt, records))?;
+            db.in_span(phase, Some(root), |db, _| db.undo_pass(losers, undo_budget))?;
+            db.stats.recovery_ns += db.now_ns().saturating_sub(t0);
+            Ok(())
         });
         self.debug_check_quiesced();
         result
     }
 
-    fn recover_inner(
-        &mut self,
-        bounded: bool,
-        undo_budget: Option<u64>,
-        root: ipa_noftl::SpanId,
-    ) -> Result<()> {
-        let t0 = self.ftl.device().clock().now_ns();
-        let phase = ipa_noftl::SpanCategory::Recovery;
-        let Analysis { use_dpt, start, losers, dpt, records } =
-            self.in_span(phase, Some(root), |db, _| db.analysis_pass(bounded));
-        self.in_span(phase, Some(root), |db, _| db.redo_pass(use_dpt, start, &dpt, records))?;
-        self.in_span(phase, Some(root), |db, _| db.undo_pass(losers, undo_budget))?;
-        self.stats.recovery_ns += self.ftl.device().clock().now_ns().saturating_sub(t0);
-        Ok(())
+    /// Trace the end of a restart pass and how many records it handled.
+    fn emit_phase(&mut self, phase: RecoveryPhaseKind, records: u64) {
+        self.emit(EventKind::RecoveryPhase { phase, records }, None, None);
     }
 
     /// Analysis: find the losers and the dirty-page table.
@@ -336,15 +309,15 @@ impl Database {
         // The last *complete* checkpoint, validated against the retained
         // log (the pair tracker already invalidates truncated or
         // unflushed checkpoints; the payload check is belt and braces).
-        let ckpt = if bounded { self.wal.last_checkpoint_pair() } else { None };
-        let ckpt = ckpt.filter(|&(begin, end)| self.wal.retains_checkpoint(begin, end));
-        let start = ckpt.map_or(self.wal.tail(), |(begin, _)| begin);
+        let ckpt = if bounded { self.wal().last_checkpoint_pair() } else { None };
+        let ckpt = ckpt.filter(|&(begin, end)| self.wal().retains_checkpoint(begin, end));
+        let start = ckpt.map_or(self.wal().tail(), |(begin, _)| begin);
         let mut losers: BTreeMap<TxId, Lsn> = BTreeMap::new();
         // Dirty-page table: page -> recLSN (earliest record that may not
         // be reflected on flash). Seeded from the checkpoint's `dirty`
         // entries, augmented by every page action analysis scans.
         let mut dpt: BTreeMap<PageId, Lsn> = BTreeMap::new();
-        let records: Vec<LogRecord> = self.wal.iter_from(start).collect();
+        let records: Vec<LogRecord> = self.wal().iter_from(start).collect();
         for rec in &records {
             match &rec.payload {
                 LogPayload::Commit { tx } | LogPayload::Abort { tx } => {
@@ -374,13 +347,7 @@ impl Database {
             }
         }
         self.stats.analysis_records += records.len() as u64;
-        if self.ftl.observing() {
-            let kind = ipa_noftl::EventKind::RecoveryPhase {
-                phase: ipa_noftl::RecoveryPhaseKind::Analysis,
-                records: records.len() as u64,
-            };
-            self.ftl.emit(kind, None, None);
-        }
+        self.emit_phase(RecoveryPhaseKind::Analysis, records.len() as u64);
         Analysis { use_dpt: ckpt.is_some(), start, losers, dpt, records }
     }
 
@@ -402,15 +369,15 @@ impl Database {
         } else {
             start
         };
-        if use_dpt && redo_start > self.wal.tail() {
+        if use_dpt && redo_start > self.wal().tail() {
             // Index-root replay below the redo window: root pointers are
             // in-memory catalog state, not pages, so the DPT cannot bound
             // them. Replaying every retained RootChange — cheap pointer
             // writes, no page I/O — keeps bounded restart bit-identical
             // to the full scan (the redo loop handles the rest in order).
             let roots: Vec<(u32, PageId)> = self
-                .wal
-                .iter_from(self.wal.tail())
+                .wal()
+                .iter_from(self.wal().tail())
                 .take_while(|r| r.lsn < redo_start)
                 .filter_map(|r| match &r.payload {
                     LogPayload::RootChange { index, new_root, .. } => Some((*index, *new_root)),
@@ -422,7 +389,7 @@ impl Database {
             }
         }
         let redo_records: Vec<_> =
-            if redo_start < start { self.wal.iter_from(redo_start).collect() } else { records };
+            if redo_start < start { self.wal().iter_from(redo_start).collect() } else { records };
         let mut applied = 0u64;
         for rec in &redo_records {
             let action: Option<&LogPayload> = match &rec.payload {
@@ -466,13 +433,7 @@ impl Database {
             applied += 1;
         }
         self.stats.redo_applied += applied;
-        if self.ftl.observing() {
-            let kind = ipa_noftl::EventKind::RecoveryPhase {
-                phase: ipa_noftl::RecoveryPhaseKind::Redo,
-                records: applied,
-            };
-            self.ftl.emit(kind, None, None);
-        }
+        self.emit_phase(RecoveryPhaseKind::Redo, applied);
         Ok(())
     }
 
@@ -496,17 +457,11 @@ impl Database {
                 break;
             }
             let lsn = self.log_for_tx(tx, LogPayload::Abort { tx })?;
-            self.wal.flush_to(lsn);
+            self.flush_log_to(lsn);
             self.txns.finish(tx);
             self.stats.aborts += 1;
         }
-        if self.ftl.observing() {
-            let kind = ipa_noftl::EventKind::RecoveryPhase {
-                phase: ipa_noftl::RecoveryPhaseKind::Undo,
-                records: clrs,
-            };
-            self.ftl.emit(kind, None, None);
-        }
+        self.emit_phase(RecoveryPhaseKind::Undo, clrs);
         Ok(())
     }
 }
@@ -530,16 +485,36 @@ struct Analysis {
 mod tests {
     use crate::db::tests::test_db;
     use crate::error::EngineError;
+    use crate::heap::Rid;
     use crate::wal::Lsn;
+    use crate::Database;
     use ipa_core::NxM;
+
+    /// A `[2×3]` database of `frames` frames, a heap and one committed row.
+    fn seeded(frames: usize, tuple: &[u8]) -> (Database, u32, Rid) {
+        let mut db = test_db(NxM::tpcc(), frames);
+        let heap = db.create_heap(0);
+        let mut tx = db.txn();
+        let rid = tx.heap_insert(heap, tuple).unwrap();
+        tx.commit().unwrap();
+        (db, heap, rid)
+    }
+
+    fn crash_and_recover(db: &mut Database) {
+        db.simulate_crash();
+        db.recover().unwrap();
+    }
+
+    /// One committed update of a row.
+    fn commit_update(db: &mut Database, heap: u32, rid: Rid, tuple: &[u8]) {
+        let mut tx = db.txn();
+        tx.heap_update(heap, rid, tuple).unwrap();
+        tx.commit().unwrap();
+    }
 
     #[test]
     fn abort_rolls_back_update() {
-        let mut db = test_db(NxM::tpcc(), 16);
-        let heap = db.create_heap(0);
-        let mut tx = db.txn();
-        let rid = tx.heap_insert(heap, &[1u8, 2, 3]).unwrap();
-        tx.commit().unwrap();
+        let (mut db, heap, rid) = seeded(16, &[1u8, 2, 3]);
 
         let mut tx = db.txn();
         tx.heap_update(heap, rid, &[9u8, 9, 9]).unwrap();
@@ -550,11 +525,7 @@ mod tests {
 
     #[test]
     fn abort_rolls_back_insert_and_delete() {
-        let mut db = test_db(NxM::tpcc(), 16);
-        let heap = db.create_heap(0);
-        let mut tx = db.txn();
-        let keep = tx.heap_insert(heap, b"keep").unwrap();
-        tx.commit().unwrap();
+        let (mut db, heap, keep) = seeded(16, b"keep");
 
         let mut tx = db.txn();
         let gone = tx.heap_insert(heap, b"gone").unwrap();
@@ -566,30 +537,19 @@ mod tests {
 
     #[test]
     fn crash_recovery_redoes_committed_work() {
-        let mut db = test_db(NxM::tpcc(), 16);
-        let heap = db.create_heap(0);
-        let mut tx = db.txn();
-        let rid = tx.heap_insert(heap, &[1u8, 1, 1, 1]).unwrap();
-        tx.commit().unwrap();
+        let (mut db, heap, rid) = seeded(16, &[1u8, 1, 1, 1]);
         db.flush_all().unwrap();
 
         // Committed update that never reached flash as a page write.
-        let mut tx = db.txn();
-        tx.heap_update(heap, rid, &[2u8, 1, 1, 1]).unwrap();
-        tx.commit().unwrap();
+        commit_update(&mut db, heap, rid, &[2u8, 1, 1, 1]);
 
-        db.simulate_crash();
-        db.recover().unwrap();
+        crash_and_recover(&mut db);
         assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![2, 1, 1, 1]);
     }
 
     #[test]
     fn crash_recovery_undoes_loser() {
-        let mut db = test_db(NxM::tpcc(), 16);
-        let heap = db.create_heap(0);
-        let mut tx = db.txn();
-        let rid = tx.heap_insert(heap, &[5u8, 5]).unwrap();
-        tx.commit().unwrap();
+        let (mut db, heap, rid) = seeded(16, &[5u8, 5]);
         db.flush_all().unwrap();
 
         // Loser: updates, log flushed (so the update survives the crash in
@@ -599,10 +559,9 @@ mod tests {
         tx.heap_update(heap, rid, &[7u8, 5]).unwrap();
         let _loser = tx.park();
         db.flush_all().unwrap(); // steal: dirty page reaches flash
-        db.wal.flush_to(db.wal.head());
+        db.force_log();
 
-        db.simulate_crash();
-        db.recover().unwrap();
+        crash_and_recover(&mut db);
         assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![5, 5]);
         assert!(db.stats().aborts >= 1);
     }
@@ -612,26 +571,17 @@ mod tests {
         // The §6.2 scenario: the page's latest flushed state lives partly
         // in ISPP-appended delta records; recovery must reconstruct from
         // them before redo.
-        let mut db = test_db(NxM::tpcc(), 16);
-        let heap = db.create_heap(0);
-        let mut tx = db.txn();
-        let rid = tx.heap_insert(heap, &[9u8, 7, 7, 7]).unwrap();
-        tx.commit().unwrap();
+        let (mut db, heap, rid) = seeded(16, &[9u8, 7, 7, 7]);
         db.flush_all().unwrap(); // out-of-place (fresh page)
 
-        let mut tx = db.txn();
-        tx.heap_update(heap, rid, &[3u8, 7, 7, 7]).unwrap();
-        tx.commit().unwrap();
+        commit_update(&mut db, heap, rid, &[3u8, 7, 7, 7]);
         db.flush_all().unwrap(); // IPA append
         assert!(db.stats().ipa_flushes >= 1);
 
         // Another committed update, in the log only.
-        let mut tx = db.txn();
-        tx.heap_update(heap, rid, &[4u8, 7, 7, 7]).unwrap();
-        tx.commit().unwrap();
+        commit_update(&mut db, heap, rid, &[4u8, 7, 7, 7]);
 
-        db.simulate_crash();
-        db.recover().unwrap();
+        crash_and_recover(&mut db);
         assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![4, 7, 7, 7]);
     }
 
@@ -643,21 +593,17 @@ mod tests {
         // slot 1 — another row's future address — and carry on.
         use crate::txn::TxId;
         use crate::wal::LogPayload;
-        let mut db = test_db(NxM::tpcc(), 16);
-        let heap = db.create_heap(0);
-        let mut tx = db.txn();
-        let rid = tx.heap_insert(heap, &[1u8; 8]).unwrap();
-        tx.commit().unwrap();
+        let (mut db, _, rid) = seeded(16, &[1u8; 8]);
         db.flush_all().unwrap();
 
         let forger = TxId(4_000);
         let slot = ipa_core::SlotId(rid.slot.0 + 5);
-        let begin = db.wal.append(Lsn::NULL, LogPayload::<&[u8]>::Begin { tx: forger });
-        let insert = db.wal.append(
+        let begin = db.wal_mut().append(Lsn::NULL, LogPayload::<&[u8]>::Begin { tx: forger });
+        let insert = db.wal_mut().append(
             begin,
             LogPayload::Insert { tx: forger, page: rid.page, slot, tuple: &[2u8; 8] },
         );
-        db.wal.append(insert, LogPayload::<&[u8]>::Commit { tx: forger });
+        db.wal_mut().append(insert, LogPayload::<&[u8]>::Commit { tx: forger });
         db.force_log();
 
         db.simulate_crash();
@@ -668,20 +614,15 @@ mod tests {
 
     #[test]
     fn uncommitted_unflushed_work_simply_vanishes() {
-        let mut db = test_db(NxM::tpcc(), 16);
-        let heap = db.create_heap(0);
-        let mut tx = db.txn();
-        let rid = tx.heap_insert(heap, b"base").unwrap();
-        tx.commit().unwrap();
+        let (mut db, heap, rid) = seeded(16, b"base");
         db.flush_all().unwrap();
-        db.wal.flush_to(db.wal.head());
+        db.force_log();
 
         let mut tx = db.txn();
         tx.heap_update(heap, rid, b"temp").unwrap();
         let _loser = tx.park();
         // Neither the log suffix nor the page flushed.
-        db.simulate_crash();
-        db.recover().unwrap();
+        crash_and_recover(&mut db);
         assert_eq!(db.heap_read_unlocked(rid).unwrap(), b"base");
     }
 
@@ -691,17 +632,11 @@ mod tests {
         // the crash. Redo must not abort the restart: the residency is
         // read-retried, then dropped, and the page rebuilt purely from
         // the surviving redo history.
-        let mut db = test_db(NxM::tpcc(), 16);
-        let heap = db.create_heap(0);
-        let mut tx = db.txn();
-        let rid = tx.heap_insert(heap, &[6u8, 6, 6, 6]).unwrap();
-        tx.commit().unwrap();
+        let (mut db, heap, rid) = seeded(16, &[6u8, 6, 6, 6]);
         db.flush_all().unwrap();
 
         // Committed update in the log only.
-        let mut tx = db.txn();
-        tx.heap_update(heap, rid, &[8u8, 6, 6, 6]).unwrap();
-        tx.commit().unwrap();
+        commit_update(&mut db, heap, rid, &[8u8, 6, 6, 6]);
 
         // 48 raw bit errors > the default 40-bit ECC capability.
         let bits: Vec<usize> = (0..48).collect();
@@ -709,8 +644,7 @@ mod tests {
             .inject_retention(ipa_noftl::RegionId(rid.page.region), rid.page.lba, &bits)
             .unwrap();
 
-        db.simulate_crash();
-        db.recover().unwrap();
+        crash_and_recover(&mut db);
         assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![8, 6, 6, 6]);
         assert!(db.stats().read_retries >= 1, "read retry must be counted");
         assert!(db.stats().recovery_page_rebuilds >= 1, "rebuild must be counted");
@@ -741,8 +675,7 @@ mod tests {
             tx.index_insert(idx, k, k).unwrap();
         }
         tx.commit().unwrap();
-        db.simulate_crash();
-        db.recover().unwrap();
+        crash_and_recover(&mut db);
         for k in 0..50u64 {
             assert_eq!(db.index_lookup(idx, k).unwrap(), Some(k));
         }
@@ -750,15 +683,9 @@ mod tests {
 
     #[test]
     fn double_crash_is_idempotent() {
-        let mut db = test_db(NxM::tpcc(), 16);
-        let heap = db.create_heap(0);
-        let mut tx = db.txn();
-        let rid = tx.heap_insert(heap, &[1u8]).unwrap();
-        tx.commit().unwrap();
-        db.simulate_crash();
-        db.recover().unwrap();
-        db.simulate_crash();
-        db.recover().unwrap();
+        let (mut db, _, rid) = seeded(16, &[1u8]);
+        crash_and_recover(&mut db);
+        crash_and_recover(&mut db);
         assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![1]);
     }
 
@@ -778,25 +705,20 @@ mod tests {
         db.flush_all().unwrap();
         db.force_log();
         // Batching on from here: the seed txn committed synchronously.
-        db.config.group_commit_batch = 4;
+        db.config_mut().group_commit_batch = 4;
 
         // Four commits fill a batch -> flushed and acked.
         for (i, rid) in rids.iter().take(4).enumerate() {
-            let mut tx = db.txn();
-            tx.heap_update(heap, *rid, &[i as u8 + 10; 4]).unwrap();
-            tx.commit().unwrap();
+            commit_update(&mut db, heap, *rid, &[i as u8 + 10; 4]);
         }
         assert_eq!(db.drain_group_acks().len(), 4);
         // Two more park and never reach the batch threshold.
         for (i, rid) in rids.iter().skip(4).enumerate() {
-            let mut tx = db.txn();
-            tx.heap_update(heap, *rid, &[i as u8 + 20; 4]).unwrap();
-            tx.commit().unwrap();
+            commit_update(&mut db, heap, *rid, &[i as u8 + 20; 4]);
         }
         assert_eq!(db.group_commit_pending(), 2);
 
-        db.simulate_crash();
-        db.recover().unwrap();
+        crash_and_recover(&mut db);
         for (i, rid) in rids.iter().take(4).enumerate() {
             assert_eq!(
                 db.heap_read_unlocked(*rid).unwrap(),
@@ -822,26 +744,20 @@ mod tests {
         // below forces the WAL prefix (WAL-before-data), so after a crash
         // the txn is a loser whose undo depends on exactly those records
         // — losing them would let the update survive unacknowledged.
-        let mut db = test_db(NxM::tpcc(), 32);
-        let heap = db.create_heap(0);
-        let mut seed = db.txn();
-        let rid = seed.heap_insert(heap, &[0u8; 4]).unwrap();
-        seed.commit().unwrap();
+        let (mut db, heap, rid) = seeded(32, &[0u8; 4]);
         db.flush_all().unwrap();
         db.force_log();
 
-        db.config.group_commit_batch = 4;
-        let before = db.wal.head();
-        let mut tx = db.txn();
-        tx.heap_update(heap, rid, &[9u8; 4]).unwrap();
-        tx.commit().unwrap(); // parks — batch never fills
+        db.config_mut().group_commit_batch = 4;
+        let before = db.wal_head();
+        commit_update(&mut db, heap, rid, &[9u8; 4]); // parks — batch never fills
         assert_eq!(db.group_commit_pending(), 1);
         db.flush_all().unwrap(); // steal: forces the log, then writes the page
 
         db.reclaim_log_space().unwrap();
         let parked_first = Lsn(before.0 + 1);
         assert!(
-            db.wal.get(parked_first).is_some(),
+            db.wal().get(parked_first).is_some(),
             "reclaim must retain the parked txn's records (old keep, computed from \
              active transactions only, truncated them)"
         );
@@ -850,8 +766,7 @@ mod tests {
         // durable: after a crash the transaction is a *winner* and its
         // retained records let redo reproduce it exactly — not a torn
         // half-applied update with no history to decide either way.
-        db.simulate_crash();
-        db.recover().unwrap();
+        crash_and_recover(&mut db);
         assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![9u8; 4], "atomic across the crash");
         assert_eq!(db.group_commit_pending(), 0);
     }
@@ -882,11 +797,7 @@ mod tests {
         // (after its CLRs are forced), the machine crashes again, and a
         // rerun restart must converge — CLR `undo_next` chains mean undone
         // work is never re-undone, history just repeats.
-        let mut db = test_db(NxM::tpcc(), 16);
-        let heap = db.create_heap(0);
-        let mut seed = db.txn();
-        let rid = seed.heap_insert(heap, &[1u8; 8]).unwrap();
-        seed.commit().unwrap();
+        let (mut db, heap, rid) = seeded(16, &[1u8; 8]);
         db.flush_all().unwrap();
         db.force_log();
 
@@ -902,12 +813,10 @@ mod tests {
         db.simulate_crash();
         // First restart dies after a single CLR (which it forces).
         db.recover_interrupted(1).unwrap();
-        db.simulate_crash();
-        db.recover().unwrap();
+        crash_and_recover(&mut db);
         assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![1u8; 8], "rerun converges");
         // A third run is a no-op fixpoint.
-        db.simulate_crash();
-        db.recover().unwrap();
+        crash_and_recover(&mut db);
         assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![1u8; 8]);
     }
 
@@ -939,12 +848,9 @@ mod tests {
         }
         db.checkpoint().unwrap(); // DPT = { hot's page -> early recLSN }
 
-        let mut tx = db.txn();
-        tx.heap_update(heap, hot, &[99u8; 8]).unwrap();
-        tx.commit().unwrap();
+        commit_update(&mut db, heap, hot, &[99u8; 8]);
 
-        db.simulate_crash();
-        db.recover().unwrap();
+        crash_and_recover(&mut db);
         assert_eq!(db.heap_read_unlocked(hot).unwrap(), vec![99u8; 8]);
         for (i, rid) in cold.iter().enumerate() {
             assert_eq!(db.heap_read_unlocked(*rid).unwrap(), vec![i as u8; 300]);
@@ -959,21 +865,15 @@ mod tests {
         // Restart redo dirties the page with a record from the middle of
         // the log. A checkpoint taken afterwards must give that record as
         // the page's recLSN, or the next bounded restart skips it.
-        let mut db = test_db(NxM::tpcc(), 16);
-        let heap = db.create_heap(0);
-        let mut tx = db.txn();
-        let a = tx.heap_insert(heap, &[1u8; 32]).unwrap();
-        tx.commit().unwrap();
+        let (mut db, heap, a) = seeded(16, &[1u8; 32]);
         db.flush_all().unwrap();
         let mut tx = db.txn();
         let b = tx.heap_insert(heap, &[2u8; 32]).unwrap();
         tx.commit().unwrap(); // in the log only
 
-        db.simulate_crash();
-        db.recover().unwrap(); // redo re-inserts `b`: the page is dirty again
+        crash_and_recover(&mut db); // redo re-inserts `b`: the page is dirty again
         db.checkpoint().unwrap();
-        db.simulate_crash();
-        db.recover().unwrap();
+        crash_and_recover(&mut db);
         assert_eq!(db.heap_read_unlocked(a).unwrap(), vec![1u8; 32]);
         assert_eq!(db.heap_read_unlocked(b).unwrap(), vec![2u8; 32]);
     }
@@ -984,11 +884,7 @@ mod tests {
         // page with a CLR it has just appended. A checkpoint taken
         // afterwards must give that CLR as the page's recLSN, or bounded
         // restart skips it and the aborted image comes back.
-        let mut db = test_db(NxM::tpcc(), 16);
-        let heap = db.create_heap(0);
-        let mut tx = db.txn();
-        let rid = tx.heap_insert(heap, &[1u8; 32]).unwrap();
-        tx.commit().unwrap();
+        let (mut db, heap, rid) = seeded(16, &[1u8; 32]);
         db.flush_all().unwrap();
         let mut tx = db.txn();
         tx.heap_update(heap, rid, &[9u8; 32]).unwrap();
@@ -996,8 +892,7 @@ mod tests {
         tx.abort().unwrap();
         db.checkpoint().unwrap();
 
-        db.simulate_crash();
-        db.recover().unwrap();
+        crash_and_recover(&mut db);
         assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![1u8; 32]);
     }
 
@@ -1012,8 +907,7 @@ mod tests {
         tx.index_insert(idx, 10, 100).unwrap();
         tx.commit().unwrap();
         db.checkpoint().unwrap();
-        db.simulate_crash();
-        db.recover().unwrap();
+        crash_and_recover(&mut db);
         assert_eq!(db.index_lookup(idx, 10).unwrap(), Some(100));
     }
 
@@ -1058,9 +952,7 @@ mod tests {
                         0..=4 => {
                             let a = (next() % 6) as usize;
                             let fill = (next() % 251) as u8;
-                            let mut tx = db.txn();
-                            tx.heap_update(heap, rids[a], &[fill; 16]).unwrap();
-                            tx.commit().unwrap();
+                            commit_update(&mut db, heap, rids[a], &[fill; 16]);
                         }
                         5 | 6 => {
                             let k = next() % 32;

@@ -145,7 +145,7 @@ impl Drop for Txn<'_> {
         if self.db.abort_tx(self.id).is_err() {
             self.db.stats.abort_errors += 1;
         }
-        self.db.note_drop_abort();
+        self.db.stats.drop_aborts += 1;
     }
 }
 
@@ -229,5 +229,18 @@ mod tests {
         assert!(db.heap_read_unlocked(rid).is_err());
         assert_eq!(db.stats().aborts, 1);
         assert_eq!(db.stats().drop_aborts, 0, "explicit abort is not a drop-abort");
+    }
+
+    #[test]
+    fn parked_ids_finish_once_through_resume() {
+        let mut db = test_db(NxM::tpcc(), 8);
+        let tx = db.txn().park();
+        db.resume(tx).unwrap().commit().unwrap();
+        assert!(matches!(db.resume(tx), Err(EngineError::UnknownTx(_))));
+        let tx = db.txn().park();
+        db.resume(tx).unwrap().abort().unwrap();
+        assert!(matches!(db.resume(tx), Err(EngineError::UnknownTx(_))));
+        assert_eq!(db.stats().commits, 1);
+        assert_eq!(db.stats().aborts, 1);
     }
 }

@@ -108,6 +108,7 @@ impl TxnTable {
     }
 
     /// Number of active transactions.
+    #[cfg(test)]
     pub fn active_count(&self) -> usize {
         self.active.len()
     }

@@ -507,6 +507,7 @@ impl Wal {
     }
 
     /// Highest durably flushed LSN.
+    #[cfg(test)]
     pub fn flushed(&self) -> Lsn {
         self.flushed
     }
@@ -527,24 +528,15 @@ impl Wal {
     }
 
     /// Bytes currently retained.
+    #[cfg(test)]
     pub fn used_bytes(&self) -> usize {
         self.used_bytes
     }
 
-    /// End LSN of the most recent completed checkpoint, if retained.
-    pub fn last_checkpoint(&self) -> Option<Lsn> {
-        self.last_checkpoint.map(|(_, end)| end)
-    }
-
-    /// Begin LSN of the most recent completed checkpoint, if retained.
-    /// Restart analysis starts here; log reclamation must never truncate
-    /// past it (the Begin and End are not adjacent under fuzzy
+    /// Begin/End LSN pair of the most recent completed checkpoint, while
+    /// retained. Restart analysis starts at the Begin and log reclamation
+    /// must never truncate past it (the two are not adjacent under fuzzy
     /// checkpointing, so `end - 1` is wrong in both roles).
-    pub fn last_checkpoint_begin(&self) -> Option<Lsn> {
-        self.last_checkpoint.map(|(begin, _)| begin)
-    }
-
-    /// Begin/End LSN pair of the most recent completed checkpoint.
     pub fn last_checkpoint_pair(&self) -> Option<(Lsn, Lsn)> {
         self.last_checkpoint
     }
@@ -709,16 +701,13 @@ mod tests {
         wal.append(Lsn::NULL, upd(1));
         wal.append(Lsn::NULL, upd(2));
         let end = wal.append(Lsn::NULL, end_checkpoint());
-        assert_eq!(wal.last_checkpoint(), Some(end));
-        assert_eq!(wal.last_checkpoint_begin(), Some(begin));
         assert_eq!(wal.last_checkpoint_pair(), Some((begin, end)));
         // Truncating *to* the Begin keeps the checkpoint usable...
         wal.truncate_to(begin);
         assert_eq!(wal.last_checkpoint_pair(), Some((begin, end)));
         // ...truncating past it does not.
         wal.truncate_to(Lsn(begin.0 + 1));
-        assert_eq!(wal.last_checkpoint(), None);
-        assert_eq!(wal.last_checkpoint_begin(), None);
+        assert_eq!(wal.last_checkpoint_pair(), None);
     }
 
     #[test]

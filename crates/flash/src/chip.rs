@@ -64,16 +64,6 @@ impl Chip {
     pub fn total_erases(&self) -> u64 {
         self.blocks.iter().map(Block::erase_count).sum()
     }
-
-    /// Highest per-block erase count (wear-leveling metric).
-    pub fn max_erase_count(&self) -> u64 {
-        self.blocks.iter().map(Block::erase_count).max().unwrap_or(0)
-    }
-
-    /// Lowest per-block erase count (wear-leveling metric).
-    pub fn min_erase_count(&self) -> u64 {
-        self.blocks.iter().map(Block::erase_count).min().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -98,8 +88,6 @@ mod tests {
     fn fresh_chip_has_no_wear() {
         let c = Chip::new(&geom());
         assert_eq!(c.total_erases(), 0);
-        assert_eq!(c.max_erase_count(), 0);
-        assert_eq!(c.min_erase_count(), 0);
     }
 
     #[test]
@@ -110,8 +98,8 @@ mod tests {
         c.block_mut(0).erase(0, 0, 1000, &mut spare).unwrap();
         c.block_mut(2).erase(0, 2, 1000, &mut spare).unwrap();
         assert_eq!(c.total_erases(), 3);
-        assert_eq!(c.max_erase_count(), 2);
-        assert_eq!(c.min_erase_count(), 0);
+        assert_eq!(c.block(0).erase_count(), 2);
+        assert_eq!(c.block(1).erase_count(), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every stats struct of the stack ([`crate::FlashStats`],
 //! [`crate::ChipCounters`], and the region/engine ones upstream) is
-//! declared through [`counters!`](crate::counters), which generates the
+//! declared through [`counters!`](crate::counters!), which generates the
 //! struct and its [`Counters`] impl from the same field list. A field is
 //! written once; merging, interval deltas, resets and the snapshot JSON
 //! (rendered from [`Counters::walk`]) cannot miss it.

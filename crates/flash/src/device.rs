@@ -1059,7 +1059,7 @@ impl FlashDevice {
     /// Erase count of one block.
     pub fn block_erase_count(&self, chip: u32, block: u32) -> Result<u64> {
         self.check(Ppa::new(chip, block, 0))?;
-        Ok(self.chips[chip as usize].block(chip_block(self, chip, block)).erase_count())
+        Ok(self.chips[chip as usize].block(block).erase_count())
     }
 
     /// Erase-count histogram across all blocks: `(min, max, mean)` plus
@@ -1087,27 +1087,11 @@ impl FlashDevice {
         WearHistogram { min, max, mean, buckets }
     }
 
-    /// Per-chip (max − min) erase-count spread, the wear-leveling quality
-    /// metric.
-    pub fn wear_spread(&self) -> u64 {
-        self.chips
-            .iter()
-            .map(|c| c.max_erase_count().saturating_sub(c.min_erase_count()))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Number of programmed pages in a block (GC victim selection input).
     pub fn programmed_pages(&self, chip: u32, block: u32) -> Result<u32> {
         self.check(Ppa::new(chip, block, 0))?;
         Ok(self.chips[chip as usize].block(block).programmed_pages())
     }
-}
-
-// Small helper kept outside the impl to avoid borrow juggling in
-// `block_erase_count`.
-fn chip_block(_dev: &FlashDevice, _chip: u32, block: u32) -> u32 {
-    block
 }
 
 #[cfg(test)]

@@ -104,14 +104,13 @@ pub use error::FlashError;
 pub use fault::{FaultOp, FaultPlan, ScriptedFault};
 pub use geometry::{CellType, FlashGeometry, PageKind, Ppa};
 pub use obs::{
-    EventField, EventKind, ObsCtx, ObsEvent, Observer, OpClass, RecoveryPhaseKind, SpanCategory,
-    SpanId,
+    EventField, EventKind, ObsEvent, Observer, OpClass, RecoveryPhaseKind, SpanCategory, SpanId,
 };
 pub use page::PageState;
 pub use reliability::{ReadOutcome, ReliabilityConfig};
-pub use sched::{CmdId, Completion, IoScheduler};
+pub use sched::{CmdId, Completion};
 pub use stats::{FlashStats, LatencyHistogram};
-pub use timing::{ChipSchedule, FlashTiming, HostProfile, SimClock, NANOS_PER_MILLI};
+pub use timing::{FlashTiming, HostProfile, SimClock, NANOS_PER_MILLI};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, FlashError>;

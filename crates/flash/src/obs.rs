@@ -185,7 +185,7 @@ pub enum EventKind {
         chip: u32,
         /// Full-host-queue admission stall attributed to this command, ns.
         queue_wait_ns: u64,
-        /// Span the command executes under (staged [`ObsCtx`] span, or the
+        /// Span the command executes under (the span staged for it, or the
         /// innermost open span at submission).
         span: Option<SpanId>,
     },

@@ -3,7 +3,7 @@
 //! The paper leans on three reliability facts (§2.3, §6.2, Appendix C):
 //!
 //! * **Retention errors** — charge leaks over time, so programmed cells
-//!   (logical `0`) drift back towards `1`. Correct-and-Refresh [35] fixes
+//!   (logical `0`) drift back towards `1`. Correct-and-Refresh \[35\] fixes
 //!   them by re-programming the corrected image in place, which is itself an
 //!   ISPP append.
 //! * **Program interference** — (re-)programming a page capacitively couples

@@ -203,11 +203,6 @@ impl IoScheduler {
         // keep, and none of its scratch memory needed.
         out.sort_unstable_by_key(|c| (c.result.completed_at_ns, c.id));
     }
-
-    /// When `chip` becomes idle.
-    pub fn busy_until(&self, chip: u32) -> u64 {
-        self.schedule.busy_until(chip)
-    }
 }
 
 #[cfg(test)]

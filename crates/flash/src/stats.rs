@@ -178,11 +178,6 @@ crate::counters! {
 }
 
 impl FlashStats {
-    /// Total programs of any kind.
-    pub fn total_programs(&self) -> u64 {
-        self.host_programs + self.host_delta_programs + self.gc_programs
-    }
-
     /// Total host write requests (full pages + deltas) — the denominator of
     /// the paper's "per Host Write" rows.
     pub fn host_writes(&self) -> u64 {

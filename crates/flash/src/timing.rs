@@ -171,11 +171,6 @@ impl ChipSchedule {
         self.busy_until[chip as usize] = done;
         (start, done)
     }
-
-    /// When `chip` becomes idle.
-    pub fn busy_until(&self, chip: u32) -> u64 {
-        self.busy_until[chip as usize]
-    }
 }
 
 #[cfg(test)]

@@ -21,11 +21,6 @@ pub enum IpaMode {
 }
 
 impl IpaMode {
-    /// Whether the mode permits any in-place appends at all.
-    pub fn appends_possible(self) -> bool {
-        !matches!(self, IpaMode::None)
-    }
-
     /// Whether the mode restricts usable pages to LSB pages only.
     pub fn lsb_only_allocation(self) -> bool {
         matches!(self, IpaMode::PSlc)

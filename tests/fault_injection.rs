@@ -181,11 +181,9 @@ fn unhealable_faults_surface_as_errors_and_leave_nothing_behind() {
     }
 }
 
-#[test]
-fn batch_flush_that_fails_midway_leaves_the_device_idle() {
-    // The first page of the batch is queued, then every program fails for
-    // good until the region has no block left: `flush_all` returns the
-    // error with a command already in the queue, and must still drain it.
+/// A `[0×0]` database of `frames` frames whose first program passes and
+/// whose next 64 fail for good: more than the region has blocks to retire.
+fn db_whose_programs_fail_after_the_first(frames: usize) -> Database {
     let mut flash = FlashConfig::small_slc();
     flash.geometry.blocks_per_chip = 16;
     flash.geometry.pages_per_block = 8;
@@ -197,8 +195,15 @@ fn batch_flush_that_fails_midway_leaves_the_device_idle() {
         .single_region(IpaMode::Slc, 0.2)
         .build()
         .unwrap();
-    let mut db =
-        Database::builder(cfg).scheme(NxM::disabled()).config(DbConfig::eager(8)).open().unwrap();
+    Database::builder(cfg).scheme(NxM::disabled()).config(DbConfig::eager(frames)).open().unwrap()
+}
+
+#[test]
+fn batch_flush_that_fails_midway_leaves_the_device_idle() {
+    // The first page of the batch is queued, then every program fails for
+    // good until the region has no block left: `flush_all` returns the
+    // error with a command already in the queue, and must still drain it.
+    let mut db = db_whose_programs_fail_after_the_first(8);
     for _ in 0..4 {
         db.new_page(0).unwrap();
     }
@@ -208,6 +213,26 @@ fn batch_flush_that_fails_midway_leaves_the_device_idle() {
     assert_idle(db.ftl());
     // The next transaction boundary is where debug builds check the same.
     db.txn().commit().unwrap();
+}
+
+#[test]
+fn new_page_whose_eviction_fails_takes_no_lba() {
+    // Two frames: page 0 stays dirty, page 1 is flushed by the one program
+    // that passes; from then on every program fails for good. The third
+    // `new_page` evicts page 0 (CLOCK's first victim), whose flush runs the
+    // region out of blocks: the call fails and must leave LBA 2 where it
+    // was. The fourth evicts page 1, clean, with no flash write at all.
+    let mut db = db_whose_programs_fail_after_the_first(2);
+    let dirty = db.new_page(0).unwrap();
+    let clean = db.new_page(0).unwrap();
+    db.flush_page(clean).unwrap();
+    assert_eq!((dirty.lba, clean.lba), (Lba(0), Lba(1)));
+
+    assert!(db.new_page(0).is_err(), "the victim's flush finds no block left");
+    assert_idle(db.ftl());
+    let next = db.new_page(0).unwrap();
+    assert_eq!(next.lba, Lba(2), "the failed call's LBA is the next one handed out");
+    assert_eq!(db.stats().evictions, 1);
 }
 
 #[test]
