@@ -140,19 +140,40 @@ impl DbPage {
 
     /// Read a tuple.
     pub fn tuple(&self, slot: SlotId) -> Result<&[u8]> {
-        if slot.0 >= self.slot_count() {
-            return Err(CoreError::BadSlot(slot.0));
-        }
-        let (off, len) = self.slot_entry(slot.0);
-        if len == SLOT_DELETED {
-            return Err(CoreError::BadSlot(slot.0));
-        }
+        let (off, len) = self.live_entry(slot)?;
         Ok(&self.buf[off as usize..off as usize + len as usize])
+    }
+
+    /// Offset and length of a live tuple; a slot that is out of range or
+    /// mark-deleted is a [`CoreError::BadSlot`].
+    fn live_entry(&self, slot: SlotId) -> Result<(u16, u16)> {
+        if slot.0 < self.slot_count() {
+            let (off, len) = self.slot_entry(slot.0);
+            if len != SLOT_DELETED {
+                return Ok((off, len));
+            }
+        }
+        Err(CoreError::BadSlot(slot.0))
+    }
+
+    /// Free bytes at the frontier for a tuple that outgrows its place (its
+    /// slot entry exists already).
+    fn room_to_grow(&self) -> usize {
+        let lower = HeaderView::free_lower(&self.buf) as usize;
+        self.layout.footer_start(self.slot_count()).saturating_sub(lower)
+    }
+
+    /// Whether [`Self::update_tuple`] of `slot` with `len` bytes finds room
+    /// in this page (`false`: it fails with [`CoreError::PageFull`] and the
+    /// tuple has to move to another page). The slot must be live.
+    pub fn update_fits(&self, slot: SlotId, len: usize) -> Result<bool> {
+        let (_, old) = self.live_entry(slot)?;
+        Ok(len <= old as usize || len <= self.room_to_grow())
     }
 
     /// Whether a slot refers to a live tuple.
     pub fn is_live(&self, slot: SlotId) -> bool {
-        slot.0 < self.slot_count() && self.slot_entry(slot.0).1 != SLOT_DELETED
+        self.live_entry(slot).is_ok()
     }
 
     /// Insert a tuple, returning its slot.
@@ -183,13 +204,10 @@ impl DbPage {
         data: &[u8],
         tracker: &mut ChangeTracker,
     ) -> Result<()> {
-        if slot.0 >= self.slot_count() {
-            return Err(CoreError::BadSlot(slot.0));
+        if !self.update_fits(slot, data.len())? {
+            return Err(CoreError::PageFull { needed: data.len(), available: self.room_to_grow() });
         }
         let (off, len) = self.slot_entry(slot.0);
-        if len == SLOT_DELETED {
-            return Err(CoreError::BadSlot(slot.0));
-        }
         let new_len = data.len() as u16;
         if new_len == len {
             self.write_body(off as usize, data, tracker);
@@ -202,13 +220,6 @@ impl DbPage {
         }
         // Growing: relocate to the frontier.
         let lower = HeaderView::free_lower(&self.buf);
-        let upper = self.layout.footer_start(self.slot_count()) as u16;
-        if lower as usize + data.len() > upper as usize {
-            return Err(CoreError::PageFull {
-                needed: data.len(),
-                available: (upper - lower) as usize,
-            });
-        }
         self.write_body(lower as usize, data, tracker);
         self.write_slot_entry(slot.0, lower, new_len, tracker);
         self.set_free_lower(lower + new_len, tracker);
@@ -238,13 +249,7 @@ impl DbPage {
 
     /// Mark a tuple deleted (its space becomes garbage until compaction).
     pub fn delete_tuple(&mut self, slot: SlotId, tracker: &mut ChangeTracker) -> Result<()> {
-        if slot.0 >= self.slot_count() {
-            return Err(CoreError::BadSlot(slot.0));
-        }
-        let (off, len) = self.slot_entry(slot.0);
-        if len == SLOT_DELETED {
-            return Err(CoreError::BadSlot(slot.0));
-        }
+        let (off, _) = self.live_entry(slot)?;
         self.write_slot_entry(slot.0, off, SLOT_DELETED, tracker);
         Ok(())
     }
@@ -781,6 +786,57 @@ mod tests {
         let (mut p, mut t) = fresh();
         assert!(matches!(p.tuple(SlotId(0)), Err(CoreError::BadSlot(0))));
         assert!(matches!(p.update_tuple(SlotId(3), b"x", &mut t), Err(CoreError::BadSlot(3))));
+    }
+
+    #[test]
+    fn update_fits_says_what_update_tuple_does() {
+        // A page with `room` bytes left at the frontier: a 100-byte tuple
+        // in slot 0, a mark-deleted one in slot 1, filler behind them.
+        let page_with_room = |room: usize| {
+            let (mut p, mut t) = fresh();
+            let live = p.insert_tuple(&[1u8; 100], &mut t).unwrap();
+            let dead = p.insert_tuple(&[2u8; 10], &mut t).unwrap();
+            p.delete_tuple(dead, &mut t).unwrap();
+            let filler = p.free_space_for_insert() - room;
+            p.insert_tuple(&vec![3u8; filler], &mut t).unwrap();
+            assert_eq!(p.room_to_grow(), room);
+            (p, t, live, dead)
+        };
+        // (free bytes, new length, fits)
+        for (room, len, fits) in [
+            (50, 100, true),  // same length
+            (0, 100, true),   // ... on a full page
+            (0, 40, true),    // shorter
+            (0, 0, true),     // empty
+            (50, 101, false), // longer: moves to the frontier, whole
+            (101, 101, true),
+            (100, 101, false),
+            (200, 150, true),
+            (200, 201, false),
+        ] {
+            let (mut p, mut t, live, _) = page_with_room(room);
+            assert_eq!(p.update_fits(live, len).unwrap(), fits, "{room} free, {len} bytes");
+            match p.update_tuple(live, &vec![7u8; len], &mut t) {
+                Ok(()) => assert!(fits, "{room} free, {len} bytes: updated"),
+                Err(CoreError::PageFull { needed, available }) => {
+                    assert!(!fits, "{room} free, {len} bytes: page full");
+                    assert_eq!((needed, available), (len, room));
+                }
+                Err(e) => panic!("{room} free, {len} bytes: {e}"),
+            }
+        }
+        // Dead and out-of-range slots are bad slots to both, whatever the
+        // length.
+        let (mut p, mut t, _, dead) = page_with_room(50);
+        for slot in [dead, SlotId(3), SlotId(u16::MAX)] {
+            for len in [0, 10, 4000] {
+                assert!(
+                    matches!(p.update_fits(slot, len), Err(CoreError::BadSlot(s)) if s == slot.0)
+                );
+                let updated = p.update_tuple(slot, &vec![7u8; len], &mut t);
+                assert!(matches!(updated, Err(CoreError::BadSlot(s)) if s == slot.0));
+            }
+        }
     }
 
     #[test]

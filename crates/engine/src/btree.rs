@@ -179,9 +179,9 @@ fn node_image(node: &Node) -> Vec<u8> {
     image
 }
 
-/// Write a node image to its page. With a transaction, the changed byte
-/// span is logged as a physical redo-only record first (WAL rule), then
-/// applied and the PageLSN stamped.
+/// Write a node image to its page: with a transaction, as the physical
+/// redo-only record of the changed byte span, logged and applied; without
+/// one (the empty root of a new index), unlogged.
 fn store_node(db: &mut Database, tx: Option<TxId>, pid: PageId, node: &Node) -> Result<()> {
     let image = node_image(node);
     // Find the changed span against the current buffer image.
@@ -201,17 +201,10 @@ fn store_node(db: &mut Database, tx: Option<TxId>, pid: PageId, node: &Node) -> 
             Ok(())
         });
     };
-    let lsn = db.log_for_tx(
+    db.log_and_apply(
         tx,
         LogPayload::PageWrite { tx, page: pid, offset: offset as u32, after: changed },
-    )?;
-    // The record is already in the log: it, not the one after it, is the
-    // recovery LSN of a frame this write dirties.
-    db.with_page_mut_at(pid, lsn, |page, tracker| {
-        page.write_body(offset, changed, tracker);
-        page.set_lsn(lsn.0, tracker);
-        Ok(())
-    })
+    )
 }
 
 impl Database {
@@ -288,13 +281,19 @@ impl Database {
     ///
     /// Logs a logical (undo-only) `IndexInsert` first, then performs the
     /// tree mutation, whose node changes are logged physically (redo-only).
-    pub fn index_insert(&mut self, tx: TxId, index: u32, key: u64, value: u64) -> Result<()> {
+    pub(crate) fn index_insert(
+        &mut self,
+        tx: TxId,
+        index: u32,
+        key: u64,
+        value: u64,
+    ) -> Result<()> {
         self.log_for_tx(tx, LogPayload::IndexInsert { tx, index, key, value })?;
         self.index_insert_physical(Some(tx), index, key, value)
     }
 
     /// Delete a key, returning its value.
-    pub fn index_delete(&mut self, tx: TxId, index: u32, key: u64) -> Result<Option<u64>> {
+    pub(crate) fn index_delete(&mut self, tx: TxId, index: u32, key: u64) -> Result<Option<u64>> {
         let Some(value) = self.index_lookup(index, key)? else { return Ok(None) };
         self.log_for_tx(tx, LogPayload::IndexDelete { tx, index, key, value })?;
         self.index_delete_physical(Some(tx), index, key)?;

@@ -1,14 +1,14 @@
 //! Heap files: tuple storage over slotted pages with row locks and
 //! physical REDO/UNDO logging.
 
-use ipa_core::SlotId;
+use ipa_core::{DbPage, SlotId};
 use ipa_noftl::Lba;
 
 use crate::db::{Database, PageId};
 use crate::error::EngineError;
 use crate::lock::LockMode;
 use crate::txn::TxId;
-use crate::wal::{LogPayload, Lsn};
+use crate::wal::LogPayload;
 use crate::Result;
 
 /// Record identifier: page + slot.
@@ -65,60 +65,51 @@ impl Database {
         self.lock_row(tx, (heap as u64, rid.encode()), mode)
     }
 
-    /// Insert a tuple, returning its RID.
-    pub fn heap_insert(&mut self, tx: TxId, heap: u32, tuple: &[u8]) -> Result<Rid> {
+    /// Insert a tuple, returning its RID: find the page and the slot it
+    /// will assign, lock that RID, log the insert and apply it.
+    pub(crate) fn heap_insert(&mut self, tx: TxId, heap: u32, tuple: &[u8]) -> Result<Rid> {
         if !self.txns.is_active(tx) {
             return Err(EngineError::UnknownTx(tx));
         }
-        let (region, candidate) = {
-            let h = &self.heaps[heap as usize];
-            (h.region, h.pages.get(h.insert_hint).copied())
-        };
+        let h = &self.heaps[heap as usize];
+        let (region, hint) = (h.region, h.pages.get(h.insert_hint).copied());
         // Try the hint page, then a fresh page.
-        let pid = match candidate {
-            Some(pid) => {
-                let fits =
-                    self.with_page(pid, |page| page.free_space_for_insert() >= tuple.len())?;
-                if fits {
-                    pid
-                } else {
-                    self.grow_heap(heap, region, tuple.len())?
-                }
-            }
+        let place = match hint {
+            Some(page) => self.insert_place(page, tuple.len())?,
+            None => None,
+        };
+        let rid = match place {
+            Some(rid) => rid,
             None => self.grow_heap(heap, region, tuple.len())?,
         };
-        // Apply, then log with the assigned slot, then stamp the PageLSN.
-        let slot =
-            self.with_page_mut(pid, |page, tracker| Ok(page.insert_tuple(tuple, tracker)?))?;
-        let rid = Rid { page: pid, slot };
         self.lock_rid(tx, heap, rid, LockMode::Exclusive)?;
-        let lsn = self.log_for_tx(tx, LogPayload::Insert { tx, page: pid, slot, tuple })?;
-        self.stamp_lsn(pid, lsn)?;
+        self.log_and_apply(tx, LogPayload::Insert { tx, page: rid.page, slot: rid.slot, tuple })?;
         Ok(rid)
     }
 
-    fn grow_heap(&mut self, heap: u32, region: usize, needed: usize) -> Result<PageId> {
-        let pid = self.new_page(region)?;
-        let fits = self.with_page(pid, |page| page.free_space_for_insert() >= needed)?;
-        if !fits {
-            self.free_page(pid)?;
-            return Err(EngineError::TupleTooLarge(needed));
-        }
-        let h = &mut self.heaps[heap as usize];
-        h.pages.push(pid);
-        h.insert_hint = h.pages.len() - 1;
-        Ok(pid)
-    }
-
-    pub(crate) fn stamp_lsn(&mut self, pid: PageId, lsn: Lsn) -> Result<()> {
-        self.with_page_mut(pid, |page, tracker| {
-            page.set_lsn(lsn.0, tracker);
-            Ok(())
+    /// Where `page` puts its next tuple, if `len` more bytes fit.
+    fn insert_place(&mut self, page: PageId, len: usize) -> Result<Option<Rid>> {
+        self.with_page(page, |p| {
+            (p.free_space_for_insert() >= len).then(|| Rid { page, slot: SlotId(p.slot_count()) })
         })
     }
 
+    /// A new page at the end of the heap, and where a tuple of `needed`
+    /// bytes lands in it.
+    fn grow_heap(&mut self, heap: u32, region: usize, needed: usize) -> Result<Rid> {
+        let page = self.new_page(region)?;
+        let Some(rid) = self.insert_place(page, needed)? else {
+            self.free_page(page)?;
+            return Err(EngineError::TupleTooLarge(needed));
+        };
+        let h = &mut self.heaps[heap as usize];
+        h.pages.push(page);
+        h.insert_hint = h.pages.len() - 1;
+        Ok(rid)
+    }
+
     /// Read a tuple under a shared lock.
-    pub fn heap_read(&mut self, tx: TxId, heap: u32, rid: Rid) -> Result<Vec<u8>> {
+    pub(crate) fn heap_read(&mut self, tx: TxId, heap: u32, rid: Rid) -> Result<Vec<u8>> {
         let mut tuple = Vec::new();
         self.heap_read_into(tx, heap, rid, &mut tuple)?;
         Ok(tuple)
@@ -126,7 +117,7 @@ impl Database {
 
     /// [`Self::heap_read`] into a buffer the caller keeps from one read to
     /// the next: `tuple` is overwritten with the tuple's bytes.
-    pub fn heap_read_into(
+    pub(crate) fn heap_read_into(
         &mut self,
         tx: TxId,
         heap: u32,
@@ -145,10 +136,22 @@ impl Database {
     }
 
     fn read_tuple_into(&mut self, rid: Rid, tuple: &mut Vec<u8>) -> Result<()> {
+        self.read_tuple_and(rid, tuple, |_| ())
+    }
+
+    /// Copy a tuple into `tuple` and put `ask` to its page in the same
+    /// page access.
+    fn read_tuple_and<R>(
+        &mut self,
+        rid: Rid,
+        tuple: &mut Vec<u8>,
+        ask: impl FnOnce(&DbPage) -> R,
+    ) -> Result<R> {
         self.with_page(rid.page, |page| {
             page.tuple(rid.slot).map(|bytes| {
                 tuple.clear();
                 tuple.extend_from_slice(bytes);
+                ask(page)
             })
         })?
         .map_err(|_| EngineError::BadRid(rid))
@@ -162,7 +165,7 @@ impl Database {
     /// growing update that no longer fits its page is relocated
     /// (delete + insert elsewhere) — the caller must refresh any index
     /// entries when the returned RID differs.
-    pub fn heap_update(&mut self, tx: TxId, heap: u32, rid: Rid, new: &[u8]) -> Result<Rid> {
+    pub(crate) fn heap_update(&mut self, tx: TxId, heap: u32, rid: Rid, new: &[u8]) -> Result<Rid> {
         self.lock_rid(tx, heap, rid, LockMode::Exclusive)?;
         self.with_before_image(|db, before| db.update_locked(tx, heap, rid, new, before))
     }
@@ -185,51 +188,28 @@ impl Database {
         new: &[u8],
         before: &mut Vec<u8>,
     ) -> Result<Rid> {
-        self.read_tuple_into(rid, before)?;
-        let before: &[u8] = before;
-        let in_place = self.with_page_mut(rid.page, |page, tracker| {
-            match page.update_tuple(rid.slot, new, tracker) {
-                Ok(()) => Ok(true),
-                Err(ipa_core::CoreError::PageFull { .. }) => Ok(false),
-                Err(e) => Err(e.into()),
-            }
-        })?;
-        if in_place {
-            let lsn = self.log_for_tx(
-                tx,
-                LogPayload::Update { tx, page: rid.page, slot: rid.slot, before, after: new },
-            )?;
-            self.stamp_lsn(rid.page, lsn)?;
+        // One access copies the before image and asks whether the new one
+        // fits in its place.
+        let fits = self.read_tuple_and(rid, before, |p| p.update_fits(rid.slot, new.len()))??;
+        let (page, slot, before) = (rid.page, rid.slot, before.as_slice());
+        if fits {
+            self.log_and_apply(tx, LogPayload::Update { tx, page, slot, before, after: new })?;
             return Ok(rid);
         }
         // Relocate: remove here, insert wherever there is room.
-        self.with_page_mut(rid.page, |page, tracker| {
-            page.delete_tuple(rid.slot, tracker)?;
-            Ok(())
-        })?;
-        let lsn =
-            self.log_for_tx(tx, LogPayload::Delete { tx, page: rid.page, slot: rid.slot, before })?;
-        self.stamp_lsn(rid.page, lsn)?;
+        self.log_and_apply(tx, LogPayload::Delete { tx, page, slot, before })?;
         self.heap_insert(tx, heap, new)
     }
 
     /// Mark-delete a tuple under an exclusive lock.
-    pub fn heap_delete(&mut self, tx: TxId, heap: u32, rid: Rid) -> Result<()> {
+    pub(crate) fn heap_delete(&mut self, tx: TxId, heap: u32, rid: Rid) -> Result<()> {
         self.lock_rid(tx, heap, rid, LockMode::Exclusive)?;
         self.with_before_image(|db, before| db.delete_locked(tx, rid, before))
     }
 
     fn delete_locked(&mut self, tx: TxId, rid: Rid, before: &mut Vec<u8>) -> Result<()> {
         self.read_tuple_into(rid, before)?;
-        let before: &[u8] = before;
-        self.with_page_mut(rid.page, |page, tracker| {
-            page.delete_tuple(rid.slot, tracker)?;
-            Ok(())
-        })?;
-        let lsn =
-            self.log_for_tx(tx, LogPayload::Delete { tx, page: rid.page, slot: rid.slot, before })?;
-        self.stamp_lsn(rid.page, lsn)?;
-        Ok(())
+        self.log_and_apply(tx, LogPayload::Delete { tx, page: rid.page, slot: rid.slot, before })
     }
 
     /// Scan all live tuples of a heap, invoking `f(rid, tuple)`.
@@ -355,6 +335,31 @@ mod tests {
         assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![3, 7, 7, 7]);
         // The small update went through the IPA path.
         assert!(db.stats().ipa_flushes >= 1, "ipa flushes: {}", db.stats().ipa_flushes);
+    }
+
+    #[test]
+    fn a_heap_mutation_accesses_its_page_twice() {
+        // Once to read (the fit and the slot, or the before image), once to
+        // apply the logged record and stamp the page.
+        let mut db = test_db(NxM::tpcc(), 16);
+        let heap = db.create_heap(0);
+        let mut tx = db.txn();
+        let a = tx.heap_insert(heap, &[1u8; 16]).unwrap();
+        let mut accesses = |op: &mut dyn FnMut(&mut crate::Txn<'_>) -> Rid| {
+            tx.db().reset_stats();
+            let rid = op(&mut tx);
+            let s = tx.db().stats();
+            (rid, (s.fetches, s.hits))
+        };
+        let (b, insert) = accesses(&mut |tx| tx.heap_insert(heap, &[2u8; 16]).unwrap());
+        assert_eq!((b.page, insert), (a.page, (2, 2)), "insert into the resident hint page");
+        let (_, update) = accesses(&mut |tx| tx.heap_update(heap, a, &[3u8; 16]).unwrap());
+        assert_eq!(update, (2, 2), "update in place");
+        let (_, delete) = accesses(&mut |tx| {
+            tx.heap_delete(heap, b).unwrap();
+            b
+        });
+        assert_eq!(delete, (2, 2));
     }
 
     #[test]

@@ -27,6 +27,13 @@
 //! * [`Database::create_index`] — a paged B+-tree (`btree.rs`) whose node
 //!   mutations flow through the same byte-level tracking (index pages
 //!   benefit from IPA too).
+//! * A logged change is its log record, applied: heap operations, node
+//!   writes and rollback build the record and hand it to `log_and_apply`
+//!   (`log.rs`: append, then apply), restart redo finds it in the log, and
+//!   `apply_record` (`pager.rs`) is the one routine that changes a tuple
+//!   and stamps the PageLSN with the record's LSN. The page is never ahead
+//!   of the log. [`Database::with_page_mut`] is the unlogged entry, for
+//!   changes no record describes.
 //! * [`Database::simulate_crash`] + [`Database::recover`] — ARIES
 //!   analysis/redo/undo restart over the flash image, exercising the §6.2
 //!   interplay between delta records and recovery.

@@ -93,13 +93,27 @@ impl Database {
 
     /// Append a log record on behalf of a transaction, maintaining the
     /// per-transaction chain. The record's images are copied into the log.
+    /// A log at its budget is reclaimed first, and when that frees nothing a
+    /// record that starts an operation is refused with
+    /// [`EngineError::LogFull`]. What finishes one (an index operation's
+    /// node writes), rolls work back or ends a transaction is never
+    /// refused: a log full of a transaction's own records must be able to
+    /// take the records that let it go away.
     pub(crate) fn log_for_tx(&mut self, tx: TxId, payload: LogPayload<&[u8]>) -> Result<Lsn> {
         if !self.txns.is_active(tx) {
             return Err(EngineError::UnknownTx(tx));
         }
         if self.log.wal.used_fraction() >= 1.0 {
             self.reclaim_log_space()?;
-            if self.log.wal.used_fraction() >= 1.0 {
+            let starts_an_operation = matches!(
+                payload,
+                LogPayload::Update { .. }
+                    | LogPayload::Insert { .. }
+                    | LogPayload::Delete { .. }
+                    | LogPayload::IndexInsert { .. }
+                    | LogPayload::IndexDelete { .. }
+            );
+            if starts_an_operation && self.log.wal.used_fraction() >= 1.0 {
                 return Err(EngineError::LogFull);
             }
         }
@@ -107,6 +121,16 @@ impl Database {
         let lsn = self.log.wal.append(prev, payload);
         self.txns.set_last_lsn(tx, lsn);
         Ok(lsn)
+    }
+
+    /// The one way forward processing and rollback change a page: append
+    /// `record` for `tx`, then apply it at the LSN it was given
+    /// ([`Self::apply_record`]). Write-ahead by construction — when the
+    /// append is refused the page has not been touched, and the PageLSN and
+    /// the frame's recovery LSN name a record that exists.
+    pub(crate) fn log_and_apply(&mut self, tx: TxId, record: LogPayload<&[u8]>) -> Result<()> {
+        let lsn = self.log_for_tx(tx, record.clone())?;
+        self.apply_record(lsn, &record, false)
     }
 
     /// Park a finished transaction's commit request in the group-commit

@@ -22,7 +22,7 @@ use crate::buffer::{BufferPool, Frame, ResidencyMirror, SweepStats};
 use crate::db::{Database, PageId};
 use crate::error::EngineError;
 use crate::stats::TraceEvent;
-use crate::wal::Lsn;
+use crate::wal::{LogPayload, Lsn};
 use crate::Result;
 
 /// What an evicted frame leaves to the page that takes its slot: the page
@@ -435,9 +435,13 @@ impl Database {
             .ok_or(EngineError::Internal("no free frame after ensure_free_frame"))
     }
 
-    /// Run `f` against a buffered page and its tracker. The page is pinned
-    /// for the duration of `f`. The change is logged after `f` returns, so
-    /// a frame `f` dirties takes the next log record as its recovery LSN.
+    /// The unlogged entry: run `f` against a buffered page and its tracker
+    /// for a change *no* log record describes — the root initialisation in
+    /// [`Database::create_index`], tests that build a page by hand. The page
+    /// is pinned for the duration of `f`. With no record to name, a frame
+    /// `f` dirties takes the LSN the next record will get as its recovery
+    /// LSN. A logged change goes through the crate-private `apply_record`
+    /// instead, behind a [`crate::Txn`] operation.
     pub fn with_page_mut<R>(
         &mut self,
         pid: PageId,
@@ -446,10 +450,9 @@ impl Database {
         self.with_page_mut_at(pid, Lsn(self.wal_head().0 + 1), f)
     }
 
-    /// [`Self::with_page_mut`] for a change whose log record, `rec_lsn`,
-    /// already exists: restart redo and rollback apply records that sit
-    /// anywhere in the log, not at its end.
-    pub(crate) fn with_page_mut_at<R>(
+    /// Run `f` against a buffered, pinned page and its tracker; a frame `f`
+    /// dirties takes `rec_lsn` as its recovery LSN.
+    fn with_page_mut_at<R>(
         &mut self,
         pid: PageId,
         rec_lsn: Lsn,
@@ -460,6 +463,76 @@ impl Database {
             .pool
             .update(idx, rec_lsn, f)
             .ok_or(EngineError::Internal("fetched frame missing"))?
+    }
+
+    /// How a logged change reaches a page: the only code in the engine that
+    /// calls a [`DbPage`] tuple mutator, writes a logged body span or sets a
+    /// PageLSN. `record` is already in the log at `lsn` (a CLR stands for
+    /// the compensation it carries): one page access applies the change and
+    /// stamps the page with `lsn`, and a frame the change dirties takes
+    /// `lsn` as its recovery LSN — a later checkpoint must not claim flash
+    /// holds records it does not. Forward processing and rollback come here
+    /// through [`Self::log_and_apply`]; restart redo passes `check_lsn` and
+    /// the change is skipped when the page already reflects `lsn`.
+    pub(crate) fn apply_record<B: AsRef<[u8]>>(
+        &mut self,
+        lsn: Lsn,
+        record: &LogPayload<B>,
+        check_lsn: bool,
+    ) -> Result<()> {
+        let action = match record {
+            LogPayload::Clr { action, .. } => action.as_ref(),
+            other => other,
+        };
+        let Some(pid) = action.redo_page() else {
+            // Logical compensation (rollback only: redo never passes one).
+            // The node changes are logged physically, under the same tx.
+            return match *action {
+                LogPayload::IndexInsert { tx, index, key, value } => {
+                    if self.index_lookup(index, key)?.is_none() {
+                        self.index_insert_physical(Some(tx), index, key, value)?;
+                    }
+                    Ok(())
+                }
+                LogPayload::IndexDelete { tx, index, key, .. } => {
+                    self.index_delete_physical(Some(tx), index, key).map(drop)
+                }
+                _ => Ok(()),
+            };
+        };
+        self.with_page_mut_at(pid, lsn, |page, tracker| {
+            if check_lsn && page.lsn() >= lsn.0 {
+                return Ok(());
+            }
+            match action {
+                LogPayload::Update { slot, after, .. } => {
+                    page.update_tuple(*slot, after.as_ref(), tracker)?;
+                }
+                LogPayload::Insert { slot, tuple, .. } => {
+                    // Pages assign slots in order, so the tuple must land
+                    // where the record says it went; anything else means
+                    // log and page have diverged, and going on would leave
+                    // the tuple under another row's address.
+                    if page.slot_count() != slot.0 {
+                        return Err(EngineError::RecoveryError(format!(
+                            "insert {lsn:?} expects {slot:?} of {pid:?}, the page assigns slot {}",
+                            page.slot_count()
+                        )));
+                    }
+                    page.insert_tuple(tuple.as_ref(), tracker)?;
+                }
+                LogPayload::Delete { slot, .. } => page.delete_tuple(*slot, tracker)?,
+                LogPayload::Undelete { slot, tuple, .. } => {
+                    page.undelete_tuple(*slot, tuple.as_ref(), tracker)?;
+                }
+                LogPayload::PageWrite { offset, after, .. } => {
+                    page.write_body(*offset as usize, after.as_ref(), tracker);
+                }
+                _ => return Err(EngineError::Internal("a record with a page and no page action")),
+            }
+            page.set_lsn(lsn.0, tracker);
+            Ok(())
+        })
     }
 
     /// Read-only page access.

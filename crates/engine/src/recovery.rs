@@ -21,7 +21,6 @@
 
 use std::collections::BTreeMap;
 
-use ipa_core::{ChangeTracker, DbPage};
 use ipa_noftl::{EventKind, RecoveryPhaseKind, SpanCategory};
 
 use crate::db::{Database, PageId};
@@ -56,16 +55,15 @@ pub(crate) fn rollback_budgeted(
             LogPayload::Commit { .. } | LogPayload::Abort { .. } => break,
             payload => {
                 if let Some(action) = invert(payload) {
-                    let clr_lsn = db.log_for_tx(
+                    db.log_and_apply(
                         tx,
                         LogPayload::Clr {
                             tx,
                             undone: rec.lsn,
                             undo_next: rec.prev,
-                            action: Box::new(action.clone()),
+                            action: Box::new(action),
                         },
                     )?;
-                    apply_action(db, clr_lsn, &action, false)?;
                     clrs += 1;
                     if let Some(b) = budget.as_mut() {
                         *b -= 1;
@@ -105,132 +103,36 @@ fn invert(payload: &LogPayload) -> Option<LogPayload<&[u8]>> {
     }
 }
 
-/// Apply one physical change to `page`. During redo (`check_lsn = true`)
-/// the change is skipped when the page already reflects `lsn`. A frame the
-/// change dirties takes `lsn`, the record being applied, as its recovery
-/// LSN: a later checkpoint must not claim flash holds records it does not.
-fn apply_to_page(
-    db: &mut Database,
-    page: PageId,
-    lsn: Lsn,
-    check_lsn: bool,
-    change: impl FnOnce(&mut DbPage, &mut ChangeTracker) -> Result<()>,
-) -> Result<()> {
-    db.ensure_page(page)?;
-    db.with_page_mut_at(page, lsn, |p, t| {
-        if check_lsn && p.lsn() >= lsn.0 {
-            return Ok(());
-        }
-        change(p, t)?;
-        p.set_lsn(lsn.0, t);
-        Ok(())
-    })
-}
-
-/// Apply one action physically (page actions through [`apply_to_page`]).
-fn apply_action<B: AsRef<[u8]>>(
-    db: &mut Database,
-    lsn: Lsn,
-    action: &LogPayload<B>,
-    check_lsn: bool,
-) -> Result<()> {
-    match action {
-        LogPayload::Update { page, slot, after, .. } => {
-            apply_to_page(db, *page, lsn, check_lsn, |p, t| {
-                Ok(p.update_tuple(*slot, after.as_ref(), t)?)
-            })
-        }
-        LogPayload::Insert { page, slot, tuple, .. } => {
-            apply_to_page(db, *page, lsn, check_lsn, |p, t| {
-                // Pages assign slots in order, so repeating history must
-                // land the tuple where the record says it went; anything
-                // else means log and page have diverged, and going on
-                // would leave the tuple under another row's address.
-                if p.slot_count() != slot.0 {
-                    return Err(EngineError::RecoveryError(format!(
-                        "redo of insert {lsn:?} expects {slot:?} of {page:?}, the page assigns slot {}",
-                        p.slot_count()
-                    )));
-                }
-                p.insert_tuple(tuple.as_ref(), t)?;
-                Ok(())
-            })
-        }
-        LogPayload::Delete { page, slot, .. } => {
-            apply_to_page(db, *page, lsn, check_lsn, |p, t| Ok(p.delete_tuple(*slot, t)?))
-        }
-        LogPayload::Undelete { page, slot, tuple, .. } => {
-            apply_to_page(db, *page, lsn, check_lsn, |p, t| {
-                Ok(p.undelete_tuple(*slot, tuple.as_ref(), t)?)
-            })
-        }
-        LogPayload::IndexInsert { tx, index, key, value } => {
-            // Logical compensation (undo of an IndexDelete): re-insert,
-            // logging the node changes physically under the same tx.
-            if db.index_lookup(*index, *key)?.is_none() {
-                db.index_insert_physical(Some(*tx), *index, *key, *value)?;
-            }
-            Ok(())
-        }
-        LogPayload::IndexDelete { tx, index, key, .. } => {
-            db.index_delete_physical(Some(*tx), *index, *key)?;
-            Ok(())
-        }
-        LogPayload::PageWrite { page, offset, after, .. } => {
-            apply_to_page(db, *page, lsn, check_lsn, |p, t| {
-                p.write_body(*offset as usize, after.as_ref(), t);
-                Ok(())
-            })
-        }
-        _ => Ok(()),
-    }
-}
-
-/// The page a physical redo action targets (None for logical records).
-fn redo_page_of(action: &LogPayload) -> Option<PageId> {
-    match action {
-        LogPayload::Update { page, .. }
-        | LogPayload::Insert { page, .. }
-        | LogPayload::Delete { page, .. }
-        | LogPayload::Undelete { page, .. }
-        | LogPayload::PageWrite { page, .. } => Some(*page),
-        _ => None,
-    }
-}
-
 fn is_uncorrectable(e: &EngineError) -> bool {
     matches!(e, EngineError::NoFtl(n) if n.is_uncorrectable_ecc())
 }
 
-/// Apply one redo action, healing unreadable flash residencies. An
-/// uncorrectable-ECC fetch failure is retried once (read retry); if the
-/// residency stays unreadable it is dropped and the page rebuilt purely
-/// from the redo history that follows — graceful degradation, where the
-/// alternative is refusing to open the database at all. Changes committed
-/// before the surviving log tail and never redone cannot be recovered
-/// from an unreadable page; repeating history from a freshly formatted
-/// page is the best available outcome.
-fn apply_action_healed(
-    db: &mut Database,
-    lsn: Lsn,
-    action: &LogPayload,
-    check_lsn: bool,
-) -> Result<()> {
-    let first = apply_action(db, lsn, action, check_lsn);
-    match &first {
-        Err(e) if is_uncorrectable(e) => {}
-        _ => return first,
+/// Redo one record against the page it targets, healing unreadable flash
+/// residencies. A page that never reached flash and is not buffered is
+/// re-materialized empty first. An uncorrectable-ECC fetch failure is
+/// retried once (read retry); if the residency stays unreadable it is
+/// dropped and the page rebuilt purely from the redo history that follows
+/// — graceful degradation, where the alternative is refusing to open the
+/// database at all. Changes committed before the surviving log tail and
+/// never redone cannot be recovered from an unreadable page; repeating
+/// history from a freshly formatted page is the best available outcome.
+fn redo_healed(db: &mut Database, rec: &LogRecord, page: PageId) -> Result<()> {
+    let redo = |db: &mut Database| {
+        db.ensure_page(page)?;
+        db.apply_record(rec.lsn, &rec.payload, true)
+    };
+    let first = redo(db);
+    if !first.as_ref().is_err_and(is_uncorrectable) {
+        return first;
     }
-    let Some(pid) = redo_page_of(action) else { return first };
     db.stats.read_retries += 1;
-    let second = apply_action(db, lsn, action, check_lsn);
-    match &second {
-        Err(e) if is_uncorrectable(e) => {}
-        _ => return second,
+    let second = redo(db);
+    if !second.as_ref().is_err_and(is_uncorrectable) {
+        return second;
     }
-    db.trim_page(pid)?;
+    db.trim_page(page)?;
     db.stats.recovery_page_rebuilds += 1;
-    apply_action(db, lsn, action, check_lsn)
+    redo(db)
 }
 
 impl Database {
@@ -338,11 +240,7 @@ impl Database {
                     }
                 }
             }
-            let touched = match &rec.payload {
-                LogPayload::Clr { action, .. } => redo_page_of(action),
-                payload => redo_page_of(payload),
-            };
-            if let Some(page) = touched {
+            if let Some(page) = rec.payload.redo_page() {
                 dpt.entry(page).or_insert(rec.lsn);
             }
         }
@@ -392,36 +290,20 @@ impl Database {
             if redo_start < start { self.wal().iter_from(redo_start).collect() } else { records };
         let mut applied = 0u64;
         for rec in &redo_records {
-            let action: Option<&LogPayload> = match &rec.payload {
-                // CLRs redo their compensation — but only page-level
-                // actions; index compensations were already logged as
-                // physical PageWrite records of their own.
-                LogPayload::Clr { action, .. } => match action.as_ref() {
-                    a @ (LogPayload::Update { .. }
-                    | LogPayload::Insert { .. }
-                    | LogPayload::Delete { .. }
-                    | LogPayload::Undelete { .. }) => Some(a),
-                    _ => None,
-                },
-                payload @ (LogPayload::Update { .. }
-                | LogPayload::Insert { .. }
-                | LogPayload::Delete { .. }
-                | LogPayload::Undelete { .. }
-                | LogPayload::PageWrite { .. }) => Some(payload),
-                LogPayload::RootChange { index, new_root, .. } => {
-                    self.indexes[*index as usize].root = *new_root;
-                    None
-                }
-                // Logical index records are undo-only.
-                _ => None,
-            };
-            let Some(action) = action else { continue };
+            if let LogPayload::RootChange { index, new_root, .. } = &rec.payload {
+                self.indexes[*index as usize].root = *new_root;
+                continue;
+            }
+            // Page actions only, a CLR's compensation included. Logical
+            // index records are undo-only, and an index compensation was
+            // logged as physical PageWrite records of its own.
+            let Some(page) = rec.payload.redo_page() else { continue };
             if use_dpt {
                 // Skip rule: a page absent from the DPT was clean at the
                 // checkpoint and untouched since — its flash image is
                 // current. A record below the page's recLSN predates the
                 // frame's last clean->dirty transition — already on flash.
-                match redo_page_of(action).and_then(|p| dpt.get(&p)) {
+                match dpt.get(&page) {
                     Some(rec_lsn) if rec.lsn >= *rec_lsn => {}
                     _ => {
                         self.stats.redo_skipped += 1;
@@ -429,7 +311,7 @@ impl Database {
                     }
                 }
             }
-            apply_action_healed(self, rec.lsn, action, true)?;
+            redo_healed(self, rec, page)?;
             applied += 1;
         }
         self.stats.redo_applied += applied;
@@ -583,6 +465,60 @@ mod tests {
 
         crash_and_recover(&mut db);
         assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![4, 7, 7, 7]);
+    }
+
+    #[test]
+    fn redo_from_an_empty_pool_reproduces_every_forward_change() {
+        // Forward processing, rollback and restart redo change a page
+        // through one routine, so replaying the log over pages that never
+        // reached flash must rebuild exactly what the transactions built.
+        // A mutation that bypasses the log fails here.
+        let mut db = test_db(NxM::tpcc(), 32);
+        let heap = db.create_heap(0);
+        let idx = db.create_index(0).unwrap();
+        let mut tx = db.txn();
+        let rows: Vec<Rid> = (0..6u8).map(|i| tx.heap_insert(heap, &[i; 100]).unwrap()).collect();
+        for (key, rid) in rows.iter().enumerate() {
+            tx.index_insert(idx, key as u64, rid.encode()).unwrap();
+        }
+        tx.commit().unwrap();
+
+        let mut tx = db.txn();
+        assert_eq!(tx.heap_update(heap, rows[0], &[10u8; 100]).unwrap(), rows[0], "same length");
+        assert_eq!(tx.heap_update(heap, rows[1], &[11u8; 40]).unwrap(), rows[1], "shrinking");
+        assert_eq!(
+            tx.heap_update(heap, rows[2], &[12u8; 130]).unwrap(),
+            rows[2],
+            "growing in place"
+        );
+        let moved = tx.heap_update(heap, rows[3], &[13u8; 600]).unwrap();
+        assert_ne!(moved.page, rows[3].page, "600 bytes do not fit beside the others: relocated");
+        tx.index_delete(idx, 3).unwrap();
+        tx.index_insert(idx, 3, moved.encode()).unwrap();
+        tx.heap_delete(heap, rows[4]).unwrap();
+        tx.index_delete(idx, 4).unwrap();
+        tx.commit().unwrap();
+
+        // Rolled back: the CLRs are redone like everything else.
+        let mut tx = db.txn();
+        tx.heap_update(heap, rows[5], &[15u8; 90]).unwrap();
+        tx.heap_insert(heap, &[16u8; 50]).unwrap();
+        tx.heap_delete(heap, rows[0]).unwrap();
+        tx.index_insert(idx, 99, 99).unwrap();
+        tx.abort().unwrap();
+
+        let contents = |db: &mut Database| {
+            let mut tuples = Vec::new();
+            db.heap_scan(heap, |rid, tuple| tuples.push((rid, tuple.to_vec()))).unwrap();
+            (tuples, db.index_range(idx, 0, u64::MAX).unwrap())
+        };
+        let built = contents(&mut db);
+        assert_eq!(built.0.len(), 5);
+        assert_eq!(built.1.len(), 5);
+
+        db.simulate_crash(); // no heap page was ever flushed
+        db.recover_unbounded().unwrap();
+        assert_eq!(contents(&mut db), built);
     }
 
     #[test]

@@ -197,6 +197,22 @@ impl<B> LogPayload<B> {
         }
     }
 
+    /// The page a record's physical change targets — for a CLR, the page
+    /// its compensation targets. `None` for everything restart redo does
+    /// not apply to a page: logical index records, transaction and
+    /// checkpoint records.
+    pub fn redo_page(&self) -> Option<PageId> {
+        match self {
+            LogPayload::Update { page, .. }
+            | LogPayload::Insert { page, .. }
+            | LogPayload::Delete { page, .. }
+            | LogPayload::Undelete { page, .. }
+            | LogPayload::PageWrite { page, .. } => Some(*page),
+            LogPayload::Clr { action, .. } => action.redo_page(),
+            _ => None,
+        }
+    }
+
     /// The same record holding each image as `image(old)`. The one place
     /// that names every image field: copying into the log and copying out
     /// of it are two closures. Everything else a record owns moves.

@@ -63,16 +63,17 @@ fn pool_exhaustion_is_reported_not_hung() {
 #[test]
 fn unknown_tx_is_rejected_everywhere() {
     let mut d = db(8, NxM::disabled());
-    let heap = d.create_heap(0);
     let ghost = ipa::engine::TxId(999);
-    assert!(matches!(d.heap_insert(ghost, heap, b"x"), Err(EngineError::UnknownTx(_))));
-    // Commit and abort are only reachable through a guard, and no guard
-    // attaches to an id that was never begun or has already finished.
+    // Operations, commit and abort are only reachable through a guard, and
+    // no guard attaches to an id that was never begun or has already
+    // finished.
+    assert!(!d.txn_is_active(ghost));
     assert!(matches!(d.resume(ghost), Err(EngineError::UnknownTx(_))));
     let done = d.txn().park();
+    assert!(d.txn_is_active(done));
     d.resume(done).unwrap().commit().unwrap();
+    assert!(!d.txn_is_active(done));
     assert!(matches!(d.resume(done), Err(EngineError::UnknownTx(_))));
-    assert!(matches!(d.heap_insert(done, heap, b"x"), Err(EngineError::UnknownTx(_))));
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! writing even with a 90% buffer.
 
 use ipa::core::NxM;
-use ipa::engine::{Database, DbConfig};
+use ipa::engine::{Database, DbConfig, EngineError, Rid, TxId};
 use ipa::flash::FlashConfig;
 use ipa::noftl::{IpaMode, NoFtlConfig};
 
@@ -139,4 +139,66 @@ fn active_transaction_pins_the_log_tail() {
     // The long transaction can still roll back.
     db.resume(long_id).unwrap().abort().unwrap();
     assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![1u8; 32]);
+}
+
+/// A 4 000-byte log whose tail a parked transaction pins, and a second
+/// transaction that inserts key 1 into index 0, then rewrites one row of
+/// heap 0 (committed as `[7; 32]`) until the log refuses the update. Returns
+/// the row, both transactions (parked, then refused) and the last value
+/// whose update was logged.
+fn refused_update_behind_a_parked_tx() -> (Database, Rid, [TxId; 2], u8) {
+    let mut db = db_with_log(4_000, 1.0);
+    let heap = db.create_heap(0);
+    let idx = db.create_index(0).unwrap();
+    let mut tx = db.txn();
+    let pin_row = tx.heap_insert(heap, &[1u8; 32]).unwrap();
+    let rid = tx.heap_insert(heap, &[7u8; 32]).unwrap();
+    tx.commit().unwrap();
+    db.flush_all().unwrap();
+
+    let mut parked = db.txn();
+    parked.heap_update(heap, pin_row, &[2u8; 32]).unwrap();
+    let parked = parked.park();
+
+    let mut tx = db.txn();
+    tx.index_insert(idx, 1, rid.encode()).unwrap();
+    let mut logged = 7u8;
+    loop {
+        match tx.heap_update(heap, rid, &[logged + 1; 32]) {
+            Ok(_) => logged += 1,
+            Err(EngineError::LogFull) => break,
+            Err(e) => panic!("update {}: {e}", logged + 1),
+        }
+    }
+    assert!(logged > 7, "the log takes some updates before it is full");
+    let refused = tx.park();
+    (db, rid, [parked, refused], logged)
+}
+
+#[test]
+fn refused_update_leaves_the_page_as_the_log_describes_it() {
+    // The record exists before the page changes: an update the log refuses
+    // has not touched the page, so nothing is there that no record could
+    // undo or redo.
+    let (mut db, rid, _, logged) = refused_update_behind_a_parked_tx();
+    assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![logged; 32]);
+}
+
+#[test]
+fn full_log_still_takes_rollback_and_termination_records() {
+    // A log full of a transaction's own records must take the CLRs, the
+    // node write that compensates its index insert and the Abort that let
+    // it go away: refusing them leaves the loser half rolled back and the
+    // log full for good.
+    let (mut db, rid, [parked, refused], _) = refused_update_behind_a_parked_tx();
+    db.resume(refused).unwrap().abort().unwrap();
+    assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![7u8; 32], "the committed image");
+    assert_eq!(db.index_lookup(0, 1).unwrap(), None, "the index insert is rolled back");
+    db.resume(parked).unwrap().abort().unwrap();
+    assert_eq!(db.stats().aborts, 2);
+    // Nothing pins the tail any more: the next update reclaims and goes on.
+    let mut tx = db.txn();
+    tx.heap_update(0, rid, &[9u8; 32]).unwrap();
+    tx.commit().unwrap();
+    assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![9u8; 32]);
 }
