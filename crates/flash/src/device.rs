@@ -10,7 +10,7 @@ use crate::error::FlashError;
 use crate::fault::{FaultInjector, FaultOp, FaultPlan, FaultVerdict};
 use crate::geometry::{CellType, FlashGeometry, PageKind, Ppa};
 use crate::obs::{EventKind, ObsCtx, ObsEvent, Observer, OpClass, SpanCategory, SpanId};
-use crate::page::{PageState, SparePages};
+use crate::page::{PageData, PageState, SparePages};
 use crate::reliability::{BitError, ErrorKind, ErrorLedger, ReadOutcome, ReliabilityConfig};
 use crate::sched::{CmdId, Completion, IoScheduler};
 use crate::stats::FlashStats;
@@ -643,15 +643,16 @@ impl FlashDevice {
     /// Zero-copy view of a page's main area, bypassing timing, statistics
     /// and the error model: what the cells hold, for tests that check the
     /// device itself. `crates/clippy.toml` bans it in every crate of the
-    /// stack. An erased page reads as all ones.
+    /// stack. An erased page reads as all ones; a migrated one has nothing
+    /// to show ([`FlashError::PageMigrated`]).
     pub fn peek(&self, ppa: Ppa) -> Result<&[u8]> {
         self.check(ppa)?;
-        Ok(match self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page).main() {
-            Some(main) => main,
-            None => self
+        match self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page).readable(ppa) {
+            Err(FlashError::ReadOfErasedPage(_)) => Ok(self
                 .erased_image
-                .get_or_init(|| vec![0xFF; self.config.geometry.page_size].into_boxed_slice()),
-        })
+                .get_or_init(|| vec![0xFF; self.config.geometry.page_size].into_boxed_slice())),
+            main => main,
+        }
     }
 
     /// Hand a page buffer back for reuse by a later program or read — the
@@ -676,21 +677,44 @@ impl FlashDevice {
         Ok(self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page).oob())
     }
 
+    /// Start a command: a host command first waits for a queue slot, then
+    /// every command consumes the staged trace context.
+    fn admit(&mut self, origin: OpOrigin) -> ObsCtx {
+        if origin == OpOrigin::Host {
+            self.reserve_host_slot();
+        }
+        self.take_obs_ctx()
+    }
+
+    /// The page at a checked address, for the device's write paths.
+    fn page_mut(&mut self, ppa: Ppa) -> &mut PageData {
+        self.chips[ppa.chip as usize].block_mut(ppa.block).page_mut(ppa.page)
+    }
+
     /// Queue a page read; the page data travels in the completion.
     ///
     /// Applies the ECC model: raw bit errors within the code's capability
     /// are corrected (and counted); beyond it the read fails with
     /// [`FlashError::UncorrectableEcc`].
     pub fn submit_read(&mut self, ppa: Ppa, origin: OpOrigin) -> Result<CmdId> {
-        if origin == OpOrigin::Host {
-            self.reserve_host_slot();
-        }
-        let ctx = self.take_obs_ctx();
+        self.submit_read_cmd(ppa, origin, true)
+    }
+
+    /// Queue a copy-back read: the first half of moving a page without a
+    /// host transfer (NAND's copy-back pair, completed by
+    /// [`FlashDevice::submit_copyback_program`]). Everything a
+    /// [`FlashDevice::submit_read`] does — dispatch, the latency of a whole
+    /// page read, ECC classification, counters, events — except that the
+    /// completion carries no data: no byte leaves the device.
+    pub fn submit_copyback_read(&mut self, ppa: Ppa, origin: OpOrigin) -> Result<CmdId> {
+        self.submit_read_cmd(ppa, origin, false)
+    }
+
+    /// A page read, handing the bytes out if `transfer` is set.
+    fn submit_read_cmd(&mut self, ppa: Ppa, origin: OpOrigin, transfer: bool) -> Result<CmdId> {
+        let ctx = self.admit(origin);
         self.check(ppa)?;
-        let Some(main) = self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page).main()
-        else {
-            return Err(FlashError::ReadOfErasedPage(ppa));
-        };
+        let main = self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page).readable(ppa)?;
         let outcome = self
             .ledger
             .classify_read(ppa, self.config.reliability.ecc_correctable_bits)
@@ -699,7 +723,8 @@ impl FlashDevice {
                 bit_errors: raw,
                 correctable: self.config.reliability.ecc_correctable_bits,
             })?;
-        let data = self.spare.take_copy(main);
+        let latency = self.config.timing.read_latency(main.len());
+        let data = transfer.then(|| self.spare.take_copy(main));
         if let ReadOutcome::Corrected { corrected } = outcome {
             self.stats.corrected_bit_errors += corrected as u64;
         }
@@ -711,8 +736,7 @@ impl FlashDevice {
         if matches!(origin, OpOrigin::Host | OpOrigin::HostAsync) {
             self.emit(EventKind::HostRead, ctx.region, ctx.lba);
         }
-        let latency = self.config.timing.read_latency(data.len());
-        Ok(self.finish_submit(ppa.chip, origin, OpClass::Read, latency, outcome, Some(data)))
+        Ok(self.finish_submit(ppa.chip, origin, OpClass::Read, latency, outcome, data))
     }
 
     /// Read a page's main area synchronously (submit + complete one).
@@ -726,52 +750,98 @@ impl FlashDevice {
     /// Read a page's OOB area. Real controllers fetch OOB together with the
     /// main area, so this carries no additional latency or statistics.
     pub fn read_oob(&self, ppa: Ppa) -> Result<Vec<u8>> {
-        let mut oob = Vec::new();
-        self.read_oob_into(ppa, &mut oob)?;
-        Ok(oob)
-    }
-
-    /// [`Self::read_oob`] into a buffer the caller reuses: `oob` is
-    /// overwritten with the page's OOB area.
-    pub fn read_oob_into(&self, ppa: Ppa, oob: &mut Vec<u8>) -> Result<()> {
         self.check(ppa)?;
-        oob.clear();
-        oob.extend_from_slice(self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page).oob());
-        Ok(())
+        Ok(self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page).oob().to_vec())
     }
 
     /// Queue a full-page program (out-of-place write target). The page must
     /// be erased. Bytes left `0xFF` remain unprogrammed and can absorb
     /// later in-place appends.
     pub fn submit_program(&mut self, ppa: Ppa, data: &[u8], origin: OpOrigin) -> Result<CmdId> {
-        if origin == OpOrigin::Host {
-            self.reserve_host_slot();
-        }
-        let ctx = self.take_obs_ctx();
-        self.check(ppa)?;
-        if self.chips[ppa.chip as usize].block(ppa.block).is_retired() {
-            return Err(FlashError::BlockRetired { chip: ppa.chip, block: ppa.block });
-        }
-        match self.fault.check(FaultOp::Program) {
-            FaultVerdict::Pass => {}
-            FaultVerdict::Transient => {
-                self.stats.program_failures += 1;
-                self.emit(EventKind::ProgramFault { permanent: false }, ctx.region, ctx.lba);
-                return Err(FlashError::ProgramFailed { ppa, permanent: false });
-            }
-            FaultVerdict::Permanent => {
-                self.stats.program_failures += 1;
-                self.emit(EventKind::ProgramFault { permanent: true }, ctx.region, ctx.lba);
-                self.retire_block(ppa.chip, ppa.block, ctx);
-                return Err(FlashError::ProgramFailed { ppa, permanent: true });
-            }
-        }
-        let msb = self.page_kind(ppa) == PageKind::Msb;
+        let ctx = self.admit(origin);
+        self.program_verdict(ppa, ctx)?;
         self.chips[ppa.chip as usize].block_mut(ppa.block).page_mut(ppa.page).program(
             ppa,
             data,
             &mut self.spare,
         )?;
+        Ok(self.finish_program(ppa, origin, ctx))
+    }
+
+    /// Queue a copy-back program: the second half of moving page `src` to
+    /// the erased page `dst` (see [`FlashDevice::submit_copyback_read`]).
+    /// `src` must be readable; then `dst` goes through every check of
+    /// [`FlashDevice::submit_program`] in its order — address, retired
+    /// block, fault verdict, erased — and only once all have passed does
+    /// `src`'s main-area buffer move to `dst` (no byte is copied) and its
+    /// OOB bytes get copied after it. A refused or faulted command changes
+    /// neither page. From then on `src` is [`PageState::Migrated`] until
+    /// its block is erased. Counted, traced and timed as a program of a
+    /// whole page.
+    pub fn submit_copyback_program(
+        &mut self,
+        src: Ppa,
+        dst: Ppa,
+        origin: OpOrigin,
+    ) -> Result<CmdId> {
+        let ctx = self.admit(origin);
+        self.check(src)?;
+        self.chips[src.chip as usize].block(src.block).page(src.page).readable(src)?;
+        self.program_verdict(dst, ctx)?;
+        self.chips[dst.chip as usize].block(dst.block).page(dst.page).check_erased(dst)?;
+        // The source leaves its slot for the length of the move (an empty
+        // placeholder, which allocates nothing, stands in): `dst` takes its
+        // buffer and copies its OOB, and it goes back migrated.
+        let mut source = std::mem::take(self.page_mut(src));
+        self.page_mut(dst).move_from(&mut source);
+        *self.page_mut(src) = source;
+        Ok(self.finish_program(dst, origin, ctx))
+    }
+
+    /// Edit the image a copy-back program moved onto `ppa` — main area and
+    /// OOB, outside the ISPP rule. This is copy-back with data change: the
+    /// controller rewrites bytes of the page register between the two
+    /// halves of the move, so it costs no latency and counts nothing (the
+    /// move is already timed as a whole-page read and program). Call it
+    /// right after [`FlashDevice::submit_copyback_program`] returned, and
+    /// for nothing else. `f`'s result is handed back.
+    pub fn rewrite_moved<T>(
+        &mut self,
+        ppa: Ppa,
+        f: impl FnOnce(&mut [u8], &mut [u8]) -> T,
+    ) -> Result<T> {
+        self.check(ppa)?;
+        let (main, oob) = self.page_mut(ppa).edit(ppa)?;
+        Ok(f(main, oob))
+    }
+
+    /// What a program checks before it touches a cell, in order: the
+    /// address, the block's health, the fault plan's verdict (a permanent
+    /// fault retires the block).
+    fn program_verdict(&mut self, ppa: Ppa, ctx: ObsCtx) -> Result<()> {
+        self.check(ppa)?;
+        if self.chips[ppa.chip as usize].block(ppa.block).is_retired() {
+            return Err(FlashError::BlockRetired { chip: ppa.chip, block: ppa.block });
+        }
+        match self.fault.check(FaultOp::Program) {
+            FaultVerdict::Pass => Ok(()),
+            FaultVerdict::Transient => {
+                self.stats.program_failures += 1;
+                self.emit(EventKind::ProgramFault { permanent: false }, ctx.region, ctx.lba);
+                Err(FlashError::ProgramFailed { ppa, permanent: false })
+            }
+            FaultVerdict::Permanent => {
+                self.stats.program_failures += 1;
+                self.emit(EventKind::ProgramFault { permanent: true }, ctx.region, ctx.lba);
+                self.retire_block(ppa.chip, ppa.block, ctx);
+                Err(FlashError::ProgramFailed { ppa, permanent: true })
+            }
+        }
+    }
+
+    /// Account and dispatch a full-page program whose cells are written.
+    fn finish_program(&mut self, ppa: Ppa, origin: OpOrigin, ctx: ObsCtx) -> CmdId {
+        let msb = self.page_kind(ppa) == PageKind::Msb;
         // A fresh program defines new cell contents; stale error bookkeeping
         // for the previous residency is gone.
         self.ledger.clear(ppa);
@@ -786,15 +856,8 @@ impl FlashDevice {
         };
         self.emit(kind, ctx.region, ctx.lba);
         self.apply_interference(ppa);
-        let latency = self.config.timing.program_latency(data.len(), msb);
-        Ok(self.finish_submit(
-            ppa.chip,
-            origin,
-            OpClass::Program,
-            latency,
-            ReadOutcome::Clean,
-            None,
-        ))
+        let latency = self.config.timing.program_latency(self.config.geometry.page_size, msb);
+        self.finish_submit(ppa.chip, origin, OpClass::Program, latency, ReadOutcome::Clean, None)
     }
 
     /// Full-page program, synchronously (submit + complete one).
@@ -814,10 +877,7 @@ impl FlashDevice {
         data: &[u8],
         origin: OpOrigin,
     ) -> Result<CmdId> {
-        if origin == OpOrigin::Host {
-            self.reserve_host_slot();
-        }
-        let ctx = self.take_obs_ctx();
+        let ctx = self.admit(origin);
         self.check(ppa)?;
         if self.chips[ppa.chip as usize].block(ppa.block).is_retired() {
             return Err(FlashError::BlockRetired { chip: ppa.chip, block: ppa.block });
@@ -888,10 +948,7 @@ impl FlashDevice {
     /// Queue a block erase. Counts wear and fails once the endurance limit
     /// is reached.
     pub fn submit_erase(&mut self, chip: u32, block: u32, origin: OpOrigin) -> Result<CmdId> {
-        if origin == OpOrigin::Host {
-            self.reserve_host_slot();
-        }
-        let ctx = self.take_obs_ctx();
+        let ctx = self.admit(origin);
         let probe = Ppa::new(chip, block, 0);
         self.check(probe)?;
         if self.fault.check(FaultOp::Erase) != FaultVerdict::Pass {
@@ -973,18 +1030,12 @@ impl FlashDevice {
     /// in place. Retention errors are repaired (charge restored);
     /// interference errors persist.
     pub fn submit_refresh(&mut self, ppa: Ppa, origin: OpOrigin) -> Result<CmdId> {
-        if origin == OpOrigin::Host {
-            self.reserve_host_slot();
-        }
         // Refresh emits no physical event of its own, but consuming the
         // staged context keeps the span attribution of its lifecycle
         // event current and honours the consume-and-clear contract.
-        let _ctx = self.take_obs_ctx();
+        let _ctx = self.admit(origin);
         self.check(ppa)?;
-        let state = self.page_state(ppa)?;
-        if state == PageState::Erased {
-            return Err(FlashError::ReadOfErasedPage(ppa));
-        }
+        self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page).readable(ppa)?;
         let raw = self.ledger.raw_errors(ppa);
         if raw > self.config.reliability.ecc_correctable_bits {
             return Err(FlashError::UncorrectableEcc {
@@ -1681,6 +1732,175 @@ mod tests {
         assert_eq!(&d.peek(ppa).unwrap()[..100], &data[..100]);
         d.program_partial(ppa, 4000, &[0x22; 16], OpOrigin::Host).unwrap();
         assert_eq!(d.stats().host_delta_programs, 1);
+    }
+
+    /// Copy-back read + program of `src` to `dst`, completed.
+    fn copy_back(d: &mut FlashDevice, src: Ppa, dst: Ppa, origin: OpOrigin) -> Result<()> {
+        let id = d.submit_copyback_read(src, origin)?;
+        assert_eq!(d.complete(id)?.data, None, "a copy-back read transfers nothing");
+        let id = d.submit_copyback_program(src, dst, origin)?;
+        d.complete(id).map(drop)
+    }
+
+    #[test]
+    fn copy_back_moves_the_buffer_and_the_source_stays_unreadable_until_erase() {
+        let mut d = dev();
+        let (src, dst) = (Ppa::new(0, 3, 5), Ppa::new(0, 9, 0));
+        let mut data = full(&d, 0xFF);
+        data[..300].fill(0x5A);
+        d.program(src, &data, OpOrigin::Host).unwrap();
+        d.program_oob(src, 8, &[0xC0, 0xDE]).unwrap();
+        let buffer = d.peek(src).unwrap().as_ptr();
+        copy_back(&mut d, src, dst, OpOrigin::Background).unwrap();
+        // Zero-copy: the target's main area is the source's former buffer.
+        assert_eq!(d.peek(dst).unwrap().as_ptr(), buffer);
+        assert_eq!(d.peek(dst).unwrap(), &data[..]);
+        assert_eq!(&d.read_oob(dst).unwrap()[8..10], &[0xC0, 0xDE]);
+        assert_eq!(d.page_state(dst).unwrap(), PageState::Programmed { appends: 0 });
+        assert_eq!(d.read(dst, OpOrigin::Host).unwrap().0, data);
+        // The moved page is a page like any other: it takes appends.
+        d.program_partial(dst, 4000, &[0x01; 8], OpOrigin::Host).unwrap();
+        // The source refuses every access to its main area until erased.
+        let gone = FlashError::PageMigrated(src);
+        assert_eq!(d.page_state(src).unwrap(), PageState::Migrated);
+        assert_eq!(d.read(src, OpOrigin::Host).unwrap_err(), gone);
+        assert_eq!(d.submit_copyback_read(src, OpOrigin::Background).unwrap_err(), gone);
+        let elsewhere = Ppa::new(0, 9, 1);
+        assert_eq!(copy_back(&mut d, src, elsewhere, OpOrigin::Background), Err(gone.clone()));
+        assert_eq!(d.page_state(elsewhere).unwrap(), PageState::Erased);
+        assert_eq!(d.program_partial(src, 4000, &[0], OpOrigin::Host).unwrap_err(), gone);
+        assert_eq!(d.refresh(src).unwrap_err(), gone);
+        assert_eq!(d.peek(src).unwrap_err(), gone);
+        assert_eq!(
+            d.program(src, &data, OpOrigin::Host).unwrap_err(),
+            FlashError::ProgramNotErased(src)
+        );
+        let spare = d.spare_len();
+        d.erase(0, 3).unwrap();
+        assert_eq!(d.spare_len(), spare, "the migrated page had no buffer left to detach");
+        assert_eq!(d.read(src, OpOrigin::Host).unwrap_err(), FlashError::ReadOfErasedPage(src));
+        d.program(src, &data, OpOrigin::Host).unwrap();
+    }
+
+    #[test]
+    fn copy_back_costs_and_counts_what_read_plus_program_does() {
+        use crate::obs::{EventKind, ObsEvent, Observer};
+        use std::sync::{Arc, Mutex};
+
+        #[derive(Clone, Default)]
+        struct Shared(Arc<Mutex<Vec<ObsEvent>>>);
+        impl Observer for Shared {
+            fn on_event(&mut self, event: ObsEvent) {
+                self.0.lock().unwrap().push(event);
+            }
+        }
+
+        // MLC, so the LSB / MSB program latencies differ; one move of each
+        // origin onto each kind of page, between host programs that keep
+        // the chips busy.
+        let mut cfg = FlashConfig::openssd_mlc(8, 16, 4096);
+        cfg.reliability.interference_bit_prob = 0.5;
+        let moves = [
+            (Ppa::new(0, 0, 0), Ppa::new(0, 1, 0), OpOrigin::Background),
+            (Ppa::new(0, 0, 1), Ppa::new(1, 1, 1), OpOrigin::Background),
+            (Ppa::new(1, 0, 0), Ppa::new(1, 2, 0), OpOrigin::Host),
+            (Ppa::new(1, 0, 1), Ppa::new(0, 2, 1), OpOrigin::HostAsync),
+        ];
+        let run = |copyback: bool| {
+            let mut d = FlashDevice::with_seed(cfg.clone(), 5);
+            let sink = Shared::default();
+            d.attach_observer(Box::new(sink.clone()));
+            d.set_cmd_tracing(true);
+            for &(src, ..) in &moves {
+                d.program(src, &vec![0x3C; 4096], OpOrigin::Host).unwrap();
+            }
+            for &(src, dst, origin) in &moves {
+                d.set_obs_ctx(Some(2), Some(7));
+                if copyback {
+                    let id = d.submit_copyback_read(src, origin).unwrap();
+                    d.complete(id).unwrap();
+                    d.set_obs_ctx(Some(2), Some(8));
+                    let id = d.submit_copyback_program(src, dst, origin).unwrap();
+                    d.complete(id).unwrap();
+                } else {
+                    let (data, _) = d.read(src, origin).unwrap();
+                    d.set_obs_ctx(Some(2), Some(8));
+                    d.program(dst, &data, origin).unwrap();
+                }
+                d.program(Ppa::new(src.chip, 5, dst.page), &vec![0; 4096], OpOrigin::Host).unwrap();
+            }
+            let events = sink.0.lock().unwrap().clone();
+            let raw: Vec<u32> = moves.iter().map(|&(_, dst, _)| d.raw_bit_errors(dst)).collect();
+            (format!("{:?}", d.stats()), d.chip_counters(), d.clock().now_ns(), events, raw)
+        };
+        let (twin, copy) = (run(false), run(true));
+        assert_eq!(copy.0, twin.0, "FlashStats");
+        assert_eq!(copy.1, twin.1, "chip counters");
+        assert_eq!(copy.2, twin.2, "simulated clock");
+        assert_eq!(copy.3, twin.3, "event stream");
+        assert_eq!(copy.4, twin.4, "bit errors, so the interference draws");
+        assert!(copy.3.iter().any(|e| e.kind == EventKind::GcMigration));
+    }
+
+    #[test]
+    fn a_refused_or_faulted_copy_back_changes_neither_page() {
+        let mut cfg = FlashConfig::small_slc();
+        cfg.fault = crate::FaultPlan::default()
+            .with_scripted(crate::FaultOp::Program, 1, false)
+            .with_scripted(crate::FaultOp::Program, 2, true);
+        let mut d = FlashDevice::new(cfg);
+        let (src, dst) = (Ppa::new(0, 0, 0), Ppa::new(0, 1, 0));
+        let data = full(&d, 0x42);
+        d.program(src, &data, OpOrigin::Host).unwrap();
+        let untouched = |d: &FlashDevice| {
+            assert_eq!(d.peek(src).unwrap(), &data[..]);
+            assert_eq!(d.page_state(dst).unwrap(), PageState::Erased);
+        };
+        let gc = OpOrigin::Background;
+        let transient = FlashError::ProgramFailed { ppa: dst, permanent: false };
+        assert_eq!(copy_back(&mut d, src, dst, gc), Err(transient));
+        untouched(&d);
+        let permanent = FlashError::ProgramFailed { ppa: dst, permanent: true };
+        assert_eq!(copy_back(&mut d, src, dst, gc), Err(permanent));
+        untouched(&d);
+        assert!(d.is_block_retired(0, 1).unwrap());
+        let retired = FlashError::BlockRetired { chip: 0, block: 1 };
+        assert_eq!(copy_back(&mut d, src, dst, gc), Err(retired));
+        let outside = Ppa::new(0, 99, 0);
+        assert_eq!(
+            copy_back(&mut d, src, outside, gc),
+            Err(FlashError::AddressOutOfRange(outside))
+        );
+        let erased = Ppa::new(0, 2, 0);
+        let nothing = FlashError::ReadOfErasedPage(erased);
+        assert_eq!(d.submit_copyback_program(erased, Ppa::new(0, 3, 0), gc), Err(nothing));
+        untouched(&d);
+        assert_eq!((d.stats().program_failures, d.stats().gc_programs), (2, 0));
+        copy_back(&mut d, src, Ppa::new(0, 2, 1), gc).unwrap();
+        assert_eq!(d.peek(Ppa::new(0, 2, 1)).unwrap(), &data[..]);
+    }
+
+    #[test]
+    fn rewrite_moved_edits_the_target_in_place() {
+        let mut d = dev();
+        let (src, dst) = (Ppa::new(0, 0, 0), Ppa::new(0, 1, 0));
+        d.program(src, &full(&d, 0x00), OpOrigin::Host).unwrap();
+        copy_back(&mut d, src, dst, OpOrigin::Background).unwrap();
+        let stats = format!("{:?}", d.stats());
+        // Outside the ISPP rule: zeroes become ones, in the OOB too.
+        let seen = d
+            .rewrite_moved(dst, |main, oob| {
+                main[..4].fill(0xAB);
+                oob[0] = 0x17;
+                main.len()
+            })
+            .unwrap();
+        assert_eq!(seen, 4096);
+        assert_eq!(&d.peek(dst).unwrap()[..5], &[0xAB, 0xAB, 0xAB, 0xAB, 0x00]);
+        assert_eq!(d.read_oob(dst).unwrap()[0], 0x17);
+        assert_eq!(format!("{:?}", d.stats()), stats, "the edit costs and counts nothing");
+        let gone = FlashError::PageMigrated(src);
+        assert_eq!(d.rewrite_moved(src, |_, _| ()), Err(gone));
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! Test oracle: the eager page the device stored before erased pages went
 //! sparse, and a walk that drives it and the real device side by side.
 //!
-//! [`EagerPage`] is the previous `PageData` unchanged: every page owns a
-//! main-area buffer from construction, an erase refills it with `0xFF`, a
-//! read copies out of it. [`EagerDevice`] wraps an array of them with the
-//! device's counting rules — and a count of the buffers the real device
-//! should be holding spare — so that every `Result`, every byte and the
-//! whole of [`FlashStats`] can be predicted for a sequence of commands.
+//! [`EagerPage`] is the previous `PageData`: every page owns a main-area
+//! buffer from construction, an erase refills it with `0xFF`, a read copies
+//! out of it, and a copy-back program copies it too (the source only
+//! changes state). [`EagerDevice`] wraps an array of them with the device's
+//! counting rules — a fault plan that fails every seventh full program, and
+//! a count of the buffers the real device should be holding spare — so
+//! that every `Result`, every byte and the whole of [`FlashStats`] can be
+//! predicted for a sequence of commands.
 
 use crate::device::{FlashConfig, FlashDevice, OpOrigin};
 use crate::error::FlashError;
+use crate::fault::{FaultOp, ScriptedFault};
 use crate::geometry::{FlashGeometry, Ppa};
 use crate::page::{ispp_allows, PageState};
 use crate::stats::FlashStats;
@@ -46,7 +49,7 @@ impl EagerPage {
                 area: self.main.len(),
             });
         }
-        if self.state.is_programmed() {
+        if self.state != PageState::Erased {
             return Err(FlashError::ProgramNotErased(ppa));
         }
         self.main.copy_from_slice(data);
@@ -61,10 +64,6 @@ impl EagerPage {
         data: &[u8],
         max_appends: u32,
     ) -> Result<(), FlashError> {
-        let appends = match self.state {
-            PageState::Erased => None,
-            PageState::Programmed { appends } => Some(appends),
-        };
         if offset.checked_add(data.len()).is_none_or(|end| end > self.main.len()) {
             return Err(FlashError::RangeOutOfPage {
                 ppa,
@@ -73,6 +72,11 @@ impl EagerPage {
                 area: self.main.len(),
             });
         }
+        let appends = match self.state {
+            PageState::Erased => None,
+            PageState::Programmed { appends } => Some(appends),
+            PageState::Migrated => return Err(FlashError::PageMigrated(ppa)),
+        };
         if let Some(appends) = appends {
             if appends >= max_appends {
                 return Err(FlashError::AppendBudgetExceeded {
@@ -113,9 +117,20 @@ impl EagerPage {
     }
 }
 
+/// Which full programs (plain or copy-back, counted together from zero in
+/// the order they reach the fault check) the oracle walk's fault plan
+/// fails, transiently.
+fn faulted(nth: u64) -> bool {
+    nth % 7 == 6
+}
+
+/// How far the scripted plan reaches; the walk stays below it.
+const FAULT_SCRIPT: u64 = 8_000;
+
 /// The eager pages of a whole device plus what the real device's counters
-/// and spare list must read after the same commands (no faults, no
-/// injected errors, queue depth 1 — the oracle walk's configuration).
+/// and spare list must read after the same commands (the [`faulted`]
+/// program faults and nothing else: no injected errors, queue depth 1 —
+/// the oracle walk's configuration).
 struct EagerDevice {
     geometry: FlashGeometry,
     max_appends: u32,
@@ -124,6 +139,8 @@ struct EagerDevice {
     /// Buffers the real device holds for reuse: detached by erases and
     /// recycled in, taken out by reads and by programs of erased pages.
     spare: usize,
+    /// Full programs that reached the fault check so far.
+    programs_checked: u64,
 }
 
 impl EagerDevice {
@@ -135,6 +152,44 @@ impl EagerDevice {
             geometry: g,
             stats: FlashStats::default(),
             spare: 0,
+            programs_checked: 0,
+        }
+    }
+
+    /// The fault check of a full program of `ppa`.
+    fn fault_check(&mut self, ppa: Ppa) -> Result<(), FlashError> {
+        let nth = self.programs_checked;
+        self.programs_checked += 1;
+        if faulted(nth) {
+            self.stats.program_failures += 1;
+            return Err(FlashError::ProgramFailed { ppa, permanent: false });
+        }
+        Ok(())
+    }
+
+    fn count_program(&mut self, origin: OpOrigin) {
+        match origin {
+            OpOrigin::Host | OpOrigin::HostAsync => self.stats.host_programs += 1,
+            OpOrigin::Background => self.stats.gc_programs += 1,
+        }
+        self.dispatched(origin);
+    }
+
+    fn count_read(&mut self, origin: OpOrigin) {
+        match origin {
+            OpOrigin::Host | OpOrigin::HostAsync => self.stats.host_reads += 1,
+            OpOrigin::Background => self.stats.gc_reads += 1,
+        }
+        self.dispatched(origin);
+    }
+
+    /// The bytes a read of `ppa` returns.
+    fn readable(&self, ppa: Ppa) -> Result<&[u8], FlashError> {
+        let page = &self.pages[self.slot(ppa)?];
+        match page.state {
+            PageState::Programmed { .. } => Ok(&page.main),
+            PageState::Erased => Err(FlashError::ReadOfErasedPage(ppa)),
+            PageState::Migrated => Err(FlashError::PageMigrated(ppa)),
         }
     }
 
@@ -155,29 +210,47 @@ impl EagerDevice {
     }
 
     fn read(&mut self, ppa: Ppa, origin: OpOrigin) -> Result<Vec<u8>, FlashError> {
-        let page = &self.pages[self.slot(ppa)?];
-        if page.state == PageState::Erased {
-            return Err(FlashError::ReadOfErasedPage(ppa));
-        }
-        let data = page.main.to_vec();
-        match origin {
-            OpOrigin::Host | OpOrigin::HostAsync => self.stats.host_reads += 1,
-            OpOrigin::Background => self.stats.gc_reads += 1,
-        }
+        let data = self.readable(ppa)?.to_vec();
+        self.count_read(origin);
         self.spare = self.spare.saturating_sub(1);
-        self.dispatched(origin);
         Ok(data)
+    }
+
+    /// A read that transfers nothing, so takes no spare buffer.
+    fn copyback_read(&mut self, ppa: Ppa, origin: OpOrigin) -> Result<(), FlashError> {
+        self.readable(ppa)?;
+        self.count_read(origin);
+        Ok(())
     }
 
     fn program(&mut self, ppa: Ppa, data: &[u8], origin: OpOrigin) -> Result<(), FlashError> {
         let slot = self.slot(ppa)?;
+        self.fault_check(ppa)?;
         self.pages[slot].program(ppa, data)?;
-        match origin {
-            OpOrigin::Host | OpOrigin::HostAsync => self.stats.host_programs += 1,
-            OpOrigin::Background => self.stats.gc_programs += 1,
-        }
+        self.count_program(origin);
         self.spare = self.spare.saturating_sub(1);
-        self.dispatched(origin);
+        Ok(())
+    }
+
+    /// The source must be readable; the target checks of a program follow
+    /// in their order (address, fault, erased). Only then are the bytes and
+    /// the OOB copied — and the source becomes migrated. The real device
+    /// moves the source's buffer instead, so no spare changes hands.
+    fn copyback_program(&mut self, src: Ppa, dst: Ppa, origin: OpOrigin) -> Result<(), FlashError> {
+        let from = self.slot(src)?;
+        self.readable(src)?;
+        let to = self.slot(dst)?;
+        self.fault_check(dst)?;
+        if self.pages[to].state != PageState::Erased {
+            return Err(FlashError::ProgramNotErased(dst));
+        }
+        let source = self.pages[from].clone();
+        let target = &mut self.pages[to];
+        target.main.copy_from_slice(&source.main);
+        target.oob.copy_from_slice(&source.oob);
+        target.state = PageState::Programmed { appends: 0 };
+        self.pages[from].state = PageState::Migrated;
+        self.count_program(origin);
         Ok(())
     }
 
@@ -241,6 +314,15 @@ impl Lcg {
     fn bytes(&mut self, n: usize) -> Vec<u8> {
         (0..n).map(|_| self.below(256) as u8).collect()
     }
+
+    /// A page of `g`; one address in sixteen lies outside the device.
+    fn ppa(&mut self, g: &FlashGeometry) -> Ppa {
+        Ppa::new(
+            self.below(g.chips as usize) as u32 + u32::from(self.below(16) == 0),
+            self.below(g.blocks_per_chip as usize) as u32,
+            self.below(g.pages_per_block as usize) as u32,
+        )
+    }
 }
 
 /// The real device and the oracle, fed the same commands.
@@ -259,6 +341,10 @@ impl Pair {
         config.geometry.page_size = 32;
         config.geometry.oob_size = 8;
         config.max_appends = Some(3);
+        config.fault.scripted = (0..FAULT_SCRIPT)
+            .filter(|&nth| faulted(nth))
+            .map(|nth| ScriptedFault { op: FaultOp::Program, nth, permanent: false })
+            .collect();
         Pair { oracle: EagerDevice::new(&config), dev: FlashDevice::new(config), steps: 0 }
     }
 
@@ -273,7 +359,11 @@ impl Pair {
         for ppa in geometry.iter_pages() {
             let page = &self.oracle.pages[self.oracle.slot(ppa).unwrap()];
             assert_eq!(self.dev.page_state(ppa).unwrap(), page.state, "state of {ppa}, {at}");
-            assert_eq!(self.dev.peek(ppa).unwrap(), &page.main[..], "main of {ppa}, {at}");
+            let main = match page.state {
+                PageState::Migrated => Err(FlashError::PageMigrated(ppa)),
+                _ => Ok(&page.main[..]),
+            };
+            assert_eq!(self.dev.peek(ppa), main, "main of {ppa}, {at}");
             assert_eq!(self.dev.peek_oob(ppa).unwrap(), &page.oob[..], "oob of {ppa}, {at}");
             assert_eq!(self.dev.read_oob(ppa).unwrap(), &page.oob[..], "read_oob of {ppa}, {at}");
         }
@@ -327,6 +417,34 @@ impl Pair {
         want.is_ok()
     }
 
+    /// A copy-back read on both sides; it carries no bytes on either.
+    fn copyback_read(&mut self, ppa: Ppa, origin: OpOrigin) {
+        let got = self.dev.submit_copyback_read(ppa, origin).and_then(|id| self.dev.complete(id));
+        let want = self.oracle.copyback_read(ppa, origin);
+        if let Ok(c) = &got {
+            assert_eq!(c.data, None, "a copy-back read of {ppa} transferred bytes");
+            if origin == OpOrigin::Host {
+                self.oracle.stats.read_latency.record(c.result.latency_ns);
+            }
+        }
+        assert_eq!(got.map(|_| ()), want, "copy-back read of {ppa}");
+        self.check("copyback_read");
+    }
+
+    fn copyback_program(&mut self, src: Ppa, dst: Ppa, origin: OpOrigin) -> Result<(), FlashError> {
+        let got =
+            self.dev.submit_copyback_program(src, dst, origin).and_then(|id| self.dev.complete(id));
+        let want = self.oracle.copyback_program(src, dst, origin);
+        if let Ok(c) = &got {
+            if origin != OpOrigin::Background {
+                self.oracle.stats.write_latency.record(c.result.latency_ns);
+            }
+        }
+        assert_eq!(got.map(|_| ()), want, "copy-back of {src} to {dst}");
+        self.check("copyback_program");
+        want
+    }
+
     fn program_partial(
         &mut self,
         ppa: Ppa,
@@ -365,6 +483,18 @@ impl Pair {
     }
 }
 
+/// The device and the oracle agree on every result, byte, page state and
+/// counter over a scripted opening and a 6 000-command random walk.
+///
+/// That the copy-back half still bites was checked by planting two
+/// mutations in a copy of the device. "Source still readable after the
+/// move" (`move_from` leaves the source programmed with a copy) fails at
+/// the opening's first move (state `Programmed`, oracle `Migrated`) and,
+/// with the opening removed, at step 76 of the walk. "Target-erased check
+/// skipped" (no `check_erased` in `submit_copyback_program`) fails at the
+/// opening's move onto a programmed page (device `Ok`, oracle
+/// `ProgramNotErased`) and, with the opening removed, when the walk moves
+/// a page onto itself.
 #[test]
 fn sparse_device_matches_the_eager_page_oracle() {
     let mut pair = Pair::new();
@@ -401,20 +531,35 @@ fn sparse_device_matches_the_eager_page_oracle() {
     pair.recycle(Vec::new());
     pair.read(c, OpOrigin::HostAsync);
     pair.read(b, OpOrigin::Host);
+    // (4) Copy-back (full programs so far: 4). A move onto a programmed
+    // page is refused, a faulted one (the 7th full program) changes neither
+    // page, a done one leaves the source refusing reads, moves and appends
+    // until its block's erase.
+    let (src, dst) = (Ppa::new(1, 0, 0), Ppa::new(0, 1, 0));
+    assert!(pair.program(src, &image, OpOrigin::Host));
+    pair.copyback_read(src, OpOrigin::Background);
+    let gc = OpOrigin::Background;
+    assert_eq!(pair.copyback_program(src, c, gc), Err(FlashError::ProgramNotErased(c)));
+    let fault = FlashError::ProgramFailed { ppa: dst, permanent: false };
+    assert_eq!(pair.copyback_program(src, dst, gc), Err(fault));
+    assert_eq!(pair.copyback_program(src, dst, gc), Ok(()));
+    assert_eq!(pair.read(src, OpOrigin::Host), None);
+    let again = Ppa::new(0, 1, 1);
+    assert_eq!(pair.copyback_program(src, again, gc), Err(FlashError::PageMigrated(src)));
+    assert_eq!(pair.program_partial(src, 0, &[0], gc), Err(FlashError::PageMigrated(src)));
+    assert!(!pair.program(src, &image, OpOrigin::Host), "a migrated page is not erased");
+    pair.erase(1, 0);
+    assert!(pair.program(src, &image, OpOrigin::Host));
 
     let mut rng = Lcg(0x1AA7_5EED);
     let mut kept: Vec<Vec<u8>> = Vec::new();
     let (mut violations, mut over_budget, mut onto_erased) = (0, 0, 0);
+    let (mut moved, mut onto_programmed, mut faulted_moves, mut migrated_reads) = (0, 0, 0, 0);
     for _ in 0..6_000 {
         let g = pair.oracle.geometry.clone();
-        // One address in sixteen lies outside the device.
-        let ppa = Ppa::new(
-            rng.below(g.chips as usize) as u32 + u32::from(rng.below(16) == 0),
-            rng.below(g.blocks_per_chip as usize) as u32,
-            rng.below(g.pages_per_block as usize) as u32,
-        );
+        let ppa = rng.ppa(&g);
         let origin = [OpOrigin::Host, OpOrigin::HostAsync, OpOrigin::Background][rng.below(3)];
-        match rng.below(16) {
+        match rng.below(18) {
             0..=2 => {
                 // A page image with an erased tail; sometimes a byte short.
                 let len = size - usize::from(rng.below(8) == 0);
@@ -457,6 +602,7 @@ fn sparse_device_matches_the_eager_page_oracle() {
             }
             8 if rng.below(3) == 0 => pair.erase(ppa.chip, ppa.block),
             9..=12 => {
+                migrated_reads += usize::from(pair.dev.page_state(ppa) == Ok(PageState::Migrated));
                 if let Some(mut buf) = pair.read(ppa, origin) {
                     match rng.below(8) {
                         // Keep it for later, drop it, hand it back cut or
@@ -485,6 +631,20 @@ fn sparse_device_matches_the_eager_page_oracle() {
                 let len = if rng.below(2) == 0 { size } else { rng.below(80) };
                 pair.recycle(rng.bytes(len));
             }
+            // Move the page somewhere, mostly after its copy-back read, as
+            // the GC does.
+            15 | 16 => {
+                let dst = rng.ppa(&g);
+                if rng.below(4) != 0 {
+                    pair.copyback_read(ppa, origin);
+                }
+                match pair.copyback_program(ppa, dst, origin) {
+                    Ok(()) => moved += 1,
+                    Err(FlashError::ProgramNotErased(_)) => onto_programmed += 1,
+                    Err(FlashError::ProgramFailed { .. }) => faulted_moves += 1,
+                    Err(_) => {}
+                }
+            }
             _ => pair.check("idle"),
         }
     }
@@ -492,6 +652,10 @@ fn sparse_device_matches_the_eager_page_oracle() {
     assert!(violations > 50, "{violations} ISPP violations");
     assert!(over_budget > 50, "{over_budget} appends over budget");
     assert!(onto_erased > 50, "{onto_erased} partial programs of erased pages");
+    assert!(moved > 50 && onto_programmed > 50, "{moved} moves, {onto_programmed} refused");
+    assert!(faulted_moves > 10, "{faulted_moves} faulted moves");
+    assert!(migrated_reads > 50, "{migrated_reads} reads of migrated pages");
+    assert!(pair.oracle.programs_checked < FAULT_SCRIPT);
     let s = pair.dev.stats();
     assert!(s.host_reads > 300 && s.gc_reads > 100 && s.erases > 50 && s.host_programs > 50);
 }

@@ -30,6 +30,14 @@
 //!   injection plus an out-of-band (OOB) area per page for ECC bookkeeping,
 //!   mirroring the paper's §6.2 discussion (`ECC_initial` + per-delta codes,
 //!   Correct-and-Refresh).
+//! * **Copy-back.** [`FlashDevice::submit_copyback_read`] +
+//!   [`FlashDevice::submit_copyback_program`] move a page to an erased one
+//!   without a host transfer — the management layer's GC migrations. The
+//!   page's buffer moves to the target (no byte is copied; the OOB bytes
+//!   are) only after every program check has passed, and the source is then
+//!   [`PageState::Migrated`]: unreadable until its block is erased. The pair
+//!   is timed, counted and traced exactly like a read + program of the
+//!   page, so a migration costs the same simulated time either way.
 //!
 //! The simulator deliberately stops at the chip interface: logical-to-
 //! physical mapping, garbage collection and wear leveling live in

@@ -9,6 +9,9 @@
 //! needs storing until the first program. Buffers detached by an erase wait
 //! in the device's [`SparePages`] and are handed to the next program or
 //! read, so a page-sized buffer is allocated only while that list is empty.
+//! A copy-back program ([`PageData::move_from`]) hands a page's buffer to
+//! another page whole; the source is then *migrated* — neither erased nor
+//! readable — until its block is erased.
 
 use crate::error::FlashError;
 use crate::geometry::Ppa;
@@ -24,10 +27,15 @@ pub enum PageState {
         /// Number of partial programs performed after the initial program.
         appends: u32,
     },
+    /// A copy-back program moved the page's contents to another page. The
+    /// cells are not erased, and the device refuses to read, program or
+    /// append to them until the block is erased.
+    Migrated,
 }
 
 impl PageState {
-    /// Whether the page holds programmed data.
+    /// Whether the page holds programmed data (a migrated page does not:
+    /// its data lives on the copy-back target).
     pub fn is_programmed(self) -> bool {
         matches!(self, PageState::Programmed { .. })
     }
@@ -105,33 +113,61 @@ impl SparePages {
     }
 }
 
-/// One physical page: main area + OOB area + state.
-#[derive(Debug, Clone)]
+/// What a page's main area holds.
+#[derive(Debug, Clone, Default)]
+enum Cells {
+    /// Every cell reads `0xFF`; no buffer exists.
+    #[default]
+    Erased,
+    /// The cells, and the number of partial programs since the initial
+    /// program.
+    Programmed { main: Vec<u8>, appends: u32 },
+    /// The buffer went to a copy-back target; nothing is readable here until
+    /// the block is erased.
+    Migrated,
+}
+
+/// One physical page: main area + OOB area + state. The default value (no
+/// OOB bytes) is only a placeholder for the length of a copy-back move.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct PageData {
-    /// Main-area cells and the number of partial programs since the initial
-    /// program; `None` while the page is erased (all cells read `0xFF`).
-    cells: Option<(Vec<u8>, u32)>,
+    cells: Cells,
     oob: Box<[u8]>,
 }
 
 impl PageData {
     /// A freshly erased page with an OOB area of `oob_size` bytes.
     pub fn erased(oob_size: usize) -> Self {
-        PageData { cells: None, oob: vec![0xFF; oob_size].into_boxed_slice() }
+        PageData { cells: Cells::Erased, oob: vec![0xFF; oob_size].into_boxed_slice() }
     }
 
     /// Current lifecycle state.
     pub fn state(&self) -> PageState {
         match self.cells {
-            None => PageState::Erased,
-            Some((_, appends)) => PageState::Programmed { appends },
+            Cells::Erased => PageState::Erased,
+            Cells::Programmed { appends, .. } => PageState::Programmed { appends },
+            Cells::Migrated => PageState::Migrated,
         }
     }
 
-    /// Read-only view of the main area; `None` while the page is erased
-    /// (every cell reads `0xFF` and no buffer exists).
-    pub fn main(&self) -> Option<&[u8]> {
-        self.cells.as_ref().map(|(main, _)| main.as_slice())
+    /// The main area, as a read returns it: refused for an erased page
+    /// (nothing was written) and for a migrated one (its buffer moved on).
+    pub fn readable(&self, ppa: Ppa) -> Result<&[u8], FlashError> {
+        match &self.cells {
+            Cells::Programmed { main, .. } => Ok(main),
+            Cells::Erased => Err(FlashError::ReadOfErasedPage(ppa)),
+            Cells::Migrated => Err(FlashError::PageMigrated(ppa)),
+        }
+    }
+
+    /// Main area and OOB of a programmed page, writable without the ISPP
+    /// rule — the device's copy-back data-change hook, nothing else.
+    pub(crate) fn edit(&mut self, ppa: Ppa) -> Result<(&mut [u8], &mut [u8]), FlashError> {
+        match &mut self.cells {
+            Cells::Programmed { main, .. } => Ok((main, &mut self.oob)),
+            Cells::Erased => Err(FlashError::ReadOfErasedPage(ppa)),
+            Cells::Migrated => Err(FlashError::PageMigrated(ppa)),
+        }
     }
 
     /// Read-only view of the OOB area.
@@ -142,10 +178,18 @@ impl PageData {
     /// Reset the page to the erased state (invoked by block erase): the
     /// main-area buffer is detached into `spare`, not refilled.
     pub(crate) fn erase(&mut self, spare: &mut SparePages) {
-        if let Some((main, _)) = self.cells.take() {
+        if let Cells::Programmed { main, .. } = std::mem::take(&mut self.cells) {
             spare.put(main);
         }
         self.oob.fill(0xFF);
+    }
+
+    /// The target check of a full program: the page must be erased.
+    pub(crate) fn check_erased(&self, ppa: Ppa) -> Result<(), FlashError> {
+        match self.cells {
+            Cells::Erased => Ok(()),
+            _ => Err(FlashError::ProgramNotErased(ppa)),
+        }
     }
 
     /// Initial full-page program. The page must be erased; the data may
@@ -165,11 +209,23 @@ impl PageData {
                 area: spare.page_size(),
             });
         }
-        if self.cells.is_some() {
-            return Err(FlashError::ProgramNotErased(ppa));
-        }
-        self.cells = Some((spare.take_copy(data), 0));
+        self.check_erased(ppa)?;
+        self.cells = Cells::Programmed { main: spare.take_copy(data), appends: 0 };
         Ok(())
+    }
+
+    /// Copy-back program onto this page, which the device has checked is
+    /// erased: take `src`'s main-area buffer whole — no byte is copied —
+    /// and a copy of its OOB bytes. `src` is left migrated. A source that
+    /// holds no programmed data has nothing to move and changes nothing.
+    pub(crate) fn move_from(&mut self, src: &mut PageData) {
+        match std::mem::replace(&mut src.cells, Cells::Migrated) {
+            Cells::Programmed { main, .. } => {
+                self.cells = Cells::Programmed { main, appends: 0 };
+                self.oob.copy_from_slice(&src.oob);
+            }
+            other => src.cells = other,
+        }
     }
 
     /// ISPP partial program (in-place append) of `data` at `offset` within
@@ -193,16 +249,21 @@ impl PageData {
         let Some(end) = offset.checked_add(data.len()).filter(|&end| end <= area) else {
             return Err(FlashError::RangeOutOfPage { ppa, offset, len: data.len(), area });
         };
-        let Some((main, appends)) = &mut self.cells else {
-            // Hardware would happily program an erased page partially, but a
-            // sane management layer always writes the initial image first;
-            // we allow it and treat it as the initial program of the range.
-            // Every bit may go 1→0 from all ones, so nothing can violate
-            // ISPP; the cells outside the range stay erased.
-            let mut main = spare.take_erased();
-            main[offset..end].copy_from_slice(data);
-            self.cells = Some((main, 0));
-            return Ok(());
+        let (main, appends) = match &mut self.cells {
+            Cells::Programmed { main, appends } => (main, appends),
+            Cells::Migrated => return Err(FlashError::PageMigrated(ppa)),
+            Cells::Erased => {
+                // Hardware would happily program an erased page partially,
+                // but a sane management layer always writes the initial
+                // image first; we allow it and treat it as the initial
+                // program of the range. Every bit may go 1→0 from all ones,
+                // so nothing can violate ISPP; the cells outside the range
+                // stay erased.
+                let mut main = spare.take_erased();
+                main[offset..end].copy_from_slice(data);
+                self.cells = Cells::Programmed { main, appends: 0 };
+                return Ok(());
+            }
         };
         if *appends >= max_appends {
             return Err(FlashError::AppendBudgetExceeded {
@@ -264,7 +325,7 @@ mod tests {
     #[test]
     fn erased_page_holds_no_buffer() {
         let (p, _) = page();
-        assert_eq!(p.main(), None);
+        assert_eq!(p.readable(PPA), Err(FlashError::ReadOfErasedPage(PPA)));
         assert!(p.oob().iter().all(|&b| b == 0xFF));
         assert_eq!(p.state(), PageState::Erased);
     }
@@ -303,7 +364,7 @@ mod tests {
         data[..32].fill(0x13);
         p.program(PPA, &data, &mut spare).unwrap();
         p.program_partial(PPA, 48, &[0x77; 8], 4, &mut spare).unwrap();
-        assert_eq!(&p.main().unwrap()[48..56], &[0x77; 8]);
+        assert_eq!(&p.readable(PPA).unwrap()[48..56], &[0x77; 8]);
         assert_eq!(p.state(), PageState::Programmed { appends: 1 });
     }
 
@@ -317,7 +378,7 @@ mod tests {
         let err = p.program_partial(PPA, 30, &[0xF0; 4], 4, &mut spare).unwrap_err();
         assert!(matches!(err, FlashError::IsppViolation { offset: 30, .. }));
         // Page unchanged, including the erased part of the range.
-        assert_eq!(&p.main().unwrap()[30..34], &[0x0F, 0x0F, 0xFF, 0xFF]);
+        assert_eq!(&p.readable(PPA).unwrap()[30..34], &[0x0F, 0x0F, 0xFF, 0xFF]);
         assert_eq!(p.state(), PageState::Programmed { appends: 0 });
     }
 
@@ -349,7 +410,7 @@ mod tests {
         p.program_oob(PPA, 0, &[0x12, 0x34]).unwrap();
         p.erase(&mut spare);
         assert_eq!(p.state(), PageState::Erased);
-        assert_eq!(p.main(), None);
+        assert_eq!(p.readable(PPA), Err(FlashError::ReadOfErasedPage(PPA)));
         assert!(p.oob().iter().all(|&b| b == 0xFF));
         assert_eq!(spare.len(), 1);
         // Erasing an erased page has no buffer to detach.
@@ -368,9 +429,37 @@ mod tests {
         p.program_partial(PPA, 8, &[0xA5; 4], 4, &mut spare).unwrap();
         assert_eq!(spare.len(), 0, "the detached buffer was reused");
         assert_eq!(p.state(), PageState::Programmed { appends: 0 });
-        let main = p.main().unwrap();
+        let main = p.readable(PPA).unwrap();
         assert_eq!(&main[8..12], &[0xA5; 4]);
         assert!(main[..8].iter().chain(&main[12..]).all(|&b| b == 0xFF));
+    }
+
+    #[test]
+    fn move_from_hands_the_buffer_over_and_leaves_the_source_migrated() {
+        let (mut src, mut spare) = page();
+        let mut dst = PageData::erased(16);
+        src.program(PPA, &[0x5A; 64], &mut spare).unwrap();
+        src.program_oob(PPA, 3, &[0x12]).unwrap();
+        let buffer = src.readable(PPA).unwrap().as_ptr();
+        dst.move_from(&mut src);
+        assert_eq!(dst.readable(PPA).unwrap().as_ptr(), buffer, "moved, not copied");
+        assert_eq!(dst.readable(PPA).unwrap(), &[0x5A; 64]);
+        assert_eq!(dst.state(), PageState::Programmed { appends: 0 });
+        assert_eq!((dst.oob()[3], src.oob()[3]), (0x12, 0x12), "the OOB is copied");
+        assert_eq!(src.state(), PageState::Migrated);
+        assert_eq!(src.readable(PPA), Err(FlashError::PageMigrated(PPA)));
+        assert_eq!(src.program(PPA, &[0; 64], &mut spare), Err(FlashError::ProgramNotErased(PPA)));
+        assert_eq!(
+            src.program_partial(PPA, 0, &[0], 4, &mut spare),
+            Err(FlashError::PageMigrated(PPA))
+        );
+        // A migrated page has nothing left to move.
+        let mut other = PageData::erased(16);
+        other.move_from(&mut src);
+        assert_eq!((other.state(), src.state()), (PageState::Erased, PageState::Migrated));
+        // Its erase detaches no buffer: the buffer left with the move.
+        src.erase(&mut spare);
+        assert_eq!((src.state(), spare.len()), (PageState::Erased, 0));
     }
 
     #[test]

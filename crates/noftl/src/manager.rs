@@ -69,9 +69,9 @@ impl NoFtl {
 
     /// Install a GC-carried page rewriter on every region (see
     /// [`crate::PageRewriter`]): each valid page moved by garbage
-    /// collection or wear leveling is offered to the hook between its
-    /// migration read and program, so format changes ride I/O the FTL
-    /// performs anyway.
+    /// collection or wear leveling is offered to the hook on its new page,
+    /// right after the copy-back program, so format changes ride I/O the
+    /// FTL performs anyway.
     pub fn set_page_rewriter(&mut self, rewriter: std::sync::Arc<dyn crate::PageRewriter>) {
         for region in &mut self.regions {
             region.set_rewriter(rewriter.clone());

@@ -99,10 +99,8 @@ pub(crate) struct Region {
 struct GcScratch {
     /// `(page, lba)` of every valid page of the victim.
     plan: Vec<(u32, u64)>,
-    /// The plan's entries with the read queued for each.
+    /// The plan's entries with the copy-back read queued for each.
     batch: Vec<(u32, u64, CmdId)>,
-    /// OOB image of the page being migrated.
-    oob: Vec<u8>,
 }
 
 impl Region {
@@ -329,7 +327,9 @@ impl Region {
         }
         let local = self.pick_chip();
         self.garbage_collect_chip(dev, local)?;
-        let (ppa, id) = self.program_healed(dev, local, lba, data, ctx)?;
+        let (ppa, id) = self.program_healed(dev, local, lba, ctx, |dev, ppa| {
+            dev.submit_program(ppa, data, ctx.origin)
+        })?;
         if let Some(old) = self.l2p[lba.0 as usize] {
             self.invalidate(old)?;
         }
@@ -340,8 +340,10 @@ impl Region {
     }
 
     /// Program a fresh allocation with the region's degradation policy:
-    /// a transient program-status failure is retried on the same page up
-    /// to `program_retries` times; once the budget is spent — or when the
+    /// `submit` queues the program of the page it is given (a host write's
+    /// image, a delta fallback's, or a migration's copy-back). A transient
+    /// program-status failure is retried on the same page up to
+    /// `program_retries` times; once the budget is spent — or when the
     /// failure is permanent — the block is retired as grown bad and the
     /// write remapped onto a new allocation. Terminates because every
     /// retirement permanently removes one block from the pool.
@@ -350,14 +352,14 @@ impl Region {
         dev: &mut FlashDevice,
         local: usize,
         lba: Lba,
-        data: &[u8],
         ctx: IoCtx,
+        mut submit: impl FnMut(&mut FlashDevice, Ppa) -> std::result::Result<CmdId, FlashError>,
     ) -> Result<(Ppa, CmdId)> {
         let mut retries = 0u32;
         let mut ppa = self.allocate(dev, local)?;
         loop {
             self.stage_obs(dev, ctx, lba);
-            match dev.submit_program(ppa, data, ctx.origin) {
+            match submit(dev, ppa) {
                 Ok(id) => return Ok((ppa, id)),
                 Err(FlashError::ProgramFailed { permanent: false, .. })
                     if retries < self.fault_policy.program_retries =>
@@ -483,7 +485,9 @@ impl Region {
         let oob = dev.read_oob(old)?;
         let local = self.pick_chip();
         self.garbage_collect_chip(dev, local)?;
-        let (new, id) = self.program_healed(dev, local, lba, &image, ctx)?;
+        let (new, id) = self.program_healed(dev, local, lba, ctx, |dev, ppa| {
+            dev.submit_program(ppa, &image, ctx.origin)
+        })?;
         dev.program_oob(new, 0, &oob)?;
         self.invalidate(old)?;
         self.map(lba, new)?;
@@ -791,11 +795,11 @@ impl Region {
         self.drain_completions(dev, local, victim, batch)
     }
 
-    /// Queue the GC read batch as one burst, so on multi-chip devices a
-    /// collection overlaps with host work queued on other chips instead of
-    /// interleaving read/program round trips. If a submit fails mid-batch
-    /// the reads already queued are completed (best-effort) before the
-    /// error surfaces — nothing stays stuck on the device queue.
+    /// Queue the GC's copy-back reads as one burst, so on multi-chip
+    /// devices a collection overlaps with host work queued on other chips
+    /// instead of interleaving read/program round trips. If a submit fails
+    /// mid-batch the reads already queued are completed (best-effort)
+    /// before the error surfaces — nothing stays stuck on the device queue.
     fn submit_gc_reads(
         &mut self,
         dev: &mut FlashDevice,
@@ -806,7 +810,7 @@ impl Region {
     ) -> Result<()> {
         let chip = self.chips[local].chip;
         for &(page, lba) in plan {
-            match dev.submit_read(Ppa::new(chip, victim, page), OpOrigin::Background) {
+            match dev.submit_copyback_read(Ppa::new(chip, victim, page), OpOrigin::Background) {
                 Ok(id) => batch.push((page, lba, id)),
                 Err(e) => {
                     for &(_, _, id) in batch.iter() {
@@ -821,7 +825,7 @@ impl Region {
         Ok(())
     }
 
-    /// Complete the queued GC read batch, migrating each page as its read
+    /// Complete the queued copy-back reads, migrating each page as its read
     /// arrives. On the first migration error the remaining in-flight reads
     /// are still completed (best-effort, failures counted in
     /// `gc_drain_failures`) before the error propagates, so an aborted
@@ -852,9 +856,12 @@ impl Region {
         }
     }
 
-    /// Move one valid page whose read is already queued as `id`: complete
-    /// the read, re-program through the healed path, carry the OOB image
-    /// along (ECC codes stay with the data), and update the mapping.
+    /// Move one valid page whose copy-back read is already queued as `id`:
+    /// complete the read, copy-back program the page through the healed
+    /// path — its buffer and OOB bytes (ECC codes stay with the data) move
+    /// to the new page — and update the mapping. A faulted program leaves
+    /// the source as it was, so the retry or the remapped write moves the
+    /// same page, and an aborted collection leaves it mapped and readable.
     fn migrate_page(
         &mut self,
         dev: &mut FlashDevice,
@@ -866,29 +873,24 @@ impl Region {
     ) -> Result<()> {
         let chip = self.chips[local].chip;
         let old = Ppa::new(chip, victim, page);
-        let mut data = dev
-            .complete(id)?
-            .data
-            .ok_or(NoFtlError::Internal("read completion carries no data"))?;
-        let mut oob = std::mem::take(&mut self.gc_scratch.oob);
-        dev.read_oob_into(old, &mut oob)?;
-        // The migration already holds the full image in memory: offer it
-        // to the installed rewriter, which may re-encode the page (e.g.
-        // under a newer [N×M] scheme) at zero extra flash I/O.
+        dev.complete(id)?;
+        // Migrations go through the healed program path too: a fault
+        // storm must not abort a collection mid-flight.
+        let (new, id) =
+            self.program_healed(dev, local, Lba(lba), IoCtx::background(), |dev, new| {
+                dev.submit_copyback_program(old, new, OpOrigin::Background)
+            })?;
+        dev.complete(id)?;
+        // The moved image is offered to the installed rewriter, which may
+        // re-encode the page (e.g. under a newer [N×M] scheme) at zero
+        // extra flash I/O.
         if let RewriterSlot(Some(rw)) = &self.rewriter {
-            if rw.rewrite_for_migration(self.id, lba, &mut data, &mut oob) {
+            if dev
+                .rewrite_moved(new, |main, oob| rw.rewrite_for_migration(self.id, lba, main, oob))?
+            {
                 self.stats.gc_rewrites += 1;
             }
         }
-        // Migrations go through the healed program path too: a fault
-        // storm must not abort a collection mid-flight.
-        let (new, id) = self.program_healed(dev, local, Lba(lba), &data, IoCtx::background())?;
-        dev.complete(id)?;
-        // The image is on its new page: the read buffer goes back to the
-        // device, which hands it to the next read or program.
-        dev.recycle(data);
-        dev.program_oob(new, 0, &oob)?;
-        self.gc_scratch.oob = oob;
         self.invalidate(old)?;
         self.map(Lba(lba), new)?;
         self.stats.gc_page_migrations += 1;
@@ -1378,6 +1380,92 @@ mod tests {
         assert!(r.stats.retired_blocks >= 1, "the scripted fault must retire a block");
         assert!(r.stats.gc_erases > 0, "collection must survive the nested pass");
         assert_region_invariants(&r);
+        for lba in 0..120u64 {
+            let (data, _) = r.read(&mut dev, Lba(lba), IoCtx::host()).unwrap();
+            assert_eq!(data, page(latest[lba as usize]), "lba {lba}");
+        }
+    }
+
+    #[test]
+    #[expect(clippy::disallowed_methods, reason = "pins where the migrated bytes live")]
+    fn gc_migration_moves_the_page_buffer_instead_of_copying_it() {
+        let (mut dev, mut r) = small_region(IpaMode::Slc, CellType::Slc);
+        r.write(&mut dev, Lba(0), &page(9), IoCtx::host()).unwrap();
+        let before = r.l2p[0].unwrap();
+        let buffer = dev.peek(before).unwrap().as_ptr();
+        // Churn every other page until a collection moves Lba 0, and stop
+        // at that first move: after an erase, a copying collection could
+        // get the same allocation back from the spare list by chance.
+        'churn: for round in 0..=80u64 {
+            for lba in 1..120u64 {
+                if round == 0 || in_round(lba, round) {
+                    r.write(&mut dev, Lba(lba), &page(round as u8), IoCtx::host()).unwrap();
+                    if r.l2p[0] != Some(before) {
+                        break 'churn;
+                    }
+                }
+            }
+        }
+        let after = r.l2p[0].unwrap();
+        assert_ne!(after, before, "the churn must migrate Lba 0");
+        assert_eq!(dev.peek(after).unwrap().as_ptr(), buffer, "the buffer moved, no copy");
+        assert_eq!(dev.peek(after).unwrap(), &page(9)[..]);
+    }
+
+    #[test]
+    fn a_collection_aborted_by_program_faults_loses_no_lba() {
+        // Discovery pass (no faults): the program index of the first GC
+        // migration, as in the nested-GC test above.
+        let (mut dev, mut r) = small_region(IpaMode::Slc, CellType::Slc);
+        let mut nth = None;
+        'find: for round in 0..=60u64 {
+            for lba in 0..120u64 {
+                if round == 0 || in_round(lba, round) {
+                    let before = dev.stats().host_programs + dev.stats().gc_programs;
+                    r.write(&mut dev, Lba(lba), &page(round as u8), IoCtx::host()).unwrap();
+                    if r.stats.gc_page_migrations > 0 {
+                        nth = Some(before);
+                        break 'find;
+                    }
+                }
+            }
+        }
+        let nth = nth.expect("churn must trigger a GC migration");
+        // Faulted pass: the first migration fails transiently twice (the
+        // retry is spent, the target block retired mid-collection), then
+        // every program fails permanently until no block is left to take
+        // the page and the collection gives up.
+        let mut plan = FaultPlan::default()
+            .with_scripted(FaultOp::Program, nth, false)
+            .with_scripted(FaultOp::Program, nth + 1, false);
+        for n in nth + 2..nth + 200 {
+            plan = plan.with_scripted(FaultOp::Program, n, true);
+        }
+        let (mut dev, mut r) =
+            small_region_with(IpaMode::Slc, CellType::Slc, plan, FaultPolicy::default());
+        let mut latest = [0u8; 120];
+        let mut aborted = None;
+        'churn: for round in 0..=60u64 {
+            for lba in 0..120u64 {
+                if round == 0 || in_round(lba, round) {
+                    match r.write(&mut dev, Lba(lba), &page(round as u8), IoCtx::host()) {
+                        Ok(_) => latest[lba as usize] = round as u8,
+                        Err(e) => {
+                            aborted = Some(e);
+                            break 'churn;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(matches!(aborted, Some(NoFtlError::DeviceFull { .. })), "{aborted:?}");
+        assert_eq!(r.stats.program_retries, 1, "the first migration spent its retry");
+        assert!(r.stats.retired_blocks >= 2, "{} blocks retired", r.stats.retired_blocks);
+        assert_eq!(dev.inflight(), 0, "the aborted collection stranded a command");
+        assert_region_invariants(&r);
+        // Every page keeps its residency or moved whole: each of the 120 is
+        // mapped and reads back the bytes of its last acknowledged write.
+        assert_eq!(r.mapped_pages(), 120);
         for lba in 0..120u64 {
             let (data, _) = r.read(&mut dev, Lba(lba), IoCtx::host()).unwrap();
             assert_eq!(data, page(latest[lba as usize]), "lba {lba}");

@@ -1,11 +1,12 @@
 //! GC-carried page rewriting (the zero-extra-I/O reconfiguration hook).
 //!
-//! Garbage collection and wear leveling already read every valid page of a
-//! victim block and program it to a new residency. A [`PageRewriter`]
-//! installed on the manager is offered each such page *between* the read
-//! and the program, and may transform the image (and its OOB bytes) in
-//! place — e.g. re-encode the page under a newer `[N×M]` scheme after an
-//! online advisor re-tune. Because the migration I/O happens anyway, the
+//! Garbage collection and wear leveling already move every valid page of a
+//! victim block to a new residency (a copy-back read + program). A
+//! [`PageRewriter`] installed on the manager is offered each such page on
+//! its new residency, right after the move, and may transform the image
+//! (and its OOB bytes) in place — e.g. re-encode the page under a newer
+//! `[N×M]` scheme after an online advisor re-tune: NAND's copy-back with
+//! data change. Because the migration I/O happens anyway, the
 //! reconfiguration itself costs no additional flash operations; it simply
 //! rides the migrations (Dayan & Bonnet style piggybacking).
 //!
@@ -19,10 +20,11 @@ use std::sync::Arc;
 /// A hook invoked for every valid page carried by a GC or wear-leveling
 /// migration.
 pub trait PageRewriter: Send + Sync {
-    /// Offered one valid page (`region`, `lba`) mid-migration with its
-    /// full page image and OOB bytes. Mutate both in place and return
-    /// `true` to migrate the transformed image, or return `false` (leaving
-    /// the buffers untouched) to carry the page verbatim.
+    /// Offered one valid page (`region`, `lba`) as its migration lands:
+    /// the full page image and OOB bytes, on the new residency. Mutate
+    /// both in place and return `true` to keep the transformed image, or
+    /// return `false` (leaving the bytes untouched) to keep the page
+    /// verbatim.
     ///
     /// Runs inline on the migration path: implementations must be cheap
     /// and must not call back into the FTL.
