@@ -3,10 +3,10 @@
 //! every dirty-page flush ([`Database::stage_flush`]).
 //!
 //! [`Pager`]'s fields are private to this file, so this is the only code
-//! that submits a page write, a delta append or an OOB write, and the only
-//! code that moves a frame into or out of the pool. Everyone else reads
-//! through [`Database::ftl`], [`Database::layout`], [`Database::profile`]
-//! and writes through the methods below.
+//! that submits a page write or a delta append (each carrying its OOB
+//! writes), and the only code that moves a frame into or out of the pool.
+//! Everyone else reads through [`Database::ftl`], [`Database::layout`],
+//! [`Database::profile`] and writes through the methods below.
 
 use std::sync::Arc;
 
@@ -44,6 +44,12 @@ fn tracker_for(
         }
         None => ChangeTracker::new(scheme, n_existing, on_flash),
     }
+}
+
+/// The `(offset, bytes)` OOB write an [`ecc`] builder returned, or an empty
+/// one (which writes nothing) when it returned none.
+fn oob_write<const N: usize>(write: &Option<(usize, [u8; N])>) -> (usize, &[u8]) {
+    write.as_ref().map_or((0, &[]), |(offset, bytes)| (*offset, bytes))
 }
 
 /// Per-region page allocator (bump pointer + free list from drops).
@@ -609,16 +615,12 @@ impl Database {
             for slot in slots {
                 let offset = layout.delta_slot_offset(slot);
                 let encoded = &image[offset..offset + page_scheme.delta_record_size()];
-                ftl.submit_write_delta(rid, pid.lba, offset, encoded, ctx)?;
+                let code = verify_ecc
+                    .then(|| ecc::delta_write(oob_size, &page_scheme, slot, encoded))
+                    .flatten();
+                ftl.submit_write_delta(rid, pid.lba, offset, encoded, &[oob_write(&code)], ctx)?;
                 self.stats.gross_written_bytes += encoded.len() as u64;
                 self.stats.delta_records_written += 1;
-                if verify_ecc {
-                    if let Some((offset, code)) =
-                        ecc::delta_write(oob_size, &page_scheme, slot, encoded)
-                    {
-                        ftl.write_oob(rid, pid.lba, offset, &code)?;
-                    }
-                }
             }
             pool.mark_flushed(idx, page_scheme, n_existing + appended);
             self.stats.ipa_flushes += 1;
@@ -635,19 +637,11 @@ impl Database {
             }
             let image = frame.page.bytes();
             let layout = *frame.page.layout();
+            let tag = adaptive.then(|| ecc::scheme_tag_write(oob_size, &layout.scheme)).flatten();
+            let code = verify_ecc.then(|| ecc::initial_write(oob_size, image, &layout)).flatten();
             ftl.emit(EventKind::FlushOop, Some(pid.region as u32), Some(pid.lba.0));
-            ftl.submit_write(rid, pid.lba, image, ctx)?;
+            ftl.submit_write(rid, pid.lba, image, &[oob_write(&tag), oob_write(&code)], ctx)?;
             self.stats.gross_written_bytes += image.len() as u64;
-            if adaptive {
-                if let Some((offset, tag)) = ecc::scheme_tag_write(oob_size, &layout.scheme) {
-                    ftl.write_oob(rid, pid.lba, offset, &tag)?;
-                }
-            }
-            if verify_ecc {
-                if let Some((offset, code)) = ecc::initial_write(oob_size, image, &layout) {
-                    ftl.write_oob(rid, pid.lba, offset, &code)?;
-                }
-            }
             pool.mark_flushed(idx, layout.scheme, 0);
             self.stats.oop_flushes += 1;
         }

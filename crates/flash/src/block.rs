@@ -26,8 +26,8 @@ pub(crate) struct Block {
     /// Grown-bad marker byte, modelling the manufacturer bad-block marker
     /// area of the spare region. Real parts reserve this byte *outside*
     /// the host-usable spare bytes, so it is deliberately not addressable
-    /// through the host OOB window (`program_oob`/`read_oob`) — retiring a
-    /// block never clobbers host metadata on its still-readable pages.
+    /// through the host OOB window (programs' OOB writes, `read_oob`): it
+    /// never clobbers host metadata on a retired block's readable pages.
     /// `0xFF` means good; anything else marks the block grown bad.
     bad_marker: u8,
 }
@@ -143,7 +143,7 @@ mod tests {
     fn programming_marks_in_use_and_erase_resets() {
         let mut b = Block::new(4, 8);
         let mut spare = spare();
-        b.page_mut(1).program(Ppa::new(0, 0, 1), &[0u8; 128], &mut spare).unwrap();
+        b.page_mut(1).program(Ppa::new(0, 0, 1), &[0u8; 128], &[], &mut spare).unwrap();
         assert_eq!(b.state(), BlockState::InUse);
         assert_eq!(b.programmed_pages(), 1);
         b.erase(0, 0, 100, &mut spare).unwrap();
@@ -172,8 +172,7 @@ mod tests {
         // metadata untouched.
         let mut b = Block::new(2, 4);
         let ppa = Ppa::new(0, 0, 0);
-        b.page_mut(0).program(ppa, &[0xAB; 128], &mut spare()).unwrap();
-        b.page_mut(0).program_oob(ppa, 0, &[0x12, 0x34]).unwrap();
+        b.page_mut(0).program(ppa, &[0xAB; 128], &[(0, &[0x12, 0x34])], &mut spare()).unwrap();
         b.retire();
         assert!(b.bad_marked());
         assert_eq!(&b.page(0).oob()[..2], &[0x12, 0x34]);

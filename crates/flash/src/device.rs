@@ -754,15 +754,24 @@ impl FlashDevice {
         Ok(self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page).oob().to_vec())
     }
 
-    /// Queue a full-page program (out-of-place write target). The page must
-    /// be erased. Bytes left `0xFF` remain unprogrammed and can absorb
-    /// later in-place appends.
-    pub fn submit_program(&mut self, ppa: Ppa, data: &[u8], origin: OpOrigin) -> Result<CmdId> {
+    /// Queue a full-page program (out-of-place write target) of the main
+    /// area plus the `(offset, bytes)` writes `oob` into the OOB area: one
+    /// command, one verdict, no extra latency. The page must be erased.
+    /// Bytes left `0xFF` remain unprogrammed and can absorb later in-place
+    /// appends. A refused or faulted command changes neither half.
+    pub fn submit_program(
+        &mut self,
+        ppa: Ppa,
+        data: &[u8],
+        oob: &[(usize, &[u8])],
+        origin: OpOrigin,
+    ) -> Result<CmdId> {
         let ctx = self.admit(origin);
         self.program_verdict(ppa, ctx)?;
         self.chips[ppa.chip as usize].block_mut(ppa.block).page_mut(ppa.page).program(
             ppa,
             data,
+            oob,
             &mut self.spare,
         )?;
         Ok(self.finish_program(ppa, origin, ctx))
@@ -815,14 +824,20 @@ impl FlashDevice {
         Ok(f(main, oob))
     }
 
-    /// What a program checks before it touches a cell, in order: the
-    /// address, the block's health, the fault plan's verdict (a permanent
-    /// fault retires the block).
-    fn program_verdict(&mut self, ppa: Ppa, ctx: ObsCtx) -> Result<()> {
+    /// What every program and append checks first: address, block health.
+    fn check_writable(&self, ppa: Ppa) -> Result<()> {
         self.check(ppa)?;
         if self.chips[ppa.chip as usize].block(ppa.block).is_retired() {
             return Err(FlashError::BlockRetired { chip: ppa.chip, block: ppa.block });
         }
+        Ok(())
+    }
+
+    /// What a full program checks before it touches a cell, in order: the
+    /// address, the block's health, the fault plan's verdict (a permanent
+    /// fault retires the block).
+    fn program_verdict(&mut self, ppa: Ppa, ctx: ObsCtx) -> Result<()> {
+        self.check_writable(ppa)?;
         match self.fault.check(FaultOp::Program) {
             FaultVerdict::Pass => Ok(()),
             FaultVerdict::Transient => {
@@ -860,28 +875,27 @@ impl FlashDevice {
         self.finish_submit(ppa.chip, origin, OpClass::Program, latency, ReadOutcome::Clean, None)
     }
 
-    /// Full-page program, synchronously (submit + complete one).
+    /// Full-page program, no OOB write, synchronously (submit + complete).
     pub fn program(&mut self, ppa: Ppa, data: &[u8], origin: OpOrigin) -> Result<OpResult> {
-        let id = self.submit_program(ppa, data, origin)?;
+        let id = self.submit_program(ppa, data, &[], origin)?;
         Ok(self.complete(id)?.result)
     }
 
     /// Queue an ISPP partial program — the physical backend of the paper's
     /// `write_delta` command (§7). Appends `data` at `offset` within an
-    /// already-programmed page, enforcing the monotone-charge rule and the
-    /// per-page append budget.
+    /// already-programmed page, and `oob` (the record's `ECC_delta_i`) as
+    /// [`FlashDevice::submit_program`] does, enforcing the monotone-charge
+    /// rule on both halves and the per-page append budget.
     pub fn submit_program_partial(
         &mut self,
         ppa: Ppa,
         offset: usize,
         data: &[u8],
+        oob: &[(usize, &[u8])],
         origin: OpOrigin,
     ) -> Result<CmdId> {
         let ctx = self.admit(origin);
-        self.check(ppa)?;
-        if self.chips[ppa.chip as usize].block(ppa.block).is_retired() {
-            return Err(FlashError::BlockRetired { chip: ppa.chip, block: ppa.block });
-        }
+        self.check_writable(ppa)?;
         if self.fault.check(FaultOp::DeltaProgram) != FaultVerdict::Pass {
             // Delta faults are always transient for the block: the append is
             // refused, the page keeps its pre-append contents, and the host
@@ -894,7 +908,7 @@ impl FlashDevice {
         let attempt = self.chips[ppa.chip as usize]
             .block_mut(ppa.block)
             .page_mut(ppa.page)
-            .program_partial(ppa, offset, data, max, &mut self.spare);
+            .program_partial(ppa, offset, data, oob, max, &mut self.spare);
         if let Err(e) = attempt {
             if matches!(e, FlashError::IsppViolation { .. }) {
                 self.stats.ispp_violations += 1;
@@ -923,7 +937,7 @@ impl FlashDevice {
         Ok(self.finish_submit(ppa.chip, origin, class, latency, ReadOutcome::Clean, None))
     }
 
-    /// ISPP partial program, synchronously (submit + complete one).
+    /// ISPP partial program, no OOB write, synchronously (submit + complete).
     pub fn program_partial(
         &mut self,
         ppa: Ppa,
@@ -931,18 +945,8 @@ impl FlashDevice {
         data: &[u8],
         origin: OpOrigin,
     ) -> Result<OpResult> {
-        let id = self.submit_program_partial(ppa, offset, data, origin)?;
+        let id = self.submit_program_partial(ppa, offset, data, &[], origin)?;
         Ok(self.complete(id)?.result)
-    }
-
-    /// ISPP program into the OOB area (per-delta ECC codes). Piggybacks on
-    /// the corresponding main-area operation: no latency, no statistics.
-    pub fn program_oob(&mut self, ppa: Ppa, offset: usize, data: &[u8]) -> Result<()> {
-        self.check(ppa)?;
-        self.chips[ppa.chip as usize]
-            .block_mut(ppa.block)
-            .page_mut(ppa.page)
-            .program_oob(ppa, offset, data)
     }
 
     /// Queue a block erase. Counts wear and fails once the endurance limit
@@ -1331,15 +1335,42 @@ mod tests {
         ));
     }
 
+    /// A full program of `ppa` carrying OOB writes, completed.
+    fn program_with_oob(
+        d: &mut FlashDevice,
+        ppa: Ppa,
+        data: &[u8],
+        oob: &[(usize, &[u8])],
+    ) -> Result<OpResult> {
+        let id = d.submit_program(ppa, data, oob, OpOrigin::Host)?;
+        Ok(d.complete(id)?.result)
+    }
+
+    /// A delta append to `ppa` carrying OOB writes, completed.
+    fn append_with_oob(
+        d: &mut FlashDevice,
+        ppa: Ppa,
+        offset: usize,
+        data: &[u8],
+        oob: &[(usize, &[u8])],
+    ) -> Result<OpResult> {
+        let id = d.submit_program_partial(ppa, offset, data, oob, OpOrigin::Host)?;
+        Ok(d.complete(id)?.result)
+    }
+
     #[test]
     fn oob_program_and_read() {
         let mut d = dev();
         let ppa = Ppa::new(0, 0, 0);
-        d.program(ppa, &vec![0xFF; 4096], OpOrigin::Host).unwrap();
-        d.program_oob(ppa, 16, &[0xDE, 0xAD]).unwrap();
+        program_with_oob(&mut d, ppa, &[0xFF; 4096], &[(16, &[0xDE, 0xAD])]).unwrap();
         let oob = d.read_oob(ppa).unwrap();
         assert_eq!(&oob[16..18], &[0xDE, 0xAD]);
         assert_eq!(d.peek_oob(ppa).unwrap()[16], 0xDE);
+        // An append's OOB half lands with its record.
+        append_with_oob(&mut d, ppa, 4000, &[0x11; 8], &[(24, &[0x5A; 8])]).unwrap();
+        assert_eq!(&d.read_oob(ppa).unwrap()[24..32], &[0x5A; 8]);
+        assert_eq!(&d.peek(ppa).unwrap()[4000..4008], &[0x11; 8]);
+        assert_eq!((d.stats().host_programs, d.stats().host_delta_programs), (1, 1));
     }
 
     #[test]
@@ -1484,7 +1515,7 @@ mod tests {
         let image = vec![0x00; 4096];
         let mut ids = Vec::new();
         for chip in 0..4 {
-            ids.push(q.submit_program(Ppa::new(chip, 0, 0), &image, OpOrigin::Host).unwrap());
+            ids.push(q.submit_program(Ppa::new(chip, 0, 0), &image, &[], OpOrigin::Host).unwrap());
         }
         assert_eq!(q.host_inflight(), 4);
         assert_eq!(q.drain().len(), 4);
@@ -1516,7 +1547,7 @@ mod tests {
         let mut d = FlashDevice::new(cfg);
         let image = vec![0x00; 4096];
         for page in 0..6 {
-            d.submit_program(Ppa::new(0, 0, page), &image, OpOrigin::Host).unwrap();
+            d.submit_program(Ppa::new(0, 0, page), &image, &[], OpOrigin::Host).unwrap();
         }
         let mut done: Vec<Completion> = d.drain().collect();
         done.sort_by_key(|c| c.started_at_ns);
@@ -1537,12 +1568,12 @@ mod tests {
         cfg.queue_depth = 2;
         let mut d = FlashDevice::new(cfg);
         let image = vec![0x00; 4096];
-        d.submit_program(Ppa::new(0, 0, 0), &image, OpOrigin::Host).unwrap();
-        d.submit_program(Ppa::new(1, 0, 0), &image, OpOrigin::Host).unwrap();
+        d.submit_program(Ppa::new(0, 0, 0), &image, &[], OpOrigin::Host).unwrap();
+        d.submit_program(Ppa::new(1, 0, 0), &image, &[], OpOrigin::Host).unwrap();
         assert_eq!(d.clock().now_ns(), 0, "queue not yet full; submits are free");
         // Third submission exceeds depth 2: the submitter waits for the
         // earliest completion before the command is even admitted.
-        d.submit_program(Ppa::new(0, 0, 1), &image, OpOrigin::Host).unwrap();
+        d.submit_program(Ppa::new(0, 0, 1), &image, &[], OpOrigin::Host).unwrap();
         assert!(d.clock().now_ns() > 0);
         assert_eq!(d.stats().queue_waits, 1);
         assert_eq!(d.stats().queue_highwater, 2);
@@ -1561,7 +1592,7 @@ mod tests {
         let mut q = FlashDevice::new(cfg.clone());
         assert_eq!(q.queue_depth(), 1);
         for chip in 0..4 {
-            q.submit_program(Ppa::new(chip, 0, 0), &image, OpOrigin::Host).unwrap();
+            q.submit_program(Ppa::new(chip, 0, 0), &image, &[], OpOrigin::Host).unwrap();
         }
         q.drain();
 
@@ -1586,8 +1617,8 @@ mod tests {
         cfg.queue_depth = 4;
         let mut d = FlashDevice::new(cfg);
         let image = vec![0x00; 4096];
-        let a = d.submit_program(Ppa::new(0, 0, 0), &image, OpOrigin::Host).unwrap();
-        let b = d.submit_program(Ppa::new(1, 0, 0), &image, OpOrigin::Host).unwrap();
+        let a = d.submit_program(Ppa::new(0, 0, 0), &image, &[], OpOrigin::Host).unwrap();
+        let b = d.submit_program(Ppa::new(1, 0, 0), &image, &[], OpOrigin::Host).unwrap();
         assert!(d.poll_completions().is_empty(), "nothing due at t=0");
         let t = d.clock().now_ns();
         let ca = d.complete(a).unwrap();
@@ -1679,8 +1710,7 @@ mod tests {
         let mut d = FlashDevice::new(cfg.clone());
         let ppa = Ppa::new(0, 0, 0);
         let data = full(&d, 0x5A);
-        d.program(ppa, &data, OpOrigin::Host).unwrap();
-        d.program_oob(ppa, 0, &[0xCA, 0xFE]).unwrap();
+        program_with_oob(&mut d, ppa, &data, &[(0, &[0xCA, 0xFE])]).unwrap();
         d.retire(0, 0).unwrap();
         assert!(d.is_block_retired(0, 0).unwrap());
         assert!(d.oob_bad_marked(0, 0).unwrap());
@@ -1692,8 +1722,7 @@ mod tests {
         // fault on a later page of the block.
         cfg.fault = crate::FaultPlan::default().with_scripted(crate::FaultOp::Program, 1, true);
         let mut d = FlashDevice::new(cfg);
-        d.program(ppa, &data, OpOrigin::Host).unwrap();
-        d.program_oob(ppa, 0, &[0xCA, 0xFE]).unwrap();
+        program_with_oob(&mut d, ppa, &data, &[(0, &[0xCA, 0xFE])]).unwrap();
         d.program(Ppa::new(0, 0, 1), &data, OpOrigin::Host).unwrap_err();
         assert!(d.oob_bad_marked(0, 0).unwrap());
         assert_eq!(&d.read_oob(ppa).unwrap()[..2], &[0xCA, 0xFE]);
@@ -1734,6 +1763,87 @@ mod tests {
         assert_eq!(d.stats().host_delta_programs, 1);
     }
 
+    #[test]
+    fn a_faulted_append_leaves_its_record_and_its_ecc_slot_erased() {
+        let mut cfg = FlashConfig::small_slc();
+        cfg.fault =
+            crate::FaultPlan::default().with_scripted(crate::FaultOp::DeltaProgram, 0, false);
+        let mut d = FlashDevice::new(cfg);
+        let ppa = Ppa::new(0, 0, 0);
+        let mut data = full(&d, 0xFF);
+        data[..100].fill(0x11);
+        program_with_oob(&mut d, ppa, &data, &[(16, &[0x0F; 8])]).unwrap();
+        let (record, code) = ([0x22; 16], [0x33; 8]);
+        let err = append_with_oob(&mut d, ppa, 4000, &record, &[(24, &code)]).unwrap_err();
+        assert_eq!(err, FlashError::ProgramFailed { ppa, permanent: false });
+        assert_eq!(&d.peek(ppa).unwrap()[4000..4016], &[0xFF; 16], "record range");
+        assert_eq!(&d.read_oob(ppa).unwrap()[24..32], &[0xFF; 8], "ECC_delta_i slot");
+        assert_eq!(&d.read_oob(ppa).unwrap()[16..24], &[0x0F; 8], "ECC_initial untouched");
+        assert_eq!(d.page_state(ppa).unwrap(), PageState::Programmed { appends: 0 });
+        // The next append writes both halves.
+        append_with_oob(&mut d, ppa, 4000, &record, &[(24, &code)]).unwrap();
+        assert_eq!(&d.peek(ppa).unwrap()[4000..4016], &record);
+        assert_eq!(&d.read_oob(ppa).unwrap()[24..32], &code);
+        assert_eq!(d.page_state(ppa).unwrap(), PageState::Programmed { appends: 1 });
+    }
+
+    #[test]
+    fn a_refused_oob_half_refuses_the_main_half_too() {
+        let mut d = dev();
+        let (ppa, fresh) = (Ppa::new(0, 0, 0), Ppa::new(0, 0, 1));
+        let area = d.config().geometry.oob_size;
+        let mut data = full(&d, 0xFF);
+        data[..100].fill(0x11);
+        program_with_oob(&mut d, ppa, &data, &[(0, &[0x00])]).unwrap();
+        let mut stats = d.stats().clone();
+        let (chips, now) = (d.chip_counters(), d.clock().now_ns());
+        // An append whose OOB half sets a programmed bit back, or runs past
+        // the area.
+        let record = [0x22; 16];
+        let err = append_with_oob(&mut d, ppa, 4000, &record, &[(0, &[0x01])]).unwrap_err();
+        assert_eq!(err, FlashError::IsppViolation { ppa, offset: 0, old: 0x00, new: 0x01 });
+        let past_end: &[(usize, &[u8])] = &[(area - 1, &[0x00; 2])];
+        let err = append_with_oob(&mut d, ppa, 4000, &record, past_end).unwrap_err();
+        assert_eq!(err, FlashError::RangeOutOfPage { ppa, offset: area - 1, len: 2, area });
+        // A full program's OOB half can only run past the area: an erased
+        // page's cells take any pattern.
+        let err = program_with_oob(&mut d, fresh, &data, past_end).unwrap_err();
+        assert_eq!(err, FlashError::RangeOutOfPage { ppa: fresh, offset: area - 1, len: 2, area });
+        assert_eq!(d.peek(ppa).unwrap(), &data[..], "no main byte changed");
+        assert_eq!(d.page_state(ppa).unwrap(), PageState::Programmed { appends: 0 });
+        assert_eq!(d.page_state(fresh).unwrap(), PageState::Erased);
+        assert!(d.read_oob(fresh).unwrap().iter().all(|&b| b == 0xFF));
+        // Nothing was charged: no program counted, no latency, no chip
+        // time. The ISPP violation is counted as one.
+        stats.ispp_violations += 1;
+        assert_eq!(format!("{:?}", d.stats()), format!("{stats:?}"));
+        assert_eq!((d.chip_counters(), d.clock().now_ns()), (chips, now));
+    }
+
+    #[test]
+    fn a_retried_program_writes_its_oob_once_on_the_page_that_takes_it() {
+        // The first program of the plan faults transiently, the second
+        // permanently: the healing loop's two ways out, retry and remap.
+        let mut cfg = FlashConfig::small_slc();
+        cfg.fault = crate::FaultPlan::default()
+            .with_scripted(crate::FaultOp::Program, 0, false)
+            .with_scripted(crate::FaultOp::Program, 1, true);
+        let mut d = FlashDevice::new(cfg);
+        let (ppa, elsewhere) = (Ppa::new(0, 0, 0), Ppa::new(0, 1, 0));
+        let (data, tag) = (full(&d, 0x3C), [0x53, 0x02, 0x00]);
+        let oob: &[(usize, &[u8])] = &[(0, &tag), (16, &[0x0F; 8])];
+        let transient = FlashError::ProgramFailed { ppa, permanent: false };
+        assert_eq!(program_with_oob(&mut d, ppa, &data, oob).map(drop), Err(transient));
+        let permanent = FlashError::ProgramFailed { ppa, permanent: true };
+        assert_eq!(program_with_oob(&mut d, ppa, &data, oob).map(drop), Err(permanent));
+        assert_eq!(d.page_state(ppa).unwrap(), PageState::Erased);
+        assert!(d.read_oob(ppa).unwrap().iter().all(|&b| b == 0xFF), "a faulted program's OOB");
+        program_with_oob(&mut d, elsewhere, &data, oob).unwrap();
+        let written = d.read_oob(elsewhere).unwrap();
+        assert_eq!((&written[..3], &written[16..24]), (&tag[..], &[0x0F; 8][..]));
+        assert_eq!((d.stats().program_failures, d.stats().host_programs), (2, 1));
+    }
+
     /// Copy-back read + program of `src` to `dst`, completed.
     fn copy_back(d: &mut FlashDevice, src: Ppa, dst: Ppa, origin: OpOrigin) -> Result<()> {
         let id = d.submit_copyback_read(src, origin)?;
@@ -1748,8 +1858,7 @@ mod tests {
         let (src, dst) = (Ppa::new(0, 3, 5), Ppa::new(0, 9, 0));
         let mut data = full(&d, 0xFF);
         data[..300].fill(0x5A);
-        d.program(src, &data, OpOrigin::Host).unwrap();
-        d.program_oob(src, 8, &[0xC0, 0xDE]).unwrap();
+        program_with_oob(&mut d, src, &data, &[(8, &[0xC0, 0xDE])]).unwrap();
         let buffer = d.peek(src).unwrap().as_ptr();
         copy_back(&mut d, src, dst, OpOrigin::Background).unwrap();
         // Zero-copy: the target's main area is the source's former buffer.

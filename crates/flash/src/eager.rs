@@ -40,7 +40,7 @@ impl EagerPage {
         self.state = PageState::Erased;
     }
 
-    fn program(&mut self, ppa: Ppa, data: &[u8]) -> Result<(), FlashError> {
+    fn program(&mut self, ppa: Ppa, data: &[u8], oob: &[(usize, &[u8])]) -> Result<(), FlashError> {
         if data.len() != self.main.len() {
             return Err(FlashError::RangeOutOfPage {
                 ppa,
@@ -52,7 +52,9 @@ impl EagerPage {
         if self.state != PageState::Erased {
             return Err(FlashError::ProgramNotErased(ppa));
         }
+        self.check_oob(ppa, oob)?;
         self.main.copy_from_slice(data);
+        self.charge_oob(oob);
         self.state = PageState::Programmed { appends: 0 };
         Ok(())
     }
@@ -62,6 +64,7 @@ impl EagerPage {
         ppa: Ppa,
         offset: usize,
         data: &[u8],
+        oob: &[(usize, &[u8])],
         max_appends: u32,
     ) -> Result<(), FlashError> {
         if offset.checked_add(data.len()).is_none_or(|end| end > self.main.len()) {
@@ -92,28 +95,42 @@ impl EagerPage {
                 return Err(FlashError::IsppViolation { ppa, offset: offset + i, old, new });
             }
         }
+        self.check_oob(ppa, oob)?;
         self.main[offset..offset + data.len()].copy_from_slice(data);
+        self.charge_oob(oob);
         self.state = PageState::Programmed { appends: appends.map_or(0, |a| a + 1) };
         Ok(())
     }
 
-    fn program_oob(&mut self, ppa: Ppa, offset: usize, data: &[u8]) -> Result<(), FlashError> {
-        if offset.checked_add(data.len()).is_none_or(|end| end > self.oob.len()) {
-            return Err(FlashError::RangeOutOfPage {
-                ppa,
-                offset,
-                len: data.len(),
-                area: self.oob.len(),
-            });
-        }
-        for (i, (&old, &new)) in self.oob[offset..offset + data.len()].iter().zip(data).enumerate()
-        {
-            if !ispp_allows(old, new) {
-                return Err(FlashError::IsppViolation { ppa, offset: offset + i, old, new });
+    /// The OOB half of a program: each write in range and ISPP-legal over
+    /// the cells as the command finds them.
+    fn check_oob(&self, ppa: Ppa, oob: &[(usize, &[u8])]) -> Result<(), FlashError> {
+        for &(offset, data) in oob {
+            if offset.checked_add(data.len()).is_none_or(|end| end > self.oob.len()) {
+                return Err(FlashError::RangeOutOfPage {
+                    ppa,
+                    offset,
+                    len: data.len(),
+                    area: self.oob.len(),
+                });
+            }
+            for (i, (&old, &new)) in self.oob[offset..].iter().zip(data).enumerate() {
+                if !ispp_allows(old, new) {
+                    return Err(FlashError::IsppViolation { ppa, offset: offset + i, old, new });
+                }
             }
         }
-        self.oob[offset..offset + data.len()].copy_from_slice(data);
         Ok(())
+    }
+
+    /// Charge the OOB cells the writes program; overlapping writes both
+    /// take.
+    fn charge_oob(&mut self, oob: &[(usize, &[u8])]) {
+        for &(offset, data) in oob {
+            for (cell, &new) in self.oob[offset..].iter_mut().zip(data) {
+                *cell &= new;
+            }
+        }
     }
 }
 
@@ -223,10 +240,16 @@ impl EagerDevice {
         Ok(())
     }
 
-    fn program(&mut self, ppa: Ppa, data: &[u8], origin: OpOrigin) -> Result<(), FlashError> {
+    fn program(
+        &mut self,
+        ppa: Ppa,
+        data: &[u8],
+        oob: &[(usize, &[u8])],
+        origin: OpOrigin,
+    ) -> Result<(), FlashError> {
         let slot = self.slot(ppa)?;
         self.fault_check(ppa)?;
-        self.pages[slot].program(ppa, data)?;
+        self.pages[slot].program(ppa, data, oob)?;
         self.count_program(origin);
         self.spare = self.spare.saturating_sub(1);
         Ok(())
@@ -259,11 +282,13 @@ impl EagerDevice {
         ppa: Ppa,
         offset: usize,
         data: &[u8],
+        oob: &[(usize, &[u8])],
         origin: OpOrigin,
     ) -> Result<(), FlashError> {
         let slot = self.slot(ppa)?;
         let was_erased = self.pages[slot].state == PageState::Erased;
-        if let Err(e) = self.pages[slot].program_partial(ppa, offset, data, self.max_appends) {
+        let max = self.max_appends;
+        if let Err(e) = self.pages[slot].program_partial(ppa, offset, data, oob, max) {
             if matches!(e, FlashError::IsppViolation { .. }) {
                 self.stats.ispp_violations += 1;
             }
@@ -283,9 +308,12 @@ impl EagerDevice {
         Ok(())
     }
 
-    fn program_oob(&mut self, ppa: Ppa, offset: usize, data: &[u8]) -> Result<(), FlashError> {
-        let slot = self.slot(ppa)?;
-        self.pages[slot].program_oob(ppa, offset, data)
+    /// Whether an append's main half alone would pass the page's checks.
+    fn main_half_passes(&self, ppa: Ppa, offset: usize, data: &[u8]) -> bool {
+        let max = self.max_appends;
+        self.slot(ppa).is_ok_and(|slot| {
+            self.pages[slot].clone().program_partial(ppa, offset, data, &[], max).is_ok()
+        })
     }
 
     fn erase(&mut self, chip: u32, block: u32) -> Result<(), FlashError> {
@@ -313,6 +341,21 @@ impl Lcg {
 
     fn bytes(&mut self, n: usize) -> Vec<u8> {
         (0..n).map(|_| self.below(256) as u8).collect()
+    }
+
+    /// Up to two OOB writes for a page of `g`; one in eight runs past the
+    /// area.
+    fn oob_writes(&mut self, g: &FlashGeometry) -> Vec<(usize, Vec<u8>)> {
+        (0..self.below(3))
+            .map(|_| {
+                let offset = self.below(g.oob_size);
+                let len = match self.below(8) {
+                    0 => g.oob_size - offset + 1,
+                    _ => 1 + self.below(g.oob_size - offset),
+                };
+                (offset, self.bytes(len))
+            })
+            .collect()
     }
 
     /// A page of `g`; one address in sixteen lies outside the device.
@@ -404,17 +447,24 @@ impl Pair {
         data
     }
 
-    fn program(&mut self, ppa: Ppa, data: &[u8], origin: OpOrigin) -> bool {
-        let got = self.dev.program(ppa, data, origin);
-        let want = self.oracle.program(ppa, data, origin);
-        if let Ok(op) = &got {
+    fn program(
+        &mut self,
+        ppa: Ppa,
+        data: &[u8],
+        oob: &[(usize, &[u8])],
+        origin: OpOrigin,
+    ) -> Result<(), FlashError> {
+        let got =
+            self.dev.submit_program(ppa, data, oob, origin).and_then(|id| self.dev.complete(id));
+        let want = self.oracle.program(ppa, data, oob, origin);
+        if let Ok(c) = &got {
             if origin != OpOrigin::Background {
-                self.oracle.stats.write_latency.record(op.latency_ns);
+                self.oracle.stats.write_latency.record(c.result.latency_ns);
             }
         }
-        assert_eq!(got.as_ref().map(|_| ()), want.as_ref().map(|_| ()), "program of {ppa}");
+        assert_eq!(got.map(|_| ()), want, "program of {ppa}");
         self.check("program");
-        want.is_ok()
+        want
     }
 
     /// A copy-back read on both sides; it carries no bytes on either.
@@ -450,24 +500,22 @@ impl Pair {
         ppa: Ppa,
         offset: usize,
         data: &[u8],
+        oob: &[(usize, &[u8])],
         origin: OpOrigin,
     ) -> Result<(), FlashError> {
-        let got = self.dev.program_partial(ppa, offset, data, origin);
-        let want = self.oracle.program_partial(ppa, offset, data, origin);
-        if let Ok(op) = &got {
+        let got = self
+            .dev
+            .submit_program_partial(ppa, offset, data, oob, origin)
+            .and_then(|id| self.dev.complete(id));
+        let want = self.oracle.program_partial(ppa, offset, data, oob, origin);
+        if let Ok(c) = &got {
             if origin != OpOrigin::Background {
-                self.oracle.stats.write_latency.record(op.latency_ns);
+                self.oracle.stats.write_latency.record(c.result.latency_ns);
             }
         }
         assert_eq!(got.map(|_| ()), want, "program_partial of {ppa} at {offset}");
         self.check("program_partial");
         want
-    }
-
-    fn program_oob(&mut self, ppa: Ppa, offset: usize, data: &[u8]) {
-        let want = self.oracle.program_oob(ppa, offset, data);
-        assert_eq!(self.dev.program_oob(ppa, offset, data), want, "program_oob of {ppa}");
-        self.check("program_oob");
     }
 
     fn erase(&mut self, chip: u32, block: u32) {
@@ -484,17 +532,28 @@ impl Pair {
 }
 
 /// The device and the oracle agree on every result, byte, page state and
-/// counter over a scripted opening and a 6 000-command random walk.
+/// counter over a scripted opening and a 6 000-command random walk. OOB
+/// bytes are written only as the OOB half of a program or an append, on
+/// the faulted seventh full programs too.
 ///
-/// That the copy-back half still bites was checked by planting two
-/// mutations in a copy of the device. "Source still readable after the
-/// move" (`move_from` leaves the source programmed with a copy) fails at
-/// the opening's first move (state `Programmed`, oracle `Migrated`) and,
-/// with the opening removed, at step 76 of the walk. "Target-erased check
-/// skipped" (no `check_erased` in `submit_copyback_program`) fails at the
-/// opening's move onto a programmed page (device `Ok`, oracle
-/// `ProgramNotErased`) and, with the opening removed, when the walk moves
-/// a page onto itself.
+/// That the oracle still bites was checked by planting four mutations in a
+/// copy of the device, each run with the opening and with it removed:
+/// - "OOB written on a faulted program" (`submit_program` programs the OOB
+///   writes when the fault verdict refuses the command) fails at the
+///   opening's faulted program, step 33 (`oob of c1/b1/p3`), and in the
+///   walk at step 46;
+/// - "OOB checked after the main half is written" (`check_oob` moved below
+///   the main-area write of `PageData::program_partial`) fails at the
+///   opening's append whose OOB half is refused, step 34 (`appends: 1`,
+///   oracle 0), and in the walk at step 2;
+/// - "source still readable after copy-back" (`move_from` leaves the
+///   source programmed with a copy) fails at the opening's first move,
+///   step 23 (state `Programmed`, oracle `Migrated`), and in the walk at
+///   step 108;
+/// - "target-erased check skipped" (no `check_erased` in
+///   `submit_copyback_program`) fails at the opening's move onto a
+///   programmed page (device `Ok`, oracle `ProgramNotErased`), and in the
+///   walk at its first move onto a programmed page.
 #[test]
 fn sparse_device_matches_the_eager_page_oracle() {
     let mut pair = Pair::new();
@@ -506,22 +565,22 @@ fn sparse_device_matches_the_eager_page_oracle() {
     // program not overwritten the whole buffer, the pre-erase zeroes would
     // turn the append into an ISPP violation.
     let (a, b) = (Ppa::new(0, 0, 0), Ppa::new(0, 0, 1));
-    assert!(pair.program(a, &vec![0x00; size], OpOrigin::Host));
+    assert_eq!(pair.program(a, &vec![0x00; size], &[], OpOrigin::Host), Ok(()));
     pair.erase(0, 0);
     let mut image = vec![0xFF; size];
     image[..8].fill(0x3C);
-    assert!(pair.program(b, &image, OpOrigin::Host));
-    assert_eq!(pair.program_partial(b, 16, &[0xA5; 8], OpOrigin::Host), Ok(()));
+    assert_eq!(pair.program(b, &image, &[], OpOrigin::Host), Ok(()));
+    assert_eq!(pair.program_partial(b, 16, &[0xA5; 8], &[], OpOrigin::Host), Ok(()));
     // (2) The same stale zeroes under a partial program of an erased page:
     // it starts from all ones, inside and outside the programmed range.
     pair.erase(0, 0);
-    assert!(pair.program(a, &vec![0x00; size], OpOrigin::Host));
+    assert_eq!(pair.program(a, &vec![0x00; size], &[], OpOrigin::Host), Ok(()));
     pair.erase(0, 0);
-    assert_eq!(pair.program_partial(a, 4, &[0x5A; 4], OpOrigin::Host), Ok(()));
+    assert_eq!(pair.program_partial(a, 4, &[0x5A; 4], &[], OpOrigin::Host), Ok(()));
     // (3) A recycled read buffer is overwritten whole by the next read, and
     // one of another length never enters the spare list.
     let c = Ppa::new(1, 2, 3);
-    assert!(pair.program(c, &image, OpOrigin::Background));
+    assert_eq!(pair.program(c, &image, &[], OpOrigin::Background), Ok(()));
     let buf = pair.read(a, OpOrigin::Host).expect("page a is programmed");
     pair.recycle(buf);
     let mut short = pair.read(c, OpOrigin::Background).expect("page c is programmed");
@@ -536,7 +595,7 @@ fn sparse_device_matches_the_eager_page_oracle() {
     // page, a done one leaves the source refusing reads, moves and appends
     // until its block's erase.
     let (src, dst) = (Ppa::new(1, 0, 0), Ppa::new(0, 1, 0));
-    assert!(pair.program(src, &image, OpOrigin::Host));
+    assert_eq!(pair.program(src, &image, &[], OpOrigin::Host), Ok(()));
     pair.copyback_read(src, OpOrigin::Background);
     let gc = OpOrigin::Background;
     assert_eq!(pair.copyback_program(src, c, gc), Err(FlashError::ProgramNotErased(c)));
@@ -546,29 +605,56 @@ fn sparse_device_matches_the_eager_page_oracle() {
     assert_eq!(pair.read(src, OpOrigin::Host), None);
     let again = Ppa::new(0, 1, 1);
     assert_eq!(pair.copyback_program(src, again, gc), Err(FlashError::PageMigrated(src)));
-    assert_eq!(pair.program_partial(src, 0, &[0], gc), Err(FlashError::PageMigrated(src)));
-    assert!(!pair.program(src, &image, OpOrigin::Host), "a migrated page is not erased");
+    assert_eq!(pair.program_partial(src, 0, &[0], &[], gc), Err(FlashError::PageMigrated(src)));
+    let not_erased = Err(FlashError::ProgramNotErased(src));
+    assert_eq!(pair.program(src, &image, &[], OpOrigin::Host), not_erased, "a migrated page");
     pair.erase(1, 0);
-    assert!(pair.program(src, &image, OpOrigin::Host));
+    assert_eq!(pair.program(src, &image, &[], OpOrigin::Host), Ok(()));
+    // (5) The OOB rides its command (full programs so far: 10). Three
+    // programs write main area and OOB together; the fourth, the 14th full
+    // program, faults and leaves both halves of its page erased. An append
+    // whose OOB half takes a bit back or runs past the area writes neither
+    // half; one whose OOB half passes writes both.
+    let host = OpOrigin::Host;
+    let tagged: &[(usize, &[u8])] = &[(0, &[0x53, 0x02]), (4, &[0x0F; 4])];
+    for page in 0..3 {
+        assert_eq!(pair.program(Ppa::new(1, 1, page), &image, tagged, host), Ok(()));
+    }
+    let unlucky = Ppa::new(1, 1, 3);
+    let fault = FlashError::ProgramFailed { ppa: unlucky, permanent: false };
+    assert_eq!(pair.program(unlucky, &image, tagged, host), Err(fault));
+    let d = Ppa::new(1, 1, 0);
+    let back = FlashError::IsppViolation { ppa: d, offset: 4, old: 0x0F, new: 0xFF };
+    assert_eq!(pair.program_partial(d, 16, &[0x11; 4], &[(4, &[0xFF])], host), Err(back));
+    let past = FlashError::RangeOutOfPage { ppa: d, offset: 6, len: 4, area: 8 };
+    assert_eq!(pair.program_partial(d, 16, &[0x11; 4], &[(6, &[0; 4])], host), Err(past));
+    assert_eq!(pair.program_partial(d, 16, &[0x11; 4], &[(2, &[0; 2])], host), Ok(()));
 
     let mut rng = Lcg(0x1AA7_5EED);
     let mut kept: Vec<Vec<u8>> = Vec::new();
     let (mut violations, mut over_budget, mut onto_erased) = (0, 0, 0);
     let (mut moved, mut onto_programmed, mut faulted_moves, mut migrated_reads) = (0, 0, 0, 0);
+    let (mut faulted_with_oob, mut refused_for_oob) = (0, 0);
     for _ in 0..6_000 {
         let g = pair.oracle.geometry.clone();
         let ppa = rng.ppa(&g);
         let origin = [OpOrigin::Host, OpOrigin::HostAsync, OpOrigin::Background][rng.below(3)];
+        let writes = rng.oob_writes(&g);
         match rng.below(18) {
-            0..=2 => {
+            0..=3 => {
                 // A page image with an erased tail; sometimes a byte short.
                 let len = size - usize::from(rng.below(8) == 0);
                 let mut data = rng.bytes(len);
                 let tail = rng.below(len);
                 data[tail..].fill(0xFF);
-                pair.program(ppa, &data, origin);
+                let oob: Vec<(usize, &[u8])> = writes.iter().map(|(o, w)| (*o, &w[..])).collect();
+                if let Err(FlashError::ProgramFailed { .. }) =
+                    pair.program(ppa, &data, &oob, origin)
+                {
+                    faulted_with_oob += usize::from(!oob.is_empty());
+                }
             }
-            3..=6 => {
+            4..=7 => {
                 let offset = rng.below(size);
                 // In range, or (one in eight) running past the page end.
                 let len = match rng.below(8) {
@@ -583,22 +669,25 @@ fn sparse_device_matches_the_eager_page_oracle() {
                         data.iter_mut().zip(now.iter().skip(offset)).for_each(|(d, &n)| *d &= n);
                     }
                 }
+                // The OOB half likewise, over the OOB cells.
+                let mut writes = writes;
+                if rng.below(4) != 0 {
+                    if let Ok(now) = pair.dev.read_oob(ppa) {
+                        for (offset, w) in &mut writes {
+                            w.iter_mut().zip(now.iter().skip(*offset)).for_each(|(d, &n)| *d &= n);
+                        }
+                    }
+                }
+                let oob: Vec<(usize, &[u8])> = writes.iter().map(|(o, w)| (*o, &w[..])).collect();
                 let erased = pair.dev.page_state(ppa) == Ok(PageState::Erased);
-                match pair.program_partial(ppa, offset, &data, origin) {
+                let main_alone = pair.oracle.main_half_passes(ppa, offset, &data);
+                match pair.program_partial(ppa, offset, &data, &oob, origin) {
                     Ok(()) => onto_erased += usize::from(erased),
+                    Err(_) if main_alone => refused_for_oob += 1,
                     Err(FlashError::IsppViolation { .. }) => violations += 1,
                     Err(FlashError::AppendBudgetExceeded { .. }) => over_budget += 1,
                     Err(_) => {}
                 }
-            }
-            7 => {
-                let offset = rng.below(g.oob_size + 1);
-                let len = rng.below(g.oob_size - offset + 2);
-                let mut data = rng.bytes(len);
-                if rng.below(3) != 0 {
-                    data.iter_mut().for_each(|d| *d |= 0xF0 >> rng.below(5));
-                }
-                pair.program_oob(ppa, offset, &data);
             }
             8 if rng.below(3) == 0 => pair.erase(ppa.chip, ppa.block),
             9..=12 => {
@@ -655,6 +744,8 @@ fn sparse_device_matches_the_eager_page_oracle() {
     assert!(moved > 50 && onto_programmed > 50, "{moved} moves, {onto_programmed} refused");
     assert!(faulted_moves > 10, "{faulted_moves} faulted moves");
     assert!(migrated_reads > 50, "{migrated_reads} reads of migrated pages");
+    assert!(faulted_with_oob > 10, "{faulted_with_oob} faulted programs carrying OOB writes");
+    assert!(refused_for_oob > 50, "{refused_for_oob} appends refused for their OOB half");
     assert!(pair.oracle.programs_checked < FAULT_SCRIPT);
     let s = pair.dev.stats();
     assert!(s.host_reads > 300 && s.gc_reads > 100 && s.erases > 50 && s.host_programs > 50);

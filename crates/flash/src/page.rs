@@ -192,13 +192,15 @@ impl PageData {
         }
     }
 
-    /// Initial full-page program. The page must be erased; the data may
-    /// contain `0xFF` bytes (cells intentionally left unprogrammed — this is
-    /// how the delta-record area stays appendable).
+    /// Initial full-page program, plus the `(offset, bytes)` writes `oob`
+    /// into the OOB area. The page must be erased; the data may contain
+    /// `0xFF` bytes (cells intentionally left unprogrammed — this is how the
+    /// delta-record area stays appendable). Both halves are checked first.
     pub(crate) fn program(
         &mut self,
         ppa: Ppa,
         data: &[u8],
+        oob: &[(usize, &[u8])],
         spare: &mut SparePages,
     ) -> Result<(), FlashError> {
         if data.len() != spare.page_size() {
@@ -210,7 +212,9 @@ impl PageData {
             });
         }
         self.check_erased(ppa)?;
+        check_oob(ppa, &self.oob, oob)?;
         self.cells = Cells::Programmed { main: spare.take_copy(data), appends: 0 };
+        charge_oob(&mut self.oob, oob);
         Ok(())
     }
 
@@ -229,19 +233,22 @@ impl PageData {
     }
 
     /// ISPP partial program (in-place append) of `data` at `offset` within
-    /// the main area.
+    /// the main area, plus the writes `oob` into the OOB area (per-delta ECC
+    /// codes, paper §6.2): one operation, one append of the budget.
     ///
-    /// Fails with [`FlashError::IsppViolation`] if any affected bit would
-    /// have to transition `0→1`, and with
+    /// Fails with [`FlashError::IsppViolation`] if any affected bit of
+    /// either half would have to transition `0→1`, and with
     /// [`FlashError::AppendBudgetExceeded`] once `max_appends` partial
-    /// programs have already been performed. The check is performed *before*
-    /// any cell is modified, so a failed append leaves the page unchanged
-    /// (mirroring a controller that validates the program pattern first).
+    /// programs have already been performed. The checks are performed
+    /// *before* any cell is modified, so a failed append leaves the page
+    /// unchanged (mirroring a controller that validates the program pattern
+    /// first).
     pub(crate) fn program_partial(
         &mut self,
         ppa: Ppa,
         offset: usize,
         data: &[u8],
+        oob: &[(usize, &[u8])],
         max_appends: u32,
         spare: &mut SparePages,
     ) -> Result<(), FlashError> {
@@ -249,66 +256,66 @@ impl PageData {
         let Some(end) = offset.checked_add(data.len()).filter(|&end| end <= area) else {
             return Err(FlashError::RangeOutOfPage { ppa, offset, len: data.len(), area });
         };
-        let (main, appends) = match &mut self.cells {
-            Cells::Programmed { main, appends } => (main, appends),
+        match &self.cells {
+            &Cells::Programmed { appends, .. } if appends >= max_appends => {
+                let max = max_appends;
+                return Err(FlashError::AppendBudgetExceeded { ppa, performed: appends, max });
+            }
+            Cells::Programmed { main, .. } => check_ispp(ppa, offset, &main[offset..end], data)?,
             Cells::Migrated => return Err(FlashError::PageMigrated(ppa)),
-            Cells::Erased => {
-                // Hardware would happily program an erased page partially,
-                // but a sane management layer always writes the initial
-                // image first; we allow it and treat it as the initial
-                // program of the range. Every bit may go 1→0 from all ones,
-                // so nothing can violate ISPP; the cells outside the range
-                // stay erased.
+            // Hardware would happily program an erased page partially, but
+            // a sane management layer always writes the initial image
+            // first; we allow it and treat it as the initial program of the
+            // range. Every bit may go 1→0 from all ones, so nothing can
+            // violate ISPP; the cells outside the range stay erased.
+            Cells::Erased => {}
+        }
+        check_oob(ppa, &self.oob, oob)?;
+        match &mut self.cells {
+            Cells::Programmed { main, appends } => {
+                main[offset..end].copy_from_slice(data);
+                *appends += 1;
+            }
+            cells => {
                 let mut main = spare.take_erased();
                 main[offset..end].copy_from_slice(data);
-                self.cells = Cells::Programmed { main, appends: 0 };
-                return Ok(());
-            }
-        };
-        if *appends >= max_appends {
-            return Err(FlashError::AppendBudgetExceeded {
-                ppa,
-                performed: *appends,
-                max: max_appends,
-            });
-        }
-        for (i, (&old, &new)) in main[offset..end].iter().zip(data).enumerate() {
-            if !ispp_allows(old, new) {
-                return Err(FlashError::IsppViolation { ppa, offset: offset + i, old, new });
+                *cells = Cells::Programmed { main, appends: 0 };
             }
         }
-        main[offset..end].copy_from_slice(data);
-        *appends += 1;
+        charge_oob(&mut self.oob, oob);
         Ok(())
     }
+}
 
-    /// ISPP partial program into the OOB area (used for per-delta ECC codes,
-    /// paper §6.2 "Flash ECC and Page OOB Area"). Subject to the same
-    /// monotone-charge rule but not counted against the append budget: on
-    /// real parts the OOB cells are programmed in the same operation as the
-    /// main-area append.
-    pub(crate) fn program_oob(
-        &mut self,
-        ppa: Ppa,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<(), FlashError> {
-        if offset.checked_add(data.len()).is_none_or(|end| end > self.oob.len()) {
-            return Err(FlashError::RangeOutOfPage {
-                ppa,
-                offset,
-                len: data.len(),
-                area: self.oob.len(),
-            });
+/// The monotone-charge check of programming `data` over `cells`, which
+/// start at byte `offset` of their area.
+fn check_ispp(ppa: Ppa, offset: usize, cells: &[u8], data: &[u8]) -> Result<(), FlashError> {
+    match cells.iter().zip(data).position(|(&old, &new)| !ispp_allows(old, new)) {
+        Some(i) => {
+            Err(FlashError::IsppViolation { ppa, offset: offset + i, old: cells[i], new: data[i] })
         }
-        for (i, (&old, &new)) in self.oob[offset..offset + data.len()].iter().zip(data).enumerate()
-        {
-            if !ispp_allows(old, new) {
-                return Err(FlashError::IsppViolation { ppa, offset: offset + i, old, new });
-            }
-        }
-        self.oob[offset..offset + data.len()].copy_from_slice(data);
-        Ok(())
+        None => Ok(()),
+    }
+}
+
+/// The OOB half of a program's checks: every `(offset, bytes)` write lies
+/// inside the area and takes only bits its cells can still take.
+fn check_oob(ppa: Ppa, area: &[u8], writes: &[(usize, &[u8])]) -> Result<(), FlashError> {
+    for &(offset, bytes) in writes {
+        let len = bytes.len();
+        let cells = offset
+            .checked_add(len)
+            .and_then(|end| area.get(offset..end))
+            .ok_or(FlashError::RangeOutOfPage { ppa, offset, len, area: area.len() })?;
+        check_ispp(ppa, offset, cells, bytes)?;
+    }
+    Ok(())
+}
+
+/// Program checked OOB writes; a byte two of them cover takes both.
+fn charge_oob(area: &mut [u8], writes: &[(usize, &[u8])]) {
+    for &(offset, bytes) in writes {
+        area[offset..offset + bytes.len()].iter_mut().zip(bytes).for_each(|(cell, &b)| *cell &= b);
     }
 }
 
@@ -344,15 +351,15 @@ mod tests {
     fn full_program_requires_erased() {
         let (mut p, mut spare) = page();
         let data = vec![0x55; 64];
-        p.program(PPA, &data, &mut spare).unwrap();
+        p.program(PPA, &data, &[], &mut spare).unwrap();
         assert_eq!(p.state(), PageState::Programmed { appends: 0 });
-        assert_eq!(p.program(PPA, &data, &mut spare), Err(FlashError::ProgramNotErased(PPA)));
+        assert_eq!(p.program(PPA, &data, &[], &mut spare), Err(FlashError::ProgramNotErased(PPA)));
     }
 
     #[test]
     fn full_program_wrong_length_rejected() {
         let (mut p, mut spare) = page();
-        let err = p.program(PPA, &[0u8; 10], &mut spare).unwrap_err();
+        let err = p.program(PPA, &[0u8; 10], &[], &mut spare).unwrap_err();
         assert!(matches!(err, FlashError::RangeOutOfPage { .. }));
         assert_eq!(p.state(), PageState::Erased);
     }
@@ -362,8 +369,8 @@ mod tests {
         let (mut p, mut spare) = page();
         let mut data = vec![0xFF; 64];
         data[..32].fill(0x13);
-        p.program(PPA, &data, &mut spare).unwrap();
-        p.program_partial(PPA, 48, &[0x77; 8], 4, &mut spare).unwrap();
+        p.program(PPA, &data, &[], &mut spare).unwrap();
+        p.program_partial(PPA, 48, &[0x77; 8], &[], 4, &mut spare).unwrap();
         assert_eq!(&p.readable(PPA).unwrap()[48..56], &[0x77; 8]);
         assert_eq!(p.state(), PageState::Programmed { appends: 1 });
     }
@@ -373,9 +380,9 @@ mod tests {
         let (mut p, mut spare) = page();
         let mut data = vec![0xFF; 64];
         data[..32].fill(0x0F);
-        p.program(PPA, &data, &mut spare).unwrap();
+        p.program(PPA, &data, &[], &mut spare).unwrap();
         // Bytes 30..34: first two are programmed (0x0F), 0xF0 needs 0->1.
-        let err = p.program_partial(PPA, 30, &[0xF0; 4], 4, &mut spare).unwrap_err();
+        let err = p.program_partial(PPA, 30, &[0xF0; 4], &[], 4, &mut spare).unwrap_err();
         assert!(matches!(err, FlashError::IsppViolation { offset: 30, .. }));
         // Page unchanged, including the erased part of the range.
         assert_eq!(&p.readable(PPA).unwrap()[30..34], &[0x0F, 0x0F, 0xFF, 0xFF]);
@@ -385,29 +392,28 @@ mod tests {
     #[test]
     fn append_budget_enforced() {
         let (mut p, mut spare) = page();
-        p.program(PPA, &[0xFF; 64], &mut spare).unwrap();
-        p.program_partial(PPA, 0, &[0xFE], 2, &mut spare).unwrap();
-        p.program_partial(PPA, 1, &[0xFE], 2, &mut spare).unwrap();
-        let err = p.program_partial(PPA, 2, &[0xFE], 2, &mut spare).unwrap_err();
+        p.program(PPA, &[0xFF; 64], &[], &mut spare).unwrap();
+        p.program_partial(PPA, 0, &[0xFE], &[], 2, &mut spare).unwrap();
+        p.program_partial(PPA, 1, &[0xFE], &[], 2, &mut spare).unwrap();
+        let err = p.program_partial(PPA, 2, &[0xFE], &[], 2, &mut spare).unwrap_err();
         assert_eq!(err, FlashError::AppendBudgetExceeded { ppa: PPA, performed: 2, max: 2 });
     }
 
     #[test]
     fn append_out_of_range_rejected() {
         let (mut p, mut spare) = page();
-        p.program(PPA, &[0xFF; 64], &mut spare).unwrap();
-        let err = p.program_partial(PPA, 60, &[0u8; 8], 4, &mut spare).unwrap_err();
+        p.program(PPA, &[0xFF; 64], &[], &mut spare).unwrap();
+        let err = p.program_partial(PPA, 60, &[0u8; 8], &[], 4, &mut spare).unwrap_err();
         assert!(matches!(err, FlashError::RangeOutOfPage { offset: 60, len: 8, .. }));
         // Overflow-safe.
-        let err = p.program_partial(PPA, usize::MAX, &[0u8; 2], 4, &mut spare).unwrap_err();
+        let err = p.program_partial(PPA, usize::MAX, &[0u8; 2], &[], 4, &mut spare).unwrap_err();
         assert!(matches!(err, FlashError::RangeOutOfPage { .. }));
     }
 
     #[test]
     fn erase_detaches_the_buffer_and_resets_everything() {
         let (mut p, mut spare) = page();
-        p.program(PPA, &[0x00; 64], &mut spare).unwrap();
-        p.program_oob(PPA, 0, &[0x12, 0x34]).unwrap();
+        p.program(PPA, &[0x00; 64], &[(0, &[0x12, 0x34])], &mut spare).unwrap();
         p.erase(&mut spare);
         assert_eq!(p.state(), PageState::Erased);
         assert_eq!(p.readable(PPA), Err(FlashError::ReadOfErasedPage(PPA)));
@@ -424,9 +430,9 @@ mod tests {
         // must read as erased outside the programmed range, and the
         // pre-erase zeroes must not turn the append into an ISPP violation.
         let (mut p, mut spare) = page();
-        p.program(PPA, &[0x00; 64], &mut spare).unwrap();
+        p.program(PPA, &[0x00; 64], &[], &mut spare).unwrap();
         p.erase(&mut spare);
-        p.program_partial(PPA, 8, &[0xA5; 4], 4, &mut spare).unwrap();
+        p.program_partial(PPA, 8, &[0xA5; 4], &[], 4, &mut spare).unwrap();
         assert_eq!(spare.len(), 0, "the detached buffer was reused");
         assert_eq!(p.state(), PageState::Programmed { appends: 0 });
         let main = p.readable(PPA).unwrap();
@@ -438,8 +444,7 @@ mod tests {
     fn move_from_hands_the_buffer_over_and_leaves_the_source_migrated() {
         let (mut src, mut spare) = page();
         let mut dst = PageData::erased(16);
-        src.program(PPA, &[0x5A; 64], &mut spare).unwrap();
-        src.program_oob(PPA, 3, &[0x12]).unwrap();
+        src.program(PPA, &[0x5A; 64], &[(3, &[0x12])], &mut spare).unwrap();
         let buffer = src.readable(PPA).unwrap().as_ptr();
         dst.move_from(&mut src);
         assert_eq!(dst.readable(PPA).unwrap().as_ptr(), buffer, "moved, not copied");
@@ -448,9 +453,12 @@ mod tests {
         assert_eq!((dst.oob()[3], src.oob()[3]), (0x12, 0x12), "the OOB is copied");
         assert_eq!(src.state(), PageState::Migrated);
         assert_eq!(src.readable(PPA), Err(FlashError::PageMigrated(PPA)));
-        assert_eq!(src.program(PPA, &[0; 64], &mut spare), Err(FlashError::ProgramNotErased(PPA)));
         assert_eq!(
-            src.program_partial(PPA, 0, &[0], 4, &mut spare),
+            src.program(PPA, &[0; 64], &[], &mut spare),
+            Err(FlashError::ProgramNotErased(PPA))
+        );
+        assert_eq!(
+            src.program_partial(PPA, 0, &[0], &[], 4, &mut spare),
             Err(FlashError::PageMigrated(PPA))
         );
         // A migrated page has nothing left to move.
@@ -480,14 +488,21 @@ mod tests {
 
     #[test]
     fn oob_program_monotone_and_bounded() {
-        let (mut p, _) = page();
-        p.program_oob(PPA, 0, &[0xA0]).unwrap();
+        let (mut p, mut spare) = page();
+        p.program(PPA, &[0xFF; 64], &[(0, &[0xA0]), (1, &[])], &mut spare).unwrap();
         // Clearing further bits is fine.
-        p.program_oob(PPA, 0, &[0x80]).unwrap();
-        // Setting bits back is not.
-        let err = p.program_oob(PPA, 0, &[0xA0]).unwrap_err();
-        assert!(matches!(err, FlashError::IsppViolation { .. }));
-        let err = p.program_oob(PPA, 15, &[0u8; 2]).unwrap_err();
-        assert!(matches!(err, FlashError::RangeOutOfPage { .. }));
+        p.program_partial(PPA, 0, &[0xFE], &[(0, &[0x80])], 4, &mut spare).unwrap();
+        assert_eq!((p.readable(PPA).unwrap()[0], p.oob()[0]), (0xFE, 0x80));
+        // Setting bits back is not, and neither is a range past the area:
+        // either refuses the main half too.
+        let err = p.program_partial(PPA, 1, &[0x00], &[(0, &[0xA0])], 4, &mut spare).unwrap_err();
+        assert_eq!(err, FlashError::IsppViolation { ppa: PPA, offset: 0, old: 0x80, new: 0xA0 });
+        let err = p.program_partial(PPA, 1, &[0x00], &[(15, &[0; 2])], 4, &mut spare).unwrap_err();
+        assert_eq!(err, FlashError::RangeOutOfPage { ppa: PPA, offset: 15, len: 2, area: 16 });
+        assert_eq!((p.readable(PPA).unwrap()[1], p.oob()[0]), (0xFF, 0x80));
+        assert_eq!(p.state(), PageState::Programmed { appends: 1 });
+        // Two writes of one command over the same byte: it takes both.
+        p.program_partial(PPA, 1, &[0x00], &[(5, &[0xF0]), (5, &[0x0F])], 4, &mut spare).unwrap();
+        assert_eq!(p.oob()[5], 0x00);
     }
 }

@@ -21,7 +21,7 @@
 //! * [`NoFtl`] — the device manager: `read_page`, `write_page`
 //!   (out-of-place + invalidation), **`write_delta(lba, offset, bytes)`**
 //!   (§7 — the new first-class I/O command backing in-place appends),
-//!   `trim`, plus OOB access for the ECC scheme.
+//!   `trim`; the ECC scheme's OOB bytes ride on the write commands.
 //! * Greedy garbage collection (fewest-valid-pages victim), free-block
 //!   allocation preferring least-worn blocks (dynamic wear leveling) and an
 //!   explicit static wear-leveling pass.

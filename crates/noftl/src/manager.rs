@@ -105,8 +105,8 @@ impl NoFtl {
         data: &[u8],
         ctx: IoCtx,
     ) -> Result<OpResult> {
-        let region = self.regions.get_mut(rid.0).ok_or(NoFtlError::BadRegion(rid.0))?;
-        region.write(&mut self.dev, lba, data, ctx)
+        let id = self.submit_write(rid, lba, data, &[], ctx)?;
+        Ok(self.dev.complete(id)?.result)
     }
 
     /// The `write_delta` command (§7): ISPP-append `data` at `offset`
@@ -119,8 +119,8 @@ impl NoFtl {
         data: &[u8],
         ctx: IoCtx,
     ) -> Result<OpResult> {
-        let region = self.regions.get_mut(rid.0).ok_or(NoFtlError::BadRegion(rid.0))?;
-        region.write_delta(&mut self.dev, lba, offset, data, ctx)
+        let id = self.submit_write_delta(rid, lba, offset, data, &[], ctx)?;
+        Ok(self.dev.complete(id)?.result)
     }
 
     /// Hand back a page buffer obtained from [`NoFtl::read_page`] (or any
@@ -138,31 +138,35 @@ impl NoFtl {
         region.submit_read(&mut self.dev, lba, ctx)
     }
 
-    /// Queue an out-of-place write of a full logical page. Mapping, GC and
-    /// statistics take effect at submission; only the simulated time is
-    /// deferred to the completion.
+    /// Queue an out-of-place write of a full logical page, with the
+    /// `(offset, bytes)` writes `oob` into its OOB area (ECC codes, scheme
+    /// tags) in the same command. Mapping, GC and statistics take effect at
+    /// submission; only the simulated time is deferred to the completion.
     pub fn submit_write(
         &mut self,
         rid: RegionId,
         lba: Lba,
         data: &[u8],
+        oob: &[(usize, &[u8])],
         ctx: IoCtx,
     ) -> Result<CmdId> {
         let region = self.regions.get_mut(rid.0).ok_or(NoFtlError::BadRegion(rid.0))?;
-        region.submit_write(&mut self.dev, lba, data, ctx)
+        region.submit_write(&mut self.dev, lba, data, oob, ctx)
     }
 
-    /// Queue a `write_delta` append.
+    /// Queue a `write_delta` append, with its OOB writes (the record's
+    /// `ECC_delta_i`); a faulted append's fallback program carries them.
     pub fn submit_write_delta(
         &mut self,
         rid: RegionId,
         lba: Lba,
         offset: usize,
         data: &[u8],
+        oob: &[(usize, &[u8])],
         ctx: IoCtx,
     ) -> Result<CmdId> {
         let region = self.regions.get_mut(rid.0).ok_or(NoFtlError::BadRegion(rid.0))?;
-        region.submit_write_delta(&mut self.dev, lba, offset, data, ctx)
+        region.submit_write_delta(&mut self.dev, lba, offset, data, oob, ctx)
     }
 
     /// Wait for one queued command, advancing the simulated clock to its
@@ -212,12 +216,6 @@ impl NoFtl {
         let ppa = self.region(rid)?.residency(lba)?;
         self.dev.inject_retention(ppa, bits)?;
         Ok(())
-    }
-
-    /// Write into the OOB area of a logical page's residency.
-    pub fn write_oob(&mut self, rid: RegionId, lba: Lba, offset: usize, data: &[u8]) -> Result<()> {
-        let region = self.regions.get_mut(rid.0).ok_or(NoFtlError::BadRegion(rid.0))?;
-        region.write_oob(&mut self.dev, lba, offset, data)
     }
 
     /// Read the OOB area of a logical page's residency.
@@ -444,7 +442,7 @@ mod tests {
         let mut queued = mk(4);
         let rid = queued.region_by_name("default").unwrap();
         for i in 0..4u64 {
-            queued.submit_write(rid, Lba(i), &image(i), IoCtx::default()).unwrap();
+            queued.submit_write(rid, Lba(i), &image(i), &[], IoCtx::default()).unwrap();
         }
         assert_eq!(queued.drain_completions().len(), 4);
         let t_queued = queued.device().clock().now_ns();

@@ -308,7 +308,8 @@ impl Region {
         }
     }
 
-    /// Queue an out-of-place write of a full logical page.
+    /// Queue an out-of-place write of a full logical page, with the OOB
+    /// writes `oob` in the same program command.
     ///
     /// For host-origin writes the command-queue slot is reserved *before*
     /// garbage collection runs, so allocation decisions are made at the
@@ -319,6 +320,7 @@ impl Region {
         dev: &mut FlashDevice,
         lba: Lba,
         data: &[u8],
+        oob: &[(usize, &[u8])],
         ctx: IoCtx,
     ) -> Result<CmdId> {
         self.check_lba(lba)?;
@@ -328,11 +330,8 @@ impl Region {
         let local = self.pick_chip();
         self.garbage_collect_chip(dev, local)?;
         let (ppa, id) = self.program_healed(dev, local, lba, ctx, |dev, ppa| {
-            dev.submit_program(ppa, data, ctx.origin)
+            dev.submit_program(ppa, data, oob, ctx.origin)
         })?;
-        if let Some(old) = self.l2p[lba.0 as usize] {
-            self.invalidate(old)?;
-        }
         self.map(lba, ppa)?;
         self.stats.host_page_writes += 1;
         self.note_update(lba);
@@ -405,26 +404,16 @@ impl Region {
         Ok(())
     }
 
-    /// Out-of-place write of a full logical page (synchronous).
-    pub(crate) fn write(
-        &mut self,
-        dev: &mut FlashDevice,
-        lba: Lba,
-        data: &[u8],
-        ctx: IoCtx,
-    ) -> Result<OpResult> {
-        let id = self.submit_write(dev, lba, data, ctx)?;
-        Ok(dev.complete(id)?.result)
-    }
-
     /// Queue the `write_delta` command (§7): append `data` at byte `offset`
-    /// of the *current physical residency* of `lba`, without remapping.
+    /// of the *current physical residency* of `lba`, without remapping,
+    /// with the OOB writes `oob` in the same command.
     pub(crate) fn submit_write_delta(
         &mut self,
         dev: &mut FlashDevice,
         lba: Lba,
         offset: usize,
         data: &[u8],
+        oob: &[(usize, &[u8])],
         ctx: IoCtx,
     ) -> Result<CmdId> {
         self.check_lba(lba)?;
@@ -433,7 +422,7 @@ impl Region {
             return Err(NoFtlError::AppendNotAllowed { lba, reason });
         }
         self.stage_obs(dev, ctx, lba);
-        match dev.submit_program_partial(ppa, offset, data, ctx.origin) {
+        match dev.submit_program_partial(ppa, offset, data, oob, ctx.origin) {
             Ok(id) => {
                 self.stats.host_delta_writes += 1;
                 self.stats.delta_bytes += data.len() as u64;
@@ -446,7 +435,7 @@ impl Region {
             // stance — appends are an optimisation, never a correctness
             // requirement).
             Err(FlashError::ProgramFailed { .. } | FlashError::BlockRetired { .. }) => {
-                self.delta_fallback(dev, lba, ppa, offset, data, ctx)
+                self.delta_fallback(dev, lba, offset, data, oob, ctx)
             }
             Err(e) => Err(e.into()),
         }
@@ -454,60 +443,43 @@ impl Region {
 
     /// Recover a failed delta append: rebuild the page image from the
     /// current residency, overlay the delta, and write it out of place
-    /// through the healed program path (retiring blocks as needed). The
-    /// OOB image moves with the data so ECC bookkeeping stays consistent.
+    /// through the healed program path (retiring blocks as needed). One
+    /// program writes the image and the old OOB with the append's OOB
+    /// writes laid over it, so ECC bookkeeping stays consistent. The
+    /// collection that makes room may move the old page: `map` invalidates
+    /// wherever the mapping points by then.
     fn delta_fallback(
         &mut self,
         dev: &mut FlashDevice,
         lba: Lba,
-        old: Ppa,
         offset: usize,
         data: &[u8],
+        oob: &[(usize, &[u8])],
         ctx: IoCtx,
     ) -> Result<CmdId> {
         let (region, attr_lba) = ctx.obs.unwrap_or((self.id, lba.0));
         dev.emit(EventKind::DeltaFallback, Some(region), Some(attr_lba));
+        let old = self.mapped(lba)?;
         let rid = dev.submit_read(old, OpOrigin::Background)?;
         let mut image = dev
             .complete(rid)?
             .data
             .ok_or(NoFtlError::Internal("read completion carries no data"))?;
-        let end = offset.saturating_add(data.len());
-        if end > image.len() {
-            return Err(NoFtlError::Flash(FlashError::RangeOutOfPage {
-                ppa: old,
-                offset,
-                len: data.len(),
-                area: image.len(),
-            }));
+        overlay(&mut image, old, offset, data)?;
+        let mut old_oob = dev.read_oob(old)?;
+        for &(at, bytes) in oob {
+            overlay(&mut old_oob, old, at, bytes)?;
         }
-        image[offset..end].copy_from_slice(data);
-        let oob = dev.read_oob(old)?;
         let local = self.pick_chip();
         self.garbage_collect_chip(dev, local)?;
         let (new, id) = self.program_healed(dev, local, lba, ctx, |dev, ppa| {
-            dev.submit_program(ppa, &image, ctx.origin)
+            dev.submit_program(ppa, &image, &[(0, &old_oob)], ctx.origin)
         })?;
-        dev.program_oob(new, 0, &oob)?;
-        self.invalidate(old)?;
         self.map(lba, new)?;
         self.stats.delta_fallbacks += 1;
         self.stats.host_page_writes += 1;
         self.note_update(lba);
         Ok(id)
-    }
-
-    /// `write_delta` (§7), synchronous.
-    pub(crate) fn write_delta(
-        &mut self,
-        dev: &mut FlashDevice,
-        lba: Lba,
-        offset: usize,
-        data: &[u8],
-        ctx: IoCtx,
-    ) -> Result<OpResult> {
-        let id = self.submit_write_delta(dev, lba, offset, data, ctx)?;
-        Ok(dev.complete(id)?.result)
     }
 
     /// Whether `write_delta` is currently possible for a logical page —
@@ -540,21 +512,6 @@ impl Region {
             Ok(_) => None,
             Err(_) => Some("invalid physical residency"),
         }
-    }
-
-    /// Write into the OOB area of `lba`'s current residency (ECC codes,
-    /// mapping tags). Piggybacks on the main-area operation — no latency.
-    pub(crate) fn write_oob(
-        &mut self,
-        dev: &mut FlashDevice,
-        lba: Lba,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<()> {
-        self.check_lba(lba)?;
-        let ppa = self.mapped(lba)?;
-        dev.program_oob(ppa, offset, data)?;
-        Ok(())
     }
 
     /// Read the OOB area of `lba`'s current residency.
@@ -594,10 +551,14 @@ impl Region {
         (local * self.blocks_per_chip + block as usize) * self.pages_per_block + page as usize
     }
 
+    /// Point `lba` at `ppa`, a page just programmed, and invalidate the
+    /// residency it had until now.
     fn map(&mut self, lba: Lba, ppa: Ppa) -> Result<()> {
+        if let Some(old) = self.l2p[lba.0 as usize].replace(ppa) {
+            self.invalidate(old)?;
+        }
         let local = self.local_chip(ppa.chip)?;
         let slot = self.p2l_slot(local, ppa.block, ppa.page);
-        self.l2p[lba.0 as usize] = Some(ppa);
         if self.p2l[slot].replace(lba.0).is_none() {
             self.mapped_pages += 1;
         }
@@ -891,7 +852,6 @@ impl Region {
                 self.stats.gc_rewrites += 1;
             }
         }
-        self.invalidate(old)?;
         self.map(Lba(lba), new)?;
         self.stats.gc_page_migrations += 1;
         Ok(())
@@ -947,6 +907,17 @@ impl Region {
     pub(crate) fn mapped_pages(&self) -> u64 {
         self.mapped_pages
     }
+}
+
+/// Copy `bytes` over `area` (of page `ppa`) at `offset`, range-checked.
+fn overlay(area: &mut [u8], ppa: Ppa, offset: usize, bytes: &[u8]) -> Result<()> {
+    let (len, size) = (bytes.len(), area.len());
+    let cells = offset
+        .checked_add(len)
+        .and_then(|end| area.get_mut(offset..end))
+        .ok_or(FlashError::RangeOutOfPage { ppa, offset, len, area: size })?;
+    cells.copy_from_slice(bytes);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1151,20 +1122,64 @@ mod tests {
         assert_eq!(r.stats.trims, 1);
     }
 
+    impl Region {
+        /// An out-of-place write with no OOB write, completed.
+        fn write(
+            &mut self,
+            dev: &mut FlashDevice,
+            lba: Lba,
+            data: &[u8],
+            ctx: IoCtx,
+        ) -> Result<OpResult> {
+            let id = self.submit_write(dev, lba, data, &[], ctx)?;
+            Ok(dev.complete(id)?.result)
+        }
+
+        /// A `write_delta` with no OOB write, completed.
+        fn write_delta(
+            &mut self,
+            dev: &mut FlashDevice,
+            lba: Lba,
+            offset: usize,
+            data: &[u8],
+            ctx: IoCtx,
+        ) -> Result<OpResult> {
+            let id = self.submit_write_delta(dev, lba, offset, data, &[], ctx)?;
+            Ok(dev.complete(id)?.result)
+        }
+    }
+
+    /// An out-of-place write carrying OOB writes, completed.
+    fn write_with_oob(
+        r: &mut Region,
+        dev: &mut FlashDevice,
+        lba: Lba,
+        data: &[u8],
+        oob: &[(usize, &[u8])],
+    ) -> Result<()> {
+        let id = r.submit_write(dev, lba, data, oob, IoCtx::host())?;
+        dev.complete(id)?;
+        Ok(())
+    }
+
     #[test]
     fn oob_roundtrip_through_region() {
         let (mut dev, mut r) = small_region(IpaMode::Slc, CellType::Slc);
-        r.write(&mut dev, Lba(2), &page(2), IoCtx::host()).unwrap();
-        r.write_oob(&mut dev, Lba(2), 16, &[0xCA, 0xFE]).unwrap();
+        write_with_oob(&mut r, &mut dev, Lba(2), &page(2), &[(16, &[0xCA, 0xFE])]).unwrap();
         let oob = r.read_oob(&dev, Lba(2)).unwrap();
         assert_eq!(&oob[16..18], &[0xCA, 0xFE]);
+        // An append carries its own OOB writes to the same residency.
+        let id =
+            r.submit_write_delta(&mut dev, Lba(2), 200, &[0x12], &[(24, &[0x5A])], IoCtx::host());
+        dev.complete(id.unwrap()).unwrap();
+        let oob = r.read_oob(&dev, Lba(2)).unwrap();
+        assert_eq!((&oob[16..18], oob[24]), (&[0xCA, 0xFE][..], 0x5A));
     }
 
     #[test]
     fn migration_preserves_oob_and_data() {
         let (mut dev, mut r) = small_region(IpaMode::Slc, CellType::Slc);
-        r.write(&mut dev, Lba(0), &page(9), IoCtx::host()).unwrap();
-        r.write_oob(&mut dev, Lba(0), 20, &[0xBE, 0xEF]).unwrap();
+        write_with_oob(&mut r, &mut dev, Lba(0), &page(9), &[(20, &[0xBE, 0xEF])]).unwrap();
         // Interleaved churn so blocks (including the one holding Lba 0)
         // become partially-valid GC victims.
         for lba in 1..120u64 {
@@ -1227,11 +1242,13 @@ mod tests {
         );
         let (mut dev, mut r) =
             small_region_with(IpaMode::Slc, CellType::Slc, plan, FaultPolicy::default());
-        r.write(&mut dev, Lba(5), &page(0xCD), IoCtx::host()).unwrap();
+        write_with_oob(&mut r, &mut dev, Lba(5), &page(0xCD), &[(16, &[0xCA, 0xFE])]).unwrap();
         assert_eq!(r.stats.program_retries, 1);
         assert_eq!(r.stats.retired_blocks, 1);
         let ppa = r.l2p[5].unwrap();
         assert!(!dev.is_block_retired(ppa.chip, ppa.block).unwrap());
+        // The OOB writes landed once, with the program that took.
+        assert_eq!(&r.read_oob(&dev, Lba(5)).unwrap()[16..18], &[0xCA, 0xFE]);
         // Exactly one block is device-retired and carries the OOB marker.
         let retired: Vec<(u32, u32)> = (0..2)
             .flat_map(|c| (0..16).map(move |b| (c, b)))
@@ -1240,6 +1257,9 @@ mod tests {
         assert_eq!(retired.len(), 1);
         let (rc, rb) = retired[0];
         assert!(dev.oob_bad_marked(rc, rb).unwrap());
+        let faulted = Ppa::new(rc, rb, 0);
+        assert_eq!(dev.page_state(faulted).unwrap(), PageState::Erased);
+        assert!(dev.read_oob(faulted).unwrap().iter().all(|&b| b == 0xFF));
         let (data, _) = r.read(&mut dev, Lba(5), IoCtx::host()).unwrap();
         assert_eq!(data, page(0xCD));
     }
@@ -1266,9 +1286,11 @@ mod tests {
         let plan = FaultPlan::default().with_scripted(FaultOp::DeltaProgram, 0, false);
         let (mut dev, mut r) =
             small_region_with(IpaMode::Slc, CellType::Slc, plan, FaultPolicy::default());
-        r.write(&mut dev, Lba(3), &page(0x0F), IoCtx::host()).unwrap();
+        write_with_oob(&mut r, &mut dev, Lba(3), &page(0x0F), &[(16, &[0xCA, 0xFE])]).unwrap();
         let before = r.l2p[3].unwrap();
-        r.write_delta(&mut dev, Lba(3), 200, &[0x12, 0x34], IoCtx::host()).unwrap();
+        let code: &[(usize, &[u8])] = &[(24, &[0x5A; 8])];
+        let id = r.submit_write_delta(&mut dev, Lba(3), 200, &[0x12, 0x34], code, IoCtx::host());
+        dev.complete(id.unwrap()).unwrap();
         // The append failed and was served as a full out-of-place write:
         // new residency, merged contents, no delta counted.
         let after = r.l2p[3].unwrap();
@@ -1281,11 +1303,65 @@ mod tests {
         let mut expect = page(0x0F);
         expect[200..202].copy_from_slice(&[0x12, 0x34]);
         assert_eq!(data, expect);
+        // One program wrote the old page's OOB with the append's laid over.
+        let oob = r.read_oob(&dev, Lba(3)).unwrap();
+        assert_eq!((&oob[16..18], &oob[24..32]), (&[0xCA, 0xFE][..], &[0x5A; 8][..]));
         // The fresh residency accepts appends again (fault was one-shot).
         assert!(r.can_append(&dev, Lba(3)));
         r.write_delta(&mut dev, Lba(3), 202, &[0x56], IoCtx::host()).unwrap();
         assert_eq!(r.stats.host_delta_writes, 1);
         assert_eq!(r.stats.delta_fallbacks, 1);
+    }
+
+    #[test]
+    fn a_delta_fallback_whose_collection_moves_the_old_page_leaves_no_second_copy() {
+        // The append faults on a page whose block is the victim of the
+        // collection the fallback runs: the fallback reads the page, the
+        // collection moves it, and the fallback programs a third page.
+        // Only that one may stay mapped.
+        let plan = FaultPlan::default().with_scripted(FaultOp::DeltaProgram, 0, false);
+        let (mut dev, mut r) =
+            small_region_with(IpaMode::Slc, CellType::Slc, plan, FaultPolicy::default());
+        let per_block = r.usable_pages.len() as u32;
+        let mut latest = [0u8; 120];
+        let mut target = None;
+        'churn: for round in 0..=60u64 {
+            for lba in 0..120u64 {
+                if round > 0 && !in_round(lba, round) {
+                    continue;
+                }
+                latest[lba as usize] = round as u8;
+                r.write(&mut dev, Lba(lba), &page(round as u8), IoCtx::host()).unwrap();
+                // The chip the next write collects on, once its collection
+                // is due, and a valid page of the victim it will pick.
+                let local = r.rr % r.chips.len();
+                if r.chips[local].free_blocks.len() >= r.gc_low_watermark {
+                    continue;
+                }
+                let Some(victim) = r.select_victim(local, per_block) else { continue };
+                let valid = &r.chips[local].blocks[victim as usize].valid;
+                if let Some(page) = valid.iter().position(|&v| v) {
+                    target = r.p2l[r.p2l_slot(local, victim, page as u32)];
+                    break 'churn;
+                }
+            }
+        }
+        let lba = target.expect("the churn must make a collection with a valid page due");
+        let migrations = r.stats.gc_page_migrations;
+        let code: &[(usize, &[u8])] = &[(24, &[0x5A; 8])];
+        let id = r.submit_write_delta(&mut dev, Lba(lba), 200, &[0x12, 0x34], code, IoCtx::host());
+        dev.complete(id.unwrap()).unwrap();
+        assert_eq!(r.stats.delta_fallbacks, 1);
+        assert!(r.stats.gc_page_migrations > migrations, "the collection must move the page");
+        assert_region_invariants(&r);
+        let mut expect = page(latest[lba as usize]);
+        expect[200..202].copy_from_slice(&[0x12, 0x34]);
+        for l in 0..120u64 {
+            let (data, _) = r.read(&mut dev, Lba(l), IoCtx::host()).unwrap();
+            let want = if l == lba { expect.clone() } else { page(latest[l as usize]) };
+            assert_eq!(data, want, "lba {l}");
+        }
+        assert_eq!(&r.read_oob(&dev, Lba(lba)).unwrap()[24..32], &[0x5A; 8]);
     }
 
     /// Structural invariants that a double-collected victim violates:

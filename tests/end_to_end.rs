@@ -1,9 +1,10 @@
 //! Cross-crate integration tests: the full stack from workload driver down
 //! to simulated flash cells.
 
+use ipa::core::ecc::{OobLayout, Section};
 use ipa::core::NxM;
 use ipa::engine::{Database, DbConfig};
-use ipa::flash::FlashConfig;
+use ipa::flash::{FaultOp, FaultPlan, FlashConfig};
 use ipa::noftl::{IpaMode, NoFtlConfig, RegionId};
 use ipa::workloads::{Runner, SystemConfig, Tatp, TpcB, TpcC, Workload};
 
@@ -151,9 +152,11 @@ fn odd_mlc_mixes_appends_and_out_of_place() {
 #[test]
 fn ecc_verification_full_stack() {
     // Run with ECC verification enabled: every fetch checks ECC_initial +
-    // per-delta codes written through the OOB path.
+    // per-delta codes, each written by the command that writes what it
+    // covers. The second delta append faults.
     let mut flash = FlashConfig::small_slc();
     flash.geometry.page_size = 1024;
+    flash.fault = FaultPlan::default().with_scripted(FaultOp::DeltaProgram, 1, false);
     let cfg = NoFtlConfig::single_region(flash, IpaMode::Slc, 0.2);
     let mut db_cfg = DbConfig::eager(16);
     db_cfg.verify_ecc = true;
@@ -174,6 +177,24 @@ fn ecc_verification_full_stack() {
     }
     assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![9, 2, 3, 4]);
     assert!(db.stats().ecc_verified > 0);
+    // The next append faults and falls back out of place: one program
+    // writes the rebuilt page with the old OOB and the new record's code.
+    let mut tx = db.txn();
+    tx.heap_update(heap, rid, &[9u8, 7, 3, 4]).unwrap();
+    tx.commit().unwrap();
+    db.flush_all().unwrap();
+    assert_eq!(db.region_stats(0).unwrap().delta_fallbacks, 1);
+    let verified = db.stats().ecc_verified;
+    for _ in 0..16 {
+        db.new_page(0).unwrap();
+    }
+    assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![9, 7, 3, 4]);
+    assert!(db.stats().ecc_verified > verified, "the fallback page verifies on re-fetch");
+    // The second record's code is there to verify, not an erased slot.
+    let oob = db.ftl().read_oob(RegionId(0), rid.page.lba).unwrap();
+    let layout = OobLayout::standard(oob.len(), u32::from(NxM::tpcc().n)).unwrap();
+    let slot = layout.range(Section::EccDelta(1)).unwrap();
+    assert!(oob[slot].iter().any(|&b| b != 0xFF), "ECC_delta_1 of the fallback page");
 }
 
 #[test]

@@ -73,7 +73,7 @@ fn apply(ftl: &mut NoFtl, queued: bool, ops: &[Op]) -> Vec<bool> {
         let ok = match *op {
             Op::Write(l, b) => {
                 if queued {
-                    ftl.submit_write(rid, Lba(l), &image(b), IoCtx::host()).is_ok()
+                    ftl.submit_write(rid, Lba(l), &image(b), &[], IoCtx::host()).is_ok()
                 } else {
                     ftl.write_page(rid, Lba(l), &image(b), IoCtx::host()).is_ok()
                 }
@@ -81,7 +81,7 @@ fn apply(ftl: &mut NoFtl, queued: bool, ops: &[Op]) -> Vec<bool> {
             Op::Delta(l, slot, b) => {
                 let off = PAGE / 2 + slot * 8;
                 if queued {
-                    ftl.submit_write_delta(rid, Lba(l), off, &[b; 8], IoCtx::host()).is_ok()
+                    ftl.submit_write_delta(rid, Lba(l), off, &[b; 8], &[], IoCtx::host()).is_ok()
                 } else {
                     ftl.write_delta(rid, Lba(l), off, &[b; 8], IoCtx::host()).is_ok()
                 }
