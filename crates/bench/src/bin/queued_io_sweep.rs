@@ -34,7 +34,9 @@ fn run(depth: u32) -> u64 {
     let t0 = ftl.device().clock().now_ns();
     for batch in lbas.chunks(CHIPS as usize) {
         for &l in batch {
-            ftl.submit_write(RegionId(0), Lba(l), &data, &[], IoCtx::host())
+            // Retired by the drain below.
+            let _queued = ftl
+                .submit_write(RegionId(0), Lba(l), &data, &[], IoCtx::host())
                 .expect("write submits");
         }
         ftl.drain_completions();

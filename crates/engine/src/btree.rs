@@ -3,12 +3,13 @@
 //! Nodes are regular database pages, so every node mutation flows through
 //! the byte-level [`ipa_core::ChangeTracker`] — index pages participate in
 //! In-Place Appends exactly like heap pages (the paper applies IPA to
-//! "frequently updated tables *or indices*"). Node images are serialized
-//! with a diff-on-write strategy: the whole node region is rewritten
-//! logically, and the tracker records only the bytes that actually changed,
-//! so an append-at-the-end insert dirties a handful of bytes while a
-//! mid-node shift dirties proportionally more (and naturally falls back to
-//! an out-of-place flush).
+//! "frequently updated tables *or indices*"). A node is edited as its own
+//! bytes: the descent copies its image out of the page into a reused
+//! buffer, the edit inserts or removes 16-byte entries there, and storing
+//! the image logs and applies only the span that differs from the page — an
+//! append-at-the-end insert dirties a handful of bytes while a mid-node
+//! shift dirties proportionally more (and naturally falls back to an
+//! out-of-place flush).
 //!
 //! Logging is *physiological* (the classic ARIES treatment of indexes):
 //! node changes are logged as physical redo-only [`LogPayload::PageWrite`]
@@ -55,35 +56,28 @@ pub struct BTree {
     pub root: PageId,
 }
 
-/// Owned image of one node, built only where the node is about to be
-/// mutated (insert / delete / split); every read searches a [`NodeView`].
-#[derive(Debug, Clone)]
-struct Node {
-    leaf: bool,
-    next: u64,
-    entries: Vec<(u64, u64)>,
+/// The reused buffers of an index edit: the descent's internal pages with
+/// the child index chosen at each, the image of the node being edited and
+/// that of a split's right sibling.
+#[derive(Debug, Default)]
+pub(crate) struct NodeScratch {
+    path: Vec<(PageId, usize)>,
+    image: Vec<u8>,
+    right: Vec<u8>,
 }
 
-impl Node {
-    fn position(&self, key: u64) -> std::result::Result<usize, usize> {
-        self.entries.binary_search_by_key(&key, |e| e.0)
-    }
-}
-
-/// Borrowed view of one node over its page's bytes — the one parser of the
-/// node layout. Lookups, descents and range scans search and iterate it in
-/// place; [`NodeView::to_node`] copies the entries out for a mutation.
+/// View of one node over its bytes — a page body, or an image copied out of
+/// one, which has the same layout: the one parser of that layout.
 struct NodeView<'a> {
     leaf: bool,
     next: u64,
-    /// The `count * ENTRY_SIZE` entry bytes.
-    entries: &'a [u8],
+    /// Tag through last entry.
+    image: &'a [u8],
 }
 
 impl<'a> NodeView<'a> {
-    fn parse(page: &'a DbPage, pid: PageId) -> Result<Self> {
-        let buf = &page.bytes()[page.layout().body_start()..];
-        let leaf = match buf[0] {
+    fn parse(bytes: &'a [u8], pid: PageId) -> Result<Self> {
+        let leaf = match bytes[0] {
             TAG_LEAF => true,
             TAG_INTERNAL => false,
             other => {
@@ -92,23 +86,23 @@ impl<'a> NodeView<'a> {
                 )))
             }
         };
-        let count = u16::from_le_bytes([buf[1], buf[2]]) as usize;
-        let entries = buf.get(NODE_HEADER..NODE_HEADER + count * ENTRY_SIZE).ok_or_else(|| {
+        let count = u16::from_le_bytes([bytes[1], bytes[2]]) as usize;
+        let image = bytes.get(..NODE_HEADER + count * ENTRY_SIZE).ok_or_else(|| {
             EngineError::IndexError(format!("node {pid:?} claims {count} entries, past its page"))
         })?;
-        Ok(NodeView { leaf, next: read_u64(buf, 3), entries })
+        Ok(NodeView { leaf, next: read_u64(bytes, 3), image })
     }
 
     fn len(&self) -> usize {
-        self.entries.len() / ENTRY_SIZE
+        (self.image.len() - NODE_HEADER) / ENTRY_SIZE
     }
 
     fn key(&self, i: usize) -> u64 {
-        read_u64(self.entries, i * ENTRY_SIZE)
+        read_u64(self.image, NODE_HEADER + i * ENTRY_SIZE)
     }
 
     fn entry(&self, i: usize) -> (u64, u64) {
-        (self.key(i), read_u64(self.entries, i * ENTRY_SIZE + 8))
+        (self.key(i), read_u64(self.image, NODE_HEADER + i * ENTRY_SIZE + 8))
     }
 
     /// Binary search over the (unique, sorted) keys: `Ok(i)` when entry `i`
@@ -135,9 +129,23 @@ impl<'a> NodeView<'a> {
         }
     }
 
-    fn to_node(&self) -> Node {
-        let entries = (0..self.len()).map(|i| self.entry(i)).collect();
-        Node { leaf: self.leaf, next: self.next, entries }
+    /// Append the entries in `[lo, hi]` to `out`; the sibling to continue
+    /// with, or `NO_SIBLING` once past `hi`.
+    fn scan_into(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) -> u64 {
+        let (Ok(start) | Err(start)) = self.position(lo);
+        for i in start..self.len() {
+            let (k, v) = self.entry(i);
+            if k > hi {
+                return NO_SIBLING;
+            }
+            out.push((k, v));
+        }
+        self.next
+    }
+
+    fn copy_into(&self, image: &mut Vec<u8>) {
+        image.clear();
+        image.extend_from_slice(self.image);
     }
 }
 
@@ -154,6 +162,11 @@ fn node_capacity(db: &Database, region: usize) -> usize {
     (layout.page_size - layout.body_start() - NODE_HEADER) / ENTRY_SIZE
 }
 
+/// A page's body, where its node starts.
+fn body(page: &DbPage) -> &[u8] {
+    &page.bytes()[page.layout().body_start()..]
+}
+
 /// Read a little-endian `u64` at `off` without a fallible slice
 /// conversion (the length is right by construction).
 fn read_u64(buf: &[u8], off: usize) -> u64 {
@@ -162,28 +175,29 @@ fn read_u64(buf: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(bytes)
 }
 
-fn load_node(db: &mut Database, pid: PageId) -> Result<Node> {
-    db.with_page(pid, |page| NodeView::parse(page, pid).map(|view| view.to_node()))?
-}
-
-fn node_image(node: &Node) -> Vec<u8> {
-    let mut image = vec![0u8; NODE_HEADER + node.entries.len() * ENTRY_SIZE];
-    image[0] = if node.leaf { TAG_LEAF } else { TAG_INTERNAL };
-    image[1..3].copy_from_slice(&(node.entries.len() as u16).to_le_bytes());
-    image[3..11].copy_from_slice(&node.next.to_le_bytes());
-    for (i, &(k, v)) in node.entries.iter().enumerate() {
-        let off = NODE_HEADER + i * ENTRY_SIZE;
-        image[off..off + 8].copy_from_slice(&k.to_le_bytes());
-        image[off + 8..off + 16].copy_from_slice(&v.to_le_bytes());
-    }
+/// The image of an empty node without a sibling.
+fn empty_node(tag: u8) -> [u8; NODE_HEADER] {
+    let mut image = [0xFF; NODE_HEADER];
+    image[..3].copy_from_slice(&[tag, 0, 0]);
     image
 }
 
-/// Write a node image to its page: with a transaction, as the physical
-/// redo-only record of the changed byte span, logged and applied; without
-/// one (the empty root of a new index), unlogged.
-fn store_node(db: &mut Database, tx: Option<TxId>, pid: PageId, node: &Node) -> Result<()> {
-    let image = node_image(node);
+/// Set an image's count to the entries it holds.
+fn set_count(image: &mut [u8]) {
+    let count = (image.len() - NODE_HEADER) / ENTRY_SIZE;
+    image[1..3].copy_from_slice(&(count as u16).to_le_bytes());
+}
+
+/// Insert `(key, value)` as entry `pos` of an image.
+fn insert_entry(image: &mut Vec<u8>, pos: usize, key: u64, value: u64) {
+    let off = NODE_HEADER + pos * ENTRY_SIZE;
+    image.splice(off..off, key.to_le_bytes().into_iter().chain(value.to_le_bytes()));
+    set_count(image);
+}
+
+/// Write a node image to its page as the physical redo-only record of the
+/// changed byte span, logged and applied.
+fn store_node(db: &mut Database, tx: TxId, pid: PageId, image: &[u8]) -> Result<()> {
     // Find the changed span against the current buffer image.
     let span = db.with_page(pid, |page| {
         let base = page.layout().body_start();
@@ -193,18 +207,62 @@ fn store_node(db: &mut Database, tx: Option<TxId>, pid: PageId, node: &Node) -> 
         Some((base, first, last))
     })?;
     let Some((base, first, last)) = span else { return Ok(()) };
-    let changed = &image[first..=last];
-    let offset = base + first;
-    let Some(tx) = tx else {
-        return db.with_page_mut(pid, |page, tracker| {
-            page.write_body(offset, changed, tracker);
-            Ok(())
-        });
-    };
-    db.log_and_apply(
-        tx,
-        LogPayload::PageWrite { tx, page: pid, offset: offset as u32, after: changed },
-    )
+    let (offset, after) = ((base + first) as u32, &image[first..=last]);
+    db.log_and_apply(tx, LogPayload::PageWrite { tx, page: pid, offset, after })
+}
+
+/// Store the edited image `s.image` of `pid`, splitting it while it is
+/// over-full, leaf or internal: the upper half becomes a new right
+/// sibling's image, the image keeps the lower half, and the separator goes
+/// into the parent's image, copied from the page `s.path` names — or, past
+/// the root, into a new root.
+fn store_or_split(
+    db: &mut Database,
+    s: &mut NodeScratch,
+    tx: TxId,
+    index: u32,
+    mut pid: PageId,
+) -> Result<()> {
+    let region = db.indexes[index as usize].region;
+    let cap = node_capacity(db, region).max(4);
+    loop {
+        let node = NodeView::parse(&s.image, pid)?;
+        let (count, leaf) = (node.len(), node.leaf);
+        if count <= cap {
+            return store_node(db, tx, pid, &s.image);
+        }
+        let sep = node.key(count / 2);
+        let split_at = NODE_HEADER + count / 2 * ENTRY_SIZE;
+        // The right sibling takes over the header, and with it the link.
+        s.right.clear();
+        s.right.extend(s.image[..NODE_HEADER].iter().chain(&s.image[split_at..]));
+        set_count(&mut s.right);
+        s.image.truncate(split_at);
+        set_count(&mut s.image);
+        let right = db.new_page(region)?;
+        if leaf {
+            s.image[3..NODE_HEADER].copy_from_slice(&right.lba.0.to_le_bytes());
+        }
+        store_node(db, tx, right, &s.right)?;
+        store_node(db, tx, pid, &s.image)?;
+        let Some((parent, ci)) = s.path.pop() else {
+            // The split reached the root: grow the tree.
+            let new_root = db.new_page(region)?;
+            s.image.clear();
+            s.image.extend_from_slice(&empty_node(TAG_INTERNAL));
+            insert_entry(&mut s.image, 0, u64::MIN, pid.lba.0);
+            insert_entry(&mut s.image, 1, sep, right.lba.0);
+            store_node(db, tx, new_root, &s.image)?;
+            db.indexes[index as usize].root = new_root;
+            db.log_for_tx(tx, LogPayload::RootChange { tx, index, new_root })?;
+            return Ok(());
+        };
+        db.with_page(parent, |page| {
+            NodeView::parse(body(page), parent).map(|node| node.copy_into(&mut s.image))
+        })??;
+        insert_entry(&mut s.image, ci + 1, sep, right.lba.0);
+        pid = parent;
+    }
 }
 
 impl Database {
@@ -212,11 +270,13 @@ impl Database {
     pub fn create_index(&mut self, region: usize) -> Result<u32> {
         let id = self.indexes.len() as u32;
         let root = self.new_page(region)?;
-        let node = Node { leaf: true, next: NO_SIBLING, entries: Vec::new() };
-        store_node(self, None, root, &node)?;
         // Catalog operations are force-written: the empty root reaches
         // flash immediately, so restart redo always finds a valid node to
         // build on (its initialization is not logged).
+        self.with_page_mut(root, |page, tracker| {
+            page.write_body(page.layout().body_start(), &empty_node(TAG_LEAF), tracker);
+            Ok(())
+        })?;
         self.flush_page(root)?;
         self.indexes.push(BTree { region, root });
         Ok(id)
@@ -235,13 +295,13 @@ impl Database {
         index: u32,
         key: u64,
         mut on_hop: impl FnMut(PageId, usize),
-        at_leaf: impl Fn(&NodeView<'_>) -> R,
+        mut at_leaf: impl FnMut(&NodeView<'_>) -> R,
     ) -> Result<(PageId, R)> {
         let region = self.indexes[index as usize].region;
         let mut pid = self.indexes[index as usize].root;
         loop {
             let step = self.with_page(pid, |page| -> Result<Step<R>> {
-                let node = NodeView::parse(page, pid)?;
+                let node = NodeView::parse(body(page), pid)?;
                 if node.leaf {
                     return Ok(Step::Leaf(at_leaf(&node)));
                 }
@@ -258,14 +318,6 @@ impl Database {
         }
     }
 
-    /// Descend to the leaf covering `key`, returning the path of internal
-    /// pages (with the chosen child index) and the leaf page.
-    fn descend(&mut self, index: u32, key: u64) -> Result<(Vec<(PageId, usize)>, PageId)> {
-        let mut path = Vec::new();
-        let (leaf, ()) = self.walk(index, key, |pid, ci| path.push((pid, ci)), |_| ())?;
-        Ok((path, leaf))
-    }
-
     /// Point lookup.
     pub fn index_lookup(&mut self, index: u32, key: u64) -> Result<Option<u64>> {
         let (_, found) = self.walk(
@@ -277,10 +329,8 @@ impl Database {
         Ok(found)
     }
 
-    /// Insert a unique key. Duplicates are rejected.
-    ///
-    /// Logs a logical (undo-only) `IndexInsert` first, then performs the
-    /// tree mutation, whose node changes are logged physically (redo-only).
+    /// Insert a unique key. A duplicate is refused before anything is
+    /// logged.
     pub(crate) fn index_insert(
         &mut self,
         tx: TxId,
@@ -288,144 +338,85 @@ impl Database {
         key: u64,
         value: u64,
     ) -> Result<()> {
-        self.log_for_tx(tx, LogPayload::IndexInsert { tx, index, key, value })?;
-        self.index_insert_physical(Some(tx), index, key, value)
+        match self.index_edit(tx, index, key, Some(value), true)? {
+            Some(_) => Err(EngineError::IndexError(format!("duplicate key {key}"))),
+            None => Ok(()),
+        }
     }
 
     /// Delete a key, returning its value.
     pub(crate) fn index_delete(&mut self, tx: TxId, index: u32, key: u64) -> Result<Option<u64>> {
-        let Some(value) = self.index_lookup(index, key)? else { return Ok(None) };
-        self.log_for_tx(tx, LogPayload::IndexDelete { tx, index, key, value })?;
-        self.index_delete_physical(Some(tx), index, key)?;
-        Ok(Some(value))
+        self.index_edit(tx, index, key, None, true)
     }
 
-    /// Range scan over `[lo, hi]`, following the leaf chain.
+    /// The one index mutation, shared by forward processing and the
+    /// rollback compensations: insert `key → value` unless `key` is there
+    /// (`insert = Some(value)`), or delete `key` if it is (`None`), and
+    /// return the value `key` held before. One descent, whose leaf access
+    /// copies the leaf's image. With `logical` (forward processing), the
+    /// undo-only `IndexInsert` / `IndexDelete` is logged after that read and
+    /// before any node write, so a refused insert logs nothing.
+    pub(crate) fn index_edit(
+        &mut self,
+        tx: TxId,
+        index: u32,
+        key: u64,
+        insert: Option<u64>,
+        logical: bool,
+    ) -> Result<Option<u64>> {
+        let mut s = std::mem::take(&mut self.index_scratch);
+        s.path.clear();
+        let descent = self.walk(
+            index,
+            key,
+            |pid, ci| s.path.push((pid, ci)),
+            |leaf| {
+                leaf.copy_into(&mut s.image);
+                leaf.position(key).map(|i| (i, leaf.entry(i).1))
+            },
+        );
+        let result = descent.and_then(|(leaf, found)| {
+            let old = match (found, insert) {
+                (Ok((_, old)), Some(_)) => return Ok(Some(old)),
+                (Err(_), None) => return Ok(None),
+                (Err(pos), Some(value)) => {
+                    if logical {
+                        self.log_for_tx(tx, LogPayload::IndexInsert { tx, index, key, value })?;
+                    }
+                    insert_entry(&mut s.image, pos, key, value);
+                    None
+                }
+                (Ok((pos, value)), None) => {
+                    if logical {
+                        self.log_for_tx(tx, LogPayload::IndexDelete { tx, index, key, value })?;
+                    }
+                    let off = NODE_HEADER + pos * ENTRY_SIZE;
+                    s.image.drain(off..off + ENTRY_SIZE);
+                    set_count(&mut s.image);
+                    Some(value)
+                }
+            };
+            store_or_split(self, &mut s, tx, index, leaf)?;
+            Ok(old)
+        });
+        self.index_scratch = s;
+        result
+    }
+
+    /// Range scan over `[lo, hi]`, following the leaf chain; the descent's
+    /// leaf access scans the first leaf.
     pub fn index_range(&mut self, index: u32, lo: u64, hi: u64) -> Result<Vec<(u64, u64)>> {
         let region = self.indexes[index as usize].region;
-        let (_, mut leaf) = self.descend(index, lo)?;
         let mut out = Vec::new();
-        loop {
-            // The sibling to continue with, or `NO_SIBLING` once past `hi`.
-            let next = self.with_page(leaf, |page| -> Result<u64> {
-                let node = NodeView::parse(page, leaf)?;
-                let (Ok(start) | Err(start)) = node.position(lo);
-                for i in start..node.len() {
-                    let (k, v) = node.entry(i);
-                    if k > hi {
-                        return Ok(NO_SIBLING);
-                    }
-                    out.push((k, v));
-                }
-                Ok(node.next)
+        let (_, mut next) =
+            self.walk(index, lo, |_, _| (), |leaf| leaf.scan_into(lo, hi, &mut out))?;
+        while next != NO_SIBLING {
+            let leaf = PageId { region, lba: Lba(next) };
+            next = self.with_page(leaf, |page| {
+                NodeView::parse(body(page), leaf).map(|node| node.scan_into(lo, hi, &mut out))
             })??;
-            if next == NO_SIBLING {
-                return Ok(out);
-            }
-            leaf = PageId { region, lba: Lba(next) };
         }
-    }
-
-    /// Physical insert — shared by the normal path and undo-of-delete.
-    /// With `tx`, node changes are logged as redo-only records.
-    pub(crate) fn index_insert_physical(
-        &mut self,
-        tx: Option<TxId>,
-        index: u32,
-        key: u64,
-        value: u64,
-    ) -> Result<()> {
-        let region = self.indexes[index as usize].region;
-        let cap = node_capacity(self, region).max(4);
-        let (path, leaf_pid) = self.descend(index, key)?;
-        let mut leaf = load_node(self, leaf_pid)?;
-        match leaf.position(key) {
-            Ok(_) => {
-                return Err(EngineError::IndexError(format!("duplicate key {key}")));
-            }
-            Err(pos) => leaf.entries.insert(pos, (key, value)),
-        }
-        if leaf.entries.len() <= cap {
-            store_node(self, tx, leaf_pid, &leaf)?;
-            return Ok(());
-        }
-        // Split the leaf.
-        let mid = leaf.entries.len() / 2;
-        let right_entries = leaf.entries.split_off(mid);
-        let sep = right_entries[0].0;
-        let right_pid = self.new_page(region)?;
-        let right = Node { leaf: true, next: leaf.next, entries: right_entries };
-        leaf.next = right_pid.lba.0;
-        store_node(self, tx, right_pid, &right)?;
-        store_node(self, tx, leaf_pid, &leaf)?;
-        self.insert_into_parent(tx, index, path, leaf_pid, sep, right_pid, cap)
-    }
-
-    /// Propagate a split upward.
-    #[allow(clippy::too_many_arguments)]
-    fn insert_into_parent(
-        &mut self,
-        tx: Option<TxId>,
-        index: u32,
-        mut path: Vec<(PageId, usize)>,
-        left: PageId,
-        sep: u64,
-        right: PageId,
-        cap: usize,
-    ) -> Result<()> {
-        let region = self.indexes[index as usize].region;
-        match path.pop() {
-            None => {
-                // Split reached the root: grow the tree.
-                let new_root = self.new_page(region)?;
-                let node = Node {
-                    leaf: false,
-                    next: NO_SIBLING,
-                    entries: vec![(u64::MIN, left.lba.0), (sep, right.lba.0)],
-                };
-                store_node(self, tx, new_root, &node)?;
-                self.indexes[index as usize].root = new_root;
-                if let Some(tx) = tx {
-                    self.log_for_tx(tx, LogPayload::RootChange { tx, index, new_root })?;
-                }
-                Ok(())
-            }
-            Some((parent_pid, child_idx)) => {
-                let mut parent = load_node(self, parent_pid)?;
-                parent.entries.insert(child_idx + 1, (sep, right.lba.0));
-                if parent.entries.len() <= cap {
-                    return store_node(self, tx, parent_pid, &parent);
-                }
-                let mid = parent.entries.len() / 2;
-                let right_entries = parent.entries.split_off(mid);
-                let psep = right_entries[0].0;
-                let right_pid = self.new_page(region)?;
-                let right_node = Node { leaf: false, next: NO_SIBLING, entries: right_entries };
-                store_node(self, tx, right_pid, &right_node)?;
-                store_node(self, tx, parent_pid, &parent)?;
-                self.insert_into_parent(tx, index, path, parent_pid, psep, right_pid, cap)
-            }
-        }
-    }
-
-    /// Physical delete (lazy — no rebalancing). With `tx`, the node change
-    /// is logged as a redo-only record.
-    pub(crate) fn index_delete_physical(
-        &mut self,
-        tx: Option<TxId>,
-        index: u32,
-        key: u64,
-    ) -> Result<Option<u64>> {
-        let (_, leaf_pid) = self.descend(index, key)?;
-        let mut leaf = load_node(self, leaf_pid)?;
-        match leaf.position(key) {
-            Ok(pos) => {
-                let (_, value) = leaf.entries.remove(pos);
-                store_node(self, tx, leaf_pid, &leaf)?;
-                Ok(Some(value))
-            }
-            Err(_) => Ok(None),
-        }
+        Ok(out)
     }
 
     /// Number of entries (full scan; diagnostics).
@@ -478,8 +469,9 @@ mod tests {
         db.commit_tx(tx).unwrap();
         // Root must have grown beyond a single leaf.
         let root_pid = db.index_root(idx);
-        let root = load_node(&mut db, root_pid).unwrap();
-        assert!(!root.leaf);
+        let root_is_leaf =
+            db.with_page(root_pid, |page| NodeView::parse(body(page), root_pid).unwrap().leaf);
+        assert!(!root_is_leaf.unwrap());
         // Every key findable.
         for k in (0..n).step_by(97) {
             let key = (k * 2_654_435_761) % 1_000_003;
@@ -578,5 +570,75 @@ mod tests {
         db.commit_tx(tx).unwrap();
         db.flush_all().unwrap();
         assert!(db.stats().ipa_flushes >= 1, "stats: {:?}", db.stats());
+    }
+
+    /// A database whose index holds the committed entry `1 → 10`.
+    fn committed_one_to_ten() -> (Database, u32) {
+        let mut db = test_db(NxM::disabled(), 32);
+        let idx = db.create_index(0).unwrap();
+        let mut tx = db.txn();
+        tx.index_insert(idx, 1, 10).unwrap();
+        tx.commit().unwrap();
+        (db, idx)
+    }
+
+    #[test]
+    fn aborting_after_a_refused_duplicate_keeps_the_committed_entry() {
+        // A refused insert must log nothing: rollback inverts a logged
+        // `IndexInsert` into a delete of its key, here the committed entry.
+        let (mut db, idx) = committed_one_to_ten();
+        let mut tx = db.txn();
+        assert!(matches!(tx.index_insert(idx, 1, 20), Err(EngineError::IndexError(_))));
+        tx.abort().unwrap();
+        assert_eq!(db.index_lookup(idx, 1).unwrap(), Some(10));
+    }
+
+    #[test]
+    fn restart_after_a_refused_duplicate_keeps_the_committed_entry() {
+        let (mut db, idx) = committed_one_to_ten();
+        let mut tx = db.txn();
+        assert!(matches!(tx.index_insert(idx, 1, 20), Err(EngineError::IndexError(_))));
+        let _loser = tx.park();
+        db.force_log();
+        db.simulate_crash();
+        db.recover().unwrap();
+        assert_eq!(db.index_lookup(idx, 1).unwrap(), Some(10));
+    }
+
+    #[test]
+    fn an_edit_descends_once_and_accesses_its_leaf_three_times() {
+        // The descent's leaf access copies the image; storing it diffs
+        // against the page and then applies the record: no further access,
+        // forward or in a rollback's compensation.
+        let mut db = test_db(NxM::disabled(), 128);
+        let idx = db.create_index(0).unwrap();
+        let tx = db.start_tx();
+        for k in (0..4_000u64).step_by(2) {
+            db.index_insert(tx, idx, k, k).unwrap();
+        }
+        db.commit_tx(tx).unwrap();
+        let mut levels = 1;
+        db.walk(idx, 1_235, |_, _| levels += 1, |_| ()).unwrap();
+        assert!(levels >= 3);
+        let fetches = |db: &mut Database, op: &dyn Fn(&mut Database)| {
+            db.reset_stats();
+            op(db);
+            db.stats().fetches
+        };
+        for delete in [false, true] {
+            let tx = db.start_tx();
+            let edit = |db: &mut Database| {
+                if delete {
+                    assert_eq!(db.index_delete(tx, idx, 1_234).unwrap(), Some(1_234));
+                } else {
+                    db.index_insert(tx, idx, 1_235, 0).unwrap();
+                }
+            };
+            assert_eq!(fetches(&mut db, &edit), levels + 2, "forward, delete: {delete}");
+            let abort = |db: &mut Database| db.abort_tx(tx).unwrap();
+            assert_eq!(fetches(&mut db, &abort), levels + 2, "compensation, delete: {delete}");
+        }
+        assert_eq!(db.index_lookup(idx, 1_234).unwrap(), Some(1_234));
+        assert_eq!(db.index_lookup(idx, 1_235).unwrap(), None);
     }
 }

@@ -171,6 +171,8 @@ pub struct Database {
     /// Scratch of the heap operations: the before image of the tuple being
     /// changed, between the page and the log.
     pub(crate) before_image: Vec<u8>,
+    /// Scratch of the index operations: the descent path and node images.
+    pub(crate) index_scratch: crate::btree::NodeScratch,
 }
 
 impl Database {
@@ -371,6 +373,7 @@ impl DbBuilder {
             stats: EngineStats::default(),
             config,
             before_image: Vec::new(),
+            index_scratch: Default::default(),
         };
         db.set_lock_policy(lock_policy);
         Ok(db)
@@ -449,7 +452,8 @@ pub(crate) mod tests {
         let mut db = test_db(NxM::tpcc(), 8);
         let pid = db.new_page(0).unwrap();
         db.flush_page(pid).unwrap();
-        db.ftl_mut().submit_read(RegionId(0), pid.lba, IoCtx::host()).unwrap();
+        // Dropped on purpose: the leak under test.
+        let _leaked = db.ftl_mut().submit_read(RegionId(0), pid.lba, IoCtx::host()).unwrap();
         let tx = db.start_tx();
         db.commit_tx(tx).unwrap();
     }

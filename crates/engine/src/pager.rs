@@ -495,13 +495,10 @@ impl Database {
             // The node changes are logged physically, under the same tx.
             return match *action {
                 LogPayload::IndexInsert { tx, index, key, value } => {
-                    if self.index_lookup(index, key)?.is_none() {
-                        self.index_insert_physical(Some(tx), index, key, value)?;
-                    }
-                    Ok(())
+                    self.index_edit(tx, index, key, Some(value), false).map(drop)
                 }
                 LogPayload::IndexDelete { tx, index, key, .. } => {
-                    self.index_delete_physical(Some(tx), index, key).map(drop)
+                    self.index_edit(tx, index, key, None, false).map(drop)
                 }
                 _ => Ok(()),
             };
@@ -618,7 +615,9 @@ impl Database {
                 let code = verify_ecc
                     .then(|| ecc::delta_write(oob_size, &page_scheme, slot, encoded))
                     .flatten();
-                ftl.submit_write_delta(rid, pid.lba, offset, encoded, &[oob_write(&code)], ctx)?;
+                // The caller's `drain_completions` retires the command.
+                let oob = [oob_write(&code)];
+                let _queued = ftl.submit_write_delta(rid, pid.lba, offset, encoded, &oob, ctx)?;
                 self.stats.gross_written_bytes += encoded.len() as u64;
                 self.stats.delta_records_written += 1;
             }
@@ -640,7 +639,8 @@ impl Database {
             let tag = adaptive.then(|| ecc::scheme_tag_write(oob_size, &layout.scheme)).flatten();
             let code = verify_ecc.then(|| ecc::initial_write(oob_size, image, &layout)).flatten();
             ftl.emit(EventKind::FlushOop, Some(pid.region as u32), Some(pid.lba.0));
-            ftl.submit_write(rid, pid.lba, image, &[oob_write(&tag), oob_write(&code)], ctx)?;
+            let oob = [oob_write(&tag), oob_write(&code)];
+            let _queued = ftl.submit_write(rid, pid.lba, image, &oob, ctx)?;
             self.stats.gross_written_bytes += image.len() as u64;
             pool.mark_flushed(idx, layout.scheme, 0);
             self.stats.oop_flushes += 1;

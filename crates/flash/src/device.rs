@@ -1546,11 +1546,14 @@ mod tests {
         cfg.queue_depth = 8;
         let mut d = FlashDevice::new(cfg);
         let image = vec![0x00; 4096];
-        for page in 0..6 {
-            d.submit_program(Ppa::new(0, 0, page), &image, &[], OpOrigin::Host).unwrap();
-        }
+        let ids: Vec<CmdId> = (0..6)
+            .map(|page| {
+                d.submit_program(Ppa::new(0, 0, page), &image, &[], OpOrigin::Host).unwrap()
+            })
+            .collect();
         let mut done: Vec<Completion> = d.drain().collect();
         done.sort_by_key(|c| c.started_at_ns);
+        assert_eq!(done.iter().map(|c| c.id).collect::<Vec<_>>(), ids, "dispatched in order");
         for w in done.windows(2) {
             assert!(
                 w[0].result.completed_at_ns <= w[1].started_at_ns,
@@ -1568,16 +1571,20 @@ mod tests {
         cfg.queue_depth = 2;
         let mut d = FlashDevice::new(cfg);
         let image = vec![0x00; 4096];
-        d.submit_program(Ppa::new(0, 0, 0), &image, &[], OpOrigin::Host).unwrap();
-        d.submit_program(Ppa::new(1, 0, 0), &image, &[], OpOrigin::Host).unwrap();
+        let a = d.submit_program(Ppa::new(0, 0, 0), &image, &[], OpOrigin::Host).unwrap();
+        let b = d.submit_program(Ppa::new(1, 0, 0), &image, &[], OpOrigin::Host).unwrap();
         assert_eq!(d.clock().now_ns(), 0, "queue not yet full; submits are free");
         // Third submission exceeds depth 2: the submitter waits for the
         // earliest completion before the command is even admitted.
-        d.submit_program(Ppa::new(0, 0, 1), &image, &[], OpOrigin::Host).unwrap();
+        let c = d.submit_program(Ppa::new(0, 0, 1), &image, &[], OpOrigin::Host).unwrap();
         assert!(d.clock().now_ns() > 0);
         assert_eq!(d.stats().queue_waits, 1);
         assert_eq!(d.stats().queue_highwater, 2);
-        d.drain();
+        // The command retired by admission is handed back like the others.
+        for id in [a, b, c] {
+            d.complete(id).unwrap();
+        }
+        assert_eq!(d.inflight(), 0);
     }
 
     #[test]
@@ -1591,10 +1598,12 @@ mod tests {
 
         let mut q = FlashDevice::new(cfg.clone());
         assert_eq!(q.queue_depth(), 1);
-        for chip in 0..4 {
-            q.submit_program(Ppa::new(chip, 0, 0), &image, &[], OpOrigin::Host).unwrap();
-        }
-        q.drain();
+        let ids: Vec<CmdId> = (0..4)
+            .map(|chip| {
+                q.submit_program(Ppa::new(chip, 0, 0), &image, &[], OpOrigin::Host).unwrap()
+            })
+            .collect();
+        assert_eq!(q.drain().map(|c| c.id).collect::<Vec<_>>(), ids);
 
         let mut s = FlashDevice::new(cfg);
         let mut serial_completions = Vec::new();

@@ -16,6 +16,9 @@ use crate::device::{OpOrigin, OpResult};
 use crate::timing::{ChipSchedule, HostProfile, SimClock};
 
 /// Identifier of a submitted command, unique per device for its lifetime.
+/// A submitted command is retired by completing its id, so dropping one
+/// leaves the command in flight.
+#[must_use = "a submitted command stays in flight until its id is completed"]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CmdId(pub u64);
 
@@ -257,27 +260,32 @@ mod tests {
     fn background_commands_do_not_consume_host_slots() {
         let mut s = IoScheduler::new(1, HostProfile::Emulator, 1);
         let mut clock = SimClock::new();
-        s.push(completion(0, OpOrigin::Background, 0, 500));
-        s.push(completion(0, OpOrigin::HostAsync, 0, 700));
+        let ids = [
+            s.push(completion(0, OpOrigin::Background, 0, 500)),
+            s.push(completion(0, OpOrigin::HostAsync, 0, 700)),
+        ];
         assert_eq!(s.host_inflight(), 0);
         assert_eq!(s.admit_host(&mut clock), 0);
         assert_eq!(clock.now_ns(), 0);
+        for id in ids {
+            assert!(s.take(id).is_some());
+        }
     }
 
     #[test]
     fn poll_ready_returns_due_commands_in_completion_order() {
         let mut s = IoScheduler::new(2, HostProfile::Emulator, 4);
-        s.push(completion(0, OpOrigin::Host, 0, 300));
-        s.push(completion(1, OpOrigin::Host, 0, 100));
-        s.push(completion(0, OpOrigin::Host, 300, 900));
+        let a = s.push(completion(0, OpOrigin::Host, 0, 300));
+        let b = s.push(completion(1, OpOrigin::Host, 0, 100));
+        let c = s.push(completion(0, OpOrigin::Host, 300, 900));
         let ready = s.poll_ready(400);
-        assert_eq!(ready.len(), 2);
+        assert_eq!(ready.iter().map(|r| r.id).collect::<Vec<_>>(), [b, a]);
         assert!(ready[0].result.completed_at_ns <= ready[1].result.completed_at_ns);
         assert_eq!(s.inflight(), 1);
         let mut rest = Vec::new();
         s.drain_all(&mut rest);
         assert_eq!(rest.len(), 1);
-        assert_eq!(rest[0].result.completed_at_ns, 900);
+        assert_eq!((rest[0].id, rest[0].result.completed_at_ns), (c, 900));
     }
 
     #[test]

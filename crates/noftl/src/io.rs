@@ -3,22 +3,19 @@
 use ipa_flash::{OpOrigin, SpanId};
 
 /// Context attached to a NoFTL I/O call: the scheduling/statistics origin
-/// plus an optional trace-attribution override and the causal span the
-/// call executes under.
+/// and the causal span the call executes under.
 ///
-/// The default (`Host` origin, no override, no span) matches the
-/// behaviour of the former context-less `read_page`/`write_page`/
-/// `write_delta` methods; the region layer attributes events with its own
-/// region id and the call's LBA unless `obs` overrides them. A span set
-/// here flows down to the device's per-command lifecycle events; without
-/// one the device attributes commands to its innermost open span.
+/// The default (`Host` origin, no span) matches the behaviour of the
+/// former context-less `read_page`/`write_page`/`write_delta` methods; the
+/// region layer attributes events with its own region id and the call's
+/// LBA. A span set here flows down to the device's per-command lifecycle
+/// events; without one the device attributes commands to its innermost open
+/// span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoCtx {
     /// Whether the op is synchronous host I/O, asynchronous host I/O
     /// (cleaner/checkpoint writes) or background management work.
     pub origin: OpOrigin,
-    /// Optional `(region, lba)` trace-attribution override.
-    pub obs: Option<(u32, u64)>,
     /// Causal span (transaction, flush, recovery, GC episode) the call
     /// belongs to.
     pub span: Option<SpanId>,
@@ -26,7 +23,7 @@ pub struct IoCtx {
 
 impl Default for IoCtx {
     fn default() -> Self {
-        IoCtx { origin: OpOrigin::Host, obs: None, span: None }
+        IoCtx { origin: OpOrigin::Host, span: None }
     }
 }
 
@@ -45,12 +42,6 @@ impl IoCtx {
     /// Background management work (GC, wear leveling, cleaners).
     pub fn background() -> Self {
         IoCtx { origin: OpOrigin::Background, ..IoCtx::default() }
-    }
-
-    /// Override the trace attribution carried by the resulting event.
-    pub fn with_obs(mut self, region: u32, lba: u64) -> Self {
-        self.obs = Some((region, lba));
-        self
     }
 
     /// Attach the causal span this call executes under.
@@ -74,7 +65,6 @@ mod tests {
     fn default_ctx_is_synchronous_host() {
         let ctx = IoCtx::default();
         assert_eq!(ctx.origin, OpOrigin::Host);
-        assert_eq!(ctx.obs, None);
         assert_eq!(ctx.span, None);
         assert_eq!(ctx, IoCtx::host());
     }
@@ -83,9 +73,8 @@ mod tests {
     fn from_origin_and_overrides() {
         let ctx: IoCtx = OpOrigin::Background.into();
         assert_eq!(ctx, IoCtx::background());
-        let ctx = IoCtx::host_async().with_obs(3, 17).with_span(SpanId(5));
+        let ctx = IoCtx::host_async().with_span(SpanId(5));
         assert_eq!(ctx.origin, OpOrigin::HostAsync);
-        assert_eq!(ctx.obs, Some((3, 17)));
         assert_eq!(ctx.span, Some(SpanId(5)));
     }
 }

@@ -441,10 +441,12 @@ mod tests {
 
         let mut queued = mk(4);
         let rid = queued.region_by_name("default").unwrap();
-        for i in 0..4u64 {
-            queued.submit_write(rid, Lba(i), &image(i), &[], IoCtx::default()).unwrap();
-        }
-        assert_eq!(queued.drain_completions().len(), 4);
+        let ids: Vec<_> = (0..4u64)
+            .map(|i| queued.submit_write(rid, Lba(i), &image(i), &[], IoCtx::default()).unwrap())
+            .collect();
+        let mut drained: Vec<_> = queued.drain_completions().map(|c| c.id).collect();
+        drained.sort();
+        assert_eq!(drained, ids);
         let t_queued = queued.device().clock().now_ns();
 
         let mut serial = mk(1);

@@ -241,13 +241,11 @@ impl Region {
         lba.0 < self.capacity && self.l2p[lba.0 as usize].is_some()
     }
 
-    /// Stage trace attribution for the next physical op: the caller's
-    /// override if the [`IoCtx`] carries one, this region and the call's
-    /// LBA otherwise.
+    /// Stage trace attribution for the next physical op: this region, the
+    /// call's LBA and the [`IoCtx`]'s span.
     fn stage_obs(&self, dev: &mut FlashDevice, ctx: IoCtx, lba: Lba) {
         if dev.observing() {
-            let (region, attr_lba) = ctx.obs.unwrap_or((self.id, lba.0));
-            dev.set_obs_ctx(Some(region), Some(attr_lba));
+            dev.set_obs_ctx(Some(self.id), Some(lba.0));
             dev.set_obs_span(ctx.span);
         }
     }
@@ -457,8 +455,7 @@ impl Region {
         oob: &[(usize, &[u8])],
         ctx: IoCtx,
     ) -> Result<CmdId> {
-        let (region, attr_lba) = ctx.obs.unwrap_or((self.id, lba.0));
-        dev.emit(EventKind::DeltaFallback, Some(region), Some(attr_lba));
+        dev.emit(EventKind::DeltaFallback, Some(self.id), Some(lba.0));
         let old = self.mapped(lba)?;
         let rid = dev.submit_read(old, OpOrigin::Background)?;
         let mut image = dev

@@ -49,7 +49,9 @@ fn drive(batches: &[Vec<u8>]) -> (Vec<ObsEvent>, Vec<Completion>, u64) {
         ftl.in_span(SpanCategory::Txn, None, |ftl, span| {
             let ctx = IoCtx::host().with_span(span);
             for &l in batch {
-                ftl.submit_write(RegionId(0), Lba(u64::from(l) % cap), &data, &[], ctx)
+                // Retired by the drain below.
+                let _queued = ftl
+                    .submit_write(RegionId(0), Lba(u64::from(l) % cap), &data, &[], ctx)
                     .expect("submits");
             }
             completions.extend(ftl.drain_completions());
@@ -155,8 +157,9 @@ fn in_span_closes_on_error_and_on_early_return() {
 
     // A `?` on a failing submit leaves the closure before its last line.
     let failed = ftl.in_span(SpanCategory::Txn, None, |ftl, span| {
-        ftl.submit_write(RegionId(0), Lba(cap), &data, &[], IoCtx::host().with_span(span))?;
-        ftl.drain_completions();
+        let id =
+            ftl.submit_write(RegionId(0), Lba(cap), &data, &[], IoCtx::host().with_span(span))?;
+        ftl.complete(id)?;
         Ok::<_, ipa_noftl::NoFtlError>(())
     });
     assert!(failed.is_err(), "a write past the capacity is refused");

@@ -1,8 +1,10 @@
 //! Model-based property test of the paged B+-tree against a BTreeMap,
 //! including flush/refetch cycles so node images round-trip through the
-//! flash layer. Point lookups and range scans read node pages in place
-//! (no owned copy of the entries), so they are checked across multi-level
-//! trees, every leaf-chain boundary, the extreme keys and absent keys.
+//! flash layer, and transactions that commit or abort: an abort must
+//! restore the last commit, through refused duplicates and splits. Point
+//! lookups and range scans read node pages in place (no owned copy of the
+//! entries), so they are checked across multi-level trees, every
+//! leaf-chain boundary, the extreme keys and absent keys.
 
 use std::collections::BTreeMap;
 
@@ -10,9 +12,9 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use ipa::core::NxM;
-use ipa::engine::{Database, DbConfig, EngineError};
+use ipa::engine::{Database, DbConfig, EngineError, PageId};
 use ipa::flash::{for_each_case, FlashConfig};
-use ipa::noftl::{IpaMode, NoFtlConfig};
+use ipa::noftl::{IpaMode, Lba, NoFtlConfig};
 
 fn db() -> Database {
     let mut flash = FlashConfig::small_slc();
@@ -24,11 +26,21 @@ fn db() -> Database {
 #[derive(Debug, Clone)]
 enum Op {
     Insert(u64, u64),
+    /// Insert the absent ones of `RUN` consecutive keys: more than a leaf
+    /// holds, so the leaves under them split.
+    InsertRun(u64),
     Delete(u64),
     Lookup(u64),
     Range(u64, u64),
     FlushAll,
+    /// End the transaction and begin the next.
+    Commit,
+    /// Roll the transaction back and begin the next.
+    Abort,
 }
+
+/// Keys of an [`Op::InsertRun`].
+const RUN: u64 = 64;
 
 /// Keys over the preloaded range (every third key is present there, so
 /// two in three probes are absent), with the extremes of the key space:
@@ -42,48 +54,77 @@ fn key(rng: &mut StdRng) -> u64 {
     }
 }
 
-/// Insert : Delete : Lookup : short Range : any Range : FlushAll drawn
-/// 4 : 2 : 3 : 2 : 1 : 1.
+/// Insert : InsertRun : Delete : Lookup : short Range : any Range :
+/// FlushAll : Commit : Abort drawn 4 : 1 : 2 : 3 : 2 : 1 : 1 : 1 : 1.
 fn op(rng: &mut StdRng) -> Op {
-    match rng.gen_range(0..13) {
+    match rng.gen_range(0..16) {
         0..=3 => Op::Insert(key(rng), rng.gen()),
-        4..=5 => Op::Delete(key(rng)),
-        6..=8 => Op::Lookup(key(rng)),
-        9..=10 => {
+        4 => Op::InsertRun(rng.gen_range(0u64..4000)),
+        5..=6 => Op::Delete(key(rng)),
+        7..=9 => Op::Lookup(key(rng)),
+        10..=11 => {
             let lo = key(rng);
             Op::Range(lo, lo.saturating_add(rng.gen_range(0u64..200)))
         }
-        11 => {
+        12 => {
             let (a, b) = (key(rng), key(rng));
             Op::Range(a.min(b), a.max(b))
         }
-        _ => Op::FlushAll,
+        13 => Op::FlushAll,
+        14 => Op::Commit,
+        _ => Op::Abort,
     }
 }
 
-/// Levels from the root down to (and including) the leaves, following the
-/// leftmost child pointers (node layout: see `crates/engine/src/btree.rs`).
-fn tree_depth(d: &mut Database, idx: u32) -> usize {
+/// A node's tag, sibling and first child (node layout: see
+/// `crates/engine/src/btree.rs`).
+fn node_header(d: &mut Database, pid: PageId) -> (u8, u64, u64) {
     let base = d.layout(0).body_start();
+    let word =
+        |b: &[u8], at: usize| u64::from_le_bytes(b[base + at..base + at + 8].try_into().unwrap());
+    d.with_page(pid, |page| (page.bytes()[base], word(page.bytes(), 3), word(page.bytes(), 19)))
+        .unwrap()
+}
+
+/// Levels from the root down to (and including) the leaves, following the
+/// leftmost child pointers, and the leftmost leaf.
+fn leftmost_leaf(d: &mut Database, idx: u32) -> (usize, PageId) {
     let mut pid = d.index_root(idx);
     let mut depth = 1;
     loop {
-        let (tag, child) = d
-            .with_page(pid, |page| {
-                let b = page.bytes();
-                (b[base], u64::from_le_bytes(b[base + 19..base + 27].try_into().unwrap()))
-            })
-            .unwrap();
+        let (tag, _, child) = node_header(d, pid);
         if tag == 0xBE {
-            return depth;
+            return (depth, pid);
         }
-        pid.lba = ipa::noftl::Lba(child);
+        pid.lba = Lba(child);
         depth += 1;
     }
 }
 
+/// Leaves on the leaf chain: a split adds one, and an abort takes none
+/// away (rollback is logical).
+fn leaf_count(d: &mut Database, idx: u32) -> usize {
+    let (_, mut pid) = leftmost_leaf(d, idx);
+    let mut leaves = 1;
+    loop {
+        let (_, next, _) = node_header(d, pid);
+        if next == u64::MAX {
+            return leaves;
+        }
+        pid.lba = Lba(next);
+        leaves += 1;
+    }
+}
+
+fn entries(model: &BTreeMap<u64, u64>) -> Vec<(u64, u64)> {
+    model.iter().map(|(&k, &v)| (k, v)).collect()
+}
+
 #[test]
 fn btree_matches_model() {
+    // Aborted transactions, across the cases, that refused a duplicate and
+    // that split a leaf.
+    let (mut aborted_refusals, mut aborted_splits) = (0, 0);
     for_each_case(24, |rng| {
         let preload = rng.gen_range(0u64..3);
         let ops: Vec<Op> = (0..rng.gen_range(1..120)).map(|_| op(rng)).collect();
@@ -96,6 +137,11 @@ fn btree_matches_model() {
             tx.index_insert(idx, k, !k).unwrap();
             model.insert(k, !k);
         }
+        tx.commit().unwrap();
+        // What the last commit left, which an abort restores.
+        let mut committed = model.clone();
+        let mut tx = d.txn();
+        let (mut refused, mut leaves) = (false, leaf_count(tx.db(), idx));
         for op in ops {
             match op {
                 Op::Insert(k, v) => {
@@ -105,6 +151,15 @@ fn btree_matches_model() {
                         e.insert(v);
                     } else {
                         assert!(r.is_err(), "duplicate {k} must be rejected");
+                        refused = true;
+                    }
+                }
+                Op::InsertRun(lo) => {
+                    for k in lo..lo + RUN {
+                        if let std::collections::btree_map::Entry::Vacant(e) = model.entry(k) {
+                            tx.index_insert(idx, k, !k).unwrap();
+                            e.insert(!k);
+                        }
                     }
                 }
                 Op::Delete(k) => {
@@ -123,13 +178,33 @@ fn btree_matches_model() {
                 Op::FlushAll => {
                     tx.db().flush_all().unwrap();
                 }
+                Op::Commit => {
+                    tx.commit().unwrap();
+                    committed = model.clone();
+                    tx = d.txn();
+                    (refused, leaves) = (false, leaf_count(tx.db(), idx));
+                }
+                Op::Abort => {
+                    aborted_refusals += u32::from(refused);
+                    aborted_splits += u32::from(leaf_count(tx.db(), idx) > leaves);
+                    tx.abort().unwrap();
+                    model = committed.clone();
+                    tx = d.txn();
+                    let got = tx.index_range(idx, u64::MIN, u64::MAX).unwrap();
+                    assert_eq!(got, entries(&model), "an abort restores the last commit");
+                    (refused, leaves) = (false, leaf_count(tx.db(), idx));
+                }
             }
         }
         // Final full-range equivalence.
         let got = tx.index_range(idx, u64::MIN, u64::MAX).unwrap();
-        let want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-        assert_eq!(got, want);
+        assert_eq!(got, entries(&model));
+        tx.commit().unwrap();
     });
+    assert!(
+        aborted_refusals > 0 && aborted_splits > 0,
+        "{aborted_refusals} aborted transactions refused a duplicate, {aborted_splits} split"
+    );
 }
 
 #[test]
@@ -180,7 +255,7 @@ fn in_place_probes_match_model_across_levels_and_leaf_boundaries() {
         model.insert(k, k ^ 0xABCD);
     }
     tx.commit().unwrap();
-    assert!(tree_depth(&mut d, idx) >= 3, "the tree must have split above the leaves");
+    assert!(leftmost_leaf(&mut d, idx).0 >= 3, "the tree must have split above the leaves");
 
     // Every present key, and its absent odd neighbours.
     for (&k, &v) in &model {

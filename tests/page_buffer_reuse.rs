@@ -33,8 +33,9 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 
 use ipa::core::NxM;
-use ipa::engine::{Database, LOG_CHUNK_BYTES};
+use ipa::engine::{Database, DbConfig, LOG_CHUNK_BYTES};
 use ipa::flash::{FlashConfig, FlashDevice};
+use ipa::noftl::{IpaMode, NoFtlConfig};
 use ipa::workloads::{Runner, SystemConfig, TpcB, TpcC, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -177,6 +178,8 @@ fn top_call_sites() -> String {
 /// What a measured window allocated and did.
 #[derive(Debug)]
 struct Window {
+    /// Rounds (transactions, or operations) in the window.
+    rounds: u64,
     /// Allocations of any size.
     allocations: u64,
     /// Byte buffers of a page or more among them, the log's chunks left out.
@@ -191,14 +194,38 @@ struct Window {
     gc_erases: u64,
 }
 
+/// Count the allocations of `rounds` rounds `body` runs on `db` — sampling
+/// their call sites — and what the window did, so the caller can see that
+/// it exercised the paths the gate is about.
+fn measure(db: &mut Database, rounds: u64, body: impl FnOnce(&mut Database)) -> Window {
+    db.reset_stats();
+    let counters = || [&ALLOCATIONS, &PAGE_BUFFERS, &LOG_CHUNKS].map(|c| c.with(Cell::get));
+    let before = counters();
+    SAMPLING.with(|s| s.set(true));
+    body(db);
+    SAMPLING.with(|s| s.set(false));
+    let after = counters();
+    let region = db.region_stats(0).unwrap();
+    Window {
+        rounds,
+        allocations: after[0] - before[0],
+        page_buffers: after[1] - before[1],
+        log_chunks: after[2] - before[2],
+        evictions: db.stats().evictions,
+        host_reads: region.host_reads,
+        page_writes: region.host_page_writes,
+        delta_writes: region.host_delta_writes,
+        gc_migrations: region.gc_page_migrations,
+        gc_erases: region.gc_erases,
+    }
+}
+
 /// Transaction + `advance_clock` + `background_work` rounds in the window.
 const ROUNDS: u64 = 3_000;
 
 /// Load `w`, flush, warm up until the pool is full and GC has started,
-/// then count the allocations of [`ROUNDS`] further rounds — sampling
-/// their call sites — and what the window did, so the caller can see that
-/// it exercised the paths the gate is about. Returns the database too: the
-/// caller audits what the run left in it.
+/// then [`measure`] [`ROUNDS`] further rounds. Returns the database too:
+/// the caller audits what the run left in it.
 fn steady_state(cfg: SystemConfig, w: &mut dyn Workload, warmup: u64) -> (Window, Database) {
     let mut db = cfg.build_for(w).unwrap();
     let runner = Runner::new(17);
@@ -212,27 +239,11 @@ fn steady_state(cfg: SystemConfig, w: &mut dyn Workload, warmup: u64) -> (Window
     for _ in 0..warmup {
         round(&mut db, w);
     }
-    db.reset_stats();
-    let counters = || [&ALLOCATIONS, &PAGE_BUFFERS, &LOG_CHUNKS].map(|c| c.with(Cell::get));
-    let before = counters();
-    SAMPLING.with(|s| s.set(true));
-    for _ in 0..ROUNDS {
-        round(&mut db, w);
-    }
-    SAMPLING.with(|s| s.set(false));
-    let after = counters();
-    let region = db.region_stats(0).unwrap();
-    let window = Window {
-        allocations: after[0] - before[0],
-        page_buffers: after[1] - before[1],
-        log_chunks: after[2] - before[2],
-        evictions: db.stats().evictions,
-        host_reads: region.host_reads,
-        page_writes: region.host_page_writes,
-        delta_writes: region.host_delta_writes,
-        gc_migrations: region.gc_page_migrations,
-        gc_erases: region.gc_erases,
-    };
+    let window = measure(&mut db, ROUNDS, |db| {
+        for _ in 0..ROUNDS {
+            round(db, w);
+        }
+    });
     (window, db)
 }
 
@@ -249,9 +260,9 @@ fn tpcb_steady_state(scheme: NxM) -> Window {
 /// buffer, exactly `log_chunks` chunks of log image memory and at most
 /// `allowed` times anything at all.
 fn assert_gate(name: &str, window: &Window, log_chunks: u64, allowed: u64) {
-    let per_round = window.allocations as f64 / ROUNDS as f64;
+    let (rounds, per_round) = (window.rounds, window.allocations as f64 / window.rounds as f64);
     println!(
-        "{name}: {} allocations in {ROUNDS} rounds = {per_round:.4} per round \
+        "{name}: {} allocations in {rounds} rounds = {per_round:.4} per round \
          (gate: {allowed}), {} of them log image chunks, {} page-sized",
         window.allocations, window.log_chunks, window.page_buffers
     );
@@ -304,6 +315,48 @@ fn steady_state_tpcc_mix_allocates_next_to_nothing() {
     // records a round), eight the undelivered-order queues growing, two
     // the bitmaps of the debug-build pool check at the window's checkpoint.
     assert_gate("tpcc [2x3]", &window, 180, 237);
+}
+
+/// B+-tree inserts into a 20 000-key index on a `[2×4]` database whose
+/// buffer holds it whole: the descent path and the node images live in
+/// buffers the engine reuses, so an insert allocates nothing but its share
+/// of the log's chunks and of the splits.
+#[test]
+fn index_inserts_reuse_their_path_and_node_images() {
+    let cfg = NoFtlConfig::builder(FlashConfig::emulator_slc(64, 64, PAGE_SIZE))
+        .chips(4)
+        .single_region(IpaMode::Slc, 0.2)
+        .build()
+        .unwrap();
+    let mut db =
+        Database::builder(cfg).scheme(NxM::tpcb()).config(DbConfig::eager(4096)).open().unwrap();
+    let idx = db.create_index(0).unwrap();
+    let key = |i: u64| i * 2_654_435_761 % 1_000_003;
+    let insert = |db: &mut Database, keys: std::ops::Range<u64>| {
+        let mut tx = db.txn();
+        for i in keys {
+            tx.index_insert(idx, key(i), i).unwrap();
+        }
+        tx.commit().unwrap();
+        db.background_work().unwrap();
+    };
+    for batch in 0..20 {
+        insert(&mut db, batch * 1_000..(batch + 1) * 1_000);
+    }
+    insert(&mut db, 20_000..20_100); // warm-up
+    let tx = db.txn().park();
+    let window = measure(&mut db, 1_000, |db| {
+        let mut tx = db.resume(tx).unwrap();
+        for i in 20_100..21_100 {
+            tx.index_insert(idx, key(i), i).unwrap();
+        }
+        tx.park();
+    });
+    db.resume(tx).unwrap().commit().unwrap();
+    assert_eq!(db.index_count(idx).unwrap(), 21_100);
+    // The bound to hold is 60; reached: 43. 39 + 2 are the log's chunks of
+    // images and of records, two the change trackers' run lists growing.
+    assert_gate("index inserts [2x4]", &window, 39, 43);
 }
 
 #[test]
