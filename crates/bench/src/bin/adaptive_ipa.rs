@@ -10,8 +10,9 @@
 //! * **adaptive** — live eviction profiling + background re-tune epochs:
 //!   the engine re-runs the advisor over each epoch's update-size profile
 //!   and versions the region's scheme when the predicted gain clears the
-//!   hysteresis bar (old-scheme pages stay readable and upgrade for free
-//!   on their next out-of-place flush or GC migration);
+//!   hysteresis bar (old-scheme pages stay readable, move verbatim when GC
+//!   migrates them, and upgrade for free on their next out-of-place
+//!   flush);
 //! * **oracle** — each phase run under the scheme the advisor picks with
 //!   perfect knowledge of that phase's distribution: the upper bound the
 //!   adaptive engine is chasing.

@@ -229,25 +229,6 @@ pub fn delta_write(
     Some((slot.start, encode_slot(encoded_record)))
 }
 
-/// Re-seed the OOB bytes of a page image that was re-encoded under
-/// `layout.scheme` with its delta records folded into the body (a GC
-/// migration carries `oob` to the page's new residency): the scheme tag,
-/// and with `with_ecc` a fresh `ECC_initial` and every delta slot erased —
-/// the folded records' codes no longer describe anything.
-pub fn reseed_oob(oob: &mut [u8], page: &[u8], layout: &crate::layout::PageLayout, with_ecc: bool) {
-    if let Some((offset, tag)) = scheme_tag_write(oob.len(), &layout.scheme) {
-        oob[offset..offset + tag.len()].copy_from_slice(&tag);
-    }
-    if !with_ecc {
-        return;
-    }
-    if let Some((offset, code)) = initial_write(oob.len(), page, layout) {
-        let deltas_start = offset + code.len();
-        oob[offset..deltas_start].copy_from_slice(&code);
-        oob[deltas_start..].fill(0xFF);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,90 +1,22 @@
-//! Online adaptive IPA: the per-region scheme directory shared with the
-//! GC-migration rewriter, and the re-tune epoch that moves a region to the
+//! Online adaptive IPA: the re-tune epoch that moves a region to the
 //! `[N×M]` scheme its eviction profile asks for.
+//!
+//! A re-tune changes only the region's layout in the pager. Pages already
+//! on flash keep the scheme their header names — a GC or wear-leveling
+//! migration moves them verbatim, OOB included — and take the region's
+//! current layout on their next out-of-place flush.
 //!
 //! [`Adaptive`]'s fields are private to this file; the pager asks whether
 //! there is one and nothing else.
 
-use std::sync::{Arc, Mutex};
+use ipa_core::{IpaAdvisor, PageLayout};
+use ipa_noftl::{EventKind, FlashConfig};
 
-use ipa_core::layout::HeaderView;
-use ipa_core::{ecc, DbPage, IpaAdvisor, NxM, PageLayout};
-use ipa_noftl::{EventKind, PageRewriter};
-
-use crate::buffer::ResidencyMirror;
-use crate::db::{Database, DbConfig, PageId};
-use crate::pager::Pager;
-
-/// Scheme state shared between the engine and the GC-migration rewriter it
-/// installs into the flash-management layer: the current `[N×M]` scheme of
-/// every region.
-#[derive(Debug, Default)]
-struct SchemeDirectory {
-    /// Current scheme of each region (updated at re-tune epochs).
-    schemes: Mutex<Vec<NxM>>,
-}
-
-impl SchemeDirectory {
-    /// Lock the scheme vector. Poisoning is recovered: the guarded data is
-    /// plain values written in single statements, so a panic elsewhere
-    /// cannot leave it logically inconsistent.
-    fn schemes(&self) -> std::sync::MutexGuard<'_, Vec<NxM>> {
-        self.schemes.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// The engine's [`PageRewriter`]: re-encodes old-scheme pages to the
-/// region's current `[N×M]` layout while a GC or wear-leveling migration
-/// already carries them through the host — reconfiguration piggybacks on
-/// I/O the device was doing anyway, costing zero extra flash operations.
-struct EngineRewriter {
-    dir: Arc<SchemeDirectory>,
-    /// Pages buffered in the pool right now. They must migrate verbatim —
-    /// re-encoding the flash image under a buffered frame would
-    /// desynchronize the frame's tracker and delta-offset math from flash.
-    resident: ResidencyMirror,
-    page_size: usize,
-    /// Re-seed `EccInitial` (and erase the delta slots) after a rewrite,
-    /// mirroring the engine's `verify_ecc` setting.
-    tag_ecc: bool,
-}
-
-impl PageRewriter for EngineRewriter {
-    fn rewrite_for_migration(
-        &self,
-        region: u32,
-        lba: u64,
-        page: &mut [u8],
-        oob: &mut [u8],
-    ) -> bool {
-        if self.resident.lock().contains(&PageId::new(region as usize, lba)) {
-            return false;
-        }
-        let Some(&target) = self.dir.schemes().get(region as usize) else { return false };
-        let on_flash = HeaderView::scheme(page);
-        if on_flash == target {
-            return false;
-        }
-        let Ok(old_layout) = PageLayout::new(self.page_size, on_flash) else { return false };
-        let Ok(new_layout) = PageLayout::new(self.page_size, target) else { return false };
-        let Ok(mut db_page) = DbPage::from_bytes(page.to_vec(), old_layout) else { return false };
-        // Fold resident delta records into the body, then re-cut the page
-        // for the new delta-area geometry. A page too full for the new
-        // layout migrates verbatim and keeps its old scheme.
-        if db_page.apply_deltas().is_err() || db_page.relayout(new_layout).is_err() {
-            return false;
-        }
-        page.copy_from_slice(db_page.bytes());
-        ecc::reseed_oob(oob, page, &new_layout, self.tag_ecc);
-        true
-    }
-}
+use crate::db::{Database, DbConfig};
 
 /// Online adaptive IPA; the engine holds one iff `advisor_epoch_ns > 0`, and
 /// without it behaves bit-identically to the static-scheme engine.
 pub(crate) struct Adaptive {
-    /// Shared with the installed [`EngineRewriter`].
-    dir: Arc<SchemeDirectory>,
     /// Stateless advisor sized for this device.
     advisor: IpaAdvisor,
     /// Re-tune epochs completed.
@@ -94,26 +26,15 @@ pub(crate) struct Adaptive {
 }
 
 impl Adaptive {
-    /// The adaptive state `config` asks for; when on, installs the
-    /// GC-migration rewriter into `pager`'s device.
-    pub(crate) fn new(pager: &mut Pager, schemes: &[NxM], config: &DbConfig) -> Option<Self> {
+    /// The adaptive state `config` asks for on a device configured as
+    /// `flash`.
+    pub(crate) fn new(flash: &FlashConfig, config: &DbConfig) -> Option<Self> {
         if config.advisor_epoch_ns == 0 {
             return None;
         }
-        let device = pager.ftl().device().config();
-        let page_size = device.geometry.page_size;
-        let max_n = device.max_appends().clamp(1, u16::MAX as u32) as u16;
-        let dir = Arc::new(SchemeDirectory { schemes: Mutex::new(schemes.to_vec()) });
-        pager.install_rewriter(|resident| {
-            Arc::new(EngineRewriter {
-                dir: Arc::clone(&dir),
-                resident,
-                page_size,
-                tag_ecc: config.verify_ecc,
-            })
-        });
-        let advisor = IpaAdvisor::new(page_size, max_n);
-        Some(Adaptive { dir, advisor, epoch: 0, last_epoch_ns: 0 })
+        let max_n = flash.max_appends().clamp(1, u16::MAX as u32) as u16;
+        let advisor = IpaAdvisor::new(flash.geometry.page_size, max_n);
+        Some(Adaptive { advisor, epoch: 0, last_epoch_ns: 0 })
     }
 }
 
@@ -140,7 +61,6 @@ impl Database {
         state.epoch += 1;
         state.last_epoch_ns = now;
         let advisor = state.advisor;
-        let dir = Arc::clone(&state.dir);
         let epoch = state.epoch;
         self.stats.retune_epochs += 1;
         for region in 0..self.ftl().region_count() {
@@ -166,7 +86,6 @@ impl Database {
             if rec.scheme != current && gain > HYSTERESIS {
                 if let Ok(new_layout) = PageLayout::new(page_size, rec.scheme) {
                     self.set_layout(region, new_layout);
-                    dir.schemes()[region] = rec.scheme;
                     self.stats.scheme_changes += 1;
                     self.emit(
                         EventKind::SchemeChange {
@@ -188,8 +107,8 @@ impl Database {
 mod tests {
     use super::*;
     use crate::db::tests::{adaptive_test_db, fill_and_flush, flushed_tuple};
-    use ipa_core::{AdvisorGoal, ChangeTracker};
-    use ipa_noftl::{FlashConfig, IpaMode, NoFtlConfig, RegionId};
+    use ipa_core::{ecc, AdvisorGoal, NxM};
+    use ipa_noftl::{IpaMode, NoFtlConfig, RegionId};
 
     #[test]
     fn adaptive_retune_switches_scheme_and_keeps_old_pages_readable() {
@@ -244,10 +163,10 @@ mod tests {
     #[test]
     fn ecc_verification_holds_across_a_scheme_change() {
         // `verify_ecc` and adaptive mode together: every fetch checks what
-        // the three OOB writers left behind — `stage_flush`'s out-of-place
-        // branch (tag + `EccInitial`), its append branch (`EccDelta(i)`)
-        // and the GC rewriter (tag, re-seeded `EccInitial`, delta slots
-        // erased) — on pages of the old scheme and of the new one.
+        // the two OOB writers left behind — `stage_flush`'s out-of-place
+        // branch (tag + `EccInitial`) and its append branch (`EccDelta(i)`)
+        // — on pages of the old scheme and of the new one, including pages
+        // a wear-leveling migration moved verbatim.
         let mut flash = FlashConfig::small_slc();
         flash.geometry.blocks_per_chip = 16;
         flash.geometry.pages_per_block = 8;
@@ -312,20 +231,44 @@ mod tests {
         }
         assert_eq!(db.stats().scheme_upgrades, PAGES as u64 / 2);
 
-        // Collect the cold blocks (wear leveling runs the migration GC
-        // runs, on the least-worn block): the rewriter re-encodes the cold
-        // pages, all non-resident but page 1, which migrates as it is.
-        db.with_page(pids[1], |_| ()).unwrap();
+        // Wear leveling collects the least-worn blocks, which hold the cold
+        // pages, until it has moved as many pages as there are cold ones.
+        // Each page moves verbatim by copy-back: header, scheme tag and ECC
+        // codes travel with it, so a moved cold page is still an old-scheme
+        // page with its one delta record, and verifies on fetch.
         assert!(db.region_stats(0).unwrap().gc_erases > 0, "the hot pages wore some blocks");
-        while db.region_stats(0).unwrap().gc_rewrites < PAGES as u64 / 2 - 1 {
+        db.flush_all().unwrap();
+        db.drop_pool();
+        while db.region_stats(0).unwrap().wear_level_migrations < PAGES as u64 / 2 {
             assert_eq!(db.wear_level(0, 0).unwrap(), 1, "a cold block is left to collect");
         }
-        assert_eq!(db.with_page(pids[1], |p| *p.scheme()).unwrap(), old_scheme);
+        let verified = db.stats().ecc_verified;
+        let mut cold = [0u8; 64];
+        cold[0] = 0xA0;
+        for i in (1..PAGES).step_by(2) {
+            let oob = db.ftl().read_oob(RegionId(0), pids[i].lba).unwrap();
+            let (at, tag) = ecc::scheme_tag_write(oob.len(), &old_scheme).unwrap();
+            assert_eq!(oob[at..at + tag.len()], tag, "page {i}");
+            let layout = ecc::OobLayout::standard(oob.len(), old_scheme.n as u32).unwrap();
+            let codes = [layout.initial_slot(), layout.range(ecc::Section::EccDelta(0)).unwrap()];
+            assert!(codes.into_iter().all(|code| !ecc::slot_is_erased(&oob[code])), "page {i}");
+            let (scheme, tuple) = db
+                .with_page(pids[i], |p| (*p.scheme(), p.tuple(slots[i]).unwrap().to_vec()))
+                .unwrap();
+            assert_eq!((scheme, &tuple[..]), (old_scheme, &cold[..]), "page {i}");
+        }
+        assert_eq!(db.stats().ecc_verified, verified + PAGES as u64 / 2, "each one verified");
+
+        // Their next out-of-place flush carries them to the new scheme, and
+        // the update after that is an append under the new layout.
+        let upgrades = db.stats().scheme_upgrades;
+        for i in (1..PAGES).step_by(2) {
+            update(&mut db, i, 24, 0xC0);
+        }
+        assert_eq!(db.stats().scheme_upgrades, upgrades + PAGES as u64 / 2);
         assert_eq!(db.with_page(pids[3], |p| *p.scheme()).unwrap(), new_scheme);
-        // An append to a re-encoded page programs `EccDelta(0)` again: the
-        // rewriter must have erased the old record's code.
         let appends = db.stats().ipa_flushes;
-        update(&mut db, 3, 24, 0xC0);
+        update(&mut db, 3, 24, 0xC1);
         assert_eq!(db.stats().ipa_flushes, appends + 1);
 
         // Drop the pool and read everything back with verification on.
@@ -337,6 +280,7 @@ mod tests {
                 .with_page(pids[i], |p| (*p.scheme(), p.tuple(slots[i]).unwrap().to_vec()))
                 .unwrap();
             assert_eq!(tuple, model[i], "page {i}");
+            assert_eq!(scheme, new_scheme, "page {i}");
             // Erased slots verify vacuously, so look: every writer left a
             // tag that names the page's scheme and an `EccInitial`.
             let oob = db.ftl().read_oob(RegionId(0), pids[i].lba).unwrap();
@@ -346,45 +290,5 @@ mod tests {
             assert!(!ecc::slot_is_erased(&oob[initial]), "page {i}");
         }
         assert_eq!(db.stats().ecc_verified, verified + PAGES as u64);
-    }
-
-    #[test]
-    fn engine_rewriter_relayouts_nonresident_pages_only() {
-        let old_scheme = NxM::tpcc();
-        let new_scheme = NxM::new(3, 24, 1);
-        let dir = Arc::new(SchemeDirectory { schemes: Mutex::new(vec![new_scheme]) });
-        let resident = ResidencyMirror::default();
-        let rw = EngineRewriter { dir, resident: resident.clone(), page_size: 1024, tag_ecc: true };
-        let old_layout = PageLayout::new(1024, old_scheme).unwrap();
-        let mut page = DbPage::format(7, old_layout);
-        let mut tracker = ChangeTracker::new(old_scheme, 0, false);
-        let slot = page.insert_tuple(&[5u8; 16], &mut tracker).unwrap();
-
-        let mut bytes = page.bytes().to_vec();
-        let mut oob = vec![0xFF; 64];
-        assert!(rw.rewrite_for_migration(0, 7, &mut bytes, &mut oob));
-        let new_layout = PageLayout::new(1024, new_scheme).unwrap();
-        let migrated = DbPage::from_bytes(bytes, new_layout).unwrap();
-        assert_eq!(migrated.tuple(slot).unwrap(), &[5u8; 16][..]);
-        let (at, tag) = ecc::scheme_tag_write(oob.len(), &new_scheme).unwrap();
-        assert_eq!(oob[at..at + tag.len()], tag, "scheme tag written to the OOB Meta section");
-        assert_eq!(
-            ecc::verify_page(migrated.bytes(), &new_layout, &oob),
-            Ok(Some(0)),
-            "EccInitial re-seeded over the re-encoded image"
-        );
-        let initial = ecc::OobLayout::standard(oob.len(), 0).unwrap().initial_slot();
-        assert!(!ecc::slot_is_erased(&oob[initial]));
-
-        // Resident pages migrate verbatim.
-        resident.lock().insert(PageId::new(0, 9));
-        let mut untouched = page.bytes().to_vec();
-        assert!(!rw.rewrite_for_migration(0, 9, &mut untouched, &mut [0xFF; 64]));
-        assert_eq!(untouched, page.bytes());
-
-        // Pages already on the current scheme are left alone.
-        let current = DbPage::format(1, new_layout);
-        let mut same = current.bytes().to_vec();
-        assert!(!rw.rewrite_for_migration(0, 1, &mut same, &mut [0xFF; 64]));
     }
 }

@@ -15,9 +15,6 @@
 //! hashing on the 18 to 62 fetches a transaction makes. Nothing here
 //! allocates once the pool exists.
 
-use std::collections::HashSet;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
 use ipa_core::{ChangeTracker, DbPage, NxM};
 use ipa_noftl::Counters;
 
@@ -92,21 +89,6 @@ ipa_noftl::counters! {
     }
 }
 
-/// The set of buffered pages, shared with a reader that cannot borrow the
-/// pool (adaptive mode's GC-migration rewriter runs inside the
-/// flash-management layer).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ResidencyMirror(Arc<Mutex<HashSet<PageId>>>);
-
-impl ResidencyMirror {
-    /// Lock the set. Poisoning is recovered: every update is one
-    /// `insert`/`remove`/`clear`, so a panic elsewhere cannot leave it
-    /// half-written.
-    pub(crate) fn lock(&self) -> MutexGuard<'_, HashSet<PageId>> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 /// A set of frame slots: one bit per slot and the number of bits set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct SlotSet {
@@ -165,8 +147,6 @@ pub struct BufferPool {
     free: SlotSet,
     /// CLOCK reference bits; clear for every unoccupied slot.
     referenced: SlotSet,
-    /// Adaptive mode only. Invariant: holds exactly the resident pages.
-    mirror: Option<ResidencyMirror>,
     hand: usize,
     capacity: usize,
     sweep: SweepStats,
@@ -185,23 +165,10 @@ impl BufferPool {
             dirty: SlotSet::new(capacity),
             free,
             referenced: SlotSet::new(capacity),
-            mirror: None,
             hand: 0,
             capacity,
             sweep: SweepStats::default(),
         }
-    }
-
-    /// Start mirroring residency (the pool must still be empty) and hand
-    /// out the shared view.
-    pub(crate) fn mirror_residency(&mut self) -> ResidencyMirror {
-        debug_assert!(self.is_empty());
-        self.mirror.get_or_insert_with(ResidencyMirror::default).clone()
-    }
-
-    /// Pages in the residency mirror (0 when nothing mirrors the pool).
-    pub(crate) fn mirrored_len(&self) -> usize {
-        self.mirror.as_ref().map_or(0, |m| m.lock().len())
     }
 
     /// Cumulative CLOCK-sweep counters.
@@ -222,11 +189,6 @@ impl BufferPool {
     /// Number of occupied frames.
     pub fn len(&self) -> usize {
         self.capacity - self.free.count
-    }
-
-    /// Whether the pool holds no pages.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Number of dirty frames.
@@ -309,9 +271,6 @@ impl BufferPool {
         let pid = frame.page_id;
         *self.slot_of.get_mut(pid.region)?.get_mut(pid.lba.0 as usize)? = idx as u32;
         self.free.remove(idx);
-        if let Some(mirror) = &self.mirror {
-            mirror.lock().insert(pid);
-        }
         if frame.is_dirty() {
             self.dirty.insert(idx);
         }
@@ -353,9 +312,6 @@ impl BufferPool {
         let frame = self.frames[idx].take()?;
         let pid = frame.page_id;
         self.slot_of[pid.region][pid.lba.0 as usize] = NOT_RESIDENT;
-        if let Some(mirror) = &self.mirror {
-            mirror.lock().remove(&pid);
-        }
         self.dirty.remove(idx);
         self.referenced.remove(idx);
         self.free.insert(idx);
@@ -399,8 +355,8 @@ impl BufferPool {
         }
     }
 
-    /// Check the dirty-set, free-set, reference-bit, page-table and
-    /// residency-mirror invariants against a full scan of the frames.
+    /// Check the dirty-set, free-set, reference-bit and page-table
+    /// invariants against a full scan of the frames.
     /// Panics on divergence — a frame was dirtied, cleaned, added or
     /// dropped without the sets hearing of it.
     pub fn assert_consistent(&self) {
@@ -427,20 +383,12 @@ impl BufferPool {
                 assert_eq!(self.index_of(frame.page_id), Some(idx), "page table lost a frame");
             }
         }
-        if let Some(mirror) = &self.mirror {
-            let resident: HashSet<PageId> =
-                self.frames.iter().flatten().map(|f| f.page_id).collect();
-            assert_eq!(*mirror.lock(), resident, "residency mirror diverged from the frames");
-        }
     }
 
     /// Drop every frame without flushing (crash simulation).
     pub fn clear(&mut self) {
         self.frames.iter_mut().for_each(|f| *f = None);
         self.slot_of.iter_mut().for_each(|region| region.fill(NOT_RESIDENT));
-        if let Some(mirror) = &self.mirror {
-            mirror.lock().clear();
-        }
         self.dirty.clear();
         self.referenced.clear();
         (0..self.capacity).for_each(|slot| self.free.insert(slot));
@@ -628,7 +576,7 @@ mod tests {
         let mut pool = BufferPool::new(2, &[16]);
         pool.insert(frame(pid(1))).expect("slot");
         pool.clear();
-        assert!(pool.is_empty());
+        assert_eq!(pool.len(), 0);
         assert!(!pool.contains(pid(1)));
         pool.assert_consistent();
     }

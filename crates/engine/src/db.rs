@@ -360,8 +360,8 @@ impl DbBuilder {
     /// region `i` ([`NxM::disabled`] for the `[0×0]` baseline).
     pub fn open(self) -> Result<Database> {
         let DbBuilder { ftl_config, schemes, config, lock_policy } = self;
-        let mut pager = Pager::new(ftl_config, &schemes, config.buffer_frames)?;
-        let adaptive = Adaptive::new(&mut pager, &schemes, &config);
+        let adaptive = Adaptive::new(&ftl_config.flash, &config);
+        let pager = Pager::new(ftl_config, &schemes, config.buffer_frames)?;
         let mut db = Database {
             pager,
             log: Log::new(config.log_capacity_bytes),

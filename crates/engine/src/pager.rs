@@ -8,17 +8,14 @@
 //! Everyone else reads through [`Database::ftl`], [`Database::layout`],
 //! [`Database::profile`] and writes through the methods below.
 
-use std::sync::Arc;
-
 use ipa_core::layout::HeaderView;
 use ipa_core::tracking::FlushPlan;
 use ipa_core::{ecc, ChangeTracker, DbPage, NxM, PageLayout, UpdateSizeProfile};
 use ipa_noftl::{
-    Counters, EventKind, IoCtx, NoFtl, NoFtlConfig, Observer, PageRewriter, RegionId, SpanCategory,
-    SpanId,
+    Counters, EventKind, IoCtx, NoFtl, NoFtlConfig, Observer, RegionId, SpanCategory, SpanId,
 };
 
-use crate::buffer::{BufferPool, Frame, ResidencyMirror, SweepStats};
+use crate::buffer::{BufferPool, Frame, SweepStats};
 use crate::db::{Database, PageId};
 use crate::error::EngineError;
 use crate::stats::TraceEvent;
@@ -122,20 +119,6 @@ impl Pager {
             trace: None,
             candidates: Vec::new(),
         })
-    }
-
-    /// The device, read-only.
-    pub(crate) fn ftl(&self) -> &NoFtl {
-        &self.ftl
-    }
-
-    /// Install the GC-migration rewriter `make` builds around the pool's
-    /// residency mirror (adaptive mode; the pool must still be empty).
-    pub(crate) fn install_rewriter(
-        &mut self,
-        make: impl FnOnce(ResidencyMirror) -> Arc<dyn PageRewriter>,
-    ) {
-        self.ftl.set_page_rewriter(make(self.pool.mirror_residency()));
     }
 }
 
@@ -331,13 +314,6 @@ impl Database {
         }
         self.evict_victim()?;
         self.insert_fresh_frame(pid, None)
-    }
-
-    /// Number of pages the adaptive GC-migration rewriter currently sees
-    /// as buffer-resident (0 when adaptive mode is off). Test/diagnostic
-    /// aid.
-    pub fn resident_tracking_len(&self) -> usize {
-        self.pager.pool.mirrored_len()
     }
 
     /// Drop a page: trim on flash, forget in the buffer, recycle the LBA.

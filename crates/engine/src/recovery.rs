@@ -708,26 +708,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_clears_scheme_residency_tracking() {
-        // The adaptive scheme directory mirrors buffer-pool residency for
-        // the GC-migration rewriter. A crash empties the pool; stale
-        // mirror entries would make the rewriter skip re-encoding pages
-        // it believes are still buffered.
-        let mut db = crate::db::tests::adaptive_test_db(u64::MAX, 16);
-        let heap = db.create_heap(0);
-        let mut tx = db.txn();
-        let rid = tx.heap_insert(heap, &[4u8; 16]).unwrap();
-        tx.commit().unwrap();
-        db.flush_all().unwrap();
-        assert!(db.resident_tracking_len() > 0, "buffered pages are mirrored");
-
-        db.simulate_crash();
-        assert_eq!(db.resident_tracking_len(), 0, "crash empties the residency mirror");
-        db.recover().unwrap();
-        assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![4u8; 16]);
-    }
-
-    #[test]
     fn second_crash_during_undo_converges() {
         // Crash-during-recovery: the first restart is interrupted mid-undo
         // (after its CLRs are forced), the machine crashes again, and a

@@ -390,11 +390,6 @@ impl FlashDevice {
         self.cmd_tracing = on;
     }
 
-    /// Whether per-command lifecycle tracing is enabled.
-    pub fn cmd_tracing(&self) -> bool {
-        self.cmd_tracing
-    }
-
     /// Run `f` under a causal span of category `cat` whose parent is
     /// `parent` (`None` for a root span; [`FlashDevice::current_span`] to
     /// nest under the innermost open one). The span closes when `f`
@@ -578,16 +573,6 @@ impl FlashDevice {
         Ok(c)
     }
 
-    /// Retire every command whose completion time has already passed the
-    /// current clock, in completion order. Never advances the clock.
-    pub fn poll_completions(&mut self) -> Vec<Completion> {
-        let out = self.sched.poll_ready(self.clock.now_ns());
-        for c in &out {
-            self.emit_cmd_complete(c);
-        }
-        out
-    }
-
     /// Retire *all* in-flight commands, advancing the clock to the last
     /// host-origin completion (the host barrier at the end of a batch), and
     /// hand out their completions in completion order. The completions sit
@@ -622,9 +607,9 @@ impl FlashDevice {
     }
 
     /// Commands of any origin submitted and not yet handed back through
-    /// [`FlashDevice::complete`], [`FlashDevice::poll_completions`] or
-    /// [`FlashDevice::drain`]. Zero whenever the layers above are between
-    /// operations; they assert that in debug builds.
+    /// [`FlashDevice::complete`] or [`FlashDevice::drain`]. Zero whenever
+    /// the layers above are between operations; they assert that in debug
+    /// builds.
     pub fn inflight(&self) -> usize {
         self.sched.inflight()
     }
@@ -805,23 +790,6 @@ impl FlashDevice {
         self.page_mut(dst).move_from(&mut source);
         *self.page_mut(src) = source;
         Ok(self.finish_program(dst, origin, ctx))
-    }
-
-    /// Edit the image a copy-back program moved onto `ppa` — main area and
-    /// OOB, outside the ISPP rule. This is copy-back with data change: the
-    /// controller rewrites bytes of the page register between the two
-    /// halves of the move, so it costs no latency and counts nothing (the
-    /// move is already timed as a whole-page read and program). Call it
-    /// right after [`FlashDevice::submit_copyback_program`] returned, and
-    /// for nothing else. `f`'s result is handed back.
-    pub fn rewrite_moved<T>(
-        &mut self,
-        ppa: Ppa,
-        f: impl FnOnce(&mut [u8], &mut [u8]) -> T,
-    ) -> Result<T> {
-        self.check(ppa)?;
-        let (main, oob) = self.page_mut(ppa).edit(ppa)?;
-        Ok(f(main, oob))
     }
 
     /// What every program and append checks first: address, block health.
@@ -1620,25 +1588,6 @@ mod tests {
     }
 
     #[test]
-    fn poll_completions_returns_due_commands_without_advancing_clock() {
-        let mut cfg = FlashConfig::small_slc();
-        cfg.geometry.chips = 2;
-        cfg.queue_depth = 4;
-        let mut d = FlashDevice::new(cfg);
-        let image = vec![0x00; 4096];
-        let a = d.submit_program(Ppa::new(0, 0, 0), &image, &[], OpOrigin::Host).unwrap();
-        let b = d.submit_program(Ppa::new(1, 0, 0), &image, &[], OpOrigin::Host).unwrap();
-        assert!(d.poll_completions().is_empty(), "nothing due at t=0");
-        let t = d.clock().now_ns();
-        let ca = d.complete(a).unwrap();
-        assert!(d.clock().now_ns() > t, "host completion advances the clock");
-        let due = d.poll_completions();
-        assert_eq!(due.len(), 1, "b completed at the same time on the other chip");
-        assert_eq!(due[0].id, b);
-        assert_eq!(ca.result.completed_at_ns, due[0].result.completed_at_ns);
-    }
-
-    #[test]
     fn queued_read_carries_data_in_completion() {
         let mut cfg = FlashConfig::small_slc();
         cfg.queue_depth = 2;
@@ -1996,29 +1945,6 @@ mod tests {
         assert_eq!((d.stats().program_failures, d.stats().gc_programs), (2, 0));
         copy_back(&mut d, src, Ppa::new(0, 2, 1), gc).unwrap();
         assert_eq!(d.peek(Ppa::new(0, 2, 1)).unwrap(), &data[..]);
-    }
-
-    #[test]
-    fn rewrite_moved_edits_the_target_in_place() {
-        let mut d = dev();
-        let (src, dst) = (Ppa::new(0, 0, 0), Ppa::new(0, 1, 0));
-        d.program(src, &full(&d, 0x00), OpOrigin::Host).unwrap();
-        copy_back(&mut d, src, dst, OpOrigin::Background).unwrap();
-        let stats = format!("{:?}", d.stats());
-        // Outside the ISPP rule: zeroes become ones, in the OOB too.
-        let seen = d
-            .rewrite_moved(dst, |main, oob| {
-                main[..4].fill(0xAB);
-                oob[0] = 0x17;
-                main.len()
-            })
-            .unwrap();
-        assert_eq!(seen, 4096);
-        assert_eq!(&d.peek(dst).unwrap()[..5], &[0xAB, 0xAB, 0xAB, 0xAB, 0x00]);
-        assert_eq!(d.read_oob(dst).unwrap()[0], 0x17);
-        assert_eq!(format!("{:?}", d.stats()), stats, "the edit costs and counts nothing");
-        let gone = FlashError::PageMigrated(src);
-        assert_eq!(d.rewrite_moved(src, |_, _| ()), Err(gone));
     }
 
     #[test]

@@ -160,16 +160,6 @@ impl PageData {
         }
     }
 
-    /// Main area and OOB of a programmed page, writable without the ISPP
-    /// rule — the device's copy-back data-change hook, nothing else.
-    pub(crate) fn edit(&mut self, ppa: Ppa) -> Result<(&mut [u8], &mut [u8]), FlashError> {
-        match &mut self.cells {
-            Cells::Programmed { main, .. } => Ok((main, &mut self.oob)),
-            Cells::Erased => Err(FlashError::ReadOfErasedPage(ppa)),
-            Cells::Migrated => Err(FlashError::PageMigrated(ppa)),
-        }
-    }
-
     /// Read-only view of the OOB area.
     pub fn oob(&self) -> &[u8] {
         &self.oob

@@ -178,22 +178,6 @@ impl IoScheduler {
         c
     }
 
-    /// All commands whose completion time has passed `now_ns`, plus any
-    /// retired by admission, ordered by completion time.
-    pub fn poll_ready(&mut self, now_ns: u64) -> Vec<Completion> {
-        let mut out = std::mem::take(&mut self.completed);
-        let mut i = 0;
-        while i < self.inflight.len() {
-            if self.inflight[i].result.completed_at_ns <= now_ns {
-                out.push(self.remove_inflight(i));
-            } else {
-                i += 1;
-            }
-        }
-        out.sort_by_key(|c| (c.result.completed_at_ns, c.id));
-        out
-    }
-
     /// Retire everything into `out`, ordered by completion time. `out` is
     /// the caller's to keep between drains: nothing is allocated once it
     /// and the two queues have grown to the depth of a batch.
@@ -273,55 +257,28 @@ mod tests {
     }
 
     #[test]
-    fn poll_ready_returns_due_commands_in_completion_order() {
-        let mut s = IoScheduler::new(2, HostProfile::Emulator, 4);
-        let a = s.push(completion(0, OpOrigin::Host, 0, 300));
-        let b = s.push(completion(1, OpOrigin::Host, 0, 100));
-        let c = s.push(completion(0, OpOrigin::Host, 300, 900));
-        let ready = s.poll_ready(400);
-        assert_eq!(ready.iter().map(|r| r.id).collect::<Vec<_>>(), [b, a]);
-        assert!(ready[0].result.completed_at_ns <= ready[1].result.completed_at_ns);
-        assert_eq!(s.inflight(), 1);
-        let mut rest = Vec::new();
-        s.drain_all(&mut rest);
-        assert_eq!(rest.len(), 1);
-        assert_eq!((rest[0].id, rest[0].result.completed_at_ns), (c, 900));
-    }
-
-    #[test]
-    fn poll_ready_interleaves_admission_retirees_with_ready_inflight() {
-        // Regression for the documented "ordered by completion time"
-        // contract: at queue depth 2, a host command retired by admission
-        // (completed_at = 300) lands in the internal `completed` buffer
-        // while a background command finishing earlier (completed_at = 100)
-        // is still in flight. A naive concatenation would return the
-        // retiree first; the merged set must be sorted by
-        // `(completed_at_ns, id)`.
+    fn drain_all_interleaves_admission_retirees_with_inflight() {
+        // At queue depth 2, a host command retired by admission
+        // (completed_at = 300) waits in `completed` while a background
+        // command finishing earlier (completed_at = 100) is still in flight:
+        // the drain hands both back ordered by `(completed_at_ns, id)`.
         let mut s = IoScheduler::new(2, HostProfile::Emulator, 2);
         let mut clock = SimClock::new();
         let bg = s.push(completion(1, OpOrigin::Background, 0, 100));
         let h1 = s.push(completion(0, OpOrigin::Host, 0, 300));
-        let _h2 = s.push(completion(0, OpOrigin::Host, 300, 600));
-        // The queue is at depth 2: admission retires the earliest host
-        // command (h1, t=300) into the completed buffer.
+        let h2 = s.push(completion(0, OpOrigin::Host, 300, 600));
         assert_eq!(s.admit_host(&mut clock), 1);
         assert_eq!(clock.now_ns(), 300);
-
-        let ready = s.poll_ready(400);
-        assert_eq!(ready.len(), 2);
-        assert_eq!(ready[0].id, bg, "background command completed first");
-        assert_eq!(ready[0].result.completed_at_ns, 100);
-        assert_eq!(ready[1].id, h1);
-        assert_eq!(ready[1].result.completed_at_ns, 300);
-        assert!(ready.windows(2).all(|w| {
-            (w[0].result.completed_at_ns, w[0].id) < (w[1].result.completed_at_ns, w[1].id)
-        }));
+        let mut out = Vec::new();
+        s.drain_all(&mut out);
+        assert_eq!(out.iter().map(|c| c.id).collect::<Vec<_>>(), [bg, h1, h2]);
+        assert_eq!((s.inflight(), s.host_inflight()), (0, 0));
     }
 
     #[test]
     fn host_inflight_counter_matches_the_filter_through_every_path() {
         // Interleave host, async-host and background commands through
-        // push / take / admit_host / poll_ready / drain_all and compare the
+        // push / take / admit_host / drain_all and compare the
         // maintained counter with the filter it replaced after every step.
         fn check(s: &IoScheduler) {
             let filtered = s.inflight.iter().filter(|c| c.origin == OpOrigin::Host).count();
@@ -351,12 +308,7 @@ mod tests {
                     let id = ids.swap_remove((draw / 8) as usize % ids.len());
                     let _ = s.take(id);
                 }
-                6 => {
-                    clock.advance(draw % 300);
-                    for c in s.poll_ready(clock.now_ns()) {
-                        ids.retain(|&id| id != c.id);
-                    }
-                }
+                6 => clock.advance(draw % 300),
                 _ if step % 50 == 49 => {
                     s.drain_all(&mut Vec::new());
                     ids.clear();

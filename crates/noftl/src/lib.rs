@@ -24,7 +24,9 @@
 //!   `trim`; the ECC scheme's OOB bytes ride on the write commands.
 //! * Greedy garbage collection (fewest-valid-pages victim), free-block
 //!   allocation preferring least-worn blocks (dynamic wear leveling) and an
-//!   explicit static wear-leveling pass.
+//!   explicit static wear-leveling pass. Both move a valid page verbatim by
+//!   copy-back, its OOB bytes (ECC codes, scheme tag) with it: the layer
+//!   never looks inside a page and never calls back into the engine above.
 //! * [`RegionStats`] — per-region counters matching the rows of the paper's
 //!   Tables 6–10 (host reads/writes, delta writes, GC page migrations, GC
 //!   erases and the per-host-write ratios).
@@ -56,7 +58,6 @@ mod error;
 mod io;
 mod manager;
 mod region;
-mod rewriter;
 mod stats;
 
 pub use config::{FaultPolicy, IpaMode, NoFtlConfig, NoFtlConfigBuilder, RegionSpec};
@@ -64,7 +65,6 @@ pub use error::NoFtlError;
 pub use io::IoCtx;
 pub use manager::{NoFtl, RegionId};
 pub use region::Lba;
-pub use rewriter::PageRewriter;
 pub use stats::{HeatSummary, RegionStats};
 
 // Vocabulary types that travel through this crate's API: queued-I/O

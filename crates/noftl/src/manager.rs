@@ -67,17 +67,6 @@ impl NoFtl {
         self.regions.len()
     }
 
-    /// Install a GC-carried page rewriter on every region (see
-    /// [`crate::PageRewriter`]): each valid page moved by garbage
-    /// collection or wear leveling is offered to the hook on its new page,
-    /// right after the copy-back program, so format changes ride I/O the
-    /// FTL performs anyway.
-    pub fn set_page_rewriter(&mut self, rewriter: std::sync::Arc<dyn crate::PageRewriter>) {
-        for region in &mut self.regions {
-            region.set_rewriter(rewriter.clone());
-        }
-    }
-
     /// Exported logical capacity of a region, in pages.
     pub fn capacity(&self, rid: RegionId) -> Result<u64> {
         Ok(self.region(rid)?.capacity())
@@ -173,12 +162,6 @@ impl NoFtl {
     /// completion time if it was synchronous host I/O.
     pub fn complete(&mut self, id: CmdId) -> Result<Completion> {
         Ok(self.dev.complete(id)?)
-    }
-
-    /// Completions that are due at the current simulated time, without
-    /// advancing the clock.
-    pub fn poll_completions(&mut self) -> Vec<Completion> {
-        self.dev.poll_completions()
     }
 
     /// Drain every in-flight command, advancing the clock past the last
@@ -320,31 +303,15 @@ impl NoFtl {
         self.dev.set_cmd_tracing(on);
     }
 
-    /// Whether per-command lifecycle tracing is enabled.
-    pub fn cmd_tracing(&self) -> bool {
-        self.dev.cmd_tracing()
-    }
-
     /// Erase-count distribution across all blocks of the device — the
     /// wear-telemetry export for observability snapshots.
     pub fn wear_histogram(&self) -> WearHistogram {
         self.dev.wear_histogram()
     }
 
-    /// Per-LBA update heat of a region: `(lba, update_count)` for every
-    /// logical page updated at least once, hottest first.
-    pub fn update_heat(&self, rid: RegionId) -> Result<Vec<(u64, u64)>> {
-        Ok(self.region(rid)?.update_heat())
-    }
-
     /// Aggregate update-heat telemetry for a region.
     pub fn heat_summary(&self, rid: RegionId) -> Result<HeatSummary> {
         Ok(self.region(rid)?.heat_summary())
-    }
-
-    /// Free blocks across a region (diagnostics).
-    pub fn free_blocks(&self, rid: RegionId) -> Result<usize> {
-        Ok(self.region(rid)?.free_blocks())
     }
 
     /// Mapped logical pages of a region (diagnostics).

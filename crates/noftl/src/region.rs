@@ -9,7 +9,6 @@ use ipa_flash::{
 use crate::config::{FaultPolicy, IpaMode, RegionSpec};
 use crate::error::NoFtlError;
 use crate::io::IoCtx;
-use crate::rewriter::{PageRewriter, RewriterSlot};
 use crate::stats::{HeatSummary, RegionStats};
 use crate::Result;
 
@@ -20,9 +19,8 @@ pub struct Lba(pub u64);
 /// Per-block bookkeeping.
 #[derive(Debug, Clone)]
 struct BlockInfo {
-    /// Valid flags per raw page index.
-    valid: Vec<bool>,
-    /// Number of `true` entries in `valid`.
+    /// Pages of the block that hold live data: the number of its `Some`
+    /// entries in [`Region::p2l`].
     valid_count: u32,
     /// Pages programmed so far (index into the region's usable-page list).
     write_cursor: usize,
@@ -86,8 +84,6 @@ pub(crate) struct Region {
     /// region was created — update-heat telemetry, cumulative like wear
     /// (not cleared by a stats reset).
     heat: Vec<u64>,
-    /// Optional GC-carried page rewriter (see [`crate::PageRewriter`]).
-    rewriter: RewriterSlot,
     gc_scratch: GcScratch,
 }
 
@@ -137,7 +133,6 @@ impl Region {
                 free_blocks: (0..geom.blocks_per_chip).rev().collect(),
                 blocks: (0..geom.blocks_per_chip)
                     .map(|_| BlockInfo {
-                        valid: vec![false; geom.pages_per_block as usize],
                         valid_count: 0,
                         write_cursor: 0,
                         free: true,
@@ -165,14 +160,8 @@ impl Region {
             fault_policy,
             stats: RegionStats::default(),
             heat: vec![0; capacity as usize],
-            rewriter: RewriterSlot::default(),
             gc_scratch: GcScratch::default(),
         })
-    }
-
-    /// Install (or replace) the GC-carried page rewriter for this region.
-    pub(crate) fn set_rewriter(&mut self, rewriter: std::sync::Arc<dyn PageRewriter>) {
-        self.rewriter = RewriterSlot(Some(rewriter));
     }
 
     /// Count one logical update (page write or delta append) of `lba` in
@@ -181,22 +170,7 @@ impl Region {
         self.heat[lba.0 as usize] += 1;
     }
 
-    /// Per-LBA update counts, non-zero entries only, hottest first (ties
-    /// by ascending LBA for determinism).
-    pub(crate) fn update_heat(&self) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = self
-            .heat
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(l, &c)| (l as u64, c))
-            .collect();
-        v.sort_by_key(|&(lba, count)| (std::cmp::Reverse(count), lba));
-        v
-    }
-
-    /// Aggregate update-heat summary (the snapshot-friendly form of
-    /// [`Region::update_heat`]).
+    /// Aggregate update-heat summary of the per-LBA update counts.
     pub(crate) fn heat_summary(&self) -> HeatSummary {
         let mut s = HeatSummary::default();
         for &c in &self.heat {
@@ -548,6 +522,13 @@ impl Region {
         (local * self.blocks_per_chip + block as usize) * self.pages_per_block + page as usize
     }
 
+    /// The `p2l` entries of every page of block `block` on local chip
+    /// `local`, in page order.
+    fn block_owners(&self, local: usize, block: u32) -> &[Option<u64>] {
+        let first = self.p2l_slot(local, block, 0);
+        &self.p2l[first..first + self.pages_per_block]
+    }
+
     /// Point `lba` at `ppa`, a page just programmed, and invalidate the
     /// residency it had until now.
     fn map(&mut self, lba: Lba, ppa: Ppa) -> Result<()> {
@@ -558,11 +539,7 @@ impl Region {
         let slot = self.p2l_slot(local, ppa.block, ppa.page);
         if self.p2l[slot].replace(lba.0).is_none() {
             self.mapped_pages += 1;
-        }
-        let info = &mut self.chips[local].blocks[ppa.block as usize];
-        if !info.valid[ppa.page as usize] {
-            info.valid[ppa.page as usize] = true;
-            info.valid_count += 1;
+            self.chips[local].blocks[ppa.block as usize].valid_count += 1;
         }
         Ok(())
     }
@@ -570,13 +547,9 @@ impl Region {
     fn invalidate(&mut self, ppa: Ppa) -> Result<()> {
         let local = self.local_chip(ppa.chip)?;
         let slot = self.p2l_slot(local, ppa.block, ppa.page);
-        let info = &mut self.chips[local].blocks[ppa.block as usize];
-        if info.valid[ppa.page as usize] {
-            info.valid[ppa.page as usize] = false;
-            info.valid_count -= 1;
-        }
         if self.p2l[slot].take().is_some() {
             self.mapped_pages -= 1;
+            self.chips[local].blocks[ppa.block as usize].valid_count -= 1;
         }
         Ok(())
     }
@@ -711,7 +684,6 @@ impl Region {
         match dev.erase(chip, victim) {
             Ok(_) => {
                 let info = &mut self.chips[local].blocks[victim as usize];
-                info.valid.fill(false);
                 info.valid_count = 0;
                 info.write_cursor = 0;
                 info.free = true;
@@ -739,16 +711,10 @@ impl Region {
         plan: &mut Vec<(u32, u64)>,
         batch: &mut Vec<(u32, u64, CmdId)>,
     ) -> Result<()> {
-        // Plan the moves from the mapping tables before any device command
-        // is in flight: a missing mapping aborts the collection with
-        // nothing queued (previously a mid-batch lookup failure stranded
-        // the reads already submitted).
-        let valid = &self.chips[local].blocks[victim as usize].valid;
-        for page in (0..valid.len() as u32).filter(|&p| valid[p as usize]) {
-            let lba = self.p2l[self.p2l_slot(local, victim, page)]
-                .ok_or(NoFtlError::Internal("valid page has no logical owner"))?;
-            plan.push((page, lba));
-        }
+        // Plan the moves from the victim's logical owners, in page order,
+        // before any device command is in flight.
+        let owners = self.block_owners(local, victim).iter();
+        plan.extend(owners.enumerate().filter_map(|(page, &lba)| Some((page as u32, lba?))));
         self.submit_gc_reads(dev, local, victim, plan, batch)?;
         self.drain_completions(dev, local, victim, batch)
     }
@@ -839,16 +805,6 @@ impl Region {
                 dev.submit_copyback_program(old, new, OpOrigin::Background)
             })?;
         dev.complete(id)?;
-        // The moved image is offered to the installed rewriter, which may
-        // re-encode the page (e.g. under a newer [N×M] scheme) at zero
-        // extra flash I/O.
-        if let RewriterSlot(Some(rw)) = &self.rewriter {
-            if dev
-                .rewrite_moved(new, |main, oob| rw.rewrite_for_migration(self.id, lba, main, oob))?
-            {
-                self.stats.gc_rewrites += 1;
-            }
-        }
         self.map(Lba(lba), new)?;
         self.stats.gc_page_migrations += 1;
         Ok(())
@@ -893,11 +849,6 @@ impl Region {
             }
         }
         Ok(moved)
-    }
-
-    /// Number of free blocks across the region (diagnostics).
-    pub(crate) fn free_blocks(&self) -> usize {
-        self.chips.iter().map(|c| c.free_blocks.len()).sum()
     }
 
     /// Number of mapped logical pages.
@@ -1212,7 +1163,8 @@ mod tests {
                 r.write(&mut dev, Lba(lba), &page((round * 7 + lba) as u8), IoCtx::host()).unwrap();
             }
         }
-        assert!(r.free_blocks() >= 1);
+        assert!(r.chips.iter().any(|c| !c.free_blocks.is_empty()));
+        assert_region_invariants(&r);
     }
 
     #[test]
@@ -1336,9 +1288,8 @@ mod tests {
                     continue;
                 }
                 let Some(victim) = r.select_victim(local, per_block) else { continue };
-                let valid = &r.chips[local].blocks[victim as usize].valid;
-                if let Some(page) = valid.iter().position(|&v| v) {
-                    target = r.p2l[r.p2l_slot(local, victim, page as u32)];
+                target = r.block_owners(local, victim).iter().find_map(|&lba| lba);
+                if target.is_some() {
                     break 'churn;
                 }
             }
@@ -1365,7 +1316,7 @@ mod tests {
     /// duplicate free-list entries, free blocks still holding valid pages,
     /// and orphan p2l entries (two physical copies mapped for one LBA).
     fn assert_region_invariants(r: &Region) {
-        for state in &r.chips {
+        for (local, state) in r.chips.iter().enumerate() {
             let mut seen = std::collections::HashSet::new();
             for &b in &state.free_blocks {
                 assert!(seen.insert(b), "duplicate free-list entry for block {b}");
@@ -1375,7 +1326,8 @@ mod tests {
                 assert_eq!(info.valid_count, 0, "free block {b} holds valid pages");
             }
             for (b, info) in state.blocks.iter().enumerate() {
-                let n = info.valid.iter().filter(|&&v| v).count() as u32;
+                let owners = r.block_owners(local, b as u32);
+                let n = owners.iter().filter(|lba| lba.is_some()).count() as u32;
                 assert_eq!(info.valid_count, n, "valid_count mismatch on block {b}");
                 assert!(!info.collecting, "collecting flag leaked on block {b}");
             }

@@ -58,10 +58,6 @@ ipa_flash::counters! {
         /// read batch after a mid-migration error (the drain is best-effort so
         /// the first error can propagate; later failures are counted here).
         pub gc_drain_failures: u64,
-        /// Pages re-encoded in flight by the installed [`crate::PageRewriter`]
-        /// while a GC or wear-leveling migration carried them — scheme
-        /// reconfigurations that cost zero extra flash I/O.
-        pub gc_rewrites: u64,
     }
 }
 
