@@ -80,16 +80,30 @@ impl Block {
         &self.pages[page as usize]
     }
 
-    /// Mutable access to a page for the device's program paths.
+    /// Mutable access to a page that leaves the block's state alone: a
+    /// copy-back source or a discarded page gives its buffer up, and a
+    /// retired block stays retired.
     pub(crate) fn page_mut(&mut self, page: u32) -> &mut PageData {
-        self.state = BlockState::InUse;
         &mut self.pages[page as usize]
     }
 
-    /// Erase the whole block, resetting every page: the pages' main-area
-    /// buffers move to `spare` (pointer moves, no refill). Fails once the
-    /// endurance limit is reached; the failing erase is counted as the
-    /// wearing-out cycle.
+    /// Run a program or append `write` on page `page`. Once it has written
+    /// the page the block is in use; a refused one changes nothing. The
+    /// device refuses writes to a retired block before it gets here.
+    pub(crate) fn write(
+        &mut self,
+        page: u32,
+        write: impl FnOnce(&mut PageData) -> Result<(), FlashError>,
+    ) -> Result<(), FlashError> {
+        write(&mut self.pages[page as usize])?;
+        self.state = BlockState::InUse;
+        Ok(())
+    }
+
+    /// Erase the whole block, resetting every page: main-area buffers still
+    /// on its pages — those nobody discarded — move to `spare` (pointer
+    /// moves, no refill). Fails once the endurance limit is reached; the
+    /// failing erase is counted as the wearing-out cycle.
     pub(crate) fn erase(
         &mut self,
         chip: u32,
@@ -143,7 +157,12 @@ mod tests {
     fn programming_marks_in_use_and_erase_resets() {
         let mut b = Block::new(4, 8);
         let mut spare = spare();
-        b.page_mut(1).program(Ppa::new(0, 0, 1), &[0u8; 128], &[], &mut spare).unwrap();
+        let ppa = Ppa::new(0, 0, 1);
+        // A refused program writes nothing, so the block stays free.
+        let short = b.write(1, |p| p.program(ppa, &[0u8; 7], &[], &mut spare));
+        assert!(matches!(short, Err(FlashError::RangeOutOfPage { .. })));
+        assert_eq!(b.state(), BlockState::Free);
+        b.write(1, |p| p.program(ppa, &[0u8; 128], &[], &mut spare)).unwrap();
         assert_eq!(b.state(), BlockState::InUse);
         assert_eq!(b.programmed_pages(), 1);
         b.erase(0, 0, 100, &mut spare).unwrap();
@@ -172,7 +191,7 @@ mod tests {
         // metadata untouched.
         let mut b = Block::new(2, 4);
         let ppa = Ppa::new(0, 0, 0);
-        b.page_mut(0).program(ppa, &[0xAB; 128], &[(0, &[0x12, 0x34])], &mut spare()).unwrap();
+        b.write(0, |p| p.program(ppa, &[0xAB; 128], &[(0, &[0x12, 0x34])], &mut spare())).unwrap();
         b.retire();
         assert!(b.bad_marked());
         assert_eq!(&b.page(0).oob()[..2], &[0x12, 0x34]);

@@ -227,8 +227,9 @@ pub struct FlashDevice {
     ledger: ErrorLedger,
     fault: FaultInjector,
     rng: StdRng,
-    /// Page buffers detached by erases or handed back through
-    /// [`FlashDevice::recycle`], reused by the next program or read.
+    /// Page buffers given up by [`FlashDevice::discard`], detached by
+    /// erases or handed back through [`FlashDevice::recycle`], reused by
+    /// the next program or read — the one given up last first.
     spare: SparePages,
     /// What the last [`Self::drain`] retired; empty between drains.
     drained: Vec<Completion>,
@@ -628,8 +629,8 @@ impl FlashDevice {
     /// Zero-copy view of a page's main area, bypassing timing, statistics
     /// and the error model: what the cells hold, for tests that check the
     /// device itself. `crates/clippy.toml` bans it in every crate of the
-    /// stack. An erased page reads as all ones; a migrated one has nothing
-    /// to show ([`FlashError::PageMigrated`]).
+    /// stack. An erased page reads as all ones; a stale one has nothing to
+    /// show ([`FlashError::PageStale`]).
     pub fn peek(&self, ppa: Ppa) -> Result<&[u8]> {
         self.check(ppa)?;
         match self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page).readable(ppa) {
@@ -671,9 +672,20 @@ impl FlashDevice {
         self.take_obs_ctx()
     }
 
-    /// The page at a checked address, for the device's write paths.
+    /// The page at a checked address, to give its buffer up (a copy-back
+    /// source, a discard); the block's state is left alone.
     fn page_mut(&mut self, ppa: Ppa) -> &mut PageData {
         self.chips[ppa.chip as usize].block_mut(ppa.block).page_mut(ppa.page)
+    }
+
+    /// Run a program or append `write` on the page at a checked address.
+    fn write_page(
+        &mut self,
+        ppa: Ppa,
+        write: impl FnOnce(&mut PageData, &mut SparePages) -> Result<()>,
+    ) -> Result<()> {
+        let spare = &mut self.spare;
+        self.chips[ppa.chip as usize].block_mut(ppa.block).write(ppa.page, |p| write(p, spare))
     }
 
     /// Queue a page read; the page data travels in the completion.
@@ -753,12 +765,7 @@ impl FlashDevice {
     ) -> Result<CmdId> {
         let ctx = self.admit(origin);
         self.program_verdict(ppa, ctx)?;
-        self.chips[ppa.chip as usize].block_mut(ppa.block).page_mut(ppa.page).program(
-            ppa,
-            data,
-            oob,
-            &mut self.spare,
-        )?;
+        self.write_page(ppa, |page, spare| page.program(ppa, data, oob, spare))?;
         Ok(self.finish_program(ppa, origin, ctx))
     }
 
@@ -769,9 +776,10 @@ impl FlashDevice {
     /// block, fault verdict, erased — and only once all have passed does
     /// `src`'s main-area buffer move to `dst` (no byte is copied) and its
     /// OOB bytes get copied after it. A refused or faulted command changes
-    /// neither page. From then on `src` is [`PageState::Migrated`] until
-    /// its block is erased. Counted, traced and timed as a program of a
-    /// whole page.
+    /// neither page. From then on `src` is [`PageState::Stale`] until its
+    /// block is erased; its block's state is left as it was, so a move out
+    /// of a retired block leaves it retired. Counted, traced and timed as a
+    /// program of a whole page.
     pub fn submit_copyback_program(
         &mut self,
         src: Ppa,
@@ -785,10 +793,14 @@ impl FlashDevice {
         self.chips[dst.chip as usize].block(dst.block).page(dst.page).check_erased(dst)?;
         // The source leaves its slot for the length of the move (an empty
         // placeholder, which allocates nothing, stands in): `dst` takes its
-        // buffer and copies its OOB, and it goes back migrated.
+        // buffer and copies its OOB, and it goes back stale.
         let mut source = std::mem::take(self.page_mut(src));
-        self.page_mut(dst).move_from(&mut source);
+        let moved = self.write_page(dst, |page, _| {
+            page.move_from(&mut source);
+            Ok(())
+        });
         *self.page_mut(src) = source;
+        moved?;
         Ok(self.finish_program(dst, origin, ctx))
     }
 
@@ -873,10 +885,9 @@ impl FlashDevice {
             return Err(FlashError::ProgramFailed { ppa, permanent: false });
         }
         let max = self.config.max_appends();
-        let attempt = self.chips[ppa.chip as usize]
-            .block_mut(ppa.block)
-            .page_mut(ppa.page)
-            .program_partial(ppa, offset, data, oob, max, &mut self.spare);
+        let attempt = self.write_page(ppa, |page, spare| {
+            page.program_partial(ppa, offset, data, oob, max, spare)
+        });
         if let Err(e) = attempt {
             if matches!(e, FlashError::IsppViolation { .. }) {
                 self.stats.ispp_violations += 1;
@@ -915,6 +926,24 @@ impl FlashDevice {
     ) -> Result<OpResult> {
         let id = self.submit_program_partial(ppa, offset, data, &[], origin)?;
         Ok(self.complete(id)?.result)
+    }
+
+    /// Give up the bytes of a page nothing maps any more: the management
+    /// layer calls this when a mapping lets go of `ppa`. The page's
+    /// main-area buffer goes to the spare list at once, so the next program
+    /// or read takes it while it is still in cache, instead of waiting on
+    /// the page until its block's erase. The page becomes
+    /// [`PageState::Stale`]: its cells stay charged — no program or append
+    /// until the erase, the append count and the block's wear untouched —
+    /// and its OOB bytes stay readable, but a read, copy-back, refresh or
+    /// `peek` is refused ([`FlashError::PageStale`]). A stale or erased
+    /// page has nothing to give up and is left as it is. Costs no simulated
+    /// time, and counts and traces nothing: the cells do not change.
+    pub fn discard(&mut self, ppa: Ppa) -> Result<()> {
+        self.check(ppa)?;
+        let page = self.chips[ppa.chip as usize].block_mut(ppa.block).page_mut(ppa.page);
+        page.discard(&mut self.spare);
+        Ok(())
     }
 
     /// Queue a block erase. Counts wear and fails once the endurance limit
@@ -1828,8 +1857,8 @@ mod tests {
         // The moved page is a page like any other: it takes appends.
         d.program_partial(dst, 4000, &[0x01; 8], OpOrigin::Host).unwrap();
         // The source refuses every access to its main area until erased.
-        let gone = FlashError::PageMigrated(src);
-        assert_eq!(d.page_state(src).unwrap(), PageState::Migrated);
+        let gone = FlashError::PageStale(src);
+        assert_eq!(d.page_state(src).unwrap(), PageState::Stale { appends: 0 });
         assert_eq!(d.read(src, OpOrigin::Host).unwrap_err(), gone);
         assert_eq!(d.submit_copyback_read(src, OpOrigin::Background).unwrap_err(), gone);
         let elsewhere = Ppa::new(0, 9, 1);
@@ -1844,7 +1873,7 @@ mod tests {
         );
         let spare = d.spare_len();
         d.erase(0, 3).unwrap();
-        assert_eq!(d.spare_len(), spare, "the migrated page had no buffer left to detach");
+        assert_eq!(d.spare_len(), spare, "the stale page had no buffer left to detach");
         assert_eq!(d.read(src, OpOrigin::Host).unwrap_err(), FlashError::ReadOfErasedPage(src));
         d.program(src, &data, OpOrigin::Host).unwrap();
     }
@@ -1945,6 +1974,90 @@ mod tests {
         assert_eq!((d.stats().program_failures, d.stats().gc_programs), (2, 0));
         copy_back(&mut d, src, Ppa::new(0, 2, 1), gc).unwrap();
         assert_eq!(d.peek(Ppa::new(0, 2, 1)).unwrap(), &data[..]);
+    }
+
+    #[test]
+    fn a_copy_back_out_of_a_retired_block_leaves_it_retired() {
+        let mut d = dev();
+        let (src, dst) = (Ppa::new(0, 4, 0), Ppa::new(0, 5, 0));
+        d.program(src, &full(&d, 0x42), OpOrigin::Host).unwrap();
+        d.retire(0, 4).unwrap();
+        copy_back(&mut d, src, dst, OpOrigin::Background).unwrap();
+        assert!(d.is_block_retired(0, 4).unwrap(), "the move revived the retired block");
+        assert_eq!(d.discard(Ppa::new(0, 4, 0)), Ok(()));
+        assert!(d.is_block_retired(0, 4).unwrap(), "the discard revived the retired block");
+        assert_eq!(d.stats().retired_blocks, 1);
+    }
+
+    #[test]
+    fn a_discarded_page_keeps_cells_and_oob_and_its_buffer_serves_the_next_program() {
+        use crate::obs::{ObsEvent, Observer};
+        use std::sync::{Arc, Mutex};
+
+        #[derive(Clone, Default)]
+        struct Shared(Arc<Mutex<Vec<ObsEvent>>>);
+        impl Observer for Shared {
+            fn on_event(&mut self, event: ObsEvent) {
+                self.0.lock().unwrap().push(event);
+            }
+        }
+
+        let mut d = dev();
+        let (ppa, next) = (Ppa::new(0, 6, 0), Ppa::new(0, 7, 0));
+        let mut data = full(&d, 0xFF);
+        data[..100].fill(0x11);
+        program_with_oob(&mut d, ppa, &data, &[(0, &[0xCA, 0xFE])]).unwrap();
+        append_with_oob(&mut d, ppa, 4000, &[0x22; 8], &[(8, &[0x5A])]).unwrap();
+        let buffer = d.peek(ppa).unwrap().as_ptr();
+        let (stats, chips, now) =
+            (format!("{:?}", d.stats()), d.chip_counters(), d.clock().now_ns());
+        let (wear, spare) = (d.block_erase_count(0, 6).unwrap(), d.spare_len());
+        let sink = Shared::default();
+        d.attach_observer(Box::new(sink.clone()));
+        d.discard(ppa).unwrap();
+        // Free: no counter, no clock, no event, no wear; the cells, their
+        // append count and the OOB bytes are as they were.
+        assert_eq!(format!("{:?}", d.stats()), stats);
+        assert_eq!((d.chip_counters(), d.clock().now_ns()), (chips, now));
+        assert!(sink.0.lock().unwrap().is_empty(), "a discard emitted events");
+        assert_eq!(d.block_erase_count(0, 6).unwrap(), wear);
+        assert_eq!(d.page_state(ppa).unwrap(), PageState::Stale { appends: 1 });
+        assert_eq!(
+            (&d.read_oob(ppa).unwrap()[..2], d.read_oob(ppa).unwrap()[8]),
+            (&[0xCA, 0xFE][..], 0x5A)
+        );
+        assert_eq!(d.spare_len(), spare + 1);
+        // Nothing reads, moves, refreshes, appends to or programs it.
+        let stale = FlashError::PageStale(ppa);
+        assert_eq!(d.read(ppa, OpOrigin::Host).unwrap_err(), stale);
+        assert_eq!(d.submit_copyback_read(ppa, OpOrigin::Background).unwrap_err(), stale);
+        let gc = OpOrigin::Background;
+        assert_eq!(d.submit_copyback_program(ppa, Ppa::new(0, 8, 0), gc).unwrap_err(), stale);
+        assert_eq!(d.refresh(ppa).unwrap_err(), stale);
+        assert_eq!(d.peek(ppa).unwrap_err(), stale);
+        assert_eq!(d.program_partial(ppa, 4010, &[0x33], OpOrigin::Host).unwrap_err(), stale);
+        let not_erased = FlashError::ProgramNotErased(ppa);
+        assert_eq!(d.program(ppa, &data, OpOrigin::Host).unwrap_err(), not_erased);
+        assert_eq!(d.page_state(ppa).unwrap(), PageState::Stale { appends: 1 });
+        // The next program lands in the buffer the discard gave up.
+        d.program(next, &full(&d, 0x77), OpOrigin::Host).unwrap();
+        assert_eq!(d.peek(next).unwrap().as_ptr(), buffer, "the buffer given up last is reused");
+        // Discarding a stale page, a migrated one or an erased one changes
+        // nothing; neither does the stale page's erase, which finds no
+        // buffer to detach.
+        copy_back(&mut d, next, Ppa::new(0, 9, 0), gc).unwrap();
+        let spare = d.spare_len();
+        for page in [ppa, next, Ppa::new(0, 10, 0)] {
+            let state = d.page_state(page).unwrap();
+            d.discard(page).unwrap();
+            assert_eq!((d.page_state(page).unwrap(), d.spare_len()), (state, spare), "{page}");
+        }
+        d.erase(0, 6).unwrap();
+        assert_eq!((d.page_state(ppa).unwrap(), d.spare_len()), (PageState::Erased, spare));
+        assert_eq!(d.block_erase_count(0, 6).unwrap(), wear + 1);
+        d.program(ppa, &data, OpOrigin::Host).unwrap();
+        let outside = Ppa::new(9, 0, 0);
+        assert_eq!(d.discard(outside), Err(FlashError::AddressOutOfRange(outside)));
     }
 
     #[test]

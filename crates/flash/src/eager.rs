@@ -4,11 +4,11 @@
 //! [`EagerPage`] is the previous `PageData`: every page owns a main-area
 //! buffer from construction, an erase refills it with `0xFF`, a read copies
 //! out of it, and a copy-back program copies it too (the source only
-//! changes state). [`EagerDevice`] wraps an array of them with the device's
-//! counting rules — a fault plan that fails every seventh full program, and
-//! a count of the buffers the real device should be holding spare — so
-//! that every `Result`, every byte and the whole of [`FlashStats`] can be
-//! predicted for a sequence of commands.
+//! changes state, as a discarded page does). [`EagerDevice`] wraps an array
+//! of them with the device's counting rules — a fault plan that fails every
+//! seventh full program, and a count of the buffers the real device should
+//! be holding spare — so that every `Result`, every byte and the whole of
+//! [`FlashStats`] can be predicted for a sequence of commands.
 
 use crate::device::{FlashConfig, FlashDevice, OpOrigin};
 use crate::error::FlashError;
@@ -78,7 +78,7 @@ impl EagerPage {
         let appends = match self.state {
             PageState::Erased => None,
             PageState::Programmed { appends } => Some(appends),
-            PageState::Migrated => return Err(FlashError::PageMigrated(ppa)),
+            PageState::Stale { .. } => return Err(FlashError::PageStale(ppa)),
         };
         if let Some(appends) = appends {
             if appends >= max_appends {
@@ -153,8 +153,9 @@ struct EagerDevice {
     max_appends: u32,
     pages: Vec<EagerPage>,
     stats: FlashStats,
-    /// Buffers the real device holds for reuse: detached by erases and
-    /// recycled in, taken out by reads and by programs of erased pages.
+    /// Buffers the real device holds for reuse: given up by discards,
+    /// detached by erases and recycled in, taken out by reads and by
+    /// programs of erased pages.
     spare: usize,
     /// Full programs that reached the fault check so far.
     programs_checked: u64,
@@ -206,7 +207,7 @@ impl EagerDevice {
         match page.state {
             PageState::Programmed { .. } => Ok(&page.main),
             PageState::Erased => Err(FlashError::ReadOfErasedPage(ppa)),
-            PageState::Migrated => Err(FlashError::PageMigrated(ppa)),
+            PageState::Stale { .. } => Err(FlashError::PageStale(ppa)),
         }
     }
 
@@ -257,8 +258,9 @@ impl EagerDevice {
 
     /// The source must be readable; the target checks of a program follow
     /// in their order (address, fault, erased). Only then are the bytes and
-    /// the OOB copied — and the source becomes migrated. The real device
-    /// moves the source's buffer instead, so no spare changes hands.
+    /// the OOB copied — and the source becomes stale, its append count
+    /// kept. The real device moves the source's buffer instead, so no spare
+    /// changes hands.
     fn copyback_program(&mut self, src: Ppa, dst: Ppa, origin: OpOrigin) -> Result<(), FlashError> {
         let from = self.slot(src)?;
         self.readable(src)?;
@@ -272,8 +274,21 @@ impl EagerDevice {
         target.main.copy_from_slice(&source.main);
         target.oob.copy_from_slice(&source.oob);
         target.state = PageState::Programmed { appends: 0 };
-        self.pages[from].state = PageState::Migrated;
+        self.pages[from].state = stale(source.state);
         self.count_program(origin);
+        Ok(())
+    }
+
+    /// A programmed page goes stale, its bytes and OOB kept here, and the
+    /// real device's buffer joins the spares; any other page is left alone.
+    /// Nothing is counted.
+    fn discard(&mut self, ppa: Ppa) -> Result<(), FlashError> {
+        let slot = self.slot(ppa)?;
+        let page = &mut self.pages[slot];
+        if page.state.is_programmed() {
+            page.state = stale(page.state);
+            self.spare += 1;
+        }
         Ok(())
     }
 
@@ -328,6 +343,15 @@ impl EagerDevice {
 
     fn recycle(&mut self, buf: &[u8]) {
         self.spare += usize::from(buf.len() == self.geometry.page_size);
+    }
+}
+
+/// What a programmed page's state becomes when its bytes leave: stale, with
+/// the partial programs its cells took.
+fn stale(state: PageState) -> PageState {
+    match state {
+        PageState::Programmed { appends } => PageState::Stale { appends },
+        other => other,
     }
 }
 
@@ -403,7 +427,7 @@ impl Pair {
             let page = &self.oracle.pages[self.oracle.slot(ppa).unwrap()];
             assert_eq!(self.dev.page_state(ppa).unwrap(), page.state, "state of {ppa}, {at}");
             let main = match page.state {
-                PageState::Migrated => Err(FlashError::PageMigrated(ppa)),
+                PageState::Stale { .. } => Err(FlashError::PageStale(ppa)),
                 _ => Ok(&page.main[..]),
             };
             assert_eq!(self.dev.peek(ppa), main, "main of {ppa}, {at}");
@@ -518,6 +542,12 @@ impl Pair {
         want
     }
 
+    fn discard(&mut self, ppa: Ppa) {
+        let want = self.oracle.discard(ppa);
+        assert_eq!(self.dev.discard(ppa), want, "discard of {ppa}");
+        self.check("discard");
+    }
+
     fn erase(&mut self, chip: u32, block: u32) {
         let want = self.oracle.erase(chip, block);
         assert_eq!(self.dev.erase(chip, block).map(|_| ()), want, "erase of {chip}/{block}");
@@ -532,28 +562,35 @@ impl Pair {
 }
 
 /// The device and the oracle agree on every result, byte, page state and
-/// counter over a scripted opening and a 6 000-command random walk. OOB
+/// counter over a scripted opening and an 8 000-command random walk. OOB
 /// bytes are written only as the OOB half of a program or an append, on
 /// the faulted seventh full programs too.
 ///
-/// That the oracle still bites was checked by planting four mutations in a
+/// That the oracle still bites was checked by planting six mutations in a
 /// copy of the device, each run with the opening and with it removed:
 /// - "OOB written on a faulted program" (`submit_program` programs the OOB
 ///   writes when the fault verdict refuses the command) fails at the
 ///   opening's faulted program, step 33 (`oob of c1/b1/p3`), and in the
-///   walk at step 46;
+///   walk at step 41;
 /// - "OOB checked after the main half is written" (`check_oob` moved below
 ///   the main-area write of `PageData::program_partial`) fails at the
 ///   opening's append whose OOB half is refused, step 34 (`appends: 1`,
 ///   oracle 0), and in the walk at step 2;
 /// - "source still readable after copy-back" (`move_from` leaves the
 ///   source programmed with a copy) fails at the opening's first move,
-///   step 23 (state `Programmed`, oracle `Migrated`), and in the walk at
-///   step 108;
+///   step 23 (state `Programmed`, oracle `Stale`), and in the walk at
+///   step 67;
 /// - "target-erased check skipped" (no `check_erased` in
 ///   `submit_copyback_program`) fails at the opening's move onto a
 ///   programmed page (device `Ok`, oracle `ProgramNotErased`), and in the
-///   walk at its first move onto a programmed page.
+///   walk at its first move onto a programmed page;
+/// - "discard leaves the page readable" (`PageData::discard` hands the
+///   spares a copy of the buffer and keeps the page programmed, so the
+///   spare count still agrees) fails at the opening's discard, step 37
+///   (state `Programmed`, oracle `Stale`), and in the walk at step 51;
+/// - "discard erases the OOB" (`PageData::discard` refills the OOB area
+///   with `0xFF`) fails at the same two steps (`oob of c1/b1/p0`, and of
+///   the walk's first discarded page).
 #[test]
 fn sparse_device_matches_the_eager_page_oracle() {
     let mut pair = Pair::new();
@@ -604,8 +641,8 @@ fn sparse_device_matches_the_eager_page_oracle() {
     assert_eq!(pair.copyback_program(src, dst, gc), Ok(()));
     assert_eq!(pair.read(src, OpOrigin::Host), None);
     let again = Ppa::new(0, 1, 1);
-    assert_eq!(pair.copyback_program(src, again, gc), Err(FlashError::PageMigrated(src)));
-    assert_eq!(pair.program_partial(src, 0, &[0], &[], gc), Err(FlashError::PageMigrated(src)));
+    assert_eq!(pair.copyback_program(src, again, gc), Err(FlashError::PageStale(src)));
+    assert_eq!(pair.program_partial(src, 0, &[0], &[], gc), Err(FlashError::PageStale(src)));
     let not_erased = Err(FlashError::ProgramNotErased(src));
     assert_eq!(pair.program(src, &image, &[], OpOrigin::Host), not_erased, "a migrated page");
     pair.erase(1, 0);
@@ -629,13 +666,32 @@ fn sparse_device_matches_the_eager_page_oracle() {
     let past = FlashError::RangeOutOfPage { ppa: d, offset: 6, len: 4, area: 8 };
     assert_eq!(pair.program_partial(d, 16, &[0x11; 4], &[(6, &[0; 4])], host), Err(past));
     assert_eq!(pair.program_partial(d, 16, &[0x11; 4], &[(2, &[0; 2])], host), Ok(()));
+    // (6) Discard: the appended page `d` gives its buffer up and keeps its
+    // OOB and append count; it refuses reads, moves, appends and programs
+    // until its block's erase, which finds no buffer there. Discarding it
+    // again, the migrated `dst`'s source or an erased page changes nothing.
+    pair.discard(d);
+    assert_eq!(pair.read(d, host), None);
+    pair.copyback_read(d, OpOrigin::Background);
+    let stale = Err(FlashError::PageStale(d));
+    assert_eq!(pair.copyback_program(d, Ppa::new(0, 2, 0), gc), stale);
+    assert_eq!(pair.program_partial(d, 20, &[0x11], &[], host), stale);
+    assert_eq!(pair.program(d, &image, &[], host), Err(FlashError::ProgramNotErased(d)));
+    pair.discard(d);
+    pair.copyback_read(dst, gc);
+    assert_eq!(pair.copyback_program(dst, Ppa::new(0, 2, 1), gc), Ok(()));
+    pair.discard(dst);
+    pair.discard(Ppa::new(0, 2, 2));
+    pair.discard(Ppa::new(2, 0, 0));
+    pair.erase(1, 1);
 
     let mut rng = Lcg(0x1AA7_5EED);
     let mut kept: Vec<Vec<u8>> = Vec::new();
     let (mut violations, mut over_budget, mut onto_erased) = (0, 0, 0);
-    let (mut moved, mut onto_programmed, mut faulted_moves, mut migrated_reads) = (0, 0, 0, 0);
+    let (mut moved, mut onto_programmed, mut faulted_moves, mut stale_reads) = (0, 0, 0, 0);
+    let mut discarded = 0;
     let (mut faulted_with_oob, mut refused_for_oob) = (0, 0);
-    for _ in 0..6_000 {
+    for _ in 0..8_000 {
         let g = pair.oracle.geometry.clone();
         let ppa = rng.ppa(&g);
         let origin = [OpOrigin::Host, OpOrigin::HostAsync, OpOrigin::Background][rng.below(3)];
@@ -691,7 +747,8 @@ fn sparse_device_matches_the_eager_page_oracle() {
             }
             8 if rng.below(3) == 0 => pair.erase(ppa.chip, ppa.block),
             9..=12 => {
-                migrated_reads += usize::from(pair.dev.page_state(ppa) == Ok(PageState::Migrated));
+                let state = pair.dev.page_state(ppa);
+                stale_reads += usize::from(matches!(state, Ok(PageState::Stale { .. })));
                 if let Some(mut buf) = pair.read(ppa, origin) {
                     match rng.below(8) {
                         // Keep it for later, drop it, hand it back cut or
@@ -734,6 +791,12 @@ fn sparse_device_matches_the_eager_page_oracle() {
                     Err(_) => {}
                 }
             }
+            // Let go of the page, as NoFTL does once nothing maps it.
+            17 if rng.below(2) == 0 => {
+                discarded +=
+                    usize::from(pair.dev.page_state(ppa).is_ok_and(PageState::is_programmed));
+                pair.discard(ppa);
+            }
             _ => pair.check("idle"),
         }
     }
@@ -743,7 +806,8 @@ fn sparse_device_matches_the_eager_page_oracle() {
     assert!(onto_erased > 50, "{onto_erased} partial programs of erased pages");
     assert!(moved > 50 && onto_programmed > 50, "{moved} moves, {onto_programmed} refused");
     assert!(faulted_moves > 10, "{faulted_moves} faulted moves");
-    assert!(migrated_reads > 50, "{migrated_reads} reads of migrated pages");
+    assert!(stale_reads > 50, "{stale_reads} reads of stale pages");
+    assert!(discarded > 50, "{discarded} programmed pages discarded");
     assert!(faulted_with_oob > 10, "{faulted_with_oob} faulted programs carrying OOB writes");
     assert!(refused_for_oob > 50, "{refused_for_oob} appends refused for their OOB half");
     assert!(pair.oracle.programs_checked < FAULT_SCRIPT);

@@ -54,11 +54,11 @@ pub enum FlashError {
     /// but the simulator flags them because the management layer should
     /// never fetch unmapped pages.
     ReadOfErasedPage(Ppa),
-    /// Read, program or append of a page whose contents a copy-back program
-    /// moved to another page. Its cells stay charged, but the device holds
-    /// nothing there to return: the page is unusable until its block is
-    /// erased.
-    PageMigrated(Ppa),
+    /// Read, append, refresh or copy-back of a stale page: one whose bytes a
+    /// copy-back program moved to another page, or that the management
+    /// layer discarded. Its cells stay charged, but the device holds nothing
+    /// there to return: the page is unusable until its block is erased.
+    PageStale(Ppa),
     /// Erase issued to a block that already reached its endurance limit.
     BlockWornOut {
         /// Chip index.
@@ -140,8 +140,8 @@ impl std::fmt::Display for FlashError {
             FlashError::ReadOfErasedPage(ppa) => {
                 write!(f, "read of erased (never programmed) page {ppa}")
             }
-            FlashError::PageMigrated(ppa) => {
-                write!(f, "page {ppa} was moved by a copy-back program; unusable until erased")
+            FlashError::PageStale(ppa) => {
+                write!(f, "page {ppa} is stale (moved or discarded); unusable until erased")
             }
             FlashError::BlockWornOut { chip, block, cycles } => {
                 write!(f, "block c{chip}/b{block} worn out after {cycles} P/E cycles")

@@ -35,9 +35,13 @@
 //!   without a host transfer — the management layer's GC migrations. The
 //!   page's buffer moves to the target (no byte is copied; the OOB bytes
 //!   are) only after every program check has passed, and the source is then
-//!   [`PageState::Migrated`]: unreadable until its block is erased. The pair
+//!   [`PageState::Stale`]: unreadable until its block is erased. The pair
 //!   is timed, counted and traced exactly like a read + program of the
 //!   page, so a migration costs the same simulated time either way.
+//! * **Discard.** [`FlashDevice::discard`] is how the management layer says
+//!   a page stopped mapping anything: the page goes stale at once and its
+//!   buffer serves the next program or read, while its cells, OOB bytes and
+//!   wear stay as they are until the erase. It costs no simulated time.
 //!
 //! The simulator deliberately stops at the chip interface: logical-to-
 //! physical mapping, garbage collection and wear leveling live in

@@ -6,12 +6,14 @@
 //! OOB (spare) area of one page and enforces that rule on every program.
 //!
 //! An erased page holds no main-area buffer: it *is* all ones, so nothing
-//! needs storing until the first program. Buffers detached by an erase wait
-//! in the device's [`SparePages`] and are handed to the next program or
-//! read, so a page-sized buffer is allocated only while that list is empty.
-//! A copy-back program ([`PageData::move_from`]) hands a page's buffer to
-//! another page whole; the source is then *migrated* — neither erased nor
-//! readable — until its block is erased.
+//! needs storing until the first program. A page whose bytes are no longer
+//! wanted holds none either: a copy-back program ([`PageData::move_from`])
+//! hands the buffer to another page whole, and a discard
+//! ([`PageData::discard`]) hands it to the device's [`SparePages`], where
+//! the next program or read picks it up. Either way the page is then
+//! *stale* — its cells charged, so neither erased nor programmable, and
+//! nothing left to read — until its block is erased. A page-sized buffer is
+//! allocated only while the spare list is empty.
 
 use crate::error::FlashError;
 use crate::geometry::Ppa;
@@ -27,15 +29,20 @@ pub enum PageState {
         /// Number of partial programs performed after the initial program.
         appends: u32,
     },
-    /// A copy-back program moved the page's contents to another page. The
-    /// cells are not erased, and the device refuses to read, program or
-    /// append to them until the block is erased.
-    Migrated,
+    /// The cells are charged but their bytes have left: a copy-back program
+    /// moved them to another page, or the management layer discarded the
+    /// page once it stopped mapping anything. The device refuses to read,
+    /// program or append to the page until its block is erased; the OOB
+    /// bytes stay readable.
+    Stale {
+        /// Partial programs the cells took before the bytes left.
+        appends: u32,
+    },
 }
 
 impl PageState {
-    /// Whether the page holds programmed data (a migrated page does not:
-    /// its data lives on the copy-back target).
+    /// Whether the page holds programmed data (a stale page does not: its
+    /// bytes moved to a copy-back target or were discarded).
     pub fn is_programmed(self) -> bool {
         matches!(self, PageState::Programmed { .. })
     }
@@ -53,9 +60,16 @@ pub(crate) fn ispp_allows(old: u8, new: u8) -> bool {
 
 /// Detached main-area buffers awaiting reuse, each exactly one page long.
 ///
-/// Filled by block erases and by [`SparePages::put`] (the device's
-/// `recycle`), drained by programs and reads. Contents of a spare buffer
-/// are stale: every taker overwrites the buffer whole.
+/// Filled by discards, by erases of pages nobody discarded and by
+/// [`SparePages::put`] (the device's `recycle`), drained by programs and
+/// reads. Contents of a spare buffer are dead: every taker overwrites the
+/// buffer whole.
+///
+/// The list is a stack, and that order is load-bearing: a taker gets the
+/// buffer released last. A host write discards the copy it supersedes just
+/// after programming the new one, so the next program or read lands in
+/// memory that was written moments ago and is still in cache. A queue would
+/// hand out the buffer released longest ago — the coldest there is.
 #[derive(Debug)]
 pub(crate) struct SparePages {
     page_size: usize,
@@ -80,8 +94,9 @@ impl SparePages {
         self.free.len()
     }
 
-    /// Accept a buffer for reuse. One whose length is not the page size is
-    /// dropped: takers rely on every spare being exactly one page long.
+    /// Accept a buffer for reuse, on top of the stack. One whose length is
+    /// not the page size is dropped: takers rely on every spare being
+    /// exactly one page long.
     pub(crate) fn put(&mut self, buf: Vec<u8>) {
         if buf.len() == self.page_size {
             self.free.push(buf);
@@ -122,9 +137,9 @@ enum Cells {
     /// The cells, and the number of partial programs since the initial
     /// program.
     Programmed { main: Vec<u8>, appends: u32 },
-    /// The buffer went to a copy-back target; nothing is readable here until
-    /// the block is erased.
-    Migrated,
+    /// The buffer went to a copy-back target or back to the spare list;
+    /// nothing is readable here until the block is erased.
+    Stale { appends: u32 },
 }
 
 /// One physical page: main area + OOB area + state. The default value (no
@@ -146,17 +161,17 @@ impl PageData {
         match self.cells {
             Cells::Erased => PageState::Erased,
             Cells::Programmed { appends, .. } => PageState::Programmed { appends },
-            Cells::Migrated => PageState::Migrated,
+            Cells::Stale { appends } => PageState::Stale { appends },
         }
     }
 
     /// The main area, as a read returns it: refused for an erased page
-    /// (nothing was written) and for a migrated one (its buffer moved on).
+    /// (nothing was written) and for a stale one (its buffer moved on).
     pub fn readable(&self, ppa: Ppa) -> Result<&[u8], FlashError> {
         match &self.cells {
             Cells::Programmed { main, .. } => Ok(main),
             Cells::Erased => Err(FlashError::ReadOfErasedPage(ppa)),
-            Cells::Migrated => Err(FlashError::PageMigrated(ppa)),
+            Cells::Stale { .. } => Err(FlashError::PageStale(ppa)),
         }
     }
 
@@ -165,13 +180,32 @@ impl PageData {
         &self.oob
     }
 
-    /// Reset the page to the erased state (invoked by block erase): the
-    /// main-area buffer is detached into `spare`, not refilled.
+    /// Reset the page to the erased state (invoked by block erase): a
+    /// main-area buffer still here is detached into `spare`, not refilled.
     pub(crate) fn erase(&mut self, spare: &mut SparePages) {
         if let Cells::Programmed { main, .. } = std::mem::take(&mut self.cells) {
             spare.put(main);
         }
         self.oob.fill(0xFF);
+    }
+
+    /// Give the main-area buffer of a programmed page to `spare` now rather
+    /// than at the erase: the page is left stale, its append count and OOB
+    /// bytes as they were. A page holding no buffer (erased or stale) has
+    /// nothing to give and changes nothing.
+    pub(crate) fn discard(&mut self, spare: &mut SparePages) {
+        if let Some(main) = self.take_main() {
+            spare.put(main);
+        }
+    }
+
+    /// The main-area buffer of a programmed page, which is left stale;
+    /// `None` for a page that holds none.
+    fn take_main(&mut self) -> Option<Vec<u8>> {
+        let Cells::Programmed { main, appends } = &mut self.cells else { return None };
+        let (main, appends) = (std::mem::take(main), *appends);
+        self.cells = Cells::Stale { appends };
+        Some(main)
     }
 
     /// The target check of a full program: the page must be erased.
@@ -210,15 +244,12 @@ impl PageData {
 
     /// Copy-back program onto this page, which the device has checked is
     /// erased: take `src`'s main-area buffer whole — no byte is copied —
-    /// and a copy of its OOB bytes. `src` is left migrated. A source that
+    /// and a copy of its OOB bytes. `src` is left stale. A source that
     /// holds no programmed data has nothing to move and changes nothing.
     pub(crate) fn move_from(&mut self, src: &mut PageData) {
-        match std::mem::replace(&mut src.cells, Cells::Migrated) {
-            Cells::Programmed { main, .. } => {
-                self.cells = Cells::Programmed { main, appends: 0 };
-                self.oob.copy_from_slice(&src.oob);
-            }
-            other => src.cells = other,
+        if let Some(main) = src.take_main() {
+            self.cells = Cells::Programmed { main, appends: 0 };
+            self.oob.copy_from_slice(&src.oob);
         }
     }
 
@@ -252,7 +283,7 @@ impl PageData {
                 return Err(FlashError::AppendBudgetExceeded { ppa, performed: appends, max });
             }
             Cells::Programmed { main, .. } => check_ispp(ppa, offset, &main[offset..end], data)?,
-            Cells::Migrated => return Err(FlashError::PageMigrated(ppa)),
+            Cells::Stale { .. } => return Err(FlashError::PageStale(ppa)),
             // Hardware would happily program an erased page partially, but
             // a sane management layer always writes the initial image
             // first; we allow it and treat it as the initial program of the
@@ -431,33 +462,47 @@ mod tests {
     }
 
     #[test]
-    fn move_from_hands_the_buffer_over_and_leaves_the_source_migrated() {
+    fn move_from_hands_the_buffer_over_and_leaves_the_source_stale() {
         let (mut src, mut spare) = page();
         let mut dst = PageData::erased(16);
-        src.program(PPA, &[0x5A; 64], &[(3, &[0x12])], &mut spare).unwrap();
+        src.program(PPA, &[0xFF; 64], &[(3, &[0x12])], &mut spare).unwrap();
+        src.program_partial(PPA, 0, &[0x5A; 8], &[], 4, &mut spare).unwrap();
         let buffer = src.readable(PPA).unwrap().as_ptr();
         dst.move_from(&mut src);
         assert_eq!(dst.readable(PPA).unwrap().as_ptr(), buffer, "moved, not copied");
-        assert_eq!(dst.readable(PPA).unwrap(), &[0x5A; 64]);
+        assert_eq!(&dst.readable(PPA).unwrap()[..8], &[0x5A; 8]);
         assert_eq!(dst.state(), PageState::Programmed { appends: 0 });
         assert_eq!((dst.oob()[3], src.oob()[3]), (0x12, 0x12), "the OOB is copied");
-        assert_eq!(src.state(), PageState::Migrated);
-        assert_eq!(src.readable(PPA), Err(FlashError::PageMigrated(PPA)));
+        assert_eq!(src.state(), PageState::Stale { appends: 1 });
+        assert_eq!(src.readable(PPA), Err(FlashError::PageStale(PPA)));
         assert_eq!(
             src.program(PPA, &[0; 64], &[], &mut spare),
             Err(FlashError::ProgramNotErased(PPA))
         );
         assert_eq!(
             src.program_partial(PPA, 0, &[0], &[], 4, &mut spare),
-            Err(FlashError::PageMigrated(PPA))
+            Err(FlashError::PageStale(PPA))
         );
-        // A migrated page has nothing left to move.
+        // A stale page has nothing left to move or discard.
         let mut other = PageData::erased(16);
         other.move_from(&mut src);
-        assert_eq!((other.state(), src.state()), (PageState::Erased, PageState::Migrated));
+        src.discard(&mut spare);
+        let stale = PageState::Stale { appends: 1 };
+        assert_eq!((other.state(), src.state(), spare.len()), (PageState::Erased, stale, 0));
         // Its erase detaches no buffer: the buffer left with the move.
         src.erase(&mut spare);
         assert_eq!((src.state(), spare.len()), (PageState::Erased, 0));
+    }
+
+    #[test]
+    fn spare_list_hands_out_the_buffer_put_last() {
+        let mut spare = SparePages::new(8);
+        let (a, b) = (vec![1; 8], vec![2; 8]);
+        let (pa, pb) = (a.as_ptr(), b.as_ptr());
+        spare.put(a);
+        spare.put(b);
+        let (first, second) = (spare.take_copy(&[0; 8]), spare.take_erased());
+        assert_eq!((first.as_ptr(), second.as_ptr()), (pb, pa));
     }
 
     #[test]

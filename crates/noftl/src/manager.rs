@@ -53,10 +53,6 @@ impl NoFtl {
         self.regions.get(rid.0).ok_or(NoFtlError::BadRegion(rid.0))
     }
 
-    fn region_mut(&mut self, rid: RegionId) -> Result<&mut Region> {
-        self.regions.get_mut(rid.0).ok_or(NoFtlError::BadRegion(rid.0))
-    }
-
     /// Find a region by name (the DDL handle, e.g. `"rgIPA"`).
     pub fn region_by_name(&self, name: &str) -> Option<RegionId> {
         self.regions.iter().position(|r| r.spec().name == name).map(RegionId)
@@ -188,7 +184,8 @@ impl NoFtl {
 
     /// Drop a logical page.
     pub fn trim(&mut self, rid: RegionId, lba: Lba) -> Result<()> {
-        self.region_mut(rid)?.trim(lba)
+        let region = self.regions.get_mut(rid.0).ok_or(NoFtlError::BadRegion(rid.0))?;
+        region.trim(&mut self.dev, lba)
     }
 
     /// Fault-injection hook: plant raw retention bit errors on a logical

@@ -304,7 +304,7 @@ impl Region {
         let (ppa, id) = self.program_healed(dev, local, lba, ctx, |dev, ppa| {
             dev.submit_program(ppa, data, oob, ctx.origin)
         })?;
-        self.map(lba, ppa)?;
+        self.map(dev, lba, ppa)?;
         self.stats.host_page_writes += 1;
         self.note_update(lba);
         Ok(id)
@@ -446,7 +446,7 @@ impl Region {
         let (new, id) = self.program_healed(dev, local, lba, ctx, |dev, ppa| {
             dev.submit_program(ppa, &image, &[(0, &old_oob)], ctx.origin)
         })?;
-        self.map(lba, new)?;
+        self.map(dev, lba, new)?;
         self.stats.delta_fallbacks += 1;
         self.stats.host_page_writes += 1;
         self.note_update(lba);
@@ -492,12 +492,12 @@ impl Region {
         Ok(dev.read_oob(ppa)?)
     }
 
-    /// Discard a logical page (the mapping is dropped, the physical page
-    /// becomes garbage for the collector).
-    pub(crate) fn trim(&mut self, lba: Lba) -> Result<()> {
+    /// Drop a logical page: the mapping goes, and the physical page becomes
+    /// garbage for the collector.
+    pub(crate) fn trim(&mut self, dev: &mut FlashDevice, lba: Lba) -> Result<()> {
         self.check_lba(lba)?;
         if let Some(ppa) = self.l2p[lba.0 as usize].take() {
-            self.invalidate(ppa)?;
+            self.invalidate(dev, ppa)?;
             self.stats.trims += 1;
         }
         Ok(())
@@ -531,9 +531,9 @@ impl Region {
 
     /// Point `lba` at `ppa`, a page just programmed, and invalidate the
     /// residency it had until now.
-    fn map(&mut self, lba: Lba, ppa: Ppa) -> Result<()> {
+    fn map(&mut self, dev: &mut FlashDevice, lba: Lba, ppa: Ppa) -> Result<()> {
         if let Some(old) = self.l2p[lba.0 as usize].replace(ppa) {
-            self.invalidate(old)?;
+            self.invalidate(dev, old)?;
         }
         let local = self.local_chip(ppa.chip)?;
         let slot = self.p2l_slot(local, ppa.block, ppa.page);
@@ -544,12 +544,17 @@ impl Region {
         Ok(())
     }
 
-    fn invalidate(&mut self, ppa: Ppa) -> Result<()> {
+    /// Let go of physical page `ppa`: the one place a mapping does (a remap
+    /// by `map`, a `trim`). The device is told at once, so it hands the
+    /// page's buffer to the next program or read instead of keeping it until
+    /// GC erases the block; the page's OOB stays.
+    fn invalidate(&mut self, dev: &mut FlashDevice, ppa: Ppa) -> Result<()> {
         let local = self.local_chip(ppa.chip)?;
         let slot = self.p2l_slot(local, ppa.block, ppa.page);
         if self.p2l[slot].take().is_some() {
             self.mapped_pages -= 1;
             self.chips[local].blocks[ppa.block as usize].valid_count -= 1;
+            dev.discard(ppa)?;
         }
         Ok(())
     }
@@ -805,7 +810,7 @@ impl Region {
                 dev.submit_copyback_program(old, new, OpOrigin::Background)
             })?;
         dev.complete(id)?;
-        self.map(Lba(lba), new)?;
+        self.map(dev, Lba(lba), new)?;
         self.stats.gc_page_migrations += 1;
         Ok(())
     }
@@ -1061,12 +1066,12 @@ mod tests {
     fn trim_unmaps_and_frees() {
         let (mut dev, mut r) = small_region(IpaMode::Slc, CellType::Slc);
         r.write(&mut dev, Lba(7), &page(7), IoCtx::host()).unwrap();
-        r.trim(Lba(7)).unwrap();
+        r.trim(&mut dev, Lba(7)).unwrap();
         assert!(!r.is_mapped(Lba(7)));
         assert!(matches!(r.read(&mut dev, Lba(7), IoCtx::host()), Err(NoFtlError::Unmapped(_))));
         assert_eq!(r.stats.trims, 1);
         // Trimming an unmapped page is a no-op.
-        r.trim(Lba(7)).unwrap();
+        r.trim(&mut dev, Lba(7)).unwrap();
         assert_eq!(r.stats.trims, 1);
     }
 
@@ -1435,6 +1440,29 @@ mod tests {
         assert_ne!(after, before, "the churn must migrate Lba 0");
         assert_eq!(dev.peek(after).unwrap().as_ptr(), buffer, "the buffer moved, no copy");
         assert_eq!(dev.peek(after).unwrap(), &page(9)[..]);
+    }
+
+    #[test]
+    #[expect(clippy::disallowed_methods, reason = "pins which buffer a program lands in")]
+    fn a_remap_hands_the_superseded_buffer_to_the_next_program() {
+        let (mut dev, mut r) = small_region(IpaMode::Slc, CellType::Slc);
+        write_with_oob(&mut r, &mut dev, Lba(1), &page(1), &[(16, &[0xCA, 0xFE])]).unwrap();
+        let first = r.l2p[1].unwrap();
+        let released = dev.peek(first).unwrap().as_ptr();
+        r.write(&mut dev, Lba(1), &page(2), IoCtx::host()).unwrap();
+        // The superseded copy gave its bytes up and kept its OOB.
+        assert_eq!(dev.page_state(first).unwrap(), PageState::Stale { appends: 0 });
+        assert_eq!(dev.peek(first).unwrap_err(), FlashError::PageStale(first));
+        assert_eq!(&dev.read_oob(first).unwrap()[16..18], &[0xCA, 0xFE]);
+        // The next program, of another page, lands in the released buffer.
+        r.write(&mut dev, Lba(2), &page(3), IoCtx::host()).unwrap();
+        assert_eq!(dev.peek(r.l2p[2].unwrap()).unwrap().as_ptr(), released);
+        // A trim lets go the same way.
+        let trimmed = r.l2p[2].unwrap();
+        r.trim(&mut dev, Lba(2)).unwrap();
+        assert_eq!(dev.page_state(trimmed).unwrap(), PageState::Stale { appends: 0 });
+        let (data, _) = r.read(&mut dev, Lba(1), IoCtx::host()).unwrap();
+        assert_eq!(data, page(2));
     }
 
     #[test]
