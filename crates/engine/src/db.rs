@@ -4,7 +4,7 @@
 //! builder.
 
 use ipa_core::{AdvisorGoal, NxM};
-use ipa_noftl::{Lba, NoFtlConfig};
+use ipa_noftl::{Lba, NoFtlConfig, SpanId};
 
 use crate::adaptive::Adaptive;
 use crate::error::EngineError;
@@ -173,6 +173,13 @@ pub struct Database {
     pub(crate) before_image: Vec<u8>,
     /// Scratch of the index operations: the descent path and node images.
     pub(crate) index_scratch: crate::btree::NodeScratch,
+    /// Scratch of rollback and restart redo: the images of the log record
+    /// being applied, copied out of the log.
+    pub(crate) record_images: Vec<u8>,
+    /// The `Recovery` spans of a restart in progress, outermost first
+    /// (empty outside restart): the spans besides the transactions' that
+    /// [`Self::debug_check_idle`] accepts as open.
+    pub(crate) restart_spans: Vec<SpanId>,
 }
 
 impl Database {
@@ -202,13 +209,15 @@ impl Database {
     /// transaction ends, and the quiesce points of
     /// [`Self::debug_check_quiesced`]), that the layers under it are too:
     /// every command submitted to the device was handed back, and the only
-    /// spans open are those of the open transactions (begun in id order, so
-    /// the two sequences are equal).
+    /// spans open are those of a restart in progress (when log reclamation
+    /// checkpoints during its undo pass) and of the open transactions
+    /// (begun in id order, so the two sequences are equal).
     pub(crate) fn debug_check_idle(&self) {
         let dev = self.ftl().device();
         debug_assert_eq!(dev.inflight(), 0, "a submitted command was never completed");
+        let expected = self.restart_spans.iter().copied().chain(self.txns.spans());
         debug_assert!(
-            dev.open_spans().iter().copied().eq(self.txns.spans()),
+            dev.open_spans().iter().copied().eq(expected),
             "open spans {:?} are not those of the open transactions",
             dev.open_spans()
         );
@@ -374,6 +383,8 @@ impl DbBuilder {
             config,
             before_image: Vec::new(),
             index_scratch: Default::default(),
+            record_images: Vec::new(),
+            restart_spans: Vec::new(),
         };
         db.set_lock_policy(lock_policy);
         Ok(db)
@@ -394,7 +405,7 @@ pub(crate) mod tests {
     }
 
     /// A database over a small single-region SLC device.
-    fn small_db(scheme: NxM, config: DbConfig) -> Database {
+    pub(crate) fn small_db(scheme: NxM, config: DbConfig) -> Database {
         let mut flash = FlashConfig::small_slc();
         flash.geometry.blocks_per_chip = 64;
         flash.geometry.pages_per_block = 16;
@@ -456,6 +467,21 @@ pub(crate) mod tests {
         let _leaked = db.ftl_mut().submit_read(RegionId(0), pid.lba, IoCtx::host()).unwrap();
         let tx = db.start_tx();
         db.commit_tx(tx).unwrap();
+    }
+
+    /// Restart's own spans are accepted while it runs and only then: a span
+    /// left open after a restart is caught at the next checkpoint.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "are not those of the open transactions")]
+    fn leaked_span_after_a_restart_panics_at_the_next_checkpoint() {
+        let mut db = test_db(NxM::tpcc(), 8);
+        db.simulate_crash();
+        db.recover().unwrap();
+        assert!(db.restart_spans.is_empty());
+        #[expect(clippy::disallowed_methods, reason = "the leak under test")]
+        let _leaked = db.ftl_mut().open_span_under(ipa_noftl::SpanCategory::Recovery, None);
+        db.checkpoint().unwrap();
     }
 
     fn drive_mixed(mut db: Database) -> (Vec<TraceEvent>, u64, u64, u64, u64, u64) {

@@ -129,8 +129,11 @@ impl Database {
     /// append is refused the page has not been touched, and the PageLSN and
     /// the frame's recovery LSN name a record that exists.
     pub(crate) fn log_and_apply(&mut self, tx: TxId, record: LogPayload<&[u8]>) -> Result<()> {
-        let lsn = self.log_for_tx(tx, record.clone())?;
-        self.apply_record(lsn, &record, false)
+        // A copy of borrowed slices: a CLR's compensation, taken out of its
+        // box rather than boxed again by cloning the CLR.
+        let action = record.redo_action().clone();
+        let lsn = self.log_for_tx(tx, record)?;
+        self.apply_record(lsn, &action, false)
     }
 
     /// Park a finished transaction's commit request in the group-commit

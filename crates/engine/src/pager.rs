@@ -462,10 +462,7 @@ impl Database {
         record: &LogPayload<B>,
         check_lsn: bool,
     ) -> Result<()> {
-        let action = match record {
-            LogPayload::Clr { action, .. } => action.as_ref(),
-            other => other,
-        };
+        let action = record.redo_action();
         let Some(pid) = action.redo_page() else {
             // Logical compensation (rollback only: redo never passes one).
             // The node changes are logged physically, under the same tx.

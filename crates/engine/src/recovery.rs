@@ -18,79 +18,88 @@
 //! [`LogPayload::PageWrite`] records, while undo is *logical* — rolling
 //! back an `IndexInsert` deletes the key from the current (possibly
 //! restructured) tree, emitting fresh physical records of its own.
+//!
+//! No pass copies the log. Analysis and the index-root replay read each
+//! record's kind, transaction, page and checkpoint tables where the WAL
+//! keeps them ([`crate::wal::Wal::records_from`]); redo and rollback copy
+//! the images of the one record they apply — for rollback, of its inverse —
+//! into the engine's record buffer, taken for the pass and put back, so a
+//! restart costs what it replays and not a copy of what the log retains.
 
 use std::collections::BTreeMap;
 
-use ipa_noftl::{EventKind, RecoveryPhaseKind, SpanCategory};
+use ipa_noftl::{EventKind, RecoveryPhaseKind, SpanCategory, SpanId};
 
 use crate::db::{Database, PageId};
 use crate::error::EngineError;
 use crate::txn::TxId;
-use crate::wal::{LogPayload, LogRecord, Lsn};
+use crate::wal::{LogPayload, Lsn};
 use crate::Result;
 
 /// Roll back one transaction (the abort path and restart undo), appending
 /// at most the budgeted number of CLRs when a budget is given
-/// (crash-during-recovery fault injection — `None` means unlimited). Returns the CLRs appended and whether the
-/// rollback ran to completion. A partial rollback leaves the transaction's
-/// undo chain ending in its CLRs, so a rerun restart resumes at the last
-/// CLR's `undo_next` — repeating history, never re-undoing undone work.
+/// (crash-during-recovery fault injection — `None` means unlimited).
+/// Returns the CLRs appended and whether the rollback ran to completion. A
+/// partial rollback leaves the transaction's undo chain ending in its CLRs,
+/// so a rerun restart resumes at the last CLR's `undo_next` — repeating
+/// history, never re-undoing undone work. The chain is walked in place; an
+/// undoable record's inverse is built from its spans and only its images
+/// are copied, into the record buffer.
 pub(crate) fn rollback_budgeted(
     db: &mut Database,
     tx: TxId,
     budget: &mut Option<u64>,
 ) -> Result<(u64, bool)> {
-    let mut clrs = 0u64;
-    let mut cursor = db.txns.last_lsn(tx);
-    while !cursor.is_null() {
-        if matches!(budget, Some(0)) {
-            return Ok((clrs, false));
-        }
-        let Some(rec) = db.wal().get(cursor) else { break };
-        match &rec.payload {
-            LogPayload::Clr { undo_next, .. } => {
-                cursor = *undo_next;
+    db.with_record_images(|db, images| {
+        let mut clrs = 0u64;
+        let mut cursor = db.txns.last_lsn(tx);
+        while !cursor.is_null() {
+            if matches!(budget, Some(0)) {
+                return Ok((clrs, false));
             }
-            LogPayload::Begin { .. } => break,
-            LogPayload::Commit { .. } | LogPayload::Abort { .. } => break,
-            payload => {
-                if let Some(action) = invert(payload) {
-                    db.log_and_apply(
-                        tx,
-                        LogPayload::Clr {
-                            tx,
-                            undone: rec.lsn,
-                            undo_next: rec.prev,
-                            action: Box::new(action),
-                        },
-                    )?;
-                    clrs += 1;
-                    if let Some(b) = budget.as_mut() {
-                        *b -= 1;
-                    }
+            let wal = db.wal();
+            let (Some(record), Some(prev)) = (wal.record(cursor), wal.prev_of(cursor)) else {
+                break;
+            };
+            let inverse = match record {
+                LogPayload::Clr { undo_next, .. } => {
+                    cursor = *undo_next;
+                    continue;
                 }
-                cursor = rec.prev;
+                LogPayload::Begin { .. } | LogPayload::Commit { .. } | LogPayload::Abort { .. } => {
+                    break
+                }
+                payload => invert(payload),
+            };
+            let undone = cursor;
+            cursor = prev;
+            let Some(inverse) = inverse else { continue };
+            let action = Box::new(wal.images(inverse, images));
+            db.log_and_apply(tx, LogPayload::Clr { tx, undone, undo_next: prev, action })?;
+            clrs += 1;
+            if let Some(b) = budget.as_mut() {
+                *b -= 1;
             }
         }
-    }
-    Ok((clrs, true))
+        Ok((clrs, true))
+    })
 }
 
 /// The logical/physical inverse of a loggable action (None for records
-/// that need no undo), borrowing the record's images: what rollback logs
-/// as the CLR's action and then applies.
-fn invert(payload: &LogPayload) -> Option<LogPayload<&[u8]>> {
+/// that need no undo), holding the record's images as the record does:
+/// what rollback logs as the CLR's action and then applies.
+fn invert<B: Copy>(payload: &LogPayload<B>) -> Option<LogPayload<B>> {
     match *payload {
-        LogPayload::Update { tx, page, slot, ref before, ref after } => {
+        LogPayload::Update { tx, page, slot, before, after } => {
             Some(LogPayload::Update { tx, page, slot, before: after, after: before })
         }
-        LogPayload::Insert { tx, page, slot, ref tuple } => {
+        LogPayload::Insert { tx, page, slot, tuple } => {
             Some(LogPayload::Delete { tx, page, slot, before: tuple })
         }
-        LogPayload::Delete { tx, page, slot, ref before } => {
+        LogPayload::Delete { tx, page, slot, before } => {
             Some(LogPayload::Undelete { tx, page, slot, tuple: before })
         }
-        LogPayload::Undelete { tx, page, slot, ref tuple } => {
+        LogPayload::Undelete { tx, page, slot, tuple } => {
             Some(LogPayload::Delete { tx, page, slot, before: tuple })
         }
         LogPayload::IndexInsert { tx, index, key, value } => {
@@ -116,10 +125,15 @@ fn is_uncorrectable(e: &EngineError) -> bool {
 /// database at all. Changes committed before the surviving log tail and
 /// never redone cannot be recovered from an unreadable page; repeating
 /// history from a freshly formatted page is the best available outcome.
-fn redo_healed(db: &mut Database, rec: &LogRecord, page: PageId) -> Result<()> {
+fn redo_healed(
+    db: &mut Database,
+    lsn: Lsn,
+    action: &LogPayload<&[u8]>,
+    page: PageId,
+) -> Result<()> {
     let redo = |db: &mut Database| {
         db.ensure_page(page)?;
-        db.apply_record(rec.lsn, &rec.payload, true)
+        db.apply_record(lsn, action, true)
     };
     let first = redo(db);
     if !first.as_ref().is_err_and(is_uncorrectable) {
@@ -187,17 +201,43 @@ impl Database {
     }
 
     fn restart(&mut self, bounded: bool, undo_budget: Option<u64>) -> Result<()> {
-        let phase = SpanCategory::Recovery;
-        let result = self.in_span(phase, None, |db, root| {
+        let result = self.in_restart_span(None, |db, root| {
             let t0 = db.now_ns();
-            let Analysis { use_dpt, start, losers, dpt, records } =
-                db.in_span(phase, Some(root), |db, _| db.analysis_pass(bounded));
-            db.in_span(phase, Some(root), |db, _| db.redo_pass(use_dpt, start, &dpt, records))?;
-            db.in_span(phase, Some(root), |db, _| db.undo_pass(losers, undo_budget))?;
+            let Analysis { use_dpt, start, losers, dpt } =
+                db.in_restart_span(Some(root), |db, _| db.analysis_pass(bounded));
+            db.in_restart_span(Some(root), |db, _| db.redo_pass(use_dpt, start, &dpt))?;
+            db.in_restart_span(Some(root), |db, _| db.undo_pass(losers, undo_budget))?;
             db.stats.recovery_ns += db.now_ns().saturating_sub(t0);
             Ok(())
         });
         self.debug_check_quiesced();
+        result
+    }
+
+    /// Run `f` under a `Recovery` span, listed in
+    /// [`Database::restart_spans`] while it is open: a checkpoint that log
+    /// reclamation takes during undo finds restart's spans open, and the
+    /// idle check accepts those and no others.
+    fn in_restart_span<T>(
+        &mut self,
+        parent: Option<SpanId>,
+        f: impl FnOnce(&mut Self, SpanId) -> T,
+    ) -> T {
+        self.in_span(SpanCategory::Recovery, parent, |db, span| {
+            db.restart_spans.push(span);
+            let out = f(db, span);
+            db.restart_spans.pop();
+            out
+        })
+    }
+
+    /// Run `op` with the engine's record buffer: the images of the log
+    /// record redo or rollback is applying wait there, copied out of the
+    /// log. Taken for the operation, put back after it.
+    fn with_record_images<R>(&mut self, op: impl FnOnce(&mut Self, &mut Vec<u8>) -> R) -> R {
+        let mut images = std::mem::take(&mut self.record_images);
+        let result = op(self, &mut images);
+        self.record_images = images;
         result
     }
 
@@ -206,7 +246,8 @@ impl Database {
         self.emit(EventKind::RecoveryPhase { phase, records }, None, None);
     }
 
-    /// Analysis: find the losers and the dirty-page table.
+    /// Analysis: find the losers and the dirty-page table, reading every
+    /// record in place.
     fn analysis_pass(&mut self, bounded: bool) -> Analysis {
         // The last *complete* checkpoint, validated against the retained
         // log (the pair tracker already invalidates truncated or
@@ -219,9 +260,10 @@ impl Database {
         // be reflected on flash). Seeded from the checkpoint's `dirty`
         // entries, augmented by every page action analysis scans.
         let mut dpt: BTreeMap<PageId, Lsn> = BTreeMap::new();
-        let records: Vec<LogRecord> = self.wal().iter_from(start).collect();
-        for rec in &records {
-            match &rec.payload {
+        let mut scanned = 0u64;
+        for (lsn, record) in self.wal().records_from(start) {
+            scanned += 1;
+            match record {
                 LogPayload::Commit { tx } | LogPayload::Abort { tx } => {
                     losers.remove(tx);
                 }
@@ -236,27 +278,21 @@ impl Database {
                 }
                 other => {
                     if let Some(tx) = other.tx() {
-                        losers.insert(tx, rec.lsn);
+                        losers.insert(tx, lsn);
                     }
                 }
             }
-            if let Some(page) = rec.payload.redo_page() {
-                dpt.entry(page).or_insert(rec.lsn);
+            if let Some(page) = record.redo_page() {
+                dpt.entry(page).or_insert(lsn);
             }
         }
-        self.stats.analysis_records += records.len() as u64;
-        self.emit_phase(RecoveryPhaseKind::Analysis, records.len() as u64);
-        Analysis { use_dpt: ckpt.is_some(), start, losers, dpt, records }
+        self.stats.analysis_records += scanned;
+        self.emit_phase(RecoveryPhaseKind::Analysis, scanned);
+        Analysis { use_dpt: ckpt.is_some(), start, losers, dpt }
     }
 
-    /// Redo: repeat history.
-    fn redo_pass(
-        &mut self,
-        use_dpt: bool,
-        start: Lsn,
-        dpt: &BTreeMap<PageId, Lsn>,
-        records: Vec<LogRecord>,
-    ) -> Result<()> {
+    /// Redo: repeat history, one record at a time.
+    fn redo_pass(&mut self, use_dpt: bool, start: Lsn, dpt: &BTreeMap<PageId, Lsn>) -> Result<()> {
         // Bounded restart with a usable checkpoint: redo starts at the
         // DPT's minimum recLSN (a NULL recLSN — a fresh page that never
         // reached flash — clamps the scan to the log tail) and consults
@@ -267,68 +303,68 @@ impl Database {
         } else {
             start
         };
-        if use_dpt && redo_start > self.wal().tail() {
-            // Index-root replay below the redo window: root pointers are
-            // in-memory catalog state, not pages, so the DPT cannot bound
-            // them. Replaying every retained RootChange — cheap pointer
-            // writes, no page I/O — keeps bounded restart bit-identical
-            // to the full scan (the redo loop handles the rest in order).
-            let roots: Vec<(u32, PageId)> = self
-                .wal()
-                .iter_from(self.wal().tail())
-                .take_while(|r| r.lsn < redo_start)
-                .filter_map(|r| match &r.payload {
-                    LogPayload::RootChange { index, new_root, .. } => Some((*index, *new_root)),
-                    _ => None,
-                })
-                .collect();
-            for (index, new_root) in roots {
-                self.indexes[index as usize].root = new_root;
-            }
-        }
-        let redo_records: Vec<_> =
-            if redo_start < start { self.wal().iter_from(redo_start).collect() } else { records };
-        let mut applied = 0u64;
-        for rec in &redo_records {
-            if let LogPayload::RootChange { index, new_root, .. } = &rec.payload {
-                self.indexes[*index as usize].root = *new_root;
-                continue;
-            }
-            // Page actions only, a CLR's compensation included. Logical
-            // index records are undo-only, and an index compensation was
-            // logged as physical PageWrite records of its own.
-            let Some(page) = rec.payload.redo_page() else { continue };
-            if use_dpt {
-                // Skip rule: a page absent from the DPT was clean at the
-                // checkpoint and untouched since — its flash image is
-                // current. A record below the page's recLSN predates the
-                // frame's last clean->dirty transition — already on flash.
-                match dpt.get(&page) {
-                    Some(rec_lsn) if rec.lsn >= *rec_lsn => {}
-                    _ => {
-                        self.stats.redo_skipped += 1;
-                        continue;
+        let (tail, head) = (self.wal().tail(), self.wal().head());
+        let applied = self.with_record_images(|db, images| -> Result<u64> {
+            let mut applied = 0;
+            for lsn in (tail.0..=head.0).map(Lsn) {
+                let Some(record) = db.wal().record(lsn) else { continue };
+                // Index roots are in-memory catalog state, not pages, so
+                // the DPT cannot bound them: every retained RootChange is
+                // replayed, below the redo window too — cheap pointer
+                // writes, no page I/O — which keeps bounded restart
+                // bit-identical to the full scan.
+                if let LogPayload::RootChange { index, new_root, .. } = *record {
+                    db.indexes[index as usize].root = new_root;
+                    continue;
+                }
+                if lsn < redo_start {
+                    continue;
+                }
+                // Page actions only, a CLR's compensation included.
+                // Logical index records are undo-only, and an index
+                // compensation was logged as physical PageWrite records of
+                // its own.
+                let Some(page) = record.redo_page() else { continue };
+                if use_dpt {
+                    // Skip rule: a page absent from the DPT was clean at
+                    // the checkpoint and untouched since — its flash image
+                    // is current. A record below the page's recLSN
+                    // predates the frame's last clean->dirty transition —
+                    // already on flash.
+                    match dpt.get(&page) {
+                        Some(&rec_lsn) if lsn >= rec_lsn => {}
+                        _ => {
+                            db.stats.redo_skipped += 1;
+                            continue;
+                        }
                     }
                 }
+                let action = db.wal().images(record.redo_action().clone(), images);
+                redo_healed(db, lsn, &action, page)?;
+                applied += 1;
             }
-            redo_healed(self, rec, page)?;
-            applied += 1;
-        }
+            Ok(applied)
+        })?;
         self.stats.redo_applied += applied;
         self.emit_phase(RecoveryPhaseKind::Redo, applied);
         Ok(())
     }
 
     /// Undo the losers, youngest first (BTreeMap iteration is
-    /// TxId-ordered, so walk it in reverse).
+    /// TxId-ordered, so walk it in reverse). Every loser is in the
+    /// transaction table before the first is rolled back: a CLR or `Abort`
+    /// that fills the log reclaims it, and reclamation keeps the records,
+    /// and its checkpoint lists the transactions, that the table holds.
     fn undo_pass(
         &mut self,
         losers: BTreeMap<TxId, Lsn>,
         mut undo_budget: Option<u64>,
     ) -> Result<()> {
-        let mut clrs = 0u64;
-        for (tx, last) in losers.into_iter().rev() {
+        for (&tx, &last) in &losers {
             self.txns.register_recovered(tx, last);
+        }
+        let mut clrs = 0u64;
+        for &tx in losers.keys().rev() {
             let (appended, done) = rollback_budgeted(self, tx, &mut undo_budget)?;
             clrs += appended;
             if !done {
@@ -359,8 +395,6 @@ struct Analysis {
     losers: BTreeMap<TxId, Lsn>,
     /// Dirty-page table: page -> recLSN.
     dpt: BTreeMap<PageId, Lsn>,
-    /// The scanned records.
-    records: Vec<LogRecord>,
 }
 
 #[cfg(test)]
@@ -931,5 +965,190 @@ mod tests {
             // bounded restart never replays more than the oracle.
             assert!(bounded_redo <= oracle_redo);
         });
+    }
+
+    /// A non-eager database whose log budget is `log_bytes`.
+    fn small_log_db(log_bytes: usize, checkpoint_interval_ns: u64) -> Database {
+        let config = crate::DbConfig {
+            log_capacity_bytes: log_bytes,
+            ..crate::DbConfig::non_eager(16).with_checkpoints(checkpoint_interval_ns)
+        };
+        crate::db::tests::small_db(NxM::tpcc(), config)
+    }
+
+    #[test]
+    fn reclaim_during_restart_undo_keeps_the_older_losers_records() {
+        // Two parked losers, the older one with its page stolen, and a log
+        // at 0.99 of its budget at the crash. Undo rolls the younger back
+        // first; its CLR fills the log and its Abort reclaims. Reclamation
+        // keeps the records of the transactions in the table, so the older
+        // loser must be there already, or its update is truncated before
+        // it is undone and its stolen image survives.
+        let mut db = small_log_db(16 << 10, 0);
+        let heap = db.create_heap(0);
+        let mut tx = db.txn();
+        let old_row = tx.heap_insert(heap, &[1u8; 100]).unwrap();
+        let young_row = tx.heap_insert(heap, &[2u8; 100]).unwrap();
+        let filler = tx.heap_insert(heap, &[0u8; 8]).unwrap();
+        tx.commit().unwrap();
+        db.flush_all().unwrap();
+
+        // Each loser logs a Begin and a 100-byte update: 264 bytes.
+        let losers = 2.0 * 264.0 / f64::from(16u32 << 10);
+        let mut round = 0u8;
+        while db.wal().used_fraction() < 0.99 - losers {
+            round = round.wrapping_add(1);
+            commit_update(&mut db, heap, filler, &[round; 8]);
+        }
+        let mut older = db.txn();
+        older.heap_update(heap, old_row, &[9u8; 100]).unwrap();
+        let _older = older.park();
+        db.flush_all().unwrap(); // steal: the older loser's image reaches flash
+        let mut younger = db.txn();
+        younger.heap_update(heap, young_row, &[8u8; 100]).unwrap();
+        let _younger = younger.park();
+        db.force_log();
+        let used = db.wal().used_fraction();
+        assert!((0.985..1.0).contains(&used), "the log is at {used} of its budget");
+
+        let reclaims = db.stats().log_reclaims;
+        crash_and_recover(&mut db);
+        assert!(db.stats().log_reclaims > reclaims, "undo reclaimed the log");
+        let rows = |db: &mut Database| {
+            [old_row, young_row, filler].map(|rid| db.heap_read_unlocked(rid).unwrap())
+        };
+        let expected = [vec![1u8; 100], vec![2u8; 100], vec![round; 8]];
+        assert_eq!(rows(&mut db), expected);
+        crash_and_recover(&mut db);
+        assert_eq!(rows(&mut db), expected, "a second restart is a fixpoint");
+    }
+
+    #[test]
+    fn restart_undo_that_reclaims_the_log_restores_the_committed_state() {
+        use rand::Rng;
+        let mut reclaimed_in_undo = 0u64;
+        ipa_flash::for_each_case(2_000, |rng| {
+            let seed = rng.gen_range(1u64..u64::MAX);
+            let ops = rng.gen_range(4usize..24);
+            let n_losers = rng.gen_range(2usize..=3);
+            let log_bytes = rng.gen_range(4usize..10) << 10;
+            // A committed update logs 128 bytes, so filling to below one
+            // update short of the budget stops there and never reclaims.
+            let fill =
+                f64::from(rng.gen_range(850u32..1000)) / 1000.0 * (1.0 - 128.0 / log_bytes as f64);
+            // Two engines run the same history — committed updates, index
+            // churn, steals, periodic checkpoints — then fill a small log,
+            // park two or three losers (an update each, some stolen, and an
+            // index insert) and crash. One restarts checkpoint-bounded, the
+            // other with the full scan; undo appends CLRs and Aborts into a
+            // nearly full log, so some cases reclaim in the middle of it.
+            // Both must restore exactly the committed state, and restart
+            // again after a checkpoint to the same state.
+            let run = |bounded: bool| {
+                let mut db = small_log_db(log_bytes, 10_000);
+                let heap = db.create_heap(0);
+                let idx = db.create_index(0).unwrap();
+                let mut rng = seed;
+                let mut next = move || {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    rng
+                };
+                let mut tx = db.txn();
+                let rids: Vec<Rid> =
+                    (0..6u8).map(|i| tx.heap_insert(heap, &[i; 16]).unwrap()).collect();
+                let loser_rids: Vec<Rid> = (0..n_losers as u8)
+                    .map(|i| tx.heap_insert(heap, &[0xA0 + i; 16]).unwrap())
+                    .collect();
+                tx.commit().unwrap();
+                db.flush_all().unwrap();
+
+                let mut rows: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 16]).collect();
+                let mut keys: Vec<u64> = Vec::new();
+                let mut update = |db: &mut Database, next: &mut dyn FnMut() -> u64| {
+                    let a = (next() % 6) as usize;
+                    rows[a] = vec![(next() % 251) as u8; 16];
+                    commit_update(db, heap, rids[a], &rows[a]);
+                };
+                for _ in 0..ops {
+                    match next() % 8 {
+                        0..=3 => update(&mut db, &mut next),
+                        4 | 5 => {
+                            let k = next() % 32;
+                            if !keys.contains(&k) {
+                                let mut tx = db.txn();
+                                tx.index_insert(idx, k, k).unwrap();
+                                tx.commit().unwrap();
+                                keys.push(k);
+                            }
+                        }
+                        6 if !keys.is_empty() => {
+                            let k = keys.remove((next() % keys.len() as u64) as usize);
+                            let mut tx = db.txn();
+                            tx.index_delete(idx, k).unwrap();
+                            tx.commit().unwrap();
+                        }
+                        _ => db.flush_all().unwrap(), // steal
+                    }
+                    db.background_work().unwrap();
+                }
+                while db.wal().used_fraction() < fill {
+                    update(&mut db, &mut next);
+                }
+                for (i, &rid) in loser_rids.iter().enumerate() {
+                    let mut tx = db.txn();
+                    tx.heap_update(heap, rid, &[(next() % 251) as u8; 16]).unwrap();
+                    tx.index_insert(idx, 100 + i as u64, 0).unwrap();
+                    let _ = tx.park();
+                    if next() % 2 == 0 {
+                        db.flush_all().unwrap(); // steal
+                    }
+                }
+                db.force_log(); // the losers' undo history survives the crash
+
+                let restart = |db: &mut Database| {
+                    db.simulate_crash();
+                    if bounded {
+                        db.recover().unwrap();
+                    } else {
+                        db.recover_unbounded().unwrap();
+                    }
+                };
+                let reclaims = db.stats().log_reclaims;
+                restart(&mut db);
+                let reclaimed = db.stats().log_reclaims > reclaims;
+                let state = |db: &mut Database| {
+                    let tuples: Vec<Vec<u8>> = rids
+                        .iter()
+                        .chain(&loser_rids)
+                        .map(|r| db.heap_read_unlocked(*r).unwrap())
+                        .collect();
+                    let index: Vec<Option<u64>> =
+                        (0..128).map(|k| db.index_lookup(idx, k).unwrap()).collect();
+                    (tuples, index)
+                };
+                let first = state(&mut db);
+                db.checkpoint().unwrap();
+                restart(&mut db);
+                assert_eq!(state(&mut db), first, "a second restart is a fixpoint");
+                let committed: Vec<Vec<u8>> = rows
+                    .iter()
+                    .cloned()
+                    .chain((0..n_losers as u8).map(|i| vec![0xA0 + i; 16]))
+                    .collect();
+                assert_eq!(first.0, committed, "losers rolled back, commits kept");
+                let committed_keys: Vec<Option<u64>> =
+                    (0..128).map(|k| keys.contains(&k).then_some(k)).collect();
+                assert_eq!(first.1, committed_keys);
+                (first, reclaimed)
+            };
+            let (state, reclaimed) = run(true);
+            let (oracle, _) = run(false);
+            assert_eq!(state, oracle);
+            reclaimed_in_undo += u64::from(reclaimed);
+        });
+        println!("restart undo reclaimed the log in {reclaimed_in_undo} of 2000 cases");
+        assert!(reclaimed_in_undo > 0);
     }
 }

@@ -15,10 +15,17 @@
 //! fixed-size chunks ([`LOG_CHUNK_BYTES`] of images, a thousand records):
 //! an append allocates only when a chunk is full, and truncation or the
 //! loss of the unflushed tail hand back the chunks that hold nothing any
-//! more. [`LogRecord`] with the default [`LogPayload`] is the owned, decoded
-//! view that recovery, rollback and tests ask for.
+//! more.
+//!
+//! Restart and rollback read a record where the log keeps it:
+//! [`Wal::record`] and [`Wal::records_from`] show its kind, transaction,
+//! page and checkpoint tables in place, its images as [`Span`]s, and
+//! [`Wal::images`] copies the images of the one record being applied into a
+//! buffer the caller reuses. The owned view — `LogRecord`, every image a
+//! `Vec<u8>` — is the model's interface and exists in tests only.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use crate::db::PageId;
 use crate::txn::TxId;
@@ -39,10 +46,10 @@ impl Lsn {
 }
 
 /// The body of one log record. `B` is how it holds its tuple and node
-/// images: owned (`Vec<u8>`, the default — what [`Wal::get`] and
-/// [`Wal::iter_from`] hand out), borrowed (`&[u8]` — what the hot paths
-/// pass to [`Wal::append`]), or as a place in the log's image memory (what
-/// the log retains).
+/// images: owned (`Vec<u8>`, the default — the tests' owned view),
+/// borrowed (`&[u8]` — what the hot paths pass to [`Wal::append`] and what
+/// [`Wal::images`] hands redo and rollback), or as a [`Span`] of the log's
+/// image memory (what the log retains).
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogPayload<B = Vec<u8>> {
     /// Transaction start.
@@ -213,6 +220,15 @@ impl<B> LogPayload<B> {
         }
     }
 
+    /// What applying this record changes: for a CLR, the compensation it
+    /// carries, for anything else the record itself.
+    pub fn redo_action(&self) -> &LogPayload<B> {
+        match self {
+            LogPayload::Clr { action, .. } => action,
+            other => other,
+        }
+    }
+
     /// The same record holding each image as `image(old)`. The one place
     /// that names every image field: copying into the log and copying out
     /// of it are two closures. Everything else a record owns moves.
@@ -282,7 +298,10 @@ impl<B: AsRef<[u8]>> LogPayload<B> {
     }
 }
 
-/// One log record: LSN, backward same-transaction chain, payload.
+/// One log record, every image copied out: LSN, backward same-transaction
+/// chain, payload. The owned view the record-vector model and the tests
+/// compare.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogRecord {
     /// This record's LSN.
@@ -295,9 +314,10 @@ pub struct LogRecord {
 
 /// Where the log holds an image: the index of its first byte in the image
 /// sequence (every image byte ever appended and not lost counts), and its
-/// length.
+/// length. Only the [`Wal`] that handed it out can read it
+/// ([`Wal::images`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct Span {
+pub struct Span {
     start: u64,
     len: u32,
 }
@@ -414,23 +434,20 @@ impl Chunked<u8> {
         }
     }
 
-    /// A copy of the `len` bytes from `index` on.
-    fn to_vec(&self, index: u64, len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len);
+    /// Append the `len` bytes from `index` on to `out`.
+    fn copy_to(&self, index: u64, len: usize, out: &mut Vec<u8>) {
         let mut at = index.saturating_sub(self.base) as usize;
-        while out.len() < len {
+        let end = at + len;
+        while at < end {
             let Some(chunk) = self.chunks.get(at / self.chunk_len) else { break };
             let from = at % self.chunk_len;
-            let Some(part) = chunk.get(from..chunk.len().min(from + len - out.len())) else {
-                break;
-            };
+            let Some(part) = chunk.get(from..chunk.len().min(from + end - at)) else { break };
             if part.is_empty() {
                 break;
             }
             out.extend_from_slice(part);
             at += part.len();
         }
-        out
     }
 }
 
@@ -563,21 +580,56 @@ impl Wal {
         self.records.get(lsn.0.wrapping_sub(1))
     }
 
-    /// Fetch a record by LSN (`None` if truncated or not yet written): the
-    /// owned view, its images copied out of the log.
-    pub fn get(&self, lsn: Lsn) -> Option<LogRecord> {
-        let retained = self.retained(lsn)?;
-        let payload = retained
-            .payload
-            .clone()
-            .map_images(&mut |span: Span| self.arena.to_vec(span.start, span.len as usize));
-        Some(LogRecord { lsn, prev: retained.prev, payload })
+    /// The record at `lsn` where the log keeps it (`None` if truncated or
+    /// not yet written): kind, transaction, page and checkpoint tables read
+    /// in place, images as spans. Copies nothing.
+    pub fn record(&self, lsn: Lsn) -> Option<&LogPayload<Span>> {
+        Some(&self.retained(lsn)?.payload)
+    }
+
+    /// The retained records with `lsn >= from`, in LSN order, in place.
+    pub fn records_from(&self, from: Lsn) -> impl Iterator<Item = (Lsn, &LogPayload<Span>)> {
+        (from.max(self.tail).0..self.next)
+            .filter_map(|lsn| Some((Lsn(lsn), self.record(Lsn(lsn))?)))
+    }
+
+    /// `payload` — a record of this log or part of one (a CLR's action, an
+    /// inverse built from its spans) — with its images copied into
+    /// `images`, which is cleared first: each image once, back to back, and
+    /// `images` allocates only when it grows. The result borrows `images`,
+    /// not the log.
+    pub fn images<'b>(
+        &self,
+        payload: LogPayload<Span>,
+        images: &'b mut Vec<u8>,
+    ) -> LogPayload<&'b [u8]> {
+        images.clear();
+        let ranges = payload.map_images(&mut |span: Span| {
+            let start = images.len();
+            self.arena.copy_to(span.start, span.len as usize, images);
+            start..images.len()
+        });
+        let images: &'b [u8] = images;
+        ranges.map_images(&mut |range: Range<usize>| &images[range])
     }
 
     /// The previous record of the same transaction, for a retained `lsn`:
     /// walks an undo chain without copying an image.
     pub fn prev_of(&self, lsn: Lsn) -> Option<Lsn> {
         Some(self.retained(lsn)?.prev)
+    }
+
+    /// Fetch a record by LSN (`None` if truncated or not yet written): the
+    /// owned view, its images copied out of the log through
+    /// [`Self::images`].
+    #[cfg(test)]
+    pub fn get(&self, lsn: Lsn) -> Option<LogRecord> {
+        let retained = self.retained(lsn)?;
+        let mut images = Vec::new();
+        let payload = self
+            .images(retained.payload.clone(), &mut images)
+            .map_images(&mut |image: &[u8]| image.to_vec());
+        Some(LogRecord { lsn, prev: retained.prev, payload })
     }
 
     /// Whether both records of a checkpoint are retained — any record at
@@ -589,9 +641,10 @@ impl Wal {
                 .is_some_and(|r| matches!(r.payload, LogPayload::EndCheckpoint { .. }))
     }
 
-    /// Iterate records with `lsn >= from` in LSN order.
+    /// Iterate records with `lsn >= from` in LSN order, owned.
+    #[cfg(test)]
     pub fn iter_from(&self, from: Lsn) -> impl Iterator<Item = LogRecord> + '_ {
-        (from.max(self.tail).0..self.next).filter_map(|lsn| self.get(Lsn(lsn)))
+        self.records_from(from).filter_map(|(lsn, _)| self.get(lsn))
     }
 
     /// Drop all records below `lsn` (log-space reclamation after the dirty

@@ -24,7 +24,9 @@
 //! What is left in a window is those page buffers, the log's chunks (one
 //! per 64 KiB of images, one per thousand records, freed again at the next
 //! reclamation) and amortised growth of vectors that live as long as the
-//! database (a heap's page list, TPC-C's undelivered-order queues).
+//! database (a heap's page list, TPC-C's undelivered-order queues). Two
+//! more cells pin work off that path exactly, in every build profile: a
+//! restart, which reads the log in place, and the abort of a transaction.
 //!
 //! The allocations of a window also record a `std::backtrace` each, up to
 //! `MAX_SAMPLES` of them — every one of the handful a passing window makes,
@@ -212,6 +214,7 @@ fn measure(db: &mut Database, rounds: u64, body: impl FnOnce(&mut Database)) -> 
         (0..ftl.region_count()).map(|r| ftl.mapped_pages(RegionId(r)).unwrap()).sum()
     };
     let mapped_before = mapped(db);
+    SAMPLES.with(|s| s.borrow_mut().clear());
     let before = counters();
     SAMPLING.with(|s| s.set(true));
     body(db);
@@ -378,6 +381,102 @@ fn index_inserts_reuse_their_path_and_node_images() {
     // The bound to hold is 60; reached: 43. 39 + 2 are the log's chunks of
     // images and of records, two the change trackers' run lists growing.
     assert_gate("index inserts [2x4]", &window, 39, 43);
+}
+
+/// Fail with the sampled call sites unless the window allocated exactly
+/// `expected` times, none of them a log image chunk.
+fn assert_exact(name: &str, window: &Window, expected: u64) {
+    println!(
+        "{name}: {} allocations (gate: exactly {expected}), {} of them log image chunks, {} \
+         page-sized",
+        window.allocations, window.log_chunks, window.page_buffers
+    );
+    if window.allocations != expected || window.log_chunks != 0 {
+        panic!("{name}: {window:?}\n{}", top_call_sites());
+    }
+}
+
+/// Run `history` TPC-B rounds after the load on the `[2×4]` database whose
+/// data is ten times the buffer, crash, and [`measure`] the restart.
+/// Returns the window and the records restart analysed; the restart must
+/// recover balances that add up.
+fn restart_after(history: u64) -> (Window, u64) {
+    let mut w = TpcB::new(4, 2000);
+    let mut db = SystemConfig::emulator(NxM::tpcb(), 0.1).build_for(&w).unwrap();
+    let runner = Runner::new(17);
+    runner.setup(&mut db, &mut w).unwrap();
+    let mut rng = StdRng::seed_from_u64(17);
+    for _ in 0..history {
+        w.transaction(&mut db, &mut rng).unwrap();
+        db.advance_clock(runner.cpu_ns_per_txn);
+        db.background_work().unwrap();
+    }
+    db.simulate_crash();
+    let window = measure(&mut db, 1, |db| db.recover().unwrap());
+    let records = db.stats().analysis_records;
+    w.verify_balances(&mut db).expect("restart must recover the committed balances");
+    (window, records)
+}
+
+/// Restart reads the log in place: analysis copies no image, and redo
+/// copies each record's images into one reused buffer. Twice the history is
+/// twice the records and not one allocation more per record.
+#[test]
+fn restart_allocates_nothing_per_retained_record() {
+    // The debug-build pool check at the end of restart allocates two
+    // bitmaps.
+    let debug_check = if cfg!(debug_assertions) { 2 } else { 0 };
+    let (short, short_records) = restart_after(1_000);
+    // Reached: 66. 26 are the page buffers the pool's frames read into, 30
+    // the nodes of the dirty-page table, six the frames' change trackers,
+    // two the record buffer growing, one the loser table and one the list
+    // of restart's spans. Copying the retained records out of the log, one
+    // vector per image, allocated 7 054.
+    assert_exact(&format!("restart over {short_records} records"), &short, 66 + debug_check);
+    let (long, long_records) = restart_after(2_000);
+    assert_eq!((short_records, long_records), (5_984, 11_984));
+    // Three more nodes of the dirty-page table, which has an entry per
+    // page the history touched: more pages, not more records.
+    assert_exact(&format!("restart over {long_records} records"), &long, 69 + debug_check);
+}
+
+/// Rolling back a transaction walks its undo chain in place and copies each
+/// inverse's images into the reused record buffer. What an abort of
+/// `UPDATES` updates allocates is two boxes per compensation record: the
+/// action it is built with and the one the log keeps.
+#[test]
+fn rolling_back_a_transaction_copies_no_image() {
+    const UPDATES: u64 = 200;
+    let cfg = NoFtlConfig::builder(FlashConfig::emulator_slc(64, 64, PAGE_SIZE))
+        .chips(4)
+        .single_region(IpaMode::Slc, 0.2)
+        .build()
+        .unwrap();
+    let mut db =
+        Database::builder(cfg).scheme(NxM::tpcb()).config(DbConfig::eager(1024)).open().unwrap();
+    let heap = db.create_heap(0);
+    let mut tx = db.txn();
+    let rows: Vec<_> =
+        (0..UPDATES).map(|i| tx.heap_insert(heap, &[i as u8; 100]).unwrap()).collect();
+    tx.commit().unwrap();
+    let updated = |db: &mut Database| {
+        let mut tx = db.txn();
+        for &rid in &rows {
+            tx.heap_update(heap, rid, &[0xEE; 100]).unwrap();
+        }
+        tx.park()
+    };
+    // The first rollback grows the record buffer.
+    let warm_up = updated(&mut db);
+    db.resume(warm_up).unwrap().abort().unwrap();
+    let tx = updated(&mut db);
+    let window = measure(&mut db, UPDATES, |db| db.resume(tx).unwrap().abort().unwrap());
+    // Reading each record as an owned copy allocated 1 000: two image
+    // vectors and three boxes per update.
+    assert_exact(&format!("rollback of {UPDATES} updates"), &window, 2 * UPDATES);
+    for (i, &rid) in rows.iter().enumerate() {
+        assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![i as u8; 100]);
+    }
 }
 
 #[test]
