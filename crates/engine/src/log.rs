@@ -100,10 +100,10 @@ impl Database {
     /// refused: a log full of a transaction's own records must be able to
     /// take the records that let it go away.
     pub(crate) fn log_for_tx(&mut self, tx: TxId, payload: LogPayload<&[u8]>) -> Result<Lsn> {
-        if !self.txns.is_active(tx) {
-            return Err(EngineError::UnknownTx(tx));
-        }
         if self.log.wal.used_fraction() >= 1.0 {
+            if !self.txns.is_active(tx) {
+                return Err(EngineError::UnknownTx(tx));
+            }
             self.reclaim_log_space()?;
             let starts_an_operation = matches!(
                 payload,
@@ -117,10 +117,10 @@ impl Database {
                 return Err(EngineError::LogFull);
             }
         }
-        let prev = self.txns.last_lsn(tx);
-        let lsn = self.log.wal.append(prev, payload);
-        self.txns.set_last_lsn(tx, lsn);
-        Ok(lsn)
+        // One lookup: the entry that gives the chain's head takes the new one.
+        let Some(info) = self.txns.info_mut(tx) else { return Err(EngineError::UnknownTx(tx)) };
+        info.last_lsn = self.log.wal.append(info.last_lsn, payload);
+        Ok(info.last_lsn)
     }
 
     /// The one way forward processing and rollback change a page: append

@@ -74,7 +74,7 @@ pub(crate) fn rollback_budgeted(
             let undone = cursor;
             cursor = prev;
             let Some(inverse) = inverse else { continue };
-            let action = Box::new(wal.images(inverse, images));
+            let action = Box::new(wal.images(inverse, images)?);
             db.log_and_apply(tx, LogPayload::Clr { tx, undone, undo_next: prev, action })?;
             clrs += 1;
             if let Some(b) = budget.as_mut() {
@@ -339,7 +339,7 @@ impl Database {
                         }
                     }
                 }
-                let action = db.wal().images(record.redo_action().clone(), images);
+                let action = db.wal().images(record.redo_action().clone(), images)?;
                 redo_healed(db, lsn, &action, page)?;
                 applied += 1;
             }

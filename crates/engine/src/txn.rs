@@ -42,7 +42,8 @@ impl TxnTable {
         self.position(tx).ok().map(|i| &self.active[i].1)
     }
 
-    fn info_mut(&mut self, tx: TxId) -> Option<&mut TxInfo> {
+    /// The entry of an active transaction, to edit in place.
+    pub fn info_mut(&mut self, tx: TxId) -> Option<&mut TxInfo> {
         self.position(tx).ok().map(|i| &mut self.active[i].1)
     }
 

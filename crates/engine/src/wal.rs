@@ -17,18 +17,31 @@
 //! loss of the unflushed tail hand back the chunks that hold nothing any
 //! more.
 //!
+//! An update changes a few bytes of its tuple, so the log holds the bytes
+//! an `Update` leaves unchanged once: its `after` image — at top level or
+//! as a CLR's action — is stored as the window where it differs from
+//! `before`, which lies right before the window in the image sequence.
+//! Nothing else knows: a [`Span`] of an after image still has the image's
+//! full length, and the log's space accounting
+//! ([`LogPayload::size_bytes`], [`Wal::used_fraction`]) counts every image
+//! at that length, so how the log stores an image never changes when it
+//! reclaims space.
+//!
 //! Restart and rollback read a record where the log keeps it:
 //! [`Wal::record`] and [`Wal::records_from`] show its kind, transaction,
 //! page and checkpoint tables in place, its images as [`Span`]s, and
 //! [`Wal::images`] copies the images of the one record being applied into a
-//! buffer the caller reuses. The owned view — `LogRecord`, every image a
-//! `Vec<u8>` — is the model's interface and exists in tests only.
+//! buffer the caller reuses, every image rebuilt whole. The owned view —
+//! `LogRecord`, every image a `Vec<u8>` — is the model's interface and
+//! exists in tests only.
 
 use std::collections::VecDeque;
 use std::ops::Range;
 
 use crate::db::PageId;
+use crate::error::EngineError;
 use crate::txn::TxId;
+use crate::Result;
 use ipa_core::SlotId;
 
 /// Log sequence number. `Lsn(0)` is the null LSN.
@@ -312,14 +325,57 @@ pub struct LogRecord {
     pub payload: LogPayload,
 }
 
-/// Where the log holds an image: the index of its first byte in the image
-/// sequence (every image byte ever appended and not lost counts), and its
-/// length. Only the [`Wal`] that handed it out can read it
+/// Where the log holds an image: the index in the image sequence (every
+/// image byte ever appended and not lost counts) of the bytes it stores,
+/// and the image's length. Only the [`Wal`] that handed it out can read it
 /// ([`Wal::images`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
     start: u64,
     len: u32,
+    /// Bytes at the front and at the back of the image that equal those of
+    /// the image of the same length the sequence holds right before
+    /// `start` — an update's before image — and are not stored again. Zero
+    /// for every image but an update's after image.
+    lead: u16,
+    trail: u16,
+}
+
+const WORD: usize = std::mem::size_of::<u64>();
+
+/// Eight bytes as one word, the first the least significant.
+fn word(bytes: &[u8]) -> u64 {
+    let mut w = [0u8; WORD];
+    w.copy_from_slice(bytes);
+    u64::from_le_bytes(w)
+}
+
+/// How many bytes at the front of `a` equal those of `b`, which is as long.
+/// Of a tuple of hundreds of bytes an update changes a few: eight bytes
+/// are compared at a time, and only a word that differs is looked into.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    for (i, (x, y)) in a.chunks_exact(WORD).zip(b.chunks_exact(WORD)).enumerate() {
+        let diff = word(x) ^ word(y);
+        if diff != 0 {
+            return i * WORD + diff.trailing_zeros() as usize / 8;
+        }
+    }
+    let words = a.len() - a.len() % WORD;
+    words + a[words..].iter().zip(&b[words..]).take_while(|(x, y)| x == y).count()
+}
+
+/// How many bytes at the back of `a` equal those of `b`, which is as long:
+/// [`common_prefix`] from the other end.
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    for (i, (x, y)) in a.rchunks_exact(WORD).zip(b.rchunks_exact(WORD)).enumerate() {
+        let diff = word(x) ^ word(y);
+        if diff != 0 {
+            return i * WORD + diff.leading_zeros() as usize / 8;
+        }
+    }
+    let rest = a.len() % WORD;
+    let (x, y) = (a[..rest].iter().rev(), b[..rest].iter().rev());
+    a.len() - rest + x.zip(y).take_while(|(x, y)| x == y).count()
 }
 
 /// One retained record. The record with LSN `l` is element `l - 1` of the
@@ -434,20 +490,54 @@ impl Chunked<u8> {
         }
     }
 
-    /// Append the `len` bytes from `index` on to `out`.
-    fn copy_to(&self, index: u64, len: usize, out: &mut Vec<u8>) {
-        let mut at = index.saturating_sub(self.base) as usize;
-        let end = at + len;
+    /// Append the `len` bytes from `index` on to `out`. `None`, with
+    /// nothing appended, when any of them was given up or never pushed.
+    fn copy_to(&self, index: u64, len: u64, out: &mut Vec<u8>) -> Option<()> {
+        let end = index.checked_add(len)?;
+        if index < self.start || end > self.end {
+            return None;
+        }
+        let (mut at, end) = ((index - self.base) as usize, (end - self.base) as usize);
         while at < end {
-            let Some(chunk) = self.chunks.get(at / self.chunk_len) else { break };
-            let from = at % self.chunk_len;
-            let Some(part) = chunk.get(from..chunk.len().min(from + end - at)) else { break };
-            if part.is_empty() {
-                break;
-            }
+            let (chunk, from) = (&self.chunks[at / self.chunk_len], at % self.chunk_len);
+            let part = &chunk[from..chunk.len().min(from + end - at)];
             out.extend_from_slice(part);
             at += part.len();
         }
+        Some(())
+    }
+
+    /// Push the bytes of `image` but its first `lead` and last `trail`,
+    /// and return the span of the whole image.
+    fn push_image(&mut self, image: &[u8], lead: usize, trail: usize) -> Span {
+        let start = self.end;
+        self.extend_from_slice(&image[lead..image.len() - trail]);
+        Span { start, len: image.len() as u32, lead: lead as u16, trail: trail as u16 }
+    }
+}
+
+/// `payload` with its images pushed behind the last image of `arena`, an
+/// update's after image — at top level or as a CLR's action — as the window
+/// where it differs from the before image pushed right ahead of it. Images
+/// of different lengths, or longer than a span can leave out, are pushed
+/// whole.
+fn store<B: AsRef<[u8]>>(arena: &mut Chunked<u8>, payload: LogPayload<B>) -> LogPayload<Span> {
+    match payload {
+        LogPayload::Update { tx, page, slot, before, after } => {
+            let (before, after) = (before.as_ref(), after.as_ref());
+            let (mut lead, mut trail) = (0, 0);
+            if before.len() == after.len() && after.len() <= usize::from(u16::MAX) {
+                lead = common_prefix(before, after);
+                trail = common_suffix(&before[lead..], &after[lead..]);
+            }
+            let before = arena.push_image(before, 0, 0);
+            let after = arena.push_image(after, lead, trail);
+            LogPayload::Update { tx, page, slot, before, after }
+        }
+        LogPayload::Clr { tx, undone, undo_next, action } => {
+            LogPayload::Clr { tx, undone, undo_next, action: Box::new(store(arena, *action)) }
+        }
+        other => other.map_images(&mut |image: B| arena.push_image(image.as_ref(), 0, 0)),
     }
 }
 
@@ -514,13 +604,7 @@ impl Wal {
             _ => {}
         }
         let images_at = self.arena.end;
-        let arena = &mut self.arena;
-        let payload = payload.map_images(&mut |image: B| {
-            let image = image.as_ref();
-            let start = arena.end;
-            arena.extend_from_slice(image);
-            Span { start, len: image.len() as u32 }
-        });
+        let payload = store(&mut self.arena, payload);
         self.records.push(Retained { prev, images_at, payload });
         lsn
     }
@@ -595,22 +679,44 @@ impl Wal {
 
     /// `payload` — a record of this log or part of one (a CLR's action, an
     /// inverse built from its spans) — with its images copied into
-    /// `images`, which is cleared first: each image once, back to back, and
-    /// `images` allocates only when it grows. The result borrows `images`,
-    /// not the log.
+    /// `images`, which is cleared first: each image once and whole, back to
+    /// back, and `images` allocates only when it grows. The result borrows
+    /// `images`, not the log. A span that names bytes the log no longer or
+    /// never held is [`EngineError::Internal`], never an image rebuilt from
+    /// other bytes.
     pub fn images<'b>(
         &self,
         payload: LogPayload<Span>,
         images: &'b mut Vec<u8>,
-    ) -> LogPayload<&'b [u8]> {
+    ) -> Result<LogPayload<&'b [u8]>> {
         images.clear();
+        let mut held = true;
         let ranges = payload.map_images(&mut |span: Span| {
             let start = images.len();
-            self.arena.copy_to(span.start, span.len as usize, images);
+            held &= self.copy_image(span, images).is_some();
             start..images.len()
         });
+        if !held {
+            return Err(EngineError::Internal(
+                "a log span names image bytes the log does not hold",
+            ));
+        }
         let images: &'b [u8] = images;
-        ranges.map_images(&mut |range: Range<usize>| &images[range])
+        Ok(ranges.map_images(&mut |range: Range<usize>| &images[range]))
+    }
+
+    /// Append the image `span` names to `out`: an after image stored as a
+    /// window takes its unchanged bytes from the before image right ahead
+    /// of the window.
+    fn copy_image(&self, span: Span, out: &mut Vec<u8>) -> Option<()> {
+        let (len, lead, trail) = (u64::from(span.len), u64::from(span.lead), u64::from(span.trail));
+        if lead + trail == 0 {
+            return self.arena.copy_to(span.start, len, out);
+        }
+        let before = span.start.checked_sub(len)?;
+        self.arena.copy_to(before, lead, out)?;
+        self.arena.copy_to(span.start, len - lead - trail, out)?;
+        self.arena.copy_to(before + len - trail, trail, out)
     }
 
     /// The previous record of the same transaction, for a retained `lsn`:
@@ -628,6 +734,7 @@ impl Wal {
         let mut images = Vec::new();
         let payload = self
             .images(retained.payload.clone(), &mut images)
+            .ok()?
             .map_images(&mut |image: &[u8]| image.to_vec());
         Some(LogRecord { lsn, prev: retained.prev, payload })
     }
@@ -910,6 +1017,49 @@ mod tests {
         }
     }
 
+    /// Random bytes, fewer than `max` of them (none too).
+    fn random_image(rng: &mut rand::rngs::StdRng, max: usize) -> Vec<u8> {
+        use rand::Rng;
+        (0..rng.gen_range(0..max)).map(|_| rng.gen()).collect()
+    }
+
+    /// An update's before and after images. Mostly of one length, the
+    /// after image differing from the before image nowhere, in one byte, in
+    /// a run at the front, at the back, across a word boundary or anywhere,
+    /// or everywhere; now and then two unrelated images, mostly of two
+    /// lengths. A changed byte is inverted, so it always differs.
+    fn random_update_images(rng: &mut rand::rngs::StdRng) -> (Vec<u8>, Vec<u8>) {
+        use rand::Rng;
+        let before = random_image(rng, 70);
+        let len = before.len();
+        let changed = match rng.gen_range(0..8) {
+            _ if len == 0 => 0..0,
+            0 => 0..0,
+            1 => {
+                let at = rng.gen_range(0..len);
+                at..at + 1
+            }
+            2 => 0..rng.gen_range(1..=len),
+            3 => rng.gen_range(0..len)..len,
+            4 if len > 8 => {
+                let boundary = 8 * rng.gen_range(1..=(len - 1) / 8);
+                boundary - rng.gen_range(1..=8usize)
+                    ..boundary + rng.gen_range(1..=(len - boundary).min(8))
+            }
+            5 => 0..len,
+            6 => {
+                let from = rng.gen_range(0..len);
+                from..rng.gen_range(from..len) + 1
+            }
+            _ => return (before, random_image(rng, 70)),
+        };
+        let mut after = before.clone();
+        for byte in &mut after[changed] {
+            *byte = !*byte;
+        }
+        (before, after)
+    }
+
     /// A random record of any kind, with images of random lengths (empty
     /// ones too).
     fn random_payload(rng: &mut rand::rngs::StdRng, depth: u32) -> LogPayload {
@@ -917,12 +1067,13 @@ mod tests {
         let tx = TxId(rng.gen_range(1..6));
         let page = PageId::new(rng.gen_range(0..2), rng.gen_range(0..50));
         let slot = SlotId(rng.gen_range(0..30));
-        let image = |rng: &mut rand::rngs::StdRng| -> Vec<u8> {
-            (0..rng.gen_range(0..40)).map(|_| rng.gen()).collect()
-        };
+        let image = |rng: &mut rand::rngs::StdRng| random_image(rng, 40);
         match rng.gen_range(0..14) {
             0 => LogPayload::Begin { tx },
-            1 | 2 => LogPayload::Update { tx, page, slot, before: image(rng), after: image(rng) },
+            1 | 2 => {
+                let (before, after) = random_update_images(rng);
+                LogPayload::Update { tx, page, slot, before, after }
+            }
             3 => LogPayload::Insert { tx, page, slot, tuple: image(rng) },
             4 => LogPayload::Delete { tx, page, slot, before: image(rng) },
             5 => LogPayload::Undelete { tx, page, slot, tuple: image(rng) },
@@ -939,7 +1090,13 @@ mod tests {
                 tx,
                 undone: Lsn(rng.gen_range(1..40)),
                 undo_next: Lsn(rng.gen_range(0..40)),
-                action: Box::new(random_payload(rng, 1)),
+                // Half of them compensate an update, as an update.
+                action: Box::new(if rng.gen() {
+                    let (before, after) = random_update_images(rng);
+                    LogPayload::Update { tx, page, slot, before, after }
+                } else {
+                    random_payload(rng, 1)
+                }),
             },
             10 | 11 => LogPayload::Commit { tx },
             12 => LogPayload::BeginCheckpoint,
@@ -954,6 +1111,9 @@ mod tests {
     fn arena_log_matches_the_record_vector_model() {
         use rand::Rng;
         let (mut appended, mut truncated, mut lost) = (0u64, 0u64, 0u64);
+        // Appended updates whose after image the log stores as a window
+        // short of the whole image, at top level and inside a CLR.
+        let (mut windows, mut clr_windows) = (0u64, 0u64);
         ipa_flash::for_each_case(1_500, |rng| {
             // Chunks short enough that images straddle them and every
             // operation meets a chunk boundary now and then.
@@ -968,6 +1128,10 @@ mod tests {
                 match rng.gen_range(0..12) {
                     0..=6 => {
                         let (prev, payload) = (near(rng, &model), random_payload(rng, 0));
+                        if stored_len(&payload) < image_len(&payload) {
+                            let clr = matches!(payload, LogPayload::Clr { .. });
+                            *if clr { &mut clr_windows } else { &mut windows } += 1;
+                        }
                         assert_eq!(wal.append(prev, payload.clone()), model.append(prev, payload));
                         appended += 1;
                     }
@@ -998,12 +1162,13 @@ mod tests {
                 assert_eq!(wal.prev_of(probe), model.get(probe).map(|r| r.prev));
                 let from = near(rng, &model);
                 assert!(wal.iter_from(from).eq(model.iter_from(from).cloned()), "from {from:?}");
-                // The log holds the retained records and their images, and
-                // memory for them alone: less than a chunk spare at each end.
+                // The log holds the retained records and their images — an
+                // update's unchanged bytes once — and memory for them alone:
+                // less than a chunk spare at each end.
                 let retained = model.records.len();
                 assert_eq!((wal.records.end - wal.records.start) as usize, retained);
                 assert!(wal.records.chunks.len() <= retained / records + 2, "{retained}");
-                let held: usize = model.records.iter().map(|r| image_len(&r.payload)).sum();
+                let held: usize = model.records.iter().map(|r| stored_len(&r.payload)).sum();
                 assert_eq!((wal.arena.end - wal.arena.start) as usize, held);
                 assert!(wal.arena.chunks.len() <= held / image_bytes + 2, "{held}");
                 for chunk in wal.arena.chunks.iter() {
@@ -1012,6 +1177,7 @@ mod tests {
             }
         });
         assert!(appended > 30_000 && truncated > 3_000 && lost > 3_000);
+        assert!(windows > 4_000 && clr_windows > 1_000, "{windows} {clr_windows}");
     }
 
     #[test]
@@ -1057,6 +1223,25 @@ mod tests {
         total
     }
 
+    /// Bytes the log stores for a record's images: of an update's after
+    /// image as long as its before image — at top level or a CLR's action —
+    /// those from the first to the last that differ from the before image,
+    /// found byte by byte.
+    fn stored_len(payload: &LogPayload) -> usize {
+        match payload.redo_action() {
+            LogPayload::Update { before, after, .. } if before.len() == after.len() => {
+                let differs = |&i: &usize| before[i] != after[i];
+                let window = match ((0..after.len()).find(differs), (0..after.len()).rfind(differs))
+                {
+                    (Some(first), Some(last)) => last + 1 - first,
+                    _ => 0,
+                };
+                before.len() + window
+            }
+            _ => image_len(payload),
+        }
+    }
+
     #[test]
     fn record_sizes_are_a_header_plus_the_images() {
         assert_eq!(LogPayload::<Vec<u8>>::Commit { tx: TxId(1) }.size_bytes(), 32);
@@ -1082,6 +1267,89 @@ mod tests {
         assert_eq!(wal.used_bytes(), 68 + 96);
         wal.truncate_to(Lsn(2));
         assert_eq!(wal.used_bytes(), 96);
+    }
+
+    #[test]
+    fn an_update_holds_its_unchanged_bytes_once() {
+        let before: Vec<u8> = (0..200u8).collect();
+        let mut after = before.clone();
+        after[97..100].copy_from_slice(&[0xAA; 3]);
+        let update = LogPayload::Update {
+            tx: TxId(1),
+            page: PageId::new(0, 0),
+            slot: SlotId(0),
+            before: before.clone(),
+            after: after.clone(),
+        };
+        let clr = LogPayload::Clr {
+            tx: TxId(1),
+            undone: Lsn(1),
+            undo_next: Lsn::NULL,
+            action: Box::new(update.clone()),
+        };
+        let resized = LogPayload::Update {
+            tx: TxId(1),
+            page: PageId::new(0, 0),
+            slot: SlotId(0),
+            before: before.clone(),
+            after: after[..199].to_vec(),
+        };
+        let mut wal = Wal::new(1 << 20);
+        // The before image and the three bytes that changed, at top level
+        // and as a CLR's action; images of two lengths are held whole.
+        for (payload, stored) in [(update, 203), (clr, 203), (resized, 399)] {
+            let held = wal.arena.end;
+            let lsn = wal.append(Lsn::NULL, payload.clone());
+            assert_eq!(wal.arena.end - held, stored);
+            assert_eq!(wal.get(lsn).unwrap().payload, payload);
+        }
+        // The accounting counts the images whole.
+        assert_eq!(wal.used_bytes(), (32 + 400) + (64 + 400) + (32 + 399));
+        // An inverse built from the spans — what rollback logs — reads
+        // both images back whole, the windowed one as the before image.
+        let Some(&LogPayload::Update { tx, page, slot, before: b, after: a }) = wal.record(Lsn(1))
+        else {
+            panic!("an update")
+        };
+        let mut images = Vec::new();
+        let inverse = LogPayload::Update { tx, page, slot, before: a, after: b };
+        let LogPayload::Update { before: b, after: a, .. } =
+            wal.images(inverse, &mut images).unwrap()
+        else {
+            panic!("an update")
+        };
+        assert_eq!((b, a), (&after[..], &before[..]));
+    }
+
+    #[test]
+    fn a_span_of_bytes_the_log_does_not_hold_is_an_error() {
+        let mut bytes = Chunked::new(4);
+        bytes.extend_from_slice(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        bytes.release_before(3);
+        let mut out = vec![42];
+        assert_eq!(bytes.copy_to(3, 7, &mut out), Some(()));
+        assert_eq!(out, [42, 3, 4, 5, 6, 7, 8, 9]);
+        // Given up, never pushed, or both: nothing is copied.
+        for (index, len) in [(2, 2), (0, 1), (9, 2), (10, 1), (2, 9), (u64::MAX, 2)] {
+            assert_eq!(bytes.copy_to(index, len, &mut out), None, "{index} {len}");
+        }
+        assert_eq!(out.len(), 8);
+        // A record's spans outlive the bytes they name: once the record is
+        // truncated or lost, reading them is refused, not answered with
+        // other bytes.
+        let mut wal = Wal::with_chunk_lens(1 << 20, 16, 4);
+        let first = wal.append(Lsn::NULL, upd(1));
+        let spans = wal.record(first).unwrap().clone();
+        wal.append(Lsn::NULL, upd(2));
+        let mut images = Vec::new();
+        let read = wal.images(spans.clone(), &mut images).unwrap();
+        assert_eq!(read.map_images(&mut |image: &[u8]| image.to_vec()), upd(1));
+        wal.truncate_to(Lsn(2));
+        let refused = EngineError::Internal("a log span names image bytes the log does not hold");
+        assert_eq!(wal.images(spans, &mut images), Err(refused.clone()));
+        let spans = wal.record(Lsn(2)).unwrap().clone();
+        wal.lose_unflushed();
+        assert_eq!(wal.images(spans, &mut images), Err(refused));
     }
 
     #[test]
