@@ -54,7 +54,7 @@ impl Database {
         let now = self.now_ns();
         let DbConfig { advisor_epoch_ns, advisor_goal, advisor_min_observations, .. } =
             *self.config();
-        let Some(state) = self.adaptive.as_mut() else { return };
+        let Some(state) = self.lost.adaptive.as_mut() else { return };
         if now.saturating_sub(state.last_epoch_ns) < advisor_epoch_ns {
             return;
         }
@@ -62,7 +62,7 @@ impl Database {
         state.last_epoch_ns = now;
         let advisor = state.advisor;
         let epoch = state.epoch;
-        self.stats.retune_epochs += 1;
+        self.kept.stats.retune_epochs += 1;
         for region in 0..self.ftl().region_count() {
             let profile = self.profile(region);
             if profile.observations() < advisor_min_observations {
@@ -86,7 +86,7 @@ impl Database {
             if rec.scheme != current && gain > HYSTERESIS {
                 if let Ok(new_layout) = PageLayout::new(page_size, rec.scheme) {
                     self.set_layout(region, new_layout);
-                    self.stats.scheme_changes += 1;
+                    self.kept.stats.scheme_changes += 1;
                     self.emit(
                         EventKind::SchemeChange {
                             epoch,
@@ -238,7 +238,7 @@ mod tests {
         // page with its one delta record, and verifies on fetch.
         assert!(db.region_stats(0).unwrap().gc_erases > 0, "the hot pages wore some blocks");
         db.flush_all().unwrap();
-        db.drop_pool();
+        db.simulate_crash(); // drops the pool: the pages are read from flash
         while db.region_stats(0).unwrap().wear_level_migrations < PAGES as u64 / 2 {
             assert_eq!(db.wear_level(0, 0).unwrap(), 1, "a cold block is left to collect");
         }
@@ -271,9 +271,10 @@ mod tests {
         update(&mut db, 3, 24, 0xC1);
         assert_eq!(db.stats().ipa_flushes, appends + 1);
 
-        // Drop the pool and read everything back with verification on.
+        // Crash, dropping the pool, and read everything back with
+        // verification on: the region layouts survive with the catalog.
         db.flush_all().unwrap();
-        db.drop_pool();
+        db.simulate_crash();
         let verified = db.stats().ecc_verified;
         for i in 0..PAGES {
             let (scheme, tuple) = db

@@ -223,7 +223,7 @@ fn store_or_split(
     index: u32,
     mut pid: PageId,
 ) -> Result<()> {
-    let region = db.indexes[index as usize].region;
+    let region = db.kept.indexes[index as usize].region;
     let cap = node_capacity(db, region).max(4);
     loop {
         let node = NodeView::parse(&s.image, pid)?;
@@ -253,7 +253,7 @@ fn store_or_split(
             insert_entry(&mut s.image, 0, u64::MIN, pid.lba.0);
             insert_entry(&mut s.image, 1, sep, right.lba.0);
             store_node(db, tx, new_root, &s.image)?;
-            db.indexes[index as usize].root = new_root;
+            db.kept.indexes[index as usize].root = new_root;
             db.log_for_tx(tx, LogPayload::RootChange { tx, index, new_root })?;
             return Ok(());
         };
@@ -268,7 +268,7 @@ fn store_or_split(
 impl Database {
     /// Create an empty B+-tree index in a region.
     pub fn create_index(&mut self, region: usize) -> Result<u32> {
-        let id = self.indexes.len() as u32;
+        let id = self.kept.indexes.len() as u32;
         let root = self.new_page(region)?;
         // Catalog operations are force-written: the empty root reaches
         // flash immediately, so restart redo always finds a valid node to
@@ -278,13 +278,13 @@ impl Database {
             Ok(())
         })?;
         self.flush_page(root)?;
-        self.indexes.push(BTree { region, root });
+        self.kept.indexes.push(BTree { region, root });
         Ok(id)
     }
 
     /// Root page of an index (diagnostics).
     pub fn index_root(&self, index: u32) -> PageId {
-        self.indexes[index as usize].root
+        self.kept.indexes[index as usize].root
     }
 
     /// Walk from the root to the leaf covering `key`: `on_hop` sees every
@@ -297,8 +297,8 @@ impl Database {
         mut on_hop: impl FnMut(PageId, usize),
         mut at_leaf: impl FnMut(&NodeView<'_>) -> R,
     ) -> Result<(PageId, R)> {
-        let region = self.indexes[index as usize].region;
-        let mut pid = self.indexes[index as usize].root;
+        let region = self.kept.indexes[index as usize].region;
+        let mut pid = self.kept.indexes[index as usize].root;
         loop {
             let step = self.with_page(pid, |page| -> Result<Step<R>> {
                 let node = NodeView::parse(body(page), pid)?;
@@ -364,7 +364,7 @@ impl Database {
         insert: Option<u64>,
         logical: bool,
     ) -> Result<Option<u64>> {
-        let mut s = std::mem::take(&mut self.index_scratch);
+        let mut s = std::mem::take(&mut self.lost.index_scratch);
         s.path.clear();
         let descent = self.walk(
             index,
@@ -399,14 +399,14 @@ impl Database {
             store_or_split(self, &mut s, tx, index, leaf)?;
             Ok(old)
         });
-        self.index_scratch = s;
+        self.lost.index_scratch = s;
         result
     }
 
     /// Range scan over `[lo, hi]`, following the leaf chain; the descent's
     /// leaf access scans the first leaf.
     pub fn index_range(&mut self, index: u32, lo: u64, hi: u64) -> Result<Vec<(u64, u64)>> {
-        let region = self.indexes[index as usize].region;
+        let region = self.kept.indexes[index as usize].region;
         let mut out = Vec::new();
         let (_, mut next) =
             self.walk(index, lo, |_, _| (), |leaf| leaf.scan_into(lo, hi, &mut out))?;

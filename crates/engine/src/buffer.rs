@@ -7,7 +7,7 @@
 //! and the CLOCK *reference* bit, kept current at the only transitions that
 //! exist ([`BufferPool::insert`], [`BufferPool::update`],
 //! [`BufferPool::touch`], [`BufferPool::mark_flushed`],
-//! [`BufferPool::remove`], [`BufferPool::clear`]). A frame's tracker is
+//! [`BufferPool::remove`]; a crash drops the pool whole). A frame's tracker is
 //! therefore private — nobody can dirty a frame behind the pool's back — and
 //! the cleaner, `flush_all` and the checkpointer visit dirty frames only,
 //! word by word, never the whole pool. Resident pages are found through a
@@ -16,7 +16,6 @@
 //! allocates once the pool exists.
 
 use ipa_core::{ChangeTracker, DbPage, NxM};
-use ipa_noftl::Counters;
 
 use crate::db::PageId;
 use crate::wal::Lsn;
@@ -123,11 +122,6 @@ impl SlotSet {
         let (w, word) = self.words.iter().enumerate().find(|(_, &word)| word != 0)?;
         Some(w * 64 + word.trailing_zeros() as usize)
     }
-
-    fn clear(&mut self) {
-        self.words.fill(0);
-        self.count = 0;
-    }
 }
 
 /// Marks "no frame" in [`BufferPool::slot_of`].
@@ -149,7 +143,6 @@ pub struct BufferPool {
     referenced: SlotSet,
     hand: usize,
     capacity: usize,
-    sweep: SweepStats,
 }
 
 impl BufferPool {
@@ -167,18 +160,7 @@ impl BufferPool {
             referenced: SlotSet::new(capacity),
             hand: 0,
             capacity,
-            sweep: SweepStats::default(),
         }
-    }
-
-    /// Cumulative CLOCK-sweep counters.
-    pub fn sweep_stats(&self) -> SweepStats {
-        self.sweep
-    }
-
-    /// Reset the sweep counters (warm-up boundary).
-    pub(crate) fn reset_sweep_stats(&mut self) {
-        self.sweep.reset();
     }
 
     /// Number of frames.
@@ -282,23 +264,24 @@ impl BufferPool {
     /// Pick an eviction victim with the CLOCK algorithm: sweep frames,
     /// clearing reference bits; the first unpinned, unreferenced frame
     /// wins. Returns its index (the frame stays in place — the caller
-    /// flushes it, then calls [`BufferPool::remove`]).
-    pub fn pick_victim(&mut self) -> Option<usize> {
+    /// flushes it, then calls [`BufferPool::remove`]); the sweep is counted
+    /// in `sweep`.
+    pub fn pick_victim(&mut self, sweep: &mut SweepStats) -> Option<usize> {
         for _ in 0..2 * self.capacity {
             let idx = self.hand;
             self.hand = (self.hand + 1) % self.capacity;
             if let Some(frame) = &self.frames[idx] {
-                self.sweep.frames_scanned += 1;
+                sweep.frames_scanned += 1;
                 if frame.pins > 0 {
                     continue;
                 }
                 if self.referenced.contains(idx) {
                     self.referenced.remove(idx);
-                    self.sweep.ref_bits_cleared += 1;
+                    sweep.ref_bits_cleared += 1;
                 } else {
-                    self.sweep.victims += 1;
+                    sweep.victims += 1;
                     if frame.is_dirty() {
-                        self.sweep.dirty_victims += 1;
+                        sweep.dirty_victims += 1;
                     }
                     return Some(idx);
                 }
@@ -384,22 +367,13 @@ impl BufferPool {
             }
         }
     }
-
-    /// Drop every frame without flushing (crash simulation).
-    pub fn clear(&mut self) {
-        self.frames.iter_mut().for_each(|f| *f = None);
-        self.slot_of.iter_mut().for_each(|region| region.fill(NOT_RESIDENT));
-        self.dirty.clear();
-        self.referenced.clear();
-        (0..self.capacity).for_each(|slot| self.free.insert(slot));
-        self.hand = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ipa_core::PageLayout;
+    use ipa_noftl::Counters;
 
     impl BufferPool {
         /// Look up a page, setting its reference bit.
@@ -485,13 +459,13 @@ mod tests {
         pool.get_mut(pid(2)); // 2 hot
                               // Both referenced: first sweep clears bits; victim is frame 0 (pid 1)
                               // unless re-referenced.
-        let v = pool.pick_victim().unwrap();
+        let v = pool.pick_victim(&mut SweepStats::default()).unwrap();
         let vpid = pool.frames[v].as_ref().unwrap().page_id;
         assert!(vpid == pid(1) || vpid == pid(2));
         // Pinned frames are never victims.
         let other = if vpid == pid(1) { pid(2) } else { pid(1) };
         pool.get_mut(vpid).unwrap().pins = 1;
-        let v2 = pool.pick_victim().unwrap();
+        let v2 = pool.pick_victim(&mut SweepStats::default()).unwrap();
         assert_eq!(pool.frames[v2].as_ref().unwrap().page_id, other);
     }
 
@@ -502,7 +476,7 @@ mod tests {
         pool.insert(frame(pid(2))).expect("slot");
         pool.get_mut(pid(1)).unwrap().pins = 1;
         pool.get_mut(pid(2)).unwrap().pins = 1;
-        assert!(pool.pick_victim().is_none());
+        assert!(pool.pick_victim(&mut SweepStats::default()).is_none());
     }
 
     #[test]
@@ -572,32 +546,21 @@ mod tests {
     }
 
     #[test]
-    fn clear_drops_everything() {
-        let mut pool = BufferPool::new(2, &[16]);
-        pool.insert(frame(pid(1))).expect("slot");
-        pool.clear();
-        assert_eq!(pool.len(), 0);
-        assert!(!pool.contains(pid(1)));
-        pool.assert_consistent();
-    }
-
-    #[test]
     fn sweep_stats_count_scans_clears_and_victims() {
         let mut pool = BufferPool::new(2, &[16]);
         pool.insert(frame(pid(1))).expect("slot");
         pool.insert(frame(pid(2))).expect("slot");
         // Both referenced: the sweep clears two bits and then finds a victim.
-        let v = pool.pick_victim();
-        assert!(v.is_some());
-        let s = pool.sweep_stats();
+        let mut s = SweepStats::default();
+        assert!(pool.pick_victim(&mut s).is_some());
         assert_eq!(s.victims, 1);
         assert_eq!(s.dirty_victims, 0);
         assert_eq!(s.ref_bits_cleared, 2);
         assert!(s.frames_scanned >= 3);
         let d = s.delta_since(&s);
         assert_eq!(d, SweepStats::default());
-        pool.reset_sweep_stats();
-        assert_eq!(pool.sweep_stats(), SweepStats::default());
+        s.reset();
+        assert_eq!(s, SweepStats::default());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The database core: configuration, the [`Database`] struct that joins
 //! the three state owners ([`crate::pager`], [`crate::log`],
-//! [`crate::adaptive`]), the transaction / lock glue between them and the
-//! builder.
+//! [`crate::adaptive`]) and splits what a power loss leaves from what it
+//! takes, the transaction / lock glue between them and the builder.
 
 use ipa_core::{AdvisorGoal, NxM};
 use ipa_noftl::{Lba, NoFtlConfig, SpanId};
@@ -9,9 +9,9 @@ use ipa_noftl::{Lba, NoFtlConfig, SpanId};
 use crate::adaptive::Adaptive;
 use crate::error::EngineError;
 use crate::heap::HeapFile;
-use crate::lock::LockManager;
-use crate::log::Log;
-use crate::pager::Pager;
+use crate::lock::{LockManager, LockPolicy};
+use crate::log::{CommitStage, Log};
+use crate::pager::{Frames, Pager};
 use crate::stats::EngineStats;
 use crate::txn::{TxId, TxnTable};
 use crate::wal::LogPayload;
@@ -151,23 +151,43 @@ impl DbConfig {
     }
 }
 
-/// The storage engine. Pager, log and adaptive state are owned by the
-/// files named after them: their fields are private there, so `db.pager`
-/// can be named anywhere in the crate and opened nowhere else.
+/// The storage engine, in two parts: what a power loss leaves and what it
+/// takes. Pager, log and adaptive state are owned by the files named after
+/// them: their fields are private there, so `db.kept.pager` can be named
+/// anywhere in the crate and opened nowhere else.
 pub struct Database {
+    pub(crate) kept: Survivors,
+    pub(crate) lost: Volatile,
+}
+
+/// What a power loss leaves: the device and the WAL (a crash cuts it to
+/// its forced prefix), the catalog, which lives in RAM until it is a page,
+/// measurement, and the options `open` was given.
+pub(crate) struct Survivors {
     pub(crate) pager: Pager,
     pub(crate) log: Log,
+    /// Catalog: page lists and insert hints (a cache). TODO (ROADMAP 1(d)):
+    /// on a catalog page.
+    pub(crate) heaps: Vec<HeapFile>,
+    /// Catalog: index roots. TODO (ROADMAP 1(d)): on a catalog page.
+    pub(crate) indexes: Vec<crate::btree::BTree>,
+    pub(crate) stats: EngineStats,
+    /// Read through [`Database::config`]; nothing changes it after `open`.
+    config: DbConfig,
+    lock_policy: LockPolicy,
+}
+
+/// What a power loss takes: [`Volatile::new`] builds all of it, for `open`
+/// and again for every crash.
+pub(crate) struct Volatile {
+    pub(crate) frames: Frames,
+    pub(crate) stage: CommitStage,
     pub(crate) adaptive: Option<Adaptive>,
     pub(crate) txns: TxnTable,
     /// Private to this module: row locks are acquired through
     /// [`Database::lock_row`] only, so every acquire passes the conflict
     /// policy and is recorded against its transaction.
     locks: LockManager,
-    pub(crate) heaps: Vec<HeapFile>,
-    pub(crate) indexes: Vec<crate::btree::BTree>,
-    pub(crate) stats: EngineStats,
-    /// Read through [`Database::config`]; nothing changes it after `open`.
-    config: DbConfig,
     /// Scratch of the heap operations: the before image of the tuple being
     /// changed, between the page and the log.
     pub(crate) before_image: Vec<u8>,
@@ -178,8 +198,26 @@ pub struct Database {
     pub(crate) record_images: Vec<u8>,
     /// The `Recovery` spans of a restart in progress, outermost first
     /// (empty outside restart): the spans besides the transactions' that
-    /// [`Self::debug_check_idle`] accepts as open.
+    /// [`Database::debug_check_idle`] accepts as open.
     pub(crate) restart_spans: Vec<SpanId>,
+}
+
+impl Volatile {
+    /// Empty; the checkpoint anchor is now, the adaptive epoch clock zero.
+    pub(crate) fn new(kept: &Survivors) -> Self {
+        let device = kept.pager.ftl().device();
+        Volatile {
+            frames: Frames::new(&kept.pager, kept.config.buffer_frames),
+            stage: CommitStage::new(device.clock().now_ns()),
+            adaptive: Adaptive::new(device.config(), &kept.config),
+            txns: TxnTable::new(),
+            locks: LockManager::new(kept.lock_policy),
+            before_image: Vec::new(),
+            index_scratch: Default::default(),
+            record_images: Vec::new(),
+            restart_spans: Vec::new(),
+        }
+    }
 }
 
 impl Database {
@@ -191,18 +229,18 @@ impl Database {
             ftl_config,
             schemes: Vec::new(),
             config: DbConfig::eager(64),
-            lock_policy: crate::lock::LockPolicy::default(),
+            lock_policy: LockPolicy::default(),
         }
     }
 
     /// Engine statistics.
     pub fn stats(&self) -> &EngineStats {
-        &self.stats
+        &self.kept.stats
     }
 
     /// The engine configuration.
     pub(crate) fn config(&self) -> &DbConfig {
-        &self.config
+        &self.kept.config
     }
 
     /// Debug builds check, wherever the engine is between operations (a
@@ -215,7 +253,7 @@ impl Database {
     pub(crate) fn debug_check_idle(&self) {
         let dev = self.ftl().device();
         debug_assert_eq!(dev.inflight(), 0, "a submitted command was never completed");
-        let expected = self.restart_spans.iter().copied().chain(self.txns.spans());
+        let expected = self.lost.restart_spans.iter().copied().chain(self.lost.txns.spans());
         debug_assert!(
             dev.open_spans().iter().copied().eq(expected),
             "open spans {:?} are not those of the open transactions",
@@ -242,11 +280,11 @@ impl Database {
     /// Begin a transaction. Opens a root trace span covering the
     /// transaction's lifetime; the matching close happens at commit/abort.
     pub(crate) fn start_tx(&mut self) -> TxId {
-        let tx = self.txns.begin();
+        let tx = self.lost.txns.begin();
         let span = self.open_txn_span();
-        self.txns.set_span(tx, span);
+        self.lost.txns.set_span(tx, span);
         let lsn = self.log_begin(tx);
-        self.txns.set_last_lsn(tx, lsn);
+        self.lost.txns.set_last_lsn(tx, lsn);
         tx
     }
 
@@ -259,10 +297,10 @@ impl Database {
     /// [`Database::drain_group_acks`] after the batch flush.
     pub(crate) fn commit_tx(&mut self, tx: TxId) -> Result<()> {
         let lsn = self.log_for_tx(tx, LogPayload::Commit { tx })?;
-        if self.config.group_commit_batch <= 1 {
+        if self.config().group_commit_batch <= 1 {
             self.force_wal_to(lsn);
             self.finish_tx(tx);
-            self.stats.commits += 1;
+            self.kept.stats.commits += 1;
         } else {
             self.finish_tx(tx);
             self.park_commit(tx, lsn);
@@ -272,25 +310,25 @@ impl Database {
 
     /// Abort: roll back via the undo chain, write CLRs, release locks.
     pub(crate) fn abort_tx(&mut self, tx: TxId) -> Result<()> {
-        if !self.txns.is_active(tx) {
+        if !self.lost.txns.is_active(tx) {
             return Err(EngineError::UnknownTx(tx));
         }
         crate::recovery::rollback_budgeted(self, tx, &mut None)?;
         let lsn = self.log_for_tx(tx, LogPayload::Abort { tx })?;
         self.flush_log_to(lsn);
         self.finish_tx(tx);
-        self.stats.aborts += 1;
+        self.kept.stats.aborts += 1;
         Ok(())
     }
 
-    /// Shared commit/abort/crash epilogue: release locks, close the
+    /// Shared commit/abort epilogue: release locks, close the
     /// transaction span, retire the table entry.
     pub(crate) fn finish_tx(&mut self, tx: TxId) {
-        self.locks.release_all(tx);
-        if let Some(span) = self.txns.span(tx) {
+        self.lost.locks.release_all(tx);
+        if let Some(span) = self.lost.txns.span(tx) {
             self.close_txn_span(span);
         }
-        self.txns.finish(tx);
+        self.lost.txns.finish(tx);
         self.debug_check_idle();
     }
 
@@ -298,17 +336,12 @@ impl Database {
     /// aborted). Parked group commits count as finished — their fate is
     /// commit, pending only the durability acknowledgement.
     pub fn txn_is_active(&self, tx: TxId) -> bool {
-        self.txns.is_active(tx)
+        self.lost.txns.is_active(tx)
     }
 
-    /// Switch the row-lock conflict policy (no-wait vs. wait-die).
-    pub fn set_lock_policy(&mut self, policy: crate::lock::LockPolicy) {
-        self.locks.set_policy(policy);
-    }
-
-    /// The active row-lock conflict policy.
-    pub(crate) fn lock_policy(&self) -> crate::lock::LockPolicy {
-        self.locks.policy()
+    /// The row-lock conflict policy.
+    pub(crate) fn lock_policy(&self) -> LockPolicy {
+        self.kept.lock_policy
     }
 
     /// Acquire a row lock for `tx` (released by commit/abort).
@@ -318,12 +351,7 @@ impl Database {
         key: crate::lock::LockKey,
         mode: crate::lock::LockMode,
     ) -> Result<()> {
-        self.locks.lock(tx, key, mode)
-    }
-
-    /// Forget every held lock (a simulated crash loses the lock table).
-    pub(crate) fn reset_locks(&mut self) {
-        self.locks = LockManager::new();
+        self.lost.locks.lock(tx, key, mode)
     }
 }
 
@@ -342,7 +370,7 @@ pub struct DbBuilder {
     ftl_config: NoFtlConfig,
     schemes: Vec<NxM>,
     config: DbConfig,
-    lock_policy: crate::lock::LockPolicy,
+    lock_policy: LockPolicy,
 }
 
 impl DbBuilder {
@@ -360,7 +388,7 @@ impl DbBuilder {
     }
 
     /// Set the row-lock conflict policy.
-    pub fn lock_policy(mut self, policy: crate::lock::LockPolicy) -> Self {
+    pub fn lock_policy(mut self, policy: LockPolicy) -> Self {
         self.lock_policy = policy;
         self
     }
@@ -369,49 +397,46 @@ impl DbBuilder {
     /// region `i` ([`NxM::disabled`] for the `[0×0]` baseline).
     pub fn open(self) -> Result<Database> {
         let DbBuilder { ftl_config, schemes, config, lock_policy } = self;
-        let adaptive = Adaptive::new(&ftl_config.flash, &config);
-        let pager = Pager::new(ftl_config, &schemes, config.buffer_frames)?;
-        let mut db = Database {
-            pager,
+        let kept = Survivors {
+            pager: Pager::new(ftl_config, &schemes)?,
             log: Log::new(config.log_capacity_bytes),
-            adaptive,
-            txns: TxnTable::new(),
-            locks: LockManager::new(),
             heaps: Vec::new(),
             indexes: Vec::new(),
             stats: EngineStats::default(),
             config,
-            before_image: Vec::new(),
-            index_scratch: Default::default(),
-            record_images: Vec::new(),
-            restart_spans: Vec::new(),
+            lock_policy,
         };
-        db.set_lock_policy(lock_policy);
-        Ok(db)
+        Ok(Database { lost: Volatile::new(&kept), kept })
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::lock::LockMode;
     use crate::stats::TraceEvent;
     use ipa_noftl::{FlashConfig, IoCtx, IpaMode, RegionId};
 
     impl Database {
         /// The engine configuration, for tests that switch a policy mid-run.
         pub(crate) fn config_mut(&mut self) -> &mut DbConfig {
-            &mut self.config
+            &mut self.kept.config
         }
     }
 
-    /// A database over a small single-region SLC device.
-    pub(crate) fn small_db(scheme: NxM, config: DbConfig) -> Database {
+    /// A database over a small single-region SLC device, to open.
+    pub(crate) fn small_builder(scheme: NxM, config: DbConfig) -> DbBuilder {
         let mut flash = FlashConfig::small_slc();
         flash.geometry.blocks_per_chip = 64;
         flash.geometry.pages_per_block = 16;
         flash.geometry.page_size = 1024;
         let cfg = NoFtlConfig::single_region(flash, IpaMode::Slc, 0.2);
-        Database::builder(cfg).scheme(scheme).config(config).open().unwrap()
+        Database::builder(cfg).scheme(scheme).config(config)
+    }
+
+    /// A database over a small single-region SLC device.
+    pub(crate) fn small_db(scheme: NxM, config: DbConfig) -> Database {
+        small_builder(scheme, config).open().unwrap()
     }
 
     /// A new page holding `tuple`, flushed (out of place, being new).
@@ -478,10 +503,79 @@ pub(crate) mod tests {
         let mut db = test_db(NxM::tpcc(), 8);
         db.simulate_crash();
         db.recover().unwrap();
-        assert!(db.restart_spans.is_empty());
+        assert!(db.lost.restart_spans.is_empty());
         #[expect(clippy::disallowed_methods, reason = "the leak under test")]
         let _leaked = db.ftl_mut().open_span_under(ipa_noftl::SpanCategory::Recovery, None);
         db.checkpoint().unwrap();
+    }
+
+    /// The lock policy is an option of `open`: the lock table a crash
+    /// rebuilds resolves conflicts by it too, so wait-die stays wait-die.
+    #[test]
+    fn a_restart_keeps_the_lock_policy() {
+        let builder = small_builder(NxM::tpcc(), DbConfig::eager(8));
+        let mut db = builder.lock_policy(LockPolicy::WaitDie).open().unwrap();
+        db.simulate_crash();
+        db.recover().unwrap();
+        let (older, younger) = (db.start_tx(), db.start_tx());
+        db.lock_row(younger, (0, 1), LockMode::Exclusive).unwrap();
+        let verdict = db.lock_row(older, (0, 1), LockMode::Exclusive);
+        assert!(matches!(verdict, Err(EngineError::LockWait { .. })), "{verdict:?}");
+        assert_eq!(db.lock_policy(), LockPolicy::WaitDie);
+    }
+
+    /// A crash takes what `Volatile` holds and leaves what `Survivors`
+    /// holds: with a parked group commit, undrained acks, a held lock, dirty
+    /// frames and an open transaction, the rebuilt part comes back empty,
+    /// measurement and catalog come back as they were, and restart rolls
+    /// back the open transaction and the commit nobody forced.
+    #[test]
+    fn a_crash_rebuilds_the_volatile_part_and_keeps_the_survivors() {
+        let mut db = small_db(NxM::tpcc(), DbConfig::eager(4).with_group_commit(2, 0));
+        let heap = db.create_heap(0);
+        let idx = db.create_index(0).unwrap();
+        let mut tx = db.txn();
+        let (a, b) =
+            (tx.heap_insert(heap, &[1; 32]).unwrap(), tx.heap_insert(heap, &[2; 32]).unwrap());
+        tx.index_insert(idx, 7, a.encode()).unwrap();
+        tx.commit().unwrap(); // parks
+        let mut tx = db.txn();
+        tx.heap_update(heap, a, &[3; 32]).unwrap();
+        tx.commit().unwrap(); // fills the batch: one force acknowledges both
+        for _ in 0..8 {
+            db.new_page(0).unwrap(); // evictions sweep the CLOCK hand around
+        }
+        let mut loser = db.txn();
+        loser.heap_update(heap, a, &[4; 32]).unwrap();
+        let _loser = loser.park(); // holds its lock until the crash
+        db.flush_all().unwrap(); // steal
+        db.force_log();
+        let mut tx = db.txn();
+        tx.heap_update(heap, b, &[5; 32]).unwrap();
+        tx.commit().unwrap(); // parks, its Commit never forced
+        assert_eq!((db.group_commit_pending(), db.lost.locks.held_count()), (1, 1));
+        assert!(db.pool_mut().dirty_count() > 0);
+        let kept = |db: &Database| {
+            let catalog = format!("{:?} {:?} {:?}", db.kept.heaps, db.kept.indexes, db.layout(0));
+            let measured = format!("{:?} {:?}", db.stats(), db.profile(0));
+            (catalog, measured, db.sweep_stats(), db.group_batch_sizes().to_vec())
+        };
+        let before = kept(&db);
+        assert!(db.profile(0).observations() > 0 && before.2.victims > 0 && before.3 == [2]);
+
+        db.simulate_crash();
+        assert_eq!(kept(&db), before);
+        assert_eq!(db.pool_mut().len(), 0);
+        assert_eq!((db.group_commit_pending(), db.drain_group_acks().len()), (0, 0));
+        assert_eq!((db.lost.locks.held_count(), db.lost.txns.active_count()), (0, 0));
+        assert!(db.ftl().device().open_spans().is_empty(), "the transactions' spans ended");
+        let scratch = [&db.lost.before_image, &db.lost.record_images];
+        assert!(scratch.iter().all(|v| v.capacity() == 0) && db.lost.restart_spans.is_empty());
+
+        db.recover().unwrap();
+        assert_eq!(db.heap_read_unlocked(a).unwrap(), [3; 32], "the loser rolled back");
+        assert_eq!(db.heap_read_unlocked(b).unwrap(), [2; 32], "the unforced commit too");
+        assert_eq!(db.index_lookup(idx, 7).unwrap(), Some(a.encode()));
     }
 
     fn drive_mixed(mut db: Database) -> (Vec<TraceEvent>, u64, u64, u64, u64, u64) {

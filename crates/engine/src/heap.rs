@@ -51,14 +51,14 @@ pub struct HeapFile {
 impl Database {
     /// Create a heap file in a region.
     pub fn create_heap(&mut self, region: usize) -> u32 {
-        let id = self.heaps.len() as u32;
-        self.heaps.push(HeapFile { region, pages: Vec::new(), insert_hint: 0 });
+        let id = self.kept.heaps.len() as u32;
+        self.kept.heaps.push(HeapFile { region, pages: Vec::new(), insert_hint: 0 });
         id
     }
 
     /// Pages of a heap (read-only snapshot for scans).
     pub fn heap_pages(&self, heap: u32) -> &[PageId] {
-        &self.heaps[heap as usize].pages
+        &self.kept.heaps[heap as usize].pages
     }
 
     fn lock_rid(&mut self, tx: TxId, heap: u32, rid: Rid, mode: LockMode) -> Result<()> {
@@ -68,10 +68,10 @@ impl Database {
     /// Insert a tuple, returning its RID: find the page and the slot it
     /// will assign, lock that RID, log the insert and apply it.
     pub(crate) fn heap_insert(&mut self, tx: TxId, heap: u32, tuple: &[u8]) -> Result<Rid> {
-        if !self.txns.is_active(tx) {
+        if !self.lost.txns.is_active(tx) {
             return Err(EngineError::UnknownTx(tx));
         }
-        let h = &self.heaps[heap as usize];
+        let h = &self.kept.heaps[heap as usize];
         let (region, hint) = (h.region, h.pages.get(h.insert_hint).copied());
         // Try the hint page, then a fresh page.
         let place = match hint {
@@ -102,7 +102,7 @@ impl Database {
             self.free_page(page)?;
             return Err(EngineError::TupleTooLarge(needed));
         };
-        let h = &mut self.heaps[heap as usize];
+        let h = &mut self.kept.heaps[heap as usize];
         h.pages.push(page);
         h.insert_hint = h.pages.len() - 1;
         Ok(rid)
@@ -174,9 +174,9 @@ impl Database {
     /// image of the tuple being changed waits there until the log copies
     /// it. Taken for the operation, put back after it.
     fn with_before_image<R>(&mut self, op: impl FnOnce(&mut Self, &mut Vec<u8>) -> R) -> R {
-        let mut before = std::mem::take(&mut self.before_image);
+        let mut before = std::mem::take(&mut self.lost.before_image);
         let result = op(self, &mut before);
-        self.before_image = before;
+        self.lost.before_image = before;
         result
     }
 
@@ -214,7 +214,7 @@ impl Database {
 
     /// Scan all live tuples of a heap, invoking `f(rid, tuple)`.
     pub fn heap_scan(&mut self, heap: u32, mut f: impl FnMut(Rid, &[u8])) -> Result<()> {
-        let pages = self.heaps[heap as usize].pages.clone();
+        let pages = self.kept.heaps[heap as usize].pages.clone();
         for pid in pages {
             self.with_page(pid, |page| {
                 for slot in page.live_slots() {

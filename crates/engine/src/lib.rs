@@ -9,14 +9,17 @@
 //! of `ipa-noftl` / `ipa-flash`, with the IPA machinery of `ipa-core` wired
 //! into the page-flush path:
 //!
-//! * [`Database`] — the engine. Its state has three owners, each a struct
-//!   whose fields are private to the file that holds the `impl Database`
-//!   methods writing them: `pager.rs` (device, buffer pool, allocators,
-//!   layouts, profiles — fetch, evict, flush), `log.rs` (WAL, group-commit
-//!   stage, checkpoints, reclamation) and `adaptive.rs` (the online `[N×M]`
-//!   re-tune). `db.rs` keeps the configuration ([`DbConfig::eager`] vs
-//!   non-eager — the knob behind the paper's Tables 9 vs 10), the
-//!   transaction / lock glue and the builder.
+//! * [`Database`] — the engine: what a power loss leaves (device, WAL,
+//!   catalog, measurement, options) and what it takes (pool, lock and
+//!   transaction tables, group-commit stage, scratch), which `open` and a
+//!   crash build through one constructor. Its state has three owners, each
+//!   with fields private to the file of the `impl Database` methods writing
+//!   them: `pager.rs` (device, buffer pool, allocators, layouts, profiles —
+//!   fetch, evict, flush), `log.rs` (WAL, group-commit stage, checkpoints,
+//!   reclamation) and `adaptive.rs` (the online `[N×M]` re-tune). `db.rs`
+//!   keeps the split, the configuration ([`DbConfig::eager`] vs non-eager —
+//!   the knob behind Tables 9 vs 10), the transaction / lock glue and the
+//!   builder.
 //! * On eviction/cleaning, each dirty page consults its
 //!   [`ipa_core::ChangeTracker`]: small accumulated changes become delta
 //!   records appended to the original flash page via `write_delta`;

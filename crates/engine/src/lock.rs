@@ -5,10 +5,10 @@
 //! which doubles as trivial deadlock avoidance — the right behaviour for
 //! the serial benchmark drivers, where conflicts are rare.
 //!
-//! The multi-client executor switches the table to **wait-die** (Rosenkrantz
-//! et al.): on conflict the transaction ids decide — an *older* requester
-//! (smaller id) gets [`EngineError::LockWait`] and parks until the holder
-//! finishes; a *younger* requester "dies" with
+//! The multi-client executor runs on a table built with **wait-die**
+//! (Rosenkrantz et al.): on conflict the transaction ids decide — an
+//! *older* requester (smaller id) gets [`EngineError::LockWait`] and parks
+//! until the holder finishes; a *younger* requester "dies" with
 //! [`EngineError::LockConflict`] and restarts. Wait-for edges then only
 //! ever point from older to younger transactions, so no cycle (deadlock)
 //! can form, deterministically and without a waits-for graph.
@@ -103,27 +103,17 @@ fn hash(key: LockKey) -> usize {
 }
 
 impl LockManager {
-    /// An empty lock table with the no-wait policy.
-    pub fn new() -> Self {
+    /// An empty lock table resolving conflicts by `policy`.
+    pub fn new(policy: LockPolicy) -> Self {
         LockManager {
             slots: (0..INITIAL_SLOTS).map(|_| None).collect(),
             held: 0,
             by_tx: Vec::new(),
             spare_lists: Vec::new(),
-            policy: LockPolicy::default(),
+            policy,
             waits: 0,
             deaths: 0,
         }
-    }
-
-    /// Switch the conflict policy (keeps held locks).
-    pub fn set_policy(&mut self, policy: LockPolicy) {
-        self.policy = policy;
-    }
-
-    /// The active conflict policy.
-    pub fn policy(&self) -> LockPolicy {
-        self.policy
     }
 
     /// Conflicts resolved as "wait" under wait-die.
@@ -289,7 +279,7 @@ mod tests {
 
     #[test]
     fn shared_locks_coexist() {
-        let mut lm = LockManager::new();
+        let mut lm = LockManager::new(LockPolicy::NoWait);
         lm.lock(TxId(1), K, LockMode::Shared).unwrap();
         lm.lock(TxId(2), K, LockMode::Shared).unwrap();
         assert_eq!(lm.held_count(), 1);
@@ -297,7 +287,7 @@ mod tests {
 
     #[test]
     fn exclusive_conflicts() {
-        let mut lm = LockManager::new();
+        let mut lm = LockManager::new(LockPolicy::NoWait);
         lm.lock(TxId(1), K, LockMode::Exclusive).unwrap();
         assert!(matches!(
             lm.lock(TxId(2), K, LockMode::Shared),
@@ -308,7 +298,7 @@ mod tests {
 
     #[test]
     fn reentrant_and_upgrade() {
-        let mut lm = LockManager::new();
+        let mut lm = LockManager::new(LockPolicy::NoWait);
         lm.lock(TxId(1), K, LockMode::Shared).unwrap();
         lm.lock(TxId(1), K, LockMode::Shared).unwrap();
         lm.lock(TxId(1), K, LockMode::Exclusive).unwrap(); // sole holder upgrade
@@ -317,7 +307,7 @@ mod tests {
 
     #[test]
     fn upgrade_blocked_by_other_sharer() {
-        let mut lm = LockManager::new();
+        let mut lm = LockManager::new(LockPolicy::NoWait);
         lm.lock(TxId(1), K, LockMode::Shared).unwrap();
         lm.lock(TxId(2), K, LockMode::Shared).unwrap();
         assert!(matches!(
@@ -328,7 +318,7 @@ mod tests {
 
     #[test]
     fn release_all_frees_everything() {
-        let mut lm = LockManager::new();
+        let mut lm = LockManager::new(LockPolicy::NoWait);
         lm.lock(TxId(1), K, LockMode::Exclusive).unwrap();
         lm.lock(TxId(1), (1, 43), LockMode::Shared).unwrap();
         lm.release_all(TxId(1));
@@ -338,7 +328,7 @@ mod tests {
 
     #[test]
     fn shared_release_keeps_other_holder() {
-        let mut lm = LockManager::new();
+        let mut lm = LockManager::new(LockPolicy::NoWait);
         lm.lock(TxId(1), K, LockMode::Shared).unwrap();
         lm.lock(TxId(2), K, LockMode::Shared).unwrap();
         lm.release_all(TxId(1));
@@ -349,8 +339,7 @@ mod tests {
 
     #[test]
     fn wait_die_old_waits_young_dies() {
-        let mut lm = LockManager::new();
-        lm.set_policy(LockPolicy::WaitDie);
+        let mut lm = LockManager::new(LockPolicy::WaitDie);
         lm.lock(TxId(5), K, LockMode::Exclusive).unwrap();
         // Older requester (smaller id) waits...
         assert!(matches!(
@@ -368,8 +357,7 @@ mod tests {
 
     #[test]
     fn wait_die_upgrade_conflict_follows_ages() {
-        let mut lm = LockManager::new();
-        lm.set_policy(LockPolicy::WaitDie);
+        let mut lm = LockManager::new(LockPolicy::WaitDie);
         lm.lock(TxId(2), K, LockMode::Shared).unwrap();
         lm.lock(TxId(7), K, LockMode::Shared).unwrap();
         // Tx2 upgrading against the younger sharer Tx7: waits.
@@ -456,12 +444,9 @@ mod tests {
         use rand::Rng;
         let (mut granted, mut waited, mut died, mut grown) = (0u64, 0u64, 0u64, 0u64);
         ipa_flash::for_each_case(1_500, |rng| {
-            let mut lm = LockManager::new();
-            let mut model = MapLockManager::default();
-            if rng.gen() {
-                lm.set_policy(LockPolicy::WaitDie);
-                model.policy = LockPolicy::WaitDie;
-            }
+            let policy = if rng.gen() { LockPolicy::WaitDie } else { LockPolicy::NoWait };
+            let mut lm = LockManager::new(policy);
+            let mut model = MapLockManager { policy, ..MapLockManager::default() };
             // Few rows, so requests meet; some cases many, so the table
             // grows and probe runs wrap and shift on release.
             let rows: u64 = if rng.gen_range(0..4) == 0 { 400 } else { rng.gen_range(1..24) };
@@ -509,7 +494,7 @@ mod tests {
 
     #[test]
     fn no_wait_never_emits_lock_wait() {
-        let mut lm = LockManager::new();
+        let mut lm = LockManager::new(LockPolicy::NoWait);
         lm.lock(TxId(9), K, LockMode::Exclusive).unwrap();
         assert!(matches!(
             lm.lock(TxId(1), K, LockMode::Exclusive),

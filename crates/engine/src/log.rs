@@ -1,7 +1,8 @@
 //! The log manager: the WAL, the group-commit stage in front of its
 //! forces, checkpoints and log-space reclamation.
 //!
-//! [`Log`]'s fields are private to this file, so this is the only code that
+//! The fields of [`Log`] (what a power loss leaves) and [`CommitStage`]
+//! (what it takes) are private to this file, so this is the only code that
 //! appends to the WAL, forces it, truncates it or loses its unflushed tail.
 //! Everyone else reads through [`Database::wal`] and [`Database::wal_head`].
 
@@ -13,11 +14,33 @@ use crate::txn::TxId;
 use crate::wal::{LogPayload, Lsn, Wal};
 use crate::Result;
 
-/// The WAL and what sits in front of it. Commits park in the group-commit
-/// stage until the batch threshold or timeout fires one log force for all
-/// of them.
+/// What a power loss leaves of the log manager: the WAL, of which a crash
+/// keeps the forced prefix, and the batch-size histogram (measurement).
 pub(crate) struct Log {
     wal: Wal,
+    /// Size of every flushed batch, in arrival order (sweep histogram).
+    batch_sizes: Vec<u32>,
+}
+
+impl Log {
+    /// An empty log with the given capacity budget.
+    pub(crate) fn new(capacity_bytes: usize) -> Self {
+        Log { wal: Wal::new(capacity_bytes), batch_sizes: Vec::new() }
+    }
+
+    /// What a power loss does to the WAL: the unflushed suffix is lost,
+    /// and with it the `Commit` records of parked group commits (they roll
+    /// back during recovery).
+    pub(crate) fn lose_unflushed(&mut self) {
+        self.wal.lose_unflushed();
+    }
+}
+
+/// What a power loss takes from the log manager: the group-commit stage in
+/// front of the WAL's forces, where commits park until the batch threshold
+/// or timeout fires one force for all of them, and the checkpoint anchor.
+#[derive(Default)]
+pub(crate) struct CommitStage {
     /// FIFO of parked commit requests, each with the LSN of its `Commit`
     /// record: appended (locks already released), but the log force — and
     /// with it the durability acknowledgement — is deferred to the batch.
@@ -27,58 +50,50 @@ pub(crate) struct Log {
     acks: Vec<TxId>,
     /// Device clock when the oldest currently parked commit entered.
     oldest_park_ns: u64,
-    /// Size of every flushed batch, in arrival order (sweep histogram).
-    batch_sizes: Vec<u32>,
     /// Simulated-clock time of the most recent checkpoint (periodic or
-    /// reclamation-driven); the periodic-checkpoint epoch anchor.
+    /// reclamation-driven), or of the stage's building; the
+    /// periodic-checkpoint epoch anchor.
     last_checkpoint_ns: u64,
 }
 
-impl Log {
-    /// An empty log with the given capacity budget.
-    pub(crate) fn new(capacity_bytes: usize) -> Self {
-        Log {
-            wal: Wal::new(capacity_bytes),
-            parked: Vec::new(),
-            acks: Vec::new(),
-            oldest_park_ns: 0,
-            batch_sizes: Vec::new(),
-            last_checkpoint_ns: 0,
-        }
+impl CommitStage {
+    /// An empty stage, the checkpoint anchor at `now_ns`.
+    pub(crate) fn new(now_ns: u64) -> Self {
+        CommitStage { last_checkpoint_ns: now_ns, ..CommitStage::default() }
     }
 }
 
 impl Database {
     /// The write-ahead log, read-only.
     pub(crate) fn wal(&self) -> &Wal {
-        &self.log.wal
+        &self.kept.log.wal
     }
 
     /// Newest appended LSN — the retained-log length a full-scan restart
     /// would have to walk (diagnostics and the restart-latency bench).
     pub fn wal_head(&self) -> Lsn {
-        self.log.wal.head()
+        self.kept.log.wal.head()
     }
 
     /// Force the entire log to stable storage (group flush).
     pub fn force_log(&mut self) {
-        self.flush_log_to(self.log.wal.head());
+        self.flush_log_to(self.kept.log.wal.head());
     }
 
     /// Make the log durable up to `lsn`, uncounted and free of charge: the
     /// WAL rule before a page write, and the force behind an `Abort`.
     pub(crate) fn flush_log_to(&mut self, lsn: Lsn) {
-        self.log.wal.flush_to(lsn);
+        self.kept.log.wal.flush_to(lsn);
     }
 
     /// Force the WAL up to `lsn` on the commit path, counting only *real*
     /// forces (those that advance the durable horizon) and charging the
     /// configured log-device latency for them.
     pub(crate) fn force_wal_to(&mut self, lsn: Lsn) -> bool {
-        if !self.log.wal.flush_to(lsn) {
+        if !self.kept.log.wal.flush_to(lsn) {
             return false;
         }
-        self.stats.wal_forces += 1;
+        self.kept.stats.wal_forces += 1;
         let log_force_ns = self.config().log_force_ns;
         if log_force_ns > 0 {
             self.advance_clock(log_force_ns);
@@ -88,7 +103,7 @@ impl Database {
 
     /// Append the `Begin` record that starts a transaction's chain.
     pub(crate) fn log_begin(&mut self, tx: TxId) -> Lsn {
-        self.log.wal.append(Lsn::NULL, LogPayload::<&[u8]>::Begin { tx })
+        self.kept.log.wal.append(Lsn::NULL, LogPayload::<&[u8]>::Begin { tx })
     }
 
     /// Append a log record on behalf of a transaction, maintaining the
@@ -100,8 +115,8 @@ impl Database {
     /// refused: a log full of a transaction's own records must be able to
     /// take the records that let it go away.
     pub(crate) fn log_for_tx(&mut self, tx: TxId, payload: LogPayload<&[u8]>) -> Result<Lsn> {
-        if self.log.wal.used_fraction() >= 1.0 {
-            if !self.txns.is_active(tx) {
+        if self.kept.log.wal.used_fraction() >= 1.0 {
+            if !self.lost.txns.is_active(tx) {
                 return Err(EngineError::UnknownTx(tx));
             }
             self.reclaim_log_space()?;
@@ -113,13 +128,15 @@ impl Database {
                     | LogPayload::IndexInsert { .. }
                     | LogPayload::IndexDelete { .. }
             );
-            if starts_an_operation && self.log.wal.used_fraction() >= 1.0 {
+            if starts_an_operation && self.kept.log.wal.used_fraction() >= 1.0 {
                 return Err(EngineError::LogFull);
             }
         }
         // One lookup: the entry that gives the chain's head takes the new one.
-        let Some(info) = self.txns.info_mut(tx) else { return Err(EngineError::UnknownTx(tx)) };
-        info.last_lsn = self.log.wal.append(info.last_lsn, payload);
+        let Some(info) = self.lost.txns.info_mut(tx) else {
+            return Err(EngineError::UnknownTx(tx));
+        };
+        info.last_lsn = self.kept.log.wal.append(info.last_lsn, payload);
         Ok(info.last_lsn)
     }
 
@@ -141,13 +158,13 @@ impl Database {
     /// acknowledgement arrives via [`Database::drain_group_acks`] after the
     /// batch flush, which this triggers once the batch is full.
     pub(crate) fn park_commit(&mut self, tx: TxId, lsn: Lsn) {
-        self.stats.tx_parked += 1;
+        self.kept.stats.tx_parked += 1;
         self.emit(EventKind::TxParked, None, None);
-        if self.log.parked.is_empty() {
-            self.log.oldest_park_ns = self.now_ns();
+        if self.lost.stage.parked.is_empty() {
+            self.lost.stage.oldest_park_ns = self.now_ns();
         }
-        self.log.parked.push((tx, lsn));
-        if self.log.parked.len() >= self.config().group_commit_batch {
+        self.lost.stage.parked.push((tx, lsn));
+        if self.lost.stage.parked.len() >= self.config().group_commit_batch {
             self.flush_group_commit();
         }
     }
@@ -155,21 +172,21 @@ impl Database {
     /// Flush the group-commit stage: one log force covering every parked
     /// commit, then acknowledge them all. A no-op when nothing is parked.
     pub fn flush_group_commit(&mut self) {
-        if self.log.parked.is_empty() {
+        if self.lost.stage.parked.is_empty() {
             return;
         }
-        let batch = self.log.parked.len();
-        let horizon = self.log.parked.iter().map(|&(_, lsn)| lsn).max().unwrap_or(Lsn::NULL);
+        let batch = self.lost.stage.parked.len();
+        let horizon = self.lost.stage.parked.iter().map(|&(_, lsn)| lsn).max().unwrap_or(Lsn::NULL);
         self.in_span(SpanCategory::Flush, self.ftl().device().current_span(), |db, _| {
             db.force_wal_to(horizon);
             db.emit(EventKind::GroupCommitFlush { txns: batch as u32 }, None, None);
         });
-        self.stats.group_commits += 1;
-        self.stats.commits += batch as u64;
-        self.log.batch_sizes.push(batch as u32);
+        self.kept.stats.group_commits += 1;
+        self.kept.stats.commits += batch as u64;
+        self.kept.log.batch_sizes.push(batch as u32);
         // The stage keeps its vectors: the batch moves from one to the
         // other.
-        let Log { parked, acks, .. } = &mut self.log;
+        let CommitStage { parked, acks, .. } = &mut self.lost.stage;
         acks.extend(parked.drain(..).map(|(tx, _)| tx));
     }
 
@@ -177,8 +194,8 @@ impl Database {
     /// oldest parked commit has waited `group_commit_timeout_ns`.
     pub(crate) fn flush_group_commit_if_due(&mut self) {
         let timeout_ns = self.config().group_commit_timeout_ns;
-        if !self.log.parked.is_empty() && timeout_ns > 0 {
-            let waited = self.now_ns().saturating_sub(self.log.oldest_park_ns);
+        if !self.lost.stage.parked.is_empty() && timeout_ns > 0 {
+            let waited = self.now_ns().saturating_sub(self.lost.stage.oldest_park_ns);
             if waited >= timeout_ns {
                 self.flush_group_commit();
             }
@@ -189,34 +206,24 @@ impl Database {
     /// flushes since the last drain, in commit order. Dropping the iterator
     /// discards whatever of them it has not yielded.
     pub fn drain_group_acks(&mut self) -> std::vec::Drain<'_, TxId> {
-        self.log.acks.drain(..)
+        self.lost.stage.acks.drain(..)
     }
 
     /// Commit requests currently parked in the group-commit stage.
     pub fn group_commit_pending(&self) -> usize {
-        self.log.parked.len()
+        self.lost.stage.parked.len()
     }
 
     /// Sizes of every group-commit batch flushed so far, in flush order
     /// (the sweep harness builds its batch-size histogram from this).
     pub fn group_batch_sizes(&self) -> &[u32] {
-        &self.log.batch_sizes
-    }
-
-    /// What a simulated crash does to the log: the unflushed suffix is
-    /// lost, and with it the `Commit` records of parked group commits (they
-    /// roll back during recovery); undrained acks die with the host that
-    /// never saw them.
-    pub(crate) fn crash_log(&mut self) {
-        self.log.wal.lose_unflushed();
-        self.log.parked.clear();
-        self.log.acks.clear();
+        &self.kept.log.batch_sizes
     }
 
     /// Eager log-space reclamation's due-check (§8.4): reclaim once
     /// `log_reclaim_threshold` of the budget is in use.
     pub(crate) fn reclaim_log_if_due(&mut self) -> Result<()> {
-        if self.log.wal.used_fraction() >= self.config().log_reclaim_threshold {
+        if self.kept.log.wal.used_fraction() >= self.config().log_reclaim_threshold {
             self.reclaim_log_space()?;
         }
         Ok(())
@@ -237,20 +244,22 @@ impl Database {
         // would let stolen page writes of an unacknowledged commit survive
         // a crash with no history to redo or undo against.
         let keep = self
+            .lost
             .txns
             .iter()
             .map(|(_, last)| last)
-            .chain(self.log.parked.iter().map(|&(_, lsn)| lsn))
+            .chain(self.lost.stage.parked.iter().map(|&(_, lsn)| lsn))
             .map(|last| self.first_lsn_from(last))
             .filter(|first| !first.is_null())
             .min()
-            .unwrap_or(self.log.wal.head());
+            .unwrap_or(self.kept.log.wal.head());
         // Keep the checkpoint pair itself. The Begin and End LSNs are not
         // adjacent in general (fuzzy checkpoints interleave with regular
         // records), so the WAL tracks the pair — truncate to the Begin.
-        let ckpt_begin = self.log.wal.last_checkpoint_pair().map_or(Lsn(1), |(begin, _)| begin);
-        self.log.wal.truncate_to(keep.min(ckpt_begin));
-        self.stats.log_reclaims += 1;
+        let ckpt_begin =
+            self.kept.log.wal.last_checkpoint_pair().map_or(Lsn(1), |(begin, _)| begin);
+        self.kept.log.wal.truncate_to(keep.min(ckpt_begin));
+        self.kept.stats.log_reclaims += 1;
         Ok(())
     }
 
@@ -258,7 +267,7 @@ impl Database {
     /// retained record). Null in, null out.
     fn first_lsn_from(&self, mut lsn: Lsn) -> Lsn {
         let mut first = lsn;
-        while let Some(prev) = self.log.wal.prev_of(lsn) {
+        while let Some(prev) = self.kept.log.wal.prev_of(lsn) {
             first = lsn;
             if prev.is_null() {
                 break;
@@ -274,17 +283,17 @@ impl Database {
     /// starts at the Begin of the last complete pair and redo at the
     /// dirty-page table's minimum recLSN.
     pub fn checkpoint(&mut self) -> Result<()> {
-        self.log.wal.append(Lsn::NULL, LogPayload::<&[u8]>::BeginCheckpoint);
+        self.kept.log.wal.append(Lsn::NULL, LogPayload::<&[u8]>::BeginCheckpoint);
         self.emit(EventKind::CheckpointBegin, None, None);
         self.debug_check_quiesced();
         let dirty = self.dirty_page_table();
-        let active = self.txns.snapshot();
+        let active = self.lost.txns.snapshot();
         let counts = (active.len() as u32, dirty.len() as u32);
         let payload = LogPayload::<&[u8]>::EndCheckpoint { active, dirty };
-        let end = self.log.wal.append(Lsn::NULL, payload);
-        self.log.wal.flush_to(end);
-        self.stats.checkpoints += 1;
-        self.log.last_checkpoint_ns = self.now_ns();
+        let end = self.kept.log.wal.append(Lsn::NULL, payload);
+        self.kept.log.wal.flush_to(end);
+        self.kept.stats.checkpoints += 1;
+        self.lost.stage.last_checkpoint_ns = self.now_ns();
         self.emit(EventKind::CheckpointEnd { active: counts.0, dirty: counts.1 }, None, None);
         Ok(())
     }
@@ -298,7 +307,7 @@ impl Database {
     pub(crate) fn checkpoint_if_due(&mut self) -> Result<()> {
         let interval_ns = self.config().checkpoint_interval_ns;
         if interval_ns == 0
-            || self.now_ns().saturating_sub(self.log.last_checkpoint_ns) < interval_ns
+            || self.now_ns().saturating_sub(self.lost.stage.last_checkpoint_ns) < interval_ns
         {
             return Ok(());
         }
@@ -315,7 +324,7 @@ mod tests {
     impl Database {
         /// The write-ahead log, for tests that forge records.
         pub(crate) fn wal_mut(&mut self) -> &mut Wal {
-            &mut self.log.wal
+            &mut self.kept.log.wal
         }
     }
 
@@ -324,8 +333,8 @@ mod tests {
         let mut db = test_db(NxM::tpcc(), 8);
         let tx = db.start_tx();
         let lsn = db.log_for_tx(tx, LogPayload::Commit { tx }).unwrap();
-        db.log.wal.flush_to(lsn);
-        assert_eq!(db.log.wal.flushed(), lsn);
+        db.kept.log.wal.flush_to(lsn);
+        assert_eq!(db.kept.log.wal.flushed(), lsn);
     }
 
     #[test]
@@ -396,7 +405,8 @@ mod tests {
             db.background_work().unwrap();
         }
         assert!(db.stats().checkpoints >= 2, "simulated clock drives periodic checkpoints");
-        let (begin, end) = db.log.wal.last_checkpoint_pair().expect("a complete pair is tracked");
+        let (begin, end) =
+            db.kept.log.wal.last_checkpoint_pair().expect("a complete pair is tracked");
         assert!(begin < end, "Begin precedes End");
     }
 }

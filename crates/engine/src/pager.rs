@@ -2,9 +2,10 @@
 //! allocators — fetch, evict and flush, with the IPA decision wired into
 //! every dirty-page flush ([`Database::stage_flush`]).
 //!
-//! [`Pager`]'s fields are private to this file, so this is the only code
-//! that submits a page write or a delta append (each carrying its OOB
-//! writes), and the only code that moves a frame into or out of the pool.
+//! The fields of [`Pager`] (what a power loss leaves) and [`Frames`] (what
+//! it takes) are private to this file, so this is the only code that
+//! submits a page write or a delta append (each carrying its OOB writes),
+//! and the only code that moves a frame into or out of the pool.
 //! Everyone else reads through [`Database::ftl`], [`Database::layout`],
 //! [`Database::profile`] and writes through the methods below.
 
@@ -57,16 +58,28 @@ struct PageAllocator {
     capacity: u64,
 }
 
-/// Everything between a page id and its bytes: device, pool, per-region
-/// layouts, allocators and update-size profiles.
+/// What a power loss leaves of the pager: the device, the catalog's
+/// per-region half and measurement (profiles, tape, sweep counters).
 pub(crate) struct Pager {
+    /// Cells and OOB, with the observer, clock and stats. TODO (ROADMAP
+    /// 1(c)): NoFTL's mapping, cursors, free lists and heat are RAM too.
     ftl: NoFtl,
+    /// Catalog: the scheme each region was last tuned to. TODO (ROADMAP
+    /// 1(d)): on a catalog page.
     layouts: Vec<PageLayout>,
-    pool: BufferPool,
+    /// Catalog. TODO (ROADMAP 1(d)): on a catalog page.
     allocators: Vec<PageAllocator>,
     profiles: Vec<UpdateSizeProfile>,
     /// The fetch/evict tape, while [`Database::enable_tracing`] is on.
     trace: Option<Vec<TraceEvent>>,
+    /// The buffer pool's CLOCK-sweep counters.
+    sweep: SweepStats,
+}
+
+/// What a power loss takes from the pager: the buffer pool (its frames and
+/// CLOCK hand) and the cleaner's slot scratch.
+pub(crate) struct Frames {
+    pool: BufferPool,
     /// Scratch of [`Database::stage_flushes`] and
     /// [`Database::dirty_page_table`]: the frame slots to visit, kept from
     /// one walk to the next so a cleaner round allocates nothing.
@@ -76,8 +89,8 @@ pub(crate) struct Pager {
 impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Database")
-            .field("regions", &self.pager.layouts.len())
-            .field("buffered", &self.pager.pool.len())
+            .field("regions", &self.kept.pager.layouts.len())
+            .field("buffered", &self.lost.frames.pool.len())
             .finish_non_exhaustive()
     }
 }
@@ -85,11 +98,7 @@ impl std::fmt::Debug for Database {
 impl Pager {
     /// A pager over a new NoFTL device. `schemes[i]` is the `[N×M]`
     /// configuration of region `i`.
-    pub(crate) fn new(
-        ftl_config: NoFtlConfig,
-        schemes: &[NxM],
-        buffer_frames: usize,
-    ) -> Result<Self> {
+    pub(crate) fn new(ftl_config: NoFtlConfig, schemes: &[NxM]) -> Result<Self> {
         if schemes.len() != ftl_config.regions.len() {
             return Err(EngineError::Core(ipa_core::CoreError::InvalidPage(format!(
                 "{} schemes for {} regions",
@@ -109,49 +118,60 @@ impl Pager {
                 Ok(PageAllocator { capacity, ..PageAllocator::default() })
             })
             .collect::<Result<Vec<_>>>()?;
-        let region_pages: Vec<u64> = allocators.iter().map(|a| a.capacity).collect();
         Ok(Pager {
             ftl,
             layouts,
-            pool: BufferPool::new(buffer_frames, &region_pages),
             allocators,
             profiles: schemes.iter().map(|_| UpdateSizeProfile::default()).collect(),
             trace: None,
-            candidates: Vec::new(),
+            sweep: SweepStats::default(),
         })
+    }
+
+    /// The device.
+    pub(crate) fn ftl(&self) -> &NoFtl {
+        &self.ftl
+    }
+}
+
+impl Frames {
+    /// An empty pool of `buffer_frames` frames over `pager`'s regions.
+    pub(crate) fn new(pager: &Pager, buffer_frames: usize) -> Self {
+        let region_pages: Vec<u64> = pager.allocators.iter().map(|a| a.capacity).collect();
+        Frames { pool: BufferPool::new(buffer_frames, &region_pages), candidates: Vec::new() }
     }
 }
 
 impl Database {
     /// Start recording fetch/evict trace events (for baseline replay).
     pub fn enable_tracing(&mut self) {
-        self.pager.trace = Some(Vec::new());
+        self.kept.pager.trace = Some(Vec::new());
     }
 
     /// Stop recording and take the trace.
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.pager.trace.take().unwrap_or_default()
+        self.kept.pager.trace.take().unwrap_or_default()
     }
 
     /// The page layout of a region.
     pub fn layout(&self, region: usize) -> &PageLayout {
-        &self.pager.layouts[region]
+        &self.kept.pager.layouts[region]
     }
 
     /// Move a region to a new layout (a re-tune epoch): pages formatted or
     /// carried over from here on take it.
     pub(crate) fn set_layout(&mut self, region: usize, layout: PageLayout) {
-        self.pager.layouts[region] = layout;
+        self.kept.pager.layouts[region] = layout;
     }
 
     /// Region statistics from the flash-management layer.
     pub fn region_stats(&self, region: usize) -> Result<&ipa_noftl::RegionStats> {
-        Ok(self.pager.ftl.region_stats(RegionId(region))?)
+        Ok(self.kept.pager.ftl.region_stats(RegionId(region))?)
     }
 
     /// The underlying NoFTL device (read access for harnesses).
     pub fn ftl(&self) -> &NoFtl {
-        &self.pager.ftl
+        &self.kept.pager.ftl
     }
 
     /// Mutable access to the NoFTL device for diagnostics and physical
@@ -159,65 +179,65 @@ impl Database {
     /// Bypassing the buffer pool with writes through this handle will
     /// desynchronize buffered pages from flash — read-only use intended.
     pub fn ftl_mut(&mut self) -> &mut NoFtl {
-        &mut self.pager.ftl
+        &mut self.kept.pager.ftl
     }
 
     /// Run static wear leveling on a region (relocates cold blocks whose
     /// erase lag exceeds `threshold`). Returns relocated block count.
     pub fn wear_level(&mut self, region: usize, threshold: u64) -> Result<u32> {
-        Ok(self.pager.ftl.wear_level(RegionId(region), threshold)?)
+        Ok(self.kept.pager.ftl.wear_level(RegionId(region), threshold)?)
     }
 
     /// Update-size profile collected for a region (feeds the IPA advisor
     /// and the paper's CDF figures).
     pub fn profile(&self, region: usize) -> &UpdateSizeProfile {
-        &self.pager.profiles[region]
+        &self.kept.pager.profiles[region]
     }
 
     /// Restart a region's profile window (a re-tune epoch evaluated it).
     pub(crate) fn restart_profile(&mut self, region: usize) {
-        self.pager.profiles[region] = UpdateSizeProfile::default();
+        self.kept.pager.profiles[region] = UpdateSizeProfile::default();
     }
 
     /// Reset engine + device statistics (after warm-up). Profiles are kept.
     pub fn reset_stats(&mut self) {
-        self.stats.reset();
-        self.pager.pool.reset_sweep_stats();
-        self.pager.ftl.reset_stats();
+        self.kept.stats.reset();
+        self.kept.pager.sweep.reset();
+        self.kept.pager.ftl.reset_stats();
     }
 
     /// Cumulative CLOCK-sweep counters of the buffer pool.
     pub fn sweep_stats(&self) -> SweepStats {
-        self.pager.pool.sweep_stats()
+        self.kept.pager.sweep
     }
 
     /// Attach a trace observer to the flash device below the engine. The
     /// engine's logical flush/evict decisions are emitted through the same
     /// sequence counter as the physical events they trigger.
     pub fn attach_observer(&mut self, observer: Box<dyn Observer>) {
-        self.pager.ftl.attach_observer(observer);
+        self.kept.pager.ftl.attach_observer(observer);
     }
 
     /// Detach the trace observer, returning it.
     pub fn detach_observer(&mut self) -> Option<Box<dyn Observer>> {
-        self.pager.ftl.detach_observer()
+        self.kept.pager.ftl.detach_observer()
     }
 
     /// Emit a logical trace event through the device's sequence counter
     /// (a no-op without an observer).
     #[inline]
     pub(crate) fn emit(&mut self, kind: EventKind, region: Option<u32>, lba: Option<u64>) {
-        self.pager.ftl.emit(kind, region, lba);
+        self.kept.pager.ftl.emit(kind, region, lba);
     }
 
     /// The simulated clock.
     pub(crate) fn now_ns(&self) -> u64 {
-        self.pager.ftl.device().clock().now_ns()
+        self.kept.pager.ftl.device().clock().now_ns()
     }
 
     /// Advance the simulated clock by transaction CPU/think time.
     pub fn advance_clock(&mut self, delta_ns: u64) {
-        self.pager.ftl.advance_clock(delta_ns);
+        self.kept.pager.ftl.advance_clock(delta_ns);
     }
 
     /// Run `f` under a trace span of category `cat` with parent `parent`;
@@ -232,9 +252,9 @@ impl Database {
         parent: Option<SpanId>,
         f: impl FnOnce(&mut Self, SpanId) -> T,
     ) -> T {
-        let span = self.pager.ftl.open_span_under(cat, parent);
+        let span = self.kept.pager.ftl.open_span_under(cat, parent);
         let out = f(self, span);
-        self.pager.ftl.close_span(span);
+        self.kept.pager.ftl.close_span(span);
         out
     }
 
@@ -243,13 +263,13 @@ impl Database {
     /// commit/abort.
     #[expect(clippy::disallowed_methods, reason = "closed by close_txn_span at commit/abort")]
     pub(crate) fn open_txn_span(&mut self) -> SpanId {
-        self.pager.ftl.open_span_under(SpanCategory::Txn, None)
+        self.kept.pager.ftl.open_span_under(SpanCategory::Txn, None)
     }
 
     /// Close the span [`Self::open_txn_span`] opened.
     #[expect(clippy::disallowed_methods, reason = "closes the span open_txn_span opened")]
     pub(crate) fn close_txn_span(&mut self, span: SpanId) {
-        self.pager.ftl.close_span(span);
+        self.kept.pager.ftl.close_span(span);
     }
 
     /// The quiesce points (`flush_all`, `checkpoint`, crash, restart):
@@ -257,7 +277,7 @@ impl Database {
     /// and check that the layers below are idle.
     pub(crate) fn debug_check_quiesced(&self) {
         if cfg!(debug_assertions) {
-            self.pager.pool.assert_consistent();
+            self.lost.frames.pool.assert_consistent();
         }
         self.debug_check_idle();
     }
@@ -266,14 +286,14 @@ impl Database {
     /// buffer as a formatted, dirty, not-yet-on-flash page. Room is made
     /// before the LBA is taken, so a failed eviction takes none.
     pub fn new_page(&mut self, region: usize) -> Result<PageId> {
-        let alloc = &self.pager.allocators[region];
+        let alloc = &self.kept.pager.allocators[region];
         if alloc.free.is_empty() && alloc.next >= alloc.capacity {
             return Err(EngineError::NoFtl(ipa_noftl::NoFtlError::DeviceFull {
                 region: format!("region {region}"),
             }));
         }
         let evicted = self.ensure_free_frame()?;
-        let alloc = &mut self.pager.allocators[region];
+        let alloc = &mut self.kept.pager.allocators[region];
         let lba = alloc.free.pop().unwrap_or_else(|| {
             alloc.next += 1;
             alloc.next - 1
@@ -290,16 +310,14 @@ impl Database {
     /// marked out-of-place and the frame enters the pool's dirty set on
     /// arrival. The caller has made sure a slot is free.
     fn insert_fresh_frame(&mut self, pid: PageId, evicted: Option<Evicted>) -> Result<()> {
-        let layout = self.pager.layouts[pid.region];
+        let layout = self.kept.pager.layouts[pid.region];
         let (buf, tracker) = evicted.unzip();
         let mut tracker = tracker_for(tracker, layout.scheme, 0, false);
         tracker.mark_out_of_place();
         let page = DbPage::format_in(buf.unwrap_or_default(), pid.lba.0, layout);
         let frame = Frame::new(pid, page, tracker);
-        self.pager
-            .pool
-            .insert(frame)
-            .ok_or(EngineError::Internal("no free frame for a fresh page"))?;
+        let inserted = self.lost.frames.pool.insert(frame);
+        inserted.ok_or(EngineError::Internal("no free frame for a fresh page"))?;
         Ok(())
     }
 
@@ -309,7 +327,7 @@ impl Database {
     /// room is neither counted as an eviction nor traced as one.
     pub(crate) fn ensure_page(&mut self, pid: PageId) -> Result<()> {
         let rid = RegionId(pid.region);
-        if self.pager.pool.contains(pid) || self.pager.ftl.is_mapped(rid, pid.lba) {
+        if self.lost.frames.pool.contains(pid) || self.kept.pager.ftl.is_mapped(rid, pid.lba) {
             return Ok(());
         }
         self.evict_victim()?;
@@ -318,11 +336,11 @@ impl Database {
 
     /// Drop a page: trim on flash, forget in the buffer, recycle the LBA.
     pub fn free_page(&mut self, pid: PageId) -> Result<()> {
-        if let Some(idx) = self.pager.pool.index_of(pid) {
-            self.pager.pool.remove(idx);
+        if let Some(idx) = self.lost.frames.pool.index_of(pid) {
+            self.lost.frames.pool.remove(idx);
         }
         self.trim_page(pid)?;
-        self.pager.allocators[pid.region].free.push(pid.lba.0);
+        self.kept.pager.allocators[pid.region].free.push(pid.lba.0);
         Ok(())
     }
 
@@ -330,16 +348,10 @@ impl Database {
     /// residency restart redo found unreadable).
     pub(crate) fn trim_page(&mut self, pid: PageId) -> Result<()> {
         let rid = RegionId(pid.region);
-        if self.pager.ftl.is_mapped(rid, pid.lba) {
-            self.pager.ftl.trim(rid, pid.lba)?;
+        if self.kept.pager.ftl.is_mapped(rid, pid.lba) {
+            self.kept.pager.ftl.trim(rid, pid.lba)?;
         }
         Ok(())
-    }
-
-    /// Drop every frame without flushing (a simulated crash loses the
-    /// buffer pool).
-    pub(crate) fn drop_pool(&mut self) {
-        self.pager.pool.clear();
     }
 
     /// If the pool is full, flush a CLOCK victim and take it out. The one
@@ -347,12 +359,13 @@ impl Database {
     /// synchronous — the fetching transaction waits for them (steal
     /// policy).
     fn evict_victim(&mut self) -> Result<Option<Frame>> {
-        if self.pager.pool.has_free_slot() {
+        if self.lost.frames.pool.has_free_slot() {
             return Ok(None);
         }
-        let victim = self.pager.pool.pick_victim().ok_or(EngineError::PoolExhausted)?;
+        let sweep = &mut self.kept.pager.sweep;
+        let victim = self.lost.frames.pool.pick_victim(sweep).ok_or(EngineError::PoolExhausted)?;
         self.flush_frame(victim, IoCtx::host())?;
-        Ok(self.pager.pool.remove(victim))
+        Ok(self.lost.frames.pool.remove(victim))
     }
 
     /// Make sure at least one frame is free, evicting (and flushing) a
@@ -363,7 +376,7 @@ impl Database {
     fn ensure_free_frame(&mut self) -> Result<Option<Evicted>> {
         let evicted = self.evict_victim()?;
         if let Some(pid) = evicted.as_ref().map(|f| f.page_id) {
-            self.stats.evictions += 1;
+            self.kept.stats.evictions += 1;
             self.emit(EventKind::Evict, Some(pid.region as u32), Some(pid.lba.0));
         }
         Ok(evicted.map(Frame::into_parts))
@@ -371,25 +384,26 @@ impl Database {
 
     /// Fetch a page into the buffer, returning its frame index.
     fn fetch(&mut self, pid: PageId) -> Result<usize> {
-        self.stats.fetches += 1;
-        if let Some(idx) = self.pager.pool.index_of(pid) {
-            self.stats.hits += 1;
-            self.pager.pool.touch(idx);
+        self.kept.stats.fetches += 1;
+        if let Some(idx) = self.lost.frames.pool.index_of(pid) {
+            self.kept.stats.hits += 1;
+            self.lost.frames.pool.touch(idx);
             return Ok(idx);
         }
         let evicted_tracker = self.ensure_free_frame()?.map(|(buf, tracker)| {
-            self.pager.ftl.recycle(buf);
+            self.kept.pager.ftl.recycle(buf);
             tracker
         });
-        if let Some(trace) = &mut self.pager.trace {
+        if let Some(trace) = &mut self.kept.pager.trace {
             trace.push(TraceEvent::Fetch { page: pid.lba.0 });
         }
-        let region_layout = self.pager.layouts[pid.region];
-        let (bytes, _) = self.pager.ftl.read_page(RegionId(pid.region), pid.lba, IoCtx::host())?;
+        let region_layout = self.kept.pager.layouts[pid.region];
+        let (bytes, _) =
+            self.kept.pager.ftl.read_page(RegionId(pid.region), pid.lba, IoCtx::host())?;
         // Adaptive mode: the region's scheme may have moved on since this
         // page was written. The page header carries its own `[N×M]` tag,
         // so old-scheme pages stay readable without any migration I/O.
-        let layout = if self.adaptive.is_some() {
+        let layout = if self.lost.adaptive.is_some() {
             let on_flash = HeaderView::scheme(&bytes);
             if on_flash == region_layout.scheme {
                 region_layout
@@ -400,9 +414,9 @@ impl Database {
             region_layout
         };
         if self.config().verify_ecc {
-            let oob = self.pager.ftl.read_oob(RegionId(pid.region), pid.lba)?;
+            let oob = self.kept.pager.ftl.read_oob(RegionId(pid.region), pid.lba)?;
             if ecc::verify_page(&bytes, &layout, &oob)?.is_some() {
-                self.stats.ecc_verified += 1;
+                self.kept.stats.ecc_verified += 1;
             }
         }
         let mut page = DbPage::from_bytes(bytes, layout)?;
@@ -411,10 +425,8 @@ impl Database {
         let n_existing = page.apply_deltas()?;
         let tracker = tracker_for(evicted_tracker, layout.scheme, n_existing, true);
         let frame = Frame::new(pid, page, tracker);
-        self.pager
-            .pool
-            .insert(frame)
-            .ok_or(EngineError::Internal("no free frame after ensure_free_frame"))
+        let inserted = self.lost.frames.pool.insert(frame);
+        inserted.ok_or(EngineError::Internal("no free frame after ensure_free_frame"))
     }
 
     /// The unlogged entry: run `f` against a buffered page and its tracker
@@ -441,10 +453,8 @@ impl Database {
         f: impl FnOnce(&mut DbPage, &mut ChangeTracker) -> Result<R>,
     ) -> Result<R> {
         let idx = self.fetch(pid)?;
-        self.pager
-            .pool
-            .update(idx, rec_lsn, f)
-            .ok_or(EngineError::Internal("fetched frame missing"))?
+        let updated = self.lost.frames.pool.update(idx, rec_lsn, f);
+        updated.ok_or(EngineError::Internal("fetched frame missing"))?
     }
 
     /// How a logged change reaches a page: the only code in the engine that
@@ -514,9 +524,8 @@ impl Database {
     /// Read-only page access.
     pub fn with_page<R>(&mut self, pid: PageId, f: impl FnOnce(&DbPage) -> R) -> Result<R> {
         let idx = self.fetch(pid)?;
-        let frame =
-            self.pager.pool.frame_mut(idx).ok_or(EngineError::Internal("fetched frame missing"))?;
-        Ok(f(&frame.page))
+        let frame = self.lost.frames.pool.frame_mut(idx);
+        Ok(f(&frame.ok_or(EngineError::Internal("fetched frame missing"))?.page))
     }
 
     /// Flush one frame if dirty, waiting for the device. This is the
@@ -524,7 +533,7 @@ impl Database {
     /// (`flush_all`, the cleaner) stage several frames and drain once.
     fn flush_frame(&mut self, idx: usize, ctx: IoCtx) -> Result<()> {
         let staged = self.stage_flush(idx, ctx);
-        self.pager.ftl.drain_completions();
+        self.kept.pager.ftl.drain_completions();
         staged
     }
 
@@ -535,7 +544,7 @@ impl Database {
     /// state advance at submission; the caller owns the eventual
     /// [`NoFtl::drain_completions`].
     fn stage_flush(&mut self, idx: usize, ctx: IoCtx) -> Result<()> {
-        let Some(frame) = self.pager.pool.frame_mut(idx) else { return Ok(()) };
+        let Some(frame) = self.lost.frames.pool.frame_mut(idx) else { return Ok(()) };
         let pid = frame.page_id;
         let page_scheme = *frame.page.scheme();
         let plan = frame.tracker().plan();
@@ -552,10 +561,10 @@ impl Database {
         // WAL rule: the log must be durable up to the page's LSN.
         self.flush_log_to(page_lsn);
         if is_update {
-            self.pager.profiles[pid.region].record(body as u32, meta as u32);
+            self.kept.pager.profiles[pid.region].record(body as u32, meta as u32);
         }
-        self.stats.net_changed_bytes += (body + meta) as u64;
-        if let Some(trace) = &mut self.pager.trace {
+        self.kept.stats.net_changed_bytes += (body + meta) as u64;
+        if let Some(trace) = &mut self.kept.pager.trace {
             trace.push(TraceEvent::Evict {
                 page: pid.lba.0,
                 changed_bytes: (body + meta) as u32,
@@ -563,8 +572,8 @@ impl Database {
             });
         }
 
-        let (verify_ecc, adaptive) = (self.config().verify_ecc, self.adaptive.is_some());
-        let Pager { ftl, pool, layouts, .. } = &mut self.pager;
+        let (verify_ecc, adaptive) = (self.config().verify_ecc, self.lost.adaptive.is_some());
+        let (Pager { ftl, layouts, .. }, pool) = (&mut self.kept.pager, &mut self.lost.frames.pool);
         let oob_size = ftl.device().config().geometry.oob_size;
         let rid = RegionId(pid.region);
         // `frame` borrows the pool, the writes go through the device: the
@@ -591,11 +600,11 @@ impl Database {
                 // The caller's `drain_completions` retires the command.
                 let oob = [oob_write(&code)];
                 let _queued = ftl.submit_write_delta(rid, pid.lba, offset, encoded, &oob, ctx)?;
-                self.stats.gross_written_bytes += encoded.len() as u64;
-                self.stats.delta_records_written += 1;
+                self.kept.stats.gross_written_bytes += encoded.len() as u64;
+                self.kept.stats.delta_records_written += 1;
             }
             pool.mark_flushed(idx, page_scheme, n_existing + appended);
-            self.stats.ipa_flushes += 1;
+            self.kept.stats.ipa_flushes += 1;
         } else {
             // Adaptive mode: an out-of-place write is the free moment to
             // carry a stale-scheme page to its region's current `[N×M]`
@@ -605,7 +614,7 @@ impl Database {
             frame.page.reset_delta_area();
             let target = layouts[pid.region];
             if adaptive && target.scheme != page_scheme && frame.page.relayout(target).is_ok() {
-                self.stats.scheme_upgrades += 1;
+                self.kept.stats.scheme_upgrades += 1;
             }
             let image = frame.page.bytes();
             let layout = *frame.page.layout();
@@ -614,17 +623,17 @@ impl Database {
             ftl.emit(EventKind::FlushOop, Some(pid.region as u32), Some(pid.lba.0));
             let oob = [oob_write(&tag), oob_write(&code)];
             let _queued = ftl.submit_write(rid, pid.lba, image, &oob, ctx)?;
-            self.stats.gross_written_bytes += image.len() as u64;
+            self.kept.stats.gross_written_bytes += image.len() as u64;
             pool.mark_flushed(idx, layout.scheme, 0);
-            self.stats.oop_flushes += 1;
+            self.kept.stats.oop_flushes += 1;
         }
         Ok(())
     }
 
     /// Flush a specific page (test/checkpoint aid).
     pub fn flush_page(&mut self, pid: PageId) -> Result<()> {
-        let Some(idx) = self.pager.pool.index_of(pid) else { return Ok(()) };
-        self.in_span(SpanCategory::Flush, self.pager.ftl.device().current_span(), |db, span| {
+        let Some(idx) = self.lost.frames.pool.index_of(pid) else { return Ok(()) };
+        self.in_span(SpanCategory::Flush, self.ftl().device().current_span(), |db, span| {
             db.flush_frame(idx, IoCtx::host().with_span(span))
         })
     }
@@ -642,11 +651,11 @@ impl Database {
     /// `Flush` span and drain once. Returns how many were staged before
     /// the first failure, and that failure.
     pub(crate) fn stage_flushes(&mut self, limit: usize, ctx: IoCtx) -> (u64, Result<()>) {
-        self.in_span(SpanCategory::Flush, self.pager.ftl.device().current_span(), |db, span| {
+        self.in_span(SpanCategory::Flush, self.ftl().device().current_span(), |db, span| {
             let mut count = 0;
             let mut staged = Ok(());
-            let mut candidates = std::mem::take(&mut db.pager.candidates);
-            db.pager.pool.cleaner_candidates(limit, &mut candidates);
+            let mut candidates = std::mem::take(&mut db.lost.frames.candidates);
+            db.lost.frames.pool.cleaner_candidates(limit, &mut candidates);
             for &idx in &candidates {
                 staged = db.stage_flush(idx, ctx.with_span(span));
                 if staged.is_err() {
@@ -654,8 +663,8 @@ impl Database {
                 }
                 count += 1;
             }
-            db.pager.candidates = candidates;
-            db.pager.ftl.drain_completions();
+            db.lost.frames.candidates = candidates;
+            db.kept.pager.ftl.drain_completions();
             (count, staged)
         })
     }
@@ -669,13 +678,13 @@ impl Database {
         /// Most pages one cleaner round flushes.
         const CLEANER_BATCH: usize = 64;
         let threshold = self.config().cleaner_dirty_threshold;
-        let pool = &self.pager.pool;
+        let pool = &self.lost.frames.pool;
         if pool.dirty_fraction() >= threshold {
             let target = (threshold * pool.capacity() as f64).floor() as usize;
             let excess = pool.dirty_count().saturating_sub(target);
             let (flushed, staged) =
                 self.stage_flushes(excess.min(CLEANER_BATCH), IoCtx::host_async());
-            self.stats.cleaner_flushes += flushed;
+            self.kept.stats.cleaner_flushes += flushed;
             staged?;
         }
         Ok(())
@@ -684,7 +693,7 @@ impl Database {
     /// The dirty-page table a checkpoint records: every dirty frame's page
     /// with its recovery LSN, in cleaning order.
     pub(crate) fn dirty_page_table(&mut self) -> Vec<(PageId, Lsn)> {
-        let Pager { pool, candidates, .. } = &mut self.pager;
+        let Frames { pool, candidates } = &mut self.lost.frames;
         pool.cleaner_candidates(usize::MAX, candidates);
         candidates
             .iter()
@@ -705,7 +714,7 @@ mod tests {
         /// The buffer pool, for tests that drop a page behind the engine's
         /// back or compare the pool against a full scan.
         pub(crate) fn pool_mut(&mut self) -> &mut BufferPool {
-            &mut self.pager.pool
+            &mut self.lost.frames.pool
         }
     }
 
@@ -743,8 +752,8 @@ mod tests {
         assert_eq!(db.stats().ipa_flushes, 1);
         // Drop the buffered copy and re-fetch from flash: the delta must
         // be applied on the way in.
-        let idx = db.pager.pool.index_of(pid).unwrap();
-        db.pager.pool.remove(idx);
+        let idx = db.lost.frames.pool.index_of(pid).unwrap();
+        db.lost.frames.pool.remove(idx);
         let tuple = db.with_page(pid, |page| page.tuple(slot).unwrap().to_vec()).unwrap();
         assert_eq!(tuple, vec![3, 7]);
     }
@@ -839,23 +848,27 @@ mod tests {
     /// dirty and free sets, `dirty_count`, and every prefix of the
     /// cleaning order — with frame `pin` pinned while comparing.
     fn check_pool_against_scan(db: &mut Database, pin: usize) {
-        db.pager.pool.assert_consistent();
-        let occupied: Vec<usize> = db.pager.pool.occupied().collect();
+        db.lost.frames.pool.assert_consistent();
+        let occupied: Vec<usize> = db.lost.frames.pool.occupied().collect();
         let scan = occupied
             .iter()
-            .filter(|&&i| db.pager.pool.frame_mut(i).is_some_and(|f| f.is_dirty()))
+            .filter(|&&i| db.lost.frames.pool.frame_mut(i).is_some_and(|f| f.is_dirty()))
             .count();
-        assert_eq!(db.pager.pool.dirty_count(), scan);
-        let pin = pin % db.pager.pool.capacity();
-        if let Some(f) = db.pager.pool.frame_mut(pin) {
+        assert_eq!(db.lost.frames.pool.dirty_count(), scan);
+        let pin = pin % db.lost.frames.pool.capacity();
+        if let Some(f) = db.lost.frames.pool.frame_mut(pin) {
             f.pins += 1;
         }
-        let oracle = db.pager.pool.dirty_indices();
+        let oracle = db.lost.frames.pool.dirty_indices();
         for n in 0..=oracle.len() + 1 {
-            assert_eq!(db.pager.pool.candidates(n), oracle[..n.min(oracle.len())], "limit {n}");
+            assert_eq!(
+                db.lost.frames.pool.candidates(n),
+                oracle[..n.min(oracle.len())],
+                "limit {n}"
+            );
         }
-        assert_eq!(db.pager.pool.candidates(usize::MAX), oracle);
-        if let Some(f) = db.pager.pool.frame_mut(pin) {
+        assert_eq!(db.lost.frames.pool.candidates(usize::MAX), oracle);
+        if let Some(f) = db.lost.frames.pool.frame_mut(pin) {
             f.pins -= 1;
         }
     }

@@ -279,14 +279,14 @@ impl ClientPool {
                         }
                         Err(EngineError::LockWait { holder, .. }) => {
                             txn.park();
-                            db.stats.lock_waits += 1;
+                            db.kept.stats.lock_waits += 1;
                             report.lock_waits += 1;
                             db.emit(EventKind::LockWait, None, None);
                             states[slot] = SlotState::Waiting { tx, on: holder, started_ns };
                         }
                         Err(EngineError::LockConflict { .. }) if wait_die => {
                             txn.abort()?;
-                            db.stats.deadlock_aborts += 1;
+                            db.kept.stats.deadlock_aborts += 1;
                             report.restarts += 1;
                             states[slot] = SlotState::Restarting;
                         }
@@ -295,7 +295,7 @@ impl ClientPool {
                             // fatal error; a failed abort is counted, not
                             // swallowed.
                             if txn.abort().is_err() {
-                                db.stats.abort_errors += 1;
+                                db.kept.stats.abort_errors += 1;
                             }
                             return Err(e);
                         }
@@ -337,7 +337,7 @@ fn xorshift64(state: &mut u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::tests::test_db;
+    use crate::db::tests::small_builder;
     use crate::heap::Rid;
     use ipa_core::NxM;
 
@@ -381,6 +381,12 @@ mod tests {
         }
     }
 
+    /// A `[2×3]` database of 32 frames under wait-die.
+    fn wait_die_db() -> Database {
+        let builder = small_builder(NxM::tpcc(), crate::DbConfig::eager(32));
+        builder.lock_policy(LockPolicy::WaitDie).open().unwrap()
+    }
+
     fn seeded(db: &mut Database, clients: usize, txns: u32) -> Vec<Box<dyn InterleavedClient>> {
         let heap = db.create_heap(0);
         let mut tx = db.txn();
@@ -399,8 +405,7 @@ mod tests {
 
     #[test]
     fn pool_runs_all_clients_to_completion() {
-        let mut db = test_db(NxM::tpcc(), 32);
-        db.set_lock_policy(LockPolicy::WaitDie);
+        let mut db = wait_die_db();
         let clients = seeded(&mut db, 4, 3);
         let pool = ClientPool::new(PoolConfig { cpu_ns_per_txn: 1_000, ..PoolConfig::default() });
         let report = pool.run(&mut db, clients).unwrap();
@@ -413,8 +418,7 @@ mod tests {
 
     #[test]
     fn pool_with_group_commit_batches_forces() {
-        let mut db = test_db(NxM::tpcc(), 32);
-        db.set_lock_policy(LockPolicy::WaitDie);
+        let mut db = wait_die_db();
         // Batching goes live only after seeding, so the seed commit is not
         // parked into the measured window.
         let clients = seeded(&mut db, 4, 4);
@@ -436,8 +440,7 @@ mod tests {
     #[test]
     fn pool_is_deterministic_per_seed() {
         let run = |seed: u64| {
-            let mut db = test_db(NxM::tpcc(), 32);
-            db.set_lock_policy(LockPolicy::WaitDie);
+            let mut db = wait_die_db();
             let clients = seeded(&mut db, 3, 5);
             let pool = ClientPool::new(PoolConfig {
                 seed,
@@ -461,8 +464,7 @@ mod tests {
         // an identical trace — full engine stats, per-commit latencies and
         // the simulated-time envelope, not just the committed count.
         let run = || {
-            let mut db = test_db(NxM::tpcc(), 32);
-            db.set_lock_policy(LockPolicy::WaitDie);
+            let mut db = wait_die_db();
             let clients = seeded(&mut db, 4, 5);
             db.config_mut().group_commit_batch = 3;
             let pool = ClientPool::new(PoolConfig {
@@ -486,8 +488,7 @@ mod tests {
 
     #[test]
     fn conflicting_clients_wait_or_restart_but_all_commit() {
-        let mut db = test_db(NxM::tpcc(), 32);
-        db.set_lock_policy(LockPolicy::WaitDie);
+        let mut db = wait_die_db();
         let clients = seeded(&mut db, 6, 4);
         let pool = ClientPool::new(PoolConfig::default());
         let report = pool.run(&mut db, clients).unwrap();

@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 
 use ipa_noftl::{EventKind, RecoveryPhaseKind, SpanCategory, SpanId};
 
-use crate::db::{Database, PageId};
+use crate::db::{Database, PageId, Volatile};
 use crate::error::EngineError;
 use crate::txn::TxId;
 use crate::wal::{LogPayload, Lsn};
@@ -52,7 +52,7 @@ pub(crate) fn rollback_budgeted(
 ) -> Result<(u64, bool)> {
     db.with_record_images(|db, images| {
         let mut clrs = 0u64;
-        let mut cursor = db.txns.last_lsn(tx);
+        let mut cursor = db.lost.txns.last_lsn(tx);
         while !cursor.is_null() {
             if matches!(budget, Some(0)) {
                 return Ok((clrs, false));
@@ -139,30 +139,26 @@ fn redo_healed(
     if !first.as_ref().is_err_and(is_uncorrectable) {
         return first;
     }
-    db.stats.read_retries += 1;
+    db.kept.stats.read_retries += 1;
     let second = redo(db);
     if !second.as_ref().is_err_and(is_uncorrectable) {
         return second;
     }
     db.trim_page(page)?;
-    db.stats.recovery_page_rebuilds += 1;
+    db.kept.stats.recovery_page_rebuilds += 1;
     redo(db)
 }
 
 impl Database {
-    /// Simulate a crash: the buffer pool vanishes, the unflushed log
-    /// suffix is lost, locks and the transaction table evaporate. Flash
-    /// contents (including ISPP-appended delta records) survive.
+    /// Simulate a power loss: the WAL loses its unforced tail, all but
+    /// `Survivors` is built anew as `open` built it, and the open
+    /// transactions' trace spans end with the host (analysis finds them).
     pub fn simulate_crash(&mut self) {
         self.debug_check_quiesced();
-        self.drop_pool();
-        self.crash_log();
-        self.reset_locks();
-        // Active transactions are rediscovered by analysis; their trace
-        // spans end with the host.
-        let active: Vec<TxId> = self.txns.snapshot().into_iter().map(|(t, _)| t).collect();
-        for tx in active {
-            self.finish_tx(tx);
+        self.kept.log.lose_unflushed();
+        let lost = std::mem::replace(&mut self.lost, Volatile::new(&self.kept));
+        for span in lost.txns.spans() {
+            self.close_txn_span(span);
         }
     }
 
@@ -194,8 +190,9 @@ impl Database {
     /// Fault injection: run restart but crash-stop the undo pass after
     /// `clr_budget` compensation records, forcing the log so the CLRs are
     /// durable, and return with the interrupted losers still unfinished.
-    /// Callers follow with [`Database::simulate_crash`] and a full
-    /// [`Database::recover`] to exercise crash-during-recovery.
+    /// Callers follow with [`Database::simulate_crash`], which loses the
+    /// transaction table, and a full [`Database::recover`] to exercise
+    /// crash-during-recovery.
     pub fn recover_interrupted(&mut self, clr_budget: u64) -> Result<()> {
         self.restart(true, Some(clr_budget))
     }
@@ -207,7 +204,7 @@ impl Database {
                 db.in_restart_span(Some(root), |db, _| db.analysis_pass(bounded));
             db.in_restart_span(Some(root), |db, _| db.redo_pass(use_dpt, start, &dpt))?;
             db.in_restart_span(Some(root), |db, _| db.undo_pass(losers, undo_budget))?;
-            db.stats.recovery_ns += db.now_ns().saturating_sub(t0);
+            db.kept.stats.recovery_ns += db.now_ns().saturating_sub(t0);
             Ok(())
         });
         self.debug_check_quiesced();
@@ -215,7 +212,7 @@ impl Database {
     }
 
     /// Run `f` under a `Recovery` span, listed in
-    /// [`Database::restart_spans`] while it is open: a checkpoint that log
+    /// [`Volatile::restart_spans`] while it is open: a checkpoint that log
     /// reclamation takes during undo finds restart's spans open, and the
     /// idle check accepts those and no others.
     fn in_restart_span<T>(
@@ -224,9 +221,9 @@ impl Database {
         f: impl FnOnce(&mut Self, SpanId) -> T,
     ) -> T {
         self.in_span(SpanCategory::Recovery, parent, |db, span| {
-            db.restart_spans.push(span);
+            db.lost.restart_spans.push(span);
             let out = f(db, span);
-            db.restart_spans.pop();
+            db.lost.restart_spans.pop();
             out
         })
     }
@@ -235,9 +232,9 @@ impl Database {
     /// record redo or rollback is applying wait there, copied out of the
     /// log. Taken for the operation, put back after it.
     fn with_record_images<R>(&mut self, op: impl FnOnce(&mut Self, &mut Vec<u8>) -> R) -> R {
-        let mut images = std::mem::take(&mut self.record_images);
+        let mut images = std::mem::take(&mut self.lost.record_images);
         let result = op(self, &mut images);
-        self.record_images = images;
+        self.lost.record_images = images;
         result
     }
 
@@ -286,7 +283,7 @@ impl Database {
                 dpt.entry(page).or_insert(lsn);
             }
         }
-        self.stats.analysis_records += scanned;
+        self.kept.stats.analysis_records += scanned;
         self.emit_phase(RecoveryPhaseKind::Analysis, scanned);
         Analysis { use_dpt: ckpt.is_some(), start, losers, dpt }
     }
@@ -314,7 +311,7 @@ impl Database {
                 // writes, no page I/O — which keeps bounded restart
                 // bit-identical to the full scan.
                 if let LogPayload::RootChange { index, new_root, .. } = *record {
-                    db.indexes[index as usize].root = new_root;
+                    db.kept.indexes[index as usize].root = new_root;
                     continue;
                 }
                 if lsn < redo_start {
@@ -334,7 +331,7 @@ impl Database {
                     match dpt.get(&page) {
                         Some(&rec_lsn) if lsn >= rec_lsn => {}
                         _ => {
-                            db.stats.redo_skipped += 1;
+                            db.kept.stats.redo_skipped += 1;
                             continue;
                         }
                     }
@@ -345,7 +342,7 @@ impl Database {
             }
             Ok(applied)
         })?;
-        self.stats.redo_applied += applied;
+        self.kept.stats.redo_applied += applied;
         self.emit_phase(RecoveryPhaseKind::Redo, applied);
         Ok(())
     }
@@ -361,7 +358,7 @@ impl Database {
         mut undo_budget: Option<u64>,
     ) -> Result<()> {
         for (&tx, &last) in &losers {
-            self.txns.register_recovered(tx, last);
+            self.lost.txns.register_recovered(tx, last);
         }
         let mut clrs = 0u64;
         for &tx in losers.keys().rev() {
@@ -376,8 +373,8 @@ impl Database {
             }
             let lsn = self.log_for_tx(tx, LogPayload::Abort { tx })?;
             self.flush_log_to(lsn);
-            self.txns.finish(tx);
-            self.stats.aborts += 1;
+            self.lost.txns.finish(tx);
+            self.kept.stats.aborts += 1;
         }
         self.emit_phase(RecoveryPhaseKind::Undo, clrs);
         Ok(())
@@ -657,6 +654,43 @@ mod tests {
         crash_and_recover(&mut db);
         crash_and_recover(&mut db);
         assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![1]);
+    }
+
+    #[test]
+    fn an_id_reused_after_a_restart_is_told_apart_by_the_next_restart() {
+        // A crash loses the transaction table and with it the id counter,
+        // which restarts above the losers only: after a restart without
+        // losers, new transactions take the ids of committed ones whose
+        // records the log still holds. Analysis reads in log order, so
+        // each holder of an id is done before the next one begins.
+        use crate::txn::TxId;
+        use crate::wal::LogPayload;
+        for bounded in [true, false] {
+            let (mut db, heap, rid) = seeded(16, &[1u8; 8]);
+            commit_update(&mut db, heap, rid, &[2u8; 8]);
+            crash_and_recover(&mut db);
+            let mut tx = db.txn();
+            assert_eq!(tx.id(), TxId(1), "the id of the committed insert");
+            tx.heap_update(heap, rid, &[3u8; 8]).unwrap();
+            tx.commit().unwrap();
+            let mut loser = db.txn();
+            assert_eq!(loser.id(), TxId(2), "the id of the committed update");
+            loser.heap_update(heap, rid, &[4u8; 8]).unwrap();
+            let _loser = loser.park();
+            db.flush_all().unwrap(); // steal
+            db.force_log();
+            let wal = db.wal();
+            let begins = wal.records_from(wal.tail()).filter(|(_, r)| {
+                matches!(r, LogPayload::Begin { tx: TxId(1) } | LogPayload::Begin { tx: TxId(2) })
+            });
+            assert_eq!(begins.count(), 4, "the log holds both holders of each id");
+
+            db.simulate_crash();
+            if bounded { db.recover() } else { db.recover_unbounded() }.unwrap();
+            assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![3u8; 8], "bounded: {bounded}");
+            crash_and_recover(&mut db);
+            assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![3u8; 8], "bounded: {bounded}");
+        }
     }
 
     #[test]

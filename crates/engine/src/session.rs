@@ -143,9 +143,9 @@ impl Drop for Txn<'_> {
         // never outlive the guard — but count the failure so it is
         // observable instead of silently dropped.
         if self.db.abort_tx(self.id).is_err() {
-            self.db.stats.abort_errors += 1;
+            self.db.kept.stats.abort_errors += 1;
         }
-        self.db.stats.drop_aborts += 1;
+        self.db.kept.stats.drop_aborts += 1;
     }
 }
 
