@@ -88,11 +88,6 @@ pub struct LockManager {
     /// Emptied key lists of finished transactions, for the next ones.
     spare_lists: Vec<Vec<LockKey>>,
     policy: LockPolicy,
-    /// Conflicts resolved as "wait" (older requester parked).
-    waits: u64,
-    /// Conflicts resolved as "die" (younger requester killed) — the
-    /// deadlock-avoidance abort counter.
-    deaths: u64,
 }
 
 /// Keys come from inside the engine (heap ids and RIDs), so a multiplicative
@@ -111,37 +106,16 @@ impl LockManager {
             by_tx: Vec::new(),
             spare_lists: Vec::new(),
             policy,
-            waits: 0,
-            deaths: 0,
         }
-    }
-
-    /// Conflicts resolved as "wait" under wait-die.
-    #[cfg(test)]
-    pub fn wait_count(&self) -> u64 {
-        self.waits
-    }
-
-    /// Conflicts resolved as "die" under wait-die (deadlock-avoidance
-    /// aborts).
-    #[cfg(test)]
-    pub fn death_count(&self) -> u64 {
-        self.deaths
     }
 
     /// Resolve a conflict per policy: no-wait always dies; wait-die parks
     /// the requester when it is older than the holder.
-    fn conflict(&mut self, tx: TxId, holder: TxId, key: LockKey) -> EngineError {
+    fn conflict(&self, tx: TxId, holder: TxId, key: LockKey) -> EngineError {
         match self.policy {
-            LockPolicy::NoWait => EngineError::LockConflict { tx, holder, key },
-            LockPolicy::WaitDie => {
-                if tx < holder {
-                    self.waits += 1;
-                    EngineError::LockWait { tx, holder, key }
-                } else {
-                    self.deaths += 1;
-                    EngineError::LockConflict { tx, holder, key }
-                }
+            LockPolicy::WaitDie if tx < holder => EngineError::LockWait { tx, holder, key },
+            LockPolicy::NoWait | LockPolicy::WaitDie => {
+                EngineError::LockConflict { tx, holder, key }
             }
         }
     }
@@ -351,8 +325,6 @@ mod tests {
             lm.lock(TxId(9), K, LockMode::Shared),
             Err(EngineError::LockConflict { tx: TxId(9), holder: TxId(5), .. })
         ));
-        assert_eq!(lm.wait_count(), 1);
-        assert_eq!(lm.death_count(), 1);
     }
 
     #[test]
@@ -379,22 +351,14 @@ mod tests {
         table: BTreeMap<LockKey, (LockMode, Vec<TxId>)>,
         by_tx: BTreeMap<TxId, Vec<LockKey>>,
         policy: LockPolicy,
-        waits: u64,
-        deaths: u64,
     }
 
     impl MapLockManager {
-        fn conflict(&mut self, tx: TxId, holder: TxId, key: LockKey) -> EngineError {
+        fn conflict(&self, tx: TxId, holder: TxId, key: LockKey) -> EngineError {
             match self.policy {
                 LockPolicy::NoWait => EngineError::LockConflict { tx, holder, key },
-                LockPolicy::WaitDie if tx < holder => {
-                    self.waits += 1;
-                    EngineError::LockWait { tx, holder, key }
-                }
-                LockPolicy::WaitDie => {
-                    self.deaths += 1;
-                    EngineError::LockConflict { tx, holder, key }
-                }
+                LockPolicy::WaitDie if tx < holder => EngineError::LockWait { tx, holder, key },
+                LockPolicy::WaitDie => EngineError::LockConflict { tx, holder, key },
             }
         }
 
@@ -471,7 +435,6 @@ mod tests {
                     }
                 }
                 assert_eq!(lm.held_count(), model.table.len());
-                assert_eq!((lm.wait_count(), lm.death_count()), (model.waits, model.deaths));
             }
             // Every key the model holds is found, with its holders.
             for (key, (mode, holders)) in &model.table {
@@ -500,7 +463,5 @@ mod tests {
             lm.lock(TxId(1), K, LockMode::Exclusive),
             Err(EngineError::LockConflict { .. })
         ));
-        assert_eq!(lm.wait_count(), 0);
-        assert_eq!(lm.death_count(), 0);
     }
 }

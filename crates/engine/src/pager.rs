@@ -62,7 +62,7 @@ struct PageAllocator {
 /// per-region half and measurement (profiles, tape, sweep counters).
 pub(crate) struct Pager {
     /// Cells and OOB, with the observer, clock and stats. TODO (ROADMAP
-    /// 1(c)): NoFTL's mapping, cursors, free lists and heat are RAM too.
+    /// 1(c)): NoFTL's mapping, cursors and free lists are RAM too.
     ftl: NoFtl,
     /// Catalog: the scheme each region was last tuned to. TODO (ROADMAP
     /// 1(d)): on a catalog page.

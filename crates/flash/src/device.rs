@@ -84,13 +84,6 @@ pub struct FlashConfig {
     /// Depth 1 reproduces fully synchronous dispatch; the OpenSSD profile
     /// (no NCQ) is pinned to 1 regardless of this value.
     pub queue_depth: u32,
-    /// Back-pressure bound: background and asynchronous host operations may
-    /// run at most this far ahead of the host clock. A saturated device
-    /// stalls its submitters (bounded queue depth), transferring overload
-    /// into simulated time — without this, background work would race
-    /// arbitrarily far ahead and every foreground read would appear to wait
-    /// behind an unbounded queue.
-    pub backpressure_ns: u64,
 }
 
 impl FlashConfig {
@@ -113,7 +106,6 @@ impl FlashConfig {
             max_appends: None,
             endurance_limit: None,
             queue_depth: 1,
-            backpressure_ns: 5 * NANOS_PER_MILLI,
         }
     }
 
@@ -137,7 +129,6 @@ impl FlashConfig {
             max_appends: None,
             endurance_limit: None,
             queue_depth: 1,
-            backpressure_ns: 5 * NANOS_PER_MILLI,
         }
     }
 
@@ -161,7 +152,6 @@ impl FlashConfig {
             max_appends: None,
             endurance_limit: None,
             queue_depth: 1,
-            backpressure_ns: 5 * NANOS_PER_MILLI,
         }
     }
 
@@ -469,6 +459,14 @@ impl FlashDevice {
         }
     }
 
+    /// Back-pressure bound: background and asynchronous host operations may
+    /// run at most this far ahead of the host clock. A saturated device
+    /// stalls its submitters (bounded queue depth), transferring overload
+    /// into simulated time — without this, background work would race
+    /// arbitrarily far ahead and every foreground read would appear to wait
+    /// behind an unbounded queue.
+    const BACKPRESSURE_NS: u64 = 5 * NANOS_PER_MILLI;
+
     /// Dispatch a validated command onto its chip's queue and start
     /// tracking it. The clock is *not* advanced for host commands here —
     /// that happens when the command is completed — but backpressure
@@ -486,10 +484,10 @@ impl FlashDevice {
         let now = self.clock.now_ns();
         let (start, done) = self.sched.dispatch(chip, origin, now, duration_ns);
         self.chips[chip as usize].counters_mut().busy_ns += duration_ns;
-        if origin != OpOrigin::Host && done.saturating_sub(now) > self.config.backpressure_ns {
+        if origin != OpOrigin::Host && done.saturating_sub(now) > Self::BACKPRESSURE_NS {
             // The device is saturated: the submitter stalls until the
             // backlog drops back under the bound.
-            self.clock.advance_to(done - self.config.backpressure_ns);
+            self.clock.advance_to(done - Self::BACKPRESSURE_NS);
         }
         let latency_ns = done - now;
         match class.latency_class() {

@@ -25,25 +25,20 @@ use crate::geometry::{PageKind, Ppa};
 
 /// Configuration of the bit-error injection model. All defaults are zero
 /// (deterministic simulation); experiments that exercise reliability enable
-/// the rates they need with a seeded RNG.
+/// the rates they need with a seeded RNG. Retention errors have no rate:
+/// a test places them with `FlashDevice::inject_retention`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliabilityConfig {
     /// Probability that one (re-)program disturbs one erased bit in each
     /// neighbouring page.
     pub interference_bit_prob: f64,
-    /// Expected retention bit flips per programmed page per simulated hour.
-    pub retention_bits_per_page_hour: f64,
     /// Bit errors the ECC can correct per page read.
     pub ecc_correctable_bits: u32,
 }
 
 impl Default for ReliabilityConfig {
     fn default() -> Self {
-        ReliabilityConfig {
-            interference_bit_prob: 0.0,
-            retention_bits_per_page_hour: 0.0,
-            ecc_correctable_bits: 40,
-        }
+        ReliabilityConfig { interference_bit_prob: 0.0, ecc_correctable_bits: 40 }
     }
 }
 

@@ -65,7 +65,7 @@ pub use error::NoFtlError;
 pub use io::IoCtx;
 pub use manager::{NoFtl, RegionId};
 pub use region::Lba;
-pub use stats::{HeatSummary, RegionStats};
+pub use stats::RegionStats;
 
 // Vocabulary types that travel through this crate's API: queued-I/O
 // handles, op attribution/outcome, device configuration and the observer

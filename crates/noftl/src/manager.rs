@@ -9,7 +9,7 @@ use crate::config::NoFtlConfig;
 use crate::error::NoFtlError;
 use crate::io::IoCtx;
 use crate::region::{Lba, Region};
-use crate::stats::{HeatSummary, RegionStats};
+use crate::stats::RegionStats;
 use crate::Result;
 
 /// Handle to a region within a [`NoFtl`] device.
@@ -306,12 +306,7 @@ impl NoFtl {
         self.dev.wear_histogram()
     }
 
-    /// Aggregate update-heat telemetry for a region.
-    pub fn heat_summary(&self, rid: RegionId) -> Result<HeatSummary> {
-        Ok(self.region(rid)?.heat_summary())
-    }
-
-    /// Mapped logical pages of a region (diagnostics).
+    /// Mapped logical pages of a region (diagnostics: counts the mapping).
     pub fn mapped_pages(&self, rid: RegionId) -> Result<u64> {
         Ok(self.region(rid)?.mapped_pages())
     }

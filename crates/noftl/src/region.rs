@@ -9,14 +9,18 @@ use ipa_flash::{
 use crate::config::{FaultPolicy, IpaMode, RegionSpec};
 use crate::error::NoFtlError;
 use crate::io::IoCtx;
-use crate::stats::{HeatSummary, RegionStats};
+use crate::stats::RegionStats;
 use crate::Result;
 
 /// Logical block (page) address within a region's exported address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Lba(pub u64);
 
-/// Per-block bookkeeping.
+/// Per-block bookkeeping: caches of the mapping, read by allocation and
+/// collection. A block is free when its write cursor is 0 and the device
+/// does not report it retired; a retired (grown bad) block is excluded
+/// from allocation, victim selection and wear leveling, and its valid
+/// pages stay readable and drain through normal invalidation.
 #[derive(Debug, Clone)]
 struct BlockInfo {
     /// Pages of the block that hold live data: the number of its `Some`
@@ -24,12 +28,6 @@ struct BlockInfo {
     valid_count: u32,
     /// Pages programmed so far (index into the region's usable-page list).
     write_cursor: usize,
-    /// Whether the block is on the free list.
-    free: bool,
-    /// Grown bad: permanently excluded from allocation, GC victim
-    /// selection and wear leveling. Valid pages already on the block stay
-    /// readable and drain through normal invalidation.
-    retired: bool,
     /// A collection (GC or wear leveling) is migrating this block's pages
     /// right now. Migration writes go through the healed program path,
     /// which on a permanent fault retires a block and runs a *nested*
@@ -47,13 +45,17 @@ struct ChipState {
     chip: u32,
     /// Block currently receiving writes.
     active: Option<u32>,
-    /// Erased blocks available for allocation.
+    /// Erased blocks available for allocation: every block whose write
+    /// cursor is 0 and that the device does not report retired.
     free_blocks: Vec<u32>,
     /// Bookkeeping for every block of this chip.
     blocks: Vec<BlockInfo>,
 }
 
-/// One region: a self-contained flash-managed address space.
+/// One region: a self-contained flash-managed address space. It holds the
+/// mapping (`l2p`, `p2l`), caches of the mapping (per-block valid counts and
+/// write cursors, active blocks, free lists) and its own counters; what the
+/// device knows — retirement, erase counts — it asks the device for.
 #[derive(Debug)]
 pub(crate) struct Region {
     /// Index of this region within the NoFTL manager — the `region`
@@ -69,8 +71,6 @@ pub(crate) struct Region {
     /// Logical owner of every physical page of the region's chips, indexed
     /// by [`Region::p2l_slot`]; `None` for a page that holds no live data.
     p2l: Vec<Option<u64>>,
-    /// Number of `Some` entries in `p2l`.
-    mapped_pages: u64,
     blocks_per_chip: usize,
     pages_per_block: usize,
     chips: Vec<ChipState>,
@@ -80,10 +80,6 @@ pub(crate) struct Region {
     /// Degradation policy: program-retry budget and scrub threshold.
     fault_policy: FaultPolicy,
     pub(crate) stats: RegionStats,
-    /// Per-LBA update counts (full-page writes + delta appends) since the
-    /// region was created — update-heat telemetry, cumulative like wear
-    /// (not cleared by a stats reset).
-    heat: Vec<u64>,
     gc_scratch: GcScratch,
 }
 
@@ -132,13 +128,7 @@ impl Region {
                 active: None,
                 free_blocks: (0..geom.blocks_per_chip).rev().collect(),
                 blocks: (0..geom.blocks_per_chip)
-                    .map(|_| BlockInfo {
-                        valid_count: 0,
-                        write_cursor: 0,
-                        free: true,
-                        retired: false,
-                        collecting: false,
-                    })
+                    .map(|_| BlockInfo { valid_count: 0, write_cursor: 0, collecting: false })
                     .collect(),
             })
             .collect();
@@ -151,7 +141,6 @@ impl Region {
             capacity,
             l2p: vec![None; capacity as usize],
             p2l: vec![None; chips.len() * blocks_per_chip * pages_per_block],
-            mapped_pages: 0,
             blocks_per_chip,
             pages_per_block,
             chips,
@@ -159,28 +148,8 @@ impl Region {
             gc_low_watermark,
             fault_policy,
             stats: RegionStats::default(),
-            heat: vec![0; capacity as usize],
             gc_scratch: GcScratch::default(),
         })
-    }
-
-    /// Count one logical update (page write or delta append) of `lba` in
-    /// the region's update-heat telemetry.
-    fn note_update(&mut self, lba: Lba) {
-        self.heat[lba.0 as usize] += 1;
-    }
-
-    /// Aggregate update-heat summary of the per-LBA update counts.
-    pub(crate) fn heat_summary(&self) -> HeatSummary {
-        let mut s = HeatSummary::default();
-        for &c in &self.heat {
-            s.updates += c;
-            if c > 0 {
-                s.updated_lbas += 1;
-            }
-            s.hottest = s.hottest.max(c);
-        }
-        s
     }
 
     pub(crate) fn spec(&self) -> &RegionSpec {
@@ -306,7 +275,6 @@ impl Region {
         })?;
         self.map(dev, lba, ppa)?;
         self.stats.host_page_writes += 1;
-        self.note_update(lba);
         Ok(id)
     }
 
@@ -350,29 +318,22 @@ impl Region {
         }
     }
 
-    /// Retire a block as grown bad in this region's bookkeeping: persist
-    /// the device-side marker, drop the block from the active slot and the
-    /// free list, and exclude it from future victim selection. Idempotent.
+    /// Retire a block as grown bad: persist the device-side marker (the
+    /// device then reports the block retired, which keeps it out of victim
+    /// selection and wear leveling) and drop the block from the active slot
+    /// and the free list. Idempotent.
     fn retire_block_bookkeeping(
         &mut self,
         dev: &mut FlashDevice,
         local: usize,
         block: u32,
     ) -> Result<()> {
-        if self.chips[local].blocks[block as usize].retired {
-            return Ok(());
-        }
-        let chip = self.chips[local].chip;
-        dev.retire(chip, block)?;
         let state = &mut self.chips[local];
+        dev.retire(state.chip, block)?;
         if state.active == Some(block) {
             state.active = None;
         }
         state.free_blocks.retain(|&b| b != block);
-        let info = &mut state.blocks[block as usize];
-        info.free = false;
-        info.retired = true;
-        self.stats.retired_blocks += 1;
         Ok(())
     }
 
@@ -398,7 +359,6 @@ impl Region {
             Ok(id) => {
                 self.stats.host_delta_writes += 1;
                 self.stats.delta_bytes += data.len() as u64;
-                self.note_update(lba);
                 Ok(id)
             }
             // A delta-append status failure is transient for the block and
@@ -449,7 +409,6 @@ impl Region {
         self.map(dev, lba, new)?;
         self.stats.delta_fallbacks += 1;
         self.stats.host_page_writes += 1;
-        self.note_update(lba);
         Ok(id)
     }
 
@@ -538,7 +497,6 @@ impl Region {
         let local = self.local_chip(ppa.chip)?;
         let slot = self.p2l_slot(local, ppa.block, ppa.page);
         if self.p2l[slot].replace(lba.0).is_none() {
-            self.mapped_pages += 1;
             self.chips[local].blocks[ppa.block as usize].valid_count += 1;
         }
         Ok(())
@@ -552,7 +510,6 @@ impl Region {
         let local = self.local_chip(ppa.chip)?;
         let slot = self.p2l_slot(local, ppa.block, ppa.page);
         if self.p2l[slot].take().is_some() {
-            self.mapped_pages -= 1;
             self.chips[local].blocks[ppa.block as usize].valid_count -= 1;
             dev.discard(ppa)?;
         }
@@ -587,9 +544,7 @@ impl Region {
                     return Err(NoFtlError::Internal("free list emptied during allocation"));
                 };
                 let block = state.free_blocks.swap_remove(idx);
-                let info = &mut state.blocks[block as usize];
-                info.free = false;
-                info.write_cursor = 1;
+                state.blocks[block as usize].write_cursor = 1;
                 state.active = Some(block);
                 return Ok(Ppa::new(state.chip, block, self.usable_pages[0]));
             }
@@ -602,37 +557,39 @@ impl Region {
     fn garbage_collect_chip(&mut self, dev: &mut FlashDevice, local: usize) -> Result<()> {
         let per_block = self.usable_pages.len() as u32;
         while self.chips[local].free_blocks.len() < self.gc_low_watermark {
-            let Some(victim) = self.select_victim(local, per_block) else {
+            let Some(victim) = self.select_victim(dev, local, per_block) else {
                 return Ok(()); // nothing reclaimable; allocation may still succeed
             };
-            self.collect_block(dev, local, victim)?;
+            self.collect_block(dev, local, victim, Collector::Gc)?;
         }
         Ok(())
     }
 
-    /// Greedy victim selection: the fully-written, non-active block with
-    /// the fewest valid pages — and strictly fewer than a full block, so
-    /// every collection reclaims space. Blocks already being collected by
-    /// an enclosing collection are excluded (see [`BlockInfo::collecting`]).
-    fn select_victim(&self, local: usize, per_block: u32) -> Option<u32> {
+    /// Greedy victim selection: the fully-written, non-active, non-retired
+    /// block with the fewest valid pages — and strictly fewer than a full
+    /// block, so every collection reclaims space. Blocks already being
+    /// collected by an enclosing collection are excluded (see
+    /// [`BlockInfo::collecting`]). The device is asked about retirement
+    /// last, only for blocks that pass the in-struct tests.
+    fn select_victim(&self, dev: &FlashDevice, local: usize, per_block: u32) -> Option<u32> {
         let state = &self.chips[local];
         state
             .blocks
             .iter()
             .enumerate()
             .filter(|(b, info)| {
-                !info.free
-                    && !info.retired
+                info.write_cursor == per_block as usize
+                    && info.valid_count < per_block
                     && !info.collecting
                     && Some(*b as u32) != state.active
-                    && info.write_cursor == per_block as usize
-                    && info.valid_count < per_block
+                    && !dev.is_block_retired(state.chip, *b as u32).unwrap_or(true)
             })
             .min_by_key(|(_, info)| info.valid_count)
             .map(|(b, _)| b as u32)
     }
 
-    /// Migrate the victim's valid pages and erase it.
+    /// Migrate the victim's valid pages and erase it, counting the moves
+    /// and the erase for `by`.
     ///
     /// The victim is flagged as being collected for the whole migration so
     /// the nested garbage collection reachable through `program_healed`
@@ -640,12 +597,18 @@ impl Region {
     /// and refills the free pool) can never re-select it — a re-entrant
     /// collection of the same block would erase it under the outer loop,
     /// push a duplicate free-list entry and resurrect stale data.
-    fn collect_block(&mut self, dev: &mut FlashDevice, local: usize, victim: u32) -> Result<()> {
+    fn collect_block(
+        &mut self,
+        dev: &mut FlashDevice,
+        local: usize,
+        victim: u32,
+        by: Collector,
+    ) -> Result<()> {
         // One GC episode = one causal span, nested under whatever host
         // span (flush, transaction) triggered the collection.
         dev.in_span(SpanCategory::Gc, dev.current_span(), |dev, _| {
             self.chips[local].blocks[victim as usize].collecting = true;
-            let result = self.collect_block_guarded(dev, local, victim);
+            let result = self.collect_block_guarded(dev, local, victim, by);
             self.chips[local].blocks[victim as usize].collecting = false;
             result
         })
@@ -663,11 +626,12 @@ impl Region {
         dev: &mut FlashDevice,
         local: usize,
         victim: u32,
+        by: Collector,
     ) -> Result<()> {
         let chip = self.chips[local].chip;
         let mut plan = std::mem::take(&mut self.gc_scratch.plan);
         let mut batch = std::mem::take(&mut self.gc_scratch.batch);
-        let migrated = self.migrate_valid_pages(dev, local, victim, &mut plan, &mut batch);
+        let migrated = self.migrate_valid_pages(dev, local, victim, by, &mut plan, &mut batch);
         plan.clear();
         batch.clear();
         self.gc_scratch.plan = plan;
@@ -677,11 +641,10 @@ impl Region {
         // above must not have retired or freed the victim. With the
         // `collecting` exclusion this cannot happen — the check keeps the
         // erase/free-list push from ever double-freeing if it somehow does.
+        if dev.is_block_retired(chip, victim)?
+            || self.chips[local].blocks[victim as usize].write_cursor == 0
         {
-            let info = &self.chips[local].blocks[victim as usize];
-            if info.retired || info.free {
-                return Ok(());
-            }
+            return Ok(());
         }
         if dev.observing() {
             dev.set_obs_ctx(Some(self.id), None);
@@ -691,9 +654,8 @@ impl Region {
                 let info = &mut self.chips[local].blocks[victim as usize];
                 info.valid_count = 0;
                 info.write_cursor = 0;
-                info.free = true;
                 self.chips[local].free_blocks.push(victim);
-                self.stats.gc_erases += 1;
+                *by.erases(&mut self.stats) += 1;
             }
             // Erase-status failure grows the victim bad. Its valid pages
             // were already migrated, so retiring it loses nothing; the GC
@@ -713,6 +675,7 @@ impl Region {
         dev: &mut FlashDevice,
         local: usize,
         victim: u32,
+        by: Collector,
         plan: &mut Vec<(u32, u64)>,
         batch: &mut Vec<(u32, u64, CmdId)>,
     ) -> Result<()> {
@@ -721,7 +684,7 @@ impl Region {
         let owners = self.block_owners(local, victim).iter();
         plan.extend(owners.enumerate().filter_map(|(page, &lba)| Some((page as u32, lba?))));
         self.submit_gc_reads(dev, local, victim, plan, batch)?;
-        self.drain_completions(dev, local, victim, batch)
+        self.drain_completions(dev, local, victim, by, batch)
     }
 
     /// Queue the GC's copy-back reads as one burst, so on multi-chip
@@ -764,12 +727,15 @@ impl Region {
         dev: &mut FlashDevice,
         local: usize,
         victim: u32,
+        by: Collector,
         batch: &[(u32, u64, CmdId)],
     ) -> Result<()> {
+        let chip = self.chips[local].chip;
         let mut first_err: Option<NoFtlError> = None;
         let mut pages = batch.iter().copied();
         for (page, lba, id) in pages.by_ref() {
-            if let Err(e) = self.migrate_page(dev, local, victim, page, lba, id) {
+            let old = Ppa::new(chip, victim, page);
+            if let Err(e) = self.migrate_page(dev, local, old, lba, id, by) {
                 first_err = Some(e);
                 break;
             }
@@ -785,23 +751,22 @@ impl Region {
         }
     }
 
-    /// Move one valid page whose copy-back read is already queued as `id`:
-    /// complete the read, copy-back program the page through the healed
-    /// path — its buffer and OOB bytes (ECC codes stay with the data) move
-    /// to the new page — and update the mapping. A faulted program leaves
-    /// the source as it was, so the retry or the remapped write moves the
-    /// same page, and an aborted collection leaves it mapped and readable.
+    /// Move valid page `old` of local chip `local`, whose copy-back read is
+    /// already queued as `id`: complete the read, copy-back program the
+    /// page through the healed path — its buffer and OOB bytes (ECC codes
+    /// stay with the data) move to the new page — update the mapping and
+    /// count the move for `by`. A faulted program leaves the source as it
+    /// was, so the retry or the remapped write moves the same page, and an
+    /// aborted collection leaves it mapped and readable.
     fn migrate_page(
         &mut self,
         dev: &mut FlashDevice,
         local: usize,
-        victim: u32,
-        page: u32,
+        old: Ppa,
         lba: u64,
         id: CmdId,
+        by: Collector,
     ) -> Result<()> {
-        let chip = self.chips[local].chip;
-        let old = Ppa::new(chip, victim, page);
         dev.complete(id)?;
         // Migrations go through the healed program path too: a fault
         // storm must not abort a collection mid-flight.
@@ -811,7 +776,7 @@ impl Region {
             })?;
         dev.complete(id)?;
         self.map(dev, Lba(lba), new)?;
-        self.stats.gc_page_migrations += 1;
+        *by.migrations(&mut self.stats) += 1;
         Ok(())
     }
 
@@ -832,33 +797,51 @@ impl Region {
                 .iter()
                 .enumerate()
                 .filter(|(b, info)| {
-                    !info.free
-                        && !info.retired
+                    info.write_cursor != 0
                         && !info.collecting
                         && Some(*b as u32) != self.chips[local].active
                         && max.saturating_sub(counts[*b]) > threshold
+                        && !dev.is_block_retired(chip, *b as u32).unwrap_or(true)
                 })
                 .min_by_key(|(b, _)| counts[*b])
                 .map(|(b, _)| b as u32);
             if let Some(block) = cold {
-                let migrations_before = self.stats.gc_page_migrations;
-                let erases_before = self.stats.gc_erases;
-                self.collect_block(dev, local, block)?;
-                // Re-attribute the work to wear leveling.
-                self.stats.wear_level_migrations +=
-                    self.stats.gc_page_migrations - migrations_before;
-                self.stats.gc_page_migrations = migrations_before;
-                self.stats.wear_level_erases += self.stats.gc_erases - erases_before;
-                self.stats.gc_erases = erases_before;
+                self.collect_block(dev, local, block, Collector::WearLevel)?;
                 moved += 1;
             }
         }
         Ok(moved)
     }
 
-    /// Number of mapped logical pages.
+    /// Number of mapped logical pages: a count of `l2p`, off the hot paths.
     pub(crate) fn mapped_pages(&self) -> u64 {
-        self.mapped_pages
+        self.l2p.iter().filter(|ppa| ppa.is_some()).count() as u64
+    }
+}
+
+/// Whom a block collection works for: the counters its page moves and its
+/// erase go to. A collection nested in another (a permanent program fault
+/// on a migration write runs one to make room) is garbage collection, even
+/// inside wear leveling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Collector {
+    Gc,
+    WearLevel,
+}
+
+impl Collector {
+    fn migrations(self, stats: &mut RegionStats) -> &mut u64 {
+        match self {
+            Collector::Gc => &mut stats.gc_page_migrations,
+            Collector::WearLevel => &mut stats.wear_level_migrations,
+        }
+    }
+
+    fn erases(self, stats: &mut RegionStats) -> &mut u64 {
+        match self {
+            Collector::Gc => &mut stats.gc_erases,
+            Collector::WearLevel => &mut stats.wear_level_erases,
+        }
     }
 }
 
@@ -876,7 +859,7 @@ fn overlay(area: &mut [u8], ppa: Ppa, offset: usize, bytes: &[u8]) -> Result<()>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipa_flash::{CellType, FaultOp, FaultPlan, FlashConfig};
+    use ipa_flash::{CellType, Counters, FaultOp, FaultPlan, FlashConfig};
 
     fn small_region(mode: IpaMode, cell: CellType) -> (FlashDevice, Region) {
         small_region_with(mode, cell, FaultPlan::default(), FaultPolicy::default())
@@ -1169,7 +1152,7 @@ mod tests {
             }
         }
         assert!(r.chips.iter().any(|c| !c.free_blocks.is_empty()));
-        assert_region_invariants(&r);
+        assert_region_invariants(&r, &dev);
     }
 
     #[test]
@@ -1179,7 +1162,7 @@ mod tests {
             small_region_with(IpaMode::Slc, CellType::Slc, plan, FaultPolicy::default());
         r.write(&mut dev, Lba(5), &page(0xAB), IoCtx::host()).unwrap();
         assert_eq!(r.stats.program_retries, 1);
-        assert_eq!(r.stats.retired_blocks, 0);
+        assert_eq!(dev.stats().retired_blocks, 0);
         assert_eq!(r.stats.host_page_writes, 1);
         let (data, _) = r.read(&mut dev, Lba(5), IoCtx::host()).unwrap();
         assert_eq!(data, page(0xAB));
@@ -1198,7 +1181,7 @@ mod tests {
             small_region_with(IpaMode::Slc, CellType::Slc, plan, FaultPolicy::default());
         write_with_oob(&mut r, &mut dev, Lba(5), &page(0xCD), &[(16, &[0xCA, 0xFE])]).unwrap();
         assert_eq!(r.stats.program_retries, 1);
-        assert_eq!(r.stats.retired_blocks, 1);
+        assert_eq!(dev.stats().retired_blocks, 1);
         let ppa = r.l2p[5].unwrap();
         assert!(!dev.is_block_retired(ppa.chip, ppa.block).unwrap());
         // The OOB writes landed once, with the program that took.
@@ -1225,14 +1208,14 @@ mod tests {
             small_region_with(IpaMode::Slc, CellType::Slc, plan, FaultPolicy::default());
         r.write(&mut dev, Lba(0), &page(0x11), IoCtx::host()).unwrap();
         assert_eq!(r.stats.program_retries, 0);
-        assert_eq!(r.stats.retired_blocks, 1);
+        assert_eq!(dev.stats().retired_blocks, 1);
         let (data, _) = r.read(&mut dev, Lba(0), IoCtx::host()).unwrap();
         assert_eq!(data, page(0x11));
         // The region keeps allocating around the bad block indefinitely.
         for lba in 1..60u64 {
             r.write(&mut dev, Lba(lba), &page(lba as u8), IoCtx::host()).unwrap();
         }
-        assert_eq!(r.stats.retired_blocks, 1);
+        assert_eq!(dev.stats().retired_blocks, 1);
     }
 
     #[test]
@@ -1292,7 +1275,7 @@ mod tests {
                 if r.chips[local].free_blocks.len() >= r.gc_low_watermark {
                     continue;
                 }
-                let Some(victim) = r.select_victim(local, per_block) else { continue };
+                let Some(victim) = r.select_victim(&dev, local, per_block) else { continue };
                 target = r.block_owners(local, victim).iter().find_map(|&lba| lba);
                 if target.is_some() {
                     break 'churn;
@@ -1306,7 +1289,7 @@ mod tests {
         dev.complete(id.unwrap()).unwrap();
         assert_eq!(r.stats.delta_fallbacks, 1);
         assert!(r.stats.gc_page_migrations > migrations, "the collection must move the page");
-        assert_region_invariants(&r);
+        assert_region_invariants(&r, &dev);
         let mut expect = page(latest[lba as usize]);
         expect[200..202].copy_from_slice(&[0x12, 0x34]);
         for l in 0..120u64 {
@@ -1317,23 +1300,43 @@ mod tests {
         assert_eq!(&r.read_oob(&dev, Lba(lba)).unwrap()[24..32], &[0x5A; 8]);
     }
 
-    /// Structural invariants that a double-collected victim violates:
-    /// duplicate free-list entries, free blocks still holding valid pages,
-    /// and orphan p2l entries (two physical copies mapped for one LBA).
-    fn assert_region_invariants(r: &Region) {
+    /// Every cache a region keeps checked against what the mapping and the
+    /// device imply — the oracle a power-on rebuild of the mapping from the
+    /// OOB must meet. A double-collected victim breaks it with a duplicate
+    /// free-list entry, a free block still holding valid pages, or orphan
+    /// p2l entries (two physical copies mapped for one LBA).
+    fn assert_region_invariants(r: &Region, dev: &FlashDevice) {
+        let per_block = r.usable_pages.len();
         for (local, state) in r.chips.iter().enumerate() {
-            let mut seen = std::collections::HashSet::new();
-            for &b in &state.free_blocks {
-                assert!(seen.insert(b), "duplicate free-list entry for block {b}");
-                let info = &state.blocks[b as usize];
-                assert!(info.free, "free-list block {b} not marked free");
-                assert!(!info.retired, "retired block {b} on the free list");
-                assert_eq!(info.valid_count, 0, "free block {b} holds valid pages");
+            let retired = |b: u32| dev.is_block_retired(state.chip, b).unwrap();
+            let mut free = state.free_blocks.clone();
+            free.sort_unstable();
+            let len = free.len();
+            free.dedup();
+            assert_eq!(free.len(), len, "duplicate free-list entry on chip {local}");
+            let erased: Vec<u32> = (0..r.blocks_per_chip as u32)
+                .filter(|&b| state.blocks[b as usize].write_cursor == 0 && !retired(b))
+                .collect();
+            assert_eq!(free, erased, "free list is not the erased, unretired blocks");
+            if let Some(active) = state.active {
+                assert!(!retired(active), "retired block {active} is active");
+                assert_ne!(state.blocks[active as usize].write_cursor, 0, "active block unopened");
+            }
+            let partial: Vec<u32> = (0..r.blocks_per_chip as u32)
+                .filter(|&b| {
+                    let cursor = state.blocks[b as usize].write_cursor;
+                    0 < cursor && cursor < per_block && !retired(b)
+                })
+                .collect();
+            assert!(partial.len() <= 1, "chip {local} has partly written blocks {partial:?}");
+            if let Some(&b) = partial.first() {
+                assert_eq!(state.active, Some(b), "partly written block {b} is not active");
             }
             for (b, info) in state.blocks.iter().enumerate() {
                 let owners = r.block_owners(local, b as u32);
                 let n = owners.iter().filter(|lba| lba.is_some()).count() as u32;
                 assert_eq!(info.valid_count, n, "valid_count mismatch on block {b}");
+                assert!(info.write_cursor != 0 || n == 0, "unwritten block {b} holds valid pages");
                 assert!(!info.collecting, "collecting flag leaked on block {b}");
             }
         }
@@ -1358,7 +1361,6 @@ mod tests {
             }
         }
         assert_eq!(owned, mapped, "orphan p2l entries (duplicate physical copies)");
-        assert_eq!(r.mapped_pages(), mapped, "mapped-page count out of step with p2l");
     }
 
     #[test]
@@ -1407,9 +1409,9 @@ mod tests {
             small_region_with(IpaMode::Slc, CellType::Slc, plan, FaultPolicy::default());
         let mut latest = [0u8; 120];
         churn(&mut dev, &mut r, &mut latest, 40, false);
-        assert!(r.stats.retired_blocks >= 1, "the scripted fault must retire a block");
+        assert!(dev.stats().retired_blocks >= 1, "the scripted fault must retire a block");
         assert!(r.stats.gc_erases > 0, "collection must survive the nested pass");
-        assert_region_invariants(&r);
+        assert_region_invariants(&r, &dev);
         for lba in 0..120u64 {
             let (data, _) = r.read(&mut dev, Lba(lba), IoCtx::host()).unwrap();
             assert_eq!(data, page(latest[lba as usize]), "lba {lba}");
@@ -1513,9 +1515,9 @@ mod tests {
         }
         assert!(matches!(aborted, Some(NoFtlError::DeviceFull { .. })), "{aborted:?}");
         assert_eq!(r.stats.program_retries, 1, "the first migration spent its retry");
-        assert!(r.stats.retired_blocks >= 2, "{} blocks retired", r.stats.retired_blocks);
+        assert!(dev.stats().retired_blocks >= 2, "{} blocks retired", dev.stats().retired_blocks);
         assert_eq!(dev.inflight(), 0, "the aborted collection stranded a command");
-        assert_region_invariants(&r);
+        assert_region_invariants(&r, &dev);
         // Every page keeps its residency or moved whole: each of the 120 is
         // mapped and reads back the bytes of its last acknowledged write.
         assert_eq!(r.mapped_pages(), 120);
@@ -1542,7 +1544,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(r.stats.retired_blocks, 1, "first GC erase must have grown the victim bad");
+        assert_eq!(dev.stats().retired_blocks, 1, "first GC erase must have grown the victim bad");
         assert!(r.stats.gc_erases > 0, "collection must continue past the bad block");
         for lba in 0..120u64 {
             let (data, _) = r.read(&mut dev, Lba(lba), IoCtx::host()).unwrap();
@@ -1595,6 +1597,125 @@ mod tests {
         let (_, op) = r.read(&mut dev, Lba(2), IoCtx::host()).unwrap();
         assert_eq!(op.read_outcome, ReadOutcome::Corrected { corrected: 3 });
         assert_eq!(r.stats.scrub_refreshes, 0);
+    }
+
+    #[test]
+    fn a_collection_nested_in_wear_leveling_counts_as_gc() {
+        // Cold data fills block 0 of each chip (the second block opened), so
+        // it is never a GC victim and is the first of the least-worn blocks;
+        // hot churn elsewhere, then hot writes until chip 0's free list sits
+        // below the watermark. A permanent fault on wear leveling's first
+        // migration retires the target block, and the nested
+        // `garbage_collect_chip` collects.
+        let prepare = |plan: FaultPlan| {
+            let (mut dev, mut r) =
+                small_region_with(IpaMode::Slc, CellType::Slc, plan, FaultPolicy::default());
+            for lba in (16..32u64).chain(0..16) {
+                let byte = if lba < 16 { 0xCC } else { 0 };
+                r.write(&mut dev, Lba(lba), &page(byte), IoCtx::host()).unwrap();
+            }
+            for round in 0..80u64 {
+                for lba in 16..90u64 {
+                    r.write(&mut dev, Lba(lba), &page(round as u8), IoCtx::host()).unwrap();
+                }
+            }
+            let mut lba = 16;
+            while r.chips[0].free_blocks.len() >= r.gc_low_watermark {
+                r.write(&mut dev, Lba(lba), &page(0xEE), IoCtx::host()).unwrap();
+                lba = if lba == 89 { 16 } else { lba + 1 };
+            }
+            (dev, r)
+        };
+        // Discovery pass (no faults): the program index of the first
+        // wear-level migration, and the work wear leveling does.
+        let (mut dev, mut r) = prepare(FaultPlan::default());
+        let nth = dev.stats().host_programs + dev.stats().gc_programs;
+        let before = r.stats.clone();
+        let moved = r.wear_level(&mut dev, 1).unwrap();
+        let clean = r.stats.delta_since(&before);
+        assert!(moved > 0 && clean.wear_level_migrations > 0, "wear leveling must move data");
+        assert_eq!((clean.gc_erases, clean.gc_page_migrations), (0, 0));
+
+        // Faulted pass: the same workload, that migration failing for good.
+        let plan = FaultPlan::default().with_scripted(FaultOp::Program, nth, true);
+        let (mut dev, mut r) = prepare(plan);
+        let before = r.stats.clone();
+        assert_eq!(r.wear_level(&mut dev, 1).unwrap(), moved);
+        let faulted = r.stats.delta_since(&before);
+        assert_eq!(dev.stats().retired_blocks, 1, "the scripted fault must retire a block");
+        assert!(faulted.gc_erases > 0, "the nested collection must run");
+        assert_eq!(
+            (faulted.wear_level_migrations, faulted.wear_level_erases),
+            (clean.wear_level_migrations, clean.wear_level_erases),
+            "the nested collection's work was counted as wear leveling"
+        );
+        assert_region_invariants(&r, &dev);
+        for lba in 0..16u64 {
+            assert_eq!(r.read(&mut dev, Lba(lba), IoCtx::host()).unwrap().0, page(0xCC));
+        }
+    }
+
+    #[test]
+    fn every_cache_matches_the_mapping_after_every_operation() {
+        use rand::Rng;
+        const LBAS: usize = 120;
+        ipa_flash::for_each_case(48, |rng| {
+            let mut plan = FaultPlan::default();
+            for _ in 0..rng.gen_range(0..4) {
+                plan = plan.with_scripted(FaultOp::Program, rng.gen_range(0..800), rng.gen());
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                plan = plan.with_scripted(FaultOp::DeltaProgram, rng.gen_range(0..120), false);
+            }
+            for _ in 0..rng.gen_range(0..2) {
+                plan = plan.with_scripted(FaultOp::Erase, rng.gen_range(0..40), true);
+            }
+            let (mut dev, mut r) =
+                small_region_with(IpaMode::Slc, CellType::Slc, plan, FaultPolicy::default());
+            let mut model: Vec<Option<Vec<u8>>> = vec![None; LBAS];
+            for _ in 0..600 {
+                let lba = rng.gen_range(0..LBAS);
+                match rng.gen_range(0..20) {
+                    0..=11 => {
+                        let image = page(rng.gen());
+                        r.write(&mut dev, Lba(lba as u64), &image, IoCtx::host()).unwrap();
+                        model[lba] = Some(image);
+                    }
+                    12..=16 => {
+                        // Eight bytes into a still-erased slot of the page.
+                        let at = 128 + 8 * rng.gen_range(0..16usize);
+                        let Some(image) = model[lba].as_mut() else { continue };
+                        if !r.can_append(&dev, Lba(lba as u64))
+                            || image[at..at + 8].iter().any(|&b| b != 0xFF)
+                        {
+                            continue;
+                        }
+                        let delta = rng.gen::<u64>().to_le_bytes();
+                        r.write_delta(&mut dev, Lba(lba as u64), at, &delta, IoCtx::host())
+                            .unwrap();
+                        image[at..at + 8].copy_from_slice(&delta);
+                    }
+                    17..=18 => {
+                        r.trim(&mut dev, Lba(lba as u64)).unwrap();
+                        model[lba] = None;
+                    }
+                    _ => {
+                        r.wear_level(&mut dev, rng.gen_range(0..3)).unwrap();
+                    }
+                }
+                assert_region_invariants(&r, &dev);
+            }
+            for (lba, image) in model.iter().enumerate() {
+                match image {
+                    Some(image) => {
+                        let (data, _) = r.read(&mut dev, Lba(lba as u64), IoCtx::host()).unwrap();
+                        assert_eq!(&data, image, "lba {lba}");
+                    }
+                    None => assert!(!r.is_mapped(Lba(lba as u64)), "lba {lba}"),
+                }
+            }
+            assert_eq!(dev.inflight(), 0);
+        });
     }
 
     #[test]

@@ -5,23 +5,6 @@
 //! [`ipa_flash::FlashStats`]; the region layer counts logical operations.
 
 ipa_flash::counters! {
-    /// Aggregate of one region's per-LBA update-heat counters.
-    ///
-    /// Heat is cumulative over the life of the region (like wear, it is *not*
-    /// cleared by a stats reset), so every field is monotone and snapshot-safe.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    pub struct HeatSummary {
-        /// Total host updates (out-of-place writes + in-place appends +
-        /// delta fallbacks) across all logical pages.
-        pub updates: u64,
-        /// Number of distinct logical pages updated at least once.
-        pub updated_lbas: u64,
-        /// Update count of the hottest logical page.
-        pub hottest: u64 as max,
-    }
-}
-
-ipa_flash::counters! {
     /// Counters for one region.
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct RegionStats {
@@ -46,9 +29,6 @@ ipa_flash::counters! {
         pub trims: u64,
         /// Transiently-failed programs retried on the same page.
         pub program_retries: u64,
-        /// Blocks retired as grown bad by this region's bookkeeping (retry
-        /// budget spent, permanent program fault, or erase failure).
-        pub retired_blocks: u64,
         /// Failed delta appends recovered as full out-of-place page writes.
         pub delta_fallbacks: u64,
         /// Correct-and-Refresh operations scheduled by the scrubber after a

@@ -5,7 +5,7 @@ use ipa_engine::{Database, EngineStats, SweepStats};
 use ipa_flash::{
     ChipCounters, CounterValue, Counters, FlashDevice, FlashStats, LatencyHistogram, WearHistogram,
 };
-use ipa_noftl::{HeatSummary, NoFtl, RegionId, RegionStats};
+use ipa_noftl::{NoFtl, RegionId, RegionStats};
 use serde_json::{Map, Value};
 
 /// All counters of the stack at one instant of simulated time. Layers the
@@ -29,8 +29,6 @@ pub struct Snapshot {
     /// Per-block erase-count distribution at capture. Distributions don't
     /// subtract, so a delta snapshot carries `None`.
     pub wear: Option<WearHistogram>,
-    /// Per-region update-heat aggregates, indexed by region id.
-    pub heat: Vec<HeatSummary>,
     /// Host commands in flight on the device queue at capture (gauge).
     pub host_inflight: u64,
     /// Events the trace ring sink has evicted so far (see
@@ -115,8 +113,6 @@ impl Snapshot {
         snap.regions = (0..ftl.region_count())
             .filter_map(|i| ftl.region_stats(RegionId(i)).ok().cloned())
             .collect();
-        snap.heat =
-            (0..ftl.region_count()).filter_map(|i| ftl.heat_summary(RegionId(i)).ok()).collect();
         snap
     }
 
@@ -151,7 +147,6 @@ impl Snapshot {
             regions: delta_each(&self.regions, &earlier.regions),
             chips: delta_each(&self.chips, &earlier.chips),
             wear: None,
-            heat: delta_each(&self.heat, &earlier.heat),
             host_inflight: self.host_inflight.saturating_sub(earlier.host_inflight),
             trace_dropped: self.trace_dropped.saturating_sub(earlier.trace_dropped),
         }
@@ -211,7 +206,6 @@ impl Snapshot {
         if let Some(wear) = &self.wear {
             m.insert("wear".into(), wear_json(wear));
         }
-        m.insert("heat".into(), json_each(&self.heat, counters_json));
         m.insert("host_inflight".into(), Value::from(self.host_inflight));
         m.insert("trace_dropped".into(), Value::from(self.trace_dropped));
         Value::Object(m)
@@ -419,7 +413,6 @@ mod tests {
             |j| &j["chips"][0],
             &["utilization"],
         );
-        check_counters::<HeatSummary>(|s, v| s.heat.push(v), |j| &j["heat"][0], &[]);
     }
 
     #[test]
