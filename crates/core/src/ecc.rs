@@ -137,7 +137,8 @@ pub enum Section {
     EccInitial,
     /// ECC over the i-th appended delta record (`ECC_delta_rec_i`), 0-based.
     EccDelta(u32),
-    /// Management metadata (adaptive mode's per-page scheme tag).
+    /// Management metadata: reserved, written by nobody yet (the room for a
+    /// flash-management tag a mapping rebuild could read).
     Meta,
 }
 
@@ -183,24 +184,6 @@ impl OobLayout {
             }
         }
     }
-}
-
-/// Size of the per-page scheme tag adaptive mode keeps at the start of the
-/// `Meta` section.
-pub const SCHEME_TAG_SIZE: usize = 7;
-
-/// OOB program `(offset, tag)` that tags a page with its scheme — a marker
-/// byte plus `(n, m, v)` little-endian, for forensics and offline tooling
-/// (the page header stays authoritative) — or `None` when the OOB area is
-/// too small for a layout at all. How many delta slots fit does not matter.
-pub fn scheme_tag_write(oob_size: usize, scheme: &NxM) -> Option<(usize, [u8; SCHEME_TAG_SIZE])> {
-    let meta = OobLayout::standard(oob_size, 0)?.range(Section::Meta)?;
-    let mut tag = [0u8; SCHEME_TAG_SIZE];
-    tag[0] = 0x53; // 'S'
-    tag[1..3].copy_from_slice(&scheme.n.to_le_bytes());
-    tag[3..5].copy_from_slice(&scheme.m.to_le_bytes());
-    tag[5..7].copy_from_slice(&scheme.v.to_le_bytes());
-    Some((meta.start, tag))
 }
 
 /// OOB program `(offset, code)` that seeds `ECC_initial` for a page image
@@ -322,16 +305,12 @@ mod tests {
         assert_eq!(l.range(Section::EccInitial), Some(16..24));
         assert_eq!(l.range(Section::EccDelta(2)), Some(40..48));
         assert_eq!(l.range(Section::EccDelta(3)), None);
-        // The codes this module produces fit the slots the layout reserves,
-        // and the scheme tag its Meta section.
+        // The codes this module produces fit the slots the layout reserves.
         assert_eq!(encode_slot(b"anything").len(), l.ecc_slot_size);
-        assert!(SCHEME_TAG_SIZE <= l.meta_size);
 
-        // The tag needs a layout, however few slots; a code needs its slot.
+        // A code needs its slot.
         let layout = PageLayout::new(4096, crate::scheme::NxM::tpcc()).unwrap();
         let page = DbPage::format(1, layout);
-        assert!(scheme_tag_write(24, &layout.scheme).is_some());
-        assert!(scheme_tag_write(23, &layout.scheme).is_none());
         assert!(initial_write(39, page.bytes(), &layout).is_none());
         assert!(initial_write(40, page.bytes(), &layout).is_some());
         assert!(delta_write(128, &layout.scheme, layout.scheme.n, &[0; 8]).is_none());

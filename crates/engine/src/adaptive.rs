@@ -233,9 +233,9 @@ mod tests {
 
         // Wear leveling collects the least-worn blocks, which hold the cold
         // pages, until it has moved as many pages as there are cold ones.
-        // Each page moves verbatim by copy-back: header, scheme tag and ECC
-        // codes travel with it, so a moved cold page is still an old-scheme
-        // page with its one delta record, and verifies on fetch.
+        // Each page moves verbatim by copy-back: header and ECC codes travel
+        // with it, so a moved cold page is still an old-scheme page with its
+        // one delta record, and verifies on fetch.
         assert!(db.region_stats(0).unwrap().gc_erases > 0, "the hot pages wore some blocks");
         db.flush_all().unwrap();
         db.simulate_crash(); // drops the pool: the pages are read from flash
@@ -247,8 +247,6 @@ mod tests {
         cold[0] = 0xA0;
         for i in (1..PAGES).step_by(2) {
             let oob = db.ftl().read_oob(RegionId(0), pids[i].lba).unwrap();
-            let (at, tag) = ecc::scheme_tag_write(oob.len(), &old_scheme).unwrap();
-            assert_eq!(oob[at..at + tag.len()], tag, "page {i}");
             let layout = ecc::OobLayout::standard(oob.len(), old_scheme.n as u32).unwrap();
             let codes = [layout.initial_slot(), layout.range(ecc::Section::EccDelta(0)).unwrap()];
             assert!(codes.into_iter().all(|code| !ecc::slot_is_erased(&oob[code])), "page {i}");
@@ -282,11 +280,9 @@ mod tests {
                 .unwrap();
             assert_eq!(tuple, model[i], "page {i}");
             assert_eq!(scheme, new_scheme, "page {i}");
-            // Erased slots verify vacuously, so look: every writer left a
-            // tag that names the page's scheme and an `EccInitial`.
+            // Erased slots verify vacuously, so look: every writer left an
+            // `EccInitial`.
             let oob = db.ftl().read_oob(RegionId(0), pids[i].lba).unwrap();
-            let (at, tag) = ecc::scheme_tag_write(oob.len(), &scheme).unwrap();
-            assert_eq!(oob[at..at + tag.len()], tag, "page {i}");
             let initial = ecc::OobLayout::standard(oob.len(), 0).unwrap().initial_slot();
             assert!(!ecc::slot_is_erased(&oob[initial]), "page {i}");
         }

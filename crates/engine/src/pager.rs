@@ -618,10 +618,9 @@ impl Database {
             }
             let image = frame.page.bytes();
             let layout = *frame.page.layout();
-            let tag = adaptive.then(|| ecc::scheme_tag_write(oob_size, &layout.scheme)).flatten();
             let code = verify_ecc.then(|| ecc::initial_write(oob_size, image, &layout)).flatten();
             ftl.emit(EventKind::FlushOop, Some(pid.region as u32), Some(pid.lba.0));
-            let oob = [oob_write(&tag), oob_write(&code)];
+            let oob = [oob_write(&code)];
             let _queued = ftl.submit_write(rid, pid.lba, image, &oob, ctx)?;
             self.kept.stats.gross_written_bytes += image.len() as u64;
             pool.mark_flushed(idx, layout.scheme, 0);

@@ -94,9 +94,9 @@ mod tests {
     fn wear_metrics_track_erases() {
         let mut c = Chip::new(&geom());
         let mut spare = SparePages::new(64);
-        c.block_mut(0).erase(0, 0, 1000, &mut spare).unwrap();
-        c.block_mut(0).erase(0, 0, 1000, &mut spare).unwrap();
-        c.block_mut(2).erase(0, 2, 1000, &mut spare).unwrap();
+        c.block_mut(0).erase(0, 0, &mut spare).unwrap();
+        c.block_mut(0).erase(0, 0, &mut spare).unwrap();
+        c.block_mut(2).erase(0, 2, &mut spare).unwrap();
         assert_eq!(c.total_erases(), 3);
         assert_eq!(c.block(0).erase_count(), 2);
         assert_eq!(c.block(1).erase_count(), 0);

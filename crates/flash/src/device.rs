@@ -76,7 +76,8 @@ pub struct FlashConfig {
     /// [`CellType::max_appends`]).
     pub max_appends: Option<u32>,
     /// Override of the per-block endurance limit (defaults to the cell
-    /// type's [`CellType::endurance_limit`]); benchmarks shrink it to reach
+    /// type's [`CellType::endurance_limit`]). An erase of a block that has
+    /// reached it fails and retires the block; tests shrink it to reach
     /// wear-out quickly.
     pub endurance_limit: Option<u64>,
     /// Host command queue depth: how many host-origin commands may be in
@@ -670,20 +671,9 @@ impl FlashDevice {
         self.take_obs_ctx()
     }
 
-    /// The page at a checked address, to give its buffer up (a copy-back
-    /// source, a discard); the block's state is left alone.
+    /// The page at a checked address.
     fn page_mut(&mut self, ppa: Ppa) -> &mut PageData {
         self.chips[ppa.chip as usize].block_mut(ppa.block).page_mut(ppa.page)
-    }
-
-    /// Run a program or append `write` on the page at a checked address.
-    fn write_page(
-        &mut self,
-        ppa: Ppa,
-        write: impl FnOnce(&mut PageData, &mut SparePages) -> Result<()>,
-    ) -> Result<()> {
-        let spare = &mut self.spare;
-        self.chips[ppa.chip as usize].block_mut(ppa.block).write(ppa.page, |p| write(p, spare))
     }
 
     /// Queue a page read; the page data travels in the completion.
@@ -763,7 +753,8 @@ impl FlashDevice {
     ) -> Result<CmdId> {
         let ctx = self.admit(origin);
         self.program_verdict(ppa, ctx)?;
-        self.write_page(ppa, |page, spare| page.program(ppa, data, oob, spare))?;
+        let page = self.chips[ppa.chip as usize].block_mut(ppa.block).page_mut(ppa.page);
+        page.program(ppa, data, oob, &mut self.spare)?;
         Ok(self.finish_program(ppa, origin, ctx))
     }
 
@@ -793,12 +784,8 @@ impl FlashDevice {
         // placeholder, which allocates nothing, stands in): `dst` takes its
         // buffer and copies its OOB, and it goes back stale.
         let mut source = std::mem::take(self.page_mut(src));
-        let moved = self.write_page(dst, |page, _| {
-            page.move_from(&mut source);
-            Ok(())
-        });
+        self.page_mut(dst).move_from(&mut source);
         *self.page_mut(src) = source;
-        moved?;
         Ok(self.finish_program(dst, origin, ctx))
     }
 
@@ -883,9 +870,8 @@ impl FlashDevice {
             return Err(FlashError::ProgramFailed { ppa, permanent: false });
         }
         let max = self.config.max_appends();
-        let attempt = self.write_page(ppa, |page, spare| {
-            page.program_partial(ppa, offset, data, oob, max, spare)
-        });
+        let page = self.chips[ppa.chip as usize].block_mut(ppa.block).page_mut(ppa.page);
+        let attempt = page.program_partial(ppa, offset, data, oob, max, &mut self.spare);
         if let Err(e) = attempt {
             if matches!(e, FlashError::IsppViolation { .. }) {
                 self.stats.ispp_violations += 1;
@@ -944,13 +930,19 @@ impl FlashDevice {
         Ok(())
     }
 
-    /// Queue a block erase. Counts wear and fails once the endurance limit
-    /// is reached.
+    /// Queue a block erase. Counts wear; an erase-status failure — the
+    /// fault plan's, or wear-out once the block has reached the endurance
+    /// limit — retires the block ([`FlashError::EraseFailed`]).
     pub fn submit_erase(&mut self, chip: u32, block: u32, origin: OpOrigin) -> Result<CmdId> {
         let ctx = self.admit(origin);
         let probe = Ppa::new(chip, block, 0);
         self.check(probe)?;
-        if self.fault.check(FaultOp::Erase) != FaultVerdict::Pass {
+        // The fault plan's verdict is drawn first, so fault sequences do not
+        // depend on wear. A retired block is refused as such below.
+        let faulted = self.fault.check(FaultOp::Erase) != FaultVerdict::Pass;
+        let b = self.chips[chip as usize].block(block);
+        let worn = !b.is_retired() && b.erase_count() >= self.config.endurance_limit();
+        if faulted || worn {
             // An erase-status failure always grows the block bad: a block
             // that no longer erases is unusable by definition.
             self.stats.erase_failures += 1;
@@ -958,13 +950,7 @@ impl FlashDevice {
             self.retire_block(chip, block, ctx);
             return Err(FlashError::EraseFailed { chip, block });
         }
-        let endurance = self.config.endurance_limit();
-        self.chips[chip as usize].block_mut(block).erase(
-            chip,
-            block,
-            endurance,
-            &mut self.spare,
-        )?;
+        self.chips[chip as usize].block_mut(block).erase(chip, block, &mut self.spare)?;
         self.ledger.clear_block(chip, block, self.config.geometry.pages_per_block);
         self.stats.erases += 1;
         self.chips[chip as usize].counters_mut().erases += 1;
@@ -974,18 +960,18 @@ impl FlashDevice {
     }
 
     /// Erase a block synchronously as background work (submit + complete
-    /// one). Counts wear and fails once the endurance limit is reached.
+    /// one); see [`FlashDevice::submit_erase`].
     pub fn erase(&mut self, chip: u32, block: u32) -> Result<OpResult> {
         let id = self.submit_erase(chip, block, OpOrigin::Background)?;
         Ok(self.complete(id)?.result)
     }
 
-    /// Retire a block as grown bad: mark the in-memory state, persist the
-    /// bad-block marker in the block's reserved marker area and account
-    /// the retirement. The marker area models the manufacturer bad-block
-    /// byte of the spare region and lives *outside* the host-visible OOB
-    /// window, so retiring a block never corrupts host metadata (ECC
-    /// codes, mapping tags) on its still-readable valid pages.
+    /// Retire a block as grown bad: set the bad-block marker in the block's
+    /// reserved marker area and account the retirement. The marker area
+    /// models the manufacturer bad-block byte of the spare region and lives
+    /// *outside* the host-visible OOB window, so retiring a block never
+    /// corrupts host metadata (ECC codes, mapping tags) on its
+    /// still-readable valid pages.
     fn retire_block(&mut self, chip: u32, block: u32, ctx: ObsCtx) {
         let b = self.chips[chip as usize].block_mut(block);
         if b.is_retired() {
@@ -999,7 +985,7 @@ impl FlashDevice {
     /// Retire a block as grown bad on behalf of the management layer —
     /// e.g. after the retry budget for a transiently-failing program is
     /// spent. Idempotent: already-retired blocks are left as they are and
-    /// not double-counted. Persists the OOB bad-block marker.
+    /// not double-counted. Sets the bad-block marker.
     pub fn retire(&mut self, chip: u32, block: u32) -> Result<()> {
         self.check(Ppa::new(chip, block, 0))?;
         let ctx = self.take_obs_ctx();
@@ -1007,21 +993,15 @@ impl FlashDevice {
         Ok(())
     }
 
-    /// Whether a block has been retired as grown bad.
+    /// Whether a block has been retired as grown bad: whether it carries
+    /// the bad-block marker, the one record of a block's health and what a
+    /// management layer scans at mount time. The marker occupies the
+    /// block's reserved marker area (the manufacturer bad-block byte of the
+    /// spare region), not the host-visible OOB window, so host OOB contents
+    /// on retired blocks stay intact and readable.
     pub fn is_block_retired(&self, chip: u32, block: u32) -> Result<bool> {
         self.check(Ppa::new(chip, block, 0))?;
         Ok(self.chips[chip as usize].block(block).is_retired())
-    }
-
-    /// Whether a block carries the persisted grown-bad marker — the
-    /// durable form of [`FlashDevice::is_block_retired`] a management
-    /// layer scans at mount time. The marker occupies the block's
-    /// reserved marker area (the manufacturer bad-block byte of the
-    /// spare region), not the host-visible OOB window, so host OOB
-    /// contents on retired blocks stay intact and readable.
-    pub fn oob_bad_marked(&self, chip: u32, block: u32) -> Result<bool> {
-        self.check(Ppa::new(chip, block, 0))?;
-        Ok(self.chips[chip as usize].block(block).bad_marked())
     }
 
     /// Queue a Correct-and-Refresh (Cai et al., paper ref \[35\]): read the
@@ -1232,12 +1212,27 @@ mod tests {
     }
 
     #[test]
-    fn endurance_limit_override() {
+    fn an_erase_past_the_endurance_limit_fails_and_retires_the_block() {
         let mut cfg = FlashConfig::small_slc();
-        cfg.endurance_limit = Some(1);
+        cfg.endurance_limit = Some(2);
+        cfg.fault = crate::FaultPlan::default().with_scripted(crate::FaultOp::Erase, 4, false);
         let mut d = FlashDevice::new(cfg);
         d.erase(0, 0).unwrap();
-        assert!(matches!(d.erase(0, 0), Err(FlashError::BlockWornOut { .. })));
+        d.erase(0, 0).unwrap();
+        assert_eq!(d.erase(0, 0).unwrap_err(), FlashError::EraseFailed { chip: 0, block: 0 });
+        assert!(d.is_block_retired(0, 0).unwrap());
+        assert_eq!(d.block_erase_count(0, 0).unwrap(), 2, "the failed erase wears nothing");
+        let s = d.stats();
+        assert_eq!((s.erases, s.erase_failures, s.retired_blocks), (2, 1, 1));
+        // Retired, the block is refused like any grown-bad one.
+        assert_eq!(d.erase(0, 0).unwrap_err(), FlashError::BlockRetired { chip: 0, block: 0 });
+        let data = full(&d, 0x00);
+        let refused = d.program(Ppa::new(0, 0, 0), &data, OpOrigin::Host).unwrap_err();
+        assert_eq!(refused, FlashError::BlockRetired { chip: 0, block: 0 });
+        // Every erase drew its fault verdict, the worn one too, so the
+        // fifth erase is the one the plan fails.
+        assert_eq!(d.erase(0, 1).unwrap_err(), FlashError::EraseFailed { chip: 0, block: 1 });
+        assert_eq!(d.stats().erase_failures, 2);
     }
 
     #[test]
@@ -1668,8 +1663,7 @@ mod tests {
         let err = d.program(ppa, &data, OpOrigin::Host).unwrap_err();
         assert_eq!(err, FlashError::ProgramFailed { ppa, permanent: true });
         assert!(d.is_block_retired(0, 3).unwrap());
-        assert!(d.oob_bad_marked(0, 3).unwrap());
-        assert!(!d.oob_bad_marked(0, 4).unwrap());
+        assert!(!d.is_block_retired(0, 4).unwrap());
         assert_eq!(d.stats().program_failures, 1);
         assert_eq!(d.stats().retired_blocks, 1);
         // The retired block refuses further programs and erases.
@@ -1698,7 +1692,6 @@ mod tests {
         program_with_oob(&mut d, ppa, &data, &[(0, &[0xCA, 0xFE])]).unwrap();
         d.retire(0, 0).unwrap();
         assert!(d.is_block_retired(0, 0).unwrap());
-        assert!(d.oob_bad_marked(0, 0).unwrap());
         let oob = d.read_oob(ppa).unwrap();
         assert_eq!(&oob[..2], &[0xCA, 0xFE], "host OOB corrupted by retirement");
         let (read, _) = d.read(ppa, OpOrigin::Host).unwrap();
@@ -1709,7 +1702,7 @@ mod tests {
         let mut d = FlashDevice::new(cfg);
         program_with_oob(&mut d, ppa, &data, &[(0, &[0xCA, 0xFE])]).unwrap();
         d.program(Ppa::new(0, 0, 1), &data, OpOrigin::Host).unwrap_err();
-        assert!(d.oob_bad_marked(0, 0).unwrap());
+        assert!(d.is_block_retired(0, 0).unwrap());
         assert_eq!(&d.read_oob(ppa).unwrap()[..2], &[0xCA, 0xFE]);
     }
 
@@ -1722,7 +1715,6 @@ mod tests {
         let err = d.erase(0, 7).unwrap_err();
         assert_eq!(err, FlashError::EraseFailed { chip: 0, block: 7 });
         assert!(d.is_block_retired(0, 7).unwrap());
-        assert!(d.oob_bad_marked(0, 7).unwrap());
         assert_eq!(d.stats().erase_failures, 1);
         assert_eq!(d.stats().retired_blocks, 1);
         assert_eq!(d.stats().erases, 1);

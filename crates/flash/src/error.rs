@@ -59,15 +59,6 @@ pub enum FlashError {
     /// layer discarded. Its cells stay charged, but the device holds nothing
     /// there to return: the page is unusable until its block is erased.
     PageStale(Ppa),
-    /// Erase issued to a block that already reached its endurance limit.
-    BlockWornOut {
-        /// Chip index.
-        chip: u32,
-        /// Block index.
-        block: u32,
-        /// Erase cycles performed.
-        cycles: u64,
-    },
     /// Completion requested for a command id that is neither in flight nor
     /// retired (never submitted, or already consumed).
     UnknownCommand(CmdId),
@@ -92,8 +83,9 @@ pub enum FlashError {
         permanent: bool,
     },
     /// The chip reported erase-status failure: the block did not reach the
-    /// erased state. The device retires the block (grown bad); the host
-    /// must drop it from the free pool.
+    /// erased state — a fault, or wear-out past the endurance limit. The
+    /// device retires the block (grown bad); the host must drop it from the
+    /// free pool.
     EraseFailed {
         /// Chip index.
         chip: u32,
@@ -142,9 +134,6 @@ impl std::fmt::Display for FlashError {
             }
             FlashError::PageStale(ppa) => {
                 write!(f, "page {ppa} is stale (moved or discarded); unusable until erased")
-            }
-            FlashError::BlockWornOut { chip, block, cycles } => {
-                write!(f, "block c{chip}/b{block} worn out after {cycles} P/E cycles")
             }
             FlashError::UnknownCommand(id) => {
                 write!(f, "completion requested for unknown command {id}")

@@ -24,8 +24,10 @@
 //!   profile (16-way chip parallelism, as in the paper's Flash emulator) and
 //!   an *OpenSSD* profile (host I/O serialized through a single queue, as on
 //!   the OpenSSD Jasmine board without NCQ).
-//! * **Wear.** Per-block program/erase counters with endurance limits
-//!   (100k / 10k / 4k cycles for SLC / MLC / TLC).
+//! * **Wear.** Per-block erase counters with endurance limits (100k / 10k /
+//!   4k cycles for SLC / MLC / TLC). An erase of a block at its limit fails
+//!   with an erase-status failure and retires the block, as real NAND shows
+//!   wear-out: the bad-block marker is the one record of a block's health.
 //! * **Reliability.** Optional retention and program-interference error
 //!   injection plus an out-of-band (OOB) area per page for ECC bookkeeping,
 //!   mirroring the paper's §6.2 discussion (`ECC_initial` + per-delta codes,

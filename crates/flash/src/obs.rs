@@ -210,7 +210,7 @@ pub enum EventKind {
     /// The engine's online advisor re-tuned a region's `[N×M]` scheme at
     /// the end of a profiling epoch. Newly written and GC-migrated pages
     /// of the region carry the new layout from here on; resident
-    /// old-scheme pages stay readable through their per-page scheme tag.
+    /// old-scheme pages stay readable through their page-header scheme tag.
     SchemeChange {
         /// Monotonic per-region scheme version after the change.
         epoch: u64,

@@ -25,7 +25,7 @@
 //! * Greedy garbage collection (fewest-valid-pages victim), free-block
 //!   allocation preferring least-worn blocks (dynamic wear leveling) and an
 //!   explicit static wear-leveling pass. Both move a valid page verbatim by
-//!   copy-back, its OOB bytes (ECC codes, scheme tag) with it: the layer
+//!   copy-back, its OOB bytes (ECC codes) with it: the layer
 //!   never looks inside a page and never calls back into the engine above.
 //! * [`RegionStats`] — per-region counters matching the rows of the paper's
 //!   Tables 6–10 (host reads/writes, delta writes, GC page migrations, GC

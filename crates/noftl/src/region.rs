@@ -871,6 +871,12 @@ mod tests {
         plan: FaultPlan,
         policy: FaultPolicy,
     ) -> (FlashDevice, Region) {
+        small_region_on(small_config(cell, plan), mode, policy)
+    }
+
+    /// The device of [`small_region_with`]: 2 chips × 16 blocks × 8 pages
+    /// of 256 bytes.
+    fn small_config(cell: CellType, plan: FaultPlan) -> FlashConfig {
         let mut cfg = FlashConfig::small_slc();
         cfg.geometry.chips = 2;
         cfg.geometry.blocks_per_chip = 16;
@@ -878,6 +884,14 @@ mod tests {
         cfg.geometry.page_size = 256;
         cfg.geometry.cell_type = cell;
         cfg.fault = plan;
+        cfg
+    }
+
+    fn small_region_on(
+        cfg: FlashConfig,
+        mode: IpaMode,
+        policy: FaultPolicy,
+    ) -> (FlashDevice, Region) {
         let dev = FlashDevice::new(cfg);
         let spec = RegionSpec::new("t", [0, 1], mode).with_over_provisioning(0.3);
         let region = Region::new(0, spec, &dev, 2, policy).unwrap();
@@ -1186,14 +1200,13 @@ mod tests {
         assert!(!dev.is_block_retired(ppa.chip, ppa.block).unwrap());
         // The OOB writes landed once, with the program that took.
         assert_eq!(&r.read_oob(&dev, Lba(5)).unwrap()[16..18], &[0xCA, 0xFE]);
-        // Exactly one block is device-retired and carries the OOB marker.
+        // Exactly one block carries the device's bad-block marker.
         let retired: Vec<(u32, u32)> = (0..2)
             .flat_map(|c| (0..16).map(move |b| (c, b)))
             .filter(|&(c, b)| dev.is_block_retired(c, b).unwrap())
             .collect();
         assert_eq!(retired.len(), 1);
         let (rc, rb) = retired[0];
-        assert!(dev.oob_bad_marked(rc, rb).unwrap());
         let faulted = Ppa::new(rc, rb, 0);
         assert_eq!(dev.page_state(faulted).unwrap(), PageState::Erased);
         assert!(dev.read_oob(faulted).unwrap().iter().all(|&b| b == 0xFF));
@@ -1670,16 +1683,21 @@ mod tests {
             for _ in 0..rng.gen_range(0..2) {
                 plan = plan.with_scripted(FaultOp::Erase, rng.gen_range(0..40), true);
             }
-            let (mut dev, mut r) =
-                small_region_with(IpaMode::Slc, CellType::Slc, plan, FaultPolicy::default());
+            // A third of the cases wear blocks out within a few erases: GC
+            // and wear leveling then retire worn victims until the region
+            // runs out of blocks, which ends the case's operations.
+            let mut cfg = small_config(CellType::Slc, plan);
+            cfg.endurance_limit = rng.gen_bool(1.0 / 3.0).then(|| rng.gen_range(1..=3));
+            let wears_out = cfg.endurance_limit.is_some();
+            let (mut dev, mut r) = small_region_on(cfg, IpaMode::Slc, FaultPolicy::default());
             let mut model: Vec<Option<Vec<u8>>> = vec![None; LBAS];
-            for _ in 0..600 {
+            for _ in 0..if wears_out { 3_000 } else { 600 } {
                 let lba = rng.gen_range(0..LBAS);
-                match rng.gen_range(0..20) {
+                let outcome = match rng.gen_range(0..20) {
                     0..=11 => {
                         let image = page(rng.gen());
-                        r.write(&mut dev, Lba(lba as u64), &image, IoCtx::host()).unwrap();
-                        model[lba] = Some(image);
+                        let written = r.write(&mut dev, Lba(lba as u64), &image, IoCtx::host());
+                        written.map(|_| model[lba] = Some(image))
                     }
                     12..=16 => {
                         // Eight bytes into a still-erased slot of the page.
@@ -1691,19 +1709,21 @@ mod tests {
                             continue;
                         }
                         let delta = rng.gen::<u64>().to_le_bytes();
-                        r.write_delta(&mut dev, Lba(lba as u64), at, &delta, IoCtx::host())
-                            .unwrap();
-                        image[at..at + 8].copy_from_slice(&delta);
+                        let appended =
+                            r.write_delta(&mut dev, Lba(lba as u64), at, &delta, IoCtx::host());
+                        appended.map(|_| image[at..at + 8].copy_from_slice(&delta))
                     }
-                    17..=18 => {
-                        r.trim(&mut dev, Lba(lba as u64)).unwrap();
-                        model[lba] = None;
-                    }
-                    _ => {
-                        r.wear_level(&mut dev, rng.gen_range(0..3)).unwrap();
-                    }
-                }
+                    17..=18 => r.trim(&mut dev, Lba(lba as u64)).map(|()| model[lba] = None),
+                    _ => r.wear_level(&mut dev, rng.gen_range(0..3)).map(|_| ()),
+                };
+                // Checked after a refused operation too: it leaves the caches
+                // whole.
                 assert_region_invariants(&r, &dev);
+                match outcome {
+                    Ok(()) => {}
+                    Err(NoFtlError::DeviceFull { .. }) if wears_out => break,
+                    Err(e) => panic!("{e}"),
+                }
             }
             for (lba, image) in model.iter().enumerate() {
                 match image {

@@ -221,3 +221,47 @@ fn region_capacity_is_respected_end_to_end() {
     }
     assert!(db.new_page(0).is_err());
 }
+
+/// TPC-B `[0×0]` on the emulator profile, sized the way `SystemConfig::build`
+/// sizes it (growth headroom 3.0, 25 % buffer), on flash whose blocks wear
+/// out after `endurance` erases.
+fn worn_tpcb_db(w: &TpcB, endurance: u64) -> Database {
+    let page_size = 4096;
+    let (chips, pages_per_block, over_provisioning) = (16u32, 64u32, 0.10);
+    let estimated = w.estimated_pages(page_size);
+    let needed = (estimated as f64 * 3.0).ceil() as u64 + 64;
+    let data_blocks =
+        (needed as f64 / (1.0 - over_provisioning) / f64::from(chips * pages_per_block)).ceil()
+            as u32;
+    let blocks_per_chip = data_blocks.max(1) + 4;
+    let usable = f64::from(chips * blocks_per_chip * pages_per_block);
+    let op = over_provisioning.max(1.0 - needed as f64 / usable).min(0.85);
+    let mut flash = FlashConfig::emulator_slc(1, pages_per_block, page_size);
+    flash.endurance_limit = Some(endurance);
+    let cfg = NoFtlConfig::builder(flash)
+        .blocks_per_chip(blocks_per_chip)
+        .single_region(IpaMode::None, op)
+        .build()
+        .unwrap();
+    let frames = ((estimated as f64 * 0.25) as usize).max(16);
+    Database::builder(cfg).scheme(NxM::disabled()).config(DbConfig::eager(frames)).open().unwrap()
+}
+
+#[test]
+fn worn_out_blocks_are_retired_and_the_database_recovers() {
+    // At endurance 2 the first block wears out after about 3 200
+    // transactions. Its failed erase must retire it like a faulted one, or
+    // GC picks the same victim again and the run stops there.
+    let mut w = TpcB::new(2, 2_000);
+    let mut db = worn_tpcb_db(&w, 2);
+    let runner = Runner::new(7);
+    runner.setup(&mut db, &mut w).unwrap();
+    let report = runner.run(&mut db, &mut w, 0, 4_000).unwrap();
+    assert_eq!((report.commits, report.aborts), (4_000, 0));
+    let flash = db.ftl().device().stats();
+    assert!(flash.retired_blocks > 0, "no block wore out");
+    assert_eq!(flash.erase_failures, flash.retired_blocks, "only worn blocks are retired");
+    db.simulate_crash();
+    db.recover().unwrap();
+    w.verify_balances(&mut db).unwrap();
+}
