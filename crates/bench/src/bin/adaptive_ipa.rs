@@ -124,7 +124,6 @@ fn main() {
     // new schemes by relayout on their next out-of-place flush.
     let mut adaptive_cfg = config(NxM::new(5, 3, 12));
     adaptive_cfg.advisor_epoch_ns = EPOCH_NS;
-    adaptive_cfg.advisor_goal = AdvisorGoal::Longevity;
     adaptive_cfg.advisor_min_observations = MIN_OBSERVATIONS;
     let adaptive = run_arm("adaptive", &adaptive_cfg, &mut shifting(), warmup, measured);
 

@@ -17,12 +17,10 @@ const CHIPS: u32 = 4;
 /// Write half the region in batches of `CHIPS` pages (the allocator stripes
 /// a batch over distinct chips) and return total simulated device time.
 fn run(depth: u32) -> u64 {
-    let cfg = NoFtlConfig::builder(FlashConfig::emulator_slc(16, 8, 512))
-        .chips(CHIPS)
-        .queue_depth(depth)
-        .single_region(IpaMode::Slc, 0.3)
-        .build()
-        .expect("config validates");
+    let mut flash = FlashConfig::emulator_slc(16, 8, 512);
+    flash.geometry.chips = CHIPS;
+    flash.queue_depth = depth;
+    let cfg = NoFtlConfig::single_region(flash, IpaMode::Slc, 0.3);
     let mut ftl = NoFtl::new(cfg).expect("ftl builds");
     if let Some(sink) = trace_sink() {
         ftl.set_cmd_tracing(true);

@@ -9,7 +9,7 @@
 //! [`Adaptive`]'s fields are private to this file; the pager asks whether
 //! there is one and nothing else.
 
-use ipa_core::{IpaAdvisor, PageLayout};
+use ipa_core::{AdvisorGoal, IpaAdvisor, PageLayout};
 use ipa_noftl::{EventKind, FlashConfig};
 
 use crate::db::{Database, DbConfig};
@@ -41,7 +41,8 @@ impl Adaptive {
 impl Database {
     /// Adaptive-IPA re-tune epoch's due-check: when `advisor_epoch_ns` of
     /// simulated time has passed since the last epoch, feed every region's
-    /// eviction profile to the advisor and transition regions whose
+    /// eviction profile to the advisor, toward [`AdvisorGoal::Longevity`],
+    /// and transition regions whose
     /// recommended scheme is predicted to beat the current one by more than
     /// the hysteresis margin. Profiles are windowed: each evaluated
     /// region's profile restarts so the next epoch sees the *current*
@@ -52,8 +53,7 @@ impl Database {
         /// scheme's by more than this margin.
         const HYSTERESIS: f64 = 0.05;
         let now = self.now_ns();
-        let DbConfig { advisor_epoch_ns, advisor_goal, advisor_min_observations, .. } =
-            *self.config();
+        let DbConfig { advisor_epoch_ns, advisor_min_observations, .. } = *self.config();
         let Some(state) = self.lost.adaptive.as_mut() else { return };
         if now.saturating_sub(state.last_epoch_ns) < advisor_epoch_ns {
             return;
@@ -68,7 +68,7 @@ impl Database {
             if profile.observations() < advisor_min_observations {
                 continue;
             }
-            let rec = advisor.recommend(profile, advisor_goal);
+            let rec = advisor.recommend(profile, AdvisorGoal::Longevity);
             let &PageLayout { scheme: current, page_size, .. } = self.layout(region);
             let gain =
                 profile.predicted_hit_rate(&rec.scheme) - profile.predicted_hit_rate(&current);
@@ -107,7 +107,7 @@ impl Database {
 mod tests {
     use super::*;
     use crate::db::tests::{adaptive_test_db, fill_and_flush, flushed_tuple};
-    use ipa_core::{ecc, AdvisorGoal, NxM};
+    use ipa_core::{ecc, NxM};
     use ipa_noftl::{IpaMode, NoFtlConfig, RegionId};
 
     #[test]
@@ -173,10 +173,13 @@ mod tests {
         flash.geometry.page_size = 1024;
         let cfg = NoFtlConfig::single_region(flash, IpaMode::Slc, 0.3);
         let epoch = 1_000_000u64;
-        let mut dbc = DbConfig::eager(8).with_adaptive(epoch, AdvisorGoal::Longevity);
-        dbc.advisor_min_observations = 8;
-        dbc.verify_ecc = true;
-        let mut db = Database::builder(cfg).scheme(NxM::tpcc()).config(dbc).open().unwrap();
+        let dbc = DbConfig {
+            advisor_epoch_ns: epoch,
+            advisor_min_observations: 8,
+            verify_ecc: true,
+            ..DbConfig::eager(8)
+        };
+        let mut db = Database::open(cfg, &[NxM::tpcc()], dbc).unwrap();
 
         const PAGES: usize = 40;
         let mut pids = Vec::new();

@@ -1,9 +1,9 @@
 //! The database core: configuration, the [`Database`] struct that joins
 //! the three state owners ([`crate::pager`], [`crate::log`],
 //! [`crate::adaptive`]) and splits what a power loss leaves from what it
-//! takes, the transaction / lock glue between them and the builder.
+//! takes, the transaction / lock glue between them and [`Database::open`].
 
-use ipa_core::{AdvisorGoal, NxM};
+use ipa_core::NxM;
 use ipa_noftl::{Lba, NoFtlConfig, SpanId};
 
 use crate::adaptive::Adaptive;
@@ -75,8 +75,6 @@ pub struct DbConfig {
     /// `0` (the default) disables adaptation entirely — the engine
     /// behaves bit-identically to the static-scheme engine.
     pub advisor_epoch_ns: u64,
-    /// Optimization goal fed to the advisor at each re-tune epoch.
-    pub advisor_goal: AdvisorGoal,
     /// Minimum eviction observations a region's profile must hold before
     /// an epoch evaluates it (unevaluated profiles keep accumulating).
     pub advisor_min_observations: u64,
@@ -90,6 +88,9 @@ pub struct DbConfig {
     /// engine behaves event-for-event identically to the
     /// pre-checkpointing engine.
     pub checkpoint_interval_ns: u64,
+    /// Row-lock conflict policy (no-wait by default; the multi-client
+    /// runs use wait-die).
+    pub lock_policy: LockPolicy,
 }
 
 impl DbConfig {
@@ -105,9 +106,9 @@ impl DbConfig {
             group_commit_timeout_ns: 0,
             log_force_ns: 0,
             advisor_epoch_ns: 0,
-            advisor_goal: AdvisorGoal::Longevity,
             advisor_min_observations: 64,
             checkpoint_interval_ns: 0,
+            lock_policy: LockPolicy::NoWait,
         }
     }
 
@@ -119,35 +120,6 @@ impl DbConfig {
             log_reclaim_threshold: 1.0,
             ..DbConfig::eager(buffer_frames)
         }
-    }
-
-    /// Enable group commit with the given batch threshold and timeout
-    /// (builder-style helper for sweeps).
-    pub fn with_group_commit(mut self, batch: usize, timeout_ns: u64) -> Self {
-        self.group_commit_batch = batch;
-        self.group_commit_timeout_ns = timeout_ns;
-        self
-    }
-
-    /// Set the simulated log-force latency (builder-style helper).
-    pub fn with_log_force_ns(mut self, ns: u64) -> Self {
-        self.log_force_ns = ns;
-        self
-    }
-
-    /// Enable online adaptive IPA: re-tune every `epoch_ns` of simulated
-    /// time toward `goal` (builder-style helper).
-    pub fn with_adaptive(mut self, epoch_ns: u64, goal: AdvisorGoal) -> Self {
-        self.advisor_epoch_ns = epoch_ns;
-        self.advisor_goal = goal;
-        self
-    }
-
-    /// Enable periodic fuzzy checkpoints every `interval_ns` of simulated
-    /// time (builder-style helper).
-    pub fn with_checkpoints(mut self, interval_ns: u64) -> Self {
-        self.checkpoint_interval_ns = interval_ns;
-        self
     }
 }
 
@@ -174,7 +146,6 @@ pub(crate) struct Survivors {
     pub(crate) stats: EngineStats,
     /// Read through [`Database::config`]; nothing changes it after `open`.
     config: DbConfig,
-    lock_policy: LockPolicy,
 }
 
 /// What a power loss takes: [`Volatile::new`] builds all of it, for `open`
@@ -211,7 +182,7 @@ impl Volatile {
             stage: CommitStage::new(device.clock().now_ns()),
             adaptive: Adaptive::new(device.config(), &kept.config),
             txns: TxnTable::new(),
-            locks: LockManager::new(kept.lock_policy),
+            locks: LockManager::new(kept.config.lock_policy),
             before_image: Vec::new(),
             index_scratch: Default::default(),
             record_images: Vec::new(),
@@ -221,16 +192,35 @@ impl Volatile {
 }
 
 impl Database {
-    /// Start building a database over a NoFTL device: configuration and
-    /// lock policy in one fluent chain. Defaults: no schemes (add one per
-    /// region), [`DbConfig::eager`] with 64 frames, no-wait locking.
-    pub fn builder(ftl_config: NoFtlConfig) -> DbBuilder {
-        DbBuilder {
-            ftl_config,
-            schemes: Vec::new(),
-            config: DbConfig::eager(64),
-            lock_policy: LockPolicy::default(),
-        }
+    /// Open a database over a new NoFTL device. `schemes[i]` is the
+    /// `[N×M]` configuration of region `i` ([`NxM::disabled`] for the
+    /// `[0×0]` baseline); a count other than the region count is an error.
+    ///
+    /// ```
+    /// use ipa_core::NxM;
+    /// use ipa_engine::{Database, DbConfig, LockPolicy};
+    /// use ipa_noftl::{FlashConfig, IpaMode, NoFtlConfig};
+    ///
+    /// let ftl = NoFtlConfig::single_region(FlashConfig::small_slc(), IpaMode::Slc, 0.1);
+    /// let config = DbConfig {
+    ///     group_commit_batch: 8,
+    ///     group_commit_timeout_ns: 2_000_000,
+    ///     lock_policy: LockPolicy::WaitDie,
+    ///     ..DbConfig::eager(256)
+    /// };
+    /// let db = Database::open(ftl, &[NxM::tpcc()], config).unwrap();
+    /// assert_eq!(db.stats().commits, 0);
+    /// ```
+    pub fn open(ftl_config: NoFtlConfig, schemes: &[NxM], config: DbConfig) -> Result<Database> {
+        let kept = Survivors {
+            pager: Pager::new(ftl_config, schemes)?,
+            log: Log::new(config.log_capacity_bytes),
+            heaps: Vec::new(),
+            indexes: Vec::new(),
+            stats: EngineStats::default(),
+            config,
+        };
+        Ok(Database { lost: Volatile::new(&kept), kept })
     }
 
     /// Engine statistics.
@@ -339,11 +329,6 @@ impl Database {
         self.lost.txns.is_active(tx)
     }
 
-    /// The row-lock conflict policy.
-    pub(crate) fn lock_policy(&self) -> LockPolicy {
-        self.kept.lock_policy
-    }
-
     /// Acquire a row lock for `tx` (released by commit/abort).
     pub(crate) fn lock_row(
         &mut self,
@@ -352,61 +337,6 @@ impl Database {
         mode: crate::lock::LockMode,
     ) -> Result<()> {
         self.lost.locks.lock(tx, key, mode)
-    }
-}
-
-/// Fluent constructor for [`Database`]: device + schemes + engine config
-/// in one chain.
-///
-/// ```ignore
-/// let db = Database::builder(ftl_config)
-///     .scheme(NxM::tpcc())
-///     .config(DbConfig::eager(256).with_group_commit(8, 2_000_000))
-///     .lock_policy(LockPolicy::WaitDie)
-///     .open()?;
-/// ```
-#[derive(Debug)]
-pub struct DbBuilder {
-    ftl_config: NoFtlConfig,
-    schemes: Vec<NxM>,
-    config: DbConfig,
-    lock_policy: LockPolicy,
-}
-
-impl DbBuilder {
-    /// Append the `[N×M]` scheme of the next region (call once per
-    /// region, in region order).
-    pub fn scheme(mut self, scheme: NxM) -> Self {
-        self.schemes.push(scheme);
-        self
-    }
-
-    /// Set the engine configuration.
-    pub fn config(mut self, config: DbConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Set the row-lock conflict policy.
-    pub fn lock_policy(mut self, policy: LockPolicy) -> Self {
-        self.lock_policy = policy;
-        self
-    }
-
-    /// Build the database. `schemes[i]` is the `[N×M]` configuration of
-    /// region `i` ([`NxM::disabled`] for the `[0×0]` baseline).
-    pub fn open(self) -> Result<Database> {
-        let DbBuilder { ftl_config, schemes, config, lock_policy } = self;
-        let kept = Survivors {
-            pager: Pager::new(ftl_config, &schemes)?,
-            log: Log::new(config.log_capacity_bytes),
-            heaps: Vec::new(),
-            indexes: Vec::new(),
-            stats: EngineStats::default(),
-            config,
-            lock_policy,
-        };
-        Ok(Database { lost: Volatile::new(&kept), kept })
     }
 }
 
@@ -424,19 +354,14 @@ pub(crate) mod tests {
         }
     }
 
-    /// A database over a small single-region SLC device, to open.
-    pub(crate) fn small_builder(scheme: NxM, config: DbConfig) -> DbBuilder {
+    /// A database over a small single-region SLC device.
+    pub(crate) fn small_db(scheme: NxM, config: DbConfig) -> Database {
         let mut flash = FlashConfig::small_slc();
         flash.geometry.blocks_per_chip = 64;
         flash.geometry.pages_per_block = 16;
         flash.geometry.page_size = 1024;
         let cfg = NoFtlConfig::single_region(flash, IpaMode::Slc, 0.2);
-        Database::builder(cfg).scheme(scheme).config(config)
-    }
-
-    /// A database over a small single-region SLC device.
-    pub(crate) fn small_db(scheme: NxM, config: DbConfig) -> Database {
-        small_builder(scheme, config).open().unwrap()
+        Database::open(cfg, &[scheme], config).unwrap()
     }
 
     /// A new page holding `tuple`, flushed (out of place, being new).
@@ -477,7 +402,10 @@ pub(crate) mod tests {
     }
 
     pub(crate) fn checkpoint_test_db(interval_ns: u64, frames: usize) -> Database {
-        small_db(NxM::tpcc(), DbConfig::eager(frames).with_checkpoints(interval_ns))
+        small_db(
+            NxM::tpcc(),
+            DbConfig { checkpoint_interval_ns: interval_ns, ..DbConfig::eager(frames) },
+        )
     }
 
     /// A submit nobody completes is caught where the transaction ends.
@@ -509,19 +437,33 @@ pub(crate) mod tests {
         db.checkpoint().unwrap();
     }
 
+    /// One scheme per region: `open` refuses more or fewer.
+    #[test]
+    fn open_refuses_a_scheme_count_other_than_the_region_count() {
+        let cfg = NoFtlConfig::single_region(FlashConfig::small_slc(), IpaMode::Slc, 0.2);
+        for schemes in [&[][..], &[NxM::tpcc(), NxM::tpcb()][..]] {
+            match Database::open(cfg.clone(), schemes, DbConfig::eager(8)) {
+                Err(EngineError::Core(ipa_core::CoreError::InvalidPage(msg))) => {
+                    assert_eq!(msg, format!("{} schemes for 1 regions", schemes.len()))
+                }
+                other => panic!("{} schemes: {other:?}", schemes.len()),
+            }
+        }
+    }
+
     /// The lock policy is an option of `open`: the lock table a crash
     /// rebuilds resolves conflicts by it too, so wait-die stays wait-die.
     #[test]
     fn a_restart_keeps_the_lock_policy() {
-        let builder = small_builder(NxM::tpcc(), DbConfig::eager(8));
-        let mut db = builder.lock_policy(LockPolicy::WaitDie).open().unwrap();
+        let config = DbConfig { lock_policy: LockPolicy::WaitDie, ..DbConfig::eager(8) };
+        let mut db = small_db(NxM::tpcc(), config);
         db.simulate_crash();
         db.recover().unwrap();
         let (older, younger) = (db.start_tx(), db.start_tx());
         db.lock_row(younger, (0, 1), LockMode::Exclusive).unwrap();
         let verdict = db.lock_row(older, (0, 1), LockMode::Exclusive);
         assert!(matches!(verdict, Err(EngineError::LockWait { .. })), "{verdict:?}");
-        assert_eq!(db.lock_policy(), LockPolicy::WaitDie);
+        assert_eq!(db.config().lock_policy, LockPolicy::WaitDie);
     }
 
     /// A crash takes what `Volatile` holds and leaves what `Survivors`
@@ -531,7 +473,8 @@ pub(crate) mod tests {
     /// back the open transaction and the commit nobody forced.
     #[test]
     fn a_crash_rebuilds_the_volatile_part_and_keeps_the_survivors() {
-        let mut db = small_db(NxM::tpcc(), DbConfig::eager(4).with_group_commit(2, 0));
+        let mut db =
+            small_db(NxM::tpcc(), DbConfig { group_commit_batch: 2, ..DbConfig::eager(4) });
         let heap = db.create_heap(0);
         let idx = db.create_index(0).unwrap();
         let mut tx = db.txn();

@@ -18,8 +18,8 @@
 //!   fetch, evict, flush), `log.rs` (WAL, group-commit stage, checkpoints,
 //!   reclamation) and `adaptive.rs` (the online `[N×M]` re-tune). `db.rs`
 //!   keeps the split, the configuration ([`DbConfig::eager`] vs non-eager —
-//!   the knob behind Tables 9 vs 10), the transaction / lock glue and the
-//!   builder.
+//!   the knob behind Tables 9 vs 10), the transaction / lock glue and
+//!   [`Database::open`].
 //! * On eviction/cleaning, each dirty page consults its
 //!   [`ipa_core::ChangeTracker`]: small accumulated changes become delta
 //!   records appended to the original flash page via `write_delta`;
@@ -43,8 +43,8 @@
 //! * Per-region [`ipa_core::UpdateSizeProfile`] collection — the raw data
 //!   behind the paper's update-size CDFs (Figures 7–10, Tables 1 and 11).
 //! * [`Database::txn`] — the RAII [`Txn`] guard API (commit/abort consume
-//!   the guard, drop rolls back); [`Database::builder`] ([`DbBuilder`])
-//!   assembles device, schemes, config and observability in one chain.
+//!   the guard, drop rolls back); [`Database::open`] takes the device
+//!   configuration, one `[N×M]` scheme per region and a [`DbConfig`].
 //! * [`ClientPool`] — a deterministic multi-client executor interleaving
 //!   K clients at page-operation granularity under seeded schedules, with
 //!   wait-die deadlock avoidance ([`LockPolicy::WaitDie`]) and a group
@@ -90,7 +90,7 @@ mod txn;
 mod wal;
 
 pub use buffer::SweepStats;
-pub use db::{Database, DbBuilder, DbConfig, PageId};
+pub use db::{Database, DbConfig, PageId};
 pub use error::EngineError;
 pub use heap::Rid;
 pub use lock::LockPolicy;

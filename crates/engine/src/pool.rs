@@ -163,7 +163,7 @@ impl ClientPool {
         db: &mut Database,
         mut clients: Vec<Box<dyn InterleavedClient + '_>>,
     ) -> Result<PoolRunReport> {
-        let wait_die = db.lock_policy() == LockPolicy::WaitDie;
+        let wait_die = db.config().lock_policy == LockPolicy::WaitDie;
         let batched = db.config().group_commit_batch > 1;
         let mut states = vec![SlotState::Idle; clients.len()];
         let mut report = PoolRunReport::default();
@@ -337,7 +337,7 @@ fn xorshift64(state: &mut u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::tests::small_builder;
+    use crate::db::tests::small_db;
     use crate::heap::Rid;
     use ipa_core::NxM;
 
@@ -383,8 +383,10 @@ mod tests {
 
     /// A `[2×3]` database of 32 frames under wait-die.
     fn wait_die_db() -> Database {
-        let builder = small_builder(NxM::tpcc(), crate::DbConfig::eager(32));
-        builder.lock_policy(LockPolicy::WaitDie).open().unwrap()
+        small_db(
+            NxM::tpcc(),
+            crate::DbConfig { lock_policy: LockPolicy::WaitDie, ..crate::DbConfig::eager(32) },
+        )
     }
 
     fn seeded(db: &mut Database, clients: usize, txns: u32) -> Vec<Box<dyn InterleavedClient>> {

@@ -1005,7 +1005,8 @@ mod tests {
     fn small_log_db(log_bytes: usize, checkpoint_interval_ns: u64) -> Database {
         let config = crate::DbConfig {
             log_capacity_bytes: log_bytes,
-            ..crate::DbConfig::non_eager(16).with_checkpoints(checkpoint_interval_ns)
+            checkpoint_interval_ns,
+            ..crate::DbConfig::non_eager(16)
         };
         crate::db::tests::small_db(NxM::tpcc(), config)
     }

@@ -114,22 +114,16 @@ impl FlashConfig {
     /// page-parallel host dispatch. Block/page counts are parameters so
     /// experiments can scale the device to their database size.
     pub fn emulator_slc(blocks_per_chip: u32, pages_per_block: u32, page_size: usize) -> Self {
+        let base = FlashConfig::small_slc();
         FlashConfig {
             geometry: FlashGeometry {
                 chips: 16,
                 blocks_per_chip,
                 pages_per_block,
                 page_size,
-                oob_size: 128,
-                cell_type: CellType::Slc,
+                ..base.geometry
             },
-            timing: FlashTiming::slc(),
-            host_profile: HostProfile::Emulator,
-            reliability: ReliabilityConfig::default(),
-            fault: FaultPlan::default(),
-            max_appends: None,
-            endurance_limit: None,
-            queue_depth: 1,
+            ..base
         }
     }
 
@@ -137,22 +131,12 @@ impl FlashConfig {
     /// packages modelled as 8 chips, but host-visible parallelism of one
     /// (no NCQ).
     pub fn openssd_mlc(blocks_per_chip: u32, pages_per_block: u32, page_size: usize) -> Self {
+        let emulator = FlashConfig::emulator_slc(blocks_per_chip, pages_per_block, page_size);
         FlashConfig {
-            geometry: FlashGeometry {
-                chips: 8,
-                blocks_per_chip,
-                pages_per_block,
-                page_size,
-                oob_size: 128,
-                cell_type: CellType::Mlc,
-            },
+            geometry: FlashGeometry { chips: 8, cell_type: CellType::Mlc, ..emulator.geometry },
             timing: FlashTiming::mlc(),
             host_profile: HostProfile::OpenSsd,
-            reliability: ReliabilityConfig::default(),
-            fault: FaultPlan::default(),
-            max_appends: None,
-            endurance_limit: None,
-            queue_depth: 1,
+            ..emulator
         }
     }
 

@@ -60,7 +60,7 @@ mod manager;
 mod region;
 mod stats;
 
-pub use config::{FaultPolicy, IpaMode, NoFtlConfig, NoFtlConfigBuilder, RegionSpec};
+pub use config::{FaultPolicy, IpaMode, NoFtlConfig, RegionSpec};
 pub use error::NoFtlError;
 pub use io::IoCtx;
 pub use manager::{NoFtl, RegionId};

@@ -36,15 +36,7 @@ impl NoFtl {
             .regions
             .iter()
             .enumerate()
-            .map(|(id, spec)| {
-                Region::new(
-                    id as u32,
-                    spec.clone(),
-                    &dev,
-                    config.gc_low_watermark,
-                    config.fault_policy,
-                )
-            })
+            .map(|(id, spec)| Region::new(id as u32, spec.clone(), &dev, config.fault_policy))
             .collect::<Result<Vec<_>>>()?;
         Ok(NoFtl { dev, regions })
     }
@@ -315,18 +307,20 @@ impl NoFtl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{IpaMode, RegionSpec};
-    use ipa_flash::{CellType, FlashConfig};
+    use crate::config::{FaultPolicy, IpaMode, RegionSpec};
+    use ipa_flash::FlashConfig;
 
     fn two_region_config() -> NoFtlConfig {
-        NoFtlConfig::builder(FlashConfig::openssd_mlc(16, 8, 512))
-            .chips(4)
-            .cell_type(CellType::Mlc)
-            .region(RegionSpec::new("rgIPA", [0, 1], IpaMode::PSlc).with_over_provisioning(0.3))
-            .region(RegionSpec::new("rgPlain", [2, 3], IpaMode::None).with_over_provisioning(0.3))
-            .gc_low_watermark(2)
-            .build()
-            .unwrap()
+        let mut flash = FlashConfig::openssd_mlc(16, 8, 512);
+        flash.geometry.chips = 4;
+        NoFtlConfig {
+            flash,
+            regions: vec![
+                RegionSpec::new("rgIPA", [0, 1], IpaMode::PSlc, 0.3),
+                RegionSpec::new("rgPlain", [2, 3], IpaMode::None, 0.3),
+            ],
+            fault_policy: FaultPolicy::default(),
+        }
     }
 
     #[test]
@@ -386,15 +380,10 @@ mod tests {
     #[test]
     fn batched_writes_overlap_across_chips() {
         let mk = |depth: u32| {
-            NoFtl::new(
-                NoFtlConfig::builder(FlashConfig::emulator_slc(16, 8, 512))
-                    .chips(4)
-                    .queue_depth(depth)
-                    .single_region(IpaMode::Slc, 0.3)
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap()
+            let mut flash = FlashConfig::emulator_slc(16, 8, 512);
+            flash.geometry.chips = 4;
+            flash.queue_depth = depth;
+            NoFtl::new(NoFtlConfig::single_region(flash, IpaMode::Slc, 0.3)).unwrap()
         };
         let image = |i: u64| vec![i as u8; 512];
 

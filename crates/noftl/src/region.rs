@@ -76,7 +76,6 @@ pub(crate) struct Region {
     chips: Vec<ChipState>,
     /// Round-robin cursor over chips for host writes.
     rr: usize,
-    gc_low_watermark: usize,
     /// Degradation policy: program-retry budget and scrub threshold.
     fault_policy: FaultPolicy,
     pub(crate) stats: RegionStats,
@@ -100,7 +99,6 @@ impl Region {
         id: u32,
         spec: RegionSpec,
         dev: &FlashDevice,
-        gc_low_watermark: usize,
         fault_policy: FaultPolicy,
     ) -> Result<Self> {
         let geom = &dev.config().geometry;
@@ -112,12 +110,12 @@ impl Region {
         let capacity = (total_pages as f64 * (1.0 - spec.over_provisioning)).floor() as u64;
         let slack_blocks_per_chip =
             (total_pages - capacity) / (per_block.max(1) * spec.chips.len() as u64);
-        if slack_blocks_per_chip < (gc_low_watermark as u64 + 1) {
+        if slack_blocks_per_chip < (Self::GC_LOW_WATERMARK as u64 + 1) {
             return Err(NoFtlError::BadConfig(format!(
                 "region '{}': over-provisioning leaves {slack_blocks_per_chip} spare blocks \
                  per chip, need at least {}",
                 spec.name,
-                gc_low_watermark + 1
+                Self::GC_LOW_WATERMARK + 1
             )));
         }
         let chips: Vec<ChipState> = spec
@@ -145,7 +143,6 @@ impl Region {
             pages_per_block,
             chips,
             rr: 0,
-            gc_low_watermark,
             fault_policy,
             stats: RegionStats::default(),
             gc_scratch: GcScratch::default(),
@@ -552,11 +549,15 @@ impl Region {
         Err(NoFtlError::DeviceFull { region: self.spec.name.clone() })
     }
 
-    /// Run greedy garbage collection on one chip until the free-block
-    /// watermark is met (or no reclaimable victim remains).
+    /// Garbage collection runs on a chip once its free blocks drop below
+    /// this many, and a region must leave every chip one spare block more.
+    const GC_LOW_WATERMARK: usize = 2;
+
+    /// Run greedy garbage collection on one chip until it holds
+    /// [`Self::GC_LOW_WATERMARK`] free blocks (or no reclaimable victim remains).
     fn garbage_collect_chip(&mut self, dev: &mut FlashDevice, local: usize) -> Result<()> {
         let per_block = self.usable_pages.len() as u32;
-        while self.chips[local].free_blocks.len() < self.gc_low_watermark {
+        while self.chips[local].free_blocks.len() < Self::GC_LOW_WATERMARK {
             let Some(victim) = self.select_victim(dev, local, per_block) else {
                 return Ok(()); // nothing reclaimable; allocation may still succeed
             };
@@ -893,8 +894,8 @@ mod tests {
         policy: FaultPolicy,
     ) -> (FlashDevice, Region) {
         let dev = FlashDevice::new(cfg);
-        let spec = RegionSpec::new("t", [0, 1], mode).with_over_provisioning(0.3);
-        let region = Region::new(0, spec, &dev, 2, policy).unwrap();
+        let spec = RegionSpec::new("t", [0, 1], mode, 0.3);
+        let region = Region::new(0, spec, &dev, policy).unwrap();
         (dev, region)
     }
 
@@ -1285,7 +1286,7 @@ mod tests {
                 // The chip the next write collects on, once its collection
                 // is due, and a valid page of the victim it will pick.
                 let local = r.rr % r.chips.len();
-                if r.chips[local].free_blocks.len() >= r.gc_low_watermark {
+                if r.chips[local].free_blocks.len() >= Region::GC_LOW_WATERMARK {
                     continue;
                 }
                 let Some(victim) = r.select_victim(&dev, local, per_block) else { continue };
@@ -1574,9 +1575,9 @@ mod tests {
         cfg.geometry.page_size = 256;
         cfg.reliability.ecc_correctable_bits = 4;
         let mut dev = FlashDevice::new(cfg);
-        let spec = RegionSpec::new("t", [0, 1], IpaMode::Slc).with_over_provisioning(0.3);
+        let spec = RegionSpec::new("t", [0, 1], IpaMode::Slc, 0.3);
         let policy = FaultPolicy { scrub_threshold: 0.5, ..FaultPolicy::default() };
-        let mut r = Region::new(0, spec, &dev, 2, policy).unwrap();
+        let mut r = Region::new(0, spec, &dev, policy).unwrap();
         r.write(&mut dev, Lba(2), &page(0x77), IoCtx::host()).unwrap();
         let ppa = r.l2p[2].unwrap();
         // One corrected bit: below 0.5 * 4 — no refresh.
@@ -1602,8 +1603,8 @@ mod tests {
         cfg.geometry.page_size = 256;
         cfg.reliability.ecc_correctable_bits = 4;
         let mut dev = FlashDevice::new(cfg);
-        let spec = RegionSpec::new("t", [0, 1], IpaMode::Slc).with_over_provisioning(0.3);
-        let mut r = Region::new(0, spec, &dev, 2, FaultPolicy::default()).unwrap();
+        let spec = RegionSpec::new("t", [0, 1], IpaMode::Slc, 0.3);
+        let mut r = Region::new(0, spec, &dev, FaultPolicy::default()).unwrap();
         r.write(&mut dev, Lba(2), &page(0x77), IoCtx::host()).unwrap();
         let ppa = r.l2p[2].unwrap();
         dev.inject_retention(ppa, &[9, 10, 11]).unwrap();
@@ -1633,7 +1634,7 @@ mod tests {
                 }
             }
             let mut lba = 16;
-            while r.chips[0].free_blocks.len() >= r.gc_low_watermark {
+            while r.chips[0].free_blocks.len() >= Region::GC_LOW_WATERMARK {
                 r.write(&mut dev, Lba(lba), &page(0xEE), IoCtx::host()).unwrap();
                 lba = if lba == 89 { 16 } else { lba + 1 };
             }

@@ -26,13 +26,10 @@ const DEPTH: u32 = 4;
 const CHIPS: u32 = 4;
 
 fn ftl(depth: u32) -> NoFtl {
-    let cfg = NoFtlConfig::builder(FlashConfig::emulator_slc(16, 8, 512))
-        .chips(CHIPS)
-        .queue_depth(depth)
-        .single_region(IpaMode::Slc, 0.3)
-        .build()
-        .expect("config validates");
-    NoFtl::new(cfg).expect("ftl builds")
+    let mut flash = FlashConfig::emulator_slc(16, 8, 512);
+    flash.geometry.chips = CHIPS;
+    flash.queue_depth = depth;
+    NoFtl::new(NoFtlConfig::single_region(flash, IpaMode::Slc, 0.3)).expect("ftl builds")
 }
 
 /// Submit each batch of LBA writes under its own root span at depth 4 and

@@ -17,7 +17,7 @@ fn test_db(frames: usize) -> Database {
     flash.geometry.pages_per_block = 16;
     flash.geometry.page_size = 1024;
     let cfg = NoFtlConfig::single_region(flash, IpaMode::Slc, 0.2);
-    Database::builder(cfg).scheme(NxM::tpcc()).config(DbConfig::eager(frames)).open().unwrap()
+    Database::open(cfg, &[NxM::tpcc()], DbConfig::eager(frames)).unwrap()
 }
 
 /// Insert a tuple into a fresh page and flush (out-of-place), then apply a

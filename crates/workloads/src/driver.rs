@@ -1,6 +1,6 @@
 //! Shared benchmark machinery: system sizing, the run loop and the report.
 
-use ipa_core::{AdvisorGoal, NxM};
+use ipa_core::NxM;
 use ipa_engine::{
     ClientPool, Database, DbConfig, EngineStats, InterleavedClient, LockPolicy, PoolConfig,
     PoolRunReport, Result, Schedule,
@@ -39,8 +39,9 @@ pub struct SystemConfig {
     pub eager: bool,
     /// Host command-queue depth. Both testbed constructors pin this to 1 —
     /// the serial behaviour the paper measured — and the flash layer clamps
-    /// the OpenSSD profile (no NCQ) to 1 regardless. Raise it on emulator
-    /// configs to let batched evictions overlap across chips.
+    /// the OpenSSD profile (no NCQ) to 1 regardless. A deeper queue changes
+    /// nothing for a serial driver, which keeps one host command in flight;
+    /// only a multi-client run can fill it.
     pub queue_depth: u32,
     /// Simulated CPU time consumed per transaction, nanoseconds.
     pub cpu_ns_per_txn: u64,
@@ -70,8 +71,6 @@ pub struct SystemConfig {
     /// schemes, the default — traces are bit-identical to a build without
     /// the adaptive machinery).
     pub advisor_epoch_ns: u64,
-    /// Tuning goal of the online advisor.
-    pub advisor_goal: AdvisorGoal,
     /// Minimum profile samples in an epoch before a region is evaluated
     /// (smaller = faster phase detection, noisier recommendations).
     pub advisor_min_observations: u64,
@@ -103,7 +102,6 @@ impl SystemConfig {
             log_force_ns: 0,
             lock_policy: LockPolicy::NoWait,
             advisor_epoch_ns: 0,
-            advisor_goal: AdvisorGoal::Longevity,
             advisor_min_observations: 64,
             checkpoint_interval_ns: 0,
         }
@@ -122,25 +120,9 @@ impl SystemConfig {
         SystemConfig {
             platform: Platform::OpenSsd,
             ipa_mode,
-            scheme,
-            page_size: 4096,
-            // Appendix D: the OpenSSD host has 4 GB RAM -> 1.5% buffer.
-            buffer_fraction: 0.015,
-            over_provisioning: 0.10,
-            eager: true,
-            queue_depth: 1,
             cpu_ns_per_txn: 50_000,
-            growth_override: None,
-            fault_plan: FaultPlan::default(),
-            fault_policy: FaultPolicy::default(),
-            group_commit_batch: 1,
-            group_commit_timeout_ns: 0,
-            log_force_ns: 0,
-            lock_policy: LockPolicy::NoWait,
-            advisor_epoch_ns: 0,
-            advisor_goal: AdvisorGoal::Longevity,
-            advisor_min_observations: 64,
-            checkpoint_interval_ns: 0,
+            // Appendix D: the OpenSSD host has 4 GB RAM -> 1.5% buffer.
+            ..SystemConfig::emulator(scheme, 0.015)
         }
     }
 
@@ -162,13 +144,9 @@ impl SystemConfig {
         let needed_logical = (estimated_pages as f64 * growth.max(1.1)).ceil() as u64 + 64;
         let pages_per_block: u32 = 64;
         let usable_factor = if self.ipa_mode == IpaMode::PSlc { 0.5 } else { 1.0 };
-        let (chips, flash) = match self.platform {
-            Platform::Emulator => {
-                (16u32, FlashConfig::emulator_slc(1, pages_per_block, self.page_size))
-            }
-            Platform::OpenSsd => {
-                (8u32, FlashConfig::openssd_mlc(1, pages_per_block, self.page_size))
-            }
+        let (chips, profile): (u32, fn(u32, u32, usize) -> FlashConfig) = match self.platform {
+            Platform::Emulator => (16, FlashConfig::emulator_slc),
+            Platform::OpenSsd => (8, FlashConfig::openssd_mlc),
         };
         // Size the flash so the exported capacity covers the database plus
         // growth, and every chip retains at least four spare blocks for the
@@ -183,30 +161,30 @@ impl SystemConfig {
         let total_usable = chips as f64 * blocks_per_chip as f64 * usable_per_block;
         let op_eff =
             self.over_provisioning.max(1.0 - needed_logical as f64 / total_usable).min(0.85);
-        let ftl_cfg = NoFtlConfig::builder(flash)
-            .blocks_per_chip(blocks_per_chip)
-            .queue_depth(self.queue_depth)
-            .fault_plan(self.fault_plan.clone())
-            .fault_policy(self.fault_policy)
-            .single_region(self.ipa_mode, op_eff)
-            .build()?;
+        let mut flash = profile(blocks_per_chip, pages_per_block, self.page_size);
+        flash.queue_depth = self.queue_depth;
+        flash.fault = self.fault_plan.clone();
+        let ftl_cfg = NoFtlConfig {
+            fault_policy: self.fault_policy,
+            ..NoFtlConfig::single_region(flash, self.ipa_mode, op_eff)
+        };
         let buffer_frames = ((estimated_pages as f64 * self.buffer_fraction) as usize).max(16);
-        let mut db_cfg = if self.eager {
+        let policies = if self.eager {
             DbConfig::eager(buffer_frames)
         } else {
             DbConfig::non_eager(buffer_frames)
-        }
-        .with_group_commit(self.group_commit_batch, self.group_commit_timeout_ns)
-        .with_log_force_ns(self.log_force_ns);
-        db_cfg.advisor_epoch_ns = self.advisor_epoch_ns;
-        db_cfg.advisor_goal = self.advisor_goal;
-        db_cfg.advisor_min_observations = self.advisor_min_observations;
-        db_cfg.checkpoint_interval_ns = self.checkpoint_interval_ns;
-        Database::builder(ftl_cfg)
-            .scheme(self.scheme)
-            .config(db_cfg)
-            .lock_policy(self.lock_policy)
-            .open()
+        };
+        let db_cfg = DbConfig {
+            group_commit_batch: self.group_commit_batch,
+            group_commit_timeout_ns: self.group_commit_timeout_ns,
+            log_force_ns: self.log_force_ns,
+            advisor_epoch_ns: self.advisor_epoch_ns,
+            advisor_min_observations: self.advisor_min_observations,
+            checkpoint_interval_ns: self.checkpoint_interval_ns,
+            lock_policy: self.lock_policy,
+            ..policies
+        };
+        Database::open(ftl_cfg, &[self.scheme], db_cfg)
     }
 }
 

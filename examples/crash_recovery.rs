@@ -17,8 +17,7 @@ use ipa::noftl::{IpaMode, NoFtlConfig};
 fn main() {
     let flash = FlashConfig::small_slc();
     let ftl_cfg = NoFtlConfig::single_region(flash, IpaMode::Slc, 0.2);
-    let mut db =
-        Database::builder(ftl_cfg).scheme(NxM::tpcb()).config(DbConfig::eager(64)).open().unwrap();
+    let mut db = Database::open(ftl_cfg, &[NxM::tpcb()], DbConfig::eager(64)).unwrap();
     let heap = db.create_heap(0);
     let idx = db.create_index(0).unwrap();
 

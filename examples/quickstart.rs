@@ -52,8 +52,7 @@ fn main() {
     let flash = FlashConfig::small_slc();
     let ftl_cfg = NoFtlConfig::single_region(flash, IpaMode::Slc, 0.2);
     // [2x3]: up to 2 delta records per page, 3 changed body bytes each.
-    let mut db =
-        Database::builder(ftl_cfg).scheme(NxM::tpcc()).config(DbConfig::eager(64)).open().unwrap();
+    let mut db = Database::open(ftl_cfg, &[NxM::tpcc()], DbConfig::eager(64)).unwrap();
     let heap = db.create_heap(0);
 
     let mut tx = db.txn();

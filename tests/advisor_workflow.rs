@@ -75,18 +75,13 @@ fn profiles_are_per_region() {
     let cfg = NoFtlConfig {
         flash,
         regions: vec![
-            RegionSpec::new("small", [0], IpaMode::Slc).with_over_provisioning(0.3),
-            RegionSpec::new("large", [1], IpaMode::Slc).with_over_provisioning(0.3),
+            RegionSpec::new("small", [0], IpaMode::Slc, 0.3),
+            RegionSpec::new("large", [1], IpaMode::Slc, 0.3),
         ],
-        gc_low_watermark: 2,
         fault_policy: Default::default(),
     };
-    let mut db = Database::builder(cfg)
-        .scheme(NxM::tpcb())
-        .scheme(NxM::new(2, 64, 12))
-        .config(DbConfig::eager(32))
-        .open()
-        .unwrap();
+    let mut db =
+        Database::open(cfg, &[NxM::tpcb(), NxM::new(2, 64, 12)], DbConfig::eager(32)).unwrap();
     let small = db.create_heap(0);
     let large = db.create_heap(1);
     let mut tx = db.txn();

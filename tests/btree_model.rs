@@ -20,7 +20,7 @@ fn db() -> Database {
     let mut flash = FlashConfig::small_slc();
     flash.geometry.page_size = 1024;
     let cfg = NoFtlConfig::single_region(flash, IpaMode::Slc, 0.2);
-    Database::builder(cfg).scheme(NxM::new(2, 16, 12)).config(DbConfig::eager(48)).open().unwrap()
+    Database::open(cfg, &[NxM::new(2, 16, 12)], DbConfig::eager(48)).unwrap()
 }
 
 #[derive(Debug, Clone)]

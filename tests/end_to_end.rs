@@ -13,7 +13,7 @@ fn small_db(scheme: NxM) -> Database {
     flash.geometry.page_size = 1024;
     flash.geometry.pages_per_block = 16;
     let cfg = NoFtlConfig::single_region(flash, IpaMode::Slc, 0.2);
-    Database::builder(cfg).scheme(scheme).config(DbConfig::eager(32)).open().unwrap()
+    Database::open(cfg, &[scheme], DbConfig::eager(32)).unwrap()
 }
 
 #[test]
@@ -160,7 +160,7 @@ fn ecc_verification_full_stack() {
     let cfg = NoFtlConfig::single_region(flash, IpaMode::Slc, 0.2);
     let mut db_cfg = DbConfig::eager(16);
     db_cfg.verify_ecc = true;
-    let mut db = Database::builder(cfg).scheme(NxM::tpcc()).config(db_cfg).open().unwrap();
+    let mut db = Database::open(cfg, &[NxM::tpcc()], db_cfg).unwrap();
     let heap = db.create_heap(0);
     let mut tx = db.txn();
     let rid = tx.heap_insert(heap, &[1u8, 2, 3, 4]).unwrap();
@@ -236,15 +236,11 @@ fn worn_tpcb_db(w: &TpcB, endurance: u64) -> Database {
     let blocks_per_chip = data_blocks.max(1) + 4;
     let usable = f64::from(chips * blocks_per_chip * pages_per_block);
     let op = over_provisioning.max(1.0 - needed as f64 / usable).min(0.85);
-    let mut flash = FlashConfig::emulator_slc(1, pages_per_block, page_size);
+    let mut flash = FlashConfig::emulator_slc(blocks_per_chip, pages_per_block, page_size);
     flash.endurance_limit = Some(endurance);
-    let cfg = NoFtlConfig::builder(flash)
-        .blocks_per_chip(blocks_per_chip)
-        .single_region(IpaMode::None, op)
-        .build()
-        .unwrap();
+    let cfg = NoFtlConfig::single_region(flash, IpaMode::None, op);
     let frames = ((estimated as f64 * 0.25) as usize).max(16);
-    Database::builder(cfg).scheme(NxM::disabled()).config(DbConfig::eager(frames)).open().unwrap()
+    Database::open(cfg, &[NxM::disabled()], DbConfig::eager(frames)).unwrap()
 }
 
 #[test]

@@ -12,7 +12,7 @@ fn db(frames: usize, scheme: NxM) -> Database {
     flash.geometry.page_size = 1024;
     flash.geometry.pages_per_block = 16;
     let cfg = NoFtlConfig::single_region(flash, IpaMode::Slc, 0.2);
-    Database::builder(cfg).scheme(scheme).config(DbConfig::eager(frames)).open().unwrap()
+    Database::open(cfg, &[scheme], DbConfig::eager(frames)).unwrap()
 }
 
 #[test]

@@ -19,12 +19,9 @@ fn ftl_at(
 ) -> NoFtl {
     let mut flash = FlashConfig::small_slc();
     mutate(&mut flash);
-    let cfg = NoFtlConfig::builder(flash)
-        .fault_plan(plan)
-        .scrub_threshold(scrub_threshold)
-        .single_region(IpaMode::Slc, over_provisioning)
-        .build()
-        .unwrap();
+    flash.fault = plan;
+    let mut cfg = NoFtlConfig::single_region(flash, IpaMode::Slc, over_provisioning);
+    cfg.fault_policy.scrub_threshold = scrub_threshold;
     NoFtl::new(cfg).unwrap()
 }
 
@@ -187,14 +184,10 @@ fn db_whose_programs_fail_after_the_first(frames: usize) -> Database {
     flash.geometry.blocks_per_chip = 16;
     flash.geometry.pages_per_block = 8;
     flash.geometry.page_size = 1024;
-    let plan = (1..=64)
+    flash.fault = (1..=64)
         .fold(FaultPlan::default(), |plan, nth| plan.with_scripted(FaultOp::Program, nth, true));
-    let cfg = NoFtlConfig::builder(flash)
-        .fault_plan(plan)
-        .single_region(IpaMode::Slc, 0.2)
-        .build()
-        .unwrap();
-    Database::builder(cfg).scheme(NxM::disabled()).config(DbConfig::eager(frames)).open().unwrap()
+    let cfg = NoFtlConfig::single_region(flash, IpaMode::Slc, 0.2);
+    Database::open(cfg, &[NxM::disabled()], DbConfig::eager(frames)).unwrap()
 }
 
 #[test]

@@ -348,13 +348,10 @@ fn steady_state_tpcc_mix_allocates_next_to_nothing() {
 /// of the log's chunks and of the splits.
 #[test]
 fn index_inserts_reuse_their_path_and_node_images() {
-    let cfg = NoFtlConfig::builder(FlashConfig::emulator_slc(64, 64, PAGE_SIZE))
-        .chips(4)
-        .single_region(IpaMode::Slc, 0.2)
-        .build()
-        .unwrap();
-    let mut db =
-        Database::builder(cfg).scheme(NxM::tpcb()).config(DbConfig::eager(4096)).open().unwrap();
+    let mut flash = FlashConfig::emulator_slc(64, 64, PAGE_SIZE);
+    flash.geometry.chips = 4;
+    let cfg = NoFtlConfig::single_region(flash, IpaMode::Slc, 0.2);
+    let mut db = Database::open(cfg, &[NxM::tpcb()], DbConfig::eager(4096)).unwrap();
     let idx = db.create_index(0).unwrap();
     let key = |i: u64| i * 2_654_435_761 % 1_000_003;
     let insert = |db: &mut Database, keys: std::ops::Range<u64>| {
@@ -448,13 +445,10 @@ fn restart_allocates_nothing_per_retained_record() {
 #[test]
 fn rolling_back_a_transaction_copies_no_image() {
     const UPDATES: u64 = 200;
-    let cfg = NoFtlConfig::builder(FlashConfig::emulator_slc(64, 64, PAGE_SIZE))
-        .chips(4)
-        .single_region(IpaMode::Slc, 0.2)
-        .build()
-        .unwrap();
-    let mut db =
-        Database::builder(cfg).scheme(NxM::tpcb()).config(DbConfig::eager(1024)).open().unwrap();
+    let mut flash = FlashConfig::emulator_slc(64, 64, PAGE_SIZE);
+    flash.geometry.chips = 4;
+    let cfg = NoFtlConfig::single_region(flash, IpaMode::Slc, 0.2);
+    let mut db = Database::open(cfg, &[NxM::tpcb()], DbConfig::eager(1024)).unwrap();
     let heap = db.create_heap(0);
     let mut tx = db.txn();
     let rows: Vec<_> =

@@ -25,15 +25,11 @@ const LBAS: u64 = 48;
 const PAGE: usize = 256;
 
 fn ftl(depth: u32) -> NoFtl {
-    let mut base = FlashConfig::emulator_slc(12, 8, PAGE);
-    base.max_appends = Some(8);
-    let cfg = NoFtlConfig::builder(base)
-        .chips(CHIPS)
-        .queue_depth(depth)
-        .single_region(IpaMode::Slc, 0.35)
-        .build()
-        .unwrap();
-    NoFtl::new(cfg).unwrap()
+    let mut flash = FlashConfig::emulator_slc(12, 8, PAGE);
+    flash.geometry.chips = CHIPS;
+    flash.queue_depth = depth;
+    flash.max_appends = Some(8);
+    NoFtl::new(NoFtlConfig::single_region(flash, IpaMode::Slc, 0.35)).unwrap()
 }
 
 /// Body programmed, tail erased so deltas have somewhere to land.
@@ -151,21 +147,11 @@ fn queued_execution_linearizes_to_serial_order() {
 
 /// Build a database over `chips x 24 x 16` flash, dirty `pages` fresh
 /// buffer pages and measure the simulated device time `flush_all` takes.
-fn flush_device_time(flash: FlashConfig, depth: u32, pages: usize) -> u64 {
-    let cfg = NoFtlConfig::builder(flash)
-        .chips(CHIPS)
-        .blocks_per_chip(24)
-        .pages_per_block(16)
-        .page_size(1024)
-        .queue_depth(depth)
-        .single_region(IpaMode::None, 0.2)
-        .build()
-        .unwrap();
-    let mut db = Database::builder(cfg)
-        .scheme(NxM::disabled())
-        .config(DbConfig::eager(pages + 8))
-        .open()
-        .unwrap();
+fn flush_device_time(mut flash: FlashConfig, depth: u32, pages: usize) -> u64 {
+    flash.geometry.chips = CHIPS;
+    flash.queue_depth = depth;
+    let cfg = NoFtlConfig::single_region(flash, IpaMode::None, 0.2);
+    let mut db = Database::open(cfg, &[NxM::disabled()], DbConfig::eager(pages + 8)).unwrap();
     for _ in 0..pages {
         db.new_page(0).unwrap();
     }

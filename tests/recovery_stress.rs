@@ -14,7 +14,7 @@ fn db(scheme: NxM) -> Database {
     flash.geometry.page_size = 1024;
     flash.geometry.pages_per_block = 16;
     let cfg = NoFtlConfig::single_region(flash, IpaMode::Slc, 0.2);
-    Database::builder(cfg).scheme(scheme).config(DbConfig::eager(24)).open().unwrap()
+    Database::open(cfg, &[scheme], DbConfig::eager(24)).unwrap()
 }
 
 /// Same geometry as [`db`], with an operation-fault plan raining on the
@@ -23,13 +23,10 @@ fn faulty_db(scheme: NxM, plan: FaultPlan) -> Database {
     let mut flash = FlashConfig::small_slc();
     flash.geometry.page_size = 1024;
     flash.geometry.pages_per_block = 16;
-    let cfg = NoFtlConfig::builder(flash)
-        .fault_plan(plan)
-        .scrub_threshold(0.5)
-        .single_region(IpaMode::Slc, 0.2)
-        .build()
-        .unwrap();
-    Database::builder(cfg).scheme(scheme).config(DbConfig::eager(24)).open().unwrap()
+    flash.fault = plan;
+    let mut cfg = NoFtlConfig::single_region(flash, IpaMode::Slc, 0.2);
+    cfg.fault_policy.scrub_threshold = 0.5;
+    Database::open(cfg, &[scheme], DbConfig::eager(24)).unwrap()
 }
 
 /// One randomized episode: a committed history interleaved with aborted

@@ -99,11 +99,9 @@ fn engine_survives_interference_under_ipa_load() {
     flash.reliability.interference_bit_prob = 0.3;
     flash.reliability.ecc_correctable_bits = 64;
     let cfg = NoFtlConfig::single_region(flash, IpaMode::PSlc, 0.3);
-    let mut db = ipa::engine::Database::builder(cfg)
-        .scheme(NxM::new(2, 8, 12))
-        .config(ipa::engine::DbConfig::eager(24))
-        .open()
-        .unwrap();
+    let mut db =
+        ipa::engine::Database::open(cfg, &[NxM::new(2, 8, 12)], ipa::engine::DbConfig::eager(24))
+            .unwrap();
     let heap = db.create_heap(0);
     let mut tx = db.txn();
     let mut rids = Vec::new();

@@ -19,20 +19,14 @@ fn two_region_db() -> Database {
         flash,
         regions: vec![
             // CREATE REGION rgIPA (MAX_CHIPS=4, IPA_MODE = pSLC)
-            RegionSpec::new("rgIPA", 0..4, IpaMode::PSlc).with_over_provisioning(0.3),
+            RegionSpec::new("rgIPA", 0..4, IpaMode::PSlc, 0.3),
             // The cold region: no IPA.
-            RegionSpec::new("rgPlain", 4..8, IpaMode::None).with_over_provisioning(0.3),
+            RegionSpec::new("rgPlain", 4..8, IpaMode::None, 0.3),
         ],
-        gc_low_watermark: 2,
         fault_policy: Default::default(),
     };
     // Region 0 gets the [2x4] scheme, region 1 the [0x0] baseline layout.
-    Database::builder(cfg)
-        .scheme(NxM::tpcb())
-        .scheme(NxM::disabled())
-        .config(DbConfig::eager(48))
-        .open()
-        .unwrap()
+    Database::open(cfg, &[NxM::tpcb(), NxM::disabled()], DbConfig::eager(48)).unwrap()
 }
 
 #[test]

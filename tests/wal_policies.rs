@@ -15,7 +15,7 @@ fn db_with_log(log_bytes: usize, reclaim_at: f64) -> Database {
     let mut dbc = DbConfig::eager(32);
     dbc.log_capacity_bytes = log_bytes;
     dbc.log_reclaim_threshold = reclaim_at;
-    Database::builder(cfg).scheme(NxM::tpcb()).config(dbc).open().unwrap()
+    Database::open(cfg, &[NxM::tpcb()], dbc).unwrap()
 }
 
 #[test]
