@@ -632,8 +632,8 @@ impl Database {
     /// Flush a specific page (test/checkpoint aid).
     pub fn flush_page(&mut self, pid: PageId) -> Result<()> {
         let Some(idx) = self.lost.frames.pool.index_of(pid) else { return Ok(()) };
-        self.in_span(SpanCategory::Flush, self.ftl().device().current_span(), |db, span| {
-            db.flush_frame(idx, IoCtx::host().with_span(span))
+        self.in_span(SpanCategory::Flush, self.ftl().device().current_span(), |db, _| {
+            db.flush_frame(idx, IoCtx::host())
         })
     }
 
@@ -650,13 +650,13 @@ impl Database {
     /// `Flush` span and drain once. Returns how many were staged before
     /// the first failure, and that failure.
     pub(crate) fn stage_flushes(&mut self, limit: usize, ctx: IoCtx) -> (u64, Result<()>) {
-        self.in_span(SpanCategory::Flush, self.ftl().device().current_span(), |db, span| {
+        self.in_span(SpanCategory::Flush, self.ftl().device().current_span(), |db, _| {
             let mut count = 0;
             let mut staged = Ok(());
             let mut candidates = std::mem::take(&mut db.lost.frames.candidates);
             db.lost.frames.pool.cleaner_candidates(limit, &mut candidates);
             for &idx in &candidates {
-                staged = db.stage_flush(idx, ctx.with_span(span));
+                staged = db.stage_flush(idx, ctx);
                 if staged.is_err() {
                     break;
                 }

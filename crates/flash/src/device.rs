@@ -9,7 +9,7 @@ use crate::counters::Counters;
 use crate::error::FlashError;
 use crate::fault::{FaultInjector, FaultOp, FaultPlan, FaultVerdict};
 use crate::geometry::{CellType, FlashGeometry, PageKind, Ppa};
-use crate::obs::{EventKind, ObsCtx, ObsEvent, Observer, OpClass, SpanCategory, SpanId};
+use crate::obs::{EventKind, ObsEvent, Observer, OpClass, SpanCategory, SpanId};
 use crate::page::{PageData, PageState, SparePages};
 use crate::reliability::{BitError, ErrorKind, ErrorLedger, ReadOutcome, ReliabilityConfig};
 use crate::sched::{CmdId, Completion, IoScheduler};
@@ -44,6 +44,51 @@ impl OpOrigin {
             OpOrigin::HostAsync => "host_async",
             OpOrigin::Background => "background",
         }
+    }
+}
+
+/// What a command carries besides its operands: the origin that decides
+/// its statistics bucket and scheduling, and the region and logical page it
+/// is for, which every trace event of the command carries. A management
+/// layer fills in what it knows; the constructors leave both empty.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IoCtx {
+    /// Synchronous host I/O, asynchronous host I/O (cleaner / checkpoint
+    /// writes) or background management work.
+    pub origin: OpOrigin,
+    /// Region the command works for, when the issuing layer has regions.
+    pub region: Option<u32>,
+    /// Logical page the command reads or writes, when it has one.
+    pub lba: Option<u64>,
+}
+
+impl Default for IoCtx {
+    fn default() -> Self {
+        OpOrigin::Host.into()
+    }
+}
+
+impl IoCtx {
+    /// Synchronous host I/O (the default).
+    pub fn host() -> Self {
+        IoCtx::default()
+    }
+
+    /// Asynchronous host I/O: counted and latency-tracked as host work,
+    /// but the host clock does not block on it.
+    pub fn host_async() -> Self {
+        OpOrigin::HostAsync.into()
+    }
+
+    /// Background management work (GC, wear leveling, cleaners).
+    pub fn background() -> Self {
+        OpOrigin::Background.into()
+    }
+}
+
+impl From<OpOrigin> for IoCtx {
+    fn from(origin: OpOrigin) -> Self {
+        IoCtx { origin, region: None, lba: None }
     }
 }
 
@@ -213,15 +258,11 @@ pub struct FlashDevice {
     erased_image: std::sync::OnceLock<Box<[u8]>>,
     observer: Option<Box<dyn Observer>>,
     obs_seq: u64,
-    obs_ctx: ObsCtx,
     /// Innermost-open-first stack of causal spans (transaction, flush,
     /// recovery, GC episode). Ids are minted here so they are unique and
     /// creation-ordered per device.
     span_stack: Vec<SpanId>,
     next_span: u64,
-    /// Span staged by the most recent [`FlashDevice::take_obs_ctx`],
-    /// consumed by the next dispatched command's lifecycle event.
-    staged_span: Option<SpanId>,
     /// Clock time the host spent in full-queue admission waits, not yet
     /// attributed to a command (consumed by the next host dispatch).
     pending_queue_wait_ns: u64,
@@ -260,10 +301,8 @@ impl FlashDevice {
             config,
             observer: None,
             obs_seq: 0,
-            obs_ctx: ObsCtx::default(),
             span_stack: Vec::new(),
             next_span: 0,
-            staged_span: None,
             pending_queue_wait_ns: 0,
             cmd_tracing: false,
         }
@@ -312,26 +351,11 @@ impl FlashDevice {
         self.observer.take()
     }
 
-    /// Whether an observer is attached. Upper layers consult this before
-    /// building attribution context so the disabled path stays one branch.
+    /// Whether an observer is attached: a layer that builds an event's
+    /// payload only for the trace asks first.
     #[inline]
     pub fn observing(&self) -> bool {
         self.observer.is_some()
-    }
-
-    /// Stage attribution (region id, LBA) for the next device operation.
-    /// Consumed — and cleared — by that operation when it emits its event.
-    #[inline]
-    pub fn set_obs_ctx(&mut self, region: Option<u32>, lba: Option<u64>) {
-        self.obs_ctx = ObsCtx { region, lba, span: self.obs_ctx.span };
-    }
-
-    /// Stage the causal span for the next device operation alongside the
-    /// attribution set by [`FlashDevice::set_obs_ctx`]. Consumed — and
-    /// cleared — together with it.
-    #[inline]
-    pub fn set_obs_span(&mut self, span: Option<SpanId>) {
-        self.obs_ctx.span = span;
     }
 
     /// Emit one trace event through the device's sequence counter and
@@ -344,17 +368,6 @@ impl FlashDevice {
             self.obs_seq += 1;
             obs.on_event(ObsEvent { seq, t_ns: self.clock.now_ns(), region, lba, kind });
         }
-    }
-
-    /// Consume the staged attribution context (cleared so it can never leak
-    /// onto an unrelated later operation). The staged span — explicit
-    /// [`ObsCtx::span`], or the innermost open span — is kept aside for
-    /// the operation's lifecycle event.
-    #[inline]
-    fn take_obs_ctx(&mut self) -> ObsCtx {
-        let ctx = std::mem::take(&mut self.obs_ctx);
-        self.staged_span = ctx.span;
-        ctx
     }
 
     /// Enable or disable per-command lifecycle tracing: with an observer
@@ -505,7 +518,7 @@ impl FlashDevice {
         self.stats.queue_highwater =
             self.stats.queue_highwater.max(self.sched.host_inflight() as u64);
         if self.cmd_tracing {
-            let span = self.staged_span.take().or_else(|| self.current_span());
+            let span = self.current_span();
             self.emit(
                 EventKind::CmdSubmit { cmd: id.0, class, origin, chip, queue_wait_ns, span },
                 None,
@@ -646,13 +659,11 @@ impl FlashDevice {
         Ok(self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page).oob())
     }
 
-    /// Start a command: a host command first waits for a queue slot, then
-    /// every command consumes the staged trace context.
-    fn admit(&mut self, origin: OpOrigin) -> ObsCtx {
-        if origin == OpOrigin::Host {
+    /// Start a command: a host command first waits for a queue slot.
+    fn admit(&mut self, ctx: IoCtx) {
+        if ctx.origin == OpOrigin::Host {
             self.reserve_host_slot();
         }
-        self.take_obs_ctx()
     }
 
     /// The page at a checked address.
@@ -665,8 +676,8 @@ impl FlashDevice {
     /// Applies the ECC model: raw bit errors within the code's capability
     /// are corrected (and counted); beyond it the read fails with
     /// [`FlashError::UncorrectableEcc`].
-    pub fn submit_read(&mut self, ppa: Ppa, origin: OpOrigin) -> Result<CmdId> {
-        self.submit_read_cmd(ppa, origin, true)
+    pub fn submit_read(&mut self, ppa: Ppa, ctx: IoCtx) -> Result<CmdId> {
+        self.submit_read_cmd(ppa, ctx, true)
     }
 
     /// Queue a copy-back read: the first half of moving a page without a
@@ -675,13 +686,13 @@ impl FlashDevice {
     /// [`FlashDevice::submit_read`] does — dispatch, the latency of a whole
     /// page read, ECC classification, counters, events — except that the
     /// completion carries no data: no byte leaves the device.
-    pub fn submit_copyback_read(&mut self, ppa: Ppa, origin: OpOrigin) -> Result<CmdId> {
-        self.submit_read_cmd(ppa, origin, false)
+    pub fn submit_copyback_read(&mut self, ppa: Ppa, ctx: IoCtx) -> Result<CmdId> {
+        self.submit_read_cmd(ppa, ctx, false)
     }
 
     /// A page read, handing the bytes out if `transfer` is set.
-    fn submit_read_cmd(&mut self, ppa: Ppa, origin: OpOrigin, transfer: bool) -> Result<CmdId> {
-        let ctx = self.admit(origin);
+    fn submit_read_cmd(&mut self, ppa: Ppa, ctx: IoCtx, transfer: bool) -> Result<CmdId> {
+        self.admit(ctx);
         self.check(ppa)?;
         let main = self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page).readable(ppa)?;
         let outcome = self
@@ -697,20 +708,20 @@ impl FlashDevice {
         if let ReadOutcome::Corrected { corrected } = outcome {
             self.stats.corrected_bit_errors += corrected as u64;
         }
-        match origin {
+        match ctx.origin {
             OpOrigin::Host | OpOrigin::HostAsync => self.stats.host_reads += 1,
             OpOrigin::Background => self.stats.gc_reads += 1,
         }
         self.chips[ppa.chip as usize].counters_mut().reads += 1;
-        if matches!(origin, OpOrigin::Host | OpOrigin::HostAsync) {
+        if matches!(ctx.origin, OpOrigin::Host | OpOrigin::HostAsync) {
             self.emit(EventKind::HostRead, ctx.region, ctx.lba);
         }
-        Ok(self.finish_submit(ppa.chip, origin, OpClass::Read, latency, outcome, data))
+        Ok(self.finish_submit(ppa.chip, ctx.origin, OpClass::Read, latency, outcome, data))
     }
 
     /// Read a page's main area synchronously (submit + complete one).
-    pub fn read(&mut self, ppa: Ppa, origin: OpOrigin) -> Result<(Vec<u8>, OpResult)> {
-        let id = self.submit_read(ppa, origin)?;
+    pub fn read(&mut self, ppa: Ppa, ctx: impl Into<IoCtx>) -> Result<(Vec<u8>, OpResult)> {
+        let id = self.submit_read(ppa, ctx.into())?;
         let c = self.complete(id)?;
         let data = c.data.ok_or(FlashError::Internal("read completion carries no data"))?;
         Ok((data, c.result))
@@ -733,13 +744,13 @@ impl FlashDevice {
         ppa: Ppa,
         data: &[u8],
         oob: &[(usize, &[u8])],
-        origin: OpOrigin,
+        ctx: IoCtx,
     ) -> Result<CmdId> {
-        let ctx = self.admit(origin);
+        self.admit(ctx);
         self.program_verdict(ppa, ctx)?;
         let page = self.chips[ppa.chip as usize].block_mut(ppa.block).page_mut(ppa.page);
         page.program(ppa, data, oob, &mut self.spare)?;
-        Ok(self.finish_program(ppa, origin, ctx))
+        Ok(self.finish_program(ppa, ctx))
     }
 
     /// Queue a copy-back program: the second half of moving page `src` to
@@ -753,13 +764,8 @@ impl FlashDevice {
     /// block is erased; its block's state is left as it was, so a move out
     /// of a retired block leaves it retired. Counted, traced and timed as a
     /// program of a whole page.
-    pub fn submit_copyback_program(
-        &mut self,
-        src: Ppa,
-        dst: Ppa,
-        origin: OpOrigin,
-    ) -> Result<CmdId> {
-        let ctx = self.admit(origin);
+    pub fn submit_copyback_program(&mut self, src: Ppa, dst: Ppa, ctx: IoCtx) -> Result<CmdId> {
+        self.admit(ctx);
         self.check(src)?;
         self.chips[src.chip as usize].block(src.block).page(src.page).readable(src)?;
         self.program_verdict(dst, ctx)?;
@@ -770,7 +776,7 @@ impl FlashDevice {
         let mut source = std::mem::take(self.page_mut(src));
         self.page_mut(dst).move_from(&mut source);
         *self.page_mut(src) = source;
-        Ok(self.finish_program(dst, origin, ctx))
+        Ok(self.finish_program(dst, ctx))
     }
 
     /// What every program and append checks first: address, block health.
@@ -785,7 +791,7 @@ impl FlashDevice {
     /// What a full program checks before it touches a cell, in order: the
     /// address, the block's health, the fault plan's verdict (a permanent
     /// fault retires the block).
-    fn program_verdict(&mut self, ppa: Ppa, ctx: ObsCtx) -> Result<()> {
+    fn program_verdict(&mut self, ppa: Ppa, ctx: IoCtx) -> Result<()> {
         self.check_writable(ppa)?;
         match self.fault.check(FaultOp::Program) {
             FaultVerdict::Pass => Ok(()),
@@ -804,29 +810,30 @@ impl FlashDevice {
     }
 
     /// Account and dispatch a full-page program whose cells are written.
-    fn finish_program(&mut self, ppa: Ppa, origin: OpOrigin, ctx: ObsCtx) -> CmdId {
+    fn finish_program(&mut self, ppa: Ppa, ctx: IoCtx) -> CmdId {
         let msb = self.page_kind(ppa) == PageKind::Msb;
         // A fresh program defines new cell contents; stale error bookkeeping
         // for the previous residency is gone.
         self.ledger.clear(ppa);
-        match origin {
+        match ctx.origin {
             OpOrigin::Host | OpOrigin::HostAsync => self.stats.host_programs += 1,
             OpOrigin::Background => self.stats.gc_programs += 1,
         }
         self.chips[ppa.chip as usize].counters_mut().programs += 1;
-        let kind = match origin {
+        let kind = match ctx.origin {
             OpOrigin::Host | OpOrigin::HostAsync => EventKind::HostProgram,
             OpOrigin::Background => EventKind::GcMigration,
         };
         self.emit(kind, ctx.region, ctx.lba);
         self.apply_interference(ppa);
         let latency = self.config.timing.program_latency(self.config.geometry.page_size, msb);
-        self.finish_submit(ppa.chip, origin, OpClass::Program, latency, ReadOutcome::Clean, None)
+        let class = OpClass::Program;
+        self.finish_submit(ppa.chip, ctx.origin, class, latency, ReadOutcome::Clean, None)
     }
 
     /// Full-page program, no OOB write, synchronously (submit + complete).
-    pub fn program(&mut self, ppa: Ppa, data: &[u8], origin: OpOrigin) -> Result<OpResult> {
-        let id = self.submit_program(ppa, data, &[], origin)?;
+    pub fn program(&mut self, ppa: Ppa, data: &[u8], ctx: impl Into<IoCtx>) -> Result<OpResult> {
+        let id = self.submit_program(ppa, data, &[], ctx.into())?;
         Ok(self.complete(id)?.result)
     }
 
@@ -841,9 +848,9 @@ impl FlashDevice {
         offset: usize,
         data: &[u8],
         oob: &[(usize, &[u8])],
-        origin: OpOrigin,
+        ctx: IoCtx,
     ) -> Result<CmdId> {
-        let ctx = self.admit(origin);
+        self.admit(ctx);
         self.check_writable(ppa)?;
         if self.fault.check(FaultOp::DeltaProgram) != FaultVerdict::Pass {
             // Delta faults are always transient for the block: the append is
@@ -863,7 +870,7 @@ impl FlashDevice {
             }
             return Err(e);
         }
-        match origin {
+        match ctx.origin {
             OpOrigin::Host | OpOrigin::HostAsync => {
                 self.stats.host_delta_programs += 1;
                 self.stats.delta_bytes += data.len() as u64;
@@ -871,7 +878,7 @@ impl FlashDevice {
             OpOrigin::Background => self.stats.gc_programs += 1,
         }
         self.chips[ppa.chip as usize].counters_mut().programs += 1;
-        let kind = match origin {
+        let kind = match ctx.origin {
             OpOrigin::Host | OpOrigin::HostAsync => {
                 EventKind::DeltaProgram { bytes: data.len() as u32 }
             }
@@ -881,7 +888,7 @@ impl FlashDevice {
         self.apply_interference(ppa);
         let latency = self.config.timing.delta_latency(data.len());
         let class = OpClass::ProgramDelta;
-        Ok(self.finish_submit(ppa.chip, origin, class, latency, ReadOutcome::Clean, None))
+        Ok(self.finish_submit(ppa.chip, ctx.origin, class, latency, ReadOutcome::Clean, None))
     }
 
     /// ISPP partial program, no OOB write, synchronously (submit + complete).
@@ -890,9 +897,9 @@ impl FlashDevice {
         ppa: Ppa,
         offset: usize,
         data: &[u8],
-        origin: OpOrigin,
+        ctx: impl Into<IoCtx>,
     ) -> Result<OpResult> {
-        let id = self.submit_program_partial(ppa, offset, data, &[], origin)?;
+        let id = self.submit_program_partial(ppa, offset, data, &[], ctx.into())?;
         Ok(self.complete(id)?.result)
     }
 
@@ -917,8 +924,8 @@ impl FlashDevice {
     /// Queue a block erase. Counts wear; an erase-status failure — the
     /// fault plan's, or wear-out once the block has reached the endurance
     /// limit — retires the block ([`FlashError::EraseFailed`]).
-    pub fn submit_erase(&mut self, chip: u32, block: u32, origin: OpOrigin) -> Result<CmdId> {
-        let ctx = self.admit(origin);
+    pub fn submit_erase(&mut self, chip: u32, block: u32, ctx: IoCtx) -> Result<CmdId> {
+        self.admit(ctx);
         let probe = Ppa::new(chip, block, 0);
         self.check(probe)?;
         // The fault plan's verdict is drawn first, so fault sequences do not
@@ -940,13 +947,13 @@ impl FlashDevice {
         self.chips[chip as usize].counters_mut().erases += 1;
         self.emit(EventKind::Erase, ctx.region, ctx.lba);
         let latency = self.config.timing.erase_ns;
-        Ok(self.finish_submit(chip, origin, OpClass::Erase, latency, ReadOutcome::Clean, None))
+        Ok(self.finish_submit(chip, ctx.origin, OpClass::Erase, latency, ReadOutcome::Clean, None))
     }
 
     /// Erase a block synchronously as background work (submit + complete
     /// one); see [`FlashDevice::submit_erase`].
     pub fn erase(&mut self, chip: u32, block: u32) -> Result<OpResult> {
-        let id = self.submit_erase(chip, block, OpOrigin::Background)?;
+        let id = self.submit_erase(chip, block, IoCtx::background())?;
         Ok(self.complete(id)?.result)
     }
 
@@ -956,7 +963,7 @@ impl FlashDevice {
     /// *outside* the host-visible OOB window, so retiring a block never
     /// corrupts host metadata (ECC codes, mapping tags) on its
     /// still-readable valid pages.
-    fn retire_block(&mut self, chip: u32, block: u32, ctx: ObsCtx) {
+    fn retire_block(&mut self, chip: u32, block: u32, ctx: IoCtx) {
         let b = self.chips[chip as usize].block_mut(block);
         if b.is_retired() {
             return;
@@ -969,11 +976,11 @@ impl FlashDevice {
     /// Retire a block as grown bad on behalf of the management layer —
     /// e.g. after the retry budget for a transiently-failing program is
     /// spent. Idempotent: already-retired blocks are left as they are and
-    /// not double-counted. Sets the bad-block marker.
+    /// not double-counted. Sets the bad-block marker; its trace event
+    /// carries no region or page.
     pub fn retire(&mut self, chip: u32, block: u32) -> Result<()> {
         self.check(Ppa::new(chip, block, 0))?;
-        let ctx = self.take_obs_ctx();
-        self.retire_block(chip, block, ctx);
+        self.retire_block(chip, block, IoCtx::background());
         Ok(())
     }
 
@@ -992,11 +999,8 @@ impl FlashDevice {
     /// page, correct bit errors via ECC and re-program the corrected image
     /// in place. Retention errors are repaired (charge restored);
     /// interference errors persist.
-    pub fn submit_refresh(&mut self, ppa: Ppa, origin: OpOrigin) -> Result<CmdId> {
-        // Refresh emits no physical event of its own, but consuming the
-        // staged context keeps the span attribution of its lifecycle
-        // event current and honours the consume-and-clear contract.
-        let _ctx = self.admit(origin);
+    pub fn submit_refresh(&mut self, ppa: Ppa, ctx: IoCtx) -> Result<CmdId> {
+        self.admit(ctx);
         self.check(ppa)?;
         self.chips[ppa.chip as usize].block(ppa.block).page(ppa.page).readable(ppa)?;
         let raw = self.ledger.raw_errors(ppa);
@@ -1013,13 +1017,13 @@ impl FlashDevice {
         // ISPP-legal and does not consume the append budget on real parts.
         let latency = self.config.timing.program_latency(self.config.geometry.page_size, false);
         let class = OpClass::Refresh;
-        Ok(self.finish_submit(ppa.chip, origin, class, latency, ReadOutcome::Clean, None))
+        Ok(self.finish_submit(ppa.chip, ctx.origin, class, latency, ReadOutcome::Clean, None))
     }
 
     /// Correct-and-Refresh, synchronously as background work (submit +
     /// complete one).
     pub fn refresh(&mut self, ppa: Ppa) -> Result<OpResult> {
-        let id = self.submit_refresh(ppa, OpOrigin::Background)?;
+        let id = self.submit_refresh(ppa, IoCtx::background())?;
         Ok(self.complete(id)?.result)
     }
 
@@ -1112,6 +1116,17 @@ impl FlashDevice {
 #[expect(clippy::disallowed_methods, reason = "the device's own tests look at raw cells")]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Mutex};
+
+    /// An observer whose events the test keeps a handle on.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<Mutex<Vec<ObsEvent>>>);
+
+    impl Observer for Shared {
+        fn on_event(&mut self, event: ObsEvent) {
+            self.0.lock().unwrap().push(event);
+        }
+    }
 
     fn dev() -> FlashDevice {
         FlashDevice::new(FlashConfig::small_slc())
@@ -1119,6 +1134,14 @@ mod tests {
 
     fn full(dev: &FlashDevice, byte: u8) -> Vec<u8> {
         vec![byte; dev.config().geometry.page_size]
+    }
+
+    #[test]
+    fn an_io_ctx_without_attribution_is_synchronous_host_io_by_default() {
+        assert_eq!(IoCtx::host(), IoCtx { origin: OpOrigin::Host, region: None, lba: None });
+        assert_eq!(IoCtx::default(), IoCtx::host());
+        assert_eq!(IoCtx::from(OpOrigin::HostAsync), IoCtx::host_async());
+        assert_eq!(IoCtx::from(OpOrigin::Background), IoCtx::background());
     }
 
     #[test]
@@ -1316,7 +1339,7 @@ mod tests {
         data: &[u8],
         oob: &[(usize, &[u8])],
     ) -> Result<OpResult> {
-        let id = d.submit_program(ppa, data, oob, OpOrigin::Host)?;
+        let id = d.submit_program(ppa, data, oob, IoCtx::host())?;
         Ok(d.complete(id)?.result)
     }
 
@@ -1328,7 +1351,7 @@ mod tests {
         data: &[u8],
         oob: &[(usize, &[u8])],
     ) -> Result<OpResult> {
-        let id = d.submit_program_partial(ppa, offset, data, oob, OpOrigin::Host)?;
+        let id = d.submit_program_partial(ppa, offset, data, oob, IoCtx::host())?;
         Ok(d.complete(id)?.result)
     }
 
@@ -1349,27 +1372,15 @@ mod tests {
 
     #[test]
     fn observer_sees_physical_events_in_order() {
-        use crate::obs::{EventKind, ObsEvent, Observer};
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone, Default)]
-        struct Shared(Arc<Mutex<Vec<ObsEvent>>>);
-        impl Observer for Shared {
-            fn on_event(&mut self, event: ObsEvent) {
-                self.0.lock().unwrap().push(event);
-            }
-        }
-
         let mut d = dev();
         let sink = Shared::default();
         d.attach_observer(Box::new(sink.clone()));
         assert!(d.observing());
 
         let ppa = Ppa::new(0, 0, 0);
-        d.set_obs_ctx(Some(3), Some(17));
-        d.program(ppa, &full(&d, 0xFF), OpOrigin::Host).unwrap();
-        d.set_obs_ctx(Some(3), Some(17));
-        d.program_partial(ppa, 0, &[0x0F; 46], OpOrigin::Host).unwrap();
+        let ctx = IoCtx { region: Some(3), lba: Some(17), ..IoCtx::host() };
+        d.program(ppa, &full(&d, 0xFF), ctx).unwrap();
+        d.program_partial(ppa, 0, &[0x0F; 46], ctx).unwrap();
         d.read(ppa, OpOrigin::Host).unwrap();
         d.erase(0, 1).unwrap();
         d.emit(EventKind::FlushOop, Some(9), None);
@@ -1386,15 +1397,17 @@ mod tests {
                 EventKind::FlushOop,
             ]
         );
-        // Sequence numbers are a total order; the staged context reaches the
-        // op it was set for and never leaks onto the next one.
+        // Sequence numbers are a total order; each command's events carry
+        // the attribution it was given, and a command given none carries
+        // none.
         for (i, e) in events.iter().enumerate() {
             assert_eq!(e.seq, i as u64);
         }
         assert!(events.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
         assert_eq!(events[0].region, Some(3));
         assert_eq!(events[0].lba, Some(17));
-        assert_eq!(events[2].region, None, "ctx must not leak to the next op");
+        assert_eq!(events[1].lba, Some(17));
+        assert_eq!((events[2].region, events[3].region), (None, None), "unattributed commands");
         assert_eq!(events[4].region, Some(9));
 
         let got = d.detach_observer();
@@ -1406,17 +1419,6 @@ mod tests {
 
     #[test]
     fn background_ops_trace_as_gc_migrations() {
-        use crate::obs::{EventKind, ObsEvent, Observer};
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone, Default)]
-        struct Shared(Arc<Mutex<Vec<ObsEvent>>>);
-        impl Observer for Shared {
-            fn on_event(&mut self, event: ObsEvent) {
-                self.0.lock().unwrap().push(event);
-            }
-        }
-
         let mut d = dev();
         d.program(Ppa::new(0, 0, 0), &full(&d, 0x0F), OpOrigin::Host).unwrap();
         let sink = Shared::default();
@@ -1430,24 +1432,13 @@ mod tests {
 
     #[test]
     fn ispp_violation_event_carries_context() {
-        use crate::obs::{EventKind, ObsEvent, Observer};
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone, Default)]
-        struct Shared(Arc<Mutex<Vec<ObsEvent>>>);
-        impl Observer for Shared {
-            fn on_event(&mut self, event: ObsEvent) {
-                self.0.lock().unwrap().push(event);
-            }
-        }
-
         let mut d = dev();
         let ppa = Ppa::new(0, 0, 0);
         d.program(ppa, &full(&d, 0x00), OpOrigin::Host).unwrap();
         let sink = Shared::default();
         d.attach_observer(Box::new(sink.clone()));
-        d.set_obs_ctx(Some(1), Some(42));
-        let err = d.program_partial(ppa, 0, &[0x01], OpOrigin::Host).unwrap_err();
+        let ctx = IoCtx { region: Some(1), lba: Some(42), ..IoCtx::host() };
+        let err = d.program_partial(ppa, 0, &[0x01], ctx).unwrap_err();
         assert!(matches!(err, FlashError::IsppViolation { .. }));
         let events = sink.0.lock().unwrap().clone();
         assert_eq!(events.len(), 1);
@@ -1489,7 +1480,7 @@ mod tests {
         let image = vec![0x00; 4096];
         let mut ids = Vec::new();
         for chip in 0..4 {
-            ids.push(q.submit_program(Ppa::new(chip, 0, 0), &image, &[], OpOrigin::Host).unwrap());
+            ids.push(q.submit_program(Ppa::new(chip, 0, 0), &image, &[], IoCtx::host()).unwrap());
         }
         assert_eq!(q.host_inflight(), 4);
         assert_eq!(q.drain().len(), 4);
@@ -1521,9 +1512,7 @@ mod tests {
         let mut d = FlashDevice::new(cfg);
         let image = vec![0x00; 4096];
         let ids: Vec<CmdId> = (0..6)
-            .map(|page| {
-                d.submit_program(Ppa::new(0, 0, page), &image, &[], OpOrigin::Host).unwrap()
-            })
+            .map(|page| d.submit_program(Ppa::new(0, 0, page), &image, &[], IoCtx::host()).unwrap())
             .collect();
         let mut done: Vec<Completion> = d.drain().collect();
         done.sort_by_key(|c| c.started_at_ns);
@@ -1545,12 +1534,12 @@ mod tests {
         cfg.queue_depth = 2;
         let mut d = FlashDevice::new(cfg);
         let image = vec![0x00; 4096];
-        let a = d.submit_program(Ppa::new(0, 0, 0), &image, &[], OpOrigin::Host).unwrap();
-        let b = d.submit_program(Ppa::new(1, 0, 0), &image, &[], OpOrigin::Host).unwrap();
+        let a = d.submit_program(Ppa::new(0, 0, 0), &image, &[], IoCtx::host()).unwrap();
+        let b = d.submit_program(Ppa::new(1, 0, 0), &image, &[], IoCtx::host()).unwrap();
         assert_eq!(d.clock().now_ns(), 0, "queue not yet full; submits are free");
         // Third submission exceeds depth 2: the submitter waits for the
         // earliest completion before the command is even admitted.
-        let c = d.submit_program(Ppa::new(0, 0, 1), &image, &[], OpOrigin::Host).unwrap();
+        let c = d.submit_program(Ppa::new(0, 0, 1), &image, &[], IoCtx::host()).unwrap();
         assert!(d.clock().now_ns() > 0);
         assert_eq!(d.stats().queue_waits, 1);
         assert_eq!(d.stats().queue_highwater, 2);
@@ -1573,9 +1562,7 @@ mod tests {
         let mut q = FlashDevice::new(cfg.clone());
         assert_eq!(q.queue_depth(), 1);
         let ids: Vec<CmdId> = (0..4)
-            .map(|chip| {
-                q.submit_program(Ppa::new(chip, 0, 0), &image, &[], OpOrigin::Host).unwrap()
-            })
+            .map(|chip| q.submit_program(Ppa::new(chip, 0, 0), &image, &[], IoCtx::host()).unwrap())
             .collect();
         assert_eq!(q.drain().map(|c| c.id).collect::<Vec<_>>(), ids);
 
@@ -1601,7 +1588,7 @@ mod tests {
         let ppa = Ppa::new(0, 0, 0);
         let data = full(&d, 0x3C);
         d.program(ppa, &data, OpOrigin::Host).unwrap();
-        let id = d.submit_read(ppa, OpOrigin::Host).unwrap();
+        let id = d.submit_read(ppa, IoCtx::host()).unwrap();
         let c = d.complete(id).unwrap();
         assert_eq!(c.data.as_deref(), Some(&data[..]));
         assert_eq!(c.chip, 0);
@@ -1806,10 +1793,10 @@ mod tests {
     }
 
     /// Copy-back read + program of `src` to `dst`, completed.
-    fn copy_back(d: &mut FlashDevice, src: Ppa, dst: Ppa, origin: OpOrigin) -> Result<()> {
-        let id = d.submit_copyback_read(src, origin)?;
+    fn copy_back(d: &mut FlashDevice, src: Ppa, dst: Ppa, ctx: IoCtx) -> Result<()> {
+        let id = d.submit_copyback_read(src, ctx)?;
         assert_eq!(d.complete(id)?.data, None, "a copy-back read transfers nothing");
-        let id = d.submit_copyback_program(src, dst, origin)?;
+        let id = d.submit_copyback_program(src, dst, ctx)?;
         d.complete(id).map(drop)
     }
 
@@ -1821,7 +1808,7 @@ mod tests {
         data[..300].fill(0x5A);
         program_with_oob(&mut d, src, &data, &[(8, &[0xC0, 0xDE])]).unwrap();
         let buffer = d.peek(src).unwrap().as_ptr();
-        copy_back(&mut d, src, dst, OpOrigin::Background).unwrap();
+        copy_back(&mut d, src, dst, IoCtx::background()).unwrap();
         // Zero-copy: the target's main area is the source's former buffer.
         assert_eq!(d.peek(dst).unwrap().as_ptr(), buffer);
         assert_eq!(d.peek(dst).unwrap(), &data[..]);
@@ -1834,9 +1821,9 @@ mod tests {
         let gone = FlashError::PageStale(src);
         assert_eq!(d.page_state(src).unwrap(), PageState::Stale { appends: 0 });
         assert_eq!(d.read(src, OpOrigin::Host).unwrap_err(), gone);
-        assert_eq!(d.submit_copyback_read(src, OpOrigin::Background).unwrap_err(), gone);
+        assert_eq!(d.submit_copyback_read(src, IoCtx::background()).unwrap_err(), gone);
         let elsewhere = Ppa::new(0, 9, 1);
-        assert_eq!(copy_back(&mut d, src, elsewhere, OpOrigin::Background), Err(gone.clone()));
+        assert_eq!(copy_back(&mut d, src, elsewhere, IoCtx::background()), Err(gone.clone()));
         assert_eq!(d.page_state(elsewhere).unwrap(), PageState::Erased);
         assert_eq!(d.program_partial(src, 4000, &[0], OpOrigin::Host).unwrap_err(), gone);
         assert_eq!(d.refresh(src).unwrap_err(), gone);
@@ -1854,17 +1841,6 @@ mod tests {
 
     #[test]
     fn copy_back_costs_and_counts_what_read_plus_program_does() {
-        use crate::obs::{EventKind, ObsEvent, Observer};
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone, Default)]
-        struct Shared(Arc<Mutex<Vec<ObsEvent>>>);
-        impl Observer for Shared {
-            fn on_event(&mut self, event: ObsEvent) {
-                self.0.lock().unwrap().push(event);
-            }
-        }
-
         // MLC, so the LSB / MSB program latencies differ; one move of each
         // origin onto each kind of page, between host programs that keep
         // the chips busy.
@@ -1885,17 +1861,16 @@ mod tests {
                 d.program(src, &vec![0x3C; 4096], OpOrigin::Host).unwrap();
             }
             for &(src, dst, origin) in &moves {
-                d.set_obs_ctx(Some(2), Some(7));
+                let read = IoCtx { origin, region: Some(2), lba: Some(7) };
+                let write = IoCtx { lba: Some(8), ..read };
                 if copyback {
-                    let id = d.submit_copyback_read(src, origin).unwrap();
+                    let id = d.submit_copyback_read(src, read).unwrap();
                     d.complete(id).unwrap();
-                    d.set_obs_ctx(Some(2), Some(8));
-                    let id = d.submit_copyback_program(src, dst, origin).unwrap();
+                    let id = d.submit_copyback_program(src, dst, write).unwrap();
                     d.complete(id).unwrap();
                 } else {
-                    let (data, _) = d.read(src, origin).unwrap();
-                    d.set_obs_ctx(Some(2), Some(8));
-                    d.program(dst, &data, origin).unwrap();
+                    let (data, _) = d.read(src, read).unwrap();
+                    d.program(dst, &data, write).unwrap();
                 }
                 d.program(Ppa::new(src.chip, 5, dst.page), &vec![0; 4096], OpOrigin::Host).unwrap();
             }
@@ -1926,7 +1901,7 @@ mod tests {
             assert_eq!(d.peek(src).unwrap(), &data[..]);
             assert_eq!(d.page_state(dst).unwrap(), PageState::Erased);
         };
-        let gc = OpOrigin::Background;
+        let gc = IoCtx::background();
         let transient = FlashError::ProgramFailed { ppa: dst, permanent: false };
         assert_eq!(copy_back(&mut d, src, dst, gc), Err(transient));
         untouched(&d);
@@ -1956,7 +1931,7 @@ mod tests {
         let (src, dst) = (Ppa::new(0, 4, 0), Ppa::new(0, 5, 0));
         d.program(src, &full(&d, 0x42), OpOrigin::Host).unwrap();
         d.retire(0, 4).unwrap();
-        copy_back(&mut d, src, dst, OpOrigin::Background).unwrap();
+        copy_back(&mut d, src, dst, IoCtx::background()).unwrap();
         assert!(d.is_block_retired(0, 4).unwrap(), "the move revived the retired block");
         assert_eq!(d.discard(Ppa::new(0, 4, 0)), Ok(()));
         assert!(d.is_block_retired(0, 4).unwrap(), "the discard revived the retired block");
@@ -1965,17 +1940,6 @@ mod tests {
 
     #[test]
     fn a_discarded_page_keeps_cells_and_oob_and_its_buffer_serves_the_next_program() {
-        use crate::obs::{ObsEvent, Observer};
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone, Default)]
-        struct Shared(Arc<Mutex<Vec<ObsEvent>>>);
-        impl Observer for Shared {
-            fn on_event(&mut self, event: ObsEvent) {
-                self.0.lock().unwrap().push(event);
-            }
-        }
-
         let mut d = dev();
         let (ppa, next) = (Ppa::new(0, 6, 0), Ppa::new(0, 7, 0));
         let mut data = full(&d, 0xFF);
@@ -2004,8 +1968,8 @@ mod tests {
         // Nothing reads, moves, refreshes, appends to or programs it.
         let stale = FlashError::PageStale(ppa);
         assert_eq!(d.read(ppa, OpOrigin::Host).unwrap_err(), stale);
-        assert_eq!(d.submit_copyback_read(ppa, OpOrigin::Background).unwrap_err(), stale);
-        let gc = OpOrigin::Background;
+        assert_eq!(d.submit_copyback_read(ppa, IoCtx::background()).unwrap_err(), stale);
+        let gc = IoCtx::background();
         assert_eq!(d.submit_copyback_program(ppa, Ppa::new(0, 8, 0), gc).unwrap_err(), stale);
         assert_eq!(d.refresh(ppa).unwrap_err(), stale);
         assert_eq!(d.peek(ppa).unwrap_err(), stale);
@@ -2036,17 +2000,6 @@ mod tests {
 
     #[test]
     fn fault_events_reach_the_observer() {
-        use crate::obs::{EventKind, ObsEvent, Observer};
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone, Default)]
-        struct Shared(Arc<Mutex<Vec<ObsEvent>>>);
-        impl Observer for Shared {
-            fn on_event(&mut self, event: ObsEvent) {
-                self.0.lock().unwrap().push(event);
-            }
-        }
-
         let mut cfg = FlashConfig::small_slc();
         cfg.fault = crate::FaultPlan::default()
             .with_scripted(crate::FaultOp::Program, 0, true)
@@ -2056,8 +2009,8 @@ mod tests {
         d.attach_observer(Box::new(sink.clone()));
 
         let data = full(&d, 0x33);
-        d.set_obs_ctx(Some(1), Some(42));
-        assert!(d.program(Ppa::new(0, 0, 0), &data, OpOrigin::Host).is_err());
+        let ctx = IoCtx { region: Some(1), lba: Some(42), ..IoCtx::host() };
+        assert!(d.program(Ppa::new(0, 0, 0), &data, ctx).is_err());
         let mut ok = full(&d, 0xFF);
         ok[..64].fill(0x44);
         d.program(Ppa::new(0, 1, 0), &ok, OpOrigin::Host).unwrap();

@@ -478,8 +478,10 @@ impl Pair {
         oob: &[(usize, &[u8])],
         origin: OpOrigin,
     ) -> Result<(), FlashError> {
-        let got =
-            self.dev.submit_program(ppa, data, oob, origin).and_then(|id| self.dev.complete(id));
+        let got = self
+            .dev
+            .submit_program(ppa, data, oob, origin.into())
+            .and_then(|id| self.dev.complete(id));
         let want = self.oracle.program(ppa, data, oob, origin);
         if let Ok(c) = &got {
             if origin != OpOrigin::Background {
@@ -493,7 +495,8 @@ impl Pair {
 
     /// A copy-back read on both sides; it carries no bytes on either.
     fn copyback_read(&mut self, ppa: Ppa, origin: OpOrigin) {
-        let got = self.dev.submit_copyback_read(ppa, origin).and_then(|id| self.dev.complete(id));
+        let got =
+            self.dev.submit_copyback_read(ppa, origin.into()).and_then(|id| self.dev.complete(id));
         let want = self.oracle.copyback_read(ppa, origin);
         if let Ok(c) = &got {
             assert_eq!(c.data, None, "a copy-back read of {ppa} transferred bytes");
@@ -506,8 +509,10 @@ impl Pair {
     }
 
     fn copyback_program(&mut self, src: Ppa, dst: Ppa, origin: OpOrigin) -> Result<(), FlashError> {
-        let got =
-            self.dev.submit_copyback_program(src, dst, origin).and_then(|id| self.dev.complete(id));
+        let got = self
+            .dev
+            .submit_copyback_program(src, dst, origin.into())
+            .and_then(|id| self.dev.complete(id));
         let want = self.oracle.copyback_program(src, dst, origin);
         if let Ok(c) = &got {
             if origin != OpOrigin::Background {
@@ -529,7 +534,7 @@ impl Pair {
     ) -> Result<(), FlashError> {
         let got = self
             .dev
-            .submit_program_partial(ppa, offset, data, oob, origin)
+            .submit_program_partial(ppa, offset, data, oob, origin.into())
             .and_then(|id| self.dev.complete(id));
         let want = self.oracle.program_partial(ppa, offset, data, oob, origin);
         if let Ok(c) = &got {

@@ -113,7 +113,7 @@ mod timing;
 pub use cases::for_each_case;
 pub use chip::ChipCounters;
 pub use counters::{CounterSlot, CounterValue, Counters};
-pub use device::{FlashConfig, FlashDevice, OpOrigin, OpResult, WearHistogram};
+pub use device::{FlashConfig, FlashDevice, IoCtx, OpOrigin, OpResult, WearHistogram};
 pub use error::FlashError;
 pub use fault::{FaultOp, FaultPlan, ScriptedFault};
 pub use geometry::{CellType, FlashGeometry, PageKind, Ppa};

@@ -421,21 +421,6 @@ pub trait Observer: Send {
     fn on_event(&mut self, event: ObsEvent);
 }
 
-/// Attribution context for the next device operation: the layer that
-/// knows the logical identity of an I/O (region id, LBA) stores it here
-/// right before issuing the operation; the device consumes it when
-/// emitting the resulting physical event.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ObsCtx {
-    /// Region id of the upcoming operation.
-    pub region: Option<u32>,
-    /// Logical page address of the upcoming operation.
-    pub lba: Option<u64>,
-    /// Causal span the upcoming operation executes under. When unset the
-    /// device attributes the operation to its innermost open span.
-    pub span: Option<SpanId>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

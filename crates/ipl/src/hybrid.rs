@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use ipa_flash::{FlashDevice, Observer, OpOrigin, Ppa};
+use ipa_flash::{FlashDevice, IoCtx, Observer, Ppa};
 
 /// Configuration of the hybrid FTL.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -178,6 +178,7 @@ impl HybridFtl {
     /// One host write of a logical page.
     pub fn write(&mut self, lba: u64, changed_bytes: u32, fresh: bool, version: u64) {
         self.stats.host_writes += 1;
+        let ctx = IoCtx { lba: Some(lba), ..IoCtx::host() };
         // IPA path: small update, budget left, current residency appendable.
         if !fresh && self.cfg.ipa_max_appends > 0 {
             let used = self.appends.get(&lba).copied().unwrap_or(0);
@@ -188,10 +189,7 @@ impl HybridFtl {
                 let slot = self.page_size * 3 / 4 + (used as usize) * (self.page_size / 16);
                 let len = (self.page_size / 16).min(self.page_size - slot);
                 let payload = vec![0x00u8; len];
-                if self.dev.observing() {
-                    self.dev.set_obs_ctx(None, Some(lba));
-                }
-                if self.dev.program_partial(ppa, slot, &payload, OpOrigin::Host).is_ok() {
+                if self.dev.program_partial(ppa, slot, &payload, ctx).is_ok() {
                     self.appends.insert(lba, used + needed);
                     self.stats.ipa_appends += 1;
                     return;
@@ -212,20 +210,14 @@ impl HybridFtl {
         };
         let home = self.ppa(data_block, off);
         let never_written = !self.residency.contains_key(&lba);
-        if self.dev.observing() {
-            self.dev.set_obs_ctx(None, Some(lba));
-        }
-        if never_written && self.dev.program(home, &img, OpOrigin::Host).is_ok() {
+        if never_written && self.dev.program(home, &img, ctx).is_ok() {
             self.residency.insert(lba, Residency::Data);
             self.stats.data_writes += 1;
             return;
         }
         // Log write.
         let ppa = self.alloc_log_slot();
-        if self.dev.observing() {
-            self.dev.set_obs_ctx(None, Some(lba));
-        }
-        self.dev.program(ppa, &img, OpOrigin::Host).expect("log slot is erased");
+        self.dev.program(ppa, &img, ctx).expect("log slot is erased");
         self.residency.insert(lba, Residency::Log(ppa));
         self.stats.log_writes += 1;
     }
@@ -288,12 +280,10 @@ impl HybridFtl {
                     continue;
                 }
                 let src = self.current_ppa(lba);
-                let (img, _) = self.dev.read(src, OpOrigin::Background).expect("valid page");
+                let ctx = IoCtx { lba: Some(lba), ..IoCtx::background() };
+                let (img, _) = self.dev.read(src, ctx).expect("valid page");
                 let dst = self.ppa(new_block, off);
-                if self.dev.observing() {
-                    self.dev.set_obs_ctx(None, Some(lba));
-                }
-                self.dev.program(dst, &img, OpOrigin::Background).expect("fresh block");
+                self.dev.program(dst, &img, ctx).expect("fresh block");
                 self.residency.insert(lba, Residency::Data);
                 self.appends.insert(lba, 0);
                 self.stats.merge_page_writes += 1;
@@ -319,7 +309,8 @@ impl HybridFtl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipa_flash::FlashConfig;
+    use ipa_flash::{EventKind, FlashConfig, ObsEvent};
+    use std::sync::{Arc, Mutex};
 
     fn device() -> FlashDevice {
         let mut cfg = FlashConfig::small_slc();
@@ -372,11 +363,23 @@ mod tests {
         assert!(s.erases >= s.merges);
     }
 
+    /// An observer whose events the test keeps a handle on.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<Mutex<Vec<ObsEvent>>>);
+
+    impl Observer for Shared {
+        fn on_event(&mut self, event: ObsEvent) {
+            self.0.lock().unwrap().push(event);
+        }
+    }
+
     #[test]
     fn fully_stale_log_blocks_merge_cheaply() {
         // Hammering one page makes old log blocks entirely stale: merges
         // happen (space must be reclaimed) but rewrite nothing.
         let mut ftl = HybridFtl::new(device(), HybridConfig::conventional());
+        let sink = Shared::default();
+        ftl.attach_observer(Box::new(sink.clone()));
         let mut trace = vec![(0u64, 200u32, true)];
         trace.extend(std::iter::repeat_n((0u64, 4u32, false), 120));
         ftl.replay(&trace);
@@ -386,6 +389,12 @@ mod tests {
             s.merge_page_writes <= s.merges * 2,
             "stale-dominated merges should rewrite little: {s:?}"
         );
+        // A merge's erases belong to no host write.
+        let events = sink.0.lock().unwrap();
+        let erases: Vec<_> = events.iter().filter(|e| e.kind == EventKind::Erase).collect();
+        assert_eq!(erases.len() as u64, s.erases);
+        let attributed = erases.iter().filter(|e| e.lba.is_some()).count();
+        assert_eq!(attributed, 0, "of {} erases, {attributed} carry an LBA", erases.len());
     }
 
     #[test]

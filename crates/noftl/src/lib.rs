@@ -55,14 +55,12 @@
 
 mod config;
 mod error;
-mod io;
 mod manager;
 mod region;
 mod stats;
 
 pub use config::{FaultPolicy, IpaMode, NoFtlConfig, RegionSpec};
 pub use error::NoFtlError;
-pub use io::IoCtx;
 pub use manager::{NoFtl, RegionId};
 pub use region::Lba;
 pub use stats::RegionStats;
@@ -73,9 +71,9 @@ pub use stats::RegionStats;
 // import `ipa_flash` directly — its manifest does not declare it
 // (`tests/layering.rs`).
 pub use ipa_flash::{
-    counters, CmdId, Completion, Counters, EventKind, FaultOp, FaultPlan, FlashConfig, ObsEvent,
-    Observer, OpClass, OpOrigin, OpResult, RecoveryPhaseKind, ScriptedFault, SpanCategory, SpanId,
-    WearHistogram,
+    counters, CmdId, Completion, Counters, EventKind, FaultOp, FaultPlan, FlashConfig, IoCtx,
+    ObsEvent, Observer, OpClass, OpOrigin, OpResult, RecoveryPhaseKind, ScriptedFault,
+    SpanCategory, SpanId, WearHistogram,
 };
 
 /// Crate-wide result alias.

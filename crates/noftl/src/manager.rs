@@ -1,13 +1,12 @@
 //! The public NoFTL facade: a flash device plus its regions.
 
 use ipa_flash::{
-    CmdId, Completion, Counters, EventKind, FlashDevice, Observer, OpResult, SpanCategory, SpanId,
-    WearHistogram,
+    CmdId, Completion, Counters, EventKind, FlashDevice, IoCtx, Observer, OpResult, SpanCategory,
+    SpanId, WearHistogram,
 };
 
 use crate::config::NoFtlConfig;
 use crate::error::NoFtlError;
-use crate::io::IoCtx;
 use crate::region::{Lba, Region};
 use crate::stats::RegionStats;
 use crate::Result;
@@ -116,8 +115,8 @@ impl NoFtl {
     }
 
     /// Queue an out-of-place write of a full logical page, with the
-    /// `(offset, bytes)` writes `oob` into its OOB area (ECC codes, scheme
-    /// tags) in the same command. Mapping, GC and statistics take effect at
+    /// `(offset, bytes)` writes `oob` into its OOB area (the ECC scheme's
+    /// codes) in the same command. Mapping, GC and statistics take effect at
     /// submission; only the simulated time is deferred to the completion.
     pub fn submit_write(
         &mut self,
@@ -308,7 +307,8 @@ impl NoFtl {
 mod tests {
     use super::*;
     use crate::config::{FaultPolicy, IpaMode, RegionSpec};
-    use ipa_flash::FlashConfig;
+    use ipa_flash::{FaultOp, FaultPlan, FlashConfig, ObsEvent};
+    use std::sync::{Arc, Mutex};
 
     fn two_region_config() -> NoFtlConfig {
         let mut flash = FlashConfig::openssd_mlc(16, 8, 512);
@@ -409,6 +409,70 @@ mod tests {
             let (data, _) = queued.read_page(rid, Lba(i), IoCtx::default()).unwrap();
             assert_eq!(data, image(i));
         }
+    }
+
+    /// An observer whose events the test keeps a handle on.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<Mutex<Vec<ObsEvent>>>);
+
+    impl Observer for Shared {
+        fn on_event(&mut self, event: ObsEvent) {
+            self.0.lock().unwrap().push(event);
+        }
+    }
+
+    #[test]
+    fn a_regions_events_carry_its_id_and_the_lba_of_their_command() {
+        let mut flash = FlashConfig::small_slc();
+        flash.geometry.chips = 4;
+        flash.geometry.blocks_per_chip = 16;
+        flash.geometry.pages_per_block = 8;
+        flash.geometry.page_size = 512;
+        // The second delta append faults and falls back to a full write.
+        flash.fault = FaultPlan::default().with_scripted(FaultOp::DeltaProgram, 1, false);
+        let regions = vec![
+            RegionSpec::new("a", [0, 1], IpaMode::Slc, 0.3),
+            RegionSpec::new("b", [2, 3], IpaMode::Slc, 0.3),
+        ];
+        let mut ftl =
+            NoFtl::new(NoFtlConfig { flash, regions, fault_policy: FaultPolicy::default() })
+                .unwrap();
+        let sink = Shared::default();
+        ftl.attach_observer(Box::new(sink.clone()));
+        let rid = RegionId(1);
+        let cap = ftl.capacity(rid).unwrap();
+        let mut image = vec![0xFF; 512];
+        image[..256].fill(0x11);
+        // Two thirds of the pages per round, a different two thirds each
+        // round: victims keep valid pages, so collections migrate.
+        let mut written = Vec::new();
+        for round in 0..6 {
+            for lba in (0..cap).filter(|l| round == 0 || (l + round) % 3 != 0) {
+                ftl.write_page(rid, Lba(lba), &image, IoCtx::host()).unwrap();
+                written.push(lba);
+            }
+        }
+        ftl.write_delta(rid, Lba(5), 400, &[0x22], IoCtx::host()).unwrap();
+        ftl.write_delta(rid, Lba(6), 400, &[0x33], IoCtx::host()).unwrap();
+        written.push(6);
+
+        let events = sink.0.lock().unwrap().clone();
+        let of = |kind: fn(&EventKind) -> bool| -> Vec<(Option<u32>, Option<u64>)> {
+            events.iter().filter(|e| kind(&e.kind)).map(|e| (e.region, e.lba)).collect()
+        };
+        let host: Vec<_> = written.iter().map(|&l| (Some(1), Some(l))).collect();
+        assert_eq!(of(|k| *k == EventKind::HostProgram), host, "one per write, fallback last");
+        assert_eq!(of(|k| matches!(k, EventKind::DeltaProgram { .. })), [(Some(1), Some(5))]);
+        assert_eq!(of(|k| *k == EventKind::DeltaFault), [(Some(1), Some(6))]);
+        assert_eq!(of(|k| *k == EventKind::DeltaFallback), [(Some(1), Some(6))]);
+        let stats = ftl.region_stats(rid).unwrap();
+        let moves = of(|k| *k == EventKind::GcMigration);
+        assert_eq!(moves.len() as u64, stats.gc_page_migrations);
+        assert!(!moves.is_empty(), "the churn collects pages that are still mapped");
+        assert!(moves.iter().all(|&(r, l)| r == Some(1) && ftl.is_mapped(rid, Lba(l.unwrap()))));
+        let erases = of(|k| *k == EventKind::Erase);
+        assert_eq!(erases.len() as u64, stats.gc_erases);
+        assert!(!erases.is_empty() && erases.iter().all(|&e| e == (Some(1), None)), "{erases:?}");
     }
 
     #[test]

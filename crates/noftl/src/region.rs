@@ -2,13 +2,12 @@
 //! and wear leveling over a set of chips.
 
 use ipa_flash::{
-    CmdId, EventKind, FlashDevice, FlashError, OpOrigin, OpResult, PageKind, PageState, Ppa,
+    CmdId, EventKind, FlashDevice, FlashError, IoCtx, OpOrigin, OpResult, PageKind, PageState, Ppa,
     ReadOutcome, SpanCategory,
 };
 
 use crate::config::{FaultPolicy, IpaMode, RegionSpec};
 use crate::error::NoFtlError;
-use crate::io::IoCtx;
 use crate::stats::RegionStats;
 use crate::Result;
 
@@ -181,13 +180,10 @@ impl Region {
         lba.0 < self.capacity && self.l2p[lba.0 as usize].is_some()
     }
 
-    /// Stage trace attribution for the next physical op: this region, the
-    /// call's LBA and the [`IoCtx`]'s span.
-    fn stage_obs(&self, dev: &mut FlashDevice, ctx: IoCtx, lba: Lba) {
-        if dev.observing() {
-            dev.set_obs_ctx(Some(self.id), Some(lba.0));
-            dev.set_obs_span(ctx.span);
-        }
+    /// `ctx` attributed to this region and `lba`, as a command for that
+    /// page carries it.
+    fn attributed(&self, ctx: IoCtx, lba: Lba) -> IoCtx {
+        IoCtx { region: Some(self.id), lba: Some(lba.0), ..ctx }
     }
 
     /// Queue a read of a logical page. The data travels in the completion.
@@ -199,8 +195,7 @@ impl Region {
     ) -> Result<CmdId> {
         self.check_lba(lba)?;
         let ppa = self.mapped(lba)?;
-        self.stage_obs(dev, ctx, lba);
-        let id = dev.submit_read(ppa, ctx.origin)?;
+        let id = dev.submit_read(ppa, self.attributed(ctx, lba))?;
         self.stats.host_reads += 1;
         Ok(id)
     }
@@ -267,8 +262,8 @@ impl Region {
         }
         let local = self.pick_chip();
         self.garbage_collect_chip(dev, local)?;
-        let (ppa, id) = self.program_healed(dev, local, lba, ctx, |dev, ppa| {
-            dev.submit_program(ppa, data, oob, ctx.origin)
+        let (ppa, id) = self.program_healed(dev, local, lba, ctx, |dev, ppa, ctx| {
+            dev.submit_program(ppa, data, oob, ctx)
         })?;
         self.map(dev, lba, ppa)?;
         self.stats.host_page_writes += 1;
@@ -277,25 +272,25 @@ impl Region {
 
     /// Program a fresh allocation with the region's degradation policy:
     /// `submit` queues the program of the page it is given (a host write's
-    /// image, a delta fallback's, or a migration's copy-back). A transient
-    /// program-status failure is retried on the same page up to
-    /// `program_retries` times; once the budget is spent — or when the
-    /// failure is permanent — the block is retired as grown bad and the
-    /// write remapped onto a new allocation. Terminates because every
-    /// retirement permanently removes one block from the pool.
+    /// image, a delta fallback's, or a migration's copy-back) under `ctx`
+    /// attributed to `lba`. A transient program-status failure is retried
+    /// on the same page up to `program_retries` times; once the budget is
+    /// spent — or when the failure is permanent — the block is retired as
+    /// grown bad and the write remapped onto a new allocation. Terminates
+    /// because every retirement permanently removes one block from the pool.
     fn program_healed(
         &mut self,
         dev: &mut FlashDevice,
         local: usize,
         lba: Lba,
         ctx: IoCtx,
-        mut submit: impl FnMut(&mut FlashDevice, Ppa) -> std::result::Result<CmdId, FlashError>,
+        mut submit: impl FnMut(&mut FlashDevice, Ppa, IoCtx) -> ipa_flash::Result<CmdId>,
     ) -> Result<(Ppa, CmdId)> {
+        let ctx = self.attributed(ctx, lba);
         let mut retries = 0u32;
         let mut ppa = self.allocate(dev, local)?;
         loop {
-            self.stage_obs(dev, ctx, lba);
-            match submit(dev, ppa) {
+            match submit(dev, ppa, ctx) {
                 Ok(id) => return Ok((ppa, id)),
                 Err(FlashError::ProgramFailed { permanent: false, .. })
                     if retries < self.fault_policy.program_retries =>
@@ -351,8 +346,7 @@ impl Region {
         if let Some(reason) = self.append_block_reason(dev, ppa) {
             return Err(NoFtlError::AppendNotAllowed { lba, reason });
         }
-        self.stage_obs(dev, ctx, lba);
-        match dev.submit_program_partial(ppa, offset, data, oob, ctx.origin) {
+        match dev.submit_program_partial(ppa, offset, data, oob, self.attributed(ctx, lba)) {
             Ok(id) => {
                 self.stats.host_delta_writes += 1;
                 self.stats.delta_bytes += data.len() as u64;
@@ -388,7 +382,7 @@ impl Region {
     ) -> Result<CmdId> {
         dev.emit(EventKind::DeltaFallback, Some(self.id), Some(lba.0));
         let old = self.mapped(lba)?;
-        let rid = dev.submit_read(old, OpOrigin::Background)?;
+        let rid = dev.submit_read(old, self.attributed(IoCtx::background(), lba))?;
         let mut image = dev
             .complete(rid)?
             .data
@@ -400,8 +394,8 @@ impl Region {
         }
         let local = self.pick_chip();
         self.garbage_collect_chip(dev, local)?;
-        let (new, id) = self.program_healed(dev, local, lba, ctx, |dev, ppa| {
-            dev.submit_program(ppa, &image, &[(0, &old_oob)], ctx.origin)
+        let (new, id) = self.program_healed(dev, local, lba, ctx, |dev, ppa, ctx| {
+            dev.submit_program(ppa, &image, &[(0, &old_oob)], ctx)
         })?;
         self.map(dev, lba, new)?;
         self.stats.delta_fallbacks += 1;
@@ -647,10 +641,8 @@ impl Region {
         {
             return Ok(());
         }
-        if dev.observing() {
-            dev.set_obs_ctx(Some(self.id), None);
-        }
-        match dev.erase(chip, victim) {
+        let erase = IoCtx { region: Some(self.id), ..IoCtx::background() };
+        match dev.submit_erase(chip, victim, erase).and_then(|id| dev.complete(id)) {
             Ok(_) => {
                 let info = &mut self.chips[local].blocks[victim as usize];
                 info.valid_count = 0;
@@ -703,7 +695,8 @@ impl Region {
     ) -> Result<()> {
         let chip = self.chips[local].chip;
         for &(page, lba) in plan {
-            match dev.submit_copyback_read(Ppa::new(chip, victim, page), OpOrigin::Background) {
+            let ctx = self.attributed(IoCtx::background(), Lba(lba));
+            match dev.submit_copyback_read(Ppa::new(chip, victim, page), ctx) {
                 Ok(id) => batch.push((page, lba, id)),
                 Err(e) => {
                     for &(_, _, id) in batch.iter() {
@@ -772,8 +765,8 @@ impl Region {
         // Migrations go through the healed program path too: a fault
         // storm must not abort a collection mid-flight.
         let (new, id) =
-            self.program_healed(dev, local, Lba(lba), IoCtx::background(), |dev, new| {
-                dev.submit_copyback_program(old, new, OpOrigin::Background)
+            self.program_healed(dev, local, Lba(lba), IoCtx::background(), |dev, new, ctx| {
+                dev.submit_copyback_program(old, new, ctx)
             })?;
         dev.complete(id)?;
         self.map(dev, Lba(lba), new)?;

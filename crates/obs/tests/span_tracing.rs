@@ -43,12 +43,11 @@ fn drive(batches: &[Vec<u8>]) -> (Vec<ObsEvent>, Vec<Completion>, u64) {
     let data = vec![0xA5u8; 512];
     let mut completions = Vec::new();
     for batch in batches {
-        ftl.in_span(SpanCategory::Txn, None, |ftl, span| {
-            let ctx = IoCtx::host().with_span(span);
+        ftl.in_span(SpanCategory::Txn, None, |ftl, _| {
             for &l in batch {
                 // Retired by the drain below.
                 let _queued = ftl
-                    .submit_write(RegionId(0), Lba(u64::from(l) % cap), &data, &[], ctx)
+                    .submit_write(RegionId(0), Lba(u64::from(l) % cap), &data, &[], IoCtx::host())
                     .expect("submits");
             }
             completions.extend(ftl.drain_completions());
@@ -153,9 +152,8 @@ fn in_span_closes_on_error_and_on_early_return() {
     let data = vec![0xA5u8; 512];
 
     // A `?` on a failing submit leaves the closure before its last line.
-    let failed = ftl.in_span(SpanCategory::Txn, None, |ftl, span| {
-        let id =
-            ftl.submit_write(RegionId(0), Lba(cap), &data, &[], IoCtx::host().with_span(span))?;
+    let failed = ftl.in_span(SpanCategory::Txn, None, |ftl, _| {
+        let id = ftl.submit_write(RegionId(0), Lba(cap), &data, &[], IoCtx::host())?;
         ftl.complete(id)?;
         Ok::<_, ipa_noftl::NoFtlError>(())
     });
