@@ -47,7 +47,7 @@ pub use delta::{ChangePair, DeltaRecord};
 pub use error::CoreError;
 pub use layout::{PageLayout, HEADER_SIZE, SLOT_SIZE};
 pub use scheme::NxM;
-pub use slotted::{DbPage, SlotId};
+pub use slotted::{changed_runs, DbPage, SlotId};
 pub use tracking::{ChangeTracker, FlushDecision};
 
 /// Crate-wide result alias.

@@ -422,14 +422,16 @@ impl DbPage {
     }
 }
 
-/// Copy `data` over `dst` (equal lengths), reporting every maximal run of
-/// bytes that differed as `on_run(start, len)`, in ascending order. Of a
-/// tuple of hundreds of bytes a few differ: eight bytes are compared at a
-/// time, and only a word that differs is looked at byte by byte.
-fn overwrite(dst: &mut [u8], data: &[u8], mut on_run: impl FnMut(usize, usize)) {
+/// Report every maximal run of bytes where `new` differs from `old` (at
+/// least as long) as `on_run(start, len)`, in ascending order, writing
+/// nothing: what a page write tracks and what a logged node write holds
+/// are one scan's answer. Of a tuple of hundreds of bytes a few differ:
+/// eight bytes are compared at a time, and only a word that differs is
+/// looked at byte by byte.
+pub fn changed_runs(old: &[u8], new: &[u8], mut on_run: impl FnMut(usize, usize)) {
     const WORD: usize = std::mem::size_of::<u64>();
-    let len = data.len();
-    let dst = &mut dst[..len];
+    let len = new.len();
+    let old = &old[..len];
     let word = |bytes: &[u8], at: usize| {
         let mut w = [0u8; WORD];
         w.copy_from_slice(&bytes[at..at + WORD]);
@@ -437,32 +439,36 @@ fn overwrite(dst: &mut [u8], data: &[u8], mut on_run: impl FnMut(usize, usize)) 
     };
     // Start of the run of differing bytes that reaches up to `i`, if any.
     let mut run: Option<usize> = None;
-    let mut close = |dst: &mut [u8], start: usize, end: usize| {
-        dst[start..end].copy_from_slice(&data[start..end]);
-        on_run(start, end - start);
-    };
     let mut i = 0;
     while i < len {
         let chunk = WORD.min(len - i);
-        if chunk == WORD && word(dst, i) == word(data, i) {
+        if chunk == WORD && word(old, i) == word(new, i) {
             if let Some(start) = run.take() {
-                close(dst, start, i);
+                on_run(start, i - start);
             }
             i += WORD;
             continue;
         }
         for j in i..i + chunk {
-            if dst[j] != data[j] {
+            if old[j] != new[j] {
                 run.get_or_insert(j);
             } else if let Some(start) = run.take() {
-                close(dst, start, j);
+                on_run(start, j - start);
             }
         }
         i += chunk;
     }
     if let Some(start) = run {
-        close(dst, start, len);
+        on_run(start, len - start);
     }
+}
+
+/// Copy `data` over `dst` (at least as long), reporting every maximal run
+/// of bytes that differed as [`changed_runs`] does.
+fn overwrite(dst: &mut [u8], data: &[u8], on_run: impl FnMut(usize, usize)) {
+    let dst = &mut dst[..data.len()];
+    changed_runs(dst, data, on_run);
+    dst.copy_from_slice(data);
 }
 
 #[cfg(test)]

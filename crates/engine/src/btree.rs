@@ -6,10 +6,10 @@
 //! "frequently updated tables *or indices*"). A node is edited as its own
 //! bytes: the descent copies its image out of the page into a reused
 //! buffer, the edit inserts or removes 16-byte entries there, and storing
-//! the image logs and applies only the span that differs from the page — an
-//! append-at-the-end insert dirties a handful of bytes while a mid-node
-//! shift dirties proportionally more (and naturally falls back to an
-//! out-of-place flush).
+//! the image logs and applies only the runs of bytes that differ from the
+//! page — an append-at-the-end insert dirties, and logs, its count and its
+//! entry while a mid-node shift dirties proportionally more (and naturally
+//! falls back to an out-of-place flush).
 //!
 //! Logging is *physiological* (the classic ARIES treatment of indexes):
 //! node changes are logged as physical redo-only [`LogPayload::PageWrite`]
@@ -37,7 +37,7 @@ use ipa_noftl::Lba;
 use crate::db::{Database, PageId};
 use crate::error::EngineError;
 use crate::txn::TxId;
-use crate::wal::LogPayload;
+use crate::wal::{encode_runs, LogPayload};
 use crate::Result;
 
 const TAG_LEAF: u8 = 0xBE;
@@ -57,13 +57,15 @@ pub struct BTree {
 }
 
 /// The reused buffers of an index edit: the descent's internal pages with
-/// the child index chosen at each, the image of the node being edited and
-/// that of a split's right sibling.
+/// the child index chosen at each, the image of the node being edited,
+/// that of a split's right sibling, and the runs of the node write being
+/// logged.
 #[derive(Debug, Default)]
 pub(crate) struct NodeScratch {
     path: Vec<(PageId, usize)>,
     image: Vec<u8>,
     right: Vec<u8>,
+    runs: Vec<u8>,
 }
 
 /// View of one node over its bytes — a page body, or an image copied out of
@@ -196,19 +198,22 @@ fn insert_entry(image: &mut Vec<u8>, pos: usize, key: u64, value: u64) {
 }
 
 /// Write a node image to its page as the physical redo-only record of the
-/// changed byte span, logged and applied.
-fn store_node(db: &mut Database, tx: TxId, pid: PageId, image: &[u8]) -> Result<()> {
-    // Find the changed span against the current buffer image.
+/// bytes that differ from the page, logged and applied; `runs` is the
+/// buffer the record's runs are encoded in.
+fn store_node(
+    db: &mut Database,
+    tx: TxId,
+    pid: PageId,
+    image: &[u8],
+    runs: &mut Vec<u8>,
+) -> Result<()> {
     let span = db.with_page(pid, |page| {
         let base = page.layout().body_start();
-        let current = &page.bytes()[base..base + image.len()];
-        let first = image.iter().zip(current).position(|(a, b)| a != b)?;
-        let last = image.iter().zip(current).rposition(|(a, b)| a != b)?;
-        Some((base, first, last))
+        encode_runs(&page.bytes()[base..], image, runs).map(|span| (base, span))
     })?;
-    let Some((base, first, last)) = span else { return Ok(()) };
-    let (offset, after) = ((base + first) as u32, &image[first..=last]);
-    db.log_and_apply(tx, LogPayload::PageWrite { tx, page: pid, offset, after })
+    let Some((base, span)) = span else { return Ok(()) };
+    let (offset, extent) = ((base + span.start) as u32, span.len() as u32);
+    db.log_and_apply(tx, LogPayload::PageWrite { tx, page: pid, offset, extent, runs })
 }
 
 /// Store the edited image `s.image` of `pid`, splitting it while it is
@@ -229,7 +234,7 @@ fn store_or_split(
         let node = NodeView::parse(&s.image, pid)?;
         let (count, leaf) = (node.len(), node.leaf);
         if count <= cap {
-            return store_node(db, tx, pid, &s.image);
+            return store_node(db, tx, pid, &s.image, &mut s.runs);
         }
         let sep = node.key(count / 2);
         let split_at = NODE_HEADER + count / 2 * ENTRY_SIZE;
@@ -243,8 +248,8 @@ fn store_or_split(
         if leaf {
             s.image[3..NODE_HEADER].copy_from_slice(&right.lba.0.to_le_bytes());
         }
-        store_node(db, tx, right, &s.right)?;
-        store_node(db, tx, pid, &s.image)?;
+        store_node(db, tx, right, &s.right, &mut s.runs)?;
+        store_node(db, tx, pid, &s.image, &mut s.runs)?;
         let Some((parent, ci)) = s.path.pop() else {
             // The split reached the root: grow the tree.
             let new_root = db.new_page(region)?;
@@ -252,7 +257,7 @@ fn store_or_split(
             s.image.extend_from_slice(&empty_node(TAG_INTERNAL));
             insert_entry(&mut s.image, 0, u64::MIN, pid.lba.0);
             insert_entry(&mut s.image, 1, sep, right.lba.0);
-            store_node(db, tx, new_root, &s.image)?;
+            store_node(db, tx, new_root, &s.image, &mut s.runs)?;
             db.kept.indexes[index as usize].root = new_root;
             db.log_for_tx(tx, LogPayload::RootChange { tx, index, new_root })?;
             return Ok(());

@@ -20,7 +20,7 @@ use crate::buffer::{BufferPool, Frame, SweepStats};
 use crate::db::{Database, PageId};
 use crate::error::EngineError;
 use crate::stats::TraceEvent;
-use crate::wal::{LogPayload, Lsn};
+use crate::wal::{self, LogPayload, Lsn};
 use crate::Result;
 
 /// What an evicted frame leaves to the page that takes its slot: the page
@@ -511,8 +511,11 @@ impl Database {
                 LogPayload::Undelete { slot, tuple, .. } => {
                     page.undelete_tuple(*slot, tuple.as_ref(), tracker)?;
                 }
-                LogPayload::PageWrite { offset, after, .. } => {
-                    page.write_body(*offset as usize, after.as_ref(), tracker);
+                LogPayload::PageWrite { offset, extent, runs, .. } => {
+                    let offset = *offset as usize;
+                    wal::for_each_run(runs.as_ref(), *extent as usize, |at, bytes| {
+                        page.write_body(offset + at, bytes, tracker)
+                    })?;
                 }
                 _ => return Err(EngineError::Internal("a record with a page and no page action")),
             }

@@ -25,7 +25,9 @@
 //! full length, and the log's space accounting
 //! ([`LogPayload::size_bytes`], [`Wal::used_fraction`]) counts every image
 //! at that length, so how the log stores an image never changes when it
-//! reclaims space.
+//! reclaims space. A B+-tree node write is logged the same way from the
+//! start: its [`LogPayload::PageWrite`] holds the runs of bytes it changed
+//! and is charged the span they cover.
 //!
 //! Restart and rollback read a record where the log keeps it:
 //! [`Wal::record`] and [`Wal::records_from`] show its kind, transaction,
@@ -131,15 +133,31 @@ pub enum LogPayload<B = Vec<u8>> {
     /// node changes: physical REDO here, logical UNDO via
     /// [`LogPayload::IndexInsert`]/[`LogPayload::IndexDelete`]). Never
     /// undone — rollback skips it.
+    ///
+    /// It covers the span from the first byte the write changed to the
+    /// last, and holds only the runs of bytes in it that differ from the
+    /// page ([`encode_runs`]): an insert at the end of a node changes its
+    /// count and the new entry, and the record holds those. Like the span's
+    /// two ends, the bytes between runs are left to the page, so the record
+    /// is correct only on the page state it was logged against — the one
+    /// ARIES redo rebuilds (PageLSN, recLSN, a fresh page formatted alike).
+    /// The log charges the covering span, not the runs
+    /// ([`LogPayload::size_bytes`]): that is what it charged when it held
+    /// the span, so when it reclaims space does not move. Charging the runs
+    /// would be the honest size and moves every simulated number.
     PageWrite {
         /// Transaction id.
         tx: TxId,
         /// Affected page.
         page: PageId,
-        /// Absolute byte offset of the written range.
+        /// Absolute byte offset of the covered span.
         offset: u32,
-        /// Bytes written.
-        after: B,
+        /// Bytes the span covers.
+        extent: u32,
+        /// The changed runs in the span, each a [`RUN_HEADER`] (bytes
+        /// skipped since the previous run's end, or the span's start, and
+        /// bytes written, `u16` little-endian each) and its bytes.
+        runs: B,
     },
     /// Redo-only root-pointer change of an index (tree growth). Never
     /// undone: a one-level-deeper tree remains correct after logical undo.
@@ -263,8 +281,8 @@ impl<B> LogPayload<B> {
             LogPayload::IndexDelete { tx, index, key, value } => {
                 LogPayload::IndexDelete { tx, index, key, value }
             }
-            LogPayload::PageWrite { tx, page, offset, after } => {
-                LogPayload::PageWrite { tx, page, offset, after: image(after) }
+            LogPayload::PageWrite { tx, page, offset, extent, runs } => {
+                LogPayload::PageWrite { tx, page, offset, extent, runs: image(runs) }
             }
             LogPayload::RootChange { tx, index, new_root } => {
                 LogPayload::RootChange { tx, index, new_root }
@@ -294,7 +312,7 @@ impl<B> LogPayload<B> {
             LogPayload::Update { before, after, .. } => len(before) + len(after),
             LogPayload::Insert { tuple, .. } | LogPayload::Undelete { tuple, .. } => len(tuple),
             LogPayload::Delete { before, .. } => len(before),
-            LogPayload::PageWrite { after, .. } => len(after),
+            LogPayload::PageWrite { extent, .. } => *extent as usize,
             LogPayload::Clr { action, .. } => action.size_with(len),
             LogPayload::EndCheckpoint { active, dirty } => active.len() * 16 + dirty.len() * 24,
             _ => 0,
@@ -305,9 +323,78 @@ impl<B> LogPayload<B> {
 
 impl<B: AsRef<[u8]>> LogPayload<B> {
     /// Approximate on-disk size of the record, used for log-space
-    /// accounting.
+    /// accounting: a header and the images, a page write's as the span it
+    /// covers, however few bytes of it its runs hold.
     pub fn size_bytes(&self) -> usize {
         self.size_with(&|image| image.as_ref().len())
+    }
+}
+
+/// Bytes of a page write's run header: bytes skipped, bytes written, a
+/// `u16` each — a page's offsets are `u16` everywhere (the change tracker's
+/// too), so both fit.
+const RUN_HEADER: usize = 4;
+
+/// Encode where `new` differs from `old` (at least as long) as the runs of
+/// a [`LogPayload::PageWrite`] into `runs`, which is cleared first, and
+/// return the span they cover in `new` — `None`, with no run, when nothing
+/// differs. A gap shorter than a run header does not start a new run: its
+/// bytes, equal in both, go into the run it joins.
+pub(crate) fn encode_runs(old: &[u8], new: &[u8], runs: &mut Vec<u8>) -> Option<Range<usize>> {
+    /// Append `run` of `new` to `runs`, and extend `span` over it.
+    fn push(runs: &mut Vec<u8>, new: &[u8], run: Range<usize>, span: &mut Option<Range<usize>>) {
+        let after = span.as_ref().map_or(run.start, |span| span.end);
+        runs.extend_from_slice(&((run.start - after) as u16).to_le_bytes());
+        runs.extend_from_slice(&(run.len() as u16).to_le_bytes());
+        runs.extend_from_slice(&new[run.clone()]);
+        *span = Some(span.as_ref().map_or(run.start, |span| span.start)..run.end);
+    }
+    runs.clear();
+    let (mut span, mut open) = (None, None::<Range<usize>>);
+    ipa_core::changed_runs(old, new, |start, len| {
+        open = Some(match open.take() {
+            Some(run) if start - run.end < RUN_HEADER => run.start..start + len,
+            Some(run) => {
+                push(runs, new, run, &mut span);
+                start..start + len
+            }
+            None => start..start + len,
+        });
+    });
+    if let Some(run) = open {
+        push(runs, new, run, &mut span);
+    }
+    span
+}
+
+/// Call `write(at, bytes)` for each run of a page write's `runs`, `at`
+/// counted from the start of the span; `extent` is the span's length. A
+/// run that reaches past the span, or bytes that are no whole run, are
+/// [`EngineError::Internal`] once the runs before them are written. Out of
+/// line: its loop would grow the match of `apply_record`, which every
+/// logged change goes through.
+#[inline(never)]
+pub(crate) fn for_each_run(
+    runs: &[u8],
+    extent: usize,
+    mut write: impl FnMut(usize, &[u8]),
+) -> Result<()> {
+    let (mut at, mut rest) = (0, runs);
+    while let Some((head, tail)) = rest.split_first_chunk::<RUN_HEADER>() {
+        let skip = usize::from(u16::from_le_bytes([head[0], head[1]]));
+        let len = usize::from(u16::from_le_bytes([head[2], head[3]]));
+        at += skip;
+        let bytes = tail
+            .get(..len)
+            .filter(|_| at + len <= extent)
+            .ok_or(EngineError::Internal("a page write's run lies outside its span"))?;
+        write(at, bytes);
+        (at, rest) = (at + len, &tail[len..]);
+    }
+    if rest.is_empty() {
+        Ok(())
+    } else {
+        Err(EngineError::Internal("a page write's runs end in part of a run header"))
     }
 }
 
@@ -1077,12 +1164,14 @@ mod tests {
             3 => LogPayload::Insert { tx, page, slot, tuple: image(rng) },
             4 => LogPayload::Delete { tx, page, slot, before: image(rng) },
             5 => LogPayload::Undelete { tx, page, slot, tuple: image(rng) },
-            6 => LogPayload::PageWrite {
-                tx,
-                page,
-                offset: rng.gen_range(0..4096),
-                after: image(rng),
-            },
+            6 => {
+                let (old, mut new) = random_update_images(rng);
+                new.truncate(old.len());
+                let mut runs = Vec::new();
+                let extent = encode_runs(&old, &new, &mut runs).map_or(0, |span| span.len());
+                let (offset, extent) = (rng.gen_range(0..4096), extent as u32);
+                LogPayload::PageWrite { tx, page, offset, extent, runs }
+            }
             7 => LogPayload::IndexInsert { tx, index: 1, key: rng.gen(), value: rng.gen() },
             8 => LogPayload::IndexDelete { tx, index: 1, key: rng.gen(), value: rng.gen() },
             9 => LogPayload::RootChange { tx, index: 1, new_root: page },
@@ -1185,17 +1274,26 @@ mod tests {
         // Any budget constructs, and an empty log holds nothing.
         let mut wal = Wal::new(usize::MAX);
         assert!(wal.arena.chunks.is_empty() && wal.records.chunks.is_empty());
+        // A node write that changes every other word of a 3992-byte span:
+        // it holds 250 runs of eight bytes with their headers, and is
+        // charged the span.
+        let node: Vec<u8> = (0..4000).map(|i| u8::from((i / WORD).is_multiple_of(2))).collect();
+        let mut runs = Vec::new();
+        assert_eq!(encode_runs(&[0; 4000], &node, &mut runs), Some(0..3992));
+        assert_eq!(runs.len(), 250 * (RUN_HEADER + WORD));
         let page = LogPayload::PageWrite {
             tx: TxId(1),
             page: PageId::new(0, 0),
             offset: 0,
-            after: vec![7u8; 4000],
+            extent: 3992,
+            runs,
         };
         for _ in 0..4096 {
             wal.append(Lsn::NULL, page.clone());
         }
-        // 16 MB of images in 64 KiB chunks, each allocated at that size.
-        assert_eq!(wal.arena.chunks.len(), (4096 * 4000usize).div_ceil(LOG_CHUNK_BYTES));
+        assert_eq!(wal.used_bytes(), 4096 * (32 + 3992));
+        // 12 MB of runs in 64 KiB chunks, each allocated at that size.
+        assert_eq!(wal.arena.chunks.len(), (4096 * 3000usize).div_ceil(LOG_CHUNK_BYTES));
         assert!(wal.arena.chunks.iter().all(|c| c.capacity() == LOG_CHUNK_BYTES));
         assert_eq!(wal.records.chunks.len(), 4096 / LOG_CHUNK_RECORDS);
         let kept = wal.append(Lsn::NULL, upd(1));
@@ -1260,6 +1358,15 @@ mod tests {
             dirty: vec![(PageId::new(0, 1), Lsn(1)); 2],
         };
         assert_eq!(checkpoint.size_bytes(), 32 + 16 + 2 * 24);
+        // A node write is charged the span it covers, not the runs it holds.
+        let node = LogPayload::PageWrite {
+            tx: TxId(1),
+            page: PageId::new(0, 1),
+            offset: 100,
+            extent: 40,
+            runs: vec![0, 0, 2, 0, 1, 2, 34, 0, 2, 0, 3, 4],
+        };
+        assert_eq!(node.size_bytes(), 32 + 40);
         // The log accounts what it retains the same way.
         let mut wal = Wal::new(1 << 20);
         wal.append(Lsn::NULL, clr);
@@ -1350,6 +1457,82 @@ mod tests {
         let spans = wal.record(Lsn(2)).unwrap().clone();
         wal.lose_unflushed();
         assert_eq!(wal.images(spans, &mut images), Err(refused));
+    }
+
+    #[test]
+    fn page_write_runs_hold_what_differs_and_rebuild_the_image() {
+        use rand::Rng;
+        let (mut runs_seen, mut joined) = (0, 0);
+        ipa_flash::for_each_case(3_000, |rng| {
+            // Differing runs of any length planted at any distance from
+            // each other, a changed byte inverted so it always differs.
+            let len = rng.gen_range(0..300usize);
+            let old: Vec<u8> = (0..len + rng.gen_range(0..9usize)).map(|_| rng.gen()).collect();
+            let mut new = old[..len].to_vec();
+            for _ in 0..rng.gen_range(0..8) {
+                if len == 0 {
+                    break;
+                }
+                let start = rng.gen_range(0..len);
+                for byte in &mut new[start..(start + rng.gen_range(1..12usize)).min(len)] {
+                    *byte = !*byte;
+                }
+            }
+            let mut runs = vec![0xAB; rng.gen_range(0..20)];
+            let span = encode_runs(&old, &new, &mut runs);
+            let differs: Vec<usize> = (0..len).filter(|&i| old[i] != new[i]).collect();
+            let Some(span) = span else {
+                assert!(differs.is_empty() && runs.is_empty());
+                return;
+            };
+            assert_eq!(span, differs[0]..differs[differs.len() - 1] + 1);
+            // Applied over the page, the runs rebuild the image; every
+            // byte they write differs or lies in a gap too short for a
+            // header, and every run after the first skips a longer gap.
+            let mut page = old.clone();
+            let mut written = Vec::new();
+            for_each_run(&runs, span.len(), |at, bytes| {
+                let at = span.start + at;
+                page[at..at + bytes.len()].copy_from_slice(bytes);
+                written.push(at..at + bytes.len());
+            })
+            .unwrap();
+            assert_eq!(page[..len], new[..]);
+            assert_eq!(written.first().map(|r| r.start), Some(span.start));
+            assert_eq!(written.last().map(|r| r.end), Some(span.end));
+            for pair in written.windows(2) {
+                assert!(pair[1].start - pair[0].end >= RUN_HEADER, "{written:?}");
+            }
+            let held: usize = written.iter().map(Range::len).sum();
+            assert_eq!(runs.len(), held + RUN_HEADER * written.len());
+            // Inside a run, each stretch of equal bytes is a joined gap.
+            for run in &written {
+                let mut gap = 0;
+                for i in run.clone() {
+                    gap = if old[i] == new[i] { gap + 1 } else { 0 };
+                    assert!(gap < RUN_HEADER, "{written:?}");
+                    joined += usize::from(gap == 1);
+                }
+            }
+            let unchanged = written.iter().flat_map(Range::clone).filter(|&i| old[i] == new[i]);
+            assert_eq!(held, differs.len() + unchanged.count());
+            runs_seen += written.len();
+        });
+        assert!(runs_seen > 5_000 && joined > 1_000, "{runs_seen} runs, {joined} joined");
+    }
+
+    #[test]
+    fn page_write_runs_outside_their_span_are_refused() {
+        let outside = EngineError::Internal("a page write's run lies outside its span");
+        let cut = EngineError::Internal("a page write's runs end in part of a run header");
+        let mut written = Vec::new();
+        let mut write = |at: usize, bytes: &[u8]| written.push((at, bytes.to_vec()));
+        assert_eq!(for_each_run(&[0, 0, 1, 0, 7, 2, 0, 1, 0, 8], 4, &mut write), Ok(()));
+        // Past the span's end, bytes short of the run, part of a header.
+        assert_eq!(for_each_run(&[0, 0, 2, 0, 7, 7], 1, &mut write), Err(outside.clone()));
+        assert_eq!(for_each_run(&[0, 0, 2, 0, 7], 8, &mut write), Err(outside));
+        assert_eq!(for_each_run(&[0, 0, 1, 0, 7, 1, 0], 8, &mut write), Err(cut));
+        assert_eq!(written, [(0, vec![7]), (3, vec![8]), (0, vec![7])]);
     }
 
     #[test]

@@ -307,12 +307,15 @@ fn steady_state_out_of_place_allocates_page_buffers_only_for_new_pages() {
     assert!(window.page_writes > 1_000 && window.delta_writes == 0, "{window:?}");
     assert!(window.gc_migrations > 100 && window.gc_erases > 10, "{window:?}");
     // The bound to hold is 1.0 per round; what is asserted is the count
-    // reached, 0.025 per round: a page buffer for each of the 40 pages the
+    // reached, 0.026 per round: a page buffer for each of the 40 pages the
     // history heap grows by, the log's chunks — 16 of images, 18 of records
-    // — and two vectors growing (the update-size profile, the history
-    // heap's page list). Before an update's after image was stored as the
-    // window where it differs, the log took 30 chunks of images.
-    assert_gate("tpcb [0x0]", &window, 16, 76);
+    // — and three vectors growing (the update-size profile, the history
+    // heap's page list, and the log's list of image chunks, from 32 to 64
+    // entries: the load logs node writes as the bytes they change, so the
+    // window is the first time the log holds more than 2 MiB of images).
+    // Before an update's after image was stored as the window where it
+    // differs, the log took 30 chunks of images.
+    assert_gate("tpcb [0x0]", &window, 16, 77);
 }
 
 #[test]
@@ -321,7 +324,7 @@ fn steady_state_in_place_appends_allocate_page_buffers_only_for_new_pages() {
     assert!(window.evictions > 1_000 && window.host_reads > 1_000, "{window:?}");
     assert!(window.page_writes > 100 && window.delta_writes > 1_000, "{window:?}");
     // As above (41 new pages), and the device queue grew once.
-    assert_gate("tpcb [2x4]", &window, 16, 78);
+    assert_gate("tpcb [2x4]", &window, 16, 79);
 }
 
 /// The benchmark's `tpcc_mix` database: the five-transaction mix over two
@@ -376,9 +379,11 @@ fn index_inserts_reuse_their_path_and_node_images() {
     });
     db.resume(tx).unwrap().commit().unwrap();
     assert_eq!(db.index_count(idx).unwrap(), 21_100);
-    // The bound to hold is 60; reached: 43. 39 + 2 are the log's chunks of
-    // images and of records, two the change trackers' run lists growing.
-    assert_gate("index inserts [2x4]", &window, 39, 43);
+    // The bound to hold is 60; reached: 17. 13 + 2 are the log's chunks of
+    // images and of records, two the change trackers' run lists growing. A
+    // node write holds the runs of bytes it changes: when it held the span
+    // from the first to the last, the window took 39 chunks of images.
+    assert_gate("index inserts [2x4]", &window, 13, 17);
 }
 
 /// Fail with the sampled call sites unless the window allocated exactly
