@@ -163,12 +163,24 @@ impl DbPage {
         self.layout.footer_start(self.slot_count()).saturating_sub(lower)
     }
 
-    /// Whether [`Self::update_tuple`] of `slot` with `len` bytes finds room
-    /// in this page (`false`: it fails with [`CoreError::PageFull`] and the
-    /// tuple has to move to another page). The slot must be live.
-    pub fn update_fits(&self, slot: SlotId, len: usize) -> Result<bool> {
-        let (_, old) = self.live_entry(slot)?;
-        Ok(len <= old as usize || len <= self.room_to_grow())
+    /// Where [`Self::update_tuple`] of `slot` with `len` bytes puts them:
+    /// `(from, to)`, the offsets from the start of the body at which the
+    /// tuple lies now and will lie — the same unless it grows, when it moves
+    /// to the free-space frontier — or `None` when it grows past the room
+    /// the page has (it fails with [`CoreError::PageFull`]) and has to move
+    /// to another page. The slot must be live. Offsets from the start of
+    /// the body stay true when [`Self::relayout`] moves the body.
+    pub fn update_place(&self, slot: SlotId, len: usize) -> Result<Option<(u16, u16)>> {
+        let (off, old) = self.live_entry(slot)?;
+        let body = self.layout.body_start() as u16;
+        let to = if len <= old as usize {
+            off
+        } else if len <= self.room_to_grow() {
+            HeaderView::free_lower(&self.buf)
+        } else {
+            return Ok(None);
+        };
+        Ok(Some((off - body, to - body)))
     }
 
     /// Whether a slot refers to a live tuple.
@@ -191,7 +203,8 @@ impl DbPage {
         Ok(SlotId(slot))
     }
 
-    /// Update a tuple.
+    /// Update a tuple: [`Self::place_tuple`] where [`Self::update_place`]
+    /// puts it.
     ///
     /// Same-length updates overwrite in place (the small-update fast path
     /// that IPA turns into delta records). Shrinking updates overwrite the
@@ -204,26 +217,56 @@ impl DbPage {
         data: &[u8],
         tracker: &mut ChangeTracker,
     ) -> Result<()> {
-        if !self.update_fits(slot, data.len())? {
+        let Some((_, to)) = self.update_place(slot, data.len())? else {
             return Err(CoreError::PageFull { needed: data.len(), available: self.room_to_grow() });
-        }
-        let (off, len) = self.slot_entry(slot.0);
-        let new_len = data.len() as u16;
-        if new_len == len {
-            self.write_body(off as usize, data, tracker);
-            return Ok(());
-        }
-        if new_len < len {
-            self.write_body(off as usize, data, tracker);
-            self.write_slot_entry(slot.0, off, new_len, tracker);
-            return Ok(());
-        }
-        // Growing: relocate to the frontier.
-        let lower = HeaderView::free_lower(&self.buf);
-        self.write_body(lower as usize, data, tracker);
-        self.write_slot_entry(slot.0, lower, new_len, tracker);
-        self.set_free_lower(lower + new_len, tracker);
+        };
+        self.place_tuple(slot, to.into(), data, tracker)?;
         Ok(())
+    }
+
+    /// Overwrite part of a live tuple: `data` from byte `at` of it on — the
+    /// window a same-length update changed — leaving the rest as it is.
+    /// Only the window is compared with the page. Returns whether the
+    /// window lies inside the tuple; one that does not is written nowhere.
+    pub fn patch_tuple(
+        &mut self,
+        slot: SlotId,
+        at: usize,
+        data: &[u8],
+        tracker: &mut ChangeTracker,
+    ) -> Result<bool> {
+        let (off, len) = self.live_entry(slot)?;
+        if at + data.len() > len as usize {
+            return Ok(false);
+        }
+        self.write_body(off as usize + at, data, tracker);
+        Ok(true)
+    }
+
+    /// Put a live tuple's new image `data` at offset `to` from the start of
+    /// the body — where [`Self::update_place`] said it goes, or where it
+    /// lay before (rolling an update back) — and raise the free-space
+    /// frontier when the tuple now ends past it. Returns whether the image
+    /// lies between the start of the body and the slot table; one that does
+    /// not is written nowhere.
+    pub fn place_tuple(
+        &mut self,
+        slot: SlotId,
+        to: usize,
+        data: &[u8],
+        tracker: &mut ChangeTracker,
+    ) -> Result<bool> {
+        self.live_entry(slot)?;
+        let (at, end) = (self.layout.body_start() + to, self.layout.body_start() + to + data.len());
+        if end > self.layout.footer_start(self.slot_count()) {
+            return Ok(false);
+        }
+        self.write_body(at, data, tracker);
+        self.write_slot_entry(slot.0, at as u16, data.len() as u16, tracker);
+        if end > HeaderView::free_lower(&self.buf) as usize {
+            self.set_free_lower(end as u16, tracker);
+        }
+        Ok(true)
     }
 
     /// Restore a previously mark-deleted tuple (recovery undo of a
@@ -265,16 +308,16 @@ impl DbPage {
             offset >= self.layout.body_start(),
             "body write at {offset} inside header/delta area"
         );
-        overwrite(&mut self.buf[offset..offset + data.len()], data, |start, len| {
-            tracker.record_body_run((offset + start) as u16, len)
-        });
+        let dst = &mut self.buf[offset..offset + data.len()];
+        tracker.record_body_diff(offset, dst, data);
+        dst.copy_from_slice(data);
     }
 
     /// Low-level metadata write with byte-diff tracking.
     pub fn write_meta(&mut self, offset: usize, data: &[u8], tracker: &mut ChangeTracker) {
-        overwrite(&mut self.buf[offset..offset + data.len()], data, |start, len| {
-            tracker.record_meta_run((offset + start) as u16, len)
-        });
+        let dst = &mut self.buf[offset..offset + data.len()];
+        tracker.record_meta_diff(offset, dst, data);
+        dst.copy_from_slice(data);
     }
 
     fn set_slot_count(&mut self, count: u16, tracker: &mut ChangeTracker) {
@@ -424,10 +467,10 @@ impl DbPage {
 
 /// Report every maximal run of bytes where `new` differs from `old` (at
 /// least as long) as `on_run(start, len)`, in ascending order, writing
-/// nothing: what a page write tracks and what a logged node write holds
-/// are one scan's answer. Of a tuple of hundreds of bytes a few differ:
-/// eight bytes are compared at a time, and only a word that differs is
-/// looked at byte by byte.
+/// nothing: the one scan the log uses to find what a write changes — the
+/// runs a node write holds, the window a tuple update holds. Of a tuple of
+/// hundreds of bytes a few differ: eight bytes are compared at a time, and
+/// only a word that differs is looked at byte by byte.
 pub fn changed_runs(old: &[u8], new: &[u8], mut on_run: impl FnMut(usize, usize)) {
     const WORD: usize = std::mem::size_of::<u64>();
     let len = new.len();
@@ -461,14 +504,6 @@ pub fn changed_runs(old: &[u8], new: &[u8], mut on_run: impl FnMut(usize, usize)
     if let Some(start) = run {
         on_run(start, len - start);
     }
-}
-
-/// Copy `data` over `dst` (at least as long), reporting every maximal run
-/// of bytes that differed as [`changed_runs`] does.
-fn overwrite(dst: &mut [u8], data: &[u8], on_run: impl FnMut(usize, usize)) {
-    let dst = &mut dst[..data.len()];
-    changed_runs(dst, data, on_run);
-    dst.copy_from_slice(data);
 }
 
 #[cfg(test)]
@@ -532,11 +567,11 @@ mod tests {
 
     #[test]
     fn write_with_an_unchanged_middle_records_two_runs() {
-        let mut dst = [1u8, 2, 3, 4, 5, 6, 7, 8];
         let mut runs = Vec::new();
-        overwrite(&mut dst, &[9, 9, 3, 4, 5, 9, 9, 9], |start, len| runs.push((start, len)));
+        changed_runs(&[1, 2, 3, 4, 5, 6, 7, 8], &[9, 9, 3, 4, 5, 9, 9, 9], |start, len| {
+            runs.push((start, len))
+        });
         assert_eq!(runs, vec![(0, 2), (5, 3)]);
-        assert_eq!(dst, [9, 9, 3, 4, 5, 9, 9, 9]);
 
         // Through the page: exactly the five differing bytes are tracked,
         // at their offsets, and writing the same bytes again adds nothing.
@@ -553,7 +588,9 @@ mod tests {
         assert_eq!(offsets, [0, 1, 5, 6, 7].map(|i| body + i));
     }
 
-    /// The byte loop [`overwrite`] was before it compared words: the oracle.
+    /// The byte loop a page write was before it compared words: the oracle
+    /// of [`changed_runs`] and of the tracking of [`DbPage::write_body`] /
+    /// [`DbPage::write_meta`].
     fn overwrite_bytewise(dst: &mut [u8], data: &[u8], mut on_run: impl FnMut(usize, usize)) {
         let mut i = 0;
         while i < data.len() {
@@ -571,7 +608,7 @@ mod tests {
     }
 
     #[test]
-    fn wordwise_overwrite_reports_the_runs_of_the_byte_loop() {
+    fn changed_runs_reports_the_runs_of_the_byte_loop() {
         use rand::Rng;
         let mut runs_seen = 0;
         ipa_flash::for_each_case(3_000, |rng| {
@@ -580,7 +617,7 @@ mod tests {
             // any length are planted: inside a word, across word borders,
             // touching each other's words, at both ends.
             let (lead, len) = (rng.gen_range(0..9), rng.gen_range(0..200));
-            let mut old: Vec<u8> = (0..lead + len + 9).map(|_| rng.gen()).collect();
+            let old: Vec<u8> = (0..lead + len + 9).map(|_| rng.gen()).collect();
             let mut new = old[lead..lead + len].to_vec();
             for _ in 0..rng.gen_range(0..6) {
                 if len == 0 {
@@ -601,13 +638,99 @@ mod tests {
             overwrite_bytewise(&mut expected[lead..lead + len], &new, |s, l| {
                 expected_runs.push((s, l))
             });
-            overwrite(&mut old[lead..lead + len], &new, |s, l| runs.push((s, l)));
+            // The bytes of `old` past `new`'s length are not looked at.
+            changed_runs(&old[lead..], &new, |s, l| runs.push((s, l)));
             assert_eq!(runs, expected_runs);
-            assert_eq!(old, expected, "bytes outside the slice untouched, inside copied");
-            assert_eq!(old[lead..lead + len], new[..]);
             runs_seen += runs.len();
         });
         assert!(runs_seen > 3_000, "{runs_seen} runs");
+    }
+
+    #[test]
+    fn word_parallel_tracking_records_what_the_byte_loop_records() {
+        use rand::Rng;
+        let (mut straddled, mut latched, mut offsets_seen) = (0, 0, 0);
+        ipa_flash::for_each_case(2_000, |rng| {
+            // A page written through `write_body` / `write_meta`, and its
+            // bytes written by the byte loop, whose runs go to a second
+            // tracker one by one: a scheme roomy or tight, on flash or
+            // not, with delta records on flash or none.
+            let schemes = [NxM::tpcc(), NxM::tpcb(), NxM::new(1, 2, 2), NxM::disabled()];
+            let scheme = schemes[rng.gen_range(0..schemes.len())];
+            let (on_flash, n_existing) = (rng.gen_bool(0.8), rng.gen_range(0..=scheme.n));
+            let mut t = ChangeTracker::new(scheme, n_existing, on_flash);
+            let mut oracle = ChangeTracker::new(scheme, n_existing, on_flash);
+            let mut page = DbPage::format(7, layout());
+            for slot in 0..rng.gen_range(0..20) {
+                let tuple: Vec<u8> = (0..rng.gen_range(1..120)).map(|_| rng.gen()).collect();
+                page.insert_tuple(&tuple, &mut ChangeTracker::new(scheme, 0, false)).unwrap();
+                assert_eq!(page.slot_count(), slot + 1);
+            }
+            let mut bytes = page.bytes().to_vec();
+            let body_start = page.layout().body_start();
+            for _ in 0..rng.gen_range(1..12) {
+                let meta = rng.gen_bool(0.3);
+                let len = match rng.gen_range(0..4) {
+                    0 => rng.gen_range(0..4),
+                    1 | 2 => rng.gen_range(1..24),
+                    _ => rng.gen_range(1..300),
+                };
+                let from = if meta { 0 } else { body_start };
+                // Now and then a write that starts in the last bytes of a
+                // word of the bitmap, so its masks straddle two.
+                let at = if rng.gen_bool(0.3) {
+                    (64 * rng.gen_range(from / 64 + 1..(4096 - len) / 64)
+                        - rng.gen_range(1..8usize))
+                    .max(from)
+                } else {
+                    rng.gen_range(from..=4096 - len)
+                };
+                straddled += usize::from(at % 64 > 56 && len > 64 - at % 64);
+                // The bytes there, a few of them changed, or new bytes.
+                let mut data = bytes[at..at + len].to_vec();
+                if rng.gen_bool(0.2) {
+                    data.iter_mut().for_each(|b| *b = rng.gen());
+                } else {
+                    for _ in 0..rng.gen_range(0..4) {
+                        if len > 0 {
+                            let i = rng.gen_range(0..len);
+                            data[i] ^= 1u8 << rng.gen_range(0..8u32);
+                        }
+                    }
+                }
+                if meta {
+                    page.write_meta(at, &data, &mut t);
+                } else {
+                    page.write_body(at, &data, &mut t);
+                }
+                overwrite_bytewise(&mut bytes[at..at + len], &data, |start, run| {
+                    let start = (at + start) as u16;
+                    if meta {
+                        oracle.record_meta_run(start, run);
+                    } else {
+                        oracle.record_body_run(start, run);
+                    }
+                });
+                assert_eq!(page.bytes(), &bytes[..]);
+                assert!(t.body_offsets().eq(oracle.body_offsets()), "body at {at}+{len}");
+                assert!(t.meta_offsets().eq(oracle.meta_offsets()), "meta at {at}+{len}");
+                assert_eq!(
+                    (t.body_changed(), t.meta_changed(), t.exceeded(), t.is_dirty(), t.plan()),
+                    (
+                        oracle.body_changed(),
+                        oracle.meta_changed(),
+                        oracle.exceeded(),
+                        oracle.is_dirty(),
+                        oracle.plan()
+                    ),
+                    "after a write at {at}+{len}"
+                );
+            }
+            latched += usize::from(t.exceeded() && on_flash && scheme.is_enabled());
+            offsets_seen += t.body_changed() + t.meta_changed();
+        });
+        assert!(straddled > 300 && latched > 100, "{straddled} straddling writes, {latched}");
+        assert!(offsets_seen > 50_000, "{offsets_seen}");
     }
 
     #[test]
@@ -795,7 +918,40 @@ mod tests {
     }
 
     #[test]
-    fn update_fits_says_what_update_tuple_does() {
+    fn a_tuple_is_patched_and_placed_only_where_it_fits() {
+        let (mut p, mut t) = fresh();
+        let a = p.insert_tuple(&[1u8; 100], &mut t).unwrap();
+        let b = p.insert_tuple(&[2u8; 10], &mut t).unwrap();
+        // A window inside the tuple is written there, and only there.
+        assert!(p.patch_tuple(a, 96, &[9, 9, 9, 9], &mut t).unwrap());
+        assert_eq!(p.tuple(a).unwrap()[94..], [1, 1, 9, 9, 9, 9]);
+        assert_eq!(p.tuple(b).unwrap(), [2u8; 10]);
+        // One that reaches past the tuple's end is written nowhere.
+        let before = p.bytes().to_vec();
+        assert!(!p.patch_tuple(a, 97, &[8, 8, 8, 8], &mut t).unwrap());
+        assert!(!p.patch_tuple(b, 0, &[8; 11], &mut t).unwrap());
+        assert_eq!(p.bytes(), &before[..]);
+        // An image placed back where the tuple lay before it grew: the slot
+        // points there again and the frontier does not move.
+        let (from, to) = p.update_place(a, 150).unwrap().unwrap();
+        assert_eq!((from, to), (0, 110));
+        assert!(p.place_tuple(a, to.into(), &[3u8; 150], &mut t).unwrap());
+        let lower = p.free_space_for_insert();
+        assert!(p.place_tuple(a, from.into(), &[1u8; 100], &mut t).unwrap());
+        assert_eq!((p.tuple(a).unwrap(), p.free_space_for_insert()), (&[1u8; 100][..], lower));
+        // An image that would reach into the slot table is placed nowhere.
+        let room = p.free_space_for_insert() + crate::layout::SLOT_SIZE;
+        let before = p.bytes().to_vec();
+        assert!(!p.place_tuple(a, 260, &vec![4u8; room + 1], &mut t).unwrap());
+        assert_eq!(p.bytes(), &before[..]);
+        // A dead slot is a bad slot to both.
+        p.delete_tuple(b, &mut t).unwrap();
+        assert!(matches!(p.patch_tuple(b, 0, &[1], &mut t), Err(CoreError::BadSlot(1))));
+        assert!(matches!(p.place_tuple(b, 0, &[1], &mut t), Err(CoreError::BadSlot(1))));
+    }
+
+    #[test]
+    fn update_place_says_what_update_tuple_does() {
         // A page with `room` bytes left at the frontier: a 100-byte tuple
         // in slot 0, a mark-deleted one in slot 1, filler behind them.
         let page_with_room = |room: usize| {
@@ -821,9 +977,20 @@ mod tests {
             (200, 201, false),
         ] {
             let (mut p, mut t, live, _) = page_with_room(room);
-            assert_eq!(p.update_fits(live, len).unwrap(), fits, "{room} free, {len} bytes");
+            let place = p.update_place(live, len).unwrap();
+            assert_eq!(place.is_some(), fits, "{room} free, {len} bytes");
+            let frontier = (p.layout().footer_start(3) - room - p.layout().body_start()) as u16;
             match p.update_tuple(live, &vec![7u8; len], &mut t) {
-                Ok(()) => assert!(fits, "{room} free, {len} bytes: updated"),
+                Ok(()) => {
+                    assert!(fits, "{room} free, {len} bytes: updated");
+                    // Slot 0 lies at the start of the body, and stays there
+                    // unless it grows, when it moves to the frontier.
+                    let to = if len <= 100 { 0 } else { frontier };
+                    assert_eq!(place, Some((0, to)), "{room} free, {len} bytes");
+                    assert_eq!(p.tuple(live).unwrap(), vec![7u8; len]);
+                    let grown = if len > 100 { len } else { 0 };
+                    assert_eq!(p.room_to_grow(), room - grown, "{room} free, {len} bytes");
+                }
                 Err(CoreError::PageFull { needed, available }) => {
                     assert!(!fits, "{room} free, {len} bytes: page full");
                     assert_eq!((needed, available), (len, room));
@@ -837,7 +1004,7 @@ mod tests {
         for slot in [dead, SlotId(3), SlotId(u16::MAX)] {
             for len in [0, 10, 4000] {
                 assert!(
-                    matches!(p.update_fits(slot, len), Err(CoreError::BadSlot(s)) if s == slot.0)
+                    matches!(p.update_place(slot, len), Err(CoreError::BadSlot(s)) if s == slot.0)
                 );
                 let updated = p.update_tuple(slot, &vec![7u8; len], &mut t);
                 assert!(matches!(updated, Err(CoreError::BadSlot(s)) if s == slot.0));

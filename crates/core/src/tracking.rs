@@ -26,7 +26,9 @@
 //! count, so recording a run of bytes is a few masked word updates and the
 //! sizes are field reads — the bookkeeping has to stay negligible next to
 //! the I/O it saves, on inserts and index-node stores (hundreds of bytes
-//! per call) as much as on three-byte updates.
+//! per call) as much as on three-byte updates. A page write compares the
+//! old and new bytes eight at a time and ORs each differing word's byte
+//! mask into the bitmap, with one capacity check per write.
 
 use crate::delta::{ChangePair, DeltaRecord};
 use crate::scheme::NxM;
@@ -85,6 +87,50 @@ impl OffsetSet {
         }
     }
 
+    /// Add the offset `at + i` of every byte `i` in which `old` and `new`
+    /// (as long) differ, and return whether any did. Eight bytes are
+    /// compared at a time, and a word that differs goes into the bitmap as
+    /// one byte mask, without looking at its bytes one by one.
+    fn insert_diff(&mut self, at: usize, old: &[u8], new: &[u8]) -> bool {
+        let (mut old_words, mut new_words) = (old.chunks_exact(WORD), new.chunks_exact(WORD));
+        let mut differed = false;
+        let mut offset = at;
+        for (a, b) in old_words.by_ref().zip(new_words.by_ref()) {
+            let diff = le_word(a) ^ le_word(b);
+            if diff != 0 {
+                self.insert_mask(offset, byte_mask(diff));
+                differed = true;
+            }
+            offset += WORD;
+        }
+        let diff = le_word(old_words.remainder()) ^ le_word(new_words.remainder());
+        if diff != 0 {
+            self.insert_mask(offset, byte_mask(diff));
+            differed = true;
+        }
+        differed
+    }
+
+    /// Add the offset `at + i` for each bit `i` of `mask`, a byte mask
+    /// (bits 0–7, not all clear). The eight offsets straddle two words of
+    /// the bitmap when `at` lies in the last seven bits of one.
+    fn insert_mask(&mut self, at: usize, mask: u64) {
+        let last = at + (63 - mask.leading_zeros() as usize);
+        debug_assert!(last < 1 << 16, "offsets are two bytes");
+        if last / 64 >= self.words.len() {
+            self.words.resize(last / 64 + 1, 0);
+        }
+        let (w, bit) = (at / 64, at % 64);
+        let mut or = |word: &mut u64, bits: u64| {
+            self.count += (bits & !*word).count_ones() as usize;
+            *word |= bits;
+        };
+        or(&mut self.words[w], mask << bit);
+        if last / 64 > w {
+            or(&mut self.words[w + 1], mask >> (64 - bit));
+        }
+    }
+
     /// Members in ascending order.
     fn iter(&self) -> impl Iterator<Item = u16> + '_ {
         self.words.iter().enumerate().flat_map(|(w, &word)| {
@@ -105,6 +151,30 @@ impl OffsetSet {
         self.words.clear();
         self.count = 0;
     }
+}
+
+const WORD: usize = std::mem::size_of::<u64>();
+
+/// Up to eight bytes as one word, the first the least significant and
+/// missing ones zero.
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut w = [0u8; WORD];
+    w[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(w)
+}
+
+/// Which bytes of `diff` are not zero: bit `i` of the result is set iff
+/// byte `i` (the `i`-th least significant) is. Each byte's bits are folded
+/// into its lowest, and one multiplication gathers the eight lowest bits
+/// into the top byte — every partial product lands on a bit of its own, so
+/// nothing carries.
+fn byte_mask(diff: u64) -> u64 {
+    const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let folded = diff | diff >> 4;
+    let folded = folded | folded >> 2;
+    let folded = folded | folded >> 1;
+    (folded & LOW_BITS).wrapping_mul(GATHER) >> 56
 }
 
 /// Accumulates changed byte offsets for one buffered page.
@@ -203,7 +273,9 @@ impl ChangeTracker {
     /// only `U` grew, the two overflow conditions on `U` stay true once
     /// true, and the metadata condition — false when the run began, or
     /// `exceeded` would be latched — only gets looser as `U` grows. So the
-    /// latch falls in the same call as with a check after every byte.
+    /// latch falls in the same call as with a check after every byte, and
+    /// for the same reason after every run of a write
+    /// ([`Self::record_body_diff`]).
     pub fn record_body_run(&mut self, start: u16, len: usize) {
         if len > 0 {
             self.body.insert_run(start as usize, len);
@@ -218,6 +290,24 @@ impl ChangeTracker {
     pub fn record_meta_run(&mut self, start: u16, len: usize) {
         if len > 0 {
             self.meta.insert_run(start as usize, len);
+            self.check_capacity();
+        }
+    }
+
+    /// Record as changed every body byte where `new`, about to be written
+    /// at page offset `at`, differs from `old`, the bytes there now (as
+    /// long). One capacity check for the whole write, when any byte
+    /// differed: the latch falls in the same call as with a check per run
+    /// ([`Self::record_body_run`]).
+    pub fn record_body_diff(&mut self, at: usize, old: &[u8], new: &[u8]) {
+        if self.body.insert_diff(at, old, new) {
+            self.check_capacity();
+        }
+    }
+
+    /// [`Self::record_body_diff`] for metadata bytes.
+    pub fn record_meta_diff(&mut self, at: usize, old: &[u8], new: &[u8]) {
+        if self.meta.insert_diff(at, old, new) {
             self.check_capacity();
         }
     }

@@ -45,6 +45,15 @@ pub enum EngineError {
     TupleTooLarge(usize),
     /// The WAL ran out of configured capacity even after reclamation.
     LogFull,
+    /// Every logical page of a region is allocated: the engine's page
+    /// allocator, not the device, ran out (the device may still hold free
+    /// blocks).
+    OutOfPages {
+        /// The region.
+        region: usize,
+        /// Its logical pages, all allocated.
+        capacity: u64,
+    },
     /// B+-tree invariant violation (duplicate key on unique index, ...).
     IndexError(String),
     /// Recovery found an inconsistency it cannot repair.
@@ -87,6 +96,9 @@ impl std::fmt::Display for EngineError {
             EngineError::BadRid(rid) => write!(f, "bad rid {rid:?}"),
             EngineError::TupleTooLarge(n) => write!(f, "tuple of {n} bytes does not fit any page"),
             EngineError::LogFull => write!(f, "log capacity exhausted"),
+            EngineError::OutOfPages { region, capacity } => {
+                write!(f, "region {region} has all {capacity} logical pages allocated")
+            }
             EngineError::IndexError(msg) => write!(f, "index: {msg}"),
             EngineError::RecoveryError(msg) => write!(f, "recovery: {msg}"),
             EngineError::Internal(msg) => write!(f, "internal engine invariant violated: {msg}"),
@@ -107,5 +119,7 @@ mod tests {
         let e: EngineError = NoFtlError::Unmapped(ipa_noftl::Lba(1)).into();
         assert!(e.to_string().contains("noftl:"));
         assert!(EngineError::PoolExhausted.to_string().contains("pinned"));
+        let out = EngineError::OutOfPages { region: 2, capacity: 640 };
+        assert_eq!(out.to_string(), "region 2 has all 640 logical pages allocated");
     }
 }

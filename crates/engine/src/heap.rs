@@ -8,7 +8,7 @@ use crate::db::{Database, PageId};
 use crate::error::EngineError;
 use crate::lock::LockMode;
 use crate::txn::TxId;
-use crate::wal::LogPayload;
+use crate::wal::{self, LogPayload};
 use crate::Result;
 
 /// Record identifier: page + slot.
@@ -188,12 +188,13 @@ impl Database {
         new: &[u8],
         before: &mut Vec<u8>,
     ) -> Result<Rid> {
-        // One access copies the before image and asks whether the new one
-        // fits in its place.
-        let fits = self.read_tuple_and(rid, before, |p| p.update_fits(rid.slot, new.len()))??;
+        // One access copies the before image and asks where the new one
+        // goes, if it fits the page.
+        let place = self.read_tuple_and(rid, before, |p| p.update_place(rid.slot, new.len()))??;
         let (page, slot, before) = (rid.page, rid.slot, before.as_slice());
-        if fits {
-            self.log_and_apply(tx, LogPayload::Update { tx, page, slot, before, after: new })?;
+        if let Some((from, to)) = place {
+            let record = wal::update((tx, page, slot), (from, before), (to, new));
+            self.log_and_apply(tx, record)?;
             return Ok(rid);
         }
         // Relocate: remove here, insert wherever there is room.
@@ -360,6 +361,35 @@ mod tests {
             b
         });
         assert_eq!(delete, (2, 2));
+    }
+
+    #[test]
+    fn rolling_back_length_changes_restores_every_tuple_where_it_was() {
+        // One tuple shrunk and another grown (which moves it to the page's
+        // frontier), then inserts fill the page: rollback puts both back in
+        // their places, and needs no free bytes to do it.
+        let mut db = test_db(NxM::tpcc(), 16);
+        let heap = db.create_heap(0);
+        let mut tx = db.txn();
+        let rid = tx.heap_insert(heap, &[1u8; 200]).unwrap();
+        let other = tx.heap_insert(heap, &[2u8; 100]).unwrap();
+        tx.commit().unwrap();
+        let page = |db: &mut Database| db.with_page(rid.page, |p| p.bytes().to_vec()).unwrap();
+        let committed = page(&mut db);
+        let mut tx = db.txn();
+        assert_eq!(tx.heap_update(heap, rid, &[3u8; 120]).unwrap(), rid);
+        assert_eq!(tx.heap_update(heap, other, &[4u8; 150]).unwrap(), other);
+        while tx.db().with_page(rid.page, |p| p.free_space_for_insert()).unwrap() >= 40 {
+            tx.heap_insert(heap, &[5u8; 40]).unwrap();
+        }
+        tx.abort().unwrap();
+        assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![1u8; 200]);
+        assert_eq!(db.heap_read_unlocked(other).unwrap(), vec![2u8; 100]);
+        let rolled_back = page(&mut db);
+        for slot in [rid.slot, other.slot] {
+            let entry = db.layout(0).slot_entry_range(slot.0);
+            assert_eq!(rolled_back[entry.clone()], committed[entry], "{slot:?} is where it was");
+        }
     }
 
     #[test]

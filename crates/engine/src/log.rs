@@ -123,6 +123,7 @@ impl Database {
             let starts_an_operation = matches!(
                 payload,
                 LogPayload::Update { .. }
+                    | LogPayload::Resize { .. }
                     | LogPayload::Insert { .. }
                     | LogPayload::Delete { .. }
                     | LogPayload::IndexInsert { .. }

@@ -284,13 +284,12 @@ impl Database {
 
     /// Allocate a fresh logical page in a region and materialize it in the
     /// buffer as a formatted, dirty, not-yet-on-flash page. Room is made
-    /// before the LBA is taken, so a failed eviction takes none.
+    /// before the LBA is taken, so a failed eviction takes none. A region
+    /// whose logical pages are all allocated is [`EngineError::OutOfPages`].
     pub fn new_page(&mut self, region: usize) -> Result<PageId> {
         let alloc = &self.kept.pager.allocators[region];
         if alloc.free.is_empty() && alloc.next >= alloc.capacity {
-            return Err(EngineError::NoFtl(ipa_noftl::NoFtlError::DeviceFull {
-                region: format!("region {region}"),
-            }));
+            return Err(EngineError::OutOfPages { region, capacity: alloc.capacity });
         }
         let evicted = self.ensure_free_frame()?;
         let alloc = &mut self.kept.pager.allocators[region];
@@ -491,8 +490,27 @@ impl Database {
                 return Ok(());
             }
             match action {
-                LogPayload::Update { slot, after, .. } => {
-                    page.update_tuple(*slot, after.as_ref(), tracker)?;
+                // A window past the tuple's end, or an image past the page's
+                // room: log and page have diverged, and writing it would
+                // change another tuple's bytes.
+                LogPayload::Update { slot, at, after, .. } => {
+                    let after = after.as_ref();
+                    if !page.patch_tuple(*slot, usize::from(*at), after, tracker)? {
+                        return Err(EngineError::RecoveryError(format!(
+                            "update {lsn:?} writes {} bytes at {at} of {slot:?} of {pid:?}, past \
+                             the tuple's end",
+                            after.len()
+                        )));
+                    }
+                }
+                LogPayload::Resize { slot, to, after, .. } => {
+                    let after = after.as_ref();
+                    if !page.place_tuple(*slot, usize::from(*to), after, tracker)? {
+                        return Err(EngineError::RecoveryError(format!(
+                            "resize {lsn:?} puts {} bytes at {to} of {pid:?}, past its room",
+                            after.len()
+                        )));
+                    }
                 }
                 LogPayload::Insert { slot, tuple, .. } => {
                     // Pages assign slots in order, so the tuple must land

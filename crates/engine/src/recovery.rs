@@ -90,8 +90,19 @@ pub(crate) fn rollback_budgeted(
 /// what rollback logs as the CLR's action and then applies.
 fn invert<B: Copy>(payload: &LogPayload<B>) -> Option<LogPayload<B>> {
     match *payload {
-        LogPayload::Update { tx, page, slot, before, after } => {
-            Some(LogPayload::Update { tx, page, slot, before: after, after: before })
+        LogPayload::Update { tx, page, slot, at, kept, before, after } => {
+            Some(LogPayload::Update { tx, page, slot, at, kept, before: after, after: before })
+        }
+        LogPayload::Resize { tx, page, slot, from, to, before, after } => {
+            Some(LogPayload::Resize {
+                tx,
+                page,
+                slot,
+                from: to,
+                to: from,
+                before: after,
+                after: before,
+            })
         }
         LogPayload::Insert { tx, page, slot, tuple } => {
             Some(LogPayload::Delete { tx, page, slot, before: tuple })

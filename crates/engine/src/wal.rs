@@ -17,25 +17,25 @@
 //! loss of the unflushed tail hand back the chunks that hold nothing any
 //! more.
 //!
-//! An update changes a few bytes of its tuple, so the log holds the bytes
-//! an `Update` leaves unchanged once: its `after` image — at top level or
-//! as a CLR's action — is stored as the window where it differs from
-//! `before`, which lies right before the window in the image sequence.
-//! Nothing else knows: a [`Span`] of an after image still has the image's
-//! full length, and the log's space accounting
-//! ([`LogPayload::size_bytes`], [`Wal::used_fraction`]) counts every image
-//! at that length, so how the log stores an image never changes when it
-//! reclaims space. A B+-tree node write is logged the same way from the
-//! start: its [`LogPayload::PageWrite`] holds the runs of bytes it changed
-//! and is charged the span they cover.
+//! A record holds what its change needs and no more. An update changes a
+//! few bytes of its tuple, so an [`LogPayload::Update`] — an update that
+//! keeps the tuple's length — holds the window where the two images differ:
+//! its offset in the tuple and its bytes before and after ([`update`]). Only
+//! a [`LogPayload::Resize`], which changes the length, holds both images
+//! whole. A B+-tree node write ([`LogPayload::PageWrite`]) holds the runs
+//! of bytes it changed. Windows and runs are found by one scan,
+//! [`ipa_core::changed_runs`]. The
+//! log's space accounting ([`LogPayload::size_bytes`],
+//! [`Wal::used_fraction`]) still charges an update both images whole and a
+//! node write the span its runs cover, so how little a record holds never
+//! changes when the log reclaims space.
 //!
 //! Restart and rollback read a record where the log keeps it:
 //! [`Wal::record`] and [`Wal::records_from`] show its kind, transaction,
 //! page and checkpoint tables in place, its images as [`Span`]s, and
 //! [`Wal::images`] copies the images of the one record being applied into a
-//! buffer the caller reuses, every image rebuilt whole. The owned view —
-//! `LogRecord`, every image a `Vec<u8>` — is the model's interface and
-//! exists in tests only.
+//! buffer the caller reuses. The owned view — `LogRecord`, every image a
+//! `Vec<u8>` — is the model's interface and exists in tests only.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -72,7 +72,15 @@ pub enum LogPayload<B = Vec<u8>> {
         /// Transaction id.
         tx: TxId,
     },
-    /// Tuple update (physical before/after images).
+    /// Tuple update that keeps the tuple's length: physical before and
+    /// after images of the window it changed ([`update`]), the stretch from
+    /// the first byte that differs to the last, `at` bytes into the tuple.
+    /// The `kept` bytes around it are left to the page. Redo writes the
+    /// after window there, which is correct on the tuple the record was
+    /// logged against — the one ARIES redo rebuilds (PageLSN, recLSN). Undo
+    /// writes the before window over the after window, which the tuple
+    /// still holds under strict two-phase locking. The log charges both
+    /// images whole ([`LogPayload::size_bytes`]).
     Update {
         /// Transaction id.
         tx: TxId,
@@ -80,6 +88,34 @@ pub enum LogPayload<B = Vec<u8>> {
         page: PageId,
         /// Affected slot.
         slot: SlotId,
+        /// Offset of the window in the tuple.
+        at: u16,
+        /// Bytes of the tuple outside the window, the same before and
+        /// after.
+        kept: u16,
+        /// The window before the update.
+        before: B,
+        /// The window after the update, as long as `before`.
+        after: B,
+    },
+    /// Tuple update that changes the tuple's length: both images whole,
+    /// and where each lies, as offsets from the start of the page's body
+    /// (which a relayout moves with the tuples). The tuple stays where it
+    /// is when it shrinks and moves to the free-space frontier when it
+    /// grows. Applying the record puts the image it writes where the record
+    /// says, so undo puts the tuple back where it lay and takes no free
+    /// bytes: the bytes it left are garbage that nothing else reuses.
+    Resize {
+        /// Transaction id.
+        tx: TxId,
+        /// Affected page.
+        page: PageId,
+        /// Affected slot.
+        slot: SlotId,
+        /// Where the tuple lay before.
+        from: u16,
+        /// Where it lies after.
+        to: u16,
         /// Before image.
         before: B,
         /// After image.
@@ -221,6 +257,7 @@ impl<B> LogPayload<B> {
         match self {
             LogPayload::Begin { tx }
             | LogPayload::Update { tx, .. }
+            | LogPayload::Resize { tx, .. }
             | LogPayload::Insert { tx, .. }
             | LogPayload::Delete { tx, .. }
             | LogPayload::Undelete { tx, .. }
@@ -242,6 +279,7 @@ impl<B> LogPayload<B> {
     pub fn redo_page(&self) -> Option<PageId> {
         match self {
             LogPayload::Update { page, .. }
+            | LogPayload::Resize { page, .. }
             | LogPayload::Insert { page, .. }
             | LogPayload::Delete { page, .. }
             | LogPayload::Undelete { page, .. }
@@ -266,8 +304,13 @@ impl<B> LogPayload<B> {
     pub fn map_images<C>(self, image: &mut impl FnMut(B) -> C) -> LogPayload<C> {
         match self {
             LogPayload::Begin { tx } => LogPayload::Begin { tx },
-            LogPayload::Update { tx, page, slot, before, after } => {
-                LogPayload::Update { tx, page, slot, before: image(before), after: image(after) }
+            LogPayload::Update { tx, page, slot, at, kept, before, after } => {
+                let (before, after) = (image(before), image(after));
+                LogPayload::Update { tx, page, slot, at, kept, before, after }
+            }
+            LogPayload::Resize { tx, page, slot, from, to, before, after } => {
+                let (before, after) = (image(before), image(after));
+                LogPayload::Resize { tx, page, slot, from, to, before, after }
             }
             LogPayload::Insert { tx, page, slot, tuple } => {
                 LogPayload::Insert { tx, page, slot, tuple: image(tuple) }
@@ -309,7 +352,10 @@ impl<B> LogPayload<B> {
     /// length.
     fn size_with(&self, len: &impl Fn(&B) -> usize) -> usize {
         let body = match self {
-            LogPayload::Update { before, after, .. } => len(before) + len(after),
+            LogPayload::Update { before, after, kept, .. } => {
+                len(before) + len(after) + 2 * usize::from(*kept)
+            }
+            LogPayload::Resize { before, after, .. } => len(before) + len(after),
             LogPayload::Insert { tuple, .. } | LogPayload::Undelete { tuple, .. } => len(tuple),
             LogPayload::Delete { before, .. } => len(before),
             LogPayload::PageWrite { extent, .. } => *extent as usize,
@@ -323,8 +369,9 @@ impl<B> LogPayload<B> {
 
 impl<B: AsRef<[u8]>> LogPayload<B> {
     /// Approximate on-disk size of the record, used for log-space
-    /// accounting: a header and the images, a page write's as the span it
-    /// covers, however few bytes of it its runs hold.
+    /// accounting: a header and the images, an update's both whole and a
+    /// page write's as the span it covers, however few bytes of them the
+    /// record holds.
     pub fn size_bytes(&self) -> usize {
         self.size_with(&|image| image.as_ref().len())
     }
@@ -365,6 +412,33 @@ pub(crate) fn encode_runs(old: &[u8], new: &[u8], runs: &mut Vec<u8>) -> Option<
         push(runs, new, run, &mut span);
     }
     span
+}
+
+/// The record of an update of the tuple at `slot` of `page` from `before`,
+/// which lies at `from`, to `after`, which goes to `to` (offsets from the
+/// start of the body, as [`ipa_core::DbPage::update_place`] gives them).
+/// When the two are as long, an [`LogPayload::Update`] of the window from
+/// the first byte where they differ to the last, at its offset in the tuple
+/// (an empty window at 0 when none differs); otherwise a
+/// [`LogPayload::Resize`] holding both whole. A tuple is shorter than a
+/// page, whose offsets are `u16`.
+pub(crate) fn update<'a>(
+    (tx, page, slot): (TxId, PageId, SlotId),
+    (from, before): (u16, &'a [u8]),
+    (to, after): (u16, &'a [u8]),
+) -> LogPayload<&'a [u8]> {
+    let len = after.len();
+    if before.len() != len {
+        return LogPayload::Resize { tx, page, slot, from, to, before, after };
+    }
+    let mut window = None::<Range<usize>>;
+    ipa_core::changed_runs(before, after, |start, run| {
+        window = Some(window.as_ref().map_or(start, |w| w.start)..start + run);
+    });
+    let window = window.unwrap_or(0..0);
+    let (at, kept) = (window.start as u16, (len - window.len()) as u16);
+    let (before, after) = (&before[window.clone()], &after[window]);
+    LogPayload::Update { tx, page, slot, at, kept, before, after }
 }
 
 /// Call `write(at, bytes)` for each run of a page write's `runs`, `at`
@@ -412,57 +486,13 @@ pub struct LogRecord {
     pub payload: LogPayload,
 }
 
-/// Where the log holds an image: the index in the image sequence (every
-/// image byte ever appended and not lost counts) of the bytes it stores,
-/// and the image's length. Only the [`Wal`] that handed it out can read it
-/// ([`Wal::images`]).
+/// Where the log holds an image: its index in the image sequence (every
+/// image byte ever appended and not lost counts) and its length. Only the
+/// [`Wal`] that handed it out can read it ([`Wal::images`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
     start: u64,
     len: u32,
-    /// Bytes at the front and at the back of the image that equal those of
-    /// the image of the same length the sequence holds right before
-    /// `start` — an update's before image — and are not stored again. Zero
-    /// for every image but an update's after image.
-    lead: u16,
-    trail: u16,
-}
-
-const WORD: usize = std::mem::size_of::<u64>();
-
-/// Eight bytes as one word, the first the least significant.
-fn word(bytes: &[u8]) -> u64 {
-    let mut w = [0u8; WORD];
-    w.copy_from_slice(bytes);
-    u64::from_le_bytes(w)
-}
-
-/// How many bytes at the front of `a` equal those of `b`, which is as long.
-/// Of a tuple of hundreds of bytes an update changes a few: eight bytes
-/// are compared at a time, and only a word that differs is looked into.
-fn common_prefix(a: &[u8], b: &[u8]) -> usize {
-    for (i, (x, y)) in a.chunks_exact(WORD).zip(b.chunks_exact(WORD)).enumerate() {
-        let diff = word(x) ^ word(y);
-        if diff != 0 {
-            return i * WORD + diff.trailing_zeros() as usize / 8;
-        }
-    }
-    let words = a.len() - a.len() % WORD;
-    words + a[words..].iter().zip(&b[words..]).take_while(|(x, y)| x == y).count()
-}
-
-/// How many bytes at the back of `a` equal those of `b`, which is as long:
-/// [`common_prefix`] from the other end.
-fn common_suffix(a: &[u8], b: &[u8]) -> usize {
-    for (i, (x, y)) in a.rchunks_exact(WORD).zip(b.rchunks_exact(WORD)).enumerate() {
-        let diff = word(x) ^ word(y);
-        if diff != 0 {
-            return i * WORD + diff.leading_zeros() as usize / 8;
-        }
-    }
-    let rest = a.len() % WORD;
-    let (x, y) = (a[..rest].iter().rev(), b[..rest].iter().rev());
-    a.len() - rest + x.zip(y).take_while(|(x, y)| x == y).count()
 }
 
 /// One retained record. The record with LSN `l` is element `l - 1` of the
@@ -594,37 +624,11 @@ impl Chunked<u8> {
         Some(())
     }
 
-    /// Push the bytes of `image` but its first `lead` and last `trail`,
-    /// and return the span of the whole image.
-    fn push_image(&mut self, image: &[u8], lead: usize, trail: usize) -> Span {
+    /// Push `image` and return its span.
+    fn push_image(&mut self, image: &[u8]) -> Span {
         let start = self.end;
-        self.extend_from_slice(&image[lead..image.len() - trail]);
-        Span { start, len: image.len() as u32, lead: lead as u16, trail: trail as u16 }
-    }
-}
-
-/// `payload` with its images pushed behind the last image of `arena`, an
-/// update's after image — at top level or as a CLR's action — as the window
-/// where it differs from the before image pushed right ahead of it. Images
-/// of different lengths, or longer than a span can leave out, are pushed
-/// whole.
-fn store<B: AsRef<[u8]>>(arena: &mut Chunked<u8>, payload: LogPayload<B>) -> LogPayload<Span> {
-    match payload {
-        LogPayload::Update { tx, page, slot, before, after } => {
-            let (before, after) = (before.as_ref(), after.as_ref());
-            let (mut lead, mut trail) = (0, 0);
-            if before.len() == after.len() && after.len() <= usize::from(u16::MAX) {
-                lead = common_prefix(before, after);
-                trail = common_suffix(&before[lead..], &after[lead..]);
-            }
-            let before = arena.push_image(before, 0, 0);
-            let after = arena.push_image(after, lead, trail);
-            LogPayload::Update { tx, page, slot, before, after }
-        }
-        LogPayload::Clr { tx, undone, undo_next, action } => {
-            LogPayload::Clr { tx, undone, undo_next, action: Box::new(store(arena, *action)) }
-        }
-        other => other.map_images(&mut |image: B| arena.push_image(image.as_ref(), 0, 0)),
+        self.extend_from_slice(image);
+        Span { start, len: image.len() as u32 }
     }
 }
 
@@ -691,7 +695,7 @@ impl Wal {
             _ => {}
         }
         let images_at = self.arena.end;
-        let payload = store(&mut self.arena, payload);
+        let payload = payload.map_images(&mut |image: B| self.arena.push_image(image.as_ref()));
         self.records.push(Retained { prev, images_at, payload });
         lsn
     }
@@ -766,8 +770,8 @@ impl Wal {
 
     /// `payload` — a record of this log or part of one (a CLR's action, an
     /// inverse built from its spans) — with its images copied into
-    /// `images`, which is cleared first: each image once and whole, back to
-    /// back, and `images` allocates only when it grows. The result borrows
+    /// `images`, which is cleared first: each image once, back to back, and
+    /// `images` allocates only when it grows. The result borrows
     /// `images`, not the log. A span that names bytes the log no longer or
     /// never held is [`EngineError::Internal`], never an image rebuilt from
     /// other bytes.
@@ -780,7 +784,7 @@ impl Wal {
         let mut held = true;
         let ranges = payload.map_images(&mut |span: Span| {
             let start = images.len();
-            held &= self.copy_image(span, images).is_some();
+            held &= self.arena.copy_to(span.start, u64::from(span.len), images).is_some();
             start..images.len()
         });
         if !held {
@@ -790,20 +794,6 @@ impl Wal {
         }
         let images: &'b [u8] = images;
         Ok(ranges.map_images(&mut |range: Range<usize>| &images[range]))
-    }
-
-    /// Append the image `span` names to `out`: an after image stored as a
-    /// window takes its unchanged bytes from the before image right ahead
-    /// of the window.
-    fn copy_image(&self, span: Span, out: &mut Vec<u8>) -> Option<()> {
-        let (len, lead, trail) = (u64::from(span.len), u64::from(span.lead), u64::from(span.trail));
-        if lead + trail == 0 {
-            return self.arena.copy_to(span.start, len, out);
-        }
-        let before = span.start.checked_sub(len)?;
-        self.arena.copy_to(before, lead, out)?;
-        self.arena.copy_to(span.start, len - lead - trail, out)?;
-        self.arena.copy_to(before + len - trail, trail, out)
     }
 
     /// The previous record of the same transaction, for a retained `lsn`:
@@ -898,9 +888,18 @@ mod tests {
             tx: TxId(tx),
             page: PageId::new(0, 0),
             slot: SlotId(0),
+            at: 0,
+            kept: 0,
             before: vec![1, 2],
             after: vec![3, 4],
         }
+    }
+
+    /// [`update`] of a tuple that lies at 40 and, if it grows, goes to
+    /// 300, owned.
+    fn owned_update(ids: (TxId, PageId, SlotId), before: &[u8], after: &[u8]) -> LogPayload {
+        let to = if after.len() > before.len() { 300 } else { 40 };
+        update(ids, (40, before), (to, after)).map_images(&mut |image: &[u8]| image.to_vec())
     }
 
     fn end_checkpoint() -> LogPayload {
@@ -1159,7 +1158,7 @@ mod tests {
             0 => LogPayload::Begin { tx },
             1 | 2 => {
                 let (before, after) = random_update_images(rng);
-                LogPayload::Update { tx, page, slot, before, after }
+                owned_update((tx, page, slot), &before, &after)
             }
             3 => LogPayload::Insert { tx, page, slot, tuple: image(rng) },
             4 => LogPayload::Delete { tx, page, slot, before: image(rng) },
@@ -1182,7 +1181,7 @@ mod tests {
                 // Half of them compensate an update, as an update.
                 action: Box::new(if rng.gen() {
                     let (before, after) = random_update_images(rng);
-                    LogPayload::Update { tx, page, slot, before, after }
+                    owned_update((tx, page, slot), &before, &after)
                 } else {
                     random_payload(rng, 1)
                 }),
@@ -1200,8 +1199,8 @@ mod tests {
     fn arena_log_matches_the_record_vector_model() {
         use rand::Rng;
         let (mut appended, mut truncated, mut lost) = (0u64, 0u64, 0u64);
-        // Appended updates whose after image the log stores as a window
-        // short of the whole image, at top level and inside a CLR.
+        // Appended updates that hold a window short of their tuple, which
+        // the log charges whole, at top level and inside a CLR.
         let (mut windows, mut clr_windows) = (0u64, 0u64);
         ipa_flash::for_each_case(1_500, |rng| {
             // Chunks short enough that images straddle them and every
@@ -1217,7 +1216,7 @@ mod tests {
                 match rng.gen_range(0..12) {
                     0..=6 => {
                         let (prev, payload) = (near(rng, &model), random_payload(rng, 0));
-                        if stored_len(&payload) < image_len(&payload) {
+                        if matches!(payload.redo_action(), LogPayload::Update { kept: 1.., .. }) {
                             let clr = matches!(payload, LogPayload::Clr { .. });
                             *if clr { &mut clr_windows } else { &mut windows } += 1;
                         }
@@ -1251,13 +1250,12 @@ mod tests {
                 assert_eq!(wal.prev_of(probe), model.get(probe).map(|r| r.prev));
                 let from = near(rng, &model);
                 assert!(wal.iter_from(from).eq(model.iter_from(from).cloned()), "from {from:?}");
-                // The log holds the retained records and their images — an
-                // update's unchanged bytes once — and memory for them alone:
-                // less than a chunk spare at each end.
+                // The log holds the retained records and their images, and
+                // memory for them alone: less than a chunk spare at each end.
                 let retained = model.records.len();
                 assert_eq!((wal.records.end - wal.records.start) as usize, retained);
                 assert!(wal.records.chunks.len() <= retained / records + 2, "{retained}");
-                let held: usize = model.records.iter().map(|r| stored_len(&r.payload)).sum();
+                let held: usize = model.records.iter().map(|r| image_len(&r.payload)).sum();
                 assert_eq!((wal.arena.end - wal.arena.start) as usize, held);
                 assert!(wal.arena.chunks.len() <= held / image_bytes + 2, "{held}");
                 for chunk in wal.arena.chunks.iter() {
@@ -1277,7 +1275,9 @@ mod tests {
         // A node write that changes every other word of a 3992-byte span:
         // it holds 250 runs of eight bytes with their headers, and is
         // charged the span.
-        let node: Vec<u8> = (0..4000).map(|i| u8::from((i / WORD).is_multiple_of(2))).collect();
+        const WORD: usize = 8;
+        let node: Vec<u8> =
+            (0..4000).map(|i: usize| u8::from((i / WORD).is_multiple_of(2))).collect();
         let mut runs = Vec::new();
         assert_eq!(encode_runs(&[0; 4000], &node, &mut runs), Some(0..3992));
         assert_eq!(runs.len(), 250 * (RUN_HEADER + WORD));
@@ -1321,25 +1321,6 @@ mod tests {
         total
     }
 
-    /// Bytes the log stores for a record's images: of an update's after
-    /// image as long as its before image — at top level or a CLR's action —
-    /// those from the first to the last that differ from the before image,
-    /// found byte by byte.
-    fn stored_len(payload: &LogPayload) -> usize {
-        match payload.redo_action() {
-            LogPayload::Update { before, after, .. } if before.len() == after.len() => {
-                let differs = |&i: &usize| before[i] != after[i];
-                let window = match ((0..after.len()).find(differs), (0..after.len()).rfind(differs))
-                {
-                    (Some(first), Some(last)) => last + 1 - first,
-                    _ => 0,
-                };
-                before.len() + window
-            }
-            _ => image_len(payload),
-        }
-    }
-
     #[test]
     fn record_sizes_are_a_header_plus_the_images() {
         assert_eq!(LogPayload::<Vec<u8>>::Commit { tx: TxId(1) }.size_bytes(), 32);
@@ -1358,6 +1339,13 @@ mod tests {
             dirty: vec![(PageId::new(0, 1), Lsn(1)); 2],
         };
         assert_eq!(checkpoint.size_bytes(), 32 + 16 + 2 * 24);
+        // An update is charged both images whole, however small the window
+        // it holds.
+        let mut tuple = vec![7u8; 100];
+        let before = tuple.clone();
+        tuple[40] = 8;
+        let window = owned_update((TxId(1), PageId::new(0, 1), SlotId(2)), &before, &tuple);
+        assert_eq!(window.size_bytes(), 32 + 2 * 100);
         // A node write is charged the span it covers, not the runs it holds.
         let node = LogPayload::PageWrite {
             tx: TxId(1),
@@ -1377,55 +1365,80 @@ mod tests {
     }
 
     #[test]
-    fn an_update_holds_its_unchanged_bytes_once() {
+    fn an_update_is_logged_as_the_window_it_changes() {
+        let (tx, page, slot) = (TxId(1), PageId::new(0, 0), SlotId(0));
         let before: Vec<u8> = (0..200u8).collect();
         let mut after = before.clone();
         after[97..100].copy_from_slice(&[0xAA; 3]);
-        let update = LogPayload::Update {
-            tx: TxId(1),
-            page: PageId::new(0, 0),
-            slot: SlotId(0),
-            before: before.clone(),
-            after: after.clone(),
+        let update = owned_update((tx, page, slot), &before, &after);
+        let window = LogPayload::Update {
+            tx,
+            page,
+            slot,
+            at: 97,
+            kept: 197,
+            before: before[97..100].to_vec(),
+            after: vec![0xAA; 3],
         };
+        assert_eq!(update, window);
+        // Unchanged: an empty window; a new length: both images whole, and
+        // where the tuple lay and lies.
+        let same = owned_update((tx, page, slot), &before, &before);
+        let (at, kept) = (0, 200);
+        assert_eq!(
+            same,
+            LogPayload::Update { tx, page, slot, at, kept, before: vec![], after: vec![] }
+        );
+        let resized = owned_update((tx, page, slot), &before, &after[..199]);
+        let (from, to, after) = (40, 40, after[..199].to_vec());
+        let whole = LogPayload::Resize { tx, page, slot, from, to, before: before.clone(), after };
+        assert_eq!(resized, whole);
+        // A window at each end, and over the whole tuple.
+        for (changed, at, len) in [(0..1, 0, 1), (150..200, 150, 50), (0..200, 0, 200)] {
+            let mut after = before.clone();
+            after[changed].iter_mut().for_each(|b| *b = !*b);
+            let LogPayload::Update { at: a, kept, before: b, after: w, .. } =
+                owned_update((tx, page, slot), &before, &after)
+            else {
+                panic!("an update")
+            };
+            assert_eq!((a, kept, b.len(), w.len()), (at, 200 - len as u16, len, len));
+            assert_eq!(
+                (&b[..], &w[..]),
+                (&before[at as usize..][..len], &after[at as usize..][..len])
+            );
+        }
         let clr = LogPayload::Clr {
-            tx: TxId(1),
+            tx,
             undone: Lsn(1),
             undo_next: Lsn::NULL,
             action: Box::new(update.clone()),
         };
-        let resized = LogPayload::Update {
-            tx: TxId(1),
-            page: PageId::new(0, 0),
-            slot: SlotId(0),
-            before: before.clone(),
-            after: after[..199].to_vec(),
-        };
+        // The log stores what the record holds: six bytes, the 399 of the
+        // resized update; it charges both images of each whole.
         let mut wal = Wal::new(1 << 20);
-        // The before image and the three bytes that changed, at top level
-        // and as a CLR's action; images of two lengths are held whole.
-        for (payload, stored) in [(update, 203), (clr, 203), (resized, 399)] {
+        for (payload, stored) in [(update, 6), (clr, 6), (resized, 399)] {
             let held = wal.arena.end;
             let lsn = wal.append(Lsn::NULL, payload.clone());
             assert_eq!(wal.arena.end - held, stored);
             assert_eq!(wal.get(lsn).unwrap().payload, payload);
         }
-        // The accounting counts the images whole.
         assert_eq!(wal.used_bytes(), (32 + 400) + (64 + 400) + (32 + 399));
-        // An inverse built from the spans — what rollback logs — reads
-        // both images back whole, the windowed one as the before image.
-        let Some(&LogPayload::Update { tx, page, slot, before: b, after: a }) = wal.record(Lsn(1))
+        // An inverse built from the spans — what rollback logs — swaps the
+        // two windows at the same offset.
+        let Some(&LogPayload::Update { tx, page, slot, at, kept, before: b, after: a }) =
+            wal.record(Lsn(1))
         else {
             panic!("an update")
         };
         let mut images = Vec::new();
-        let inverse = LogPayload::Update { tx, page, slot, before: a, after: b };
-        let LogPayload::Update { before: b, after: a, .. } =
+        let inverse = LogPayload::Update { tx, page, slot, at, kept, before: a, after: b };
+        let LogPayload::Update { at, kept, before: b, after: a, .. } =
             wal.images(inverse, &mut images).unwrap()
         else {
             panic!("an update")
         };
-        assert_eq!((b, a), (&after[..], &before[..]));
+        assert_eq!((at, kept, b, a), (97, 197, &[0xAA; 3][..], &before[97..100]));
     }
 
     #[test]

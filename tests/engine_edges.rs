@@ -49,6 +49,29 @@ fn delta_records_are_physically_erased_until_appended() {
 }
 
 #[test]
+fn a_region_out_of_logical_pages_says_so_and_takes_no_lba() {
+    // The engine's allocator hands out the region's logical pages; once
+    // all are taken, `new_page` names the region and how many it has, and
+    // not the device, which still has blocks to spare.
+    let mut d = db(4, NxM::tpcc());
+    let capacity = d.ftl().capacity(RegionId(0)).unwrap();
+    assert!((100..10_000).contains(&capacity), "{capacity}");
+    let pages: Vec<_> = (0..capacity).map(|_| d.new_page(0).unwrap()).collect();
+    assert_eq!(pages.last().unwrap().lba.0, capacity - 1);
+    let evictions = d.stats().evictions;
+    for _ in 0..2 {
+        assert_eq!(d.new_page(0), Err(EngineError::OutOfPages { region: 0, capacity }));
+    }
+    assert_eq!(d.stats().evictions, evictions, "a refused call makes no room");
+    // The refused calls took no LBA: a freed page is the next one handed
+    // out, and then the region is full again.
+    d.free_page(pages[7]).unwrap();
+    assert_eq!(d.new_page(0).unwrap(), pages[7]);
+    assert_eq!(d.new_page(0), Err(EngineError::OutOfPages { region: 0, capacity }));
+    d.flush_all().unwrap();
+}
+
+#[test]
 fn pool_exhaustion_is_reported_not_hung() {
     let mut d = db(2, NxM::disabled());
     // Two new pages fill the pool as unpinned dirty frames — a third must
