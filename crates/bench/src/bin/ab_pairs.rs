@@ -16,7 +16,14 @@
 //!   pairs the change won, and the verdict of the claim rule: at least ten
 //!   pairs, the change better in at least nine of every ten, and the
 //!   medians apart by more than the parent's quartile distance, in the
-//!   better direction.
+//!   better direction;
+//! - for the same metrics, the regression verdict against the metric's
+//!   `bound` in `BENCHMARK.json`: how much worse the change's median is, as
+//!   a share of the parent's (`worse_by`, negative when it is better), and
+//!   `within bound`, `worse than bound`, or `unresolved` — the parent's
+//!   quartile distance, as a share of its median, is wider than the bound,
+//!   and not every run of the change is better than every run of the
+//!   parent, so the runs cannot tell either way.
 //!
 //! ```text
 //! ab_pairs --parent DIR_A/ipa-perf --change DIR_B/ipa-perf --pairs 10 \
@@ -110,6 +117,9 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
 struct Metric {
     name: String,
     higher_is_better: bool,
+    /// How much worse, as a share of the parent's median, the change may
+    /// be before it counts as a regression.
+    bound: f64,
 }
 
 /// What the benchmark declares: its workloads, run length and end-to-end
@@ -134,7 +144,8 @@ fn read_benchmark() -> Result<Benchmark, String> {
         .iter()
         .filter_map(|m| {
             let name = m["name"].as_str()?.to_string();
-            Some(Metric { name, higher_is_better: m["better"].as_str()? == "higher" })
+            let higher_is_better = m["better"].as_str()? == "higher";
+            Some(Metric { name, higher_is_better, bound: m["bound"].as_f64()? })
         })
         .collect();
     let seconds = doc["run_seconds"].as_u64().ok_or(format!("{BENCHMARK}: no run_seconds"))?;
@@ -224,6 +235,15 @@ impl Cell {
             && wins * 10 >= pairs * 9
             && better(cm, pm)
             && (cm - pm).abs() > pq3 - pq1;
+        let worse_by = (if m.higher_is_better { pm - cm } else { cm - pm }) / pm;
+        let every_run_better = c.iter().all(|c| p.iter().all(|p| better(*c, *p)));
+        let verdict = if (pq3 - pq1) / pm > m.bound && !every_run_better {
+            "unresolved"
+        } else if worse_by > m.bound {
+            "worse than bound"
+        } else {
+            "within bound"
+        };
         Some(json!({
             "name": m.name.as_str(),
             "unit": unit,
@@ -234,6 +254,9 @@ impl Cell {
             "wins": wins,
             "pairs": pairs,
             "claim_met": met,
+            "bound": m.bound,
+            "worse_by": worse_by,
+            "verdict": verdict,
         }))
     }
 }
@@ -266,7 +289,7 @@ fn table(report: &Value) -> String {
     let mut rows = vec![header
         .iter()
         .map(|s| s.to_string())
-        .chain(["change/parent", "wins", "claim"].map(String::from))
+        .chain(["change/parent", "wins", "claim", "worse by / bound", "verdict"].map(String::from))
         .collect::<Vec<_>>()];
     for cell in report["cells"].as_array().into_iter().flatten() {
         for m in cell["metrics"].as_array().into_iter().flatten() {
@@ -283,6 +306,12 @@ fn table(report: &Value) -> String {
                 format!("{:.3}", m["change_over_parent"].as_f64().unwrap_or(f64::NAN)),
                 format!("{}/{}", m["wins"], m["pairs"]),
                 if m["claim_met"] == true { "met" } else { "not met" }.to_string(),
+                format!(
+                    "{:+.1}% / {:.0}%",
+                    100.0 * m["worse_by"].as_f64().unwrap_or(f64::NAN),
+                    100.0 * m["bound"].as_f64().unwrap_or(f64::NAN)
+                ),
+                m["verdict"].as_str().unwrap_or_default().to_string(),
             ]);
         }
     }
@@ -411,7 +440,7 @@ mod tests {
     }
 
     fn tps() -> Metric {
-        Metric { name: "host_txn_per_s".into(), higher_is_better: true }
+        Metric { name: "host_txn_per_s".into(), higher_is_better: true, bound: 0.2 }
     }
 
     #[test]
@@ -436,8 +465,43 @@ mod tests {
         // Two pairs can never make a claim.
         assert!(!met(&cell(&parent[..2], &ahead(20.0)[..2])));
         // Lower is better: a gain in the wrong direction is no claim.
-        let rss = Metric { name: "host_txn_per_s".into(), higher_is_better: false };
+        let rss = Metric { name: "host_txn_per_s".into(), higher_is_better: false, bound: 0.1 };
         assert_eq!(cell(&parent, &ahead(20.0)).compare(&rss).unwrap()["wins"], 0);
+    }
+
+    #[test]
+    fn the_regression_verdict_weighs_the_median_against_the_bound_unless_the_runs_spread_wider() {
+        let verdict = |parent: &[f64], change: &[f64]| {
+            let m = cell(parent, change).compare(&tps()).unwrap();
+            (m["verdict"].as_str().unwrap().to_string(), m["worse_by"].as_f64().unwrap())
+        };
+        // A parent tight around 100 (quartile distance 1.5 %).
+        let parent: Vec<f64> = (0..10).map(|i| 100.0 + 0.3 * f64::from(i)).collect();
+        let scaled = |by: f64| parent.iter().map(|p| p * by).collect::<Vec<_>>();
+        // 10 % slower: within the 20 % bound; 30 % slower: past it; faster:
+        // a negative share, within.
+        let (v, worse) = verdict(&parent, &scaled(0.9));
+        assert_eq!(v, "within bound");
+        assert!((worse - 0.1).abs() < 1e-9, "{worse}");
+        assert_eq!(verdict(&parent, &scaled(0.7)).0, "worse than bound");
+        let (v, worse) = verdict(&parent, &scaled(1.5));
+        assert_eq!((v.as_str(), worse < 0.0), ("within bound", true));
+        // A parent whose quartiles lie 40 % of its median apart cannot
+        // resolve a 20 % bound, whichever way the change's median lies...
+        let wide = [60.0, 60.0, 70.0, 80.0, 100.0, 100.0, 120.0, 120.0, 140.0, 140.0];
+        assert_eq!(verdict(&wide, &wide).0, "unresolved");
+        assert_eq!(verdict(&wide, &[50.0; 10]).0, "unresolved");
+        // ...unless every run of the change beats every run of the parent.
+        assert_eq!(verdict(&wide, &[150.0; 10]).0, "within bound");
+        // Lower is better: the share is taken the other way.
+        let rss = Metric { name: "host_txn_per_s".into(), higher_is_better: false, bound: 0.1 };
+        let m = cell(&parent, &scaled(1.2)).compare(&rss).unwrap();
+        assert_eq!(m["verdict"], "worse than bound");
+        assert!((m["worse_by"].as_f64().unwrap() - 0.2).abs() < 1e-9);
+        // The table shows both.
+        let report = json!({"cells": [{"workload": "w", "seed": 7, "metrics": [m]}]});
+        let text = table(&report);
+        assert!(text.contains("+20.0% / 10%") && text.contains("worse than bound"), "{text}");
     }
 
     #[test]

@@ -106,6 +106,13 @@ impl Pager {
                 ftl_config.regions.len()
             ))));
         }
+        // The log names a page's region in 16 bits.
+        if ftl_config.regions.len() > 1 << 16 {
+            return Err(EngineError::Core(ipa_core::CoreError::InvalidPage(format!(
+                "{} regions: the log names at most 65 536",
+                ftl_config.regions.len()
+            ))));
+        }
         let page_size = ftl_config.flash.geometry.page_size;
         let layouts = schemes
             .iter()

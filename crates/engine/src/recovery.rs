@@ -33,7 +33,7 @@ use ipa_noftl::{EventKind, RecoveryPhaseKind, SpanCategory, SpanId};
 use crate::db::{Database, PageId, Volatile};
 use crate::error::EngineError;
 use crate::txn::TxId;
-use crate::wal::{LogPayload, Lsn};
+use crate::wal::{LogPayload, Lsn, Record};
 use crate::Result;
 
 /// Roll back one transaction (the abort path and restart undo), appending
@@ -62,14 +62,15 @@ pub(crate) fn rollback_budgeted(
                 break;
             };
             let inverse = match record {
-                LogPayload::Clr { undo_next, .. } => {
-                    cursor = *undo_next;
+                Record::Clr { undo_next, .. } => {
+                    cursor = undo_next;
                     continue;
                 }
-                LogPayload::Begin { .. } | LogPayload::Commit { .. } | LogPayload::Abort { .. } => {
-                    break
-                }
-                payload => invert(payload),
+                Record::Payload(
+                    LogPayload::Begin { .. } | LogPayload::Commit { .. } | LogPayload::Abort { .. },
+                ) => break,
+                Record::Payload(payload) => invert(&payload),
+                Record::EndCheckpoint { .. } => None,
             };
             let undone = cursor;
             cursor = prev;
@@ -269,19 +270,20 @@ impl Database {
         // entries, augmented by every page action analysis scans.
         let mut dpt: BTreeMap<PageId, Lsn> = BTreeMap::new();
         let mut scanned = 0u64;
-        for (lsn, record) in self.wal().records_from(start) {
+        let wal = self.wal();
+        for (lsn, record) in wal.records_from(start) {
             scanned += 1;
-            match record {
-                LogPayload::Commit { tx } | LogPayload::Abort { tx } => {
+            match &record {
+                Record::Payload(LogPayload::Commit { tx } | LogPayload::Abort { tx }) => {
                     losers.remove(tx);
                 }
-                LogPayload::EndCheckpoint { active, dirty } => {
-                    for (tx, last) in active {
-                        losers.entry(*tx).or_insert(*last);
+                &Record::EndCheckpoint { active, dirty } => {
+                    for (tx, last) in wal.active_table(active) {
+                        losers.entry(tx).or_insert(last);
                     }
-                    for (page, rec_lsn) in dirty {
-                        let e = dpt.entry(*page).or_insert(*rec_lsn);
-                        *e = (*e).min(*rec_lsn);
+                    for (page, rec_lsn) in wal.dirty_table(dirty) {
+                        let e = dpt.entry(page).or_insert(rec_lsn);
+                        *e = (*e).min(rec_lsn);
                     }
                 }
                 other => {
@@ -321,7 +323,7 @@ impl Database {
                 // replayed, below the redo window too — cheap pointer
                 // writes, no page I/O — which keeps bounded restart
                 // bit-identical to the full scan.
-                if let LogPayload::RootChange { index, new_root, .. } = *record {
+                if let Record::Payload(LogPayload::RootChange { index, new_root, .. }) = record {
                     db.kept.indexes[index as usize].root = new_root;
                     continue;
                 }
@@ -347,7 +349,8 @@ impl Database {
                         }
                     }
                 }
-                let action = db.wal().images(record.redo_action().clone(), images)?;
+                let Some(action) = record.redo_action() else { continue };
+                let action = db.wal().images(action.clone(), images)?;
                 redo_healed(db, lsn, &action, page)?;
                 applied += 1;
             }
@@ -675,7 +678,7 @@ mod tests {
         // records the log still holds. Analysis reads in log order, so
         // each holder of an id is done before the next one begins.
         use crate::txn::TxId;
-        use crate::wal::LogPayload;
+        use crate::wal::{LogPayload, Record};
         for bounded in [true, false] {
             let (mut db, heap, rid) = seeded(16, &[1u8; 8]);
             commit_update(&mut db, heap, rid, &[2u8; 8]);
@@ -692,7 +695,12 @@ mod tests {
             db.force_log();
             let wal = db.wal();
             let begins = wal.records_from(wal.tail()).filter(|(_, r)| {
-                matches!(r, LogPayload::Begin { tx: TxId(1) } | LogPayload::Begin { tx: TxId(2) })
+                matches!(
+                    r,
+                    Record::Payload(
+                        LogPayload::Begin { tx: TxId(1) } | LogPayload::Begin { tx: TxId(2) }
+                    )
+                )
             });
             assert_eq!(begins.count(), 4, "the log holds both holders of each id");
 

@@ -8,14 +8,19 @@
 //! because eager log-space reclamation forces dirty-page flushes (§8.4,
 //! "Why does the DBMS write even with 90% buffer size?").
 //!
-//! Tuple and node images — the bulk of the log — live in byte memory that
-//! the [`Wal`] owns: an append copies them there from the slices the caller
-//! borrows (a frame, a transaction's argument), and the retained record
-//! holds `(start, len)`. Images and records each sit in a sequence of
-//! fixed-size chunks ([`LOG_CHUNK_BYTES`] of images, a thousand records):
-//! an append allocates only when a chunk is full, and truncation or the
-//! loss of the unflushed tail hand back the chunks that hold nothing any
-//! more.
+//! The log keeps its records as bytes, in memory the [`Wal`] owns: an
+//! append encodes the record there — a kind byte, `prev`, the variant's
+//! fields at fixed little-endian widths (a CLR's action after the CLR's
+//! own), then its images, copied from the slices the caller borrows (a
+//! frame, a transaction's argument), or a checkpoint's tables — and an
+//! index keeps where each record starts, one `u64` a record. A retained
+//! record costs what it encodes: a `Begin` 25 bytes with its index entry.
+//! No field is narrowed silently: each is stored at its own width, and the
+//! two that are not — a region in 16 bits, which `Database::open` bounds,
+//! and an image's length in 32 — are checked. Bytes and index each sit in a
+//! sequence of fixed-size chunks of [`LOG_CHUNK_BYTES`]: an append
+//! allocates only when a chunk is full, and truncation or the loss of the
+//! unflushed tail hand back the chunks that hold nothing any more.
 //!
 //! A record holds what its change needs and no more. An update changes a
 //! few bytes of its tuple, so an [`LogPayload::Update`] — an update that
@@ -31,11 +36,16 @@
 //! changes when the log reclaims space.
 //!
 //! Restart and rollback read a record where the log keeps it:
-//! [`Wal::record`] and [`Wal::records_from`] show its kind, transaction,
-//! page and checkpoint tables in place, its images as [`Span`]s, and
+//! [`Wal::record`] and [`Wal::records_from`] decode its kind, transaction,
+//! page and fields in place into a [`Record`] — a CLR's action beside it,
+//! unboxed — its images and checkpoint tables as [`Span`]s.
 //! [`Wal::images`] copies the images of the one record being applied into a
-//! buffer the caller reuses. The owned view — `LogRecord`, every image a
-//! `Vec<u8>` — is the model's interface and exists in tests only.
+//! buffer the caller reuses, and [`Wal::active_table`] /
+//! [`Wal::dirty_table`] read a checkpoint's tables entry by entry. Nothing
+//! a decoding hands out is allocated. Space accounting decodes too:
+//! truncation and a crash subtract the charge of each record they drop.
+//! The owned view — `LogRecord`, every image a `Vec<u8>` — is the model's
+//! interface and exists in tests only.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -64,7 +74,7 @@ impl Lsn {
 /// images: owned (`Vec<u8>`, the default — the tests' owned view),
 /// borrowed (`&[u8]` — what the hot paths pass to [`Wal::append`] and what
 /// [`Wal::images`] hands redo and rollback), or as a [`Span`] of the log's
-/// image memory (what the log retains).
+/// bytes (what decoding a retained record gives, inside a [`Record`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogPayload<B = Vec<u8>> {
     /// Transaction start.
@@ -360,7 +370,9 @@ impl<B> LogPayload<B> {
             LogPayload::Delete { before, .. } => len(before),
             LogPayload::PageWrite { extent, .. } => *extent as usize,
             LogPayload::Clr { action, .. } => action.size_with(len),
-            LogPayload::EndCheckpoint { active, dirty } => active.len() * 16 + dirty.len() * 24,
+            LogPayload::EndCheckpoint { active, dirty } => {
+                active.len() * ACTIVE_ENTRY + dirty.len() * DIRTY_ENTRY
+            }
             _ => 0,
         };
         32 + body
@@ -486,38 +498,368 @@ pub struct LogRecord {
     pub payload: LogPayload,
 }
 
-/// Where the log holds an image: its index in the image sequence (every
-/// image byte ever appended and not lost counts) and its length. Only the
-/// [`Wal`] that handed it out can read it ([`Wal::images`]).
+/// Where the log holds an image or a checkpoint table: its index in the
+/// log's byte sequence (every byte ever appended and not lost counts) and
+/// its length. Decoding a record hands them out; only the [`Wal`] that did
+/// can read the bytes ([`Wal::images`], [`Wal::active_table`],
+/// [`Wal::dirty_table`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
     start: u64,
     len: u32,
 }
 
-/// One retained record. The record with LSN `l` is element `l - 1` of the
-/// record sequence.
+/// A retained record, decoded where the log keeps it: what [`Wal::record`]
+/// and [`Wal::records_from`] hand out. `B` is how it holds its images and
+/// checkpoint tables: as [`Span`]s of the log (the default), or as their
+/// lengths while the log decodes it. Decoding allocates nothing.
 #[derive(Debug)]
-struct Retained {
-    prev: Lsn,
-    /// Where this record's images begin in the image sequence: its end
-    /// when the record was appended.
-    images_at: u64,
-    payload: LogPayload<Span>,
+pub enum Record<B = Span> {
+    /// Any record but a compensation or a checkpoint's End — never a
+    /// [`LogPayload::Clr`] or a [`LogPayload::EndCheckpoint`].
+    Payload(LogPayload<B>),
+    /// A compensation record ([`LogPayload::Clr`]) with the action it
+    /// carries.
+    Clr {
+        /// Transaction id.
+        tx: TxId,
+        /// LSN of the record this CLR compensates.
+        undone: Lsn,
+        /// Next record to undo for this transaction.
+        undo_next: Lsn,
+        /// The compensation: a record of the kinds rollback logs.
+        action: LogPayload<B>,
+    },
+    /// A checkpoint's End ([`LogPayload::EndCheckpoint`]), its tables read
+    /// through [`Wal::active_table`] and [`Wal::dirty_table`].
+    EndCheckpoint {
+        /// The active-transaction table.
+        active: B,
+        /// The dirty-page table.
+        dirty: B,
+    },
 }
 
-impl Retained {
-    fn size_bytes(&self) -> usize {
-        self.payload.size_with(&|span| span.len as usize)
+impl<B> Record<B> {
+    /// Transaction this record belongs to, if any.
+    pub fn tx(&self) -> Option<TxId> {
+        match self {
+            Record::Payload(payload) => payload.tx(),
+            Record::Clr { tx, .. } => Some(*tx),
+            Record::EndCheckpoint { .. } => None,
+        }
+    }
+
+    /// What applying this record changes: for a CLR, the compensation it
+    /// carries, for a checkpoint's End nothing, for anything else the
+    /// record itself.
+    pub fn redo_action(&self) -> Option<&LogPayload<B>> {
+        match self {
+            Record::Payload(action) | Record::Clr { action, .. } => Some(action),
+            Record::EndCheckpoint { .. } => None,
+        }
+    }
+
+    /// The page the record's physical change targets
+    /// ([`LogPayload::redo_page`] of its [`Self::redo_action`]).
+    pub fn redo_page(&self) -> Option<PageId> {
+        self.redo_action()?.redo_page()
+    }
+
+    /// The same record holding each image and table as `image(old)`, in
+    /// the order the log stores them.
+    fn map_images<C>(self, image: &mut impl FnMut(B) -> C) -> Record<C> {
+        match self {
+            Record::Payload(payload) => Record::Payload(payload.map_images(image)),
+            Record::Clr { tx, undone, undo_next, action } => {
+                Record::Clr { tx, undone, undo_next, action: action.map_images(image) }
+            }
+            Record::EndCheckpoint { active, dirty } => {
+                let active = image(active);
+                Record::EndCheckpoint { active, dirty: image(dirty) }
+            }
+        }
+    }
+
+    /// [`LogPayload::size_bytes`] of the record this was decoded from,
+    /// given the length of an image or table.
+    fn size_with(&self, len: &impl Fn(&B) -> usize) -> usize {
+        match self {
+            Record::Payload(payload) => payload.size_with(len),
+            Record::Clr { action, .. } => 32 + action.size_with(len),
+            Record::EndCheckpoint { active, dirty } => 32 + len(active) + len(dirty),
+        }
     }
 }
 
-/// Bytes in one chunk of the log's image memory. The log allocates and
-/// frees image memory in these units only.
+/// The byte a record, and a CLR's action after the CLR's fields, starts
+/// with: which [`LogPayload`] variant follows.
+mod kind {
+    pub(super) const BEGIN: u8 = 0;
+    pub(super) const UPDATE: u8 = 1;
+    pub(super) const RESIZE: u8 = 2;
+    pub(super) const INSERT: u8 = 3;
+    pub(super) const DELETE: u8 = 4;
+    pub(super) const INDEX_INSERT: u8 = 5;
+    pub(super) const INDEX_DELETE: u8 = 6;
+    pub(super) const PAGE_WRITE: u8 = 7;
+    pub(super) const ROOT_CHANGE: u8 = 8;
+    pub(super) const UNDELETE: u8 = 9;
+    pub(super) const CLR: u8 = 10;
+    pub(super) const COMMIT: u8 = 11;
+    pub(super) const ABORT: u8 = 12;
+    pub(super) const BEGIN_CHECKPOINT: u8 = 13;
+    pub(super) const END_CHECKPOINT: u8 = 14;
+}
+
+/// The kind byte of `payload`.
+fn kind_of<B>(payload: &LogPayload<B>) -> u8 {
+    match payload {
+        LogPayload::Begin { .. } => kind::BEGIN,
+        LogPayload::Update { .. } => kind::UPDATE,
+        LogPayload::Resize { .. } => kind::RESIZE,
+        LogPayload::Insert { .. } => kind::INSERT,
+        LogPayload::Delete { .. } => kind::DELETE,
+        LogPayload::IndexInsert { .. } => kind::INDEX_INSERT,
+        LogPayload::IndexDelete { .. } => kind::INDEX_DELETE,
+        LogPayload::PageWrite { .. } => kind::PAGE_WRITE,
+        LogPayload::RootChange { .. } => kind::ROOT_CHANGE,
+        LogPayload::Undelete { .. } => kind::UNDELETE,
+        LogPayload::Clr { .. } => kind::CLR,
+        LogPayload::Commit { .. } => kind::COMMIT,
+        LogPayload::Abort { .. } => kind::ABORT,
+        LogPayload::BeginCheckpoint => kind::BEGIN_CHECKPOINT,
+        LogPayload::EndCheckpoint { .. } => kind::END_CHECKPOINT,
+    }
+}
+
+/// Bytes of an active-transaction table entry: transaction id and last
+/// LSN, as the log charges it.
+const ACTIVE_ENTRY: usize = 16;
+
+/// Bytes of a dirty-page table entry: region (at a `u64`: the tables are
+/// rare, and nothing in them is narrowed), LBA and recovery LSN, as the log
+/// charges it.
+const DIRTY_ENTRY: usize = 24;
+
+/// Bytes of the longest fixed part of a record: a CLR's kind, `prev`, `tx`,
+/// `undone` and `undo_next` (33), and its action's, a resize's kind, `tx`,
+/// page, slot, `from`, `to` and two image lengths (33).
+const HEAD_MAX: usize = 66;
+
+/// A record's fixed part, written on the stack and copied into the log at
+/// once: every field at its own width, little-endian.
+struct Head {
+    bytes: [u8; HEAD_MAX],
+    len: usize,
+}
+
+impl Head {
+    fn put<const N: usize>(&mut self, field: [u8; N]) {
+        self.bytes[self.len..self.len + N].copy_from_slice(&field);
+        self.len += N;
+    }
+
+    /// A page: its region in 16 bits — [`crate::Database::open`] refuses
+    /// more regions than that names, so a wider one is a bug and stops
+    /// here rather than being stored as another — and its LBA.
+    fn page(&mut self, page: PageId) {
+        assert!(page.region <= usize::from(u16::MAX), "region {} of {page:?}", page.region);
+        self.put((page.region as u16).to_le_bytes());
+        self.put(page.lba.0.to_le_bytes());
+    }
+
+    /// The length of an image or a table, which the log stores in 32 bits
+    /// as [`Span`] does.
+    fn length(&mut self, bytes: usize) {
+        assert!(bytes <= u32::MAX as usize, "{bytes} bytes of an image or table");
+        self.put((bytes as u32).to_le_bytes());
+    }
+
+    /// The fields of `payload`, whose kind byte is written — its
+    /// transaction first, when it has one — and the lengths of its images;
+    /// returns the images, which follow the fixed part in this order. A
+    /// CLR's action follows the CLR's fields, kind byte first.
+    fn fields<'p, B: AsRef<[u8]>>(&mut self, payload: &'p LogPayload<B>) -> [&'p [u8]; 2] {
+        if let Some(tx) = payload.tx() {
+            self.put(tx.0.to_le_bytes());
+        }
+        let mut images: [&[u8]; 2] = [&[], &[]];
+        match payload {
+            LogPayload::Begin { .. }
+            | LogPayload::Commit { .. }
+            | LogPayload::Abort { .. }
+            | LogPayload::BeginCheckpoint => {}
+            LogPayload::Update { page, slot, at, kept, before, after, .. } => {
+                // One length for both windows.
+                let (before, after) = (before.as_ref(), after.as_ref());
+                assert_eq!(before.len(), after.len(), "an update's windows are as long");
+                self.page(*page);
+                self.put(slot.0.to_le_bytes());
+                self.put(at.to_le_bytes());
+                self.put(kept.to_le_bytes());
+                self.length(before.len());
+                images = [before, after];
+            }
+            LogPayload::Resize { page, slot, from, to, before, after, .. } => {
+                let (before, after) = (before.as_ref(), after.as_ref());
+                self.page(*page);
+                self.put(slot.0.to_le_bytes());
+                self.put(from.to_le_bytes());
+                self.put(to.to_le_bytes());
+                self.length(before.len());
+                self.length(after.len());
+                images = [before, after];
+            }
+            LogPayload::Insert { page, slot, tuple: image, .. }
+            | LogPayload::Delete { page, slot, before: image, .. }
+            | LogPayload::Undelete { page, slot, tuple: image, .. } => {
+                self.page(*page);
+                self.put(slot.0.to_le_bytes());
+                self.length(image.as_ref().len());
+                images[0] = image.as_ref();
+            }
+            LogPayload::IndexInsert { index, key, value, .. }
+            | LogPayload::IndexDelete { index, key, value, .. } => {
+                self.put(index.to_le_bytes());
+                self.put(key.to_le_bytes());
+                self.put(value.to_le_bytes());
+            }
+            LogPayload::PageWrite { page, offset, extent, runs, .. } => {
+                self.page(*page);
+                self.put(offset.to_le_bytes());
+                self.put(extent.to_le_bytes());
+                self.length(runs.as_ref().len());
+                images[0] = runs.as_ref();
+            }
+            LogPayload::RootChange { index, new_root, .. } => {
+                self.put(index.to_le_bytes());
+                self.page(*new_root);
+            }
+            LogPayload::Clr { undone, undo_next, action, .. } => {
+                // What rollback logs: the inverse of an undoable record.
+                assert!(
+                    !matches!(**action, LogPayload::Clr { .. } | LogPayload::EndCheckpoint { .. }),
+                    "a CLR's action is neither a CLR nor a checkpoint's End"
+                );
+                self.put(undone.0.to_le_bytes());
+                self.put(undo_next.0.to_le_bytes());
+                self.put([kind_of(action)]);
+                images = self.fields(action);
+            }
+            LogPayload::EndCheckpoint { active, dirty } => {
+                self.length(active.len() * ACTIVE_ENTRY);
+                self.length(dirty.len() * DIRTY_ENTRY);
+            }
+        }
+        images
+    }
+}
+
+/// Reads a record's fixed part back, field by field: `None` past its end.
+struct Cursor<'a> {
+    rest: &'a [u8],
+}
+
+impl Cursor<'_> {
+    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (field, rest) = self.rest.split_first_chunk::<N>()?;
+        self.rest = rest;
+        Some(*field)
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        Some(self.take::<1>()?[0])
+    }
+
+    fn u16(&mut self) -> Option<u16> {
+        Some(u16::from_le_bytes(self.take()?))
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        Some(u32::from_le_bytes(self.take()?))
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.take()?))
+    }
+
+    fn tx(&mut self) -> Option<TxId> {
+        Some(TxId(self.u64()?))
+    }
+
+    fn lsn(&mut self) -> Option<Lsn> {
+        Some(Lsn(self.u64()?))
+    }
+
+    fn slot(&mut self) -> Option<SlotId> {
+        Some(SlotId(self.u16()?))
+    }
+
+    fn page(&mut self) -> Option<PageId> {
+        let region = usize::from(self.u16()?);
+        Some(PageId::new(region, self.u64()?))
+    }
+
+    /// The fields [`Head::fields`] wrote for a `kind` that is neither a CLR
+    /// nor a checkpoint's End, each image as its length.
+    #[inline(always)]
+    fn fields(&mut self, kind: u8) -> Option<LogPayload<u32>> {
+        if kind == kind::BEGIN_CHECKPOINT {
+            return Some(LogPayload::BeginCheckpoint);
+        }
+        let tx = self.tx()?;
+        Some(match kind {
+            kind::BEGIN => LogPayload::Begin { tx },
+            kind::COMMIT => LogPayload::Commit { tx },
+            kind::ABORT => LogPayload::Abort { tx },
+            kind::UPDATE => {
+                let (page, slot, at, kept) = (self.page()?, self.slot()?, self.u16()?, self.u16()?);
+                let len = self.u32()?;
+                LogPayload::Update { tx, page, slot, at, kept, before: len, after: len }
+            }
+            kind::RESIZE => {
+                let (page, slot, from, to) = (self.page()?, self.slot()?, self.u16()?, self.u16()?);
+                let (before, after) = (self.u32()?, self.u32()?);
+                LogPayload::Resize { tx, page, slot, from, to, before, after }
+            }
+            kind::INSERT | kind::DELETE | kind::UNDELETE => {
+                let (page, slot, image) = (self.page()?, self.slot()?, self.u32()?);
+                match kind {
+                    kind::INSERT => LogPayload::Insert { tx, page, slot, tuple: image },
+                    kind::DELETE => LogPayload::Delete { tx, page, slot, before: image },
+                    _ => LogPayload::Undelete { tx, page, slot, tuple: image },
+                }
+            }
+            kind::INDEX_INSERT | kind::INDEX_DELETE => {
+                let (index, key, value) = (self.u32()?, self.u64()?, self.u64()?);
+                if kind == kind::INDEX_INSERT {
+                    LogPayload::IndexInsert { tx, index, key, value }
+                } else {
+                    LogPayload::IndexDelete { tx, index, key, value }
+                }
+            }
+            kind::PAGE_WRITE => {
+                let (page, offset, extent, runs) =
+                    (self.page()?, self.u32()?, self.u32()?, self.u32()?);
+                LogPayload::PageWrite { tx, page, offset, extent, runs }
+            }
+            kind::ROOT_CHANGE => {
+                let (index, new_root) = (self.u32()?, self.page()?);
+                LogPayload::RootChange { tx, index, new_root }
+            }
+            _ => return None,
+        })
+    }
+}
+
+/// Bytes in one chunk of the log's memory. The log allocates and frees the
+/// memory that holds its records in these units only.
 pub const LOG_CHUNK_BYTES: usize = 64 << 10;
 
-/// Records in one chunk of the log's record index.
-const LOG_CHUNK_RECORDS: usize = 1 << 10;
+/// Records in one chunk of the log's record index: a chunk of it is as
+/// large as one of bytes.
+const LOG_CHUNK_RECORDS: usize = LOG_CHUNK_BYTES / 8;
 
 /// A sequence of `T` held in chunks of one fixed length. Elements are
 /// pushed at the back, addressed by their index in the sequence — the
@@ -569,11 +911,6 @@ impl<T> Chunked<T> {
         self.chunks.get(at / self.chunk_len)?.get(at % self.chunk_len)
     }
 
-    /// The elements with an index in `from..to` that are held.
-    fn range(&self, from: u64, to: u64) -> impl Iterator<Item = &T> {
-        (from.max(self.start)..to.min(self.end)).filter_map(|index| self.get(index))
-    }
-
     /// Give up every element before `index`.
     fn release_before(&mut self, index: u64) {
         self.start = index.clamp(self.start, self.end);
@@ -607,28 +944,56 @@ impl Chunked<u8> {
         }
     }
 
-    /// Append the `len` bytes from `index` on to `out`. `None`, with
-    /// nothing appended, when any of them was given up or never pushed.
-    fn copy_to(&self, index: u64, len: u64, out: &mut Vec<u8>) -> Option<()> {
+    /// The `len` bytes from `index` on, as the parts of the chunks they lie
+    /// in, in order. `None` when any of them was given up or never pushed.
+    fn parts(&self, index: u64, len: u64) -> Option<impl Iterator<Item = &[u8]>> {
         let end = index.checked_add(len)?;
         if index < self.start || end > self.end {
             return None;
         }
         let (mut at, end) = ((index - self.base) as usize, (end - self.base) as usize);
-        while at < end {
-            let (chunk, from) = (&self.chunks[at / self.chunk_len], at % self.chunk_len);
-            let part = &chunk[from..chunk.len().min(from + end - at)];
-            out.extend_from_slice(part);
+        Some(std::iter::from_fn(move || {
+            (at < end).then(|| {
+                let (chunk, from) = (&self.chunks[at / self.chunk_len], at % self.chunk_len);
+                let part = &chunk[from..chunk.len().min(from + end - at)];
+                at += part.len();
+                part
+            })
+        }))
+    }
+
+    /// The `len` bytes from `index` on, when they lie in one chunk.
+    fn within_a_chunk(&self, index: u64, len: usize) -> Option<&[u8]> {
+        let at = index.checked_sub(self.base).filter(|_| index >= self.start)? as usize;
+        self.chunks.get(at / self.chunk_len)?.get(at % self.chunk_len..)?.get(..len)
+    }
+
+    /// Append the `len` bytes from `index` on to `out`. `None`, with
+    /// nothing appended, when any of them was given up or never pushed.
+    fn copy_to(&self, index: u64, len: u64, out: &mut Vec<u8>) -> Option<()> {
+        self.parts(index, len)?.for_each(|part| out.extend_from_slice(part));
+        Some(())
+    }
+
+    /// Fill `out` with the bytes from `index` on, under the same terms.
+    fn copy_into(&self, index: u64, out: &mut [u8]) -> Option<()> {
+        if let Some(bytes) = self.within_a_chunk(index, out.len()) {
+            out.copy_from_slice(bytes);
+            return Some(());
+        }
+        let mut at = 0;
+        for part in self.parts(index, out.len() as u64)? {
+            out[at..at + part.len()].copy_from_slice(part);
             at += part.len();
         }
         Some(())
     }
 
-    /// Push `image` and return its span.
-    fn push_image(&mut self, image: &[u8]) -> Span {
-        let start = self.end;
-        self.extend_from_slice(image);
-        Span { start, len: image.len() as u32 }
+    /// The `N` bytes from `index` on.
+    fn read<const N: usize>(&self, index: u64) -> Option<[u8; N]> {
+        let mut out = [0; N];
+        self.copy_into(index, &mut out)?;
+        Some(out)
     }
 }
 
@@ -636,10 +1001,11 @@ impl Chunked<u8> {
 /// group flush and truncation.
 #[derive(Debug)]
 pub struct Wal {
-    /// The retained records, in LSN order.
-    records: Chunked<Retained>,
-    /// Their images, in append order.
-    arena: Chunked<u8>,
+    /// Where each retained record starts in `bytes`, in LSN order: the
+    /// record with LSN `l` is element `l - 1`.
+    index: Chunked<u64>,
+    /// The retained records, encoded back to back in append order.
+    bytes: Chunked<u8>,
     /// LSN of the first retained record (everything below is truncated).
     tail: Lsn,
     next: u64,
@@ -664,10 +1030,10 @@ impl Wal {
         Self::with_chunk_lens(capacity_bytes, LOG_CHUNK_BYTES, LOG_CHUNK_RECORDS)
     }
 
-    fn with_chunk_lens(capacity_bytes: usize, image_bytes: usize, records: usize) -> Self {
+    fn with_chunk_lens(capacity_bytes: usize, bytes: usize, records: usize) -> Self {
         Wal {
-            records: Chunked::new(records),
-            arena: Chunked::new(image_bytes),
+            index: Chunked::new(records),
+            bytes: Chunked::new(bytes),
             tail: Lsn(1),
             next: 1,
             flushed: Lsn::NULL,
@@ -678,9 +1044,11 @@ impl Wal {
         }
     }
 
-    /// Append a record, copying its images into the log, and return its
-    /// LSN. The hot paths pass images as `&[u8]` borrowed from a frame or
-    /// from their caller; everything else a record owns moves in.
+    /// Append a record, encoding it into the log, and return its LSN. The
+    /// hot paths pass images as `&[u8]` borrowed from a frame or from their
+    /// caller. The record is a kind byte, `prev`, the variant's fields at
+    /// their widths (a CLR's action after the CLR's own), then its images or
+    /// checkpoint tables; the index gets where it starts.
     pub fn append<B: AsRef<[u8]>>(&mut self, prev: Lsn, payload: LogPayload<B>) -> Lsn {
         let lsn = Lsn(self.next);
         self.next += 1;
@@ -694,9 +1062,26 @@ impl Wal {
             }
             _ => {}
         }
-        let images_at = self.arena.end;
-        let payload = payload.map_images(&mut |image: B| self.arena.push_image(image.as_ref()));
-        self.records.push(Retained { prev, images_at, payload });
+        let mut head = Head { bytes: [0; HEAD_MAX], len: 0 };
+        head.put([kind_of(&payload)]);
+        head.put(prev.0.to_le_bytes());
+        let images = head.fields(&payload);
+        self.index.push(self.bytes.end);
+        self.bytes.extend_from_slice(&head.bytes[..head.len]);
+        for image in images {
+            self.bytes.extend_from_slice(image);
+        }
+        if let LogPayload::EndCheckpoint { active, dirty } = &payload {
+            for &(tx, last) in active {
+                self.bytes.extend_from_slice(&tx.0.to_le_bytes());
+                self.bytes.extend_from_slice(&last.0.to_le_bytes());
+            }
+            for &(page, rec_lsn) in dirty {
+                self.bytes.extend_from_slice(&(page.region as u64).to_le_bytes());
+                self.bytes.extend_from_slice(&page.lba.0.to_le_bytes());
+                self.bytes.extend_from_slice(&rec_lsn.0.to_le_bytes());
+            }
+        }
         lsn
     }
 
@@ -749,23 +1134,92 @@ impl Wal {
         self.last_checkpoint
     }
 
-    /// The retained record at `lsn` (`None` if truncated or not yet
-    /// written; the null LSN wraps to an index no sequence reaches).
-    fn retained(&self, lsn: Lsn) -> Option<&Retained> {
-        self.records.get(lsn.0.wrapping_sub(1))
+    /// Where the record at `lsn` starts in the byte sequence (`None` if
+    /// truncated or not yet written; the null LSN wraps to an index no
+    /// sequence reaches).
+    fn start_of(&self, lsn: Lsn) -> Option<u64> {
+        self.index.get(lsn.0.wrapping_sub(1)).copied()
     }
 
     /// The record at `lsn` where the log keeps it (`None` if truncated or
     /// not yet written): kind, transaction, page and checkpoint tables read
-    /// in place, images as spans. Copies nothing.
-    pub fn record(&self, lsn: Lsn) -> Option<&LogPayload<Span>> {
-        Some(&self.retained(lsn)?.payload)
+    /// in place, images and tables as spans. Allocates nothing.
+    pub fn record(&self, lsn: Lsn) -> Option<Record> {
+        let (record, mut at) = self.decode(lsn)?;
+        Some(record.map_images(&mut |len: u32| {
+            let span = Span { start: at, len };
+            at += u64::from(len);
+            span
+        }))
     }
 
-    /// The retained records with `lsn >= from`, in LSN order, in place.
-    pub fn records_from(&self, from: Lsn) -> impl Iterator<Item = (Lsn, &LogPayload<Span>)> {
+    /// The record at `lsn` with each image and table as its length, and
+    /// where the first of them begins: right after the fields. The fields
+    /// are read where the chunk holds them, or from a copy on the stack
+    /// when they straddle two. Inlined, with [`Cursor::fields`], into its
+    /// two callers: out of line, moving the decoded record between the
+    /// three made the sum of charges that truncation takes over every
+    /// record it drops twice as slow.
+    #[inline(always)]
+    fn decode(&self, lsn: Lsn) -> Option<(Record<u32>, u64)> {
+        let start = self.start_of(lsn)?;
+        let (mut copy, len) = ([0; HEAD_MAX], HEAD_MAX.min((self.bytes.end - start) as usize));
+        let head = match self.bytes.within_a_chunk(start, len) {
+            Some(head) => head,
+            None => {
+                self.bytes.copy_into(start, &mut copy[..len])?;
+                &copy[..len]
+            }
+        };
+        let mut fields = Cursor { rest: head };
+        let kind = fields.u8()?;
+        // `prev`, which `prev_of` reads.
+        fields.lsn()?;
+        let record = match kind {
+            kind::CLR => {
+                let (tx, undone, undo_next) = (fields.tx()?, fields.lsn()?, fields.lsn()?);
+                let action_kind = fields.u8()?;
+                Record::Clr { tx, undone, undo_next, action: fields.fields(action_kind)? }
+            }
+            kind::END_CHECKPOINT => {
+                Record::EndCheckpoint { active: fields.u32()?, dirty: fields.u32()? }
+            }
+            kind => Record::Payload(fields.fields(kind)?),
+        };
+        Some((record, start + (head.len() - fields.rest.len()) as u64))
+    }
+
+    /// The retained records with `lsn >= from`, in LSN order, decoded in
+    /// place.
+    pub fn records_from(&self, from: Lsn) -> impl Iterator<Item = (Lsn, Record)> + '_ {
         (from.max(self.tail).0..self.next)
             .filter_map(|lsn| Some((Lsn(lsn), self.record(Lsn(lsn))?)))
+    }
+
+    /// The entries of a checkpoint's active-transaction table, read where
+    /// the log keeps them.
+    pub fn active_table(&self, table: Span) -> impl Iterator<Item = (TxId, Lsn)> + '_ {
+        self.entries::<ACTIVE_ENTRY>(table).map_while(|entry| {
+            let mut fields = Cursor { rest: &entry };
+            Some((fields.tx()?, fields.lsn()?))
+        })
+    }
+
+    /// The entries of a checkpoint's dirty-page table, read where the log
+    /// keeps them.
+    pub fn dirty_table(&self, table: Span) -> impl Iterator<Item = (PageId, Lsn)> + '_ {
+        self.entries::<DIRTY_ENTRY>(table).map_while(|entry| {
+            let mut fields = Cursor { rest: &entry };
+            // Written from a `usize`, so it fits one.
+            let region = fields.u64()? as usize;
+            Some((PageId::new(region, fields.u64()?), fields.lsn()?))
+        })
+    }
+
+    /// The `N`-byte entries of a table.
+    fn entries<const N: usize>(&self, table: Span) -> impl Iterator<Item = [u8; N]> + '_ {
+        let count = u64::from(table.len) / N as u64;
+        (0..count).map_while(move |i| self.bytes.read::<N>(table.start + i * N as u64))
     }
 
     /// `payload` — a record of this log or part of one (a CLR's action, an
@@ -784,7 +1238,7 @@ impl Wal {
         let mut held = true;
         let ranges = payload.map_images(&mut |span: Span| {
             let start = images.len();
-            held &= self.arena.copy_to(span.start, u64::from(span.len), images).is_some();
+            held &= self.bytes.copy_to(span.start, u64::from(span.len), images).is_some();
             start..images.len()
         });
         if !held {
@@ -797,9 +1251,10 @@ impl Wal {
     }
 
     /// The previous record of the same transaction, for a retained `lsn`:
-    /// walks an undo chain without copying an image.
+    /// walks an undo chain reading eight bytes a record.
     pub fn prev_of(&self, lsn: Lsn) -> Option<Lsn> {
-        Some(self.retained(lsn)?.prev)
+        let start = self.start_of(lsn)?;
+        Some(Lsn(u64::from_le_bytes(self.bytes.read(start + 1)?)))
     }
 
     /// Fetch a record by LSN (`None` if truncated or not yet written): the
@@ -807,22 +1262,30 @@ impl Wal {
     /// [`Self::images`].
     #[cfg(test)]
     pub fn get(&self, lsn: Lsn) -> Option<LogRecord> {
-        let retained = self.retained(lsn)?;
         let mut images = Vec::new();
-        let payload = self
-            .images(retained.payload.clone(), &mut images)
-            .ok()?
-            .map_images(&mut |image: &[u8]| image.to_vec());
-        Some(LogRecord { lsn, prev: retained.prev, payload })
+        let mut owned = |payload| {
+            let payload = self.images(payload, &mut images).ok()?;
+            Some(payload.map_images(&mut |image: &[u8]| image.to_vec()))
+        };
+        let payload = match self.record(lsn)? {
+            Record::Payload(payload) => owned(payload)?,
+            Record::Clr { tx, undone, undo_next, action } => {
+                LogPayload::Clr { tx, undone, undo_next, action: Box::new(owned(action)?) }
+            }
+            Record::EndCheckpoint { active, dirty } => LogPayload::EndCheckpoint {
+                active: self.active_table(active).collect(),
+                dirty: self.dirty_table(dirty).collect(),
+            },
+        };
+        Some(LogRecord { lsn, prev: self.prev_of(lsn)?, payload })
     }
 
     /// Whether both records of a checkpoint are retained — any record at
-    /// `begin`, an `EndCheckpoint` at `end`. Copies nothing.
+    /// `begin`, an `EndCheckpoint` at `end`. Reads one kind byte.
     pub fn retains_checkpoint(&self, begin: Lsn, end: Lsn) -> bool {
-        self.retained(begin).is_some()
-            && self
-                .retained(end)
-                .is_some_and(|r| matches!(r.payload, LogPayload::EndCheckpoint { .. }))
+        self.start_of(begin).is_some()
+            && self.start_of(end).and_then(|start| self.bytes.read::<1>(start))
+                == Some([kind::END_CHECKPOINT])
     }
 
     /// Iterate records with `lsn >= from` in LSN order, owned.
@@ -831,18 +1294,25 @@ impl Wal {
         self.records_from(from).filter_map(|(lsn, _)| self.get(lsn))
     }
 
+    /// What the records from `from` up to `to` are charged, each decoded
+    /// where the log keeps it.
+    fn charged(&self, from: Lsn, to: Lsn) -> usize {
+        let len = |len: &u32| *len as usize;
+        (from.0..to.0).filter_map(|lsn| Some(self.decode(Lsn(lsn))?.0.size_with(&len))).sum()
+    }
+
     /// Drop all records below `lsn` (log-space reclamation after the dirty
-    /// pages they cover have been flushed); `lsn` is at most one past the
-    /// head.
+    /// pages they cover have been flushed). Past one beyond the head there
+    /// is nothing to drop: the log truncates to there, and the records
+    /// appended next are retained.
     pub fn truncate_to(&mut self, lsn: Lsn) {
+        let lsn = lsn.min(Lsn(self.next));
         if lsn <= self.tail {
             return;
         }
-        let dropped: usize =
-            self.records.range(self.tail.0 - 1, lsn.0 - 1).map(Retained::size_bytes).sum();
-        let images_at = self.retained(lsn).map_or(self.arena.end, |r| r.images_at);
-        self.arena.release_before(images_at);
-        self.records.release_before(lsn.0 - 1);
+        let dropped = self.charged(self.tail, lsn);
+        self.bytes.release_before(self.start_of(lsn).unwrap_or(self.bytes.end));
+        self.index.release_before(lsn.0 - 1);
         self.used_bytes -= dropped;
         self.tail = lsn;
         // A checkpoint is only usable while its Begin is retained:
@@ -860,12 +1330,11 @@ impl Wal {
     /// above [`Wal::flushed`] disappears.
     pub fn lose_unflushed(&mut self) {
         let next = self.flushed.0.max(self.tail.0.saturating_sub(1)) + 1;
-        let lost: usize =
-            self.records.range(next - 1, self.next - 1).map(Retained::size_bytes).sum();
-        if let Some(first_lost) = self.retained(Lsn(next)) {
-            self.arena.truncate(first_lost.images_at);
+        let lost = self.charged(Lsn(next), Lsn(self.next));
+        if let Some(first_lost) = self.start_of(Lsn(next)) {
+            self.bytes.truncate(first_lost);
         }
-        self.records.truncate(next - 1);
+        self.index.truncate(next - 1);
         self.used_bytes -= lost;
         self.next = next;
         // A checkpoint whose End never reached stable storage does not
@@ -1067,6 +1536,7 @@ mod tests {
         }
 
         fn truncate_to(&mut self, lsn: Lsn) {
+            let lsn = lsn.min(Lsn(self.next));
             if lsn <= self.tail {
                 return;
             }
@@ -1188,6 +1658,8 @@ mod tests {
             },
             10 | 11 => LogPayload::Commit { tx },
             12 => LogPayload::BeginCheckpoint,
+            // What rollback logs a CLR around is never a checkpoint's End.
+            _ if depth > 0 => LogPayload::Abort { tx },
             _ => LogPayload::EndCheckpoint {
                 active: vec![(tx, Lsn(rng.gen_range(0..40)))],
                 dirty: (0..rng.gen_range(0..3)).map(|i| (PageId::new(0, i), Lsn(i + 1))).collect(),
@@ -1195,47 +1667,60 @@ mod tests {
         }
     }
 
-    #[test]
-    fn arena_log_matches_the_record_vector_model() {
+    /// What a run of [`log_matches_the_model`] did.
+    #[derive(Default)]
+    struct ModelRun {
+        appended: u64,
+        truncated: u64,
+        lost: u64,
+        /// Appended updates that hold a window short of their tuple, which
+        /// the log charges whole, at top level and inside a CLR.
+        windows: u64,
+        clr_windows: u64,
+    }
+
+    /// `cases` random histories of appends (`prev` and record drawn by
+    /// `draw`), flushes, truncations and crashes, on the log with chunks
+    /// short enough that records, images and tables straddle them and every
+    /// operation meets a chunk boundary now and then, and on the record
+    /// vector model. After every step the two must agree on every record,
+    /// every chain link and all accounting, and the log must hold memory
+    /// for the records it retains alone: their encoded bytes and an index
+    /// entry each, in less than a chunk spare at each end.
+    fn log_matches_the_model(
+        cases: u64,
+        draw: impl Fn(&mut rand::rngs::StdRng, &VecWal) -> (Lsn, LogPayload),
+    ) -> ModelRun {
         use rand::Rng;
-        let (mut appended, mut truncated, mut lost) = (0u64, 0u64, 0u64);
-        // Appended updates that hold a window short of their tuple, which
-        // the log charges whole, at top level and inside a CLR.
-        let (mut windows, mut clr_windows) = (0u64, 0u64);
-        ipa_flash::for_each_case(1_500, |rng| {
-            // Chunks short enough that images straddle them and every
-            // operation meets a chunk boundary now and then.
-            let (image_bytes, records) = (rng.gen_range(1..100), rng.gen_range(1..12));
-            let mut wal = Wal::with_chunk_lens(1 << 20, image_bytes, records);
+        let mut run = ModelRun::default();
+        ipa_flash::for_each_case(cases, |rng| {
+            let (chunk_bytes, records) = (rng.gen_range(1..100), rng.gen_range(1..12));
+            let mut wal = Wal::with_chunk_lens(1 << 20, chunk_bytes, records);
             let mut model = VecWal::new();
             for _ in 0..rng.gen_range(1..120) {
-                // An LSN around the retained window, either side of it.
-                let near = |rng: &mut rand::rngs::StdRng, model: &VecWal| {
-                    Lsn(rng.gen_range(model.tail.0.saturating_sub(2)..model.next + 3))
-                };
                 match rng.gen_range(0..12) {
                     0..=6 => {
-                        let (prev, payload) = (near(rng, &model), random_payload(rng, 0));
+                        let (prev, payload) = draw(rng, &model);
                         if matches!(payload.redo_action(), LogPayload::Update { kept: 1.., .. }) {
                             let clr = matches!(payload, LogPayload::Clr { .. });
-                            *if clr { &mut clr_windows } else { &mut windows } += 1;
+                            *if clr { &mut run.clr_windows } else { &mut run.windows } += 1;
                         }
                         assert_eq!(wal.append(prev, payload.clone()), model.append(prev, payload));
-                        appended += 1;
+                        run.appended += 1;
                     }
                     7 | 8 => {
                         let lsn = near(rng, &model).min(Lsn(model.next - 1));
                         assert_eq!(wal.flush_to(lsn), model.flush_to(lsn));
                     }
                     9 | 10 => {
-                        // At most to the end of the log, as reclamation does.
-                        let lsn = near(rng, &model).min(Lsn(model.next));
-                        truncated += (lsn > model.tail && !model.records.is_empty()) as u64;
+                        // Past the head too, which drops what is retained.
+                        let lsn = near(rng, &model);
+                        run.truncated += (lsn > model.tail && !model.records.is_empty()) as u64;
                         wal.truncate_to(lsn);
                         model.truncate_to(lsn);
                     }
                     _ => {
-                        lost += (model.flushed.0 + 1 < model.next) as u64;
+                        run.lost += (model.flushed.0 + 1 < model.next) as u64;
                         wal.lose_unflushed();
                         model.lose_unflushed();
                     }
@@ -1250,28 +1735,122 @@ mod tests {
                 assert_eq!(wal.prev_of(probe), model.get(probe).map(|r| r.prev));
                 let from = near(rng, &model);
                 assert!(wal.iter_from(from).eq(model.iter_from(from).cloned()), "from {from:?}");
-                // The log holds the retained records and their images, and
-                // memory for them alone: less than a chunk spare at each end.
                 let retained = model.records.len();
-                assert_eq!((wal.records.end - wal.records.start) as usize, retained);
-                assert!(wal.records.chunks.len() <= retained / records + 2, "{retained}");
-                let held: usize = model.records.iter().map(|r| image_len(&r.payload)).sum();
-                assert_eq!((wal.arena.end - wal.arena.start) as usize, held);
-                assert!(wal.arena.chunks.len() <= held / image_bytes + 2, "{held}");
-                for chunk in wal.arena.chunks.iter() {
-                    assert_eq!(chunk.capacity(), image_bytes);
+                assert_eq!((wal.index.end - wal.index.start) as usize, retained);
+                assert!(wal.index.chunks.len() <= retained / records + 2, "{retained}");
+                let held: usize = model.records.iter().map(|r| encoded_len(&r.payload)).sum();
+                assert_eq!((wal.bytes.end - wal.bytes.start) as usize, held);
+                assert!(wal.bytes.chunks.len() <= held / chunk_bytes + 2, "{held}");
+                for chunk in wal.bytes.chunks.iter() {
+                    assert_eq!(chunk.capacity(), chunk_bytes);
                 }
             }
         });
+        run
+    }
+
+    /// An LSN around the model's retained window, either side of it.
+    fn near(rng: &mut rand::rngs::StdRng, model: &VecWal) -> Lsn {
+        use rand::Rng;
+        Lsn(rng.gen_range(model.tail.0.saturating_sub(2)..model.next + 3))
+    }
+
+    #[test]
+    fn arena_log_matches_the_record_vector_model() {
+        let run =
+            log_matches_the_model(1_500, |rng, model| (near(rng, model), random_payload(rng, 0)));
+        let ModelRun { appended, truncated, lost, windows, clr_windows } = run;
         assert!(appended > 30_000 && truncated > 3_000 && lost > 3_000);
         assert!(windows > 4_000 && clr_windows > 1_000, "{windows} {clr_windows}");
+    }
+
+    /// 0, 1 or the largest value the field's type holds — for a region, the
+    /// largest the log names.
+    fn extreme(rng: &mut rand::rngs::StdRng, max: u64) -> u64 {
+        use rand::Rng;
+        [0, 1, max][rng.gen_range(0..3usize)]
+    }
+
+    /// A record of any kind whose every field is at an extreme, with images
+    /// of no bytes, a few, or more than a chunk of the model run holds, and
+    /// checkpoint tables longer than a chunk; a CLR is around a record of
+    /// every undoable kind, or of the kinds their undo logs.
+    fn extreme_payload(rng: &mut rand::rngs::StdRng, depth: u32) -> LogPayload {
+        use rand::Rng;
+        let tx = TxId(extreme(rng, u64::MAX));
+        let any_page = |rng: &mut rand::rngs::StdRng| {
+            PageId::new(extreme(rng, u16::MAX.into()) as usize, extreme(rng, u64::MAX))
+        };
+        let (page, slot) = (any_page(rng), SlotId(extreme(rng, u16::MAX.into()) as u16));
+        let u16 = |rng: &mut rand::rngs::StdRng| extreme(rng, u16::MAX.into()) as u16;
+        let u32 = |rng: &mut rand::rngs::StdRng| extreme(rng, u32::MAX.into()) as u32;
+        let lsn = |rng: &mut rand::rngs::StdRng| Lsn(extreme(rng, u64::MAX));
+        let image = |rng: &mut rand::rngs::StdRng| {
+            let len = [0, 3, 250][rng.gen_range(0..3usize)];
+            (0..len).map(|_| rng.gen()).collect::<Vec<u8>>()
+        };
+        let (index, key, value) = (u32(rng), extreme(rng, u64::MAX), extreme(rng, u64::MAX));
+        match rng.gen_range(0..if depth == 0 { 15 } else { 7 }) {
+            0 => {
+                let (before, at, kept) = (image(rng), u16(rng), u16(rng));
+                let after = before.iter().map(|b| !b).collect();
+                LogPayload::Update { tx, page, slot, at, kept, before, after }
+            }
+            1 => {
+                let (from, to) = (u16(rng), u16(rng));
+                LogPayload::Resize {
+                    tx,
+                    page,
+                    slot,
+                    from,
+                    to,
+                    before: image(rng),
+                    after: image(rng),
+                }
+            }
+            2 => LogPayload::Insert { tx, page, slot, tuple: image(rng) },
+            3 => LogPayload::Delete { tx, page, slot, before: image(rng) },
+            4 => LogPayload::Undelete { tx, page, slot, tuple: image(rng) },
+            5 => LogPayload::IndexInsert { tx, index, key, value },
+            6 => LogPayload::IndexDelete { tx, index, key, value },
+            7 => {
+                let (offset, extent) = (u32(rng), u32(rng));
+                LogPayload::PageWrite { tx, page, offset, extent, runs: image(rng) }
+            }
+            8 => LogPayload::RootChange { tx, index, new_root: page },
+            9 | 10 => LogPayload::Clr {
+                tx,
+                undone: lsn(rng),
+                undo_next: lsn(rng),
+                action: Box::new(extreme_payload(rng, 1)),
+            },
+            11 => LogPayload::Begin { tx },
+            12 if rng.gen() => LogPayload::Commit { tx },
+            12 => LogPayload::Abort { tx },
+            13 => LogPayload::BeginCheckpoint,
+            _ => {
+                let active =
+                    (0..rng.gen_range(0..12)).map(|_| (TxId(extreme(rng, u64::MAX)), lsn(rng)));
+                let active = active.collect();
+                let dirty = (0..rng.gen_range(0..12)).map(|_| (any_page(rng), lsn(rng))).collect();
+                LogPayload::EndCheckpoint { active, dirty }
+            }
+        }
+    }
+
+    #[test]
+    fn every_field_at_its_extremes_reads_back_as_appended() {
+        let run = log_matches_the_model(600, |rng, _| {
+            (Lsn(extreme(rng, u64::MAX)), extreme_payload(rng, 0))
+        });
+        assert!(run.appended > 10_000 && run.truncated > 1_000 && run.lost > 1_000);
     }
 
     #[test]
     fn the_log_holds_memory_for_what_it_retains_whatever_its_budget() {
         // Any budget constructs, and an empty log holds nothing.
         let mut wal = Wal::new(usize::MAX);
-        assert!(wal.arena.chunks.is_empty() && wal.records.chunks.is_empty());
+        assert!(wal.bytes.chunks.is_empty() && wal.index.chunks.is_empty());
         // A node write that changes every other word of a 3992-byte span:
         // it holds 250 runs of eight bytes with their headers, and is
         // charged the span.
@@ -1292,14 +1871,15 @@ mod tests {
             wal.append(Lsn::NULL, page.clone());
         }
         assert_eq!(wal.used_bytes(), 4096 * (32 + 3992));
-        // 12 MB of runs in 64 KiB chunks, each allocated at that size.
-        assert_eq!(wal.arena.chunks.len(), (4096 * 3000usize).div_ceil(LOG_CHUNK_BYTES));
-        assert!(wal.arena.chunks.iter().all(|c| c.capacity() == LOG_CHUNK_BYTES));
-        assert_eq!(wal.records.chunks.len(), 4096 / LOG_CHUNK_RECORDS);
+        // 12 MB of records in 64 KiB chunks, each allocated at that size.
+        assert_eq!(encoded_len(&page), 3039);
+        assert_eq!(wal.bytes.chunks.len(), (4096 * 3039usize).div_ceil(LOG_CHUNK_BYTES));
+        assert!(wal.bytes.chunks.iter().all(|c| c.capacity() == LOG_CHUNK_BYTES));
+        assert_eq!(wal.index.chunks.len(), 1);
         let kept = wal.append(Lsn::NULL, upd(1));
         wal.truncate_to(kept);
-        // What is left is the chunk the kept record and its images lie in.
-        assert_eq!((wal.arena.chunks.len(), wal.records.chunks.len()), (1, 1));
+        // What is left is the chunk the kept record lies in.
+        assert_eq!((wal.bytes.chunks.len(), wal.index.chunks.len()), (1, 1));
         assert_eq!(wal.get(kept).unwrap().payload, upd(1));
         let next = wal.append(kept, page.clone());
         assert_eq!(wal.get(next).unwrap().payload, page);
@@ -1309,16 +1889,125 @@ mod tests {
         }
         wal.flush_to(next);
         wal.lose_unflushed();
-        assert_eq!((wal.arena.chunks.len(), wal.records.chunks.len()), (1, 1));
+        assert_eq!((wal.bytes.chunks.len(), wal.index.chunks.len()), (1, 1));
         assert_eq!(wal.get(next).unwrap().payload, page);
         assert!(wal.used_fraction() < 1e-12, "the budget is only ever a divisor");
     }
 
-    /// Bytes of every image of a record.
-    fn image_len(payload: &LogPayload) -> usize {
-        let mut total = 0;
-        payload.clone().map_images(&mut |image: Vec<u8>| total += image.len());
-        total
+    /// Bytes the log holds for what it retains: the records' encodings and
+    /// an index entry each.
+    fn held(wal: &Wal) -> u64 {
+        (wal.bytes.end - wal.bytes.start) + 8 * (wal.index.end - wal.index.start)
+    }
+
+    /// Bytes the log encodes a record in, its index entry left out: a kind
+    /// byte, `prev`, the fields at their widths — a page is a 16-bit region
+    /// and a 64-bit LBA, an image's length 32 bits, one for both windows of
+    /// an update — and the images; a CLR's action after the CLR's fields,
+    /// with its kind byte and no `prev`; a checkpoint's End, the byte
+    /// lengths of its tables and the tables.
+    fn encoded_len(payload: &LogPayload) -> usize {
+        fn fields(payload: &LogPayload) -> usize {
+            const PAGE: usize = 2 + 8;
+            match payload {
+                LogPayload::Begin { .. } | LogPayload::Commit { .. } | LogPayload::Abort { .. } => {
+                    8
+                }
+                LogPayload::Update { before, after, .. } => {
+                    8 + PAGE + 2 + 2 + 2 + 4 + before.len() + after.len()
+                }
+                LogPayload::Resize { before, after, .. } => {
+                    8 + PAGE + 2 + 2 + 2 + 4 + 4 + before.len() + after.len()
+                }
+                LogPayload::Insert { tuple: image, .. }
+                | LogPayload::Delete { before: image, .. }
+                | LogPayload::Undelete { tuple: image, .. } => 8 + PAGE + 2 + 4 + image.len(),
+                LogPayload::IndexInsert { .. } | LogPayload::IndexDelete { .. } => 8 + 4 + 8 + 8,
+                LogPayload::PageWrite { runs, .. } => 8 + PAGE + 4 + 4 + 4 + runs.len(),
+                LogPayload::RootChange { .. } => 8 + 4 + PAGE,
+                LogPayload::Clr { action, .. } => 8 + 8 + 8 + 1 + fields(action),
+                LogPayload::BeginCheckpoint => 0,
+                LogPayload::EndCheckpoint { active, dirty } => {
+                    4 + 4 + 16 * active.len() + 24 * dirty.len()
+                }
+            }
+        }
+        1 + 8 + fields(payload)
+    }
+
+    #[test]
+    fn a_record_costs_what_it_encodes() {
+        // A transaction of three updates of 100-byte tuples, each changing
+        // three bytes, and a 50-byte insert: Begin and Commit 25 bytes
+        // each, an update 51, the insert 91, an index entry included. Held
+        // as a record of 80 bytes each beside its images, it took 548.
+        let (tx, page, slot) = (TxId(1), PageId::new(0, 7), SlotId(3));
+        let tuple: Vec<u8> = (0..100).collect();
+        let mut changed = tuple.clone();
+        changed[40..43].fill(0xEE);
+        let mut wal = Wal::new(1 << 20);
+        let mut last = wal.append(Lsn::NULL, LogPayload::<&[u8]>::Begin { tx });
+        for _ in 0..3 {
+            last = wal.append(last, update((tx, page, slot), (40, &tuple), (40, &changed)));
+        }
+        last = wal.append(last, LogPayload::Insert { tx, page, slot, tuple: &[5u8; 50][..] });
+        wal.append(last, LogPayload::<&[u8]>::Commit { tx });
+        assert_eq!(held(&wal), 25 + 3 * 51 + 91 + 25);
+        assert_eq!(held(&wal), 294);
+        // A CLR undoing such an update holds 76 bytes, its action inline
+        // (it held 166, a box of 64 among them); a checkpoint's End, its
+        // tables inline. Nothing either holds lies outside the chunks.
+        let Some(Record::Payload(update)) = wal.record(Lsn(2)) else { panic!("an update") };
+        let mut images = Vec::new();
+        let action = wal.images(invert_update(update), &mut images).unwrap();
+        let (undone, undo_next) = (Lsn(2), Lsn(1));
+        let clr = LogPayload::Clr { tx, undone, undo_next, action: Box::new(action) };
+        let before = held(&wal);
+        let clr = wal.append(Lsn(6), clr);
+        assert_eq!(held(&wal) - before, 76);
+        let (active, dirty) = (vec![(tx, clr)], vec![(page, Lsn(2)), (PageId::new(1, 9), clr)]);
+        let checkpoint = LogPayload::<Vec<u8>>::EndCheckpoint { active, dirty };
+        let before = held(&wal);
+        let end = wal.append(Lsn::NULL, checkpoint.clone());
+        assert_eq!(held(&wal) - before, 8 + 1 + 8 + 4 + 4 + 16 + 2 * 24);
+        assert_eq!(wal.get(end).unwrap().payload, checkpoint);
+        let Some(Record::Clr { undone: u, undo_next: n, action, .. }) = wal.record(clr) else {
+            panic!("a CLR")
+        };
+        assert_eq!((u, n, action.redo_page()), (undone, undo_next, Some(page)));
+    }
+
+    /// The inverse of a same-length update: its two windows swapped.
+    fn invert_update(update: LogPayload<Span>) -> LogPayload<Span> {
+        let LogPayload::Update { tx, page, slot, at, kept, before, after } = update else {
+            panic!("an update")
+        };
+        LogPayload::Update { tx, page, slot, at, kept, before: after, after: before }
+    }
+
+    #[test]
+    fn truncating_past_the_head_keeps_the_records_appended_next() {
+        let mut wal = Wal::new(1 << 20);
+        for _ in 0..3 {
+            wal.append(Lsn::NULL, upd(1));
+        }
+        wal.truncate_to(Lsn(10));
+        assert_eq!((wal.tail(), wal.used_bytes(), held(&wal)), (Lsn(4), 0, 0));
+        let (d, e) = (wal.append(Lsn::NULL, upd(2)), wal.append(Lsn::NULL, upd(3)));
+        assert_eq!((d, e), (Lsn(4), Lsn(5)));
+        let retained: Vec<Lsn> = wal.records_from(Lsn::NULL).map(|(lsn, _)| lsn).collect();
+        assert_eq!(retained, [d, e]);
+        // A later truncation drops them, and their charge.
+        wal.truncate_to(Lsn(6));
+        assert_eq!((wal.tail(), wal.used_bytes(), held(&wal)), (Lsn(6), 0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "region 65536")]
+    fn a_region_past_sixteen_bits_is_refused_not_narrowed() {
+        let (tx, new_root) = (TxId(1), PageId::new(1 << 16, 1));
+        Wal::new(1 << 20)
+            .append(Lsn::NULL, LogPayload::<&[u8]>::RootChange { tx, index: 0, new_root });
     }
 
     #[test]
@@ -1414,20 +2103,28 @@ mod tests {
             undo_next: Lsn::NULL,
             action: Box::new(update.clone()),
         };
-        // The log stores what the record holds: six bytes, the 399 of the
-        // resized update; it charges both images of each whole.
+        // The log stores what the record holds: six bytes of images, the
+        // 399 of the resized update, each after its fields; it charges both
+        // images of each whole.
         let mut wal = Wal::new(1 << 20);
-        for (payload, stored) in [(update, 6), (clr, 6), (resized, 399)] {
-            let held = wal.arena.end;
+        for (payload, stored) in [(update, 37 + 6), (clr, 62 + 6), (resized, 41 + 399)] {
+            let held = wal.bytes.end;
             let lsn = wal.append(Lsn::NULL, payload.clone());
-            assert_eq!(wal.arena.end - held, stored);
+            assert_eq!(wal.bytes.end - held, stored);
             assert_eq!(wal.get(lsn).unwrap().payload, payload);
         }
         assert_eq!(wal.used_bytes(), (32 + 400) + (64 + 400) + (32 + 399));
         // An inverse built from the spans — what rollback logs — swaps the
         // two windows at the same offset.
-        let Some(&LogPayload::Update { tx, page, slot, at, kept, before: b, after: a }) =
-            wal.record(Lsn(1))
+        let Some(Record::Payload(LogPayload::Update {
+            tx,
+            page,
+            slot,
+            at,
+            kept,
+            before: b,
+            after: a,
+        })) = wal.record(Lsn(1))
         else {
             panic!("an update")
         };
@@ -1459,7 +2156,7 @@ mod tests {
         // other bytes.
         let mut wal = Wal::with_chunk_lens(1 << 20, 16, 4);
         let first = wal.append(Lsn::NULL, upd(1));
-        let spans = wal.record(first).unwrap().clone();
+        let Some(Record::Payload(spans)) = wal.record(first) else { panic!("an update") };
         wal.append(Lsn::NULL, upd(2));
         let mut images = Vec::new();
         let read = wal.images(spans.clone(), &mut images).unwrap();
@@ -1467,7 +2164,7 @@ mod tests {
         wal.truncate_to(Lsn(2));
         let refused = EngineError::Internal("a log span names image bytes the log does not hold");
         assert_eq!(wal.images(spans, &mut images), Err(refused.clone()));
-        let spans = wal.record(Lsn(2)).unwrap().clone();
+        let Some(Record::Payload(spans)) = wal.record(Lsn(2)) else { panic!("an update") };
         wal.lose_unflushed();
         assert_eq!(wal.images(spans, &mut images), Err(refused));
     }

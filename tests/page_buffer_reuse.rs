@@ -7,14 +7,14 @@
 //! maps for the first time — a page the database grows by — and none per
 //! flash command, eviction or collection; a fresh device holds none. The
 //! small allocations are gone too: delta records are encoded and applied in
-//! place, log images live in the WAL's chunks, tuples are read into buffers
+//! place, log records live in the WAL's chunks, tuples are read into buffers
 //! their callers own, lock and frame sets are flat.
 //!
 //! A counting global allocator (this test binary only) counts, per thread,
 //! every allocation of any size and alignment, and beside it every
 //! byte-buffer allocation (`Vec<u8>` / `Box<[u8]>`: alignment 1) of a flash
 //! page or more. One byte buffer of that size is legitimate in a window —
-//! the log allocates its image memory in chunks of `LOG_CHUNK_BYTES` — so
+//! the log encodes its records into chunks of `LOG_CHUNK_BYTES` — so
 //! allocations of exactly that size are counted apart, and each cell
 //! asserts how many its window makes; every other large byte buffer is a
 //! page image, and the gate holds their number to the growth of NoFTL's
@@ -22,8 +22,8 @@
 //! so unlike host time they can be gated on: they are the deterministic
 //! host-cost proxy for "bytes move once, through no intermediate vector".
 //! What is left in a window is those page buffers, the log's chunks (one
-//! per 64 KiB of images, one per thousand records, freed again at the next
-//! reclamation) and amortised growth of vectors that live as long as the
+//! per 64 KiB of encoded records, one per 8 192 records of its index, freed
+//! again at the next reclamation) and amortised growth of vectors that live as long as the
 //! database (a heap's page list, TPC-C's undelivered-order queues). Two
 //! more cells pin work off that path exactly, in every build profile: a
 //! restart, which reads the log in place, and the abort of a transaction.
@@ -60,7 +60,7 @@ thread_local! {
     /// The byte-buffer allocations of a page or more among them, the log's
     /// chunks left out.
     static PAGE_BUFFERS: Cell<u64> = const { Cell::new(0) };
-    /// The log's image chunks among them.
+    /// The log's byte chunks among them.
     static LOG_CHUNKS: Cell<u64> = const { Cell::new(0) };
     /// Whether allocations record their backtrace.
     static SAMPLING: Cell<bool> = const { Cell::new(false) };
@@ -190,7 +190,7 @@ struct Window {
     allocations: u64,
     /// Byte buffers of a page or more among them, the log's chunks left out.
     page_buffers: u64,
-    /// The log's image chunks among them.
+    /// The log's byte chunks among them.
     log_chunks: u64,
     /// Logical pages NoFTL maps at the end of the window less those at its
     /// start: the pages the window newly maps.
@@ -274,13 +274,13 @@ fn tpcb_steady_state(scheme: NxM) -> Window {
 
 /// Fail with the sampled call sites unless the window allocated one page
 /// buffer per page it newly mapped and no other, exactly `log_chunks`
-/// chunks of log image memory and at most `allowed` times anything at all.
+/// chunks of the log's byte memory and at most `allowed` times anything at all.
 fn assert_gate(name: &str, window: &Window, log_chunks: u64, allowed: u64) {
     let (rounds, per_round) = (window.rounds, window.allocations as f64 / window.rounds as f64);
     let growth = window.mapped_growth;
     println!(
         "{name}: {} allocations in {rounds} rounds = {per_round:.4} per round \
-         (gate: {allowed}), {} of them log image chunks, {} page-sized for {growth} newly \
+         (gate: {allowed}), {} of them log chunks, {} page-sized for {growth} newly \
          mapped pages",
         window.allocations, window.log_chunks, window.page_buffers
     );
@@ -290,7 +290,7 @@ fn assert_gate(name: &str, window: &Window, log_chunks: u64, allowed: u64) {
     {
         panic!(
             "{name}: {} allocations ({per_round:.3} per round, {allowed} allowed), {} of them \
-             log image chunks ({log_chunks} expected), {} page-sized buffers ({growth} \
+             log chunks ({log_chunks} expected), {} page-sized buffers ({growth} \
              allowed: one per newly mapped page); {window:?}\n{}",
             window.allocations,
             window.log_chunks,
@@ -307,14 +307,17 @@ fn steady_state_out_of_place_allocates_page_buffers_only_for_new_pages() {
     assert!(window.page_writes > 1_000 && window.delta_writes == 0, "{window:?}");
     assert!(window.gc_migrations > 100 && window.gc_erases > 10, "{window:?}");
     // The bound to hold is 1.0 per round; what is asserted is the count
-    // reached, 0.021 per round: a page buffer for each of the 40 pages the
-    // history heap grows by, the log's chunks — 3 of images, 18 of records
-    // — and two vectors growing (the update-size profile and the history
-    // heap's page list). An update is logged as the window it changes:
-    // when the log held its before image whole, the window took 16 chunks
-    // of images and grew the log's list of them from 32 to 64 entries;
-    // when it held the after image whole too, 30 chunks.
-    assert_gate("tpcb [0x0]", &window, 3, 63);
+    // reached, 0.019 per round: a page buffer for each of the 40 pages the
+    // history heap grows by, the log's chunks — 11 of encoded records, 4 of
+    // its index — and two vectors growing (the update-size profile and the
+    // history heap's page list). When the log kept every record as an
+    // 80-byte value beside its images, it took 3 chunks of images and 18 of
+    // a thousand records each (63 allocations, 1.6 MB; now 0.9 MB). An
+    // update is logged as the window it changes: when the log held its
+    // before image whole, the window took 16 chunks of images and grew the
+    // log's list of them from 32 to 64 entries; when it held the after
+    // image whole too, 30 chunks.
+    assert_gate("tpcb [0x0]", &window, 11, 57);
 }
 
 #[test]
@@ -323,7 +326,7 @@ fn steady_state_in_place_appends_allocate_page_buffers_only_for_new_pages() {
     assert!(window.evictions > 1_000 && window.host_reads > 1_000, "{window:?}");
     assert!(window.page_writes > 100 && window.delta_writes > 1_000, "{window:?}");
     // As above (41 new pages), and the device queue grew once.
-    assert_gate("tpcb [2x4]", &window, 3, 65);
+    assert_gate("tpcb [2x4]", &window, 11, 59);
 }
 
 /// The benchmark's `tpcc_mix` database: the five-transaction mix over two
@@ -335,14 +338,16 @@ fn steady_state_tpcc_mix_allocates_next_to_nothing() {
     w.verify_ytd(&mut db).expect("the run itself must be correct");
     assert!(window.evictions > 1_000 && window.host_reads > 1_000, "{window:?}");
     assert!(window.page_writes > 100 && window.delta_writes > 1_000, "{window:?}");
-    // The bound to hold is 3.0 per round; reached: 0.097. 216 are the page
+    // The bound to hold is 3.0 per round; reached: 0.092. 216 are the page
     // buffers of the pages the order, order-line and history heaps grow
-    // by, 18 + 43 the log's chunks of images and of records (0.4 KB of
-    // images stored for 3.9 KB charged and 15 records a round), eight the
+    // by, 39 + 6 the log's chunks of encoded records and of its index (15
+    // records a round, 0.8 KB encoded for 3.9 KB charged), eight the
     // undelivered-order queues growing, two the bitmaps of the debug-build
-    // pool check at the window's checkpoint. When the log held an update's
-    // before image whole, it took 98 chunks of images.
-    assert_gate("tpcc [2x3]", &window, 18, 291);
+    // pool check at the window's checkpoint. When the log kept every
+    // record as an 80-byte value beside its images, it took 18 chunks of
+    // images and 43 of records (291 allocations); when it held an update's
+    // before image whole, 98 chunks of images.
+    assert_gate("tpcc [2x3]", &window, 39, 275);
 }
 
 /// B+-tree inserts into a 20 000-key index on a `[2×4]` database whose
@@ -379,23 +384,27 @@ fn index_inserts_reuse_their_path_and_node_images() {
     });
     db.resume(tx).unwrap().commit().unwrap();
     assert_eq!(db.index_count(idx).unwrap(), 21_100);
-    // The bound to hold is 60; reached: 15, the log's chunks of images and
-    // of records (13 + 2). A node write holds the runs of bytes it changes:
-    // when it held the span from the first to the last, the window took 39
-    // chunks of images. When a page write added its changed bytes to the
-    // change tracker's bitmap run by run, two more were the bitmaps growing.
-    assert_gate("index inserts [2x4]", &window, 13, 15);
+    // The bound to hold is 60; reached: 16, the log's chunks of encoded
+    // records and of its index (15 + 1). When the log kept every record as
+    // an 80-byte value beside its images, they were 13 chunks of images and
+    // 2 of records: the records' fields, now in the byte chunks, take two
+    // of those where they took 160 KB beside them. A node write holds the
+    // runs of bytes it changes: when it held the span from the first to
+    // the last, the window took 39 chunks of images. When a page write
+    // added its changed bytes to the change tracker's bitmap run by run,
+    // two more were the bitmaps growing.
+    assert_gate("index inserts [2x4]", &window, 15, 16);
 }
 
 /// Fail with the sampled call sites unless the window allocated exactly
-/// `expected` times, none of them a log image chunk.
-fn assert_exact(name: &str, window: &Window, expected: u64) {
+/// `expected` times, exactly `log_chunks` of them a chunk of the log.
+fn assert_exact(name: &str, window: &Window, expected: u64, log_chunks: u64) {
     println!(
-        "{name}: {} allocations (gate: exactly {expected}), {} of them log image chunks, {} \
-         page-sized",
+        "{name}: {} allocations (gate: exactly {expected}), {} of them log chunks (gate: \
+         {log_chunks}), {} page-sized",
         window.allocations, window.log_chunks, window.page_buffers
     );
-    if window.allocations != expected || window.log_chunks != 0 {
+    if window.allocations != expected || window.log_chunks != log_chunks {
         panic!("{name}: {window:?}\n{}", top_call_sites());
     }
 }
@@ -436,18 +445,18 @@ fn restart_allocates_nothing_per_retained_record() {
     // two the record buffer growing, one the loser table and one the list
     // of restart's spans. Copying the retained records out of the log, one
     // vector per image, allocated 7 054.
-    assert_exact(&format!("restart over {short_records} records"), &short, 66 + debug_check);
+    assert_exact(&format!("restart over {short_records} records"), &short, 66 + debug_check, 0);
     let (long, long_records) = restart_after(2_000);
     assert_eq!((short_records, long_records), (5_984, 11_984));
     // Three more nodes of the dirty-page table, which has an entry per
     // page the history touched: more pages, not more records.
-    assert_exact(&format!("restart over {long_records} records"), &long, 69 + debug_check);
+    assert_exact(&format!("restart over {long_records} records"), &long, 69 + debug_check, 0);
 }
 
 /// Rolling back a transaction walks its undo chain in place and copies each
 /// inverse's images into the reused record buffer. What an abort of
-/// `UPDATES` updates allocates is two boxes per compensation record: the
-/// action it is built with and the one the log keeps.
+/// `UPDATES` updates allocates is the box each compensation record is built
+/// with: the log encodes the record, its action inline, into its chunks.
 #[test]
 fn rolling_back_a_transaction_copies_no_image() {
     const UPDATES: u64 = 200;
@@ -473,8 +482,11 @@ fn rolling_back_a_transaction_copies_no_image() {
     let tx = updated(&mut db);
     let window = measure(&mut db, UPDATES, |db| db.resume(tx).unwrap().abort().unwrap());
     // Reading each record as an owned copy allocated 1 000: two image
-    // vectors and three boxes per update.
-    assert_exact(&format!("rollback of {UPDATES} updates"), &window, 2 * UPDATES);
+    // vectors and three boxes per update. When the log kept a retained
+    // CLR's action in a box of its own, 400. The one more is a chunk of the
+    // log: the 200 CLRs, 76 bytes each, and the Abort cross a boundary
+    // between two.
+    assert_exact(&format!("rollback of {UPDATES} updates"), &window, UPDATES + 1, 1);
     for (i, &rid) in rows.iter().enumerate() {
         assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![i as u8; 100]);
     }
