@@ -213,7 +213,7 @@ fn store_node(
     })?;
     let Some((base, span)) = span else { return Ok(()) };
     let (offset, extent) = ((base + span.start) as u32, span.len() as u32);
-    db.log_and_apply(tx, LogPayload::PageWrite { tx, page: pid, offset, extent, runs })
+    db.log_and_apply(tx, LogPayload::<&[u8]>::PageWrite { tx, page: pid, offset, extent, runs })
 }
 
 /// Store the edited image `s.image` of `pid`, splitting it while it is

@@ -210,7 +210,10 @@ impl Database {
 
     fn delete_locked(&mut self, tx: TxId, rid: Rid, before: &mut Vec<u8>) -> Result<()> {
         self.read_tuple_into(rid, before)?;
-        self.log_and_apply(tx, LogPayload::Delete { tx, page: rid.page, slot: rid.slot, before })
+        self.log_and_apply(
+            tx,
+            LogPayload::<&[u8]>::Delete { tx, page: rid.page, slot: rid.slot, before },
+        )
     }
 
     /// Scan all live tuples of a heap, invoking `f(rid, tuple)`.

@@ -11,7 +11,7 @@ use ipa_noftl::{EventKind, IoCtx, SpanCategory};
 use crate::db::Database;
 use crate::error::EngineError;
 use crate::txn::TxId;
-use crate::wal::{LogPayload, Lsn, Wal};
+use crate::wal::{LogPayload, Lsn, Record, Wal};
 use crate::Result;
 
 /// What a power loss leaves of the log manager: the WAL, of which a crash
@@ -114,21 +114,28 @@ impl Database {
     /// node writes), rolls work back or ends a transaction is never
     /// refused: a log full of a transaction's own records must be able to
     /// take the records that let it go away.
-    pub(crate) fn log_for_tx(&mut self, tx: TxId, payload: LogPayload<&[u8]>) -> Result<Lsn> {
+    pub(crate) fn log_for_tx<'a>(
+        &mut self,
+        tx: TxId,
+        record: impl Into<Record<&'a [u8]>>,
+    ) -> Result<Lsn> {
+        let record = record.into();
         if self.kept.log.wal.used_fraction() >= 1.0 {
             if !self.lost.txns.is_active(tx) {
                 return Err(EngineError::UnknownTx(tx));
             }
             self.reclaim_log_space()?;
-            let starts_an_operation = matches!(
-                payload,
-                LogPayload::Update { .. }
-                    | LogPayload::Resize { .. }
-                    | LogPayload::Insert { .. }
-                    | LogPayload::Delete { .. }
-                    | LogPayload::IndexInsert { .. }
-                    | LogPayload::IndexDelete { .. }
-            );
+            // A CLR's payload is an `Update`, a `Delete` and the like too.
+            let starts_an_operation = record.clr.is_none()
+                && matches!(
+                    record.payload,
+                    LogPayload::Update { .. }
+                        | LogPayload::Resize { .. }
+                        | LogPayload::Insert { .. }
+                        | LogPayload::Delete { .. }
+                        | LogPayload::IndexInsert { .. }
+                        | LogPayload::IndexDelete { .. }
+                );
             if starts_an_operation && self.kept.log.wal.used_fraction() >= 1.0 {
                 return Err(EngineError::LogFull);
             }
@@ -137,7 +144,7 @@ impl Database {
         let Some(info) = self.lost.txns.info_mut(tx) else {
             return Err(EngineError::UnknownTx(tx));
         };
-        info.last_lsn = self.kept.log.wal.append(info.last_lsn, payload);
+        info.last_lsn = self.kept.log.wal.append(info.last_lsn, record);
         Ok(info.last_lsn)
     }
 
@@ -146,12 +153,14 @@ impl Database {
     /// ([`Self::apply_record`]). Write-ahead by construction — when the
     /// append is refused the page has not been touched, and the PageLSN and
     /// the frame's recovery LSN name a record that exists.
-    pub(crate) fn log_and_apply(&mut self, tx: TxId, record: LogPayload<&[u8]>) -> Result<()> {
-        // A copy of borrowed slices: a CLR's compensation, taken out of its
-        // box rather than boxed again by cloning the CLR.
-        let action = record.redo_action().clone();
+    pub(crate) fn log_and_apply<'a>(
+        &mut self,
+        tx: TxId,
+        record: impl Into<Record<&'a [u8]>>,
+    ) -> Result<()> {
+        let record = record.into();
         let lsn = self.log_for_tx(tx, record)?;
-        self.apply_record(lsn, &action, false)
+        self.apply_record(lsn, &record.payload, false)
     }
 
     /// Park a finished transaction's commit request in the group-commit
@@ -287,11 +296,13 @@ impl Database {
         self.kept.log.wal.append(Lsn::NULL, LogPayload::<&[u8]>::BeginCheckpoint);
         self.emit(EventKind::CheckpointBegin, None, None);
         self.debug_check_quiesced();
-        let dirty = self.dirty_page_table();
-        let active = self.lost.txns.snapshot();
-        let counts = (active.len() as u32, dirty.len() as u32);
-        let payload = LogPayload::<&[u8]>::EndCheckpoint { active, dirty };
-        let end = self.kept.log.wal.append(Lsn::NULL, payload);
+        // The tables are encoded straight from the transaction table and
+        // the frames.
+        let (mut counts, mut tables) = ((0, 0), Vec::new());
+        let active = self.lost.txns.iter().inspect(|_| counts.0 += 1);
+        let dirty = self.lost.frames.dirty_pages().inspect(|_| counts.1 += 1);
+        let end = Wal::end_checkpoint(active, dirty, &mut tables);
+        let end = self.kept.log.wal.append(Lsn::NULL, end);
         self.kept.log.wal.flush_to(end);
         self.kept.stats.checkpoints += 1;
         self.lost.stage.last_checkpoint_ns = self.now_ns();

@@ -13,7 +13,8 @@ use ipa_core::layout::HeaderView;
 use ipa_core::tracking::FlushPlan;
 use ipa_core::{ecc, ChangeTracker, DbPage, NxM, PageLayout, UpdateSizeProfile};
 use ipa_noftl::{
-    Counters, EventKind, IoCtx, NoFtl, NoFtlConfig, Observer, RegionId, SpanCategory, SpanId,
+    Counters, EventKind, IoCtx, NoFtl, NoFtlConfig, NoFtlError, Observer, RegionId, SpanCategory,
+    SpanId,
 };
 
 use crate::buffer::{BufferPool, Frame, SweepStats};
@@ -80,9 +81,9 @@ pub(crate) struct Pager {
 /// CLOCK hand) and the cleaner's slot scratch.
 pub(crate) struct Frames {
     pool: BufferPool,
-    /// Scratch of [`Database::stage_flushes`] and
-    /// [`Database::dirty_page_table`]: the frame slots to visit, kept from
-    /// one walk to the next so a cleaner round allocates nothing.
+    /// Scratch of [`Database::stage_flushes`] and [`Frames::dirty_pages`]:
+    /// the frame slots to visit, kept from one walk to the next so a
+    /// cleaner round allocates nothing.
     candidates: Vec<usize>,
 }
 
@@ -292,9 +293,13 @@ impl Database {
     /// Allocate a fresh logical page in a region and materialize it in the
     /// buffer as a formatted, dirty, not-yet-on-flash page. Room is made
     /// before the LBA is taken, so a failed eviction takes none. A region
-    /// whose logical pages are all allocated is [`EngineError::OutOfPages`].
+    /// the database does not have is [`NoFtlError::BadRegion`], and one
+    /// whose logical pages are all allocated [`EngineError::OutOfPages`];
+    /// either is refused before anything is evicted.
     pub fn new_page(&mut self, region: usize) -> Result<PageId> {
-        let alloc = &self.kept.pager.allocators[region];
+        let Some(alloc) = self.kept.pager.allocators.get(region) else {
+            return Err(NoFtlError::BadRegion(region).into());
+        };
         if alloc.free.is_empty() && alloc.next >= alloc.capacity {
             return Err(EngineError::OutOfPages { region, capacity: alloc.capacity });
         }
@@ -465,8 +470,8 @@ impl Database {
 
     /// How a logged change reaches a page: the only code in the engine that
     /// calls a [`DbPage`] tuple mutator, writes a logged body span or sets a
-    /// PageLSN. `record` is already in the log at `lsn` (a CLR stands for
-    /// the compensation it carries): one page access applies the change and
+    /// PageLSN. `action` is the payload of the record at `lsn` (of a CLR,
+    /// the compensation it applied): one page access applies the change and
     /// stamps the page with `lsn`, and a frame the change dirties takes
     /// `lsn` as its recovery LSN — a later checkpoint must not claim flash
     /// holds records it does not. Forward processing and rollback come here
@@ -475,10 +480,9 @@ impl Database {
     pub(crate) fn apply_record<B: AsRef<[u8]>>(
         &mut self,
         lsn: Lsn,
-        record: &LogPayload<B>,
+        action: &LogPayload<B>,
         check_lsn: bool,
     ) -> Result<()> {
-        let action = record.redo_action();
         let Some(pid) = action.redo_page() else {
             // Logical compensation (rollback only: redo never passes one).
             // The node changes are logged physically, under the same tx.
@@ -716,19 +720,18 @@ impl Database {
         }
         Ok(())
     }
+}
 
+impl Frames {
     /// The dirty-page table a checkpoint records: every dirty frame's page
     /// with its recovery LSN, in cleaning order.
-    pub(crate) fn dirty_page_table(&mut self) -> Vec<(PageId, Lsn)> {
-        let Frames { pool, candidates } = &mut self.lost.frames;
+    pub(crate) fn dirty_pages(&mut self) -> impl Iterator<Item = (PageId, Lsn)> + '_ {
+        let Frames { pool, candidates } = self;
         pool.cleaner_candidates(usize::MAX, candidates);
-        candidates
-            .iter()
-            .filter_map(|&i| {
-                let f = pool.frame_mut(i)?;
-                Some((f.page_id, f.rec_lsn))
-            })
-            .collect()
+        candidates.iter().filter_map(|&i| {
+            let f = pool.frame_mut(i)?;
+            Some((f.page_id, f.rec_lsn))
+        })
     }
 }
 

@@ -33,7 +33,7 @@ use ipa_noftl::{EventKind, RecoveryPhaseKind, SpanCategory, SpanId};
 use crate::db::{Database, PageId, Volatile};
 use crate::error::EngineError;
 use crate::txn::TxId;
-use crate::wal::{LogPayload, Lsn, Record};
+use crate::wal::{Compensation, LogPayload, Lsn, Record};
 use crate::Result;
 
 /// Roll back one transaction (the abort path and restart undo), appending
@@ -61,22 +61,20 @@ pub(crate) fn rollback_budgeted(
             let (Some(record), Some(prev)) = (wal.record(cursor), wal.prev_of(cursor)) else {
                 break;
             };
-            let inverse = match record {
-                Record::Clr { undo_next, .. } => {
-                    cursor = undo_next;
-                    continue;
+            if let Some(Compensation { undo_next, .. }) = record.clr {
+                cursor = undo_next;
+                continue;
+            }
+            let inverse = match record.payload {
+                LogPayload::Begin { .. } | LogPayload::Commit { .. } | LogPayload::Abort { .. } => {
+                    break
                 }
-                Record::Payload(
-                    LogPayload::Begin { .. } | LogPayload::Commit { .. } | LogPayload::Abort { .. },
-                ) => break,
-                Record::Payload(payload) => invert(&payload),
-                Record::EndCheckpoint { .. } => None,
+                payload => invert(&payload),
             };
-            let undone = cursor;
+            let clr = Some(Compensation { undone: cursor, undo_next: prev });
             cursor = prev;
             let Some(inverse) = inverse else { continue };
-            let action = Box::new(wal.images(inverse, images)?);
-            db.log_and_apply(tx, LogPayload::Clr { tx, undone, undo_next: prev, action })?;
+            db.log_and_apply(tx, Record { clr, payload: wal.images(inverse, images)? })?;
             clrs += 1;
             if let Some(b) = budget.as_mut() {
                 *b -= 1;
@@ -271,13 +269,13 @@ impl Database {
         let mut dpt: BTreeMap<PageId, Lsn> = BTreeMap::new();
         let mut scanned = 0u64;
         let wal = self.wal();
-        for (lsn, record) in wal.records_from(start) {
+        for (lsn, Record { payload, .. }) in wal.records_from(start) {
             scanned += 1;
-            match &record {
-                Record::Payload(LogPayload::Commit { tx } | LogPayload::Abort { tx }) => {
-                    losers.remove(tx);
+            match payload {
+                LogPayload::Commit { tx } | LogPayload::Abort { tx } => {
+                    losers.remove(&tx);
                 }
-                &Record::EndCheckpoint { active, dirty } => {
+                LogPayload::EndCheckpoint { active, dirty } => {
                     for (tx, last) in wal.active_table(active) {
                         losers.entry(tx).or_insert(last);
                     }
@@ -292,7 +290,7 @@ impl Database {
                     }
                 }
             }
-            if let Some(page) = record.redo_page() {
+            if let Some(page) = payload.redo_page() {
                 dpt.entry(page).or_insert(lsn);
             }
         }
@@ -323,7 +321,7 @@ impl Database {
                 // replayed, below the redo window too — cheap pointer
                 // writes, no page I/O — which keeps bounded restart
                 // bit-identical to the full scan.
-                if let Record::Payload(LogPayload::RootChange { index, new_root, .. }) = record {
+                if let LogPayload::RootChange { index, new_root, .. } = record.payload {
                     db.kept.indexes[index as usize].root = new_root;
                     continue;
                 }
@@ -334,7 +332,7 @@ impl Database {
                 // Logical index records are undo-only, and an index
                 // compensation was logged as physical PageWrite records of
                 // its own.
-                let Some(page) = record.redo_page() else { continue };
+                let Some(page) = record.payload.redo_page() else { continue };
                 if use_dpt {
                     // Skip rule: a page absent from the DPT was clean at
                     // the checkpoint and untouched since — its flash image
@@ -349,8 +347,7 @@ impl Database {
                         }
                     }
                 }
-                let Some(action) = record.redo_action() else { continue };
-                let action = db.wal().images(action.clone(), images)?;
+                let action = db.wal().images(record.payload, images)?;
                 redo_healed(db, lsn, &action, page)?;
                 applied += 1;
             }
@@ -678,7 +675,7 @@ mod tests {
         // records the log still holds. Analysis reads in log order, so
         // each holder of an id is done before the next one begins.
         use crate::txn::TxId;
-        use crate::wal::{LogPayload, Record};
+        use crate::wal::LogPayload;
         for bounded in [true, false] {
             let (mut db, heap, rid) = seeded(16, &[1u8; 8]);
             commit_update(&mut db, heap, rid, &[2u8; 8]);
@@ -696,10 +693,8 @@ mod tests {
             let wal = db.wal();
             let begins = wal.records_from(wal.tail()).filter(|(_, r)| {
                 matches!(
-                    r,
-                    Record::Payload(
-                        LogPayload::Begin { tx: TxId(1) } | LogPayload::Begin { tx: TxId(2) }
-                    )
+                    r.payload,
+                    LogPayload::Begin { tx: TxId(1) } | LogPayload::Begin { tx: TxId(2) }
                 )
             });
             assert_eq!(begins.count(), 4, "the log holds both holders of each id");

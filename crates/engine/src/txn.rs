@@ -103,11 +103,6 @@ impl TxnTable {
         self.active.iter().map(|(t, i)| (*t, i.last_lsn))
     }
 
-    /// Snapshot of [`Self::iter`].
-    pub fn snapshot(&self) -> Vec<(TxId, Lsn)> {
-        self.iter().collect()
-    }
-
     /// Number of active transactions.
     #[cfg(test)]
     pub fn active_count(&self) -> usize {
@@ -149,13 +144,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_sorted() {
+    fn iter_is_sorted() {
         let mut t = TxnTable::new();
         let a = t.begin();
         let b = t.begin();
         t.set_last_lsn(b, Lsn(9));
-        let snap = t.snapshot();
-        assert_eq!(snap, vec![(a, Lsn::NULL), (b, Lsn(9))]);
+        assert!(t.iter().eq([(a, Lsn::NULL), (b, Lsn(9))]));
     }
 
     #[test]
@@ -176,7 +170,7 @@ mod tests {
             t.register_recovered(TxId(id), Lsn(id));
         }
         t.register_recovered(TxId(4), Lsn(40));
-        assert_eq!(t.snapshot(), vec![(TxId(4), Lsn(40)), (TxId(6), Lsn(6)), (TxId(9), Lsn(9))]);
+        assert!(t.iter().eq([(TxId(4), Lsn(40)), (TxId(6), Lsn(6)), (TxId(9), Lsn(9))]));
         t.finish(TxId(6));
         assert!(t.is_active(TxId(4)) && !t.is_active(TxId(6)) && t.is_active(TxId(9)));
         assert_eq!(t.begin(), TxId(10));

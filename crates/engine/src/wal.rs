@@ -8,11 +8,18 @@
 //! because eager log-space reclamation forces dirty-page flushes (§8.4,
 //! "Why does the DBMS write even with 90% buffer size?").
 //!
+//! One type is a log record, [`Record`]: a [`LogPayload`] — a change, or a
+//! transaction or checkpoint event — and, for a CLR, its [`Compensation`]:
+//! the record it undid and the next to undo. A CLR's payload is the
+//! compensation it applied, so redo and rollback apply any record's
+//! payload alike.
+//!
 //! The log keeps its records as bytes, in memory the [`Wal`] owns: an
-//! append encodes the record there — a kind byte, `prev`, the variant's
-//! fields at fixed little-endian widths (a CLR's action after the CLR's
-//! own), then its images, copied from the slices the caller borrows (a
-//! frame, a transaction's argument), or a checkpoint's tables — and an
+//! append encodes the record there — a kind byte, `prev`, a CLR's
+//! transaction, `undone`, `undo_next` and its payload's kind byte, the
+//! payload's fields at fixed little-endian widths, then its images, copied
+//! from the slices the caller borrows (a frame, a transaction's argument),
+//! or a checkpoint's tables, which [`Wal::end_checkpoint`] encodes — and an
 //! index keeps where each record starts, one `u64` a record. A retained
 //! record costs what it encodes: a `Begin` 25 bytes with its index entry.
 //! No field is narrowed silently: each is stored at its own width, and the
@@ -30,15 +37,15 @@
 //! whole. A B+-tree node write ([`LogPayload::PageWrite`]) holds the runs
 //! of bytes it changed. Windows and runs are found by one scan,
 //! [`ipa_core::changed_runs`]. The
-//! log's space accounting ([`LogPayload::size_bytes`],
+//! log's space accounting ([`Record::size_bytes`],
 //! [`Wal::used_fraction`]) still charges an update both images whole and a
 //! node write the span its runs cover, so how little a record holds never
 //! changes when the log reclaims space.
 //!
 //! Restart and rollback read a record where the log keeps it:
 //! [`Wal::record`] and [`Wal::records_from`] decode its kind, transaction,
-//! page and fields in place into a [`Record`] — a CLR's action beside it,
-//! unboxed — its images and checkpoint tables as [`Span`]s.
+//! page and fields in place into a [`Record`], its images and checkpoint
+//! tables as [`Span`]s.
 //! [`Wal::images`] copies the images of the one record being applied into a
 //! buffer the caller reuses, and [`Wal::active_table`] /
 //! [`Wal::dirty_table`] read a checkpoint's tables entry by entry. Nothing
@@ -71,11 +78,11 @@ impl Lsn {
 }
 
 /// The body of one log record. `B` is how it holds its tuple and node
-/// images: owned (`Vec<u8>`, the default — the tests' owned view),
+/// images and a checkpoint's tables: owned (`Vec<u8>`, the default — the tests' owned view),
 /// borrowed (`&[u8]` — what the hot paths pass to [`Wal::append`] and what
 /// [`Wal::images`] hands redo and rollback), or as a [`Span`] of the log's
 /// bytes (what decoding a retained record gives, inside a [`Record`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LogPayload<B = Vec<u8>> {
     /// Transaction start.
     Begin {
@@ -90,7 +97,7 @@ pub enum LogPayload<B = Vec<u8>> {
     /// logged against — the one ARIES redo rebuilds (PageLSN, recLSN). Undo
     /// writes the before window over the after window, which the tuple
     /// still holds under strict two-phase locking. The log charges both
-    /// images whole ([`LogPayload::size_bytes`]).
+    /// images whole ([`Record::size_bytes`]).
     Update {
         /// Transaction id.
         tx: TxId,
@@ -188,7 +195,7 @@ pub enum LogPayload<B = Vec<u8>> {
     /// is correct only on the page state it was logged against — the one
     /// ARIES redo rebuilds (PageLSN, recLSN, a fresh page formatted alike).
     /// The log charges the covering span, not the runs
-    /// ([`LogPayload::size_bytes`]): that is what it charged when it held
+    /// ([`Record::size_bytes`]): that is what it charged when it held
     /// the span, so when it reclaims space does not move. Charging the runs
     /// would be the honest size and moves every simulated number.
     PageWrite {
@@ -216,7 +223,8 @@ pub enum LogPayload<B = Vec<u8>> {
         new_root: PageId,
     },
     /// Undo of a delete: the tuple reappears in its original slot (the
-    /// slot offset survives mark-delete). Appears only inside CLR actions.
+    /// slot offset survives mark-delete). Logged only as a CLR's
+    /// compensation.
     Undelete {
         /// Transaction id.
         tx: TxId,
@@ -226,19 +234,6 @@ pub enum LogPayload<B = Vec<u8>> {
         slot: SlotId,
         /// Restored tuple image.
         tuple: B,
-    },
-    /// Compensation record: `undone` has been rolled back by applying
-    /// `action`; on restart-undo continue at `undo_next`. Carrying the
-    /// compensation's redo action makes CLRs redo-able (ARIES).
-    Clr {
-        /// Transaction id.
-        tx: TxId,
-        /// LSN of the record this CLR compensates.
-        undone: Lsn,
-        /// Next record to undo for this transaction.
-        undo_next: Lsn,
-        /// The physical/logical effect of the compensation.
-        action: Box<LogPayload<B>>,
     },
     /// Transaction commit.
     Commit {
@@ -252,12 +247,16 @@ pub enum LogPayload<B = Vec<u8>> {
     },
     /// Fuzzy checkpoint begin.
     BeginCheckpoint,
-    /// Fuzzy checkpoint end: active transactions and the dirty page table.
+    /// Fuzzy checkpoint end: the active-transaction and dirty-page tables,
+    /// in the bytes the log stores ([`Wal::end_checkpoint`] writes them,
+    /// [`Wal::active_table`] and [`Wal::dirty_table`] read them).
     EndCheckpoint {
-        /// Active transactions with their last LSN.
-        active: Vec<(TxId, Lsn)>,
-        /// Dirty pages with their recovery LSN.
-        dirty: Vec<(PageId, Lsn)>,
+        /// Active transactions with their last LSN, [`ACTIVE_ENTRY`] bytes
+        /// an entry.
+        active: B,
+        /// Dirty pages with their recovery LSN, [`DIRTY_ENTRY`] bytes an
+        /// entry.
+        dirty: B,
     },
 }
 
@@ -275,16 +274,14 @@ impl<B> LogPayload<B> {
             | LogPayload::RootChange { tx, .. }
             | LogPayload::IndexInsert { tx, .. }
             | LogPayload::IndexDelete { tx, .. }
-            | LogPayload::Clr { tx, .. }
             | LogPayload::Commit { tx }
             | LogPayload::Abort { tx } => Some(*tx),
             LogPayload::BeginCheckpoint | LogPayload::EndCheckpoint { .. } => None,
         }
     }
 
-    /// The page a record's physical change targets — for a CLR, the page
-    /// its compensation targets. `None` for everything restart redo does
-    /// not apply to a page: logical index records, transaction and
+    /// The page the change targets. `None` for everything restart redo
+    /// does not apply to a page: logical index records, transaction and
     /// checkpoint records.
     pub fn redo_page(&self) -> Option<PageId> {
         match self {
@@ -294,23 +291,14 @@ impl<B> LogPayload<B> {
             | LogPayload::Delete { page, .. }
             | LogPayload::Undelete { page, .. }
             | LogPayload::PageWrite { page, .. } => Some(*page),
-            LogPayload::Clr { action, .. } => action.redo_page(),
             _ => None,
         }
     }
 
-    /// What applying this record changes: for a CLR, the compensation it
-    /// carries, for anything else the record itself.
-    pub fn redo_action(&self) -> &LogPayload<B> {
-        match self {
-            LogPayload::Clr { action, .. } => action,
-            other => other,
-        }
-    }
-
-    /// The same record holding each image as `image(old)`. The one place
-    /// that names every image field: copying into the log and copying out
-    /// of it are two closures. Everything else a record owns moves.
+    /// The same record holding each image and table as `image(old)`, in
+    /// the order the log stores them. The one place that names every
+    /// image field: copying into the log and copying out of it are two
+    /// closures. Everything else a record owns moves.
     pub fn map_images<C>(self, image: &mut impl FnMut(B) -> C) -> LogPayload<C> {
         match self {
             LogPayload::Begin { tx } => LogPayload::Begin { tx },
@@ -343,49 +331,14 @@ impl<B> LogPayload<B> {
             LogPayload::Undelete { tx, page, slot, tuple } => {
                 LogPayload::Undelete { tx, page, slot, tuple: image(tuple) }
             }
-            LogPayload::Clr { tx, undone, undo_next, action } => LogPayload::Clr {
-                tx,
-                undone,
-                undo_next,
-                action: Box::new(action.map_images(image)),
-            },
             LogPayload::Commit { tx } => LogPayload::Commit { tx },
             LogPayload::Abort { tx } => LogPayload::Abort { tx },
             LogPayload::BeginCheckpoint => LogPayload::BeginCheckpoint,
             LogPayload::EndCheckpoint { active, dirty } => {
-                LogPayload::EndCheckpoint { active, dirty }
+                let active = image(active);
+                LogPayload::EndCheckpoint { active, dirty: image(dirty) }
             }
         }
-    }
-
-    /// [`Self::size_bytes`] for any way of holding an image, given its
-    /// length.
-    fn size_with(&self, len: &impl Fn(&B) -> usize) -> usize {
-        let body = match self {
-            LogPayload::Update { before, after, kept, .. } => {
-                len(before) + len(after) + 2 * usize::from(*kept)
-            }
-            LogPayload::Resize { before, after, .. } => len(before) + len(after),
-            LogPayload::Insert { tuple, .. } | LogPayload::Undelete { tuple, .. } => len(tuple),
-            LogPayload::Delete { before, .. } => len(before),
-            LogPayload::PageWrite { extent, .. } => *extent as usize,
-            LogPayload::Clr { action, .. } => action.size_with(len),
-            LogPayload::EndCheckpoint { active, dirty } => {
-                active.len() * ACTIVE_ENTRY + dirty.len() * DIRTY_ENTRY
-            }
-            _ => 0,
-        };
-        32 + body
-    }
-}
-
-impl<B: AsRef<[u8]>> LogPayload<B> {
-    /// Approximate on-disk size of the record, used for log-space
-    /// accounting: a header and the images, an update's both whole and a
-    /// page write's as the span it covers, however few bytes of them the
-    /// record holds.
-    pub fn size_bytes(&self) -> usize {
-        self.size_with(&|image| image.as_ref().len())
     }
 }
 
@@ -484,8 +437,67 @@ pub(crate) fn for_each_run(
     }
 }
 
+/// What makes a record a compensation record (CLR): rollback applied the
+/// record's payload to undo `undone`, and restart undo goes on at
+/// `undo_next`. The payload makes the CLR redo-able (ARIES).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Compensation {
+    /// LSN of the record this CLR compensates.
+    pub undone: Lsn,
+    /// Next record to undo for this transaction.
+    pub undo_next: Lsn,
+}
+
+/// One log record: what [`Wal::append`] takes and [`Wal::record`] /
+/// [`Wal::records_from`] hand out. `B` is how it holds its images and
+/// checkpoint tables, as in [`LogPayload`]; decoded, as [`Span`]s of the
+/// log (the default), which allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Record<B = Span> {
+    /// `Some` for a CLR, whose `payload` is the compensation it applied.
+    pub clr: Option<Compensation>,
+    /// The change, or the transaction or checkpoint event.
+    pub payload: LogPayload<B>,
+}
+
+impl<B> From<LogPayload<B>> for Record<B> {
+    fn from(payload: LogPayload<B>) -> Self {
+        Record { clr: None, payload }
+    }
+}
+
+impl<B> Record<B> {
+    /// [`Self::size_bytes`] for any way of holding an image or table,
+    /// given its length.
+    fn size_with(&self, len: &impl Fn(&B) -> usize) -> usize {
+        let body = match &self.payload {
+            LogPayload::Update { before, after, kept, .. } => {
+                len(before) + len(after) + 2 * usize::from(*kept)
+            }
+            LogPayload::Resize { before, after, .. } => len(before) + len(after),
+            LogPayload::Insert { tuple, .. } | LogPayload::Undelete { tuple, .. } => len(tuple),
+            LogPayload::Delete { before, .. } => len(before),
+            LogPayload::PageWrite { extent, .. } => *extent as usize,
+            LogPayload::EndCheckpoint { active, dirty } => len(active) + len(dirty),
+            _ => 0,
+        };
+        // A CLR is charged a header of its own and its compensation whole.
+        32 * (1 + usize::from(self.clr.is_some())) + body
+    }
+}
+
+impl<B: AsRef<[u8]>> Record<B> {
+    /// Approximate on-disk size of the record, used for log-space
+    /// accounting: a header and the images, an update's both whole and a
+    /// page write's as the span it covers, however few bytes of them the
+    /// record holds.
+    pub fn size_bytes(&self) -> usize {
+        self.size_with(&|image| image.as_ref().len())
+    }
+}
+
 /// One log record, every image copied out: LSN, backward same-transaction
-/// chain, payload. The owned view the record-vector model and the tests
+/// chain, record. The owned view the record-vector model and the tests
 /// compare.
 #[cfg(test)]
 #[derive(Debug, Clone, PartialEq)]
@@ -495,7 +507,7 @@ pub struct LogRecord {
     /// Previous record of the same transaction (null for the first).
     pub prev: Lsn,
     /// Body.
-    pub payload: LogPayload,
+    pub record: Record<Vec<u8>>,
 }
 
 /// Where the log holds an image or a checkpoint table: its index in the
@@ -509,91 +521,8 @@ pub struct Span {
     len: u32,
 }
 
-/// A retained record, decoded where the log keeps it: what [`Wal::record`]
-/// and [`Wal::records_from`] hand out. `B` is how it holds its images and
-/// checkpoint tables: as [`Span`]s of the log (the default), or as their
-/// lengths while the log decodes it. Decoding allocates nothing.
-#[derive(Debug)]
-pub enum Record<B = Span> {
-    /// Any record but a compensation or a checkpoint's End — never a
-    /// [`LogPayload::Clr`] or a [`LogPayload::EndCheckpoint`].
-    Payload(LogPayload<B>),
-    /// A compensation record ([`LogPayload::Clr`]) with the action it
-    /// carries.
-    Clr {
-        /// Transaction id.
-        tx: TxId,
-        /// LSN of the record this CLR compensates.
-        undone: Lsn,
-        /// Next record to undo for this transaction.
-        undo_next: Lsn,
-        /// The compensation: a record of the kinds rollback logs.
-        action: LogPayload<B>,
-    },
-    /// A checkpoint's End ([`LogPayload::EndCheckpoint`]), its tables read
-    /// through [`Wal::active_table`] and [`Wal::dirty_table`].
-    EndCheckpoint {
-        /// The active-transaction table.
-        active: B,
-        /// The dirty-page table.
-        dirty: B,
-    },
-}
-
-impl<B> Record<B> {
-    /// Transaction this record belongs to, if any.
-    pub fn tx(&self) -> Option<TxId> {
-        match self {
-            Record::Payload(payload) => payload.tx(),
-            Record::Clr { tx, .. } => Some(*tx),
-            Record::EndCheckpoint { .. } => None,
-        }
-    }
-
-    /// What applying this record changes: for a CLR, the compensation it
-    /// carries, for a checkpoint's End nothing, for anything else the
-    /// record itself.
-    pub fn redo_action(&self) -> Option<&LogPayload<B>> {
-        match self {
-            Record::Payload(action) | Record::Clr { action, .. } => Some(action),
-            Record::EndCheckpoint { .. } => None,
-        }
-    }
-
-    /// The page the record's physical change targets
-    /// ([`LogPayload::redo_page`] of its [`Self::redo_action`]).
-    pub fn redo_page(&self) -> Option<PageId> {
-        self.redo_action()?.redo_page()
-    }
-
-    /// The same record holding each image and table as `image(old)`, in
-    /// the order the log stores them.
-    fn map_images<C>(self, image: &mut impl FnMut(B) -> C) -> Record<C> {
-        match self {
-            Record::Payload(payload) => Record::Payload(payload.map_images(image)),
-            Record::Clr { tx, undone, undo_next, action } => {
-                Record::Clr { tx, undone, undo_next, action: action.map_images(image) }
-            }
-            Record::EndCheckpoint { active, dirty } => {
-                let active = image(active);
-                Record::EndCheckpoint { active, dirty: image(dirty) }
-            }
-        }
-    }
-
-    /// [`LogPayload::size_bytes`] of the record this was decoded from,
-    /// given the length of an image or table.
-    fn size_with(&self, len: &impl Fn(&B) -> usize) -> usize {
-        match self {
-            Record::Payload(payload) => payload.size_with(len),
-            Record::Clr { action, .. } => 32 + action.size_with(len),
-            Record::EndCheckpoint { active, dirty } => 32 + len(active) + len(dirty),
-        }
-    }
-}
-
-/// The byte a record, and a CLR's action after the CLR's fields, starts
-/// with: which [`LogPayload`] variant follows.
+/// The byte a record, and a CLR's compensation after the CLR's fields,
+/// starts with: which [`LogPayload`] variant follows, or that a CLR does.
 mod kind {
     pub(super) const BEGIN: u8 = 0;
     pub(super) const UPDATE: u8 = 1;
@@ -625,7 +554,6 @@ fn kind_of<B>(payload: &LogPayload<B>) -> u8 {
         LogPayload::PageWrite { .. } => kind::PAGE_WRITE,
         LogPayload::RootChange { .. } => kind::ROOT_CHANGE,
         LogPayload::Undelete { .. } => kind::UNDELETE,
-        LogPayload::Clr { .. } => kind::CLR,
         LogPayload::Commit { .. } => kind::COMMIT,
         LogPayload::Abort { .. } => kind::ABORT,
         LogPayload::BeginCheckpoint => kind::BEGIN_CHECKPOINT,
@@ -643,8 +571,8 @@ const ACTIVE_ENTRY: usize = 16;
 const DIRTY_ENTRY: usize = 24;
 
 /// Bytes of the longest fixed part of a record: a CLR's kind, `prev`, `tx`,
-/// `undone` and `undo_next` (33), and its action's, a resize's kind, `tx`,
-/// page, slot, `from`, `to` and two image lengths (33).
+/// `undone` and `undo_next` (33), and its compensation's, a resize's kind,
+/// `tx`, page, slot, `from`, `to` and two image lengths (33).
 const HEAD_MAX: usize = 66;
 
 /// A record's fixed part, written on the stack and copied into the log at
@@ -677,9 +605,8 @@ impl Head {
     }
 
     /// The fields of `payload`, whose kind byte is written — its
-    /// transaction first, when it has one — and the lengths of its images;
-    /// returns the images, which follow the fixed part in this order. A
-    /// CLR's action follows the CLR's fields, kind byte first.
+    /// transaction first, when it has one — and the lengths of its images
+    /// or tables; returns those, which follow the fixed part in this order.
     fn fields<'p, B: AsRef<[u8]>>(&mut self, payload: &'p LogPayload<B>) -> [&'p [u8]; 2] {
         if let Some(tx) = payload.tx() {
             self.put(tx.0.to_le_bytes());
@@ -736,20 +663,11 @@ impl Head {
                 self.put(index.to_le_bytes());
                 self.page(*new_root);
             }
-            LogPayload::Clr { undone, undo_next, action, .. } => {
-                // What rollback logs: the inverse of an undoable record.
-                assert!(
-                    !matches!(**action, LogPayload::Clr { .. } | LogPayload::EndCheckpoint { .. }),
-                    "a CLR's action is neither a CLR nor a checkpoint's End"
-                );
-                self.put(undone.0.to_le_bytes());
-                self.put(undo_next.0.to_le_bytes());
-                self.put([kind_of(action)]);
-                images = self.fields(action);
-            }
             LogPayload::EndCheckpoint { active, dirty } => {
-                self.length(active.len() * ACTIVE_ENTRY);
-                self.length(dirty.len() * DIRTY_ENTRY);
+                let (active, dirty) = (active.as_ref(), dirty.as_ref());
+                self.length(active.len());
+                self.length(dirty.len());
+                images = [active, dirty];
             }
         }
         images
@@ -801,12 +719,17 @@ impl Cursor<'_> {
         Some(PageId::new(region, self.u64()?))
     }
 
-    /// The fields [`Head::fields`] wrote for a `kind` that is neither a CLR
-    /// nor a checkpoint's End, each image as its length.
+    /// The fields [`Head::fields`] wrote for a payload of `kind`, each image
+    /// and table as its length. `None` for a CLR's kind: what follows a
+    /// CLR's fields is its compensation, never another CLR.
     #[inline(always)]
     fn fields(&mut self, kind: u8) -> Option<LogPayload<u32>> {
-        if kind == kind::BEGIN_CHECKPOINT {
-            return Some(LogPayload::BeginCheckpoint);
+        match kind {
+            kind::BEGIN_CHECKPOINT => return Some(LogPayload::BeginCheckpoint),
+            kind::END_CHECKPOINT => {
+                return Some(LogPayload::EndCheckpoint { active: self.u32()?, dirty: self.u32()? })
+            }
+            _ => {}
         }
         let tx = self.tx()?;
         Some(match kind {
@@ -1046,16 +969,21 @@ impl Wal {
 
     /// Append a record, encoding it into the log, and return its LSN. The
     /// hot paths pass images as `&[u8]` borrowed from a frame or from their
-    /// caller. The record is a kind byte, `prev`, the variant's fields at
-    /// their widths (a CLR's action after the CLR's own), then its images or
-    /// checkpoint tables; the index gets where it starts.
-    pub fn append<B: AsRef<[u8]>>(&mut self, prev: Lsn, payload: LogPayload<B>) -> Lsn {
+    /// caller, and a bare [`LogPayload`] for a record that is no CLR. The
+    /// record is a kind byte, `prev`, the variant's fields at their widths,
+    /// then its images or checkpoint tables; the index gets where it
+    /// starts. A CLR has a kind byte of its own, and its transaction (its
+    /// compensation's), `undone` and `undo_next` come before the
+    /// compensation's kind byte and fields.
+    pub fn append<B: AsRef<[u8]>>(&mut self, prev: Lsn, record: impl Into<Record<B>>) -> Lsn {
+        let record = record.into();
+        let (clr, payload) = (record.clr, &record.payload);
         let lsn = Lsn(self.next);
         self.next += 1;
-        self.used_bytes += payload.size_bytes();
-        match payload {
-            LogPayload::BeginCheckpoint => self.pending_begin = Some(lsn),
-            LogPayload::EndCheckpoint { .. } => {
+        self.used_bytes += record.size_bytes();
+        match (clr, payload) {
+            (None, LogPayload::BeginCheckpoint) => self.pending_begin = Some(lsn),
+            (None, LogPayload::EndCheckpoint { .. }) => {
                 // A lone End (no Begin retained) forms a degenerate pair.
                 let begin = self.pending_begin.take().unwrap_or(lsn);
                 self.last_checkpoint = Some((begin, lsn));
@@ -1063,24 +991,22 @@ impl Wal {
             _ => {}
         }
         let mut head = Head { bytes: [0; HEAD_MAX], len: 0 };
-        head.put([kind_of(&payload)]);
+        let kind = kind_of(payload);
+        head.put([if clr.is_some() { kind::CLR } else { kind }]);
         head.put(prev.0.to_le_bytes());
-        let images = head.fields(&payload);
+        if let Some(Compensation { undone, undo_next }) = clr {
+            // Its compensation's transaction: 0 for one without, which
+            // rollback never logs.
+            head.put(payload.tx().map_or(0, |tx| tx.0).to_le_bytes());
+            head.put(undone.0.to_le_bytes());
+            head.put(undo_next.0.to_le_bytes());
+            head.put([kind]);
+        }
+        let images = head.fields(payload);
         self.index.push(self.bytes.end);
         self.bytes.extend_from_slice(&head.bytes[..head.len]);
         for image in images {
             self.bytes.extend_from_slice(image);
-        }
-        if let LogPayload::EndCheckpoint { active, dirty } = &payload {
-            for &(tx, last) in active {
-                self.bytes.extend_from_slice(&tx.0.to_le_bytes());
-                self.bytes.extend_from_slice(&last.0.to_le_bytes());
-            }
-            for &(page, rec_lsn) in dirty {
-                self.bytes.extend_from_slice(&(page.region as u64).to_le_bytes());
-                self.bytes.extend_from_slice(&page.lba.0.to_le_bytes());
-                self.bytes.extend_from_slice(&rec_lsn.0.to_le_bytes());
-            }
         }
         lsn
     }
@@ -1145,12 +1071,13 @@ impl Wal {
     /// not yet written): kind, transaction, page and checkpoint tables read
     /// in place, images and tables as spans. Allocates nothing.
     pub fn record(&self, lsn: Lsn) -> Option<Record> {
-        let (record, mut at) = self.decode(lsn)?;
-        Some(record.map_images(&mut |len: u32| {
+        let (Record { clr, payload }, mut at) = self.decode(lsn)?;
+        let payload = payload.map_images(&mut |len: u32| {
             let span = Span { start: at, len };
             at += u64::from(len);
             span
-        }))
+        });
+        Some(Record { clr, payload })
     }
 
     /// The record at `lsn` with each image and table as its length, and
@@ -1172,20 +1099,17 @@ impl Wal {
             }
         };
         let mut fields = Cursor { rest: head };
-        let kind = fields.u8()?;
+        let mut kind = fields.u8()?;
         // `prev`, which `prev_of` reads.
         fields.lsn()?;
-        let record = match kind {
-            kind::CLR => {
-                let (tx, undone, undo_next) = (fields.tx()?, fields.lsn()?, fields.lsn()?);
-                let action_kind = fields.u8()?;
-                Record::Clr { tx, undone, undo_next, action: fields.fields(action_kind)? }
-            }
-            kind::END_CHECKPOINT => {
-                Record::EndCheckpoint { active: fields.u32()?, dirty: fields.u32()? }
-            }
-            kind => Record::Payload(fields.fields(kind)?),
-        };
+        let mut clr = None;
+        if kind == kind::CLR {
+            // The CLR's transaction, which its compensation's fields repeat.
+            fields.tx()?;
+            clr = Some(Compensation { undone: fields.lsn()?, undo_next: fields.lsn()? });
+            kind = fields.u8()?;
+        }
+        let record = Record { clr, payload: fields.fields(kind)? };
         Some((record, start + (head.len() - fields.rest.len()) as u64))
     }
 
@@ -1216,16 +1140,47 @@ impl Wal {
         })
     }
 
+    /// A checkpoint's End holding its tables — the active transactions
+    /// with their last LSN, the dirty pages with their recovery LSN — as
+    /// the log stores them, encoded into `tables`, which is cleared first
+    /// and grows at most once, to what the tables' size hints allow:
+    /// entries at fixed widths, little-endian, a dirty page's region at a
+    /// `u64` (the tables are rare, and nothing in them is narrowed).
+    pub(crate) fn end_checkpoint(
+        active: impl IntoIterator<Item = (TxId, Lsn)>,
+        dirty: impl IntoIterator<Item = (PageId, Lsn)>,
+        tables: &mut Vec<u8>,
+    ) -> LogPayload<&[u8]> {
+        let (active, dirty) = (active.into_iter(), dirty.into_iter());
+        let most = |hint: (usize, Option<usize>)| hint.1.unwrap_or(hint.0);
+        tables.clear();
+        tables.reserve(
+            ACTIVE_ENTRY * most(active.size_hint()) + DIRTY_ENTRY * most(dirty.size_hint()),
+        );
+        for (tx, last) in active {
+            tables.extend_from_slice(&tx.0.to_le_bytes());
+            tables.extend_from_slice(&last.0.to_le_bytes());
+        }
+        let split = tables.len();
+        for (page, rec_lsn) in dirty {
+            tables.extend_from_slice(&(page.region as u64).to_le_bytes());
+            tables.extend_from_slice(&page.lba.0.to_le_bytes());
+            tables.extend_from_slice(&rec_lsn.0.to_le_bytes());
+        }
+        let (active, dirty) = tables.split_at(split);
+        LogPayload::EndCheckpoint { active, dirty }
+    }
+
     /// The `N`-byte entries of a table.
     fn entries<const N: usize>(&self, table: Span) -> impl Iterator<Item = [u8; N]> + '_ {
         let count = u64::from(table.len) / N as u64;
         (0..count).map_while(move |i| self.bytes.read::<N>(table.start + i * N as u64))
     }
 
-    /// `payload` — a record of this log or part of one (a CLR's action, an
-    /// inverse built from its spans) — with its images copied into
-    /// `images`, which is cleared first: each image once, back to back, and
-    /// `images` allocates only when it grows. The result borrows
+    /// `payload` — a record's of this log, or an inverse built from its
+    /// spans — with its images or tables copied into `images`, which is
+    /// cleared first: each once, back to back, and `images` allocates only
+    /// when it grows. The result borrows
     /// `images`, not the log. A span that names bytes the log no longer or
     /// never held is [`EngineError::Internal`], never an image rebuilt from
     /// other bytes.
@@ -1262,22 +1217,11 @@ impl Wal {
     /// [`Self::images`].
     #[cfg(test)]
     pub fn get(&self, lsn: Lsn) -> Option<LogRecord> {
+        let Record { clr, payload } = self.record(lsn)?;
         let mut images = Vec::new();
-        let mut owned = |payload| {
-            let payload = self.images(payload, &mut images).ok()?;
-            Some(payload.map_images(&mut |image: &[u8]| image.to_vec()))
-        };
-        let payload = match self.record(lsn)? {
-            Record::Payload(payload) => owned(payload)?,
-            Record::Clr { tx, undone, undo_next, action } => {
-                LogPayload::Clr { tx, undone, undo_next, action: Box::new(owned(action)?) }
-            }
-            Record::EndCheckpoint { active, dirty } => LogPayload::EndCheckpoint {
-                active: self.active_table(active).collect(),
-                dirty: self.dirty_table(dirty).collect(),
-            },
-        };
-        Some(LogRecord { lsn, prev: self.prev_of(lsn)?, payload })
+        let payload = self.images(payload, &mut images).ok()?;
+        let payload = payload.map_images(&mut |image: &[u8]| image.to_vec());
+        Some(LogRecord { lsn, prev: self.prev_of(lsn)?, record: Record { clr, payload } })
     }
 
     /// Whether both records of a checkpoint are retained — any record at
@@ -1500,19 +1444,19 @@ mod tests {
             }
         }
 
-        fn append(&mut self, prev: Lsn, payload: LogPayload) -> Lsn {
+        fn append(&mut self, prev: Lsn, record: Record<Vec<u8>>) -> Lsn {
             let lsn = Lsn(self.next);
             self.next += 1;
-            self.used_bytes += payload.size_bytes();
-            match payload {
-                LogPayload::BeginCheckpoint => self.pending_begin = Some(lsn),
-                LogPayload::EndCheckpoint { .. } => {
+            self.used_bytes += record.size_bytes();
+            match (record.clr, &record.payload) {
+                (None, LogPayload::BeginCheckpoint) => self.pending_begin = Some(lsn),
+                (None, LogPayload::EndCheckpoint { .. }) => {
                     let begin = self.pending_begin.take().unwrap_or(lsn);
                     self.last_checkpoint = Some((begin, lsn));
                 }
                 _ => {}
             }
-            self.records.push(LogRecord { lsn, prev, payload });
+            self.records.push(LogRecord { lsn, prev, record });
             lsn
         }
 
@@ -1542,7 +1486,7 @@ mod tests {
             }
             let keep_from = (lsn.0 - self.tail.0).min(self.records.len() as u64) as usize;
             let dropped: usize =
-                self.records[..keep_from].iter().map(|r| r.payload.size_bytes()).sum();
+                self.records[..keep_from].iter().map(|r| r.record.size_bytes()).sum();
             self.records.drain(..keep_from);
             self.used_bytes -= dropped;
             self.tail = lsn;
@@ -1560,7 +1504,7 @@ mod tests {
                 .iter()
                 .position(|r| r.lsn > self.flushed)
                 .unwrap_or(self.records.len());
-            let lost: usize = self.records[keep..].iter().map(|r| r.payload.size_bytes()).sum();
+            let lost: usize = self.records[keep..].iter().map(|r| r.record.size_bytes()).sum();
             self.records.truncate(keep);
             self.used_bytes -= lost;
             self.next = self.flushed.0.max(self.tail.0.saturating_sub(1)) + 1;
@@ -1616,15 +1560,30 @@ mod tests {
         (before, after)
     }
 
+    /// A checkpoint's tables, typed: what [`Wal::end_checkpoint`] encodes.
+    type Tables = (Vec<(TxId, Lsn)>, Vec<(PageId, Lsn)>);
+
+    /// A drawn record, and for a checkpoint's End the tables it encodes.
+    type Drawn = (Record<Vec<u8>>, Option<Tables>);
+
+    /// A checkpoint's End holding `tables`, and the tables.
+    fn end_holding(tables: Tables) -> Drawn {
+        let mut bytes = Vec::new();
+        let end =
+            Wal::end_checkpoint(tables.0.iter().copied(), tables.1.iter().copied(), &mut bytes);
+        (end.map_images(&mut |table: &[u8]| table.to_vec()).into(), Some(tables))
+    }
+
     /// A random record of any kind, with images of random lengths (empty
-    /// ones too).
-    fn random_payload(rng: &mut rand::rngs::StdRng, depth: u32) -> LogPayload {
+    /// ones too). At `depth` 1, what rollback logs a CLR around: no CLR and
+    /// no checkpoint's End.
+    fn random_record(rng: &mut rand::rngs::StdRng, depth: u32) -> Drawn {
         use rand::Rng;
         let tx = TxId(rng.gen_range(1..6));
         let page = PageId::new(rng.gen_range(0..2), rng.gen_range(0..50));
         let slot = SlotId(rng.gen_range(0..30));
         let image = |rng: &mut rand::rngs::StdRng| random_image(rng, 40);
-        match rng.gen_range(0..14) {
+        let payload = match rng.gen_range(0..14) {
             0 => LogPayload::Begin { tx },
             1 | 2 => {
                 let (before, after) = random_update_images(rng);
@@ -1644,27 +1603,29 @@ mod tests {
             7 => LogPayload::IndexInsert { tx, index: 1, key: rng.gen(), value: rng.gen() },
             8 => LogPayload::IndexDelete { tx, index: 1, key: rng.gen(), value: rng.gen() },
             9 => LogPayload::RootChange { tx, index: 1, new_root: page },
-            10 if depth == 0 => LogPayload::Clr {
-                tx,
-                undone: Lsn(rng.gen_range(1..40)),
-                undo_next: Lsn(rng.gen_range(0..40)),
+            10 if depth == 0 => {
+                let (undone, undo_next) = (Lsn(rng.gen_range(1..40)), Lsn(rng.gen_range(0..40)));
                 // Half of them compensate an update, as an update.
-                action: Box::new(if rng.gen() {
+                let payload = if rng.gen() {
                     let (before, after) = random_update_images(rng);
                     owned_update((tx, page, slot), &before, &after)
                 } else {
-                    random_payload(rng, 1)
-                }),
-            },
+                    random_record(rng, 1).0.payload
+                };
+                return (Record { clr: Some(Compensation { undone, undo_next }), payload }, None);
+            }
             10 | 11 => LogPayload::Commit { tx },
             12 => LogPayload::BeginCheckpoint,
-            // What rollback logs a CLR around is never a checkpoint's End.
             _ if depth > 0 => LogPayload::Abort { tx },
-            _ => LogPayload::EndCheckpoint {
-                active: vec![(tx, Lsn(rng.gen_range(0..40)))],
-                dirty: (0..rng.gen_range(0..3)).map(|i| (PageId::new(0, i), Lsn(i + 1))).collect(),
-            },
-        }
+            _ => {
+                let active = vec![(tx, Lsn(rng.gen_range(0..40)))];
+                return end_holding((
+                    active,
+                    (0..rng.gen_range(0..3)).map(|i| (PageId::new(0, i), Lsn(i + 1))).collect(),
+                ));
+            }
+        };
+        (payload.into(), None)
     }
 
     /// What a run of [`log_matches_the_model`] did.
@@ -1674,9 +1635,11 @@ mod tests {
         truncated: u64,
         lost: u64,
         /// Appended updates that hold a window short of their tuple, which
-        /// the log charges whole, at top level and inside a CLR.
+        /// the log charges whole, at top level and as a CLR's compensation.
         windows: u64,
         clr_windows: u64,
+        /// Appended checkpoint Ends whose tables read back as encoded.
+        tables: u64,
     }
 
     /// `cases` random histories of appends (`prev` and record drawn by
@@ -1686,10 +1649,12 @@ mod tests {
     /// vector model. After every step the two must agree on every record,
     /// every chain link and all accounting, and the log must hold memory
     /// for the records it retains alone: their encoded bytes and an index
-    /// entry each, in less than a chunk spare at each end.
+    /// entry each, in less than a chunk spare at each end. A checkpoint's
+    /// End, read back through [`Wal::active_table`] and [`Wal::dirty_table`],
+    /// must give the entries its tables were encoded from.
     fn log_matches_the_model(
         cases: u64,
-        draw: impl Fn(&mut rand::rngs::StdRng, &VecWal) -> (Lsn, LogPayload),
+        draw: impl Fn(&mut rand::rngs::StdRng, &VecWal) -> (Lsn, Drawn),
     ) -> ModelRun {
         use rand::Rng;
         let mut run = ModelRun::default();
@@ -1700,12 +1665,24 @@ mod tests {
             for _ in 0..rng.gen_range(1..120) {
                 match rng.gen_range(0..12) {
                     0..=6 => {
-                        let (prev, payload) = draw(rng, &model);
-                        if matches!(payload.redo_action(), LogPayload::Update { kept: 1.., .. }) {
-                            let clr = matches!(payload, LogPayload::Clr { .. });
+                        let (prev, (record, tables)) = draw(rng, &model);
+                        if let LogPayload::Update { kept: 1.., .. } = record.payload {
+                            let clr = record.clr.is_some();
                             *if clr { &mut run.clr_windows } else { &mut run.windows } += 1;
                         }
-                        assert_eq!(wal.append(prev, payload.clone()), model.append(prev, payload));
+                        let lsn = wal.append(prev, record.clone());
+                        assert_eq!(lsn, model.append(prev, record));
+                        if let Some((active, dirty)) = tables {
+                            let Some(Record {
+                                payload: LogPayload::EndCheckpoint { active: a, dirty: d },
+                                ..
+                            }) = wal.record(lsn)
+                            else {
+                                panic!("a checkpoint's End")
+                            };
+                            assert!(wal.active_table(a).eq(active) && wal.dirty_table(d).eq(dirty));
+                            run.tables += 1;
+                        }
                         run.appended += 1;
                     }
                     7 | 8 => {
@@ -1738,7 +1715,7 @@ mod tests {
                 let retained = model.records.len();
                 assert_eq!((wal.index.end - wal.index.start) as usize, retained);
                 assert!(wal.index.chunks.len() <= retained / records + 2, "{retained}");
-                let held: usize = model.records.iter().map(|r| encoded_len(&r.payload)).sum();
+                let held: usize = model.records.iter().map(|r| encoded_len(&r.record)).sum();
                 assert_eq!((wal.bytes.end - wal.bytes.start) as usize, held);
                 assert!(wal.bytes.chunks.len() <= held / chunk_bytes + 2, "{held}");
                 for chunk in wal.bytes.chunks.iter() {
@@ -1758,9 +1735,9 @@ mod tests {
     #[test]
     fn arena_log_matches_the_record_vector_model() {
         let run =
-            log_matches_the_model(1_500, |rng, model| (near(rng, model), random_payload(rng, 0)));
-        let ModelRun { appended, truncated, lost, windows, clr_windows } = run;
-        assert!(appended > 30_000 && truncated > 3_000 && lost > 3_000);
+            log_matches_the_model(1_500, |rng, model| (near(rng, model), random_record(rng, 0)));
+        let ModelRun { appended, truncated, lost, windows, clr_windows, tables } = run;
+        assert!(appended > 30_000 && truncated > 3_000 && lost > 3_000 && tables > 1_000);
         assert!(windows > 4_000 && clr_windows > 1_000, "{windows} {clr_windows}");
     }
 
@@ -1774,8 +1751,8 @@ mod tests {
     /// A record of any kind whose every field is at an extreme, with images
     /// of no bytes, a few, or more than a chunk of the model run holds, and
     /// checkpoint tables longer than a chunk; a CLR is around a record of
-    /// every undoable kind, or of the kinds their undo logs.
-    fn extreme_payload(rng: &mut rand::rngs::StdRng, depth: u32) -> LogPayload {
+    /// every undoable kind, or of the kinds their undo logs (`depth` 1).
+    fn extreme_record(rng: &mut rand::rngs::StdRng, depth: u32) -> Drawn {
         use rand::Rng;
         let tx = TxId(extreme(rng, u64::MAX));
         let any_page = |rng: &mut rand::rngs::StdRng| {
@@ -1790,7 +1767,7 @@ mod tests {
             (0..len).map(|_| rng.gen()).collect::<Vec<u8>>()
         };
         let (index, key, value) = (u32(rng), extreme(rng, u64::MAX), extreme(rng, u64::MAX));
-        match rng.gen_range(0..if depth == 0 { 15 } else { 7 }) {
+        let payload = match rng.gen_range(0..if depth == 0 { 15 } else { 7 }) {
             0 => {
                 let (before, at, kept) = (image(rng), u16(rng), u16(rng));
                 let after = before.iter().map(|b| !b).collect();
@@ -1818,12 +1795,10 @@ mod tests {
                 LogPayload::PageWrite { tx, page, offset, extent, runs: image(rng) }
             }
             8 => LogPayload::RootChange { tx, index, new_root: page },
-            9 | 10 => LogPayload::Clr {
-                tx,
-                undone: lsn(rng),
-                undo_next: lsn(rng),
-                action: Box::new(extreme_payload(rng, 1)),
-            },
+            9 | 10 => {
+                let clr = Some(Compensation { undone: lsn(rng), undo_next: lsn(rng) });
+                return (Record { clr, payload: extreme_record(rng, 1).0.payload }, None);
+            }
             11 => LogPayload::Begin { tx },
             12 if rng.gen() => LogPayload::Commit { tx },
             12 => LogPayload::Abort { tx },
@@ -1833,17 +1808,19 @@ mod tests {
                     (0..rng.gen_range(0..12)).map(|_| (TxId(extreme(rng, u64::MAX)), lsn(rng)));
                 let active = active.collect();
                 let dirty = (0..rng.gen_range(0..12)).map(|_| (any_page(rng), lsn(rng))).collect();
-                LogPayload::EndCheckpoint { active, dirty }
+                return end_holding((active, dirty));
             }
-        }
+        };
+        (payload.into(), None)
     }
 
     #[test]
     fn every_field_at_its_extremes_reads_back_as_appended() {
         let run = log_matches_the_model(600, |rng, _| {
-            (Lsn(extreme(rng, u64::MAX)), extreme_payload(rng, 0))
+            (Lsn(extreme(rng, u64::MAX)), extreme_record(rng, 0))
         });
         assert!(run.appended > 10_000 && run.truncated > 1_000 && run.lost > 1_000);
+        assert!(run.tables > 500, "{} checkpoint Ends read back", run.tables);
     }
 
     #[test]
@@ -1872,7 +1849,7 @@ mod tests {
         }
         assert_eq!(wal.used_bytes(), 4096 * (32 + 3992));
         // 12 MB of records in 64 KiB chunks, each allocated at that size.
-        assert_eq!(encoded_len(&page), 3039);
+        assert_eq!(encoded_len(&page.clone().into()), 3039);
         assert_eq!(wal.bytes.chunks.len(), (4096 * 3039usize).div_ceil(LOG_CHUNK_BYTES));
         assert!(wal.bytes.chunks.iter().all(|c| c.capacity() == LOG_CHUNK_BYTES));
         assert_eq!(wal.index.chunks.len(), 1);
@@ -1880,9 +1857,9 @@ mod tests {
         wal.truncate_to(kept);
         // What is left is the chunk the kept record lies in.
         assert_eq!((wal.bytes.chunks.len(), wal.index.chunks.len()), (1, 1));
-        assert_eq!(wal.get(kept).unwrap().payload, upd(1));
+        assert_eq!(wal.get(kept).unwrap().record, upd(1).into());
         let next = wal.append(kept, page.clone());
-        assert_eq!(wal.get(next).unwrap().payload, page);
+        assert_eq!(wal.get(next).unwrap().record, page.clone().into());
         // The lost tail is handed back the same way.
         for _ in 0..100 {
             wal.append(Lsn::NULL, page.clone());
@@ -1890,7 +1867,7 @@ mod tests {
         wal.flush_to(next);
         wal.lose_unflushed();
         assert_eq!((wal.bytes.chunks.len(), wal.index.chunks.len()), (1, 1));
-        assert_eq!(wal.get(next).unwrap().payload, page);
+        assert_eq!(wal.get(next).unwrap().record, page.into());
         assert!(wal.used_fraction() < 1e-12, "the budget is only ever a divisor");
     }
 
@@ -1903,36 +1880,30 @@ mod tests {
     /// Bytes the log encodes a record in, its index entry left out: a kind
     /// byte, `prev`, the fields at their widths — a page is a 16-bit region
     /// and a 64-bit LBA, an image's length 32 bits, one for both windows of
-    /// an update — and the images; a CLR's action after the CLR's fields,
-    /// with its kind byte and no `prev`; a checkpoint's End, the byte
-    /// lengths of its tables and the tables.
-    fn encoded_len(payload: &LogPayload) -> usize {
-        fn fields(payload: &LogPayload) -> usize {
-            const PAGE: usize = 2 + 8;
-            match payload {
-                LogPayload::Begin { .. } | LogPayload::Commit { .. } | LogPayload::Abort { .. } => {
-                    8
-                }
-                LogPayload::Update { before, after, .. } => {
-                    8 + PAGE + 2 + 2 + 2 + 4 + before.len() + after.len()
-                }
-                LogPayload::Resize { before, after, .. } => {
-                    8 + PAGE + 2 + 2 + 2 + 4 + 4 + before.len() + after.len()
-                }
-                LogPayload::Insert { tuple: image, .. }
-                | LogPayload::Delete { before: image, .. }
-                | LogPayload::Undelete { tuple: image, .. } => 8 + PAGE + 2 + 4 + image.len(),
-                LogPayload::IndexInsert { .. } | LogPayload::IndexDelete { .. } => 8 + 4 + 8 + 8,
-                LogPayload::PageWrite { runs, .. } => 8 + PAGE + 4 + 4 + 4 + runs.len(),
-                LogPayload::RootChange { .. } => 8 + 4 + PAGE,
-                LogPayload::Clr { action, .. } => 8 + 8 + 8 + 1 + fields(action),
-                LogPayload::BeginCheckpoint => 0,
-                LogPayload::EndCheckpoint { active, dirty } => {
-                    4 + 4 + 16 * active.len() + 24 * dirty.len()
-                }
+    /// an update — and the images; a CLR's transaction, `undone`,
+    /// `undo_next` and its compensation's kind byte before those; a
+    /// checkpoint's End, the byte lengths of its tables and the tables.
+    fn encoded_len(record: &Record<Vec<u8>>) -> usize {
+        const PAGE: usize = 2 + 8;
+        let fields = match &record.payload {
+            LogPayload::Begin { .. } | LogPayload::Commit { .. } | LogPayload::Abort { .. } => 8,
+            LogPayload::Update { before, after, .. } => {
+                8 + PAGE + 2 + 2 + 2 + 4 + before.len() + after.len()
             }
-        }
-        1 + 8 + fields(payload)
+            LogPayload::Resize { before, after, .. } => {
+                8 + PAGE + 2 + 2 + 2 + 4 + 4 + before.len() + after.len()
+            }
+            LogPayload::Insert { tuple: image, .. }
+            | LogPayload::Delete { before: image, .. }
+            | LogPayload::Undelete { tuple: image, .. } => 8 + PAGE + 2 + 4 + image.len(),
+            LogPayload::IndexInsert { .. } | LogPayload::IndexDelete { .. } => 8 + 4 + 8 + 8,
+            LogPayload::PageWrite { runs, .. } => 8 + PAGE + 4 + 4 + 4 + runs.len(),
+            LogPayload::RootChange { .. } => 8 + 4 + PAGE,
+            LogPayload::BeginCheckpoint => 0,
+            LogPayload::EndCheckpoint { active, dirty } => 4 + 4 + active.len() + dirty.len(),
+        };
+        let clr = if record.clr.is_some() { 8 + 8 + 8 + 1 } else { 0 };
+        1 + 8 + clr + fields
     }
 
     #[test]
@@ -1954,27 +1925,30 @@ mod tests {
         wal.append(last, LogPayload::<&[u8]>::Commit { tx });
         assert_eq!(held(&wal), 25 + 3 * 51 + 91 + 25);
         assert_eq!(held(&wal), 294);
-        // A CLR undoing such an update holds 76 bytes, its action inline
-        // (it held 166, a box of 64 among them); a checkpoint's End, its
-        // tables inline. Nothing either holds lies outside the chunks.
-        let Some(Record::Payload(update)) = wal.record(Lsn(2)) else { panic!("an update") };
+        // A CLR undoing such an update holds 76 bytes: its own fields, then
+        // its compensation's and the two windows. A checkpoint's End holds
+        // its tables. Nothing either holds lies outside the chunks.
+        let update = wal.record(Lsn(2)).unwrap().payload;
         let mut images = Vec::new();
-        let action = wal.images(invert_update(update), &mut images).unwrap();
-        let (undone, undo_next) = (Lsn(2), Lsn(1));
-        let clr = LogPayload::Clr { tx, undone, undo_next, action: Box::new(action) };
+        let payload = wal.images(invert_update(update), &mut images).unwrap();
+        let compensation = Compensation { undone: Lsn(2), undo_next: Lsn(1) };
         let before = held(&wal);
-        let clr = wal.append(Lsn(6), clr);
+        let clr = wal.append(Lsn(6), Record { clr: Some(compensation), payload });
         assert_eq!(held(&wal) - before, 76);
-        let (active, dirty) = (vec![(tx, clr)], vec![(page, Lsn(2)), (PageId::new(1, 9), clr)]);
-        let checkpoint = LogPayload::<Vec<u8>>::EndCheckpoint { active, dirty };
+        let (active, dirty) = ([(tx, clr)], [(page, Lsn(2)), (PageId::new(1, 9), clr)]);
+        let mut tables = Vec::new();
+        let checkpoint = Wal::end_checkpoint(active, dirty, &mut tables);
         let before = held(&wal);
-        let end = wal.append(Lsn::NULL, checkpoint.clone());
+        let end = wal.append(Lsn::NULL, checkpoint);
         assert_eq!(held(&wal) - before, 8 + 1 + 8 + 4 + 4 + 16 + 2 * 24);
-        assert_eq!(wal.get(end).unwrap().payload, checkpoint);
-        let Some(Record::Clr { undone: u, undo_next: n, action, .. }) = wal.record(clr) else {
-            panic!("a CLR")
+        let Some(Record { clr: None, payload: LogPayload::EndCheckpoint { active: a, dirty: d } }) =
+            wal.record(end)
+        else {
+            panic!("a checkpoint's End")
         };
-        assert_eq!((u, n, action.redo_page()), (undone, undo_next, Some(page)));
+        assert!(wal.active_table(a).eq(active) && wal.dirty_table(d).eq(dirty));
+        let Some(Record { clr: Some(read), payload }) = wal.record(clr) else { panic!("a CLR") };
+        assert_eq!((read, payload.redo_page()), (compensation, Some(page)));
     }
 
     /// The inverse of a same-length update: its two windows swapped.
@@ -2012,21 +1986,17 @@ mod tests {
 
     #[test]
     fn record_sizes_are_a_header_plus_the_images() {
-        assert_eq!(LogPayload::<Vec<u8>>::Commit { tx: TxId(1) }.size_bytes(), 32);
-        assert_eq!(upd(1).size_bytes(), 32 + 4);
-        assert_eq!(upd(1).size_bytes(), 32 + 4);
-        // A CLR carries its action whole, header included.
-        let clr = LogPayload::Clr {
-            tx: TxId(1),
-            undone: Lsn(3),
-            undo_next: Lsn(2),
-            action: Box::new(upd(1)),
-        };
+        let size = |payload: LogPayload| Record::from(payload).size_bytes();
+        assert_eq!(size(LogPayload::Commit { tx: TxId(1) }), 32);
+        assert_eq!(size(upd(1)), 32 + 4);
+        // A CLR is charged a header of its own and its compensation whole.
+        let compensation = Compensation { undone: Lsn(3), undo_next: Lsn(2) };
+        let clr = Record { clr: Some(compensation), payload: upd(1) };
         assert_eq!(clr.size_bytes(), 32 + 32 + 4);
-        let checkpoint = LogPayload::<Vec<u8>>::EndCheckpoint {
-            active: vec![(TxId(1), Lsn(1))],
-            dirty: vec![(PageId::new(0, 1), Lsn(1)); 2],
-        };
+        let mut tables = Vec::new();
+        let active = [(TxId(1), Lsn(1))];
+        let checkpoint: Record<&[u8]> =
+            Wal::end_checkpoint(active, [(PageId::new(0, 1), Lsn(1)); 2], &mut tables).into();
         assert_eq!(checkpoint.size_bytes(), 32 + 16 + 2 * 24);
         // An update is charged both images whole, however small the window
         // it holds.
@@ -2034,7 +2004,7 @@ mod tests {
         let before = tuple.clone();
         tuple[40] = 8;
         let window = owned_update((TxId(1), PageId::new(0, 1), SlotId(2)), &before, &tuple);
-        assert_eq!(window.size_bytes(), 32 + 2 * 100);
+        assert_eq!(size(window), 32 + 2 * 100);
         // A node write is charged the span it covers, not the runs it holds.
         let node = LogPayload::PageWrite {
             tx: TxId(1),
@@ -2043,7 +2013,7 @@ mod tests {
             extent: 40,
             runs: vec![0, 0, 2, 0, 1, 2, 34, 0, 2, 0, 3, 4],
         };
-        assert_eq!(node.size_bytes(), 32 + 40);
+        assert_eq!(size(node), 32 + 40);
         // The log accounts what it retains the same way.
         let mut wal = Wal::new(1 << 20);
         wal.append(Lsn::NULL, clr);
@@ -2097,34 +2067,24 @@ mod tests {
                 (&before[at as usize..][..len], &after[at as usize..][..len])
             );
         }
-        let clr = LogPayload::Clr {
-            tx,
-            undone: Lsn(1),
-            undo_next: Lsn::NULL,
-            action: Box::new(update.clone()),
-        };
+        let compensation = Compensation { undone: Lsn(1), undo_next: Lsn::NULL };
+        let clr = Record { clr: Some(compensation), payload: update.clone() };
         // The log stores what the record holds: six bytes of images, the
         // 399 of the resized update, each after its fields; it charges both
         // images of each whole.
         let mut wal = Wal::new(1 << 20);
-        for (payload, stored) in [(update, 37 + 6), (clr, 62 + 6), (resized, 41 + 399)] {
+        for (record, stored) in [(update.into(), 37 + 6), (clr, 62 + 6), (resized.into(), 41 + 399)]
+        {
             let held = wal.bytes.end;
-            let lsn = wal.append(Lsn::NULL, payload.clone());
+            let lsn = wal.append(Lsn::NULL, record.clone());
             assert_eq!(wal.bytes.end - held, stored);
-            assert_eq!(wal.get(lsn).unwrap().payload, payload);
+            assert_eq!(wal.get(lsn).unwrap().record, record);
         }
         assert_eq!(wal.used_bytes(), (32 + 400) + (64 + 400) + (32 + 399));
         // An inverse built from the spans — what rollback logs — swaps the
         // two windows at the same offset.
-        let Some(Record::Payload(LogPayload::Update {
-            tx,
-            page,
-            slot,
-            at,
-            kept,
-            before: b,
-            after: a,
-        })) = wal.record(Lsn(1))
+        let LogPayload::Update { tx, page, slot, at, kept, before: b, after: a } =
+            wal.record(Lsn(1)).unwrap().payload
         else {
             panic!("an update")
         };
@@ -2156,15 +2116,15 @@ mod tests {
         // other bytes.
         let mut wal = Wal::with_chunk_lens(1 << 20, 16, 4);
         let first = wal.append(Lsn::NULL, upd(1));
-        let Some(Record::Payload(spans)) = wal.record(first) else { panic!("an update") };
+        let spans = wal.record(first).unwrap().payload;
         wal.append(Lsn::NULL, upd(2));
         let mut images = Vec::new();
-        let read = wal.images(spans.clone(), &mut images).unwrap();
+        let read = wal.images(spans, &mut images).unwrap();
         assert_eq!(read.map_images(&mut |image: &[u8]| image.to_vec()), upd(1));
         wal.truncate_to(Lsn(2));
         let refused = EngineError::Internal("a log span names image bytes the log does not hold");
         assert_eq!(wal.images(spans, &mut images), Err(refused.clone()));
-        let Some(Record::Payload(spans)) = wal.record(Lsn(2)) else { panic!("an update") };
+        let spans = wal.record(Lsn(2)).unwrap().payload;
         wal.lose_unflushed();
         assert_eq!(wal.images(spans, &mut images), Err(refused));
     }

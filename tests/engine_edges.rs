@@ -5,7 +5,7 @@
 use ipa::core::{ecc, NxM};
 use ipa::engine::{Database, DbConfig, EngineError};
 use ipa::flash::FlashConfig;
-use ipa::noftl::{IoCtx, IpaMode, NoFtlConfig, RegionId};
+use ipa::noftl::{IoCtx, IpaMode, NoFtlConfig, NoFtlError, RegionId};
 
 fn db(frames: usize, scheme: NxM) -> Database {
     let mut flash = FlashConfig::small_slc();
@@ -68,6 +68,32 @@ fn a_region_out_of_logical_pages_says_so_and_takes_no_lba() {
     d.free_page(pages[7]).unwrap();
     assert_eq!(d.new_page(0).unwrap(), pages[7]);
     assert_eq!(d.new_page(0), Err(EngineError::OutOfPages { region: 0, capacity }));
+    d.flush_all().unwrap();
+}
+
+#[test]
+fn a_region_the_database_does_not_have_is_refused_not_a_panic() {
+    // A one-region database: region 1 is an error wherever it is named, as
+    // `region_stats` reports it, and is refused before a frame is evicted.
+    let mut d = db(4, NxM::tpcc());
+    let bad = EngineError::NoFtl(NoFtlError::BadRegion(1));
+    assert_eq!(d.region_stats(1).err(), Some(bad.clone()));
+    for _ in 0..6 {
+        d.new_page(0).unwrap();
+    }
+    let evictions = d.stats().evictions;
+    assert_eq!(d.create_index(1), Err(bad.clone()));
+    let heap = d.create_heap(1);
+    let mut tx = d.txn();
+    assert_eq!(tx.heap_insert(heap, &[1, 2, 3]), Err(bad));
+    tx.abort().unwrap();
+    assert_eq!(d.stats().evictions, evictions, "a refused call makes no room");
+    // Region 0 still takes inserts.
+    let heap = d.create_heap(0);
+    let mut tx = d.txn();
+    let rid = tx.heap_insert(heap, &[4, 5, 6]).unwrap();
+    tx.commit().unwrap();
+    assert_eq!(d.heap_read_unlocked(rid).unwrap(), [4, 5, 6]);
     d.flush_all().unwrap();
 }
 

@@ -453,10 +453,10 @@ fn restart_allocates_nothing_per_retained_record() {
     assert_exact(&format!("restart over {long_records} records"), &long, 69 + debug_check, 0);
 }
 
-/// Rolling back a transaction walks its undo chain in place and copies each
-/// inverse's images into the reused record buffer. What an abort of
-/// `UPDATES` updates allocates is the box each compensation record is built
-/// with: the log encodes the record, its action inline, into its chunks.
+/// Rolling back a transaction walks its undo chain in place, copies each
+/// inverse's images into the reused record buffer and logs it as a CLR,
+/// which the log encodes into its chunks. An abort of `UPDATES` updates
+/// allocates nothing per update.
 #[test]
 fn rolling_back_a_transaction_copies_no_image() {
     const UPDATES: u64 = 200;
@@ -481,12 +481,9 @@ fn rolling_back_a_transaction_copies_no_image() {
     db.resume(warm_up).unwrap().abort().unwrap();
     let tx = updated(&mut db);
     let window = measure(&mut db, UPDATES, |db| db.resume(tx).unwrap().abort().unwrap());
-    // Reading each record as an owned copy allocated 1 000: two image
-    // vectors and three boxes per update. When the log kept a retained
-    // CLR's action in a box of its own, 400. The one more is a chunk of the
-    // log: the 200 CLRs, 76 bytes each, and the Abort cross a boundary
-    // between two.
-    assert_exact(&format!("rollback of {UPDATES} updates"), &window, UPDATES + 1, 1);
+    // The one allocation is a chunk of the log: the 200 CLRs, 76 bytes
+    // each, and the Abort cross a boundary between two.
+    assert_exact(&format!("rollback of {UPDATES} updates"), &window, 1, 1);
     for (i, &rid) in rows.iter().enumerate() {
         assert_eq!(db.heap_read_unlocked(rid).unwrap(), vec![i as u8; 100]);
     }
