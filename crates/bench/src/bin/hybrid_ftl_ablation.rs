@@ -29,7 +29,8 @@ fn main() {
     let cfg = SystemConfig::emulator(NxM::disabled(), 0.25);
     let mut w = TpcC::new(1, 3_000 * s, 300);
     let mut db = cfg.build_for(&w).expect("build");
-    let runner = Runner::new(SEED);
+    let mut runner = Runner::new(SEED);
+    runner.cpu_ns_per_txn = cfg.cpu_ns_per_txn;
     runner.setup(&mut db, &mut w).expect("setup");
     runner.run(&mut db, &mut w, 0, 1_000 * s).expect("warmup");
     db.enable_tracing();

@@ -32,7 +32,8 @@ fn run_one(name: &'static str, scheme: NxM, w: &mut dyn Workload, txns: u64) -> 
     let mut cfg = SystemConfig::emulator(scheme, 0.25);
     cfg.page_size = 8192;
     let mut db = cfg.build(w.estimated_pages(cfg.page_size)).expect("build");
-    let runner = Runner::new(SEED);
+    let mut runner = Runner::new(SEED);
+    runner.cpu_ns_per_txn = cfg.cpu_ns_per_txn;
     runner.setup(&mut db, w).expect("setup");
     runner.run(&mut db, w, 0, txns / 5).expect("warmup");
     db.enable_tracing();

@@ -74,7 +74,7 @@ impl Database {
                 profile.predicted_hit_rate(&rec.scheme) - profile.predicted_hit_rate(&current);
             // The one guarded emit: the three percentiles are worth
             // computing only for an observer.
-            if self.ftl().observing() {
+            if self.ftl().device().observing() {
                 let snap = EventKind::ProfileSnapshot {
                     observations: profile.observations(),
                     body_p50: profile.body_percentile(50.0),

@@ -14,14 +14,15 @@ use crate::page::{PageData, PageState, SparePages};
 use crate::reliability::{BitError, ErrorKind, ErrorLedger, ReadOutcome, ReliabilityConfig};
 use crate::sched::{CmdId, Completion, IoScheduler};
 use crate::stats::FlashStats;
-use crate::timing::{FlashTiming, HostProfile, SimClock, NANOS_PER_MILLI};
+use crate::timing::{FlashTiming, SimClock, NANOS_PER_MILLI};
 use crate::Result;
 
 /// Whether an operation is issued on behalf of the host or by the flash
-/// management layer (GC, wear leveling, cleaners). The origin decides both
-/// the statistics bucket and the scheduling policy: host operations are
-/// synchronous (they advance the simulated host clock by their full waiting
-/// + execution time), background operations only occupy chip time.
+/// management layer (GC, wear leveling, cleaners). The origin decides the
+/// statistics bucket and whether the host waits: host operations are
+/// synchronous (they advance the simulated host clock by their full
+/// waiting and execution time), background operations only occupy chip
+/// time. Every origin is placed on its chip by the same rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpOrigin {
     /// Host-issued synchronous I/O (a DBMS read, or a blocking eviction
@@ -110,8 +111,6 @@ pub struct FlashConfig {
     pub geometry: FlashGeometry,
     /// Operation latencies.
     pub timing: FlashTiming,
-    /// Host dispatch profile.
-    pub host_profile: HostProfile,
     /// Bit-error model.
     pub reliability: ReliabilityConfig,
     /// Operation-fault model (program/erase-status failures). The default
@@ -127,8 +126,8 @@ pub struct FlashConfig {
     pub endurance_limit: Option<u64>,
     /// Host command queue depth: how many host-origin commands may be in
     /// flight before a further submission blocks on the earliest completion.
-    /// Depth 1 reproduces fully synchronous dispatch; the OpenSSD profile
-    /// (no NCQ) is pinned to 1 regardless of this value.
+    /// Depth 1 reproduces fully synchronous dispatch, as on the OpenSSD
+    /// board (no NCQ); every profile starts at 1.
     pub queue_depth: u32,
 }
 
@@ -146,7 +145,6 @@ impl FlashConfig {
                 cell_type: CellType::Slc,
             },
             timing: FlashTiming::slc(),
-            host_profile: HostProfile::Emulator,
             reliability: ReliabilityConfig::default(),
             fault: FaultPlan::default(),
             max_appends: None,
@@ -173,14 +171,14 @@ impl FlashConfig {
     }
 
     /// The OpenSSD Jasmine profile (Appendix D): MLC flash, 8 dual-die
-    /// packages modelled as 8 chips, but host-visible parallelism of one
-    /// (no NCQ).
+    /// packages modelled as 8 chips, at host queue depth 1 (no NCQ), so
+    /// host I/O is serial while background work still overlaps on other
+    /// chips.
     pub fn openssd_mlc(blocks_per_chip: u32, pages_per_block: u32, page_size: usize) -> Self {
         let emulator = FlashConfig::emulator_slc(blocks_per_chip, pages_per_block, page_size);
         FlashConfig {
             geometry: FlashGeometry { chips: 8, cell_type: CellType::Mlc, ..emulator.geometry },
             timing: FlashTiming::mlc(),
-            host_profile: HostProfile::OpenSsd,
             ..emulator
         }
     }
@@ -285,8 +283,7 @@ impl FlashDevice {
     /// model).
     pub fn with_seed(config: FlashConfig, seed: u64) -> Self {
         let chips = (0..config.geometry.chips).map(|_| Chip::new(&config.geometry)).collect();
-        let sched =
-            IoScheduler::new(config.geometry.chips, config.host_profile, config.queue_depth);
+        let sched = IoScheduler::new(config.geometry.chips, config.queue_depth);
         FlashDevice {
             chips,
             sched,
@@ -480,7 +477,7 @@ impl FlashDevice {
         data: Option<Vec<u8>>,
     ) -> CmdId {
         let now = self.clock.now_ns();
-        let (start, done) = self.sched.dispatch(chip, origin, now, duration_ns);
+        let (start, done) = self.sched.dispatch(chip, now, duration_ns);
         self.chips[chip as usize].counters_mut().busy_ns += duration_ns;
         if origin != OpOrigin::Host && done.saturating_sub(now) > Self::BACKPRESSURE_NS {
             // The device is saturated: the submitter stalls until the
@@ -593,7 +590,7 @@ impl FlashDevice {
         self.drained.drain(..)
     }
 
-    /// Effective host queue depth (1 on the OpenSSD profile).
+    /// Host queue depth, as configured (at least 1).
     pub fn queue_depth(&self) -> u32 {
         self.sched.queue_depth()
     }
@@ -1551,12 +1548,11 @@ mod tests {
     }
 
     #[test]
-    fn openssd_queue_depth_clamped_and_timing_serial() {
-        // Even with a configured depth of 8, the no-NCQ OpenSSD profile
-        // executes host commands strictly serially — submit-all + drain
-        // reproduces the synchronous path's clock exactly.
-        let mut cfg = FlashConfig::openssd_mlc(8, 16, 4096);
-        cfg.queue_depth = 8;
+    fn openssd_queued_timing_matches_serial() {
+        // The no-NCQ OpenSSD profile runs at queue depth 1, so host commands
+        // execute strictly serially — submit-all + drain reproduces the
+        // synchronous path's clock exactly.
+        let cfg = FlashConfig::openssd_mlc(8, 16, 4096);
         let image = vec![0x00; 4096];
 
         let mut q = FlashDevice::new(cfg.clone());
@@ -1597,14 +1593,22 @@ mod tests {
 
     #[test]
     fn openssd_profile_serializes_host_io() {
-        let mut cfg = FlashConfig::openssd_mlc(8, 16, 4096);
-        cfg.host_profile = HostProfile::OpenSsd;
-        let mut d = FlashDevice::new(cfg);
+        let cfg = FlashConfig::openssd_mlc(8, 16, 4096);
+        let mut d = FlashDevice::new(cfg.clone());
         // Two programs on different chips: under OpenSSD dispatch the second
         // must wait for the first.
         let a = d.program(Ppa::new(0, 0, 0), &vec![0x00; 4096], OpOrigin::Host).unwrap();
         let b = d.program(Ppa::new(1, 0, 0), &vec![0x00; 4096], OpOrigin::Host).unwrap();
         assert!(b.completed_at_ns > a.completed_at_ns);
+
+        // Background work does not queue behind the host command: an erase
+        // on another chip starts with the host program in flight.
+        let mut d = FlashDevice::new(cfg);
+        let host = d.submit_program(Ppa::new(0, 0, 0), &[0x00; 4096], &[], IoCtx::host()).unwrap();
+        let gc = d.submit_erase(1, 0, IoCtx::background()).unwrap();
+        let host = d.complete(host).unwrap();
+        let gc = d.complete(gc).unwrap();
+        assert_eq!(gc.started_at_ns, host.started_at_ns, "background overlaps the host command");
     }
 
     #[test]

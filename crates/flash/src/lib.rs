@@ -20,10 +20,12 @@
 //!   pages. The simulator exposes [`PageKind`] and asymmetric program
 //!   latencies so those modes can be built on top (see `ipa-noftl`).
 //! * **Timing.** Per-chip busy intervals and a simulated host clock produce
-//!   read/program/erase latencies under contention, with an *emulator*
-//!   profile (16-way chip parallelism, as in the paper's Flash emulator) and
-//!   an *OpenSSD* profile (host I/O serialized through a single queue, as on
-//!   the OpenSSD Jasmine board without NCQ).
+//!   read/program/erase latencies under contention. Every command, host or
+//!   background, starts once its chip is free; the host queue depth bounds
+//!   how many host commands are in flight. The *emulator* profile has 16
+//!   SLC chips (the paper's Flash emulator); the *OpenSSD* profile has 8 MLC
+//!   chips at queue depth 1, so host I/O is serial, as on the OpenSSD
+//!   Jasmine board without NCQ.
 //! * **Wear.** Per-block erase counters with endurance limits (100k / 10k /
 //!   4k cycles for SLC / MLC / TLC). An erase of a block at its limit fails
 //!   with an erase-status failure and retires the block, as real NAND shows
@@ -124,7 +126,7 @@ pub use page::PageState;
 pub use reliability::{ReadOutcome, ReliabilityConfig};
 pub use sched::{CmdId, Completion};
 pub use stats::{FlashStats, LatencyHistogram};
-pub use timing::{FlashTiming, HostProfile, SimClock, NANOS_PER_MILLI};
+pub use timing::{FlashTiming, SimClock, NANOS_PER_MILLI};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, FlashError>;

@@ -6,14 +6,15 @@
 //! [`FlashDevice`](crate::FlashDevice) methods model exactly that. This
 //! module generalizes the device interface to a *submit/complete* command
 //! queue: commands are admitted up to a configurable host queue depth,
-//! dispatched onto per-chip busy intervals, and retired explicitly. With
-//! queue depth > 1 on the emulator profile, commands on distinct chips
-//! overlap in simulated time (completion = max(chip busy-until, now) +
-//! op latency); the OpenSSD profile pins the effective depth to 1 so the
-//! board's serial timings are reproduced exactly.
+//! dispatched onto per-chip busy intervals, and retired explicitly. Every
+//! command, whatever its origin, starts at max(now, chip busy-until) and
+//! completes its op latency later, so commands on distinct chips overlap in
+//! simulated time. At queue depth 1 (the OpenSSD profile's) a host command
+//! is admitted only once the previous one has completed and the clock has
+//! reached its completion, which reproduces the board's serial timings.
 
 use crate::device::{OpOrigin, OpResult};
-use crate::timing::{ChipSchedule, HostProfile, SimClock};
+use crate::timing::SimClock;
 
 /// Identifier of a submitted command, unique per device for its lifetime.
 /// A submitted command is retired by completing its id, so dropping one
@@ -55,16 +56,17 @@ pub struct Completion {
 
 /// Per-chip dispatch queues plus in-flight command tracking.
 ///
-/// The scheduler owns the [`ChipSchedule`] (one busy interval per chip) and
-/// enforces the *host* queue depth: at most `queue_depth` host-origin
-/// commands may be in flight at once; an over-deep submission first retires
-/// the earliest-completing host command and advances the clock to its
-/// completion (the submitter blocks on a full queue). Background and
+/// The scheduler keeps one busy-until time per chip and enforces the *host*
+/// queue depth: at most `queue_depth` host-origin commands may be in flight
+/// at once; an over-deep submission first retires the earliest-completing
+/// host command and advances the clock to its completion (the submitter
+/// blocks on a full queue). Background and
 /// asynchronous-host commands are bounded by the device's back-pressure
 /// model instead, exactly as before.
 #[derive(Debug)]
 pub struct IoScheduler {
-    schedule: ChipSchedule,
+    /// Per chip, the time its last dispatched command completes.
+    busy_until: Vec<u64>,
     queue_depth: u32,
     inflight: Vec<Completion>,
     /// Host-origin entries of `inflight`, kept current by every method that
@@ -75,17 +77,12 @@ pub struct IoScheduler {
 }
 
 impl IoScheduler {
-    /// A scheduler for `chips` chips under `profile`. The OpenSSD profile
-    /// has no NCQ: its effective host queue depth is pinned to 1 regardless
-    /// of `queue_depth`.
-    pub fn new(chips: u32, profile: HostProfile, queue_depth: u32) -> Self {
-        let depth = match profile {
-            HostProfile::OpenSsd => 1,
-            HostProfile::Emulator => queue_depth.max(1),
-        };
+    /// A scheduler for `chips` chips admitting up to `queue_depth` host
+    /// commands at once (at least one).
+    pub fn new(chips: u32, queue_depth: u32) -> Self {
         IoScheduler {
-            schedule: ChipSchedule::new(chips, profile),
-            queue_depth: depth,
+            busy_until: vec![0; chips as usize],
+            queue_depth: queue_depth.max(1),
             inflight: Vec::new(),
             host_inflight: 0,
             completed: Vec::new(),
@@ -93,7 +90,7 @@ impl IoScheduler {
         }
     }
 
-    /// Effective host queue depth (1 on the OpenSSD profile).
+    /// Host queue depth.
     pub fn queue_depth(&self) -> u32 {
         self.queue_depth
     }
@@ -135,21 +132,14 @@ impl IoScheduler {
         waits
     }
 
-    /// Place an operation of `duration_ns` on `chip` starting no earlier
-    /// than `now_ns`; returns `(start, completion)` per the profile rules.
-    pub fn dispatch(
-        &mut self,
-        chip: u32,
-        origin: OpOrigin,
-        now_ns: u64,
-        duration_ns: u64,
-    ) -> (u64, u64) {
-        match origin {
-            OpOrigin::Host => self.schedule.schedule_host(chip, now_ns, duration_ns),
-            OpOrigin::HostAsync | OpOrigin::Background => {
-                self.schedule.schedule_background(chip, now_ns, duration_ns)
-            }
-        }
+    /// Place an operation of `duration_ns` on `chip` starting once both
+    /// `now_ns` and the chip's previous command have passed; returns
+    /// `(start, completion)`.
+    pub fn dispatch(&mut self, chip: u32, now_ns: u64, duration_ns: u64) -> (u64, u64) {
+        let busy_until = &mut self.busy_until[chip as usize];
+        let start = now_ns.max(*busy_until);
+        *busy_until = start + duration_ns;
+        (start, *busy_until)
     }
 
     /// Track a dispatched command; assigns and returns its id.
@@ -215,18 +205,16 @@ mod tests {
     }
 
     #[test]
-    fn openssd_profile_pins_depth_to_one() {
-        let s = IoScheduler::new(8, HostProfile::OpenSsd, 16);
-        assert_eq!(s.queue_depth(), 1);
-        let s = IoScheduler::new(4, HostProfile::Emulator, 4);
+    fn queue_depth_is_at_least_one() {
+        let s = IoScheduler::new(4, 4);
         assert_eq!(s.queue_depth(), 4);
-        let s = IoScheduler::new(4, HostProfile::Emulator, 0);
+        let s = IoScheduler::new(4, 0);
         assert_eq!(s.queue_depth(), 1, "depth 0 is meaningless; clamped up");
     }
 
     #[test]
     fn admission_retires_earliest_host_command() {
-        let mut s = IoScheduler::new(2, HostProfile::Emulator, 2);
+        let mut s = IoScheduler::new(2, 2);
         let mut clock = SimClock::new();
         let a = s.push(completion(0, OpOrigin::Host, 0, 100));
         let b = s.push(completion(1, OpOrigin::Host, 0, 300));
@@ -242,7 +230,7 @@ mod tests {
 
     #[test]
     fn background_commands_do_not_consume_host_slots() {
-        let mut s = IoScheduler::new(1, HostProfile::Emulator, 1);
+        let mut s = IoScheduler::new(1, 1);
         let mut clock = SimClock::new();
         let ids = [
             s.push(completion(0, OpOrigin::Background, 0, 500)),
@@ -262,7 +250,7 @@ mod tests {
         // (completed_at = 300) waits in `completed` while a background
         // command finishing earlier (completed_at = 100) is still in flight:
         // the drain hands both back ordered by `(completed_at_ns, id)`.
-        let mut s = IoScheduler::new(2, HostProfile::Emulator, 2);
+        let mut s = IoScheduler::new(2, 2);
         let mut clock = SimClock::new();
         let bg = s.push(completion(1, OpOrigin::Background, 0, 100));
         let h1 = s.push(completion(0, OpOrigin::Host, 0, 300));
@@ -285,7 +273,7 @@ mod tests {
             assert_eq!(s.host_inflight(), filtered);
         }
         let origins = [OpOrigin::Host, OpOrigin::Background, OpOrigin::HostAsync, OpOrigin::Host];
-        let mut s = IoScheduler::new(4, HostProfile::Emulator, 3);
+        let mut s = IoScheduler::new(4, 3);
         let mut clock = SimClock::new();
         let mut ids = Vec::new();
         let mut lcg = 0x5EEDu64;

@@ -1,5 +1,4 @@
-//! Latency model: operation timings, per-chip busy intervals and the
-//! simulated host clock.
+//! Latency model: operation timings and the simulated host clock.
 //!
 //! The paper's performance numbers (Tables 6–10) hinge on two timing facts:
 //!
@@ -10,10 +9,10 @@
 //!    GC migrations/erases directly translate into lower host latencies
 //!    (§8.4 "I/O and Transactional Response Times").
 //!
-//! Both are captured here: per-operation latencies from published SLC/MLC
-//! datasheet figures, and a queueing model with one busy interval per chip
-//! (emulator profile, 16-way parallel) or one shared queue (OpenSSD profile,
-//! effective host parallelism of one — Appendix D, point 1).
+//! The first is captured here, as per-operation latencies from published
+//! SLC/MLC datasheet figures; the second by the scheduler
+//! ([`IoScheduler`](crate::sched::IoScheduler)), which keeps one busy
+//! interval per chip for host and background commands alike.
 
 /// Nanoseconds per microsecond.
 pub const NANOS_PER_MICRO: u64 = 1_000;
@@ -85,18 +84,6 @@ impl FlashTiming {
     }
 }
 
-/// How host operations are dispatched to chips.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HostProfile {
-    /// The paper's real-time Flash emulator: every chip serves its own
-    /// queue; host and GC operations on different chips overlap.
-    Emulator,
-    /// The OpenSSD Jasmine board: no NCQ, so host-visible parallelism is
-    /// one operation at a time (Appendix D, point 1). GC still runs on the
-    /// owning chip.
-    OpenSsd,
-}
-
 /// Simulated time source shared by the device and the layers above it.
 ///
 /// Time is advanced in two ways: host operations *wait* for their chip and
@@ -131,48 +118,6 @@ impl SimClock {
     }
 }
 
-/// Per-chip busy bookkeeping implementing the two host profiles.
-#[derive(Debug, Clone)]
-pub struct ChipSchedule {
-    busy_until: Vec<u64>,
-    profile: HostProfile,
-    /// In the OpenSSD profile all *host* ops serialize on this queue.
-    host_queue_until: u64,
-}
-
-impl ChipSchedule {
-    /// A schedule for `chips` chips under the given dispatch profile.
-    pub fn new(chips: u32, profile: HostProfile) -> Self {
-        ChipSchedule { busy_until: vec![0; chips as usize], profile, host_queue_until: 0 }
-    }
-
-    /// Schedule a host operation of `duration_ns` on `chip` starting no
-    /// earlier than `now_ns`. Returns `(start, completion)`.
-    pub fn schedule_host(&mut self, chip: u32, now_ns: u64, duration_ns: u64) -> (u64, u64) {
-        let chip_free = self.busy_until[chip as usize];
-        let start = match self.profile {
-            HostProfile::Emulator => now_ns.max(chip_free),
-            HostProfile::OpenSsd => now_ns.max(chip_free).max(self.host_queue_until),
-        };
-        let done = start + duration_ns;
-        self.busy_until[chip as usize] = done;
-        if self.profile == HostProfile::OpenSsd {
-            self.host_queue_until = done;
-        }
-        (start, done)
-    }
-
-    /// Schedule a background (GC / cleaner) operation. Background work only
-    /// occupies the chip; it never serializes on the OpenSSD host queue
-    /// (the firmware performs GC internally per chip).
-    pub fn schedule_background(&mut self, chip: u32, now_ns: u64, duration_ns: u64) -> (u64, u64) {
-        let start = now_ns.max(self.busy_until[chip as usize]);
-        let done = start + duration_ns;
-        self.busy_until[chip as usize] = done;
-        (start, done)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,39 +134,6 @@ mod tests {
     fn mlc_msb_slower_than_lsb() {
         let t = FlashTiming::mlc();
         assert!(t.program_latency(0, true) > 4 * t.program_latency(0, false));
-    }
-
-    #[test]
-    fn emulator_profile_overlaps_chips() {
-        let mut s = ChipSchedule::new(2, HostProfile::Emulator);
-        let (s0, d0) = s.schedule_host(0, 0, 100);
-        let (s1, d1) = s.schedule_host(1, 0, 100);
-        assert_eq!((s0, d0), (0, 100));
-        assert_eq!((s1, d1), (0, 100)); // parallel
-                                        // Same chip serializes.
-        let (s2, d2) = s.schedule_host(0, 0, 50);
-        assert_eq!((s2, d2), (100, 150));
-    }
-
-    #[test]
-    fn openssd_profile_serializes_host_ops() {
-        let mut s = ChipSchedule::new(2, HostProfile::OpenSsd);
-        let (_, d0) = s.schedule_host(0, 0, 100);
-        let (s1, d1) = s.schedule_host(1, 0, 100);
-        assert_eq!(d0, 100);
-        assert_eq!((s1, d1), (100, 200)); // no overlap even across chips
-    }
-
-    #[test]
-    fn background_work_bypasses_openssd_host_queue() {
-        let mut s = ChipSchedule::new(2, HostProfile::OpenSsd);
-        s.schedule_host(0, 0, 100);
-        // GC on chip 1 overlaps the host op on chip 0.
-        let (s1, d1) = s.schedule_background(1, 0, 300);
-        assert_eq!((s1, d1), (0, 300));
-        // But the next host op on chip 1 waits for both queues.
-        let (s2, _) = s.schedule_host(1, 0, 10);
-        assert_eq!(s2, 300);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use ipa_flash::{
     CmdId, Completion, Counters, EventKind, FlashDevice, IoCtx, Observer, OpResult, SpanCategory,
-    SpanId, WearHistogram,
+    SpanId,
 };
 
 use crate::config::NoFtlConfig;
@@ -158,11 +158,6 @@ impl NoFtl {
         self.dev.drain()
     }
 
-    /// The device's effective host queue depth (1 on the OpenSSD profile).
-    pub fn queue_depth(&self) -> u32 {
-        self.dev.queue_depth()
-    }
-
     /// Whether `write_delta` is currently possible for a logical page.
     pub fn can_append(&self, rid: RegionId, lba: Lba) -> bool {
         self.region(rid).map(|r| r.can_append(&self.dev, lba)).unwrap_or(false)
@@ -230,12 +225,6 @@ impl NoFtl {
         self.dev.detach_observer()
     }
 
-    /// Whether a trace observer is attached.
-    #[inline]
-    pub fn observing(&self) -> bool {
-        self.dev.observing()
-    }
-
     /// Emit a logical trace event (engine flush/evict decisions) through
     /// the device's sequence counter and clock, so it interleaves correctly
     /// with the physical events it triggers.
@@ -289,12 +278,6 @@ impl NoFtl {
     /// and physical events alone preserve the pre-tracing trace shape.
     pub fn set_cmd_tracing(&mut self, on: bool) {
         self.dev.set_cmd_tracing(on);
-    }
-
-    /// Erase-count distribution across all blocks of the device — the
-    /// wear-telemetry export for observability snapshots.
-    pub fn wear_histogram(&self) -> WearHistogram {
-        self.dev.wear_histogram()
     }
 
     /// Mapped logical pages of a region (diagnostics: counts the mapping).

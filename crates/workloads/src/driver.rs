@@ -38,10 +38,10 @@ pub struct SystemConfig {
     /// Eager (Shore-MT default) vs non-eager eviction and log reclamation.
     pub eager: bool,
     /// Host command-queue depth. Both testbed constructors pin this to 1 —
-    /// the serial behaviour the paper measured — and the flash layer clamps
-    /// the OpenSSD profile (no NCQ) to 1 regardless. A deeper queue changes
-    /// nothing for a serial driver, which keeps one host command in flight;
-    /// only a multi-client run can fill it.
+    /// the serial behaviour the paper measured, and on OpenSSD (no NCQ) the
+    /// board's only one. A deeper queue changes nothing for a serial
+    /// driver, which keeps one host command in flight; only a multi-client
+    /// run can fill it.
     pub queue_depth: u32,
     /// Simulated CPU time consumed per transaction, nanoseconds.
     pub cpu_ns_per_txn: u64,
